@@ -9,7 +9,8 @@ measurement (4 cores x 1M references)::
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke    # ~30 s CI
 
 The smoke mode doubles as the per-PR perf canary in CI: it prints the
-measured speedup and fails loudly if batching regresses below 1.5x.
+measured speedup and fails loudly if it regresses below
+:data:`SMOKE_FLOOR`.
 """
 
 import os
@@ -43,6 +44,14 @@ MIX = ("crafty", "mesa", "twolf", "mcf")
 HOT_FRACTION = 0.9
 HOT_LINES = 64
 HOT_RUN = 16
+
+#: Minimum batched-over-reference speedup of the short runs (the pytest
+#: guard at :data:`BENCH_ACCESSES`, ``--smoke`` at 120 k references per
+#: thread) and of the full 1 M run.  The miss-stream loop measures 6.9-8.7x
+#: and 11.3x; the hit-streak loop it replaced 3.8-4.1x and 4.8x, so the
+#: floors sit between the two: a revert fails them, timing noise does not.
+SMOKE_FLOOR = 5.0
+FULL_FLOOR = 6.0
 
 BENCH_ACCESSES = int(os.environ.get("REPRO_ENGINE_ACCESSES", "60000"))
 
@@ -101,7 +110,7 @@ def test_batched_speedup():
     speedup = ref_time / bat_time
     print(f"\nengine speedup at {BENCH_ACCESSES} refs/thread: "
           f"{speedup:.2f}x (reference {ref_time:.2f}s, batched {bat_time:.2f}s)")
-    assert speedup >= 1.5
+    assert speedup >= SMOKE_FLOOR
 
 
 def main(argv):
@@ -117,7 +126,7 @@ def main(argv):
     print(f"  reference: {ref_time:6.2f} s")
     print(f"  batched:   {bat_time:6.2f} s")
     print(f"  speedup:   {speedup:6.2f} x")
-    floor = 1.5 if smoke else 3.0
+    floor = SMOKE_FLOOR if smoke else FULL_FLOOR
     if speedup < floor:
         print(f"FAIL: speedup below the {floor}x floor")
         return 1

@@ -13,8 +13,9 @@ over the default 2T + 4T mixes)::
     PYTHONPATH=src python benchmarks/bench_isolation.py --smoke    # ~15 s
 
 Both modes print the trace-generation time once and the per-engine
-simulation wall clock, and fail loudly when the solo engine's speedup over
-the batched engine drops below the floor.  ``record.py engine`` imports
+simulation wall clock, and fail loudly when the vector engine's speedup
+over solo or the array backend's over the python backend drops below its
+floor.  ``record.py engine`` imports
 :func:`run_stage_once` to record the ``isolation_stage_*`` rates the CI
 perf gate floors.
 """
@@ -32,13 +33,12 @@ from repro.experiments.common import ExperimentScale
 from repro.workloads.generator import generate_trace
 from repro.workloads.trace import Trace
 
-#: Solo must stay at least this much faster than the *current* batched
-#: engine on the stage.  This in-process guard is deliberately looser than
-#: the acceptance floor: the post-drain batched engine is itself faster
-#: than the pre-solo baseline, and the strict >=1.5x-vs-pre-solo gate is
-#: enforced by the CI perf-smoke job's cross-recording comparison
-#: (``record.py engine --baseline`` against a seed-worktree recording).
-SPEEDUP_FLOOR = 1.3
+#: The solo-vs-batched ratio of one run is printed for information only:
+#: its denominator is the *current* batched engine, which multi-core work
+#: legitimately speeds up (the miss-stream loop took the ratio from ~1.75x
+#: to ~1.2x without touching solo).  Solo's gate is the CI perf-smoke
+#: job's cross-recording comparison (``record.py engine --baseline``
+#: against a pre-solo-worktree recording, >= 1.5x).
 
 #: The vector engine must stay at least this much faster than the
 #: *current* solo engine on the stage.  Looser than the >=2x acceptance
@@ -130,21 +130,6 @@ def test_isolation_stage_rate(benchmark, engine):
     benchmark(lambda: run_stage_once(engine, scale, jobs, traces))
 
 
-def test_solo_stage_speedup():
-    """Regression guard: solo must stay well ahead on the isolation stage."""
-    scale = bench_scale(smoke=True)
-    jobs = stage_jobs(scale)
-    traces = stage_traces(scale, jobs)
-    best = {}
-    for engine in ("batched", "solo"):
-        best[engine] = min(
-            run_stage_once(engine, scale, jobs, traces)[0] for _ in range(3))
-    speedup = best["batched"] / best["solo"]
-    print(f"\nisolation-stage speedup: {speedup:.2f}x "
-          f"(batched {best['batched']:.2f}s, solo {best['solo']:.2f}s)")
-    assert speedup >= SPEEDUP_FLOOR
-
-
 def test_vector_stage_speedup():
     """Regression guard: the set-parallel vector engine must stay well
     ahead of the solo engine on the isolation stage (its target shape)."""
@@ -199,13 +184,10 @@ def main(argv) -> int:
     speedup = seconds["batched"] / seconds["solo"]
     vector_speedup = seconds["solo"] / seconds["vector:python"]
     array_speedup = seconds["vector:python"] / seconds["vector:array"]
-    print(f"  solo speedup    {speedup:6.2f} x (vs batched)")
+    print(f"  solo speedup    {speedup:6.2f} x (vs batched, informational)")
     print(f"  vector speedup  {vector_speedup:6.2f} x (vs solo)")
     print(f"  array speedup   {array_speedup:6.2f} x (vs vector:python)")
     status = 0
-    if speedup < SPEEDUP_FLOOR:
-        print(f"FAIL: solo speedup below the {SPEEDUP_FLOOR}x floor")
-        status = 1
     if vector_speedup < VECTOR_SPEEDUP_FLOOR:
         print(f"FAIL: vector speedup below the {VECTOR_SPEEDUP_FLOOR}x floor")
         status = 1

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "6b3ed2e946216cc79e0ce518ac3ac0cbcb41c86012cffb2fd15f7908110f0cd3"
+ENGINE_SOURCE_CHECKSUM = "ebcf3e71a18f81f1b16619d1991a4f1a60a76bfb20c8e4baaac0907145bda689"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -1,123 +1,164 @@
-"""Batched execution engine: bulk L1 prefilter + event-driven slow path.
+"""Batched execution engine: bulk L1 prefilter + miss-stream event loop.
 
-The key observation: the private L1s interact with nothing shared.  For a
-read-only trace, a thread's L1 hit/miss outcome for every reference is a
-pure function of its own reference stream, so it can be computed *in bulk*
-ahead of time (vectorised numpy for the baseline 2-way LRU L1s, a tight
-loop otherwise — see :meth:`SmallLRUCache.access_lines_hit`).  Only the
-references that miss the L1 — the ones that reach the shared L2 — take the
-slow path through the replacement/partition/profiling machinery.
+The key observation: the private L1s interact with nothing shared.  A
+thread's L1 hit/miss outcome for every reference is a pure function of its
+own reference stream, so it is computed *in bulk* ahead of time
+(:func:`.common.l1_miss_window`), one window of :data:`CHUNK_SIZE`
+references at a time.  Of each window the engine keeps only the **L1-miss
+stream** — the lines that reach the shared L2 and the number of L1 hits
+(the *gap*) preceding each — and schedules exactly one heap event per L2
+access: ``(anchor + gap * base, thread)``, the reference engine's pop key
+for that access.
 
 Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 
-* L1 hits touch no shared state, so a whole hit-streak can be committed in
-  one scheduler event; the thread's clock lands on the identical float
-  because both engines evaluate ``anchor + count * base_cost``.
-* L2 accesses, write-back drains, memory-channel requests and interval
-  boundaries all execute at scheduler pops, i.e. at the global minimum
-  clock — the same total order as the reference engine's per-access loop.
-* A thread's freeze access is never folded into a jump: the jump is
-  truncated just before it, so the freeze commits at its own pop in exact
-  global order, and the run terminates after the same access in both
-  engines (this matters: post-freeze contention accesses of *other*
-  threads up to that point are part of the aggregate event counts).
-* Interval boundaries fire while the popped clock has crossed them
-  (catch-up ``while``), which places every repartition before the same L2
-  access as the reference loop does.
-* ATD profiling is *deferred*: each core's ATD observes only its own
-  thread's stream and its state is read only at controller boundaries and
-  run end, so the engine buffers each thread's L2-reaching lines and
-  drains them through the batch observe kernels
+* **Folded gaps.**  L1 hits touch no shared state, so they need no event
+  of their own.  The reference pops the access that follows ``gap`` hits
+  at ``anchor + gap * base`` (:mod:`.common`); this engine evaluates the
+  identical float expression, with the gap accumulated across window
+  seams and trace wraps, so the L2 accesses, write-back drains and
+  memory-channel requests of all threads execute in the same total
+  ``(clock, thread)`` order with bit-equal clocks.
+* **Freeze-hit event.**  A thread's freeze access must commit in exact
+  global order (it may end the run).  When it is an L2 access it already
+  is an event.  When it is the ``h``-th L1 hit of a gap it becomes the
+  only kind of non-L2 event: it pops at its own key
+  ``anchor + (h - 1) * base``, freezes at ``anchor + h * base``, and the
+  thread is then rescheduled for the L2 access that ends the gap.
+* **Boundary placement.**  Interval boundaries fire while the popped clock
+  has crossed them (catch-up ``while``).  No L2 access has a key between a
+  boundary and the first pop at or after it, so every repartition precedes
+  the same L2 accesses as in the reference loop; the final (freeze) event
+  fires every boundary it crossed, as the reference's last pop does.
+* **Sliced ATD drains.**  Each core's ATD observes only its own thread's
+  stream and is read only at controller boundaries and run end, so stock
+  profiling (:func:`.common.deferrable_profiling`) is *deferred*: the
+  executed part of each miss stream, ``lines[drained:cursor]``, drains
+  through the batch observe kernels
   (:func:`repro.cache.state.build_observe_many_kernel`) right before every
-  boundary, at each thread's freeze, and at run end — replacing one Python
-  call plus observer indirection per L2 access with an amortised buffer
-  append.  Per-thread order is preserved by the FIFO buffers;
-  cross-thread drain order is immaterial because the ATDs are disjoint.
+  boundary, at the thread's freeze, when its window is replaced, and at
+  run end.  Per-thread order is the stream's order; cross-thread drain
+  order is immaterial because the ATDs are disjoint.
+* **Parked threads.**  After a whole trace pass without an L1 miss the L1
+  contents can never change again (hits install nothing), so the thread
+  has no further L2 access: it gets its freeze-hit event if still due,
+  then parks at ``+inf``.
+* **Termination rollback.**  The reference stops right after the last
+  freeze access.  Accesses of other threads ordering after that key were
+  never executed there; only the L1 hits of each thread's pending gap can
+  be affected (its pending L2 access is still in the heap), so a binary
+  search over the gap's pop keys counts the hits that did commit.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappushpop
 from typing import List, Optional
 
 import numpy as np
 
-from repro.cmp.engine.common import EngineBase, deferrable_profiling
+from repro.cmp.engine.common import (
+    EngineBase,
+    deferrable_profiling,
+    l1_miss_window,
+)
 from repro.cmp.results import SimulationResult, ThreadResult
 
 #: References prefiltered per bulk L1 call.  Bounds the flag/victim arrays
 #: (a few hundred KB per thread) while amortising the numpy fixed costs.
 CHUNK_SIZE = 1 << 16
 
+_NO_MISSES = np.empty(0, dtype=np.int64)
+
 
 class BatchedEngine(EngineBase):
-    """Hit-streak batching over an exact event scheduler."""
+    """One heap event per L2 access over the bulk-prefiltered miss streams."""
 
     name = "batched"
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
         n = self.n
-        # Per-thread prefilter window: [start, end) trace positions whose L1
-        # outcomes are known.  ``miss_offs`` are the window-relative offsets
-        # of the L1 misses, ``mp_idx`` the cursor of the next pending miss.
-        self._ck_start = [0] * n
-        self._ck_end = [0] * n
-        self._ck_flags: List[Optional[list]] = [None] * n
-        self._ck_lines: List[Optional[list]] = [None] * n
-        self._ck_miss: List[Optional[list]] = [None] * n
-        self._ck_mpidx = [0] * n
+        # Per-thread prefilter window.  ``pos`` is the trace position after
+        # it, ``upto`` the references through the thread's last L2 access
+        # before it and ``tail`` the L1 hits after the window's last miss
+        # (all hits since that L2 access while the window has no miss).
+        # ``lines``/``victims`` are the addresses and displaced dirty lines
+        # of its L1 misses, ``gaps[j]`` the L1 hits preceding miss ``j``.
+        self._ck_pos = [0] * n
+        self._ck_upto = [0] * n
+        self._ck_tail = [0] * n
+        self._ck_lines: List[list] = [[] for _ in range(n)]
         self._ck_victims: List[Optional[list]] = [None] * n
+        self._ck_gaps: List[list] = [[] for _ in range(n)]
+        # Freeze access of the window, if any: at or in the gap before miss
+        # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
+        # else its 1-based rank among the gap's hits.
+        self._ck_fz_at = [-2] * n
+        self._ck_fz_hit = [0] * n
 
     # ------------------------------------------------------------------
-    def _load_chunk(self, t: int, pos: int) -> None:
-        """Prefilter the next window of thread ``t`` through its L1."""
-        trace = self.sim.traces[t]
-        l1 = self.sim.hierarchy.l1[t]
-        end = min(self.lengths[t], pos + CHUNK_SIZE)
-        lines = trace.chunk_view(pos, end - pos)
-        if self.has_writes:
-            writes = None
-            if trace.writes is not None:
-                writes = trace.writes[pos:end]
-            flags, victims = l1.access_lines_rw(lines, writes)
-            self._ck_victims[t] = victims.tolist()
+    def _load_chunk(self, t: int) -> bool:
+        """Prefilter thread ``t``'s next window into its L1-miss stream.
+
+        Returns ``False`` once a whole trace pass went by without a miss:
+        the footprint is L1-resident, so the "window" is just the hits up
+        to the freeze access (if still ahead) and holds no L2 access.
+        """
+        length = self.lengths[t]
+        carry = self._ck_tail[t]
+        upto = self._ck_upto[t] + sum(self._ck_gaps[t]) + len(self._ck_gaps[t])
+        to_freeze = self.freeze_counts[t] - upto - carry
+        streaming = carry < length
+        if streaming:
+            pos = self._ck_pos[t]
+            end = min(length, pos + CHUNK_SIZE)
+            offs, self._ck_lines[t], self._ck_victims[t] = l1_miss_window(
+                self.sim.traces[t], self.sim.hierarchy.l1[t], pos, end,
+                self.has_writes)
+            width = end - pos
+            self._ck_pos[t] = end if end < length else 0
         else:
-            flags = l1.access_lines_hit(lines)
-            self._ck_victims[t] = None
-        self._ck_start[t] = pos
-        self._ck_end[t] = end
-        # Python lists: scalar indexing on the hot path is several times
-        # cheaper than numpy element access.  Only the current window is
-        # materialised — whole traces stay as their numpy arrays.
-        self._ck_flags[t] = flags.tolist()
-        self._ck_lines[t] = lines.tolist()
-        self._ck_miss[t] = np.flatnonzero(~flags).tolist()
-        self._ck_mpidx[t] = 0
+            offs, self._ck_lines[t] = _NO_MISSES, []
+            width = max(to_freeze, 0)
+        gaps = np.diff(offs, prepend=-1) - 1
+        if len(offs):
+            gaps[0] += carry
+        fz_at, fz_hit = -2, 0
+        if 0 < to_freeze <= width:
+            fz_at = int(np.searchsorted(offs, to_freeze - 1))
+            if fz_at == len(offs) or offs[fz_at] != to_freeze - 1:
+                fz_hit = (to_freeze - 1 - int(offs[fz_at - 1]) if fz_at
+                          else carry + to_freeze)
+        self._ck_upto[t] = upto
+        self._ck_tail[t] = (width - int(offs[-1]) - 1 if len(offs)
+                            else carry + width)
+        self._ck_gaps[t] = gaps.tolist()
+        self._ck_fz_at[t] = fz_at
+        self._ck_fz_hit[t] = fz_hit
+        return streaming
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Commit L1 hit-streaks in bulk, L2 events in exact global order.
+        """Execute the L2 accesses of all threads in exact global order.
 
         See the module docstring for the exactness argument; the result is
         bit-identical to :meth:`ReferenceEngine.run`.
         """
         sim = self.sim
         n = self.n
-        traces = sim.traces
-        lengths = self.lengths
         base = self.base_cost
         freeze_counts = self.freeze_counts
         has_writes = self.has_writes
         l2_hit_pen = self.l2_hit_pen
         mem_pen = self.mem_pen
-        channel = self.channel
+        request = self.channel.request if self.channel is not None else None
         max_cycles = self.max_cycles
-
+        # math.inf when unset: one float compare per pop, no branch.
+        cycle_cap = max_cycles if max_cycles is not None else math.inf
         controller = sim.controller
         interval = self.interval
-        # math.inf when unpartitioned: one float compare per pop, no branch.
         next_boundary = interval if controller is not None else math.inf
         hierarchy = sim.hierarchy
         l2 = hierarchy.l2
@@ -125,220 +166,171 @@ class BatchedEngine(EngineBase):
         # Slow-path kernel: ``l2.access_line_hit`` is the policy-specialised
         # closure the flat core bound at construction (repro.cache.state) —
         # every L2-reaching reference runs locals-bound array operations,
-        # no per-access attribute chases or policy method dispatch.  The
-        # observer likewise resolves to the ATD observe kernels through
-        # ``ProfilingSystem.observe``.
+        # no per-access attribute chases or policy method dispatch.
         l2_access_hit = l2.access_line_hit
         l2_access_rw = l2.access_line_rw
         l2_write_back = l2.write_back_line
-        observer = hierarchy.l2_observer
-
-        # Deferred ATD profiling drains: each core's ATD observes only its
-        # own thread's stream and its state is read only at controller
-        # boundaries and run end, so the per-access ``observer(t, line)``
-        # call is replaced by a buffer append; buffers drain through the
-        # batch observe kernels (repro.cache.state) at every interval
-        # boundary, at each thread's freeze, and at run end.  A custom
-        # observer keeps immediate calls (see deferrable_profiling).
+        # Stock profiling drains in slices (module docstring); a custom
+        # observer keeps immediate per-access calls.
         profiling = deferrable_profiling(sim)
-        if profiling is not None:
-            obs_bufs: Optional[List[list]] = [[] for _ in range(n)]
-            obs_drain = [m.atd.observe_many for m in profiling.monitors]
-            record = [buf.append for buf in obs_bufs]
+        observe_now = hierarchy.l2_observer if profiling is None else None
+        obs_drain = ([m.atd.observe_many for m in profiling.monitors]
+                     if profiling is not None else None)
 
-            def drain_all() -> None:
-                for u in range(n):
-                    buf = obs_bufs[u]
-                    if buf:
-                        obs_drain[u](buf)
-                        del buf[:]
-        elif observer is not None:
-            obs_bufs = None
-
-            def _immediate(u):
-                def rec(line):
-                    observer(u, line)
-                return rec
-
-            record = [_immediate(u) for u in range(n)]
-        else:
-            obs_bufs = None
-            record = None
-
-        anchor = [0.0] * n
-        count = [0] * n
-        acc_total = [0] * n       # references committed (== L1 accesses)
-        slow_total = [0] * n      # references that reached the L2 (== L1 misses)
-        # Last commit of each thread, for the termination rollback: a jump
-        # of ``pending_hits`` L1 hits starting at ``pending_count0``.
-        pending_hits = [0] * n
-        pending_count0 = [0] * n
-        positions = [0] * n
+        lines = self._ck_lines
+        gaps = self._ck_gaps
+        victims = self._ck_victims
+        fz_at = self._ck_fz_at
+        fz_hit = self._ck_fz_hit
+        load = self._load_chunk
+        cur = [0] * n         # next pending miss; ``~j`` while a freeze-hit waits
+        stop = [0] * n        # cursor value that needs the slow path
+        drained = [0] * n     # misses of the window the ATD has seen
+        missed = [0] * n      # L1 misses in the windows before this one
+        anchor = [0.0] * n    # clock after the thread's last L2 access
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
         wb_l1_to_l2 = 0
         wb_l1_to_mem = 0
 
-        ck_start = self._ck_start
-        ck_end = self._ck_end
-        ck_flags = self._ck_flags
-        ck_lines = self._ck_lines
-        ck_miss = self._ck_miss
-        ck_mpidx = self._ck_mpidx
-        ck_victims = self._ck_victims
+        def drain(u: int, j: int) -> None:
+            if obs_drain is not None and j > drained[u]:
+                obs_drain[u](lines[u][drained[u]:j])
+                drained[u] = j
 
-        # Raw heapq over (clock, thread) pairs: the same exact order as
-        # EventScheduler (see scheduler.py), without the method-call layer.
-        heap = [(0.0, t) for t in range(n)]
-        heapify(heap)
-        pop = heappop
-        push = heappush
+        def cross(now: float, boundary: float) -> float:
+            # Drain the executed misses before the controller reads the
+            # SDHs; then catch up on every crossed boundary.
+            for u in range(n):
+                drain(u, cur[u] if cur[u] >= 0 else ~cur[u])
+            while now >= boundary:
+                controller.interval_boundary(cycle=int(boundary))
+                boundary += interval
+            return boundary
 
-        def freeze(t: int, clock: float) -> None:
+        def overrun() -> None:
+            raise RuntimeError(
+                f"simulation exceeded max_cycles={max_cycles} with "
+                f"{active} threads still running"
+            )
+
+        def freeze(t: int, clock: float, j: int) -> None:
             nonlocal active
-            if obs_bufs is not None:
-                buf = obs_bufs[t]
-                if buf:
-                    obs_drain[t](buf)
-                    del buf[:]
+            drain(t, j)
             frozen[t] = ThreadResult(
-                name=traces[t].name,
+                name=sim.traces[t].name,
                 instructions=freeze_counts[t] * self.ipms[t],
                 cycles=clock,
-                l1_accesses=acc_total[t],
-                l1_misses=slow_total[t],
+                l1_accesses=freeze_counts[t],
+                l1_misses=missed[t] + j,
                 l2_accesses=l2_stats.accesses[t],
                 l2_misses=l2_stats.misses[t],
             )
+            fz_at[t] = -2
             active -= 1
 
-        while active:
-            now, t = pop(heap)
+        def resume(t: int, j: int) -> float:
+            """Key of thread ``t``'s next event after ``j`` window misses."""
+            while True:
+                if fz_at[t] == j and fz_hit[t]:
+                    cur[t] = ~j
+                    return anchor[t] + (fz_hit[t] - 1) * base[t]
+                if j < len(lines[t]):
+                    cur[t] = j
+                    if fz_at[t] < j:
+                        stop[t] = len(lines[t])
+                    else:
+                        stop[t] = fz_at[t] if fz_hit[t] else fz_at[t] + 1
+                    return anchor[t] + gaps[t][j] * base[t]
+                drain(t, j)
+                missed[t] += j
+                drained[t] = 0
+                if not load(t) and fz_at[t] < 0:
+                    cur[t] = 0
+                    return math.inf
+                j = 0
+
+        # Raw heapq over (clock, thread) pairs: the same exact order as
+        # EventScheduler (see scheduler.py), without the method-call layer.
+        heap = [(resume(t, 0), t) for t in range(n)]
+        heapify(heap)
+        pushpop = heappushpop
+        now, t = heappop(heap)
+        while True:
             if now >= next_boundary:
-                # Drain the buffered observes before the controller reads
-                # the SDHs; then catch up on every crossed boundary.
-                if obs_bufs is not None:
-                    drain_all()
-                while now >= next_boundary:
-                    controller.interval_boundary(cycle=int(next_boundary))
-                    next_boundary += interval
-            pos = positions[t]
-            if pos < ck_start[t] or pos >= ck_end[t]:
-                self._load_chunk(t, pos)
-            off = pos - ck_start[t]
-            if ck_flags[t][off]:
-                # L1 hit-streak: commit every hit up to the next L2-reaching
-                # reference (or window edge / freeze access) in one event.
-                miss_offs = ck_miss[t]
-                mi = ck_mpidx[t]
-                limit = (miss_offs[mi] if mi < len(miss_offs)
-                         else ck_end[t] - ck_start[t])
-                k = limit - off
-                freeze_now = False
-                if frozen[t] is None:
-                    remaining = freeze_counts[t] - acc_total[t]
-                    if remaining == 1:
-                        # The freeze access runs at its own pop so it
-                        # commits in exact global order.
-                        k = 1
-                        freeze_now = True
-                    elif remaining <= k:
-                        k = remaining - 1
-                acc_total[t] += k
-                pending_hits[t] = k
-                pending_count0[t] = count[t]
-                c = count[t] + k
-                count[t] = c
-                clock = anchor[t] + c * base[t]
-                npos = pos + k
-                if npos < lengths[t]:
-                    positions[t] = npos
-                else:
-                    # Trace wrap: the pass-1 window must not satisfy the
-                    # residency check for pass-2 positions.
-                    positions[t] = 0
-                    ck_end[t] = 0
-            else:
-                # Slow path: the reference reaches the shared L2.
-                line = ck_lines[t][off]
+                next_boundary = cross(now, next_boundary)
+            if now > cycle_cap:
+                overrun()
+            j = cur[t]
+            if j >= 0:
+                line = lines[t][j]
                 if has_writes:
-                    victims = ck_victims[t]
-                    if victims is not None:
-                        victim = victims[off]
-                        if victim >= 0:
-                            if l2_write_back(victim, t):
-                                wb_l1_to_l2 += 1
-                            else:
-                                wb_l1_to_mem += 1
-                    if record is not None:
-                        record[t](line)
+                    victim = victims[t][j]
+                    if victim >= 0:
+                        if l2_write_back(victim, t):
+                            wb_l1_to_l2 += 1
+                        else:
+                            wb_l1_to_mem += 1
+                    if observe_now is not None:
+                        observe_now(t, line)
                     hit2 = l2_access_rw(line, t, False)
                 else:
-                    if record is not None:
-                        record[t](line)
+                    if observe_now is not None:
+                        observe_now(t, line)
                     hit2 = l2_access_hit(line, t)
                 if hit2:
                     clock = now + base[t] + l2_hit_pen
-                elif channel is not None:
-                    clock = channel.request(now + l2_hit_pen) + base[t]
+                elif request is not None:
+                    clock = request(now + l2_hit_pen) + base[t]
                 else:
                     clock = now + base[t] + mem_pen
                 anchor[t] = clock
-                count[t] = 0
-                acc_total[t] += 1
-                slow_total[t] += 1
-                pending_hits[t] = 0
-                ck_mpidx[t] = ck_mpidx[t] + 1
-                if pos + 1 < lengths[t]:
-                    positions[t] = pos + 1
+                j += 1
+                if j != stop[t]:
+                    cur[t] = j
+                    clock += gaps[t][j] * base[t]
                 else:
-                    positions[t] = 0
-                    ck_end[t] = 0
-                freeze_now = (frozen[t] is None
-                              and acc_total[t] >= freeze_counts[t])
-            if freeze_now:
-                freeze(t, clock)
-            # A push after the terminal freeze is dead (the loop condition
-            # exits first) but harmless, so both branches share one tail.
-            push(heap, (clock, t))
-            if max_cycles is not None and now > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles} with "
-                    f"{active} threads still running"
-                )
+                    if fz_at[t] == j - 1:
+                        freeze(t, clock, j)
+                        if not active:
+                            break
+                    clock = resume(t, j)
+            else:
+                # The freeze access is an L1 hit inside the pending gap.
+                j = ~j
+                freeze(t, anchor[t] + fz_hit[t] * base[t], j)
+                if not active:
+                    break
+                clock = resume(t, j)
+            now, t = pushpop(heap, (clock, t))
 
-        # Termination rollback: the reference loop stops right after the
-        # last freeze access, so accesses of *other* threads whose step keys
-        # order after it were never executed there.  Only each thread's
-        # last un-popped jump can contain such accesses (its pop key
-        # preceded the final event; any earlier jump was followed by a pop
-        # that also preceded it).  Drop them from the aggregate counts.
+        # Termination rollback (module docstring): count, per other thread,
+        # the hits of its pending gap whose pop keys precede the final key.
         final_key = (now, t)
+        l1_accesses = freeze_counts[t]
         for u in range(n):
             if u == t:
                 continue
-            k = pending_hits[u]
-            if not k:
-                continue
+            j = cur[u]
+            drain(u, j)
+            l1_accesses += self._ck_upto[u] + sum(gaps[u][:j]) + j
             a0 = anchor[u]
             b = base[u]
-            count0 = pending_count0[u]
-            lo, hi = 0, k   # first jump access ordering after the final key
+            # A parked thread's gap is unbounded; any count past the final
+            # key bounds the search.
+            lo, hi = 0, (gaps[u][j] if j < len(gaps[u])
+                         else int((now - a0) / b) + 2)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if (a0 + (count0 + mid) * b, u) > final_key:
+                if (a0 + mid * b, u) > final_key:
                     hi = mid
                 else:
                     lo = mid + 1
-            acc_total[u] -= k - lo
-
-        # Final drain before _assemble reads the ATD sampled counters.
-        if obs_bufs is not None:
-            drain_all()
+            l1_accesses += lo
 
         return self._assemble(
             frozen,
-            l1_accesses=sum(acc_total),
+            l1_accesses=l1_accesses,
             l1_writebacks=wb_l1_to_l2 + wb_l1_to_mem,
             memory_writebacks=l2_stats.total_writebacks + wb_l1_to_mem,
         )

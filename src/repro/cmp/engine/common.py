@@ -9,20 +9,25 @@ not setup code:
 * the timing recurrence.  A thread's clock is ``anchor + count * base_cost``
   where ``anchor`` is the clock after its last L2-reaching access and
   ``count`` the L1 hits committed since.  Written this way, advancing one
-  hit at a time (reference) and advancing a whole hit-streak at once
-  (batched) evaluate the *same* floating-point expression, so the engines
+  hit at a time (reference) and keying a thread's next L2 access by the
+  whole gap of hits before it (batched) evaluate the *same*
+  floating-point expression, so the engines
   agree bit for bit even for non-dyadic ``ipm``/``cpi`` values;
 * the freeze rule.  Statistics freeze on the access where the committed
   instruction count ``count * ipm`` first reaches the budget; the crossing
   access index is precomputed as an integer (:func:`freeze_count`) so both
   engines freeze on exactly the same access;
-* result assembly (:class:`ThreadResult` / :class:`EventCounts`).
+* result assembly (:class:`ThreadResult` / :class:`EventCounts`);
+* the per-window L1-miss stream (:func:`l1_miss_window`) the solo and
+  batched engines walk.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cmp.memory import MemoryChannel
 from repro.cmp.results import EventCounts, SimulationResult, ThreadResult
@@ -50,6 +55,28 @@ def deferrable_profiling(sim) -> Optional[ProfilingSystem]:
     if getattr(observer, "__func__", None) is not ProfilingSystem.observe:
         return None
     return profiling
+
+
+def l1_miss_window(trace, l1, pos: int, end: int, has_writes: bool
+                   ) -> Tuple[np.ndarray, list, Optional[list]]:
+    """Prefilter ``trace[pos:end]`` through the private ``l1`` in bulk.
+
+    Returns ``(miss_idx, miss_lines, miss_victims)``: the window-relative
+    offsets of the references that miss the L1 (an int array — the hits
+    between them are pure clock arithmetic), their line addresses as
+    Python scalars, and — when the run carries writes — the dirty L1
+    victim each miss displaced (``-1`` for none), else ``None``.  Dirty
+    victims only arise on miss fills, so the miss subset carries every
+    write-back of the window.
+    """
+    lines = trace.chunk_view(pos, end - pos)
+    if not has_writes:
+        miss_idx = np.flatnonzero(~l1.access_lines_hit(lines))
+        return miss_idx, lines[miss_idx].tolist(), None
+    writes = trace.writes[pos:end] if trace.writes is not None else None
+    flags, victims = l1.access_lines_rw(lines, writes)
+    miss_idx = np.flatnonzero(~flags)
+    return miss_idx, lines[miss_idx].tolist(), victims[miss_idx].tolist()
 
 
 def freeze_count(budget: float, ipm: float) -> int:

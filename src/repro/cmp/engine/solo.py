@@ -41,10 +41,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.cmp.engine.batched import CHUNK_SIZE
-from repro.cmp.engine.common import EngineBase, deferrable_profiling
+from repro.cmp.engine.common import (
+    EngineBase,
+    deferrable_profiling,
+    l1_miss_window,
+)
 from repro.cmp.results import SimulationResult, ThreadResult
 
 
@@ -85,8 +87,6 @@ class SoloEngine(EngineBase):
         next_boundary = interval if controller is not None else math.inf
         hierarchy = sim.hierarchy
         l1 = hierarchy.l1[0]
-        l1_bulk_hit = l1.access_lines_hit
-        l1_bulk_rw = l1.access_lines_rw
         l2 = hierarchy.l2
         l2_access_hit = l2.access_line_hit
         l2_access_rw = l2.access_line_rw
@@ -128,23 +128,11 @@ class SoloEngine(EngineBase):
         while True:
             end = min(length, pos + CHUNK_SIZE)
             n_chunk = end - pos
-            lines_np = trace.chunk_view(pos, n_chunk)
-            if has_writes:
-                writes = trace.writes[pos:end] if trace.writes is not None \
-                    else None
-                flags, victims_np = l1_bulk_rw(lines_np, writes)
-            else:
-                flags = l1_bulk_hit(lines_np)
-                victims_np = None
             # Only the miss positions are materialised as Python scalars —
             # the hits are pure clock arithmetic.
-            miss_idx = np.flatnonzero(~flags)
+            miss_idx, miss_lines, miss_victims = l1_miss_window(
+                trace, l1, pos, end, has_writes)
             miss_offs = miss_idx.tolist()
-            miss_lines = lines_np[miss_idx].tolist()
-            # Dirty L1 victims only arise on miss fills, so the miss subset
-            # carries every writeback of the window.
-            miss_victims = (victims_np[miss_idx].tolist()
-                            if victims_np is not None else None)
             limit = freeze_at - done
             if limit > n_chunk:
                 limit = n_chunk

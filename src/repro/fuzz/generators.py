@@ -32,6 +32,21 @@ uniform random stream almost never exercises:
   the array kernels' stack-distance, eviction-pairing and invalid-way
   fill paths, hammered in isolation.
 
+Two more shapes only mean something next to other threads, so
+:func:`generate_case` deals them to one core of some multi-core cases
+(after every other draw, leaving the older cases of a seed unchanged).
+They aim at what the batched engine's miss-stream loop special-cases:
+
+* ``l1_resident`` — an optional warm-up, then references to a set of
+  lines that fits the L1: a whole pass without a miss parks the thread
+  (no further events), before or after its freeze, while the other
+  threads keep the heap busy; with the warm-up, each pass ends in one
+  huge hit gap instead.
+* ``freeze_in_gap`` — short miss bursts separated by long single-line
+  hit streaks, the trace starting and ending inside one, with the
+  core's budget chosen so its freeze access is a hit deep in a streak
+  (possibly passes later, across the wrap): the freeze-hit event.
+
 Configuration points sample the full legal cross product the repo's
 hand-written suites enumerate piecewise: all 10 policies, every
 enforcement scheme (respecting the config invariants: partitioned needs
@@ -63,7 +78,16 @@ from repro.workloads.writes import overlay_writes
 #: Shape registry order is part of the deterministic contract — new
 #: shapes append, never reorder.
 TRACE_SHAPES = ("streak", "alternation", "phase_change", "wrap_heavy",
-                "stream", "uniform", "set_collision")
+                "stream", "uniform", "set_collision", "l1_resident",
+                "freeze_in_gap")
+
+#: Shapes any core may draw; the rest are multi-core only (module
+#: docstring) and dealt separately.
+_ANY_CORE_SHAPES = TRACE_SHAPES[:7]
+_MULTI_CORE_SHAPES = TRACE_SHAPES[7:]
+
+#: Minimum hits between a ``freeze_in_gap`` freeze and the miss before it.
+_FREEZE_DEPTH = 8
 
 #: Candidate ``ipm`` values; the non-dyadic entries force the timing
 #: recurrence to be evaluated with genuinely inexact float terms.
@@ -209,6 +233,49 @@ def _set_collision_lines(rng, count, l1_sets, l1_assoc, l2_sets):
     return out
 
 
+def _l1_resident_lines(rng, count, l1_sets, l1_assoc, l2_sets):
+    """Optional warm-up, then only lines of an L1-resident set."""
+    resident = np.arange(_int(rng, 1, l1_sets * l1_assoc), dtype=np.int64)
+    lines = resident[rng.integers(0, resident.size, size=count)]
+    if rng.random() < 0.5:
+        warm = _int(rng, 1, count // 4)
+        lines[:warm] = rng.integers(0, 8 * l2_sets, size=warm)
+    return lines
+
+
+def _freeze_in_gap_lines(rng, count, l1_sets, l1_assoc, l2_sets):
+    """Miss bursts between long one-line hit streaks, seam inside one."""
+    lines = np.empty(count, dtype=np.int64)
+    fresh = 1 << 12
+    i = 0
+    while i < count:
+        burst = min(_int(rng, 1, 12), count - i)
+        lines[i:i + burst] = fresh + np.arange(burst)
+        fresh += burst
+        i += burst
+        streak = min(_int(rng, 40, 400), count - i)
+        lines[i:i + streak] = lines[i - 1]
+        i += streak
+    # The trace ends and re-enters on one line: that gap spans the wrap.
+    edge = min(_int(rng, 20, 200), count // 3)
+    lines[:edge] = lines[-edge:] = 7
+    return lines
+
+
+def _freeze_in_gap_budget(rng, trace: Trace) -> int:
+    """A budget whose freeze access repeats the line of (at least) the
+    ``_FREEZE_DEPTH`` accesses before it — an L1 hit deep in a gap."""
+    lines = trace.lines
+    count = len(lines)
+    same = np.concatenate([lines[:1] == lines[-1:], lines[1:] == lines[:-1]])
+    deep = np.flatnonzero(np.convolve(same, np.ones(_FREEZE_DEPTH))[:count]
+                          >= _FREEZE_DEPTH)
+    deep = deep[deep >= _FREEZE_DEPTH]      # pass 0 starts cold
+    at = _int(rng, 0, 2) * count + int(deep[_int(rng, 0, deep.size - 1)])
+    # freeze_count(budget, ipm) == at + 1 for every ipm >= 1.
+    return int((at + 1) * trace.ipm)
+
+
 _SHAPE_FNS = {
     "streak": _streak_lines,
     "alternation": _alternation_lines,
@@ -217,6 +284,8 @@ _SHAPE_FNS = {
     "stream": _stream_lines,
     "uniform": _uniform_lines,
     "set_collision": _set_collision_lines,
+    "l1_resident": _l1_resident_lines,
+    "freeze_in_gap": _freeze_in_gap_lines,
 }
 
 
@@ -229,7 +298,8 @@ def generate_trace_shape(shape: str, rng: np.random.Generator,
         raise ValueError(
             f"unknown trace shape {shape!r}; known: {TRACE_SHAPES}")
     if count is None:
-        count = (_int(rng, 200, 800) if shape == "wrap_heavy"
+        count = (_int(rng, 200, 800)
+                 if shape in ("wrap_heavy", "l1_resident")
                  else _int(rng, 1500, 6000))
     lines = _SHAPE_FNS[shape](rng, count, l1_sets, l1_assoc, l2_sets)
     ipm = float(_IPMS[_int(rng, 0, len(_IPMS) - 1)])
@@ -298,7 +368,7 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     shapes = []
     traces: List[Trace] = []
     for core in range(num_cores):
-        shape = TRACE_SHAPES[_int(rng, 0, len(TRACE_SHAPES) - 1)]
+        shape = _ANY_CORE_SHAPES[_int(rng, 0, len(_ANY_CORE_SHAPES) - 1)]
         shapes.append(shape)
         trace = generate_trace_shape(shape, rng, l1_sets, l1_assoc,
                                      l2_sets, name=f"t{core}")
@@ -327,6 +397,29 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     service = 0.0
     if rng.random() < 0.3:
         service = float(_int(rng, 200, 800))
+
+    if num_cores > 1 and rng.random() < 0.5:
+        # Deal one core a multi-core shape (module docstring).  Drawn
+        # last, so the cases of a seed that skip this are what they were
+        # before the shapes existed.
+        core = _int(rng, 0, num_cores - 1)
+        shape = _MULTI_CORE_SHAPES[_int(rng, 0, len(_MULTI_CORE_SHAPES) - 1)]
+        shapes[core] = shape
+        trace = generate_trace_shape(shape, rng, l1_sets, l1_assoc,
+                                     l2_sets, name=f"t{core}")
+        trace = Trace(trace.name, trace.lines + (core << 20),
+                      ipm=trace.ipm, cpi_base=trace.cpi_base)
+        traces[core] = trace
+        budgets = list(per_thread or [budget] * num_cores)
+        if shape == "freeze_in_gap":
+            budgets[core] = _freeze_in_gap_budget(rng, trace)
+        else:
+            # From a fraction of a pass (freeze, then park) to several
+            # (park, then freeze on a hit far ahead).
+            budgets[core] = max(1, int(len(trace) * trace.ipm
+                                       * 6 * rng.random()))
+        per_thread = tuple(budgets)
+        budget = max(per_thread)
 
     return FuzzCase(
         traces=traces,

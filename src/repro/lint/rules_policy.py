@@ -19,7 +19,10 @@ rules hold; each gets a mechanical check here:
   window contract: their closures run once per window, so container
   allocations are fine and single-level attribute loads on bound names
   (``memo.get``, ``tag_map.update``) are fine — but global/builtin
-  lookups and multi-level attribute chains stay banned.
+  lookups and multi-level attribute chains stay banned.  The ``while``
+  loop of ``BatchedEngine.run`` — one iteration per L2 access of every
+  multi-core run — is held to the strict contract too, against the names
+  ``run`` binds; its rare paths live in nested closures.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 #: Modules whose ``_*_array_kernel`` factories build *window-level*
 #: closures, checked under the relaxed array contract.
 ARRAY_KERNEL_MODULES = ("repro/cache/kernels/array.py",)
+
+#: ``(module, class, method)`` whose top-level ``while`` loops run once per
+#: simulated event and are checked like kernel closures.
+EVENT_LOOPS = (("repro/cmp/engine/batched.py", "BatchedEngine", "run"),)
 
 #: Attribute loads permitted inside kernel closures: C-level int/list
 #: methods on already-bound locals.  Everything else (``obj.attr`` chases,
@@ -209,8 +216,8 @@ class _ScopeCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _closure_nodes(func: ast.FunctionDef):
-    """AST nodes belonging to ``func`` itself (nested defs pruned)."""
+def _closure_nodes(func):
+    """AST nodes of ``func.body`` itself (nested defs pruned)."""
     stack = list(func.body)
     while stack:
         node = stack.pop()
@@ -247,27 +254,41 @@ class HotPathPurityRule(Rule):
                             and node.name.startswith("_")):
                         yield from self._check_factory(ctx, path, node,
                                                        relaxed)
+        for rel, class_name, method_name in EVENT_LOOPS:
+            path = ctx.find(rel)
+            tree = ctx.tree(path) if path is not None else None
+            if tree is None:
+                continue
+            for method in (m for node in tree.body
+                           if isinstance(node, ast.ClassDef)
+                           and node.name == class_name
+                           for m in _own_methods(node)
+                           if m.name == method_name):
+                bound = _ScopeCollector(method).names
+                for stmt in method.body:
+                    if isinstance(stmt, ast.While):
+                        yield from self._check_body(
+                            ctx, path, f"the {class_name}.{method_name} "
+                            f"event loop", stmt, bound, False)
 
     def _check_factory(self, ctx: LintContext, path, factory,
                        relaxed: bool) -> Iterator[Diagnostic]:
         outer = _ScopeCollector(factory).names
         for node in ast.walk(factory):
             if (isinstance(node, ast.FunctionDef) and node is not factory):
-                yield from self._check_closure(ctx, path, factory, node,
-                                               outer, relaxed)
+                yield from self._check_body(
+                    ctx, path, f"{factory.name}.{node.name}", node,
+                    outer | _ScopeCollector(node).names, relaxed)
 
-    def _check_closure(self, ctx: LintContext, path, factory, closure,
-                       outer: Set[str], relaxed: bool
-                       ) -> Iterator[Diagnostic]:
-        local = _ScopeCollector(closure).names
-        bound = outer | local
+    def _check_body(self, ctx: LintContext, path, where: str, closure,
+                    bound: Set[str], relaxed: bool) -> Iterator[Diagnostic]:
+        """Purity of ``closure.body`` (a closure's, or a hot loop's)."""
         handler_types: Set[str] = set()
         for node in _closure_nodes(closure):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 for name in ast.walk(node.type):
                     if isinstance(name, ast.Name):
                         handler_types.add(name.id)
-        where = f"{factory.name}.{closure.name}"
         for node in _closure_nodes(closure):
             if isinstance(node, ast.Attribute):
                 if not isinstance(node.ctx, ast.Load):

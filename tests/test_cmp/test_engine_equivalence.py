@@ -189,6 +189,167 @@ class TestBoundaryPlacement:
         assert ref.events.repartitions > 10
 
 
+class TestMissStreamSeams:
+    """What the miss-stream loop special-cases: gaps folded across window
+    seams and trace wraps, the freeze-hit event, parked (L1-resident)
+    threads, boundaries fired late, immediate observers."""
+
+    STREAM_BASE = 10_000_000
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        import repro.cmp.engine.batched as batched_mod
+
+        monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
+
+    @classmethod
+    def stream(cls, count=3000, name="stream"):
+        return Trace(name, np.arange(count) + cls.STREAM_BASE, ipm=4.0,
+                     cpi_base=1.0)
+
+    @staticmethod
+    def resident(count=1300, name="resident"):
+        """Four lines over two 2-way L1 sets: hits after four cold misses."""
+        return Trace(name, np.arange(count) % 4, ipm=4.0, cpi_base=1.0)
+
+    @staticmethod
+    def long_gap():
+        """1300 references whose only long hit run, 901..1299 + 0..199,
+        spans the window seam at 1024 and the trace wrap."""
+        lines = np.arange(1300) + 5_000
+        lines[900:] = 7
+        lines[:200] = 7
+        return Trace("gap", lines, ipm=4.0, cpi_base=1.0)
+
+    @pytest.mark.parametrize("other_budget", [2_000, 40_000],
+                             ids=["freezes-last", "freezes-first"])
+    @pytest.mark.parametrize("config", [
+        config_unpartitioned("nru"),
+        config_M_BT(atd_sampling=4, interval_cycles=20_000),
+    ], ids=lambda c: c.acronym)
+    def test_freeze_hit_in_gap_across_seam_and_wrap(self, config,
+                                                    other_budget):
+        trace = self.long_gap()
+        # The scenario really is a freeze on a hit deep inside that gap:
+        # access 1400 (pass 2, position 99) with no miss since 900.
+        from repro.cache.l1 import SmallLRUCache
+        flags = SmallLRUCache(processor().l1d).access_lines_hit(
+            np.concatenate([trace.lines, trace.lines]))
+        assert flags[901:1500].all() and not flags[900]
+        ref, bat = both_engines(config, [trace, self.stream()],
+                                per_thread=(1400 * 4, other_budget))
+        assert_identical(ref, bat)
+        assert ref.threads[0].l1_accesses == 1400
+
+    @pytest.mark.parametrize("resident_budget", [800, 60_000],
+                             ids=["parks-after-freeze", "freeze-hit-is-final"])
+    def test_l1_resident_thread(self, resident_budget):
+        """A resident thread either freezes first and parks at +inf while
+        the other finishes (its committed hits come from the termination
+        rollback), or freezes last on a hit many passes ahead."""
+        traces = [self.resident(), self.stream()]
+        ref, bat = both_engines(
+            config_C_L(atd_sampling=4, interval_cycles=20_000), traces,
+            per_thread=(resident_budget, 8_000))
+        assert_identical(ref, bat)
+        assert ref.threads[0].l1_misses == 4
+        assert ref.events.l1_accesses > sum(
+            t.l1_accesses for t in ref.threads) - 1
+
+    def test_resident_in_the_middle_of_four(self):
+        traces = [self.stream(name="s0"), self.resident(600),
+                  self.long_gap(), self.resident(64, name="r3")]
+        ref, bat = both_engines(
+            config_M_N(0.75, atd_sampling=4, interval_cycles=5_000),
+            traces, num_cores=4,
+            per_thread=(6_000, 9_000, 1400 * 4, 300))
+        assert_identical(ref, bat)
+
+    def test_boundaries_crossed_by_one_pop_and_by_the_final_event(self):
+        """Every memory access jumps several 100-cycle intervals; once
+        both resident threads stop missing, only the final freeze-hit pops
+        — and it alone fires the boundaries of the last 9000 cycles."""
+        traces = [self.resident(), self.resident(700, name="r1")]
+        config = config_C_L(atd_sampling=1, interval_cycles=100)
+        ref, bat = both_engines(config, traces, per_thread=(400, 10_000))
+        assert_identical(ref, bat)
+        assert ref.events.repartitions == int(ref.events.wall_cycles // 100)
+        assert ref.events.repartitions > 90
+
+    @staticmethod
+    def run_observed(config, traces, budgets):
+        """Both engines under a recording pass-through observer; returns
+        ``[(result, calls, simulator), ...]`` — reference first."""
+        from repro.cmp.simulator import CMPSimulator
+
+        outcomes = []
+        for engine in ("reference", "batched"):
+            sim = CMPSimulator(
+                processor(), config, traces,
+                SimulationConfig(per_thread_instructions=budgets, seed=7,
+                                 engine=engine))
+            calls = []
+            stock = sim.hierarchy.l2_observer
+
+            def observer(core, line, stock=stock, calls=calls):
+                calls.append((core, line))
+                if stock is not None:
+                    stock(core, line)
+
+            sim.hierarchy.l2_observer = observer
+            outcomes.append((sim.run(), calls, sim))
+        return outcomes
+
+    @pytest.mark.parametrize("config", [
+        config_unpartitioned("lru"),
+        config_M_L(atd_sampling=4, interval_cycles=20_000),
+    ], ids=lambda c: c.acronym)
+    def test_custom_observer_call_order(self, config):
+        """A wrapped observer is not deferrable: its ``(thread, line)``
+        calls must happen per access, in the reference's global order."""
+        traces = make_traces(count=2500)
+        traces[0] = self.long_gap()
+        (ref, ref_calls, _), (bat, bat_calls, _) = self.run_observed(
+            config, traces, (9_000, 14_000))
+        assert_identical(ref, bat)
+        assert ref_calls == bat_calls
+        assert {core for core, _ in ref_calls} == {0, 1}
+
+    def test_observer_and_memory_bypass_on_write_traces(self):
+        """Thread 0 dirties line 0 and keeps it in its L1 (only odd lines
+        follow) while thread 1's stream pushes it out of the L2; the
+        conflicting fills at the end then write it back past the L2."""
+        lines = np.concatenate([[0], 2 * np.arange(900) + 1, [2, 4]])
+        writes = np.zeros(len(lines), dtype=bool)
+        writes[0] = True
+        traces = [Trace("dirty", lines, ipm=4.0, cpi_base=1.0, writes=writes),
+                  self.stream()]
+        (ref, ref_calls, ref_sim), (bat, bat_calls, _) = self.run_observed(
+            config_unpartitioned("lru"), traces, (len(lines) * 4, 12_000))
+        assert_identical(ref, bat)
+        assert ref_calls == bat_calls
+        assert ref_sim.hierarchy.writebacks_l1_to_mem >= 1
+
+    def test_writes_and_channel_together(self):
+        traces = [overlay_writes(self.long_gap(), 0.4, seed=3),
+                  overlay_writes(make_traces()[1], 0.3, seed=4)]
+        ref, bat = both_engines(
+            config_M_N(0.75, atd_sampling=4, interval_cycles=20_000),
+            traces, per_thread=(1400 * 4, 20_000), service_interval=40.0)
+        assert_identical(ref, bat)
+        assert ref.events.l1_writebacks > 0
+        assert ref.events.memory_queue_cycles > 0
+
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_max_cycles_raises(self, engine):
+        sim = SimulationConfig(per_thread_instructions=(60_000, 8_000),
+                               max_cycles=10_000, engine=engine)
+        with pytest.raises(RuntimeError, match="max_cycles=10000"):
+            run_workload(processor(), config_unpartitioned("lru"),
+                         [self.resident(), self.stream()], sim)
+
+
 class TestScheduler:
     def test_pops_in_clock_then_thread_order(self):
         from repro.cmp.engine.scheduler import EventScheduler

@@ -69,3 +69,46 @@ class TestValidity:
         counts = {len(generate_case(7, i).applicable_engines())
                   for i in range(20)}
         assert counts == {2, full}
+
+
+class TestMultiCoreShapes:
+    """``l1_resident`` / ``freeze_in_gap`` target the batched engine's
+    parked threads and freeze-hit events, so their promises are about the
+    private L1's outcomes."""
+
+    @staticmethod
+    def _dealt(shape, seed=7, indices=range(120)):
+        for index in indices:
+            case = generate_case(seed, index)
+            for core, name in enumerate(case.shape.split("+")):
+                if name == shape:
+                    yield case, core
+
+    @staticmethod
+    def _l1_flags(case, core, passes):
+        from repro.cache.l1 import SmallLRUCache
+
+        lines = np.tile(case.traces[core].lines, passes)
+        return SmallLRUCache(case.processor().l1d).access_lines_hit(lines)
+
+    def test_dealt_to_multi_core_cases_only(self):
+        for shape in ("l1_resident", "freeze_in_gap"):
+            dealt = list(self._dealt(shape))
+            assert len(dealt) >= 3
+            assert all(case.num_cores > 1 for case, _ in dealt)
+
+    def test_freeze_in_gap_freezes_on_a_hit_deep_in_a_streak(self):
+        from repro.cmp.engine import freeze_count
+
+        for case, core in self._dealt("freeze_in_gap"):
+            trace = case.traces[core]
+            at = freeze_count(float(case.per_thread_instructions[core]),
+                              trace.ipm) - 1
+            flags = self._l1_flags(case, core, at // len(trace) + 1)
+            assert flags[at - 8:at + 1].all(), case.origin
+
+    def test_l1_resident_stops_missing(self):
+        for case, core in self._dealt("l1_resident"):
+            count = len(case.traces[core])
+            flags = self._l1_flags(case, core, 1)
+            assert flags[count // 2:].all(), case.origin

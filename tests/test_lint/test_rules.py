@@ -69,6 +69,18 @@ class TestHotPathPurity:
         assert not any(".update" in m for m in messages)
         assert not any(".state" in m for m in messages)
 
+    def test_covers_batched_event_loop(self, lint_fixture):
+        """The ``while`` body of ``BatchedEngine.run`` runs once per L2
+        access and is held to the strict contract against ``run``'s
+        locals."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "BatchedEngine.run event loop" in m.message]
+        assert any("attribute load .probe" in m for m in messages)
+        assert any("List allocation" in m for m in messages)
+        assert any("lookup of 'heappush'" in m for m in messages)
+        assert not any("lookup of 'lines'" in m for m in messages)
+
 
 class TestExperimentContract:
     def test_flags_missing_export_and_wrong_arity(self, lint_fixture):

@@ -308,3 +308,60 @@ class TestMetamorphicReplay:
             dataclasses.asdict(chunked.threads[0])
         assert dataclasses.asdict(baseline.events) == \
             dataclasses.asdict(chunked.events)
+
+    @given(st.data(), st.sampled_from([2, 4]),
+           st.sampled_from(["lru", "nru", "C-L", "M-BT"]))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_chunk_size_is_unobservable(self, data, num_cores,
+                                                config_name):
+        """The batched engine's prefilter window is a delivery detail for
+        any thread count: gaps folded across however many seams and wraps
+        must give the results of the single-window run, field for field."""
+        import dataclasses
+
+        import repro.cmp.engine.batched as batched_mod
+        from repro.cmp.simulator import run_workload
+        from repro.config import (ProcessorConfig, SimulationConfig,
+                                  config_C_L, config_M_BT,
+                                  config_unpartitioned)
+        from repro.workloads.trace import Trace
+
+        config = {
+            "C-L": config_C_L(atd_sampling=2, interval_cycles=2_000),
+            "M-BT": config_M_BT(atd_sampling=2, interval_cycles=2_000),
+        }.get(config_name) or config_unpartitioned(config_name)
+        traces, budgets = [], []
+        for core in range(num_cores):
+            # Small alphabets give long L1 hit gaps (and resident threads),
+            # large ones steady L2 traffic.
+            alphabet = data.draw(st.sampled_from([3, 8, 40, 400]))
+            stream = data.draw(st.lists(st.integers(0, alphabet - 1),
+                                        min_size=20, max_size=400))
+            traces.append(Trace(
+                f"t{core}", np.asarray(stream) + core * 1_000_000,
+                ipm=data.draw(st.sampled_from([2.6, 4.0])), cpi_base=1.1))
+            budgets.append(data.draw(st.integers(40, 4_000)))
+        processor = ProcessorConfig(
+            num_cores=num_cores,
+            l1i=CacheGeometry(2 * 2 * 128, 2, 128),
+            l1d=CacheGeometry(2 * 2 * 128, 2, 128),
+            l2=CacheGeometry(16 * 8 * 128, 8, 128),
+        )
+
+        def run():
+            result = run_workload(
+                processor, config, traces,
+                SimulationConfig(engine="batched", seed=3,
+                                 per_thread_instructions=tuple(budgets)))
+            return ([dataclasses.asdict(t) for t in result.threads],
+                    dataclasses.asdict(result.events),
+                    result.partition_history)
+
+        baseline = run()
+        default_chunk = batched_mod.CHUNK_SIZE
+        try:
+            for chunk in (64, 512):
+                batched_mod.CHUNK_SIZE = chunk
+                assert run() == baseline
+        finally:
+            batched_mod.CHUNK_SIZE = default_chunk

@@ -89,3 +89,10 @@ class TestCheckLinks:
     def test_external_schemes_skipped(self, docs_root):
         assert self._problems(
             docs_root, "[x](https://example.com/p#frag)") == []
+
+    def test_inline_code_is_not_a_link(self, docs_root):
+        # A call on a subscript inside a code span has link shape; the
+        # link on the following line must still report its own line.
+        problems = self._problems(
+            docs_root, "calls `record[t](line)` per access\n[x](gone.md)")
+        assert len(problems) == 1 and problems[0].startswith("source.md:2:")

@@ -46,6 +46,7 @@ _SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _HTML_ANCHOR_RE = re.compile(r"<a\s+(?:name|id)=[\"']([^\"']+)[\"']")
 _FENCE_RE = re.compile(r"^(```|~~~)")
+_CODE_SPAN_RE = re.compile(r"`[^`\n]*`")
 
 
 def markdown_files() -> Iterable[Path]:
@@ -111,6 +112,9 @@ class DocIndex:
 def check_links(path: Path, index: DocIndex) -> Iterable[str]:
     """Yield human-readable problem strings for one Markdown file."""
     text = path.read_text(encoding="utf-8")
+    # Inline code renders verbatim: ``record[t](line)`` is not a link.
+    # Blank the spans in place so match offsets keep their line numbers.
+    text = _CODE_SPAN_RE.sub(lambda m: " " * len(m.group()), text)
     for match in _LINK_RE.finditer(text):
         raw = match.group(1).strip("<>")  # [x](<file.md#sec>) form
         if raw.startswith(_SCHEMES):
