@@ -10,7 +10,10 @@ measurement (4 cores x 1M references)::
 
 The smoke mode doubles as the per-PR perf canary in CI: it prints the
 measured speedup and fails loudly if it regresses below
-:data:`SMOKE_FLOOR`.
+:data:`SMOKE_FLOOR`.  It also runs the **six configs, one mix** composite
+(:func:`run_six_configs`) — how a figure sweep drives the engine — and
+prints the window-cache hit ratio next to its rate; ``record.py engine``
+floors that ratio in CI.
 """
 
 import os
@@ -25,6 +28,7 @@ from repro.config import (
     SimulationConfig,
     config_M_N,
     config_unpartitioned,
+    paper_figure7_configs,
 )
 from repro.cmp.simulator import CMPSimulator
 from repro.workloads.generator import generate_trace
@@ -78,8 +82,22 @@ def make_mix(num_accesses, hot_fraction=HOT_FRACTION):
     return processor, traces
 
 
+def clear_engine_memos():
+    """Empty the engines' process-wide memos and window cache (trees that
+    predate them have nothing to clear)."""
+    try:
+        from repro.cmp.engine.vector import clear_memos
+    except ImportError:
+        return
+    clear_memos()
+
+
 def run_once(engine, num_accesses, partitioned=True):
+    """One *cold* run of the mix under one configuration: repeats must
+    not replay the previous repeat's L1-miss windows, or the best-of rate
+    would stop measuring the prefilter at all."""
     processor, traces = make_mix(num_accesses)
+    clear_engine_memos()
     config = (config_M_N(0.75) if partitioned
               else config_unpartitioned("lru"))
     sim = CMPSimulator(processor, config, traces,
@@ -89,11 +107,33 @@ def run_once(engine, num_accesses, partitioned=True):
     return time.perf_counter() - start, result
 
 
+def run_six_configs(num_accesses):
+    """The mix under the six Figure 7 configurations, one process, cold
+    window cache at the start: ``(seconds, references, cache stats)``.
+
+    Everything in front of the L2 is configuration-independent, so five
+    of the six runs should prefilter nothing: a change that makes the
+    cache key depend on the job shows here as a collapsed hit ratio.
+    """
+    from repro.cmp.engine.common import window_cache_stats
+
+    processor, traces = make_mix(num_accesses)
+    clear_engine_memos()
+    references = 0
+    start = time.perf_counter()
+    for config in paper_figure7_configs():
+        sim = CMPSimulator(processor, config, traces,
+                           SimulationConfig(seed=7, engine="batched"))
+        references += sim.run().events.l1_accesses
+    return time.perf_counter() - start, references, window_cache_stats()
+
+
 @pytest.mark.parametrize("engine", ["reference", "batched"])
 def test_engine_rate(benchmark, engine):
     processor, traces = make_mix(BENCH_ACCESSES)
 
     def run():
+        clear_engine_memos()
         sim = CMPSimulator(processor, config_M_N(0.75), traces,
                            SimulationConfig(seed=7, engine=engine))
         return sim.run()
@@ -126,6 +166,13 @@ def main(argv):
     print(f"  reference: {ref_time:6.2f} s")
     print(f"  batched:   {bat_time:6.2f} s")
     print(f"  speedup:   {speedup:6.2f} x")
+    six_time, six_refs, cache = run_six_configs(accesses)
+    print(f"  six configs, one mix (batched): {six_time:6.2f} s, "
+          f"{six_refs / six_time / 1e6:.2f} M refs/s, window cache "
+          f"{cache['hits']}/{cache['lookups']} hits "
+          f"({cache['hits'] / cache['lookups']:.0%}), "
+          f"{cache['bytes'] / 2 ** 20:.1f} MB in {cache['entries']} entries, "
+          f"{cache['evictions']} evicted")
     floor = SMOKE_FLOOR if smoke else FULL_FLOOR
     if speedup < floor:
         print(f"FAIL: speedup below the {floor}x floor")

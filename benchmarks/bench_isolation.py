@@ -33,6 +33,12 @@ from repro.experiments.common import ExperimentScale
 from repro.workloads.generator import generate_trace
 from repro.workloads.trace import Trace
 
+try:
+    from repro.cmp.engine.common import clear_window_cache
+except ImportError:   # a worktree that predates the window cache
+    def clear_window_cache() -> None:
+        pass
+
 #: The solo-vs-batched ratio of one run is printed for information only:
 #: its denominator is the *current* batched engine, which multi-core work
 #: legitimately speeds up (the miss-stream loop took the ratio from ~1.75x
@@ -95,6 +101,12 @@ def run_stage_once(engine: str, scale: ExperimentScale,
     engine names keep working against source trees that predate the
     kernel-backend registry (the CI perf gate replays old worktrees
     with the *current* benchmark drivers).
+
+    Every job starts with a cold window cache, so the solo and batched
+    rows keep timing the engines' own L1 prefilter and event loop — one
+    job's windows are not replayed for the trace's next policy, nor for
+    the next best-of repeat.  (A job still hits its own earlier passes;
+    the vector engine has its own memo and never touches this cache.)
     """
     engine_name, _, backend = engine.partition(":")
     kwargs = {"kernel_backend": backend} if backend else {}
@@ -105,6 +117,7 @@ def run_stage_once(engine: str, scale: ExperimentScale,
     accesses = 0
     start = time.perf_counter()
     for job in jobs:
+        clear_window_cache()
         trace = traces[(job.benchmark, job.core_id)]
         result = runner.thread_result(trace, job.policy)
         accesses += result.l1_accesses

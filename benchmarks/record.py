@@ -22,7 +22,9 @@ end-to-end reference vs batched engine wall-clock on the 4-core mix of
 (``bench_isolation.py``) under the batched and — when the library on
 ``PYTHONPATH`` provides them — the solo and vector engines, so the same
 script records the pre-solo baseline from a seed worktree and the
-current rates.
+current rates.  Trees that have the window cache also record the **six
+configs, one mix** composite (``bench_engine.run_six_configs``) with its
+window-cache lookups and hits.
 
 Every output file carries machine metadata (platform, CPU count, python and
 numpy versions) so recorded rates are comparable only within a machine.
@@ -76,16 +78,24 @@ DEFAULT_FLOOR_KEYS = (
 #: prefix on the denominator (``cur/.base``) reads it from the *current*
 #: recording instead — the vector floor is a same-recording ratio (the
 #: baseline tree predates both engines), enforcing the vector engine's
-#: >=2x acceptance bar over the solo engine on the same machine and run.
+#: >=2x acceptance bar over the solo engine on the same machine and run;
+#: ``run_stage_once`` starts every job with a cold window cache, so the
+#: solo denominator is not sped up by replaying another job's windows.
 #: The array floor likewise grades the array kernel backend against the
 #: python backend (the ``isolation_stage_vector`` row is pinned to
-#: ``vector:python``) in the same recording.
+#: ``vector:python``) in the same recording.  The last entry is a floor on
+#: a *count*, not a speed: over six configurations of one mix at least
+#: 75 % of the window-cache lookups must hit (measured 90 %; a key that
+#: starts to include anything per-job leaves only the within-run
+#: recurrences, ~42 %), so a change that silently stops sharing windows
+#: across configurations fails here instead of passing unnoticed.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "isolation_stage_solo/isolation_stage_batched:1.5",
     "isolation_stage_vector/.isolation_stage_solo:2.0",
     "isolation_stage_array/.isolation_stage_vector:2.0",
     "isolation_stage_batched:0.9",
     "engine_batched:0.9",
+    "six_configs_window_hits/.six_configs_window_lookups:0.75",
 )
 
 #: Default floor keys for the ``campaign`` target — a pure same-recording
@@ -219,7 +229,7 @@ def record_core(repeats: int) -> dict:
 
 def record_engine(accesses: int, repeats: int,
                   iso_accesses: int = 20_000) -> dict:
-    from bench_engine import run_once
+    from bench_engine import run_once, run_six_configs
     from bench_isolation import run_stage_once, stage_jobs, stage_traces
     from repro.config import ENGINES, SimulationConfig
     from repro.experiments.common import ExperimentScale
@@ -270,6 +280,16 @@ def record_engine(accesses: int, repeats: int,
     for engine, best in iso_seconds.items():
         rates[f"isolation_stage_{engine}"] = round(iso_totals[engine] / best,
                                                    1)
+    # Six configurations of the mix in one process (a figure sweep in
+    # miniature); baseline worktrees that predate the window cache skip it.
+    try:
+        six_seconds, six_refs, cache = run_six_configs(accesses)
+    except ImportError:
+        pass
+    else:
+        rates["engine_six_configs"] = round(six_refs / six_seconds, 1)
+        rates["six_configs_window_lookups"] = cache["lookups"]
+        rates["six_configs_window_hits"] = cache["hits"]
     payload = {
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,

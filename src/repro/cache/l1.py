@@ -253,6 +253,27 @@ class SmallLRUCache:
         return flags
 
     # ------------------------------------------------------------------
+    # State image (the engines' window cache keys on it and restores it)
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Tuple[tuple, frozenset]:
+        """Hashable image of the contents: the per-set stacks (MRU first)
+        and the dirty set.  Two caches of one geometry with equal images
+        behave identically from here on; statistics are not part of it.
+        """
+        return tuple(map(tuple, self._sets)), frozenset(self._dirty)
+
+    def restore(self, image: Tuple[tuple, frozenset]) -> None:
+        """Make the contents equal a :meth:`snapshot` image, in place."""
+        stacks, dirty = image
+        if len(stacks) != len(self._sets):
+            raise ValueError(
+                f"image has {len(stacks)} sets, the cache {len(self._sets)}"
+            )
+        for ways, saved in zip(self._sets, stacks):
+            ways[:] = saved
+        self._dirty.clear()
+        self._dirty.update(dirty)
+
     def contains_line(self, line: int) -> bool:
         """Presence probe without state change."""
         return line in self._sets[line & self._set_mask]

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "ebcf3e71a18f81f1b16619d1991a4f1a60a76bfb20c8e4baaac0907145bda689"
+ENGINE_SOURCE_CHECKSUM = "b6a82a653b33290e02f80fdda2b11a7b0d0b090aa96659e86c23dbd8968db4eb"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

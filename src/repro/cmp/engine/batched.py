@@ -4,11 +4,14 @@ The key observation: the private L1s interact with nothing shared.  A
 thread's L1 hit/miss outcome for every reference is a pure function of its
 own reference stream, so it is computed *in bulk* ahead of time
 (:func:`.common.l1_miss_window`), one window of :data:`CHUNK_SIZE`
-references at a time.  Of each window the engine keeps only the **L1-miss
-stream** — the lines that reach the shared L2 and the number of L1 hits
-(the *gap*) preceding each — and schedules exactly one heap event per L2
-access: ``(anchor + gap * base, thread)``, the reference engine's pop key
-for that access.
+references at a time — and only once per (trace window, L1 state): the
+window cache in :mod:`.common` replays it for every later pass over the
+trace and every other configuration of the mix.  Of each window the
+engine keeps only the **L1-miss stream** — the lines that reach the
+shared L2 and the number of L1 hits (the *gap*) preceding each — and
+schedules exactly one heap event per L2 access:
+``(anchor + gap * base, thread)``, the reference engine's pop key for
+that access.
 
 Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 
@@ -39,6 +42,13 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   boundary, at the thread's freeze, when its window is replaced, and at
   run end.  Per-thread order is the stream's order; cross-thread drain
   order is immaterial because the ATDs are disjoint.
+* **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
+  outside its sampled sets (it only counts them), so a drain hands the
+  kernel just the slice's *sampled* lines — the window's cached
+  sampled positions cut by two bisects, an order-preserving
+  sub-sequence — and adds the others to ``skipped_accesses``
+  arithmetically: tag state, SDH registers and both counters equal the
+  unfiltered drain's.
 * **Parked threads.**  After a whole trace pass without an L1 miss the L1
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
@@ -53,6 +63,7 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from heapq import heapify, heappop, heappushpop
 from typing import List, Optional
 
@@ -84,14 +95,23 @@ class BatchedEngine(EngineBase):
         # it, ``upto`` the references through the thread's last L2 access
         # before it and ``tail`` the L1 hits after the window's last miss
         # (all hits since that L2 access while the window has no miss).
+        # ``span`` counts the window's references through its last miss
+        # (so the next window's ``upto`` is ``upto + span``).
         # ``lines``/``victims`` are the addresses and displaced dirty lines
         # of its L1 misses, ``gaps[j]`` the L1 hits preceding miss ``j``.
         self._ck_pos = [0] * n
         self._ck_upto = [0] * n
+        self._ck_span = [0] * n
         self._ck_tail = [0] * n
         self._ck_lines: List[list] = [[] for _ in range(n)]
         self._ck_victims: List[Optional[list]] = [None] * n
         self._ck_gaps: List[list] = [[] for _ in range(n)]
+        # Deferred profiling (set by ``run``): per thread its ATD, the
+        # positions in ``lines`` that fall in a sampled ATD set, and those
+        # lines themselves.
+        self._atds: Optional[list] = None
+        self._ck_spos: List[list] = [[] for _ in range(n)]
+        self._ck_slines: List[list] = [[] for _ in range(n)]
         # Freeze access of the window, if any: at or in the gap before miss
         # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
         # else its 1-based rank among the gap's hits.
@@ -108,33 +128,44 @@ class BatchedEngine(EngineBase):
         """
         length = self.lengths[t]
         carry = self._ck_tail[t]
-        upto = self._ck_upto[t] + sum(self._ck_gaps[t]) + len(self._ck_gaps[t])
+        upto = self._ck_upto[t] + self._ck_span[t]
         to_freeze = self.freeze_counts[t] - upto - carry
         streaming = carry < length
         if streaming:
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
-            offs, self._ck_lines[t], self._ck_victims[t] = l1_miss_window(
+            atd = self._atds[t] if self._atds is not None else None
+            window, lines = l1_miss_window(
                 self.sim.traces[t], self.sim.hierarchy.l1[t], pos, end,
-                self.has_writes)
+                self.has_writes, atd)
+            offs = window.offs
+            gaps = window.gaps.tolist()
+            if gaps:
+                gaps[0] += carry
+            self._ck_lines[t] = lines.tolist()
+            self._ck_victims[t] = (window.victims.tolist()
+                                   if window.victims is not None else None)
+            if atd is not None:
+                positions = window.sampled[atd.sampling]
+                self._ck_spos[t] = positions.tolist()
+                self._ck_slines[t] = lines[positions].tolist()
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
-            offs, self._ck_lines[t] = _NO_MISSES, []
+            offs, gaps, self._ck_lines[t] = _NO_MISSES, [], []
+            self._ck_spos[t], self._ck_slines[t] = [], []
             width = max(to_freeze, 0)
-        gaps = np.diff(offs, prepend=-1) - 1
-        if len(offs):
-            gaps[0] += carry
         fz_at, fz_hit = -2, 0
         if 0 < to_freeze <= width:
             fz_at = int(np.searchsorted(offs, to_freeze - 1))
             if fz_at == len(offs) or offs[fz_at] != to_freeze - 1:
                 fz_hit = (to_freeze - 1 - int(offs[fz_at - 1]) if fz_at
                           else carry + to_freeze)
+        tail = width - int(offs[-1]) - 1 if len(offs) else carry + width
         self._ck_upto[t] = upto
-        self._ck_tail[t] = (width - int(offs[-1]) - 1 if len(offs)
-                            else carry + width)
-        self._ck_gaps[t] = gaps.tolist()
+        self._ck_span[t] = carry + width - tail
+        self._ck_tail[t] = tail
+        self._ck_gaps[t] = gaps
         self._ck_fz_at[t] = fz_at
         self._ck_fz_hit[t] = fz_hit
         return streaming
@@ -174,8 +205,12 @@ class BatchedEngine(EngineBase):
         # observer keeps immediate per-access calls.
         profiling = deferrable_profiling(sim)
         observe_now = hierarchy.l2_observer if profiling is None else None
-        obs_drain = ([m.atd.observe_many for m in profiling.monitors]
-                     if profiling is not None else None)
+        atds = self._atds = ([m.atd for m in profiling.monitors]
+                             if profiling is not None else None)
+        obs_drain = ([atd.observe_many for atd in atds]
+                     if atds is not None else None)
+        spos = self._ck_spos
+        slines = self._ck_slines
 
         lines = self._ck_lines
         gaps = self._ck_gaps
@@ -194,8 +229,15 @@ class BatchedEngine(EngineBase):
         wb_l1_to_mem = 0
 
         def drain(u: int, j: int) -> None:
-            if obs_drain is not None and j > drained[u]:
-                obs_drain[u](lines[u][drained[u]:j])
+            # Only the sampled lines of ``lines[u][drained[u]:j]`` reach the
+            # kernel; the rest are counted (module docstring).
+            d = drained[u]
+            if obs_drain is not None and j > d:
+                lo = bisect_left(spos[u], d)
+                hi = bisect_left(spos[u], j, lo)
+                if hi > lo:
+                    obs_drain[u](slines[u][lo:hi])
+                atds[u].skipped_accesses += (j - d) - (hi - lo)
                 drained[u] = j
 
         def cross(now: float, boundary: float) -> float:

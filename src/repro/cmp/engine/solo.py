@@ -5,7 +5,8 @@ point — have no cross-thread ordering to preserve: there is exactly one
 clock, so the scheduler's job degenerates to "process the trace in order".
 This engine drops the heap entirely.  The whole trace is prefiltered
 through the private L1 in bulk windows (the same
-:meth:`SmallLRUCache.access_lines_hit` path the batched engine uses) and
+:func:`.common.l1_miss_window` the batched engine uses, window cache
+included) and
 only the **L2 miss stream** is walked, in a single locals-bound loop; the
 clock advances by the shared ``anchor + count * base`` recurrence and
 interval boundaries fire by pure cycle arithmetic.
@@ -130,9 +131,11 @@ class SoloEngine(EngineBase):
             n_chunk = end - pos
             # Only the miss positions are materialised as Python scalars —
             # the hits are pure clock arithmetic.
-            miss_idx, miss_lines, miss_victims = l1_miss_window(
-                trace, l1, pos, end, has_writes)
-            miss_offs = miss_idx.tolist()
+            window, lines = l1_miss_window(trace, l1, pos, end, has_writes)
+            miss_offs = window.offs.tolist()
+            miss_lines = lines.tolist()
+            miss_victims = (window.victims.tolist()
+                            if window.victims is not None else None)
             limit = freeze_at - done
             if limit > n_chunk:
                 limit = n_chunk

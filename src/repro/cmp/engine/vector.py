@@ -94,7 +94,12 @@ import numpy as np
 from repro.cache.kernels import build_set_run_kernel
 from repro.cache.state import mru_repeat_elidable, pair_elidable
 from repro.cmp.engine.batched import CHUNK_SIZE
-from repro.cmp.engine.common import EngineBase, deferrable_profiling
+from repro.cmp.engine.common import (
+    EngineBase,
+    clear_window_cache,
+    deferrable_profiling,
+    window_cache_stats,
+)
 from repro.cmp.engine.solo import SoloEngine
 from repro.cmp.results import SimulationResult, ThreadResult
 
@@ -137,17 +142,22 @@ _MEMO_STATS = {"l1_hits": 0, "l1_misses": 0,
 
 
 def memo_stats() -> dict:
-    """Snapshot of the L1/window memo hit-miss counters (a copy)."""
+    """Snapshot of every engine-side memo counter (a copy): this module's
+    L1/window memo plus, under ``window_cache``, the solo/batched window
+    cache (:func:`.common.window_cache_stats`) — one place to ask."""
     stats = dict(_MEMO_STATS)
     stats["l1_entries"] = len(_L1_MEMO)
+    stats["window_cache"] = window_cache_stats()
     return stats
 
 
 def clear_memos() -> None:
-    """Drop all memoized runs and zero the counters (test isolation)."""
+    """Drop all memoized runs and cached windows and zero the counters
+    (test isolation) — one place to reset."""
     _L1_MEMO.clear()
     for key in _MEMO_STATS:
         _MEMO_STATS[key] = 0
+    clear_window_cache()
 
 
 class VectorEngine(EngineBase):

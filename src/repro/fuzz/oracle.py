@@ -24,6 +24,13 @@ engine, and diff **everything observable** after the run:
 
 Two engines that agree on all of the above executed the same decision
 sequence; any mismatch is reported as a list of dotted field paths.
+
+Every non-reference engine runs **twice** per case — once with the
+engines' memos and window cache cold, once warm off the first run — and
+both snapshots are diffed against the reference, which walks its L1 per
+access, never touches a cache and so stays the independent oracle.  A
+cache that replays the wrong window, or restores the wrong L1 state, can
+only show on the warm run.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cmp.engine.vector import clear_memos
 from repro.config import ENGINE_REFERENCE
 from repro.fuzz.case import FuzzCase
 
@@ -217,9 +225,13 @@ class CaseReport:
 
     case: FuzzCase
     engines: Tuple[str, ...]
-    #: engine name -> diff paths vs the reference snapshot (empty = equal).
+    #: engine name -> diff paths vs the reference snapshot (empty = equal);
+    #: the warm run's paths carry a ``warm:`` prefix.
     diffs: Dict[str, List[str]] = field(default_factory=dict)
     error: Optional[str] = None
+    #: Engine runs that completed (the reference once, every other engine
+    #: cold and warm — fewer when a run crashed).
+    engine_runs: int = 0
 
     @property
     def divergent(self) -> bool:
@@ -249,7 +261,8 @@ class CaseReport:
 
 def run_case(case: FuzzCase,
              engines: Optional[Tuple[str, ...]] = None) -> CaseReport:
-    """Cross-check one case: reference vs every other applicable engine.
+    """Cross-check one case: reference vs every other applicable engine,
+    each run cold and then warm (module docstring).
 
     Engine crashes (exceptions out of an engine run) count as divergence
     — an engine that raises where the oracle completes is as wrong as
@@ -265,13 +278,19 @@ def run_case(case: FuzzCase,
     except Exception as exc:  # noqa: BLE001 — any oracle crash is terminal
         report.error = f"reference engine crashed: {exc!r}"
         return report
+    report.engine_runs += 1
     for engine in engines:
         if engine == ENGINE_REFERENCE:
             continue
-        try:
-            snapshot = run_engine(case, engine)
-        except Exception as exc:  # noqa: BLE001 — crash == divergence
-            report.diffs[engine] = [f"engine crashed: {exc!r}"]
-            continue
-        report.diffs[engine] = diff_snapshots(reference, snapshot)
+        clear_memos()
+        diffs = report.diffs[engine] = []
+        for prefix in ("", "warm: "):
+            try:
+                snapshot = run_engine(case, engine)
+            except Exception as exc:  # noqa: BLE001 — crash == divergence
+                diffs.append(f"{prefix}engine crashed: {exc!r}")
+                break
+            report.engine_runs += 1
+            diffs += [prefix + path
+                      for path in diff_snapshots(reference, snapshot)]
     return report

@@ -99,7 +99,7 @@ def run_fuzz(seed: int, budget: int,
         report = run_case(case)
         fuzz.cases_run += 1
         fuzz.accesses_checked += case.total_accesses()
-        fuzz.engine_runs += len(report.engines)
+        fuzz.engine_runs += report.engine_runs
         if progress is not None:
             progress(f"[{index + 1}/{budget}] {case.shape or 'case'} "
                      f"{case.partitioning.acronym} "

@@ -172,6 +172,16 @@ class ATD:
         for line in batch:
             observe(line)
 
+    def sampled_positions(self, lines: np.ndarray) -> np.ndarray:
+        """Ascending indices of the entries of ``lines`` (an integer array
+        of line addresses) that fall in a sampled set.
+
+        The filter of :meth:`observe`, vectorised: a caller may feed
+        :meth:`observe_many` only ``lines[positions]`` and add the rest to
+        :attr:`skipped_accesses` — the directory never sees the others.
+        """
+        return np.flatnonzero((lines & self._skip_mask) == 0)
+
     # ------------------------------------------------------------------
     def contains_line(self, line: int) -> bool:
         """True when the line is resident in the (sampled) ATD."""

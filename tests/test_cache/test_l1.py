@@ -161,3 +161,46 @@ class TestDerivedEvictionStats:
             rw.access_line_rw(int(line), bool(line & 1))
         assert ro.stats.evictions == rw.stats.evictions
         assert ro.stats.hits == rw.stats.hits
+
+
+class TestSnapshotRestore:
+    """The state image the engines' window cache keys on and restores."""
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_restored_cache_behaves_like_the_original(self, rng, assoc):
+        g = geometry(num_sets=4, assoc=assoc)
+        original = SmallLRUCache(g)
+        lines = rng.integers(0, 40, size=600)
+        writes = rng.random(600) < 0.3
+        original.access_lines_rw(lines[:300], writes[:300])
+        image = original.snapshot()
+        hash(image)
+        clone = SmallLRUCache(g)
+        clone.access_lines_hit(rng.integers(100, 140, size=50))   # junk
+        stacks = clone._sets
+        clone.restore(image)
+        assert clone._sets is stacks          # in place
+        assert clone.snapshot() == image
+        assert [clone.stack_of(s) for s in range(4)] == \
+            [original.stack_of(s) for s in range(4)]
+        f1, v1 = original.access_lines_rw(lines[300:], writes[300:])
+        f2, v2 = clone.access_lines_rw(lines[300:], writes[300:])
+        assert np.array_equal(f1, f2) and np.array_equal(v1, v2)
+        assert clone.snapshot() == original.snapshot()
+
+    def test_image_is_a_copy_and_excludes_statistics(self):
+        l1 = SmallLRUCache(geometry())
+        l1.access_line_rw(5, True)
+        image = l1.snapshot()
+        l1.access_line_hit(9)
+        l1.access_line_hit(13)
+        assert l1.snapshot() != image
+        accesses = l1.stats.accesses[0]
+        l1.restore(image)
+        assert l1.snapshot() == image and l1.is_dirty(5)
+        assert l1.stats.accesses[0] == accesses
+
+    def test_geometry_mismatch_rejected(self):
+        image = SmallLRUCache(geometry(num_sets=2)).snapshot()
+        with pytest.raises(ValueError, match="sets"):
+            SmallLRUCache(geometry(num_sets=4)).restore(image)

@@ -376,6 +376,12 @@ class TestL1Memo:
 class TestMemoStats:
     """memo_stats()/clear_memos(): the module-global memo observability."""
 
+    #: The solo/batched window cache reports (and resets) through here too.
+    ZEROED = {"l1_hits": 0, "l1_misses": 0, "window_hits": 0,
+              "window_misses": 0, "l1_entries": 0,
+              "window_cache": {"lookups": 0, "hits": 0, "evictions": 0,
+                               "entries": 0, "bytes": 0}}
+
     def _run_vector(self, trace, backend="auto"):
         sim = CMPSimulator(
             processor(), config_unpartitioned("lru"), [trace],
@@ -386,8 +392,7 @@ class TestMemoStats:
     def test_counters_track_lookups(self):
         vector_mod.clear_memos()
         stats = vector_mod.memo_stats()
-        assert stats == {"l1_hits": 0, "l1_misses": 0, "window_hits": 0,
-                         "window_misses": 0, "l1_entries": 0}
+        assert stats == self.ZEROED
         trace = make_trace(seed=4242, name="memo-stats")
         self._run_vector(trace)
         stats = vector_mod.memo_stats()
@@ -407,9 +412,7 @@ class TestMemoStats:
         snap["l1_misses"] = 99  # mutating the snapshot must not leak back
         assert vector_mod.memo_stats()["l1_misses"] == 1
         vector_mod.clear_memos()
-        assert vector_mod.memo_stats() == {
-            "l1_hits": 0, "l1_misses": 0, "window_hits": 0,
-            "window_misses": 0, "l1_entries": 0}
+        assert vector_mod.memo_stats() == self.ZEROED
 
     def test_window_products_shared_across_backends(self):
         """A memo recorded under one backend replays under another —

@@ -69,6 +69,8 @@ class TestOracle:
                 "vector:python"} <= set(report.engines)
         assert all(not d for d in report.diffs.values())
         assert report.summary().startswith("ok:")
+        # The reference once, every other engine cold and warm.
+        assert report.engine_runs == 2 * len(report.engines) - 1
 
     def test_snapshot_diff_detects_state_changes(self):
         """Any observable that differs must produce a dotted diff path."""
@@ -88,6 +90,7 @@ class TestOracle:
         assert report.divergent_engines() == ["bogus"]
         assert "crashed" in report.diffs["bogus"][0]
         assert "DIVERGENCE" in report.summary()
+        assert report.engine_runs == 1      # no warm run after a crash
 
     def test_reference_crash_is_terminal(self):
         case = small_case(
@@ -95,6 +98,7 @@ class TestOracle:
                 policy="bt", enforcement="btvectors", selector="fair"))
         report = run_case(case)
         assert report.error is not None
+        assert report.engine_runs == 0
         assert report.divergent
         assert report.summary().startswith("ERROR")
 

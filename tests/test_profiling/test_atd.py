@@ -39,6 +39,27 @@ class TestSampling:
         atd = make_atd(num_sets=32, sampling=4)
         assert atd.num_sets == 8
 
+    @pytest.mark.parametrize("sampling", [1, 2, 32])
+    @pytest.mark.parametrize("policy", ["lru", "nru", "bt"])
+    def test_sampled_positions_is_the_observe_filter(self, policy, sampling):
+        """Feeding the sampled sub-stream and counting the rest equals
+        feeding everything, whatever the slicing."""
+        lines = np.random.default_rng(5).integers(0, 4096, size=3000)
+        full = make_atd(num_sets=64, sampling=sampling, policy=policy)
+        sampled = [i for i, line in enumerate(lines.tolist())
+                   if full.observe(line)]
+        sliced = make_atd(num_sets=64, sampling=sampling, policy=policy)
+        positions = sliced.sampled_positions(lines)
+        assert positions.tolist() == sampled
+        for lo, hi in ((0, 7), (7, 1200), (1200, 1200), (1200, 3000)):
+            inside = positions[(positions >= lo) & (positions < hi)]
+            sliced.observe_many(lines[inside].tolist())
+            sliced.skipped_accesses += (hi - lo) - len(inside)
+        assert sliced.sampled_accesses == full.sampled_accesses
+        assert sliced.skipped_accesses == full.skipped_accesses
+        assert sliced.state.lines == full.state.lines
+        assert sliced.sdh._r == full.sdh._r
+
 
 class TestProfilingFlow:
     def test_miss_records_a_plus_one(self):

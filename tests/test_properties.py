@@ -365,3 +365,63 @@ class TestMetamorphicReplay:
                 assert run() == baseline
         finally:
             batched_mod.CHUNK_SIZE = default_chunk
+
+    @given(st.data(), st.sampled_from([0, 3_000, 8 << 20]),
+           st.sampled_from([64, 512, 1 << 16]),
+           st.sampled_from(["C-L", "M-BT", "nru"]))
+    @settings(max_examples=25, deadline=None)
+    def test_window_cache_is_unobservable(self, data, budget, chunk,
+                                          config_name):
+        """Whatever the byte budget (nothing stored, constant eviction,
+        everything resident), the window size and whether the cache is
+        cold or warm, a batched run leaves the results, the L2, the
+        ATD/SDH state and its own L1s exactly as the per-access reference
+        engine's walk does."""
+        import repro.cmp.engine.batched as batched_mod
+        import repro.cmp.engine.common as common
+        from repro.config import (PartitioningConfig, config_C_L,
+                                  config_M_BT)
+        from repro.fuzz import FuzzCase, diff_snapshots, run_engine
+        from repro.workloads.trace import Trace
+
+        partitioning = {
+            "C-L": config_C_L(atd_sampling=2, interval_cycles=2_000),
+            "M-BT": config_M_BT(atd_sampling=4, interval_cycles=2_000),
+        }.get(config_name) or PartitioningConfig(policy=config_name,
+                                                 enforcement="none")
+        traces, budgets = [], []
+        for core in range(2):
+            alphabet = data.draw(st.sampled_from([3, 8, 40, 400]))
+            stream = data.draw(st.lists(st.integers(0, alphabet - 1),
+                                        min_size=20, max_size=300))
+            traces.append(Trace(f"t{core}",
+                                np.asarray(stream) + core * 1_000_000,
+                                ipm=4.0, cpi_base=1.1))
+            budgets.append(data.draw(st.integers(40, 4_000)))
+        case = FuzzCase(traces=traces, l1_sets=2, l1_assoc=2, l2_sets=16,
+                        l2_assoc=8, partitioning=partitioning,
+                        instructions_per_thread=1,
+                        per_thread_instructions=tuple(budgets))
+
+        def batched():
+            sim = case.simulator("batched")
+            sim.run()
+            return [(l1.snapshot(), [list(getattr(l1.stats, name))
+                                     for name in l1.stats.__slots__])
+                    for l1 in sim.hierarchy.l1]
+
+        reference = run_engine(case, "reference")
+        defaults = (batched_mod.CHUNK_SIZE, common.WINDOW_CACHE_BYTES)
+        try:
+            batched_mod.CHUNK_SIZE = chunk
+            common.WINDOW_CACHE_BYTES = 0
+            walked_l1 = batched()
+            common.WINDOW_CACHE_BYTES = budget
+            common.clear_window_cache()
+            for _ in ("cold", "warm"):
+                assert diff_snapshots(reference,
+                                      run_engine(case, "batched")) == []
+                assert batched() == walked_l1
+        finally:
+            batched_mod.CHUNK_SIZE, common.WINDOW_CACHE_BYTES = defaults
+            common.clear_window_cache()
