@@ -13,11 +13,11 @@ over the default 2T + 4T mixes)::
     PYTHONPATH=src python benchmarks/bench_isolation.py --smoke    # ~15 s
 
 Both modes print the trace-generation time once and the per-engine
-simulation wall clock, and fail loudly when the vector engine's speedup
-over solo or the array backend's over the python backend drops below its
-floor.  ``record.py engine`` imports
-:func:`run_stage_once` to record the ``isolation_stage_*`` rates the CI
-perf gate floors.
+simulation wall clock, and fail loudly when the shipped single-thread
+path — the vector engine on the array kernels, what ``engine="auto"``
+runs — drops below its floor over the solo engine.  ``record.py engine``
+imports :func:`run_stage_once` to record the ``isolation_stage_*`` rates
+the CI perf gate floors.
 """
 
 import sys
@@ -46,19 +46,15 @@ except ImportError:   # a worktree that predates the window cache
 #: job's cross-recording comparison (``record.py engine --baseline``
 #: against a pre-solo-worktree recording, >= 1.5x).
 
-#: The vector engine must stay at least this much faster than the
-#: *current* solo engine on the stage.  Looser than the >=2x acceptance
-#: floor for the same reason: the strict same-recording gate is
-#: ``record.py engine``'s ``isolation_stage_vector/.isolation_stage_solo``
-#: floor key, checked by the CI perf-smoke job.
-VECTOR_SPEEDUP_FLOOR = 1.6
-
-#: The array kernel backend must stay at least this much faster than the
-#: python backend under the same vector engine.  Looser than the >=2x
-#: acceptance floor for the same reason: the strict same-recording gate
-#: is ``record.py engine``'s
-#: ``isolation_stage_array/.isolation_stage_vector`` floor key.
-ARRAY_SPEEDUP_FLOOR = 1.6
+#: The shipped path (vector engine, array kernels) must stay at least
+#: this much faster than the *current* solo engine on the stage: the
+#: product of the 1.6x vector-over-solo and 1.6x array-over-python floors
+#: it replaces.  The ``vector:python`` layer in between runs no report
+#: job (its window kernel is one loop over the scalar hit kernel), so it
+#: is printed, not graded.  Looser than the strict same-recording gate,
+#: ``record.py engine``'s ``isolation_stage_array/.isolation_stage_solo``
+#: floor key (4.0x, recorded ~11x), checked by the CI perf-smoke job.
+ARRAY_SPEEDUP_FLOOR = 2.56
 
 
 def stage_jobs(scale: ExperimentScale) -> List[Job]:
@@ -143,36 +139,20 @@ def test_isolation_stage_rate(benchmark, engine):
     benchmark(lambda: run_stage_once(engine, scale, jobs, traces))
 
 
-def test_vector_stage_speedup():
-    """Regression guard: the set-parallel vector engine must stay well
-    ahead of the solo engine on the isolation stage (its target shape)."""
-    scale = bench_scale(smoke=True)
-    jobs = stage_jobs(scale)
-    traces = stage_traces(scale, jobs)
-    best = {}
-    for engine in ("solo", "vector"):
-        best[engine] = min(
-            run_stage_once(engine, scale, jobs, traces)[0] for _ in range(3))
-    speedup = best["solo"] / best["vector"]
-    print(f"\nisolation-stage vector speedup: {speedup:.2f}x "
-          f"(solo {best['solo']:.2f}s, vector {best['vector']:.2f}s)")
-    assert speedup >= VECTOR_SPEEDUP_FLOOR
-
-
 def test_array_stage_speedup():
-    """Regression guard: the array kernel backend must stay well ahead
-    of the python backend on the isolation stage (cold-window replay)."""
+    """Regression guard: the shipped single-thread path (vector engine,
+    array kernels) must stay well ahead of the solo engine on the
+    isolation stage (its target shape)."""
     scale = bench_scale(smoke=True)
     jobs = stage_jobs(scale)
     traces = stage_traces(scale, jobs)
     best = {}
-    for engine in ("vector:python", "vector:array"):
+    for engine in ("solo", "vector:array"):
         best[engine] = min(
             run_stage_once(engine, scale, jobs, traces)[0] for _ in range(3))
-    speedup = best["vector:python"] / best["vector:array"]
+    speedup = best["solo"] / best["vector:array"]
     print(f"\nisolation-stage array speedup: {speedup:.2f}x "
-          f"(python {best['vector:python']:.2f}s, "
-          f"array {best['vector:array']:.2f}s)")
+          f"(solo {best['solo']:.2f}s, array {best['vector:array']:.2f}s)")
     assert speedup >= ARRAY_SPEEDUP_FLOOR
 
 
@@ -196,18 +176,15 @@ def main(argv) -> int:
               f"({accesses / best / 1e6:.2f} M refs/s)")
     speedup = seconds["batched"] / seconds["solo"]
     vector_speedup = seconds["solo"] / seconds["vector:python"]
-    array_speedup = seconds["vector:python"] / seconds["vector:array"]
+    array_speedup = seconds["solo"] / seconds["vector:array"]
     print(f"  solo speedup    {speedup:6.2f} x (vs batched, informational)")
-    print(f"  vector speedup  {vector_speedup:6.2f} x (vs solo)")
-    print(f"  array speedup   {array_speedup:6.2f} x (vs vector:python)")
-    status = 0
-    if vector_speedup < VECTOR_SPEEDUP_FLOOR:
-        print(f"FAIL: vector speedup below the {VECTOR_SPEEDUP_FLOOR}x floor")
-        status = 1
+    print(f"  vector speedup  {vector_speedup:6.2f} x "
+          f"(vector:python vs solo, informational)")
+    print(f"  array speedup   {array_speedup:6.2f} x (vector:array vs solo)")
     if array_speedup < ARRAY_SPEEDUP_FLOOR:
         print(f"FAIL: array speedup below the {ARRAY_SPEEDUP_FLOOR}x floor")
-        status = 1
-    return status
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -76,14 +76,16 @@ DEFAULT_FLOOR_KEYS = (
 #: recording's batched isolation rate (the pre-solo engine on the same
 #: machine; the baseline tree has no solo engine to record).  A ``.``
 #: prefix on the denominator (``cur/.base``) reads it from the *current*
-#: recording instead — the vector floor is a same-recording ratio (the
-#: baseline tree predates both engines), enforcing the vector engine's
-#: >=2x acceptance bar over the solo engine on the same machine and run;
+#: recording instead — the array floor is a same-recording ratio (the
+#: baseline tree predates both engines): the shipped single-thread path,
+#: the vector engine on the array kernels, must stay >=4x the solo engine
+#: on the same machine and run (the product of the vector-over-solo and
+#: array-over-python 2x bars it replaces; recorded ~11x);
 #: ``run_stage_once`` starts every job with a cold window cache, so the
 #: solo denominator is not sped up by replaying another job's windows.
-#: The array floor likewise grades the array kernel backend against the
-#: python backend (the ``isolation_stage_vector`` row is pinned to
-#: ``vector:python``) in the same recording.  The last entry is a floor on
+#: The ``isolation_stage_vector`` row (pinned to ``vector:python``, the
+#: loop over the scalar hit kernel, which no report job runs) is recorded
+#: for information and carries no floor.  The last entry is a floor on
 #: a *count*, not a speed: over six configurations of one mix at least
 #: 75 % of the window-cache lookups must hit (measured 90 %; a key that
 #: starts to include anything per-job leaves only the within-run
@@ -91,8 +93,7 @@ DEFAULT_FLOOR_KEYS = (
 #: across configurations fails here instead of passing unnoticed.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "isolation_stage_solo/isolation_stage_batched:1.5",
-    "isolation_stage_vector/.isolation_stage_solo:2.0",
-    "isolation_stage_array/.isolation_stage_vector:2.0",
+    "isolation_stage_array/.isolation_stage_solo:4.0",
     "isolation_stage_batched:0.9",
     "engine_batched:0.9",
     "six_configs_window_hits/.six_configs_window_lookups:0.75",
@@ -255,9 +256,9 @@ def record_engine(accesses: int, repeats: int,
                                  if e in ENGINES]
     iso_specs = {e: e for e in iso_engines}
     # When the tree has the kernel-backend registry, the vector row is
-    # pinned to the python backend — it stays the stable denominator the
-    # array floor divides by — and an array row rides along.  Old
-    # worktrees (the CI baselines) predate the knob and keep plain specs.
+    # pinned to the python backend (informational) and the floor-checked
+    # array row rides along.  Old worktrees (the CI baselines) predate
+    # the knob and keep plain specs.
     if ("vector" in iso_specs
             and "kernel_backend" in SimulationConfig.__dataclass_fields__):
         iso_specs["vector"] = "vector:python"
@@ -309,7 +310,7 @@ def record_engine(accesses: int, repeats: int,
             iso_seconds["solo"] / iso_seconds["vector"], 3)
     if "array" in iso_seconds:
         payload["isolation_array_speedup"] = round(
-            iso_seconds["vector"] / iso_seconds["array"], 3)
+            iso_seconds["solo"] / iso_seconds["array"], 3)
     return payload
 
 
@@ -464,10 +465,11 @@ def main(argv=None) -> int:
                 print(f"  isolation solo speedup: "
                       f"{payload['isolation_solo_speedup']:.2f}x")
             if "isolation_vector_speedup" in payload:
-                print(f"  isolation vector speedup (vs solo): "
+                print(f"  isolation vector:python speedup (vs solo, "
+                      f"informational): "
                       f"{payload['isolation_vector_speedup']:.2f}x")
             if "isolation_array_speedup" in payload:
-                print(f"  isolation array speedup (vs vector:python): "
+                print(f"  isolation array speedup (vs solo): "
                       f"{payload['isolation_array_speedup']:.2f}x")
         if args.baseline:
             keys = [k.strip()

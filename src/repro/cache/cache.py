@@ -29,7 +29,11 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.base import PartitionScheme
 from repro.cache.replacement.base import ReplacementPolicy, make_policy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.state import TagStore, build_hit_kernel
+from repro.cache.state import (
+    TagStore,
+    build_hit_kernel,
+    build_set_run_kernel,
+)
 
 
 class AccessResult(NamedTuple):
@@ -334,17 +338,16 @@ class SetAssociativeCache:
         """Bulk access of many line addresses by one core.
 
         Returns the per-access hit flags.  State transitions are identical
-        to calling :meth:`access_line_hit` per element (the loop binds the
-        policy-specialised kernel once) — the shared L2 has cross-core
+        to calling :meth:`access_line_hit` per element — it is the python
+        window kernel (:func:`repro.cache.state.build_set_run_kernel`), a
+        loop over the bound hit kernel.  The shared L2 has cross-core
         interleaving on the simulator's hot path, so this entry point
         serves profiling sweeps, warm-up, and benchmarks rather than the
         engines themselves.
         """
         lines = np.ascontiguousarray(lines, dtype=np.int64)
-        flags = np.empty(len(lines), dtype=bool)
-        step = self.access_line_hit
-        for i, line in enumerate(lines.tolist()):
-            flags[i] = step(line, core)
+        flags = np.zeros(len(lines), dtype=bool)
+        build_set_run_kernel(self, core)(lines.tolist(), flags)
         return flags
 
     def write_back_line(self, line: int, core: int = 0) -> bool:

@@ -2,47 +2,43 @@
 
 :func:`build_set_run_kernel` hands the vector engine a whole-window
 replay kernel ``kernel(lines, flags)`` (contract in
-:func:`repro.cache.state.build_set_run_kernel`) built by one of three
+:func:`repro.cache.state.build_set_run_kernel`) built by one of two
 interchangeable backends:
 
-* ``python`` — the scalar loop kernels in :mod:`repro.cache.state`,
-  unchanged and always available.  The semantic baseline.
+* ``python`` — the derived loop over the cache's scalar hit kernel in
+  :mod:`repro.cache.state`, available for every cache.  The semantic
+  baseline.
 * ``array`` — numpy whole-run kernels (:mod:`repro.cache.kernels.array`)
   for the hot unpartitioned kinds (``lru``/``fifo``/``nru``/``bt``):
   vectorised hit classification by exact stack distance, vectorised
   invalid-way fills, batched state reconstruction committed once per
   run.  Bit-identical to ``python`` (see the module docstring of
   :mod:`repro.cache.kernels.array` for the exactness argument).
-* ``numba`` — njit-compiled variants of the flat loop bodies
-  (:mod:`repro.cache.kernels.numba_backend`), auto-detected at import
-  and silently unavailable when the wheel is missing.
 
 Selection flows through ``SimulationConfig(kernel_backend="auto")``; the
 ``REPRO_KERNEL_BACKEND`` environment variable overrides ``"auto"`` only
 (an explicit config value always wins), so a CI job can steer default
 configurations without touching campaign-keyed inputs.  ``"auto"``
-resolves to ``numba`` when importable, else ``array``.  Eligibility is
-per cache: a backend without a kernel for the (policy, partition) at
-hand delegates down the chain ``numba -> array -> python``, so the
-resolved backend never loses correctness — only the fast path widens.
-The backend choice is deliberately *not* part of ``ENGINE_VERSION``:
-every backend is bit-identical, pinned by the vector differential suite
-and the ``repro fuzz`` oracle running every available backend per case.
+resolves to ``array``.  Eligibility is per cache: ``array`` without a
+kernel for the (policy, partition) at hand delegates to ``python``, so
+the resolved backend never loses correctness — only the fast path
+widens.  The backend choice is deliberately *not* part of
+``ENGINE_VERSION``: both backends are bit-identical, pinned by the
+vector differential suite and the ``repro fuzz`` oracle running both
+per case.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.cache.kernels import array as _array
-from repro.cache.kernels import numba_backend as _numba
 from repro.cache.state import build_set_run_kernel as _build_python
 from repro.config import (
     KERNEL_ARRAY,
     KERNEL_AUTO,
     KERNEL_BACKENDS,
-    KERNEL_NUMBA,
     KERNEL_PYTHON,
 )
 
@@ -51,29 +47,17 @@ from repro.config import (
 ENV_KERNEL_BACKEND = "REPRO_KERNEL_BACKEND"
 
 
-def numba_available() -> bool:
-    """True when the optional numba wheel imported successfully."""
-    return _numba.available()
-
-
 def available_backends() -> tuple:
-    """Concrete backends importable in this process, fastest first."""
-    backends = []
-    if numba_available():
-        backends.append(KERNEL_NUMBA)
-    backends.append(KERNEL_ARRAY)
-    backends.append(KERNEL_PYTHON)
-    return tuple(backends)
+    """The concrete backends, fastest first."""
+    return (KERNEL_ARRAY, KERNEL_PYTHON)
 
 
 def resolve_kernel_backend(name: str = KERNEL_AUTO) -> str:
     """Concrete backend name for ``name`` (resolves ``"auto"``).
 
     ``"auto"`` honours ``REPRO_KERNEL_BACKEND`` (when set and non-empty)
-    and otherwise picks the fastest importable backend — ``numba`` when
-    the wheel is present, else ``array``.  Explicitly requesting an
-    unavailable backend raises; per-cache ineligibility does not (the
-    build delegates down to ``python`` instead).
+    and otherwise means ``array``.  Per-cache ineligibility never raises
+    (the build delegates to ``python`` instead).
     """
     if name not in KERNEL_BACKENDS:
         raise ValueError(
@@ -88,33 +72,18 @@ def resolve_kernel_backend(name: str = KERNEL_AUTO) -> str:
                     f"known: {sorted(KERNEL_BACKENDS)}"
                 )
             name = env
-    if name == KERNEL_AUTO:
-        name = KERNEL_NUMBA if numba_available() else KERNEL_ARRAY
-    if name == KERNEL_NUMBA and not numba_available():
-        raise ValueError(
-            "kernel_backend='numba' requested but the numba wheel is not "
-            "importable; install numba or use 'auto'/'array'/'python'"
-        )
-    return name
+    return KERNEL_ARRAY if name == KERNEL_AUTO else name
 
 
-def build_set_run_kernel(cache, backend: str = KERNEL_AUTO) -> Optional[Callable]:
+def build_set_run_kernel(cache, backend: str = KERNEL_AUTO) -> Callable:
     """Whole-window replay kernel for ``cache`` under ``backend``.
 
     Same contract as :func:`repro.cache.state.build_set_run_kernel`
-    (which is exactly what the ``python`` backend returns): ``None``
-    when the policy has no flat-state kernel at all, otherwise
-    ``kernel(lines, flags)``.  A resolved backend without a kernel for
-    this cache's (policy, partition) delegates down the chain
-    ``numba -> array -> python``.
+    (which is exactly what the ``python`` backend returns):
+    ``kernel(lines, flags)``.  ``array`` without a kernel for this
+    cache's (policy, partition) delegates to ``python``.
     """
-    name = resolve_kernel_backend(backend)
-    if name == KERNEL_NUMBA:
-        kernel = _numba.build(cache)
-        if kernel is not None:
-            return kernel
-        name = KERNEL_ARRAY
-    if name == KERNEL_ARRAY:
+    if resolve_kernel_backend(backend) == KERNEL_ARRAY:
         kernel = _array.build(cache)
         if kernel is not None:
             return kernel
@@ -125,6 +94,5 @@ __all__ = [
     "ENV_KERNEL_BACKEND",
     "available_backends",
     "build_set_run_kernel",
-    "numba_available",
     "resolve_kernel_backend",
 ]

@@ -1,9 +1,9 @@
 """Numpy whole-run set-run kernels (the ``array`` backend).
 
-Drop-in replacements for the hot unpartitioned loop kernels in
-:mod:`repro.cache.state` — same ``kernel(lines, flags)`` contract, same
-bit-identical state evolution, but the per-access Python loop is
-replaced by window-level numpy passes.  Eligibility (:func:`build`):
+Drop-in replacements for the python window kernel of
+:mod:`repro.cache.state` on the hot unpartitioned kinds — same
+``kernel(lines, flags)`` contract, same bit-identical state evolution,
+but the per-access Python loop is replaced by window-level numpy passes.  Eligibility (:func:`build`):
 unpartitioned caches with kernel kind ``lru``/``fifo``/``nru``/``bt``
 (BT additionally needs its precomputed victim table and no force
 vectors); everything else delegates back to the ``python`` backend via
@@ -74,8 +74,8 @@ and the ``repro fuzz`` oracle running every available backend):
   sets' miss positions (known after classification) are merged in by a
   prefix count.  Fit and non-fit sets are disjoint, so the relative
   commit order of their state is unobservable.
-* **Statistics** are pure sums, committed once per window like the
-  scalar window kernels.  Every value written into shared state (tag
+* **Statistics** are pure sums, so committing them once per window
+  instead of once per access is unobservable.  Every value written into shared state (tag
   dict, flat lists, per-set masks) is a plain Python ``int`` — the
   digest-based fuzz observables cannot distinguish the backends.
 * **Cold windows** — the common case for isolation jobs, which run

@@ -16,16 +16,20 @@ Two pieces live here:
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
 * the **access kernels** — per-policy specialisations of
-  ``SetAssociativeCache.access_line_hit`` and ``ATD.observe`` built as
-  closures whose free variables bind every hot array and counter once, at
-  construction.  A kernel performs *exactly* the seed state transitions
+  ``SetAssociativeCache.access_line_hit`` and ``ATD.observe_many`` built
+  as closures whose free variables bind every hot array and counter once,
+  at construction.  A kernel performs *exactly* the seed state transitions
   (same victim choices, same statistics, same partition hooks in the same
   order) with locals-bound array operations instead of per-access attribute
   chases and dynamic method dispatch; the hottest policies (LRU, NRU) get a
   further unpartitioned variant with every partition branch compiled out.
-  Equivalence with the generic object-protocol paths is pinned by
-  ``tests/test_cache/test_state.py`` and with the seed per-object
-  implementations by ``tests/test_cache/test_flat_equivalence.py``.
+  Those two are the only hand-written transition sites here: the window
+  kernel (:func:`build_set_run_kernel`) and the single-access ATD
+  ``observe`` (:func:`derive_observe_kernel`) are policy-independent loops
+  over them.  Equivalence with the generic object-protocol paths is
+  pinned by ``tests/test_cache/test_state.py`` and with the seed
+  per-object implementations by
+  ``tests/test_cache/test_flat_equivalence.py``.
 
 The kernels rely on invariants the cache/ATD maintain by construction:
 
@@ -46,8 +50,8 @@ import numpy as np
 
 from repro.cache.partition.base import PartitionScheme
 
-__all__ = ["TagStore", "build_hit_kernel", "build_observe_kernel",
-           "build_observe_many_kernel", "build_set_run_kernel",
+__all__ = ["TagStore", "build_hit_kernel", "build_observe_many_kernel",
+           "build_set_run_kernel", "derive_observe_kernel",
            "mru_repeat_elidable", "pair_elidable"]
 
 
@@ -759,663 +763,43 @@ def build_hit_kernel(cache) -> Optional[Callable]:
 
 
 # ----------------------------------------------------------------------
-# Window kernels (whole-window batched access_line_hit)
+# Window kernel (whole-window batched access_line_hit)
 # ----------------------------------------------------------------------
 # A window kernel drains a whole inter-boundary window of the L2 miss
 # stream in one call: ``kernel(lines, flags)`` replays ``lines`` — line
-# addresses in trace order — through exactly the per-access transitions
-# of the scalar hit kernel above, writing 1 into the caller-supplied
-# zeroed byte buffer at each hit position.  The statistics counters are
-# accumulated in locals and committed once per call: they are pure sums,
-# so the commit schedule is unobservable.  Replay order is trace order —
-# the engine may first *elide* accesses proven to be idempotent repeat
-# hits (:func:`mru_repeat_elidable`), which deletes elements but never
+# addresses in trace order — writing 1 into the caller-supplied zeroed
+# byte buffer at each hit position.  Replay order is trace order — the
+# engine may first *elide* accesses proven to be idempotent repeat hits
+# (:func:`mru_repeat_elidable`), which deletes elements but never
 # reorders the survivors.
 #
-# Relative to the scalar kernels the win is loop hoisting: one closure
-# call, one iterator and one batched statistics commit per *window*
-# instead of per access.  Per-policy invariants (NRU's cache-global
-# pointer) may additionally be carried in plain locals across the loop
-# and written back once.
-#
-# Purity discipline: as with the scalar kernels, every free variable is
-# bound at build time — the ``hot-path-purity`` lint rule checks these
-# ``_*_run_kernel`` factories' closures for attribute loads, global
-# lookups and container allocations exactly like the scalar factories.
+# The python window kernel is *derived*, not written per policy: one loop
+# over the cache's bound ``access_line_hit`` (the scalar hit kernel above,
+# or the generic object-protocol method for a policy without one), so a
+# policy's window transitions are its scalar transitions by construction.
+# The numpy whole-run kernels in :mod:`repro.cache.kernels.array` carry
+# the shipped single-thread jobs; this loop is their semantic baseline
+# and the path for every (policy, partition) outside their eligibility.
 
-def _lru_set_run_kernel(cache):
-    """LRU: the scalar kernel's order-array transitions, loop-hoisted."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    tag_map = store.map
-    tag_get = tag_map.get
-    tags = store.lines
-    invalid = store.invalid
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    present = policy._present
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-
-    if partition is None:
-        def run_window(lines, flags):
-            pos = 0
-            n_miss = 0
-            n_inv = 0
-            for line in lines:
-                way = tag_get(line)
-                s = line & set_mask
-                base = s * assoc
-                if way is not None:
-                    p = order_index(way, base, base + assoc)
-                    if p != base:
-                        order[base + 1:p + 1] = order[base:p]
-                        order[base] = way
-                    flags[pos] = 1
-                    pos += 1
-                    continue
-                n_miss += 1
-                inv = invalid[s]
-                if inv:
-                    way = (inv & -inv).bit_length() - 1
-                    invalid[s] = inv & ~(1 << way)
-                    n_inv += 1
-                    sz = size[s]
-                    order[base + 1:base + sz + 1] = order[base:base + sz]
-                    order[base] = way
-                    size[s] = sz + 1
-                    present[s] |= 1 << way
-                else:
-                    i = base + assoc - 1
-                    way = order[i]
-                    del tag_map[tags[base + way]]
-                    order[base + 1:i + 1] = order[base:i]
-                    order[base] = way
-                tags[base + way] = line
-                tag_map[line] = way
-                pos += 1
-            accesses[0] += pos
-            misses[0] += n_miss
-            fills_invalid[0] += n_inv
-
-        return run_window
-
-    get_mask = partition.candidate_mask
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            base = s * assoc
-            if way is not None:
-                p = order_index(way, base, base + size[s])
-                if p != base:
-                    order[base + 1:p + 1] = order[base:p]
-                    order[base] = way
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            mask = get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-                sz = size[s]
-                order[base + 1:base + sz + 1] = order[base:base + sz]
-                order[base] = way
-                size[s] = sz + 1
-                present[s] |= 1 << way
-            else:
-                i = base + size[s] - 1
-                way = order[i]
-                while not (mask >> way) & 1:
-                    i -= 1
-                    way = order[i]
-                del tag_map[tags[base + way]]
-                if i != base:
-                    order[base + 1:i + 1] = order[base:i]
-                    order[base] = way
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _fifo_set_run_kernel(cache):
-    """FIFO: hits touch nothing; fills/evictions via the scalar shifts."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tags = store.lines
-    invalid = store.invalid
-    order = policy._order
-    size = policy._size
-    present = policy._present
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            if line in tag_map:
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            s = line & set_mask
-            base = s * assoc
-            mask = full_mask if get_mask is None else get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-                sz = size[s]
-                order[base + 1:base + sz + 1] = order[base:base + sz]
-                order[base] = way
-                size[s] = sz + 1
-                present[s] |= 1 << way
-            else:
-                i = base + size[s] - 1
-                way = order[i]
-                while not (mask >> way) & 1:
-                    i -= 1
-                    way = order[i]
-                del tag_map[tags[base + way]]
-                if i != base:
-                    order[base + 1:i + 1] = order[base:i]
-                    order[base] = way
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _lru_ins_set_run_kernel(cache):
-    """LIP/BIP/DIP: above-floor promote inline, insertions delegated."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    tags = store.lines
-    invalid = store.invalid
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    below_mask = policy._below_mask
-    touch = policy.touch
-    touch_fill = policy.touch_fill
-    victim = policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            base = s * assoc
-            if way is not None:
-                if (below_mask[s] >> way) & 1:
-                    touch(s, way, 0)
-                else:
-                    p = order_index(way, base, base + size[s])
-                    if p != base:
-                        order[base + 1:p + 1] = order[base:p]
-                        order[base] = way
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            mask = full_mask if get_mask is None else get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-            else:
-                way = victim(s, 0, mask)
-                del tag_map[tags[base + way]]
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            touch_fill(s, way, 0)
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _nru_set_run_kernel(cache):
-    """NRU: used bits inline; the global pointer rides a plain local.
-
-    The cache-global replacement pointer is read once, carried as a loop
-    local and written back after the window — nothing else reads it while
-    a window drains (ATDs keep their own policy instances).
-    """
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    tags = store.lines
-    invalid = store.invalid
-    used_l = policy._used
-    pointer = policy._pointer_box
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-
-    if partition is None:
-        def run_window(lines, flags):
-            pos = 0
-            n_miss = 0
-            n_inv = 0
-            ptr = pointer[0]
-            for line in lines:
-                way = tag_get(line)
-                s = line & set_mask
-                if way is not None:
-                    bit = 1 << way
-                    used = used_l[s] | bit
-                    used_l[s] = bit if used == full_mask else used
-                    flags[pos] = 1
-                    pos += 1
-                    continue
-                n_miss += 1
-                base = s * assoc
-                inv = invalid[s]
-                if inv:
-                    way = (inv & -inv).bit_length() - 1
-                    invalid[s] = inv & ~(1 << way)
-                    n_inv += 1
-                    used = used_l[s]
-                else:
-                    used = used_l[s]
-                    if used == full_mask:
-                        used = 0
-                    hi = (full_mask & ~used) >> ptr
-                    if hi:
-                        way = ptr + (hi & -hi).bit_length() - 1
-                    else:
-                        free = full_mask & ~used
-                        way = (free & -free).bit_length() - 1
-                    del tag_map[tags[base + way]]
-                tags[base + way] = line
-                tag_map[line] = way
-                bit = 1 << way
-                used |= bit
-                used_l[s] = bit if used == full_mask else used
-                ptr += 1
-                if ptr >= assoc:
-                    ptr = 0
-                pos += 1
-            pointer[0] = ptr
-            accesses[0] += pos
-            misses[0] += n_miss
-            fills_invalid[0] += n_inv
-
-        return run_window
-
-    get_mask = partition.candidate_mask
-    get_domain = _bind_reset_domain(partition)
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        ptr = pointer[0]
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                if get_domain is None:
-                    domain = full_mask
-                else:
-                    domain = get_domain(0)
-                    if domain is None:
-                        domain = full_mask
-                used = used_l[s] | (1 << way)
-                if domain and (used & domain) == domain:
-                    used &= ~domain
-                    used |= 1 << way
-                used_l[s] = used
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            base = s * assoc
-            mask = get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-            else:
-                used = used_l[s]
-                if (used & mask) == mask:
-                    used &= ~mask
-                    used_l[s] = used
-                free = mask & ~used
-                hi = free >> ptr
-                if hi:
-                    way = ptr + (hi & -hi).bit_length() - 1
-                else:
-                    way = (free & -free).bit_length() - 1
-                del tag_map[tags[base + way]]
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            if get_domain is None:
-                domain = full_mask
-            else:
-                domain = get_domain(0)
-                if domain is None:
-                    domain = full_mask
-            used = used_l[s] | (1 << way)
-            if domain and (used & domain) == domain:
-                used &= ~domain
-                used |= 1 << way
-            used_l[s] = used
-            ptr += 1
-            if ptr >= assoc:
-                ptr = 0
-            pos += 1
-        pointer[0] = ptr
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _bt_set_run_kernel(cache):
-    """BT: O(1) integer-mask promote; table-driven victim traversal."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    tags = store.lines
-    invalid = store.invalid
-    tree = policy._tree
-    keep = policy._touch_keep
-    setb = policy._touch_set
-    table = policy._victim_table
-    force_map = policy._force
-    victim = policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                tree[s] = (tree[s] & keep[way]) | setb[way]
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            base = s * assoc
-            mask = full_mask if get_mask is None else get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-            else:
-                if force_map or table is None:
-                    way = victim(s, 0, mask)
-                else:
-                    way = table[tree[s]]
-                old = tags[base + way]
-                if old >= 0:
-                    del tag_map[old]
-                else:
-                    invalid[s] &= ~(1 << way)
-                    n_inv += 1
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            tree[s] = (tree[s] & keep[way]) | setb[way]
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _rrip_set_run_kernel(cache):
-    """SRRIP/BRRIP: flat RRPV array; C-speed full-mask victim scan."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    tags = store.lines
-    invalid = store.invalid
-    rrpv = policy._rrpv
-    rrpv_index = rrpv.index
-    rrpv_max = policy.rrpv_max
-    long_rrpv = rrpv_max - 1
-    fill_fast = policy.long_insert_probability >= 1.0
-    touch_fill = policy.touch_fill
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            base = s * assoc
-            if way is not None:
-                rrpv[base + way] = 0
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            mask = full_mask if get_mask is None else get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-            else:
-                if mask == full_mask:
-                    end = base + assoc
-                    while True:
-                        try:
-                            way = rrpv_index(rrpv_max, base, end) - base
-                            break
-                        except ValueError:
-                            # Rare aging path: the C-level slice rebuild
-                            # beats a scalar loop.
-                            # lint: disable-next=hot-path-purity
-                            rrpv[base:end] = [v + 1 for v in rrpv[base:end]]
-                else:
-                    way = -1
-                    while way < 0:
-                        m = mask
-                        while m:
-                            low = m & -m
-                            w = low.bit_length() - 1
-                            if rrpv[base + w] == rrpv_max:
-                                way = w
-                                break
-                            m ^= low
-                        else:
-                            m = mask
-                            while m:
-                                low = m & -m
-                                rrpv[base + low.bit_length() - 1] += 1
-                                m ^= low
-                del tag_map[tags[base + way]]
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            if fill_fast:
-                rrpv[base + way] = long_rrpv
-            else:
-                touch_fill(s, way, 0)
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _random_set_run_kernel(cache):
-    """Random: stateless policy — only the RNG victim draw stays a call."""
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tags = store.lines
-    invalid = store.invalid
-    victim = cache.policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def run_window(lines, flags):
-        pos = 0
-        n_miss = 0
-        n_inv = 0
-        for line in lines:
-            if line in tag_map:
-                flags[pos] = 1
-                pos += 1
-                continue
-            n_miss += 1
-            s = line & set_mask
-            base = s * assoc
-            mask = full_mask if get_mask is None else get_mask(s, 0)
-            inv = invalid[s] & mask
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] &= ~(1 << way)
-                n_inv += 1
-            else:
-                way = victim(s, 0, mask)
-                del tag_map[tags[base + way]]
-            tags[base + way] = line
-            tag_map[line] = way
-            if on_fill is not None:
-                on_fill(s, way, 0)
-            pos += 1
-        accesses[0] += pos
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-_SET_RUN_KERNELS = {
-    "lru": _lru_set_run_kernel,
-    "fifo": _fifo_set_run_kernel,
-    "lru_ins": _lru_ins_set_run_kernel,
-    "nru": _nru_set_run_kernel,
-    "bt": _bt_set_run_kernel,
-    "rrip": _rrip_set_run_kernel,
-    "random": _random_set_run_kernel,
-}
-
-
-def build_set_run_kernel(cache) -> Optional[Callable]:
-    """Batched whole-window ``access_line_hit`` for the cache's policy.
+def build_set_run_kernel(cache, core: int = 0) -> Callable:
+    """Batched whole-window ``access_line_hit`` for ``cache``.
 
     Returns ``kernel(lines, flags)`` — ``lines`` a list of line addresses
     in access order, ``flags`` a zeroed writable byte buffer with one
-    slot per access, set to 1 on hits — or ``None`` when the policy has
-    no flat-state kernel.  Only valid for single-core simulations: every
-    access is attributed to core 0 (statistics, candidate masks,
-    partition hooks, RNG draws).
+    slot per access, set to 1 on hits.  Every access is attributed to
+    ``core`` (statistics, candidate masks, partition hooks, RNG draws);
+    the engines only use it for single-core simulations, core 0.
     """
-    factory = _SET_RUN_KERNELS.get(getattr(cache.policy, "kernel_kind", ""))
-    return None if factory is None else factory(cache)
+    step = cache.access_line_hit
+
+    def run_window(lines, flags):
+        pos = 0
+        for line in lines:
+            if step(line, core):
+                flags[pos] = 1
+            pos += 1
+
+    return run_window
 
 
 #: Kernel kinds whose hit transition is idempotent, making immediate
@@ -1491,6 +875,21 @@ def pair_elidable(cache) -> bool:
 # the fill.  The ATD always runs full-mask, single-core, no partition.
 # The sampled/skipped counters are a 2-slot list (``atd._counts``) so the
 # kernels bump them as locals-bound list writes.
+#
+# The per-policy transition is written once, as the *batch* kernel
+# ``observe_many(lines)``: it drains a buffered run of one thread's
+# L2-reaching line addresses — sampling filter, SDH update, promote or
+# fill per line — with the per-call overhead (argument parsing, closure
+# entry) amortised over the whole buffer.  The execution engines buffer
+# each thread's stream and drain at controller boundaries / run end, which
+# is exact because ATD state is a pure function of the *own-thread* stream
+# prefix and is only read at those drain points (see
+# ``docs/architecture.md`` for the full argument).  The single-access
+# ``observe`` of a kernelised ATD is derived from it — a one-line batch
+# behind the sampling filter — so the two cannot drift apart; equivalence
+# with the generic object-protocol path is pinned by
+# ``tests/test_cmp/test_solo_engine.py`` and
+# ``tests/test_profiling/test_atd.py``.
 
 def _atd_common(atd):
     store = atd.state
@@ -1500,233 +899,8 @@ def _atd_common(atd):
             atd.sdh._r, atd.assoc + 1)
 
 
-def _lru_observe_kernel(atd):
-    """Exact stack positions read straight off the flat recency order."""
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    tag_get = tag_map.get
-    policy = atd.policy
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    present = policy._present
-
-    def observe(line):
-        if line & skip_mask:
-            counts[1] += 1
-            return False
-        counts[0] += 1
-        way = tag_get(line)
-        s = (line & l2_set_mask) >> set_shift
-        base = s * assoc
-        if way is not None:
-            # Profiler first (pre-access state), then promote: the stack
-            # position is the way's index in the MRU-first order.
-            pos = order_index(way, base, base + size[s])
-            sdh_r[pos - base + 1] += 1
-            if pos != base:
-                order[base + 1:pos + 1] = order[base:pos]
-                order[base] = way
-            return True
-        sdh_r[miss_reg] += 1
-        inv = invalid[s]
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] = inv & ~(1 << way)
-            sz = size[s]
-            order[base + 1:base + sz + 1] = order[base:base + sz]
-            order[base] = way
-            size[s] = sz + 1
-            present[s] |= 1 << way
-        else:
-            i = base + assoc - 1
-            way = order[i]
-            old = lines[base + way]
-            if old >= 0:
-                del tag_map[old]
-            order[base + 1:i + 1] = order[base:i]
-            order[base] = way
-        lines[base + way] = line
-        tag_map[line] = way
-        return True
-
-    return observe
-
-
-def _nru_observe_kernel(atd):
-    """The paper's eSDH estimate from the flat used-bit masks (§III-A)."""
-    profiler = atd.profiler
-    if profiler.spread_update:
-        return None            # literal-reading ablation: generic path
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    policy = atd.policy
-    used_l = policy._used
-    pointer = policy._pointer_box
-    full_mask = policy.full_mask
-    scaling = profiler.scaling
-    exact_scaling = scaling == 1.0
-    tag_get = tag_map.get
-    ceil_fn = ceil
-
-    def observe(line):
-        if line & skip_mask:
-            counts[1] += 1
-            return False
-        counts[0] += 1
-        way = tag_get(line)
-        s = (line & l2_set_mask) >> set_shift
-        if way is not None:
-            used = used_l[s]
-            if (used >> way) & 1:
-                # d = ceil(S * U), U counting the accessed line (its used
-                # bit is already 1 here); hits on a clear used bit skip
-                # the SDH update (constant-offset argument, §III-A).
-                if exact_scaling:
-                    distance = used.bit_count()
-                else:
-                    distance = ceil_fn(scaling * used.bit_count())
-                    if distance < 1:
-                        distance = 1
-                sdh_r[distance] += 1
-            used |= 1 << way
-            used_l[s] = (1 << way) if used == full_mask else used
-            return True
-        sdh_r[miss_reg] += 1
-        base = s * assoc
-        inv = invalid[s]
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] = inv & ~(1 << way)
-            used = used_l[s]
-        else:
-            used = used_l[s]
-            if used == full_mask:
-                used = 0
-            hi = (full_mask & ~used) >> pointer[0]
-            if hi:
-                way = pointer[0] + (hi & -hi).bit_length() - 1
-            else:
-                free = full_mask & ~used
-                way = (free & -free).bit_length() - 1
-            old = lines[base + way]
-            if old >= 0:
-                del tag_map[old]
-        lines[base + way] = line
-        tag_map[line] = way
-        bit = 1 << way
-        used |= bit
-        used_l[s] = bit if used == full_mask else used
-        p = pointer[0] + 1
-        pointer[0] = p if p < assoc else 0
-        return True
-
-    return observe
-
-
-def _bt_observe_kernel(atd):
-    """The paper's BT eSDH: ``d = A − (ID ⊕ path)`` off the tree masks."""
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    policy = atd.policy
-    tree = policy._tree
-    keep = policy._touch_keep
-    setb = policy._touch_set
-    path_spec = policy._path_spec
-    table = policy._victim_table
-    force_map = policy._force
-    victim = policy.victim
-    full_mask = policy.full_mask
-    tag_get = tag_map.get
-
-    def observe(line):
-        if line & skip_mask:
-            counts[1] += 1
-            return False
-        counts[0] += 1
-        way = tag_get(line)
-        s = (line & l2_set_mask) >> set_shift
-        if way is not None:
-            t = tree[s]
-            path = 0
-            for bit_index, out_shift in path_spec[way]:
-                path |= ((t >> bit_index) & 1) << out_shift
-            sdh_r[assoc - (path ^ way)] += 1
-            tree[s] = (t & keep[way]) | setb[way]
-            return True
-        sdh_r[miss_reg] += 1
-        base = s * assoc
-        inv = invalid[s]
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] = inv & ~(1 << way)
-        else:
-            if force_map or table is None:
-                way = victim(s, 0, full_mask)
-            else:
-                way = table[tree[s]]
-            old = lines[base + way]
-            if old >= 0:
-                del tag_map[old]
-        lines[base + way] = line
-        tag_map[line] = way
-        tree[s] = (tree[s] & keep[way]) | setb[way]
-        return True
-
-    return observe
-
-
-_OBSERVE_KERNELS = {
-    "lru": _lru_observe_kernel,
-    "nru": _nru_observe_kernel,
-    "bt": _bt_observe_kernel,
-}
-
-
-def _kernel_eligible(atd) -> bool:
-    """True when the ATD's (policy, profiler) pair has kernel support."""
-    from repro.profiling.profilers import (
-        BTDistanceProfiler,
-        LRUDistanceProfiler,
-        NRUDistanceProfiler,
-    )
-
-    expected = {"lru": LRUDistanceProfiler, "nru": NRUDistanceProfiler,
-                "bt": BTDistanceProfiler}
-    kind = getattr(atd.policy, "kernel_kind", "")
-    return kind in _OBSERVE_KERNELS and type(atd.profiler) is expected[kind]
-
-
-def build_observe_kernel(atd) -> Optional[Callable]:
-    """Specialised ``ATD.observe`` for the ATD's policy, or None.
-
-    A kernel inlines the *standard* profiler's interpretation of the flat
-    state, so it only engages when the ATD runs the stock
-    :class:`~repro.profiling.profilers.DistanceProfiler` for its policy —
-    a custom profiler (tests, ablations) keeps the generic path.
-    """
-    if not _kernel_eligible(atd):
-        return None
-    return _OBSERVE_KERNELS[atd.policy.kernel_kind](atd)
-
-
-# ----------------------------------------------------------------------
-# Batch ATD observe kernels (deferred profiling drains)
-# ----------------------------------------------------------------------
-# ``observe_many(lines)`` drains a buffered run of one thread's L2-reaching
-# line addresses through the exact per-line transitions of the single
-# observe kernel above — same sampling filter, same SDH updates, same
-# victim choices — with the per-call overhead (argument parsing, closure
-# entry) amortised over the whole buffer.  The execution engines buffer
-# each thread's stream and drain at controller boundaries / run end, which
-# is exact because ATD state is a pure function of the *own-thread* stream
-# prefix and is only read at those drain points (see
-# ``docs/architecture.md`` for the full argument).  Equivalence with
-# per-line ``observe`` is pinned by ``tests/test_cmp/test_solo_engine.py``
-# and ``tests/test_profiling/test_atd.py``.
-
 def _lru_observe_many_kernel(atd):
-    """Batched :func:`_lru_observe_kernel`: one loop, locals bound once."""
+    """Exact stack positions read straight off the flat recency order."""
     (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
      assoc, sdh_r, miss_reg) = _atd_common(atd)
     policy = atd.policy
@@ -1748,6 +922,8 @@ def _lru_observe_many_kernel(atd):
             s = (line & l2_set_mask) >> set_shift
             base = s * assoc
             if way is not None:
+                # Profiler first (pre-access state), then promote: the
+                # stack position is the way's index in the MRU-first order.
                 pos = order_index(way, base, base + size[s])
                 sdh_r[pos - base + 1] += 1
                 if pos != base:
@@ -1781,7 +957,7 @@ def _lru_observe_many_kernel(atd):
 
 
 def _nru_observe_many_kernel(atd):
-    """Batched :func:`_nru_observe_kernel`."""
+    """The paper's eSDH estimate from the flat used-bit masks (§III-A)."""
     profiler = atd.profiler
     if profiler.spread_update:
         return None            # literal-reading ablation: generic path
@@ -1809,6 +985,10 @@ def _nru_observe_many_kernel(atd):
             if way is not None:
                 used = used_l[s]
                 if (used >> way) & 1:
+                    # d = ceil(S * U), U counting the accessed line (its
+                    # used bit is already 1 here); hits on a clear used
+                    # bit skip the SDH update (constant-offset argument,
+                    # §III-A).
                     if exact_scaling:
                         distance = used.bit_count()
                     else:
@@ -1853,7 +1033,7 @@ def _nru_observe_many_kernel(atd):
 
 
 def _bt_observe_many_kernel(atd):
-    """Batched :func:`_bt_observe_kernel`."""
+    """The paper's BT eSDH: ``d = A − (ID ⊕ path)`` off the tree masks."""
     (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
      assoc, sdh_r, miss_reg) = _atd_common(atd)
     policy = atd.policy
@@ -1918,10 +1098,39 @@ _OBSERVE_MANY_KERNELS = {
 def build_observe_many_kernel(atd) -> Optional[Callable]:
     """Specialised batch ``ATD.observe_many`` for the ATD's policy, or None.
 
-    Engages under the same conditions as :func:`build_observe_kernel`
-    (stock profiler, kernelised policy); callers fall back to the generic
-    per-line loop otherwise.
+    A kernel inlines the *standard* profiler's interpretation of the flat
+    state, so it only engages when the ATD runs the stock
+    :class:`~repro.profiling.profilers.DistanceProfiler` for its policy —
+    a custom profiler (tests, ablations) keeps the generic per-line path.
     """
-    if not _kernel_eligible(atd):
+    from repro.profiling.profilers import (
+        BTDistanceProfiler,
+        LRUDistanceProfiler,
+        NRUDistanceProfiler,
+    )
+
+    expected = {"lru": LRUDistanceProfiler, "nru": NRUDistanceProfiler,
+                "bt": BTDistanceProfiler}
+    kind = getattr(atd.policy, "kernel_kind", "")
+    if kind not in expected or type(atd.profiler) is not expected[kind]:
         return None
-    return _OBSERVE_MANY_KERNELS[atd.policy.kernel_kind](atd)
+    return _OBSERVE_MANY_KERNELS[kind](atd)
+
+
+def derive_observe_kernel(atd, observe_many) -> Callable:
+    """``ATD.observe`` for an ATD whose batch kernel is ``observe_many``.
+
+    The sampling filter runs in front so an unsampled access costs no
+    batch call; a sampled one is a one-line batch, True by contract.
+    """
+    counts = atd._counts
+    skip_mask = atd._skip_mask
+
+    def observe(line):
+        if line & skip_mask:
+            counts[1] += 1
+            return False
+        observe_many((line,))
+        return True
+
+    return observe

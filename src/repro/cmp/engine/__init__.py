@@ -48,8 +48,9 @@ from repro.config import (
 #: semantics — so stale cached results can never be mistaken for current
 #: ones.  Version 1 was the seed hot loop; version 2 is the PR 1
 #: ``anchor + count * base`` recurrence with integer freeze counts.  The
-#: engine *choice* (solo / batched / reference) is deliberately not part
-#: of the version: the equivalence suites pin all engines bit-identical.
+#: engine *choice* (reference / batched / solo / vector) is deliberately
+#: not part of the version: the equivalence suites pin all engines
+#: bit-identical.
 ENGINE_VERSION = 2
 
 #: Hot-path sources whose bytes are covered by the engine-version guard.
@@ -67,7 +68,6 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/hierarchy.py",
     "repro/cache/kernels/__init__.py",
     "repro/cache/kernels/array.py",
-    "repro/cache/kernels/numba_backend.py",
 )
 
 #: sha256 over ``ENGINE_VERSION`` and the guarded sources, recorded so the
@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "b6a82a653b33290e02f80fdda2b11a7b0d0b090aa96659e86c23dbd8968db4eb"
+ENGINE_SOURCE_CHECKSUM = "07c62e6e511e3e9fa947d8136300cfa5740cc997823c0a7807a04f6489a0861c"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,
@@ -93,9 +93,9 @@ def resolve_engine_name(name: str, num_cores: int) -> str:
     picks the set-parallel vector engine for single-thread simulations
     and the batched engine otherwise; explicit names pass through
     unchanged.  The vector engine delegates to solo for configurations
-    outside its batched path (write traces, custom observers, policies
-    without a set-run kernel), so ``auto`` never loses correctness to
-    the promotion — only the fast path widens.
+    outside its batched path (write traces, custom observers), so
+    ``auto`` never loses correctness to the promotion — only the fast
+    path widens.
     """
     if name == ENGINE_AUTO:
         return ENGINE_VECTOR if num_cores == 1 else ENGINE_BATCHED

@@ -14,7 +14,7 @@ windows** (no controller interval boundary can fire inside), analyses
 each window *set-parallel* with numpy — a stable sort groups every set's
 accesses while preserving within-set order — to **elide** the accesses
 that are provably idempotent repeat hits, hands the surviving stream to
-a single :func:`repro.cache.state.build_set_run_kernel` call, and
+a single :func:`repro.cache.kernels.build_set_run_kernel` call, and
 reconstructs the clock for the whole window with one vectorised prefix
 sum.
 
@@ -23,8 +23,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_vector_engine.py``):
 * **Transitions.**  Within a boundary-free window nothing outside the
   cache reads or writes replacement/tag/partition state, so the window's
   state evolution is the per-access transition function iterated over
-  the miss stream.  The window kernels replay exactly the scalar hit
-  kernels' transitions, in trace order.
+  the miss stream.  The python window kernel *is* a loop over the
+  cache's scalar hit kernel, in trace order (so a policy without a
+  flat-state kernel runs here too, through the generic
+  ``access_line_hit``); the array kernels are pinned to it.
 * **Repeat elision.**  An access whose line equals the immediately
   preceding access to the same set is a guaranteed hit (the L2 always
   installs on a miss and read-only windows never invalidate) whose
@@ -78,10 +80,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_vector_engine.py``):
   every profiling kind.
 
 Configurations outside the batched path — write traces (write-backs
-interleave with fills inside the miss stream), custom observers
-(per-access calls required), policies without a flat-state kernel —
-delegate to the :class:`~repro.cmp.engine.solo.SoloEngine`, which is
-bit-identical by the existing equivalence suite.
+interleave with fills inside the miss stream) and custom observers
+(per-access calls required) — delegate to the
+:class:`~repro.cmp.engine.solo.SoloEngine`, which is bit-identical by
+the existing equivalence suite.
 """
 
 from __future__ import annotations
@@ -186,14 +188,12 @@ class VectorEngine(EngineBase):
         l2 = hierarchy.l2
         profiling = deferrable_profiling(sim)
         observer = hierarchy.l2_observer
-        kernel = build_set_run_kernel(l2, sim.simulation.kernel_backend)
-        if (self.has_writes or kernel is None
-                or (observer is not None and profiling is None)):
+        if self.has_writes or (observer is not None and profiling is None):
             # Write traces interleave L1 write-backs (and dirty-eviction
             # accounting) inside the miss stream; a custom observer needs
-            # a call per access; a policy without a flat-state kernel has
-            # no batched transition path.  All are solo's territory.
+            # a call per access.  Both are solo's territory.
             return SoloEngine(sim).run()
+        kernel = build_set_run_kernel(l2, sim.simulation.kernel_backend)
         elide = mru_repeat_elidable(l2)
         pair = pair_elidable(l2)
 

@@ -66,12 +66,10 @@ ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_SOLO, ENGINE_VECTOR,
            ENGINE_AUTO)
 
 #: Set-run kernel backend identifiers (see :mod:`repro.cache.kernels`).
-KERNEL_PYTHON = "python"   # the scalar loop kernels in cache/state.py
+KERNEL_PYTHON = "python"   # loop over the scalar hit kernel (cache/state.py)
 KERNEL_ARRAY = "array"     # numpy whole-run kernels (hot unpartitioned kinds)
-KERNEL_NUMBA = "numba"     # njit-compiled variants (optional wheel)
-KERNEL_AUTO = "auto"       # numba if importable, else array; per-cache
-                           # eligibility falls back to python
-KERNEL_BACKENDS = (KERNEL_PYTHON, KERNEL_ARRAY, KERNEL_NUMBA, KERNEL_AUTO)
+KERNEL_AUTO = "auto"       # array; per-cache eligibility falls back to python
+KERNEL_BACKENDS = (KERNEL_PYTHON, KERNEL_ARRAY, KERNEL_AUTO)
 
 
 @dataclass(frozen=True)
@@ -269,14 +267,13 @@ class SimulationConfig:
     #: ``repro fuzz`` differential harness pin this.
     engine: str = ENGINE_AUTO
     #: Set-run kernel backend for the vector engine's window replay:
-    #: ``"auto"`` (the default — ``"numba"`` when the wheel imports, else
-    #: the numpy ``"array"`` kernels; either delegates per cache to
-    #: ``"python"`` when the policy/partition is outside its eligibility),
-    #: ``"python"`` (the scalar loop kernels, always available),
-    #: ``"array"`` or ``"numba"`` (explicit; ``"numba"`` raises when the
-    #: wheel is missing).  ``REPRO_KERNEL_BACKEND`` overrides ``"auto"``
-    #: only.  All backends are bit-identical — the differential suites
-    #: and ``repro fuzz`` pin every available backend per case.
+    #: ``"auto"`` (the default — the numpy ``"array"`` kernels, which
+    #: delegate per cache to ``"python"`` when the policy/partition is
+    #: outside their eligibility), ``"python"`` (one loop over the scalar
+    #: hit kernel, available for every cache) or ``"array"`` (explicit).
+    #: ``REPRO_KERNEL_BACKEND`` overrides ``"auto"`` only.  Both backends
+    #: are bit-identical — the differential suites and ``repro fuzz`` pin
+    #: both per case.
     kernel_backend: str = KERNEL_AUTO
 
     def __post_init__(self) -> None:

@@ -105,10 +105,12 @@ class FuzzCase:
         """Engines this case can legally run (solo/vector need one core).
 
         The plain ``vector`` entry runs the ``auto``-resolved kernel
-        backend; explicit ``vector:<backend>`` specs then cross-check
-        every *other* available backend per case, so a divergence
-        between backends is caught by the same oracle that pins the
-        engines to each other.
+        backend (``array``); the explicit ``vector:python`` spec then
+        cross-checks the other one per case.  That run replays windows
+        through the loop over the scalar hit kernel, so it isolates the
+        vector engine's own windowing / elision / timing from the array
+        kernels: a divergence in either is caught by the same oracle
+        that pins the engines to each other.
         """
         if self.num_cores != 1:
             return (ENGINE_REFERENCE, ENGINE_BATCHED)

@@ -11,8 +11,9 @@ rules hold; each gets a mechanical check here:
 * ``state-rebind`` — policy/partition mutators must update their
   preallocated state arrays **in place**; rebinding (``self.order = [...]``)
   detaches every kernel local captured at cache construction.
-* ``hot-path-purity`` — the closures built by the ``*_kernel`` factories
-  in ``cache/state.py`` must run on bound locals only: no attribute
+* ``hot-path-purity`` — the closures built by the ``*_kernel`` functions
+  in ``cache/state.py`` (the per-policy ``_*_kernel`` factories and the
+  two derived builders) must run on bound locals only: no attribute
   loads (beyond int/list method calls on locals), no global lookups, no
   list/dict/set or comprehension allocations.  The ``_*_array_kernel``
   factories in ``cache/kernels/array.py`` are checked under a *relaxed*
@@ -41,7 +42,8 @@ KERNEL_METHODS = ("touch", "touch_fill", "victim")
 #: Directories whose classes hold kernel-captured state arrays.
 STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
 
-#: Modules whose ``*_kernel`` factories build the hot-path closures.
+#: Modules whose module-level ``*_kernel`` functions build the hot-path
+#: closures (private per-policy factories and public derived builders).
 HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 
 #: Modules whose ``_*_array_kernel`` factories build *window-level*
@@ -250,8 +252,7 @@ class HotPathPurityRule(Rule):
                     continue
                 for node in tree.body:
                     if (isinstance(node, ast.FunctionDef)
-                            and node.name.endswith(suffix)
-                            and node.name.startswith("_")):
+                            and node.name.endswith(suffix)):
                         yield from self._check_factory(ctx, path, node,
                                                        relaxed)
         for rel, class_name, method_name in EVENT_LOOPS:

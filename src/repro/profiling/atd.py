@@ -12,11 +12,12 @@ through a :class:`~repro.profiling.profilers.DistanceProfiler`.
 
 Tag state is the same flat :class:`~repro.cache.state.TagStore` the L2
 uses — the ATD no longer carries its own directory implementation — and
-:meth:`observe` is bound at construction to a policy-specialised kernel
-(:func:`repro.cache.state.build_observe_kernel`) that inlines the
-profiler's interpretation of the flat replacement state; the generic
-object-protocol body below is the fallback and the reference the kernels
-are pinned against (``tests/test_profiling/test_atd.py``).
+:meth:`observe_many` is bound at construction to a policy-specialised
+batch kernel (:func:`repro.cache.state.build_observe_many_kernel`) that
+inlines the profiler's interpretation of the flat replacement state, with
+:meth:`observe` a one-line batch through it; the generic object-protocol
+bodies below are the fallback and the reference the kernels are pinned
+against (``tests/test_profiling/test_atd.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from repro.cache.replacement.base import make_policy
 from repro.cache.replacement.nru import NRUPolicy
 from repro.cache.state import (
     TagStore,
-    build_observe_kernel,
     build_observe_many_kernel,
+    derive_observe_kernel,
 )
 from repro.profiling.profilers import DistanceProfiler
 from repro.profiling.sdh import SDH
@@ -90,12 +91,12 @@ class ATD:
         #: counters as locals-bound writes; read via the properties below.
         self._counts = [0, 0]
         if kernels:
-            kernel = build_observe_kernel(self)
-            if kernel is not None:
-                self.observe = kernel
             many = build_observe_many_kernel(self)
             if many is not None:
+                # The batch kernel is the one transition site; observe is
+                # derived from it, inverting the generic methods' relation.
                 self.observe_many = many
+                self.observe = derive_observe_kernel(self, many)
 
     # ------------------------------------------------------------------
     @property
@@ -121,7 +122,8 @@ class ATD:
         """Feed one L2 access by the owning thread; True when sampled.
 
         Generic object-protocol body; instances with a kernelised policy
-        shadow it with the specialised closure at construction.
+        shadow it with a one-line batch through their batch kernel
+        (:func:`repro.cache.state.derive_observe_kernel`) at construction.
         """
         if line & self._skip_mask:
             self._counts[1] += 1

@@ -1,17 +1,14 @@
 """Kernel-backend registry: resolution matrix and build delegation.
 
 The registry's contract has two halves — *name resolution* (``auto`` /
-env override / unavailable-backend errors) and *build delegation* (a
-resolved backend without a kernel for the cache at hand falls down the
-chain ``numba -> array -> python`` without error).  The numba wheel is
-absent in most environments, so presence is simulated by stubbing the
-``_numba`` shim module the registry binds at import.
+env override / unknown-name errors) and *build delegation* (``array``
+without a kernel for the cache at hand falls back to ``python`` without
+error).
 """
 
 import numpy as np
 import pytest
 
-import repro.cache.kernels as kernels
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.kernels import (
@@ -32,21 +29,6 @@ def make_cache(policy_name="lru", num_sets=8, assoc=8):
                                num_cores=1, kernels=True)
 
 
-class FakeNumba:
-    """Stand-in for the numba backend shim: present, builds a marker."""
-
-    def __init__(self, kernel="numba-kernel"):
-        self.kernel = kernel
-        self.build_calls = 0
-
-    def available(self):
-        return True
-
-    def build(self, cache):
-        self.build_calls += 1
-        return self.kernel
-
-
 class TestResolution:
     def test_concrete_names_resolve_to_themselves(self):
         assert resolve_kernel_backend("python") == "python"
@@ -57,18 +39,18 @@ class TestResolution:
         assert resolve_kernel_backend("auto") == "array"
         assert available_backends() == ("array", "python")
 
-    def test_auto_with_numba_stub_is_numba(self, monkeypatch):
-        monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        monkeypatch.setattr(kernels, "_numba", FakeNumba())
-        assert resolve_kernel_backend("auto") == "numba"
-        assert available_backends() == ("numba", "array", "python")
-
-    def test_explicit_numba_unavailable_raises(self, monkeypatch):
-        monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        if kernels.numba_available():
-            pytest.skip("numba wheel installed: unavailability untestable")
-        with pytest.raises(ValueError, match="numba"):
+    def test_removed_numba_backend_is_rejected_everywhere(self, monkeypatch):
+        """The backend is gone, not dormant: the name fails validation at
+        every entry point, and the error lists what is left."""
+        known = r"\['array', 'auto', 'python'\]"
+        with pytest.raises(ValueError, match=known):
             resolve_kernel_backend("numba")
+        with pytest.raises(ValueError, match=known):
+            SimulationConfig(kernel_backend="numba")
+        monkeypatch.setenv(ENV_KERNEL_BACKEND, "numba")
+        with pytest.raises(ValueError,
+                           match="REPRO_KERNEL_BACKEND.*" + known):
+            resolve_kernel_backend("auto")
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -99,12 +81,8 @@ class TestResolution:
 
 class TestBuildDelegation:
     def test_python_backend_returns_loop_kernel(self):
-        from repro.cache.state import build_set_run_kernel as build_python
-        cache = make_cache("lru")
-        kernel = build_set_run_kernel(cache, "python")
-        assert kernel is not None
-        # Same closure shape as the state.py builder hands out.
-        assert kernel.__name__ == build_python(make_cache("lru")).__name__
+        kernel = build_set_run_kernel(make_cache("lru"), "python")
+        assert kernel.__module__ == "repro.cache.state"
 
     def test_array_backend_builds_for_eligible_kind(self):
         kernel = build_set_run_kernel(make_cache("lru"), "array")
@@ -118,20 +96,9 @@ class TestBuildDelegation:
         assert kernel is not None
         assert kernel.__module__ == "repro.cache.state"
 
-    def test_numba_stub_wins_when_eligible(self, monkeypatch):
+    def test_auto_builds_the_array_kernel(self, monkeypatch):
         monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        fake = FakeNumba()
-        monkeypatch.setattr(kernels, "_numba", fake)
-        assert build_set_run_kernel(make_cache("lru"), "auto") \
-            == "numba-kernel"
-        assert fake.build_calls == 1
-
-    def test_numba_stub_ineligible_delegates_to_array(self, monkeypatch):
-        monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        fake = FakeNumba(kernel=None)  # present but declines every cache
-        monkeypatch.setattr(kernels, "_numba", fake)
         kernel = build_set_run_kernel(make_cache("lru"), "auto")
-        assert fake.build_calls == 1
         assert kernel.__module__ == "repro.cache.kernels.array"
 
     def test_env_steers_default_config_to_python(self, monkeypatch):

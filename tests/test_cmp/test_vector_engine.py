@@ -137,9 +137,8 @@ def profiling_state(sim):
     ]
 
 
-#: Every kernel backend importable here, as vector-engine specs — the
-#: differential tests below run per backend, so a numba wheel in the
-#: environment (the CI ``numba-smoke`` job) widens the matrix for free.
+#: Both kernel backends as vector-engine specs — the differential tests
+#: below run per backend.
 VECTOR_SPECS = tuple(f"vector:{b}" for b in available_backends())
 
 PARTITIONED_CONFIGS = [
@@ -163,8 +162,8 @@ class TestVectorVsReference:
     @pytest.mark.parametrize("config", PARTITIONED_CONFIGS,
                              ids=lambda c: c.acronym)
     def test_partitioned_schemes(self, config):
-        # Partitioned caches are array/numba-ineligible: the specs pin
-        # the delegation fallback to the python kernels per backend.
+        # Partitioned caches are array-ineligible: the specs pin the
+        # delegation fallback to the python kernel per backend.
         results, sims = run_engines(
             config, [make_trace()], ("reference",) + VECTOR_SPECS,
             keep_sim=True)
@@ -180,6 +179,35 @@ class TestVectorVsReference:
                                ("reference", "vector"))
         assert_identical(ref, vec)
         assert ref.events.l1_writebacks > 0
+
+    def test_kernelless_policy_runs_on_the_vector_path(self, monkeypatch):
+        """A policy that opts out of the flat-state kernels
+        (``kernel_kind = ""``) still replays windows — through the
+        generic ``access_line_hit`` — instead of delegating to solo."""
+        from repro.cache.replacement.base import POLICY_REGISTRY
+
+        class MRUVictim(POLICY_REGISTRY["lru"]):
+            kernel_kind = ""
+
+            def victim(self, set_index, core, mask):
+                base = set_index * self.assoc
+                for way in self._order[base:base + self._size[set_index]]:
+                    if (mask >> way) & 1:
+                        return way
+                return super().victim(set_index, core, mask)
+
+        config = config_unpartitioned("lru")
+        stock = run_engines(config, [make_trace()], ("reference",))[0]
+        monkeypatch.setitem(POLICY_REGISTRY, "lru", MRUVictim)
+        vector_mod.clear_memos()
+        results = run_engines(config, [make_trace()],
+                              ("reference",) + VECTOR_SPECS)
+        for vec in results[1:]:
+            assert_identical(results[0], vec)
+        assert results[0].threads[0].l2_misses != stock.threads[0].l2_misses
+        # Only a run that stayed on the vector path publishes a memo entry.
+        assert vector_mod.memo_stats()["l1_entries"] == 1
+        vector_mod.clear_memos()
 
     def test_bandwidth_channel(self):
         ref, vec = run_engines(config_unpartitioned("lru"),

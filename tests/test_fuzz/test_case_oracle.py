@@ -63,8 +63,8 @@ class TestOracle:
     def test_clean_case_reports_no_divergence(self):
         report = run_case(small_case())
         assert not report.divergent
-        # Besides the four engines, every non-auto kernel backend rides
-        # along as an explicit vector spec (numba widens this in CI).
+        # Besides the four engines, the non-auto kernel backend rides
+        # along as an explicit vector spec.
         assert {"reference", "batched", "solo", "vector",
                 "vector:python"} <= set(report.engines)
         assert all(not d for d in report.diffs.values())

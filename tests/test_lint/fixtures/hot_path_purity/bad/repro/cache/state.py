@@ -32,3 +32,15 @@ def _flat_set_run_kernel(cache):
         cache.stats.accesses[0] += pos     # attribute walk at commit time
 
     return run_window
+
+
+def derive_observe_kernel(atd, observe_many):
+    """Public derived builder: a missing underscore is no exemption."""
+
+    def observe(line):
+        if line & atd._skip_mask:          # attribute load per access
+            return False
+        observe_many((line,))              # a tuple argument is fine
+        return True
+
+    return observe

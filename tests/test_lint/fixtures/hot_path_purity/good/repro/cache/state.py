@@ -53,3 +53,16 @@ def _flat_set_run_kernel(cache):
         misses[0] += n_miss
 
     return run_window
+
+
+def derive_observe_kernel(atd, observe_many):
+    """Public derived builder: held to the same bar, tuples allowed."""
+    skip_mask = atd.skip_mask
+
+    def observe(line):
+        if line & skip_mask:
+            return False
+        observe_many((line,))
+        return True
+
+    return observe

@@ -55,6 +55,15 @@ class TestHotPathPurity:
         assert any("Dict allocation" in m for m in messages)
         assert any("attribute load .stats" in m for m in messages)
 
+    def test_covers_public_derived_builders(self, lint_fixture):
+        """Every module-level ``*_kernel`` function is scanned, so the
+        public builders of the derived closures get no exemption."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "derive_observe_kernel.observe" in m.message]
+        assert len(messages) == 1
+        assert "attribute load ._skip_mask" in messages[0]
+
     def test_array_kernel_relaxed_contract(self, lint_fixture):
         """``_*_array_kernel`` closures run once per window, so container
         allocations and single-level attribute loads on bound names pass —

@@ -8,10 +8,17 @@ from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
 
-def make_atd(num_sets=32, assoc=4, sampling=4, policy="lru"):
+def make_atd(num_sets=32, assoc=4, sampling=4, policy="lru", kernels=True,
+             **profiler_kw):
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
-    return ATD(geometry, sampling, policy, make_profiler(policy),
-               rng=np.random.default_rng(0))
+    return ATD(geometry, sampling, policy,
+               make_profiler(policy, **profiler_kw),
+               rng=np.random.default_rng(0), kernels=kernels)
+
+
+def atd_state(atd):
+    return (atd.sampled_accesses, atd.skipped_accesses,
+            list(atd.state.lines), list(atd.sdh._r))
 
 
 class TestSampling:
@@ -39,15 +46,26 @@ class TestSampling:
         atd = make_atd(num_sets=32, sampling=4)
         assert atd.num_sets == 8
 
-    @pytest.mark.parametrize("sampling", [1, 2, 32])
+    @pytest.mark.parametrize("sampling", [1, 2, 8, 32])
     @pytest.mark.parametrize("policy", ["lru", "nru", "bt"])
     def test_sampled_positions_is_the_observe_filter(self, policy, sampling):
         """Feeding the sampled sub-stream and counting the rest equals
-        feeding everything, whatever the slicing."""
+        feeding everything, whatever the slicing — and ``observe``, a
+        one-line batch through the batch kernel, answers and counts per
+        access exactly like the generic object-protocol path."""
         lines = np.random.default_rng(5).integers(0, 4096, size=3000)
         full = make_atd(num_sets=64, sampling=sampling, policy=policy)
-        sampled = [i for i, line in enumerate(lines.tolist())
-                   if full.observe(line)]
+        generic = make_atd(num_sets=64, sampling=sampling, policy=policy,
+                           kernels=False)
+        assert "observe_many" in full.__dict__
+        assert "observe" not in generic.__dict__
+        sampled = []
+        for i, line in enumerate(lines.tolist()):
+            answer = full.observe(line)
+            assert answer is generic.observe(line)
+            if answer:
+                sampled.append(i)
+        assert atd_state(full) == atd_state(generic)
         sliced = make_atd(num_sets=64, sampling=sampling, policy=policy)
         positions = sliced.sampled_positions(lines)
         assert positions.tolist() == sampled
@@ -55,10 +73,24 @@ class TestSampling:
             inside = positions[(positions >= lo) & (positions < hi)]
             sliced.observe_many(lines[inside].tolist())
             sliced.skipped_accesses += (hi - lo) - len(inside)
-        assert sliced.sampled_accesses == full.sampled_accesses
-        assert sliced.skipped_accesses == full.skipped_accesses
-        assert sliced.state.lines == full.state.lines
-        assert sliced.sdh._r == full.sdh._r
+        assert atd_state(sliced) == atd_state(full)
+
+    def test_spread_update_keeps_the_generic_pair(self):
+        """The literal-reading NRU ablation has no batch kernel: both
+        entry points stay generic, ``observe_many`` looping ``observe``."""
+        lines = np.random.default_rng(5).integers(0, 4096, size=3000)
+        one = make_atd(num_sets=64, sampling=8, policy="nru",
+                       spread_update=True)
+        many = make_atd(num_sets=64, sampling=8, policy="nru",
+                        spread_update=True)
+        assert not {"observe", "observe_many"} & set(one.__dict__)
+        answers = [one.observe(line) for line in lines.tolist()]
+        assert answers == [not line & 7 for line in lines.tolist()]
+        many.observe_many(lines.tolist())
+        assert atd_state(many) == atd_state(one)
+        stock = make_atd(num_sets=64, sampling=8, policy="nru")
+        stock.observe_many(lines.tolist())
+        assert stock.sdh._r != one.sdh._r      # the ablation is in effect
 
 
 class TestProfilingFlow:
