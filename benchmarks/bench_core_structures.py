@@ -35,9 +35,8 @@ SAMPLED_STREAM = [int(x) * 8 for x in
                   np.random.default_rng(7).integers(0, 512, size=20_000)]
 
 
-@pytest.mark.parametrize("policy",
-                         ["lru", "nru", "bt", "fifo", "dip", "srrip",
-                          "random"])
+# The three kernelised policies plus one generic-path row (fifo).
+@pytest.mark.parametrize("policy", ["lru", "nru", "bt", "fifo"])
 def test_cache_access_rate(benchmark, policy):
     cache = SetAssociativeCache(GEOMETRY, policy,
                                 rng=np.random.default_rng(1))

@@ -11,8 +11,9 @@ the candidate mask supplied by the enforcement scheme is always nonzero.
 The hot entry point :meth:`access_line_hit` is bound at construction to a
 policy-specialised *kernel* (see :mod:`repro.cache.state`) that inlines the
 policy's flat-state transitions with locals-bound array operations; the
-generic object-protocol path remains for unregistered policies (and is the
-reference the kernels are pinned against in ``tests/test_cache``).
+generic object-protocol path serves every policy without a kernel kind —
+the extension policies, user subclasses — and is the reference the kernels
+are pinned against in ``tests/test_cache``.
 
 The cache works in *line address* space (byte address >> line_shift);
 :meth:`access` accepts byte addresses, :meth:`access_line` /
@@ -234,10 +235,11 @@ class SetAssociativeCache:
 
         Same state transitions as :meth:`access_line` but without building
         an :class:`AccessResult` — the simulator hot path (millions of
-        calls).  Instances with a registered policy shadow this method with
-        a policy-specialised kernel (:func:`repro.cache.state.build_hit_kernel`)
-        at construction; this generic body is the fallback and the
-        reference the kernels are pinned against (``test_state.py``).
+        calls).  Instances whose policy declares a kernel kind (LRU, NRU,
+        BT) shadow this method with a policy-specialised kernel
+        (:func:`repro.cache.state.build_hit_kernel`) at construction; this
+        generic body is the fallback and the reference the kernels are
+        pinned against (``test_state.py``).
         """
         state = self.state
         s = line & self._set_mask

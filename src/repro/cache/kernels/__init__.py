@@ -5,11 +5,12 @@ replay kernel ``kernel(lines, flags)`` (contract in
 :func:`repro.cache.state.build_set_run_kernel`) built by one of two
 interchangeable backends:
 
-* ``python`` — the derived loop over the cache's scalar hit kernel in
-  :mod:`repro.cache.state`, available for every cache.  The semantic
-  baseline.
+* ``python`` — the derived loop over the cache's bound
+  ``access_line_hit`` (a scalar hit kernel of :mod:`repro.cache.state`,
+  or the generic method for a policy without one), available for every
+  cache.  The semantic baseline.
 * ``array`` — numpy whole-run kernels (:mod:`repro.cache.kernels.array`)
-  for the hot unpartitioned kinds (``lru``/``fifo``/``nru``/``bt``):
+  for the three paper policies, unpartitioned (``lru``/``nru``/``bt``):
   vectorised hit classification by exact stack distance, vectorised
   invalid-way fills, batched state reconstruction committed once per
   run.  Bit-identical to ``python`` (see the module docstring of

@@ -3,11 +3,12 @@
 Drop-in replacements for the python window kernel of
 :mod:`repro.cache.state` on the hot unpartitioned kinds — same
 ``kernel(lines, flags)`` contract, same bit-identical state evolution,
-but the per-access Python loop is replaced by window-level numpy passes.  Eligibility (:func:`build`):
-unpartitioned caches with kernel kind ``lru``/``fifo``/``nru``/``bt``
-(BT additionally needs its precomputed victim table and no force
-vectors); everything else delegates back to the ``python`` backend via
-the registry.
+but the per-access Python loop is replaced by window-level numpy passes.
+Eligibility (:func:`build`): unpartitioned caches running one of the
+three paper policies, kernel kind ``lru``/``nru``/``bt`` (BT additionally
+needs its precomputed victim table and no force vectors); everything
+else — partitioned caches, the extension policies — delegates back to
+the ``python`` backend via the registry.
 
 Exactness argument (pinned by the vector differential suite, the
 array-vs-python property tests in ``tests/test_cache/test_state.py``
@@ -20,7 +21,7 @@ and the ``repro fuzz`` oracle running every available backend):
   so each set's subsequence can be analysed independently.
 * **Fit sets.**  When a set's distinct nonresident lines fit in its
   invalid ways, no eviction can occur in the window.  Classification is
-  then trivial for all four kinds — an access misses iff it is the
+  then trivial for all three kinds — an access misses iff it is the
   first touch of a nonresident line — and the k-th fill takes the k-th
   lowest invalid way (fills only clear invalid bits, never add them, so
   the bit order is static).  The recency state is reconstructed in one
@@ -32,8 +33,6 @@ and the ``repro fuzz`` oracle running every available backend):
     the live prefix, so the stale tail beyond the final size is
     untouched — byte-identical to the scalar kernel, which the state
     digests of the fuzz oracle check).
-  - ``fifo``: fills insert at the front in install order; hits touch
-    nothing.
   - ``nru``: every access ORs its way bit with a saturation reset.  If
     the initial bits united with all touched bits stay below the full
     mask, no reset can fire and the final value is the plain union;
@@ -64,8 +63,8 @@ and the ``repro fuzz`` oracle running every available backend):
   order.  Tenancy start positions (pointer doubling over the previous-
   occurrence links) then map every position to its physical way, and
   the final order/tag/dict state is committed once per set.
-* **Non-fit FIFO/BT sets** replay the scalar kernel body per set (their
-  transitions read no cross-set state), with flags scattered back
+* **Non-fit BT sets** replay the scalar kernel body per set (the
+  transition reads no cross-set state), with flags scattered back
   through the grouping permutation.
 * **Non-fit NRU sets** share one scalar replay in *trace order* —
   NRU's replacement pointer is cache-global — with the pointer value at
@@ -75,37 +74,10 @@ and the ``repro fuzz`` oracle running every available backend):
   prefix count.  Fit and non-fit sets are disjoint, so the relative
   commit order of their state is unobservable.
 * **Statistics** are pure sums, so committing them once per window
-  instead of once per access is unobservable.  Every value written into shared state (tag
-  dict, flat lists, per-set masks) is a plain Python ``int`` — the
-  digest-based fuzz observables cannot distinguish the backends.
-* **Cold windows** — the common case for isolation jobs, which run
-  every window against a freshly flushed cache — are memoized.  An
-  empty tag dict at call entry proves the whole cache is in its
-  post-flush state: a fill is the only transition that clears an
-  invalid bit or grows the dict, an eviction re-inserts in the same
-  access, so ``len(map)`` always equals the number of valid ways
-  cache-wide, and zero fills since flush also pins every policy's
-  recency state at its reset value (LRU sizes/present zero, NRU used
-  bits and global pointer zero, BT trees zero).  The window outcome is
-  then a pure function of ``(lines, num_sets, assoc, kind)`` alone:
-  the general path runs once against a fabricated post-flush state and
-  its writes are captured as a bundle — hit positions, per-set state
-  rows restricted to the exact cells the general path writes, the tag
-  dict in its final insertion order, the stats sums — which later cold
-  calls replay onto the live state.  Identical values through
-  identical write sites make the replay indistinguishable from
-  re-running the general path.  BT trees are captured as affine
-  ``(keep, set)`` pairs (``tree' = (tree & keep) | set``): two capture
-  runs seeded with all-zero and all-one trees pin the pair, which is
-  exact because a fit set's commit is the promote composition (affine
-  by construction) and a non-fit set promotes all ways during its
-  cold fill prefix before the first victim-table lookup, making the
-  suffix — and every hit/miss/tag outcome — independent of the
-  initial tree (the capture cross-checks this and refuses to memoize
-  otherwise).  The memo is keyed by window-list object identity with
-  strong references, the same immutable-after-call contract as the
-  vector engine's own L1/window memos, and is bounded by entry count
-  and summed window length (:func:`memo_stats`/:func:`clear_memos`).
+  instead of once per access is unobservable.  Every value written
+  into shared state (tag dict, flat lists, per-set masks) is a plain
+  Python ``int`` — the digest-based fuzz observables cannot distinguish
+  the backends.
 
 Purity discipline: the closures returned by the ``_*_array_kernel``
 factories bind every helper and numpy callable at build time — the
@@ -116,166 +88,21 @@ attribute chains still banned).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 #: Kernel kinds with an array implementation.
-ELIGIBLE_KINDS = frozenset({"lru", "fifo", "nru", "bt"})
+ELIGIBLE_KINDS = frozenset({"lru", "nru", "bt"})
 
 #: Per-set masks (invalid/present/used) ride int64 numpy lanes.
 _MAX_ASSOC = 62
 
-#: Cold-window bundles: ``id(lines) -> [lines, len, {key: bundle}]``.
-#: Strong references to the window lists make id reuse impossible while
-#: an entry lives; LRU eviction below keeps the store bounded.
-_COLD_MEMO: "OrderedDict[int, list]" = OrderedDict()
-
-#: Bound on distinct memoized window lists.
-_MEMO_MAX_ENTRIES = 48
-
-#: Bound on the summed length of memoized window lists.
-_MEMO_MAX_TOTAL = 1_500_000
-
-#: Windows longer than this are never memoized (their one-shot capture
-#: cost would dominate any replay saving).
-_MEMO_MAX_WINDOW = 250_000
-
-#: Summed length of the currently memoized windows (boxed for mutation
-#: from module functions).
-_MEMO_TOTAL = [0]
-
-#: Hit/miss counters over the cold-window memo.  Purely observational.
-_MEMO_STATS = {"cold_hits": 0, "cold_misses": 0}
-
 
 def memo_stats() -> dict:
-    """Snapshot of the cold-window memo counters (a copy)."""
-    stats = dict(_MEMO_STATS)
-    stats["cold_entries"] = len(_COLD_MEMO)
-    return stats
-
-
-def clear_memos() -> None:
-    """Drop all cold-window bundles and zero the counters."""
-    _COLD_MEMO.clear()
-    _MEMO_TOTAL[0] = 0
-    for key in _MEMO_STATS:
-        _MEMO_STATS[key] = 0
-
-
-def _capture_cold(kind, lines, set_mask, assoc, full_mask,
-                  bt_keep=None, bt_setb=None, bt_table=None):
-    """Run the general path against a fabricated post-flush state and
-    capture its writes as a replayable bundle.
-
-    Exact by the coldness argument in the module docstring: a cold
-    window's outcome is a pure function of ``(lines, geometry, kind)``,
-    and the captured rows cover precisely the cells the general path
-    writes (valid ways occupy a contiguous low prefix after cold
-    lowest-bit fills, so a length-``nv`` slice is that cover).
-    """
-    num_sets = set_mask + 1
-    n = len(lines)
-    arr = np.asarray(lines, dtype=np.int64)
-    flags = bytearray(n)
-    flags8 = np.frombuffer(flags, dtype=np.uint8)
-    tags = [-1] * (num_sets * assoc)
-    tag_map: dict = {}
-    invalid = [full_mask] * num_sets
-    touched = np.unique(arr & set_mask).tolist()
-
-    if kind in ("lru", "fifo"):
-        order = [0] * (num_sets * assoc)
-        size = [0] * num_sets
-        present = [0] * num_sets
-        run = _lru_run if kind == "lru" else _fifo_run
-        n_miss, n_inv = run(arr, flags8, set_mask, assoc, full_mask,
-                            order, size, present, tags, tag_map, invalid)
-        rows = []
-        for s in touched:
-            base = s * assoc
-            sz = size[s]
-            rows.append((s, base, sz, order[base:base + sz],
-                         tags[base:base + sz], present[s], invalid[s]))
-        return (np.flatnonzero(flags8), rows, dict(tag_map),
-                n_miss, n_inv)
-
-    if kind == "nru":
-        used = [0] * num_sets
-        pointer = [0]
-        n_miss, n_inv = _nru_run(arr, flags8, set_mask, assoc, full_mask,
-                                 tags, tag_map, invalid, used, pointer)
-        rows = []
-        for s in touched:
-            base = s * assoc
-            nv = assoc - bin(invalid[s]).count("1")
-            rows.append((s, base, nv, tags[base:base + nv], used[s],
-                         invalid[s]))
-        return (np.flatnonzero(flags8), rows, dict(tag_map),
-                n_miss, n_inv, pointer[0])
-
-    # BT: two runs — from all-zero and all-one trees — pin the per-set
-    # commit as an affine pair: tree' = (tree & K) | S with disjoint
-    # K/S, so S is the all-zero run's tree and K the XOR of the two.
-    tree_a = [0] * num_sets
-    n_miss, n_inv = _bt_run(arr, flags8, set_mask, assoc, tags, tag_map,
-                            invalid, tree_a, bt_keep, bt_setb, bt_table)
-    tree_full = (1 << (assoc - 1)) - 1
-    tree_b = [tree_full] * num_sets
-    tags_b = [-1] * (num_sets * assoc)
-    map_b: dict = {}
-    inv_b = [full_mask] * num_sets
-    flags_b = bytearray(n)
-    flags8_b = np.frombuffer(flags_b, dtype=np.uint8)
-    nm_b, ni_b = _bt_run(arr, flags8_b, set_mask, assoc, tags_b, map_b,
-                         inv_b, tree_b, bt_keep, bt_setb, bt_table)
-    if (flags != flags_b or tags != tags_b or invalid != inv_b
-            or (n_miss, n_inv) != (nm_b, ni_b)):
-        raise RuntimeError(
-            "bt array kernel: cold window outcome depends on the "
-            "initial tree (capture invariant violated)")
-    rows = []
-    for s in touched:
-        base = s * assoc
-        nv = assoc - bin(invalid[s]).count("1")
-        sv = tree_a[s]
-        rows.append((s, base, nv, tags[base:base + nv],
-                     tree_b[s] ^ sv, sv, invalid[s]))
-    return (np.flatnonzero(flags8), rows, dict(tag_map), n_miss, n_inv)
-
-
-def _cold_bundle(lines, kind, set_mask, assoc, full_mask,
-                 bt_keep=None, bt_setb=None, bt_table=None):
-    """Memoized cold-window bundle for one ``(lines, geometry, kind)``.
-
-    The BT tables are pure functions of ``assoc`` (module-level,
-    shared process-wide), so they stay out of the memo key.
-    """
-    lid = id(lines)
-    key = (kind, set_mask, assoc)
-    entry = _COLD_MEMO.get(lid)
-    if entry is not None and entry[0] is lines:
-        bundle = entry[2].get(key)
-        if bundle is not None:
-            _MEMO_STATS["cold_hits"] += 1
-            _COLD_MEMO.move_to_end(lid)
-            return bundle
-    _MEMO_STATS["cold_misses"] += 1
-    bundle = _capture_cold(kind, lines, set_mask, assoc, full_mask,
-                           bt_keep, bt_setb, bt_table)
-    if entry is None or entry[0] is not lines:
-        entry = [lines, len(lines), {}]
-        _COLD_MEMO[lid] = entry
-        _MEMO_TOTAL[0] += len(lines)
-    entry[2][key] = bundle
-    _COLD_MEMO.move_to_end(lid)
-    while _COLD_MEMO and (len(_COLD_MEMO) > _MEMO_MAX_ENTRIES
-                          or _MEMO_TOTAL[0] > _MEMO_MAX_TOTAL):
-        _, old = _COLD_MEMO.popitem(last=False)
-        _MEMO_TOTAL[0] -= old[1]
-    return bundle
-
+    """Constant zeros: the cold-window memo is gone (0 hits over whole
+    reports).  Kept only because ``benchmarks/e2e/workloads.py`` reads
+    these keys and only a benchmark PR may edit it — ROADMAP item 3
+    drops the metric and this stub."""
+    return {"cold_hits": 0, "cold_misses": 0, "cold_entries": 0}
 
 class _Plan:
     """Shared per-window analysis products (one instance per call)."""
@@ -624,7 +451,7 @@ def _lru_nonfit(plan, nf_rows, assoc, full_mask, order, size, present,
 
 def _lru_run(arr, flags8, set_mask, assoc, full_mask, order, size,
              present, tags, tag_map, invalid):
-    """General LRU window body against explicit state; ``(miss, inv)``."""
+    """LRU window body over the cache's flat state; ``(miss, inv)``."""
     plan = _analyze(arr, set_mask, tag_map.get, invalid)
     n_miss = 0
     n_inv = 0
@@ -676,7 +503,6 @@ def _lru_array_kernel(cache):
     assoc = store.assoc
     full_mask = store.full_mask
     tag_map = store.map
-    map_update = tag_map.update
     tags = store.lines
     invalid = store.invalid
     order = policy._order
@@ -687,8 +513,6 @@ def _lru_array_kernel(cache):
     misses = stats.misses
     fills_invalid = stats.fills_invalid
     lru_run = _lru_run
-    cold_bundle = _cold_bundle
-    memo_cap = _MEMO_MAX_WINDOW
     np_asarray = np.asarray
     np_int64 = np.int64
     np_uint8 = np.uint8
@@ -700,145 +524,10 @@ def _lru_array_kernel(cache):
         if not n:
             return
         flags8 = np_frombuffer(flags, dtype=np_uint8)
-        if not tag_map and n <= memo_cap:
-            hit_pos, rows, map_copy, n_miss, n_inv = cold_bundle(
-                lines, "lru", set_mask, assoc, full_mask)
-            for s, base, sz, orow, trow, pres, inv in rows:
-                order[base:base + sz] = orow
-                tags[base:base + sz] = trow
-                size[s] = sz
-                present[s] = pres
-                invalid[s] = inv
-            map_update(map_copy)
-            flags8[hit_pos] = 1
-        else:
-            arr = np_asarray(lines, dtype=np_int64)
-            n_miss, n_inv = lru_run(arr, flags8, set_mask, assoc,
-                                    full_mask, order, size, present,
-                                    tags, tag_map, invalid)
-        accesses[0] += n
-        misses[0] += n_miss
-        fills_invalid[0] += n_inv
-
-    return run_window
-
-
-def _fifo_run(arr, flags8, set_mask, assoc, full_mask, order, size,
-              present, tags, tag_map, invalid):
-    """General FIFO window body against explicit state; ``(miss, inv)``."""
-    plan = _analyze(arr, set_mask, tag_map.get, invalid)
-    n_miss = 0
-    n_inv = 0
-
-    inv_work, new_ways, n_fills = _fit_fills(plan, assoc, tags, tag_map,
-                                             invalid)
-    n_miss += n_fills
-    n_inv += n_fills
-    sets_l = plan.seg_sets_l
-    inv_rows_l = plan.inv_rows_l
-    if n_fills:
-        for j in np.flatnonzero(plan.fit & (plan.n_new > 0)).tolist():
-            s = sets_l[j]
-            base = s * assoc
-            ws = new_ways[j]
-            old_sz = size[s]
-            new_sz = old_sz + len(ws)
-            order[base:base + new_sz] = \
-                list(ws[::-1]) + order[base:base + old_sz]
-            size[s] = new_sz
-            present[s] |= inv_rows_l[j] & ~inv_work[j]
-    fit_hits = np.flatnonzero(plan.fit_acc & ~plan.new_first)
-    flags8[plan.g_order[fit_hits]] = 1
-
-    # Evicting sets: per-set scalar replay of the loop-kernel body.
-    g_lines = plan.g_lines
-    g_order = plan.g_order
-    seg_starts = plan.seg_starts
-    seg_ends = plan.seg_ends
-    for j in np.flatnonzero(~plan.fit).tolist():
-        s = sets_l[j]
-        base = s * assoc
-        a = seg_starts[j]
-        b = seg_ends[j]
-        seg_orig = g_order[a:b].tolist()
-        i = 0
-        for line in g_lines[a:b].tolist():
-            if line in tag_map:
-                flags8[seg_orig[i]] = 1
-                i += 1
-                continue
-            n_miss += 1
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-                n_inv += 1
-                sz = size[s]
-                order[base + 1:base + sz + 1] = order[base:base + sz]
-                order[base] = way
-                size[s] = sz + 1
-                present[s] |= 1 << way
-            else:
-                k = base + size[s] - 1
-                way = order[k]
-                del tag_map[tags[base + way]]
-                if k != base:
-                    order[base + 1:k + 1] = order[base:k]
-                    order[base] = way
-            tags[base + way] = line
-            tag_map[line] = way
-            i += 1
-    return n_miss, n_inv
-
-
-def _fifo_array_kernel(cache):
-    """FIFO: hits touch nothing; fills batched, evicting sets replayed."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    map_update = tag_map.update
-    tags = store.lines
-    invalid = store.invalid
-    order = policy._order
-    size = policy._size
-    present = policy._present
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    fifo_run = _fifo_run
-    cold_bundle = _cold_bundle
-    memo_cap = _MEMO_MAX_WINDOW
-    np_asarray = np.asarray
-    np_int64 = np.int64
-    np_uint8 = np.uint8
-    np_frombuffer = np.frombuffer
-    py_len = len
-
-    def run_window(lines, flags):
-        n = py_len(lines)
-        if not n:
-            return
-        flags8 = np_frombuffer(flags, dtype=np_uint8)
-        if not tag_map and n <= memo_cap:
-            hit_pos, rows, map_copy, n_miss, n_inv = cold_bundle(
-                lines, "fifo", set_mask, assoc, full_mask)
-            for s, base, sz, orow, trow, pres, inv in rows:
-                order[base:base + sz] = orow
-                tags[base:base + sz] = trow
-                size[s] = sz
-                present[s] = pres
-                invalid[s] = inv
-            map_update(map_copy)
-            flags8[hit_pos] = 1
-        else:
-            arr = np_asarray(lines, dtype=np_int64)
-            n_miss, n_inv = fifo_run(arr, flags8, set_mask, assoc,
-                                     full_mask, order, size, present,
-                                     tags, tag_map, invalid)
+        arr = np_asarray(lines, dtype=np_int64)
+        n_miss, n_inv = lru_run(arr, flags8, set_mask, assoc, full_mask,
+                                order, size, present, tags, tag_map,
+                                invalid)
         accesses[0] += n
         misses[0] += n_miss
         fills_invalid[0] += n_inv
@@ -848,7 +537,7 @@ def _fifo_array_kernel(cache):
 
 def _nru_run(arr, flags8, set_mask, assoc, full_mask, tags, tag_map,
              invalid, used_l, pointer):
-    """General NRU window body against explicit state; ``(miss, inv)``."""
+    """NRU window body over the cache's flat state; ``(miss, inv)``."""
     tag_get = tag_map.get
     plan = _analyze(arr, set_mask, tag_get, invalid)
     n_miss = 0
@@ -951,7 +640,6 @@ def _nru_array_kernel(cache):
     assoc = store.assoc
     full_mask = store.full_mask
     tag_map = store.map
-    map_update = tag_map.update
     tags = store.lines
     invalid = store.invalid
     used_l = policy._used
@@ -961,8 +649,6 @@ def _nru_array_kernel(cache):
     misses = stats.misses
     fills_invalid = stats.fills_invalid
     nru_run = _nru_run
-    cold_bundle = _cold_bundle
-    memo_cap = _MEMO_MAX_WINDOW
     np_asarray = np.asarray
     np_int64 = np.int64
     np_uint8 = np.uint8
@@ -974,21 +660,9 @@ def _nru_array_kernel(cache):
         if not n:
             return
         flags8 = np_frombuffer(flags, dtype=np_uint8)
-        if not tag_map and n <= memo_cap:
-            hit_pos, rows, map_copy, n_miss, n_inv, ptr = cold_bundle(
-                lines, "nru", set_mask, assoc, full_mask)
-            for s, base, nv, trow, uval, inv in rows:
-                tags[base:base + nv] = trow
-                used_l[s] = uval
-                invalid[s] = inv
-            map_update(map_copy)
-            pointer[0] = ptr
-            flags8[hit_pos] = 1
-        else:
-            arr = np_asarray(lines, dtype=np_int64)
-            n_miss, n_inv = nru_run(arr, flags8, set_mask, assoc,
-                                    full_mask, tags, tag_map, invalid,
-                                    used_l, pointer)
+        arr = np_asarray(lines, dtype=np_int64)
+        n_miss, n_inv = nru_run(arr, flags8, set_mask, assoc, full_mask,
+                                tags, tag_map, invalid, used_l, pointer)
         accesses[0] += n
         misses[0] += n_miss
         fills_invalid[0] += n_inv
@@ -998,7 +672,7 @@ def _nru_array_kernel(cache):
 
 def _bt_run(arr, flags8, set_mask, assoc, tags, tag_map, invalid, tree,
             keep, setb, table):
-    """General BT window body against explicit state; ``(miss, inv)``."""
+    """BT window body over the cache's flat state; ``(miss, inv)``."""
     tag_get = tag_map.get
     plan = _analyze(arr, set_mask, tag_get, invalid)
     n_miss = 0
@@ -1074,9 +748,7 @@ def _bt_array_kernel(cache):
     store = cache.state
     set_mask = store.num_sets - 1
     assoc = store.assoc
-    full_mask = store.full_mask
     tag_map = store.map
-    map_update = tag_map.update
     tags = store.lines
     invalid = store.invalid
     tree = policy._tree
@@ -1088,8 +760,6 @@ def _bt_array_kernel(cache):
     misses = stats.misses
     fills_invalid = stats.fills_invalid
     bt_run = _bt_run
-    cold_bundle = _cold_bundle
-    memo_cap = _MEMO_MAX_WINDOW
     np_asarray = np.asarray
     np_int64 = np.int64
     np_uint8 = np.uint8
@@ -1101,21 +771,9 @@ def _bt_array_kernel(cache):
         if not n:
             return
         flags8 = np_frombuffer(flags, dtype=np_uint8)
-        if not tag_map and n <= memo_cap:
-            hit_pos, rows, map_copy, n_miss, n_inv = cold_bundle(
-                lines, "bt", set_mask, assoc, full_mask, keep, setb,
-                table)
-            for s, base, nv, trow, k, sv, inv in rows:
-                tags[base:base + nv] = trow
-                tree[s] = (tree[s] & k) | sv
-                invalid[s] = inv
-            map_update(map_copy)
-            flags8[hit_pos] = 1
-        else:
-            arr = np_asarray(lines, dtype=np_int64)
-            n_miss, n_inv = bt_run(arr, flags8, set_mask, assoc, tags,
-                                   tag_map, invalid, tree, keep, setb,
-                                   table)
+        arr = np_asarray(lines, dtype=np_int64)
+        n_miss, n_inv = bt_run(arr, flags8, set_mask, assoc, tags, tag_map,
+                               invalid, tree, keep, setb, table)
         accesses[0] += n
         misses[0] += n_miss
         fills_invalid[0] += n_inv
@@ -1125,7 +783,6 @@ def _bt_array_kernel(cache):
 
 _ARRAY_KERNELS = {
     "lru": _lru_array_kernel,
-    "fifo": _fifo_array_kernel,
     "nru": _nru_array_kernel,
     "bt": _bt_array_kernel,
 }
@@ -1138,9 +795,8 @@ def build(cache):
     partition machinery the array commits bypass), kernel kind in
     :data:`ELIGIBLE_KINDS`, associativity small enough for int64 mask
     lanes, and — for BT — a precomputed victim table with no force
-    vectors.  ``random``, ``lru_ins`` and ``rrip`` stay on the python
-    backend: their transitions draw RNG state or age in trace order,
-    which has no batched equivalent.
+    vectors.  Policies without a kernel kind stay on the python
+    backend's loop over the generic ``access_line_hit``.
     """
     if cache.partition is not None:
         return None

@@ -26,11 +26,13 @@ class ReplacementPolicy(ABC):
 
     **PolicyState contract (the flat-array core).**  Every registered policy
     stores its per-set state in preallocated flat integer arrays (Python
-    lists indexed ``set * assoc + way`` or one word per set) and advertises
-    the layout through :attr:`kernel_kind`, which the access-kernel
-    factories in :mod:`repro.cache.state` dispatch on to build specialised
+    lists indexed ``set * assoc + way`` or one word per set).  The three
+    paper policies (LRU, NRU, BT) advertise the layout through
+    :attr:`kernel_kind`, which the access-kernel factories in
+    :mod:`repro.cache.state` dispatch on to build specialised
     ``access_line_hit`` / ``ATD.observe`` closures that bind those arrays as
-    locals.  Two rules keep the kernels valid:
+    locals; every other policy declares ``""`` and runs the generic
+    object-protocol path.  Two rules keep the kernels valid:
 
     * :meth:`reset` (and every other mutator) must update the arrays **in
       place** — never rebind them — because kernels capture the objects at

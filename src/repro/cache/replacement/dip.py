@@ -52,7 +52,7 @@ PSEL_BITS = 10
 class LIPPolicy(LRUPolicy):
     """LRU with fills inserted at the LRU position."""
 
-    kernel_kind = "lru_ins"
+    kernel_kind = ""    # generic object-protocol path
 
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
@@ -154,9 +154,7 @@ class LIPPolicy(LRUPolicy):
 class BIPPolicy(LIPPolicy):
     """Bimodal insertion: mostly LIP, 1/32 of fills at MRU."""
 
-    # The lru_ins kernel delegates touch_fill generically, so the BIP
-    # (and DIP) insertion overrides stay honoured.
-    kernel_kind = "lru_ins"
+    kernel_kind = ""
 
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  throttle: int = BIP_THROTTLE) -> None:
@@ -187,9 +185,7 @@ class DIPPolicy(BIPPolicy):
         caches so both leader groups are non-empty.
     """
 
-    # The lru_ins kernel delegates touch_fill generically, so the dueling
-    # override stays honoured.
-    kernel_kind = "lru_ins"
+    kernel_kind = ""
 
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  throttle: int = BIP_THROTTLE,

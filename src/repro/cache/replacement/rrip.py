@@ -7,8 +7,7 @@ adaptive insertion" reference [20] comes from the same line of work, so the
 RRIP family is the natural modern baseline to compare the 2010 pseudo-LRU
 schemes against.
 
-State is one flat RRPV array indexed ``set * assoc + way`` (the array-core
-layout the access kernels in :mod:`repro.cache.state` bind directly).
+State is one flat RRPV array indexed ``set * assoc + way``.
 
 Semantics (hit priority, ``RRPV_MAX = 2**M - 1``):
 
@@ -55,7 +54,7 @@ class SRRIPPolicy(ReplacementPolicy):
     #: re-reference prediction; 1.0 for SRRIP, 1/32 for BRRIP.
     long_insert_probability = 1.0
 
-    kernel_kind = "rrip"
+    kernel_kind = ""    # generic object-protocol path
 
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  m_bits: int = 2) -> None:

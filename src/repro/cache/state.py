@@ -15,10 +15,12 @@ Two pieces live here:
   path (numpy scalar indexing boxes a fresh object per element access).
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
-* the **access kernels** — per-policy specialisations of
-  ``SetAssociativeCache.access_line_hit`` and ``ATD.observe_many`` built
-  as closures whose free variables bind every hot array and counter once,
-  at construction.  A kernel performs *exactly* the seed state transitions
+* the **access kernels** — specialisations of
+  ``SetAssociativeCache.access_line_hit`` and ``ATD.observe_many`` for
+  the three paper policies (LRU, NRU, BT; every other policy runs the
+  generic object-protocol methods), built as closures whose free
+  variables bind every hot array and counter once, at construction.
+  A kernel performs *exactly* the seed state transitions
   (same victim choices, same statistics, same partition hooks in the same
   order) with locals-bound array operations instead of per-access attribute
   chases and dynamic method dispatch; the hottest policies (LRU, NRU) get a
@@ -294,131 +296,6 @@ def _lru_hit_kernel(cache):
     return access_line_hit
 
 
-def _fifo_hit_kernel(cache):
-    """FIFO: like LRU's kernel, but hits never reorder."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    lines = store.lines
-    invalid = store.invalid
-    order = policy._order
-    size = policy._size
-    present = policy._present
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        if line in tag_map:
-            return True
-        misses[core] += 1
-        s = line & set_mask
-        base = s * assoc
-        mask = full_mask if get_mask is None else get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-            sz = size[s]
-            order[base + 1:base + sz + 1] = order[base:base + sz]
-            order[base] = way
-            size[s] = sz + 1
-            present[s] |= 1 << way
-        else:
-            i = base + size[s] - 1
-            way = order[i]
-            while not (mask >> way) & 1:
-                i -= 1
-                way = order[i]
-            del tag_map[lines[base + way]]
-            if i != base:
-                order[base + 1:i + 1] = order[base:i]
-                order[base] = way
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        return False
-
-    return access_line_hit
-
-
-def _lru_ins_hit_kernel(cache):
-    """LIP/BIP/DIP: LRU hit promote inline, insertion decisions delegated.
-
-    The fill placement (LIP floor, BIP trickle, DIP set dueling + PSEL)
-    stays a generic ``touch_fill`` call — it draws from the policy RNG and
-    mutates monitor state, so inlining it would fork the logic.  Hits on
-    a below-floor (LRU-inserted) way also delegate, keeping the below-list
-    bookkeeping in one place.
-    """
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    lines = store.lines
-    invalid = store.invalid
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    below_mask = policy._below_mask
-    touch = policy.touch
-    touch_fill = policy.touch_fill
-    victim = policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        way = tag_get(line)
-        s = line & set_mask
-        base = s * assoc
-        if way is not None:
-            if (below_mask[s] >> way) & 1:
-                touch(s, way, core)
-            else:
-                pos = order_index(way, base, base + size[s])
-                if pos != base:
-                    order[base + 1:pos + 1] = order[base:pos]
-                    order[base] = way
-            return True
-        misses[core] += 1
-        mask = full_mask if get_mask is None else get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-        else:
-            way = victim(s, core, mask)
-            del tag_map[lines[base + way]]
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        touch_fill(s, way, core)
-        return False
-
-    return access_line_hit
-
-
 def _nru_hit_kernel(cache):
     """NRU: used-bit set/reset and the rotating global pointer, inline."""
     policy = cache.policy
@@ -612,142 +489,10 @@ def _bt_hit_kernel(cache):
     return access_line_hit
 
 
-def _rrip_hit_kernel(cache):
-    """SRRIP/BRRIP: flat RRPV array; C-speed full-mask victim scan."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    lines = store.lines
-    invalid = store.invalid
-    rrpv = policy._rrpv
-    rrpv_index = rrpv.index
-    rrpv_max = policy.rrpv_max
-    long_rrpv = rrpv_max - 1
-    # SRRIP inserts deterministically; BRRIP's RNG draw stays generic.
-    fill_fast = policy.long_insert_probability >= 1.0
-    touch_fill = policy.touch_fill
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        way = tag_get(line)
-        s = line & set_mask
-        base = s * assoc
-        if way is not None:
-            rrpv[base + way] = 0
-            return True
-        misses[core] += 1
-        mask = full_mask if get_mask is None else get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-        else:
-            if mask == full_mask:
-                # Lowest way holding RRPV_MAX (the hardware's fixed scan
-                # order); age everyone and rescan when nobody saturates.
-                end = base + assoc
-                while True:
-                    try:
-                        way = rrpv_index(rrpv_max, base, end) - base
-                        break
-                    except ValueError:
-                        # Rare aging path: the C-level slice rebuild beats
-                        # a scalar loop.  # lint: disable-next=hot-path-purity
-                        rrpv[base:end] = [v + 1 for v in rrpv[base:end]]
-            else:
-                way = -1
-                while way < 0:
-                    m = mask
-                    while m:
-                        low = m & -m
-                        w = low.bit_length() - 1
-                        if rrpv[base + w] == rrpv_max:
-                            way = w
-                            break
-                        m ^= low
-                    else:
-                        m = mask
-                        while m:
-                            low = m & -m
-                            rrpv[base + low.bit_length() - 1] += 1
-                            m ^= low
-            del tag_map[lines[base + way]]
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        if fill_fast:
-            rrpv[base + way] = long_rrpv
-        else:
-            touch_fill(s, way, core)
-        return False
-
-    return access_line_hit
-
-
-def _random_hit_kernel(cache):
-    """Random: stateless policy — only the RNG victim draw stays a call."""
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    lines = store.lines
-    invalid = store.invalid
-    victim = cache.policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        if line in tag_map:
-            return True
-        misses[core] += 1
-        s = line & set_mask
-        base = s * assoc
-        mask = full_mask if get_mask is None else get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-        else:
-            way = victim(s, core, mask)
-            del tag_map[lines[base + way]]
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        return False
-
-    return access_line_hit
-
-
 _HIT_KERNELS = {
     "lru": _lru_hit_kernel,
-    "fifo": _fifo_hit_kernel,
-    "lru_ins": _lru_ins_hit_kernel,
     "nru": _nru_hit_kernel,
     "bt": _bt_hit_kernel,
-    "rrip": _rrip_hit_kernel,
-    "random": _random_hit_kernel,
 }
 
 
@@ -804,7 +549,7 @@ def build_set_run_kernel(cache, core: int = 0) -> Callable:
 
 #: Kernel kinds whose hit transition is idempotent, making immediate
 #: same-set repeat accesses elidable (see :func:`mru_repeat_elidable`).
-_MRU_ELIDABLE_KINDS = frozenset({"lru", "fifo", "nru", "bt", "random"})
+_MRU_ELIDABLE_KINDS = frozenset({"lru", "nru", "bt"})
 
 
 def mru_repeat_elidable(cache) -> bool:
@@ -817,18 +562,19 @@ def mru_repeat_elidable(cache) -> bool:
     window's replay is exact:
 
     * ``lru`` — promoting the already-MRU way is a no-op.
-    * ``fifo`` / ``random`` — hits touch no replacement state at all.
     * ``bt`` — the hit promote rewrites the same tree bits.
     * ``nru`` — the line's used bit is already set, and the saturation
       reset cannot re-fire: every access leaves its reset domain
       unsaturated (for a single-way domain the re-reset reproduces the
       same bits), and the global pointer only rotates on fills.
 
-    Excluded: ``lru_ins`` (LIP/BIP/DIP promote a below-floor line on its
-    first repeat after the fill) and ``rrip`` (the first repeat hit
-    rewrites the fill RRPV to 0).  Partition schemes never affect the
-    hit path — candidate masks, fill hooks and owner counters are
-    miss-path only — so eligibility depends on the policy alone.
+    Policies without a kernel kind replay every access: LIP/BIP/DIP and
+    SRRIP/BRRIP must (the first repeat after a fill promotes a
+    below-floor line / rewrites the fill RRPV to 0); FIFO and random
+    hits touch no replacement state, so for them it is only unexploited.
+    Partition schemes never affect the hit path — candidate masks, fill
+    hooks and owner counters are miss-path only — so eligibility depends
+    on the policy alone.
     """
     return getattr(cache.policy, "kernel_kind", "") in _MRU_ELIDABLE_KINDS
 
@@ -856,10 +602,10 @@ def pair_elidable(cache) -> bool:
     Restricted to unpartitioned caches: a partitioned LRU victim scans a
     candidate mask (which can reach stack position 1 when a core owns a
     single way) and partitioned BT uses force vectors that override the
-    tree traversal — either could evict a pair member mid-pattern.  The
-    other kinds stay excluded: FIFO/random/NRU hits do not protect a
-    line from eviction (FIFO age, random draw, NRU saturation reset), so
-    the third access is not a guaranteed hit.
+    tree traversal — either could evict a pair member mid-pattern.
+    NRU stays excluded: a hit does not protect a line from eviction
+    (the saturation reset clears its used bit), so the third access is
+    not a guaranteed hit.
     """
     if cache.partition is not None or cache.state.assoc < 2:
         return False

@@ -225,17 +225,9 @@ class Campaign:
         double).  One pool instance drives one run; the campaign starts
         and closes it.  Default: a ``SerialPool`` at width 1, else a
         persistent ``ProcessPool``.
-    per_stage:
-        Compatibility/benchmark mode reproducing the pre-scheduler
-        behaviour: a *fresh* pool per stage, global barrier between the
-        stages, scatter placement (no locality).  Strictly slower; kept
-        as the measured baseline of ``benchmarks/bench_campaign.py``.
     max_retries:
         Requeues allowed per job after worker failures before the job is
         recorded in :attr:`CampaignReport.failed`.
-    locality:
-        Route jobs sharing traces/geometry to a sticky worker (default:
-        on, except in ``per_stage`` mode).
     on_dispatch:
         Test hook forwarded to the scheduler: ``(key, job, worker)`` at
         each dispatch.
@@ -248,9 +240,7 @@ class Campaign:
                  force: bool = False,
                  echo: Optional[Callable[[str], None]] = None,
                  pool: Optional[WorkerPool] = None,
-                 per_stage: bool = False,
                  max_retries: int = 2,
-                 locality: Optional[bool] = None,
                  on_dispatch: Optional[Callable[[str, Job, str], None]] = None,
                  crash_token: Optional[str] = None) -> None:
         self.store = store
@@ -258,9 +248,7 @@ class Campaign:
         self.force = force
         self.echo = echo or (lambda _msg: None)
         self.pool = pool
-        self.per_stage = per_stage
         self.max_retries = max_retries
-        self.locality = (not per_stage) if locality is None else locality
         self.on_dispatch = on_dispatch
         self.crash_token = crash_token
 
@@ -295,12 +283,7 @@ class Campaign:
             report.cached += cached
         pending_total = sum(len(pending) for _, pending, _ in stages)
         if pending_total:
-            if self.per_stage:
-                walls = self._run_per_stage(stages, satisfied, results,
-                                            report)
-            else:
-                walls = self._run_scheduled(stages, satisfied, results,
-                                            report)
+            walls = self._run_scheduled(stages, satisfied, results, report)
         else:
             walls = {}
             for name, _pending, cached in stages:
@@ -315,29 +298,32 @@ class Campaign:
         return results, report
 
     # ------------------------------------------------------------------
-    def _make_pool(self, pending_count: int) -> Tuple[WorkerPool, bool]:
-        """Pool for a batch of jobs; the bool says whether we own it."""
+    def _make_pool(self, pending_count: int) -> WorkerPool:
+        """Pool for a batch of jobs (the caller's, when one was given)."""
         if self.pool is not None:
-            return self.pool, False
+            return self.pool
         width = min(self.workers, max(1, pending_count))
         if width == 1:
-            return SerialPool(), True
-        return ProcessPool(width, crash_token=self.crash_token), True
+            return SerialPool()
+        return ProcessPool(width, crash_token=self.crash_token)
 
     def _run_scheduled(self, stages, satisfied: Set[str],
                        results: Dict[Job, Any],
                        report: CampaignReport) -> Dict[str, float]:
-        """The default path: one pool, one scheduler, no stage barrier."""
+        """One pool, one scheduler, no stage barrier."""
         pending = [item for _name, stage_pending, _c in stages
                    for item in stage_pending]
         for name, stage_pending, cached in stages:
             if stage_pending or cached:
                 self.echo(f"  {name}: {len(stage_pending)} pending "
                           f"({cached} cached)")
-        pool, _owned = self._make_pool(len(pending))
+        pool = self._make_pool(len(pending))
         report.pool = pool.name
         self.echo(f"  pool: {pool.name} x{min(self.workers, len(pending))}")
-        scheduler = self._scheduler()
+        scheduler = ReadySetScheduler(self.store,
+                                      max_retries=self.max_retries,
+                                      on_dispatch=self.on_dispatch,
+                                      echo=self.echo)
         try:
             pool.start(self.store)
             scheduler.run(pool, pending, satisfied, results)
@@ -348,58 +334,3 @@ class Campaign:
         report.failed.extend(scheduler.failed)
         self.echo("  " + scheduler.stats.summary())
         return scheduler.kind_walls
-
-    def _run_per_stage(self, stages, satisfied: Set[str],
-                       results: Dict[Job, Any],
-                       report: CampaignReport) -> Dict[str, float]:
-        """Baseline mode: fresh pool per stage, barrier between stages."""
-        walls: Dict[str, float] = {}
-        totals = SchedulerStats()
-        try:
-            for name, stage_pending, cached in stages:
-                if not stage_pending:
-                    if cached:
-                        self.echo(f"  {name}: all {cached} job(s) cached")
-                    continue
-                self.echo(f"  {name}: {len(stage_pending)} pending "
-                          f"({cached} cached), fresh pool")
-                pool, owned = self._make_pool(len(stage_pending))
-                report.pool = f"{pool.name}/per-stage"
-                scheduler = self._scheduler()
-                try:
-                    pool.start(self.store)
-                    scheduler.run(pool, stage_pending, satisfied, results)
-                finally:
-                    if owned:
-                        pool.close()
-                satisfied.update(key for key, job in stage_pending
-                                 if job in results)
-                walls.update(scheduler.kind_walls)
-                report.failed.extend(scheduler.failed)
-                self._merge_stats(totals, scheduler.stats)
-        finally:
-            if self.pool is not None:
-                self.pool.close()
-        report.scheduler = totals
-        return walls
-
-    def _scheduler(self) -> ReadySetScheduler:
-        """A scheduler wired to this campaign's knobs."""
-        return ReadySetScheduler(self.store, max_retries=self.max_retries,
-                                 locality=self.locality,
-                                 on_dispatch=self.on_dispatch,
-                                 echo=self.echo)
-
-    @staticmethod
-    def _merge_stats(into: SchedulerStats, stats: SchedulerStats) -> None:
-        """Accumulate one stage's counters into the run totals."""
-        into.ready_peak = max(into.ready_peak, stats.ready_peak)
-        into.max_concurrency = max(into.max_concurrency,
-                                   stats.max_concurrency)
-        into.dispatched += stats.dispatched
-        into.retries += stats.retries
-        into.steals += stats.steals
-        into.locality_hits += stats.locality_hits
-        into.locality_misses += stats.locality_misses
-        into.worker_deaths += stats.worker_deaths
-        into.workers_seen += stats.workers_seen

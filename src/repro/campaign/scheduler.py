@@ -126,7 +126,7 @@ class ReadySetScheduler:
         Requeues allowed per job before it is recorded as failed.
     locality:
         Route jobs sharing :func:`locality_key` to a sticky worker.  Off
-        reproduces the old scatter placement (the per-stage baseline mode).
+        is scatter placement (tests only; the campaign always routes).
     on_dispatch:
         Test hook called ``(key, job, worker)`` at each dispatch, before
         the job is handed to the pool.

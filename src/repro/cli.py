@@ -35,9 +35,9 @@ variables used by the benches (``--scale``, ``--accesses``, ``--mixes``,
 precedence.
 
 ``campaign run`` executes the selected figures' job matrices on a worker
-pool (``--jobs N``, ``--pool serial|process|per-stage|remote``),
-memoising every simulation in a content-addressed store (``--store DIR``,
-default ``.repro-store`` or ``$REPRO_STORE``; add ``--store-url`` /
+pool (``--jobs N``, ``--pool serial|process|remote``), memoising every
+simulation in a content-addressed store (``--store DIR``, default
+``.repro-store`` or ``$REPRO_STORE``; add ``--store-url`` /
 ``$REPRO_STORE_URL`` to read through a shared HTTP store).  Re-running an
 interrupted or finished sweep only executes missing jobs — that *is* the
 resume mechanism — and ``--force`` recomputes everything.  ``campaign
@@ -224,7 +224,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         pool = ProcessPool(resolve_workers(args.jobs))
     campaign = Campaign(store, workers=workers, force=args.force,
                         echo=print, pool=pool,
-                        per_stage=(args.pool == "per-stage"),
                         max_retries=args.max_retries)
     print(f"campaign store: {store.describe()}")
     results, report = campaign.run(jobs)
@@ -548,11 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "read through a local cache "
                             "(default: $REPRO_STORE_URL)")
     run_p.add_argument("--pool", default="auto",
-                       choices=["auto", "serial", "process", "per-stage",
-                                "remote"],
+                       choices=["auto", "serial", "process", "remote"],
                        help="execution pool: auto picks serial/process from "
-                            "--jobs; per-stage restores the two-stage "
-                            "barrier; remote waits for campaign workers")
+                            "--jobs; remote waits for campaign workers")
     run_p.add_argument("--bind", default=None, metavar="HOST:PORT",
                        help="listen address for --pool remote "
                             "(default: 127.0.0.1:0)")

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "07c62e6e511e3e9fa947d8136300cfa5740cc997823c0a7807a04f6489a0861c"
+ENGINE_SOURCE_CHECKSUM = "b1cd53dcafb9ecfb250703dea82332d249d5f1ce8e6c50db7745b53023e91543"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

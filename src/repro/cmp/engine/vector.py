@@ -32,9 +32,8 @@ Exactness argument (pinned by ``tests/test_cmp/test_vector_engine.py``):
   installs on a miss and read-only windows never invalidate) whose
   transition is idempotent for the kinds certified by
   :func:`~repro.cache.state.mru_repeat_elidable` — LRU's MRU promote is
-  a no-op, FIFO/random hits touch nothing, BT rewrites the same tree
-  bits, NRU's used bit is already set and cannot re-fire the saturation
-  reset.  Deleting those accesses from the replay (never reordering the
+  a no-op, BT rewrites the same tree bits, NRU's used bit is already
+  set and cannot re-fire the saturation reset.  Deleting those accesses from the replay (never reordering the
   survivors) leaves every remaining transition, victim choice and
   statistic identical; the elided accesses are recorded as hits and
   counted into ``stats.accesses`` directly.  In the grouped (stable

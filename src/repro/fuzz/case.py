@@ -107,7 +107,8 @@ class FuzzCase:
         The plain ``vector`` entry runs the ``auto``-resolved kernel
         backend (``array``); the explicit ``vector:python`` spec then
         cross-checks the other one per case.  That run replays windows
-        through the loop over the scalar hit kernel, so it isolates the
+        through the loop over the cache's ``access_line_hit`` (the
+        generic method for every policy but lru/nru/bt), so it isolates the
         vector engine's own windowing / elision / timing from the array
         kernels: a divergence in either is caught by the same oracle
         that pins the engines to each other.

@@ -89,7 +89,8 @@ class TestBuildDelegation:
         assert kernel is not None
         assert kernel.__module__ == "repro.cache.kernels.array"
 
-    @pytest.mark.parametrize("policy_name", ["random", "srrip", "dip"])
+    @pytest.mark.parametrize("policy_name",
+                             ["random", "srrip", "dip", "fifo"])
     def test_ineligible_kind_falls_back_to_python(self, policy_name):
         cache = make_cache(policy_name)
         kernel = build_set_run_kernel(cache, "array")

@@ -189,21 +189,6 @@ class TestTriModalBitIdentity:
                     f"{mode} object {key[:12]} differs from serial bytes")
 
 
-class TestPerStageMode:
-    def test_per_stage_matches_scheduled_run(self, micro_scale, tmp_path):
-        jobs = small_matrix(micro_scale)
-        sched_store = ResultStore(tmp_path / "sched")
-        stage_store = ResultStore(tmp_path / "stage")
-        results_a, report_a = Campaign(sched_store, workers=2).run(jobs)
-        results_b, report_b = Campaign(stage_store, workers=2,
-                                       per_stage=True).run(jobs)
-        assert report_b.pool.endswith("/per-stage")
-        assert store_fingerprint(sched_store) == store_fingerprint(stage_store)
-        for job in jobs:
-            assert (results_a[job].result.threads
-                    == results_b[job].result.threads)
-
-
 class TestSerialPoolContract:
     def test_events_in_contract_order(self, micro_scale, store):
         from repro.campaign.runner import plan_jobs

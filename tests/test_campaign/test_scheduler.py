@@ -273,6 +273,4 @@ class TestStats:
 
     def test_serial_pool_used_for_single_worker(self, store):
         campaign = Campaign(store, workers=1)
-        pool, owned = campaign._make_pool(5)
-        assert isinstance(pool, SerialPool)
-        assert owned
+        assert isinstance(campaign._make_pool(5), SerialPool)
