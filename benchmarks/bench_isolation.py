@@ -46,15 +46,16 @@ except ImportError:   # a worktree that predates the window cache
 #: job's cross-recording comparison (``record.py engine --baseline``
 #: against a pre-solo-worktree recording, >= 1.5x).
 
-#: The shipped path (vector engine, array kernels) must stay at least
-#: this much faster than the *current* solo engine on the stage: the
-#: product of the 1.6x vector-over-solo and 1.6x array-over-python floors
-#: it replaces.  The ``vector:python`` layer in between runs no report
-#: job (its window kernel is one loop over the scalar hit kernel), so it
-#: is printed, not graded.  Looser than the strict same-recording gate,
+#: The shipped path (vector engine, array kernels) must keep this ratio
+#: to the *current* solo engine on the stage, every job of both rows
+#: cold: 0.75 x the lowest of five recordings of the ratio (1.45, 1.56,
+#: 1.68, 1.49, 1.65x on the 2-vCPU recording host, whose speed drifts by
+#: tens of percent within one run).  The ``vector:python`` layer in
+#: between runs no report job (its window kernel is one loop over the
+#: scalar hit kernel), so it is printed, not graded.  The same value is
 #: ``record.py engine``'s ``isolation_stage_array/.isolation_stage_solo``
-#: floor key (4.0x, recorded ~11x), checked by the CI perf-smoke job.
-ARRAY_SPEEDUP_FLOOR = 2.56
+#: floor key, checked by the CI perf-smoke job.
+ARRAY_SPEEDUP_FLOOR = 1.09
 
 
 def stage_jobs(scale: ExperimentScale) -> List[Job]:
@@ -98,11 +99,11 @@ def run_stage_once(engine: str, scale: ExperimentScale,
     kernel-backend registry (the CI perf gate replays old worktrees
     with the *current* benchmark drivers).
 
-    Every job starts with a cold window cache, so the solo and batched
-    rows keep timing the engines' own L1 prefilter and event loop — one
-    job's windows are not replayed for the trace's next policy, nor for
-    the next best-of repeat.  (A job still hits its own earlier passes;
-    the vector engine has its own memo and never touches this cache.)
+    Every job starts with a cold window cache — the one prefilter cache
+    all three engines share — so every row times the engine's own L1
+    prefilter and loop: one job's windows are not replayed for the
+    trace's next policy, nor for the next best-of repeat.  (A job still
+    hits its own earlier passes.)
     """
     engine_name, _, backend = engine.partition(":")
     kwargs = {"kernel_backend": backend} if backend else {}

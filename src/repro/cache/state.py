@@ -53,8 +53,7 @@ import numpy as np
 from repro.cache.partition.base import PartitionScheme
 
 __all__ = ["TagStore", "build_hit_kernel", "build_observe_many_kernel",
-           "build_set_run_kernel", "derive_observe_kernel",
-           "mru_repeat_elidable", "pair_elidable"]
+           "build_set_run_kernel", "derive_observe_kernel"]
 
 
 class TagStore:
@@ -513,10 +512,7 @@ def build_hit_kernel(cache) -> Optional[Callable]:
 # A window kernel drains a whole inter-boundary window of the L2 miss
 # stream in one call: ``kernel(lines, flags)`` replays ``lines`` — line
 # addresses in trace order — writing 1 into the caller-supplied zeroed
-# byte buffer at each hit position.  Replay order is trace order — the
-# engine may first *elide* accesses proven to be idempotent repeat hits
-# (:func:`mru_repeat_elidable`), which deletes elements but never
-# reorders the survivors.
+# byte buffer at each hit position.  Replay order is trace order.
 #
 # The python window kernel is *derived*, not written per policy: one loop
 # over the cache's bound ``access_line_hit`` (the scalar hit kernel above,
@@ -545,71 +541,6 @@ def build_set_run_kernel(cache, core: int = 0) -> Callable:
             pos += 1
 
     return run_window
-
-
-#: Kernel kinds whose hit transition is idempotent, making immediate
-#: same-set repeat accesses elidable (see :func:`mru_repeat_elidable`).
-_MRU_ELIDABLE_KINDS = frozenset({"lru", "nru", "bt"})
-
-
-def mru_repeat_elidable(cache) -> bool:
-    """True when immediate same-set repeat accesses may be elided.
-
-    An access whose line equals the *previous access to the same set* is
-    a guaranteed hit — the L2 always installs on a miss, nothing touched
-    the set in between, and read-only windows never invalidate — whose
-    transition is idempotent for these kinds, so deleting it from a
-    window's replay is exact:
-
-    * ``lru`` — promoting the already-MRU way is a no-op.
-    * ``bt`` — the hit promote rewrites the same tree bits.
-    * ``nru`` — the line's used bit is already set, and the saturation
-      reset cannot re-fire: every access leaves its reset domain
-      unsaturated (for a single-way domain the re-reset reproduces the
-      same bits), and the global pointer only rotates on fills.
-
-    Policies without a kernel kind replay every access: LIP/BIP/DIP and
-    SRRIP/BRRIP must (the first repeat after a fill promotes a
-    below-floor line / rewrites the fill RRPV to 0); FIFO and random
-    hits touch no replacement state, so for them it is only unexploited.
-    Partition schemes never affect the hit path — candidate masks, fill
-    hooks and owner counters are miss-path only — so eligibility depends
-    on the policy alone.
-    """
-    return getattr(cache.policy, "kernel_kind", "") in _MRU_ELIDABLE_KINDS
-
-
-def pair_elidable(cache) -> bool:
-    """True when two-line alternation pairs may also be elided.
-
-    In a same-set access pattern ``X, Y, X, Y, ...`` (``X != Y``, no other
-    access to the set interleaved) every access from the third on is a
-    guaranteed hit, and each *pair* ``(X, Y)`` is an identity transition,
-    so whole pairs may be deleted from a window's replay:
-
-    * ``lru`` — after the leading ``X, Y`` the top of the recency order
-      is ``(Y, X)``; the pair promotes ``X`` then ``Y``, mapping
-      ``(Y, X)`` back to ``(Y, X)`` and touching nothing deeper.  Both
-      are hits: each line sits at stack position <= 1 when accessed, and
-      an unpartitioned victim is always the tail (``assoc >= 2`` keeps
-      the just-promoted line off it).
-    * ``bt`` — the promote maps ``f_w(t) = (t & keep[w]) | set[w]`` are
-      per-way idempotent and the pair composition is idempotent:
-      ``f_Y(f_X(f_Y(f_X(t)))) = f_Y(f_X(t))`` by mask algebra.  Both are
-      hits: the table victim follows the tree away from a just-touched
-      way, so neither line of a hot pair can be evicted in between.
-
-    Restricted to unpartitioned caches: a partitioned LRU victim scans a
-    candidate mask (which can reach stack position 1 when a core owns a
-    single way) and partitioned BT uses force vectors that override the
-    tree traversal — either could evict a pair member mid-pattern.
-    NRU stays excluded: a hit does not protect a line from eviction
-    (the saturation reset clears its used bit), so the third access is
-    not a guaranteed hit.
-    """
-    if cache.partition is not None or cache.state.assoc < 2:
-        return False
-    return getattr(cache.policy, "kernel_kind", "") in ("lru", "bt")
 
 
 # ----------------------------------------------------------------------

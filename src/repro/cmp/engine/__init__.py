@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "b1cd53dcafb9ecfb250703dea82332d249d5f1ce8e6c50db7745b53023e91543"
+ENGINE_SOURCE_CHECKSUM = "b338c3f4749ad78b5d7fa991ca685a2752492644963d95dd4dd015ec4d482075"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -18,8 +18,9 @@ not setup code:
   access index is precomputed as an integer (:func:`freeze_count`) so both
   engines freeze on exactly the same access;
 * result assembly (:class:`ThreadResult` / :class:`EventCounts`);
-* the per-window L1-miss stream (:func:`l1_miss_window`) the solo and
-  batched engines walk, and the process-wide **window cache** behind it.
+* the per-window L1-miss stream (:func:`l1_miss_window`) the solo,
+  vector and batched engines walk, and the process-wide **window cache**
+  behind it.
 
 Window cache.  Everything in front of the shared L2 is private per core,
 so a window's L1-miss stream is a pure function of the trace window and
@@ -141,8 +142,8 @@ def _image_bytes(image) -> int:
 #: were last used.
 _TRACES: "OrderedDict[str, OrderedDict[tuple, MissWindow]]" = OrderedDict()
 
-#: Purely observational, like vector's memo counters: nothing reads them
-#: back, and they live outside every hot-path closure.
+#: Purely observational: nothing reads them back, and they live outside
+#: every hot-path closure.
 _WINDOW_STATS = {"lookups": 0, "hits": 0, "evictions": 0, "bytes": 0}
 
 

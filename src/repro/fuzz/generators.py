@@ -10,19 +10,20 @@ uniform random stream almost never exercises:
 
 * ``streak`` — a rotation of L1-conflicting lines (more lines than the
   L1's ways, all in one L1 set), so *every* access reaches the L2 and
-  each L2 set's grouped subsequence is one line repeated: the vector
-  engine's repeat-elision target, with occasional random breakers so
-  elision runs start and stop mid-window.
+  each L2 set's grouped subsequence is one line repeated: reuse gap 0,
+  the array kernels' ``gap < assoc`` shortcut at its extreme, with
+  occasional random breakers so the runs start and stop mid-window.
 * ``alternation`` — interleaved two-line ``X, Y, X, Y`` pairs per L2 set
-  (the pair-elision target and its gating), plus breakers and a random
-  tail so corrupted replacement state surfaces in later victim choices.
+  (reuse gap 1, the same shortcut one step out), plus breakers and a
+  random tail so corrupted replacement state surfaces in later victim
+  choices.
 * ``phase_change`` — abrupt footprint/locality regime switches every few
   hundred accesses: streams the controller's miss curves chase, DIP
   set-dueling flips, boundary catch-ups after cheap phases.
 * ``wrap_heavy`` — a short trace with an instruction budget worth many
   passes: trace wrap-around, chunk reloads at the wrap seam, freeze
-  edges landing mid-pass, and the vector engine's chunk-visit-order
-  L1 memo replay.
+  edges landing mid-pass, and window-cache hits from the second pass
+  on.
 * ``stream`` — a compulsory-miss pointer walk with occasional jumps
   back: freeze-on-miss edges and maximal memory-channel queueing.
 * ``uniform`` — plain uniform noise over a footprint (the baseline the
@@ -112,7 +113,7 @@ def _streak_lines(rng, count, l1_sets, l1_assoc, l2_sets):
     stride = l1_sets * _int(rng, 1, max(1, l2_sets // l1_sets))
     pool = s + stride * np.arange(depth, dtype=np.int64)
     lines = np.tile(pool, count // depth + 1)[:count].copy()
-    # Breakers: short random bursts so elision runs start and stop.
+    # Breakers: short random bursts so repeat runs start and stop.
     n_breaks = _int(rng, 0, 4)
     for _ in range(n_breaks):
         at = _int(rng, 0, count - 2)

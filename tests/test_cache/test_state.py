@@ -23,8 +23,6 @@ from repro.cache.state import (
     TagStore,
     build_hit_kernel,
     build_set_run_kernel,
-    mru_repeat_elidable,
-    pair_elidable,
 )
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
@@ -42,8 +40,7 @@ def test_kernel_tables_name_the_three_paper_kinds():
     from repro.cache.kernels import array
 
     for table in (state._HIT_KERNELS, state._OBSERVE_MANY_KERNELS,
-                  array._ARRAY_KERNELS, array.ELIGIBLE_KINDS,
-                  state._MRU_ELIDABLE_KINDS):
+                  array._ARRAY_KERNELS, array.ELIGIBLE_KINDS):
         assert set(table) == PAPER_KINDS
     for name, cls in POLICY_REGISTRY.items():
         assert cls.kernel_kind == (name if name in PAPER_KINDS else "")
@@ -351,7 +348,8 @@ class TestWindowKernels:
 
 
 class TestElisionEligibility:
-    """The engine-facing elision certificates and the claims behind them."""
+    """Policy-level theorems about idempotent repeat / pair hits: the
+    facts the array kernels' reuse-gap shortcut rests on."""
 
     def _cache(self, policy_name, assoc=8, partitioned=False):
         num_sets = 8
@@ -366,31 +364,11 @@ class TestElisionEligibility:
                                    num_cores=2 if partitioned else 1,
                                    kernels=True)
 
-    def test_mru_repeat_elidable_kinds(self):
-        for policy in ALL_POLICIES:
-            # Kernel-less policies replay every access: required for the
-            # LIP family (a below-floor line is promoted on its first
-            # repeat) and RRIP (the fill RRPV is rewritten), unexploited
-            # for fifo/random (test_repeat_removal_... still holds).
-            assert mru_repeat_elidable(self._cache(policy)) \
-                == (policy in PAPER_KINDS)
-
-    def test_pair_elidable_gating(self):
-        assert pair_elidable(self._cache("lru"))
-        assert pair_elidable(self._cache("bt"))
-        for policy in ("fifo", "nru", "random", "srrip", "lip"):
-            assert not pair_elidable(self._cache(policy))
-        # Partitioned victims can reach stack position 1: no pairs.
-        assert not pair_elidable(self._cache("lru", partitioned=True))
-        assert not pair_elidable(self._cache("bt", partitioned=True))
-        # A direct-mapped cache cannot protect the pair partner.
-        assert not pair_elidable(self._cache("lru", assoc=1))
-
     @pytest.mark.parametrize("policy_name",
                              ["lru", "fifo", "nru", "bt", "random"])
     def test_repeat_removal_leaves_state_identical(self, policy_name):
-        """The theorem the engine relies on, pinned at the kernel level:
-        deleting immediate same-set repeat accesses changes nothing but
+        """Pinned at the kernel level: deleting immediate same-set repeat
+        accesses changes nothing but
         the access count."""
         full = self._cache(policy_name)
         deduped = self._cache(policy_name)

@@ -5,13 +5,13 @@ bit-identical to the reference loop on every single-thread workload —
 all 10 replacement policies, every partition scheme, write traces (solo
 fallback), the bandwidth channel, interval-boundary catch-ups, freeze
 edges, budgets wrapping the trace and mid-trace chunk reloads — plus
-the vector-specific machinery the solo engine does not have:
+what is specific to this engine:
 
-* **repeat elision** on streams dense with immediate same-set repeats,
-* **pair elision** on two-line alternation streams (and its *gating*:
-  partitioned runs and non-LRU/BT kinds must not apply it),
-* the **L1 miss-stream memo** (replayed runs bit-identical, keyed by
-  trace content / budget / chunk size, never published by aborted runs).
+* streams dense with immediate same-set repeats and two-line
+  alternations (the shapes the array kernels resolve in bulk),
+* the **shared window cache**: a warm run skips the L1 walk and is
+  bit-identical, the simulator's L1 is exact after cold and warm runs,
+  and the module keeps no cache of its own.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.cmp.engine.common as common_mod
 import repro.cmp.engine.vector as vector_mod
 from repro.cache.geometry import CacheGeometry
 from repro.cache.kernels import available_backends
@@ -205,8 +206,8 @@ class TestVectorVsReference:
         for vec in results[1:]:
             assert_identical(results[0], vec)
         assert results[0].threads[0].l2_misses != stock.threads[0].l2_misses
-        # Only a run that stayed on the vector path publishes a memo entry.
-        assert vector_mod.memo_stats()["l1_entries"] == 1
+        # The runs prefiltered through the shared window cache.
+        assert vector_mod.memo_stats()["window_cache"]["entries"] >= 1
         vector_mod.clear_memos()
 
     def test_bandwidth_channel(self):
@@ -343,6 +344,9 @@ class TestElision:
 
 
 class TestL1Memo:
+    """The vector engine prefilters through the shared window cache
+    (:func:`repro.cmp.engine.common.l1_miss_window`) and nothing else."""
+
     def _run_vector(self, trace, budget=30_000, keep_sim=False,
                     max_cycles=None):
         sim = CMPSimulator(
@@ -352,69 +356,128 @@ class TestL1Memo:
         result = sim.run()
         return (result, sim) if keep_sim else result
 
-    def test_replay_is_bit_identical_and_skips_l1(self):
-        vector_mod._L1_MEMO.clear()
+    def test_replay_is_bit_identical_and_skips_l1(self, monkeypatch):
+        from repro.cache.l1 import SmallLRUCache
+
         trace = make_trace(seed=321, name="memo")
-        first, sim1 = self._run_vector(trace, keep_sim=True)
-        assert len(vector_mod._L1_MEMO) == 1
-        assert sim1.hierarchy.l1[0].stats.accesses[0] > 0
+        first = self._run_vector(trace)
+        cold = vector_mod.memo_stats()["window_cache"]
+        assert cold["lookups"] > 0 and cold["hits"] == 0
+        walks = []
+        bulk = SmallLRUCache.access_lines_hit
+        monkeypatch.setattr(
+            SmallLRUCache, "access_lines_hit",
+            lambda self, lines: walks.append(len(lines)) or bulk(self, lines))
         # Same content under a different Trace object: the fingerprint
-        # key must hit, the L1 walk must be skipped entirely...
+        # key must hit on every lookup, the L1 walk must be skipped...
         clone = Trace("memo", trace.lines.copy(), ipm=4.0, cpi_base=1.0)
-        second, sim2 = self._run_vector(clone, keep_sim=True)
-        assert sim2.hierarchy.l1[0].stats.accesses[0] == 0
+        second = self._run_vector(clone)
+        warm = vector_mod.memo_stats()["window_cache"]
+        assert warm["lookups"] == 2 * cold["lookups"]
+        assert warm["hits"] == cold["lookups"]
+        assert walks == []
         # ... and every reported number must still be bit-identical.
         assert_identical(first, second)
 
     def test_replay_matches_reference(self):
-        vector_mod._L1_MEMO.clear()
         trace = make_trace(seed=654, name="memo-ref")
-        self._run_vector(trace)  # prime the memo
+        self._run_vector(trace)  # prime the cache
         ref, vec = run_engines(config_unpartitioned("nru"), [trace],
                                ("reference", "vector"))
+        assert vector_mod.memo_stats()["l1_hits"] > 0
         assert_identical(ref, vec)
 
     def test_key_covers_budget_and_chunk_size(self, monkeypatch):
-        vector_mod._L1_MEMO.clear()
+        """A window is a function of (trace window, L1 state), not of the
+        budget: a shorter run replays the longer one's windows.  Another
+        chunk size cuts other windows and must not hit the old ones."""
         trace = make_trace(seed=987, name="memo-key")
         a = self._run_vector(trace, budget=30_000)
+        lookups = vector_mod.memo_stats()["window_cache"]["lookups"]
         b = self._run_vector(trace, budget=12_000)
-        assert len(vector_mod._L1_MEMO) == 2
+        stats = vector_mod.memo_stats()
+        assert stats["l1_hits"] == stats["window_cache"]["lookups"] - lookups
         assert a.threads[0].l1_accesses != b.threads[0].l1_accesses
+        ref = run_engines(config_unpartitioned("lru"), [trace],
+                          ("reference",), budget=12_000)[0]
+        assert_identical(ref, b)
         monkeypatch.setattr(vector_mod, "CHUNK_SIZE", 512)
-        self._run_vector(trace, budget=30_000)
-        assert len(vector_mod._L1_MEMO) == 3
+        c = self._run_vector(trace, budget=30_000)
+        assert vector_mod.memo_stats()["l1_hits"] == stats["l1_hits"]
+        assert_identical(a, c)
 
     def test_aborted_run_publishes_nothing(self):
-        vector_mod._L1_MEMO.clear()
+        """Nothing that could replay wrongly: whatever a run aborted by
+        ``max_cycles`` left in the cache, a later full run replays it
+        bit-identically to a cold one."""
         trace = Trace("stream", np.arange(20_000) + 1_000_000,
                       ipm=4.0, cpi_base=1.0)
         with pytest.raises(RuntimeError, match="max_cycles"):
             self._run_vector(trace, budget=40_000, max_cycles=10_000)
-        assert len(vector_mod._L1_MEMO) == 0
+        warm = self._run_vector(trace, budget=40_000)
+        assert vector_mod.memo_stats()["l1_hits"] > 0
+        vector_mod.clear_memos()
+        cold = self._run_vector(trace, budget=40_000)
+        assert vector_mod.memo_stats()["l1_hits"] == 0
+        assert_identical(cold, warm)
 
     def test_memo_is_bounded(self, monkeypatch):
-        vector_mod._L1_MEMO.clear()
-        monkeypatch.setattr(vector_mod, "_L1_MEMO_MAX", 2)
-        for seed in (1, 2, 3):
+        """More traces than fit: the accounted bytes stay under the one
+        budget every engine shares."""
+        budget = 20_000
+        monkeypatch.setattr(common_mod, "WINDOW_CACHE_BYTES", budget)
+        monkeypatch.setattr(vector_mod, "CHUNK_SIZE", 512)
+        for seed in (1, 2, 3, 4):
             self._run_vector(make_trace(count=1500, seed=seed), budget=4_000)
-        assert len(vector_mod._L1_MEMO) == 2
+            assert vector_mod.memo_stats()["window_cache"]["bytes"] <= budget
+        stats = vector_mod.memo_stats()["window_cache"]
+        assert stats["evictions"] > 0 and stats["entries"] > 0
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_l1_is_exact_after_cold_and_warm_runs(self, passes):
+        """No stale-L1 path: after a vector run and after its warm repeat
+        the simulator's own L1 — stacks, dirty set, statistics — is what
+        the reference's per-access walk leaves.  (The budget ends on a
+        window edge; the engines prefilter whole windows.)"""
+        trace = make_trace(seed=55, name="l1-exact")
+        budget = (passes * trace.instructions,)
+        (ref, cold, warm), sims = run_engines(
+            config_unpartitioned("lru"), [trace],
+            ("reference", "vector", "vector"), per_thread=budget,
+            keep_sim=True)
+        assert vector_mod.memo_stats()["l1_hits"] > 0
+        ref_l1 = sims[0].hierarchy.l1[0]
+        for result, sim in zip((cold, warm), sims[1:]):
+            assert_identical(ref, result)
+            l1 = sim.hierarchy.l1[0]
+            assert l1.snapshot() == ref_l1.snapshot()
+            for field in type(l1.stats).__slots__:
+                assert getattr(l1.stats, field) == \
+                    getattr(ref_l1.stats, field), field
+            assert l1.stats.accesses[0] == result.events.l1_accesses
+
+
+def test_vector_module_holds_no_containers():
+    """The only engine-side cache is ``common._TRACES``: the vector
+    module keeps no module-level ``dict`` / ``list`` / ``OrderedDict``."""
+    held = {name: value for name, value in vars(vector_mod).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))}
+    assert held == {}
 
 
 class TestMemoStats:
-    """memo_stats()/clear_memos(): the module-global memo observability."""
+    """memo_stats()/clear_memos(): the window cache's observability."""
 
-    #: The solo/batched window cache reports (and resets) through here too.
-    ZEROED = {"l1_hits": 0, "l1_misses": 0, "window_hits": 0,
-              "window_misses": 0, "l1_entries": 0,
+    ZEROED = {"l1_hits": 0, "l1_misses": 0,
               "window_cache": {"lookups": 0, "hits": 0, "evictions": 0,
                                "entries": 0, "bytes": 0}}
 
-    def _run_vector(self, trace, backend="auto"):
+    def _run(self, trace, engine="vector", backend="auto"):
         sim = CMPSimulator(
             processor(), config_unpartitioned("lru"), [trace],
             SimulationConfig(instructions_per_thread=30_000, seed=7,
-                             engine="vector", kernel_backend=backend))
+                             engine=engine, kernel_backend=backend))
         return sim.run()
 
     def test_counters_track_lookups(self):
@@ -422,38 +485,46 @@ class TestMemoStats:
         stats = vector_mod.memo_stats()
         assert stats == self.ZEROED
         trace = make_trace(seed=4242, name="memo-stats")
-        self._run_vector(trace)
+        self._run(trace)
         stats = vector_mod.memo_stats()
-        assert stats["l1_misses"] == 1 and stats["l1_hits"] == 0
-        assert stats["window_misses"] == 1 and stats["window_hits"] == 0
-        assert stats["l1_entries"] == 1
-        self._run_vector(trace)
+        lookups = stats["window_cache"]["lookups"]
+        assert stats["l1_misses"] == lookups > 0 and stats["l1_hits"] == 0
+        assert stats["window_cache"]["entries"] == lookups
+        self._run(trace)
         stats = vector_mod.memo_stats()
-        assert stats["l1_hits"] == 1 and stats["l1_misses"] == 1
-        assert stats["window_hits"] == 1 and stats["window_misses"] == 1
+        assert stats["l1_hits"] == lookups and stats["l1_misses"] == lookups
+        assert stats["window_cache"]["lookups"] == 2 * lookups
 
     def test_snapshot_is_a_copy_and_clear_resets(self):
         vector_mod.clear_memos()
         trace = make_trace(seed=2121, count=1500, name="memo-copy")
-        self._run_vector(trace)
+        self._run(trace)
         snap = vector_mod.memo_stats()
+        misses = snap["l1_misses"]
         snap["l1_misses"] = 99  # mutating the snapshot must not leak back
-        assert vector_mod.memo_stats()["l1_misses"] == 1
+        snap["window_cache"]["lookups"] = 99
+        assert vector_mod.memo_stats()["l1_misses"] == misses
+        assert vector_mod.memo_stats()["window_cache"]["lookups"] == misses
         vector_mod.clear_memos()
         assert vector_mod.memo_stats() == self.ZEROED
 
     def test_window_products_shared_across_backends(self):
-        """A memo recorded under one backend replays under another —
-        the window products are backend-agnostic inputs — and the
-        results stay bit-identical."""
+        """One prefilter cache for the process: windows cached by a
+        ``vector:array`` run are hit by ``vector:python`` and by the
+        batched engine at n = 1 on the same trace, results identical."""
         vector_mod.clear_memos()
         trace = make_trace(seed=777, name="memo-xbackend")
-        first = self._run_vector(trace, backend="python")
-        assert vector_mod.memo_stats()["window_misses"] == 1
-        second = self._run_vector(trace, backend="array")
+        first = self._run(trace, backend="array")
+        lookups = vector_mod.memo_stats()["l1_misses"]
+        assert lookups > 0
+        second = self._run(trace, backend="python")
+        assert vector_mod.memo_stats()["l1_hits"] == lookups
+        third = self._run(trace, engine="batched")
         stats = vector_mod.memo_stats()
-        assert stats["l1_hits"] == 1 and stats["window_hits"] == 1
+        assert stats["l1_hits"] >= 2 * lookups
+        assert stats["l1_misses"] == lookups
         assert_identical(first, second)
+        assert_identical(first, third)
 
 
 class TestEngineSelection:
@@ -485,14 +556,14 @@ class TestEngineSelection:
 
 
 class TestCustomObserver:
-    """A non-stock L2 observer must disable deferral/memoization yet stay
+    """A non-stock L2 observer must disable deferral yet stay
     bit-identical to the reference oracle.
 
     ``deferrable_profiling`` only engages for the stock
     ``ProfilingSystem.observe`` bound method; anything else (a wrapper, a
     test callable) needs its per-access call *during* the run, so the
-    vector engine takes the solo delegation and neither defers ATD
-    drains nor publishes L1 memo entries.
+    vector engine takes the solo delegation and does not defer ATD
+    drains.
     """
 
     @staticmethod
@@ -553,10 +624,12 @@ class TestCustomObserver:
         assert ref_calls
 
     def test_custom_observer_disables_memoization(self):
-        """No L1 memo entry may be published by a delegated run."""
-        vector_mod._L1_MEMO.clear()
-        self._run("vector", config_unpartitioned("lru"), wrap=True)
-        assert len(vector_mod._L1_MEMO) == 0
-        # The same trace with the stock (absent) observer does memoize.
-        self._run("vector", config_unpartitioned("lru"), wrap=False)
-        assert len(vector_mod._L1_MEMO) == 1
+        """A delegated run goes through the shared window cache like any
+        other: identical cold and warm, observer calls included."""
+        config = config_unpartitioned("lru")
+        cold, _, cold_calls = self._run("vector", config, wrap=True)
+        assert vector_mod.memo_stats()["l1_hits"] == 0
+        warm, _, warm_calls = self._run("vector", config, wrap=True)
+        assert vector_mod.memo_stats()["l1_hits"] > 0
+        assert_identical(cold, warm)
+        assert cold_calls == warm_calls and cold_calls

@@ -43,27 +43,23 @@ class TestCLI:
 
 
 class MutatedVectorEngine:
-    """Context manager reverting the repeat-elision safety guards.
+    """Context manager reverting the window cut's safety margin.
 
-    ``mru_repeat_elidable`` certifies which policy kinds may skip
-    same-set repeat hits; ``_ELIDE_MIN`` keeps the fast path off tiny
-    windows.  Reverting both reintroduces the exact bug class the guard
-    exists for: LIP promotes a repeat hit to MRU, so eliding it corrupts
-    recency.
+    ``_BOUND_SLACK`` scales the pessimistic per-miss pop-time bound the
+    vector engine compares with the next interval boundary.  Shrinking
+    it to a quarter lets a window overrun the boundary, so the
+    controller repartitions late: the bug class the margin exists for.
     """
 
     def __enter__(self):
-        self._elidable = vector_mod.mru_repeat_elidable
-        self._elide_min = vector_mod._ELIDE_MIN
-        vector_mod.mru_repeat_elidable = lambda cache: True
-        vector_mod._ELIDE_MIN = 2
-        vector_mod._L1_MEMO.clear()
+        self._slack = vector_mod._BOUND_SLACK
+        vector_mod._BOUND_SLACK = 0.25
+        vector_mod.clear_memos()
         return self
 
     def __exit__(self, *exc):
-        vector_mod.mru_repeat_elidable = self._elidable
-        vector_mod._ELIDE_MIN = self._elide_min
-        vector_mod._L1_MEMO.clear()
+        vector_mod._BOUND_SLACK = self._slack
+        vector_mod.clear_memos()
         return False
 
 
@@ -77,15 +73,14 @@ class TestShrinker:
             shrink_case(case)
 
     def test_minimal_corpus_case_is_a_shrink_fixpoint(self):
-        """The checked-in 4-access LIP repro cannot shrink further: every
-        access is load-bearing (miss, two L1-conflicting fills, repeat
-        hit)."""
+        """The checked-in 3-access window-overrun repro cannot shrink
+        further: every L1 miss is load-bearing."""
         from pathlib import Path
 
         from repro.fuzz import shrink_case
 
         path = (Path(__file__).resolve().parent.parent / "corpus" /
-                "lip-repeat-elision-minimal.json")
+                "vector-window-overruns-boundary.json")
         case = FuzzCase.load(path)
         with MutatedVectorEngine():
             shrunk = shrink_case(case, engines=("reference", "vector"))

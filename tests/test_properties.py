@@ -299,11 +299,11 @@ class TestMetamorphicReplay:
         default_chunk = vector_mod.CHUNK_SIZE
         try:
             vector_mod.CHUNK_SIZE = 512
-            vector_mod._L1_MEMO.clear()
+            vector_mod.clear_memos()
             chunked = run()
         finally:
             vector_mod.CHUNK_SIZE = default_chunk
-            vector_mod._L1_MEMO.clear()
+            vector_mod.clear_memos()
         assert dataclasses.asdict(baseline.threads[0]) == \
             dataclasses.asdict(chunked.threads[0])
         assert dataclasses.asdict(baseline.events) == \

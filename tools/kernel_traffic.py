@@ -6,12 +6,17 @@ Wraps every factory in the three kernel tables — ``_HIT_KERNELS`` and
 ``repro.cache.kernels.array`` — from outside ``src/``, runs one cold
 serial ``repro report run --scale SCALE`` into a temporary store and
 prints, as JSON, how many kernels each kind built (a factory call that
-returned a kernel; a ``None`` return is a delegation, not a build).
+returned a kernel; a ``None`` return is a delegation, not a build) and
+how many times each fast engine's ``run`` was entered (a vector run that
+delegates to solo counts under both).
 
 A registered kind that builds nothing over a whole report is dead weight
 — that is how the four non-paper hit kernels and the FIFO array path were
-found — so the exit status is 1 when any kind has zero builds.  CI runs
-this at ``micro`` in the ``campaign-smoke`` job.
+found — so the exit status is 1 when any kind has zero builds.  It is
+also 1 when the vector runs and the array-kernel builds differ: the
+vector engine hands whole windows to the kernel untouched because every
+shipped single-thread run gets an array kernel, which does its own
+grouping.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -33,12 +38,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro import cli  # noqa: E402
 from repro.cache import state  # noqa: E402
 from repro.cache.kernels import array  # noqa: E402
+from repro.cmp.engine import BatchedEngine, SoloEngine, VectorEngine  # noqa: E402
 
 TABLES = {
     "hit": state._HIT_KERNELS,
     "observe_many": state._OBSERVE_MANY_KERNELS,
     "array": array._ARRAY_KERNELS,
 }
+ENGINES = (VectorEngine, SoloEngine, BatchedEngine)
 
 
 def _counting(factory, counts, kind):
@@ -51,9 +58,21 @@ def _counting(factory, counts, kind):
     return build
 
 
+def _counting_run(run, counts, name):
+    def counted(self):
+        counts[name] += 1
+        return run(self)
+
+    return counted
+
+
 def measure(scale: str) -> dict:
-    """Builds per table per kind over one cold serial report run."""
+    """Builds per table per kind, and runs per engine, over one cold
+    serial report run."""
     builds = {}
+    runs = dict.fromkeys((engine.name for engine in ENGINES), 0)
+    for engine in ENGINES:
+        engine.run = _counting_run(engine.run, runs, engine.name)
     for name, table in TABLES.items():
         builds[name] = counts = dict.fromkeys(table, 0)
         for kind, factory in table.items():
@@ -67,7 +86,8 @@ def measure(scale: str) -> dict:
         raise SystemExit(f"report run --scale {scale} exited {status}")
     return {"scale": scale,
             "wall_s": round(time.perf_counter() - start, 1),
-            "builds": builds}
+            "builds": builds,
+            "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -82,6 +102,11 @@ def main(argv=None) -> int:
     if unused:
         print(f"kernel kinds with zero builds at {args.scale}: "
               f"{', '.join(unused)}", file=sys.stderr)
+        return 1
+    array_builds = sum(result["builds"]["array"].values())
+    if array_builds != result["runs"]["vector"]:
+        print(f"{result['runs']['vector']} vector runs but {array_builds} "
+              f"array-kernel builds at {args.scale}", file=sys.stderr)
         return 1
     return 0
 
