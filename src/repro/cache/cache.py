@@ -9,8 +9,9 @@ mask before consulting the replacement policy, and a miss never refuses:
 the candidate mask supplied by the enforcement scheme is always nonzero.
 
 The hot entry point :meth:`access_line_hit` is bound at construction to a
-policy-specialised *kernel* (see :mod:`repro.cache.state`) that inlines the
-policy's flat-state transitions with locals-bound array operations; the
+policy-specialised *kernel* (rendered by :mod:`repro.cache.transitions`) that
+inlines the policy's flat-state transitions with locals-bound array
+operations; the
 generic object-protocol path serves every policy without a kernel kind —
 the extension policies, user subclasses — and is the reference the kernels
 are pinned against in ``tests/test_cache``.
@@ -30,11 +31,8 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.base import PartitionScheme
 from repro.cache.replacement.base import ReplacementPolicy, make_policy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.state import (
-    TagStore,
-    build_hit_kernel,
-    build_set_run_kernel,
-)
+from repro.cache import transitions
+from repro.cache.state import TagStore, build_set_run_kernel, kernel_key
 
 
 class AccessResult(NamedTuple):
@@ -168,12 +166,16 @@ class SetAssociativeCache:
         self._full_mask = (1 << geometry.assoc) - 1
         self.state = TagStore(geometry.num_sets, geometry.assoc)
         self.stats = CacheStats(num_cores)
-        if kernels:
-            kernel = build_hit_kernel(self)
-            if kernel is not None:
-                # Shadow the method: every caller (engines, benches, bulk
-                # paths) gets the locals-bound kernel transparently.
-                self.access_line_hit = kernel
+        #: ``(key, kernel)`` of the rendered kernel bound below, if any —
+        #: what tells the batched engine that (and which) fused event
+        #: loop is exact for this cache (:func:`repro.cache.state.kernel_key`).
+        self.kernel = None
+        key = kernel_key(self) if kernels else None
+        if key is not None:
+            # Shadow the method: every caller (engines, benches, bulk
+            # paths) gets the locals-bound kernel transparently.
+            self.access_line_hit = transitions.bind("hit", key, self)
+            self.kernel = (key, self.access_line_hit)
 
     # ------------------------------------------------------------------
     def access(self, addr: int, core: int = 0) -> AccessResult:
@@ -237,7 +239,8 @@ class SetAssociativeCache:
         an :class:`AccessResult` — the simulator hot path (millions of
         calls).  Instances whose policy declares a kernel kind (LRU, NRU,
         BT) shadow this method with a policy-specialised kernel
-        (:func:`repro.cache.state.build_hit_kernel`) at construction; this
+        (the ``hit`` rendering of :mod:`repro.cache.transitions`) at
+        construction; this
         generic body is the fallback and the reference the kernels are
         pinned against (``test_state.py``).
         """

@@ -15,23 +15,22 @@ Two pieces live here:
   path (numpy scalar indexing boxes a fresh object per element access).
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
-* the **access kernels** — specialisations of
-  ``SetAssociativeCache.access_line_hit`` and ``ATD.observe_many`` for
-  the three paper policies (LRU, NRU, BT; every other policy runs the
-  generic object-protocol methods), built as closures whose free
-  variables bind every hot array and counter once, at construction.
-  A kernel performs *exactly* the seed state transitions
-  (same victim choices, same statistics, same partition hooks in the same
-  order) with locals-bound array operations instead of per-access attribute
-  chases and dynamic method dispatch; the hottest policies (LRU, NRU) get a
-  further unpartitioned variant with every partition branch compiled out.
-  Those two are the only hand-written transition sites here: the window
-  kernel (:func:`build_set_run_kernel`) and the single-access ATD
-  ``observe`` (:func:`derive_observe_kernel`) are policy-independent loops
-  over them.  Equivalence with the generic object-protocol paths is
-  pinned by ``tests/test_cache/test_state.py`` and with the seed
-  per-object implementations by
-  ``tests/test_cache/test_flat_equivalence.py``.
+* the **kernel builders** — ``SetAssociativeCache.access_line_hit`` and
+  ``ATD.observe_many`` specialisations for the three paper policies (LRU,
+  NRU, BT; every other policy runs the generic object-protocol methods).
+  No transition body is written here: :func:`kernel_key` and
+  :func:`build_observe_many_kernel` decide *whether* a rendering is exact
+  for the instance at hand, and the cache / ATD bind the one
+  :mod:`repro.cache.transitions` renders from the policy's single
+  transition spec — closures whose free variables bind every hot array
+  and counter once, at construction, performing *exactly* the seed state
+  transitions (same victim choices, same statistics, same partition
+  bookkeeping in the same order).  The window kernel
+  (:func:`build_set_run_kernel`) and the single-access ATD ``observe``
+  (:func:`derive_observe_kernel`) are policy-independent loops over
+  them.  Equivalence with the generic object-protocol paths is pinned by
+  ``tests/test_cache/test_state.py`` and with the seed per-object
+  implementations by ``tests/test_cache/test_flat_equivalence.py``.
 
 The kernels rely on invariants the cache/ATD maintain by construction:
 
@@ -45,15 +44,17 @@ The kernels rely on invariants the cache/ATD maintain by construction:
 
 from __future__ import annotations
 
-from math import ceil
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.partition.base import PartitionScheme
+from repro.cache import transitions
+from repro.cache.partition.btvectors import BTVectorPartition
+from repro.cache.partition.masks import MasksPartition
+from repro.cache.partition.owner_counters import OwnerCountersPartition
 
-__all__ = ["TagStore", "build_hit_kernel", "build_observe_many_kernel",
-           "build_set_run_kernel", "derive_observe_kernel"]
+__all__ = ["TagStore", "build_observe_many_kernel", "build_set_run_kernel",
+           "derive_observe_kernel", "kernel_key"]
 
 
 class TagStore:
@@ -153,357 +154,33 @@ class TagStore:
 
 
 # ----------------------------------------------------------------------
-# Partition binding helpers
+# Rendered kernels (access_line_hit / observe_many specialisations)
 # ----------------------------------------------------------------------
-def _bind_on_fill(partition) -> Optional[Callable]:
-    """Partition fill hook, or None when it is the base-class no-op."""
-    if partition is None:
-        return None
-    if type(partition).on_fill is PartitionScheme.on_fill:
-        return None
-    return partition.on_fill
+# A rendering inlines the *stock* bodies of the policy, the enforcement
+# scheme and the profiler, so it only engages for exactly those: the
+# policy by its declared ``kernel_kind`` (a subclass changing semantics
+# must redeclare it — the ``kernel-kind-override`` lint rule), the scheme
+# and the profiler by exact type, so a subclass overriding
+# ``candidate_mask`` / ``reset_domain`` / ``on_fill`` / ``on_hit`` is never
+# silently bypassed.  Everything else runs the generic object-protocol
+# methods.
 
-
-def _bind_reset_domain(partition) -> Optional[Callable]:
-    """Partition reset-domain hook, or None when it returns None anyway."""
-    if partition is None:
-        return None
-    if type(partition).reset_domain is PartitionScheme.reset_domain:
-        return None
-    return partition.reset_domain
-
-
-# ----------------------------------------------------------------------
-# Cache access kernels (access_line_hit specialisations)
-# ----------------------------------------------------------------------
-# Every kernel follows the same shape as the generic
-# ``SetAssociativeCache.access_line_hit`` method:
-#
-#   hit  : policy touch (inlined)                                -> True
-#   miss : candidate mask -> invalid way | policy victim (inlined)
-#          -> evict -> install -> partition.on_fill
-#          -> policy touch_fill (inlined) [-> NRU pointer rotate] -> False
-#
-# The policy promote may be inlined before the install/on_fill steps when
-# they commute (the policy never reads tag or partition state and the
-# partition never reads recency state); the *decision sequence* — victims,
-# evictions, every observable counter — is identical to the seed.
-
-def _lru_hit_kernel(cache):
-    """LRU: flat MRU-first order arrays, O(1) full-mask victim."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    lines = store.lines
-    invalid = store.invalid
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    present = policy._present
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-
-    if partition is None:
-        end_ofs = assoc
-        def access_line_hit(line, core=0):
-            accesses[core] += 1
-            way = tag_get(line)
-            s = line & set_mask
-            base = s * assoc
-            if way is not None:
-                # A present way occurs exactly once, in the live prefix of
-                # the segment, and list.index returns the first match — so
-                # the search may run to the segment end without reading
-                # _size (stale slots beyond the prefix come later).
-                pos = order_index(way, base, base + end_ofs)
-                if pos != base:
-                    order[base + 1:pos + 1] = order[base:pos]
-                    order[base] = way
-                return True
-            misses[core] += 1
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-                fills_invalid[core] += 1
-                sz = size[s]
-                order[base + 1:base + sz + 1] = order[base:base + sz]
-                order[base] = way
-                size[s] = sz + 1
-                present[s] |= 1 << way
-            else:
-                i = base + assoc - 1
-                way = order[i]
-                del tag_map[lines[base + way]]
-                order[base + 1:i + 1] = order[base:i]
-                order[base] = way
-            lines[base + way] = line
-            tag_map[line] = way
-            return False
-
-        return access_line_hit
-
-    get_mask = partition.candidate_mask
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        way = tag_get(line)
-        s = line & set_mask
-        base = s * assoc
-        if way is not None:
-            pos = order_index(way, base, base + size[s])
-            if pos != base:
-                order[base + 1:pos + 1] = order[base:pos]
-                order[base] = way
-            return True
-        misses[core] += 1
-        mask = get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-            sz = size[s]
-            order[base + 1:base + sz + 1] = order[base:base + sz]
-            order[base] = way
-            size[s] = sz + 1
-            present[s] |= 1 << way
-        else:
-            i = base + size[s] - 1
-            way = order[i]
-            while not (mask >> way) & 1:
-                i -= 1
-                way = order[i]
-            del tag_map[lines[base + way]]
-            if i != base:
-                order[base + 1:i + 1] = order[base:i]
-                order[base] = way
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        return False
-
-    return access_line_hit
-
-
-def _nru_hit_kernel(cache):
-    """NRU: used-bit set/reset and the rotating global pointer, inline."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    lines = store.lines
-    invalid = store.invalid
-    used_l = policy._used
-    pointer = policy._pointer_box
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-
-    if partition is None:
-        # Unpartitioned: the reset domain is always the whole set, so the
-        # used-bit rule collapses to "reset to just this bit on saturation".
-        def access_line_hit(line, core=0):
-            accesses[core] += 1
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                bit = 1 << way
-                used = used_l[s] | bit
-                used_l[s] = bit if used == full_mask else used
-                return True
-            misses[core] += 1
-            base = s * assoc
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-                fills_invalid[core] += 1
-                used = used_l[s]
-            else:
-                used = used_l[s]
-                if used == full_mask:
-                    used = 0
-                # First free way cyclically from the pointer (identical to
-                # the seed's walk: wrap to the lowest free way overall).
-                hi = (full_mask & ~used) >> pointer[0]
-                if hi:
-                    way = pointer[0] + (hi & -hi).bit_length() - 1
-                else:
-                    free = full_mask & ~used
-                    way = (free & -free).bit_length() - 1
-                del tag_map[lines[base + way]]
-            lines[base + way] = line
-            tag_map[line] = way
-            bit = 1 << way
-            used |= bit
-            used_l[s] = bit if used == full_mask else used
-            p = pointer[0] + 1
-            pointer[0] = p if p < assoc else 0
-            return False
-
-        return access_line_hit
-
-    get_mask = partition.candidate_mask
-    get_domain = _bind_reset_domain(partition)
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        way = tag_get(line)
-        s = line & set_mask
-        if way is not None:
-            if get_domain is None:
-                domain = full_mask
-            else:
-                domain = get_domain(core)
-                if domain is None:
-                    domain = full_mask
-            used = used_l[s] | (1 << way)
-            if domain and (used & domain) == domain:
-                used &= ~domain
-                used |= 1 << way
-            used_l[s] = used
-            return True
-        misses[core] += 1
-        base = s * assoc
-        mask = get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-        else:
-            used = used_l[s]
-            if (used & mask) == mask:
-                used &= ~mask
-                used_l[s] = used
-            # First used-bit-clear candidate cyclically from the pointer
-            # (identical to the seed's bounded walk).
-            free = mask & ~used
-            hi = free >> pointer[0]
-            if hi:
-                way = pointer[0] + (hi & -hi).bit_length() - 1
-            else:
-                way = (free & -free).bit_length() - 1
-            del tag_map[lines[base + way]]
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        # touch_fill == touch for NRU, then the global pointer rotates.
-        if get_domain is None:
-            domain = full_mask
-        else:
-            domain = get_domain(core)
-            if domain is None:
-                domain = full_mask
-        used = used_l[s] | (1 << way)
-        if domain and (used & domain) == domain:
-            used &= ~domain
-            used |= 1 << way
-        used_l[s] = used
-        p = pointer[0] + 1
-        pointer[0] = p if p < assoc else 0
-        return False
-
-    return access_line_hit
-
-
-def _bt_hit_kernel(cache):
-    """BT: O(1) integer-mask promote; table-driven victim traversal."""
-    policy = cache.policy
-    store = cache.state
-    set_mask = store.num_sets - 1
-    assoc = store.assoc
-    full_mask = store.full_mask
-    tag_map = store.map
-    tag_get = tag_map.get
-    lines = store.lines
-    invalid = store.invalid
-    tree = policy._tree
-    keep = policy._touch_keep
-    setb = policy._touch_set
-    table = policy._victim_table
-    force_map = policy._force
-    victim = policy.victim
-    stats = cache.stats
-    accesses = stats.accesses
-    misses = stats.misses
-    fills_invalid = stats.fills_invalid
-    partition = cache.partition
-    get_mask = partition.candidate_mask if partition is not None else None
-    on_fill = _bind_on_fill(partition)
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        way = tag_get(line)
-        s = line & set_mask
-        if way is not None:
-            tree[s] = (tree[s] & keep[way]) | setb[way]
-            return True
-        misses[core] += 1
-        base = s * assoc
-        mask = full_mask if get_mask is None else get_mask(s, core)
-        inv = invalid[s] & mask
-        if inv:
-            way = (inv & -inv).bit_length() - 1
-            invalid[s] &= ~(1 << way)
-            fills_invalid[core] += 1
-        else:
-            if force_map or table is None:
-                way = victim(s, core, mask)
-            else:
-                way = table[tree[s]]
-            # The BT traversal ignores the candidate mask (enforcement is
-            # the force vectors), so the victim can land on an invalid way
-            # *outside* the mask — fill it rather than evict.
-            old = lines[base + way]
-            if old >= 0:
-                del tag_map[old]
-            else:
-                invalid[s] &= ~(1 << way)
-                fills_invalid[core] += 1
-        lines[base + way] = line
-        tag_map[line] = way
-        if on_fill is not None:
-            on_fill(s, way, core)
-        tree[s] = (tree[s] & keep[way]) | setb[way]
-        return False
-
-    return access_line_hit
-
-
-_HIT_KERNELS = {
-    "lru": _lru_hit_kernel,
-    "nru": _nru_hit_kernel,
-    "bt": _bt_hit_kernel,
+_STOCK_SCHEMES = {
+    type(None): "none",
+    MasksPartition: "masks",
+    OwnerCountersPartition: "counters",
+    BTVectorPartition: "btvectors",
 }
 
 
-def build_hit_kernel(cache) -> Optional[Callable]:
-    """Specialised ``access_line_hit`` for the cache's policy, or None.
-
-    Policies advertise their state layout through ``kernel_kind``; an empty
-    kind (e.g. a user subclass that changes semantics) falls back to the
-    generic object-protocol path.
-    """
-    factory = _HIT_KERNELS.get(getattr(cache.policy, "kernel_kind", ""))
-    return None if factory is None else factory(cache)
+def kernel_key(cache) -> Optional[Tuple[str, str]]:
+    """``(policy kind, scheme name)`` of the rendering that is exact for
+    ``cache``, or None when it must stay on the generic path."""
+    kind = getattr(cache.policy, "kernel_kind", "")
+    scheme = _STOCK_SCHEMES.get(type(cache.partition))
+    if kind not in transitions.POLICIES or scheme is None:
+        return None
+    return kind, scheme
 
 
 # ----------------------------------------------------------------------
@@ -546,239 +223,28 @@ def build_set_run_kernel(cache, core: int = 0) -> Callable:
 # ----------------------------------------------------------------------
 # ATD observe kernels
 # ----------------------------------------------------------------------
-# Same discipline as the cache kernels: the sampled path inlines the
-# profiler's interpretation of the flat policy state (the paper's exact /
-# estimated stack distances) followed by the policy promote, the miss path
-# the fill.  The ATD always runs full-mask, single-core, no partition.
-# The sampled/skipped counters are a 2-slot list (``atd._counts``) so the
-# kernels bump them as locals-bound list writes.
-#
-# The per-policy transition is written once, as the *batch* kernel
-# ``observe_many(lines)``: it drains a buffered run of one thread's
-# L2-reaching line addresses — sampling filter, SDH update, promote or
-# fill per line — with the per-call overhead (argument parsing, closure
-# entry) amortised over the whole buffer.  The execution engines buffer
-# each thread's stream and drain at controller boundaries / run end, which
-# is exact because ATD state is a pure function of the *own-thread* stream
-# prefix and is only read at those drain points (see
-# ``docs/architecture.md`` for the full argument).  The single-access
-# ``observe`` of a kernelised ATD is derived from it — a one-line batch
-# behind the sampling filter — so the two cannot drift apart; equivalence
-# with the generic object-protocol path is pinned by
+# The ``observe`` rendering is the *batch* kernel ``observe_many(lines)``:
+# it drains a buffered run of one thread's L2-reaching line addresses —
+# sampling filter, the profiler's SDH read of the pre-access state,
+# promote or fill per line — with the per-call overhead amortised over
+# the whole buffer.  The execution engines buffer each thread's stream
+# and drain at controller boundaries / run end, which is exact because
+# ATD state is a pure function of the *own-thread* stream prefix and is
+# only read at those drain points (see ``docs/architecture.md``).  The
+# single-access ``observe`` of a kernelised ATD is derived from it — a
+# one-line batch behind the sampling filter — so the two cannot drift
+# apart; equivalence with the generic object-protocol path is pinned by
 # ``tests/test_cmp/test_solo_engine.py`` and
 # ``tests/test_profiling/test_atd.py``.
 
-def _atd_common(atd):
-    store = atd.state
-    return (store.map, store.lines, store.invalid, atd._counts,
-            atd._l2_set_mask, atd._skip_mask,
-            atd.sampling.bit_length() - 1, atd.assoc,
-            atd.sdh._r, atd.assoc + 1)
-
-
-def _lru_observe_many_kernel(atd):
-    """Exact stack positions read straight off the flat recency order."""
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    policy = atd.policy
-    order = policy._order
-    order_index = order.index
-    size = policy._size
-    present = policy._present
-    tag_get = tag_map.get
-
-    def observe_many(batch):
-        sampled = 0
-        skipped = 0
-        for line in batch:
-            if line & skip_mask:
-                skipped += 1
-                continue
-            sampled += 1
-            way = tag_get(line)
-            s = (line & l2_set_mask) >> set_shift
-            base = s * assoc
-            if way is not None:
-                # Profiler first (pre-access state), then promote: the
-                # stack position is the way's index in the MRU-first order.
-                pos = order_index(way, base, base + size[s])
-                sdh_r[pos - base + 1] += 1
-                if pos != base:
-                    order[base + 1:pos + 1] = order[base:pos]
-                    order[base] = way
-                continue
-            sdh_r[miss_reg] += 1
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-                sz = size[s]
-                order[base + 1:base + sz + 1] = order[base:base + sz]
-                order[base] = way
-                size[s] = sz + 1
-                present[s] |= 1 << way
-            else:
-                i = base + assoc - 1
-                way = order[i]
-                old = lines[base + way]
-                if old >= 0:
-                    del tag_map[old]
-                order[base + 1:i + 1] = order[base:i]
-                order[base] = way
-            lines[base + way] = line
-            tag_map[line] = way
-        counts[0] += sampled
-        counts[1] += skipped
-
-    return observe_many
-
-
-def _nru_observe_many_kernel(atd):
-    """The paper's eSDH estimate from the flat used-bit masks (§III-A)."""
-    profiler = atd.profiler
-    if profiler.spread_update:
-        return None            # literal-reading ablation: generic path
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    policy = atd.policy
-    used_l = policy._used
-    pointer = policy._pointer_box
-    full_mask = policy.full_mask
-    scaling = profiler.scaling
-    exact_scaling = scaling == 1.0
-    tag_get = tag_map.get
-    ceil_fn = ceil
-
-    def observe_many(batch):
-        sampled = 0
-        skipped = 0
-        for line in batch:
-            if line & skip_mask:
-                skipped += 1
-                continue
-            sampled += 1
-            way = tag_get(line)
-            s = (line & l2_set_mask) >> set_shift
-            if way is not None:
-                used = used_l[s]
-                if (used >> way) & 1:
-                    # d = ceil(S * U), U counting the accessed line (its
-                    # used bit is already 1 here); hits on a clear used
-                    # bit skip the SDH update (constant-offset argument,
-                    # §III-A).
-                    if exact_scaling:
-                        distance = used.bit_count()
-                    else:
-                        distance = ceil_fn(scaling * used.bit_count())
-                        if distance < 1:
-                            distance = 1
-                    sdh_r[distance] += 1
-                used |= 1 << way
-                used_l[s] = (1 << way) if used == full_mask else used
-                continue
-            sdh_r[miss_reg] += 1
-            base = s * assoc
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-                used = used_l[s]
-            else:
-                used = used_l[s]
-                if used == full_mask:
-                    used = 0
-                hi = (full_mask & ~used) >> pointer[0]
-                if hi:
-                    way = pointer[0] + (hi & -hi).bit_length() - 1
-                else:
-                    free = full_mask & ~used
-                    way = (free & -free).bit_length() - 1
-                old = lines[base + way]
-                if old >= 0:
-                    del tag_map[old]
-            lines[base + way] = line
-            tag_map[line] = way
-            bit = 1 << way
-            used |= bit
-            used_l[s] = bit if used == full_mask else used
-            p = pointer[0] + 1
-            pointer[0] = p if p < assoc else 0
-        counts[0] += sampled
-        counts[1] += skipped
-
-    return observe_many
-
-
-def _bt_observe_many_kernel(atd):
-    """The paper's BT eSDH: ``d = A − (ID ⊕ path)`` off the tree masks."""
-    (tag_map, lines, invalid, counts, l2_set_mask, skip_mask, set_shift,
-     assoc, sdh_r, miss_reg) = _atd_common(atd)
-    policy = atd.policy
-    tree = policy._tree
-    keep = policy._touch_keep
-    setb = policy._touch_set
-    path_spec = policy._path_spec
-    table = policy._victim_table
-    force_map = policy._force
-    victim = policy.victim
-    full_mask = policy.full_mask
-    tag_get = tag_map.get
-
-    def observe_many(batch):
-        sampled = 0
-        skipped = 0
-        for line in batch:
-            if line & skip_mask:
-                skipped += 1
-                continue
-            sampled += 1
-            way = tag_get(line)
-            s = (line & l2_set_mask) >> set_shift
-            if way is not None:
-                t = tree[s]
-                path = 0
-                for bit_index, out_shift in path_spec[way]:
-                    path |= ((t >> bit_index) & 1) << out_shift
-                sdh_r[assoc - (path ^ way)] += 1
-                tree[s] = (t & keep[way]) | setb[way]
-                continue
-            sdh_r[miss_reg] += 1
-            base = s * assoc
-            inv = invalid[s]
-            if inv:
-                way = (inv & -inv).bit_length() - 1
-                invalid[s] = inv & ~(1 << way)
-            else:
-                if force_map or table is None:
-                    way = victim(s, 0, full_mask)
-                else:
-                    way = table[tree[s]]
-                old = lines[base + way]
-                if old >= 0:
-                    del tag_map[old]
-            lines[base + way] = line
-            tag_map[line] = way
-            tree[s] = (tree[s] & keep[way]) | setb[way]
-        counts[0] += sampled
-        counts[1] += skipped
-
-    return observe_many
-
-
-_OBSERVE_MANY_KERNELS = {
-    "lru": _lru_observe_many_kernel,
-    "nru": _nru_observe_many_kernel,
-    "bt": _bt_observe_many_kernel,
-}
-
-
 def build_observe_many_kernel(atd) -> Optional[Callable]:
-    """Specialised batch ``ATD.observe_many`` for the ATD's policy, or None.
+    """Rendered batch ``ATD.observe_many`` for the ATD's policy, or None.
 
-    A kernel inlines the *standard* profiler's interpretation of the flat
-    state, so it only engages when the ATD runs the stock
+    The rendering inlines the *stock* profiler's interpretation of the
+    flat state, so it only engages when the ATD runs exactly the stock
     :class:`~repro.profiling.profilers.DistanceProfiler` for its policy —
-    a custom profiler (tests, ablations) keeps the generic per-line path.
+    a custom profiler (tests, ablations) and NRU's literal-reading
+    ``spread_update`` keep the generic per-line path.
     """
     from repro.profiling.profilers import (
         BTDistanceProfiler,
@@ -786,12 +252,14 @@ def build_observe_many_kernel(atd) -> Optional[Callable]:
         NRUDistanceProfiler,
     )
 
-    expected = {"lru": LRUDistanceProfiler, "nru": NRUDistanceProfiler,
-                "bt": BTDistanceProfiler}
+    stock = {"lru": LRUDistanceProfiler, "nru": NRUDistanceProfiler,
+             "bt": BTDistanceProfiler}
     kind = getattr(atd.policy, "kernel_kind", "")
-    if kind not in expected or type(atd.profiler) is not expected[kind]:
+    profiler = atd.profiler
+    if (type(profiler) is not stock.get(kind)
+            or getattr(profiler, "spread_update", False)):
         return None
-    return _OBSERVE_MANY_KERNELS[kind](atd)
+    return transitions.bind("observe", (kind, "none"), atd)
 
 
 def derive_observe_kernel(atd, observe_many) -> Callable:

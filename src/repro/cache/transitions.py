@@ -1,0 +1,491 @@
+"""One transition spec per paper policy, rendered into every hot kernel.
+
+The paper's replacement decisions are a handful of bit operations — a
+used-bit OR with a reset confined to the core's mask (§III-A), a tree-bit
+update with ``up``/``down`` vectors forcing a prefix of levels (§III-B) —
+small per-set automata in the sense of arXiv:1811.01740.  This module
+declares each **once**, as source fragments over the flat ``PolicyState``
+/ ``TagStore`` arrays, and composes three kernels from the same text:
+
+* ``hit`` — ``access_line_hit(line, core=0)``, one call per L2 access;
+* ``observe`` — ``observe_many(batch)``, one call per ATD drain;
+* ``loop`` — the event loop of ``BatchedEngine.run``, one call per run.
+
+:data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
+*fill an invalid way*, *choose a victim under a mask* (for LRU including
+its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
+read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
+scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
+bookkeeping (``none`` is simply the scheme whose mask and domain are
+``full_mask``); :data:`TEMPLATES` holds the three kernel skeletons, the
+miss path they share, and the two access blocks of the event loop: the
+*fused* one inlines the L2 transition, the *call* one (key ``None``)
+goes through ``l2.access_line_hit`` / ``access_line_rw`` and an
+immediate observer — the form every kernel-less policy, write trace,
+custom observer and non-stock scheme gets.  Who gets which is decided by
+the callers from what they can observe
+(:func:`repro.cache.state.kernel_key`), never by an option.
+
+A line holding only ``$slot`` is replaced by that fragment at the line's
+indentation (recursively); ``$line``, ``$core`` and ``$set`` are the
+access's line address, core and set index in the rendering at hand.
+Rendering is checked — an unknown slot or placeholder raises, the
+closure may load no global and no attribute beyond :data:`PURE_ATTRS`,
+none of its locals may shadow a factory binding — and lazy: a key is
+rendered, compiled and registered in :mod:`linecache` (tracebacks and
+``inspect.getsource`` show real lines) on its first :func:`bind`, once
+per process.  The tables are literals on purpose: ``repro lint`` reads
+them without importing this module and holds every rendering to the
+``hot-path-purity`` contract.  The policy, scheme and profiler classes
+and ``tests/seed_reference.py`` stay hand-written: they are the oracle
+side every rendering is pinned against (``tests/test_cache/test_state.py``,
+``tests/test_cmp/test_fused_loop.py``, the fuzz oracle).
+"""
+
+from __future__ import annotations
+
+import linecache
+import re
+from functools import lru_cache
+from math import ceil
+from string import Template
+from typing import Callable, Dict, Iterator, Optional, Tuple
+
+__all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PURE_ATTRS", "bind",
+           "render", "rendered_sources", "source_name"]
+
+#: Attribute loads a kernel closure may perform: C-level int methods.
+PURE_ATTRS = frozenset({"bit_length", "bit_count"})
+
+POLICIES = {
+    "lru": {
+        # Exact LRU: flat MRU-first order segments.  A present way occurs
+        # exactly once, in the live prefix of its segment, and list.index
+        # returns the first match — so the search runs to the segment end
+        # without reading ``size`` (stale slots come after the live copy).
+        "bind": """\
+order = policy._order
+order_index = order.index
+size = policy._size
+present = policy._present""",
+        "locate": """\
+row = $set * assoc
+pos = order_index(way, row, row + assoc)""",
+        "promote": """\
+if pos != row:
+    order[row + 1:pos + 1] = order[row:pos]
+    order[row] = way""",
+        "fill_invalid": """\
+sz = size[$set]
+order[row + 1:row + sz + 1] = order[row:row + sz]
+order[row] = way
+size[$set] = sz + 1
+present[$set] |= 1 << way""",
+        # Deepest member of the mask, rotated to MRU in the same step.
+        "victim": """\
+i = row + size[$set] - 1
+way = order[i]
+while not (mask >> way) & 1:
+    i -= 1
+    way = order[i]
+order[row + 1:i + 1] = order[row:i]
+order[row] = way""",
+        "victim_in_mask": True,
+        "fill": "",
+        # Exact stack position: the way's index in the order (§II-A).
+        "sdh": "sdh_r[pos - row + 1] += 1",
+        "bind_sdh": "",
+    },
+    "nru": {
+        "bind": """\
+used_l = policy._used
+pointer = policy._pointer_box""",
+        "locate": "",
+        # Set the used bit; when the whole reset domain is then set, clear
+        # it except the accessed line (§III-A).
+        "promote": """\
+$domain
+used = used_l[$set] | (1 << way)
+if (used & domain) == domain:
+    used = (used & ~domain) | (1 << way)
+used_l[$set] = used""",
+        "fill_invalid": "",
+        # First used-bit-clear candidate cyclically from the global
+        # pointer (wrapping to the lowest one overall).
+        "victim": """\
+used = used_l[$set]
+if (used & mask) == mask:
+    used &= ~mask
+    used_l[$set] = used
+free = mask & ~used
+hi = free >> pointer[0]
+if hi:
+    way = pointer[0] + (hi & -hi).bit_length() - 1
+else:
+    way = (free & -free).bit_length() - 1""",
+        "victim_in_mask": True,
+        "fill": """\
+$promote
+p = pointer[0] + 1
+pointer[0] = p if p < assoc else 0""",
+        # eSDH: d = ceil(S * U), U counting the accessed line, only when
+        # its used bit is already 1 (constant-offset argument, §III-A).
+        "sdh": """\
+used = used_l[$set]
+if (used >> way) & 1:
+    if exact_scaling:
+        sdh_r[used.bit_count()] += 1
+    else:
+        distance = ceil_fn(scaling * used.bit_count())
+        sdh_r[distance if distance > 1 else 1] += 1""",
+        "bind_sdh": """\
+scaling = profiler.scaling
+exact_scaling = scaling == 1.0
+ceil_fn = ceil""",
+    },
+    "bt": {
+        "bind": """\
+tree = policy._tree
+keep = policy._touch_keep
+setb = policy._touch_set
+table = policy._victim_table
+force_map = policy._force
+bt_victim = policy.victim""",
+        "locate": "",
+        "promote": "tree[$set] = (tree[$set] & keep[way]) | setb[way]",
+        "fill_invalid": "",
+        # The traversal ignores the candidate mask (enforcement is the
+        # force vectors), so the victim may be an invalid way outside it.
+        "victim": """\
+if force_map or table is None:
+    way = bt_victim($set, $core, mask)
+else:
+    way = table[tree[$set]]""",
+        "victim_in_mask": False,
+        "fill": "$promote",
+        # eSDH: d = A - (ID xor path) off the tree word (§III-B).
+        "sdh": """\
+word = tree[$set]
+path = 0
+for bit_index, out_shift in path_spec[way]:
+    path |= ((word >> bit_index) & 1) << out_shift
+sdh_r[assoc - (path ^ way)] += 1""",
+        "bind_sdh": "path_spec = policy._path_spec",
+    },
+}
+
+SCHEMES = {
+    "none": {
+        "bind": "",
+        "mask": "mask = full_mask",
+        "domain": "domain = full_mask",
+        "on_fill": "",
+    },
+    "masks": {
+        "bind": "masks = partition._masks",
+        "mask": "mask = masks[$core]",
+        "domain": "domain = masks[$core]",
+        "on_fill": "",
+    },
+    "btvectors": {
+        "bind": "masks = partition._masks",
+        "mask": "mask = masks[$core]",
+        "domain": "domain = full_mask",
+        "on_fill": "",
+    },
+    "counters": {
+        "bind": """\
+quota = partition._quota
+owner_l = partition._owner
+owned_l = partition._owned
+ncores = partition.num_cores""",
+        # Below quota: a foreign (or invalid) way if any; else an own one.
+        "mask": """\
+owned = owned_l[$set * ncores + $core]
+if owned.bit_count() < quota[$core]:
+    mask = (full_mask & ~owned) or owned
+else:
+    mask = owned or full_mask""",
+        "domain": "domain = full_mask",
+        "on_fill": """\
+previous = owner_l[row + way]
+if previous != $core:
+    if previous >= 0:
+        owned_l[$set * ncores + previous] &= ~(1 << way)
+    owner_l[row + way] = $core
+    owned_l[$set * ncores + $core] |= 1 << way""",
+    },
+}
+
+TEMPLATES = {
+    "bind_tags": """\
+tag_map = store.map
+tag_get = tag_map.get
+tag_lines = store.lines
+invalid = store.invalid
+assoc = store.assoc
+full_mask = store.full_mask""",
+    "bind_cache": """\
+store = cache.state
+policy = cache.policy
+partition = cache.partition
+$bind_tags
+set_mask = store.num_sets - 1
+stats = cache.stats
+accesses = stats.accesses
+misses = stats.misses
+fills_invalid = stats.fills_invalid
+$bind
+$bind_scheme""",
+    # Shared miss path: invalid way in the mask, else the policy's victim;
+    # install; scheme bookkeeping; promote.  (The promote commutes with
+    # install / on_fill: the policy never reads tag or partition state.)
+    "miss": """\
+row = $set * assoc
+$mask
+inv = invalid[$set] & mask
+if inv:
+    way = (inv & -inv).bit_length() - 1
+    invalid[$set] &= ~(1 << way)
+    $count_fill
+    $fill_invalid
+else:
+    $victim
+    $evict
+tag_lines[row + way] = $line
+tag_map[$line] = way
+$on_fill
+$fill""",
+    "evict_in_mask": "del tag_map[tag_lines[row + way]]",
+    "evict_any": """\
+old = tag_lines[row + way]
+if old >= 0:
+    del tag_map[old]
+else:
+    invalid[$set] &= ~(1 << way)
+    $count_fill""",
+    "hit": """\
+def build(cache):
+    $bind_cache
+
+    def access_line_hit(line, core=0):
+        accesses[core] += 1
+        way = tag_get(line)
+        s = line & set_mask
+        if way is not None:
+            $locate
+            $promote
+            return True
+        misses[core] += 1
+        $miss
+        return False
+
+    return access_line_hit
+""",
+    # The ATD runs full-mask, single-core, unpartitioned: scheme ``none``,
+    # no statistics; the profiler reads the pre-access state, then promote.
+    "observe": """\
+def build(atd):
+    store = atd.state
+    policy = atd.policy
+    profiler = atd.profiler
+    $bind_tags
+    counts = atd._counts
+    l2_set_mask = atd._l2_set_mask
+    skip_mask = atd._skip_mask
+    set_shift = atd.sampling.bit_length() - 1
+    sdh_r = atd.sdh._r
+    miss_reg = assoc + 1
+    $bind
+    $bind_sdh
+
+    def observe_many(batch):
+        sampled = 0
+        skipped = 0
+        for line in batch:
+            if line & skip_mask:
+                skipped += 1
+                continue
+            sampled += 1
+            way = tag_get(line)
+            s = (line & l2_set_mask) >> set_shift
+            if way is not None:
+                $locate
+                $sdh
+                $promote
+                continue
+            sdh_r[miss_reg] += 1
+            $miss
+        counts[0] += sampled
+        counts[1] += skipped
+
+    return observe_many
+""",
+    # One heap event per L2 access (see repro.cmp.engine.batched for the
+    # exactness argument).  The float expressions and the (clock, thread)
+    # pop order are the reference engine's; only the L2 access differs
+    # between the fused and the call form.
+    "loop": """\
+def build(cache):
+    $bind_loop
+
+    def loop(now, t, heap, pushpop, horizon, beyond, freeze, resume, cur,
+             stop, anchor, lines, gaps, fz_at, fz_hit, base, l2_hit_pen,
+             mem_pen, request, victims, has_writes, observe_now):
+        wb_l1_to_l2 = 0
+        wb_l1_to_mem = 0
+        while True:
+            if now >= horizon:
+                horizon = beyond(now)
+            j = cur[t]
+            if j >= 0:
+                line = lines[t][j]
+                $access
+                anchor[t] = clock
+                j += 1
+                if j != stop[t]:
+                    cur[t] = j
+                    clock += gaps[t][j] * base[t]
+                else:
+                    if fz_at[t] == j - 1 and not freeze(t, clock, j):
+                        break
+                    clock = resume(t, j)
+            else:
+                # The freeze access is an L1 hit inside the pending gap.
+                j = ~j
+                if not freeze(t, anchor[t] + fz_hit[t] * base[t], j):
+                    break
+                clock = resume(t, j)
+            now, t = pushpop(heap, (clock, t))
+        return now, t, wb_l1_to_l2, wb_l1_to_mem
+
+    return loop
+""",
+    "access_fused": """\
+way = tag_get(line)
+s = line & set_mask
+if way is not None:
+    $locate
+    $promote
+    clock = now + base[t] + l2_hit_pen
+else:
+    misses[t] += 1
+    $miss
+    if request is not None:
+        clock = request(now + l2_hit_pen) + base[t]
+    else:
+        clock = now + base[t] + mem_pen""",
+    "bind_call": """\
+l2_access_hit = cache.access_line_hit
+l2_access_rw = cache.access_line_rw
+l2_write_back = cache.write_back_line""",
+    "access_call": """\
+if has_writes:
+    victim = victims[t][j]
+    if victim >= 0:
+        if l2_write_back(victim, t):
+            wb_l1_to_l2 += 1
+        else:
+            wb_l1_to_mem += 1
+    if observe_now is not None:
+        observe_now(t, line)
+    hit2 = l2_access_rw(line, t, False)
+else:
+    if observe_now is not None:
+        observe_now(t, line)
+    hit2 = l2_access_hit(line, t)
+if hit2:
+    clock = now + base[t] + l2_hit_pen
+elif request is not None:
+    clock = request(now + l2_hit_pen) + base[t]
+else:
+    clock = now + base[t] + mem_pen""",
+}
+
+#: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in all
+#: three); the ATD's ``observe`` is single-core and keeps no fill count.
+_CORE = {"hit": "core", "observe": "0", "loop": "t"}
+
+_SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
+
+Key = Optional[Tuple[str, str]]
+
+
+def source_name(rendering: str, key: Key) -> str:
+    """Stable pseudo-filename of a rendering (``<repro kernel …>``)."""
+    label = "call" if key is None else "/".join(key)
+    return f"<repro kernel {label} {rendering}>"
+
+
+def _expand(text: str, slots: Dict[str, str], indent: str = "") -> Iterator[str]:
+    for line in text.splitlines():
+        match = _SLOT_LINE.match(line)
+        if match is None:
+            yield indent + line if line else line
+        else:
+            yield from _expand(slots[match[2]], slots, indent + match[1])
+
+
+def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
+           templates=TEMPLATES) -> str:
+    """Source of one rendering: a ``build(owner)`` factory whose closure
+    is the kernel.  ``key`` is ``(policy kind, scheme name)``; ``None``
+    (``loop`` only) is the call form."""
+    slots = dict(templates)
+    if key is None:
+        slots.update(bind_loop=templates["bind_call"],
+                     access=templates["access_call"])
+    else:
+        policy, scheme = policies[key[0]], schemes[key[1]]
+        slots.update(policy)
+        slots.update(
+            scheme, bind=policy["bind"], bind_scheme=scheme["bind"],
+            bind_loop=templates["bind_cache"],
+            access=templates["access_fused"],
+            evict=templates["evict_in_mask" if policy["victim_in_mask"]
+                            else "evict_any"],
+            count_fill=("" if rendering == "observe"
+                        else "fills_invalid[$core] += 1"))
+    source = "\n".join(_expand(templates[rendering], slots)) + "\n"
+    return Template(source).substitute(core=_CORE[rendering], set="s",
+                                       line="line")
+
+
+def rendered_sources(policies=POLICIES, schemes=SCHEMES,
+                     templates=TEMPLATES) -> Iterator[Tuple[str, str]]:
+    """``(name, source)`` of every rendering there is: each policy x
+    scheme for ``hit`` and ``loop``, each policy for ``observe``, and the
+    call-form loop — what ``hot-path-purity`` checks."""
+    keys = [("observe", (kind, "none")) for kind in policies]
+    keys += [(rendering, (kind, scheme)) for kind in policies
+             for scheme in schemes for rendering in ("hit", "loop")]
+    for rendering, key in keys + [("loop", None)]:
+        yield (source_name(rendering, key),
+               render(rendering, key, policies, schemes, templates))
+
+
+@lru_cache(maxsize=None)
+def _factory(rendering: str, key: Key) -> Callable:
+    name = source_name(rendering, key)
+    source = render(rendering, key)
+    namespace = {"__builtins__": {}, "ceil": ceil}
+    exec(compile(source, name, "exec"), namespace)
+    build = namespace["build"].__code__
+    kernel = next(const for const in build.co_consts
+                  if hasattr(const, "co_freevars"))
+    impure = set(kernel.co_names) - PURE_ATTRS
+    shadowed = set(kernel.co_varnames) & set(build.co_varnames
+                                             + build.co_cellvars)
+    if impure or shadowed:
+        raise ValueError(
+            f"{name}: closure loads {sorted(impure)} / shadows "
+            f"{sorted(shadowed)}; fragments must use factory bindings only")
+    linecache.cache[name] = (len(source), None,
+                             source.splitlines(True), name)
+    return namespace["build"]
+
+
+def bind(rendering: str, key: Key, owner) -> Callable:
+    """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
+    (a cache for ``hit`` / ``loop``, an ATD for ``observe``)."""
+    return _factory(rendering, key)(owner)

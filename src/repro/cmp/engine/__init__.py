@@ -64,6 +64,7 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cmp/engine/solo.py",
     "repro/cmp/engine/vector.py",
     "repro/cache/state.py",
+    "repro/cache/transitions.py",
     "repro/cache/cache.py",
     "repro/cache/hierarchy.py",
     "repro/cache/kernels/__init__.py",
@@ -76,7 +77,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "b338c3f4749ad78b5d7fa991ca685a2752492644963d95dd4dd015ec4d482075"
+ENGINE_SOURCE_CHECKSUM = "6a50d212662fbdb53600a08371b126598a5409bd170d696264a11257a9ab54ef"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -53,6 +53,13 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
   then parks at ``+inf``.
+* **Fused L2 access.**  The loop itself is the ``loop`` rendering of
+  :mod:`repro.cache.transitions`: for a stock (policy, scheme) pair the
+  L2 transition is inlined from the same fragments ``access_line_hit``
+  is rendered from, so only *how the hit/miss bit is computed* differs
+  from the call form; the float expressions and the ``(clock, thread)``
+  pops are one template.  Its per-thread access count is settled in
+  ``drain``, like the ATDs.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
@@ -69,6 +76,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cache import transitions
 from repro.cmp.engine.common import (
     EngineBase,
     deferrable_profiling,
@@ -194,13 +202,6 @@ class BatchedEngine(EngineBase):
         hierarchy = sim.hierarchy
         l2 = hierarchy.l2
         l2_stats = l2.stats
-        # Slow-path kernel: ``l2.access_line_hit`` is the policy-specialised
-        # closure the flat core bound at construction (repro.cache.state) —
-        # every L2-reaching reference runs locals-bound array operations,
-        # no per-access attribute chases or policy method dispatch.
-        l2_access_hit = l2.access_line_hit
-        l2_access_rw = l2.access_line_rw
-        l2_write_back = l2.write_back_line
         # Stock profiling drains in slices (module docstring); a custom
         # observer keeps immediate per-access calls.
         profiling = deferrable_profiling(sim)
@@ -211,6 +212,16 @@ class BatchedEngine(EngineBase):
                      if atds is not None else None)
         spos = self._ck_spos
         slines = self._ck_slines
+        # The one loop source is the ``loop`` template of
+        # repro.cache.transitions.  With the rendered kernel of a stock
+        # (policy, scheme) pair still bound to the L2, a read-only run
+        # without an immediate observer gets it with that pair's
+        # transition inlined; every other run gets the call form.
+        bound = getattr(l2, "kernel", None)
+        fused = (bound is not None and l2.access_line_hit is bound[1]
+                 and not has_writes and observe_now is None)
+        loop = transitions.bind("loop", bound[0] if fused else None, l2)
+        l2_accesses = l2_stats.accesses
 
         lines = self._ck_lines
         gaps = self._ck_gaps
@@ -225,38 +236,47 @@ class BatchedEngine(EngineBase):
         anchor = [0.0] * n    # clock after the thread's last L2 access
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
-        wb_l1_to_l2 = 0
-        wb_l1_to_mem = 0
 
         def drain(u: int, j: int) -> None:
-            # Only the sampled lines of ``lines[u][drained[u]:j]`` reach the
-            # kernel; the rest are counted (module docstring).
+            # Settle what the loop defers for ``lines[u][drained[u]:j]``.
             d = drained[u]
-            if obs_drain is not None and j > d:
+            if j <= d:
+                return
+            drained[u] = j
+            if fused:
+                # The fused loop leaves the per-access count to here;
+                # nothing reads it between two drains.
+                l2_accesses[u] += j - d
+            if obs_drain is not None:
+                # Only the sampled lines reach the kernel; the rest are
+                # counted (module docstring).
                 lo = bisect_left(spos[u], d)
                 hi = bisect_left(spos[u], j, lo)
                 if hi > lo:
                     obs_drain[u](slines[u][lo:hi])
                 atds[u].skipped_accesses += (j - d) - (hi - lo)
-                drained[u] = j
 
-        def cross(now: float, boundary: float) -> float:
-            # Drain the executed misses before the controller reads the
-            # SDHs; then catch up on every crossed boundary.
-            for u in range(n):
-                drain(u, cur[u] if cur[u] >= 0 else ~cur[u])
-            while now >= boundary:
-                controller.interval_boundary(cycle=int(boundary))
-                boundary += interval
-            return boundary
+        def beyond(now: float) -> float:
+            """Rare path of a pop at or past the horizon — the earlier of
+            the next boundary and the cycle cap; returns the new one."""
+            nonlocal next_boundary
+            if now >= next_boundary:
+                # Drain the executed misses before the controller reads
+                # the SDHs; then catch up on every crossed boundary.
+                for u in range(n):
+                    drain(u, cur[u] if cur[u] >= 0 else ~cur[u])
+                while now >= next_boundary:
+                    controller.interval_boundary(cycle=int(next_boundary))
+                    next_boundary += interval
+            if now > cycle_cap:
+                raise RuntimeError(
+                    f"simulation exceeded max_cycles={max_cycles} with "
+                    f"{active} threads still running"
+                )
+            return min(next_boundary, cycle_cap)
 
-        def overrun() -> None:
-            raise RuntimeError(
-                f"simulation exceeded max_cycles={max_cycles} with "
-                f"{active} threads still running"
-            )
-
-        def freeze(t: int, clock: float, j: int) -> None:
+        def freeze(t: int, clock: float, j: int) -> int:
+            """Freeze thread ``t``; returns the threads still running."""
             nonlocal active
             drain(t, j)
             frozen[t] = ThreadResult(
@@ -270,6 +290,7 @@ class BatchedEngine(EngineBase):
             )
             fz_at[t] = -2
             active -= 1
+            return active
 
         def resume(t: int, j: int) -> float:
             """Key of thread ``t``'s next event after ``j`` window misses."""
@@ -296,55 +317,12 @@ class BatchedEngine(EngineBase):
         # EventScheduler (see scheduler.py), without the method-call layer.
         heap = [(resume(t, 0), t) for t in range(n)]
         heapify(heap)
-        pushpop = heappushpop
         now, t = heappop(heap)
-        while True:
-            if now >= next_boundary:
-                next_boundary = cross(now, next_boundary)
-            if now > cycle_cap:
-                overrun()
-            j = cur[t]
-            if j >= 0:
-                line = lines[t][j]
-                if has_writes:
-                    victim = victims[t][j]
-                    if victim >= 0:
-                        if l2_write_back(victim, t):
-                            wb_l1_to_l2 += 1
-                        else:
-                            wb_l1_to_mem += 1
-                    if observe_now is not None:
-                        observe_now(t, line)
-                    hit2 = l2_access_rw(line, t, False)
-                else:
-                    if observe_now is not None:
-                        observe_now(t, line)
-                    hit2 = l2_access_hit(line, t)
-                if hit2:
-                    clock = now + base[t] + l2_hit_pen
-                elif request is not None:
-                    clock = request(now + l2_hit_pen) + base[t]
-                else:
-                    clock = now + base[t] + mem_pen
-                anchor[t] = clock
-                j += 1
-                if j != stop[t]:
-                    cur[t] = j
-                    clock += gaps[t][j] * base[t]
-                else:
-                    if fz_at[t] == j - 1:
-                        freeze(t, clock, j)
-                        if not active:
-                            break
-                    clock = resume(t, j)
-            else:
-                # The freeze access is an L1 hit inside the pending gap.
-                j = ~j
-                freeze(t, anchor[t] + fz_hit[t] * base[t], j)
-                if not active:
-                    break
-                clock = resume(t, j)
-            now, t = pushpop(heap, (clock, t))
+        now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
+            now, t, heap, heappushpop, min(next_boundary, cycle_cap), beyond,
+            freeze, resume, cur, stop, anchor, lines, gaps, fz_at, fz_hit,
+            base, l2_hit_pen, mem_pen, request, victims, has_writes,
+            observe_now)
 
         # Termination rollback (module docstring): count, per other thread,
         # the hits of its pending gap whose pop keys precede the final key.

@@ -1,10 +1,10 @@
 """Shared scaffolding of the CMP execution engines.
 
-Both engines (reference and batched) simulate the identical machine: the
-same per-thread analytic core model, the same shared hierarchy objects, the
-same interval controller.  This module owns everything that must be *equal
-by construction* between them so the equivalence suite compares engines,
-not setup code:
+All four engines (reference, batched, solo, vector) simulate the identical
+machine: the same per-thread analytic core model, the same shared hierarchy
+objects, the same interval controller.  This module owns everything that
+must be *equal by construction* between them so the equivalence suites
+compare engines, not setup code:
 
 * the timing recurrence.  A thread's clock is ``anchor + count * base_cost``
   where ``anchor`` is the clock after its last L2-reaching access and

@@ -28,7 +28,8 @@ sequence; any mismatch is reported as a list of dotted field paths.
 Every non-reference engine runs **twice** per case — once with the
 engines' memos and window cache cold, once warm off the first run — and
 both snapshots are diffed against the reference, which walks its L1 per
-access, never touches a cache and so stays the independent oracle.  A
+access, never touches a cache, steps the policy classes instead of the
+rendered kernels and so stays the independent oracle.  A
 cache that replays the wrong window, or restores the wrong L1 state, can
 only show on the warm run.
 """
@@ -154,8 +155,18 @@ def _victim_probe(sim) -> list:
 
 
 def run_engine(case: FuzzCase, engine: str) -> Snapshot:
-    """Run one engine on the case and capture the full snapshot."""
+    """Run one engine on the case and capture the full snapshot.
+
+    The reference run drops the rendered kernels its L2 and ATDs bound,
+    so the oracle steps the hand-written policy / scheme / profiler
+    *classes* and shares no transition body with the engines under test.
+    """
     sim = case.simulator(engine)
+    if engine == ENGINE_REFERENCE:
+        vars(sim.hierarchy.l2).pop("access_line_hit", None)
+        for monitor in (sim.profiling.monitors if sim.profiling else ()):
+            vars(monitor.atd).pop("observe", None)
+            vars(monitor.atd).pop("observe_many", None)
     result = sim.run()
     l2 = sim.hierarchy.l2
     snapshot = Snapshot(

@@ -11,19 +11,20 @@ rules hold; each gets a mechanical check here:
 * ``state-rebind`` — policy/partition mutators must update their
   preallocated state arrays **in place**; rebinding (``self.order = [...]``)
   detaches every kernel local captured at cache construction.
-* ``hot-path-purity`` — the closures built by the ``*_kernel`` functions
-  in ``cache/state.py`` (the per-policy ``_*_kernel`` factories and the
-  two derived builders) must run on bound locals only: no attribute
-  loads (beyond int/list method calls on locals), no global lookups, no
-  list/dict/set or comprehension allocations.  The ``_*_array_kernel``
-  factories in ``cache/kernels/array.py`` are checked under a *relaxed*
-  window contract: their closures run once per window, so container
-  allocations are fine and single-level attribute loads on bound names
-  (``memo.get``, ``tag_map.update``) are fine — but global/builtin
-  lookups and multi-level attribute chains stay banned.  The ``while``
-  loop of ``BatchedEngine.run`` — one iteration per L2 access of every
-  multi-core run — is held to the strict contract too, against the names
-  ``run`` binds; its rare paths live in nested closures.
+* ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
+  renders (``access_line_hit`` / ``observe_many`` / the event loop of
+  ``BatchedEngine.run``, for each policy x scheme, plus the call-form
+  loop) and the closures built by the ``*_kernel`` functions in
+  ``cache/state.py`` (the derived builders) must run on bound locals
+  only: no attribute loads (beyond int/list method calls on locals), no
+  global lookups, no list/dict/set or comprehension allocations.  The
+  spec tables are read off the checked tree as literals and rendered
+  with this package's renderer — the checked tree is never imported.
+  The ``_*_array_kernel`` factories in ``cache/kernels/array.py`` are
+  checked under a *relaxed* window contract: their closures run once per
+  window, so container allocations are fine and single-level attribute
+  loads on bound names (``memo.get``, ``tag_map.update``) are fine — but
+  global/builtin lookups and multi-level attribute chains stay banned.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
+from repro.cache import transitions
 from repro.lint.core import Diagnostic, LintContext, Rule, register_rule
+from repro.lint.rules_engine import _module_constants
 
 #: The abstract root of the policy hierarchy (resolved by name).
 POLICY_ROOT = "ReplacementPolicy"
@@ -50,14 +53,20 @@ HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 #: closures, checked under the relaxed array contract.
 ARRAY_KERNEL_MODULES = ("repro/cache/kernels/array.py",)
 
-#: ``(module, class, method)`` whose top-level ``while`` loops run once per
-#: simulated event and are checked like kernel closures.
-EVENT_LOOPS = (("repro/cmp/engine/batched.py", "BatchedEngine", "run"),)
+#: Module whose literal ``POLICIES`` / ``SCHEMES`` / ``TEMPLATES`` tables
+#: every hot kernel is rendered from.
+TRANSITION_SPEC = "repro/cache/transitions.py"
+SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES")
+
+#: ``(spec module, rendering)`` that run once per simulated event: the
+#: spec must render them (for every key and the call form), under the
+#: strict contract.
+EVENT_LOOPS = ((TRANSITION_SPEC, "loop"),)
 
 #: Attribute loads permitted inside kernel closures: C-level int/list
 #: methods on already-bound locals.  Everything else (``obj.attr`` chases,
 #: ``dict.get`` re-lookups) must be bound once in the factory.
-PURE_LOCAL_ATTRS = frozenset({"bit_length", "bit_count"})
+PURE_LOCAL_ATTRS = transitions.PURE_ATTRS
 
 
 def _declares(class_node: ast.ClassDef, attr: str) -> bool:
@@ -255,22 +264,45 @@ class HotPathPurityRule(Rule):
                             and node.name.endswith(suffix)):
                         yield from self._check_factory(ctx, path, node,
                                                        relaxed)
-        for rel, class_name, method_name in EVENT_LOOPS:
-            path = ctx.find(rel)
-            tree = ctx.tree(path) if path is not None else None
-            if tree is None:
+        yield from self._check_rendered(ctx)
+
+    def _check_rendered(self, ctx: LintContext) -> Iterator[Diagnostic]:
+        """Strict contract over every rendering of the transition spec."""
+        path = ctx.find(TRANSITION_SPEC)
+        tree = ctx.tree(path) if path is not None else None
+        if tree is None:
+            return
+        constants = _module_constants(tree)
+        try:
+            rendered = list(transitions.rendered_sources(
+                *(ast.literal_eval(constants[name][0])
+                  for name in SPEC_TABLES)))
+        except (KeyError, ValueError) as exc:
+            yield self.diag(ctx, path, 1, "spec does not render from "
+                            f"literal {'/'.join(SPEC_TABLES)}: {exc!r}")
+            return
+        for rel, rendering in EVENT_LOOPS:
+            if ctx.find(rel) == path and not any(
+                    name.endswith(f" {rendering}>") for name, _ in rendered):
+                yield self.diag(ctx, path, 1,
+                                f"spec renders no {rendering!r} event loop")
+        seen = set()
+        for name, source in rendered:
+            lines = source.splitlines()
+            try:
+                factory = ast.parse(source).body[0]
+            except SyntaxError as exc:
+                yield self.diag(ctx, path, 1,
+                                f"{name} does not parse: {exc.msg} — "
+                                f"`{(exc.text or '').strip()}`")
                 continue
-            for method in (m for node in tree.body
-                           if isinstance(node, ast.ClassDef)
-                           and node.name == class_name
-                           for m in _own_methods(node)
-                           if m.name == method_name):
-                bound = _ScopeCollector(method).names
-                for stmt in method.body:
-                    if isinstance(stmt, ast.While):
-                        yield from self._check_body(
-                            ctx, path, f"the {class_name}.{method_name} "
-                            f"event loop", stmt, bound, False)
+            for diag in self._check_factory(ctx, path, factory, False):
+                text = lines[diag.line - 1].strip()
+                if (diag.message, text) not in seen:
+                    seen.add((diag.message, text))
+                    yield self.diag(
+                        ctx, path, 1,
+                        f"{diag.message} — `{text}` ({name} line {diag.line})")
 
     def _check_factory(self, ctx: LintContext, path, factory,
                        relaxed: bool) -> Iterator[Diagnostic]:

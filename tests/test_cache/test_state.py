@@ -19,11 +19,8 @@ from repro.cache.partition.allocation import (
 from repro.cache.partition.base import make_partition
 from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.replacement.base import POLICY_REGISTRY, make_policy
-from repro.cache.state import (
-    TagStore,
-    build_hit_kernel,
-    build_set_run_kernel,
-)
+from repro.cache import transitions
+from repro.cache.state import TagStore, build_set_run_kernel, kernel_key
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
@@ -34,13 +31,13 @@ PAPER_KINDS = {"lru", "nru", "bt"}
 
 
 def test_kernel_tables_name_the_three_paper_kinds():
-    """One kernel kind per paper policy, the same set in every table;
-    every other registered policy stays on the generic path."""
-    from repro.cache import state
+    """One kernel kind per paper policy, the same set in the transition
+    spec and the array-kernel tables; every other registered policy stays
+    on the generic path."""
     from repro.cache.kernels import array
 
-    for table in (state._HIT_KERNELS, state._OBSERVE_MANY_KERNELS,
-                  array._ARRAY_KERNELS, array.ELIGIBLE_KINDS):
+    for table in (transitions.POLICIES, array._ARRAY_KERNELS,
+                  array.ELIGIBLE_KINDS):
         assert set(table) == PAPER_KINDS
     for name, cls in POLICY_REGISTRY.items():
         assert cls.kernel_kind == (name if name in PAPER_KINDS else "")
@@ -105,10 +102,11 @@ def scheme_for(scheme, policy, cores, num_sets, assoc):
     return part
 
 
-KERNEL_CASES = [(p, s) for p in ALL_POLICIES for s in ("none", "masks")] + [
-    ("lru", "counters"), ("nru", "counters"), ("srrip", "counters"),
-    ("bt", "btvectors"),
-]
+#: Every policy x scheme the renderer accepts (each paper policy under
+#: each stock scheme it can be built with), plus the extension policies
+#: on the generic path.
+KERNEL_CASES = [(p, s) for p in ALL_POLICIES
+                for s in ("none", "masks", "counters")] + [("bt", "btvectors")]
 
 
 @pytest.mark.parametrize("policy_name,scheme", KERNEL_CASES,
@@ -179,7 +177,7 @@ def test_unknown_policy_falls_back_to_generic():
     weird = Weird(4, 4)
     geometry = CacheGeometry(4 * 4 * 128, 4, 128)
     cache = SetAssociativeCache(geometry, weird)
-    assert build_hit_kernel(cache) is None
+    assert kernel_key(cache) is None and cache.kernel is None
     assert "access_line_hit" not in cache.__dict__
     assert cache.access_line_hit(5) is False
     assert cache.access_line_hit(5) is True

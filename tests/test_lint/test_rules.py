@@ -39,7 +39,8 @@ class TestStateRebind:
 class TestHotPathPurity:
     def test_flags_all_three_impurity_classes(self, lint_fixture):
         messages = [d.message for d in lint_fixture("hot-path-purity", "bad")]
-        per_access = [m for m in messages if "access_line_hit" in m]
+        per_access = [m for m in messages
+                      if "_flat_hit_kernel.access_line_hit" in m]
         assert len(per_access) == 3
         assert any("attribute load .get" in m for m in per_access)
         assert any("List allocation" in m for m in per_access)
@@ -79,16 +80,29 @@ class TestHotPathPurity:
         assert not any(".state" in m for m in messages)
 
     def test_covers_batched_event_loop(self, lint_fixture):
-        """The ``while`` body of ``BatchedEngine.run`` runs once per L2
-        access and is held to the strict contract against ``run``'s
-        locals."""
+        """The event loop of ``BatchedEngine.run`` is a rendering of the
+        transition spec: it runs once per L2 access and is held to the
+        strict contract against what its factory and signature bind."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
-                    if "BatchedEngine.run event loop" in m.message]
-        assert any("attribute load .probe" in m for m in messages)
-        assert any("List allocation" in m for m in messages)
+                    if "build.loop" in m.message]
+        assert any("List allocation" in m and "<repro kernel call loop>" in m
+                   for m in messages)
         assert any("lookup of 'heappush'" in m for m in messages)
         assert not any("lookup of 'lines'" in m for m in messages)
+
+    def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
+        """A fragment with an attribute chase is flagged in the hit
+        kernel, the observe kernel and the fused loop it is rendered
+        into — once per rendering kind, not once per (policy, scheme)."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "attribute load ._used" in m.message]
+        assert len(messages) == 3
+        for closure in ("access_line_hit", "observe_many", "loop"):
+            assert any(f"build.{closure}" in m for m in messages)
+        assert all("`cache.policy._used[s] |= 1 << way`" in m
+                   for m in messages)
 
 
 class TestExperimentContract:

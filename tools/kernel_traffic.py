@@ -1,22 +1,27 @@
 #!/usr/bin/env python
-"""Kernel traffic audit: which registered kernel kinds does a report build?
+"""Kernel traffic audit: which spec fragments does a report render?
 
-Wraps every factory in the three kernel tables — ``_HIT_KERNELS`` and
-``_OBSERVE_MANY_KERNELS`` of ``repro.cache.state``, ``_ARRAY_KERNELS`` of
-``repro.cache.kernels.array`` — from outside ``src/``, runs one cold
-serial ``repro report run --scale SCALE`` into a temporary store and
-prints, as JSON, how many kernels each kind built (a factory call that
-returned a kernel; a ``None`` return is a delegation, not a build) and
-how many times each fast engine's ``run`` was entered (a vector run that
-delegates to solo counts under both).
+Wraps ``repro.cache.transitions.bind`` — the one entry point every
+rendered kernel is built through — and every factory of
+``repro.cache.kernels.array._ARRAY_KERNELS`` from outside ``src/``, runs
+one cold serial ``repro report run --scale SCALE`` into a temporary
+store and prints, as JSON, how many kernels each ``(policy, scheme)`` key
+built per rendering (``hit`` / ``observe`` / ``loop``; ``call`` is the
+call-form loop), the same counts per *policy fragment* and per *scheme
+fragment*, the array-kernel builds per kind (a ``None`` return is a
+delegation, not a build) and how many times each fast engine's ``run``
+was entered (a vector run that delegates to solo counts under both).
 
-A registered kind that builds nothing over a whole report is dead weight
-— that is how the four non-paper hit kernels and the FIFO array path were
-found — so the exit status is 1 when any kind has zero builds.  It is
-also 1 when the vector runs and the array-kernel builds differ: the
-vector engine hands whole windows to the kernel untouched because every
-shipped single-thread run gets an array kernel, which does its own
-grouping.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
+A registered fragment that renders nothing over a whole report is dead
+weight — that is how the four non-paper hit kernels and the FIFO array
+path were found — so the exit status is 1 when a policy of
+``transitions.POLICIES`` has zero builds in any rendering, a scheme of
+``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds, or an array
+kind has zero builds.  It is also 1 when the vector runs and the
+array-kernel builds differ: the vector engine hands whole windows to the
+kernel untouched because every shipped single-thread run gets an array
+kernel, which does its own grouping.  CI runs this at ``micro`` in the
+``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -36,16 +41,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import cli  # noqa: E402
-from repro.cache import state  # noqa: E402
+from repro.cache import transitions  # noqa: E402
 from repro.cache.kernels import array  # noqa: E402
 from repro.cmp.engine import BatchedEngine, SoloEngine, VectorEngine  # noqa: E402
 
-TABLES = {
-    "hit": state._HIT_KERNELS,
-    "observe_many": state._OBSERVE_MANY_KERNELS,
-    "array": array._ARRAY_KERNELS,
-}
 ENGINES = (VectorEngine, SoloEngine, BatchedEngine)
+#: Renderings a fragment of each table must reach.
+RENDERINGS = {"policy": ("hit", "observe", "loop"), "scheme": ("hit", "loop")}
 
 
 def _counting(factory, counts, kind):
@@ -58,6 +60,21 @@ def _counting(factory, counts, kind):
     return build
 
 
+def _counting_bind(bind, builds, fragments):
+    def counted(rendering, key, owner):
+        label = "call" if key is None else "/".join(key)
+        per_key = builds[rendering]
+        per_key[label] = per_key.get(label, 0) + 1
+        if key is not None:
+            policy, scheme = key
+            fragments["policy"][policy][rendering] += 1
+            if rendering in RENDERINGS["scheme"]:
+                fragments["scheme"][scheme][rendering] += 1
+        return bind(rendering, key, owner)
+
+    return counted
+
+
 def _counting_run(run, counts, name):
     def counted(self):
         counts[name] += 1
@@ -67,16 +84,22 @@ def _counting_run(run, counts, name):
 
 
 def measure(scale: str) -> dict:
-    """Builds per table per kind, and runs per engine, over one cold
-    serial report run."""
-    builds = {}
+    """Builds per rendering per key and per fragment, array builds per
+    kind, and runs per engine, over one cold serial report run."""
     runs = dict.fromkeys((engine.name for engine in ENGINES), 0)
     for engine in ENGINES:
         engine.run = _counting_run(engine.run, runs, engine.name)
-    for name, table in TABLES.items():
-        builds[name] = counts = dict.fromkeys(table, 0)
-        for kind, factory in table.items():
-            table[kind] = _counting(factory, counts, kind)
+    builds = {rendering: {} for rendering in RENDERINGS["policy"]}
+    fragments = {
+        "policy": {name: dict.fromkeys(RENDERINGS["policy"], 0)
+                   for name in transitions.POLICIES},
+        "scheme": {name: dict.fromkeys(RENDERINGS["scheme"], 0)
+                   for name in transitions.SCHEMES},
+    }
+    transitions.bind = _counting_bind(transitions.bind, builds, fragments)
+    builds["array"] = counts = dict.fromkeys(array._ARRAY_KERNELS, 0)
+    for kind, factory in array._ARRAY_KERNELS.items():
+        array._ARRAY_KERNELS[kind] = _counting(factory, counts, kind)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kernel-traffic-") as store:
         with contextlib.redirect_stdout(sys.stderr):
@@ -87,6 +110,7 @@ def measure(scale: str) -> dict:
     return {"scale": scale,
             "wall_s": round(time.perf_counter() - start, 1),
             "builds": builds,
+            "fragments": fragments,
             "runs": runs}
 
 
@@ -97,11 +121,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     result = measure(args.scale)
     print(json.dumps(result, indent=2))
-    unused = [f"{name}:{kind}" for name, counts in result["builds"].items()
-              for kind, n in counts.items() if not n]
+    unused = [f"{table}:{name}:{rendering}"
+              for table, names in result["fragments"].items()
+              for name, counts in names.items()
+              for rendering, n in counts.items() if not n]
+    unused += [f"array:{kind}"
+               for kind, n in result["builds"]["array"].items() if not n]
     if unused:
-        print(f"kernel kinds with zero builds at {args.scale}: "
-              f"{', '.join(unused)}", file=sys.stderr)
+        print(f"registered fragments / kinds with zero builds at "
+              f"{args.scale}: {', '.join(unused)}", file=sys.stderr)
         return 1
     array_builds = sum(result["builds"]["array"].values())
     if array_builds != result["runs"]["vector"]:
