@@ -74,25 +74,23 @@ DEFAULT_FLOOR_KEYS = (
 #: recording's batched isolation rate (the pre-solo engine on the same
 #: machine; the baseline tree has no solo engine to record).  A ``.``
 #: prefix on the denominator (``cur/.base``) reads it from the *current*
-#: recording instead — the array floor is a same-recording ratio (the
+#: recording instead — the vector floor is a same-recording ratio (the
 #: baseline tree predates both engines): the shipped single-thread path,
-#: the vector engine on the array kernels, against the solo engine on
-#: the same machine and run, floored at ``bench_isolation``'s
-#: ``ARRAY_SPEEDUP_FLOOR`` (0.75 x the lowest of five recordings, see
+#: the vector engine on its rendered window kernel, against the solo
+#: engine on the same machine and run, floored at ``bench_isolation``'s
+#: ``VECTOR_SPEEDUP_FLOOR`` (0.75 x the lowest of five recordings, see
 #: there); ``run_stage_once`` starts every job with a cold window cache,
 #: the one cache all engines prefilter through, so neither row is sped
 #: up by replaying another job's or repeat's windows.
-#: The ``isolation_stage_vector`` row (pinned to ``vector:python``, the
-#: loop over the scalar hit kernel, which no report job runs) is recorded
-#: for information and carries no floor.  The last entry is a floor on
-#: a *count*, not a speed: over six configurations of one mix at least
-#: 75 % of the window-cache lookups must hit (measured 90 %; a key that
-#: starts to include anything per-job leaves only the within-run
-#: recurrences, ~42 %), so a change that silently stops sharing windows
-#: across configurations fails here instead of passing unnoticed.
+#: The last entry is a floor on a *count*, not a speed: over six
+#: configurations of one mix at least 75 % of the window-cache lookups
+#: must hit (measured 90 %; a key that starts to include anything
+#: per-job leaves only the within-run recurrences, ~42 %), so a change
+#: that silently stops sharing windows across configurations fails here
+#: instead of passing unnoticed.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "isolation_stage_solo/isolation_stage_batched:1.5",
-    "isolation_stage_array/.isolation_stage_solo:1.09",
+    "isolation_stage_vector/.isolation_stage_solo:0.94",
     "isolation_stage_batched:0.9",
     "engine_batched:0.9",
     "six_configs_window_hits/.six_configs_window_lookups:0.75",
@@ -220,7 +218,7 @@ def record_engine(accesses: int, repeats: int,
                   iso_accesses: int = 20_000) -> dict:
     from bench_engine import run_once, run_six_configs
     from bench_isolation import run_stage_once, stage_jobs, stage_traces
-    from repro.config import ENGINES, SimulationConfig
+    from repro.config import ENGINES
     from repro.experiments.common import ExperimentScale
 
     timings = {}
@@ -242,23 +240,13 @@ def record_engine(accesses: int, repeats: int,
     traces = stage_traces(scale, jobs)
     iso_engines = ["batched"] + [e for e in ("solo", "vector")
                                  if e in ENGINES]
-    iso_specs = {e: e for e in iso_engines}
-    # When the tree has the kernel-backend registry, the vector row is
-    # pinned to the python backend (informational) and the floor-checked
-    # array row rides along.  Old worktrees (the CI baselines) predate
-    # the knob and keep plain specs.
-    if ("vector" in iso_specs
-            and "kernel_backend" in SimulationConfig.__dataclass_fields__):
-        iso_specs["vector"] = "vector:python"
-        iso_specs["array"] = "vector:array"
-        iso_engines.append("array")
     iso_seconds = {}
     iso_totals = {}
     for engine in iso_engines:
         best = float("inf")
         for _ in range(repeats):
-            elapsed, total_accesses = run_stage_once(iso_specs[engine],
-                                                     scale, jobs, traces)
+            elapsed, total_accesses = run_stage_once(engine, scale, jobs,
+                                                     traces)
             if elapsed < best:
                 best = elapsed
             iso_totals[engine] = total_accesses
@@ -296,9 +284,6 @@ def record_engine(accesses: int, repeats: int,
     if "vector" in iso_seconds and "solo" in iso_seconds:
         payload["isolation_vector_speedup"] = round(
             iso_seconds["solo"] / iso_seconds["vector"], 3)
-    if "array" in iso_seconds:
-        payload["isolation_array_speedup"] = round(
-            iso_seconds["solo"] / iso_seconds["array"], 3)
     return payload
 
 
@@ -442,12 +427,8 @@ def main(argv=None) -> int:
                 print(f"  isolation solo speedup: "
                       f"{payload['isolation_solo_speedup']:.2f}x")
             if "isolation_vector_speedup" in payload:
-                print(f"  isolation vector:python speedup (vs solo, "
-                      f"informational): "
+                print(f"  isolation vector speedup (vs solo): "
                       f"{payload['isolation_vector_speedup']:.2f}x")
-            if "isolation_array_speedup" in payload:
-                print(f"  isolation array speedup (vs solo): "
-                      f"{payload['isolation_array_speedup']:.2f}x")
         if args.baseline:
             keys = [k.strip()
                     for k in (args.floor_keys.split(",")

@@ -343,9 +343,9 @@ class SetAssociativeCache:
         """Bulk access of many line addresses by one core.
 
         Returns the per-access hit flags.  State transitions are identical
-        to calling :meth:`access_line_hit` per element — it is the python
-        window kernel (:func:`repro.cache.state.build_set_run_kernel`), a
-        loop over the bound hit kernel.  The shared L2 has cross-core
+        to calling :meth:`access_line_hit` per element — it is the window
+        kernel (:func:`repro.cache.state.build_set_run_kernel`) bound to
+        ``core``.  The shared L2 has cross-core
         interleaving on the simulator's hot path, so this entry point
         serves profiling sweeps, warm-up, and benchmarks rather than the
         engines themselves.

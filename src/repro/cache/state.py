@@ -15,20 +15,22 @@ Two pieces live here:
   path (numpy scalar indexing boxes a fresh object per element access).
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
-* the **kernel builders** — ``SetAssociativeCache.access_line_hit`` and
-  ``ATD.observe_many`` specialisations for the three paper policies (LRU,
-  NRU, BT; every other policy runs the generic object-protocol methods).
-  No transition body is written here: :func:`kernel_key` and
+* the **kernel builders** — ``SetAssociativeCache.access_line_hit``,
+  whole-window and ``ATD.observe_many`` specialisations for the three
+  paper policies (LRU, NRU, BT; every other policy runs the generic
+  object-protocol methods).  No transition body is written here:
+  :func:`kernel_key`, :func:`rendered_key` and
   :func:`build_observe_many_kernel` decide *whether* a rendering is exact
-  for the instance at hand, and the cache / ATD bind the one
+  for the instance at hand, and the cache / ATD / engines bind the one
   :mod:`repro.cache.transitions` renders from the policy's single
   transition spec — closures whose free variables bind every hot array
   and counter once, at construction, performing *exactly* the seed state
   transitions (same victim choices, same statistics, same partition
-  bookkeeping in the same order).  The window kernel
-  (:func:`build_set_run_kernel`) and the single-access ATD ``observe``
-  (:func:`derive_observe_kernel`) are policy-independent loops over
-  them.  Equivalence with the generic object-protocol paths is pinned by
+  bookkeeping in the same order).  The window kernel of a cache without
+  a rendering (:func:`build_set_run_kernel`) and the single-access ATD
+  ``observe`` (:func:`derive_observe_kernel`) are policy-independent
+  loops over the bound kernels.  Equivalence with the generic
+  object-protocol paths is pinned by
   ``tests/test_cache/test_state.py`` and with the seed per-object
   implementations by ``tests/test_cache/test_flat_equivalence.py``.
 
@@ -54,7 +56,7 @@ from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
 
 __all__ = ["TagStore", "build_observe_many_kernel", "build_set_run_kernel",
-           "derive_observe_kernel", "kernel_key"]
+           "derive_observe_kernel", "kernel_key", "rendered_key"]
 
 
 class TagStore:
@@ -183,6 +185,21 @@ def kernel_key(cache) -> Optional[Tuple[str, str]]:
     return kind, scheme
 
 
+def rendered_key(cache) -> Optional[Tuple[str, str]]:
+    """Key of the rendered hit kernel ``cache`` still runs, else None.
+
+    The one rule by which a caller may swap per-access calls for a
+    rendering with the same transition inlined (the ``window`` kernel
+    below, the fused event loop of ``BatchedEngine.run``): the cache
+    recorded a rendered kernel at construction and nobody has rebound
+    ``access_line_hit`` since.
+    """
+    bound = getattr(cache, "kernel", None)
+    if bound is not None and cache.access_line_hit is bound[1]:
+        return bound[0]
+    return None
+
+
 # ----------------------------------------------------------------------
 # Window kernel (whole-window batched access_line_hit)
 # ----------------------------------------------------------------------
@@ -191,13 +208,13 @@ def kernel_key(cache) -> Optional[Tuple[str, str]]:
 # addresses in trace order — writing 1 into the caller-supplied zeroed
 # byte buffer at each hit position.  Replay order is trace order.
 #
-# The python window kernel is *derived*, not written per policy: one loop
-# over the cache's bound ``access_line_hit`` (the scalar hit kernel above,
-# or the generic object-protocol method for a policy without one), so a
-# policy's window transitions are its scalar transitions by construction.
-# The numpy whole-run kernels in :mod:`repro.cache.kernels.array` carry
-# the shipped single-thread jobs; this loop is their semantic baseline
-# and the path for every (policy, partition) outside their eligibility.
+# No transition is written here either.  A cache still running its
+# rendered hit kernel gets the ``window`` rendering of the same spec (the
+# per-access call and the per-access statistics bumps are gone, nothing
+# else differs); every other cache — kernel-less policy, subclassed
+# scheme, rebound ``access_line_hit`` — gets one policy-independent loop
+# over whatever ``access_line_hit`` it has, so its window transitions
+# are its scalar transitions by construction.
 
 def build_set_run_kernel(cache, core: int = 0) -> Callable:
     """Batched whole-window ``access_line_hit`` for ``cache``.
@@ -208,6 +225,9 @@ def build_set_run_kernel(cache, core: int = 0) -> Callable:
     ``core`` (statistics, candidate masks, partition hooks, RNG draws);
     the engines only use it for single-core simulations, core 0.
     """
+    key = rendered_key(cache)
+    if key is not None:
+        return transitions.bind("window", key, cache, core)
     step = cache.access_line_hit
 
     def run_window(lines, flags):

@@ -5,9 +5,12 @@ used-bit OR with a reset confined to the core's mask (§III-A), a tree-bit
 update with ``up``/``down`` vectors forcing a prefix of levels (§III-B) —
 small per-set automata in the sense of arXiv:1811.01740.  This module
 declares each **once**, as source fragments over the flat ``PolicyState``
-/ ``TagStore`` arrays, and composes three kernels from the same text:
+/ ``TagStore`` arrays, and composes four kernels from the same text:
 
 * ``hit`` — ``access_line_hit(line, core=0)``, one call per L2 access;
+* ``window`` — ``run_window(lines, flags)``, one call per boundary-free
+  window of a single thread's L2 stream (the vector engine,
+  ``SetAssociativeCache.access_lines``);
 * ``observe`` — ``observe_many(batch)``, one call per ATD drain;
 * ``loop`` — the event loop of ``BatchedEngine.run``, one call per run.
 
@@ -17,7 +20,7 @@ its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
 read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
-``full_mask``); :data:`TEMPLATES` holds the three kernel skeletons, the
+``full_mask``); :data:`TEMPLATES` holds the four kernel skeletons, the
 miss path they share, and the two access blocks of the event loop: the
 *fused* one inlines the L2 transition, the *call* one (key ``None``)
 goes through ``l2.access_line_hit`` / ``access_line_rw`` and an
@@ -29,9 +32,11 @@ the callers from what they can observe
 A line holding only ``$slot`` is replaced by that fragment at the line's
 indentation (recursively); ``$line``, ``$core`` and ``$set`` are the
 access's line address, core and set index in the rendering at hand.
-Rendering is checked — an unknown slot or placeholder raises, the
-closure may load no global and no attribute beyond :data:`PURE_ATTRS`,
-none of its locals may shadow a factory binding — and lazy: a key is
+Rendering is checked — an unknown slot or placeholder raises, no
+policy / scheme fragment may store to a local its skeleton keeps for
+itself (:data:`PRIVATE_LOCALS`), the closure may load no global and no
+attribute beyond :data:`PURE_ATTRS`, none of its locals may shadow a
+factory binding — and lazy: a key is
 rendered, compiled and registered in :mod:`linecache` (tracebacks and
 ``inspect.getsource`` show real lines) on its first :func:`bind`, once
 per process.  The tables are literals on purpose: ``repro lint`` reads
@@ -44,15 +49,16 @@ side every rendering is pinned against (``tests/test_cache/test_state.py``,
 
 from __future__ import annotations
 
+import ast
 import linecache
 import re
 from functools import lru_cache
 from math import ceil
 from string import Template
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-__all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PURE_ATTRS", "bind",
-           "render", "rendered_sources", "source_name"]
+__all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS",
+           "PURE_ATTRS", "bind", "render", "rendering_keys", "source_name"]
 
 #: Attribute loads a kernel closure may perform: C-level int methods.
 PURE_ATTRS = frozenset({"bit_length", "bit_count"})
@@ -282,6 +288,30 @@ def build(cache):
 
     return access_line_hit
 """,
+    # One thread's whole boundary-free window.  ``accesses`` / ``misses``
+    # are pure sums nothing reads inside a window: settled once, at its end.
+    "window": """def build(cache, core=0):
+    $bind_cache
+
+    def run_window(lines, flags):
+        k = 0
+        missed = 0
+        for line in lines:
+            way = tag_get(line)
+            s = line & set_mask
+            if way is not None:
+                $locate
+                $promote
+                flags[k] = 1
+            else:
+                missed += 1
+                $miss
+            k += 1
+        accesses[core] += k
+        misses[core] += missed
+
+    return run_window
+""",
     # The ATD runs full-mask, single-core, unpartitioned: scheme ``none``,
     # no statistics; the profiler reads the pre-access state, then promote.
     "observe": """\
@@ -403,8 +433,21 @@ else:
 }
 
 #: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in all
-#: three); the ATD's ``observe`` is single-core and keeps no fill count.
-_CORE = {"hit": "core", "observe": "0", "loop": "t"}
+#: four): an argument of ``hit``, a factory binding of ``window``; the
+#: ATD's ``observe`` is single-core and keeps no fill count.
+_CORE = {"hit": "core", "window": "core", "observe": "0", "loop": "t"}
+
+#: Locals each skeleton keeps across the fragments it expands.  A policy
+#: or scheme fragment storing to one would corrupt the skeleton without
+#: any error (LRU's ``pos`` once overwrote a window counter of that
+#: name), so :func:`render` refuses the pair.
+PRIVATE_LOCALS = {
+    "hit": (),
+    "window": ("k", "missed"),
+    "observe": ("sampled", "skipped"),
+    "loop": ("j", "t", "now", "clock", "horizon", "wb_l1_to_l2",
+             "wb_l1_to_mem"),
+}
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
 
@@ -426,8 +469,18 @@ def _expand(text: str, slots: Dict[str, str], indent: str = "") -> Iterator[str]
             yield from _expand(slots[match[2]], slots, indent + match[1])
 
 
+def _stores(fragment: str) -> Set[str]:
+    """Names ``fragment`` assigns (slot lines are other fragments)."""
+    body = "\n".join(_SLOT_LINE.sub(r"\1pass", line)
+                     for line in fragment.splitlines())
+    tree = ast.parse(Template(body).substitute(core="core", set="s",
+                                               line="line"))
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
 def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
-           templates=TEMPLATES) -> str:
+           templates=TEMPLATES, private=PRIVATE_LOCALS) -> str:
     """Source of one rendering: a ``build(owner)`` factory whose closure
     is the kernel.  ``key`` is ``(policy kind, scheme name)``; ``None``
     (``loop`` only) is the call form."""
@@ -437,6 +490,16 @@ def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
                      access=templates["access_call"])
     else:
         policy, scheme = policies[key[0]], schemes[key[1]]
+        clobbered = sorted(
+            f"{table} {name!r} -> {local}"
+            for table, fragments in (("policy", policy), ("scheme", scheme))
+            for name, text in fragments.items() if isinstance(text, str)
+            for local in _stores(text).intersection(private[rendering]))
+        if clobbered:
+            raise ValueError(
+                f"{source_name(rendering, key)}: fragment stores to a "
+                f"local of the {rendering!r} skeleton: "
+                f"{', '.join(clobbered)}")
         slots.update(policy)
         slots.update(
             scheme, bind=policy["bind"], bind_scheme=scheme["bind"],
@@ -451,17 +514,17 @@ def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
                                        line="line")
 
 
-def rendered_sources(policies=POLICIES, schemes=SCHEMES,
-                     templates=TEMPLATES) -> Iterator[Tuple[str, str]]:
-    """``(name, source)`` of every rendering there is: each policy x
-    scheme for ``hit`` and ``loop``, each policy for ``observe``, and the
-    call-form loop — what ``hot-path-purity`` checks."""
+def rendering_keys(policies=POLICIES, schemes=SCHEMES
+                   ) -> List[Tuple[str, Key]]:
+    """``(rendering, key)`` of every rendering there is: each policy x
+    scheme for ``hit``, ``window`` and ``loop``, each policy for
+    ``observe``, and the call-form loop — what ``hot-path-purity``
+    checks."""
     keys = [("observe", (kind, "none")) for kind in policies]
     keys += [(rendering, (kind, scheme)) for kind in policies
-             for scheme in schemes for rendering in ("hit", "loop")]
-    for rendering, key in keys + [("loop", None)]:
-        yield (source_name(rendering, key),
-               render(rendering, key, policies, schemes, templates))
+             for scheme in schemes
+             for rendering in ("hit", "window", "loop")]
+    return keys + [("loop", None)]
 
 
 @lru_cache(maxsize=None)
@@ -485,7 +548,8 @@ def _factory(rendering: str, key: Key) -> Callable:
     return namespace["build"]
 
 
-def bind(rendering: str, key: Key, owner) -> Callable:
+def bind(rendering: str, key: Key, owner, *args) -> Callable:
     """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
-    (a cache for ``hit`` / ``loop``, an ATD for ``observe``)."""
-    return _factory(rendering, key)(owner)
+    (a cache for ``hit`` / ``window`` / ``loop``, an ATD for
+    ``observe``); ``window`` takes the core as ``args``."""
+    return _factory(rendering, key)(owner, *args)

@@ -8,8 +8,8 @@ freezing each thread's statistics after its instruction budget (the paper's
 threads keep running to preserve contention).
 
 The hot loop lives in :mod:`repro.cmp.engine`; ``SimulationConfig.engine``
-selects the engine — the default ``"auto"`` picks the set-parallel vector
-fast path for single-thread runs and the batched engine otherwise, with
+selects the engine — the default ``"auto"`` picks the window-at-a-time
+vector fast path for single-thread runs and the batched engine otherwise, with
 the per-access reference oracle always available.
 """
 

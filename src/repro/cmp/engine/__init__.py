@@ -12,11 +12,12 @@ Four interchangeable implementations of the simulation hot loop:
   valid for one-core simulations (isolation runs, 1-core figure points),
   where it is bit-identical by construction — no cross-thread ordering
   exists to preserve.
-* :class:`VectorEngine` — the single-thread *set-parallel* slow path: the
-  L2 miss stream is cut into boundary-free windows, each drained by one
-  set-run kernel call with the clock reconstructed by a vectorised prefix
-  sum.  Bit-identical to solo (configurations outside its batched path
-  delegate to solo outright).
+* :class:`VectorEngine` — the single-thread *window-at-a-time* slow
+  path: the L2 miss stream is cut into boundary-free windows, each
+  drained by one window-kernel call (the ``window`` rendering of the
+  policy's transition spec, :mod:`repro.cache.transitions`) with the
+  clock reconstructed by a vectorised prefix sum.  Bit-identical to solo
+  (configurations outside its batched path delegate to solo outright).
 
 :func:`make_engine` instantiates by the ``SimulationConfig.engine`` name;
 the default ``"auto"`` resolves through :func:`resolve_engine_name` to the
@@ -67,8 +68,6 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/transitions.py",
     "repro/cache/cache.py",
     "repro/cache/hierarchy.py",
-    "repro/cache/kernels/__init__.py",
-    "repro/cache/kernels/array.py",
 )
 
 #: sha256 over ``ENGINE_VERSION`` and the guarded sources, recorded so the
@@ -77,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "6a50d212662fbdb53600a08371b126598a5409bd170d696264a11257a9ab54ef"
+ENGINE_SOURCE_CHECKSUM = "1e9416abce94863397484d811a09622e7fb7918da0a49f6ac8accf36dda8748d"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,
@@ -91,7 +90,7 @@ def resolve_engine_name(name: str, num_cores: int) -> str:
     """Concrete engine name for a configuration (resolves ``"auto"``).
 
     ``"auto"`` — the :class:`~repro.config.SimulationConfig` default —
-    picks the set-parallel vector engine for single-thread simulations
+    picks the window-at-a-time vector engine for single-thread simulations
     and the batched engine otherwise; explicit names pass through
     unchanged.  The vector engine delegates to solo for configurations
     outside its batched path (write traces, custom observers), so

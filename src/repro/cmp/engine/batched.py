@@ -77,6 +77,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache import transitions
+from repro.cache.state import rendered_key
 from repro.cmp.engine.common import (
     EngineBase,
     deferrable_profiling,
@@ -217,10 +218,10 @@ class BatchedEngine(EngineBase):
         # (policy, scheme) pair still bound to the L2, a read-only run
         # without an immediate observer gets it with that pair's
         # transition inlined; every other run gets the call form.
-        bound = getattr(l2, "kernel", None)
-        fused = (bound is not None and l2.access_line_hit is bound[1]
-                 and not has_writes and observe_now is None)
-        loop = transitions.bind("loop", bound[0] if fused else None, l2)
+        key = (rendered_key(l2)
+               if not has_writes and observe_now is None else None)
+        fused = key is not None
+        loop = transitions.bind("loop", key, l2)
         l2_accesses = l2_stats.accesses
 
         lines = self._ck_lines

@@ -13,21 +13,21 @@ is provably unobservable.  It cuts the miss stream (the shared
 :func:`.common.l1_miss_window`, window cache included) into
 **boundary-free windows** (no controller interval boundary can fire
 inside), hands each window whole and in trace order to a single
-:func:`repro.cache.kernels.build_set_run_kernel` call, and reconstructs
-the clock for the whole window with one vectorised prefix sum.  The
-engine itself neither sorts nor drops accesses: grouping a window by set
-and resolving its short-reuse hits in bulk lives in the array kernels
-(:func:`repro.cache.kernels.array._analyze`).
+window-kernel call (:func:`repro.cache.state.build_set_run_kernel`: the
+``window`` rendering of the policy's transition spec, or a loop over
+``access_line_hit`` for a cache without one), and reconstructs the clock
+for the whole window with one vectorised prefix sum.  Neither the engine
+nor the kernel sorts or drops accesses.
 
 Exactness argument (pinned by ``tests/test_cmp/test_vector_engine.py``):
 
 * **Transitions.**  Within a boundary-free window nothing outside the
   cache reads or writes replacement/tag/partition state, so the window's
   state evolution is the per-access transition function iterated over
-  the miss stream.  The python window kernel *is* a loop over the
-  cache's scalar hit kernel, in trace order (so a policy without a
-  flat-state kernel runs here too, through the generic
-  ``access_line_hit``); the array kernels are pinned to it.
+  the miss stream, in trace order.  The window kernel is that iteration
+  with the transition inlined — rendered from the same fragments as the
+  scalar hit kernel — or literally a loop over ``access_line_hit`` (so a
+  policy without a flat-state kernel runs here too).
 * **Timing.**  The shared recurrence ``now = anchor + count * base``,
   ``clock = now + base + penalty`` is a chain of dependent additions
   with one multiply per miss.  ``np.add.accumulate`` evaluates a strictly
@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from repro.cache.kernels import build_set_run_kernel
+from repro.cache.state import build_set_run_kernel
 from repro.cmp.engine.batched import CHUNK_SIZE
 from repro.cmp.engine.common import (
     EngineBase,
@@ -125,7 +125,7 @@ class VectorEngine(EngineBase):
             # accounting) inside the miss stream; a custom observer needs
             # a call per access.  Both are solo's territory.
             return SoloEngine(sim).run()
-        kernel = build_set_run_kernel(l2, sim.simulation.kernel_backend)
+        kernel = build_set_run_kernel(l2)
 
         trace = sim.traces[0]
         length = self.lengths[0]

@@ -60,16 +60,10 @@ SELECTORS = (SELECTOR_MINMISSES, SELECTOR_LOOKAHEAD, SELECTOR_EVEN,
 ENGINE_REFERENCE = "reference"   # per-access oracle loop
 ENGINE_BATCHED = "batched"       # bulk L1 prefilter + event scheduler
 ENGINE_SOLO = "solo"             # single-thread fast path, no scheduler
-ENGINE_VECTOR = "vector"         # single-thread set-parallel slow path
+ENGINE_VECTOR = "vector"         # single-thread window-at-a-time L2 path
 ENGINE_AUTO = "auto"             # vector when num_cores == 1, else batched
 ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_SOLO, ENGINE_VECTOR,
            ENGINE_AUTO)
-
-#: Set-run kernel backend identifiers (see :mod:`repro.cache.kernels`).
-KERNEL_PYTHON = "python"   # loop over the scalar hit kernel (cache/state.py)
-KERNEL_ARRAY = "array"     # numpy whole-run kernels (hot unpartitioned kinds)
-KERNEL_AUTO = "auto"       # array; per-cache eligibility falls back to python
-KERNEL_BACKENDS = (KERNEL_PYTHON, KERNEL_ARRAY, KERNEL_AUTO)
 
 
 @dataclass(frozen=True)
@@ -257,24 +251,15 @@ class SimulationConfig:
     #: Minimum cycles between successive memory services (single-channel
     #: FCFS queue).  0 = the paper's fixed-latency memory (default).
     memory_service_interval: float = 0.0
-    #: Execution engine: ``"auto"`` (the default — the set-parallel
+    #: Execution engine: ``"auto"`` (the default — the window-at-a-time
     #: ``"vector"`` fast path for single-thread runs, ``"batched"``
     #: otherwise), ``"batched"`` (bulk L1 prefilter + event scheduler),
     #: ``"solo"`` (single-thread only: heap-free per-miss walk),
-    #: ``"vector"`` (single-thread only: set-parallel batched L2 slow
+    #: ``"vector"`` (single-thread only: window-at-a-time L2 slow
     #: path) or ``"reference"`` (the per-access oracle loop).  All
     #: engines produce identical results; the equivalence suites and the
     #: ``repro fuzz`` differential harness pin this.
     engine: str = ENGINE_AUTO
-    #: Set-run kernel backend for the vector engine's window replay:
-    #: ``"auto"`` (the default — the numpy ``"array"`` kernels, which
-    #: delegate per cache to ``"python"`` when the policy/partition is
-    #: outside their eligibility), ``"python"`` (one loop over the scalar
-    #: hit kernel, available for every cache) or ``"array"`` (explicit).
-    #: ``REPRO_KERNEL_BACKEND`` overrides ``"auto"`` only.  Both backends
-    #: are bit-identical — the differential suites and ``repro fuzz`` pin
-    #: both per case.
-    kernel_backend: str = KERNEL_AUTO
 
     def __post_init__(self) -> None:
         check_positive("instructions_per_thread", self.instructions_per_thread)
@@ -284,4 +269,3 @@ class SimulationConfig:
         if self.memory_service_interval < 0:
             raise ValueError("memory_service_interval cannot be negative")
         check_in("engine", self.engine, ENGINES)
-        check_in("kernel_backend", self.kernel_backend, KERNEL_BACKENDS)

@@ -25,7 +25,6 @@ from repro.config import (
     ENGINE_REFERENCE,
     ENGINE_SOLO,
     ENGINE_VECTOR,
-    KERNEL_AUTO,
     PartitioningConfig,
     ProcessorConfig,
     SimulationConfig,
@@ -79,21 +78,13 @@ class FuzzCase:
         )
 
     def simulation(self, engine: str) -> SimulationConfig:
-        """The case's simulation knobs bound to one engine.
-
-        An engine spec may pin a kernel backend as ``"vector:python"``;
-        the suffix feeds ``SimulationConfig.kernel_backend`` so the
-        oracle can cross-check every backend, not just the ``auto``
-        resolution.
-        """
-        engine_name, _, backend = engine.partition(":")
+        """The case's simulation knobs bound to one engine."""
         return SimulationConfig(
             instructions_per_thread=self.instructions_per_thread,
             per_thread_instructions=self.per_thread_instructions,
             seed=self.sim_seed,
             memory_service_interval=self.memory_service_interval,
-            engine=engine_name,
-            kernel_backend=backend or KERNEL_AUTO,
+            engine=engine,
         )
 
     def simulator(self, engine: str) -> CMPSimulator:
@@ -102,27 +93,10 @@ class FuzzCase:
                             self.traces, self.simulation(engine))
 
     def applicable_engines(self) -> Tuple[str, ...]:
-        """Engines this case can legally run (solo/vector need one core).
-
-        The plain ``vector`` entry runs the ``auto``-resolved kernel
-        backend (``array``); the explicit ``vector:python`` spec then
-        cross-checks the other one per case.  That run replays windows
-        through the loop over the cache's ``access_line_hit`` (the
-        generic method for every policy but lru/nru/bt), so it isolates the
-        vector engine's own windowing / elision / timing from the array
-        kernels: a divergence in either is caught by the same oracle
-        that pins the engines to each other.
-        """
+        """Engines this case can legally run (solo/vector need one core)."""
         if self.num_cores != 1:
             return (ENGINE_REFERENCE, ENGINE_BATCHED)
-        from repro.cache.kernels import (
-            available_backends,
-            resolve_kernel_backend,
-        )
-        auto = resolve_kernel_backend(KERNEL_AUTO)
-        return ALL_ENGINES + tuple(
-            f"{ENGINE_VECTOR}:{backend}"
-            for backend in available_backends() if backend != auto)
+        return ALL_ENGINES
 
     def total_accesses(self) -> int:
         """Summed trace length — the shrinker's minimisation metric."""

@@ -12,19 +12,16 @@ rules hold; each gets a mechanical check here:
   preallocated state arrays **in place**; rebinding (``self.order = [...]``)
   detaches every kernel local captured at cache construction.
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
-  renders (``access_line_hit`` / ``observe_many`` / the event loop of
-  ``BatchedEngine.run``, for each policy x scheme, plus the call-form
-  loop) and the closures built by the ``*_kernel`` functions in
-  ``cache/state.py`` (the derived builders) must run on bound locals
-  only: no attribute loads (beyond int/list method calls on locals), no
-  global lookups, no list/dict/set or comprehension allocations.  The
-  spec tables are read off the checked tree as literals and rendered
-  with this package's renderer — the checked tree is never imported.
-  The ``_*_array_kernel`` factories in ``cache/kernels/array.py`` are
-  checked under a *relaxed* window contract: their closures run once per
-  window, so container allocations are fine and single-level attribute
-  loads on bound names (``memo.get``, ``tag_map.update``) are fine — but
-  global/builtin lookups and multi-level attribute chains stay banned.
+  renders (``access_line_hit`` / ``run_window`` / ``observe_many`` / the
+  event loop of ``BatchedEngine.run``, for each policy x scheme, plus
+  the call-form loop) and the closures built by the ``*_kernel``
+  functions in ``cache/state.py`` (the derived builders) must run on
+  bound locals only: no attribute loads (beyond int/list method calls on
+  locals), no global lookups, no list/dict/set or comprehension
+  allocations.  The spec tables are read off the checked tree as
+  literals and rendered with this package's renderer — the checked tree
+  is never imported — so a fragment storing to a local its skeleton
+  keeps for itself (``PRIVATE_LOCALS``) is flagged here too.
 """
 
 from __future__ import annotations
@@ -49,14 +46,10 @@ STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
 #: closures (private per-policy factories and public derived builders).
 HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 
-#: Modules whose ``_*_array_kernel`` factories build *window-level*
-#: closures, checked under the relaxed array contract.
-ARRAY_KERNEL_MODULES = ("repro/cache/kernels/array.py",)
-
-#: Module whose literal ``POLICIES`` / ``SCHEMES`` / ``TEMPLATES`` tables
-#: every hot kernel is rendered from.
+#: Module whose literal ``POLICIES`` / ``SCHEMES`` / ``TEMPLATES`` /
+#: ``PRIVATE_LOCALS`` tables every hot kernel is rendered from.
 TRANSITION_SPEC = "repro/cache/transitions.py"
-SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES")
+SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS")
 
 #: ``(spec module, rendering)`` that run once per simulated event: the
 #: spec must render them (for every key and the call form), under the
@@ -249,21 +242,15 @@ class HotPathPurityRule(Rule):
                    "factory-bound locals")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for modules, suffix, relaxed in (
-                (HOT_KERNEL_MODULES, "_kernel", False),
-                (ARRAY_KERNEL_MODULES, "_array_kernel", True)):
-            for rel in modules:
-                path = ctx.find(rel)
-                if path is None:
-                    continue
-                tree = ctx.tree(path)
-                if tree is None:
-                    continue
-                for node in tree.body:
-                    if (isinstance(node, ast.FunctionDef)
-                            and node.name.endswith(suffix)):
-                        yield from self._check_factory(ctx, path, node,
-                                                       relaxed)
+        for rel in HOT_KERNEL_MODULES:
+            path = ctx.find(rel)
+            tree = ctx.tree(path) if path is not None else None
+            if tree is None:
+                continue
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name.endswith("_kernel")):
+                    yield from self._check_factory(ctx, path, node)
         yield from self._check_rendered(ctx)
 
     def _check_rendered(self, ctx: LintContext) -> Iterator[Diagnostic]:
@@ -274,29 +261,35 @@ class HotPathPurityRule(Rule):
             return
         constants = _module_constants(tree)
         try:
-            rendered = list(transitions.rendered_sources(
-                *(ast.literal_eval(constants[name][0])
-                  for name in SPEC_TABLES)))
+            tables = [ast.literal_eval(constants[name][0])
+                      for name in SPEC_TABLES]
         except (KeyError, ValueError) as exc:
-            yield self.diag(ctx, path, 1, "spec does not render from "
-                            f"literal {'/'.join(SPEC_TABLES)}: {exc!r}")
+            yield self.diag(ctx, path, 1, "spec does not declare literal "
+                            f"{'/'.join(SPEC_TABLES)}: {exc!r}")
             return
+        keys = transitions.rendering_keys(*tables[:2])
         for rel, rendering in EVENT_LOOPS:
             if ctx.find(rel) == path and not any(
-                    name.endswith(f" {rendering}>") for name, _ in rendered):
+                    kind == rendering for kind, _ in keys):
                 yield self.diag(ctx, path, 1,
                                 f"spec renders no {rendering!r} event loop")
         seen = set()
-        for name, source in rendered:
-            lines = source.splitlines()
+        for rendering, key in keys:
+            name = transitions.source_name(rendering, key)
             try:
+                source = transitions.render(rendering, key, *tables)
                 factory = ast.parse(source).body[0]
             except SyntaxError as exc:
                 yield self.diag(ctx, path, 1,
                                 f"{name} does not parse: {exc.msg} — "
                                 f"`{(exc.text or '').strip()}`")
                 continue
-            for diag in self._check_factory(ctx, path, factory, False):
+            except (KeyError, ValueError) as exc:
+                yield self.diag(ctx, path, 1,
+                                f"{name} does not render: {exc}")
+                continue
+            lines = source.splitlines()
+            for diag in self._check_factory(ctx, path, factory):
                 text = lines[diag.line - 1].strip()
                 if (diag.message, text) not in seen:
                     seen.add((diag.message, text))
@@ -304,17 +297,17 @@ class HotPathPurityRule(Rule):
                         ctx, path, 1,
                         f"{diag.message} — `{text}` ({name} line {diag.line})")
 
-    def _check_factory(self, ctx: LintContext, path, factory,
-                       relaxed: bool) -> Iterator[Diagnostic]:
+    def _check_factory(self, ctx: LintContext, path, factory
+                       ) -> Iterator[Diagnostic]:
         outer = _ScopeCollector(factory).names
         for node in ast.walk(factory):
             if (isinstance(node, ast.FunctionDef) and node is not factory):
                 yield from self._check_body(
                     ctx, path, f"{factory.name}.{node.name}", node,
-                    outer | _ScopeCollector(node).names, relaxed)
+                    outer | _ScopeCollector(node).names)
 
     def _check_body(self, ctx: LintContext, path, where: str, closure,
-                    bound: Set[str], relaxed: bool) -> Iterator[Diagnostic]:
+                    bound: Set[str]) -> Iterator[Diagnostic]:
         """Purity of ``closure.body`` (a closure's, or a hot loop's)."""
         handler_types: Set[str] = set()
         for node in _closure_nodes(closure):
@@ -328,9 +321,6 @@ class HotPathPurityRule(Rule):
                     continue
                 if node.attr in PURE_LOCAL_ATTRS:
                     continue
-                if (relaxed and isinstance(node.value, ast.Name)
-                        and node.value.id in bound):
-                    continue   # single-level attr on a bound name
                 yield self.diag(
                     ctx, path, node.lineno,
                     f"attribute load .{node.attr} inside {where}; bind "
@@ -338,8 +328,6 @@ class HotPathPurityRule(Rule):
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                    ast.GeneratorExp, ast.List, ast.Dict,
                                    ast.Set)):
-                if relaxed:
-                    continue   # window-granularity allocations are fine
                 if isinstance(node, (ast.List, ast.Dict, ast.Set)) and \
                         not isinstance(getattr(node, "ctx", ast.Load()),
                                        ast.Load):

@@ -1,9 +1,9 @@
-"""Kernel-backend registry: resolution matrix and build delegation.
+"""Window-kernel selection: which ``build_set_run_kernel`` a cache gets.
 
-The registry's contract has two halves — *name resolution* (``auto`` /
-env override / unknown-name errors) and *build delegation* (``array``
-without a kernel for the cache at hand falls back to ``python`` without
-error).
+There is no backend to name any more — a cache still running the
+rendered hit kernel it recorded gets the ``window`` rendering of the
+same spec, every other cache the derived loop over its
+``access_line_hit`` (the deep state diffs live in ``test_state.py``).
 """
 
 import numpy as np
@@ -11,14 +11,8 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.kernels import (
-    ENV_KERNEL_BACKEND,
-    available_backends,
-    build_set_run_kernel,
-    resolve_kernel_backend,
-)
 from repro.cache.replacement.base import make_policy
-from repro.config import SimulationConfig
+from repro.cache.state import build_set_run_kernel
 
 
 def make_cache(policy_name="lru", num_sets=8, assoc=8):
@@ -29,96 +23,65 @@ def make_cache(policy_name="lru", num_sets=8, assoc=8):
                                num_cores=1, kernels=True)
 
 
-class TestResolution:
-    def test_concrete_names_resolve_to_themselves(self):
-        assert resolve_kernel_backend("python") == "python"
-        assert resolve_kernel_backend("array") == "array"
-
-    def test_auto_without_numba_is_array(self, monkeypatch):
-        monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        assert resolve_kernel_backend("auto") == "array"
-        assert available_backends() == ("array", "python")
-
-    def test_removed_numba_backend_is_rejected_everywhere(self, monkeypatch):
-        """The backend is gone, not dormant: the name fails validation at
-        every entry point, and the error lists what is left."""
-        known = r"\['array', 'auto', 'python'\]"
-        with pytest.raises(ValueError, match=known):
-            resolve_kernel_backend("numba")
-        with pytest.raises(ValueError, match=known):
-            SimulationConfig(kernel_backend="numba")
-        monkeypatch.setenv(ENV_KERNEL_BACKEND, "numba")
-        with pytest.raises(ValueError,
-                           match="REPRO_KERNEL_BACKEND.*" + known):
-            resolve_kernel_backend("auto")
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_kernel_backend("cython")
-
-    def test_env_overrides_auto_only(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_BACKEND, "python")
-        assert resolve_kernel_backend("auto") == "python"
-        # An explicit config value always wins over the environment.
-        assert resolve_kernel_backend("array") == "array"
-
-    def test_env_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_BACKEND, "fortran")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            resolve_kernel_backend("auto")
-
-    def test_blank_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_BACKEND, "  ")
-        assert resolve_kernel_backend("auto") == "array"
-
-    def test_simulation_config_validates_backend(self):
-        assert SimulationConfig().kernel_backend == "auto"
-        assert SimulationConfig(kernel_backend="array").kernel_backend \
-            == "array"
-        with pytest.raises(ValueError):
-            SimulationConfig(kernel_backend="cython")
+def rebound(cache):
+    """``cache`` with ``access_line_hit`` wrapped: it no longer runs the
+    kernel it recorded, so only the derived loop is exact for it."""
+    hit = cache.access_line_hit
+    cache.access_line_hit = lambda line, core=0: hit(line, core)
+    return cache
 
 
 class TestBuildDelegation:
+    """(Test names date from the backend registry this file used to
+    cover; each now pins the surviving half of its theorem.)"""
+
     def test_python_backend_returns_loop_kernel(self):
-        kernel = build_set_run_kernel(make_cache("lru"), "python")
+        """The python loop is what a cache that rebound its kernel gets."""
+        kernel = build_set_run_kernel(rebound(make_cache("lru")))
         assert kernel.__module__ == "repro.cache.state"
 
     def test_array_backend_builds_for_eligible_kind(self):
-        kernel = build_set_run_kernel(make_cache("lru"), "array")
-        assert kernel is not None
-        assert kernel.__module__ == "repro.cache.kernels.array"
+        """A stock cache of a paper kind gets the fast (rendered) window."""
+        kernel = build_set_run_kernel(make_cache("lru"))
+        assert kernel.__code__.co_filename == "<repro kernel lru/none window>"
 
     @pytest.mark.parametrize("policy_name",
                              ["random", "srrip", "dip", "fifo"])
     def test_ineligible_kind_falls_back_to_python(self, policy_name):
-        cache = make_cache(policy_name)
-        kernel = build_set_run_kernel(cache, "array")
-        assert kernel is not None
-        assert kernel.__module__ == "repro.cache.state"
-
-    def test_auto_builds_the_array_kernel(self, monkeypatch):
-        monkeypatch.delenv(ENV_KERNEL_BACKEND, raising=False)
-        kernel = build_set_run_kernel(make_cache("lru"), "auto")
-        assert kernel.__module__ == "repro.cache.kernels.array"
-
-    def test_env_steers_default_config_to_python(self, monkeypatch):
-        monkeypatch.setenv(ENV_KERNEL_BACKEND, "python")
-        kernel = build_set_run_kernel(make_cache("lru"), "auto")
+        """A policy without a kernel kind has no rendering: its window is
+        the python loop over the generic ``access_line_hit``."""
+        kernel = build_set_run_kernel(make_cache(policy_name))
         assert kernel.__module__ == "repro.cache.state"
 
     def test_backends_agree_on_a_shared_window(self):
-        """End-to-end: both concrete local backends replay one window
-        identically (the deep diff lives in test_state.py)."""
-        caches = {b: make_cache("nru") for b in ("python", "array")}
+        """End-to-end: the rendered window and the derived loop over the
+        scalar hit kernel replay one window identically."""
+        caches = {"rendered": make_cache("nru"),
+                  "derived": rebound(make_cache("nru"))}
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 150, size=900).tolist()
         flags = {}
-        for backend, cache in caches.items():
+        for which, cache in caches.items():
+            kernel = build_set_run_kernel(cache)
+            assert (kernel.__module__ == "repro.cache.state") \
+                == (which == "derived")
             f = bytearray(len(lines))
-            build_set_run_kernel(cache, backend)(lines, f)
-            flags[backend] = bytes(f)
-        assert flags["python"] == flags["array"]
-        assert caches["python"].stats.misses == caches["array"].stats.misses
-        assert [caches["python"].resident_lines(s) for s in range(8)] \
-            == [caches["array"].resident_lines(s) for s in range(8)]
+            kernel(lines, f)
+            flags[which] = bytes(f)
+        assert flags["rendered"] == flags["derived"]
+        assert caches["rendered"].stats.misses \
+            == caches["derived"].stats.misses
+        assert caches["rendered"].stats.accesses \
+            == caches["derived"].stats.accesses
+        assert [caches["rendered"].resident_lines(s) for s in range(8)] \
+            == [caches["derived"].resident_lines(s) for s in range(8)]
+
+
+def test_benchmark_owned_stubs_keep_their_surface():
+    """``benchmarks/e2e/workloads.py`` imports these two names and reads
+    these keys; only a benchmark PR may stop it (ROADMAP item 3)."""
+    from repro.cache.kernels import array, resolve_kernel_backend
+
+    assert resolve_kernel_backend("auto") == "python"
+    assert array.memo_stats() == {"cold_hits": 0, "cold_misses": 0,
+                                  "cold_entries": 0}

@@ -31,14 +31,10 @@ PAPER_KINDS = {"lru", "nru", "bt"}
 
 
 def test_kernel_tables_name_the_three_paper_kinds():
-    """One kernel kind per paper policy, the same set in the transition
-    spec and the array-kernel tables; every other registered policy stays
-    on the generic path."""
-    from repro.cache.kernels import array
-
-    for table in (transitions.POLICIES, array._ARRAY_KERNELS,
-                  array.ELIGIBLE_KINDS):
-        assert set(table) == PAPER_KINDS
+    """One kernel kind per paper policy in the transition spec — the only
+    kernel table there is; every other registered policy stays on the
+    generic path."""
+    assert set(transitions.POLICIES) == PAPER_KINDS
     for name, cls in POLICY_REGISTRY.items():
         assert cls.kernel_kind == (name if name in PAPER_KINDS else "")
 
@@ -269,16 +265,28 @@ def window_cache_state(cache):
     )
 
 
+def rebind_hit_kernel(cache):
+    """Wrap ``cache.access_line_hit`` so the cache no longer runs the
+    kernel it recorded: ``build_set_run_kernel`` must then derive its
+    window from the wrapper, whatever it does."""
+    hit = cache.access_line_hit
+    cache.access_line_hit = lambda line, core=0: hit(line, core)
+    return cache
+
+
 class TestWindowKernels:
     """build_set_run_kernel windows vs the generic object-protocol path.
 
-    The window kernel is a loop over the cache's bound hit kernel, so
-    comparing it with that kernel would be a tautology; the reference
-    here is the ``kernels=False`` twin stepping the policy classes one
-    access at a time.  Same per-access hit flags, same statistics, same
-    tags and same policy-internal state — across every policy x
-    partition-scheme combination, with partition masks re-applied mid-run
-    and invalid-way fills from both cold sets and mid-run flushes.
+    For a cache still running its rendered hit kernel the window kernel
+    is the ``window`` rendering of the same transition spec — one more
+    rendering to pin, like ``hit`` above; for every other cache it is a
+    loop over ``access_line_hit``.  The reference for both is the
+    ``kernels=False`` twin stepping the policy classes one access at a
+    time.  Same per-access hit flags, same statistics, same tags and same
+    policy-internal state — across every policy x partition-scheme
+    combination, every core (``access_lines(lines, core)`` binds the
+    kernel to ``core``), with partition masks re-applied mid-run and
+    invalid-way fills from both cold sets and mid-run flushes.
     """
 
     NUM_SETS, ASSOC, CORES = 8, 8, 2
@@ -299,6 +307,10 @@ class TestWindowKernels:
         scalar = self._build(policy_name, scheme, kernels=False)
         windowed = self._build(policy_name, scheme)
         kernel = build_set_run_kernel(windowed)
+        rendered = (f"<repro kernel {policy_name}/{scheme} window>"
+                    if policy_name in PAPER_KINDS else None)
+        assert (kernel.__code__.co_filename == rendered) \
+            == (policy_name in PAPER_KINDS), "rendered for paper kinds only"
         scalar_hit = scalar.access_line_hit
 
         rng = np.random.default_rng(41)
@@ -307,14 +319,24 @@ class TestWindowKernels:
         for w in range(14):
             n = int(rng.integers(1, 700))
             lines = rng.integers(0, 260, size=n).tolist()
-            flags = bytearray(n)
-            kernel(lines, flags)
+            # Odd windows go through the public bulk entry point as the
+            # other core (quota / owner bookkeeping under ``counters``,
+            # the core's mask under ``masks`` / ``btvectors``).
+            core = w % self.CORES
+            if core:
+                flags = windowed.access_lines(lines, core)
+            else:
+                flags = bytearray(n)
+                kernel(lines, flags)
             expect = bytearray(n)
             for i, line in enumerate(lines):
-                if scalar_hit(line, 0):
+                if scalar_hit(line, core):
                     expect[i] = 1
             assert bytes(flags) == bytes(expect), f"window {w} flags diverge"
             assert window_cache_state(scalar) == window_cache_state(windowed)
+            for attr in ("_owner", "_owned"):
+                assert getattr(scalar.partition, attr, None) \
+                    == getattr(windowed.partition, attr, None), attr
             act = int(rng.integers(0, 8))
             if act == 0:
                 # Mid-run flush: the next window refills via invalid ways.
@@ -346,8 +368,8 @@ class TestWindowKernels:
 
 
 class TestElisionEligibility:
-    """Policy-level theorems about idempotent repeat / pair hits: the
-    facts the array kernels' reuse-gap shortcut rests on."""
+    """Policy-level theorems about idempotent repeat / pair hits (what
+    any future window-level shortcut would have to rest on)."""
 
     def _cache(self, policy_name, assoc=8, partitioned=False):
         num_sets = 8
@@ -411,23 +433,21 @@ class TestElisionEligibility:
 
 
 class TestArrayKernelProperties:
-    """Array backend vs the python loop kernels: full-state equality.
+    """The rendered ``window`` kernel vs the derived loop over the scalar
+    hit kernel: full flat-state equality, stale slots included.
 
-    Randomized per-set runs across geometries, biased toward the shapes
-    that stress the array kernels' split paths — fit sets (pure
-    invalid-way fills), non-fit single-set hammering (stack-distance
-    classification + eviction pairing) and tiny hot working sets (long
-    hit chains, order-rebuild correctness including stale slots).
+    (The class and its shapes were written against the numpy array
+    backend; the ids are kept so the test trajectory stays comparable.)
+    Randomized per-set runs across geometries, biased toward pure
+    invalid-way fills, single-set hammering (eviction after eviction in
+    one set) and tiny hot working sets (long hit chains, LRU order
+    rotation including the stale tail beyond ``size``).
     """
 
-    #: ``fifo`` has no array kernel: through the registry it takes the
-    #: one delegation there is, to the python loop.
+    #: ``fifo`` has no rendering: both sides take the derived loop.
     ARRAY_KINDS = ("lru", "fifo", "nru", "bt")
 
     def _pair(self, policy_name, num_sets, assoc):
-        from repro.cache import kernels
-        from repro.cache.kernels import array as array_mod
-
         def build():
             geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
             policy = make_policy(policy_name, num_sets, assoc,
@@ -435,11 +455,12 @@ class TestArrayKernelProperties:
             return SetAssociativeCache(geometry, policy, partition=None,
                                        num_cores=1, kernels=True)
 
-        ref, arr = build(), build()
+        ref, arr = rebind_hit_kernel(build()), build()
         k_ref = build_set_run_kernel(ref)
-        k_arr = kernels.build_set_run_kernel(arr, "array")
-        assert (k_arr.__module__ == array_mod.__name__) \
-            == (policy_name in PAPER_KINDS), "array kernel for paper kinds"
+        k_arr = build_set_run_kernel(arr)
+        assert k_ref.__module__ == "repro.cache.state", "derived loop"
+        assert (k_arr.__module__ != "repro.cache.state") \
+            == (policy_name in PAPER_KINDS), "rendered for paper kinds"
         return ref, k_ref, arr, k_arr
 
     @staticmethod
@@ -454,21 +475,6 @@ class TestArrayKernelProperties:
             window_policy_state(cache),
         )
 
-    @staticmethod
-    def _assert_python_ints(state):
-        # np.int64 leaking into the flat state would corrupt repr-based
-        # digests downstream (numpy-2 reprs as ``np.int64(5)``).
-        stack = [state]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, dict):
-                stack.extend(x.keys())
-                stack.extend(x.values())
-            elif isinstance(x, (list, tuple)):
-                stack.extend(x)
-            elif not isinstance(x, str):
-                assert type(x) in (int, bool), f"non-python int: {x!r}"
-
     @pytest.mark.parametrize("policy_name", ARRAY_KINDS)
     @pytest.mark.parametrize("num_sets,assoc",
                              [(8, 8), (4, 2), (2, 16), (1, 8)])
@@ -482,7 +488,7 @@ class TestArrayKernelProperties:
             mode = int(rng.integers(0, 3))
             if mode == 0:       # uniform across sets
                 lines = rng.integers(0, space, size=n).tolist()
-            elif mode == 1:     # single-set hammer (non-fit path)
+            elif mode == 1:     # single-set hammer
                 s = int(rng.integers(0, num_sets))
                 lines = (rng.integers(0, 3 * assoc, size=n) * num_sets
                          + s).tolist()
@@ -493,9 +499,8 @@ class TestArrayKernelProperties:
             k_ref(lines, f_ref)
             k_arr(lines, f_arr)
             assert bytes(f_ref) == bytes(f_arr), f"window {w} flags diverge"
-            state = self._full_state(arr)
-            assert self._full_state(ref) == state, f"window {w} state"
-            self._assert_python_ints(state)
+            assert self._full_state(ref) == self._full_state(arr), \
+                f"window {w} state"
             if rng.integers(0, 8) == 0:
                 # Mid-run flush: the next window refills via invalid ways.
                 ref.flush()
@@ -503,7 +508,7 @@ class TestArrayKernelProperties:
 
     @pytest.mark.parametrize("policy_name", ARRAY_KINDS)
     def test_cold_start_pure_fill_window(self, policy_name):
-        """An all-cold window exercises the fit path exclusively."""
+        """An all-cold window is invalid-way fills exclusively."""
         ref, k_ref, arr, k_arr = self._pair(policy_name, 8, 8)
         lines = list(range(64))  # exactly fills every way of every set
         f_ref, f_arr = bytearray(64), bytearray(64)
@@ -515,10 +520,10 @@ class TestArrayKernelProperties:
 
     @pytest.mark.parametrize("policy_name", sorted(PAPER_KINDS))
     def test_cold_window_and_same_window_after_flush(self, policy_name):
-        """A cold window takes the general path like any other (nothing
-        intercepts an empty cache): run cold, it matches the python loop
-        in full state; run again after other traffic and a flush, it
-        matches again and reproduces the cold outcome."""
+        """Run cold, a window matches the derived loop in full state; run
+        again after other traffic and a flush, it matches again and
+        reproduces the cold outcome (flush resets in place, the bound
+        rendering stays live)."""
         ref, k_ref, arr, k_arr = self._pair(policy_name, 8, 8)
         rng = np.random.default_rng(29)
         window = rng.integers(0, 200, size=900).tolist()   # evicting sets
@@ -541,28 +546,38 @@ class TestArrayKernelProperties:
         assert run(window) == cold      # flags, tags/map/invalid, misses
 
     def test_array_build_respects_eligibility(self):
-        """Ineligible (policy, partition) combinations must return None
-        so the registry can delegate to the python kernels."""
-        from repro.cache.kernels import array as array_mod
-        from repro.cache.partition.base import make_partition
+        """Which window a cache gets is decided by what it can observe:
+        the rendering only while the cache still runs the stock kernel it
+        recorded — partitioned or not — and the derived loop for a
+        kernel-less policy, a subclassed scheme, a ``kernels=False``
+        cache and a rebound ``access_line_hit``."""
+        from repro.cache.partition.masks import MasksPartition
 
         num_sets, assoc = 8, 8
         geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
 
-        def cache_for(policy_name, partitioned=False):
+        class NarrowedMasks(MasksPartition):
+            def candidate_mask(self, set_index, core):
+                return super().candidate_mask(set_index, core)
+
+        def cache_for(policy_name, scheme=None, **kwargs):
             policy = make_policy(policy_name, num_sets, assoc,
                                  rng=np.random.default_rng(3))
             part = None
-            if partitioned:
-                part = make_partition("masks", 2, num_sets, assoc)
+            if scheme is not None:
+                part = scheme(2, num_sets, assoc)
                 part.apply(WayAllocation.from_counts((5, 3), assoc))
             return SetAssociativeCache(geometry, policy, partition=part,
-                                       num_cores=2 if partitioned else 1,
-                                       kernels=True)
+                                       num_cores=2 if part else 1, **kwargs)
 
-        assert array_mod.build(cache_for("lru")) is not None
-        # Policies without a kernel kind have no array kernel.
+        def rendered(cache):
+            kernel = build_set_run_kernel(cache)
+            return kernel.__code__.co_filename.startswith("<repro kernel ")
+
+        assert rendered(cache_for("lru"))
+        assert rendered(cache_for("lru", MasksPartition))
         for name in ("fifo", "random", "srrip", "lip"):
-            assert array_mod.build(cache_for(name)) is None
-        # Partitioned caches always delegate.
-        assert array_mod.build(cache_for("lru", partitioned=True)) is None
+            assert not rendered(cache_for(name))
+        assert not rendered(cache_for("lru", NarrowedMasks))
+        assert not rendered(cache_for("lru", kernels=False))
+        assert not rendered(rebind_hit_kernel(cache_for("lru")))

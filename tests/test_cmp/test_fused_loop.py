@@ -264,3 +264,26 @@ class TestGeneratedSourceExplainsItself:
         broken = dict(transitions.TEMPLATES, miss="way = $way")
         with pytest.raises(KeyError, match="way"):
             transitions.render("hit", ("lru", "none"), templates=broken)
+
+    def test_fragment_storing_to_a_skeleton_local_is_an_error(self):
+        """The hole this closes: a window skeleton whose position counter
+        was named ``pos`` rendered fine and LRU's locate fragment
+        (``pos = order_index(...)``) silently overwrote it.  Each
+        skeleton's own locals are declared; a policy / scheme fragment
+        assigning one is refused for that rendering and no other."""
+        private = dict(transitions.PRIVATE_LOCALS, window=("pos", "missed"))
+        with pytest.raises(ValueError, match=r"policy 'locate' -> pos"):
+            transitions.render("window", ("lru", "none"), private=private)
+        transitions.render("window", ("nru", "none"), private=private)
+        transitions.render("hit", ("lru", "none"), private=private)
+        schemes = dict(transitions.SCHEMES, masks=dict(
+            transitions.SCHEMES["masks"], mask="j = mask = masks[$core]"))
+        with pytest.raises(ValueError, match=r"scheme 'mask' -> j"):
+            transitions.render("loop", ("nru", "masks"), schemes=schemes)
+
+    def test_every_shipped_rendering_passes_the_checks(self):
+        keys = transitions.rendering_keys()
+        assert len(keys) == 40
+        assert sum(rendering == "window" for rendering, _ in keys) == 12
+        for rendering, key in keys:
+            transitions._factory(rendering, key)    # render + closure checks

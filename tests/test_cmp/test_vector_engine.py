@@ -1,6 +1,6 @@
 """Vector-engine differential suite.
 
-Pins the set-parallel slow path (:mod:`repro.cmp.engine.vector`)
+Pins the window-at-a-time slow path (:mod:`repro.cmp.engine.vector`)
 bit-identical to the reference loop on every single-thread workload —
 all 10 replacement policies, every partition scheme, write traces (solo
 fallback), the bandwidth channel, interval-boundary catch-ups, freeze
@@ -8,7 +8,7 @@ edges, budgets wrapping the trace and mid-trace chunk reloads — plus
 what is specific to this engine:
 
 * streams dense with immediate same-set repeats and two-line
-  alternations (the shapes the array kernels resolve in bulk),
+  alternations (long hit chains through the window kernel),
 * the **shared window cache**: a warm run skips the L1 walk and is
   bit-identical, the simulator's L1 is exact after cold and warm runs,
   and the module keeps no cache of its own.
@@ -22,7 +22,6 @@ import pytest
 import repro.cmp.engine.common as common_mod
 import repro.cmp.engine.vector as vector_mod
 from repro.cache.geometry import CacheGeometry
-from repro.cache.kernels import available_backends
 from repro.cmp.engine import SoloEngine, VectorEngine, make_engine, \
     resolve_engine_name
 from repro.cmp.simulator import CMPSimulator
@@ -89,22 +88,16 @@ def alternation_trace(count=8000, name="alt"):
 
 def run_engines(partitioning, traces, engines, num_cores=1, budget=30_000,
                 service_interval=0.0, per_thread=None, keep_sim=False):
-    """Run the same workload under each engine; returns results (and sims).
-
-    An engine spec may carry a kernel backend as ``"vector:array"`` —
-    the suffix feeds ``SimulationConfig.kernel_backend``.
-    """
+    """Run the same workload under each engine; returns results (and sims)."""
     results = []
     sims = []
     for engine in engines:
-        engine_name, _, backend = engine.partition(":")
         sim_config = SimulationConfig(
             instructions_per_thread=budget,
             per_thread_instructions=per_thread,
             seed=7,
             memory_service_interval=service_interval,
-            engine=engine_name,
-            kernel_backend=backend or "auto",
+            engine=engine,
         )
         sim = CMPSimulator(processor(num_cores), partitioning, traces,
                            sim_config)
@@ -138,10 +131,6 @@ def profiling_state(sim):
     ]
 
 
-#: Both kernel backends as vector-engine specs — the differential tests
-#: below run per backend.
-VECTOR_SPECS = tuple(f"vector:{b}" for b in available_backends())
-
 PARTITIONED_CONFIGS = [
     config_C_L(atd_sampling=4, interval_cycles=20_000),
     config_M_L(atd_sampling=4, interval_cycles=20_000),
@@ -156,17 +145,17 @@ class TestVectorVsReference:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_all_policies_unpartitioned(self, policy):
         results = run_engines(config_unpartitioned(policy), [make_trace()],
-                              ("reference",) + VECTOR_SPECS)
+                              ("reference", "vector"))
         for vec in results[1:]:
             assert_identical(results[0], vec)
 
     @pytest.mark.parametrize("config", PARTITIONED_CONFIGS,
                              ids=lambda c: c.acronym)
     def test_partitioned_schemes(self, config):
-        # Partitioned caches are array-ineligible: the specs pin the
-        # delegation fallback to the python kernel per backend.
+        # Partitioned caches replay windows through the rendered kernel
+        # of their (policy, scheme) pair.
         results, sims = run_engines(
-            config, [make_trace()], ("reference",) + VECTOR_SPECS,
+            config, [make_trace()], ("reference", "vector"),
             keep_sim=True)
         assert results[0].events.repartitions > 0
         for vec, vec_sim in zip(results[1:], sims[1:]):
@@ -202,7 +191,7 @@ class TestVectorVsReference:
         monkeypatch.setitem(POLICY_REGISTRY, "lru", MRUVictim)
         vector_mod.clear_memos()
         results = run_engines(config, [make_trace()],
-                              ("reference",) + VECTOR_SPECS)
+                              ("reference", "vector"))
         for vec in results[1:]:
             assert_identical(results[0], vec)
         assert results[0].threads[0].l2_misses != stock.threads[0].l2_misses
@@ -306,7 +295,7 @@ class TestElision:
         """Nearly every grouped access is an immediate same-set repeat."""
         results = run_engines(config_unpartitioned(policy),
                               [rotation_trace()],
-                              ("reference",) + VECTOR_SPECS)
+                              ("reference", "vector"))
         ref = results[0]
         for vec in results[1:]:
             assert_identical(ref, vec)
@@ -320,7 +309,7 @@ class TestElision:
         replayed in full (still bit-identical) for every other kind."""
         results = run_engines(config_unpartitioned(policy),
                               [alternation_trace()],
-                              ("reference",) + VECTOR_SPECS)
+                              ("reference", "vector"))
         ref = results[0]
         for vec in results[1:]:
             assert_identical(ref, vec)
@@ -473,11 +462,11 @@ class TestMemoStats:
               "window_cache": {"lookups": 0, "hits": 0, "evictions": 0,
                                "entries": 0, "bytes": 0}}
 
-    def _run(self, trace, engine="vector", backend="auto"):
+    def _run(self, trace, engine="vector"):
         sim = CMPSimulator(
             processor(), config_unpartitioned("lru"), [trace],
             SimulationConfig(instructions_per_thread=30_000, seed=7,
-                             engine=engine, kernel_backend=backend))
+                             engine=engine))
         return sim.run()
 
     def test_counters_track_lookups(self):
@@ -510,14 +499,14 @@ class TestMemoStats:
 
     def test_window_products_shared_across_backends(self):
         """One prefilter cache for the process: windows cached by a
-        ``vector:array`` run are hit by ``vector:python`` and by the
-        batched engine at n = 1 on the same trace, results identical."""
+        vector run are hit by the next vector run and by the batched
+        engine at n = 1 on the same trace, results identical."""
         vector_mod.clear_memos()
         trace = make_trace(seed=777, name="memo-xbackend")
-        first = self._run(trace, backend="array")
+        first = self._run(trace)
         lookups = vector_mod.memo_stats()["l1_misses"]
         assert lookups > 0
-        second = self._run(trace, backend="python")
+        second = self._run(trace)
         assert vector_mod.memo_stats()["l1_hits"] == lookups
         third = self._run(trace, engine="batched")
         stats = vector_mod.memo_stats()

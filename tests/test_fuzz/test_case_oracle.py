@@ -63,10 +63,7 @@ class TestOracle:
     def test_clean_case_reports_no_divergence(self):
         report = run_case(small_case())
         assert not report.divergent
-        # Besides the four engines, the non-auto kernel backend rides
-        # along as an explicit vector spec.
-        assert {"reference", "batched", "solo", "vector",
-                "vector:python"} <= set(report.engines)
+        assert report.engines == ("reference", "batched", "solo", "vector")
         assert all(not d for d in report.diffs.values())
         assert report.summary().startswith("ok:")
         # The reference once, every other engine cold and warm.

@@ -61,14 +61,12 @@ class TestValidity:
         assert seen == set(TRACE_SHAPES)
 
     def test_engine_variety(self):
-        """Both the full single-core list (4 engines + the non-auto
-        kernel backends) and the 2-engine multi-core path appear early
-        in any campaign."""
-        from repro.cache.kernels import available_backends
-        full = 4 + len(available_backends()) - 1
+        """Both the full single-core list (all four engines, one spec
+        each) and the 2-engine multi-core path appear early in any
+        campaign."""
         counts = {len(generate_case(7, i).applicable_engines())
                   for i in range(20)}
-        assert counts == {2, full}
+        assert counts == {2, 4}
 
 
 class TestMultiCoreShapes:

@@ -65,6 +65,24 @@ def build(cache):
 
     return access_line_hit
 """,
+    "window": """\
+def build(cache, core=0):
+    $bind_cache
+
+    def run_window(lines, flags):
+        k = 0
+        for line in lines:
+            way = tag_get(line)
+            s = line & set_mask
+            if way is not None:
+                $promote
+                flags[k] = 1
+            else:
+                $miss
+            k += 1
+
+    return run_window
+""",
     "observe": """\
 def build(atd):
     policy = atd.policy
@@ -114,4 +132,11 @@ else:
     clock = now + 9.0""",
     "bind_call": "l2_access_hit = cache.access_line_hit",
     "access_call": "clock = now + (1.0 if l2_access_hit(line, t) else 9.0)",
+}
+
+PRIVATE_LOCALS = {
+    "hit": (),
+    "window": ("k",),
+    "observe": (),
+    "loop": ("t", "now", "clock", "horizon"),
 }

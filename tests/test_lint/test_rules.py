@@ -65,19 +65,17 @@ class TestHotPathPurity:
         assert len(messages) == 1
         assert "attribute load ._skip_mask" in messages[0]
 
-    def test_array_kernel_relaxed_contract(self, lint_fixture):
-        """``_*_array_kernel`` closures run once per window, so container
-        allocations and single-level attribute loads on bound names pass —
-        but globals/builtins and attribute chains are still flagged."""
+    def test_flags_fragment_storing_to_a_skeleton_local(self, lint_fixture):
+        """A scheme fragment assigning the window skeleton's position
+        counter would scatter hit flags to the wrong slots without any
+        error; the rendering that declares the local private is refused,
+        the renderings that do not are still checked."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
-                    if "_flat_array_kernel" in m.message]
-        assert any("lookup of 'len'" in m for m in messages)
-        assert any("lookup of '_MEMO'" in m for m in messages)
-        assert any("attribute load .invalid" in m for m in messages)
-        assert not any("allocation" in m for m in messages)
-        assert not any(".update" in m for m in messages)
-        assert not any(".state" in m for m in messages)
+                    if "does not render" in m.message]
+        assert len(messages) == 1
+        assert "<repro kernel flat/clobber window>" in messages[0]
+        assert "scheme 'mask' -> k" in messages[0]
 
     def test_covers_batched_event_loop(self, lint_fixture):
         """The event loop of ``BatchedEngine.run`` is a rendering of the
@@ -93,13 +91,15 @@ class TestHotPathPurity:
 
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
         """A fragment with an attribute chase is flagged in the hit
-        kernel, the observe kernel and the fused loop it is rendered
-        into — once per rendering kind, not once per (policy, scheme)."""
+        kernel, the window kernel, the observe kernel and the fused loop
+        it is rendered into — once per rendering kind, not once per
+        (policy, scheme)."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "attribute load ._used" in m.message]
-        assert len(messages) == 3
-        for closure in ("access_line_hit", "observe_many", "loop"):
+        assert len(messages) == 4
+        for closure in ("access_line_hit", "run_window", "observe_many",
+                        "loop"):
             assert any(f"build.{closure}" in m for m in messages)
         assert all("`cache.policy._used[s] |= 1 << way`" in m
                    for m in messages)

@@ -2,25 +2,26 @@
 """Kernel traffic audit: which spec fragments does a report render?
 
 Wraps ``repro.cache.transitions.bind`` — the one entry point every
-rendered kernel is built through — and every factory of
-``repro.cache.kernels.array._ARRAY_KERNELS`` from outside ``src/``, runs
-one cold serial ``repro report run --scale SCALE`` into a temporary
-store and prints, as JSON, how many kernels each ``(policy, scheme)`` key
-built per rendering (``hit`` / ``observe`` / ``loop``; ``call`` is the
+rendered kernel is built through — and the vector engine's
+``build_set_run_kernel`` from outside ``src/``, runs one cold serial
+``repro report run --scale SCALE`` into a temporary store and prints, as
+JSON, how many kernels each ``(policy, scheme)`` key built per rendering
+(``hit`` / ``window`` / ``observe`` / ``loop``; ``call`` is the
 call-form loop), the same counts per *policy fragment* and per *scheme
-fragment*, the array-kernel builds per kind (a ``None`` return is a
-delegation, not a build) and how many times each fast engine's ``run``
-was entered (a vector run that delegates to solo counts under both).
+fragment*, how many vector-engine window kernels were the *derived* loop
+over ``access_line_hit`` rather than a rendering, and how many times
+each fast engine's ``run`` was entered (a vector run that delegates to
+solo counts under both).
 
 A registered fragment that renders nothing over a whole report is dead
 weight — that is how the four non-paper hit kernels and the FIFO array
 path were found — so the exit status is 1 when a policy of
-``transitions.POLICIES`` has zero builds in any rendering, a scheme of
-``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds, or an array
-kind has zero builds.  It is also 1 when the vector runs and the
-array-kernel builds differ: the vector engine hands whole windows to the
-kernel untouched because every shipped single-thread run gets an array
-kernel, which does its own grouping.  CI runs this at ``micro`` in the
+``transitions.POLICIES`` has zero builds in any rendering or a scheme of
+``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds.  It is also
+1 when the vector runs differ from the rendered-window builds plus the
+derived-loop builds: every vector run replays its windows through
+exactly one window kernel (a run that delegates to solo builds none —
+no shipped job does).  CI runs this at ``micro`` in the
 ``campaign-smoke`` job.
 
 Run from the repo root::
@@ -42,26 +43,27 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import cli  # noqa: E402
 from repro.cache import transitions  # noqa: E402
-from repro.cache.kernels import array  # noqa: E402
 from repro.cmp.engine import BatchedEngine, SoloEngine, VectorEngine  # noqa: E402
+from repro.cmp.engine import vector  # noqa: E402
 
 ENGINES = (VectorEngine, SoloEngine, BatchedEngine)
 #: Renderings a fragment of each table must reach.
-RENDERINGS = {"policy": ("hit", "observe", "loop"), "scheme": ("hit", "loop")}
+RENDERINGS = {"policy": ("hit", "window", "observe", "loop"),
+              "scheme": ("hit", "loop")}
 
 
-def _counting(factory, counts, kind):
-    def build(owner):
-        kernel = factory(owner)
-        if kernel is not None:
-            counts[kind] += 1
+def _counting_derived(build, builds):
+    def counted(cache, core=0):
+        kernel = build(cache, core)
+        if kernel.__module__ == build.__module__:
+            builds["derived"] += 1
         return kernel
 
-    return build
+    return counted
 
 
 def _counting_bind(bind, builds, fragments):
-    def counted(rendering, key, owner):
+    def counted(rendering, key, owner, *args):
         label = "call" if key is None else "/".join(key)
         per_key = builds[rendering]
         per_key[label] = per_key.get(label, 0) + 1
@@ -70,7 +72,7 @@ def _counting_bind(bind, builds, fragments):
             fragments["policy"][policy][rendering] += 1
             if rendering in RENDERINGS["scheme"]:
                 fragments["scheme"][scheme][rendering] += 1
-        return bind(rendering, key, owner)
+        return bind(rendering, key, owner, *args)
 
     return counted
 
@@ -84,8 +86,8 @@ def _counting_run(run, counts, name):
 
 
 def measure(scale: str) -> dict:
-    """Builds per rendering per key and per fragment, array builds per
-    kind, and runs per engine, over one cold serial report run."""
+    """Builds per rendering per key and per fragment, derived window
+    loops, and runs per engine, over one cold serial report run."""
     runs = dict.fromkeys((engine.name for engine in ENGINES), 0)
     for engine in ENGINES:
         engine.run = _counting_run(engine.run, runs, engine.name)
@@ -97,9 +99,9 @@ def measure(scale: str) -> dict:
                    for name in transitions.SCHEMES},
     }
     transitions.bind = _counting_bind(transitions.bind, builds, fragments)
-    builds["array"] = counts = dict.fromkeys(array._ARRAY_KERNELS, 0)
-    for kind, factory in array._ARRAY_KERNELS.items():
-        array._ARRAY_KERNELS[kind] = _counting(factory, counts, kind)
+    builds["derived"] = 0
+    vector.build_set_run_kernel = _counting_derived(
+        vector.build_set_run_kernel, builds)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kernel-traffic-") as store:
         with contextlib.redirect_stdout(sys.stderr):
@@ -114,6 +116,25 @@ def measure(scale: str) -> dict:
             "runs": runs}
 
 
+def problems(result: dict) -> list:
+    """What makes the exit status 1 (module docstring), as messages."""
+    found = []
+    unused = [f"{table}:{name}:{rendering}"
+              for table, names in result["fragments"].items()
+              for name, counts in names.items()
+              for rendering, n in counts.items() if not n]
+    if unused:
+        found.append(f"registered fragments with zero builds at "
+                     f"{result['scale']}: {', '.join(unused)}")
+    windows = sum(result["builds"]["window"].values())
+    derived = result["builds"]["derived"]
+    if windows + derived != result["runs"]["vector"]:
+        found.append(f"{result['runs']['vector']} vector runs but {windows} "
+                     f"rendered-window + {derived} derived-loop builds at "
+                     f"{result['scale']}")
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="micro",
@@ -121,22 +142,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     result = measure(args.scale)
     print(json.dumps(result, indent=2))
-    unused = [f"{table}:{name}:{rendering}"
-              for table, names in result["fragments"].items()
-              for name, counts in names.items()
-              for rendering, n in counts.items() if not n]
-    unused += [f"array:{kind}"
-               for kind, n in result["builds"]["array"].items() if not n]
-    if unused:
-        print(f"registered fragments / kinds with zero builds at "
-              f"{args.scale}: {', '.join(unused)}", file=sys.stderr)
-        return 1
-    array_builds = sum(result["builds"]["array"].values())
-    if array_builds != result["runs"]["vector"]:
-        print(f"{result['runs']['vector']} vector runs but {array_builds} "
-              f"array-kernel builds at {args.scale}", file=sys.stderr)
-        return 1
-    return 0
+    found = problems(result)
+    for message in found:
+        print(message, file=sys.stderr)
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
