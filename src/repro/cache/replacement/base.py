@@ -26,7 +26,8 @@ class ReplacementPolicy(ABC):
 
     **PolicyState contract (the flat-array core).**  Every registered policy
     stores its per-set state in preallocated flat integer arrays (Python
-    lists indexed ``set * assoc + way`` or one word per set).  The three
+    lists indexed ``set * assoc + way`` or one word per set; the LRU
+    family's recency order is one short list per set).  The three
     paper policies (LRU, NRU, BT) advertise the layout through
     :attr:`kernel_kind`, which the access-kernel factories in
     :mod:`repro.cache.state` dispatch on to build specialised

@@ -18,12 +18,15 @@ recency order:
   this is the "dozens of bytes" monitoring alternative the paper cites when
   arguing the ATD is no longer the CPA bottleneck.
 
-On the flat-array core, LRU-position insertions live in a per-set *below*
-block (``_below``/``_below_size``/``_below_mask``, flat like the order
-arrays): ways below the recency order, ordered so the **newest** insertion
-is the next victim — the exact behaviour of the seed implementation's
-strictly-decreasing stamp floor (each LRU-insertion took a stamp below
-every valid line and below all previous LRU-insertions).  The full victim
+LRU-position insertions live in a per-set *below* block
+(``_below``/``_below_size``/``_below_mask``, flat ``set * assoc + slot``
+segments, unlike :class:`LRUPolicy`'s per-set order lists: these policies
+run on the generic object path and no shipped figure builds one, so the
+block was not re-laid-out with the order): ways below the recency order,
+ordered so the **newest** insertion is the next victim — the exact
+behaviour of the seed implementation's strictly-decreasing stamp floor
+(each LRU-insertion took a stamp below every valid line and below all
+previous LRU-insertions).  The full victim
 priority is therefore: below block (newest first) -> never-touched ways
 (lowest index) -> recency order (LRU end).  Pinned against the seed stamp
 implementation by ``tests/test_cache/test_flat_equivalence.py``.
@@ -141,7 +144,7 @@ class LIPPolicy(LRUPolicy):
 
     def stack_order(self, set_index: int) -> List[int]:
         base = set_index * self.assoc
-        touched = self._order[base:base + self._size[set_index]]
+        touched = self._order[set_index]
         present = self._present[set_index]
         bmask = self._below_mask[set_index]
         untouched = [w for w in range(self.assoc)

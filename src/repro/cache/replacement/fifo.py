@@ -1,4 +1,4 @@
-"""First-In First-Out (FIFO / round-robin) replacement — flat-array core.
+"""First-In First-Out (FIFO / round-robin) replacement.
 
 A reference baseline that, like NRU, abandons exact recency: each line is
 promoted once, at *fill* time, and the victim is the oldest fill among the
@@ -6,10 +6,11 @@ candidate ways.  Hits do not move a line ("no promotion"), which is what
 separates FIFO from LRU and makes it vulnerable to cyclic working sets that
 slightly exceed the cache.
 
-State is the same flat MRU-first order layout as :class:`LRUPolicy`
-(``_order``/``_size``/``_present`` indexed ``set * assoc + slot``), except
-only :meth:`touch_fill` rotates — behaviourally identical to the previous
-fill-timestamp lists (never-filled ways oldest, ties toward lower way).
+State is :class:`LRUPolicy`'s (``_order``, one MRU-first list of the
+filled ways per set, and the ``_present`` bitmasks), except only
+:meth:`touch_fill` moves a way to the front — behaviourally identical to
+the seed's fill-timestamp lists (never-filled ways oldest, ties toward
+lower way).
 
 Hardware equivalent: one ``log2(A)``-bit insertion pointer per set (the
 classical round-robin implementation).  The order representation used here

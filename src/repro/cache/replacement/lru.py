@@ -1,29 +1,33 @@
-"""True LRU replacement with exact stack positions — flat-array core.
+"""True LRU replacement with exact stack positions — per-set order lists.
 
-State is a struct of preallocated flat arrays (the ``PolicyState`` layout
-the access kernels in :mod:`repro.cache.state` bind directly):
+State is the ``PolicyState`` layout the ``lru`` fragments of
+:mod:`repro.cache.transitions` bind directly:
 
-* ``_order`` — one flat list indexed ``set * assoc + slot`` holding, per
-  set, the *touched* ways in MRU-first recency order (only the first
-  ``_size[s]`` slots of a segment are live);
-* ``_size``  — per-set count of touched ways;
+* ``_order`` — one list per set holding the *touched* ways in MRU-first
+  recency order: a permutation of the present ways, nothing else
+  (``len(_order[s]) == _present[s].bit_count()``, no stale slots);
 * ``_present`` — per-set bitmask of the ways in the order.
 
-This is behaviourally identical to the previous per-set timestamp lists
-(and to the ``A x log2(A)``-bit hardware LRU of the paper, §II-B): a hit or
-fill rotates the way to the front; the LRU way is the segment's last entry;
-never-touched (or invalidated) ways are older than every touched way, ties
-breaking toward the lower way index — exactly the ordering the timestamp
-representation produced with its 0 = "never touched" sentinel.  The
-pin against the seed timestamp implementation is
-``tests/test_cache/test_flat_equivalence.py``.
+A hit or fill moves the way to the front with CPython's C-level
+``list.remove`` + ``list.insert(0, …)`` on a list of at most ``assoc``
+elements (skipped when the way already is the MRU); the LRU way is the
+list's last entry.  The layout was chosen by measurement, like
+``TagStore``'s, over flat ``set * assoc + slot`` segments and per-way
+timestamps (``docs/architecture.md``, "``PolicyState`` layout").
+
+Behaviourally identical to the seed's per-set timestamp lists (and to the
+``A x log2(A)``-bit hardware LRU of the paper, §II-B): never-touched (or
+invalidated) ways are older than every touched way, ties breaking toward
+the lower way index — exactly the ordering the timestamp representation
+produced with its 0 = "never touched" sentinel.  The pin against the seed
+timestamp implementation is ``tests/test_cache/test_flat_equivalence.py``.
 
 The two operations the partitioning system needs survive unchanged:
 
 * victim restricted to an arbitrary subset of ways (untouched candidates
   first, lowest index; else the order's deepest member of the mask);
 * exact stack distance of a hit for the SDH profiling logic (§II-A): the
-  way's index in the order segment, now a C-speed ``list.index``.
+  way's index in its set's list, a C-speed ``list.index``.
 """
 
 from __future__ import annotations
@@ -36,38 +40,29 @@ from repro.util.bitops import bit_length_exact
 
 @register_policy("lru")
 class LRUPolicy(ReplacementPolicy):
-    """Exact LRU over flat MRU-first order arrays."""
+    """Exact LRU over per-set MRU-first order lists."""
 
     kernel_kind = "lru"
 
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
-        # Segment invariant the hit kernels rely on: the live entries of a
-        # set's segment are its first ``_size[s]`` slots, and a present way
-        # appears exactly once, in the live prefix.  Searching a *whole*
-        # segment for a present way is therefore safe without reading
-        # ``_size`` — ``list.index`` returns the first occurrence, and any
-        # stale slot beyond the prefix (left by ``_remove_from_order``, or
-        # the initial -1 fill) comes after the live copy.
-        self._order: List[int] = [-1] * (num_sets * assoc)
-        self._size: List[int] = [0] * num_sets
+        # Invariant the kernels rely on: a set's list holds every present
+        # way exactly once and nothing else.  Kernels capture the outer
+        # list at cache construction; ``reset`` empties the per-set lists
+        # in place and never rebinds it.
+        self._order: List[List[int]] = [[] for _ in range(num_sets)]
         self._present: List[int] = [0] * num_sets
 
     # ------------------------------------------------------------------
     def touch(self, set_index: int, way: int, core: int,
               reset_domain: Optional[int] = None) -> None:
-        order = self._order
-        base = set_index * self.assoc
+        o = self._order[set_index]
         if (self._present[set_index] >> way) & 1:
-            pos = order.index(way, base, base + self._size[set_index])
-            if pos != base:
-                order[base + 1:pos + 1] = order[base:pos]
-                order[base] = way
+            if o[0] != way:
+                o.remove(way)
+                o.insert(0, way)
         else:
-            sz = self._size[set_index]
-            order[base + 1:base + sz + 1] = order[base:base + sz]
-            order[base] = way
-            self._size[set_index] = sz + 1
+            o.insert(0, way)
             self._present[set_index] |= 1 << way
 
     def victim(self, set_index: int, core: int, mask: int) -> int:
@@ -77,18 +72,15 @@ class LRUPolicy(ReplacementPolicy):
         if untouched:
             # Never-touched ways are the oldest; lowest index breaks ties.
             return (untouched & -untouched).bit_length() - 1
-        order = self._order
-        base = set_index * self.assoc
-        i = base + self._size[set_index] - 1
-        way = order[i]
-        while not (mask >> way) & 1:
+        o = self._order[set_index]
+        i = -1
+        while not (mask >> o[i]) & 1:
             i -= 1
-            way = order[i]
-        return way
+        return o[i]
 
     def reset(self) -> None:
-        for s in range(self.num_sets):
-            self._size[s] = 0
+        for s, o in enumerate(self._order):
+            o.clear()
             self._present[s] = 0
 
     def invalidate(self, set_index: int, way: int) -> None:
@@ -97,12 +89,7 @@ class LRUPolicy(ReplacementPolicy):
             self._remove_from_order(set_index, way)
 
     def _remove_from_order(self, set_index: int, way: int) -> None:
-        order = self._order
-        base = set_index * self.assoc
-        sz = self._size[set_index]
-        pos = order.index(way, base, base + sz)
-        order[pos:base + sz - 1] = order[pos + 1:base + sz]
-        self._size[set_index] = sz - 1
+        self._order[set_index].remove(way)
         self._present[set_index] &= ~(1 << way)
 
     # ------------------------------------------------------------------
@@ -114,19 +101,16 @@ class LRUPolicy(ReplacementPolicy):
         Must be read *before* :meth:`touch` promotes the line.
         """
         self._check_way(way)
-        base = set_index * self.assoc
+        o = self._order[set_index]
         if (self._present[set_index] >> way) & 1:
-            return self._order.index(way, base,
-                                     base + self._size[set_index]) - base + 1
-        return self._size[set_index] + 1
+            return o.index(way) + 1
+        return len(o) + 1
 
     def stack_order(self, set_index: int) -> List[int]:
         """Ways of ``set_index`` ordered MRU first (ties: lower way first)."""
-        base = set_index * self.assoc
-        touched = self._order[base:base + self._size[set_index]]
         present = self._present[set_index]
-        return touched + [w for w in range(self.assoc)
-                          if not (present >> w) & 1]
+        return self._order[set_index] + [w for w in range(self.assoc)
+                                         if not (present >> w) & 1]
 
     def state_bits_per_set(self) -> int:
         """``A x log2(A)`` bits per set (paper Table I(a))."""

@@ -60,46 +60,43 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS",
            "PURE_ATTRS", "bind", "render", "rendering_keys", "source_name"]
 
-#: Attribute loads a kernel closure may perform: C-level int methods.
-PURE_ATTRS = frozenset({"bit_length", "bit_count"})
+#: Attribute loads a kernel closure may perform: C-level int and list
+#: methods on locals.
+PURE_ATTRS = frozenset({"bit_length", "bit_count",
+                        "index", "insert", "remove"})
 
 POLICIES = {
     "lru": {
-        # Exact LRU: flat MRU-first order segments.  A present way occurs
-        # exactly once, in the live prefix of its segment, and list.index
-        # returns the first match — so the search runs to the segment end
-        # without reading ``size`` (stale slots come after the live copy).
+        # Exact LRU: one MRU-first list of the touched ways per set — every
+        # present way exactly once, nothing else.  A valid way is present
+        # (fills touch, invalidation removes), so a hit never searches for
+        # a way that is not there and a victim walk always ends.
         "bind": """\
-order = policy._order
-order_index = order.index
-size = policy._size
+orders = policy._order
 present = policy._present""",
-        "locate": """\
-row = $set * assoc
-pos = order_index(way, row, row + assoc)""",
+        "locate": "o = orders[$set]",
+        # 30-84 % of L2 hits are to the MRU way already.
         "promote": """\
-if pos != row:
-    order[row + 1:pos + 1] = order[row:pos]
-    order[row] = way""",
+if o[0] != way:
+    o.remove(way)
+    o.insert(0, way)""",
         "fill_invalid": """\
-sz = size[$set]
-order[row + 1:row + sz + 1] = order[row:row + sz]
-order[row] = way
-size[$set] = sz + 1
+orders[$set].insert(0, way)
 present[$set] |= 1 << way""",
-        # Deepest member of the mask, rotated to MRU in the same step.
+        # Deepest member of the mask, moved to MRU in the same step.
         "victim": """\
-i = row + size[$set] - 1
-way = order[i]
+o = orders[$set]
+i = -1
+way = o[i]
 while not (mask >> way) & 1:
     i -= 1
-    way = order[i]
-order[row + 1:i + 1] = order[row:i]
-order[row] = way""",
+    way = o[i]
+del o[i]
+o.insert(0, way)""",
         "victim_in_mask": True,
         "fill": "",
         # Exact stack position: the way's index in the order (§II-A).
-        "sdh": "sdh_r[pos - row + 1] += 1",
+        "sdh": "sdh_r[o.index(way) + 1] += 1",
         "bind_sdh": "",
     },
     "nru": {

@@ -63,7 +63,6 @@ from repro.experiments.common import (
     ExperimentScale,
     WorkloadRunner,
 )
-from repro.workloads.generator import generate_trace
 
 
 # ----------------------------------------------------------------------
@@ -76,11 +75,8 @@ def execute_job(job: Job, runner: WorkloadRunner) -> Any:
     :class:`ThreadResult` for isolation jobs.  The runner must have been
     constructed with ``job.scale`` — the caller owns runner reuse.
     """
-    scale = job.scale
     if job.kind == KIND_ISOLATION:
-        trace = generate_trace(job.benchmark, scale.accesses,
-                               scale.baseline_l2_lines,
-                               seed=scale.seed, core_id=job.core_id)
+        trace = runner.isolation_trace(job.benchmark, job.core_id)
         return runner.isolation(job.l2_bytes).thread_result(trace, job.policy)
     return runner.run(job.mix, job.config, l2_bytes=job.l2_bytes,
                       benchmarks=job.benchmarks,

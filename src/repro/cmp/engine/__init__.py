@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "1e9416abce94863397484d811a09622e7fb7918da0a49f6ac8accf36dda8748d"
+ENGINE_SOURCE_CHECKSUM = "7f06e70519c98dbbaebd5755b582f3b0069b20cd8076823ebaf83b3e460a20f6"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

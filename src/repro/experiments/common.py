@@ -219,6 +219,7 @@ class WorkloadRunner:
         self.scale = scale
         self.power_model = PowerModel()
         self._traces: Dict[Tuple[str, ...], List[Trace]] = {}
+        self._iso_trace: Dict[Tuple[str, int], Trace] = {}   # one slot
         self._isolation: Dict[int, IsolationRunner] = {}
         self._budgets: Dict[Tuple, Tuple[int, ...]] = {}
 
@@ -236,6 +237,20 @@ class WorkloadRunner:
             ]
             self._traces[key] = cached
         return cached
+
+    def isolation_trace(self, benchmark: str, core_id: int) -> Trace:
+        """Trace of one isolation job.  Campaigns order isolation jobs by
+        trace, so one slot pays for generation and fingerprint once per
+        trace; it is emptied *before* the next is generated, so two
+        paper-scale traces (16 MB each) are never resident together."""
+        key = (benchmark, core_id)
+        trace = self._iso_trace.get(key)
+        if trace is None:
+            self._iso_trace.clear()
+            trace = self._iso_trace[key] = generate_trace(
+                benchmark, self.scale.accesses, self.scale.baseline_l2_lines,
+                seed=self.scale.seed, core_id=core_id)
+        return trace
 
     def isolation(self, l2_bytes: int = BASE_L2_BYTES) -> IsolationRunner:
         """Isolation runner for a given L2 capacity."""

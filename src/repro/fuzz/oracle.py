@@ -164,9 +164,12 @@ def run_engine(case: FuzzCase, engine: str) -> Snapshot:
     sim = case.simulator(engine)
     if engine == ENGINE_REFERENCE:
         vars(sim.hierarchy.l2).pop("access_line_hit", None)
-        for monitor in (sim.profiling.monitors if sim.profiling else ()):
+        monitors = sim.profiling.monitors if sim.profiling else ()
+        for core, monitor in enumerate(monitors):
             vars(monitor.atd).pop("observe", None)
             vars(monitor.atd).pop("observe_many", None)
+            # ProfilingLogic bound the kernelised observer when it was built.
+            sim.profiling._observe[core] = monitor.atd.observe
     result = sim.run()
     l2 = sim.hierarchy.l2
     snapshot = Snapshot(

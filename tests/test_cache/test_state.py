@@ -7,6 +7,8 @@ lines, same policy state — for every registered policy and partition
 scheme.  ``kernels=False`` builds the generic twin.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -245,13 +247,15 @@ def test_observe_kernel_skipped_for_custom_profiler():
 # Window kernels (build_set_run_kernel)
 # ----------------------------------------------------------------------
 def window_policy_state(cache):
-    """Every mutable policy-internal array, snapshotted as plain lists."""
+    """Every mutable policy-internal array, snapshotted as plain lists
+    (deep: LRU's ``_order`` holds one live list per set, and a shallow
+    copy would alias them into every later comparison)."""
     p = cache.policy
     state = {}
-    for attr in ("_order", "_size", "_present", "_used", "_tree", "_rrpv",
+    for attr in ("_order", "_present", "_used", "_tree", "_rrpv",
                  "_pointer_box", "_below_mask"):
         if hasattr(p, attr):
-            state[attr] = list(getattr(p, attr))
+            state[attr] = copy.deepcopy(getattr(p, attr))
     return state
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.hashing import job_key
-from repro.campaign.jobs import outcome_job
+from repro.campaign.jobs import isolation_job, outcome_job
 from repro.campaign.runner import (
     Campaign,
     StoreWorkloadRunner,
@@ -41,6 +41,31 @@ class TestPlan:
         plan_once = plan_jobs(jobs)
         plan_twice = plan_jobs(jobs + jobs)
         assert plan_twice.total == plan_once.total
+
+
+class TestIsolationTraceSlot:
+    def test_consecutive_jobs_of_a_trace_generate_it_once(self, micro_scale,
+                                                          monkeypatch):
+        """Isolation jobs are ordered by trace; the runner holds one
+        trace, and drops it *before* generating the next (two paper-scale
+        traces must never be resident together)."""
+        from repro.experiments import common
+
+        runner = WorkloadRunner(micro_scale)
+        generate, held_at_call = common.generate_trace, []
+
+        def counting(*args, **kwargs):
+            held_at_call.append(dict(runner._iso_trace))
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(common, "generate_trace", counting)
+        jobs = [isolation_job(micro_scale, benchmark, core_id, policy)
+                for benchmark, core_id in (("crafty", 0), ("mcf", 1))
+                for policy in ("lru", "nru", "bt")]
+        results = run_serial(jobs + jobs[:1], runner)
+        assert held_at_call == [{}] * 3
+        fresh = run_serial(jobs[3:4], WorkloadRunner(micro_scale))
+        assert results[jobs[3]] == fresh[jobs[3]]
 
 
 class TestPoolVsSerial:

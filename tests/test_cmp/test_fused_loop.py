@@ -267,15 +267,16 @@ class TestGeneratedSourceExplainsItself:
 
     def test_fragment_storing_to_a_skeleton_local_is_an_error(self):
         """The hole this closes: a window skeleton whose position counter
-        was named ``pos`` rendered fine and LRU's locate fragment
+        was named ``pos`` rendered fine while a policy's locate fragment
         (``pos = order_index(...)``) silently overwrote it.  Each
         skeleton's own locals are declared; a policy / scheme fragment
         assigning one is refused for that rendering and no other."""
-        private = dict(transitions.PRIVATE_LOCALS, window=("pos", "missed"))
-        with pytest.raises(ValueError, match=r"policy 'locate' -> pos"):
-            transitions.render("window", ("lru", "none"), private=private)
-        transitions.render("window", ("nru", "none"), private=private)
-        transitions.render("hit", ("lru", "none"), private=private)
+        policies = dict(transitions.POLICIES, probe=dict(
+            transitions.POLICIES["nru"], locate="k = used_l[$set]"))
+        with pytest.raises(ValueError, match=r"policy 'locate' -> k"):
+            transitions.render("window", ("probe", "none"), policies=policies)
+        transitions.render("window", ("nru", "none"), policies=policies)
+        transitions.render("hit", ("probe", "none"), policies=policies)
         schemes = dict(transitions.SCHEMES, masks=dict(
             transitions.SCHEMES["masks"], mask="j = mask = masks[$core]"))
         with pytest.raises(ValueError, match=r"scheme 'mask' -> j"):

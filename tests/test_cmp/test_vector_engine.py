@@ -180,8 +180,7 @@ class TestVectorVsReference:
             kernel_kind = ""
 
             def victim(self, set_index, core, mask):
-                base = set_index * self.assoc
-                for way in self._order[base:base + self._size[set_index]]:
+                for way in self.stack_order(set_index):
                     if (mask >> way) & 1:
                         return way
                 return super().victim(set_index, core, mask)

@@ -99,6 +99,28 @@ class TestOracle:
         assert report.divergent
         assert report.summary().startswith("ERROR")
 
+    def test_reference_run_steps_the_classes_in_the_atds_too(self,
+                                                             monkeypatch):
+        """The oracle side shares no transition body with the engines:
+        the reference run's L2 *and* its ATDs go through the hand-written
+        classes.  (``ProfilingLogic`` binds each ``atd.observe`` when it
+        is built, so dropping the kernels off the ATDs alone once left
+        the reference run inside the ``observe`` rendering and a bug in
+        a policy's ``sdh`` fragment invisible.)"""
+        from repro.profiling.atd import ATD
+
+        generic, calls = ATD.observe, []
+        monkeypatch.setattr(
+            ATD, "observe",
+            lambda atd, line: calls.append(line) or generic(atd, line))
+        case = small_case(partitioning=PartitioningConfig(
+            policy="lru", enforcement="masks", atd_sampling=1))
+        reference = run_engine(case, "reference")
+        assert len(calls) == reference.events["l2_accesses"] > 0
+        del calls[:]
+        run_engine(case, "batched")
+        assert calls == []
+
     def test_victim_probe_exposes_latent_policy_state(self):
         """Two runs whose *visible* stats agree but whose replacement
         state differs must still diff — the probe forces the state into

@@ -21,6 +21,7 @@ def _flat_hit_kernel(cache):
 def _flat_set_run_kernel(cache):
     """Window variant: same impurities, whole-window closure."""
     tag_map = cache.state.map
+    orders = cache.policy.orders
 
     def run_window(lines, flags):
         pos = 0
@@ -28,6 +29,10 @@ def _flat_set_run_kernel(cache):
             way = tag_map.get(line)        # attribute load per access
             if way is None:
                 tag_map[line] = {pos: line}  # dict allocation per window
+            else:
+                o = orders[line & 7]
+                o.remove(way)              # allowed: C-level list method
+                o.sort()                   # any other list attribute is not
             pos += 1
         cache.stats.accesses[0] += pos     # attribute walk at commit time
 

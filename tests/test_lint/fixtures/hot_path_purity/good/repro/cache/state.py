@@ -9,6 +9,7 @@ def _flat_hit_kernel(cache):
     tag_get = tag_map.get
     order = cache.policy.order
     order_index = order.index
+    orders = cache.policy.orders
     accesses = cache.stats.accesses
     ceil_fn = ceil
     scaling = cache.scaling
@@ -19,6 +20,11 @@ def _flat_hit_kernel(cache):
         if way is not None:
             pos = order_index(way)
             order[pos] = way
+            o = orders[line & 7]           # C-level list methods on a local
+            if o[0] != way:
+                o.remove(way)
+                o.insert(0, way)
+            accesses[o.index(way)] += 1
             return True
         distance = ceil_fn(scaling * line.bit_count())
         tag_map[line] = distance & ((1 << line.bit_length()) - 1)

@@ -56,6 +56,16 @@ class TestHotPathPurity:
         assert any("Dict allocation" in m for m in messages)
         assert any("attribute load .stats" in m for m in messages)
 
+    def test_allows_only_the_listed_list_methods_on_locals(self, lint_fixture):
+        """``PURE_ATTRS`` names the C-level ``int`` / ``list`` methods a
+        closure may call on a local (``o.remove(way)``); any other
+        attribute of the same local (``o.sort()``) is still a load."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "run_window" in m.message]
+        assert any("attribute load .sort" in m for m in messages)
+        assert not any("attribute load .remove" in m for m in messages)
+
     def test_covers_public_derived_builders(self, lint_fixture):
         """Every module-level ``*_kernel`` function is scanned, so the
         public builders of the derived closures get no exemption."""

@@ -21,8 +21,10 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.allocation import WayAllocation
 from repro.cache.partition.masks import MasksPartition
+from repro.cache.replacement.base import make_policy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.nru import NRUPolicy
+from repro.cache.state import build_set_run_kernel
 from repro.profiling.sdh import SDH
 
 line_streams = st.lists(st.integers(0, 23), min_size=1, max_size=300)
@@ -180,6 +182,72 @@ class TestEnforcementProperties:
         for s in range(4):
             resident = cache.resident_lines(s)
             assert len(resident) == len(set(resident))  # no duplicates
+
+
+class TestLRUOrderLists:
+    """The LRU family's recency order is one MRU-first list per set.
+
+    The rendered kernels search and splice those lists without a length
+    or presence check, so — unlike the flat segments they replaced, which
+    tolerated stale slots — each list must hold every present way exactly
+    once and nothing else, and ``_order`` must stay the same object for
+    the life of the policy (kernels capture it at cache construction).
+    """
+
+    SETS, ASSOC = 2, 4
+    operations = st.lists(
+        st.tuples(st.sampled_from(["touch", "fill", "victim", "invalidate",
+                                   "reset"]),
+                  st.integers(0, SETS - 1), st.integers(0, ASSOC - 1),
+                  st.integers(1, (1 << ASSOC) - 1)),
+        max_size=120)
+
+    @given(st.sampled_from(["lru", "fifo", "lip", "bip", "dip"]), operations)
+    @settings(max_examples=60, deadline=None)
+    def test_each_list_is_a_permutation_of_the_present_ways(self, name, ops):
+        policy = make_policy(name, self.SETS, self.ASSOC,
+                             rng=np.random.default_rng(7))
+        outer = policy._order
+        for op, s, way, mask in ops:
+            if op == "touch":
+                policy.touch(s, way, 0)
+            elif op == "fill":
+                policy.touch_fill(s, way, 0)
+            elif op == "victim":
+                # What a miss does: choose under the mask, then fill.
+                policy.touch_fill(s, policy.victim(s, 0, mask), 0)
+            elif op == "invalidate":
+                policy.invalidate(s, way)
+            else:
+                policy.reset()
+            for index, order in enumerate(policy._order):
+                present = policy._present[index]
+                assert len(order) == present.bit_count()
+                assert sum(1 << w for w in order) == present
+        assert policy._order is outer
+
+    @given(line_streams, line_streams)
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_bound_before_a_flush_drives_the_same_lists(self, prefix,
+                                                               stream):
+        """``flush()`` empties the lists in place: a rendered window
+        kernel bound before it replays the next stream exactly as a fresh
+        cache's does, and leaves its result in the policy's own lists."""
+        flushed = SetAssociativeCache(geometry(4, 4), "lru")
+        kernel = build_set_run_kernel(flushed)
+        assert kernel.__code__.co_filename == "<repro kernel lru/none window>"
+        orders = flushed.policy._order
+        kernel(prefix, bytearray(len(prefix)))
+        flushed.flush()
+        assert flushed.policy._order is orders and not any(orders)
+        flags_flushed = bytearray(len(stream))
+        kernel(stream, flags_flushed)
+        fresh = SetAssociativeCache(geometry(4, 4), "lru")
+        flags_fresh = bytearray(len(stream))
+        build_set_run_kernel(fresh)(stream, flags_fresh)
+        assert flags_flushed == flags_fresh
+        assert orders == fresh.policy._order
+        assert list(flushed.state.lines) == list(fresh.state.lines)
 
 
 class TestSDHDecayProperties:
