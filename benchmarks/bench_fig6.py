@@ -6,6 +6,7 @@ up to ~5 % down at 8 cores, gaps growing with core count.
 
 from benchmarks.conftest import SESSION_CACHE
 from repro.experiments import fig6
+from repro.experiments.report import format_tables
 
 
 def test_fig6_regenerate(benchmark, scale, runner):
@@ -13,9 +14,8 @@ def test_fig6_regenerate(benchmark, scale, runner):
         lambda: fig6.run(scale, runner=runner), rounds=1, iterations=1)
     SESSION_CACHE["fig6"] = data
     print()
-    for metric in fig6.METRICS:
-        print(data.table(metric))
-        print()
+    print(format_tables(fig6.tables(data)))
+    print()
 
     throughput = data.relative["throughput"]
     for cores in (2, 4, 8):

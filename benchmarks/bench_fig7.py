@@ -8,6 +8,7 @@ M-0.75N −0.3/−3.6/−7.3 %, M-BT −1.4/−3.4/−9.7 %).
 
 from benchmarks.conftest import SESSION_CACHE
 from repro.experiments import fig7
+from repro.experiments.report import format_tables
 
 
 def test_fig7_regenerate(benchmark, scale, runner):
@@ -15,9 +16,8 @@ def test_fig7_regenerate(benchmark, scale, runner):
         lambda: fig7.run(scale, runner=runner), rounds=1, iterations=1)
     SESSION_CACHE["fig7"] = data
     print()
-    for metric in fig7.METRICS:
-        print(data.table(metric))
-        print()
+    print(format_tables(fig7.tables(data)))
+    print()
 
     throughput = data.relative["throughput"]
     for cores in (2, 4, 8):

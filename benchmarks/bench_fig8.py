@@ -7,6 +7,7 @@ as the cache shrinks (paper: LRU +8 % at 512 KB vs +0.2 % at 2 MB; BT
 
 from benchmarks.conftest import SESSION_CACHE
 from repro.experiments import fig8
+from repro.experiments.report import format_tables
 
 
 def test_fig8_regenerate(benchmark, scale, runner):
@@ -14,9 +15,8 @@ def test_fig8_regenerate(benchmark, scale, runner):
         lambda: fig8.run(scale, runner=runner), rounds=1, iterations=1)
     SESSION_CACHE["fig8"] = data
     print()
-    for _, _, panel in fig8.PAIRS:
-        print(data.table(panel))
-        print()
+    print(format_tables(fig8.tables(data)))
+    print()
 
     small, large = min(fig8.L2_SIZES), max(fig8.L2_SIZES)
     for _, _, panel in fig8.PAIRS:

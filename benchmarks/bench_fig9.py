@@ -7,6 +7,7 @@ Reuses Figure 7's simulations when bench_fig7 ran in the same session.
 
 from benchmarks.conftest import SESSION_CACHE
 from repro.experiments import fig7, fig9
+from repro.experiments.report import format_tables
 from repro.hwmodel.power import PowerModel
 
 
@@ -18,9 +19,7 @@ def test_fig9_regenerate(benchmark, scale, runner):
     data = benchmark.pedantic(
         lambda: fig9.run(scale, fig7_data=fig7_data), rounds=1, iterations=1)
     print()
-    print(data.table_relative())
-    print()
-    print(data.table_breakdown())
+    print(format_tables(fig9.tables(data)))
 
     # Profiling power below the paper's 0.3 % bound, every config.
     for acronym, shares in data.breakdown_2core.items():

@@ -1,23 +1,27 @@
 """Regenerates Table I — complexity of LRU/NRU/BT replacement schemes.
 
 Closed-form arithmetic; the printed numbers match the paper exactly
-(11 checkpoint assertions guard them).
+(11 exactly graded points guard them).
 """
 
 from repro.experiments import table1
+from repro.experiments.report import format_tables
+from repro.reporting.model import VERDICT_PASS, grade_points
+
+
+def _graded():
+    return grade_points(table1.points(), table1.references())
 
 
 def test_table1_regenerate(benchmark):
     data = benchmark(table1.run)
     print()
-    print(data.table_storage())
-    print()
-    print(data.table_events())
-    checks = table1.paper_checkpoints()
-    failing = [name for name, ok in checks.items() if not ok]
+    print(format_tables(table1.tables(data)))
+    failing = [p.id for p in _graded() if p.verdict != VERDICT_PASS]
     assert not failing, f"paper checkpoints failing: {failing}"
 
 
 def test_table1_paper_checkpoints(benchmark):
-    checks = benchmark(table1.paper_checkpoints)
-    assert all(checks.values())
+    graded = benchmark(_graded)
+    assert len(graded) == 11
+    assert all(p.verdict == VERDICT_PASS for p in graded)

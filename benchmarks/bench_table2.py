@@ -2,13 +2,12 @@
 multiprogrammed workload mixes."""
 
 from repro.experiments import table2
+from repro.experiments.report import format_tables
 from repro.workloads.mixes import ALL_WORKLOADS
 
 
 def test_table2_regenerate(benchmark):
-    text = benchmark(table2.workload_table)
+    blocks = benchmark(table2.tables)
     print()
-    print(table2.processor_table())
-    print()
-    print(text)
-    assert len(ALL_WORKLOADS) == 49
+    print(format_tables(blocks))
+    assert len(blocks[1].rows) == len(ALL_WORKLOADS) == 49

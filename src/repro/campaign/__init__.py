@@ -24,7 +24,7 @@ Layering::
     scheduler.py dependency-aware ready-set scheduler with locality
                  placement, work stealing and crash requeue
     runner.py    planner + Campaign driver, StoreWorkloadRunner
-    registry.py  per-figure job matrices and renderers (CLI targets)
+    registry.py  CLI targets: the report sections + the smoke matrix
 
 ``registry`` imports the experiment modules (which in turn import this
 package for :class:`Job`), so it is deliberately *not* imported here —

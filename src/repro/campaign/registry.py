@@ -1,12 +1,13 @@
-"""CLI campaign targets: name -> (job matrix, renderer).
+"""``repro campaign`` targets: the report sections plus the ``smoke`` matrix.
 
-Each target couples a figure/table module's declarative job matrix with a
-renderer that assembles campaign results into the module's paper-style
-ASCII tables.  ``repro campaign run <target>`` resolves here; several
-targets may run in one campaign, in which case their matrices are unioned
-and content-hash deduplication makes shared points (e.g. Figure 9 reusing
-Figure 7's runs, Figure 8's 2 MB column overlapping Figure 7's 2-core
-points) simulate exactly once.
+Figures and tables are not registered here — a campaign target *is* a
+section of :mod:`repro.reporting.sections` (its job matrix, and its tables
+rendered as text), so ``campaign run``, the serial verbs and the report
+share one declaration per figure.  Several targets may run in one campaign,
+in which case their matrices are unioned and content-hash deduplication
+makes shared points (e.g. Figure 9 reusing Figure 7's runs, Figure 8's
+2 MB column overlapping Figure 7's 2-core points) simulate exactly once.
+The only target of its own is ``smoke``, the smallest end-to-end campaign.
 
 This module imports the experiment modules, which import
 :mod:`repro.campaign` for :class:`Job` — keep it out of the package
@@ -20,56 +21,24 @@ from typing import Any, Callable, Dict, List, Mapping
 
 from repro.campaign.jobs import Job, outcome_job
 from repro.config import config_unpartitioned
-from repro.experiments import fig6, fig7, fig8, fig9, table1, table2
 from repro.experiments.common import ExperimentScale
 from repro.experiments.report import format_table
+from repro.reporting.sections import SectionSpec, resolve_sections, section_text
 
 
 @dataclass(frozen=True)
 class CampaignTarget:
-    """One runnable campaign target (a figure, table, or smoke matrix)."""
+    """One runnable campaign target (a report section or ``smoke``)."""
 
     name: str
-    help: str
     matrix: Callable[[ExperimentScale], List[Job]]
     render: Callable[[ExperimentScale, Mapping[Job, Any]], str]
 
 
-# ----------------------------------------------------------------------
-# Renderers (campaign results -> the modules' paper-style tables)
-# ----------------------------------------------------------------------
-def _render_fig6(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    data = fig6.assemble(scale, results)
-    return "\n\n".join(data.table(metric) for metric in fig6.METRICS)
-
-
-def _render_fig7(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    data = fig7.assemble(scale, results)
-    return "\n\n".join(data.table(metric) for metric in fig7.METRICS)
-
-
-def _render_fig8(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    data = fig8.assemble(scale, results)
-    return "\n\n".join(data.table(panel) for _, _, panel in fig8.PAIRS)
-
-
-def _render_fig9(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    data = fig9.assemble(scale, results)
-    return data.table_relative() + "\n\n" + data.table_breakdown()
-
-
-def _render_table1(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    data = table1.run()
-    checks = table1.paper_checkpoints()
-    ok = sum(1 for passed in checks.values() if passed)
-    return "\n\n".join([
-        data.table_storage(), data.table_events(),
-        f"paper checkpoints: {ok}/{len(checks)} reproduced exactly",
-    ])
-
-
-def _render_table2(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    return table2.processor_table() + "\n\n" + table2.workload_table()
+def _section_target(spec: SectionSpec) -> CampaignTarget:
+    return CampaignTarget(
+        spec.name, spec.matrix,
+        lambda scale, results: section_text(spec.build(scale, results)))
 
 
 # ----------------------------------------------------------------------
@@ -98,45 +67,16 @@ def _render_smoke(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
                         title=f"smoke: 1-core {SMOKE_BENCHMARK}")
 
 
-# ----------------------------------------------------------------------
-TARGETS: Dict[str, CampaignTarget] = {
-    t.name: t for t in (
-        CampaignTarget("table1", "complexity tables (no simulation)",
-                       table1.matrix, _render_table1),
-        CampaignTarget("table2", "processor config + mix list (no simulation)",
-                       table2.matrix, _render_table2),
-        CampaignTarget("fig6", "non-partitioned LRU/NRU/BT comparison",
-                       fig6.matrix, _render_fig6),
-        CampaignTarget("fig7", "partitioned configuration comparison",
-                       fig7.matrix, _render_fig7),
-        CampaignTarget("fig8", "partitioning gain vs L2 capacity",
-                       fig8.matrix, _render_fig8),
-        CampaignTarget("fig9", "power/energy study (reuses fig7's jobs)",
-                       fig9.matrix, _render_fig9),
-        CampaignTarget("smoke", "2-job pipeline check (CI smoke)",
-                       smoke_matrix, _render_smoke),
-    )
-}
-
-#: Expansion order of the ``all`` pseudo-target (tables first: instant).
-ALL_TARGETS = ("table1", "table2", "fig6", "fig7", "fig8", "fig9")
+SMOKE = CampaignTarget("smoke", smoke_matrix, _render_smoke)
 
 
 def resolve_targets(names) -> List[CampaignTarget]:
-    """Map CLI target names (with the ``all`` pseudo-target) to targets."""
-    expanded: List[str] = []
+    """Map CLI target names (section names, ``all``, ``smoke``) to targets,
+    de-duplicated in first-mention order."""
+    targets: Dict[str, CampaignTarget] = {}
     for name in names:
-        if name == "all":
-            expanded.extend(ALL_TARGETS)
-        elif name in TARGETS:
-            expanded.append(name)
-        else:
-            raise KeyError(
-                f"unknown campaign target {name!r}; known: "
-                f"{sorted(TARGETS)} + ['all']"
-            )
-    # Deduplicate, preserving first-mention order.
-    seen: Dict[str, None] = {}
-    for name in expanded:
-        seen.setdefault(name)
-    return [TARGETS[name] for name in seen]
+        found = ([SMOKE] if name == SMOKE.name else
+                 [_section_target(spec) for spec in resolve_sections([name])])
+        for target in found:
+            targets.setdefault(target.name, target)
+    return list(targets.values())

@@ -8,7 +8,7 @@ Examples::
     python -m repro fig7 --mixes all        # full Table II mix coverage
     python -m repro fig8 --scale 4          # larger caches (slower)
     python -m repro fig9                    # power/energy study
-    python -m repro all                     # everything, shared runner
+    python -m repro all                     # everything, one shared runner
     python -m repro workloads               # list catalog + mixes
     python -m repro policies                # list replacement policies
 
@@ -32,7 +32,11 @@ Examples::
 The figure commands accept the same knobs as the ``REPRO_*`` environment
 variables used by the benches (``--scale``, ``--accesses``, ``--mixes``,
 ``--seed``, ``--target-cycles``, ``--full``); command-line flags take
-precedence.
+precedence.  Every figure/table verb is the same generic command over the
+section registry (:mod:`repro.reporting.sections`): the selected sections'
+job matrices are unioned, de-duplicated and simulated once on one
+``WorkloadRunner`` — so ``all`` shares traces, isolation runs and the
+points Figures 7–9 have in common — then each section prints its tables.
 
 ``campaign run`` executes the selected figures' job matrices on a worker
 pool (``--jobs N``, ``--pool serial|process|remote``), memoising every
@@ -55,13 +59,18 @@ a manifest, ``report build`` assembles ``report.html`` / ``report.md`` /
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.cache.replacement.base import POLICY_REGISTRY
-from repro.experiments import fig6, fig7, fig8, fig9, table1, table2
+from repro.campaign.runner import run_serial
 from repro.experiments.common import ExperimentScale, WorkloadRunner
+from repro.reporting.sections import (
+    SECTIONS,
+    resolve_sections,
+    section_text,
+)
 from repro.workloads.mixes import ALL_WORKLOADS, get_workload
 from repro.workloads.spec2000 import benchmark_names
 
@@ -82,88 +91,41 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="paper-scale run (slow; implies --scale 1)")
 
 
+#: Scale flag -> the ``REPRO_*`` variable it takes precedence over.
+_SCALE_FLAGS = {"scale": "REPRO_SCALE", "accesses": "REPRO_ACCESSES",
+                "seed": "REPRO_SEED", "target_cycles": "REPRO_TARGET_CYCLES"}
+
+
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    import os
-    # Reuse the environment plumbing so CLI flags and REPRO_* vars agree.
-    saved = dict(os.environ)
-    try:
-        if args.full:
-            os.environ["REPRO_FULL"] = "1"
-        if args.mixes == "all":
-            os.environ["REPRO_MIXES"] = "all"
-        if args.scale is not None:
-            os.environ["REPRO_SCALE"] = str(args.scale)
-        if args.accesses is not None:
-            os.environ["REPRO_ACCESSES"] = str(args.accesses)
-        if args.seed is not None:
-            os.environ["REPRO_SEED"] = str(args.seed)
-        if args.target_cycles is not None:
-            os.environ["REPRO_TARGET_CYCLES"] = str(args.target_cycles)
-        return ExperimentScale.from_env()
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
+    """The scale the flags select on top of the ``REPRO_*`` environment
+    (``table1`` / ``table2`` take no scale flags: environment only)."""
+    flags = vars(args)
+    overrides = {var: str(flags[flag]) for flag, var in _SCALE_FLAGS.items()
+                 if flags.get(flag) is not None}
+    if flags.get("full"):
+        overrides["REPRO_FULL"] = "1"
+    if flags.get("mixes") == "all":
+        overrides["REPRO_MIXES"] = "all"
+    return ExperimentScale.from_env({**os.environ, **overrides})
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    data = table1.run()
-    print(data.table_storage())
-    print()
-    print(data.table_events())
-    checkpoints = table1.paper_checkpoints()
-    bad = [name for name, ok in checkpoints.items() if not ok]
-    print()
-    print(f"paper checkpoints: {len(checkpoints) - len(bad)}/"
-          f"{len(checkpoints)} reproduced exactly")
-    return 1 if bad else 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    table2.main()
-    return 0
-
-
-def _figure_command(module, args: argparse.Namespace) -> int:
+def _cmd_sections(args: argparse.Namespace) -> int:
+    """``repro fig6|..|table2|all``: the serial path over the sections."""
     scale = _scale_from_args(args)
-    runner = WorkloadRunner(scale)
-    if module is fig6:
-        data = fig6.run(scale, runner=runner)
-        print(data.table("throughput"))
-        print()
-        print(data.table("hmean"))
-        print()
-        print(data.table("wspeedup"))
-    elif module is fig7:
-        data = fig7.run(scale, runner=runner)
-        for metric in ("throughput", "hmean", "wspeedup"):
-            print(data.table(metric))
-            print()
-    elif module is fig8:
-        data = fig8.run(scale, runner=runner)
-        for _, _, panel in fig8.PAIRS:
-            print(data.table(panel))
-            print()
-    elif module is fig9:
-        data = fig9.run(scale, runner=runner)
-        print(data.table_relative())
-        print()
-        print(data.table_breakdown())
-    return 0
-
-
-def _cmd_all(args: argparse.Namespace) -> int:
-    status = _cmd_table1(args)
-    print()
-    _cmd_table2(args)
-    print()
-    scale = _scale_from_args(args)
-    runner = WorkloadRunner(scale)
-    for module in (fig6, fig7, fig8, fig9):
-        name = module.__name__.rsplit(".", 1)[-1]
-        print(f"=== {name} ===")
-        _figure_command(module, args)
-        print()
-    return status
+    specs = resolve_sections([args.command])
+    # run_serial executes duplicates as given; fig9 re-lists fig7's jobs.
+    jobs = list(dict.fromkeys(
+        job for spec in specs for job in spec.matrix(scale)))
+    results = run_serial(jobs, WorkloadRunner(scale))
+    sections = [spec.build(scale, results) for spec in specs]
+    print("\n\n".join(
+        f"=== {section.name} ===\n{section_text(section)}"
+        if len(sections) > 1 else section_text(section)
+        for section in sections))
+    # Tables are graded exactly: a missed paper value fails the command.
+    return int(any(section.kind == "table"
+                   and section.verdict_counts()["fail"]
+                   for section in sections))
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
@@ -325,8 +287,6 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
 
 def _report_sections(args: argparse.Namespace):
-    from repro.reporting.sections import resolve_sections
-
     names = []
     if getattr(args, "only", None):
         names = [n.strip() for n in args.only.split(",") if n.strip()]
@@ -334,8 +294,6 @@ def _report_sections(args: argparse.Namespace):
 
 
 def _cmd_report_run(args: argparse.Namespace) -> int:
-    import os
-
     from repro.reporting import build
 
     scale_name, scale = build.resolve_scale(args.report_scale)
@@ -647,20 +605,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     command = args.command
-    if command == "table1":
-        return _cmd_table1(args)
-    if command == "table2":
-        return _cmd_table2(args)
-    if command == "fig6":
-        return _figure_command(fig6, args)
-    if command == "fig7":
-        return _figure_command(fig7, args)
-    if command == "fig8":
-        return _figure_command(fig8, args)
-    if command == "fig9":
-        return _figure_command(fig9, args)
-    if command == "all":
-        return _cmd_all(args)
+    if command == "all" or command in SECTIONS:
+        return _cmd_sections(args)
     if command == "workloads":
         return _cmd_workloads(args)
     if command == "lint":

@@ -1,15 +1,18 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every module exposes ``run(scale) -> <Figure>Data`` returning structured
-results plus a ``main()`` that prints the paper-style rows.  Figure
-modules additionally declare their run matrix as campaign jobs
-(``matrix(scale) -> [Job]``) and rebuild their data object from campaign
-results (``assemble(scale, results)``); ``run()`` is the serial reference
-path over the same matrix, and ``python -m repro campaign run <figure>``
-is the parallel, memoised one (see :mod:`repro.campaign`).  The
+Every module declares one surface: its run matrix as campaign jobs
+(``matrix(scale) -> [Job]``, empty for the tables), its data object
+rebuilt from results (``assemble(scale, results)``), and what it shows —
+``tables(data)``, ``points(data)`` and ``references()``, plus
+``charts(data)`` for the figures.  Nothing here prints: the section
+registry (:mod:`repro.reporting.sections`) renders those declarations for
+``python -m repro <figure>`` (serial), ``python -m repro campaign run
+<figure>`` (parallel, memoised; see :mod:`repro.campaign`) and the report.
+Figure modules keep ``run(scale, runner)``, the serial reference path over
+the same matrix, for library use and the benches.  The
 :class:`~repro.experiments.common.ExperimentScale` controls the laptop-scale
 defaults (1/8-size caches, shortened traces, a representative subset of the
-Table II mixes); set ``REPRO_FULL=1`` for paper-scale runs and
+Table II mixes); set ``REPRO_FULL=1`` for the ``paper`` preset and
 ``REPRO_MIXES=all`` to sweep all 49 mixes.
 """
 

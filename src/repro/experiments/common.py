@@ -7,7 +7,8 @@ quantity the algorithms operate on — is untouched), shortens traces, and
 uses a representative subset of the Table II mixes chosen to cover the
 contention spectrum.  Environment overrides:
 
-* ``REPRO_FULL=1`` — paper-scale caches, long traces, all mixes;
+* ``REPRO_FULL=1`` — the ``paper`` preset: paper-scale caches, long
+  traces, all mixes;
 * ``REPRO_MIXES=all`` — all Table II mixes at the current scale;
 * ``REPRO_ACCESSES=<n>`` — trace length per thread;
 * ``REPRO_SCALE=<n>`` — cache capacity divisor;
@@ -30,8 +31,8 @@ comparisons — everything the paper plots — are unaffected.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.config import (
@@ -79,34 +80,22 @@ class ExperimentScale:
                                       "apsi", "twolf", "gzip")
 
     @classmethod
-    def from_env(cls) -> "ExperimentScale":
-        """Build a scale honouring the REPRO_* environment knobs."""
+    def from_env(cls, environ: Mapping[str, str] = os.environ
+                 ) -> "ExperimentScale":
+        """Build a scale honouring the REPRO_* knobs of ``environ``
+        (``REPRO_FULL`` starts from the ``paper`` preset)."""
+        base = _paper_scale() if environ.get("REPRO_FULL") else cls()
         kwargs: Dict[str, object] = {}
-        if os.environ.get("REPRO_FULL"):
-            kwargs.update(scale=1, accesses=2_000_000,
-                          target_cycles=200_000_000.0, atd_sampling=32)
-            kwargs.update(
-                mixes_2t=tuple(workload_names(2)),
-                mixes_4t=tuple(workload_names(4)),
-                mixes_8t=tuple(workload_names(8)),
-                mixes_fig8=tuple(workload_names(2)),
-            )
-        if os.environ.get("REPRO_MIXES", "").lower() == "all":
-            kwargs.update(
-                mixes_2t=tuple(workload_names(2)),
-                mixes_4t=tuple(workload_names(4)),
-                mixes_8t=tuple(workload_names(8)),
-                mixes_fig8=tuple(workload_names(2)),
-            )
-        if "REPRO_SCALE" in os.environ:
-            kwargs["scale"] = int(os.environ["REPRO_SCALE"])
-        if "REPRO_ACCESSES" in os.environ:
-            kwargs["accesses"] = int(os.environ["REPRO_ACCESSES"])
-        if "REPRO_SEED" in os.environ:
-            kwargs["seed"] = int(os.environ["REPRO_SEED"])
-        if "REPRO_TARGET_CYCLES" in os.environ:
-            kwargs["target_cycles"] = float(os.environ["REPRO_TARGET_CYCLES"])
-        return cls(**kwargs)  # type: ignore[arg-type]
+        if environ.get("REPRO_MIXES", "").lower() == "all":
+            kwargs.update(_all_mixes())
+        for var, name, cast in (("REPRO_SCALE", "scale", int),
+                                ("REPRO_ACCESSES", "accesses", int),
+                                ("REPRO_SEED", "seed", int),
+                                ("REPRO_TARGET_CYCLES", "target_cycles",
+                                 float)):
+            if var in environ:
+                kwargs[name] = cast(environ[var])
+        return replace(base, **kwargs)  # type: ignore[arg-type]
 
     def mixes_for(self, num_threads: int) -> Tuple[str, ...]:
         """The scale's Table II mix subset for a core count (2/4/8)."""
@@ -145,15 +134,19 @@ def _micro_scale() -> ExperimentScale:
     )
 
 
+def _all_mixes() -> Dict[str, Tuple[str, ...]]:
+    """The mix-selection fields covering all 49 Table II mixes."""
+    return dict(mixes_2t=tuple(workload_names(2)),
+                mixes_4t=tuple(workload_names(4)),
+                mixes_8t=tuple(workload_names(8)),
+                mixes_fig8=tuple(workload_names(2)))
+
+
 def _paper_scale() -> ExperimentScale:
     """Paper-scale caches, long traces, all 49 Table II mixes (hours)."""
     return ExperimentScale(
         scale=1, accesses=2_000_000, target_cycles=200_000_000.0,
-        atd_sampling=32,
-        mixes_2t=tuple(workload_names(2)),
-        mixes_4t=tuple(workload_names(4)),
-        mixes_8t=tuple(workload_names(8)),
-        mixes_fig8=tuple(workload_names(2)),
+        atd_sampling=32, **_all_mixes(),
     )
 
 

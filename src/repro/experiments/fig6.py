@@ -21,8 +21,8 @@ from repro.experiments.common import (
     WorkloadRunner,
     geometric_mean,
 )
-from repro.experiments.report import format_table, fmt_rel
-from repro.reporting.model import BarChart, DataPoint, Reference
+from repro.experiments.report import fmt_rel
+from repro.reporting.model import BarChart, DataPoint, Reference, TableBlock
 
 POLICIES = ("lru", "nru", "bt")
 METRICS = ("throughput", "hmean", "wspeedup")
@@ -42,19 +42,6 @@ class Fig6Data:
 
     relative: Dict[str, Dict[int, Dict[str, float]]]
     outcomes: Dict[Tuple[int, str, str], RunOutcome] = field(default_factory=dict)
-
-    def table(self, metric: str) -> str:
-        """ASCII rendering of one metric's cores × policy grid."""
-        rows = []
-        for cores in sorted(self.relative[metric]):
-            row = [cores] + [
-                fmt_rel(self.relative[metric][cores][p]) for p in POLICIES
-            ]
-            rows.append(row)
-        return format_table(
-            ["cores"] + list(POLICIES), rows,
-            title=f"Figure 6 ({metric}): relative to LRU, non-partitioned L2",
-        )
 
 
 def _points(scale: ExperimentScale,
@@ -152,6 +139,22 @@ def points(data: Fig6Data) -> List[DataPoint]:
     return out
 
 
+def tables(data: Fig6Data) -> List[TableBlock]:
+    """One cores × policy grid per metric."""
+    blocks = []
+    for metric in METRICS:
+        rows = tuple(
+            (str(cores),) + tuple(fmt_rel(data.relative[metric][cores][p])
+                                  for p in POLICIES)
+            for cores in sorted(data.relative[metric])
+        )
+        blocks.append(TableBlock(
+            title=f"Figure 6 ({metric}): relative to LRU, non-partitioned L2",
+            headers=("cores",) + POLICIES, rows=rows,
+        ))
+    return blocks
+
+
 def charts(data: Fig6Data) -> List[BarChart]:
     """Grouped-bar spec per metric (cores on the x axis, one bar/policy)."""
     specs = []
@@ -179,15 +182,3 @@ def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig6Dat
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))
 
-
-def main() -> Fig6Data:  # pragma: no cover - exercised via bench
-    """Regenerate and print Figure 6 at the default scale."""
-    data = run()
-    for metric in METRICS:
-        print(data.table(metric))
-        print()
-    return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,8 +24,8 @@ from repro.experiments.common import (
     WorkloadRunner,
     geometric_mean,
 )
-from repro.experiments.report import format_table, fmt_rel
-from repro.reporting.model import BarChart, DataPoint, Reference
+from repro.experiments.report import fmt_rel
+from repro.reporting.model import BarChart, DataPoint, Reference, TableBlock
 
 METRICS = ("throughput", "hmean", "wspeedup")
 CORE_COUNTS = (2, 4, 8)
@@ -44,18 +44,6 @@ class Fig7Data:
 
     relative: Dict[str, Dict[int, Dict[str, float]]]
     outcomes: Dict[Tuple[int, str, str], RunOutcome] = field(default_factory=dict)
-
-    def table(self, metric: str) -> str:
-        """ASCII rendering of one metric's cores × configuration grid."""
-        rows = []
-        for cores in sorted(self.relative[metric]):
-            rows.append([cores] + [
-                fmt_rel(self.relative[metric][cores][a]) for a in ACRONYMS
-            ])
-        return format_table(
-            ["cores"] + list(ACRONYMS), rows,
-            title=f"Figure 7 ({metric}): partitioned configs relative to C-L",
-        )
 
 
 def matrix(scale: ExperimentScale) -> List[Job]:
@@ -127,6 +115,22 @@ def points(data: Fig7Data) -> List[DataPoint]:
     return out
 
 
+def tables(data: Fig7Data) -> List[TableBlock]:
+    """One cores × configuration grid per metric."""
+    blocks = []
+    for metric in METRICS:
+        rows = tuple(
+            (str(cores),) + tuple(fmt_rel(data.relative[metric][cores][a])
+                                  for a in ACRONYMS)
+            for cores in sorted(data.relative[metric])
+        )
+        blocks.append(TableBlock(
+            title=f"Figure 7 ({metric}): partitioned configs relative to C-L",
+            headers=("cores",) + ACRONYMS, rows=rows,
+        ))
+    return blocks
+
+
 def charts(data: Fig7Data) -> List[BarChart]:
     """Grouped-bar spec per metric (cores on the x axis, one bar/config)."""
     specs = []
@@ -152,15 +156,3 @@ def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig7Dat
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))
 
-
-def main() -> Fig7Data:  # pragma: no cover - exercised via bench
-    """Regenerate and print Figure 7 at the default scale."""
-    data = run()
-    for metric in METRICS:
-        print(data.table(metric))
-        print()
-    return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

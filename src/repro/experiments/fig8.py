@@ -23,14 +23,13 @@ from repro.config import (
     config_unpartitioned,
 )
 from repro.experiments.common import (
-    BASE_L2_BYTES,
     ExperimentScale,
     RunOutcome,
     WorkloadRunner,
     geometric_mean,
 )
-from repro.experiments.report import format_table, fmt_rel
-from repro.reporting.model import DataPoint, LineChart, Reference
+from repro.experiments.report import fmt_rel
+from repro.reporting.model import DataPoint, LineChart, Reference, TableBlock
 
 #: (partitioned config factory, matching unpartitioned policy, panel label).
 PAIRS: Tuple[Tuple[PartitioningConfig, str, str], ...] = (
@@ -57,23 +56,6 @@ class Fig8Data:
     per_mix: Dict[str, Dict[int, Dict[str, float]]]
     average: Dict[str, Dict[int, float]]
     outcomes: Dict[Tuple[str, int, str, bool], RunOutcome] = field(default_factory=dict)
-
-    def table(self, panel: str) -> str:
-        """ASCII rendering of one panel's mix × L2-size grid."""
-        sizes = sorted(self.average[panel])
-        headers = ["mix"] + [f"{s // 1024}KB" for s in sizes]
-        mixes = sorted(next(iter(self.per_mix[panel].values())))
-        rows = []
-        for mix in mixes:
-            rows.append([mix] + [
-                fmt_rel(self.per_mix[panel][size][mix]) for size in sizes
-            ])
-        rows.append(["AVG"] + [fmt_rel(self.average[panel][s]) for s in sizes])
-        return format_table(
-            headers, rows,
-            title=(f"Figure 8 ({panel}): partitioned vs non-partitioned "
-                   f"throughput, 2-core CMP"),
-        )
 
 
 def matrix(scale: ExperimentScale) -> List[Job]:
@@ -163,6 +145,28 @@ def points(data: Fig8Data) -> List[DataPoint]:
     return out
 
 
+def tables(data: Fig8Data) -> List[TableBlock]:
+    """One mix × L2-size grid per panel, closed by the AVG row."""
+    blocks = []
+    for _, _, panel in PAIRS:
+        sizes = sorted(data.average[panel])
+        mixes = sorted(next(iter(data.per_mix[panel].values())))
+        rows = [
+            (mix,) + tuple(fmt_rel(data.per_mix[panel][s][mix])
+                           for s in sizes)
+            for mix in mixes
+        ]
+        rows.append(("AVG",) + tuple(fmt_rel(data.average[panel][s])
+                                     for s in sizes))
+        blocks.append(TableBlock(
+            title=(f"Figure 8 ({panel}): partitioned vs non-partitioned "
+                   f"throughput, 2-core CMP"),
+            headers=("mix",) + tuple(f"{s // 1024}KB" for s in sizes),
+            rows=tuple(rows),
+        ))
+    return blocks
+
+
 def charts(data: Fig8Data) -> List[LineChart]:
     """One line chart per panel: capacity sweep, one series per mix + AVG."""
     specs = []
@@ -195,15 +199,3 @@ def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig8Dat
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))
 
-
-def main() -> Fig8Data:  # pragma: no cover - exercised via bench
-    """Regenerate and print Figure 8 at the default scale."""
-    data = run()
-    for _, _, panel in PAIRS:
-        print(data.table(panel))
-        print()
-    return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,9 +15,9 @@ from typing import Dict, List, Mapping
 from repro.campaign.jobs import Job
 from repro.experiments import fig7
 from repro.experiments.common import ExperimentScale, WorkloadRunner, geometric_mean
-from repro.experiments.report import format_table, fmt_rel
+from repro.experiments.report import fmt_rel
 from repro.hwmodel.power import PowerModel
-from repro.reporting.model import BarChart, DataPoint, Reference
+from repro.reporting.model import BarChart, DataPoint, Reference, TableBlock
 
 ACRONYMS = fig7.ACRONYMS
 CORE_COUNTS = fig7.CORE_COUNTS
@@ -31,34 +31,6 @@ class Fig9Data:
     relative_power: Dict[int, Dict[str, float]]
     relative_energy: Dict[int, Dict[str, float]]
     breakdown_2core: Dict[str, Dict[str, float]]
-
-    def table_relative(self) -> str:
-        """ASCII rendering of the relative power/energy grid (Fig 9a)."""
-        rows = []
-        for cores in sorted(self.relative_power):
-            rows.append([f"{cores} power"] + [
-                fmt_rel(self.relative_power[cores][a]) for a in ACRONYMS
-            ])
-            rows.append([f"{cores} energy"] + [
-                fmt_rel(self.relative_energy[cores][a]) for a in ACRONYMS
-            ])
-        return format_table(
-            ["cores/metric"] + list(ACRONYMS), rows,
-            title="Figure 9(a): power & energy (CPI x Power) relative to C-L",
-        )
-
-    def table_breakdown(self) -> str:
-        """ASCII rendering of the component power shares (Fig 9b)."""
-        rows = []
-        for acronym in ACRONYMS:
-            shares = self.breakdown_2core[acronym]
-            rows.append([acronym] + [
-                f"{shares[g] * 100:.1f}%" for g in COMPONENT_GROUPS
-            ])
-        return format_table(
-            ["config"] + list(COMPONENT_GROUPS), rows,
-            title="Figure 9(b): component power shares, 2-core CMP",
-        )
 
 
 def matrix(scale: ExperimentScale) -> List[Job]:
@@ -154,6 +126,30 @@ def points(data: Fig9Data) -> List[DataPoint]:
     ]
 
 
+def tables(data: Fig9Data) -> List[TableBlock]:
+    """The relative power/energy grid (9a) and the 2-core shares (9b)."""
+    rows = []
+    for cores in sorted(data.relative_power):
+        rows.append((f"{cores} power",) + tuple(
+            fmt_rel(data.relative_power[cores][a]) for a in ACRONYMS))
+        rows.append((f"{cores} energy",) + tuple(
+            fmt_rel(data.relative_energy[cores][a]) for a in ACRONYMS))
+    relative = TableBlock(
+        title="Figure 9(a): power & energy (CPI x Power) relative to C-L",
+        headers=("cores/metric",) + ACRONYMS, rows=tuple(rows),
+    )
+    breakdown = TableBlock(
+        title="Figure 9(b): component power shares, 2-core CMP",
+        headers=("config",) + COMPONENT_GROUPS,
+        rows=tuple(
+            (a,) + tuple(f"{data.breakdown_2core[a][g] * 100:.1f}%"
+                         for g in COMPONENT_GROUPS)
+            for a in ACRONYMS
+        ),
+    )
+    return [relative, breakdown]
+
+
 def charts(data: Fig9Data) -> List[BarChart]:
     """Relative power/energy bars plus the 2-core component breakdown."""
     core_counts = sorted(data.relative_power)
@@ -189,15 +185,3 @@ def charts(data: Fig9Data) -> List[BarChart]:
     ]
     return specs
 
-
-def main() -> Fig9Data:  # pragma: no cover - exercised via bench
-    """Regenerate and print Figure 9 at the default scale."""
-    data = run()
-    print(data.table_relative())
-    print()
-    print(data.table_breakdown())
-    return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -26,17 +26,16 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(lines)
 
 
+def format_tables(blocks: Iterable) -> str:
+    """Every ``TableBlock`` of a section as ASCII, blank-line separated —
+    the one text rendering behind the serial verbs, ``campaign run`` and
+    the benches (the report's emitters render the same blocks)."""
+    return "\n\n".join(
+        format_table(block.headers, block.rows, title=block.title)
+        for block in blocks
+    )
+
+
 def fmt_rel(value: float) -> str:
     """Format a relative value the way the paper's y-axes read (0.973)."""
     return f"{value:.3f}"
-
-
-def fmt_pct_delta(value: float) -> str:
-    """Relative value -> signed percentage delta ("-2.7%")."""
-    return f"{(value - 1.0) * 100.0:+.1f}%"
-
-
-def print_block(text: str) -> None:
-    """Print with a trailing blank line (keeps bench output readable)."""
-    print(text)
-    print()

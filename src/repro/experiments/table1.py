@@ -9,30 +9,20 @@ exactly (one flagged inconsistency — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-from typing import List
+from typing import Dict, List
 
 from repro.cache.geometry import CacheGeometry
-from repro.experiments.report import format_table
 from repro.hwmodel.area import format_area
 from repro.hwmodel.complexity import (
     ReplacementComplexity,
     event_bits_table,
     storage_bits_table,
 )
-from repro.reporting.model import DataPoint, Reference
+from repro.reporting.model import DataPoint, Reference, TableBlock
 
 PAPER_GEOMETRY = CacheGeometry(size_bytes=2 * 1024 * 1024, assoc=16,
                                line_bytes=128)
 PAPER_CORES = 2
-
-#: The paper's quoted storage areas (Table I(a)).
-PAPER_STORAGE = {
-    ("lru", "none"): "8 KB",
-    ("nru", "none"): "2 KB",
-    ("bt", "none"): "1.875 KB",
-}
 
 
 @dataclass
@@ -41,28 +31,6 @@ class Table1Data:
 
     storage: Dict[str, Dict[str, int]]
     events: Dict[str, Dict[str, int]]
-
-    def table_storage(self) -> str:
-        """ASCII rendering of Table I(a) — storage bits and area."""
-        rows = []
-        for policy, modes in self.storage.items():
-            for mode, bits in modes.items():
-                rows.append([policy.upper(), mode, bits, format_area(bits)])
-        return format_table(
-            ["policy", "partitioning", "bits", "area"], rows,
-            title=("Table I(a): replacement + partitioning storage "
-                   f"({PAPER_GEOMETRY}, {PAPER_CORES} cores)"),
-        )
-
-    def table_events(self) -> str:
-        """ASCII rendering of Table I(b) — bits touched per event."""
-        rows = []
-        for event, per_policy in self.events.items():
-            rows.append([event] + [per_policy[p] for p in ("lru", "nru", "bt")])
-        return format_table(
-            ["event (bits touched)", "LRU", "NRU", "BT"], rows,
-            title="Table I(b): bits read/updated per event",
-        )
 
 
 def run(geometry: CacheGeometry = PAPER_GEOMETRY,
@@ -105,50 +73,51 @@ def policy_state_bits(geometry: CacheGeometry = PAPER_GEOMETRY):
     return rows
 
 
+def _storage(comp: ReplacementComplexity) -> int:
+    return comp.storage_bits_total("none")
+
+
+#: (point suffix, label, expected bits, policy, getter) — the exact
+#: quantities Table I states and where the model computes each; the report
+#: and ``repro table1`` grade them with zero tolerance (pure arithmetic).
+_PAPER_BITS = (
+    ("storage_bits/lru", "LRU replacement storage", 8 * 8 * 1024,
+     "lru", _storage),
+    ("storage_bits/nru", "NRU replacement storage (incl. pointer)",
+     2 * 8 * 1024 + 4, "nru", _storage),
+    ("storage_bits/bt", "BT replacement storage", int(1.875 * 8 * 1024),
+     "bt", _storage),
+    ("tag_compare_bits", "tag comparison per lookup", 752,
+     "lru", ReplacementComplexity.tag_comparison_bits),
+    ("update_bits/lru", "LRU update per hit", 64,
+     "lru", ReplacementComplexity.update_bits_unpartitioned),
+    ("update_bits/nru", "NRU update per hit", 19,
+     "nru", ReplacementComplexity.update_bits_unpartitioned),
+    ("update_bits/bt", "BT update per hit", 4,
+     "bt", ReplacementComplexity.update_bits_unpartitioned),
+    ("data_hit_bits", "data bits per hit", 1024,
+     "lru", ReplacementComplexity.data_bits),
+    ("profiling_read_bits/lru", "LRU profiling read", 4,
+     "lru", ReplacementComplexity.profiling_read_bits),
+    ("profiling_read_bits/nru", "NRU profiling read", 16,
+     "nru", ReplacementComplexity.profiling_read_bits),
+    ("profiling_read_bits/bt", "BT profiling read", 16,
+     "bt", ReplacementComplexity.profiling_read_bits),
+)
+
+
 def matrix(scale=None) -> list:
     """Table I's campaign matrix: empty — it is closed-form arithmetic.
 
-    Declared anyway so ``repro campaign run table1`` treats the tables
-    uniformly with the figures (zero simulation jobs, render-only).
+    Declared anyway so the section registry treats the tables uniformly
+    with the figures (zero simulation jobs, render-only).
     """
     return []
 
 
-#: (point suffix, label, expected bits) — the exact quantities Table I
-#: states; the report grades them with zero tolerance (pure arithmetic).
-_PAPER_BITS = (
-    ("storage_bits/lru", "LRU replacement storage", 8 * 8 * 1024),
-    ("storage_bits/nru", "NRU replacement storage (incl. pointer)",
-     2 * 8 * 1024 + 4),
-    ("storage_bits/bt", "BT replacement storage", int(1.875 * 8 * 1024)),
-    ("tag_compare_bits", "tag comparison per lookup", 752),
-    ("update_bits/lru", "LRU update per hit", 64),
-    ("update_bits/nru", "NRU update per hit", 19),
-    ("update_bits/bt", "BT update per hit", 4),
-    ("data_hit_bits", "data bits per hit", 1024),
-    ("profiling_read_bits/lru", "LRU profiling read", 4),
-    ("profiling_read_bits/nru", "NRU profiling read", 16),
-    ("profiling_read_bits/bt", "BT profiling read", 16),
-)
-
-
-def _measured_bits() -> Dict[str, int]:
-    """Computed counterparts of ``_PAPER_BITS`` (paper geometry)."""
-    comp = {p: ReplacementComplexity(p, PAPER_GEOMETRY, PAPER_CORES)
-            for p in ("lru", "nru", "bt")}
-    return {
-        "storage_bits/lru": comp["lru"].storage_bits_total("none"),
-        "storage_bits/nru": comp["nru"].storage_bits_total("none"),
-        "storage_bits/bt": comp["bt"].storage_bits_total("none"),
-        "tag_compare_bits": comp["lru"].tag_comparison_bits(),
-        "update_bits/lru": comp["lru"].update_bits_unpartitioned(),
-        "update_bits/nru": comp["nru"].update_bits_unpartitioned(),
-        "update_bits/bt": comp["bt"].update_bits_unpartitioned(),
-        "data_hit_bits": comp["lru"].data_bits(),
-        "profiling_read_bits/lru": comp["lru"].profiling_read_bits(),
-        "profiling_read_bits/nru": comp["nru"].profiling_read_bits(),
-        "profiling_read_bits/bt": comp["bt"].profiling_read_bits(),
-    }
+def assemble(scale, results) -> Table1Data:
+    """Table I's data at the paper geometry (no campaign results needed)."""
+    return run()
 
 
 def references() -> List[Reference]:
@@ -156,7 +125,7 @@ def references() -> List[Reference]:
     return [
         Reference(point=f"table1/{suffix}", expected=float(expected),
                   rel_warn=0.0, rel_fail=0.0, source="Table I")
-        for suffix, _, expected in _PAPER_BITS
+        for suffix, _, expected, _, _ in _PAPER_BITS
     ]
 
 
@@ -166,50 +135,49 @@ def points(data: Table1Data = None) -> List[DataPoint]:
     ``data`` is accepted for builder uniformity but unused — the values
     are closed-form arithmetic over the paper geometry.
     """
-    measured = _measured_bits()
+    comp = {p: ReplacementComplexity(p, PAPER_GEOMETRY, PAPER_CORES)
+            for p in ("lru", "nru", "bt")}
     return [
         DataPoint(id=f"table1/{suffix}", label=label,
-                  value=float(measured[suffix]), unit="bits")
-        for suffix, label, _ in _PAPER_BITS
+                  value=float(getter(comp[policy])), unit="bits")
+        for suffix, label, _, policy, getter in _PAPER_BITS
     ]
 
 
-def paper_checkpoints() -> Dict[str, bool]:
-    """Assert the paper's quoted numbers (used by tests and benches)."""
-    comp_lru = ReplacementComplexity("lru", PAPER_GEOMETRY, PAPER_CORES)
-    comp_nru = ReplacementComplexity("nru", PAPER_GEOMETRY, PAPER_CORES)
-    comp_bt = ReplacementComplexity("bt", PAPER_GEOMETRY, PAPER_CORES)
-    kb = 8 * 1024
-    return {
-        "lru_storage_8KB": comp_lru.storage_bits_total("none") == 8 * kb,
-        "nru_storage_2KB_plus_pointer":
-            comp_nru.storage_bits_total("none") == 2 * kb + 4,
-        "bt_storage_1.875KB":
-            comp_bt.storage_bits_total("none") == int(1.875 * kb),
-        "tag_compare_752": comp_lru.tag_comparison_bits() == 752,
-        "lru_update_64": comp_lru.update_bits_unpartitioned() == 64,
-        "nru_update_19": comp_nru.update_bits_unpartitioned() == 15 + 4,
-        "bt_update_4": comp_bt.update_bits_unpartitioned() == 4,
-        "data_hit_1024": comp_lru.data_bits() == 1024,
-        "lru_profiling_read_4": comp_lru.profiling_read_bits() == 4,
-        "nru_profiling_read_16": comp_nru.profiling_read_bits() == 16,
-        "bt_profiling_read_16": comp_bt.profiling_read_bits() == 16,
-    }
-
-
-def main() -> Table1Data:  # pragma: no cover - exercised via bench
-    """Print Table I plus the paper-checkpoint summary."""
-    data = run()
-    print(data.table_storage())
-    print()
-    print(data.table_events())
-    checks = paper_checkpoints()
-    bad = [name for name, ok in checks.items() if not ok]
-    print()
-    print(f"paper checkpoints: {len(checks) - len(bad)}/{len(checks)} pass"
-          + (f" (failing: {bad})" if bad else ""))
-    return data
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(data: Table1Data) -> List[TableBlock]:
+    """Table I(a), Table I(b) and the all-registered-policies extension."""
+    storage_rows = tuple(
+        (policy.upper(), mode, str(bits), format_area(bits))
+        for policy, modes in data.storage.items()
+        for mode, bits in modes.items()
+    )
+    event_rows = tuple(
+        (event,) + tuple(str(per_policy[p]) for p in ("lru", "nru", "bt"))
+        for event, per_policy in data.events.items()
+    )
+    state_rows = tuple(
+        (row["policy"], str(row["per_set"]), str(row["per_cache"]),
+         str(row["total"]), format_area(row["total"]))
+        for row in policy_state_bits()
+    )
+    return [
+        TableBlock(
+            title=("Table I(a): replacement + partitioning storage "
+                   f"({PAPER_GEOMETRY}, {PAPER_CORES} cores)"),
+            headers=("policy", "partitioning", "bits", "area"),
+            rows=storage_rows,
+        ),
+        TableBlock(
+            title="Table I(b): bits read/updated per event",
+            headers=("event (bits touched)", "LRU", "NRU", "BT"),
+            rows=event_rows,
+        ),
+        TableBlock(
+            title=("Replacement state storage, all registered policies "
+                   f"({PAPER_GEOMETRY}; per-cache = NRU pointer / "
+                   "DIP PSEL)"),
+            headers=("policy", "bits/set", "per-cache bits", "total bits",
+                     "area"),
+            rows=state_rows,
+        ),
+    ]

@@ -5,41 +5,22 @@ from __future__ import annotations
 from typing import List
 
 from repro.config import ProcessorConfig
-from repro.experiments.report import format_table
-from repro.reporting.model import DataPoint, Reference
+from repro.reporting.model import DataPoint, Reference, TableBlock
 from repro.workloads.mixes import WORKLOADS_2T, WORKLOADS_4T, WORKLOADS_8T
-
-
-def processor_table(processor: ProcessorConfig = ProcessorConfig()) -> str:
-    """ASCII rendering of Table II's processor configuration."""
-    rows = [
-        ["L1 I-cache", str(processor.l1i)],
-        ["L1 D-cache", str(processor.l1d)],
-        ["L2 (shared)", str(processor.l2)],
-        ["L2 hit penalty", f"{processor.l2_hit_penalty} cycles"],
-        ["Memory penalty", f"{processor.memory_penalty} cycles"],
-    ]
-    return format_table(["component", "configuration"], rows,
-                        title="Table II (left): baseline processor")
-
-
-def workload_table() -> str:
-    """ASCII rendering of Table II's 49 multiprogrammed mixes."""
-    rows = []
-    for table in (WORKLOADS_2T, WORKLOADS_4T, WORKLOADS_8T):
-        for name in sorted(table):
-            rows.append([name, ", ".join(table[name])])
-    return format_table(["workload", "benchmarks"], rows,
-                        title="Table II (right): 49 multiprogrammed mixes")
 
 
 def matrix(scale=None) -> list:
     """Table II's campaign matrix: empty — it lists static configuration.
 
-    Declared so ``repro campaign run table2`` treats the tables uniformly
-    with the figures (zero simulation jobs, render-only).
+    Declared so the section registry treats the tables uniformly with the
+    figures (zero simulation jobs, render-only).
     """
     return []
+
+
+def assemble(scale, results) -> None:
+    """Table II has no data object: everything it shows is configuration."""
+    return None
 
 
 #: (point suffix, label, getter, expected) — the Table II facts the
@@ -77,12 +58,27 @@ def points(data=None) -> List[DataPoint]:
     ]
 
 
-def main() -> None:  # pragma: no cover - exercised via bench
-    """Print both halves of Table II."""
-    print(processor_table())
-    print()
-    print(workload_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def tables(data=None) -> List[TableBlock]:
+    """The baseline processor (left half) and the 49 mixes (right half)."""
+    proc = ProcessorConfig()
+    processor = TableBlock(
+        title="Table II (left): baseline processor",
+        headers=("component", "configuration"),
+        rows=(
+            ("L1 I-cache", str(proc.l1i)),
+            ("L1 D-cache", str(proc.l1d)),
+            ("L2 (shared)", str(proc.l2)),
+            ("L2 hit penalty", f"{proc.l2_hit_penalty} cycles"),
+            ("Memory penalty", f"{proc.memory_penalty} cycles"),
+        ),
+    )
+    mix_rows = tuple(
+        (name, ", ".join(table[name]))
+        for table in (WORKLOADS_2T, WORKLOADS_4T, WORKLOADS_8T)
+        for name in sorted(table)
+    )
+    mixes = TableBlock(
+        title="Table II (right): 49 multiprogrammed mixes",
+        headers=("workload", "benchmarks"), rows=mix_rows,
+    )
+    return [processor, mixes]

@@ -5,11 +5,13 @@ experiment module through the same module-level functions; a missing or
 mis-shaped export only surfaces at run time, deep inside a sweep.  The
 ``experiment-contract`` rule pins the surface statically:
 
-* figure modules (``fig*.py``) must export ``matrix(scale)``,
-  ``assemble(scale, results)``, ``run(scale, runner)``, ``charts(data)``,
-  ``points(data)`` and ``references()``;
-* table modules (``table*.py``) are static — the report path only needs
-  ``matrix(scale)``, ``points(data)`` and ``references()``.
+* every module must export ``matrix(scale)``, ``assemble(scale,
+  results)``, ``tables(data)``, ``points(data)`` and ``references()`` —
+  the surface the one section registry
+  (:mod:`repro.reporting.sections`) builds every section from;
+* figure modules (``fig*.py``) additionally export ``run(scale, runner)``
+  and ``charts(data)``; table modules (``table*.py``) are static and chart
+  nothing.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ from repro.lint.core import Diagnostic, LintContext, Rule, register_rule
 EXPERIMENTS_DIR = "repro/experiments"
 
 #: Required module-level exports and their positional arities.
-FIGURE_EXPORTS: Dict[str, int] = {
-    "matrix": 1, "assemble": 2, "run": 2,
-    "charts": 1, "points": 1, "references": 0,
-}
 TABLE_EXPORTS: Dict[str, int] = {
-    "matrix": 1, "points": 1, "references": 0,
+    "matrix": 1, "assemble": 2, "tables": 1, "points": 1, "references": 0,
 }
+FIGURE_EXPORTS: Dict[str, int] = {**TABLE_EXPORTS, "run": 2, "charts": 1}
 
 
 def _accepts_positional(func: ast.FunctionDef, arity: int) -> bool:

@@ -9,8 +9,9 @@ One pipeline for all of Figures 6–9 and Tables I–II::
   which is why it must stay free of ``repro`` imports.
 * :mod:`.svg` — stdlib-only SVG renderers for the chart specs (no
   matplotlib anywhere in the repo).
-* :mod:`.sections` — one builder per figure/table, turning campaign
-  results into structured tables + charts + graded points.
+* :mod:`.sections` — the one name -> figure/table registry: a spec per
+  artefact turns results into structured tables + charts + graded points,
+  for the serial verbs, ``campaign run`` and the report alike.
 * :mod:`.build` — the campaign-store adapter (cache hits, ``--jobs N``)
   and the run→build manifest handoff.
 * :mod:`.emit` — ``report.html`` / ``report.md`` / ``report.json``.

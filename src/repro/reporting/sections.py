@@ -1,20 +1,21 @@
-"""Report sections: one builder per figure/table of the paper.
+"""Report sections: the one name -> figure/table registry of the repo.
 
-A section builder turns campaign results (the ``{Job: RunOutcome}``
-mapping a :class:`repro.campaign.runner.Campaign` returns) into a
+A :class:`SectionSpec` couples an experiment module's job matrix with a
+builder that turns campaign results (the ``{Job: RunOutcome}`` mapping a
+:class:`repro.campaign.runner.Campaign` or ``run_serial`` returns) into a
 :class:`~repro.reporting.model.Section`: structured tables, SVG-able chart
-specs, and paper-graded data points.  The numeric path is exactly the
-figure modules' ``assemble()`` — the same functions the serial ``run()``
-entry points use — so every value the report renders is bit-identical to
-the serial output (pinned by ``tests/test_reporting/test_identity.py``).
+specs, and paper-graded data points.  Everything a section shows is
+declared once, in its module (``matrix`` / ``assemble`` / ``tables`` /
+``charts`` / ``points`` / ``references``); the serial verbs (``repro fig6``
+... ``repro all``), ``repro campaign run`` and the report all resolve a
+name here and render the same :class:`Section` — as text through
+:func:`section_text`, as html/md/json through :mod:`repro.reporting.emit`
+— so their numbers cannot drift apart (pinned by
+``tests/test_reporting/test_identity.py`` and ``tests/test_cli.py``)::
 
-The registry gives every future experiment a uniform pipeline::
+    declare matrix -> run (serial or campaign) -> assemble -> render -> verify
 
-    declare matrix -> campaign assemble -> render -> verify
-
-New figures plug in by declaring ``matrix`` / ``assemble`` / ``charts`` /
-``points`` / ``references`` in their module and adding one
-:class:`SectionSpec` row here.
+A new figure is one experiment module plus one row of ``SECTIONS``.
 """
 
 from __future__ import annotations
@@ -25,275 +26,101 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 from repro.campaign.jobs import Job
 from repro.experiments import fig6, fig7, fig8, fig9, table1, table2
 from repro.experiments.common import ExperimentScale
-from repro.experiments.report import fmt_rel
+from repro.experiments.report import format_tables
 from repro.reporting.model import (
     Reference,
     Section,
-    TableBlock,
+    VERDICT_PASS,
     grade_points,
 )
-from repro.workloads.mixes import WORKLOADS_2T, WORKLOADS_4T, WORKLOADS_8T
 
 
-# ----------------------------------------------------------------------
-# Structured tables (same values as the modules' ASCII tables)
-# ----------------------------------------------------------------------
-def _fig6_tables(data: fig6.Fig6Data) -> List[TableBlock]:
-    blocks = []
-    for metric in fig6.METRICS:
-        rows = tuple(
-            (str(cores),) + tuple(fmt_rel(data.relative[metric][cores][p])
-                                  for p in fig6.POLICIES)
-            for cores in sorted(data.relative[metric])
-        )
-        blocks.append(TableBlock(
-            title=f"Figure 6 ({metric}): relative to LRU, non-partitioned L2",
-            headers=("cores",) + fig6.POLICIES, rows=rows,
-        ))
-    return blocks
-
-
-def _fig7_tables(data: fig7.Fig7Data) -> List[TableBlock]:
-    blocks = []
-    for metric in fig7.METRICS:
-        rows = tuple(
-            (str(cores),) + tuple(fmt_rel(data.relative[metric][cores][a])
-                                  for a in fig7.ACRONYMS)
-            for cores in sorted(data.relative[metric])
-        )
-        blocks.append(TableBlock(
-            title=f"Figure 7 ({metric}): partitioned configs relative to C-L",
-            headers=("cores",) + fig7.ACRONYMS, rows=rows,
-        ))
-    return blocks
-
-
-def _fig8_tables(data: fig8.Fig8Data) -> List[TableBlock]:
-    blocks = []
-    for _, _, panel in fig8.PAIRS:
-        sizes = sorted(data.average[panel])
-        mixes = sorted(next(iter(data.per_mix[panel].values())))
-        rows = [
-            (mix,) + tuple(fmt_rel(data.per_mix[panel][s][mix])
-                           for s in sizes)
-            for mix in mixes
-        ]
-        rows.append(("AVG",) + tuple(fmt_rel(data.average[panel][s])
-                                     for s in sizes))
-        blocks.append(TableBlock(
-            title=(f"Figure 8 ({panel}): partitioned vs non-partitioned "
-                   f"throughput, 2-core CMP"),
-            headers=("mix",) + tuple(f"{s // 1024}KB" for s in sizes),
-            rows=tuple(rows),
-        ))
-    return blocks
-
-
-def _fig9_tables(data: fig9.Fig9Data) -> List[TableBlock]:
-    rows = []
-    for cores in sorted(data.relative_power):
-        rows.append((f"{cores} power",) + tuple(
-            fmt_rel(data.relative_power[cores][a]) for a in fig9.ACRONYMS))
-        rows.append((f"{cores} energy",) + tuple(
-            fmt_rel(data.relative_energy[cores][a]) for a in fig9.ACRONYMS))
-    relative = TableBlock(
-        title="Figure 9(a): power & energy (CPI x Power) relative to C-L",
-        headers=("cores/metric",) + fig9.ACRONYMS, rows=tuple(rows),
-    )
-    breakdown = TableBlock(
-        title="Figure 9(b): component power shares, 2-core CMP",
-        headers=("config",) + fig9.COMPONENT_GROUPS,
-        rows=tuple(
-            (a,) + tuple(f"{data.breakdown_2core[a][g] * 100:.1f}%"
-                         for g in fig9.COMPONENT_GROUPS)
-            for a in fig9.ACRONYMS
-        ),
-    )
-    return [relative, breakdown]
-
-
-def _table1_tables(data: table1.Table1Data) -> List[TableBlock]:
-    from repro.hwmodel.area import format_area
-
-    storage_rows = tuple(
-        (policy.upper(), mode, str(bits), format_area(bits))
-        for policy, modes in data.storage.items()
-        for mode, bits in modes.items()
-    )
-    event_rows = tuple(
-        (event,) + tuple(str(per_policy[p]) for p in ("lru", "nru", "bt"))
-        for event, per_policy in data.events.items()
-    )
-    state_rows = tuple(
-        (row["policy"], str(row["per_set"]), str(row["per_cache"]),
-         str(row["total"]), format_area(row["total"]))
-        for row in table1.policy_state_bits()
-    )
-    return [
-        TableBlock(
-            title=("Table I(a): replacement + partitioning storage "
-                   f"({table1.PAPER_GEOMETRY}, {table1.PAPER_CORES} cores)"),
-            headers=("policy", "partitioning", "bits", "area"),
-            rows=storage_rows,
-        ),
-        TableBlock(
-            title="Table I(b): bits read/updated per event",
-            headers=("event (bits touched)", "LRU", "NRU", "BT"),
-            rows=event_rows,
-        ),
-        TableBlock(
-            title=("Replacement state storage, all registered policies "
-                   f"({table1.PAPER_GEOMETRY}; per-cache = NRU pointer / "
-                   "DIP PSEL)"),
-            headers=("policy", "bits/set", "per-cache bits", "total bits",
-                     "area"),
-            rows=state_rows,
-        ),
-    ]
-
-
-def _table2_tables() -> List[TableBlock]:
-    from repro.config import ProcessorConfig
-
-    proc = ProcessorConfig()
-    processor = TableBlock(
-        title="Table II (left): baseline processor",
-        headers=("component", "configuration"),
-        rows=(
-            ("L1 I-cache", str(proc.l1i)),
-            ("L1 D-cache", str(proc.l1d)),
-            ("L2 (shared)", str(proc.l2)),
-            ("L2 hit penalty", f"{proc.l2_hit_penalty} cycles"),
-            ("Memory penalty", f"{proc.memory_penalty} cycles"),
-        ),
-    )
-    mix_rows = tuple(
-        (name, ", ".join(table[name]))
-        for table in (WORKLOADS_2T, WORKLOADS_4T, WORKLOADS_8T)
-        for name in sorted(table)
-    )
-    mixes = TableBlock(
-        title="Table II (right): 49 multiprogrammed mixes",
-        headers=("workload", "benchmarks"), rows=mix_rows,
-    )
-    return [processor, mixes]
-
-
-# ----------------------------------------------------------------------
-# The registry
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SectionSpec:
-    """One registered report section (a figure or table of the paper)."""
+    """One registered section (a figure or table of the paper)."""
 
     name: str
-    title: str
-    kind: str  # "figure" | "table"
-    summary: str
     #: Campaign job matrix at a scale (empty for the static tables).
     matrix: Callable[[ExperimentScale], List[Job]]
     #: ``(scale, results) -> Section`` — pure function of campaign results.
     build: Callable[[ExperimentScale, Mapping[Job, Any]], Section]
+    #: The section's checked-in paper values.
+    references: Callable[[], List[Reference]]
 
 
-def _figure_spec(name: str, title: str, summary: str, module) -> "SectionSpec":
-    """SectionSpec for a figure module exposing the standard quintet
-    (``matrix`` / ``assemble`` / ``charts`` / ``points`` / ``references``)."""
+def _spec(name: str, title: str, kind: str, summary: str,
+          module) -> SectionSpec:
+    """SectionSpec over an experiment module's declared surface (pinned by
+    the ``experiment-contract`` lint rule; only figures chart)."""
     def build(scale: ExperimentScale, results: Mapping[Job, Any]) -> Section:
         data = module.assemble(scale, results)
         return Section(
-            name=name, title=title, kind="figure", summary=summary,
-            tables=_TABLES[name](data), charts=list(module.charts(data)),
+            name=name, title=title, kind=kind, summary=summary,
+            tables=module.tables(data),
+            charts=list(module.charts(data)) if kind == "figure" else [],
             points=grade_points(module.points(data), module.references()),
         )
-    return SectionSpec(name=name, title=title, kind="figure",
-                       summary=summary, matrix=module.matrix, build=build)
+    return SectionSpec(name, module.matrix, build, module.references)
 
 
-def _table1_build(scale: ExperimentScale,
-                  results: Mapping[Job, Any]) -> Section:
-    data = table1.run()
-    return Section(
-        name="table1", title="Table I — replacement scheme complexity",
-        kind="table",
-        summary=("Storage and event-cost arithmetic of LRU, NRU and BT at "
-                 "the paper's bracketed geometry; every quoted number is "
-                 "graded exactly."),
-        tables=_table1_tables(data),
-        points=grade_points(table1.points(data), table1.references()),
-    )
-
-
-def _table2_build(scale: ExperimentScale,
-                  results: Mapping[Job, Any]) -> Section:
-    return Section(
-        name="table2", title="Table II — processor configuration and mixes",
-        kind="table",
-        summary=("Baseline machine parameters and the 49 multiprogrammed "
-                 "mixes; configuration facts are graded exactly."),
-        tables=_table2_tables(),
-        points=grade_points(table2.points(), table2.references()),
-    )
-
-
-_TABLES: Dict[str, Callable] = {
-    "fig6": _fig6_tables, "fig7": _fig7_tables,
-    "fig8": _fig8_tables, "fig9": _fig9_tables,
-}
-
+#: Every section, in the render order of the full report.
 SECTIONS: Dict[str, SectionSpec] = {
     spec.name: spec for spec in (
-        _figure_spec(
+        _spec(
             "fig6", "Figure 6 — pseudo-LRU policies on shared caches",
+            "figure",
             ("NRU and BT against LRU on non-partitioned shared L2s; the "
              "paper expects both pseudo-LRU schemes to trail LRU by a few "
              "percent at most."),
             fig6),
-        _figure_spec(
+        _spec(
             "fig7", "Figure 7 — dynamic partitioning on pseudo-LRU",
+            "figure",
             ("The central result: masks/counters enforcement with LRU, NRU "
              "and BT replacement, all metrics relative to the C-L "
              "baseline."),
             fig7),
-        _figure_spec(
+        _spec(
             "fig8", "Figure 8 — partitioning gain vs L2 capacity",
+            "figure",
             ("Partitioned vs non-partitioned throughput as the shared L2 "
              "shrinks; gains grow with contention."),
             fig8),
-        _figure_spec(
+        _spec(
             "fig9", "Figure 9 — power and energy",
+            "figure",
             ("Power/energy of every Figure 7 configuration relative to C-L "
              "plus the 2-core component breakdown; profiling must stay "
              "under 0.3% of total power."),
             fig9),
-        SectionSpec(
-            "table1", "Table I — replacement scheme complexity", "table",
-            "Closed-form complexity arithmetic, graded exactly.",
-            table1.matrix, _table1_build,
-        ),
-        SectionSpec(
-            "table2", "Table II — processor configuration and mixes", "table",
-            "Static configuration facts, graded exactly.",
-            table2.matrix, _table2_build,
-        ),
+        _spec(
+            "table1", "Table I — replacement scheme complexity",
+            "table",
+            ("Storage and event-cost arithmetic of LRU, NRU and BT at "
+             "the paper's bracketed geometry; every quoted number is "
+             "graded exactly."),
+            table1),
+        _spec(
+            "table2", "Table II — processor configuration and mixes",
+            "table",
+            ("Baseline machine parameters and the 49 multiprogrammed "
+             "mixes; configuration facts are graded exactly."),
+            table2),
     )
 }
 
-#: Render order of the full report.
-SECTION_ORDER: Tuple[str, ...] = ("fig6", "fig7", "fig8", "fig9",
-                                  "table1", "table2")
+SECTION_ORDER: Tuple[str, ...] = tuple(SECTIONS)
 
 
 def resolve_sections(names: Sequence[str] = ()) -> List[SectionSpec]:
-    """Map ``--only`` names to specs (empty / ``all`` -> every section)."""
+    """Map section names to specs (empty / ``all`` -> every section)."""
     if not names or list(names) == ["all"]:
-        return [SECTIONS[name] for name in SECTION_ORDER]
+        return list(SECTIONS.values())
     specs = []
     for name in names:
         if name not in SECTIONS:
             raise KeyError(
-                f"unknown report section {name!r}; known: "
-                f"{list(SECTION_ORDER)}"
+                f"unknown section {name!r}; known: {list(SECTION_ORDER)}"
             )
         specs.append(SECTIONS[name])
     return specs
@@ -301,5 +128,16 @@ def resolve_sections(names: Sequence[str] = ()) -> List[SectionSpec]:
 
 def all_references() -> List[Reference]:
     """Every checked-in paper reference, across all sections."""
-    modules = (fig6, fig7, fig8, fig9, table1, table2)
-    return [ref for module in modules for ref in module.references()]
+    return [ref for spec in SECTIONS.values() for ref in spec.references()]
+
+
+def section_text(section: Section) -> str:
+    """The command line's rendering of a section: its tables and, for the
+    table sections (arithmetic and configuration, graded with zero
+    tolerance), the tally of exactly reproduced paper values."""
+    text = format_tables(section.tables)
+    if section.kind == "table":
+        ok = section.verdict_counts()[VERDICT_PASS]
+        text += (f"\n\npaper checkpoints: {ok}/{len(section.points)} "
+                 f"reproduced exactly")
+    return text

@@ -14,6 +14,7 @@ from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.experiments import fig6, fig7, fig9
 from repro.experiments.common import WorkloadRunner
+from repro.experiments.report import format_tables
 
 
 class TestFig6ByteIdentity:
@@ -48,8 +49,9 @@ class TestFig6ByteIdentity:
                                        serial_data):
         _, results, _ = campaign
         data = fig6.assemble(micro_scale, results)
-        for metric in fig6.METRICS:
-            assert data.table(metric) == serial_data.table(metric)
+        assert fig6.tables(data) == fig6.tables(serial_data)
+        assert (format_tables(fig6.tables(data))
+                == format_tables(fig6.tables(serial_data)))
 
 
 class TestFig9SharesFig7Jobs:

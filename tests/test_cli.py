@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import json
+import os
+import types
+
 import pytest
 
 from repro.cli import _scale_from_args, build_parser, main
+from repro.experiments.common import ExperimentScale, scale_preset
+from repro.reporting.sections import SECTION_ORDER, resolve_sections
+
+#: The flag spelling of the ``micro`` machine (CI runs the verbs with it).
+MICRO_FLAGS = ["--scale", "16", "--accesses", "2000",
+               "--target-cycles", "200000", "--seed", "7"]
 
 
 class TestParser:
@@ -48,16 +59,39 @@ class TestScaleFromArgs:
         assert len(scale.mixes_2t) == 24
         assert len(scale.mixes_fig8) == 24
 
-    def test_environment_restored(self, monkeypatch):
-        import os
+    def test_environment_untouched(self, monkeypatch):
+        """Flags layer over a *copy* of the environment: resolving a scale
+        works on a read-only ``os.environ`` and leaves it as it was."""
+        monkeypatch.setenv("REPRO_SEED", "11")
         args = build_parser().parse_args(["fig6", "--scale", "2"])
-        _scale_from_args(args)
-        assert "REPRO_SCALE" not in os.environ
+        frozen = types.MappingProxyType(dict(os.environ))
+        with monkeypatch.context() as patch:     # pytest writes it at exit
+            patch.setattr(os, "environ", frozen)
+            scale = _scale_from_args(args)
+        assert (scale.scale, scale.seed) == (2, 11)
+        assert "REPRO_SCALE" not in frozen and frozen["REPRO_SEED"] == "11"
+
+    def test_flags_beat_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "4")
+        args = build_parser().parse_args(["fig6", "--scale", "2"])
+        assert _scale_from_args(args).scale == 2
+        args = build_parser().parse_args(["fig6"])
+        assert _scale_from_args(args).scale == 4
 
     def test_full_flag(self):
         args = build_parser().parse_args(["fig6", "--full"])
         scale = _scale_from_args(args)
         assert scale.scale == 1
+        assert scale == scale_preset("paper")
+
+    def test_full_env_is_the_paper_preset(self):
+        assert (ExperimentScale.from_env({"REPRO_FULL": "1"})
+                == scale_preset("paper"))
+        assert ExperimentScale.from_env({}) == ExperimentScale()
+        # Later knobs still refine the preset, as they always did.
+        refined = ExperimentScale.from_env({"REPRO_FULL": "1",
+                                            "REPRO_ACCESSES": "500"})
+        assert refined.accesses == 500 and refined.scale == 1
 
 
 class TestInfoCommands:
@@ -66,6 +100,18 @@ class TestInfoCommands:
         out = capsys.readouterr().out
         assert "Table I(a)" in out
         assert "11/11 reproduced exactly" in out
+
+    def test_table1_fails_on_a_missed_paper_value(self, capsys, monkeypatch):
+        """The tally and the exit status are the section's graded points:
+        a reference the arithmetic does not meet fails the verb."""
+        from repro.experiments import table1
+
+        refs = table1.references()
+        wrong = [dataclasses.replace(refs[0], expected=refs[0].expected + 1)
+                 ] + refs[1:]
+        monkeypatch.setattr(table1, "references", lambda: wrong)
+        assert main(["table1"]) == 1
+        assert "10/11 reproduced exactly" in capsys.readouterr().out
 
     def test_table2(self, capsys):
         assert main(["table2"]) == 0
@@ -84,6 +130,96 @@ class TestInfoCommands:
         out = capsys.readouterr().out
         for name in ("lru", "nru", "bt", "srrip", "dip"):
             assert name in out
+
+
+def _printed_tables(text):
+    """``(title, headers, rows)`` of every ASCII table in CLI output."""
+    def cells(line):
+        return tuple(cell.strip() for cell in line.split(" | "))
+
+    lines = text.splitlines()
+    tables = []
+    for i, line in enumerate(lines):
+        if i >= 2 and line and set(line) <= set("-+"):
+            rows = []
+            for row in lines[i + 1:]:
+                if " | " not in row:
+                    break
+                rows.append(cells(row))
+            tables.append((lines[i - 2], cells(lines[i - 1]), tuple(rows)))
+    return tables
+
+
+class TestSectionVerbs:
+    """``repro <name>``, ``repro campaign run <name>`` and the report are
+    three renderings of one section declaration."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("verbs-store"))
+
+    @pytest.mark.parametrize("name", SECTION_ORDER)
+    def test_serial_campaign_and_report_tables_agree(self, name, store,
+                                                     tmp_path, capsys):
+        from repro.campaign.store import ResultStore
+        from repro.reporting.build import build_report
+        from repro.reporting.emit import write_report
+
+        flags = MICRO_FLAGS if name.startswith("fig") else []
+        assert main([name] + flags) == 0
+        serial = _printed_tables(capsys.readouterr().out)
+        assert main(["campaign", "run", name, "--jobs", "1",
+                     "--store", store] + MICRO_FLAGS) == 0
+        campaign = _printed_tables(capsys.readouterr().out)
+
+        scale = _scale_from_args(
+            build_parser().parse_args(["fig6"] + MICRO_FLAGS))
+        report, campaign_report = build_report(
+            scale, ResultStore(store), resolve_sections([name]))
+        assert campaign_report.executed == 0
+        path = write_report(report, tmp_path / "out")["json"]
+        (section,) = json.loads(path.read_text(encoding="utf-8"))["sections"]
+        reported = [
+            (t["title"], tuple(t["headers"]), tuple(map(tuple, t["rows"])))
+            for t in section["tables"]
+        ]
+        assert reported and serial == reported and campaign == reported
+
+    def test_all_shares_one_runner_and_simulates_each_point_once(
+            self, capsys, monkeypatch):
+        from repro.campaign import runner as campaign_runner
+        from repro.experiments.common import WorkloadRunner
+
+        executed, runners = [], []
+        execute_job = campaign_runner.execute_job
+        init = WorkloadRunner.__init__
+        monkeypatch.setattr(
+            campaign_runner, "execute_job",
+            lambda job, runner: (executed.append(job),
+                                 execute_job(job, runner))[1])
+        monkeypatch.setattr(
+            WorkloadRunner, "__init__",
+            lambda self, scale: (runners.append(self), init(self, scale))[1])
+
+        assert main(["all"] + MICRO_FLAGS) == 0
+        out = capsys.readouterr().out
+
+        scale = _scale_from_args(
+            build_parser().parse_args(["all"] + MICRO_FLAGS))
+        union = [job for spec in resolve_sections()
+                 for job in spec.matrix(scale)]
+        assert len(set(union)) < len(union)       # fig9 re-lists fig7
+        assert len(executed) == len(set(executed)) == len(set(union))
+        assert len(runners) == 1
+        titles = [title for title, _, _ in _printed_tables(out)]
+        assert len(titles) == len(set(titles))
+        for name in SECTION_ORDER:
+            assert out.count(f"=== {name} ===") == 1
+        for first in ("Figure 6 (throughput)", "Figure 7 (throughput)",
+                      "Figure 8 (M-L vs LRU)", "Figure 9(a)",
+                      "Table I(a)", "Table II (left)"):
+            assert sum(t.startswith(first) for t in titles) == 1
+        assert "11/11 reproduced exactly" in out
 
 
 class TestReportCommands:

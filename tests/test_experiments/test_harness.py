@@ -10,6 +10,8 @@ import pytest
 
 from repro.experiments import fig6, fig7, fig8, fig9, table1, table2
 from repro.experiments.common import ExperimentScale, WorkloadRunner
+from repro.experiments.report import format_tables
+from repro.reporting.model import VERDICT_PASS, grade_points
 
 MICRO = ExperimentScale(
     scale=16, accesses=4_000, target_cycles=300_000.0,
@@ -45,9 +47,11 @@ class TestFig6Micro:
                 assert per_policy["lru"] == pytest.approx(1.0)
 
     def test_tables_render(self, data):
-        for metric in fig6.METRICS:
-            text = data.table(metric)
-            assert "Figure 6" in text
+        blocks = fig6.tables(data)
+        assert len(blocks) == len(fig6.METRICS)
+        for metric, block in zip(fig6.METRICS, blocks):
+            text = format_tables([block])
+            assert f"Figure 6 ({metric})" in text
             assert "lru" in text
 
 
@@ -77,35 +81,42 @@ class TestFig7Micro:
         assert shares["profiling"] < 0.05
 
     def test_tables_render(self, data):
-        assert "Figure 7" in data.table("throughput")
+        blocks = fig7.tables(data)
+        assert [b.title.split(":")[0] for b in blocks] == [
+            f"Figure 7 ({metric})" for metric in fig7.METRICS]
+        assert "Figure 7 (throughput)" in format_tables(blocks)
 
 
 class TestFig8Micro:
     def test_pairs_and_average(self):
         data = fig8.run(MICRO, runner=WorkloadRunner(MICRO))
-        for _, _, panel in fig8.PAIRS:
+        blocks = fig8.tables(data)
+        assert len(blocks) == len(fig8.PAIRS)
+        for (_, _, panel), block in zip(fig8.PAIRS, blocks):
             for size in fig8.L2_SIZES:
                 assert size in data.average[panel]
                 assert data.average[panel][size] > 0
-            assert "Figure 8" in data.table(panel)
+            assert f"Figure 8 ({panel})" in format_tables([block])
+            assert block.rows[-1][0] == "AVG"
 
 
 class TestTables:
     def test_table1_checkpoints_all_pass(self):
-        checkpoints = table1.paper_checkpoints()
-        assert checkpoints and all(checkpoints.values())
+        graded = grade_points(table1.points(), table1.references())
+        assert len(graded) == 11
+        assert all(p.verdict == VERDICT_PASS for p in graded)
 
     def test_table1_render(self):
-        data = table1.run()
-        assert "8 KB" in data.table_storage()
-        assert "752" in data.table_events()
+        storage, events, _ = table1.tables(table1.assemble(None, {}))
+        assert "8 KB" in format_tables([storage])
+        assert "752" in format_tables([events])
 
     def test_table2_workloads(self):
-        text = table2.workload_table()
+        text = format_tables(table2.tables(table2.assemble(None, {}))[1:])
         assert "2T_01" in text and "8T_11" in text
 
     def test_table2_processor(self):
-        text = table2.processor_table()
+        text = format_tables(table2.tables(None)[:1])
         assert "2048" in text or "2MB" in text or "16" in text
 
 

@@ -97,10 +97,9 @@ class TestReportStateBitsTable:
         assert rows["dip"]["total"] == rows["lru"]["total"] + 10
 
     def test_rendered_in_table1_section(self):
-        from repro.experiments import table1
-        from repro.reporting.sections import _table1_tables
+        from repro.reporting.sections import SECTIONS
 
-        tables = _table1_tables(table1.run())
+        tables = SECTIONS["table1"].build(None, {}).tables
         titles = [t.title for t in tables]
         assert any("all registered policies" in t for t in titles)
         block = next(t for t in tables

@@ -1,4 +1,5 @@
-"""Bad: missing references() and run() takes three required positionals."""
+"""Bad: missing references() and tables(); run() takes three required
+positionals."""
 
 
 def matrix(scale):

@@ -16,6 +16,11 @@ def run(scale=None, runner=None, extra=None):
     return assemble(scale, [])
 
 
+def tables(data):
+    """Declare the figure's tables."""
+    return []
+
+
 def charts(data):
     """Render the figure charts."""
     return []

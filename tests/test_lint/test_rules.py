@@ -120,11 +120,23 @@ class TestExperimentContract:
         messages = [d.message
                     for d in lint_fixture("experiment-contract", "bad")]
         assert any("does not export references()" in m for m in messages)
+        assert any("does not export tables()" in m for m in messages)
         assert any("run() cannot be called with 2" in m for m in messages)
 
     def test_good_run_may_take_optional_extras(self, lint_fixture):
-        """fig9-style run(scale, runner, extra=None) satisfies arity 2."""
+        """fig9-style run(scale, runner, extra=None) satisfies arity 2, and
+        a table module needs neither run() nor charts()."""
         assert lint_fixture("experiment-contract", "good") == []
+
+    def test_tables_share_the_registry_surface(self):
+        """One surface for all six modules: what the section registry calls
+        on a table is a subset of what it calls on a figure."""
+        from repro.lint.rules_experiments import (
+            FIGURE_EXPORTS,
+            TABLE_EXPORTS,
+        )
+        assert TABLE_EXPORTS.items() <= FIGURE_EXPORTS.items()
+        assert {"tables": 1, "assemble": 2}.items() <= TABLE_EXPORTS.items()
 
 
 class TestJobHashDiscipline:
