@@ -36,19 +36,25 @@ path-node bit positions so the extraction is a short shift/mask loop); see
 Partition enforcement (paper Figure 5) overrides the traversal per level with
 per-core ``up``/``down`` force vectors of ``log2(A)`` bits each, installed by
 :class:`repro.cache.partition.btvectors.BTVectorPartition` through
-:meth:`set_force`.
+:meth:`set_force`.  The vectors are kept twice: as the per-level tuples
+:meth:`victim` (the hand-written oracle side) walks, and as the paper's
+machine words (``_up`` / ``_down``, MSB = root level) the ``bt`` victim
+fragment of :mod:`repro.cache.transitions` walks in every rendering.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
 from repro.util.bitops import ilog2
 
 #: Unforced-victim lookup tables keyed by associativity (shared by every
-#: policy instance in the process; a 16-way table is 2^15 entries).
-_VICTIM_TABLES: Dict[int, List[int]] = {}
+#: policy instance in the process; a 16-way table is 2^15 entries).  An
+#: ``array('q')`` indexes like a list and hands its buffer to a compiled
+#: event loop without a copy.
+_VICTIM_TABLES: Dict[int, array] = {}
 
 #: Largest associativity for which a full-tree victim table is built.
 _MAX_TABLE_ASSOC = 16
@@ -65,14 +71,15 @@ def _traverse(tree: int, levels: int) -> int:
     return way
 
 
-def _victim_table(assoc: int) -> Optional[List[int]]:
+def _victim_table(assoc: int) -> Optional[array]:
     """``table[tree_word] -> victim way``; None above the size cut-off."""
     if assoc > _MAX_TABLE_ASSOC:
         return None
     table = _VICTIM_TABLES.get(assoc)
     if table is None:
         levels = ilog2(assoc)
-        table = [_traverse(tree, levels) for tree in range(1 << (assoc - 1))]
+        table = array("q", (_traverse(tree, levels)
+                            for tree in range(1 << (assoc - 1))))
         _VICTIM_TABLES[assoc] = table
     return table
 
@@ -95,6 +102,13 @@ class BTPolicy(ReplacementPolicy):
         # Paper: per-level `up`/`down` global vectors (up[l]=1 <=> entry 0,
         # down[l]=1 <=> entry 1, both 0 <=> None).
         self._force: Dict[int, Tuple[Optional[int], ...]] = {}
+        # The same vectors as words, one slot per core up to the highest
+        # one ever forced (grown in place: kernels hold the lists), and
+        # ``_walk = [traverse?, slots]``: the victim fragment walks the
+        # tree only while a vector is installed or no table exists.
+        self._up: List[int] = []
+        self._down: List[int] = []
+        self._walk: List[int] = [0, 0]
         # Precomputed per-way promote masks and path-bit extraction specs.
         keep: List[int] = []
         setb: List[int] = []
@@ -119,6 +133,7 @@ class BTPolicy(ReplacementPolicy):
         self._touch_set: List[int] = setb
         self._path_spec: List[Tuple[Tuple[int, int], ...]] = path_spec
         self._victim_table = _victim_table(assoc)
+        self._walk[0] = int(self._victim_table is None)
 
     # ------------------------------------------------------------------
     def touch(self, set_index: int, way: int, core: int,
@@ -154,6 +169,8 @@ class BTPolicy(ReplacementPolicy):
         for s in range(self.num_sets):
             tree[s] = 0
         self._force.clear()
+        for core in range(len(self._up)):
+            self._set_words(core, 0, 0)
 
     # ------------------------------------------------------------------
     # Partition enforcement support (paper Figure 5)
@@ -169,12 +186,32 @@ class BTPolicy(ReplacementPolicy):
         """
         if force is None:
             self._force.pop(core, None)
+            if core < len(self._up):
+                self._set_words(core, 0, 0)
             return
         if len(force) != self.levels:
             raise ValueError(
                 f"force vector must have {self.levels} entries, got {len(force)}"
             )
         self._force[core] = tuple(force)
+        up = down = 0
+        for level_index, forced in enumerate(force):
+            bit = 1 << (self.levels - 1 - level_index)
+            if forced == 0:
+                up |= bit
+            elif forced == 1:
+                down |= bit
+        while len(self._up) <= core:
+            self._up.append(0)
+            self._down.append(0)
+        self._set_words(core, up, down)
+
+    def _set_words(self, core: int, up: int, down: int) -> None:
+        self._up[core] = up
+        self._down[core] = down
+        self._walk[0] = int(self._victim_table is None
+                            or any(self._up) or any(self._down))
+        self._walk[1] = len(self._up)
 
     def get_force(self, core: int) -> Optional[Tuple[Optional[int], ...]]:
         """Current forced directions for ``core`` (None when unrestricted)."""

@@ -52,13 +52,15 @@ from __future__ import annotations
 import ast
 import linecache
 import re
+from contextlib import contextmanager
 from functools import lru_cache
 from math import ceil
 from string import Template
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-__all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS",
-           "PURE_ATTRS", "bind", "render", "rendering_keys", "source_name"]
+__all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
+           "PURE_ATTRS", "bind", "python_target", "render", "rendering_keys",
+           "source_name", "target_stats", "target_summary", "translate"]
 
 #: Attribute loads a kernel closure may perform: C-level int and list
 #: methods on locals.
@@ -152,18 +154,42 @@ tree = policy._tree
 keep = policy._touch_keep
 setb = policy._touch_set
 table = policy._victim_table
-force_map = policy._force
-bt_victim = policy.victim""",
+walk = policy._walk
+up_l = policy._up
+down_l = policy._down
+levels = policy.levels""",
         "locate": "",
         "promote": "tree[$set] = (tree[$set] & keep[way]) | setb[way]",
         "fill_invalid": "",
         # The traversal ignores the candidate mask (enforcement is the
         # force vectors), so the victim may be an invalid way outside it.
+        # Root-down walk (Figure 5): a set ``up`` bit forces the upper
+        # sub-tree, a set ``down`` bit the lower one, else the stored bit
+        # decides; a core past the installed slots walks unforced.  With
+        # no vector installed the whole walk is one table lookup.
         "victim": """\
-if force_map or table is None:
-    way = bt_victim($set, $core, mask)
+word = tree[$set]
+if walk[0]:
+    up = 0
+    down = 0
+    if $core < walk[1]:
+        up = up_l[$core]
+        down = down_l[$core]
+    node = 1
+    way = 0
+    level = levels
+    while level:
+        level -= 1
+        if (up >> level) & 1:
+            direction = 0
+        elif (down >> level) & 1:
+            direction = 1
+        else:
+            direction = (word >> (node - 1)) & 1
+        node = (node << 1) | direction
+        way = (way << 1) | direction
 else:
-    way = table[tree[$set]]""",
+    way = table[word]""",
         "victim_in_mask": False,
         "fill": "$promote",
         # eSDH: d = A - (ID xor path) off the tree word (§III-B).
@@ -353,12 +379,13 @@ def build(atd):
     # pop order are the reference engine's; only the L2 access differs
     # between the fused and the call form.
     "loop": """\
-def build(cache):
+def build(cache, channel):
     $bind_loop
+    $bind_channel
 
     def loop(now, t, heap, pushpop, horizon, beyond, freeze, resume, cur,
              stop, anchor, lines, gaps, fz_at, fz_hit, base, l2_hit_pen,
-             mem_pen, request, victims, has_writes, observe_now):
+             mem_pen, victims, has_writes, observe_now):
         wb_l1_to_l2 = 0
         wb_l1_to_mem = 0
         while True:
@@ -398,10 +425,26 @@ if way is not None:
 else:
     misses[t] += 1
     $miss
-    if request is not None:
-        clock = request(now + l2_hit_pen) + base[t]
+    if limited:
+        $request
     else:
         clock = now + base[t] + mem_pen""",
+    # The FCFS memory channel (``MemoryChannel.request``, operation for
+    # operation): a miss issued at ``now + l2_hit_pen`` starts service
+    # when the channel is next free and returns ``latency`` later.
+    "bind_channel": """\
+limited = channel is not None
+chan = channel._clock if limited else None
+chan_count = channel._count if limited else None
+service_interval = channel.service_interval if limited else 0.0
+latency = channel.latency if limited else 0.0""",
+    "request": """\
+issued = now + l2_hit_pen
+start = issued if issued >= chan[0] else chan[0]
+chan[0] = start + service_interval
+chan_count[0] += 1
+chan[1] += start - issued
+clock = start + latency + base[t]""",
     "bind_call": """\
 l2_access_hit = cache.access_line_hit
 l2_access_rw = cache.access_line_rw
@@ -423,8 +466,8 @@ else:
     hit2 = l2_access_hit(line, t)
 if hit2:
     clock = now + base[t] + l2_hit_pen
-elif request is not None:
-    clock = request(now + l2_hit_pen) + base[t]
+elif limited:
+    $request
 else:
     clock = now + base[t] + mem_pen""",
 }
@@ -444,6 +487,34 @@ PRIVATE_LOCALS = {
     "observe": ("sampled", "skipped"),
     "loop": ("j", "t", "now", "clock", "horizon", "wb_l1_to_l2",
              "wb_l1_to_mem"),
+}
+
+#: What every name a ``loop`` kernel may touch is on the C target (the
+#: vocabulary is :mod:`repro.cache.cgen`'s): the skeleton's parameters,
+#: then the factory bindings of the tag store, the statistics, each
+#: policy, each scheme and the memory channel.  A name missing here is an
+#: error at translation time, never a guess.
+C_KINDS = {
+    "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
+    "horizon": "float", "beyond": "callout:float(float)",
+    "freeze": "callout:int(int,float,int)",
+    "resume": "callout:float(int,int)",
+    "cur": "ints", "stop": "ints", "anchor": "floats", "lines": "rows",
+    "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
+    "l2_hit_pen": "float", "mem_pen": "float",
+    "victims": "python", "has_writes": "python", "observe_now": "python",
+    "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,set_mask,assoc",
+    "tag_lines": "ints", "invalid": "ints", "assoc": "int",
+    "full_mask": "int", "set_mask": "int",
+    "accesses": "cores", "misses": "cores", "fills_invalid": "cores",
+    "orders": "lists:assoc", "present": "ints",
+    "used_l": "ints", "pointer": "ints",
+    "tree": "ints", "keep": "ints", "setb": "ints", "table": "ints",
+    "walk": "shared", "up_l": "shared", "down_l": "shared", "levels": "int",
+    "masks": "cores", "quota": "cores", "owner_l": "ints",
+    "owned_l": "ints", "ncores": "int",
+    "limited": "int", "chan": "floats", "chan_count": "ints",
+    "service_interval": "float", "latency": "float",
 }
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
@@ -466,21 +537,30 @@ def _expand(text: str, slots: Dict[str, str], indent: str = "") -> Iterator[str]
             yield from _expand(slots[match[2]], slots, indent + match[1])
 
 
-def _stores(fragment: str) -> Set[str]:
-    """Names ``fragment`` assigns (slot lines are other fragments)."""
+def _standalone(fragment: str) -> str:
+    """``fragment`` as parseable Python on its own: slot lines (other
+    fragments) blanked, placeholders substituted."""
     body = "\n".join(_SLOT_LINE.sub(r"\1pass", line)
                      for line in fragment.splitlines())
-    tree = ast.parse(Template(body).substitute(core="core", set="s",
-                                               line="line"))
-    return {node.id for node in ast.walk(tree)
+    return Template(body).substitute(core="core", set="s", line="line")
+
+
+def _stores(fragment: str) -> Set[str]:
+    """Names ``fragment`` assigns."""
+    return {node.id for node in ast.walk(ast.parse(_standalone(fragment)))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
 def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
-           templates=TEMPLATES, private=PRIVATE_LOCALS) -> str:
+           templates=TEMPLATES, private=PRIVATE_LOCALS, kinds=C_KINDS,
+           target: str = "python") -> str:
     """Source of one rendering: a ``build(owner)`` factory whose closure
     is the kernel.  ``key`` is ``(policy kind, scheme name)``; ``None``
-    (``loop`` only) is the call form."""
+    (``loop`` only) is the call form.  ``target="c"`` is the same kernel
+    as a C translation unit (:func:`translate`)."""
+    if target == "c":
+        return translate(rendering, key, policies, schemes, templates,
+                         private, kinds).source
     slots = dict(templates)
     if key is None:
         slots.update(bind_loop=templates["bind_call"],
@@ -509,6 +589,28 @@ def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
     source = "\n".join(_expand(templates[rendering], slots)) + "\n"
     return Template(source).substitute(core=_CORE[rendering], set="s",
                                        line="line")
+
+
+def translate(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
+              templates=TEMPLATES, private=PRIVATE_LOCALS, kinds=C_KINDS):
+    """The C target of one rendering — a :class:`repro.cache.cgen.Kernel`
+    translated from the Python source :func:`render` returns, never
+    written beside it.  Raises :class:`ValueError` naming the rendering
+    for anything outside the translated subset."""
+    from repro.cache import cgen
+
+    name = source_name(rendering, key)
+    if key is not None:
+        for table, fragments in (("policy", policies[key[0]]),
+                                 ("scheme", schemes[key[1]])):
+            for label, text in fragments.items():
+                # The SDH read is the observe rendering's alone.
+                if isinstance(text, str) and (rendering == "observe"
+                                              or "sdh" not in label):
+                    cgen.check_fragment(name, f"{table} {label!r}",
+                                        _standalone(text), kinds)
+    source = render(rendering, key, policies, schemes, templates, private)
+    return cgen.translate(source, name, kinds)
 
 
 def rendering_keys(policies=POLICIES, schemes=SCHEMES
@@ -545,8 +647,73 @@ def _factory(rendering: str, key: Key) -> Callable:
     return namespace["build"]
 
 
+#: Per ``loop`` key bound in this process: which target its runs got and
+#: why.  Observational and unkeyed; nothing on a hot path reads it.
+_TARGETS: Dict[Tuple[str, str], dict] = {}
+
+#: Depth of :func:`python_target` blocks.
+_python_only = 0
+
+
+@contextmanager
+def python_target() -> Iterator[None]:
+    """Every ``loop`` bound inside the block is the Python target.
+
+    The one internal seam by which the differential tests and the fuzz
+    oracle reach the target every compiled kernel is diffed against.  Not
+    a user-facing switch: no configuration field, flag or environment
+    variable leads here."""
+    global _python_only
+    _python_only += 1
+    try:
+        yield
+    finally:
+        _python_only -= 1
+
+
+def target_stats() -> Dict[Tuple[str, str], dict]:
+    """Per stock ``loop`` key bound so far: ``target`` (``"c"`` or
+    ``"python"``) of its latest bind, ``binds`` per target, and from the
+    compiled side ``cache`` (``"hit"`` / ``"built"``) with ``build_s``, or
+    the ``reason`` it fell back (a copy)."""
+    return {key: dict(entry, binds=dict(entry["binds"]))
+            for key, entry in _TARGETS.items()}
+
+
+def target_summary() -> str:
+    """:func:`target_stats` as one accounting line."""
+    stats = _TARGETS.values()
+    if not stats:
+        return "loop targets: none bound in this process"
+    compiled = [s for s in stats if s["target"] == "c"]
+    built = [s for s in compiled if s["cache"] == "built"]
+    text = (f"loop targets: c={len(compiled)} "
+            f"python={len(stats) - len(compiled)} built={len(built)} "
+            f"build={sum(s['build_s'] for s in compiled):.2f}s")
+    reasons = sorted({s["reason"] for s in stats if s.get("reason")})
+    return text + (f" ({'; '.join(reasons)})" if reasons else "")
+
+
 def bind(rendering: str, key: Key, owner, *args) -> Callable:
     """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
     (a cache for ``hit`` / ``window`` / ``loop``, an ATD for
-    ``observe``); ``window`` takes the core as ``args``."""
+    ``observe``); ``window`` takes the core and ``loop`` the memory
+    channel (or None) as ``args``.
+
+    A stock ``loop`` is the compiled target wherever this process can
+    build and load one (:mod:`repro.cache.native`), the Python target
+    otherwise — same signature, same results, bit for bit."""
+    if rendering == "loop" and key is not None:
+        loaded = None
+        if _python_only:
+            info = {"reason": "python_target() block"}
+        else:
+            from repro.cache import native      # ctypes + cc: first use
+            loaded, info = native.load(key)
+        target = "python" if loaded is None else "c"
+        binds = _TARGETS.get(key, {}).get("binds", {"c": 0, "python": 0})
+        binds[target] += 1
+        _TARGETS[key] = dict(info, target=target, binds=binds)
+        if loaded is not None:
+            return native.CompiledLoop(loaded, owner, *args)
     return _factory(rendering, key)(owner, *args)

@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cache import transitions
 from repro.campaign.hashing import canonical_spec, job_key
 from repro.campaign.jobs import (
     Job,
@@ -328,5 +329,8 @@ class Campaign:
             pool.close()
         report.scheduler = scheduler.stats
         report.failed.extend(scheduler.failed)
-        self.echo("  " + scheduler.stats.summary())
+        # Which target the event loops bound in *this* process got (a
+        # process pool's workers bind their own): observational, unkeyed.
+        self.echo(f"  {scheduler.stats.summary()}; "
+                  f"{transitions.target_summary()}")
         return scheduler.kind_walls

@@ -66,8 +66,11 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cmp/engine/vector.py",
     "repro/cache/state.py",
     "repro/cache/transitions.py",
+    "repro/cache/cgen.py",
+    "repro/cache/native.py",
     "repro/cache/cache.py",
     "repro/cache/hierarchy.py",
+    "repro/cmp/memory.py",
 )
 
 #: sha256 over ``ENGINE_VERSION`` and the guarded sources, recorded so the
@@ -76,7 +79,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "7f06e70519c98dbbaebd5755b582f3b0069b20cd8076823ebaf83b3e460a20f6"
+ENGINE_SOURCE_CHECKSUM = "6bcbcfc49a102fd2f3bb0fd3ea5c252a6ea434075f5eced2362e431b58da7f43"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -126,6 +126,9 @@ class BatchedEngine(EngineBase):
         # else its 1-based rank among the gap's hits.
         self._ck_fz_at = [-2] * n
         self._ck_fz_hit = [0] * n
+        # Set by ``run``: a compiled loop reads the miss stream as int64
+        # numpy columns (by pointer), the Python one as lists.
+        self._columns = False
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -148,10 +151,14 @@ class BatchedEngine(EngineBase):
                 self.sim.traces[t], self.sim.hierarchy.l1[t], pos, end,
                 self.has_writes, atd)
             offs = window.offs
-            gaps = window.gaps.tolist()
-            if gaps:
+            if self._columns:
+                gaps = window.gaps.astype(np.int64)
+                self._ck_lines[t] = np.ascontiguousarray(lines, np.int64)
+            else:
+                gaps = window.gaps.tolist()
+                self._ck_lines[t] = lines.tolist()
+            if len(gaps):
                 gaps[0] += carry
-            self._ck_lines[t] = lines.tolist()
             self._ck_victims[t] = (window.victims.tolist()
                                    if window.victims is not None else None)
             if atd is not None:
@@ -161,7 +168,8 @@ class BatchedEngine(EngineBase):
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
-            offs, gaps, self._ck_lines[t] = _NO_MISSES, [], []
+            offs = _NO_MISSES
+            gaps = self._ck_lines[t] = _NO_MISSES if self._columns else []
             self._ck_spos[t], self._ck_slines[t] = [], []
             width = max(to_freeze, 0)
         fz_at, fz_hit = -2, 0
@@ -193,7 +201,6 @@ class BatchedEngine(EngineBase):
         has_writes = self.has_writes
         l2_hit_pen = self.l2_hit_pen
         mem_pen = self.mem_pen
-        request = self.channel.request if self.channel is not None else None
         max_cycles = self.max_cycles
         # math.inf when unset: one float compare per pop, no branch.
         cycle_cap = max_cycles if max_cycles is not None else math.inf
@@ -221,20 +228,26 @@ class BatchedEngine(EngineBase):
         key = (rendered_key(l2)
                if not has_writes and observe_now is None else None)
         fused = key is not None
-        loop = transitions.bind("loop", key, l2)
+        loop = transitions.bind("loop", key, l2, self.channel)
         l2_accesses = l2_stats.accesses
+        # A compiled loop shares the per-thread cursors with the closures
+        # below as C-typed arrays and takes the miss stream as columns;
+        # the Python loop works on lists.
+        columns = self._columns = hasattr(loop, "ints")
+        ints, floats = (loop.ints, loop.floats) if columns else (list, list)
 
         lines = self._ck_lines
         gaps = self._ck_gaps
         victims = self._ck_victims
-        fz_at = self._ck_fz_at
-        fz_hit = self._ck_fz_hit
+        fz_at = self._ck_fz_at = ints(self._ck_fz_at)
+        fz_hit = self._ck_fz_hit = ints(self._ck_fz_hit)
+        base = floats(base)
         load = self._load_chunk
-        cur = [0] * n         # next pending miss; ``~j`` while a freeze-hit waits
-        stop = [0] * n        # cursor value that needs the slow path
+        cur = ints([0] * n)   # next pending miss; ``~j`` while a freeze-hit waits
+        stop = ints([0] * n)  # cursor value that needs the slow path
         drained = [0] * n     # misses of the window the ATD has seen
         missed = [0] * n      # L1 misses in the windows before this one
-        anchor = [0.0] * n    # clock after the thread's last L2 access
+        anchor = floats([0.0] * n)  # clock after the thread's last L2 access
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
 
@@ -322,8 +335,7 @@ class BatchedEngine(EngineBase):
         now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
             now, t, heap, heappushpop, min(next_boundary, cycle_cap), beyond,
             freeze, resume, cur, stop, anchor, lines, gaps, fz_at, fz_hit,
-            base, l2_hit_pen, mem_pen, request, victims, has_writes,
-            observe_now)
+            base, l2_hit_pen, mem_pen, victims, has_writes, observe_now)
 
         # Termination rollback (module docstring): count, per other thread,
         # the hits of its pending gap whose pop keys precede the final key.
@@ -334,12 +346,14 @@ class BatchedEngine(EngineBase):
                 continue
             j = cur[u]
             drain(u, j)
-            l1_accesses += self._ck_upto[u] + sum(gaps[u][:j]) + j
+            hits = gaps[u][:j]
+            l1_accesses += (self._ck_upto[u] + j
+                            + (int(hits.sum()) if columns else sum(hits)))
             a0 = anchor[u]
             b = base[u]
             # A parked thread's gap is unbounded; any count past the final
             # key bounds the search.
-            lo, hi = 0, (gaps[u][j] if j < len(gaps[u])
+            lo, hi = 0, (int(gaps[u][j]) if j < len(gaps[u])
                          else int((now - a0) / b) + 2)
             while lo < hi:
                 mid = (lo + hi) // 2

@@ -34,8 +34,7 @@ class MemoryChannel:
         memory penalty).
     """
 
-    __slots__ = ("service_interval", "latency", "_next_free",
-                 "requests", "queue_cycles")
+    __slots__ = ("service_interval", "latency", "_clock", "_count")
 
     def __init__(self, service_interval: float, latency: float) -> None:
         if service_interval < 0:
@@ -44,16 +43,34 @@ class MemoryChannel:
             raise ValueError("latency cannot be negative")
         self.service_interval = float(service_interval)
         self.latency = float(latency)
-        self._next_free = 0.0
-        self.requests = 0
-        self.queue_cycles = 0.0
+        # Boxed so the event loop's ``request`` fragment
+        # (:mod:`repro.cache.transitions`) steps the same state in place:
+        # ``[next free service start, summed queue cycles]`` and
+        # ``[requests issued]``.
+        self._clock = [0.0, 0.0]
+        self._count = [0]
+
+    @property
+    def _next_free(self) -> float:
+        return self._clock[0]
+
+    @property
+    def queue_cycles(self) -> float:
+        """Summed cycles requests waited before their service started."""
+        return self._clock[1]
+
+    @property
+    def requests(self) -> int:
+        """Requests issued so far."""
+        return self._count[0]
 
     def request(self, now: float) -> float:
         """Issue a miss at time ``now``; returns the data-return time."""
-        issue = now if now >= self._next_free else self._next_free
-        self._next_free = issue + self.service_interval
-        self.requests += 1
-        self.queue_cycles += issue - now
+        clock = self._clock
+        issue = now if now >= clock[0] else clock[0]
+        clock[0] = issue + self.service_interval
+        self._count[0] += 1
+        clock[1] += issue - now
         return issue + self.latency
 
     @property
@@ -63,9 +80,8 @@ class MemoryChannel:
 
     def reset(self) -> None:
         """Return the channel to an idle, counter-free state."""
-        self._next_free = 0.0
-        self.requests = 0
-        self.queue_cycles = 0.0
+        self._clock[:] = (0.0, 0.0)
+        self._count[0] = 0
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ access, never touches a cache, steps the policy classes instead of the
 rendered kernels and so stays the independent oracle.  A
 cache that replays the wrong window, or restores the wrong L1 state, can
 only show on the warm run.
+
+The batched engine runs a third time with its event loop held to the
+**Python target** (:func:`repro.cache.transitions.python_target`).  Where
+the host has a C compiler the first two runs executed the compiled
+target of the same rendering, so the stage is compiled-vs-Python over
+the full snapshot; without one all three are the Python target and the
+stage costs one redundant run.
 """
 
 from __future__ import annotations
@@ -42,8 +49,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from contextlib import nullcontext
+
+from repro.cache.transitions import python_target
 from repro.cmp.engine.vector import clear_memos
-from repro.config import ENGINE_REFERENCE
+from repro.config import ENGINE_BATCHED, ENGINE_REFERENCE
 from repro.fuzz.case import FuzzCase
 
 #: Cap on reported diff paths per engine pair (divergences are usually
@@ -240,11 +250,13 @@ class CaseReport:
     case: FuzzCase
     engines: Tuple[str, ...]
     #: engine name -> diff paths vs the reference snapshot (empty = equal);
-    #: the warm run's paths carry a ``warm:`` prefix.
+    #: the warm run's paths carry a ``warm:`` prefix, the batched
+    #: engine's Python-target run a ``python target:`` one.
     diffs: Dict[str, List[str]] = field(default_factory=dict)
     error: Optional[str] = None
     #: Engine runs that completed (the reference once, every other engine
-    #: cold and warm — fewer when a run crashed).
+    #: cold and warm, batched once more on the Python target — fewer when
+    #: a run crashed).
     engine_runs: int = 0
 
     @property
@@ -298,9 +310,13 @@ def run_case(case: FuzzCase,
             continue
         clear_memos()
         diffs = report.diffs[engine] = []
-        for prefix in ("", "warm: "):
+        stages = [("", nullcontext), ("warm: ", nullcontext)]
+        if engine == ENGINE_BATCHED:
+            stages.append(("python target: ", python_target))
+        for prefix, target in stages:
             try:
-                snapshot = run_engine(case, engine)
+                with target():
+                    snapshot = run_engine(case, engine)
             except Exception as exc:  # noqa: BLE001 — crash == divergence
                 diffs.append(f"{prefix}engine crashed: {exc!r}")
                 break

@@ -21,7 +21,9 @@ rules hold; each gets a mechanical check here:
   allocations.  The spec tables are read off the checked tree as
   literals and rendered with this package's renderer — the checked tree
   is never imported — so a fragment storing to a local its skeleton
-  keeps for itself (``PRIVATE_LOCALS``) is flagged here too.
+  keeps for itself (``PRIVATE_LOCALS``) is flagged here too, and so is a
+  stock event loop the C translator (:mod:`repro.cache.cgen`, typed by
+  the ``C_KINDS`` table) refuses.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 #: ``PRIVATE_LOCALS`` tables every hot kernel is rendered from.
 TRANSITION_SPEC = "repro/cache/transitions.py"
 SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS")
+#: Optional fifth literal: the C type of every name a stock event loop
+#: touches.  A spec that declares it promises each such loop a C target.
+C_KINDS_TABLE = "C_KINDS"
 
 #: ``(spec module, rendering)`` that run once per simulated event: the
 #: spec must render them (for every key and the call form), under the
@@ -267,6 +272,13 @@ class HotPathPurityRule(Rule):
             yield self.diag(ctx, path, 1, "spec does not declare literal "
                             f"{'/'.join(SPEC_TABLES)}: {exc!r}")
             return
+        kinds = None
+        if C_KINDS_TABLE in constants:
+            try:
+                kinds = ast.literal_eval(constants[C_KINDS_TABLE][0])
+            except ValueError as exc:
+                yield self.diag(ctx, path, constants[C_KINDS_TABLE][1],
+                                f"{C_KINDS_TABLE} is not a literal: {exc!r}")
         keys = transitions.rendering_keys(*tables[:2])
         for rel, rendering in EVENT_LOOPS:
             if ctx.find(rel) == path and not any(
@@ -288,6 +300,12 @@ class HotPathPurityRule(Rule):
                 yield self.diag(ctx, path, 1,
                                 f"{name} does not render: {exc}")
                 continue
+            if (kinds is not None and key is not None
+                    and rendering in [loop for _rel, loop in EVENT_LOOPS]):
+                try:
+                    transitions.translate(rendering, key, *tables, kinds)
+                except ValueError as exc:
+                    yield self.diag(ctx, path, 1, f"no C target: {exc}")
             lines = source.splitlines()
             for diag in self._check_factory(ctx, path, factory):
                 text = lines[diag.line - 1].strip()

@@ -2,10 +2,26 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_kernel_cache(tmp_path_factory):
+    """Compiled event loops of this session are built into (and loaded
+    from) pytest's own temp directory: the suite neither reads nor writes
+    the user's ``~/.cache``, and every session exercises a cold build."""
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("xdg-cache"))
+    yield
+    if previous is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
 
 
 @pytest.fixture

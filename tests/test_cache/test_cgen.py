@@ -1,0 +1,260 @@
+"""The C translator, construct by construct.
+
+:func:`repro.cache.cgen.translate` is the only way C enters the program,
+so every construct of the Python subset it admits is pinned to the C it
+must emit, and everything outside the subset must be *refused* at
+translation time with the rendering's name — it never emits C that
+compiles to something else.  That the emitted C computes what the Python
+computes is the differential suites' job
+(``tests/test_cmp/test_compiled_target.py``); here the text is checked.
+"""
+
+import textwrap
+
+import pytest
+
+from repro.cache import cgen, transitions
+
+NAME = "<repro kernel test/none loop>"
+
+KINDS = {
+    "x": "int", "y": "int", "f": "float", "g": "float",
+    "ints": "ints", "floats": "floats", "shared": "shared",
+    "cores": "cores", "cap": "int", "lists": "lists:cap", "rows": "rows",
+    "heap": "heap", "pushpop": "pushpop",
+    "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
+    "out": "callout:float(int,float)", "ask": "callout:int()",
+    "py": "python",
+}
+
+
+def translate(body, params="x, y, f, g", kinds=KINDS):
+    source = (f"def build(owner):\n    def kernel({params}):\n"
+              + textwrap.indent(textwrap.dedent(body), " " * 8)
+              + "\n    return kernel\n")
+    return cgen.translate(source, NAME, kinds)
+
+
+def emitted(body, **kw):
+    """The C statements of ``body``, one per line, unindented."""
+    return [line.strip() for line in translate(body, **kw).source.splitlines()]
+
+
+# ----------------------------------------------------------------------
+# Golden snippets: one per admitted construct
+# ----------------------------------------------------------------------
+GOLDEN = [
+    # locals: typed by their first assignment, zero-initialised
+    ("a = x + 1", ["i64 a = 0;", "a = (x + INT64_C(1));"]),
+    ("a = f * 2.5", ["double a = 0;", "a = (f * 2.5);"]),
+    # an assigned parameter is a local initialised from the argument block
+    ("x = x - y", ["i64 x = a->x;", "const i64 y = a->y;", "x = (x - y);"]),
+    # int -> float exactly where Python converts
+    ("a = x * f", ["a = ((double)(x) * f);"]),
+    ("a = f\na = x", ["a = (double)(x);"]),
+    # integer and bit operators, fully parenthesised
+    ("a = (x & ~y) | (1 << y) ^ (x >> 2)",
+     ["a = ((x & (~y)) | ((INT64_C(1) << y) ^ (x >> INT64_C(2))));"]),
+    ("a = -x", ["a = (-x);"]),
+    ("a = x\na += 3\na <<= y", ["a += INT64_C(3);", "a <<= y;"]),
+    ("a = f\na -= x", ["a -= (double)(x);"]),
+    # comparisons, boolean context, valued and/or, conditional expression
+    ("if x < y and not x == 3 or f >= g:\n    a = 1",
+     ["if ((((x < y) && !((x == INT64_C(3)))) || (f >= g))) {"]),
+    ("a = (x & y) or y", ["a = ((x & y) ? (x & y) : y);"]),
+    ("a = x and y", ["a = (x ? y : x);"]),
+    ("a = x if x < y else 0", ["a = ((x < y) ? x : INT64_C(0));"]),
+    ("a = f if x else y", ["a = (x ? f : (double)(y));"]),
+    # control flow
+    ("while True:\n    break", ["for (;;) {", "break;"]),
+    ("a = x\nwhile a:\n    a -= 1", ["while (a) {"]),
+    ("if x:\n    a = 1\nelif y:\n    a = 2\nelse:\n    a = 3",
+     ["if (x) {", "} else {", "if (y) {"]),
+    ("pass", []),
+    # int methods
+    ("a = (x & -x).bit_length() - 1",
+     ["a = (bit_length((x & (-x))) - INT64_C(1));"]),
+    ("a = x.bit_count()", ["a = bit_count(x);"]),
+    # arrays: C-owned ones through a local pointer, shared ones re-read
+    ("ints[x] = ints[y] + 1",
+     ["i64 *const ints = a->ints;", "ints[x] = (ints[y] + INT64_C(1));"]),
+    ("floats[x] += f", ["floats[x] += f;"]),
+    ("a = shared[x] + cores[y]", ["a = (a->shared[x] + a->cores[y]);"]),
+    ("cores[x] += 1", ["a->cores[x] += INT64_C(1);"]),
+    ("a = rows[x][y]", ["i64 *const *const rows = a->rows;",
+                        "a = rows[x][y];"]),
+    # bounded lists: a table element, or a local alias of one
+    ("lists[x].insert(0, y)",
+     ["list_insert((lists + x * cap), (&lists_n[x]), cap, INT64_C(0), y);"]),
+    ("o = lists[x]\nif o[0] != y:\n    o.remove(y)\na = o[-1]\ndel o[a]",
+     ["i64 *o = 0;", "i64 *o_n = 0;", "o = (lists + x * cap);",
+      "o_n = (&lists_n[x]);",
+      "if ((list_at(o, *o_n, INT64_C(0)) != y)) {",
+      "list_remove(o, o_n, y);", "a = list_at(o, *o_n, (-INT64_C(1)));",
+      "list_del(o, o_n, a);"]),
+    ("a = lists[x].index(y)",
+     ["a = list_index((lists + x * cap), *(&lists_n[x]), y);"]),
+    # the tag dict: lookups probe the set, None is -1, updates are dropped
+    ("w = get(y)\nif w is not None:\n    a = w\nelse:\n    w = 0\n"
+     "tags[y] = w\ndel tags[y]",
+     ["w = probe(ints + (y & x) * cap, cap, y);", "if ((w >= 0)) {",
+      "a = w;"]),
+    ("w = get(y)\nif w is None:\n    w = 1\na = w + 1",
+     ["if ((w < 0)) {", "a = (w + INT64_C(1));"]),
+    # the heap: a store and an arg-min in (clock, thread) order
+    ("c = f\nf, x = pushpop(heap, (c, x))",
+     ["heap[x] = c;", "x = heap_min(heap, heap_n);", "f = heap[x];"]),
+    # call-outs: through the block, error word checked after the statement
+    ("g = out(x, f)", ["g = a->out(x, f);", "if (a->error) return 1;"]),
+    ("a = out(x, y)", ["a = a->out(x, (double)(y));"]),
+    ("if x and not ask():\n    a = 1",
+     ["i64 taken = (x && !(a->ask()));", "if (a->error) return 1;",
+      "if (taken) {"]),
+    # the returned tuple lands in the block
+    ("return f, x", ["a->ret0 = f;", "a->ret1 = x;", "return 0;"]),
+]
+
+
+@pytest.mark.parametrize("body,expected", GOLDEN,
+                         ids=[body.splitlines()[0] for body, _ in GOLDEN])
+def test_golden_snippet(body, expected):
+    lines = emitted(body)
+    for statement in expected:
+        assert statement in lines, "\n".join(lines[lines.index(
+            "i64 run(Args *a) {"):])
+
+
+def test_dropped_tag_updates_emit_nothing_and_name_what_to_rebuild():
+    kernel = translate("tags[y] = x\ndel tags[y]")
+    body = kernel.source[kernel.source.index("i64 run"):]
+    assert "tags" not in body
+    assert kernel.tags == (("tags", "ints", "cap"),)
+
+
+def test_members_mirror_the_struct_in_order():
+    kernel = translate("ints[x] = 1\nlists[y].insert(0, x)\ng = out(x, f)\n"
+                       "f, x = pushpop(heap, (g, x))\nreturn f, x")
+    names = [name for name, _ctype, _kind in kernel.members]
+    assert names == ["error", "x", "f", "g", "ints", "lists", "lists_n",
+                     "cap", "y", "out", "heap", "heap_n", "ret0", "ret1"]
+    struct = kernel.source[kernel.source.index("typedef struct {"):
+                           kernel.source.index("} Args;")]
+    assert [line.split()[-1].rstrip(";").lstrip("*")
+            for line in struct.splitlines()[1:]
+            if "(*" not in line] == [n for n in names if n != "out"]
+    assert "double (*out)(i64, double);" in struct
+    assert kernel.params == ("x", "y", "f", "g")
+    assert kernel.stored == {"ints", "lists"}
+
+
+# ----------------------------------------------------------------------
+# Refusals: anything else raises, naming the rendering
+# ----------------------------------------------------------------------
+REFUSED = [
+    ("a = x.real", "attribute access .real"),
+    ("lists[x].sort()", "attribute .sort is not one of the admitted"),
+    ("a = lists[x].pop()", "attribute .pop in an expression"),
+    ("a = f / 2", "operator Div"),
+    ("a = x // 2", "operator FloorDiv"),
+    ("a = x % 2", "operator Mod"),
+    ("a = x ** 2", "operator Pow"),
+    ("a = f & 1", "float operand of &"),
+    ("a = x\na = f", "'a' is int and is assigned float"),
+    ("ints[x] = f", "float stored into an int array"),
+    ("a = z + 1", "unknown name 'z'"),
+    ("a = len(ints)", "unknown name 'len'"),
+    ("a = py", "'py' exists on the Python target only"),
+    ("a = ints", "'ints' (ints) used as a value"),
+    ("ints = 3", "assignment to the binding 'ints'"),
+    ("o = [x, y]", "List is outside the translated subset"),
+    ("o = [x, y]\no.insert(0, x)", "List is outside the translated subset"),
+    ("for a in ints:\n    pass", "For statement is outside"),
+    ("a = x < y < 3", "chained comparison"),
+    ("a = x is y", "`is` other than"),
+    ("w = get(y)\na = w + 1", "a value that may be None in arithmetic"),
+    ("w = get(y)\nif x:\n    w = 0\na = w + 1",
+     "a value that may be None in arithmetic"),
+    ("w = get(y)\nints[w] = 1", "integer expected, got opt"),
+    ("a = True", "constant True"),
+    ("a = 'x'", "constant 'x'"),
+    ("a, b = x, y", "tuple assignment other than"),
+    ("f, x = pushpop(heap, (out(x, f), x))", "tuple assignment other than"),
+    ("a = b = x", "chained assignment"),
+    ("while ask():\n    pass", "call-out in a loop condition"),
+    ("a = (x or ask())", "call-out inside a valued and/or"),
+    ("a = out(x)", "out takes 2 arguments"),
+    ("a = x\na += f", "integer expected, got float"),
+    ("try:\n    pass\nexcept Exception:\n    pass", "Try statement"),
+    ("a = lambda: x", "Lambda is outside"),
+    ("del x", "del of a name"),
+    ("ints[x:y] = 0", "Slice is outside"),
+]
+
+
+@pytest.mark.parametrize("body,why", REFUSED,
+                         ids=[body.splitlines()[0] for body, _ in REFUSED])
+def test_refused_with_the_rendering_name(body, why):
+    with pytest.raises(ValueError) as info:
+        translate(body)
+    assert str(info.value).startswith(NAME + ": line ")
+    assert why in str(info.value)
+
+
+def test_a_parameter_without_a_kind_is_refused():
+    with pytest.raises(ValueError, match="parameter 'q' has no declared"):
+        translate("a = 1", params="q")
+
+
+def test_an_unbounded_list_binding_is_refused():
+    """A list whose kind declares no capacity has no C layout."""
+    kinds = dict(KINDS, lists="lists:nowhere")
+    with pytest.raises(ValueError, match="capacity 'nowhere' is not a "
+                                         "bound int"):
+        translate("lists[x].insert(0, y)", kinds=kinds)
+    with pytest.raises(ValueError, match=r"'lists' \(lists:cap\) indexed "
+                                         r"as an array|not a bounded list"):
+        translate("a = lists[x] + 1")
+
+
+# ----------------------------------------------------------------------
+# The shipped spec
+# ----------------------------------------------------------------------
+STOCK = [(policy, scheme) for policy in transitions.POLICIES
+         for scheme in transitions.SCHEMES]
+
+
+@pytest.mark.parametrize("key", STOCK, ids="/".join)
+def test_every_stock_loop_translates(key):
+    kernel = transitions.translate("loop", key)
+    assert kernel.source == transitions.render("loop", key, target="c")
+    assert kernel.params[:4] == ("now", "t", "heap", "pushpop")
+    assert {"tag_lines", "invalid", "misses", "anchor", "cur"} \
+        <= kernel.stored
+    # The Python-only parameters never reach the argument block.
+    names = {name for name, _ctype, _kind in kernel.members}
+    assert not names & {"victims", "has_writes", "observe_now", "tag_map"}
+
+
+def test_the_call_form_has_no_c_target():
+    with pytest.raises(ValueError, match=r"<repro kernel call loop>: line "
+                                         r"\d+: 'has_writes' exists on the "
+                                         r"Python target only"):
+        transitions.render("loop", None, target="c")
+
+
+def test_float_operation_in_a_fragment_is_refused():
+    """Policy and scheme fragments are integer state transitions; the
+    skeleton's clock arithmetic is the only float code there is."""
+    for text, label in (("used = used_l[$set] * 0.5", "float constant"),
+                        ("used = used_l[$set] / 2", "true division"),
+                        ("used = mem_pen", "float binding")):
+        policies = dict(transitions.POLICIES, probe=dict(
+            transitions.POLICIES["nru"], locate=text))
+        with pytest.raises(ValueError) as info:
+            transitions.translate("loop", ("probe", "none"),
+                                  policies=policies)
+        assert str(info.value).startswith(
+            "<repro kernel probe/none loop>: float operation in policy "
+            "'locate' fragment"), label
+    # The same fragments still render for the Python target.
+    transitions.render("loop", ("probe", "none"), policies=policies)

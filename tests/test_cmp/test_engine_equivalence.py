@@ -350,6 +350,38 @@ class TestMissStreamSeams:
                          [self.resident(), self.stream()], sim)
 
 
+# ----------------------------------------------------------------------
+# The same rows with the batched loop held to its Python target.  Above,
+# a read-only run of a stock (policy, scheme) pair executes the compiled
+# target wherever the host has a C compiler; these subclasses re-run every
+# row through the one internal seam, so both targets stand against the
+# reference engine.
+# ----------------------------------------------------------------------
+class PythonTarget:
+    @pytest.fixture(autouse=True)
+    def python_target(self):
+        from repro.cache import transitions
+
+        with transitions.python_target():
+            yield
+
+
+class TestReadOnlyPythonTarget(PythonTarget, TestReadOnly):
+    pass
+
+
+class TestBandwidthChannelPythonTarget(PythonTarget, TestBandwidthChannel):
+    pass
+
+
+class TestBoundaryPlacementPythonTarget(PythonTarget, TestBoundaryPlacement):
+    pass
+
+
+class TestMissStreamSeamsPythonTarget(PythonTarget, TestMissStreamSeams):
+    pass
+
+
 class TestScheduler:
     def test_pops_in_clock_then_thread_order(self):
         from repro.cmp.engine.scheduler import EventScheduler

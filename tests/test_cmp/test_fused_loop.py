@@ -85,10 +85,10 @@ def loop_keys(monkeypatch):
     keys = []
     bind = transitions.bind
 
-    def spy(rendering, key, owner):
+    def spy(rendering, key, owner, *args):
         if rendering == "loop":
             keys.append(key)
-        return bind(rendering, key, owner)
+        return bind(rendering, key, owner, *args)
 
     monkeypatch.setattr(transitions, "bind", spy)
     return keys
@@ -108,6 +108,24 @@ def test_fused_run_matches_generic_object_protocol(key, config, num_cores,
     assert loop_keys == [key, None]
     assert diff_snapshots(generic, fused) == []
     assert fused.events["l2_misses"] > 0 and fused.events["l2_hits"] > 0
+
+
+@pytest.mark.parametrize("num_cores", [2, 4])
+@pytest.mark.parametrize("key,config", SHIPPED_PAIRS,
+                         ids=["/".join(key) for key, _ in SHIPPED_PAIRS])
+def test_python_target_matches_generic_object_protocol(key, config,
+                                                       num_cores, loop_keys):
+    """The same differential with the fused loop held to the Python
+    target (the run above is the compiled one wherever ``cc`` exists;
+    ``test_compiled_target.py`` pins the two against each other on every
+    stock key)."""
+    case = make_case(config, num_cores)
+    with transitions.python_target():
+        fused = run_engine(case, "batched")
+    assert loop_keys == [key]
+    assert transitions.target_stats()[key]["target"] == "python"
+    generic = run_engine(GenericL2Case(**vars(case)), "batched")
+    assert diff_snapshots(generic, fused) == []
 
 
 def run_pair(config, traces, build=CMPSimulator,
@@ -231,10 +249,12 @@ class TestCallFormGuard:
 
 class TestGeneratedSourceExplainsItself:
     def test_overrun_traceback_shows_the_rendered_line(self):
-        """A ``max_cycles`` overrun raised under a fused run: every frame
-        of the traceback, the generated loop's included, has a source
-        line; the error text is the hand-written loop's."""
-        with pytest.raises(RuntimeError) as info:
+        """A ``max_cycles`` overrun raised under a fused run of the Python
+        target: every frame of the traceback, the generated loop's
+        included, has a source line; the error text is the hand-written
+        loop's."""
+        with pytest.raises(RuntimeError) as info, \
+                transitions.python_target():
             run_pair(config_M_N(0.75, **KNOBS), make_traces(2),
                      engines=("batched",), max_cycles=10_000)
         assert str(info.value) == ("simulation exceeded max_cycles=10000 "
@@ -244,6 +264,19 @@ class TestGeneratedSourceExplainsItself:
                     if f.filename == "<repro kernel nru/masks loop>"]
         assert len(rendered) == 1 and rendered[0].name == "loop"
         assert rendered[0].line == "horizon = beyond(now)"
+        assert all(frame.line for frame in frames)
+
+    def test_overrun_under_the_compiled_target_has_the_same_text(self):
+        """The compiled twin: no Python frame of the loop exists, the
+        ``RuntimeError`` raised inside the ``beyond`` call-out comes out
+        of ``run`` unchanged."""
+        with pytest.raises(RuntimeError) as info:
+            run_pair(config_M_N(0.75, **KNOBS), make_traces(2),
+                     engines=("batched",), max_cycles=10_000)
+        assert str(info.value) == ("simulation exceeded max_cycles=10000 "
+                                   "with 2 threads still running")
+        frames = traceback.extract_tb(info.tb)
+        assert frames[-1].name == "beyond"
         assert all(frame.line for frame in frames)
 
     def test_getsource_and_names(self):

@@ -66,8 +66,47 @@ class TestOracle:
         assert report.engines == ("reference", "batched", "solo", "vector")
         assert all(not d for d in report.diffs.values())
         assert report.summary().startswith("ok:")
-        # The reference once, every other engine cold and warm.
-        assert report.engine_runs == 2 * len(report.engines) - 1
+        # The reference once, every other engine cold and warm, batched
+        # once more on the Python target.
+        assert report.engine_runs == 2 * len(report.engines)
+
+    def test_compiled_only_bug_shows_on_the_compiled_runs_alone(
+            self, monkeypatch):
+        """The batched engine's third run is held to the Python target, so
+        a bug in the compiled target alone — here the C translated from a
+        spec whose LRU hit re-inserts below the MRU — diverges on the cold
+        and warm runs and not on the ``python target:`` one.  (Without a
+        C compiler all three are the Python target and agree.)"""
+        import shutil
+
+        from repro.cache import native, transitions
+
+        mutated = dict(transitions.POLICIES, lru=dict(
+            transitions.POLICIES["lru"],
+            promote="if o[0] != way:\n    o.remove(way)\n"
+                    "    o.insert(1, way)"))
+        translate = transitions.translate
+        monkeypatch.setattr(
+            transitions, "translate",
+            lambda rendering, key: translate(rendering, key,
+                                             policies=mutated))
+        rng = np.random.default_rng(3)
+        case = small_case(traces=[
+            Trace(f"t{core}", rng.integers(0, 60, size=300) + core * 4096,
+                  ipm=4.0, cpi_base=1.0) for core in range(2)])
+        native.load.cache_clear()
+        try:
+            report = run_case(case)
+        finally:
+            native.load.cache_clear()
+        diffs = report.diffs["batched"]
+        if shutil.which("cc") is None:
+            assert diffs == []
+            return
+        assert any(not path.startswith(("warm: ", "python target: "))
+                   for path in diffs)
+        assert any(path.startswith("warm: ") for path in diffs)
+        assert not any(path.startswith("python target: ") for path in diffs)
 
     def test_snapshot_diff_detects_state_changes(self):
         """Any observable that differs must produce a dotted diff path."""

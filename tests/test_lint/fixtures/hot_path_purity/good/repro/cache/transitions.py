@@ -140,3 +140,12 @@ PRIVATE_LOCALS = {
     "observe": (),
     "loop": ("t", "now", "clock", "horizon"),
 }
+
+C_KINDS = {
+    "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
+    "horizon": "float", "beyond": "callout:float(float)", "lines": "rows",
+    "cur": "ints", "tag_map": "tags:tag_lines,assoc",
+    "tag_get": "probe:tag_lines,set_mask,assoc", "tag_lines": "ints",
+    "invalid": "ints", "set_mask": "int", "assoc": "int",
+    "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
+}

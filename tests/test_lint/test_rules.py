@@ -99,6 +99,18 @@ class TestHotPathPurity:
         assert any("lookup of 'heappush'" in m for m in messages)
         assert not any("lookup of 'lines'" in m for m in messages)
 
+    def test_stock_loop_without_a_c_target_is_flagged(self, lint_fixture):
+        """A spec that declares ``C_KINDS`` promises every stock event
+        loop a C translation: a fragment outside the translated subset
+        (an attribute chase) is named with its rendering — and the good
+        tree, same tables, translates."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "no C target" in m.message]
+        assert len(messages) == 2           # one per scheme of the tree
+        assert any("<repro kernel flat/none loop>" in m for m in messages)
+        assert all("attribute access ._used" in m for m in messages)
+
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
         """A fragment with an attribute chase is flagged in the hit
         kernel, the window kernel, the observe kernel and the fused loop

@@ -35,6 +35,10 @@ def clean_result():
             "scheme": {"none": {"hit": 3, "loop": 1}},
         },
         "runs": {"vector": 3, "solo": 0, "batched": 1},
+        "cc": "/usr/bin/cc",
+        "targets": {"lru/none": {"target": "c", "cache": "hit",
+                                 "build_s": 0.001,
+                                 "binds": {"c": 1, "python": 0}}},
     }
 
 
@@ -56,6 +60,25 @@ class TestProblems:
         (message,) = kernel_traffic.problems(result)
         assert message.startswith("4 vector runs but 2 rendered-window "
                                   "+ 1 derived-loop builds")
+
+
+    def test_python_target_beside_a_compiler_is_a_problem(self):
+        result = clean_result()
+        result["targets"]["lru/none"] = {
+            "target": "python", "reason": "cc exited 1: boom",
+            "binds": {"c": 0, "python": 1}}
+        (message,) = kernel_traffic.problems(result)
+        assert message.startswith("/usr/bin/cc is on PATH but stock loops "
+                                  "ran on the Python target at micro: "
+                                  "lru/none (cc exited 1: boom)")
+
+    def test_python_target_without_a_compiler_is_not(self):
+        result = clean_result()
+        result["cc"] = None
+        result["targets"]["lru/none"] = {
+            "target": "python", "reason": "no C compiler (cc) on PATH",
+            "binds": {"c": 0, "python": 1}}
+        assert kernel_traffic.problems(result) == []
 
 
 def test_wrappers_count_rendered_and_derived_windows():

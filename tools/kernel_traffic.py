@@ -21,8 +21,12 @@ path were found — so the exit status is 1 when a policy of
 1 when the vector runs differ from the rendered-window builds plus the
 derived-loop builds: every vector run replays its windows through
 exactly one window kernel (a run that delegates to solo builds none —
-no shipped job does).  CI runs this at ``micro`` in the
-``campaign-smoke`` job.
+no shipped job does).  ``targets`` is ``transitions.target_stats()``: per
+stock ``loop`` key the target its runs got (``c`` or ``python``), whether
+the object came from the cache or was built, and why it fell back; with
+``cc`` on ``PATH`` a stock loop on the Python target is a failed or
+disabled build, and the exit status is 1.  CI runs this at ``micro`` in
+the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -113,7 +118,10 @@ def measure(scale: str) -> dict:
             "wall_s": round(time.perf_counter() - start, 1),
             "builds": builds,
             "fragments": fragments,
-            "runs": runs}
+            "runs": runs,
+            "cc": shutil.which("cc"),
+            "targets": {"/".join(key): entry for key, entry
+                        in sorted(transitions.target_stats().items())}}
 
 
 def problems(result: dict) -> list:
@@ -132,6 +140,13 @@ def problems(result: dict) -> list:
         found.append(f"{result['runs']['vector']} vector runs but {windows} "
                      f"rendered-window + {derived} derived-loop builds at "
                      f"{result['scale']}")
+    interpreted = [f"{label} ({entry.get('reason', 'no reason recorded')})"
+                   for label, entry in result["targets"].items()
+                   if entry["target"] != "c"]
+    if result["cc"] and interpreted:
+        found.append(f"{result['cc']} is on PATH but stock loops ran on the "
+                     f"Python target at {result['scale']}: "
+                     f"{', '.join(interpreted)}")
     return found
 
 
