@@ -75,18 +75,6 @@ def test_l1_bulk_access_rate(benchmark):
     assert l1.stats.total_accesses >= len(STREAM)
 
 
-def test_cache_bulk_access_rate(benchmark):
-    cache = SetAssociativeCache(GEOMETRY, "lru",
-                                rng=np.random.default_rng(6))
-    stream = np.asarray(STREAM, dtype=np.int64)
-
-    def run():
-        cache.access_lines(stream)
-
-    benchmark(run)
-    assert cache.stats.total_accesses >= len(STREAM)
-
-
 @pytest.mark.parametrize("policy", ["lru", "nru", "bt"])
 def test_atd_observe_rate(benchmark, policy):
     """Fully-sampled stream: the ATD directory + profiler machinery."""

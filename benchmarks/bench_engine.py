@@ -30,6 +30,7 @@ from repro.config import (
     config_unpartitioned,
     paper_figure7_configs,
 )
+from repro.cmp.engine.common import clear_window_cache, window_cache_stats
 from repro.cmp.simulator import CMPSimulator
 from repro.workloads.generator import generate_trace
 from repro.workloads.trace import Trace
@@ -82,22 +83,12 @@ def make_mix(num_accesses, hot_fraction=HOT_FRACTION):
     return processor, traces
 
 
-def clear_engine_memos():
-    """Empty the engines' process-wide memos and window cache (trees that
-    predate them have nothing to clear)."""
-    try:
-        from repro.cmp.engine.vector import clear_memos
-    except ImportError:
-        return
-    clear_memos()
-
-
 def run_once(engine, num_accesses, partitioned=True):
     """One *cold* run of the mix under one configuration: repeats must
     not replay the previous repeat's L1-miss windows, or the best-of rate
     would stop measuring the prefilter at all."""
     processor, traces = make_mix(num_accesses)
-    clear_engine_memos()
+    clear_window_cache()
     config = (config_M_N(0.75) if partitioned
               else config_unpartitioned("lru"))
     sim = CMPSimulator(processor, config, traces,
@@ -115,10 +106,8 @@ def run_six_configs(num_accesses):
     of the six runs should prefilter nothing: a change that makes the
     cache key depend on the job shows here as a collapsed hit ratio.
     """
-    from repro.cmp.engine.common import window_cache_stats
-
     processor, traces = make_mix(num_accesses)
-    clear_engine_memos()
+    clear_window_cache()
     references = 0
     start = time.perf_counter()
     for config in paper_figure7_configs():
@@ -133,7 +122,7 @@ def test_engine_rate(benchmark, engine):
     processor, traces = make_mix(BENCH_ACCESSES)
 
     def run():
-        clear_engine_memos()
+        clear_window_cache()
         sim = CMPSimulator(processor, config_M_N(0.75), traces,
                            SimulationConfig(seed=7, engine=engine))
         return sim.run()

@@ -16,13 +16,11 @@ worker-pool implementations of ``bench_campaign.py --pool-modes`` (serial,
 persistent process pool, remote loopback) and carries no floor.
 ``engine`` measures the
 end-to-end reference vs batched engine wall-clock on the 4-core mix of
-``bench_engine.py`` plus the campaign stage-1 **isolation composite**
-(``bench_isolation.py``) under the batched and — when the library on
-``PYTHONPATH`` provides them — the solo and vector engines, so the same
-script records the pre-solo baseline from a seed worktree and the
-current rates.  Trees that have the window cache also record the **six
-configs, one mix** composite (``bench_engine.run_six_configs``) with its
-window-cache lookups and hits.
+``bench_engine.py`` and the **six configs, one mix** composite
+(``bench_engine.run_six_configs``) with its window-cache lookups and
+hits.  (Single-thread runs are the same engine and the same loop at a
+heap of one; their end-to-end number is ``benchmarks/e2e``'s
+``isolation_paper`` workload, not a row here.)
 
 Every output file carries machine metadata (platform, CPU count, python and
 numpy versions) so recorded rates are comparable only within a machine.
@@ -70,31 +68,21 @@ DEFAULT_FLOOR_KEYS = (
 
 #: Default floor keys for the ``engine`` target.  A ``cur/base`` entry
 #: compares the *current* ``cur`` rate against the *baseline* ``base``
-#: rate — the solo floor grades the new engine against the baseline
-#: recording's batched isolation rate (the pre-solo engine on the same
-#: machine; the baseline tree has no solo engine to record).  A ``.``
-#: prefix on the denominator (``cur/.base``) reads it from the *current*
-#: recording instead — the vector floor is a same-recording ratio (the
-#: baseline tree predates both engines): the shipped single-thread path,
-#: the vector engine on its rendered window kernel, against the solo
-#: engine on the same machine and run, floored at ``bench_isolation``'s
-#: ``VECTOR_SPEEDUP_FLOOR`` (0.75 x the lowest of five recordings, see
-#: there); ``run_stage_once`` starts every job with a cold window cache,
-#: the one cache all engines prefilter through, so neither row is sped
-#: up by replaying another job's or repeat's windows.
-#: The last entry is a floor on a *count*, not a speed: over six
-#: configurations of one mix at least 75 % of the window-cache lookups
-#: must hit (measured 90 %; a key that starts to include anything
-#: per-job leaves only the within-run recurrences, ~42 %), so a change
-#: that silently stops sharing windows across configurations fails here
-#: instead of passing unnoticed.
+#: rate; a ``.`` prefix on the denominator (``cur/.base``) reads it from
+#: the *current* recording instead — a same-machine, same-run ratio.
+#: Both engine floors are of that kind, so the baseline file only
+#: supplies the ``speedup_vs_baseline`` block: the batched engine against
+#: the reference loop at ``bench_engine.SMOKE_FLOOR``, and a floor on a
+#: *count*, not a speed — over six configurations of one mix at least
+#: 75 % of the window-cache lookups must hit (measured 90 %; a key that
+#: starts to include anything per-job leaves only the within-run
+#: recurrences, ~42 %), so a change that silently stops sharing windows
+#: across configurations fails here instead of passing unnoticed.
 DEFAULT_ENGINE_FLOOR_KEYS = (
-    "isolation_stage_solo/isolation_stage_batched:1.5",
-    "isolation_stage_vector/.isolation_stage_solo:0.94",
-    "isolation_stage_batched:0.9",
-    "engine_batched:0.9",
+    "engine_batched/.engine_reference:5.0",
     "six_configs_window_hits/.six_configs_window_lookups:0.75",
 )
+
 
 def _machine() -> dict:
     return {
@@ -193,16 +181,6 @@ def record_core(repeats: int) -> dict:
 
     rates["l1_bulk_access"] = _rate(l1_bulk_setup, l1_bulk_op, n, repeats)
 
-    def bulk_setup():
-        cache = SetAssociativeCache(geometry, "lru",
-                                    rng=np.random.default_rng(6))
-        return cache.access_lines
-
-    def bulk_op(access_lines):
-        access_lines(stream_arr)
-
-    rates["cache_bulk_access_lru"] = _rate(bulk_setup, bulk_op, n, repeats)
-
     # Composite rates over the paper's three policies: total operations /
     # total wall-clock — the headline quantity the >=2x floor applies to.
     for composite, prefix in (("cache_access_core3", "cache_access_"),
@@ -214,12 +192,8 @@ def record_core(repeats: int) -> dict:
             "rates": {k: round(v, 1) for k, v in rates.items()}}
 
 
-def record_engine(accesses: int, repeats: int,
-                  iso_accesses: int = 20_000) -> dict:
+def record_engine(accesses: int, repeats: int) -> dict:
     from bench_engine import run_once, run_six_configs
-    from bench_isolation import run_stage_once, stage_jobs, stage_traces
-    from repro.config import ENGINES
-    from repro.experiments.common import ExperimentScale
 
     timings = {}
     for engine in ("reference", "batched"):
@@ -230,61 +204,21 @@ def record_engine(accesses: int, repeats: int,
                 best = elapsed
         timings[engine] = best
 
-    # Campaign stage-1 isolation composite: the full deduplicated
-    # isolation-job set of a fig7-style campaign, single-thread runs only,
-    # at ``iso_accesses`` references per trace (``--isolation-accesses``).
-    # The solo engine is skipped when the library on PYTHONPATH predates it
-    # (the seed-worktree baseline recording).
-    scale = ExperimentScale(accesses=iso_accesses)
-    jobs = stage_jobs(scale)
-    traces = stage_traces(scale, jobs)
-    iso_engines = ["batched"] + [e for e in ("solo", "vector")
-                                 if e in ENGINES]
-    iso_seconds = {}
-    iso_totals = {}
-    for engine in iso_engines:
-        best = float("inf")
-        for _ in range(repeats):
-            elapsed, total_accesses = run_stage_once(engine, scale, jobs,
-                                                     traces)
-            if elapsed < best:
-                best = elapsed
-            iso_totals[engine] = total_accesses
-        iso_seconds[engine] = best
-
     rates = {f"engine_{k}": round(4 * accesses / v, 1)
              for k, v in timings.items()}
-    for engine, best in iso_seconds.items():
-        rates[f"isolation_stage_{engine}"] = round(iso_totals[engine] / best,
-                                                   1)
     # Six configurations of the mix in one process (a figure sweep in
-    # miniature); baseline worktrees that predate the window cache skip it.
-    try:
-        six_seconds, six_refs, cache = run_six_configs(accesses)
-    except ImportError:
-        pass
-    else:
-        rates["engine_six_configs"] = round(six_refs / six_seconds, 1)
-        rates["six_configs_window_lookups"] = cache["lookups"]
-        rates["six_configs_window_hits"] = cache["hits"]
-    payload = {
+    # miniature).
+    six_seconds, six_refs, cache = run_six_configs(accesses)
+    rates["engine_six_configs"] = round(six_refs / six_seconds, 1)
+    rates["six_configs_window_lookups"] = cache["lookups"]
+    rates["six_configs_window_hits"] = cache["hits"]
+    return {
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,
-        "isolation_accesses_per_trace": scale.accesses,
-        "isolation_stage_jobs": len(jobs),
         "seconds": {k: round(v, 4) for k, v in timings.items()},
-        "isolation_seconds": {k: round(v, 4)
-                              for k, v in iso_seconds.items()},
         "rates": rates,
         "batched_speedup": round(timings["reference"] / timings["batched"], 3),
     }
-    if "solo" in iso_seconds:
-        payload["isolation_solo_speedup"] = round(
-            iso_seconds["batched"] / iso_seconds["solo"], 3)
-    if "vector" in iso_seconds and "solo" in iso_seconds:
-        payload["isolation_vector_speedup"] = round(
-            iso_seconds["solo"] / iso_seconds["vector"], 3)
-    return payload
 
 
 def record_campaign(repeats: int, jobs: int = 2) -> dict:
@@ -318,11 +252,9 @@ def check_floor(current: dict, baseline_path: Path, default_floor: float,
 
     ``keys`` entries are ``name`` or ``name:floor``; a bare name uses
     ``default_floor``.  A ``cur/base`` name compares the current ``cur``
-    rate against the baseline's ``base`` rate (used when the baseline tree
-    cannot record the current key, e.g. a pre-solo worktree); ``cur/.base``
-    reads the denominator from the *current* recording instead — a
-    same-machine, same-run ratio floor for engines the baseline tree
-    predates entirely.  Returns nonzero when any rate falls short.
+    rate against the baseline's ``base`` rate; ``cur/.base`` reads the
+    denominator from the *current* recording instead — a same-machine,
+    same-run ratio floor.  Returns nonzero when any rate falls short.
     """
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     base_rates = baseline["rates"]
@@ -370,9 +302,6 @@ def main(argv=None) -> int:
                         default=int(os.environ.get("REPRO_ENGINE_ACCESSES",
                                                    "60000")),
                         help="references per thread for the engine recording")
-    parser.add_argument("--isolation-accesses", type=int, default=20_000,
-                        help="references per trace for the isolation-stage "
-                             "composite of the engine recording")
     parser.add_argument("--baseline", default=None,
                         help="baseline JSON to grade the 'core' rates against")
     parser.add_argument("--floor", type=float, default=2.0,
@@ -397,8 +326,7 @@ def main(argv=None) -> int:
             out = out_dir / "BENCH_campaign.json"
             default_keys = ()
         else:
-            payload = record_engine(args.engine_accesses, args.repeats,
-                                    iso_accesses=args.isolation_accesses)
+            payload = record_engine(args.engine_accesses, args.repeats)
             out = out_dir / "BENCH_engine.json"
             default_keys = DEFAULT_ENGINE_FLOOR_KEYS
         if args.baseline:
@@ -423,12 +351,6 @@ def main(argv=None) -> int:
                   f"{payload['persistent_vs_serial']:.2f}x")
         if target == "engine":
             print(f"  batched speedup: {payload['batched_speedup']:.2f}x")
-            if "isolation_solo_speedup" in payload:
-                print(f"  isolation solo speedup: "
-                      f"{payload['isolation_solo_speedup']:.2f}x")
-            if "isolation_vector_speedup" in payload:
-                print(f"  isolation vector speedup (vs solo): "
-                      f"{payload['isolation_vector_speedup']:.2f}x")
         if args.baseline:
             keys = [k.strip()
                     for k in (args.floor_keys.split(",")

@@ -32,7 +32,7 @@ from repro.cache.partition.base import PartitionScheme
 from repro.cache.replacement.base import ReplacementPolicy, make_policy
 from repro.cache.replacement.nru import NRUPolicy
 from repro.cache import transitions
-from repro.cache.state import TagStore, build_set_run_kernel, kernel_key
+from repro.cache.state import TagStore, kernel_key
 
 
 class AccessResult(NamedTuple):
@@ -338,22 +338,6 @@ class SetAssociativeCache:
         if self._nru is not None:
             self._nru.fill_done()
         return False
-
-    def access_lines(self, lines, core: int = 0) -> np.ndarray:
-        """Bulk access of many line addresses by one core.
-
-        Returns the per-access hit flags.  State transitions are identical
-        to calling :meth:`access_line_hit` per element — it is the window
-        kernel (:func:`repro.cache.state.build_set_run_kernel`) bound to
-        ``core``.  The shared L2 has cross-core
-        interleaving on the simulator's hot path, so this entry point
-        serves profiling sweeps, warm-up, and benchmarks rather than the
-        engines themselves.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        flags = np.zeros(len(lines), dtype=bool)
-        build_set_run_kernel(self, core)(lines.tolist(), flags)
-        return flags
 
     def write_back_line(self, line: int, core: int = 0) -> bool:
         """Absorb a write-back from a private upper level.

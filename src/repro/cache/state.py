@@ -15,8 +15,8 @@ Two pieces live here:
   path (numpy scalar indexing boxes a fresh object per element access).
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
-* the **kernel builders** — ``SetAssociativeCache.access_line_hit``,
-  whole-window and ``ATD.observe_many`` specialisations for the three
+* the **kernel builders** — ``SetAssociativeCache.access_line_hit``
+  and ``ATD.observe_many`` specialisations for the three
   paper policies (LRU, NRU, BT; every other policy runs the generic
   object-protocol methods).  No transition body is written here:
   :func:`kernel_key`, :func:`rendered_key` and
@@ -26,10 +26,9 @@ Two pieces live here:
   transition spec — closures whose free variables bind every hot array
   and counter once, at construction, performing *exactly* the seed state
   transitions (same victim choices, same statistics, same partition
-  bookkeeping in the same order).  The window kernel of a cache without
-  a rendering (:func:`build_set_run_kernel`) and the single-access ATD
-  ``observe`` (:func:`derive_observe_kernel`) are policy-independent
-  loops over the bound kernels.  Equivalence with the generic
+  bookkeeping in the same order).  The single-access ATD ``observe``
+  (:func:`derive_observe_kernel`) is a policy-independent step over the
+  bound batch kernel.  Equivalence with the generic
   object-protocol paths is pinned by
   ``tests/test_cache/test_state.py`` and with the seed per-object
   implementations by ``tests/test_cache/test_flat_equivalence.py``.
@@ -55,8 +54,8 @@ from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
 
-__all__ = ["TagStore", "build_observe_many_kernel", "build_set_run_kernel",
-           "derive_observe_kernel", "kernel_key", "rendered_key"]
+__all__ = ["TagStore", "build_observe_many_kernel", "derive_observe_kernel",
+           "kernel_key", "rendered_key"]
 
 
 class TagStore:
@@ -189,8 +188,8 @@ def rendered_key(cache) -> Optional[Tuple[str, str]]:
     """Key of the rendered hit kernel ``cache`` still runs, else None.
 
     The one rule by which a caller may swap per-access calls for a
-    rendering with the same transition inlined (the ``window`` kernel
-    below, the fused event loop of ``BatchedEngine.run``): the cache
+    rendering with the same transition inlined (the fused event loop of
+    ``BatchedEngine.run``): the cache
     recorded a rendered kernel at construction and nobody has rebound
     ``access_line_hit`` since.
     """
@@ -198,46 +197,6 @@ def rendered_key(cache) -> Optional[Tuple[str, str]]:
     if bound is not None and cache.access_line_hit is bound[1]:
         return bound[0]
     return None
-
-
-# ----------------------------------------------------------------------
-# Window kernel (whole-window batched access_line_hit)
-# ----------------------------------------------------------------------
-# A window kernel drains a whole inter-boundary window of the L2 miss
-# stream in one call: ``kernel(lines, flags)`` replays ``lines`` — line
-# addresses in trace order — writing 1 into the caller-supplied zeroed
-# byte buffer at each hit position.  Replay order is trace order.
-#
-# No transition is written here either.  A cache still running its
-# rendered hit kernel gets the ``window`` rendering of the same spec (the
-# per-access call and the per-access statistics bumps are gone, nothing
-# else differs); every other cache — kernel-less policy, subclassed
-# scheme, rebound ``access_line_hit`` — gets one policy-independent loop
-# over whatever ``access_line_hit`` it has, so its window transitions
-# are its scalar transitions by construction.
-
-def build_set_run_kernel(cache, core: int = 0) -> Callable:
-    """Batched whole-window ``access_line_hit`` for ``cache``.
-
-    Returns ``kernel(lines, flags)`` — ``lines`` a list of line addresses
-    in access order, ``flags`` a zeroed writable byte buffer with one
-    slot per access, set to 1 on hits.  Every access is attributed to
-    ``core`` (statistics, candidate masks, partition hooks, RNG draws);
-    the engines only use it for single-core simulations, core 0.
-    """
-    key = rendered_key(cache)
-    if key is not None:
-        return transitions.bind("window", key, cache, core)
-    step = cache.access_line_hit
-
-    def run_window(lines, flags):
-        pos = 0
-        for line in lines:
-            if step(line, core):
-                flags[pos] = 1
-            pos += 1
-
-    return run_window
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +213,7 @@ def build_set_run_kernel(cache, core: int = 0) -> Callable:
 # single-access ``observe`` of a kernelised ATD is derived from it — a
 # one-line batch behind the sampling filter — so the two cannot drift
 # apart; equivalence with the generic object-protocol path is pinned by
-# ``tests/test_cmp/test_solo_engine.py`` and
+# ``tests/test_cmp/test_solo_engine.py`` (``TestDeferredDrains``) and
 # ``tests/test_profiling/test_atd.py``.
 
 def build_observe_many_kernel(atd) -> Optional[Callable]:

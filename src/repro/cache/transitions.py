@@ -5,14 +5,12 @@ used-bit OR with a reset confined to the core's mask (§III-A), a tree-bit
 update with ``up``/``down`` vectors forcing a prefix of levels (§III-B) —
 small per-set automata in the sense of arXiv:1811.01740.  This module
 declares each **once**, as source fragments over the flat ``PolicyState``
-/ ``TagStore`` arrays, and composes four kernels from the same text:
+/ ``TagStore`` arrays, and composes three kernels from the same text:
 
 * ``hit`` — ``access_line_hit(line, core=0)``, one call per L2 access;
-* ``window`` — ``run_window(lines, flags)``, one call per boundary-free
-  window of a single thread's L2 stream (the vector engine,
-  ``SetAssociativeCache.access_lines``);
 * ``observe`` — ``observe_many(batch)``, one call per ATD drain;
-* ``loop`` — the event loop of ``BatchedEngine.run``, one call per run.
+* ``loop`` — the event loop of ``BatchedEngine.run``, one call per run,
+  whatever the number of threads.
 
 :data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
@@ -20,7 +18,7 @@ its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
 read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
-``full_mask``); :data:`TEMPLATES` holds the four kernel skeletons, the
+``full_mask``); :data:`TEMPLATES` holds the three kernel skeletons, the
 miss path they share, and the two access blocks of the event loop: the
 *fused* one inlines the L2 transition, the *call* one (key ``None``)
 goes through ``l2.access_line_hit`` / ``access_line_rw`` and an
@@ -311,30 +309,6 @@ def build(cache):
 
     return access_line_hit
 """,
-    # One thread's whole boundary-free window.  ``accesses`` / ``misses``
-    # are pure sums nothing reads inside a window: settled once, at its end.
-    "window": """def build(cache, core=0):
-    $bind_cache
-
-    def run_window(lines, flags):
-        k = 0
-        missed = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                $locate
-                $promote
-                flags[k] = 1
-            else:
-                missed += 1
-                $miss
-            k += 1
-        accesses[core] += k
-        misses[core] += missed
-
-    return run_window
-""",
     # The ATD runs full-mask, single-core, unpartitioned: scheme ``none``,
     # no statistics; the profiler reads the pre-access state, then promote.
     "observe": """\
@@ -473,17 +447,16 @@ else:
 }
 
 #: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in all
-#: four): an argument of ``hit``, a factory binding of ``window``; the
+#: three): an argument of ``hit``, the popped thread of ``loop``; the
 #: ATD's ``observe`` is single-core and keeps no fill count.
-_CORE = {"hit": "core", "window": "core", "observe": "0", "loop": "t"}
+_CORE = {"hit": "core", "observe": "0", "loop": "t"}
 
 #: Locals each skeleton keeps across the fragments it expands.  A policy
 #: or scheme fragment storing to one would corrupt the skeleton without
-#: any error (LRU's ``pos`` once overwrote a window counter of that
+#: any error (LRU's ``pos`` once overwrote a skeleton counter of that
 #: name), so :func:`render` refuses the pair.
 PRIVATE_LOCALS = {
     "hit": (),
-    "window": ("k", "missed"),
     "observe": ("sampled", "skipped"),
     "loop": ("j", "t", "now", "clock", "horizon", "wb_l1_to_l2",
              "wb_l1_to_mem"),
@@ -616,13 +589,12 @@ def translate(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
 def rendering_keys(policies=POLICIES, schemes=SCHEMES
                    ) -> List[Tuple[str, Key]]:
     """``(rendering, key)`` of every rendering there is: each policy x
-    scheme for ``hit``, ``window`` and ``loop``, each policy for
-    ``observe``, and the call-form loop — what ``hot-path-purity``
-    checks."""
+    scheme for ``hit`` and ``loop``, each policy for ``observe``, and
+    the call-form loop — what ``hot-path-purity`` checks."""
     keys = [("observe", (kind, "none")) for kind in policies]
     keys += [(rendering, (kind, scheme)) for kind in policies
              for scheme in schemes
-             for rendering in ("hit", "window", "loop")]
+             for rendering in ("hit", "loop")]
     return keys + [("loop", None)]
 
 
@@ -696,9 +668,8 @@ def target_summary() -> str:
 
 def bind(rendering: str, key: Key, owner, *args) -> Callable:
     """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
-    (a cache for ``hit`` / ``window`` / ``loop``, an ATD for
-    ``observe``); ``window`` takes the core and ``loop`` the memory
-    channel (or None) as ``args``.
+    (a cache for ``hit`` / ``loop``, an ATD for ``observe``); ``loop``
+    takes the memory channel (or None) as ``args``.
 
     A stock ``loop`` is the compiled target wherever this process can
     build and load one (:mod:`repro.cache.native`), the Python target

@@ -8,15 +8,13 @@ freezing each thread's statistics after its instruction budget (the paper's
 threads keep running to preserve contention).
 
 The hot loop lives in :mod:`repro.cmp.engine`; ``SimulationConfig.engine``
-selects the engine — the default ``"auto"`` picks the window-at-a-time
-vector fast path for single-thread runs and the batched engine otherwise, with
-the per-access reference oracle always available.
+selects the engine — the default ``"auto"`` is the batched engine at every
+core count, with the per-access reference oracle always available.
 """
 
 from repro.cmp.engine import (
     BatchedEngine,
     ReferenceEngine,
-    SoloEngine,
     make_engine,
     resolve_engine_name,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "run_workload",
     "BatchedEngine",
     "ReferenceEngine",
-    "SoloEngine",
     "make_engine",
     "resolve_engine_name",
     "MemoryChannel",

@@ -53,6 +53,12 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
   then parks at ``+inf``.
+* **One thread.**  Nothing above assumes a second thread.  With ``n == 1``
+  — every isolation job, every 1-core figure point — the heap is empty
+  after the first pop, ``heappushpop`` hands each event straight back,
+  the loop returns to Python once per window (``resume``) and the
+  termination rollback has nobody to visit; there is no separate
+  single-thread engine.
 * **Fused L2 access.**  The loop itself is the ``loop`` rendering of
   :mod:`repro.cache.transitions`: for a stock (policy, scheme) pair the
   L2 transition is inlined from the same fragments ``access_line_hit``

@@ -1,6 +1,6 @@
 """Shared scaffolding of the CMP execution engines.
 
-All four engines (reference, batched, solo, vector) simulate the identical
+Both engines (reference, batched) simulate the identical
 machine: the same per-thread analytic core model, the same shared hierarchy
 objects, the same interval controller.  This module owns everything that
 must be *equal by construction* between them so the equivalence suites
@@ -18,9 +18,8 @@ compare engines, not setup code:
   access index is precomputed as an integer (:func:`freeze_count`) so both
   engines freeze on exactly the same access;
 * result assembly (:class:`ThreadResult` / :class:`EventCounts`);
-* the per-window L1-miss stream (:func:`l1_miss_window`) the solo,
-  vector and batched engines walk, and the process-wide **window cache**
-  behind it.
+* the per-window L1-miss stream (:func:`l1_miss_window`) the batched
+  engine walks, and the process-wide **window cache** behind it.
 
 Window cache.  Everything in front of the shared L2 is private per core,
 so a window's L1-miss stream is a pure function of the trace window and

@@ -21,11 +21,9 @@ threads commits 100 million instructions".
 
 This module is the configuration facade; the hot loop lives in
 :mod:`repro.cmp.engine`.  ``SimulationConfig.engine`` selects the engine;
-the default ``"auto"`` resolves to the window-at-a-time vector fast path
-for single-thread runs (delegating to solo outside its batched path) and
-the batched engine (bulk L1 prefilter) otherwise, with ``"reference"`` as
-the per-access oracle loop the equivalence suites pin all of them
-against.
+the default ``"auto"`` resolves to the batched engine (bulk L1 prefilter,
+one event per L2 access) at every core count, with ``"reference"`` as the
+per-access oracle loop the equivalence suites pin it against.
 """
 
 from __future__ import annotations

@@ -59,11 +59,8 @@ SELECTORS = (SELECTOR_MINMISSES, SELECTOR_LOOKAHEAD, SELECTOR_EVEN,
 #: Simulation engine identifiers (see :mod:`repro.cmp.engine`).
 ENGINE_REFERENCE = "reference"   # per-access oracle loop
 ENGINE_BATCHED = "batched"       # bulk L1 prefilter + event scheduler
-ENGINE_SOLO = "solo"             # single-thread fast path, no scheduler
-ENGINE_VECTOR = "vector"         # single-thread window-at-a-time L2 path
-ENGINE_AUTO = "auto"             # vector when num_cores == 1, else batched
-ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_SOLO, ENGINE_VECTOR,
-           ENGINE_AUTO)
+ENGINE_AUTO = "auto"             # batched, at every core count
+ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_AUTO)
 
 
 @dataclass(frozen=True)
@@ -251,14 +248,12 @@ class SimulationConfig:
     #: Minimum cycles between successive memory services (single-channel
     #: FCFS queue).  0 = the paper's fixed-latency memory (default).
     memory_service_interval: float = 0.0
-    #: Execution engine: ``"auto"`` (the default — the window-at-a-time
-    #: ``"vector"`` fast path for single-thread runs, ``"batched"``
-    #: otherwise), ``"batched"`` (bulk L1 prefilter + event scheduler),
-    #: ``"solo"`` (single-thread only: heap-free per-miss walk),
-    #: ``"vector"`` (single-thread only: window-at-a-time L2 slow
-    #: path) or ``"reference"`` (the per-access oracle loop).  All
-    #: engines produce identical results; the equivalence suites and the
-    #: ``repro fuzz`` differential harness pin this.
+    #: Execution engine: ``"auto"`` (the default — ``"batched"`` at
+    #: every core count), ``"batched"`` (bulk L1 prefilter + event
+    #: scheduler, a heap of one for a single thread) or ``"reference"``
+    #: (the per-access oracle loop).  Both engines produce identical
+    #: results; the equivalence suites and the ``repro fuzz``
+    #: differential harness pin this.
     engine: str = ENGINE_AUTO
 
     def __post_init__(self) -> None:

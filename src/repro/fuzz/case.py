@@ -23,8 +23,6 @@ from repro.cmp.simulator import CMPSimulator
 from repro.config import (
     ENGINE_BATCHED,
     ENGINE_REFERENCE,
-    ENGINE_SOLO,
-    ENGINE_VECTOR,
     PartitioningConfig,
     ProcessorConfig,
     SimulationConfig,
@@ -34,9 +32,8 @@ from repro.workloads.trace import Trace
 #: Schema tag of the corpus JSON files.
 CORPUS_FORMAT = "repro-fuzz-case/1"
 
-#: Engines a case may cross-check; single-thread-only engines are
-#: filtered by :meth:`FuzzCase.applicable_engines`.
-ALL_ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_SOLO, ENGINE_VECTOR)
+#: Engines a case may cross-check.
+ALL_ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED)
 
 
 @dataclass
@@ -93,9 +90,7 @@ class FuzzCase:
                             self.traces, self.simulation(engine))
 
     def applicable_engines(self) -> Tuple[str, ...]:
-        """Engines this case can legally run (solo/vector need one core)."""
-        if self.num_cores != 1:
-            return (ENGINE_REFERENCE, ENGINE_BATCHED)
+        """Engines this case can legally run: both, at every core count."""
         return ALL_ENGINES
 
     def total_accesses(self) -> int:

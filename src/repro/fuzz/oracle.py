@@ -1,10 +1,10 @@
 """Oracle runner: execute a case under every applicable engine and diff.
 
-The load-bearing claim behind every reported figure is that all four
+The load-bearing claim behind every reported figure is that the
 execution engines are *bit-identical*.  This module turns that claim into
 a checkable predicate for one :class:`~repro.fuzz.case.FuzzCase`: run the
-reference engine (the semantic oracle), run every other applicable
-engine, and diff **everything observable** after the run:
+reference engine (the semantic oracle), run the batched engine, and
+diff **everything observable** after the run:
 
 * the :class:`~repro.cmp.results.SimulationResult` — per-thread timing
   terms (``cycles`` compared as exact floats), event counters, partition
@@ -25,15 +25,15 @@ engine, and diff **everything observable** after the run:
 Two engines that agree on all of the above executed the same decision
 sequence; any mismatch is reported as a list of dotted field paths.
 
-Every non-reference engine runs **twice** per case — once with the
-engines' memos and window cache cold, once warm off the first run — and
+The batched engine runs **twice** per case — once with the window
+cache cold, once warm off the first run — and
 both snapshots are diffed against the reference, which walks its L1 per
 access, never touches a cache, steps the policy classes instead of the
 rendered kernels and so stays the independent oracle.  A
 cache that replays the wrong window, or restores the wrong L1 state, can
 only show on the warm run.
 
-The batched engine runs a third time with its event loop held to the
+It runs a third time with its event loop held to the
 **Python target** (:func:`repro.cache.transitions.python_target`).  Where
 the host has a C compiler the first two runs executed the compiled
 target of the same rendering, so the stage is compiled-vs-Python over
@@ -52,9 +52,14 @@ import numpy as np
 from contextlib import nullcontext
 
 from repro.cache.transitions import python_target
-from repro.cmp.engine.vector import clear_memos
-from repro.config import ENGINE_BATCHED, ENGINE_REFERENCE
+from repro.cmp.engine.common import clear_window_cache
+from repro.config import ENGINE_REFERENCE
 from repro.fuzz.case import FuzzCase
+
+#: The runs of the batched engine per case (module docstring): diff-path
+#: prefix and the context each runs in.
+_STAGES = (("", nullcontext), ("warm: ", nullcontext),
+           ("python target: ", python_target))
 
 #: Cap on reported diff paths per engine pair (divergences are usually
 #: systemic; the first few paths identify the failing subsystem).
@@ -308,12 +313,9 @@ def run_case(case: FuzzCase,
     for engine in engines:
         if engine == ENGINE_REFERENCE:
             continue
-        clear_memos()
+        clear_window_cache()
         diffs = report.diffs[engine] = []
-        stages = [("", nullcontext), ("warm: ", nullcontext)]
-        if engine == ENGINE_BATCHED:
-            stages.append(("python target: ", python_target))
-        for prefix, target in stages:
+        for prefix, target in _STAGES:
             try:
                 with target():
                     snapshot = run_engine(case, engine)

@@ -12,7 +12,7 @@ rules hold; each gets a mechanical check here:
   preallocated state arrays **in place**; rebinding (``self.order = [...]``)
   detaches every kernel local captured at cache construction.
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
-  renders (``access_line_hit`` / ``run_window`` / ``observe_many`` / the
+  renders (``access_line_hit`` / ``observe_many`` / the
   event loop of ``BatchedEngine.run``, for each policy x scheme, plus
   the call-form loop) and the closures built by the ``*_kernel``
   functions in ``cache/state.py`` (the derived builders) must run on

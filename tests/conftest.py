@@ -54,8 +54,8 @@ def sequential_stream(count: int, footprint: int, offset: int = 0):
 
 @pytest.fixture(autouse=True)
 def cold_engine_memos():
-    """Every test starts with the engines' process-wide memos and window
-    cache empty, so test order can never matter."""
-    from repro.cmp.engine.vector import clear_memos
+    """Every test starts with the process-wide window cache empty, so
+    test order can never matter."""
+    from repro.cmp.engine.common import clear_window_cache
 
-    clear_memos()
+    clear_window_cache()

@@ -1,18 +1,20 @@
-"""Window-kernel selection: which ``build_set_run_kernel`` a cache gets.
+"""Loop selection at the cache level, and the benchmark-owned stubs.
 
-There is no backend to name any more — a cache still running the
-rendered hit kernel it recorded gets the ``window`` rendering of the
-same spec, every other cache the derived loop over its
+There is no window kernel and no backend to name any more — one
+thread's stream through a cache still running the rendered hit kernel it
+recorded is executed by the fused ``loop`` rendering of the same spec,
+through every other cache by the call-form loop over its
 ``access_line_hit`` (the deep state diffs live in ``test_state.py``).
 """
 
 import numpy as np
 import pytest
 
+from loop_window import loop_window
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import make_policy
-from repro.cache.state import build_set_run_kernel
+from repro.cache.state import rendered_key
 
 
 def make_cache(policy_name="lru", num_sets=8, assoc=8):
@@ -25,7 +27,7 @@ def make_cache(policy_name="lru", num_sets=8, assoc=8):
 
 def rebound(cache):
     """``cache`` with ``access_line_hit`` wrapped: it no longer runs the
-    kernel it recorded, so only the derived loop is exact for it."""
+    kernel it recorded, so only the call form is exact for it."""
     hit = cache.access_line_hit
     cache.access_line_hit = lambda line, core=0: hit(line, core)
     return cache
@@ -36,52 +38,62 @@ class TestBuildDelegation:
     cover; each now pins the surviving half of its theorem.)"""
 
     def test_python_backend_returns_loop_kernel(self):
-        """The python loop is what a cache that rebound its kernel gets."""
-        kernel = build_set_run_kernel(rebound(make_cache("lru")))
-        assert kernel.__module__ == "repro.cache.state"
+        """The call form is what a cache that rebound its kernel gets."""
+        assert rendered_key(rebound(make_cache("lru"))) is None
 
     def test_array_backend_builds_for_eligible_kind(self):
-        """A stock cache of a paper kind gets the fast (rendered) window."""
-        kernel = build_set_run_kernel(make_cache("lru"))
-        assert kernel.__code__.co_filename == "<repro kernel lru/none window>"
+        """A stock cache of a paper kind gets the fused loop of its key."""
+        assert rendered_key(make_cache("lru")) == ("lru", "none")
 
     @pytest.mark.parametrize("policy_name",
                              ["random", "srrip", "dip", "fifo"])
     def test_ineligible_kind_falls_back_to_python(self, policy_name):
-        """A policy without a kernel kind has no rendering: its window is
-        the python loop over the generic ``access_line_hit``."""
-        kernel = build_set_run_kernel(make_cache(policy_name))
-        assert kernel.__module__ == "repro.cache.state"
+        """A policy without a kernel kind has no rendering: its stream
+        runs the call form over the generic ``access_line_hit``."""
+        assert rendered_key(make_cache(policy_name)) is None
 
     def test_backends_agree_on_a_shared_window(self):
-        """End-to-end: the rendered window and the derived loop over the
-        scalar hit kernel replay one window identically."""
-        caches = {"rendered": make_cache("nru"),
-                  "derived": rebound(make_cache("nru"))}
+        """End-to-end: the fused loop and the call form over the scalar
+        hit kernel replay one window identically."""
+        caches = {"fused": make_cache("nru"),
+                  "call": rebound(make_cache("nru"))}
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 150, size=900).tolist()
         flags = {}
         for which, cache in caches.items():
-            kernel = build_set_run_kernel(cache)
-            assert (kernel.__module__ == "repro.cache.state") \
-                == (which == "derived")
+            assert (rendered_key(cache) is None) == (which == "call")
             f = bytearray(len(lines))
-            kernel(lines, f)
+            loop_window(cache)(lines, f)
             flags[which] = bytes(f)
-        assert flags["rendered"] == flags["derived"]
-        assert caches["rendered"].stats.misses \
-            == caches["derived"].stats.misses
-        assert caches["rendered"].stats.accesses \
-            == caches["derived"].stats.accesses
-        assert [caches["rendered"].resident_lines(s) for s in range(8)] \
-            == [caches["derived"].resident_lines(s) for s in range(8)]
+        assert flags["fused"] == flags["call"]
+        assert caches["fused"].stats.misses == caches["call"].stats.misses
+        assert caches["fused"].stats.accesses \
+            == caches["call"].stats.accesses
+        assert [caches["fused"].resident_lines(s) for s in range(8)] \
+            == [caches["call"].resident_lines(s) for s in range(8)]
 
 
 def test_benchmark_owned_stubs_keep_their_surface():
-    """``benchmarks/e2e/workloads.py`` imports these two names and reads
-    these keys; only a benchmark PR may stop it (ROADMAP item 3)."""
+    """``benchmarks/e2e`` imports these names, reads these keys and wraps
+    the ``run`` each engine stub holds in its own ``__dict__``
+    (``Tracer._wrap_method``); only a benchmark PR may stop it (ROADMAP
+    item 5).  Nothing registers, exports or selects the stubs."""
+    import repro.cmp
+    import repro.cmp.engine as engine
     from repro.cache.kernels import array, resolve_kernel_backend
+    from repro.cmp.engine import vector
+    from repro.cmp.engine.solo import SoloEngine
 
     assert resolve_kernel_backend("auto") == "python"
     assert array.memo_stats() == {"cold_hits": 0, "cold_misses": 0,
                                   "cold_entries": 0}
+    assert set(vector.memo_stats()) == {"l1_hits", "l1_misses",
+                                        "window_cache"}
+    for stub in (SoloEngine, vector.VectorEngine):
+        assert callable(stub.__dict__["run"])
+        with pytest.raises(NotImplementedError, match="was removed"):
+            stub().run()
+        assert stub not in engine._ENGINES.values()
+        for package in (engine, repro.cmp):
+            assert stub.__name__ not in package.__all__
+            assert not hasattr(package, stub.__name__)

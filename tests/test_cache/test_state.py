@@ -21,8 +21,9 @@ from repro.cache.partition.allocation import (
 from repro.cache.partition.base import make_partition
 from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.replacement.base import POLICY_REGISTRY, make_policy
+from loop_window import loop_window
 from repro.cache import transitions
-from repro.cache.state import TagStore, build_set_run_kernel, kernel_key
+from repro.cache.state import TagStore, kernel_key, rendered_key
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
@@ -244,7 +245,7 @@ def test_observe_kernel_skipped_for_custom_profiler():
 
 
 # ----------------------------------------------------------------------
-# Window kernels (build_set_run_kernel)
+# Windows: one thread's stream through the event loop (loop_window)
 # ----------------------------------------------------------------------
 def window_policy_state(cache):
     """Every mutable policy-internal array, snapshotted as plain lists
@@ -271,25 +272,28 @@ def window_cache_state(cache):
 
 def rebind_hit_kernel(cache):
     """Wrap ``cache.access_line_hit`` so the cache no longer runs the
-    kernel it recorded: ``build_set_run_kernel`` must then derive its
-    window from the wrapper, whatever it does."""
+    kernel it recorded: its event loop must then be the call form, over
+    the wrapper, whatever it does."""
     hit = cache.access_line_hit
     cache.access_line_hit = lambda line, core=0: hit(line, core)
     return cache
 
 
 class TestWindowKernels:
-    """build_set_run_kernel windows vs the generic object-protocol path.
+    """Whole windows of one thread's L2 stream vs the generic
+    object-protocol path.
 
-    For a cache still running its rendered hit kernel the window kernel
-    is the ``window`` rendering of the same transition spec — one more
-    rendering to pin, like ``hit`` above; for every other cache it is a
-    loop over ``access_line_hit``.  The reference for both is the
+    A window is a stretch of one thread's stream with no boundary in it;
+    since the ``window`` rendering went, what executes it is the event
+    loop at a heap of one (``loop_window``): the fused ``loop`` rendering
+    for a cache still running its rendered hit kernel — the compiled
+    target where the host has ``cc``, so every window here also crosses
+    the marshalling of the flat state into C and back — and the call
+    form for every other cache.  The reference for both is the
     ``kernels=False`` twin stepping the policy classes one access at a
     time.  Same per-access hit flags, same statistics, same tags and same
     policy-internal state — across every policy x partition-scheme
-    combination, every core (``access_lines(lines, core)`` binds the
-    kernel to ``core``), with partition masks re-applied mid-run and
+    combination, every core, with partition masks re-applied mid-run and
     invalid-way fills from both cold sets and mid-run flushes.
     """
 
@@ -310,11 +314,8 @@ class TestWindowKernels:
     def test_window_matches_scalar_replay(self, policy_name, scheme):
         scalar = self._build(policy_name, scheme, kernels=False)
         windowed = self._build(policy_name, scheme)
-        kernel = build_set_run_kernel(windowed)
-        rendered = (f"<repro kernel {policy_name}/{scheme} window>"
-                    if policy_name in PAPER_KINDS else None)
-        assert (kernel.__code__.co_filename == rendered) \
-            == (policy_name in PAPER_KINDS), "rendered for paper kinds only"
+        fused = (policy_name, scheme) if policy_name in PAPER_KINDS else None
+        assert rendered_key(windowed) == fused, "fused for paper kinds only"
         scalar_hit = scalar.access_line_hit
 
         rng = np.random.default_rng(41)
@@ -323,15 +324,12 @@ class TestWindowKernels:
         for w in range(14):
             n = int(rng.integers(1, 700))
             lines = rng.integers(0, 260, size=n).tolist()
-            # Odd windows go through the public bulk entry point as the
-            # other core (quota / owner bookkeeping under ``counters``,
-            # the core's mask under ``masks`` / ``btvectors``).
+            # Odd windows are the other core's (quota / owner bookkeeping
+            # under ``counters``, the core's mask under ``masks`` /
+            # ``btvectors``).
             core = w % self.CORES
-            if core:
-                flags = windowed.access_lines(lines, core)
-            else:
-                flags = bytearray(n)
-                kernel(lines, flags)
+            flags = bytearray(n)
+            loop_window(windowed, core)(lines, flags)
             expect = bytearray(n)
             for i, line in enumerate(lines):
                 if scalar_hit(line, core):
@@ -362,13 +360,23 @@ class TestWindowKernels:
         """Degenerate one-line windows equal one generic call each."""
         scalar = self._build(policy_name, "none", kernels=False)
         windowed = self._build(policy_name, "none")
-        kernel = build_set_run_kernel(windowed)
+        kernel = loop_window(windowed)
         rng = np.random.default_rng(7)
         for line in rng.integers(0, 120, size=1500).tolist():
             flags = bytearray(1)
             kernel([line], flags)
             assert bool(flags[0]) == scalar.access_line_hit(line, 0)
         assert window_cache_state(scalar) == window_cache_state(windowed)
+
+
+class TestWindowsPythonTarget(TestWindowKernels):
+    """The same windows with the loop held to its Python target (the
+    one a host without ``cc`` runs)."""
+
+    @pytest.fixture(autouse=True)
+    def python_target(self):
+        with transitions.python_target():
+            yield
 
 
 class TestElisionEligibility:
@@ -396,8 +404,8 @@ class TestElisionEligibility:
         the access count."""
         full = self._cache(policy_name)
         deduped = self._cache(policy_name)
-        k_full = build_set_run_kernel(full)
-        k_dedup = build_set_run_kernel(deduped)
+        k_full = loop_window(full)
+        k_dedup = loop_window(deduped)
         rng = np.random.default_rng(11)
         base_lines = rng.integers(0, 200, size=2000)
         repeats = rng.integers(1, 4, size=2000)
@@ -419,8 +427,8 @@ class TestElisionEligibility:
         are identity transitions for unpartitioned lru/bt."""
         full = self._cache(policy_name)
         elided = self._cache(policy_name)
-        k_full = build_set_run_kernel(full)
-        k_elided = build_set_run_kernel(elided)
+        k_full = loop_window(full)
+        k_elided = loop_window(elided)
         rng = np.random.default_rng(13)
         warm = rng.integers(0, 200, size=800).tolist()
         k_full(warm, bytearray(len(warm)))
@@ -437,8 +445,8 @@ class TestElisionEligibility:
 
 
 class TestArrayKernelProperties:
-    """The rendered ``window`` kernel vs the derived loop over the scalar
-    hit kernel: full flat-state equality, stale slots included.
+    """The fused ``loop`` rendering vs the call-form loop over the scalar
+    hit kernel, one window at a time: full flat-state equality.
 
     (The class and its shapes were written against the numpy array
     backend; the ids are kept so the test trajectory stays comparable.)
@@ -448,7 +456,7 @@ class TestArrayKernelProperties:
     rotation including the stale tail beyond ``size``).
     """
 
-    #: ``fifo`` has no rendering: both sides take the derived loop.
+    #: ``fifo`` has no rendering: both sides take the call form.
     ARRAY_KINDS = ("lru", "fifo", "nru", "bt")
 
     def _pair(self, policy_name, num_sets, assoc):
@@ -460,12 +468,10 @@ class TestArrayKernelProperties:
                                        num_cores=1, kernels=True)
 
         ref, arr = rebind_hit_kernel(build()), build()
-        k_ref = build_set_run_kernel(ref)
-        k_arr = build_set_run_kernel(arr)
-        assert k_ref.__module__ == "repro.cache.state", "derived loop"
-        assert (k_arr.__module__ != "repro.cache.state") \
-            == (policy_name in PAPER_KINDS), "rendered for paper kinds"
-        return ref, k_ref, arr, k_arr
+        assert rendered_key(ref) is None, "call form"
+        assert (rendered_key(arr) is not None) \
+            == (policy_name in PAPER_KINDS), "fused for paper kinds"
+        return ref, loop_window(ref), arr, loop_window(arr)
 
     @staticmethod
     def _full_state(cache):
@@ -524,10 +530,10 @@ class TestArrayKernelProperties:
 
     @pytest.mark.parametrize("policy_name", sorted(PAPER_KINDS))
     def test_cold_window_and_same_window_after_flush(self, policy_name):
-        """Run cold, a window matches the derived loop in full state; run
+        """Run cold, a window matches the call form in full state; run
         again after other traffic and a flush, it matches again and
-        reproduces the cold outcome (flush resets in place, the bound
-        rendering stays live)."""
+        reproduces the cold outcome (flush resets in place, the arrays a
+        loop binds stay live)."""
         ref, k_ref, arr, k_arr = self._pair(policy_name, 8, 8)
         rng = np.random.default_rng(29)
         window = rng.integers(0, 200, size=900).tolist()   # evicting sets
@@ -550,10 +556,10 @@ class TestArrayKernelProperties:
         assert run(window) == cold      # flags, tags/map/invalid, misses
 
     def test_array_build_respects_eligibility(self):
-        """Which window a cache gets is decided by what it can observe:
-        the rendering only while the cache still runs the stock kernel it
-        recorded — partitioned or not — and the derived loop for a
-        kernel-less policy, a subclassed scheme, a ``kernels=False``
+        """Which loop a cache's stream gets is decided by what it can
+        observe: the fused one only while the cache still runs the stock
+        kernel it recorded — partitioned or not — and the call form for
+        a kernel-less policy, a subclassed scheme, a ``kernels=False``
         cache and a rebound ``access_line_hit``."""
         from repro.cache.partition.masks import MasksPartition
 
@@ -575,8 +581,7 @@ class TestArrayKernelProperties:
                                        num_cores=2 if part else 1, **kwargs)
 
         def rendered(cache):
-            kernel = build_set_run_kernel(cache)
-            return kernel.__code__.co_filename.startswith("<repro kernel ")
+            return rendered_key(cache) is not None
 
         assert rendered(cache_for("lru"))
         assert rendered(cache_for("lru", MasksPartition))

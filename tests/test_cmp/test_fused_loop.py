@@ -299,16 +299,17 @@ class TestGeneratedSourceExplainsItself:
             transitions.render("hit", ("lru", "none"), templates=broken)
 
     def test_fragment_storing_to_a_skeleton_local_is_an_error(self):
-        """The hole this closes: a window skeleton whose position counter
-        was named ``pos`` rendered fine while a policy's locate fragment
+        """The hole this closes: a skeleton whose position counter was
+        named ``pos`` rendered fine while a policy's locate fragment
         (``pos = order_index(...)``) silently overwrote it.  Each
         skeleton's own locals are declared; a policy / scheme fragment
         assigning one is refused for that rendering and no other."""
         policies = dict(transitions.POLICIES, probe=dict(
-            transitions.POLICIES["nru"], locate="k = used_l[$set]"))
-        with pytest.raises(ValueError, match=r"policy 'locate' -> k"):
-            transitions.render("window", ("probe", "none"), policies=policies)
-        transitions.render("window", ("nru", "none"), policies=policies)
+            transitions.POLICIES["nru"], locate="sampled = used_l[$set]"))
+        with pytest.raises(ValueError, match=r"policy 'locate' -> sampled"):
+            transitions.render("observe", ("probe", "none"),
+                               policies=policies)
+        transitions.render("observe", ("nru", "none"), policies=policies)
         transitions.render("hit", ("probe", "none"), policies=policies)
         schemes = dict(transitions.SCHEMES, masks=dict(
             transitions.SCHEMES["masks"], mask="j = mask = masks[$core]"))
@@ -317,7 +318,8 @@ class TestGeneratedSourceExplainsItself:
 
     def test_every_shipped_rendering_passes_the_checks(self):
         keys = transitions.rendering_keys()
-        assert len(keys) == 40
-        assert sum(rendering == "window" for rendering, _ in keys) == 12
+        assert len(keys) == 28
+        assert {rendering for rendering, _ in keys} \
+            == {"hit", "observe", "loop"}
         for rendering, key in keys:
             transitions._factory(rendering, key)    # render + closure checks

@@ -1,17 +1,27 @@
-"""Solo-engine and deferred-drain differential suite.
+"""Single-thread ("solo") runs and the deferred-drain differential suite.
 
-Two exactness claims are pinned here:
+There is no single-thread engine: an isolation job or a 1-core figure
+point is ``BatchedEngine.run`` over a heap of one (``auto`` resolves to
+``batched`` at every core count).  Two exactness claims are pinned here:
 
-* the **solo engine** must reproduce the reference loop's results bit for
-  bit on every single-thread workload — all 10 replacement policies, every
-  partition scheme, write traces, the bandwidth channel, interval-boundary
-  catch-ups, freeze edges (freeze on a miss, freeze on a hit, budgets
-  wrapping the trace) and mid-trace chunk reloads;
-* **deferred ATD profiling drains** (both engines buffer L2-reaching lines
-  and drain at boundaries / freezes / run end) must leave the ATDs, SDHs
+* the **batched engine at n = 1** must reproduce the reference loop's
+  results bit for bit on every single-thread workload — all 10
+  replacement policies, every partition scheme, write traces, the
+  bandwidth channel with and without writes and boundaries,
+  interval-boundary catch-ups, freeze edges (freeze on a miss, freeze on
+  an L1 hit, budgets wrapping the trace), mid-trace chunk reloads, a
+  kernel-less policy and ``max_cycles`` — the edges no multi-core case
+  isolates.  ``TestSoloVsReference`` runs them on the target
+  ``transitions.bind`` picks (compiled where the host has ``cc``);
+  ``test_vector_engine.py`` runs the same class on the Python target;
+* **deferred ATD profiling drains** (the engine buffers L2-reaching lines
+  and drains at boundaries / freezes / run end) must leave the ATDs, SDHs
   and sampled/skipped counters in exactly the state per-access observation
   produces — including a boundary landing with non-empty buffers and a
   thread freezing with a non-empty buffer.
+
+(Module and class names date from the dedicated solo engine; they are
+kept because they are the suite's recorded test ids.)
 """
 
 import dataclasses
@@ -20,13 +30,9 @@ import numpy as np
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.cmp.engine import (
-    BatchedEngine,
-    SoloEngine,
-    VectorEngine,
-    make_engine,
-    resolve_engine_name,
-)
+from repro.cache.state import rendered_key
+import repro.cmp.engine.batched as batched_mod
+from repro.cmp.engine import BatchedEngine, make_engine, resolve_engine_name
 from repro.cmp.isolation import IsolationRunner
 from repro.cmp.simulator import CMPSimulator
 from repro.config import (
@@ -43,6 +49,7 @@ from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 from repro.workloads.trace import Trace
 from repro.workloads.writes import overlay_writes
+from test_compiled_target import binds, expected_target
 
 
 def processor(num_cores=1):
@@ -119,76 +126,78 @@ PARTITIONED_CONFIGS = [
 class TestSoloVsReference:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_all_policies_unpartitioned(self, policy):
-        ref, solo = run_engines(config_unpartitioned(policy), [make_trace()],
-                                ("reference", "solo"))
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned(policy), [make_trace()],
+                               ("reference", "batched"))
+        assert_identical(ref, bat)
 
     @pytest.mark.parametrize("config", PARTITIONED_CONFIGS,
                              ids=lambda c: c.acronym)
     def test_partitioned_schemes(self, config):
-        (ref, solo), (ref_sim, solo_sim) = run_engines(
-            config, [make_trace()], ("reference", "solo"), keep_sim=True)
-        assert_identical(ref, solo)
+        (ref, bat), (ref_sim, bat_sim) = run_engines(
+            config, [make_trace()], ("reference", "batched"), keep_sim=True)
+        assert_identical(ref, bat)
         assert ref.events.repartitions > 0
         # The deferred drains must leave the exact per-access ATD/SDH state.
-        assert profiling_state(ref_sim) == profiling_state(solo_sim)
+        assert profiling_state(ref_sim) == profiling_state(bat_sim)
 
     def test_write_trace(self):
         trace = overlay_writes(make_trace(), 0.4, seed=3)
-        ref, solo = run_engines(config_unpartitioned("lru"), [trace],
-                                ("reference", "solo"))
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"), [trace],
+                               ("reference", "batched"))
+        assert_identical(ref, bat)
         assert ref.events.l1_writebacks > 0
 
     def test_write_trace_partitioned(self):
         trace = overlay_writes(make_trace(), 0.4, seed=3)
-        ref, solo = run_engines(
+        ref, bat = run_engines(
             config_M_N(0.75, atd_sampling=4, interval_cycles=20_000),
-            [trace], ("reference", "solo"))
-        assert_identical(ref, solo)
+            [trace], ("reference", "batched"))
+        assert_identical(ref, bat)
 
     def test_bandwidth_channel(self):
         # A single thread issues misses >= latency + base apart, so the
         # service interval must exceed that turnaround for queueing to
         # actually bite.
-        ref, solo = run_engines(config_unpartitioned("lru"),
-                                [make_trace(footprint=5000)],
-                                ("reference", "solo"), service_interval=400.0)
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"),
+                               [make_trace(footprint=5000)],
+                               ("reference", "batched"),
+                               service_interval=400.0)
+        assert_identical(ref, bat)
         assert ref.events.memory_queue_cycles > 0
 
     def test_bandwidth_channel_with_writes(self):
         trace = overlay_writes(make_trace(footprint=5000), 0.3, seed=4)
-        ref, solo = run_engines(config_unpartitioned("lru"), [trace],
-                                ("reference", "solo"), service_interval=350.0)
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"), [trace],
+                               ("reference", "batched"),
+                               service_interval=350.0)
+        assert_identical(ref, bat)
 
     def test_tiny_interval_boundary_catchup(self):
         """Sub-access intervals force multi-boundary catch-ups at one pop."""
-        ref, solo = run_engines(
+        ref, bat = run_engines(
             config_C_L(atd_sampling=4, interval_cycles=500),
-            [make_trace(count=3000)], ("reference", "solo"), budget=10_000)
-        assert_identical(ref, solo)
+            [make_trace(count=3000)], ("reference", "batched"), budget=10_000)
+        assert_identical(ref, bat)
         assert ref.events.repartitions > 10
 
     def test_boundary_lands_mid_drain(self):
         """An interval shorter than the typical miss gap: most boundaries
-        fire while the solo engine's observe buffer is non-empty."""
-        (ref, solo), (ref_sim, solo_sim) = run_engines(
+        fire with undrained misses behind the thread's cursor."""
+        (ref, bat), (ref_sim, bat_sim) = run_engines(
             config_M_L(atd_sampling=4, interval_cycles=2_000),
-            [make_trace(footprint=3000)], ("reference", "solo"),
+            [make_trace(footprint=3000)], ("reference", "batched"),
             budget=20_000, keep_sim=True)
-        assert_identical(ref, solo)
-        assert profiling_state(ref_sim) == profiling_state(solo_sim)
+        assert_identical(ref, bat)
+        assert profiling_state(ref_sim) == profiling_state(bat_sim)
 
     def test_freeze_on_miss(self):
         """All-distinct lines: every access misses, the budget lands on a
         miss."""
         trace = Trace("stream", np.arange(20_000) + 1_000_000,
                       ipm=4.0, cpi_base=1.0)
-        ref, solo = run_engines(config_unpartitioned("lru"), [trace],
-                                ("reference", "solo"), budget=40_000)
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"), [trace],
+                               ("reference", "batched"), budget=40_000)
+        assert_identical(ref, bat)
         assert ref.threads[0].l1_misses == ref.threads[0].l1_accesses
 
     def test_freeze_on_hit(self):
@@ -197,34 +206,32 @@ class TestSoloVsReference:
         rng = np.random.default_rng(5)
         trace = Trace("tiny", rng.integers(0, 4, size=4000),
                       ipm=4.0, cpi_base=1.0)
-        ref, solo = run_engines(config_unpartitioned("lru"), [trace],
-                                ("reference", "solo"), budget=12_000)
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"), [trace],
+                               ("reference", "batched"), budget=12_000)
+        assert_identical(ref, bat)
 
     def test_budget_wraps_trace(self):
         """Budgets beyond one trace pass exercise the wrap-around reload."""
-        ref, solo = run_engines(config_unpartitioned("lru"),
-                                [make_trace(count=2500)],
-                                ("reference", "solo"),
-                                per_thread=(24_000,))
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"),
+                               [make_trace(count=2500)],
+                               ("reference", "batched"),
+                               per_thread=(24_000,))
+        assert_identical(ref, bat)
 
     def test_non_dyadic_timing_parameters(self):
-        ref, solo = run_engines(config_unpartitioned("lru"),
-                                [make_trace(ipm=2.6, cpi=1.1)],
-                                ("reference", "solo"), budget=20_000)
-        assert_identical(ref, solo)
+        ref, bat = run_engines(config_unpartitioned("lru"),
+                               [make_trace(ipm=2.6, cpi=1.1)],
+                               ("reference", "batched"), budget=20_000)
+        assert_identical(ref, bat)
 
     def test_mid_trace_chunk_reloads(self, monkeypatch):
         """Traces longer than the prefilter window exercise per-window
         offset arithmetic and boundary/freeze edges at window seams."""
-        import repro.cmp.engine.solo as solo_mod
-
-        monkeypatch.setattr(solo_mod, "CHUNK_SIZE", 512)
-        ref, solo = run_engines(
+        monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
+        ref, bat = run_engines(
             config_C_L(atd_sampling=4, interval_cycles=20_000),
-            [make_trace()], ("reference", "solo"))
-        assert_identical(ref, solo)
+            [make_trace()], ("reference", "batched"))
+        assert_identical(ref, bat)
 
     def test_max_cycles_raises(self):
         trace = Trace("stream", np.arange(20_000) + 1_000_000,
@@ -232,16 +239,43 @@ class TestSoloVsReference:
         sim = CMPSimulator(
             processor(), config_unpartitioned("lru"), [trace],
             SimulationConfig(instructions_per_thread=40_000, seed=7,
-                             max_cycles=10_000, engine="solo"))
+                             max_cycles=10_000, engine="batched"))
         with pytest.raises(RuntimeError, match="max_cycles"):
             sim.run()
 
-    def test_solo_matches_batched(self):
-        """Transitivity check straight against the batched engine."""
-        bat, solo = run_engines(
-            config_M_N(0.75, atd_sampling=4, interval_cycles=20_000),
-            [make_trace()], ("batched", "solo"))
-        assert_identical(bat, solo)
+    def test_bandwidth_channel_partitioned(self):
+        """Queue feedback plus boundaries in one single-thread run."""
+        ref, bat = run_engines(
+            config_M_L(atd_sampling=4, interval_cycles=20_000),
+            [make_trace(footprint=5000)], ("reference", "batched"),
+            service_interval=400.0)
+        assert_identical(ref, bat)
+        assert ref.events.memory_queue_cycles > 0 < ref.events.repartitions
+
+    def test_kernelless_policy_runs_on_the_vector_path(self, monkeypatch):
+        """A policy that opts out of the flat-state kernels
+        (``kernel_kind = ""``) runs the call-form loop over the generic
+        ``access_line_hit`` — same engine, same results as the oracle.
+        (The name dates from the vector engine's window path.)"""
+        from repro.cache.replacement.base import POLICY_REGISTRY
+
+        class MRUVictim(POLICY_REGISTRY["lru"]):
+            kernel_kind = ""
+
+            def victim(self, set_index, core, mask):
+                for way in self.stack_order(set_index):
+                    if (mask >> way) & 1:
+                        return way
+                return super().victim(set_index, core, mask)
+
+        config = config_unpartitioned("lru")
+        stock = run_engines(config, [make_trace()], ("reference",))[0]
+        monkeypatch.setitem(POLICY_REGISTRY, "lru", MRUVictim)
+        (ref, bat), (_, bat_sim) = run_engines(
+            config, [make_trace()], ("reference", "batched"), keep_sim=True)
+        assert_identical(ref, bat)
+        assert rendered_key(bat_sim.hierarchy.l2) is None
+        assert ref.threads[0].l2_misses != stock.threads[0].l2_misses
 
 
 class TestDeferredDrains:
@@ -356,17 +390,17 @@ class TestEngineSelection:
         assert SimulationConfig().engine == "auto"
 
     def test_auto_resolution(self):
-        assert resolve_engine_name("auto", 1) == "vector"
-        assert resolve_engine_name("auto", 2) == "batched"
-        assert resolve_engine_name("auto", 8) == "batched"
-        for explicit in ("reference", "batched", "solo", "vector"):
+        for cores in (1, 2, 8):
+            assert resolve_engine_name("auto", cores) == "batched"
+        for explicit in ("reference", "batched"):
+            assert resolve_engine_name(explicit, 1) == explicit
             assert resolve_engine_name(explicit, 4) == explicit
 
-    def test_make_engine_auto_picks_vector_for_one_core(self):
+    def test_make_engine_auto_is_batched_for_one_core(self):
         sim = CMPSimulator(processor(), config_unpartitioned("lru"),
                            [make_trace()], SimulationConfig())
-        assert isinstance(make_engine(sim, sim.simulation.engine),
-                          VectorEngine)
+        engine = make_engine(sim, sim.simulation.engine)
+        assert type(engine) is BatchedEngine and engine.n == 1
 
     def test_make_engine_auto_picks_batched_for_multi_core(self):
         traces = [make_trace(name=f"t{i}", seed=100 + i) for i in range(2)]
@@ -376,20 +410,36 @@ class TestEngineSelection:
                           BatchedEngine)
 
     def test_solo_rejects_multi_core(self):
-        traces = [make_trace(name=f"t{i}", seed=100 + i) for i in range(2)]
-        sim = CMPSimulator(processor(2), config_unpartitioned("lru"),
-                           traces, SimulationConfig(engine="solo"))
-        with pytest.raises(ValueError, match="exactly one thread"):
-            sim.run()
+        """``solo`` is no engine name any more — multi-core or not."""
+        assert_unknown_engine("solo")
 
-    def test_isolation_runner_uses_vector(self):
+    def test_isolation_runner_uses_batched(self):
         """Campaign isolation jobs run through IsolationRunner with the
-        default config — the auto engine must resolve to vector there."""
+        default config — the auto engine resolves to batched there, and
+        on a host with ``cc`` the run binds the compiled loop."""
         runner = IsolationRunner(processor(), SimulationConfig())
         assert runner.simulation.engine == "auto"
-        assert resolve_engine_name(runner.simulation.engine, 1) == "vector"
+        assert resolve_engine_name(runner.simulation.engine, 1) == "batched"
+        before = binds(("lru", "none"))
         result = runner.thread_result(make_trace(), "lru")
         assert result.ipc > 0
+        after = binds(("lru", "none"))
+        assert after[expected_target()] == before[expected_target()] + 1
+
+
+def assert_unknown_engine(removed):
+    """The configuration refuses ``removed`` as an engine name, and so
+    does the registry for a caller that bypasses it — at one core as at
+    two."""
+    with pytest.raises(ValueError, match="engine must be one of"):
+        SimulationConfig(engine=removed)
+    for cores in (1, 2):
+        traces = [make_trace(name=f"t{i}", seed=100 + i)
+                  for i in range(cores)]
+        sim = CMPSimulator(processor(cores), config_unpartitioned("lru"),
+                           traces, SimulationConfig())
+        with pytest.raises(ValueError, match=f"unknown engine '{removed}'"):
+            make_engine(sim, removed)
 
 
 class TestIsolationFingerprintKey:

@@ -15,7 +15,6 @@ import pytest
 
 import repro.cmp.engine.batched as batched_mod
 import repro.cmp.engine.common as common
-import repro.cmp.engine.solo as solo_mod
 from repro.cache.geometry import CacheGeometry
 from repro.cache.l1 import SmallLRUCache
 from repro.cmp.engine.common import (
@@ -72,7 +71,6 @@ def run(case, engine):
 def small_windows(monkeypatch):
     """Several windows per trace pass."""
     monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
-    monkeypatch.setattr(solo_mod, "CHUNK_SIZE", 512)
 
 
 @pytest.fixture
@@ -88,8 +86,10 @@ def uncached(monkeypatch):
 
 
 class TestColdWarm:
+    # ("solo-1" is one thread on the batched engine: the recorded id.)
     @pytest.mark.parametrize("engine,num_cores", [
-        ("batched", 2), ("batched", 4), ("solo", 1)])
+        ("batched", 2), ("batched", 4),
+        pytest.param("batched", 1, id="solo-1")])
     def test_results_and_l1_state_identical(self, small_windows, uncached,
                                             engine, num_cores):
         case = make_case(num_cores)
@@ -112,7 +112,7 @@ class TestColdWarm:
         """LRU state recurs: from the second pass on only the first
         window (cold on pass one) can start in a new state."""
         case = make_case(1, budget=40_000)
-        run(case, "solo")
+        run(case, "batched")
         stats = window_cache_stats()
         windows_per_pass = -(-1500 // 512)
         assert stats["lookups"] > 3 * windows_per_pass
@@ -195,8 +195,8 @@ class TestKey:
 
 
 class TestWrites:
-    @pytest.mark.parametrize("engine,num_cores", [("batched", 2),
-                                                  ("solo", 1)])
+    @pytest.mark.parametrize("engine,num_cores", [
+        ("batched", 2), pytest.param("batched", 1, id="solo-1")])
     def test_write_traces_cold_and_warm(self, small_windows, engine,
                                         num_cores):
         case = make_case(num_cores, writes=True)

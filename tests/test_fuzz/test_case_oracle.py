@@ -63,7 +63,7 @@ class TestOracle:
     def test_clean_case_reports_no_divergence(self):
         report = run_case(small_case())
         assert not report.divergent
-        assert report.engines == ("reference", "batched", "solo", "vector")
+        assert report.engines == ("reference", "batched")
         assert all(not d for d in report.diffs.values())
         assert report.summary().startswith("ok:")
         # The reference once, every other engine cold and warm, batched

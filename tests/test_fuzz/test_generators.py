@@ -61,12 +61,12 @@ class TestValidity:
         assert seen == set(TRACE_SHAPES)
 
     def test_engine_variety(self):
-        """Both the full single-core list (all four engines, one spec
-        each) and the 2-engine multi-core path appear early in any
-        campaign."""
-        counts = {len(generate_case(7, i).applicable_engines())
-                  for i in range(20)}
-        assert counts == {2, 4}
+        """Every case cross-checks both engines, whatever its core
+        count, and single-thread and multi-core cases both appear early
+        in any campaign."""
+        cases = [generate_case(7, i) for i in range(20)]
+        assert {case.applicable_engines() for case in cases} == {ALL_ENGINES}
+        assert {1, 2} <= {case.num_cores for case in cases}
 
 
 class TestMultiCoreShapes:

@@ -4,8 +4,9 @@ reduces it to a tiny corpus-ready repro)."""
 
 import json
 
-import repro.cmp.engine.vector as vector_mod
 from repro.cli import main
+from repro.cmp.engine.batched import BatchedEngine
+from repro.cmp.engine.common import clear_window_cache
 from repro.fuzz import FuzzCase, run_case, run_fuzz
 
 
@@ -42,24 +43,30 @@ class TestCLI:
         assert "[1/2]" in out and "[2/2]" in out
 
 
-class MutatedVectorEngine:
-    """Context manager reverting the window cut's safety margin.
+class MutatedBatchedEngine:
+    """Context manager stretching the interval the batched engine reads.
 
-    ``_BOUND_SLACK`` scales the pessimistic per-miss pop-time bound the
-    vector engine compares with the next interval boundary.  Shrinking
-    it to a quarter lets a window overrun the boundary, so the
-    controller repartitions late: the bug class the margin exists for.
+    The engine fires the controller's boundaries off its own copy of
+    ``interval_cycles``.  Reading it a quarter long makes every boundary
+    fire late, so the controller repartitions late: the bug class a
+    boundary-placement slip in the event loop would cause, visible from
+    one thread up.
     """
 
     def __enter__(self):
-        self._slack = vector_mod._BOUND_SLACK
-        vector_mod._BOUND_SLACK = 0.25
-        vector_mod.clear_memos()
+        original = self._init = BatchedEngine.__init__
+
+        def late(engine, sim):
+            original(engine, sim)
+            engine.interval *= 1.25
+
+        BatchedEngine.__init__ = late
+        clear_window_cache()
         return self
 
     def __exit__(self, *exc):
-        vector_mod._BOUND_SLACK = self._slack
-        vector_mod.clear_memos()
+        BatchedEngine.__init__ = self._init
+        clear_window_cache()
         return False
 
 
@@ -73,8 +80,9 @@ class TestShrinker:
             shrink_case(case)
 
     def test_minimal_corpus_case_is_a_shrink_fixpoint(self):
-        """The checked-in 3-access window-overrun repro cannot shrink
-        further: every L1 miss is load-bearing."""
+        """The checked-in 3-access late-boundary repro (found under the
+        vector engine's window-overrun mutation, the same bug class)
+        cannot shrink further: every L1 miss is load-bearing."""
         from pathlib import Path
 
         from repro.fuzz import shrink_case
@@ -82,8 +90,8 @@ class TestShrinker:
         path = (Path(__file__).resolve().parent.parent / "corpus" /
                 "vector-window-overruns-boundary.json")
         case = FuzzCase.load(path)
-        with MutatedVectorEngine():
-            shrunk = shrink_case(case, engines=("reference", "vector"))
+        with MutatedBatchedEngine():
+            shrunk = shrink_case(case, engines=("reference", "batched"))
             assert shrunk.total_accesses() == case.total_accesses()
 
 
@@ -93,8 +101,8 @@ class TestMutationAcceptance:
     repro — all through the public CLI."""
 
     def test_injected_bug_is_caught_and_shrunk(self, tmp_path, capsys):
-        with MutatedVectorEngine():
-            rc = main(["fuzz", "--seed", "1", "--budget", "7",
+        with MutatedBatchedEngine():
+            rc = main(["fuzz", "--seed", "1", "--budget", "2",
                        "--out", str(tmp_path), "--quiet"])
         out = capsys.readouterr().out
         assert rc == 1, out
@@ -107,10 +115,10 @@ class TestMutationAcceptance:
         # Shrunk to something a human can read end to end.
         assert case.total_accesses() <= 32
         assert case.num_cores == 1
-        assert "diverged: vector" in case.note
+        assert "diverged: batched" in case.note
 
         # The repro still fails under the mutation...
-        with MutatedVectorEngine():
+        with MutatedBatchedEngine():
             assert run_case(case).divergent
         # ...and replays clean on the fixed engine, i.e. it is exactly
         # what a corpus regression case should be.

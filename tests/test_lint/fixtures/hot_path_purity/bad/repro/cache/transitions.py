@@ -1,7 +1,7 @@
 """Fixture: a transition spec with an attribute chase in a policy fragment
 (so it lands in every rendering), a per-event allocation plus a global
 lookup in the call-form access block of the event loop, and a scheme
-whose mask fragment stores to the window skeleton's position counter."""
+whose mask fragment stores to the event loop's horizon."""
 
 POLICIES = {
     "flat": {
@@ -20,8 +20,8 @@ POLICIES = {
 SCHEMES = {
     "none": {"bind": "", "mask": "mask = full_mask", "domain": "",
              "on_fill": ""},
-    "clobber": {"bind": "", "mask": "k = mask = full_mask", "domain": "",
-                "on_fill": ""},
+    "clobber": {"bind": "", "mask": "horizon = mask = full_mask",
+                "domain": "", "on_fill": ""},
 }
 
 TEMPLATES = {
@@ -67,24 +67,6 @@ def build(cache):
         return False
 
     return access_line_hit
-""",
-    "window": """\
-def build(cache, core=0):
-    $bind_cache
-
-    def run_window(lines, flags):
-        k = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                $promote
-                flags[k] = 1
-            else:
-                $miss
-            k += 1
-
-    return run_window
 """,
     "observe": """\
 def build(atd):
@@ -142,7 +124,6 @@ clock = now + (1.0 if l2_access_hit(line, t) else 9.0)""",
 
 PRIVATE_LOCALS = {
     "hit": (),
-    "window": ("k",),
     "observe": (),
     "loop": ("t", "now", "clock", "horizon"),
 }

@@ -65,24 +65,6 @@ def build(cache):
 
     return access_line_hit
 """,
-    "window": """\
-def build(cache, core=0):
-    $bind_cache
-
-    def run_window(lines, flags):
-        k = 0
-        for line in lines:
-            way = tag_get(line)
-            s = line & set_mask
-            if way is not None:
-                $promote
-                flags[k] = 1
-            else:
-                $miss
-            k += 1
-
-    return run_window
-""",
     "observe": """\
 def build(atd):
     policy = atd.policy
@@ -136,7 +118,6 @@ else:
 
 PRIVATE_LOCALS = {
     "hit": (),
-    "window": ("k",),
     "observe": (),
     "loop": ("t", "now", "clock", "horizon"),
 }

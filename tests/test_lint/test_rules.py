@@ -47,8 +47,10 @@ class TestHotPathPurity:
         assert any("lookup of 'ceil'" in m for m in per_access)
 
     def test_covers_window_run_kernels(self, lint_fixture):
-        """``_*_set_run_kernel`` factories are held to the same purity bar:
-        their whole-window closures may only touch factory-bound locals."""
+        """Any ``_*_kernel`` factory of the state module is held to the
+        same purity bar (the fixture's is a whole-window closure, a shape
+        the shipped tree no longer has): its closure may only touch
+        factory-bound locals."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "run_window" in m.message]
@@ -76,16 +78,16 @@ class TestHotPathPurity:
         assert "attribute load ._skip_mask" in messages[0]
 
     def test_flags_fragment_storing_to_a_skeleton_local(self, lint_fixture):
-        """A scheme fragment assigning the window skeleton's position
-        counter would scatter hit flags to the wrong slots without any
-        error; the rendering that declares the local private is refused,
-        the renderings that do not are still checked."""
+        """A scheme fragment assigning the event loop's horizon would
+        move every boundary without any error; the rendering that
+        declares the local private is refused, the renderings that do
+        not are still checked."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "does not render" in m.message]
         assert len(messages) == 1
-        assert "<repro kernel flat/clobber window>" in messages[0]
-        assert "scheme 'mask' -> k" in messages[0]
+        assert "<repro kernel flat/clobber loop>" in messages[0]
+        assert "scheme 'mask' -> horizon" in messages[0]
 
     def test_covers_batched_event_loop(self, lint_fixture):
         """The event loop of ``BatchedEngine.run`` is a rendering of the
@@ -107,21 +109,19 @@ class TestHotPathPurity:
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "no C target" in m.message]
-        assert len(messages) == 2           # one per scheme of the tree
+        assert len(messages) == 1           # flat/clobber does not render
         assert any("<repro kernel flat/none loop>" in m for m in messages)
         assert all("attribute access ._used" in m for m in messages)
 
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
         """A fragment with an attribute chase is flagged in the hit
-        kernel, the window kernel, the observe kernel and the fused loop
-        it is rendered into — once per rendering kind, not once per
-        (policy, scheme)."""
+        kernel, the observe kernel and the fused loop it is rendered
+        into — once per rendering kind, not once per (policy, scheme)."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "attribute load ._used" in m.message]
-        assert len(messages) == 4
-        for closure in ("access_line_hit", "run_window", "observe_many",
-                        "loop"):
+        assert len(messages) == 3
+        for closure in ("access_line_hit", "observe_many", "loop"):
             assert any(f"build.{closure}" in m for m in messages)
         assert all("`cache.policy._used[s] |= 1 << way`" in m
                    for m in messages)

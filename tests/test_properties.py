@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from loop_window import loop_window
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.allocation import WayAllocation
@@ -24,7 +25,7 @@ from repro.cache.partition.masks import MasksPartition
 from repro.cache.replacement.base import make_policy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.state import build_set_run_kernel
+from repro.cache.state import rendered_key
 from repro.profiling.sdh import SDH
 
 line_streams = st.lists(st.integers(0, 23), min_size=1, max_size=300)
@@ -230,12 +231,12 @@ class TestLRUOrderLists:
     @settings(max_examples=40, deadline=None)
     def test_kernel_bound_before_a_flush_drives_the_same_lists(self, prefix,
                                                                stream):
-        """``flush()`` empties the lists in place: a rendered window
-        kernel bound before it replays the next stream exactly as a fresh
+        """``flush()`` empties the lists in place: a fused event loop
+        bound before it replays the next stream exactly as a fresh
         cache's does, and leaves its result in the policy's own lists."""
         flushed = SetAssociativeCache(geometry(4, 4), "lru")
-        kernel = build_set_run_kernel(flushed)
-        assert kernel.__code__.co_filename == "<repro kernel lru/none window>"
+        assert rendered_key(flushed) == ("lru", "none")
+        kernel = loop_window(flushed)
         orders = flushed.policy._order
         kernel(prefix, bytearray(len(prefix)))
         flushed.flush()
@@ -244,7 +245,7 @@ class TestLRUOrderLists:
         kernel(stream, flags_flushed)
         fresh = SetAssociativeCache(geometry(4, 4), "lru")
         flags_fresh = bytearray(len(stream))
-        build_set_run_kernel(fresh)(stream, flags_fresh)
+        loop_window(fresh)(stream, flags_fresh)
         assert flags_flushed == flags_fresh
         assert orders == fresh.policy._order
         assert list(flushed.state.lines) == list(fresh.state.lines)
@@ -271,9 +272,9 @@ class TestMetamorphicReplay:
 
     These are the fuzz harness's invariants stated as properties: the
     same reference stream must leave the same cache regardless of how it
-    is *delivered* (one bulk call vs chunks, a fresh cache vs a flushed
-    one), and a trace's identity must follow its content, never its
-    name.
+    is *delivered* (one run of the event loop vs several, a fresh cache
+    vs a flushed one), and a trace's identity must follow its content,
+    never its name.
     """
 
     policies = st.sampled_from(["lru", "fifo", "nru", "bt"])
@@ -283,18 +284,26 @@ class TestMetamorphicReplay:
         return SetAssociativeCache(geometry(4, 4), policy,
                                    rng=np.random.default_rng(5))
 
+    @staticmethod
+    def _replay(cache, lines):
+        """Hit flags of ``lines`` as one thread's stream through the
+        event loop (fused for lru / nru / bt, call form for fifo)."""
+        flags = bytearray(len(lines))
+        loop_window(cache)(lines, flags)
+        return list(flags)
+
     @given(line_streams, st.integers(0, 300), policies)
     @settings(max_examples=40, deadline=None)
     def test_chunked_replay_equals_concatenation(self, stream, cut, policy):
-        """Bulk replay of A+B == bulk replay of A then bulk replay of B."""
+        """One loop run over A+B == a run over A then a run over B (what
+        a window seam, or a boundary's return to Python, is)."""
         cut = cut % (len(stream) + 1)
-        lines = np.asarray(stream, dtype=np.int64)
         whole = self._cache(policy)
-        flags_whole = whole.access_lines(lines)
+        flags_whole = self._replay(whole, stream)
         chunked = self._cache(policy)
-        flags_a = chunked.access_lines(lines[:cut])
-        flags_b = chunked.access_lines(lines[cut:])
-        assert list(flags_whole) == list(flags_a) + list(flags_b)
+        flags_a = self._replay(chunked, stream[:cut])
+        flags_b = self._replay(chunked, stream[cut:])
+        assert flags_whole == flags_a + flags_b
         assert list(whole.state.lines) == list(chunked.state.lines)
         assert whole.stats.accesses == chunked.stats.accesses
         assert whole.stats.misses == chunked.stats.misses
@@ -305,14 +314,13 @@ class TestMetamorphicReplay:
                                                   policy):
         """flush() erases all history: the next stream replays as if the
         cache were newly built (tag store, replacement state, victims)."""
-        lines = np.asarray(stream, dtype=np.int64)
         flushed = self._cache(policy)
-        flushed.access_lines(np.asarray(prefix, dtype=np.int64))
+        self._replay(flushed, prefix)
         flushed.flush()
-        flags_flushed = flushed.access_lines(lines)
+        flags_flushed = self._replay(flushed, stream)
         fresh = self._cache(policy)
-        flags_fresh = fresh.access_lines(lines)
-        assert list(flags_flushed) == list(flags_fresh)
+        flags_fresh = self._replay(fresh, stream)
+        assert flags_flushed == flags_fresh
         assert list(flushed.state.lines) == list(fresh.state.lines)
         assert list(flushed.state.invalid) == list(fresh.state.invalid)
 
@@ -335,12 +343,13 @@ class TestMetamorphicReplay:
         assert retimed.fingerprint() != a.fingerprint()
 
     def test_engine_chunk_size_is_unobservable(self):
-        """The vector engine's chunked trace walk is a delivery detail:
+        """A single-thread run's chunked trace walk is a delivery detail:
         shrinking CHUNK_SIZE (forcing many wrap/reload seams) must not
         change a single result field."""
         import dataclasses
 
-        import repro.cmp.engine.vector as vector_mod
+        import repro.cmp.engine.batched as batched_mod
+        from repro.cmp.engine.common import clear_window_cache
         from repro.cmp.simulator import CMPSimulator
         from repro.config import (ProcessorConfig, SimulationConfig,
                                   config_unpartitioned)
@@ -359,19 +368,18 @@ class TestMetamorphicReplay:
         def run():
             sim = CMPSimulator(processor, config_unpartitioned("lru"),
                                [trace],
-                               SimulationConfig(engine="vector",
-                                                instructions_per_thread=30_000))
+                               SimulationConfig(instructions_per_thread=30_000))
             return sim.run()
 
         baseline = run()
-        default_chunk = vector_mod.CHUNK_SIZE
+        default_chunk = batched_mod.CHUNK_SIZE
         try:
-            vector_mod.CHUNK_SIZE = 512
-            vector_mod.clear_memos()
+            batched_mod.CHUNK_SIZE = 512
+            clear_window_cache()
             chunked = run()
         finally:
-            vector_mod.CHUNK_SIZE = default_chunk
-            vector_mod.clear_memos()
+            batched_mod.CHUNK_SIZE = default_chunk
+            clear_window_cache()
         assert dataclasses.asdict(baseline.threads[0]) == \
             dataclasses.asdict(chunked.threads[0])
         assert dataclasses.asdict(baseline.events) == \

@@ -1,18 +1,18 @@
 """Unit tests for tools/kernel_traffic.py (counting wrappers + verdict).
 
-``measure`` patches engine classes for the life of the process, so it is
-exercised by CI's ``campaign-smoke`` job, not here.
+``measure`` patches ``BatchedEngine`` for the life of the process, so it
+is exercised by CI's ``campaign-smoke`` job, not here.
 """
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.cache import transitions
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
-from repro.cache.state import build_set_run_kernel
 
 _SPEC = importlib.util.spec_from_file_location(
     "kernel_traffic",
@@ -26,15 +26,13 @@ def clean_result():
     """The shape ``measure`` returns, with every count healthy."""
     return {
         "scale": "micro",
-        "builds": {"hit": {"lru/none": 3}, "window": {"lru/none": 2},
-                   "observe": {"lru/none": 1}, "loop": {"lru/none": 1},
-                   "derived": 1},
+        "builds": {"hit": {"lru/none": 3}, "observe": {"lru/none": 1},
+                   "loop": {"lru/none": 3}},
         "fragments": {
-            "policy": {"lru": {"hit": 3, "window": 2, "observe": 1,
-                               "loop": 1}},
-            "scheme": {"none": {"hit": 3, "loop": 1}},
+            "policy": {"lru": {"hit": 3, "observe": 1, "loop": 3}},
+            "scheme": {"none": {"hit": 3, "loop": 3}},
         },
-        "runs": {"vector": 3, "solo": 0, "batched": 1},
+        "runs": {"1": 2, "2": 1},
         "cc": "/usr/bin/cc",
         "targets": {"lru/none": {"target": "c", "cache": "hit",
                                  "build_s": 0.001,
@@ -48,19 +46,10 @@ class TestProblems:
 
     def test_fragment_with_zero_builds_is_named(self):
         result = clean_result()
-        result["fragments"]["policy"]["lru"]["window"] = 0
-        result["builds"]["window"] = {}
-        result["builds"]["derived"] = 3
+        result["fragments"]["policy"]["lru"]["observe"] = 0
+        result["builds"]["observe"] = {}
         (message,) = kernel_traffic.problems(result)
-        assert "policy:lru:window" in message
-
-    def test_vector_runs_must_equal_window_plus_derived_builds(self):
-        result = clean_result()
-        result["runs"]["vector"] = 4
-        (message,) = kernel_traffic.problems(result)
-        assert message.startswith("4 vector runs but 2 rendered-window "
-                                  "+ 1 derived-loop builds")
-
+        assert "policy:lru:observe" in message
 
     def test_python_target_beside_a_compiler_is_a_problem(self):
         result = clean_result()
@@ -81,11 +70,10 @@ class TestProblems:
         assert kernel_traffic.problems(result) == []
 
 
-def test_wrappers_count_rendered_and_derived_windows():
+def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
     geometry = CacheGeometry(8 * 4 * 128, 4, 128)
     builds = {rendering: {} for rendering in
               kernel_traffic.RENDERINGS["policy"]}
-    builds["derived"] = 0
     fragments = {
         "policy": {name: dict.fromkeys(kernel_traffic.RENDERINGS["policy"], 0)
                    for name in transitions.POLICIES},
@@ -93,17 +81,19 @@ def test_wrappers_count_rendered_and_derived_windows():
                    for name in transitions.SCHEMES},
     }
     bind = kernel_traffic._counting_bind(transitions.bind, builds, fragments)
-    build = kernel_traffic._counting_derived(build_set_run_kernel, builds)
-    stock = SetAssociativeCache(geometry, "nru")
-    generic = SetAssociativeCache(geometry, "fifo",
-                                  rng=np.random.default_rng(0))
     original, transitions.bind = transitions.bind, bind
     try:
-        flags = bytearray(2)
-        build(stock)([1, 1], flags)
-        build(generic)([1, 1], bytearray(2))
+        stock = SetAssociativeCache(geometry, "nru")
+        SetAssociativeCache(geometry, "fifo", rng=np.random.default_rng(0))
+        transitions.bind("loop", ("nru", "none"), stock, None)
+        transitions.bind("loop", None, stock, None)
     finally:
         transitions.bind = original
-    assert bytes(flags) == b"\x00\x01"
-    assert builds["window"] == {"nru/none": 1} and builds["derived"] == 1
-    assert fragments["policy"]["nru"]["window"] == 1
+    assert builds == {"hit": {"nru/none": 1}, "observe": {},
+                      "loop": {"nru/none": 1, "call": 1}}
+    assert fragments["policy"]["nru"] == {"hit": 1, "observe": 0, "loop": 1}
+    assert fragments["scheme"]["none"] == {"hit": 1, "loop": 1}
+
+    runs = {}
+    counted = kernel_traffic._counting_run(lambda engine: "result", runs)
+    assert counted(SimpleNamespace(n=1)) == "result" and runs == {"1": 1}

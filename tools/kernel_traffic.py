@@ -2,31 +2,25 @@
 """Kernel traffic audit: which spec fragments does a report render?
 
 Wraps ``repro.cache.transitions.bind`` — the one entry point every
-rendered kernel is built through — and the vector engine's
-``build_set_run_kernel`` from outside ``src/``, runs one cold serial
-``repro report run --scale SCALE`` into a temporary store and prints, as
-JSON, how many kernels each ``(policy, scheme)`` key built per rendering
-(``hit`` / ``window`` / ``observe`` / ``loop``; ``call`` is the
-call-form loop), the same counts per *policy fragment* and per *scheme
-fragment*, how many vector-engine window kernels were the *derived* loop
-over ``access_line_hit`` rather than a rendering, and how many times
-each fast engine's ``run`` was entered (a vector run that delegates to
-solo counts under both).
+rendered kernel is built through — from outside ``src/``, runs one cold
+serial ``repro report run --scale SCALE`` into a temporary store and
+prints, as JSON, how many kernels each ``(policy, scheme)`` key built per
+rendering (``hit`` / ``observe`` / ``loop``; ``call`` is the call-form
+loop), the same counts per *policy fragment* and per *scheme fragment*,
+and how many times ``BatchedEngine.run`` was entered per thread count
+(``"1"`` is the isolation jobs and the one-core figure points).
 
 A registered fragment that renders nothing over a whole report is dead
 weight — that is how the four non-paper hit kernels and the FIFO array
 path were found — so the exit status is 1 when a policy of
 ``transitions.POLICIES`` has zero builds in any rendering or a scheme of
-``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds.  It is also
-1 when the vector runs differ from the rendered-window builds plus the
-derived-loop builds: every vector run replays its windows through
-exactly one window kernel (a run that delegates to solo builds none —
-no shipped job does).  ``targets`` is ``transitions.target_stats()``: per
-stock ``loop`` key the target its runs got (``c`` or ``python``), whether
-the object came from the cache or was built, and why it fell back; with
-``cc`` on ``PATH`` a stock loop on the Python target is a failed or
-disabled build, and the exit status is 1.  CI runs this at ``micro`` in
-the ``campaign-smoke`` job.
+``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds.
+``targets`` is ``transitions.target_stats()``: per stock ``loop`` key —
+the ``*/none`` keys the single-thread runs bind included — the target
+its runs got (``c`` or ``python``), whether the object came from the
+cache or was built, and why it fell back; with ``cc`` on ``PATH`` a stock
+loop on the Python target is a failed or disabled build, and the exit
+status is 1.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -48,23 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import cli  # noqa: E402
 from repro.cache import transitions  # noqa: E402
-from repro.cmp.engine import BatchedEngine, SoloEngine, VectorEngine  # noqa: E402
-from repro.cmp.engine import vector  # noqa: E402
+from repro.cmp.engine import BatchedEngine  # noqa: E402
 
-ENGINES = (VectorEngine, SoloEngine, BatchedEngine)
 #: Renderings a fragment of each table must reach.
-RENDERINGS = {"policy": ("hit", "window", "observe", "loop"),
+RENDERINGS = {"policy": ("hit", "observe", "loop"),
               "scheme": ("hit", "loop")}
-
-
-def _counting_derived(build, builds):
-    def counted(cache, core=0):
-        kernel = build(cache, core)
-        if kernel.__module__ == build.__module__:
-            builds["derived"] += 1
-        return kernel
-
-    return counted
 
 
 def _counting_bind(bind, builds, fragments):
@@ -82,20 +64,20 @@ def _counting_bind(bind, builds, fragments):
     return counted
 
 
-def _counting_run(run, counts, name):
+def _counting_run(run, counts):
     def counted(self):
-        counts[name] += 1
+        threads = str(self.n)
+        counts[threads] = counts.get(threads, 0) + 1
         return run(self)
 
     return counted
 
 
 def measure(scale: str) -> dict:
-    """Builds per rendering per key and per fragment, derived window
-    loops, and runs per engine, over one cold serial report run."""
-    runs = dict.fromkeys((engine.name for engine in ENGINES), 0)
-    for engine in ENGINES:
-        engine.run = _counting_run(engine.run, runs, engine.name)
+    """Builds per rendering per key and per fragment, and batched runs
+    per thread count, over one cold serial report run."""
+    runs = {}
+    BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
     builds = {rendering: {} for rendering in RENDERINGS["policy"]}
     fragments = {
         "policy": {name: dict.fromkeys(RENDERINGS["policy"], 0)
@@ -104,9 +86,6 @@ def measure(scale: str) -> dict:
                    for name in transitions.SCHEMES},
     }
     transitions.bind = _counting_bind(transitions.bind, builds, fragments)
-    builds["derived"] = 0
-    vector.build_set_run_kernel = _counting_derived(
-        vector.build_set_run_kernel, builds)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kernel-traffic-") as store:
         with contextlib.redirect_stdout(sys.stderr):
@@ -134,12 +113,6 @@ def problems(result: dict) -> list:
     if unused:
         found.append(f"registered fragments with zero builds at "
                      f"{result['scale']}: {', '.join(unused)}")
-    windows = sum(result["builds"]["window"].values())
-    derived = result["builds"]["derived"]
-    if windows + derived != result["runs"]["vector"]:
-        found.append(f"{result['runs']['vector']} vector runs but {windows} "
-                     f"rendered-window + {derived} derived-loop builds at "
-                     f"{result['scale']}")
     interpreted = [f"{label} ({entry.get('reason', 'no reason recorded')})"
                    for label, entry in result["targets"].items()
                    if entry["target"] != "c"]
