@@ -18,7 +18,9 @@ persistent process pool, remote loopback) and carries no floor.
 end-to-end reference vs batched engine wall-clock on the 4-core mix of
 ``bench_engine.py`` and the **six configs, one mix** composite
 (``bench_engine.run_six_configs``) with its window-cache lookups and
-hits.  (Single-thread runs are the same engine and the same loop at a
+hits, and one ATD drain of 2 K sampled lines per paper policy through
+both targets of the ``observe`` rendering (:func:`drain_rates`).
+(Single-thread runs are the same engine and the same loop at a
 heap of one; their end-to-end number is ``benchmarks/e2e``'s
 ``isolation_paper`` workload, not a row here.)
 
@@ -77,10 +79,15 @@ DEFAULT_FLOOR_KEYS = (
 #: 75 % of the window-cache lookups must hit (measured 90 %; a key that
 #: starts to include anything per-job leaves only the within-run
 #: recurrences, ~42 %), so a change that silently stops sharing windows
-#: across configurations fails here instead of passing unnoticed.
+#: across configurations fails here instead of passing unnoticed.  The
+#: third is the drains' canary: over the three paper policies a compiled
+#: drain of 2 K lines — state copied in and out included — must run at
+#: 5x the Python rendering or better (measured ~8x; a host without ``cc``
+#: drains in Python and fails here, it is never skipped).
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "engine_batched/.engine_reference:5.0",
     "six_configs_window_hits/.six_configs_window_lookups:0.75",
+    "drain_compiled/.drain_python:5.0",
 )
 
 
@@ -192,6 +199,51 @@ def record_core(repeats: int) -> dict:
             "rates": {k: round(v, 1) for k, v in rates.items()}}
 
 
+def drain_rates(repeats: int, batch_lines: int = 2048) -> dict:
+    """Lines/sec of one ATD drain per paper policy on each target of the
+    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel
+    ``BatchedEngine.run`` binds for its drains (per-call state copy
+    included), ``drain_python_<p>`` the rendering the ATD keeps for
+    itself — and both composites over the three policies.  The ATD is
+    ``small``'s: a 128-set 16-way L2 sampled 1 in 8."""
+    from repro.cache import transitions
+    from repro.cache.geometry import CacheGeometry
+    from repro.profiling.atd import ATD
+    from repro.profiling.profilers import make_profiler
+
+    geometry = CacheGeometry(128 * 16 * 128, 16, 128)
+    batch = np.random.default_rng(7).integers(
+        0, 3000, size=batch_lines).astype(np.int64) * 8
+    rates = {}
+    for policy in ("lru", "nru", "bt"):
+        def setup(policy=policy):
+            atd = ATD(geometry, 8, policy, make_profiler(policy, 0.75))
+            compiled = transitions.bind("observe", (policy, "none"), atd)
+            warm = batch if hasattr(compiled, "ints") else batch.tolist()
+            compiled(warm)                  # directory past its cold fill
+            return atd.observe_many, compiled, warm
+
+        def op_compiled(state):
+            _python, compiled, lines = state
+            for _ in range(20):
+                compiled(lines)
+
+        def op_python(state):
+            python, _compiled, _lines = state
+            lines = batch.tolist()
+            for _ in range(20):
+                python(lines)
+
+        n = 20 * batch_lines
+        rates[f"drain_compiled_{policy}"] = _rate(setup, op_compiled, n,
+                                                  repeats)
+        rates[f"drain_python_{policy}"] = _rate(setup, op_python, n, repeats)
+    for target in ("compiled", "python"):
+        rates[f"drain_{target}"] = 3.0 / sum(
+            1.0 / rates[f"drain_{target}_{p}"] for p in ("lru", "nru", "bt"))
+    return {key: round(value, 1) for key, value in rates.items()}
+
+
 def record_engine(accesses: int, repeats: int) -> dict:
     from bench_engine import run_once, run_six_configs
 
@@ -212,6 +264,7 @@ def record_engine(accesses: int, repeats: int) -> dict:
     rates["engine_six_configs"] = round(six_refs / six_seconds, 1)
     rates["six_configs_window_lookups"] = cache["lookups"]
     rates["six_configs_window_hits"] = cache["hits"]
+    rates.update(drain_rates(repeats))
     return {
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,

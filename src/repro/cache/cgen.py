@@ -10,7 +10,9 @@ factory binds (:data:`repro.cache.transitions.C_KINDS`), nothing else.
 
 The subset.  Integer and float locals (a name's type is the type of its
 first assignment and never changes), ``if`` / ``elif`` / ``else``,
-``while``, ``break``, plain and augmented assignment, ``del``, integer
+``while``, ``break``, ``continue``, ``for NAME in <column>`` (exactly
+that: no ``else``, no nesting, no store to ``NAME`` in the body), plain
+and augmented assignment, ``del``, integer
 arithmetic and bit operations, comparisons, ``and`` / ``or`` / ``not``,
 the conditional expression, indexing of bound arrays, and the attribute
 calls :data:`PURE_ATTRS` admits: ``bit_length`` / ``bit_count`` on
@@ -31,13 +33,17 @@ per name:
     per-set bounded lists, ``CAP`` (a bound ``int`` name) slots each.
 ``rows``
     per-thread table of ``int64`` columns (``lines[t][j]``).
+``column``
+    one ``int64`` column and its length: the only thing a ``for`` may
+    iterate.
 ``heap`` / ``pushpop``
     ``now, t = pushpop(heap, (clock, t))`` becomes a store and an
     arg-min over the per-thread clocks: the same total ``(clock,
     thread)`` order as the tuple heap.
-``tags:LINES,ASSOC`` / ``probe:LINES,MASK,ASSOC``
-    the tag dict and its ``get``: a lookup is a probe of the line's set
-    in ``LINES``, ``None`` is ``-1``, and stores to / deletions from the
+``tags:LINES,ASSOC`` / ``probe:LINES,SET,ASSOC``
+    the tag dict and its ``get``: a lookup is a probe of set ``SET`` (the
+    integer local or binding that holds the line's set index by then) in
+    ``LINES``, ``None`` is ``-1``, and stores to / deletions from the
     dict are dropped (``LINES`` is the truth; the dict — every
     non-negative entry of ``LINES`` mapped to its index modulo ``ASSOC``
     — is rebuilt from it after the run).
@@ -134,8 +140,9 @@ class Kernel(NamedTuple):
     source: str
     #: ``(name, C type, kind)`` of every member of ``Args``, in order.
     #: Kinds are those of the module docstring plus ``error`` (the word a
-    #: failed call-out sets), ``length`` (the member after a ``lists:`` or
-    #: ``heap`` one) and ``ret`` (the returned tuple, ``ret0`` ...).
+    #: failed call-out sets), ``length`` (the member after a ``lists:``,
+    #: ``heap`` or ``column`` one) and ``ret`` (the returned tuple,
+    #: ``ret0`` ...).
     members: Tuple[Tuple[str, str, str], ...]
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
@@ -183,6 +190,7 @@ class _Translator:
         self.params: Tuple[str, ...] = ()
         self.returns: List[str] = []
         self.lines: List[str] = []
+        self.in_for = False
 
     # ------------------------------------------------------------------
     def refuse(self, node, why: str):
@@ -380,12 +388,15 @@ class _Translator:
             self.refuse(node, "call of a computed callable")
         kind = self.kind(func)
         if kind.startswith("probe:"):
-            lines, mask, assoc = (self.ref(n) for n in
-                                  kind[6:].split(","))
+            lines, index, assoc = kind[6:].split(",")
+            if self.locals.get(index, self.kinds.get(index)) != "int":
+                self.refuse(node, f"{func.id} before its set index "
+                                  f"{index!r} is an integer")
+            index = index if index in self.locals else self.ref(index)
+            lines, assoc = self.ref(lines), self.ref(assoc)
             (arg,) = node.args
-            line = self.int_expr(arg)
-            return (f"probe({lines} + ({line} & {mask}) * {assoc}, {assoc}, "
-                    f"{line})"), "opt"
+            return (f"probe({lines} + {index} * {assoc}, {assoc}, "
+                    f"{self.int_expr(arg)})"), "opt"
         if kind.startswith("callout:"):
             ret, params = callout_signature(kind)
             if len(params) != len(node.args):
@@ -629,8 +640,41 @@ class _Translator:
         self.optional |= before
         self.emit(depth, "}")
 
+    def stmt_For(self, node, depth):
+        """``for NAME in <column>:`` — an index walk over the column."""
+        target, column = node.target, node.iter
+        if (not isinstance(column, ast.Name) or column.id in self.locals
+                or self.kinds.get(column.id) != "column"):
+            self.refuse(node, "for over anything but a column binding")
+        if node.orelse:
+            self.refuse(node, "for/else")
+        if self.in_for:
+            self.refuse(node, "nested for")
+        if not isinstance(target, ast.Name):
+            self.refuse(node, "for target other than a plain name")
+        if any(isinstance(sub, ast.Name) and sub.id == target.id
+               and isinstance(sub.ctx, ast.Store)
+               for stmt in node.body for sub in ast.walk(stmt)):
+            self.refuse(node, f"store to the loop variable {target.id!r}")
+        self.kind(column)
+        self.declare(node, target.id, "int")
+        self.optional.discard(target.id)
+        items, index = column.id, f"{column.id}_i"
+        self.emit(depth, f"for (i64 {index} = 0; {index} < {items}_n; "
+                         f"{index}++) {{")
+        self.emit(depth + 1, f"{target.id} = {items}[{index}];")
+        before = set(self.optional)
+        self.in_for = True
+        self.block(node.body, depth + 1)
+        self.in_for = False
+        self.optional |= before
+        self.emit(depth, "}")
+
     def stmt_Break(self, node, depth):
         self.emit(depth, "break;")
+
+    def stmt_Continue(self, node, depth):
+        self.emit(depth, "continue;")
 
     def stmt_Pass(self, node, depth):
         pass
@@ -690,6 +734,11 @@ class _Translator:
             elif kind == "rows":
                 members.append((name, "i64 **", kind))
                 prologue.append(f"i64 *const *const {name} = a->{name};")
+            elif kind == "column":
+                members += [(name, "i64 *", kind),
+                            (f"{name}_n", "i64", "length")]
+                prologue += [f"const i64 *const {name} = a->{name};",
+                             f"const i64 {name}_n = a->{name}_n;"]
             elif kind == "heap":
                 members += [(name, "double *", kind),
                             (f"{name}_n", "i64", "length")]

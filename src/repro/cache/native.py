@@ -1,13 +1,15 @@
-"""The compiled target of the ``loop`` rendering: build, cache, load, run.
+"""The compiled target of the ``loop`` and ``observe`` renderings: build,
+cache, load, run.
 
-:func:`load` turns the C translation of one stock ``(policy, scheme)``
-event loop (:func:`repro.cache.transitions.translate`) into a loaded
-shared object — compiled with the host's ``cc`` on first use, kept in a
-private per-user cache directory under a name that is the SHA-256 of
-source + compiler version + flags (plus a digest of the object itself) —
-and :class:`CompiledLoop` is that
-object behind the Python loop's exact call signature.  Everything here
-is stdlib ``ctypes`` and one ``cc`` subprocess; nothing is downloaded.
+:func:`load` turns the C translation of one stock kernel — the event loop
+of a ``(policy, scheme)`` pair, the ATD drain of a policy
+(:func:`repro.cache.transitions.translate`) — into a loaded shared object,
+compiled with the host's ``cc`` on first use and kept in a private
+per-user cache directory under a name that is the SHA-256 of source +
+compiler version + flags (plus a digest of the object itself);
+:class:`CompiledKernel` is that object behind the Python kernel's exact
+call signature.  Everything here is stdlib ``ctypes`` and one ``cc``
+subprocess; nothing is downloaded.
 
 Trust.  The process only ever ``dlopen``\\ s bytes it (or an earlier run
 of the same user) compiled: the cache directory is created ``0700`` and
@@ -19,18 +21,26 @@ removed and rebuilt); objects are written under a temporary name and
 ``os.replace``\\ d, so two processes racing through a cold cache (the
 normal case under a process pool) each install a complete file.
 
-State during a run.  The L2's tag / policy / scheme arrays are copied
-into C-typed buffers at entry and back — in place, into the very lists
-and dict the Python kernels hold — at exit, also when the run raises.
+State during a call.  There is no resident C state: the owner's tag /
+policy / scheme arrays (an L2's for ``loop``, an ATD's with its SDH
+registers and counters for ``observe``) are copied into C-typed buffers
+at entry and back — in place, into the very lists and dict the Python
+kernels hold — at exit, also when the call raises.  Between two calls the
+truth is always those lists, so whatever mutates them in place
+(``SDH.halve``, ``ATD.reset``, a repartition) is seen by the next call.
+That copy is per *call*: a run of the event loop pays it once, a drain
+once per batch of lines (~0.1 ms), and a kernel called per access would
+pay it per access — which is why :func:`repro.cache.transitions.bind`
+never hands a compiled ``observe`` to an ATD's own single-access path.
 Per-thread cursors are ``ctypes`` arrays the engine shell shares with
-the loop (:meth:`CompiledLoop.ints` / :meth:`~CompiledLoop.floats`);
-the miss-stream columns are handed over by pointer.  The loop returns to
-Python through call-outs (``beyond``, ``freeze``, ``resume``): around
-each, the small arrays both sides touch (per-core statistics, masks,
-quotas, BT force words) are published to the Python lists before and
-re-read after, and a changed miss-stream column is re-pointed.  An
-exception raised inside a call-out stops the C loop at that statement
-and is re-raised from :meth:`CompiledLoop.__call__`.
+the loop (:meth:`CompiledKernel.ints` / :meth:`~CompiledKernel.floats`);
+the miss-stream columns and a drain's batch are handed over by pointer.
+The loop returns to Python through call-outs (``beyond``, ``freeze``,
+``resume``): around each, the small arrays both sides touch (per-core
+statistics, masks, quotas, BT force words) are published to the Python
+lists before and re-read after, and a changed miss-stream column is
+re-pointed.  An exception raised inside a call-out stops the C loop at
+that statement and is re-raised from :meth:`CompiledKernel.__call__`.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
 ``None`` with the reason and the caller runs the Python target, silently
@@ -54,7 +64,6 @@ import tempfile
 import time
 import warnings
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -62,7 +71,7 @@ import numpy as np
 
 from repro.cache import cgen, transitions
 
-__all__ = ["CompiledLoop", "FLAGS", "cache_dir", "compiler", "load",
+__all__ = ["CompiledKernel", "FLAGS", "cache_dir", "compiler", "load",
            "object_name"]
 
 #: Build flags.  No fast-math flag and no contraction: every double
@@ -189,7 +198,7 @@ def _open(path: Path) -> Optional[ctypes.CDLL]:
 
 
 # ----------------------------------------------------------------------
-# One loaded kernel per key
+# One loaded kernel per rendering and key
 # ----------------------------------------------------------------------
 class Loaded(NamedTuple):
     """A kernel ready to run."""
@@ -198,7 +207,7 @@ class Loaded(NamedTuple):
     run: Callable                       # i64 run(Args *)
     args: type                          # the ctypes mirror of Args
     callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
-    bindings: Callable                  # build(cache, channel) -> {name: obj}
+    bindings: Callable                  # build(owner, ...) -> {name: obj}
 
 
 def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
@@ -216,13 +225,13 @@ def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
     return type("Args", (ctypes.Structure,), {"_fields_": fields}), callouts
 
 
-def _bindings(key, kernel) -> Callable:
+def _bindings(rendering, key, kernel) -> Callable:
     """The Python factory of the rendering with its kernel cut out:
-    ``build(cache, channel)`` returns the objects the kernel's bound
-    names stand for — the Python target's own bind fragments decide what
-    the compiled one operates on."""
-    name = transitions.source_name("loop", key)
-    tree = ast.parse(transitions.render("loop", key))
+    ``build(cache, channel)`` / ``build(atd)`` returns the objects the
+    kernel's bound names stand for — the Python target's own bind
+    fragments decide what the compiled one operates on."""
+    name = transitions.source_name(rendering, key)
+    tree = ast.parse(transitions.render(rendering, key))
     factory = tree.body[0]
     names = [member for member, _ctype, kind in kernel.members
              if member not in kernel.params
@@ -239,14 +248,14 @@ def _bindings(key, kernel) -> Callable:
 
 
 @lru_cache(maxsize=None)
-def load(key) -> Tuple[Optional[Loaded], Dict[str, object]]:
-    """``(kernel, info)`` of the compiled ``loop`` of ``key``, built and
-    loaded once per process; ``(None, {"reason": ...})`` where the Python
-    target must run (module docstring: *Failure*)."""
+def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
+    """``(kernel, info)`` of the compiled ``rendering`` of ``key``, built
+    and loaded once per process; ``(None, {"reason": ...})`` where the
+    Python target must run (module docstring: *Failure*)."""
     started = time.perf_counter()
     try:
         cc, version = compiler()
-        kernel = transitions.translate("loop", key)
+        kernel = transitions.translate(rendering, key)
         directory = cache_dir()
         name = object_name(kernel.source, version)
         library = None
@@ -264,7 +273,7 @@ def load(key) -> Tuple[Optional[Loaded], Dict[str, object]]:
         if exc.loud:
             # The same text for every key: the default filter shows it
             # once per process.
-            warnings.warn(f"compiled loop target unavailable, running the "
+            warnings.warn(f"compiled target unavailable, running the "
                           f"Python target: {exc}", RuntimeWarning,
                           stacklevel=2)
         return None, {"reason": str(exc)}
@@ -272,7 +281,7 @@ def load(key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     library.run.argtypes = [ctypes.POINTER(args)]
     library.run.restype = ctypes.c_int64
     return Loaded(kernel, library.run, args, callouts,
-                  _bindings(key, kernel)), info
+                  _bindings(rendering, key, kernel)), info
 
 
 # ----------------------------------------------------------------------
@@ -295,13 +304,22 @@ def _address(name: str, ctype: str, value) -> Optional[int]:
     return None
 
 
-class CompiledLoop:
-    """The compiled ``loop`` of one key bound to one cache (and memory
-    channel): called exactly like the Python target's ``loop``."""
+def _column_address(name: str, column) -> int:
+    """Address of an ``int64`` column C may read as it stands."""
+    if not (isinstance(column, np.ndarray) and column.dtype == np.int64
+            and column.ndim == 1 and column.flags.c_contiguous):
+        raise TypeError(f"{name}: not a contiguous int64 column")
+    return column.ctypes.data
 
-    def __init__(self, loaded: Loaded, cache, channel) -> None:
+
+class CompiledKernel:
+    """The compiled kernel of one rendering and key bound to its owner (a
+    cache and memory channel for ``loop``, an ATD for ``observe``): called
+    exactly like the Python target's kernel."""
+
+    def __init__(self, loaded: Loaded, owner, *args) -> None:
         self._loaded = loaded
-        self._bound = loaded.bindings(cache, channel)
+        self._bound = loaded.bindings(owner, *args)
 
     @staticmethod
     def ints(values) -> ctypes.Array:
@@ -341,10 +359,11 @@ class _Run:
     def marshal(self) -> None:
         values, args = self.values, self.args
         members = self.loaded.kernel.members
-        # One clock per thread: the popped thread's slot plus the heap's.
-        self.threads = 1 + next(len(values[name])
-                                for name, _ctype, kind in members
-                                if kind == "heap")
+        # One clock per thread: the popped thread's slot plus the heap's
+        # (a kernel without a heap has no per-thread member).
+        self.threads = sum(1 + len(values[name])
+                           for name, _ctype, kind in members
+                           if kind == "heap")
         for name, ctype, kind in members:
             if kind in ("int", "float"):
                 setattr(args, name, values[name])
@@ -371,6 +390,9 @@ class _Run:
                     setattr(args, name, address)
             elif kind.startswith("lists:"):
                 self.lists_in(name, values[kind[6:]])
+            elif kind == "column":
+                setattr(args, name, _column_address(name, values[name]))
+                setattr(args, name + "_n", len(values[name]))
             elif kind == "rows":
                 if len(values[name]) != self.threads:
                     raise ValueError(f"{name}: {len(values[name])} columns "
@@ -392,15 +414,21 @@ class _Run:
         setattr(self.args, name, buffer.ctypes.data)
 
     def lists_in(self, name: str, capacity: int) -> None:
+        """Bounded lists as one ``capacity``-slot segment each, plus the
+        lengths."""
         lists = self.values[name]
-        lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-        if len(lists) and lengths.max() > capacity:
+        lengths = list(map(len, lists))
+        if lengths and max(lengths) > capacity:
             raise ValueError(f"{name}: a list longer than its bound "
                              f"{capacity}")
-        items = np.zeros((len(lists), capacity), dtype=np.int64)
-        items[np.arange(capacity) < lengths[:, None]] = np.fromiter(
-            chain.from_iterable(lists), np.int64, int(lengths.sum()))
-        self.buffers[name], self.buffers[name + "_n"] = items, lengths
+        padding = [0] * capacity
+        flat: List[int] = []
+        for items, length in zip(lists, lengths):
+            flat += items
+            flat += padding[length:]
+        items = self.buffers[name] = np.array(flat, dtype=np.int64)
+        lengths = self.buffers[name + "_n"] = np.array(lengths,
+                                                       dtype=np.int64)
         setattr(self.args, name, items.ctypes.data)
         setattr(self.args, name + "_n", lengths.ctypes.data)
 
@@ -408,15 +436,10 @@ class _Run:
         """Point each row at the column the shell currently holds."""
         for name, (table, seen) in self.rows.items():
             for thread, column in enumerate(self.values[name]):
-                if column is seen[thread]:
-                    continue
-                if not (isinstance(column, np.ndarray)
-                        and column.dtype == np.int64
-                        and column.flags.c_contiguous):
-                    raise TypeError(f"{name}[{thread}]: not a contiguous "
-                                    f"int64 column")
-                seen[thread] = column           # keeps it alive
-                table[thread] = column.ctypes.data
+                if column is not seen[thread]:
+                    table[thread] = _column_address(f"{name}[{thread}]",
+                                                    column)
+                    seen[thread] = column       # keeps it alive
 
     # -- call-outs ------------------------------------------------------
     def callout(self, function: Callable) -> Callable:
@@ -457,14 +480,13 @@ class _Run:
             if name not in kernel.stored or name not in buffers:
                 continue
             if kind.startswith("lists:"):
-                lengths = buffers[name + "_n"]
-                ends = np.cumsum(lengths).tolist()
-                flat = buffers[name][np.arange(buffers[name].shape[1])
-                                     < lengths[:, None]].tolist()
-                start = 0
-                for items, end in zip(values[name], ends):
-                    items[:] = flat[start:end]
-                    start = end
+                capacity = values[kind[6:]]
+                flat = buffers[name].tolist()
+                lengths = buffers[name + "_n"].tolist()
+                for start, (items, length) in zip(
+                        range(0, len(flat), capacity),
+                        zip(values[name], lengths)):
+                    items[:] = flat[start:start + length]
             else:
                 values[name][:] = buffers[name].tolist()
         for tags, lines, assoc in kernel.tags:

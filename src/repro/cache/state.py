@@ -19,17 +19,20 @@ Two pieces live here:
   and ``ATD.observe_many`` specialisations for the three
   paper policies (LRU, NRU, BT; every other policy runs the generic
   object-protocol methods).  No transition body is written here:
-  :func:`kernel_key`, :func:`rendered_key` and
-  :func:`build_observe_many_kernel` decide *whether* a rendering is exact
-  for the instance at hand, and the cache / ATD / engines bind the one
+  :func:`kernel_key`, :func:`rendered_key`,
+  :func:`build_observe_many_kernel` and :func:`rendered_drain_kernel`
+  decide *whether* a rendering is exact for the instance at hand, and
+  the cache / ATD / engines bind the one
   :mod:`repro.cache.transitions` renders from the policy's single
   transition spec — closures whose free variables bind every hot array
   and counter once, at construction, performing *exactly* the seed state
   transitions (same victim choices, same statistics, same partition
   bookkeeping in the same order).  The single-access ATD ``observe``
   (:func:`derive_observe_kernel`) is a policy-independent step over the
-  bound batch kernel.  Equivalence with the generic
-  object-protocol paths is pinned by
+  bound batch kernel's Python target; :class:`DrainKernel` is the seam
+  through which a run of the batched engine drains an ATD on the
+  compiled target without the ATD ever binding it.  Equivalence with
+  the generic object-protocol paths is pinned by
   ``tests/test_cache/test_state.py`` and with the seed per-object
   implementations by ``tests/test_cache/test_flat_equivalence.py``.
 
@@ -54,8 +57,9 @@ from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
 
-__all__ = ["TagStore", "build_observe_many_kernel", "derive_observe_kernel",
-           "kernel_key", "rendered_key"]
+__all__ = ["DrainKernel", "TagStore", "build_observe_many_kernel",
+           "derive_observe_kernel", "kernel_key", "rendered_drain_kernel",
+           "rendered_key"]
 
 
 class TagStore:
@@ -216,7 +220,74 @@ def rendered_key(cache) -> Optional[Tuple[str, str]]:
 # ``tests/test_cmp/test_solo_engine.py`` (``TestDeferredDrains``) and
 # ``tests/test_profiling/test_atd.py``.
 
-def build_observe_many_kernel(atd) -> Optional[Callable]:
+class DrainKernel:
+    """What a kernelised ATD binds as ``observe_many``.
+
+    ``python`` is the Python target of the ATD's ``observe`` rendering,
+    bound once at construction.  The single-access ``observe`` is derived
+    from it, so that path never leaves the interpreter: a compiled kernel
+    copies the ATD's state in and out on every call, which a whole drain
+    amortises and a one-line batch per access cannot.  A call runs
+    ``python``, except while a run of the batched engine has
+    :meth:`install`\\ ed its own bind of the same rendering for its drains
+    (compiled where the host builds it, handed ``int64`` columns);
+    ``BatchedEngine.run`` :meth:`restore`\\ s on its way out.  The run's
+    kernel is routed *through* the attribute rather than around it so that
+    whoever wrapped ``atd.observe_many`` transparently
+    (``functools.wraps``: a tracer, a recorder) stays in every drain's
+    call path, on the target the run really uses.
+    """
+
+    __slots__ = ("key", "python", "entries", "target", "floor")
+
+    def __init__(self, key: Tuple[str, str], python: Callable,
+                 entries: int) -> None:
+        self.key = key
+        self.python = python
+        #: Size of the directory a compiled kernel copies per call.
+        self.entries = entries
+        self.restore()
+
+    def install(self, target: Callable) -> bool:
+        """Drain through ``target``; True when it takes ``int64`` columns
+        (the compiled target).  A compiled ``target`` copies the directory
+        per call, and the copy costs per directory entry what the kernel
+        saves per line, so only batches at least that long go to it: a
+        shorter one — every drain of a ``micro`` run, most drains of an
+        unsampled ATD — is cheaper interpreted."""
+        compiled = hasattr(target, "ints")
+        self.target, self.floor = target, self.entries if compiled else 0
+        return compiled
+
+    def restore(self) -> None:
+        """Back to the ATD's own kernel (what :meth:`install` undoes)."""
+        self.target, self.floor = self.python, 0
+
+    def __call__(self, batch) -> None:
+        if len(batch) < self.floor:
+            self.python(batch.tolist())
+        else:
+            self.target(batch)
+
+
+def rendered_drain_kernel(atd) -> Optional[DrainKernel]:
+    """The batch kernel ``atd`` bound at construction, if draining the
+    ATD still leads to it; else None.
+
+    :func:`rendered_key`'s rule for the drains of ``BatchedEngine.run``:
+    ``atd.observe_many`` is that kernel or a transparent wrapper of it
+    (a ``__wrapped__`` chain ending there).  Anything else — a test
+    double, the class's generic loop — is drained as it stands, with
+    lists.
+    """
+    bound = getattr(atd, "kernel", None)
+    drain = atd.observe_many
+    while drain is not bound and hasattr(drain, "__wrapped__"):
+        drain = drain.__wrapped__
+    return bound if bound is not None and drain is bound else None
+
+
+def build_observe_many_kernel(atd) -> Optional[DrainKernel]:
     """Rendered batch ``ATD.observe_many`` for the ATD's policy, or None.
 
     The rendering inlines the *stock* profiler's interpretation of the
@@ -238,7 +309,10 @@ def build_observe_many_kernel(atd) -> Optional[Callable]:
     if (type(profiler) is not stock.get(kind)
             or getattr(profiler, "spread_update", False)):
         return None
-    return transitions.bind("observe", (kind, "none"), atd)
+    key = (kind, "none")
+    return DrainKernel(key, transitions.bind("observe", key, atd,
+                                             interpreted=True),
+                       len(atd.state.lines))
 
 
 def derive_observe_kernel(atd, observe_many) -> Callable:

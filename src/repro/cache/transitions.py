@@ -12,6 +12,10 @@ declares each **once**, as source fragments over the flat ``PolicyState``
 * ``loop`` — the event loop of ``BatchedEngine.run``, one call per run,
   whatever the number of threads.
 
+``observe`` and ``loop`` — the two that are called per *batch* of
+accesses — have a second target, C translated from the same source
+(:func:`translate`, :data:`C_KINDS`, :func:`bind`).
+
 :data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
 its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
@@ -52,13 +56,13 @@ import linecache
 import re
 from contextlib import contextmanager
 from functools import lru_cache
-from math import ceil
 from string import Template
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "PURE_ATTRS", "bind", "python_target", "render", "rendering_keys",
-           "source_name", "target_stats", "target_summary", "translate"]
+           "COMPILED", "PURE_ATTRS", "bind", "python_target", "render",
+           "rendering_keys", "source_name", "target_stats", "target_summary",
+           "translate"]
 
 #: Attribute loads a kernel closure may perform: C-level int and list
 #: methods on locals.
@@ -133,18 +137,13 @@ p = pointer[0] + 1
 pointer[0] = p if p < assoc else 0""",
         # eSDH: d = ceil(S * U), U counting the accessed line, only when
         # its used bit is already 1 (constant-offset argument, §III-A).
+        # The profiler tabulates d for U = 0..A once: the read itself is
+        # integer work, like every other fragment.
         "sdh": """\
 used = used_l[$set]
 if (used >> way) & 1:
-    if exact_scaling:
-        sdh_r[used.bit_count()] += 1
-    else:
-        distance = ceil_fn(scaling * used.bit_count())
-        sdh_r[distance if distance > 1 else 1] += 1""",
-        "bind_sdh": """\
-scaling = profiler.scaling
-exact_scaling = scaling == 1.0
-ceil_fn = ceil""",
+    sdh_r[dist[used.bit_count()]] += 1""",
+        "bind_sdh": "dist = profiler.distance_table(assoc)",
     },
     "bt": {
         "bind": """\
@@ -190,14 +189,20 @@ else:
     way = table[word]""",
         "victim_in_mask": False,
         "fill": "$promote",
-        # eSDH: d = A - (ID xor path) off the tree word (§III-B).
+        # eSDH: d = A - (ID xor path) off the tree word (§III-B): the
+        # stored bits along the way's own root-down path, most significant
+        # first.  In heap order the path's node ``level`` steps above the
+        # leaf is the leaf's index shifted right by ``level``.
         "sdh": """\
 word = tree[$set]
+leaf = assoc | way
 path = 0
-for bit_index, out_shift in path_spec[way]:
-    path |= ((word >> bit_index) & 1) << out_shift
+level = levels
+while level:
+    path |= ((word >> ((leaf >> level) - 1)) & 1) << (level - 1)
+    level -= 1
 sdh_r[assoc - (path ^ way)] += 1""",
-        "bind_sdh": "path_spec = policy._path_spec",
+        "bind_sdh": "",
     },
 }
 
@@ -297,8 +302,8 @@ def build(cache):
 
     def access_line_hit(line, core=0):
         accesses[core] += 1
-        way = tag_get(line)
         s = line & set_mask
+        way = tag_get(line)
         if way is not None:
             $locate
             $promote
@@ -334,8 +339,8 @@ def build(atd):
                 skipped += 1
                 continue
             sampled += 1
-            way = tag_get(line)
             s = (line & l2_set_mask) >> set_shift
+            way = tag_get(line)
             if way is not None:
                 $locate
                 $sdh
@@ -390,8 +395,8 @@ def build(cache, channel):
     return loop
 """,
     "access_fused": """\
-way = tag_get(line)
 s = line & set_mask
+way = tag_get(line)
 if way is not None:
     $locate
     $promote
@@ -462,11 +467,12 @@ PRIVATE_LOCALS = {
              "wb_l1_to_mem"),
 }
 
-#: What every name a ``loop`` kernel may touch is on the C target (the
-#: vocabulary is :mod:`repro.cache.cgen`'s): the skeleton's parameters,
-#: then the factory bindings of the tag store, the statistics, each
-#: policy, each scheme and the memory channel.  A name missing here is an
-#: error at translation time, never a guess.
+#: What every name a ``loop`` or ``observe`` kernel may touch is on the C
+#: target (the vocabulary is :mod:`repro.cache.cgen`'s): the ``loop``
+#: skeleton's parameters, then the factory bindings of the tag store, the
+#: statistics, each policy, each scheme and the memory channel, then the
+#: ``observe`` skeleton's parameter and the ATD / SDH bindings.  A name
+#: missing here is an error at translation time, never a guess.
 C_KINDS = {
     "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
     "horizon": "float", "beyond": "callout:float(float)",
@@ -476,7 +482,7 @@ C_KINDS = {
     "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
     "l2_hit_pen": "float", "mem_pen": "float",
     "victims": "python", "has_writes": "python", "observe_now": "python",
-    "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,set_mask,assoc",
+    "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,s,assoc",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "accesses": "cores", "misses": "cores", "fills_invalid": "cores",
@@ -488,7 +494,13 @@ C_KINDS = {
     "owned_l": "ints", "ncores": "int",
     "limited": "int", "chan": "floats", "chan_count": "ints",
     "service_interval": "float", "latency": "float",
+    "batch": "column", "counts": "ints", "l2_set_mask": "int",
+    "skip_mask": "int", "set_shift": "int", "sdh_r": "ints",
+    "miss_reg": "int", "dist": "ints",
 }
+
+#: Renderings with a C target (stock keys only).
+COMPILED = ("loop", "observe")
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
 
@@ -602,7 +614,7 @@ def rendering_keys(policies=POLICIES, schemes=SCHEMES
 def _factory(rendering: str, key: Key) -> Callable:
     name = source_name(rendering, key)
     source = render(rendering, key)
-    namespace = {"__builtins__": {}, "ceil": ceil}
+    namespace = {"__builtins__": {}}
     exec(compile(source, name, "exec"), namespace)
     build = namespace["build"].__code__
     kernel = next(const for const in build.co_consts
@@ -619,9 +631,10 @@ def _factory(rendering: str, key: Key) -> Callable:
     return namespace["build"]
 
 
-#: Per ``loop`` key bound in this process: which target its runs got and
-#: why.  Observational and unkeyed; nothing on a hot path reads it.
-_TARGETS: Dict[Tuple[str, str], dict] = {}
+#: Per ``(rendering, key)`` with a C target bound in this process: which
+#: target its calls got and why.  Observational and unkeyed; nothing on a
+#: hot path reads it.
+_TARGETS: Dict[Tuple[str, Tuple[str, str]], dict] = {}
 
 #: Depth of :func:`python_target` blocks.
 _python_only = 0
@@ -629,7 +642,8 @@ _python_only = 0
 
 @contextmanager
 def python_target() -> Iterator[None]:
-    """Every ``loop`` bound inside the block is the Python target.
+    """Every ``loop`` and ``observe`` bound inside the block is the Python
+    target.
 
     The one internal seam by which the differential tests and the fuzz
     oracle reach the target every compiled kernel is diffed against.  Not
@@ -643,8 +657,9 @@ def python_target() -> Iterator[None]:
         _python_only -= 1
 
 
-def target_stats() -> Dict[Tuple[str, str], dict]:
-    """Per stock ``loop`` key bound so far: ``target`` (``"c"`` or
+def target_stats() -> Dict[Tuple[str, Tuple[str, str]], dict]:
+    """Per ``(rendering, key)`` bound so far — the stock ``loop`` keys and
+    the ``observe`` keys of the drains: ``target`` (``"c"`` or
     ``"python"``) of its latest bind, ``binds`` per target, and from the
     compiled side ``cache`` (``"hit"`` / ``"built"``) with ``build_s``, or
     the ``reason`` it fell back (a copy)."""
@@ -654,37 +669,51 @@ def target_stats() -> Dict[Tuple[str, str], dict]:
 
 def target_summary() -> str:
     """:func:`target_stats` as one accounting line."""
-    stats = _TARGETS.values()
-    if not stats:
-        return "loop targets: none bound in this process"
-    compiled = [s for s in stats if s["target"] == "c"]
-    built = [s for s in compiled if s["cache"] == "built"]
-    text = (f"loop targets: c={len(compiled)} "
-            f"python={len(stats) - len(compiled)} built={len(built)} "
+    if not _TARGETS:
+        return "targets: none bound in this process"
+    parts = []
+    for rendering in COMPILED:
+        stats = [entry for (kind, _key), entry in _TARGETS.items()
+                 if kind == rendering]
+        compiled = sum(entry["target"] == "c" for entry in stats)
+        parts.append(f"{rendering} c={compiled} "
+                     f"python={len(stats) - compiled}")
+    compiled = [s for s in _TARGETS.values() if s["target"] == "c"]
+    built = sum(s["cache"] == "built" for s in compiled)
+    text = (f"targets: {', '.join(parts)}; built={built} "
             f"build={sum(s['build_s'] for s in compiled):.2f}s")
-    reasons = sorted({s["reason"] for s in stats if s.get("reason")})
+    reasons = sorted({s["reason"] for s in _TARGETS.values()
+                      if s.get("reason")})
     return text + (f" ({'; '.join(reasons)})" if reasons else "")
 
 
-def bind(rendering: str, key: Key, owner, *args) -> Callable:
+def bind(rendering: str, key: Key, owner, *args,
+         interpreted: bool = False) -> Callable:
     """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
     (a cache for ``hit`` / ``loop``, an ATD for ``observe``); ``loop``
     takes the memory channel (or None) as ``args``.
 
-    A stock ``loop`` is the compiled target wherever this process can
-    build and load one (:mod:`repro.cache.native`), the Python target
-    otherwise — same signature, same results, bit for bit."""
-    if rendering == "loop" and key is not None:
+    A stock ``loop`` or ``observe`` is the compiled target wherever this
+    process can build and load one (:mod:`repro.cache.native`), the Python
+    target otherwise — same signature, same results, bit for bit.  A
+    compiled kernel copies its owner's state in and out on every call, so
+    it pays per *batch*: the engine binds one for a whole run or a whole
+    drain.  ``interpreted=True`` is the caller that also steps the kernel
+    one access at a time (an ATD's own ``observe_many``, from which its
+    single-access ``observe`` is derived): the Python target outright,
+    not recorded in :func:`target_stats`."""
+    if rendering in COMPILED and key is not None and not interpreted:
         loaded = None
         if _python_only:
             info = {"reason": "python_target() block"}
         else:
             from repro.cache import native      # ctypes + cc: first use
-            loaded, info = native.load(key)
+            loaded, info = native.load(rendering, key)
         target = "python" if loaded is None else "c"
-        binds = _TARGETS.get(key, {}).get("binds", {"c": 0, "python": 0})
+        binds = _TARGETS.get((rendering, key), {}).get(
+            "binds", {"c": 0, "python": 0})
         binds[target] += 1
-        _TARGETS[key] = dict(info, target=target, binds=binds)
+        _TARGETS[rendering, key] = dict(info, target=target, binds=binds)
         if loaded is not None:
-            return native.CompiledLoop(loaded, owner, *args)
+            return native.CompiledKernel(loaded, owner, *args)
     return _factory(rendering, key)(owner, *args)

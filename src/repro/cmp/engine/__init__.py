@@ -63,7 +63,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "65d314d3ab68ff904984accbbdb091efa86df0f57cc694917f923744797596d1"
+ENGINE_SOURCE_CHECKSUM = "805a9ea4755f1781956f3d0616045b2dc25233dbb6b54e50568a2930607309e4"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

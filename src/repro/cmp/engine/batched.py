@@ -37,11 +37,19 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   stream and is read only at controller boundaries and run end, so stock
   profiling (:func:`.common.deferrable_profiling`) is *deferred*: the
   executed part of each miss stream, ``lines[drained:cursor]``, drains
-  through the batch observe kernels
-  (:func:`repro.cache.state.build_observe_many_kernel`) right before every
-  boundary, at the thread's freeze, when its window is replaced, and at
-  run end.  Per-thread order is the stream's order; cross-thread drain
-  order is immaterial because the ATDs are disjoint.
+  through the batch observe kernels right before every boundary, at the
+  thread's freeze, when its window is replaced, and at run end.
+  Per-thread order is the stream's order; cross-thread drain order is
+  immaterial because the ATDs are disjoint.  The kernel is this run's own
+  bind of the ATD's ``observe`` rendering, made where the loop is bound
+  and installed behind ``atd.observe_many`` for the length of the run
+  (:class:`repro.cache.state.DrainKernel`): compiled wherever the loop
+  is, it copies the ATD's lists in and out once per drain — between two
+  drains the truth is always the ATD's own lists and dict, which is what
+  the controller reads, halves and resets — so a batch shorter than the
+  directory it would copy is drained by the Python rendering instead,
+  and an ATD whose ``observe_many`` somebody replaced is drained as it
+  stands.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets (it only counts them), so a drain hands the
   kernel just the slice's *sampled* lines — the window's cached
@@ -83,7 +91,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache import transitions
-from repro.cache.state import rendered_key
+from repro.cache.state import rendered_drain_kernel, rendered_key
 from repro.cmp.engine.common import (
     EngineBase,
     deferrable_profiling,
@@ -133,8 +141,10 @@ class BatchedEngine(EngineBase):
         self._ck_fz_at = [-2] * n
         self._ck_fz_hit = [0] * n
         # Set by ``run``: a compiled loop reads the miss stream as int64
-        # numpy columns (by pointer), the Python one as lists.
+        # numpy columns (by pointer), the Python one as lists — and so,
+        # per thread, does a compiled drain kernel its sampled lines.
         self._columns = False
+        self._drain_columns = [False] * n
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -170,7 +180,10 @@ class BatchedEngine(EngineBase):
             if atd is not None:
                 positions = window.sampled[atd.sampling]
                 self._ck_spos[t] = positions.tolist()
-                self._ck_slines[t] = lines[positions].tolist()
+                sampled = lines[positions]
+                self._ck_slines[t] = (
+                    np.ascontiguousarray(sampled, np.int64)
+                    if self._drain_columns[t] else sampled.tolist())
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
@@ -222,8 +235,6 @@ class BatchedEngine(EngineBase):
         observe_now = hierarchy.l2_observer if profiling is None else None
         atds = self._atds = ([m.atd for m in profiling.monitors]
                              if profiling is not None else None)
-        obs_drain = ([atd.observe_many for atd in atds]
-                     if atds is not None else None)
         spos = self._ck_spos
         slines = self._ck_slines
         # The one loop source is the ``loop`` template of
@@ -235,6 +246,21 @@ class BatchedEngine(EngineBase):
                if not has_writes and observe_now is None else None)
         fused = key is not None
         loop = transitions.bind("loop", key, l2, self.channel)
+        # The drains, by the same rule: an ATD whose ``observe_many``
+        # still leads to the rendered batch kernel it bound for itself
+        # runs, until this run ends, this run's own bind of that
+        # rendering (compiled where the loop is: one state copy per
+        # drain, its sampled lines handed over as int64 columns, batches
+        # shorter than the directory left to the Python rendering); any
+        # other is drained as it stands, with lists.
+        obs_drain = None
+        rendered = []
+        self._drain_columns = [False] * n
+        if atds is not None:
+            obs_drain = [atd.observe_many for atd in atds]
+            rendered = [(u, kernel) for u, kernel
+                        in enumerate(map(rendered_drain_kernel, atds))
+                        if kernel is not None]
         l2_accesses = l2_stats.accesses
         # A compiled loop shares the per-thread cursors with the closures
         # below as C-typed arrays and takes the miss stream as columns;
@@ -333,15 +359,28 @@ class BatchedEngine(EngineBase):
                     return math.inf
                 j = 0
 
-        # Raw heapq over (clock, thread) pairs: the same exact order as
-        # EventScheduler (see scheduler.py), without the method-call layer.
-        heap = [(resume(t, 0), t) for t in range(n)]
-        heapify(heap)
-        now, t = heappop(heap)
-        now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
-            now, t, heap, heappushpop, min(next_boundary, cycle_cap), beyond,
-            freeze, resume, cur, stop, anchor, lines, gaps, fz_at, fz_hit,
-            base, l2_hit_pen, mem_pen, victims, has_writes, observe_now)
+        try:
+            for u, kernel in rendered:
+                self._drain_columns[u] = kernel.install(
+                    transitions.bind("observe", kernel.key, atds[u]))
+            # Raw heapq over (clock, thread) pairs: the same exact order
+            # as EventScheduler (see scheduler.py), without the
+            # method-call layer.
+            heap = [(resume(t, 0), t) for t in range(n)]
+            heapify(heap)
+            now, t = heappop(heap)
+            now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
+                now, t, heap, heappushpop, min(next_boundary, cycle_cap),
+                beyond, freeze, resume, cur, stop, anchor, lines, gaps,
+                fz_at, fz_hit, base, l2_hit_pen, mem_pen, victims,
+                has_writes, observe_now)
+            for u in range(n):
+                if u != t:
+                    drain(u, cur[u])
+        finally:
+            # The ATDs go back to the kernel they keep for themselves.
+            for _u, kernel in rendered:
+                kernel.restore()
 
         # Termination rollback (module docstring): count, per other thread,
         # the hits of its pending gap whose pop keys precede the final key.
@@ -351,7 +390,6 @@ class BatchedEngine(EngineBase):
             if u == t:
                 continue
             j = cur[u]
-            drain(u, j)
             hits = gaps[u][:j]
             l1_accesses += (self._ck_upto[u] + j
                             + (int(hits.sum()) if columns else sum(hits)))

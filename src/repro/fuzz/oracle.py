@@ -33,12 +33,12 @@ rendered kernels and so stays the independent oracle.  A
 cache that replays the wrong window, or restores the wrong L1 state, can
 only show on the warm run.
 
-It runs a third time with its event loop held to the
-**Python target** (:func:`repro.cache.transitions.python_target`).  Where
-the host has a C compiler the first two runs executed the compiled
-target of the same rendering, so the stage is compiled-vs-Python over
-the full snapshot; without one all three are the Python target and the
-stage costs one redundant run.
+It runs a third time with its event loop *and its ATD drains* held to
+the **Python target** (:func:`repro.cache.transitions.python_target`).
+Where the host has a C compiler the first two runs executed the compiled
+targets of the same renderings, so the stage is compiled-vs-Python over
+the full snapshot — SDH registers and ATD tags included; without one all
+three are the Python target and the stage costs one redundant run.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ rules hold; each gets a mechanical check here:
   literals and rendered with this package's renderer — the checked tree
   is never imported — so a fragment storing to a local its skeleton
   keeps for itself (``PRIVATE_LOCALS``) is flagged here too, and so is a
-  stock event loop the C translator (:mod:`repro.cache.cgen`, typed by
-  the ``C_KINDS`` table) refuses.
+  stock event loop or ATD drain the C translator
+  (:mod:`repro.cache.cgen`, typed by the ``C_KINDS`` table) refuses.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 TRANSITION_SPEC = "repro/cache/transitions.py"
 SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS")
 #: Optional fifth literal: the C type of every name a stock event loop
-#: touches.  A spec that declares it promises each such loop a C target.
+#: or ATD drain touches.  A spec that declares it promises each keyed
+#: rendering of ``transitions.COMPILED`` a C target.
 C_KINDS_TABLE = "C_KINDS"
 
 #: ``(spec module, rendering)`` that run once per simulated event: the
@@ -301,7 +302,7 @@ class HotPathPurityRule(Rule):
                                 f"{name} does not render: {exc}")
                 continue
             if (kinds is not None and key is not None
-                    and rendering in [loop for _rel, loop in EVENT_LOOPS]):
+                    and rendering in transitions.COMPILED):
                 try:
                     transitions.translate(rendering, key, *tables, kinds)
                 except ValueError as exc:

@@ -18,6 +18,14 @@ inlines the profiler's interpretation of the flat replacement state, with
 :meth:`observe` a one-line batch through it; the generic object-protocol
 bodies below are the fallback and the reference the kernels are pinned
 against (``tests/test_profiling/test_atd.py``).
+
+The kernel an ATD binds for itself is always the *Python* target of its
+rendering — ``observe`` steps it one access at a time (the reference
+engine, the call-form loop), and a compiled kernel's per-call state copy
+would cost ~200x the step.  The compiled target belongs to whole drains:
+``BatchedEngine.run`` binds its own and routes it through
+``observe_many`` for the length of the run
+(:class:`repro.cache.state.DrainKernel`).
 """
 
 from __future__ import annotations
@@ -90,13 +98,16 @@ class ATD:
         #: [sampled, skipped] — a list so the observe kernels bump the
         #: counters as locals-bound writes; read via the properties below.
         self._counts = [0, 0]
-        if kernels:
-            many = build_observe_many_kernel(self)
-            if many is not None:
-                # The batch kernel is the one transition site; observe is
-                # derived from it, inverting the generic methods' relation.
-                self.observe_many = many
-                self.observe = derive_observe_kernel(self, many)
+        #: The rendered batch kernel bound below, if any — what tells the
+        #: batched engine that (and which) rendering is exact for this
+        #: ATD's drains (:func:`repro.cache.state.rendered_drain_kernel`).
+        self.kernel = build_observe_many_kernel(self) if kernels else None
+        if self.kernel is not None:
+            # The batch kernel is the one transition site; observe is
+            # derived from it (its Python target: one line per call),
+            # inverting the generic methods' relation.
+            self.observe_many = self.kernel
+            self.observe = derive_observe_kernel(self, self.kernel.python)
 
     # ------------------------------------------------------------------
     @property

@@ -21,8 +21,9 @@ KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
     "ints": "ints", "floats": "floats", "shared": "shared",
     "cores": "cores", "cap": "int", "lists": "lists:cap", "rows": "rows",
-    "heap": "heap", "pushpop": "pushpop",
+    "heap": "heap", "pushpop": "pushpop", "col": "column",
     "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
+    "get_s": "probe:ints,s,cap",
     "out": "callout:float(int,float)", "ask": "callout:int()",
     "py": "python",
 }
@@ -71,6 +72,14 @@ GOLDEN = [
     ("if x:\n    a = 1\nelif y:\n    a = 2\nelse:\n    a = 3",
      ["if (x) {", "} else {", "if (y) {"]),
     ("pass", []),
+    # for over a column: an index walk; continue is C's
+    ("n = 0\nfor v in col:\n    if v & x:\n        continue\n    n += v",
+     ["const i64 *const col = a->col;", "const i64 col_n = a->col_n;",
+      "i64 v = 0;",
+      "for (i64 col_i = 0; col_i < col_n; col_i++) {", "v = col[col_i];",
+      "continue;", "n += v;"]),
+    ("a = x\nwhile a:\n    a -= 1\n    if a & 1:\n        continue\n"
+     "    y = a", ["while (a) {", "continue;"]),
     # int methods
     ("a = (x & -x).bit_length() - 1",
      ["a = (bit_length((x & (-x))) - INT64_C(1));"]),
@@ -97,8 +106,11 @@ GOLDEN = [
     # the tag dict: lookups probe the set, None is -1, updates are dropped
     ("w = get(y)\nif w is not None:\n    a = w\nelse:\n    w = 0\n"
      "tags[y] = w\ndel tags[y]",
-     ["w = probe(ints + (y & x) * cap, cap, y);", "if ((w >= 0)) {",
+     ["w = probe(ints + x * cap, cap, y);", "if ((w >= 0)) {",
       "a = w;"]),
+    # ... of the set a local holds by then
+    ("s = y >> 2\nw = get_s(y)",
+     ["s = (y >> INT64_C(2));", "w = probe(ints + s * cap, cap, y);"]),
     ("w = get(y)\nif w is None:\n    w = 1\na = w + 1",
      ["if ((w < 0)) {", "a = (w + INT64_C(1));"]),
     # the heap: a store and an arg-min in (clock, thread) order
@@ -129,6 +141,14 @@ def test_dropped_tag_updates_emit_nothing_and_name_what_to_rebuild():
     body = kernel.source[kernel.source.index("i64 run"):]
     assert "tags" not in body
     assert kernel.tags == (("tags", "ints", "cap"),)
+
+
+def test_a_column_is_a_pointer_and_its_length():
+    kernel = translate("for v in col:\n    ints[v] += 1", params="col")
+    assert [m for m in kernel.members if m[0].startswith("col")] \
+        == [("col", "i64 *", "column"), ("col_n", "i64", "length")]
+    assert kernel.params == ("col",) and kernel.stored == {"ints"}
+    assert "    i64 *col;\n    i64 col_n;\n" in kernel.source
 
 
 def test_members_mirror_the_struct_in_order():
@@ -168,7 +188,21 @@ REFUSED = [
     ("ints = 3", "assignment to the binding 'ints'"),
     ("o = [x, y]", "List is outside the translated subset"),
     ("o = [x, y]\no.insert(0, x)", "List is outside the translated subset"),
-    ("for a in ints:\n    pass", "For statement is outside"),
+    ("for a in ints:\n    pass", "for over anything but a column"),
+    ("for a in range(3):\n    pass", "for over anything but a column"),
+    ("for a in rows[x]:\n    pass", "for over anything but a column"),
+    ("o = lists[x]\nfor a in o:\n    pass",
+     "for over anything but a column"),
+    ("for a in col:\n    pass\nelse:\n    y = 1", "for/else"),
+    ("for a in col:\n    for b in col:\n        pass", "nested for"),
+    ("for a in col:\n    a = a + 1", "store to the loop variable 'a'"),
+    ("for a in col:\n    a += 1", "store to the loop variable 'a'"),
+    ("for a, b in col:\n    pass", "for target other than a plain name"),
+    ("for cap in col:\n    pass", "assignment to the binding 'cap'"),
+    ("a = col", "'col' (column) used as a value"),
+    ("a = col[x]", "'col' (column) indexed as an array"),
+    ("w = get_s(y)", "get_s before its set index 's' is an integer"),
+    ("s = f\nw = get_s(y)", "get_s before its set index 's' is an integer"),
     ("a = x < y < 3", "chained comparison"),
     ("a = x is y", "`is` other than"),
     ("w = get(y)\na = w + 1", "a value that may be None in arithmetic"),
@@ -235,6 +269,22 @@ def test_every_stock_loop_translates(key):
     assert not names & {"victims", "has_writes", "observe_now", "tag_map"}
 
 
+@pytest.mark.parametrize("policy", list(transitions.POLICIES))
+def test_every_stock_drain_translates(policy):
+    key = (policy, "none")
+    kernel = transitions.translate("observe", key)
+    assert kernel.source == transitions.render("observe", key, target="c")
+    assert kernel.params == ("batch",)
+    assert {"tag_lines", "invalid", "sdh_r", "counts"} <= kernel.stored
+    # Read-only tables are never copied back; the dict is rebuilt.
+    assert not kernel.stored & {"dist", "keep", "setb", "table", "batch"}
+    assert kernel.tags == (("tag_map", "tag_lines", "assoc"),)
+    body = kernel.source[kernel.source.index("i64 run"):]
+    assert "for (i64 batch_i = 0; batch_i < batch_n; batch_i++) {" in body
+    assert "a->error" not in body           # no call-out: nothing to check
+    assert "double" not in body             # integer work only
+
+
 def test_the_call_form_has_no_c_target():
     with pytest.raises(ValueError, match=r"<repro kernel call loop>: line "
                                          r"\d+: 'has_writes' exists on the "
@@ -258,3 +308,19 @@ def test_float_operation_in_a_fragment_is_refused():
             "'locate' fragment"), label
     # The same fragments still render for the Python target.
     transitions.render("loop", ("probe", "none"), policies=policies)
+
+
+def test_the_sdh_read_is_held_to_the_same_rule():
+    """The fragment only ``observe`` expands: the float it once carried
+    (NRU's ``ceil(scaling * U)``) is refused there and ignored by the
+    event loop, which never renders it."""
+    policies = dict(transitions.POLICIES, probe=dict(
+        transitions.POLICIES["nru"],
+        sdh="sdh_r[1 + (used_l[$set].bit_count() * 3) / 4] += 1"))
+    with pytest.raises(ValueError) as info:
+        transitions.translate("observe", ("probe", "none"),
+                              policies=policies)
+    assert str(info.value).startswith(
+        "<repro kernel probe/none observe>: float operation in policy "
+        "'sdh' fragment")
+    transitions.translate("loop", ("probe", "none"), policies=policies)

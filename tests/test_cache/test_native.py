@@ -26,8 +26,10 @@ from repro.cache import native, transitions
 
 KEY = ("nru", "masks")
 HAS_CC = shutil.which("cc") is not None
-STOCK = [(policy, scheme) for policy in transitions.POLICIES
+#: Every kernel with a C target: the stock event loops and the drains.
+STOCK = [("loop", (policy, scheme)) for policy in transitions.POLICIES
          for scheme in transitions.SCHEMES]
+STOCK += [("observe", (policy, "none")) for policy in transitions.POLICIES]
 
 
 def forget():
@@ -58,7 +60,7 @@ def test_a_host_with_a_compiler_builds_every_stock_key(cache_home):
     key reports why it runs on the Python target."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = {key: native.load(key) for key in STOCK}
+        results = {key: native.load(*key) for key in STOCK}
     if not HAS_CC:
         assert all(loaded is None and info["reason"]
                    == "no C compiler (cc) on PATH"
@@ -71,7 +73,7 @@ def test_a_host_with_a_compiler_builds_every_stock_key(cache_home):
     assert len(objects) == len(STOCK)
     assert all(path.suffix == ".so" for path in objects)
     forget()
-    again = native.load(KEY)[1]
+    again = native.load("loop", KEY)[1]
     assert again["cache"] == "hit"
 
 
@@ -92,7 +94,7 @@ def test_directory_others_can_write_is_refused(cache_home, mode):
     assert info.value.loud
     if HAS_CC:
         with pytest.warns(RuntimeWarning, match="running the Python target"):
-            loaded, why = native.load(KEY)
+            loaded, why = native.load("loop", KEY)
         assert loaded is None and "only they can write" in why["reason"]
     assert list(path.iterdir()) == []
 
@@ -155,13 +157,13 @@ def rebuilt_not_loaded(cache_home, planted: Path) -> None:
     """Loading KEY ignores (and removes) ``planted`` and builds afresh."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loaded, info = native.load(KEY)
+        loaded, info = native.load("loop", KEY)
     assert loaded is not None and info["cache"] == "built"
     (left,) = (cache_home / "repro-kernels").iterdir()
     assert stat.S_IMODE(left.stat().st_mode) == 0o700
     assert native._digest(left) == left.stem.rpartition("-")[2]
     forget()
-    assert native.load(KEY)[1]["cache"] == "hit"
+    assert native.load("loop", KEY)[1]["cache"] == "hit"
 
 
 @needs_cc
@@ -208,7 +210,7 @@ def test_compiler_that_fails_is_reported_once_and_falls_back(
     (broken / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(broken))
     with pytest.warns(RuntimeWarning) as caught:
-        results = [native.load(key) for key in STOCK[:3]]
+        results = [native.load(*key) for key in STOCK[:2] + STOCK[-1:]]
     assert all(loaded is None and "exited 3: no backend" in info["reason"]
                for loaded, info in results)
     # One text for every key, so the default filter prints it once.
@@ -221,7 +223,8 @@ def test_no_compiler_is_silent_and_says_why(cache_home, monkeypatch,
     monkeypatch.setenv("PATH", str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loaded, info = native.load(KEY)
+        loaded, info = native.load("loop", KEY)
+        assert native.load("observe", ("bt", "none")) == (None, info)
     assert loaded is None
     assert info == {"reason": "no C compiler (cc) on PATH"}
     assert not (cache_home / "repro-kernels").exists()
@@ -230,7 +233,7 @@ def test_no_compiler_is_silent_and_says_why(cache_home, monkeypatch,
 RACER = """
 import json, sys
 from repro.cache import native
-loaded, info = native.load(("lru", "counters"))
+loaded, info = native.load("loop", ("lru", "counters"))
 print(json.dumps({"ok": loaded is not None, **info}))
 """
 
@@ -249,7 +252,7 @@ def test_two_processes_racing_through_a_cold_cache(cache_home):
     assert any('"cache": "built"' in output for output in outputs)
     left = list((cache_home / "repro-kernels").iterdir())
     assert len(left) == 1 and left[0].suffix == ".so"
-    loaded, info = native.load(("lru", "counters"))
+    loaded, info = native.load("loop", ("lru", "counters"))
     assert loaded is not None and info["cache"] == "hit"
 
 
@@ -268,7 +271,7 @@ class TestMarshalValidation:
             CacheGeometry(4 * 4 * 128, 4, 128), "nru", num_cores=2,
             partition=MasksPartition(2, 4, 4))
         loop = transitions.bind("loop", KEY, cache, None)
-        assert isinstance(loop, native.CompiledLoop)
+        assert isinstance(loop, native.CompiledKernel)
         n = 2
         column = np.arange(3, dtype=np.int64)
 
@@ -301,3 +304,28 @@ class TestMarshalValidation:
     def test_rows_must_match_the_thread_count(self, call):
         with pytest.raises(ValueError, match="lines: 1 columns for 2"):
             call(lines=[np.arange(3)])
+
+    @pytest.mark.parametrize("policy", list(transitions.POLICIES))
+    def test_batch_that_is_not_a_contiguous_int64_column_is_refused(
+            self, policy):
+        """A drain hands its lines over by pointer too; the ATD is left
+        exactly as it was."""
+        from repro.cache.geometry import CacheGeometry
+        from repro.profiling.atd import ATD
+        from repro.profiling.profilers import make_profiler
+
+        atd = ATD(CacheGeometry(16 * 4 * 128, 4, 128), 2, policy,
+                  make_profiler(policy))
+        drain = transitions.bind("observe", (policy, "none"), atd)
+        assert isinstance(drain, native.CompiledKernel)
+        for batch in ([0, 2, 4], (0, 2, 4), np.arange(6)[::2],
+                      np.arange(6, dtype=np.int32),
+                      np.arange(6, dtype=np.float64),
+                      np.zeros((2, 3), dtype=np.int64)):
+            with pytest.raises(TypeError, match="batch: not a contiguous "
+                                                "int64 column"):
+                drain(batch)
+        assert atd.state.occupancy() == 0 and atd.state.map == {}
+        assert atd.sdh.total == 0 and atd._counts == [0, 0]
+        drain(np.arange(6, dtype=np.int64)[::2].copy())
+        assert atd._counts == [3, 0] and atd.state.occupancy() == 3

@@ -8,6 +8,7 @@ scheme.  ``kernels=False`` builds the generic twin.
 """
 
 import copy
+import shutil
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.replacement.base import POLICY_REGISTRY, make_policy
 from loop_window import loop_window
 from repro.cache import transitions
-from repro.cache.state import TagStore, kernel_key, rendered_key
+from repro.cache.state import (
+    DrainKernel,
+    TagStore,
+    kernel_key,
+    rendered_drain_kernel,
+    rendered_key,
+)
+from repro.fuzz.oracle import state_digest
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
@@ -242,6 +250,153 @@ def test_observe_kernel_skipped_for_custom_profiler():
     spread = ATD(geometry, 4, "nru",
                  make_profiler("nru", spread_update=True))
     assert "observe" not in spread.__dict__
+
+
+# ----------------------------------------------------------------------
+# Drains: the two targets of the ``observe`` rendering and the classes
+# ----------------------------------------------------------------------
+def atd_state(atd):
+    """The full flat state a drain may touch."""
+    return {"lines": list(atd.state.lines), "map": dict(atd.state.map),
+            "invalid": list(atd.state.invalid),
+            "policy": state_digest(atd.policy), "sdh": list(atd.sdh._r),
+            "counts": list(atd._counts)}
+
+
+class TestDrainTargets:
+    """A run's own bind of the ``observe`` rendering (compiled where the
+    host has ``cc``) against the Python rendering the ATD keeps for itself
+    and against the ``kernels=False`` class path, drain by drain."""
+
+    GEOMETRY = CacheGeometry(128 * 8 * 128, 8, 128)
+
+    def trio(self, policy, sampling, scaling):
+        def build(**kw):
+            return ATD(self.GEOMETRY, sampling, policy,
+                       make_profiler(policy, scaling=scaling),
+                       rng=np.random.default_rng(9), **kw)
+
+        compiled, rendered, classes = build(), build(), build(kernels=False)
+        kernel = rendered_drain_kernel(compiled)
+        assert kernel is compiled.observe_many
+        assert kernel.key == (policy, "none")
+        assert rendered_drain_kernel(classes) is None
+        return (transitions.bind("observe", kernel.key, compiled), compiled,
+                rendered, classes)
+
+    @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3],
+                             ids=["S1", "S0.75", "S0.5", "S0.33"])
+    @pytest.mark.parametrize("sampling", [1, 4, 32])
+    @pytest.mark.parametrize("policy", sorted(PAPER_KINDS))
+    def test_full_state_after_every_drain(self, policy, sampling, scaling):
+        drain, compiled, rendered, classes = self.trio(policy, sampling,
+                                                       scaling)
+        columns = hasattr(drain, "ints")
+        assert columns == (shutil.which("cc") is not None)
+        rng = np.random.default_rng(sampling * 100 + int(scaling * 12))
+        sets = self.GEOMETRY.num_sets
+        for step in range(14):
+            size = int(rng.integers(1, 900))
+            batch = rng.integers(0, 12 * sets, size=size).astype(np.int64)
+            if step % 2:
+                batch &= ~np.int64(sampling - 1)    # every line sampled
+            if step == 4:
+                batch = batch[:0]                   # nothing to drain
+            if step == 6:
+                batch |= np.int64(sampling > 1)     # nothing sampled
+            if step == 8:
+                for atd in (compiled, rendered, classes):
+                    atd.sdh.halve()
+            if step == 11:
+                for atd in (compiled, rendered, classes):
+                    atd.reset()
+            drain(batch if columns else batch.tolist())
+            rendered.observe_many(batch.tolist())
+            classes.observe_many(batch.tolist())
+            assert atd_state(compiled) == atd_state(rendered), step
+            assert atd_state(compiled) == atd_state(classes), step
+            if step == 6 and sampling > 1:
+                assert compiled.skipped_accesses >= size
+        assert compiled.sampled_accesses > 0 < compiled.sdh.total
+        # Numbers a drain leaves behind are builtin ints, never numpy's.
+        for values in (compiled.state.lines, compiled.state.invalid,
+                       compiled.sdh._r, compiled._counts,
+                       compiled.state.map, compiled.state.map.values()):
+            assert {type(value) for value in values} == {int}
+
+    @pytest.mark.parametrize("policy", sorted(PAPER_KINDS))
+    def test_python_target_block_binds_the_rendering(self, policy):
+        atd = ATD(self.GEOMETRY, 4, policy, make_profiler(policy))
+        with transitions.python_target():
+            drain = transitions.bind("observe", (policy, "none"), atd)
+        assert not hasattr(drain, "ints")
+        entry = transitions.target_stats()["observe", (policy, "none")]
+        assert entry["target"] == "python"
+        assert entry["reason"] == "python_target() block"
+        drain([0, 4, 8, 1])
+        assert atd._counts == [3, 1]
+
+    def test_an_atd_keeps_the_python_rendering_for_itself(self):
+        """``observe`` is a one-line batch through the Python target of
+        the ATD's rendering: the kernel an ATD binds at construction never
+        crosses ``ctypes``, and its bind is not one of a run's."""
+        before = transitions.target_stats()
+        atd = ATD(self.GEOMETRY, 4, "nru", make_profiler("nru"))
+        assert transitions.target_stats() == before
+        kernel = atd.observe_many
+        assert type(kernel) is DrainKernel and kernel is atd.kernel
+        assert kernel.target is kernel.python
+        assert kernel.python.__code__.co_filename \
+            == "<repro kernel nru/none observe>"
+        assert kernel.python in [cell.cell_contents
+                                 for cell in atd.observe.__closure__]
+        assert kernel not in [cell.cell_contents
+                              for cell in atd.observe.__closure__]
+
+    def test_a_batch_shorter_than_the_floor_stays_interpreted(self):
+        """The size rule of an installed kernel: what it copies per call
+        is the directory, so only a batch at least that long goes to it;
+        a shorter column is drained by the Python rendering, as a list."""
+        atd = ATD(self.GEOMETRY, 4, "lru", make_profiler("lru"))
+        kernel, calls = atd.observe_many, []
+        assert kernel.entries == len(atd.state.lines) == 32 * 8
+
+        class Columns:
+            """Stands in for a compiled kernel (it has ``ints``)."""
+            ints = staticmethod(list)
+            __call__ = staticmethod(calls.append)
+
+        assert kernel.install(Columns()) and kernel.floor == 256
+        kernel.floor = 3
+        kernel(np.array([0, 4], dtype=np.int64))
+        assert calls == [] and atd._counts == [2, 0]
+        assert {type(line) for line in atd.state.map} == {int}
+        kernel(np.array([8, 12, 16], dtype=np.int64))
+        assert [batch.tolist() for batch in calls] == [[8, 12, 16]]
+        assert atd._counts == [2, 0]
+        kernel.restore()
+        assert kernel.target is kernel.python and kernel.floor == 0
+        kernel([8])
+        assert atd._counts == [3, 0]
+        assert not kernel.install(kernel.python) and kernel.floor == 0
+
+    def test_only_a_transparent_wrapper_still_leads_to_the_kernel(self):
+        import functools
+
+        atd = ATD(self.GEOMETRY, 4, "bt", make_profiler("bt"))
+        kernel = atd.observe_many
+
+        @functools.wraps(kernel)
+        def traced(batch):
+            return kernel(batch)
+
+        atd.observe_many = functools.wraps(traced)(
+            lambda batch: traced(batch))        # two deep
+        assert rendered_drain_kernel(atd) is kernel
+        atd.observe_many = lambda batch: kernel(batch)
+        assert rendered_drain_kernel(atd) is None
+        del atd.observe_many                # the class's generic loop
+        assert rendered_drain_kernel(atd) is None
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The two targets of the ``loop`` rendering against each other and
-against the policy classes.
+"""The two targets of the ``loop`` and ``observe`` renderings against each
+other and against the policy classes.
 
-``BatchedEngine.run`` executes the compiled target of a stock key wherever
+``BatchedEngine.run`` executes the compiled target of a stock key — its
+event loop and, in a profiled run, the drains of its ATDs — wherever
 the host can build it and the Python target otherwise
 (:func:`repro.cache.transitions.bind`).  Both are translations of one
 checked source, so every run here is made three times — compiled (the
@@ -118,9 +119,9 @@ def masks_for_bt(monkeypatch):
             MasksPartition(cores, sets, assoc))
 
 
-def binds(key):
+def binds(key, rendering="loop"):
     return dict(transitions.target_stats().get(
-        key, {"binds": {"c": 0, "python": 0}})["binds"])
+        (rendering, key), {"binds": {"c": 0, "python": 0}})["binds"])
 
 
 @pytest.mark.parametrize("service_interval", [0.0, 37.5],
@@ -131,14 +132,21 @@ def test_both_targets_match_the_policy_classes(key, service_interval,
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
     case = scenario(key, service_interval)
-    before = binds(key)
+    drains = (key[0], "none")
+    before, drains_before = binds(key), binds(drains, "observe")
     compiled = run_engine(case, "batched")
     with transitions.python_target():
         python = run_engine(case, "batched")
     generic = run_engine(GenericL2Case(**vars(case)), "batched")
-    after = binds(key)
+    after, drains_after = binds(key), binds(drains, "observe")
     assert after[expected_target()] == before[expected_target()] + 1
     assert after["python"] >= before["python"] + 1
+    # One drain kernel per ATD per run, on the target the loop got — the
+    # generic-L2 run included: its ATDs still run their rendering.
+    atds = 4 if CONFIGS[key].partitioned else 0
+    assert drains_after[expected_target()] \
+        == drains_before[expected_target()] + 2 * atds
+    assert drains_after["python"] >= drains_before["python"] + atds
 
     assert diff_snapshots(python, compiled) == []
     assert diff_snapshots(generic, compiled) == []
@@ -292,24 +300,28 @@ def test_overrun_under_the_compiled_target_raises_the_same_error():
 # ----------------------------------------------------------------------
 def test_target_stats_say_what_ran_and_why():
     key = ("bt", "btvectors")
+    both = (("loop", key), ("observe", ("bt", "none")))
     run_engine(scenario(key), "batched")
-    entry = transitions.target_stats()[key]
-    assert entry["target"] == expected_target()
-    if expected_target() == "c":
-        assert entry["cache"] in ("hit", "built") and entry["build_s"] >= 0
-        assert "reason" not in entry
-    else:
-        assert entry["reason"] == "no C compiler (cc) on PATH"
+    for name in both:
+        entry = transitions.target_stats()[name]
+        assert entry["target"] == expected_target()
+        if expected_target() == "c":
+            assert entry["cache"] in ("hit", "built")
+            assert entry["build_s"] >= 0 and "reason" not in entry
+        else:
+            assert entry["reason"] == "no C compiler (cc) on PATH"
     with transitions.python_target():
         run_engine(scenario(key), "batched")
-    entry = transitions.target_stats()[key]
-    assert entry["target"] == "python"
-    assert entry["reason"] == "python_target() block"
-    assert "cache" not in entry
+    for name in both:
+        entry = transitions.target_stats()[name]
+        assert entry["target"] == "python"
+        assert entry["reason"] == "python_target() block"
+        assert "cache" not in entry
     entry["binds"]["c"] = -1            # a copy: nothing leaks back
-    assert transitions.target_stats()[key]["binds"]["c"] >= 0
+    assert transitions.target_stats()[name]["binds"]["c"] >= 0
     summary = transitions.target_summary()
-    assert summary.startswith("loop targets: c=")
+    assert summary.startswith("targets: loop c=")
+    assert ", observe c=" in summary and "; built=" in summary
     assert "python_target() block" in summary
 
 
@@ -328,11 +340,107 @@ def test_host_without_a_compiler_runs_the_python_target(monkeypatch,
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bare = run_engine(case, "batched")
-        entry = transitions.target_stats()[key]
+        stats = transitions.target_stats()
     finally:
         native.load.cache_clear()
         native.compiler.cache_clear()
     assert diff_snapshots(python, bare) == []
-    assert entry["target"] == "python"
-    assert entry["reason"] == "no C compiler (cc) on PATH"
+    for name in (("loop", key), ("observe", ("nru", "none"))):
+        assert stats[name]["target"] == "python"
+        assert stats[name]["reason"] == "no C compiler (cc) on PATH"
     assert "no C compiler (cc) on PATH" in transitions.target_summary()
+
+
+# ----------------------------------------------------------------------
+# Who may cross into C: a whole drain, never a single access
+# ----------------------------------------------------------------------
+def test_single_access_observation_never_binds_the_compiled_target(
+        monkeypatch):
+    """The compiled drain copies the ATD's state in and out per call —
+    per *batch* that is noise, per access it would be ~200x the Python
+    step.  So the reference engine, the call-form loop with an immediate
+    observer and ``ATD.observe`` itself stay on the Python rendering:
+    no ``observe`` bind is recorded and no compiled kernel is called."""
+    def crossed(self, *arguments):
+        raise AssertionError("a single access crossed into C")
+
+    key = ("nru", "masks")
+    case = scenario(key)
+    batched = run_engine(case, "batched")
+    monkeypatch.setattr(native.CompiledKernel, "__call__", crossed)
+    before = binds(("nru", "none"), "observe")
+    assert diff_snapshots(run_engine(case, "reference"), batched) == []
+
+    class ImmediateCase(FuzzCase):
+        def simulator(self, engine):
+            sim = super().simulator(engine)
+            observe = sim.profiling.observe
+            sim.hierarchy.l2_observer = \
+                lambda core, line: observe(core, line)
+            del sim.hierarchy.l2.access_line_hit    # the call-form loop
+            return sim
+
+    immediate = run_engine(ImmediateCase(**vars(case)), "batched")
+    assert diff_snapshots(immediate, batched) == []
+    assert binds(("nru", "none"), "observe") == before
+
+
+class RecordingCase(FuzzCase):
+    """The case with thread 1's ``atd.observe_many`` rebound to a
+    recorder of batch types — ``transparent``: behind ``functools.wraps``,
+    the way a tracer wraps it."""
+
+    transparent = False
+    seen: list = []
+    atds: list = []
+
+    def simulator(self, engine):
+        import functools
+
+        sim = super().simulator(engine)
+        atd = sim.profiling.monitors[1].atd
+        kernel = atd.observe_many
+
+        def recorder(batch):
+            self.seen.append(type(batch))
+            kernel(batch)
+
+        atd.observe_many = (functools.wraps(kernel)(recorder)
+                            if self.transparent else recorder)
+        self.atds[:] = [m.atd for m in sim.profiling.monitors]
+        return sim
+
+
+@pytest.mark.parametrize("transparent", [False, True],
+                         ids=["opaque", "functools.wraps"])
+def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
+    """Whoever rebinds an ATD's ``observe_many`` sees every drain.  An
+    opaque callable is drained as it stands — lists, and whatever it
+    calls is the ATD's own Python kernel.  A transparent wrapper (a
+    ``__wrapped__`` chain ending at the kernel the ATD bound) is still
+    called, with the run's own bind behind it: columns into the compiled
+    kernel wherever the host has ``cc``.  Either way the run leaves every
+    ATD on the kernel it keeps for itself."""
+    case = scenario(("lru", "masks"))
+    monkeypatch.setattr(RecordingCase, "transparent", transparent)
+    monkeypatch.setattr(RecordingCase, "seen", [])
+    before = binds(("lru", "none"), "observe")
+    recorded = run_engine(RecordingCase(**vars(case)), "batched")
+    after = binds(("lru", "none"), "observe")
+    assert sum(after.values()) - sum(before.values()) \
+        == (4 if transparent else 3)
+    compiled_behind = transparent and expected_target() == "c"
+    assert set(RecordingCase.seen) \
+        == {np.ndarray if compiled_behind else list}
+    assert diff_snapshots(run_engine(case, "batched"), recorded) == []
+    assert all(atd.kernel.target is atd.kernel.python
+               and atd.kernel.floor == 0 for atd in RecordingCase.atds)
+
+
+def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
+    sim, _info = run_overrun()
+    atds = [monitor.atd for monitor in sim.profiling.monitors]
+    assert len(atds) == 4
+    for atd in atds:
+        assert atd.kernel.target is atd.kernel.python
+        atd.observe_many([0, 2, 4])         # a list, as before the run

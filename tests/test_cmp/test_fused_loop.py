@@ -85,10 +85,10 @@ def loop_keys(monkeypatch):
     keys = []
     bind = transitions.bind
 
-    def spy(rendering, key, owner, *args):
+    def spy(rendering, key, owner, *args, **kwargs):
         if rendering == "loop":
             keys.append(key)
-        return bind(rendering, key, owner, *args)
+        return bind(rendering, key, owner, *args, **kwargs)
 
     monkeypatch.setattr(transitions, "bind", spy)
     return keys
@@ -123,7 +123,7 @@ def test_python_target_matches_generic_object_protocol(key, config,
     with transitions.python_target():
         fused = run_engine(case, "batched")
     assert loop_keys == [key]
-    assert transitions.target_stats()[key]["target"] == "python"
+    assert transitions.target_stats()["loop", key]["target"] == "python"
     generic = run_engine(GenericL2Case(**vars(case)), "batched")
     assert diff_snapshots(generic, fused) == []
 
@@ -284,7 +284,7 @@ class TestGeneratedSourceExplainsItself:
         kernel = sim.hierarchy.l2.access_line_hit
         assert kernel.__code__.co_filename == "<repro kernel lru/counters hit>"
         assert "owned_l[s * ncores + core]" in inspect.getsource(kernel)
-        drain = sim.profiling.monitors[0].atd.observe_many
+        drain = sim.profiling.monitors[0].atd.observe_many.python
         name = drain.__code__.co_filename
         assert name == "<repro kernel lru/none observe>"
         assert linecache.getline(name, drain.__code__.co_firstlineno) \

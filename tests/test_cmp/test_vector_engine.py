@@ -7,7 +7,9 @@ adds what the vector engine's suite held that no multi-core case covers:
 
 * ``TestVectorVsReference`` — every scenario of
   ``TestSoloVsReference`` again with the loop held to its **Python
-  target**, the loop a host without ``cc`` runs for every isolation job;
+  target**, the loop a host without ``cc`` runs for every isolation job —
+  and ``TestDeferredDrainsPythonTarget``, the same twin for the deferred
+  ATD drains;
 * streams dense with immediate same-set repeats and two-line
   alternations (long hit chains through the fused loop), on both targets;
 * custom and wrapped L2 observers, which take the call-form loop;
@@ -80,6 +82,12 @@ def alternation_trace(count=8000, name="alt"):
 
 class TestVectorVsReference(PythonTarget, solo.TestSoloVsReference):
     """Every single-thread scenario, on the Python target of the loop."""
+
+
+class TestDeferredDrainsPythonTarget(PythonTarget, solo.TestDeferredDrains):
+    """Every deferred-drain scenario with the loop *and* the drains held
+    to the Python rendering (above, ``solo.TestDeferredDrains`` drains
+    through the compiled kernels wherever the host has ``cc``)."""
 
 
 class TestElision:

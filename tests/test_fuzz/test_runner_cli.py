@@ -3,7 +3,9 @@ mutation acceptance test (inject a bug, fuzz catches it, shrinker
 reduces it to a tiny corpus-ready repro)."""
 
 import json
+import shutil
 
+from repro.cache import native, transitions
 from repro.cli import main
 from repro.cmp.engine.batched import BatchedEngine
 from repro.cmp.engine.common import clear_window_cache
@@ -70,6 +72,38 @@ class MutatedBatchedEngine:
         return False
 
 
+class MutatedObserveRendering:
+    """Context manager moving the SDH read of the ``observe`` rendering
+    *after* the promote.
+
+    The profiler must read the pre-access replacement state (§II-A: the
+    distance an access hits at is where the line *was*); read after the
+    promote, every LRU hit lands on register 1.  One edit of the one
+    skeleton, so the Python rendering and the C translated from it are
+    wrong together — and only the class-stepping reference can tell.
+    """
+
+    STOCK = transitions.TEMPLATES["observe"]
+    MUTATED = STOCK.replace(
+        "                $sdh\n                $promote\n",
+        "                $promote\n                $sdh\n")
+
+    def install(self, template):
+        transitions.TEMPLATES["observe"] = template
+        transitions._factory.cache_clear()
+        native.load.cache_clear()
+        clear_window_cache()
+
+    def __enter__(self):
+        assert self.MUTATED != self.STOCK
+        self.install(self.MUTATED)
+        return self
+
+    def __exit__(self, *exc):
+        self.install(self.STOCK)
+        return False
+
+
 class TestShrinker:
     def test_rejects_clean_case(self):
         import pytest
@@ -129,3 +163,38 @@ class TestMutationAcceptance:
         on_disk = json.loads(repros[0].read_text(encoding="utf-8"))
         assert on_disk["format"] == "repro-fuzz-case/1"
         assert FuzzCase.load(repros[0]).to_dict() == on_disk
+
+    def test_sdh_read_after_promote_is_caught_on_both_targets(
+            self, tmp_path, capsys):
+        """A bug in the ``observe`` rendering reaches the drains on both
+        targets (compiled on the cold and warm runs wherever the host has
+        ``cc``, Python on the third) and the ATDs' own kernels; the
+        reference steps the profiler classes and disagrees with all."""
+        with MutatedObserveRendering():
+            rc = main(["fuzz", "--seed", "0", "--budget", "1",
+                       "--out", str(tmp_path), "--quiet"])
+            out = capsys.readouterr().out
+            assert rc == 1 and "DIVERGENT" in out, out
+            (repro,) = sorted(tmp_path.glob("div-seed0-case*.json"))
+            case = FuzzCase.load(repro)
+            assert case.total_accesses() <= 8 and case.num_cores == 1
+            assert case.partitioning.partitioned
+            before = transitions.target_stats()["observe", ("lru", "none")]
+            report = run_case(case)
+            after = transitions.target_stats()["observe", ("lru", "none")]
+            diffs = report.diffs["batched"]
+            # The SDH registers, and nothing but them: cold, warm, Python.
+            assert diffs and all("profiling[0][1]" in path
+                                 for path in diffs), diffs
+            for prefix in ("profiling", "warm: ", "python target: "):
+                assert any(path.startswith(prefix) for path in diffs)
+            # The third stage held the drains (not just the loop) to the
+            # Python target; the first two ran whatever the host builds.
+            host = "c" if shutil.which("cc") else "python"
+            assert after["binds"]["python"] - before["binds"]["python"] \
+                == (3 if host == "python" else 1)
+            assert sum(after["binds"].values()) \
+                - sum(before["binds"].values()) == 3
+            assert after["reason"] == "python_target() block"
+        report = run_case(case)
+        assert not report.divergent, report.summary()

@@ -1,7 +1,8 @@
 """Fixture: a transition spec with an attribute chase in a policy fragment
-(so it lands in every rendering), a per-event allocation plus a global
-lookup in the call-form access block of the event loop, and a scheme
-whose mask fragment stores to the event loop's horizon."""
+(so it lands in every rendering) and a float in its SDH read, a second
+policy whose SDH read iterates a tuple table, a per-event allocation plus
+a global lookup in the call-form access block of the event loop, and a
+scheme whose mask fragment stores to the event loop's horizon."""
 
 POLICIES = {
     "flat": {
@@ -12,8 +13,23 @@ POLICIES = {
         "victim": "way = (mask & -mask).bit_length() - 1",
         "victim_in_mask": True,
         "fill": "$promote",
-        "sdh": "sdh_r[used_l[$set].bit_count()] += 1",
-        "bind_sdh": "",
+        "sdh": """\
+distance = ceil_fn(0.75 * used_l[$set].bit_count())
+sdh_r[distance] += 1""",
+        "bind_sdh": "ceil_fn = atd.profiler.ceil",
+    },
+    "walk": {
+        "bind": "used_l = policy._used",
+        "locate": "",
+        "promote": "used_l[$set] |= 1 << way",
+        "fill_invalid": "",
+        "victim": "way = (mask & -mask).bit_length() - 1",
+        "victim_in_mask": True,
+        "fill": "$promote",
+        "sdh": """\
+for shift in spec_l:
+    sdh_r[(used_l[$set] >> shift) & 1] += 1""",
+        "bind_sdh": "spec_l = policy._path_spec",
     },
 }
 
@@ -58,8 +74,8 @@ def build(cache):
     $bind_cache
 
     def access_line_hit(line, core=0):
-        way = tag_get(line)
         s = line & set_mask
+        way = tag_get(line)
         if way is not None:
             $promote
             return True
@@ -79,11 +95,12 @@ def build(atd):
     full_mask = atd.state.full_mask
     sdh_r = atd.sdh._r
     $bind
+    $bind_sdh
 
     def observe_many(batch):
         for line in batch:
-            way = tag_get(line)
             s = line & 7
+            way = tag_get(line)
             if way is not None:
                 $sdh
                 $promote
@@ -107,8 +124,8 @@ def build(cache):
     return loop
 """,
     "access_fused": """\
-way = tag_get(line)
 s = line & set_mask
+way = tag_get(line)
 if way is not None:
     $promote
     clock = now + 1.0
@@ -132,7 +149,8 @@ C_KINDS = {
     "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
     "horizon": "float", "beyond": "callout:float(float)", "lines": "rows",
     "cur": "ints", "tag_map": "tags:tag_lines,assoc",
-    "tag_get": "probe:tag_lines,set_mask,assoc", "tag_lines": "ints",
+    "tag_get": "probe:tag_lines,s,assoc", "tag_lines": "ints",
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
+    "batch": "column", "sdh_r": "ints", "spec_l": "ints",
 }

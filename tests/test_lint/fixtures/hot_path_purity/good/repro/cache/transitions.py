@@ -55,8 +55,8 @@ def build(cache):
     $bind_cache
 
     def access_line_hit(line, core=0):
-        way = tag_get(line)
         s = line & set_mask
+        way = tag_get(line)
         if way is not None:
             $promote
             return True
@@ -76,11 +76,12 @@ def build(atd):
     full_mask = atd.state.full_mask
     sdh_r = atd.sdh._r
     $bind
+    $bind_sdh
 
     def observe_many(batch):
         for line in batch:
-            way = tag_get(line)
             s = line & 7
+            way = tag_get(line)
             if way is not None:
                 $sdh
                 $promote
@@ -104,8 +105,8 @@ def build(cache):
     return loop
 """,
     "access_fused": """\
-way = tag_get(line)
 s = line & set_mask
+way = tag_get(line)
 if way is not None:
     $promote
     clock = now + 1.0
@@ -126,7 +127,8 @@ C_KINDS = {
     "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
     "horizon": "float", "beyond": "callout:float(float)", "lines": "rows",
     "cur": "ints", "tag_map": "tags:tag_lines,assoc",
-    "tag_get": "probe:tag_lines,set_mask,assoc", "tag_lines": "ints",
+    "tag_get": "probe:tag_lines,s,assoc", "tag_lines": "ints",
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
+    "batch": "column", "sdh_r": "ints", "spec_l": "ints",
 }

@@ -85,9 +85,9 @@ class TestHotPathPurity:
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "does not render" in m.message]
-        assert len(messages) == 1
-        assert "<repro kernel flat/clobber loop>" in messages[0]
-        assert "scheme 'mask' -> horizon" in messages[0]
+        assert len(messages) == 2           # one per policy of the fixture
+        assert any("<repro kernel flat/clobber loop>" in m for m in messages)
+        assert all("scheme 'mask' -> horizon" in m for m in messages)
 
     def test_covers_batched_event_loop(self, lint_fixture):
         """The event loop of ``BatchedEngine.run`` is a rendering of the
@@ -108,10 +108,26 @@ class TestHotPathPurity:
         tree, same tables, translates."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
-                    if "no C target" in m.message]
-        assert len(messages) == 1           # flat/clobber does not render
+                    if "no C target" in m.message and " loop>" in m.message]
+        assert len(messages) == 1           # */clobber does not render
         assert any("<repro kernel flat/none loop>" in m for m in messages)
         assert all("attribute access ._used" in m for m in messages)
+
+    def test_stock_drain_without_a_c_target_is_flagged(self, lint_fixture):
+        """The same promise for every ``observe`` key.  The two shapes
+        that once kept the drains in the interpreter are each refused by
+        name: a float in an ``sdh`` fragment (NRU's ``ceil(S * U)``) and a
+        ``for`` over anything but a column (BT's tuple of path bits)."""
+        messages = [m.message
+                    for m in lint_fixture("hot-path-purity", "bad")
+                    if "no C target" in m.message
+                    and " observe>" in m.message]
+        assert len(messages) == 2
+        assert any("<repro kernel flat/none observe>: float operation in "
+                   "policy 'sdh' fragment" in m for m in messages)
+        assert any("<repro kernel walk/none observe>" in m
+                   and "for over anything but a column binding" in m
+                   for m in messages)
 
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
         """A fragment with an attribute chase is flagged in the hit

@@ -84,6 +84,25 @@ class TestNRUProfiler:
         assert sdh.register(1) == 1
 
 
+    @pytest.mark.parametrize("assoc", [2, 8, 16])
+    @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3, 0.1])
+    def test_distance_table_is_on_hit_for_every_used_count(self, scaling,
+                                                           assoc):
+        """What the rendered observe kernels index (both targets) against
+        the oracle side, ``U = 0 .. A``: the entry for ``U`` is the
+        register ``on_hit`` bumps when ``U`` used bits are set."""
+        profiler = NRUDistanceProfiler(scaling=scaling)
+        table = profiler.distance_table(assoc)
+        assert len(table) == assoc + 1 and table[0] == 1
+        assert all(type(entry) is int for entry in table)
+        policy = NRUPolicy(1, assoc)
+        for used in range(1, assoc + 1):
+            policy._used[0] = (1 << used) - 1
+            sdh = SDH(assoc)
+            profiler.on_hit(policy, 0, 0, sdh)
+            assert sdh.register(table[used]) == 1 == sdh.total, used
+
+
 class TestBTProfiler:
     def test_paper_figure4b(self):
         # ID(D) = 11, path = 10 -> estimate 3.

@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.cache import transitions
 from repro.cache.cache import SetAssociativeCache
@@ -34,9 +35,9 @@ def clean_result():
         },
         "runs": {"1": 2, "2": 1},
         "cc": "/usr/bin/cc",
-        "targets": {"lru/none": {"target": "c", "cache": "hit",
-                                 "build_s": 0.001,
-                                 "binds": {"c": 1, "python": 0}}},
+        "targets": {name: {"target": "c", "cache": "hit",
+                           "build_s": 0.001, "binds": {"c": 1, "python": 0}}
+                    for name in ("loop lru/none", "observe lru/none")},
     }
 
 
@@ -51,23 +52,33 @@ class TestProblems:
         (message,) = kernel_traffic.problems(result)
         assert "policy:lru:observe" in message
 
-    def test_python_target_beside_a_compiler_is_a_problem(self):
+    @pytest.mark.parametrize("name", ["loop lru/none", "observe lru/none"])
+    def test_python_target_beside_a_compiler_is_a_problem(self, name):
         result = clean_result()
-        result["targets"]["lru/none"] = {
+        result["targets"][name] = {
             "target": "python", "reason": "cc exited 1: boom",
             "binds": {"c": 0, "python": 1}}
         (message,) = kernel_traffic.problems(result)
-        assert message.startswith("/usr/bin/cc is on PATH but stock loops "
-                                  "ran on the Python target at micro: "
-                                  "lru/none (cc exited 1: boom)")
+        assert message == ("/usr/bin/cc is on PATH but stock kernels ran on "
+                           "the Python target at micro: "
+                           f"{name} (cc exited 1: boom)")
 
     def test_python_target_without_a_compiler_is_not(self):
         result = clean_result()
         result["cc"] = None
-        result["targets"]["lru/none"] = {
-            "target": "python", "reason": "no C compiler (cc) on PATH",
-            "binds": {"c": 0, "python": 1}}
+        for name in result["targets"]:
+            result["targets"][name] = {
+                "target": "python", "reason": "no C compiler (cc) on PATH",
+                "binds": {"c": 0, "python": 1}}
         assert kernel_traffic.problems(result) == []
+
+    def test_a_policy_whose_drains_were_never_bound_is_a_problem(self):
+        """Never skipped green: an ATD built for the policy is not a
+        drain run on either target."""
+        result = clean_result()
+        del result["targets"]["observe lru/none"]
+        (message,) = kernel_traffic.problems(result)
+        assert message == "no run at micro bound a drain kernel for: lru"
 
 
 def test_wrappers_count_builds_per_key_and_runs_per_thread_count():

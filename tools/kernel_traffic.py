@@ -16,11 +16,13 @@ path were found — so the exit status is 1 when a policy of
 ``transitions.POLICIES`` has zero builds in any rendering or a scheme of
 ``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds.
 ``targets`` is ``transitions.target_stats()``: per stock ``loop`` key —
-the ``*/none`` keys the single-thread runs bind included — the target
-its runs got (``c`` or ``python``), whether the object came from the
-cache or was built, and why it fell back; with ``cc`` on ``PATH`` a stock
-loop on the Python target is a failed or disabled build, and the exit
-status is 1.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
+the ``*/none`` keys the single-thread runs bind included — and per
+``observe`` key the runs bound for their ATD drains, the target its
+calls got (``c`` or ``python``), whether the object came from the cache
+or was built, and why it fell back; with ``cc`` on ``PATH`` a stock loop
+or drain on the Python target is a failed or disabled build, and so is a
+policy whose drains were never bound at all: the exit status is 1.  CI
+runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -50,7 +52,7 @@ RENDERINGS = {"policy": ("hit", "observe", "loop"),
 
 
 def _counting_bind(bind, builds, fragments):
-    def counted(rendering, key, owner, *args):
+    def counted(rendering, key, owner, *args, **kwargs):
         label = "call" if key is None else "/".join(key)
         per_key = builds[rendering]
         per_key[label] = per_key.get(label, 0) + 1
@@ -59,7 +61,7 @@ def _counting_bind(bind, builds, fragments):
             fragments["policy"][policy][rendering] += 1
             if rendering in RENDERINGS["scheme"]:
                 fragments["scheme"][scheme][rendering] += 1
-        return bind(rendering, key, owner, *args)
+        return bind(rendering, key, owner, *args, **kwargs)
 
     return counted
 
@@ -99,7 +101,8 @@ def measure(scale: str) -> dict:
             "fragments": fragments,
             "runs": runs,
             "cc": shutil.which("cc"),
-            "targets": {"/".join(key): entry for key, entry
+            "targets": {f"{rendering} {'/'.join(key)}": entry
+                        for (rendering, key), entry
                         in sorted(transitions.target_stats().items())}}
 
 
@@ -117,9 +120,14 @@ def problems(result: dict) -> list:
                    for label, entry in result["targets"].items()
                    if entry["target"] != "c"]
     if result["cc"] and interpreted:
-        found.append(f"{result['cc']} is on PATH but stock loops ran on the "
-                     f"Python target at {result['scale']}: "
+        found.append(f"{result['cc']} is on PATH but stock kernels ran on "
+                     f"the Python target at {result['scale']}: "
                      f"{', '.join(interpreted)}")
+    undrained = [policy for policy in result["fragments"]["policy"]
+                 if f"observe {policy}/none" not in result["targets"]]
+    if undrained:
+        found.append(f"no run at {result['scale']} bound a drain kernel "
+                     f"for: {', '.join(undrained)}")
     return found
 
 
