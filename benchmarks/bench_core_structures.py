@@ -1,10 +1,10 @@
 """Micro-benchmarks of the core data structures.
 
-These measure raw operation rates of the building blocks (cache accesses
-under each replacement policy, ATD observation, the partition selectors and
-the trace generator), independent of any figure.
-``benchmarks/record.py core`` runs the same setups without the
-pytest-benchmark harness and records them to ``BENCH_core.json``.
+These measure raw operation rates of the building blocks (per-access
+cache accesses and ATD observations — the policy, scheme and profiler
+classes the reference engine steps — the partition selectors and the
+trace generator), independent of any figure, and carry no floor: report
+jobs run the batch kernels (``benchmarks/record.py engine``).
 
 ``TestTagStateRepresentation`` holds the microbenches behind the array
 core's representation choices (``repro.cache.state.TagStore``): one
@@ -37,7 +37,7 @@ SAMPLED_STREAM = [int(x) * 8 for x in
                   np.random.default_rng(7).integers(0, 512, size=20_000)]
 
 
-# The three kernelised policies plus one generic-path row (fifo).
+# The three paper policies plus one extension policy (fifo).
 @pytest.mark.parametrize("policy", ["lru", "nru", "bt", "fifo"])
 def test_cache_access_rate(benchmark, policy):
     cache = SetAssociativeCache(GEOMETRY, policy,

@@ -2,40 +2,32 @@
 
 Two recording modes::
 
-    PYTHONPATH=src python benchmarks/record.py core            # BENCH_core.json
     PYTHONPATH=src python benchmarks/record.py engine          # BENCH_engine.json
     PYTHONPATH=src python benchmarks/record.py campaign        # BENCH_campaign.json
-    PYTHONPATH=src python benchmarks/record.py core engine     # both
 
-``core`` measures the raw operation rates of the building blocks (cache
-accesses under each replacement policy, ATD observation, the L1 paths) with
-a best-of-``--repeats`` ``perf_counter`` loop — the same setups as
-``bench_core_structures.py`` but without the pytest-benchmark harness, so it
-runs in seconds and emits stable ops/sec numbers.  ``campaign`` races the
-worker-pool implementations of ``bench_campaign.py --pool-modes`` (serial,
-persistent process pool, remote loopback) and carries no floor.
-``engine`` measures the
-end-to-end reference vs batched engine wall-clock on the 4-core mix of
-``bench_engine.py`` and the **six configs, one mix** composite
-(``bench_engine.run_six_configs``) with its window-cache lookups and
-hits, and one ATD drain of 2 K sampled lines per paper policy through
-both targets of the ``observe`` rendering (:func:`drain_rates`).
-(Single-thread runs are the same engine and the same loop at a
-heap of one; their end-to-end number is ``benchmarks/e2e``'s
-``isolation_paper`` workload, not a row here.)
+``engine`` measures the end-to-end reference vs batched engine wall-clock
+on the 4-core mix of ``bench_engine.py`` and the **six configs, one mix**
+composite (``bench_engine.run_six_configs``) with its window-cache
+lookups and hits, and one ATD drain of 2 K sampled lines per paper policy
+through both targets of the ``observe`` rendering (:func:`drain_rates`),
+each a best-of-``--repeats`` ``perf_counter`` loop.  (Single-thread runs
+are the same engine and the same loop at a heap of one; their end-to-end
+number is ``benchmarks/e2e``'s ``isolation_paper`` workload, not a row
+here.)  ``campaign`` races the worker-pool implementations of
+``bench_campaign.py --pool-modes`` (serial, persistent process pool,
+remote loopback) and carries no floor.  The per-access rates of the
+building blocks are ``bench_core_structures.py``'s, under
+pytest-benchmark, with no floor: no report job calls a per-access kernel.
 
 Every output file carries machine metadata (platform, CPU count, python and
 numpy versions) so recorded rates are comparable only within a machine.
 
 Compare mode (the CI perf-smoke gate)::
 
-    python benchmarks/record.py core --baseline benchmarks/BENCH_core_seed.json \
-        --floor 2.0 --floor-keys cache_access_lru,atd_observe_lru
+    python benchmarks/record.py engine --baseline benchmarks/BENCH_engine.json
 
-exits nonzero when any ``--floor-keys`` rate is below ``floor x`` the
-baseline's rate.  ``benchmarks/BENCH_core_seed.json`` is the committed
-pre-refactor (per-object tag/policy state) recording the flat array core is
-graded against.
+exits nonzero when any floor key (``--floor-keys``, default
+:data:`DEFAULT_ENGINE_FLOOR_KEYS`) falls below its floor.
 """
 
 from __future__ import annotations
@@ -49,24 +41,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-
-#: Default floor-checked keys (``key:floor``; a bare key uses ``--floor``).
-#: The headline array-core targets are the *composite* cache-access and
-#: ATD-observe rates over the paper's three policies (total ops / total
-#: time for lru+nru+bt) at >=2x; the per-policy entries are regression
-#: guards at a level that stays clear of timing noise (NRU's seed state
-#: was already a flat bitmask, so it has the least Python overhead to
-#: shed — its per-policy ratio sits around 1.8-2.0x).
-DEFAULT_FLOOR_KEYS = (
-    "cache_access_core3:2.0",
-    "atd_observe_core3:2.0",
-    "cache_access_lru:1.4",
-    "cache_access_nru:1.4",
-    "cache_access_bt:1.4",
-    "atd_observe_lru:1.4",
-    "atd_observe_nru:1.4",
-    "atd_observe_bt:1.4",
-)
 
 #: Default floor keys for the ``engine`` target.  A ``cur/base`` entry
 #: compares the *current* ``cur`` rate against the *baseline* ``base``
@@ -115,98 +89,14 @@ def _rate(setup, op, n_ops: int, repeats: int) -> float:
     return n_ops / best
 
 
-def record_core(repeats: int) -> dict:
-    from repro.cache.cache import SetAssociativeCache
-    from repro.cache.geometry import CacheGeometry
-    from repro.cache.l1 import SmallLRUCache
-    from repro.profiling.atd import ATD
-    from repro.profiling.profilers import make_profiler
-
-    geometry = CacheGeometry(128 * 16 * 128, 16, 128)   # 128 sets x 16 ways
-    stream = [int(x) for x in
-              np.random.default_rng(0).integers(0, 4096, size=20_000)]
-    stream_arr = np.asarray(stream, dtype=np.int64)
-    n = len(stream)
-    rates = {}
-
-    # The three kernelised policies, plus ``fifo`` as the one row of the
-    # generic object-protocol path every other policy runs.
-    for policy in ("lru", "nru", "bt", "fifo"):
-        def setup(policy=policy):
-            cache = SetAssociativeCache(geometry, policy,
-                                        rng=np.random.default_rng(1))
-            return cache.access_line_hit
-
-        def op(access):
-            for line in stream:
-                access(line)
-
-        rates[f"cache_access_{policy}"] = _rate(setup, op, n, repeats)
-
-    # ATD observation is measured two ways: ``atd_observe_<p>`` feeds a
-    # fully-sampled stream (every line lands in a sampled set) and measures
-    # the tag-directory + profiler machinery itself — the floor-checked
-    # quantity; ``atd_observe_mixed_<p>`` feeds the natural 1-in-8 stream
-    # whose skipped accesses cost only a mask test (hoisted into
-    # ``ProfilingSystem.observe`` on the simulator path).
-    sampled_stream = [int(x) * 8 for x in
-                      np.random.default_rng(7).integers(0, 512, size=20_000)]
-    for policy in ("lru", "nru", "bt"):
-        def setup(policy=policy):
-            atd = ATD(geometry, 8, policy, make_profiler(policy),
-                      rng=np.random.default_rng(2))
-            return atd.observe
-
-        def op_sampled(observe):
-            for line in sampled_stream:
-                observe(line)
-
-        def op_mixed(observe):
-            for line in stream:
-                observe(line)
-
-        rates[f"atd_observe_{policy}"] = _rate(setup, op_sampled, n, repeats)
-        rates[f"atd_observe_mixed_{policy}"] = _rate(setup, op_mixed, n,
-                                                     repeats)
-
-    l1_geometry = CacheGeometry(32 * 2 * 128, 2, 128)
-
-    def l1_setup():
-        return SmallLRUCache(l1_geometry).access_line_hit
-
-    def l1_op(access):
-        for line in stream:
-            access(line)
-
-    rates["l1_access"] = _rate(l1_setup, l1_op, n, repeats)
-
-    def l1_bulk_setup():
-        return SmallLRUCache(l1_geometry).access_lines_hit
-
-    def l1_bulk_op(access_lines):
-        access_lines(stream_arr)
-
-    rates["l1_bulk_access"] = _rate(l1_bulk_setup, l1_bulk_op, n, repeats)
-
-    # Composite rates over the paper's three policies: total operations /
-    # total wall-clock — the headline quantity the >=2x floor applies to.
-    for composite, prefix in (("cache_access_core3", "cache_access_"),
-                              ("atd_observe_core3", "atd_observe_")):
-        rates[composite] = 3.0 / sum(1.0 / rates[prefix + p]
-                                     for p in ("lru", "nru", "bt"))
-
-    return {"kind": "core", "unit": "ops/sec", "machine": _machine(),
-            "rates": {k: round(v, 1) for k, v in rates.items()}}
-
-
 def drain_rates(repeats: int, batch_lines: int = 2048) -> dict:
     """Lines/sec of one ATD drain per paper policy on each target of the
-    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel
-    ``BatchedEngine.run`` binds for its drains (per-call state copy
-    included), ``drain_python_<p>`` the rendering the ATD keeps for
-    itself — and both composites over the three policies.  The ATD is
-    ``small``'s: a 128-set 16-way L2 sampled 1 in 8."""
-    from repro.cache import transitions
+    ``observe`` rendering — ``drain_compiled_<p>`` is the compiled kernel
+    the ATD binds for its drains (per-call state copy included; the
+    Python target on a host without ``cc``), ``drain_python_<p>`` the
+    Python rendering beside it — and both composites over the three
+    policies.  The ATD is ``small``'s: a 128-set 16-way L2 sampled 1 in
+    8."""
     from repro.cache.geometry import CacheGeometry
     from repro.profiling.atd import ATD
     from repro.profiling.profilers import make_profiler
@@ -218,10 +108,11 @@ def drain_rates(repeats: int, batch_lines: int = 2048) -> dict:
     for policy in ("lru", "nru", "bt"):
         def setup(policy=policy):
             atd = ATD(geometry, 8, policy, make_profiler(policy, 0.75))
-            compiled = transitions.bind("observe", (policy, "none"), atd)
+            kernel = atd.observe_many
+            compiled = kernel.compiled or kernel.python
             warm = batch if hasattr(compiled, "ints") else batch.tolist()
             compiled(warm)                  # directory past its cold fill
-            return atd.observe_many, compiled, warm
+            return kernel.python, compiled, warm
 
         def op_compiled(state):
             _python, compiled, lines = state
@@ -345,7 +236,7 @@ def check_floor(current: dict, baseline_path: Path, default_floor: float,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="+",
-                        choices=("core", "engine", "campaign"),
+                        choices=("engine", "campaign"),
                         help="which recordings to produce")
     parser.add_argument("--out-dir", default=str(Path(__file__).parent),
                         help="directory for BENCH_*.json (default: benchmarks/)")
@@ -356,7 +247,7 @@ def main(argv=None) -> int:
                                                    "60000")),
                         help="references per thread for the engine recording")
     parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to grade the 'core' rates against")
+                        help="baseline JSON to grade the rates against")
     parser.add_argument("--floor", type=float, default=2.0,
                         help="default minimum current/baseline rate ratio")
     parser.add_argument("--floor-keys", default=None,
@@ -370,11 +261,7 @@ def main(argv=None) -> int:
         parser.error("--baseline grades one target at a time")
     status = 0
     for target in dict.fromkeys(args.targets):
-        if target == "core":
-            payload = record_core(args.repeats)
-            out = out_dir / "BENCH_core.json"
-            default_keys = DEFAULT_FLOOR_KEYS
-        elif target == "campaign":
+        if target == "campaign":
             payload = record_campaign(args.repeats)
             out = out_dir / "BENCH_campaign.json"
             default_keys = ()

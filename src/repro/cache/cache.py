@@ -8,22 +8,22 @@ parallel tag comparison).  Fills prefer invalid ways within the candidate
 mask before consulting the replacement policy, and a miss never refuses:
 the candidate mask supplied by the enforcement scheme is always nonzero.
 
-The hot entry point :meth:`access_line_hit` is bound at construction to a
-policy-specialised *kernel* (rendered by :mod:`repro.cache.transitions`) that
-inlines the policy's flat-state transitions with locals-bound array
-operations; the
-generic object-protocol path serves every policy without a kernel kind —
-the extension policies, user subclasses — and is the reference the kernels
-are pinned against in ``tests/test_cache``.
+Every access method steps the policy and scheme *classes* through one
+miss path (:meth:`_fill`); this is the per-access oracle the reference
+engine and the call-form event loop run.  For a stock (policy, scheme)
+pair the batched engine's fused event loop inlines the same transitions
+(the ``loop`` rendering of :mod:`repro.cache.transitions`); the cache
+only records which key that is (:attr:`kernel`) and is pinned against it
+in ``tests/test_cache``.
 
 The cache works in *line address* space (byte address >> line_shift);
 :meth:`access` accepts byte addresses, :meth:`access_line` /
-:meth:`access_line_hit` are the hot paths used by the simulators.
+:meth:`access_line_hit` / :meth:`access_line_rw` work on line addresses.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.base import PartitionScheme
 from repro.cache.replacement.base import ReplacementPolicy, make_policy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache import transitions
 from repro.cache.state import TagStore, kernel_key
 
 
@@ -132,8 +131,8 @@ class SetAssociativeCache:
         Number of distinct cores that will access the cache (statistics and
         ownership arrays are sized accordingly).
     kernels:
-        When False, skip binding the policy-specialised access kernel and
-        run the generic object-protocol path (equivalence tests).
+        When False, record no rendering key: the batched engine then runs
+        the call-form loop over the classes (equivalence tests).
     """
 
     def __init__(self, geometry: CacheGeometry,
@@ -166,16 +165,10 @@ class SetAssociativeCache:
         self._full_mask = (1 << geometry.assoc) - 1
         self.state = TagStore(geometry.num_sets, geometry.assoc)
         self.stats = CacheStats(num_cores)
-        #: ``(key, kernel)`` of the rendered kernel bound below, if any —
-        #: what tells the batched engine that (and which) fused event
-        #: loop is exact for this cache (:func:`repro.cache.state.kernel_key`).
-        self.kernel = None
-        key = kernel_key(self) if kernels else None
-        if key is not None:
-            # Shadow the method: every caller (engines, benches, bulk
-            # paths) gets the locals-bound kernel transparently.
-            self.access_line_hit = transitions.bind("hit", key, self)
-            self.kernel = (key, self.access_line_hit)
+        #: ``(policy kind, scheme name)`` of the stock pair, if any — what
+        #: tells the batched engine that (and which) fused event loop is
+        #: exact for this cache (:func:`repro.cache.state.rendered_key`).
+        self.kernel = kernel_key(self) if kernels else None
 
     # ------------------------------------------------------------------
     def access(self, addr: int, core: int = 0) -> AccessResult:
@@ -185,23 +178,69 @@ class SetAssociativeCache:
     def access_line(self, line: int, core: int = 0) -> AccessResult:
         """Access a line address, reporting way/eviction detail.
 
-        Same state transitions as :meth:`access_line_hit` (the kernelised
-        hot path) — kept generic because its callers want the full
-        :class:`AccessResult`, not just the hit flag.
+        Same state transitions as :meth:`access_line_hit`, for callers
+        that want the full :class:`AccessResult`, not just the hit flag.
         """
-        state = self.state
+        s = line & self._set_mask
+        self.stats.accesses[core] += 1
+        way = self.state.map.get(line)
+        if way is not None:
+            self._promote(s, way, core)
+            return AccessResult(True, way, s, None)
+        way, evicted = self._fill(s, line, core, False)
+        return AccessResult(False, way, s, evicted)
+
+    def access_line_hit(self, line: int, core: int = 0) -> bool:
+        """Access a line and report only hit/miss: a read
+        (:meth:`access_line_rw` with ``write=False``).
+
+        The per-access entry point of the reference engine and the
+        call-form event loop, stepping the policy and scheme classes.
+        The batched engine's fused loop inlines the same transition for a
+        stock (policy, scheme) pair — but only while no instance
+        attribute shadows this method
+        (:func:`repro.cache.state.rendered_key`).
+        """
+        return self.access_line_rw(line, core)
+
+    def access_line_rw(self, line: int, core: int = 0,
+                       write: bool = False) -> bool:
+        """Read/write access with dirty-bit bookkeeping; True on a hit.
+
+        A write (hit or fill) marks the line dirty, a read fill installs
+        it clean, and evicting a dirty line counts a writeback against
+        the evicting core — whichever entry point evicts it.
+        """
         s = line & self._set_mask
         stats = self.stats
         stats.accesses[core] += 1
-        way = state.map.get(line)
-        partition = self.partition
+        if write:
+            stats.write_accesses[core] += 1
+        way = self.state.map.get(line)
         if way is not None:
-            # Hits are unrestricted (paper §II-B); only the NRU reset domain
-            # depends on the partition.
-            domain = partition.reset_domain(core) if partition else None
-            self.policy.touch(s, way, core, domain)
-            return AccessResult(True, way, s, None)
+            self._promote(s, way, core)
+            if write:
+                self.state.dirty[s] |= 1 << way
+            return True
+        self._fill(s, line, core, write)
+        return False
 
+    def _promote(self, s: int, way: int, core: int) -> None:
+        """Hit path: hits are unrestricted (paper §II-B); only the NRU
+        reset domain depends on the partition."""
+        partition = self.partition
+        domain = partition.reset_domain(core) if partition else None
+        self.policy.touch(s, way, core, domain)
+
+    def _fill(self, s: int, line: int, core: int,
+              write: bool) -> Tuple[int, Optional[int]]:
+        """The one miss path of every entry point: an invalid way within
+        the candidate mask, else the policy's victim; install with the
+        way's dirty bit set to ``write``; scheme bookkeeping; promote.
+        Returns ``(way, evicted line or None)``."""
+        state = self.state
+        stats = self.stats
+        partition = self.partition
         stats.misses[core] += 1
         mask = partition.candidate_mask(s, core) if partition else self._full_mask
         invalid = state.invalid[s] & mask
@@ -217,107 +256,6 @@ class SetAssociativeCache:
             if old >= 0:
                 del state.map[old]
                 evicted = old
-            else:
-                state.invalid[s] &= ~(1 << way)
-                stats.fills_invalid[core] += 1
-        state.lines[base + way] = line
-        state.map[line] = way
-        if partition:
-            partition.on_fill(s, way, core)
-            domain = partition.reset_domain(core)
-        else:
-            domain = None
-        self.policy.touch_fill(s, way, core, domain)
-        if self._nru is not None:
-            self._nru.fill_done()
-        return AccessResult(False, way, s, evicted)
-
-    def access_line_hit(self, line: int, core: int = 0) -> bool:
-        """Access a line and report only hit/miss.
-
-        Same state transitions as :meth:`access_line` but without building
-        an :class:`AccessResult` — the simulator hot path (millions of
-        calls).  Instances whose policy declares a kernel kind (LRU, NRU,
-        BT) shadow this method with a policy-specialised kernel
-        (the ``hit`` rendering of :mod:`repro.cache.transitions`) at
-        construction; this
-        generic body is the fallback and the reference the kernels are
-        pinned against (``test_state.py``).
-        """
-        state = self.state
-        s = line & self._set_mask
-        stats = self.stats
-        stats.accesses[core] += 1
-        way = state.map.get(line)
-        partition = self.partition
-        if way is not None:
-            domain = partition.reset_domain(core) if partition else None
-            self.policy.touch(s, way, core, domain)
-            return True
-        stats.misses[core] += 1
-        mask = partition.candidate_mask(s, core) if partition else self._full_mask
-        invalid = state.invalid[s] & mask
-        base = s * self.geometry.assoc
-        if invalid:
-            way = (invalid & -invalid).bit_length() - 1
-            state.invalid[s] &= ~(1 << way)
-            stats.fills_invalid[core] += 1
-        else:
-            way = self.policy.victim(s, core, mask)
-            old = state.lines[base + way]
-            if old >= 0:
-                del state.map[old]
-            else:
-                state.invalid[s] &= ~(1 << way)
-                stats.fills_invalid[core] += 1
-        state.lines[base + way] = line
-        state.map[line] = way
-        if partition:
-            partition.on_fill(s, way, core)
-            domain = partition.reset_domain(core)
-        else:
-            domain = None
-        self.policy.touch_fill(s, way, core, domain)
-        if self._nru is not None:
-            self._nru.fill_done()
-        return False
-
-    def access_line_rw(self, line: int, core: int = 0,
-                       write: bool = False) -> bool:
-        """Read/write access with dirty-bit bookkeeping; True on a hit.
-
-        The write-back extension path: a write (hit or fill) marks the line
-        dirty; evicting a dirty line counts a writeback against the evicting
-        core.  Identical hit/miss/replacement behaviour to
-        :meth:`access_line_hit` (the equivalence tests pin this).
-        """
-        state = self.state
-        s = line & self._set_mask
-        stats = self.stats
-        stats.accesses[core] += 1
-        if write:
-            stats.write_accesses[core] += 1
-        way = state.map.get(line)
-        partition = self.partition
-        if way is not None:
-            domain = partition.reset_domain(core) if partition else None
-            self.policy.touch(s, way, core, domain)
-            if write:
-                state.dirty[s] |= 1 << way
-            return True
-        stats.misses[core] += 1
-        mask = partition.candidate_mask(s, core) if partition else self._full_mask
-        invalid = state.invalid[s] & mask
-        base = s * self.geometry.assoc
-        if invalid:
-            way = (invalid & -invalid).bit_length() - 1
-            state.invalid[s] &= ~(1 << way)
-            stats.fills_invalid[core] += 1
-        else:
-            way = self.policy.victim(s, core, mask)
-            old = state.lines[base + way]
-            if old >= 0:
-                del state.map[old]
                 if (state.dirty[s] >> way) & 1:
                     stats.writebacks[core] += 1
             else:
@@ -337,7 +275,7 @@ class SetAssociativeCache:
         self.policy.touch_fill(s, way, core, domain)
         if self._nru is not None:
             self._nru.fill_done()
-        return False
+        return way, evicted
 
     def write_back_line(self, line: int, core: int = 0) -> bool:
         """Absorb a write-back from a private upper level.
@@ -399,7 +337,7 @@ class SetAssociativeCache:
         The partition scheme is told as well (:meth:`PartitionScheme.on_flush`)
         so per-line ownership state — owner counters, BT-vector occupancy —
         does not go stale relative to the now-empty tag store.  All three
-        resets mutate in place, so the bound access kernel stays valid.
+        resets mutate in place, so a loop bound to the arrays stays valid.
         """
         self.state.flush()
         self.policy.reset()

@@ -30,8 +30,9 @@ truth is always those lists, so whatever mutates them in place
 (``SDH.halve``, ``ATD.reset``, a repartition) is seen by the next call.
 That copy is per *call*: a run of the event loop pays it once, a drain
 once per batch of lines (~0.1 ms), and a kernel called per access would
-pay it per access — which is why :func:`repro.cache.transitions.bind`
-never hands a compiled ``observe`` to an ATD's own single-access path.
+pay it per access — which is why every rendering is a batch kernel and a
+drain shorter than the directory it would copy runs the Python target
+(:class:`repro.cache.state.DrainKernel`).
 Per-thread cursors are ``ctypes`` arrays the engine shell shares with
 the loop (:meth:`CompiledKernel.ints` / :meth:`~CompiledKernel.floats`);
 the miss-stream columns and a drain's batch are handed over by pointer.

@@ -29,15 +29,15 @@ class ReplacementPolicy(ABC):
     lists indexed ``set * assoc + way`` or one word per set; the LRU
     family's recency order is one short list per set).  The three
     paper policies (LRU, NRU, BT) advertise the layout through
-    :attr:`kernel_kind`, which the access-kernel factories in
-    :mod:`repro.cache.state` dispatch on to build specialised
-    ``access_line_hit`` / ``ATD.observe`` closures that bind those arrays as
-    locals; every other policy declares ``""`` and runs the generic
+    :attr:`kernel_kind`, which :mod:`repro.cache.state` dispatches on to
+    bind the batch renderings of :mod:`repro.cache.transitions` — the
+    fused event loop of ``BatchedEngine.run``, the ATD drains — to those
+    arrays; every other policy declares ``""`` and runs the generic
     object-protocol path.  Two rules keep the kernels valid:
 
     * :meth:`reset` (and every other mutator) must update the arrays **in
-      place** — never rebind them — because kernels capture the objects at
-      cache construction;
+      place** — never rebind them — because kernels capture the objects
+      when they are bound;
     * a subclass that changes ``touch``/``touch_fill``/``victim`` semantics
       must override ``kernel_kind`` (with ``""`` to opt out), otherwise the
       inherited kernel would silently bypass its overrides on the hot path.
@@ -51,8 +51,8 @@ class ReplacementPolicy(ABC):
     #: Short registry name ("lru", "nru", "bt", "random").
     name: str = "abstract"
 
-    #: Flat-state layout tag for the access kernels ("" = no kernel; the
-    #: cache and ATD then use the generic object-protocol path).
+    #: Flat-state layout tag for the rendered kernels ("" = no kernel; the
+    #: engine and ATD then use the generic object-protocol path).
     kernel_kind: str = ""
 
     def __init__(self, num_sets: int, assoc: int,

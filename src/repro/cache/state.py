@@ -15,26 +15,23 @@ Two pieces live here:
   path (numpy scalar indexing boxes a fresh object per element access).
   Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
-* the **kernel builders** — ``SetAssociativeCache.access_line_hit``
-  and ``ATD.observe_many`` specialisations for the three
-  paper policies (LRU, NRU, BT; every other policy runs the generic
+* the **eligibility rules** of the batch renderings for the three paper
+  policies (LRU, NRU, BT; every other policy runs the generic
   object-protocol methods).  No transition body is written here:
   :func:`kernel_key`, :func:`rendered_key`,
   :func:`build_observe_many_kernel` and :func:`rendered_drain_kernel`
-  decide *whether* a rendering is exact for the instance at hand, and
-  the cache / ATD / engines bind the one
-  :mod:`repro.cache.transitions` renders from the policy's single
-  transition spec — closures whose free variables bind every hot array
-  and counter once, at construction, performing *exactly* the seed state
-  transitions (same victim choices, same statistics, same partition
-  bookkeeping in the same order).  The single-access ATD ``observe``
-  (:func:`derive_observe_kernel`) is a policy-independent step over the
-  bound batch kernel's Python target; :class:`DrainKernel` is the seam
-  through which a run of the batched engine drains an ATD on the
-  compiled target without the ATD ever binding it.  Equivalence with
-  the generic object-protocol paths is pinned by
-  ``tests/test_cache/test_state.py`` and with the seed per-object
-  implementations by ``tests/test_cache/test_flat_equivalence.py``.
+  decide *whether* a rendering is exact for the instance at hand — the
+  fused event loop of ``BatchedEngine.run`` for a cache, the drain
+  kernel (:class:`DrainKernel`, ``ATD.observe_many``) for an ATD — and
+  the engine / ATD bind the one :mod:`repro.cache.transitions` renders
+  from the policy's single transition spec, performing *exactly* the
+  state transitions of the classes (same victim choices, same
+  statistics, same partition bookkeeping in the same order).  Nothing
+  per-access is rendered: ``access_line_hit`` and ``ATD.observe`` are
+  the classes' methods on every instance.  Equivalence with the generic
+  object-protocol paths is pinned by ``tests/test_cache/test_state.py``
+  and with the seed per-object implementations by
+  ``tests/test_cache/test_flat_equivalence.py``.
 
 The kernels rely on invariants the cache/ATD maintain by construction:
 
@@ -48,7 +45,8 @@ The kernels rely on invariants the cache/ATD maintain by construction:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,8 +56,7 @@ from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
 
 __all__ = ["DrainKernel", "TagStore", "build_observe_many_kernel",
-           "derive_observe_kernel", "kernel_key", "rendered_drain_kernel",
-           "rendered_key"]
+           "kernel_key", "rendered_drain_kernel", "rendered_key"]
 
 
 class TagStore:
@@ -159,7 +156,7 @@ class TagStore:
 
 
 # ----------------------------------------------------------------------
-# Rendered kernels (access_line_hit / observe_many specialisations)
+# Eligibility of the batch renderings
 # ----------------------------------------------------------------------
 # A rendering inlines the *stock* bodies of the policy, the enforcement
 # scheme and the profiler, so it only engages for exactly those: the
@@ -189,22 +186,22 @@ def kernel_key(cache) -> Optional[Tuple[str, str]]:
 
 
 def rendered_key(cache) -> Optional[Tuple[str, str]]:
-    """Key of the rendered hit kernel ``cache`` still runs, else None.
+    """Key of the fused event loop that is exact for ``cache``, else None.
 
-    The one rule by which a caller may swap per-access calls for a
-    rendering with the same transition inlined (the fused event loop of
-    ``BatchedEngine.run``): the cache
-    recorded a rendered kernel at construction and nobody has rebound
-    ``access_line_hit`` since.
+    The one rule by which a caller may swap per-access
+    ``access_line_hit`` calls for a rendering with the same transition
+    inlined (the fused event loop of ``BatchedEngine.run``): the cache
+    recorded a stock key at construction and the instance has not
+    shadowed ``access_line_hit`` since.
     """
-    bound = getattr(cache, "kernel", None)
-    if bound is not None and cache.access_line_hit is bound[1]:
-        return bound[0]
+    key = getattr(cache, "kernel", None)
+    if key is not None and "access_line_hit" not in vars(cache):
+        return key
     return None
 
 
 # ----------------------------------------------------------------------
-# ATD observe kernels
+# ATD drain kernels
 # ----------------------------------------------------------------------
 # The ``observe`` rendering is the *batch* kernel ``observe_many(lines)``:
 # it drains a buffered run of one thread's L2-reaching line addresses —
@@ -214,67 +211,51 @@ def rendered_key(cache) -> Optional[Tuple[str, str]]:
 # and drain at controller boundaries / run end, which is exact because
 # ATD state is a pure function of the *own-thread* stream prefix and is
 # only read at those drain points (see ``docs/architecture.md``).  The
-# single-access ``observe`` of a kernelised ATD is derived from it — a
-# one-line batch behind the sampling filter — so the two cannot drift
-# apart; equivalence with the generic object-protocol path is pinned by
-# ``tests/test_cmp/test_solo_engine.py`` (``TestDeferredDrains``) and
-# ``tests/test_profiling/test_atd.py``.
+# single-access ``ATD.observe`` is the class's method; equivalence with
+# it is pinned by ``tests/test_cmp/test_solo_engine.py``
+# (``TestDeferredDrains``) and ``tests/test_cache/test_state.py``
+# (``TestDrainTargets``).
 
 class DrainKernel:
-    """What a kernelised ATD binds as ``observe_many``.
+    """What a kernelised ATD binds as ``observe_many``: the ATD's
+    ``observe`` rendering, bound once at construction through
+    :func:`repro.cache.transitions.bind` — compiled where the host builds
+    it (``compiled``; None on the Python target).
 
-    ``python`` is the Python target of the ATD's ``observe`` rendering,
-    bound once at construction.  The single-access ``observe`` is derived
-    from it, so that path never leaves the interpreter: a compiled kernel
-    copies the ATD's state in and out on every call, which a whole drain
-    amortises and a one-line batch per access cannot.  A call runs
-    ``python``, except while a run of the batched engine has
-    :meth:`install`\\ ed its own bind of the same rendering for its drains
-    (compiled where the host builds it, handed ``int64`` columns);
-    ``BatchedEngine.run`` :meth:`restore`\\ s on its way out.  The run's
-    kernel is routed *through* the attribute rather than around it so that
-    whoever wrapped ``atd.observe_many`` transparently
-    (``functools.wraps``: a tracer, a recorder) stays in every drain's
-    call path, on the target the run really uses.
+    A compiled kernel copies the directory in and out on every call, and
+    the copy costs per directory entry what the kernel saves per line, so
+    a batch shorter than the directory (``floor``) — most drains of a
+    ``micro`` run or of an unsampled ATD — goes to ``python``,
+    the Python rendering bound beside it (unrecorded: it is the size
+    rule, not a fallback).  The batched engine hands a compiled kernel
+    ``int64`` columns; a list from any other caller is converted.
     """
 
-    __slots__ = ("key", "python", "entries", "target", "floor")
+    __slots__ = ("compiled", "python", "floor")
 
-    def __init__(self, key: Tuple[str, str], python: Callable,
-                 entries: int) -> None:
-        self.key = key
-        self.python = python
-        #: Size of the directory a compiled kernel copies per call.
-        self.entries = entries
-        self.restore()
-
-    def install(self, target: Callable) -> bool:
-        """Drain through ``target``; True when it takes ``int64`` columns
-        (the compiled target).  A compiled ``target`` copies the directory
-        per call, and the copy costs per directory entry what the kernel
-        saves per line, so only batches at least that long go to it: a
-        shorter one — every drain of a ``micro`` run, most drains of an
-        unsampled ATD — is cheaper interpreted."""
-        compiled = hasattr(target, "ints")
-        self.target, self.floor = target, self.entries if compiled else 0
-        return compiled
-
-    def restore(self) -> None:
-        """Back to the ATD's own kernel (what :meth:`install` undoes)."""
-        self.target, self.floor = self.python, 0
+    def __init__(self, key: Tuple[str, str], atd) -> None:
+        target = transitions.bind("observe", key, atd)
+        if hasattr(target, "ints"):
+            self.compiled = target
+            self.python = transitions.factory("observe", key)(atd)
+            self.floor = len(atd.state.lines)
+        else:
+            self.compiled, self.python, self.floor = None, target, math.inf
 
     def __call__(self, batch) -> None:
         if len(batch) < self.floor:
-            self.python(batch.tolist())
+            self.python(batch.tolist() if isinstance(batch, np.ndarray)
+                        else batch)
         else:
-            self.target(batch)
+            self.compiled(np.ascontiguousarray(batch, dtype=np.int64))
 
 
 def rendered_drain_kernel(atd) -> Optional[DrainKernel]:
     """The batch kernel ``atd`` bound at construction, if draining the
     ATD still leads to it; else None.
 
-    :func:`rendered_key`'s rule for the drains of ``BatchedEngine.run``:
+    :func:`rendered_key`'s rule for the drains of ``BatchedEngine.run``,
+    which hands the kernel ``int64`` columns when it is compiled:
     ``atd.observe_many`` is that kernel or a transparent wrapper of it
     (a ``__wrapped__`` chain ending there).  Anything else — a test
     double, the class's generic loop — is drained as it stands, with
@@ -309,26 +290,4 @@ def build_observe_many_kernel(atd) -> Optional[DrainKernel]:
     if (type(profiler) is not stock.get(kind)
             or getattr(profiler, "spread_update", False)):
         return None
-    key = (kind, "none")
-    return DrainKernel(key, transitions.bind("observe", key, atd,
-                                             interpreted=True),
-                       len(atd.state.lines))
-
-
-def derive_observe_kernel(atd, observe_many) -> Callable:
-    """``ATD.observe`` for an ATD whose batch kernel is ``observe_many``.
-
-    The sampling filter runs in front so an unsampled access costs no
-    batch call; a sampled one is a one-line batch, True by contract.
-    """
-    counts = atd._counts
-    skip_mask = atd._skip_mask
-
-    def observe(line):
-        if line & skip_mask:
-            counts[1] += 1
-            return False
-        observe_many((line,))
-        return True
-
-    return observe
+    return DrainKernel((kind, "none"), atd)

@@ -5,16 +5,18 @@ used-bit OR with a reset confined to the core's mask (§III-A), a tree-bit
 update with ``up``/``down`` vectors forcing a prefix of levels (§III-B) —
 small per-set automata in the sense of arXiv:1811.01740.  This module
 declares each **once**, as source fragments over the flat ``PolicyState``
-/ ``TagStore`` arrays, and composes three kernels from the same text:
+/ ``TagStore`` arrays, and composes two kernels from the same text, each
+called once per *batch* of accesses:
 
-* ``hit`` — ``access_line_hit(line, core=0)``, one call per L2 access;
 * ``observe`` — ``observe_many(batch)``, one call per ATD drain;
 * ``loop`` — the event loop of ``BatchedEngine.run``, one call per run,
   whatever the number of threads.
 
-``observe`` and ``loop`` — the two that are called per *batch* of
-accesses — have a second target, C translated from the same source
-(:func:`translate`, :data:`C_KINDS`, :func:`bind`).
+Both have two targets: Python, and C translated from the same source
+(:func:`translate`, :data:`C_KINDS`, :func:`bind`).  Nothing steps a
+rendering one access at a time: the per-access entry points
+(``SetAssociativeCache.access_line_hit``, ``ATD.observe``) are the
+classes' own methods.
 
 :data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
@@ -22,12 +24,13 @@ its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
 read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
-``full_mask``); :data:`TEMPLATES` holds the three kernel skeletons, the
+``full_mask``); :data:`TEMPLATES` holds the two kernel skeletons, the
 miss path they share, and the two access blocks of the event loop: the
 *fused* one inlines the L2 transition, the *call* one (key ``None``)
 goes through ``l2.access_line_hit`` / ``access_line_rw`` and an
 immediate observer — the form every kernel-less policy, write trace,
-custom observer and non-stock scheme gets.  Who gets which is decided by
+custom observer and non-stock scheme gets, over the classes.  Who gets
+which is decided by
 the callers from what they can observe
 (:func:`repro.cache.state.kernel_key`), never by an option.
 
@@ -46,7 +49,8 @@ them without importing this module and holds every rendering to the
 ``hot-path-purity`` contract.  The policy, scheme and profiler classes
 and ``tests/seed_reference.py`` stay hand-written: they are the oracle
 side every rendering is pinned against (``tests/test_cache/test_state.py``,
-``tests/test_cmp/test_fused_loop.py``, the fuzz oracle).
+``tests/test_cmp/test_fused_loop.py``, the reference engine, the fuzz
+oracle), and no rendering is bound on that side.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from string import Template
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "COMPILED", "PURE_ATTRS", "bind", "python_target", "render",
+           "PURE_ATTRS", "bind", "factory", "python_target", "render",
            "rendering_keys", "source_name", "target_stats", "target_summary",
            "translate"]
 
@@ -264,7 +268,6 @@ partition = cache.partition
 $bind_tags
 set_mask = store.num_sets - 1
 stats = cache.stats
-accesses = stats.accesses
 misses = stats.misses
 fills_invalid = stats.fills_invalid
 $bind
@@ -296,24 +299,6 @@ if old >= 0:
 else:
     invalid[$set] &= ~(1 << way)
     $count_fill""",
-    "hit": """\
-def build(cache):
-    $bind_cache
-
-    def access_line_hit(line, core=0):
-        accesses[core] += 1
-        s = line & set_mask
-        way = tag_get(line)
-        if way is not None:
-            $locate
-            $promote
-            return True
-        misses[core] += 1
-        $miss
-        return False
-
-    return access_line_hit
-""",
     # The ATD runs full-mask, single-core, unpartitioned: scheme ``none``,
     # no statistics; the profiler reads the pre-access state, then promote.
     "observe": """\
@@ -451,24 +436,23 @@ else:
     clock = now + base[t] + mem_pen""",
 }
 
-#: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in all
-#: three): an argument of ``hit``, the popped thread of ``loop``; the
-#: ATD's ``observe`` is single-core and keeps no fill count.
-_CORE = {"hit": "core", "observe": "0", "loop": "t"}
+#: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in
+#: both): the popped thread of ``loop``; the ATD's ``observe`` is
+#: single-core and keeps no fill count.
+_CORE = {"observe": "0", "loop": "t"}
 
 #: Locals each skeleton keeps across the fragments it expands.  A policy
 #: or scheme fragment storing to one would corrupt the skeleton without
 #: any error (LRU's ``pos`` once overwrote a skeleton counter of that
 #: name), so :func:`render` refuses the pair.
 PRIVATE_LOCALS = {
-    "hit": (),
     "observe": ("sampled", "skipped"),
     "loop": ("j", "t", "now", "clock", "horizon", "wb_l1_to_l2",
              "wb_l1_to_mem"),
 }
 
-#: What every name a ``loop`` or ``observe`` kernel may touch is on the C
-#: target (the vocabulary is :mod:`repro.cache.cgen`'s): the ``loop``
+#: What every name a keyed ``loop`` or ``observe`` kernel may touch is on
+#: the C target (the vocabulary is :mod:`repro.cache.cgen`'s): the ``loop``
 #: skeleton's parameters, then the factory bindings of the tag store, the
 #: statistics, each policy, each scheme and the memory channel, then the
 #: ``observe`` skeleton's parameter and the ATD / SDH bindings.  A name
@@ -485,7 +469,7 @@ C_KINDS = {
     "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,s,assoc",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
-    "accesses": "cores", "misses": "cores", "fills_invalid": "cores",
+    "misses": "cores", "fills_invalid": "cores",
     "orders": "lists:assoc", "present": "ints",
     "used_l": "ints", "pointer": "ints",
     "tree": "ints", "keep": "ints", "setb": "ints", "table": "ints",
@@ -498,9 +482,6 @@ C_KINDS = {
     "skip_mask": "int", "set_shift": "int", "sdh_r": "ints",
     "miss_reg": "int", "dist": "ints",
 }
-
-#: Renderings with a C target (stock keys only).
-COMPILED = ("loop", "observe")
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
 
@@ -600,18 +581,23 @@ def translate(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
 
 def rendering_keys(policies=POLICIES, schemes=SCHEMES
                    ) -> List[Tuple[str, Key]]:
-    """``(rendering, key)`` of every rendering there is: each policy x
-    scheme for ``hit`` and ``loop``, each policy for ``observe``, and
-    the call-form loop — what ``hot-path-purity`` checks."""
+    """``(rendering, key)`` of every rendering there is: each policy for
+    ``observe``, each policy x scheme for ``loop``, and the call-form
+    loop — what ``hot-path-purity`` checks."""
     keys = [("observe", (kind, "none")) for kind in policies]
-    keys += [(rendering, (kind, scheme)) for kind in policies
-             for scheme in schemes
-             for rendering in ("hit", "loop")]
+    keys += [("loop", (kind, scheme)) for kind in policies
+             for scheme in schemes]
     return keys + [("loop", None)]
 
 
 @lru_cache(maxsize=None)
-def _factory(rendering: str, key: Key) -> Callable:
+def factory(rendering: str, key: Key) -> Callable:
+    """The Python target's ``build(owner, *args)`` of one rendering:
+    rendered, checked and compiled on first use, once per process.
+
+    :func:`bind` is the entry point that picks a target and records it;
+    calling the factory binds the Python target unrecorded — what an
+    ATD's short drains run beside its compiled kernel."""
     name = source_name(rendering, key)
     source = render(rendering, key)
     namespace = {"__builtins__": {}}
@@ -631,9 +617,9 @@ def _factory(rendering: str, key: Key) -> Callable:
     return namespace["build"]
 
 
-#: Per ``(rendering, key)`` with a C target bound in this process: which
-#: target its calls got and why.  Observational and unkeyed; nothing on a
-#: hot path reads it.
+#: Per keyed ``(rendering, key)`` bound in this process: which target its
+#: calls got and why.  Observational and unkeyed; nothing on a hot path
+#: reads it.
 _TARGETS: Dict[Tuple[str, Tuple[str, str]], dict] = {}
 
 #: Depth of :func:`python_target` blocks.
@@ -672,7 +658,7 @@ def target_summary() -> str:
     if not _TARGETS:
         return "targets: none bound in this process"
     parts = []
-    for rendering in COMPILED:
+    for rendering in ("loop", "observe"):
         stats = [entry for (kind, _key), entry in _TARGETS.items()
                  if kind == rendering]
         compiled = sum(entry["target"] == "c" for entry in stats)
@@ -687,22 +673,19 @@ def target_summary() -> str:
     return text + (f" ({'; '.join(reasons)})" if reasons else "")
 
 
-def bind(rendering: str, key: Key, owner, *args,
-         interpreted: bool = False) -> Callable:
+def bind(rendering: str, key: Key, owner, *args) -> Callable:
     """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
-    (a cache for ``hit`` / ``loop``, an ATD for ``observe``); ``loop``
-    takes the memory channel (or None) as ``args``.
+    (a cache for ``loop``, an ATD for ``observe``); ``loop`` takes the
+    memory channel (or None) as ``args``.
 
-    A stock ``loop`` or ``observe`` is the compiled target wherever this
-    process can build and load one (:mod:`repro.cache.native`), the Python
-    target otherwise — same signature, same results, bit for bit.  A
-    compiled kernel copies its owner's state in and out on every call, so
-    it pays per *batch*: the engine binds one for a whole run or a whole
-    drain.  ``interpreted=True`` is the caller that also steps the kernel
-    one access at a time (an ATD's own ``observe_many``, from which its
-    single-access ``observe`` is derived): the Python target outright,
-    not recorded in :func:`target_stats`."""
-    if rendering in COMPILED and key is not None and not interpreted:
+    A stock key is the compiled target wherever this process can build
+    and load one (:mod:`repro.cache.native`), the Python target otherwise
+    — same signature, same results, bit for bit — and is recorded in
+    :func:`target_stats`.  A compiled kernel copies its owner's state in
+    and out on every call, so it pays per *batch*: a whole run of the
+    event loop, a whole ATD drain.  The call-form loop (key ``None``) has
+    only the Python target."""
+    if key is not None:
         loaded = None
         if _python_only:
             info = {"reason": "python_target() block"}
@@ -716,4 +699,4 @@ def bind(rendering: str, key: Key, owner, *args,
         _TARGETS[rendering, key] = dict(info, target=target, binds=binds)
         if loaded is not None:
             return native.CompiledKernel(loaded, owner, *args)
-    return _factory(rendering, key)(owner, *args)
+    return factory(rendering, key)(owner, *args)

@@ -55,6 +55,7 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/cache.py",
     "repro/cache/hierarchy.py",
     "repro/cmp/memory.py",
+    "repro/profiling/atd.py",
 )
 
 #: sha256 over ``ENGINE_VERSION`` and the guarded sources, recorded so the
@@ -63,7 +64,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "805a9ea4755f1781956f3d0616045b2dc25233dbb6b54e50568a2930607309e4"
+ENGINE_SOURCE_CHECKSUM = "e56e324f745efd42548bb601a7ec9ce90d5a5a5f4e53e55630fb25f939bf6587"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

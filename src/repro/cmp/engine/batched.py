@@ -40,16 +40,16 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   through the batch observe kernels right before every boundary, at the
   thread's freeze, when its window is replaced, and at run end.
   Per-thread order is the stream's order; cross-thread drain order is
-  immaterial because the ATDs are disjoint.  The kernel is this run's own
-  bind of the ATD's ``observe`` rendering, made where the loop is bound
-  and installed behind ``atd.observe_many`` for the length of the run
-  (:class:`repro.cache.state.DrainKernel`): compiled wherever the loop
-  is, it copies the ATD's lists in and out once per drain — between two
-  drains the truth is always the ATD's own lists and dict, which is what
-  the controller reads, halves and resets — so a batch shorter than the
-  directory it would copy is drained by the Python rendering instead,
-  and an ATD whose ``observe_many`` somebody replaced is drained as it
-  stands.
+  immaterial because the ATDs are disjoint.  The kernel is
+  ``atd.observe_many``, the ATD's ``observe`` rendering bound when the
+  ATD was built (:class:`repro.cache.state.DrainKernel`): compiled
+  wherever the host has ``cc``, it copies the ATD's lists in and out
+  once per drain — between two drains the truth is always the ATD's own
+  lists and dict, which is what the controller reads, halves and resets
+  — so a batch shorter than the directory it would copy is drained by
+  the Python rendering instead.  The engine hands a compiled kernel its
+  sampled lines as int64 columns, and drains an ATD whose
+  ``observe_many`` somebody replaced as it stands, with lists.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets (it only counts them), so a drain hands the
   kernel just the slice's *sampled* lines — the window's cached
@@ -69,11 +69,11 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   single-thread engine.
 * **Fused L2 access.**  The loop itself is the ``loop`` rendering of
   :mod:`repro.cache.transitions`: for a stock (policy, scheme) pair the
-  L2 transition is inlined from the same fragments ``access_line_hit``
-  is rendered from, so only *how the hit/miss bit is computed* differs
-  from the call form; the float expressions and the ``(clock, thread)``
-  pops are one template.  Its per-thread access count is settled in
-  ``drain``, like the ATDs.
+  L2 transition is inlined from the pair's fragments, where the call
+  form calls ``l2.access_line_hit`` (the classes), so only *how the
+  hit/miss bit is computed* differs; the float expressions and the
+  ``(clock, thread)`` pops are one template.  Its per-thread access
+  count is settled in ``drain``, like the ATDs.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
@@ -144,7 +144,7 @@ class BatchedEngine(EngineBase):
         # numpy columns (by pointer), the Python one as lists — and so,
         # per thread, does a compiled drain kernel its sampled lines.
         self._columns = False
-        self._drain_columns = [False] * n
+        self._drain_columns: List[bool] = []
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -238,8 +238,8 @@ class BatchedEngine(EngineBase):
         spos = self._ck_spos
         slines = self._ck_slines
         # The one loop source is the ``loop`` template of
-        # repro.cache.transitions.  With the rendered kernel of a stock
-        # (policy, scheme) pair still bound to the L2, a read-only run
+        # repro.cache.transitions.  For a stock (policy, scheme) pair
+        # whose ``access_line_hit`` nobody shadowed, a read-only run
         # without an immediate observer gets it with that pair's
         # transition inlined; every other run gets the call form.
         key = (rendered_key(l2)
@@ -247,20 +247,14 @@ class BatchedEngine(EngineBase):
         fused = key is not None
         loop = transitions.bind("loop", key, l2, self.channel)
         # The drains, by the same rule: an ATD whose ``observe_many``
-        # still leads to the rendered batch kernel it bound for itself
-        # runs, until this run ends, this run's own bind of that
-        # rendering (compiled where the loop is: one state copy per
-        # drain, its sampled lines handed over as int64 columns, batches
-        # shorter than the directory left to the Python rendering); any
-        # other is drained as it stands, with lists.
+        # still leads to a compiled kernel it bound for itself is handed
+        # its sampled lines as int64 columns; any other ATD, with lists.
         obs_drain = None
-        rendered = []
-        self._drain_columns = [False] * n
         if atds is not None:
             obs_drain = [atd.observe_many for atd in atds]
-            rendered = [(u, kernel) for u, kernel
-                        in enumerate(map(rendered_drain_kernel, atds))
-                        if kernel is not None]
+            self._drain_columns = [
+                getattr(rendered_drain_kernel(atd), "compiled", None)
+                is not None for atd in atds]
         l2_accesses = l2_stats.accesses
         # A compiled loop shares the per-thread cursors with the closures
         # below as C-typed arrays and takes the miss stream as columns;
@@ -359,28 +353,19 @@ class BatchedEngine(EngineBase):
                     return math.inf
                 j = 0
 
-        try:
-            for u, kernel in rendered:
-                self._drain_columns[u] = kernel.install(
-                    transitions.bind("observe", kernel.key, atds[u]))
-            # Raw heapq over (clock, thread) pairs: the same exact order
-            # as EventScheduler (see scheduler.py), without the
-            # method-call layer.
-            heap = [(resume(t, 0), t) for t in range(n)]
-            heapify(heap)
-            now, t = heappop(heap)
-            now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
-                now, t, heap, heappushpop, min(next_boundary, cycle_cap),
-                beyond, freeze, resume, cur, stop, anchor, lines, gaps,
-                fz_at, fz_hit, base, l2_hit_pen, mem_pen, victims,
-                has_writes, observe_now)
-            for u in range(n):
-                if u != t:
-                    drain(u, cur[u])
-        finally:
-            # The ATDs go back to the kernel they keep for themselves.
-            for _u, kernel in rendered:
-                kernel.restore()
+        # Raw heapq over (clock, thread) pairs: the same exact order as
+        # EventScheduler (see scheduler.py), without the method-call layer.
+        heap = [(resume(t, 0), t) for t in range(n)]
+        heapify(heap)
+        now, t = heappop(heap)
+        now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
+            now, t, heap, heappushpop, min(next_boundary, cycle_cap),
+            beyond, freeze, resume, cur, stop, anchor, lines, gaps,
+            fz_at, fz_hit, base, l2_hit_pen, mem_pen, victims,
+            has_writes, observe_now)
+        for u in range(n):
+            if u != t:
+                drain(u, cur[u])
 
         # Termination rollback (module docstring): count, per other thread,
         # the hits of its pending gap whose pop keys precede the final key.

@@ -23,7 +23,11 @@ seed simulator's hot loop.  Three things changed relative to the seed:
 
 The batched engine must reproduce this loop's results bit for bit; the
 equivalence suite (``tests/test_cmp/test_engine_equivalence.py``) runs both
-on the same workloads and compares every field.
+on the same workloads and compares every field.  This loop binds no
+rendering of :mod:`repro.cache.transitions`: the L2's ``access_line_hit``
+and each ATD's ``observe`` step the policy, scheme and profiler classes,
+so the comparison is against an oracle that shares no transition body
+with the batched engine.
 """
 
 from __future__ import annotations
@@ -61,10 +65,11 @@ class ReferenceEngine(EngineBase):
         controller = sim.controller
         interval = self.interval
         next_boundary = interval
-        # Slow-path kernel: the hierarchy routing is inlined against the
-        # flat core — per-thread L1 probes, the L2 observer, and the L2's
-        # policy-specialised access kernel are all locals-bound, replacing
-        # the per-access ``hierarchy.access_line`` attribute chase.
+        # The hierarchy routing is inlined — per-thread L1 probes, the L2
+        # observer and the L2's ``access_line_hit`` are locals-bound,
+        # replacing the per-access ``hierarchy.access_line`` attribute
+        # chase.  Every one of them steps the classes: no rendering of the
+        # transition spec runs here.
         hierarchy = sim.hierarchy
         l1_hit = [l1.access_line_hit for l1 in hierarchy.l1]
         l2_hit = hierarchy.l2.access_line_hit

@@ -28,8 +28,9 @@ sequence; any mismatch is reported as a list of dotted field paths.
 The batched engine runs **twice** per case — once with the window
 cache cold, once warm off the first run — and
 both snapshots are diffed against the reference, which walks its L1 per
-access, never touches a cache, steps the policy classes instead of the
-rendered kernels and so stays the independent oracle.  A
+access, never touches a cache and — by construction, since only batch
+kernels are rendered — steps the policy, scheme and profiler classes, so
+it stays the independent oracle.  A
 cache that replays the wrong window, or restores the wrong L1 state, can
 only show on the warm run.
 
@@ -170,21 +171,8 @@ def _victim_probe(sim) -> list:
 
 
 def run_engine(case: FuzzCase, engine: str) -> Snapshot:
-    """Run one engine on the case and capture the full snapshot.
-
-    The reference run drops the rendered kernels its L2 and ATDs bound,
-    so the oracle steps the hand-written policy / scheme / profiler
-    *classes* and shares no transition body with the engines under test.
-    """
+    """Run one engine on the case and capture the full snapshot."""
     sim = case.simulator(engine)
-    if engine == ENGINE_REFERENCE:
-        vars(sim.hierarchy.l2).pop("access_line_hit", None)
-        monitors = sim.profiling.monitors if sim.profiling else ()
-        for core, monitor in enumerate(monitors):
-            vars(monitor.atd).pop("observe", None)
-            vars(monitor.atd).pop("observe_many", None)
-            # ProfilingLogic bound the kernelised observer when it was built.
-            sim.profiling._observe[core] = monitor.atd.observe
     result = sim.run()
     l2 = sim.hierarchy.l2
     snapshot = Snapshot(

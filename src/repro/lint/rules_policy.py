@@ -6,23 +6,22 @@ rules hold; each gets a mechanical check here:
 * ``kernel-kind-override`` — a :class:`ReplacementPolicy` subclass that
   overrides ``touch`` / ``touch_fill`` / ``victim`` must redeclare
   ``kernel_kind`` in its own body (``""`` to opt out of kernels), or the
-  closure-bound kernels in ``cache/state.py`` silently bypass the
-  override on the hot path.
+  renderings of ``cache/transitions.py`` (the fused event loop, the ATD
+  drains) silently bypass the override on the hot path.
 * ``state-rebind`` — policy/partition mutators must update their
   preallocated state arrays **in place**; rebinding (``self.order = [...]``)
   detaches every kernel local captured at cache construction.
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
-  renders (``access_line_hit`` / ``observe_many`` / the
-  event loop of ``BatchedEngine.run``, for each policy x scheme, plus
-  the call-form loop) and the closures built by the ``*_kernel``
-  functions in ``cache/state.py`` (the derived builders) must run on
-  bound locals only: no attribute loads (beyond int/list method calls on
-  locals), no global lookups, no list/dict/set or comprehension
-  allocations.  The spec tables are read off the checked tree as
-  literals and rendered with this package's renderer — the checked tree
-  is never imported — so a fragment storing to a local its skeleton
-  keeps for itself (``PRIVATE_LOCALS``) is flagged here too, and so is a
-  stock event loop or ATD drain the C translator
+  renders (``observe_many`` for each policy, the event loop of
+  ``BatchedEngine.run`` for each policy x scheme, plus the call-form
+  loop) and any closure built by a ``*_kernel`` function in
+  ``cache/state.py`` must run on bound locals only: no attribute loads
+  (beyond int/list method calls on locals), no global lookups, no
+  list/dict/set or comprehension allocations.  The spec tables are read
+  off the checked tree as literals and rendered with this package's
+  renderer — the checked tree is never imported — so a fragment storing
+  to a local its skeleton keeps for itself (``PRIVATE_LOCALS``) is
+  flagged here too, and so is a keyed rendering the C translator
   (:mod:`repro.cache.cgen`, typed by the ``C_KINDS`` table) refuses.
 """
 
@@ -44,8 +43,8 @@ KERNEL_METHODS = ("touch", "touch_fill", "victim")
 #: Directories whose classes hold kernel-captured state arrays.
 STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
 
-#: Modules whose module-level ``*_kernel`` functions build the hot-path
-#: closures (private per-policy factories and public derived builders).
+#: Modules whose module-level ``*_kernel`` functions may build hot-path
+#: closures (private or public, none exempt).
 HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 
 #: Module whose literal ``POLICIES`` / ``SCHEMES`` / ``TEMPLATES`` /
@@ -53,8 +52,8 @@ HOT_KERNEL_MODULES = ("repro/cache/state.py",)
 TRANSITION_SPEC = "repro/cache/transitions.py"
 SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS")
 #: Optional fifth literal: the C type of every name a stock event loop
-#: or ATD drain touches.  A spec that declares it promises each keyed
-#: rendering of ``transitions.COMPILED`` a C target.
+#: or ATD drain touches.  A spec that declares it promises every keyed
+#: rendering a C target.
 C_KINDS_TABLE = "C_KINDS"
 
 #: ``(spec module, rendering)`` that run once per simulated event: the
@@ -104,8 +103,8 @@ class KernelKindOverrideRule(Rule):
             yield self.diag(
                 ctx, info.path, info.node.lineno,
                 f"{info.name} overrides {'/'.join(overridden)} but does not "
-                f"redeclare kernel_kind; the inherited access kernel would "
-                f"silently bypass the override (redeclare it, or set "
+                f"redeclare kernel_kind; the inherited rendered kernels "
+                f"would silently bypass the override (redeclare it, or set "
                 f'kernel_kind = "" to opt out of kernels)')
 
 
@@ -301,8 +300,7 @@ class HotPathPurityRule(Rule):
                 yield self.diag(ctx, path, 1,
                                 f"{name} does not render: {exc}")
                 continue
-            if (kinds is not None and key is not None
-                    and rendering in transitions.COMPILED):
+            if kinds is not None and key is not None:
                 try:
                     transitions.translate(rendering, key, *tables, kinds)
                 except ValueError as exc:

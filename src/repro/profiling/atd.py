@@ -11,21 +11,16 @@ applies NRU/BT "to both the L2 cache and ATDs") and feeds the thread's SDH
 through a :class:`~repro.profiling.profilers.DistanceProfiler`.
 
 Tag state is the same flat :class:`~repro.cache.state.TagStore` the L2
-uses — the ATD no longer carries its own directory implementation — and
-:meth:`observe_many` is bound at construction to a policy-specialised
-batch kernel (:func:`repro.cache.state.build_observe_many_kernel`) that
-inlines the profiler's interpretation of the flat replacement state, with
-:meth:`observe` a one-line batch through it; the generic object-protocol
-bodies below are the fallback and the reference the kernels are pinned
-against (``tests/test_profiling/test_atd.py``).
-
-The kernel an ATD binds for itself is always the *Python* target of its
-rendering — ``observe`` steps it one access at a time (the reference
-engine, the call-form loop), and a compiled kernel's per-call state copy
-would cost ~200x the step.  The compiled target belongs to whole drains:
-``BatchedEngine.run`` binds its own and routes it through
-``observe_many`` for the length of the run
-(:class:`repro.cache.state.DrainKernel`).
+uses — the ATD no longer carries its own directory implementation.  The
+single-access :meth:`observe` is always the object-protocol body below,
+stepping the policy and profiler classes (the reference engine, the
+call-form loop, user code).  :meth:`observe_many` — the drains of the
+batched engine — is bound at construction to the ``observe`` rendering
+for a stock policy and profiler (:class:`repro.cache.state.DrainKernel`:
+compiled where the host has ``cc``, with batches shorter than the
+directory on the Python target); the generic loop below is the fallback
+and the reference it is pinned against
+(``tests/test_profiling/test_atd.py``, ``tests/test_cache/test_state.py``).
 """
 
 from __future__ import annotations
@@ -37,11 +32,7 @@ import numpy as np
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import make_policy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.state import (
-    TagStore,
-    build_observe_many_kernel,
-    derive_observe_kernel,
-)
+from repro.cache.state import TagStore, build_observe_many_kernel
 from repro.profiling.profilers import DistanceProfiler
 from repro.profiling.sdh import SDH
 from repro.util.bitops import bit_length_exact
@@ -64,7 +55,7 @@ class ATD:
         ``sdh`` and ``rng`` default to a fresh register file and the
         policy's own stream (pass explicit ones to share or to pin
         determinism across runs).  ``kernels=False`` keeps the generic
-        observe path (equivalence tests).
+        ``observe_many`` loop (equivalence tests).
         """
         if sampling <= 0 or sampling & (sampling - 1):
             raise ValueError(
@@ -99,15 +90,11 @@ class ATD:
         #: counters as locals-bound writes; read via the properties below.
         self._counts = [0, 0]
         #: The rendered batch kernel bound below, if any — what tells the
-        #: batched engine that (and which) rendering is exact for this
-        #: ATD's drains (:func:`repro.cache.state.rendered_drain_kernel`).
+        #: batched engine that (and on which target) a rendering drains
+        #: this ATD (:func:`repro.cache.state.rendered_drain_kernel`).
         self.kernel = build_observe_many_kernel(self) if kernels else None
         if self.kernel is not None:
-            # The batch kernel is the one transition site; observe is
-            # derived from it (its Python target: one line per call),
-            # inverting the generic methods' relation.
             self.observe_many = self.kernel
-            self.observe = derive_observe_kernel(self, self.kernel.python)
 
     # ------------------------------------------------------------------
     @property
@@ -132,9 +119,8 @@ class ATD:
     def observe(self, line: int) -> bool:
         """Feed one L2 access by the owning thread; True when sampled.
 
-        Generic object-protocol body; instances with a kernelised policy
-        shadow it with a one-line batch through their batch kernel
-        (:func:`repro.cache.state.derive_observe_kernel`) at construction.
+        The object-protocol body on every instance: the profiler reads
+        the pre-access state, then the policy promotes or fills.
         """
         if line & self._skip_mask:
             self._counts[1] += 1
@@ -218,7 +204,7 @@ class ATD:
 
     def reset(self) -> None:
         """Cold-start the directory and the SDH (in place — the bound
-        observe kernel keeps working)."""
+        drain kernel keeps working)."""
         self.state.flush()
         self.policy.reset()
         self.sdh.reset()

@@ -6,7 +6,8 @@ an L1 prefilter and a controller.  The cache-level suites want less: push
 a list of line addresses through a cache *as the whole L2 stream of one
 thread* and look at the cache afterwards.  :func:`loop_window` does that
 with the loop the engine would bind for the same cache — fused for a
-cache still running its rendered hit kernel, the call form otherwise,
+stock cache nobody rebound (:func:`repro.cache.state.rendered_key`), the
+call form over the classes otherwise,
 compiled where the host has ``cc`` (wrap the call in
 ``transitions.python_target()`` for the other target) — over a heap of
 one, which is what every single-thread run is.

@@ -1,9 +1,9 @@
 """Loop selection at the cache level, and the benchmark-owned stubs.
 
 There is no window kernel and no backend to name any more — one
-thread's stream through a cache still running the rendered hit kernel it
-recorded is executed by the fused ``loop`` rendering of the same spec,
-through every other cache by the call-form loop over its
+thread's stream through a stock cache whose ``access_line_hit`` no
+instance attribute shadows is executed by the fused ``loop`` rendering of
+its key, through every other cache by the call-form loop over its
 ``access_line_hit`` (the deep state diffs live in ``test_state.py``).
 """
 
@@ -26,8 +26,8 @@ def make_cache(policy_name="lru", num_sets=8, assoc=8):
 
 
 def rebound(cache):
-    """``cache`` with ``access_line_hit`` wrapped: it no longer runs the
-    kernel it recorded, so only the call form is exact for it."""
+    """``cache`` with ``access_line_hit`` shadowed by a wrapper on the
+    instance, so only the call form is exact for it."""
     hit = cache.access_line_hit
     cache.access_line_hit = lambda line, core=0: hit(line, core)
     return cache
@@ -53,8 +53,8 @@ class TestBuildDelegation:
         assert rendered_key(make_cache(policy_name)) is None
 
     def test_backends_agree_on_a_shared_window(self):
-        """End-to-end: the fused loop and the call form over the scalar
-        hit kernel replay one window identically."""
+        """End-to-end: the fused loop and the call form over the classes
+        replay one window identically."""
         caches = {"fused": make_cache("nru"),
                   "call": rebound(make_cache("nru"))}
         rng = np.random.default_rng(5)

@@ -1,13 +1,15 @@
-"""Unit tests for the flat array core: TagStore and the access kernels.
+"""Unit tests for the flat array core: TagStore and the batch kernels.
 
-The kernels (policy-specialised ``access_line_hit`` / ``ATD.observe``
-closures) must be *observably identical* to the generic object-protocol
-paths they shadow — same hit/miss outcomes, same statistics, same resident
-lines, same policy state — for every registered policy and partition
-scheme.  ``kernels=False`` builds the generic twin.
+The renderings a cache or an ATD is eligible for (the fused event loop,
+the ATD's drain kernel) must be *observably identical* to the generic
+object-protocol paths — same hit/miss outcomes, same statistics, same
+resident lines, same policy state — for every registered policy and
+partition scheme.  ``kernels=False`` builds the generic twin; the
+per-access entry points are the classes' methods on every instance.
 """
 
 import copy
+import math
 import shutil
 
 import numpy as np
@@ -119,7 +121,10 @@ KERNEL_CASES = [(p, s) for p in ALL_POLICIES
 @pytest.mark.parametrize("policy_name,scheme", KERNEL_CASES,
                          ids=lambda v: str(v))
 def test_kernel_matches_generic_path(policy_name, scheme):
-    """kernels=True and kernels=False caches evolve identically."""
+    """The loop a kernels=True cache is eligible for (fused for the paper
+    kinds) and the kernels=False twin stepping the classes evolve
+    identically through windows of both cores interleaved with
+    invalidations and flushes."""
     num_sets, assoc, cores = 8, 8, 2
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
 
@@ -132,23 +137,29 @@ def test_kernel_matches_generic_path(policy_name, scheme):
 
     fast = build(True)
     slow = build(False)
-    # Only the three paper policies own a hit kernel; the extension
-    # policies run the generic method on both sides.
-    assert ("access_line_hit" in fast.__dict__) \
-        == (policy_name in PAPER_KINDS), "kernel binding"
-    assert "access_line_hit" not in slow.__dict__
+    # No instance shadows the per-access method; only the paper kinds
+    # record a key, and with it the fused loop.
+    assert "access_line_hit" not in vars(fast)
+    assert "access_line_hit" not in vars(slow)
+    assert rendered_key(fast) == ((policy_name, scheme)
+                                  if policy_name in PAPER_KINDS else None)
+    assert rendered_key(slow) is None
 
+    loops = [loop_window(fast, core) for core in range(cores)]
     rng = np.random.default_rng(23)
-    lines = rng.integers(0, 300, size=6000).tolist()
-    ops = rng.integers(0, 100, size=6000).tolist()
-    cores_seq = rng.integers(0, cores, size=6000).tolist()
-    for line, op, core in zip(lines, ops, cores_seq):
-        if op < 96:
-            assert (fast.access_line_hit(line, core)
-                    == slow.access_line_hit(line, core))
-        elif op < 99:
-            assert fast.invalidate_line(line) == slow.invalidate_line(line)
-        else:
+    for step in range(40):
+        core = step % cores
+        lines = rng.integers(0, 300, size=int(rng.integers(1, 250))).tolist()
+        flags = bytearray(len(lines))
+        loops[core](lines, flags)
+        assert list(flags) == [slow.access_line_hit(line, core)
+                               for line in lines], f"window {step}"
+        op = int(rng.integers(0, 8))
+        if op < 3:
+            for line in rng.integers(0, 300, size=20).tolist():
+                assert fast.invalidate_line(line) \
+                    == slow.invalidate_line(line)
+        elif op == 3:
             fast.flush()
             slow.flush()
     for s in range(num_sets):
@@ -160,17 +171,19 @@ def test_kernel_matches_generic_path(policy_name, scheme):
 
 
 def test_kernel_survives_flush():
-    """The bound kernel keeps working after flush (in-place resets)."""
+    """A loop bound to a cache keeps working after flush (in-place
+    resets)."""
     geometry = CacheGeometry(8 * 4 * 128, 4, 128)
     cache = SetAssociativeCache(geometry, "lru")
-    kernel = cache.access_line_hit
-    for line in range(64):
-        kernel(line)
+    kernel = loop_window(cache)
+    lines = list(range(64))
+    kernel(lines, bytearray(64))
     cache.flush()
     assert cache.occupancy() == 0
-    assert kernel is cache.access_line_hit   # not rebound
-    for line in range(64):
-        assert kernel(line) is False         # everything misses again
+    assert rendered_key(cache) == ("lru", "none")
+    flags = bytearray(64)
+    kernel(lines, flags)
+    assert flags == bytes(64)               # everything misses again
     assert cache.occupancy() == 32
 
 
@@ -191,7 +204,7 @@ def test_unknown_policy_falls_back_to_generic():
 
 
 def test_mixed_entry_points_share_state():
-    """access_line / access_line_rw / kernelised hit path interleave."""
+    """access_line / access_line_rw / access_line_hit interleave."""
     geometry = CacheGeometry(8 * 4 * 128, 4, 128)
     fast = SetAssociativeCache(geometry, "lru")
     slow = SetAssociativeCache(geometry, "lru", kernels=False)
@@ -213,6 +226,9 @@ def test_mixed_entry_points_share_state():
 
 @pytest.mark.parametrize("policy_name", ["lru", "nru", "bt"])
 def test_observe_kernel_matches_generic(policy_name):
+    """The drain kernel an ATD binds, fed list batches on both sides of
+    its size floor, against the class's ``observe`` fed the same lines
+    one at a time; the kernel keeps working after a reset."""
     geometry = CacheGeometry(32 * 8 * 128, 8, 128)
 
     def build(kernels):
@@ -221,18 +237,26 @@ def test_observe_kernel_matches_generic(policy_name):
 
     fast = build(True)
     slow = build(False)
-    assert "observe" in fast.__dict__
-    assert "observe" not in slow.__dict__
+    assert "observe" not in vars(fast) and "observe" not in vars(slow)
+    assert type(fast.observe_many) is DrainKernel
+    assert "observe_many" not in vars(slow)
     rng = np.random.default_rng(1)
-    for line in rng.integers(0, 3000, size=8000).tolist():
-        assert fast.observe(line) == slow.observe(line)
+    lines = rng.integers(0, 3000, size=8000).tolist()
+    start = 0
+    while start < len(lines):
+        stop = start + int(rng.integers(1, 200))
+        fast.observe_many(lines[start:stop])
+        for line in lines[start:stop]:
+            slow.observe(line)
+        start = stop
     assert fast.sampled_accesses == slow.sampled_accesses
     assert fast.skipped_accesses == slow.skipped_accesses
     assert list(fast.sdh.registers) == list(slow.sdh.registers)
+    assert fast.state.lines == slow.state.lines
 
     fast.reset()
     assert fast.sampled_accesses == 0
-    assert fast.observe(0) is True           # kernel alive after reset
+    fast.observe_many([0])                  # kernel alive after reset
     assert fast.sampled_accesses == 1
 
 
@@ -245,11 +269,11 @@ def test_observe_kernel_skipped_for_custom_profiler():
 
     geometry = CacheGeometry(32 * 8 * 128, 8, 128)
     atd = ATD(geometry, 4, "lru", Custom())
-    assert "observe" not in atd.__dict__
+    assert atd.kernel is None and "observe_many" not in vars(atd)
 
     spread = ATD(geometry, 4, "nru",
                  make_profiler("nru", spread_update=True))
-    assert "observe" not in spread.__dict__
+    assert spread.kernel is None and "observe_many" not in vars(spread)
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +288,9 @@ def atd_state(atd):
 
 
 class TestDrainTargets:
-    """A run's own bind of the ``observe`` rendering (compiled where the
-    host has ``cc``) against the Python rendering the ATD keeps for itself
-    and against the ``kernels=False`` class path, drain by drain."""
+    """The ``observe`` rendering an ATD binds (compiled where the host has
+    ``cc``) against the same ATD built inside ``python_target()`` and
+    against the ``kernels=False`` class path, drain by drain."""
 
     GEOMETRY = CacheGeometry(128 * 8 * 128, 8, 128)
 
@@ -276,13 +300,17 @@ class TestDrainTargets:
                        make_profiler(policy, scaling=scaling),
                        rng=np.random.default_rng(9), **kw)
 
-        compiled, rendered, classes = build(), build(), build(kernels=False)
+        compiled, classes = build(), build(kernels=False)
+        with transitions.python_target():
+            rendered = build()
         kernel = rendered_drain_kernel(compiled)
         assert kernel is compiled.observe_many
-        assert kernel.key == (policy, "none")
+        assert kernel.python.__code__.co_filename \
+            == f"<repro kernel {policy}/none observe>"
+        assert rendered.kernel.compiled is None
         assert rendered_drain_kernel(classes) is None
-        return (transitions.bind("observe", kernel.key, compiled), compiled,
-                rendered, classes)
+        # The bare kernel, every batch on it whatever its length.
+        return kernel.compiled or kernel.python, compiled, rendered, classes
 
     @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3],
                              ids=["S1", "S0.75", "S0.5", "S0.33"])
@@ -336,49 +364,56 @@ class TestDrainTargets:
         drain([0, 4, 8, 1])
         assert atd._counts == [3, 1]
 
-    def test_an_atd_keeps_the_python_rendering_for_itself(self):
-        """``observe`` is a one-line batch through the Python target of
-        the ATD's rendering: the kernel an ATD binds at construction never
-        crosses ``ctypes``, and its bind is not one of a run's."""
-        before = transitions.target_stats()
+    def test_an_atd_binds_its_drain_kernel_when_built(self):
+        """The ATD binds its ``observe`` rendering when it is built — one
+        recorded bind, compiled where the host has ``cc`` — with the
+        Python rendering beside a compiled one for short batches, not
+        recorded.  Its single-access ``observe`` is the class's."""
+        key = ("observe", ("nru", "none"))
+
+        def binds():
+            entry = transitions.target_stats().get(key)
+            return sum(entry["binds"].values()) if entry else 0
+
+        before = binds()
         atd = ATD(self.GEOMETRY, 4, "nru", make_profiler("nru"))
-        assert transitions.target_stats() == before
+        assert binds() == before + 1
         kernel = atd.observe_many
         assert type(kernel) is DrainKernel and kernel is atd.kernel
-        assert kernel.target is kernel.python
+        assert "observe" not in vars(atd)
         assert kernel.python.__code__.co_filename \
             == "<repro kernel nru/none observe>"
-        assert kernel.python in [cell.cell_contents
-                                 for cell in atd.observe.__closure__]
-        assert kernel not in [cell.cell_contents
-                              for cell in atd.observe.__closure__]
+        if shutil.which("cc"):
+            assert hasattr(kernel.compiled, "ints")
+            assert kernel.floor == len(atd.state.lines)
+        else:
+            assert kernel.compiled is None and kernel.floor == math.inf
 
     def test_a_batch_shorter_than_the_floor_stays_interpreted(self):
-        """The size rule of an installed kernel: what it copies per call
-        is the directory, so only a batch at least that long goes to it;
-        a shorter column is drained by the Python rendering, as a list."""
+        """The size rule of a compiled drain kernel: what it copies per
+        call is the directory, so only a batch at least that long goes to
+        it; a shorter column is drained by the Python rendering, as a
+        list, and a list batch of any length still works."""
         atd = ATD(self.GEOMETRY, 4, "lru", make_profiler("lru"))
         kernel, calls = atd.observe_many, []
-        assert kernel.entries == len(atd.state.lines) == 32 * 8
+        assert len(atd.state.lines) == 32 * 8
 
         class Columns:
-            """Stands in for a compiled kernel (it has ``ints``)."""
-            ints = staticmethod(list)
+            """Stands in for a compiled kernel."""
             __call__ = staticmethod(calls.append)
 
-        assert kernel.install(Columns()) and kernel.floor == 256
-        kernel.floor = 3
+        kernel.compiled, kernel.floor = Columns(), 3
         kernel(np.array([0, 4], dtype=np.int64))
         assert calls == [] and atd._counts == [2, 0]
         assert {type(line) for line in atd.state.map} == {int}
         kernel(np.array([8, 12, 16], dtype=np.int64))
-        assert [batch.tolist() for batch in calls] == [[8, 12, 16]]
+        kernel([20, 24, 28])
+        assert [batch.tolist() for batch in calls] \
+            == [[8, 12, 16], [20, 24, 28]]
+        assert all(batch.dtype == np.int64 for batch in calls)
         assert atd._counts == [2, 0]
-        kernel.restore()
-        assert kernel.target is kernel.python and kernel.floor == 0
         kernel([8])
         assert atd._counts == [3, 0]
-        assert not kernel.install(kernel.python) and kernel.floor == 0
 
     def test_only_a_transparent_wrapper_still_leads_to_the_kernel(self):
         import functools
@@ -426,9 +461,9 @@ def window_cache_state(cache):
 
 
 def rebind_hit_kernel(cache):
-    """Wrap ``cache.access_line_hit`` so the cache no longer runs the
-    kernel it recorded: its event loop must then be the call form, over
-    the wrapper, whatever it does."""
+    """Shadow ``cache.access_line_hit`` with a wrapper on the instance:
+    its event loop must then be the call form, over the wrapper, whatever
+    it does."""
     hit = cache.access_line_hit
     cache.access_line_hit = lambda line, core=0: hit(line, core)
     return cache
@@ -441,7 +476,7 @@ class TestWindowKernels:
     A window is a stretch of one thread's stream with no boundary in it;
     since the ``window`` rendering went, what executes it is the event
     loop at a heap of one (``loop_window``): the fused ``loop`` rendering
-    for a cache still running its rendered hit kernel — the compiled
+    for a stock cache nobody rebound — the compiled
     target where the host has ``cc``, so every window here also crosses
     the marshalling of the flat state into C and back — and the call
     form for every other cache.  The reference for both is the
@@ -600,8 +635,8 @@ class TestElisionEligibility:
 
 
 class TestArrayKernelProperties:
-    """The fused ``loop`` rendering vs the call-form loop over the scalar
-    hit kernel, one window at a time: full flat-state equality.
+    """The fused ``loop`` rendering vs the call-form loop over the
+    classes, one window at a time: full flat-state equality.
 
     (The class and its shapes were written against the numpy array
     backend; the ids are kept so the test trajectory stays comparable.)
@@ -712,10 +747,11 @@ class TestArrayKernelProperties:
 
     def test_array_build_respects_eligibility(self):
         """Which loop a cache's stream gets is decided by what it can
-        observe: the fused one only while the cache still runs the stock
-        kernel it recorded — partitioned or not — and the call form for
-        a kernel-less policy, a subclassed scheme, a ``kernels=False``
-        cache and a rebound ``access_line_hit``."""
+        observe: the fused one only for a stock pair whose
+        ``access_line_hit`` no instance attribute shadows — partitioned
+        or not — and the call form for a kernel-less policy, a subclassed
+        scheme, a ``kernels=False`` cache and a rebound
+        ``access_line_hit``."""
         from repro.cache.partition.masks import MasksPartition
 
         num_sets, assoc = 8, 8

@@ -44,6 +44,22 @@ class TestCacheDirtyBits:
         assert cache.stats.total_writebacks == 1
         assert not cache.is_dirty(2)
 
+    @pytest.mark.parametrize("entry", ["access_line_hit", "access_line"])
+    @pytest.mark.parametrize("kernels", [True, False])
+    def test_every_entry_point_shares_the_miss_path(self, entry, kernels):
+        """A read through the read-only entry points that evicts a dirty
+        line installs the new one clean and counts the writeback — the
+        one miss path, whichever method evicts."""
+        geometry = tiny_geometry(num_sets=1, assoc=2)
+        cache = SetAssociativeCache(geometry, "lru", kernels=kernels)
+        cache.access_line_rw(0, write=True)
+        getattr(cache, entry)(1)
+        getattr(cache, entry)(2)               # evicts dirty line 0
+        assert not cache.contains_line(0)
+        assert not cache.is_dirty(2)
+        assert cache.dirty_lines() == 0
+        assert cache.stats.total_writebacks == 1
+
     def test_dirty_eviction_counts_writeback(self):
         geometry = tiny_geometry(num_sets=1, assoc=2)
         cache = SetAssociativeCache(geometry, "lru")

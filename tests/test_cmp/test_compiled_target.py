@@ -8,9 +8,9 @@ the host can build it and the Python target otherwise
 checked source, so every run here is made three times — compiled (the
 default), Python (through :func:`repro.cache.transitions.python_target`,
 the one internal seam) and over the generic object protocol, which steps
-the hand-written policy and scheme *classes* — and the full fuzz-oracle
-snapshots must agree: result, tag directory, policy / scheme state,
-ATD / SDH registers, victim probe.
+the hand-written policy and scheme *classes* (the call-form loop) — and
+the full fuzz-oracle snapshots must agree: result, tag directory, policy
+/ scheme state, ATD / SDH registers, victim probe.
 
 The scenario packs what the loop special-cases into one run per key:
 non-dyadic ``ipm`` / ``cpi``, 512-reference windows (seams), trace wraps,
@@ -96,12 +96,14 @@ def scenario(key, service_interval=0.0):
 
 
 class GenericL2Case(FuzzCase):
-    """The same case with the L2's instance-bound kernel removed: the
-    call-form loop over the policy and scheme classes."""
+    """The same case with an instance attribute shadowing the L2's
+    ``access_line_hit`` (by the class's own method): the call-form loop
+    over the policy and scheme classes."""
 
     def simulator(self, engine):
         sim = super().simulator(engine)
-        del sim.hierarchy.l2.access_line_hit
+        l2 = sim.hierarchy.l2
+        l2.access_line_hit = l2.access_line_hit
         return sim
 
 
@@ -141,8 +143,9 @@ def test_both_targets_match_the_policy_classes(key, service_interval,
     after, drains_after = binds(key), binds(drains, "observe")
     assert after[expected_target()] == before[expected_target()] + 1
     assert after["python"] >= before["python"] + 1
-    # One drain kernel per ATD per run, on the target the loop got — the
-    # generic-L2 run included: its ATDs still run their rendering.
+    # One drain kernel per ATD, bound when the simulator is built, on the
+    # target the loop got — the generic-L2 run included: its ATDs still
+    # run their rendering.
     atds = 4 if CONFIGS[key].partitioned else 0
     assert drains_after[expected_target()] \
         == drains_before[expected_target()] + 2 * atds
@@ -220,7 +223,7 @@ def test_tag_dict_is_rebuilt_from_the_tag_array():
 def relearn():
     """Render, translate and build again around a spec mutation."""
     def forget():
-        transitions._factory.cache_clear()
+        transitions.factory.cache_clear()
         native.load.cache_clear()
 
     forget()
@@ -241,7 +244,7 @@ def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
     monkeypatch.setitem(
         transitions.POLICIES["lru"], "promote",
         "if o[0] != way:\n    o.remove(way)\n    o.insert(1, way)")
-    transitions._factory.cache_clear()
+    transitions.factory.cache_clear()
     native.load.cache_clear()
     before = binds(("lru", "masks"))
     compiled = run_engine(case, "batched")
@@ -352,24 +355,22 @@ def test_host_without_a_compiler_runs_the_python_target(monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# Who may cross into C: a whole drain, never a single access
+# Who runs a rendering: the batched engine's loop and drains, nothing else
 # ----------------------------------------------------------------------
-def test_single_access_observation_never_binds_the_compiled_target(
-        monkeypatch):
-    """The compiled drain copies the ATD's state in and out per call —
-    per *batch* that is noise, per access it would be ~200x the Python
-    step.  So the reference engine, the call-form loop with an immediate
-    observer and ``ATD.observe`` itself stay on the Python rendering:
-    no ``observe`` bind is recorded and no compiled kernel is called."""
-    def crossed(self, *arguments):
-        raise AssertionError("a single access crossed into C")
+def test_reference_and_call_form_runs_enter_no_rendered_kernel(monkeypatch):
+    """Only batch kernels are rendered, so the per-access paths step the
+    classes by construction: a reference run enters no rendering at all,
+    a call-form run with an immediate observer only the call-form loop,
+    neither calls a compiled kernel — and both reproduce the batched
+    run."""
+    import sys
 
-    key = ("nru", "masks")
-    case = scenario(key)
+    def crossed(self, *arguments):
+        raise AssertionError("a per-access path entered a compiled kernel")
+
+    case = scenario(("nru", "masks"))
     batched = run_engine(case, "batched")
     monkeypatch.setattr(native.CompiledKernel, "__call__", crossed)
-    before = binds(("nru", "none"), "observe")
-    assert diff_snapshots(run_engine(case, "reference"), batched) == []
 
     class ImmediateCase(FuzzCase):
         def simulator(self, engine):
@@ -377,12 +378,29 @@ def test_single_access_observation_never_binds_the_compiled_target(
             observe = sim.profiling.observe
             sim.hierarchy.l2_observer = \
                 lambda core, line: observe(core, line)
-            del sim.hierarchy.l2.access_line_hit    # the call-form loop
             return sim
 
-    immediate = run_engine(ImmediateCase(**vars(case)), "batched")
-    assert diff_snapshots(immediate, batched) == []
-    assert binds(("nru", "none"), "observe") == before
+    def entered(engine, case):
+        names = set()
+
+        def profile(frame, event, _arg):
+            # A rendering's ``build`` (binding it) shares its file name.
+            code = frame.f_code
+            if (event == "call" and code.co_name != "build"
+                    and code.co_filename.startswith("<repro kernel")):
+                names.add(code.co_filename)
+
+        sys.setprofile(profile)
+        try:
+            snapshot = run_engine(case, engine)
+        finally:
+            sys.setprofile(None)
+        assert diff_snapshots(snapshot, batched) == []
+        return names
+
+    assert entered("reference", case) == set()
+    assert entered("batched", ImmediateCase(**vars(case))) \
+        == {"<repro kernel call loop>"}
 
 
 class RecordingCase(FuzzCase):
@@ -392,7 +410,6 @@ class RecordingCase(FuzzCase):
 
     transparent = False
     seen: list = []
-    atds: list = []
 
     def simulator(self, engine):
         import functools
@@ -407,7 +424,6 @@ class RecordingCase(FuzzCase):
 
         atd.observe_many = (functools.wraps(kernel)(recorder)
                             if self.transparent else recorder)
-        self.atds[:] = [m.atd for m in sim.profiling.monitors]
         return sim
 
 
@@ -415,32 +431,34 @@ class RecordingCase(FuzzCase):
                          ids=["opaque", "functools.wraps"])
 def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     """Whoever rebinds an ATD's ``observe_many`` sees every drain.  An
-    opaque callable is drained as it stands — lists, and whatever it
-    calls is the ATD's own Python kernel.  A transparent wrapper (a
-    ``__wrapped__`` chain ending at the kernel the ATD bound) is still
-    called, with the run's own bind behind it: columns into the compiled
-    kernel wherever the host has ``cc``.  Either way the run leaves every
-    ATD on the kernel it keeps for itself."""
+    opaque callable is drained as it stands — lists, into whatever it
+    calls.  A transparent wrapper (a ``__wrapped__`` chain ending at the
+    kernel the ATD bound) is handed what that kernel takes: columns
+    wherever the host has ``cc``.  Either way the run binds no drain
+    kernel of its own: the four are the ATDs', bound when they were
+    built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
     monkeypatch.setattr(RecordingCase, "seen", [])
     before = binds(("lru", "none"), "observe")
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
     after = binds(("lru", "none"), "observe")
-    assert sum(after.values()) - sum(before.values()) \
-        == (4 if transparent else 3)
+    assert sum(after.values()) - sum(before.values()) == 4
     compiled_behind = transparent and expected_target() == "c"
     assert set(RecordingCase.seen) \
         == {np.ndarray if compiled_behind else list}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
-    assert all(atd.kernel.target is atd.kernel.python
-               and atd.kernel.floor == 0 for atd in RecordingCase.atds)
 
 
 def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
+    """Nothing is installed for a run, so nothing needs undoing when one
+    raises: each ATD still drains through the kernel it bound, a list
+    batch longer than its directory included."""
     sim, _info = run_overrun()
     atds = [monitor.atd for monitor in sim.profiling.monitors]
     assert len(atds) == 4
     for atd in atds:
-        assert atd.kernel.target is atd.kernel.python
-        atd.observe_many([0, 2, 4])         # a list, as before the run
+        assert atd.observe_many is atd.kernel
+        sampled = atd.sampled_accesses
+        atd.observe_many([0, 2, 4] * len(atd.state.lines))
+        assert atd.sampled_accesses > sampled

@@ -4,11 +4,12 @@ transition body with it.
 ``BatchedEngine.run`` executes the ``loop`` rendering of
 :mod:`repro.cache.transitions` — with the L2 transition of a stock
 (policy, scheme) pair inlined when that is exact, through
-``l2.access_line_hit`` (the *call form*) otherwise.  The reference engine
-calls the same rendered ``access_line_hit``, so engine-vs-engine compares
-two renderings of one spec; the independent pairing here removes the L2's
-instance-bound kernel, which leaves the generic object-protocol method
-stepping the hand-written policy and scheme *classes*.
+``l2.access_line_hit`` (the *call form*) otherwise.  ``access_line_hit``
+is the class's method, stepping the hand-written policy and scheme
+*classes*, so the reference engine is an oracle independent of the
+fused loop; the pairing here keeps the batched engine and shadows the
+L2's ``access_line_hit`` on the instance, which moves the run to the call
+form over the same classes.
 """
 
 import dataclasses
@@ -71,11 +72,13 @@ def make_case(config, num_cores, traces=None):
 
 
 class GenericL2Case(FuzzCase):
-    """The same case with the L2's instance-bound kernel removed."""
+    """The same case with an instance attribute shadowing the L2's
+    ``access_line_hit`` (by the class's own method): the call form."""
 
     def simulator(self, engine):
         sim = super().simulator(engine)
-        del sim.hierarchy.l2.access_line_hit
+        l2 = sim.hierarchy.l2
+        l2.access_line_hit = l2.access_line_hit
         return sim
 
 
@@ -85,10 +88,10 @@ def loop_keys(monkeypatch):
     keys = []
     bind = transitions.bind
 
-    def spy(rendering, key, owner, *args, **kwargs):
+    def spy(rendering, key, owner, *args):
         if rendering == "loop":
             keys.append(key)
-        return bind(rendering, key, owner, *args, **kwargs)
+        return bind(rendering, key, owner, *args)
 
     monkeypatch.setattr(transitions, "bind", spy)
     return keys
@@ -226,7 +229,7 @@ class TestCallFormGuard:
 
     def test_rebound_access_line_hit_takes_the_call_form(self, loop_keys):
         """The fused loop bypasses ``l2.access_line_hit``, so it may only
-        run while that still *is* the rendered kernel."""
+        run while no instance attribute shadows it."""
         calls = []
 
         def build(*args):
@@ -281,9 +284,11 @@ class TestGeneratedSourceExplainsItself:
 
     def test_getsource_and_names(self):
         sim = make_case(config_C_L(**KNOBS), 2).simulator("batched")
-        kernel = sim.hierarchy.l2.access_line_hit
-        assert kernel.__code__.co_filename == "<repro kernel lru/counters hit>"
-        assert "owned_l[s * ncores + core]" in inspect.getsource(kernel)
+        kernel = transitions.factory("loop", ("lru", "counters"))(
+            sim.hierarchy.l2, None)
+        assert kernel.__code__.co_filename \
+            == "<repro kernel lru/counters loop>"
+        assert "owned_l[s * ncores + t]" in inspect.getsource(kernel)
         drain = sim.profiling.monitors[0].atd.observe_many.python
         name = drain.__code__.co_filename
         assert name == "<repro kernel lru/none observe>"
@@ -293,10 +298,10 @@ class TestGeneratedSourceExplainsItself:
     def test_unknown_slot_or_placeholder_is_an_error(self):
         broken = dict(transitions.TEMPLATES, miss="$no_such_slot")
         with pytest.raises(KeyError, match="no_such_slot"):
-            transitions.render("hit", ("lru", "none"), templates=broken)
+            transitions.render("loop", ("lru", "none"), templates=broken)
         broken = dict(transitions.TEMPLATES, miss="way = $way")
         with pytest.raises(KeyError, match="way"):
-            transitions.render("hit", ("lru", "none"), templates=broken)
+            transitions.render("observe", ("lru", "none"), templates=broken)
 
     def test_fragment_storing_to_a_skeleton_local_is_an_error(self):
         """The hole this closes: a skeleton whose position counter was
@@ -310,16 +315,19 @@ class TestGeneratedSourceExplainsItself:
             transitions.render("observe", ("probe", "none"),
                                policies=policies)
         transitions.render("observe", ("nru", "none"), policies=policies)
-        transitions.render("hit", ("probe", "none"), policies=policies)
+        transitions.render("loop", ("probe", "none"), policies=policies)
         schemes = dict(transitions.SCHEMES, masks=dict(
             transitions.SCHEMES["masks"], mask="j = mask = masks[$core]"))
         with pytest.raises(ValueError, match=r"scheme 'mask' -> j"):
             transitions.render("loop", ("nru", "masks"), schemes=schemes)
 
     def test_every_shipped_rendering_passes_the_checks(self):
+        """Three ``observe`` keys, twelve stock ``loop`` keys and the call
+        form: only batch kernels are rendered."""
         keys = transitions.rendering_keys()
-        assert len(keys) == 28
-        assert {rendering for rendering, _ in keys} \
-            == {"hit", "observe", "loop"}
+        assert sum(rendering == "observe" for rendering, _ in keys) == 3
+        assert sum(rendering == "loop" and key is not None
+                   for rendering, key in keys) == 12
+        assert ("loop", None) in keys and len(keys) == 16
         for rendering, key in keys:
-            transitions._factory(rendering, key)    # render + closure checks
+            transitions.factory(rendering, key)     # render + closure checks

@@ -142,10 +142,10 @@ class TestOracle:
                                                              monkeypatch):
         """The oracle side shares no transition body with the engines:
         the reference run's L2 *and* its ATDs go through the hand-written
-        classes.  (``ProfilingLogic`` binds each ``atd.observe`` when it
-        is built, so dropping the kernels off the ATDs alone once left
-        the reference run inside the ``observe`` rendering and a bug in
-        a policy's ``sdh`` fragment invisible.)"""
+        classes, by construction — no per-access rendering exists.  (A
+        reference once stepped the ``observe`` rendering through the
+        observer the profiling system bound at construction, and a bug in
+        a policy's ``sdh`` fragment was invisible to it.)"""
         from repro.profiling.atd import ATD
 
         generic, calls = ATD.observe, []

@@ -39,13 +39,13 @@ def _flat_set_run_kernel(cache):
     return run_window
 
 
-def derive_observe_kernel(atd, observe_many):
-    """Public derived builder: a missing underscore is no exemption."""
+def sample_filter_kernel(atd, drain):
+    """Public builder: a missing underscore is no exemption."""
 
     def observe(line):
         if line & atd._skip_mask:          # attribute load per access
             return False
-        observe_many((line,))              # a tuple argument is fine
+        drain((line,))                     # a tuple argument is fine
         return True
 
     return observe

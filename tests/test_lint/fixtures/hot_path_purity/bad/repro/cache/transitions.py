@@ -69,21 +69,6 @@ tag_map[$line] = way
 $fill""",
     "evict_in_mask": "del tag_map[tag_lines[row + way]]",
     "evict_any": "",
-    "hit": """\
-def build(cache):
-    $bind_cache
-
-    def access_line_hit(line, core=0):
-        s = line & set_mask
-        way = tag_get(line)
-        if way is not None:
-            $promote
-            return True
-        $miss
-        return False
-
-    return access_line_hit
-""",
     "observe": """\
 def build(atd):
     policy = atd.policy
@@ -140,7 +125,6 @@ clock = now + (1.0 if l2_access_hit(line, t) else 9.0)""",
 }
 
 PRIVATE_LOCALS = {
-    "hit": (),
     "observe": (),
     "loop": ("t", "now", "clock", "horizon"),
 }

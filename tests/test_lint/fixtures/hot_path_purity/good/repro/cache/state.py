@@ -61,14 +61,14 @@ def _flat_set_run_kernel(cache):
     return run_window
 
 
-def derive_observe_kernel(atd, observe_many):
-    """Public derived builder: held to the same bar, tuples allowed."""
+def sample_filter_kernel(atd, drain):
+    """Public builder: held to the same bar, tuples allowed."""
     skip_mask = atd.skip_mask
 
     def observe(line):
         if line & skip_mask:
             return False
-        observe_many((line,))
+        drain((line,))
         return True
 
     return observe

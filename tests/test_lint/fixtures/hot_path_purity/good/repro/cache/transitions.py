@@ -50,21 +50,6 @@ tag_map[$line] = way
 $fill""",
     "evict_in_mask": "del tag_map[tag_lines[row + way]]",
     "evict_any": "",
-    "hit": """\
-def build(cache):
-    $bind_cache
-
-    def access_line_hit(line, core=0):
-        s = line & set_mask
-        way = tag_get(line)
-        if way is not None:
-            $promote
-            return True
-        $miss
-        return False
-
-    return access_line_hit
-""",
     "observe": """\
 def build(atd):
     policy = atd.policy
@@ -118,7 +103,6 @@ else:
 }
 
 PRIVATE_LOCALS = {
-    "hit": (),
     "observe": (),
     "loop": ("t", "now", "clock", "horizon"),
 }

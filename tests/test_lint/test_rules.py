@@ -69,11 +69,11 @@ class TestHotPathPurity:
         assert not any("attribute load .remove" in m for m in messages)
 
     def test_covers_public_derived_builders(self, lint_fixture):
-        """Every module-level ``*_kernel`` function is scanned, so the
-        public builders of the derived closures get no exemption."""
+        """Every module-level ``*_kernel`` function is scanned, so a
+        public closure builder gets no exemption."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
-                    if "derive_observe_kernel.observe" in m.message]
+                    if "sample_filter_kernel.observe" in m.message]
         assert len(messages) == 1
         assert "attribute load ._skip_mask" in messages[0]
 
@@ -130,14 +130,14 @@ class TestHotPathPurity:
                    for m in messages)
 
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
-        """A fragment with an attribute chase is flagged in the hit
-        kernel, the observe kernel and the fused loop it is rendered
-        into — once per rendering kind, not once per (policy, scheme)."""
+        """A fragment with an attribute chase is flagged in the observe
+        kernel and the fused loop it is rendered into — once per
+        rendering kind, not once per (policy, scheme)."""
         messages = [m.message
                     for m in lint_fixture("hot-path-purity", "bad")
                     if "attribute load ._used" in m.message]
-        assert len(messages) == 3
-        for closure in ("access_line_hit", "observe_many", "loop"):
+        assert len(messages) == 2
+        for closure in ("observe_many", "loop"):
             assert any(f"build.{closure}" in m for m in messages)
         assert all("`cache.policy._used[s] |= 1 << way`" in m
                    for m in messages)

@@ -14,6 +14,8 @@ import pytest
 from repro.cache import transitions
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
+from repro.profiling.atd import ATD
+from repro.profiling.profilers import make_profiler
 
 _SPEC = importlib.util.spec_from_file_location(
     "kernel_traffic",
@@ -27,11 +29,10 @@ def clean_result():
     """The shape ``measure`` returns, with every count healthy."""
     return {
         "scale": "micro",
-        "builds": {"hit": {"lru/none": 3}, "observe": {"lru/none": 1},
-                   "loop": {"lru/none": 3}},
+        "builds": {"observe": {"lru/none": 1}, "loop": {"lru/none": 3}},
         "fragments": {
-            "policy": {"lru": {"hit": 3, "observe": 1, "loop": 3}},
-            "scheme": {"none": {"hit": 3, "loop": 3}},
+            "policy": {"lru": {"observe": 1, "loop": 3}},
+            "scheme": {"none": {"loop": 3}},
         },
         "runs": {"1": 2, "2": 1},
         "cc": "/usr/bin/cc",
@@ -94,16 +95,18 @@ def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
     bind = kernel_traffic._counting_bind(transitions.bind, builds, fragments)
     original, transitions.bind = transitions.bind, bind
     try:
+        # A cache binds nothing; an ATD binds its drain kernel.
         stock = SetAssociativeCache(geometry, "nru")
         SetAssociativeCache(geometry, "fifo", rng=np.random.default_rng(0))
+        ATD(geometry, 2, "nru", make_profiler("nru"))
         transitions.bind("loop", ("nru", "none"), stock, None)
         transitions.bind("loop", None, stock, None)
     finally:
         transitions.bind = original
-    assert builds == {"hit": {"nru/none": 1}, "observe": {},
+    assert builds == {"observe": {"nru/none": 1},
                       "loop": {"nru/none": 1, "call": 1}}
-    assert fragments["policy"]["nru"] == {"hit": 1, "observe": 0, "loop": 1}
-    assert fragments["scheme"]["none"] == {"hit": 1, "loop": 1}
+    assert fragments["policy"]["nru"] == {"observe": 1, "loop": 1}
+    assert fragments["scheme"]["none"] == {"loop": 1}
 
     runs = {}
     counted = kernel_traffic._counting_run(lambda engine: "result", runs)

@@ -5,19 +5,20 @@ Wraps ``repro.cache.transitions.bind`` — the one entry point every
 rendered kernel is built through — from outside ``src/``, runs one cold
 serial ``repro report run --scale SCALE`` into a temporary store and
 prints, as JSON, how many kernels each ``(policy, scheme)`` key built per
-rendering (``hit`` / ``observe`` / ``loop``; ``call`` is the call-form
-loop), the same counts per *policy fragment* and per *scheme fragment*,
-and how many times ``BatchedEngine.run`` was entered per thread count
-(``"1"`` is the isolation jobs and the one-core figure points).
+rendering (``observe`` / ``loop``; ``call`` is the call-form loop), the
+same counts per *policy fragment* and per *scheme fragment*, and how many
+times ``BatchedEngine.run`` was entered per thread count (``"1"`` is the
+isolation jobs and the one-core figure points).
 
 A registered fragment that renders nothing over a whole report is dead
-weight — that is how the four non-paper hit kernels and the FIFO array
-path were found — so the exit status is 1 when a policy of
-``transitions.POLICIES`` has zero builds in any rendering or a scheme of
-``transitions.SCHEMES`` has zero ``hit`` or ``loop`` builds.
+weight — that is how the four non-paper hit kernels, the FIFO array path
+and finally the per-access ``hit`` rendering itself were found — so the
+exit status is 1 when a policy of ``transitions.POLICIES`` has zero
+builds in either rendering or a scheme of ``transitions.SCHEMES`` has
+zero ``loop`` builds.
 ``targets`` is ``transitions.target_stats()``: per stock ``loop`` key —
 the ``*/none`` keys the single-thread runs bind included — and per
-``observe`` key the runs bound for their ATD drains, the target its
+``observe`` key the ATDs bound for their drains, the target its
 calls got (``c`` or ``python``), whether the object came from the cache
 or was built, and why it fell back; with ``cc`` on ``PATH`` a stock loop
 or drain on the Python target is a failed or disabled build, and so is a
@@ -47,12 +48,12 @@ from repro.cache import transitions  # noqa: E402
 from repro.cmp.engine import BatchedEngine  # noqa: E402
 
 #: Renderings a fragment of each table must reach.
-RENDERINGS = {"policy": ("hit", "observe", "loop"),
-              "scheme": ("hit", "loop")}
+RENDERINGS = {"policy": ("observe", "loop"),
+              "scheme": ("loop",)}
 
 
 def _counting_bind(bind, builds, fragments):
-    def counted(rendering, key, owner, *args, **kwargs):
+    def counted(rendering, key, owner, *args):
         label = "call" if key is None else "/".join(key)
         per_key = builds[rendering]
         per_key[label] = per_key.get(label, 0) + 1
@@ -61,7 +62,7 @@ def _counting_bind(bind, builds, fragments):
             fragments["policy"][policy][rendering] += 1
             if rendering in RENDERINGS["scheme"]:
                 fragments["scheme"][scheme][rendering] += 1
-        return bind(rendering, key, owner, *args, **kwargs)
+        return bind(rendering, key, owner, *args)
 
     return counted
 
