@@ -64,7 +64,7 @@ def test_l1_access_rate(benchmark):
 
 
 def test_l1_bulk_access_rate(benchmark):
-    """The batched engine's prefilter path (vectorised 2-way LRU)."""
+    """The batched engine's prefilter path (the L1's ``prefilter`` kernel)."""
     l1 = SmallLRUCache(CacheGeometry(32 * 2 * 128, 2, 128))
     stream = np.asarray(STREAM, dtype=np.int64)
 

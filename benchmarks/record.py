@@ -7,10 +7,12 @@ Two recording modes::
 
 ``engine`` measures the end-to-end reference vs batched engine wall-clock
 on the 4-core mix of ``bench_engine.py`` and the **six configs, one mix**
-composite (``bench_engine.run_six_configs``) with its window-cache
-lookups and hits, and one ATD drain of 2 K sampled lines per paper policy
-through both targets of the ``observe`` rendering (:func:`drain_rates`),
-each a best-of-``--repeats`` ``perf_counter`` loop.  (Single-thread runs
+composite (``bench_engine.run_six_configs``), one ATD drain of 2 K
+sampled lines per paper policy through both targets of the ``observe``
+rendering (:func:`drain_rates`), and one 64 Ki-reference L1 window
+through both targets of the ``prefilter`` rendering
+(:func:`prefilter_rates`), each a best-of-``--repeats`` ``perf_counter``
+loop.  (Single-thread runs
 are the same engine and the same loop at a heap of one; their end-to-end
 number is ``benchmarks/e2e``'s ``isolation_paper`` workload, not a row
 here.)  ``campaign`` races the worker-pool implementations of
@@ -46,22 +48,19 @@ import numpy as np
 #: compares the *current* ``cur`` rate against the *baseline* ``base``
 #: rate; a ``.`` prefix on the denominator (``cur/.base``) reads it from
 #: the *current* recording instead — a same-machine, same-run ratio.
-#: Both engine floors are of that kind, so the baseline file only
+#: All three engine floors are of that kind, so the baseline file only
 #: supplies the ``speedup_vs_baseline`` block: the batched engine against
-#: the reference loop at ``bench_engine.SMOKE_FLOOR``, and a floor on a
-#: *count*, not a speed — over six configurations of one mix at least
-#: 75 % of the window-cache lookups must hit (measured 90 %; a key that
-#: starts to include anything per-job leaves only the within-run
-#: recurrences, ~42 %), so a change that silently stops sharing windows
-#: across configurations fails here instead of passing unnoticed.  The
-#: third is the drains' canary: over the three paper policies a compiled
-#: drain of 2 K lines — state copied in and out included — must run at
-#: 5x the Python rendering or better (measured ~8x; a host without ``cc``
-#: drains in Python and fails here, it is never skipped).
+#: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
+#: canary — over the three paper policies a compiled drain of 2 K lines,
+#: state copied in and out included, must run at 5x the Python rendering
+#: or better (measured ~8x); and the L1 prefilter's — the compiled walk
+#: of a window must run at 5x its Python rendering or better (measured
+#: ~150x).  A host without ``cc`` runs both on Python and fails here, it
+#: is never skipped.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "engine_batched/.engine_reference:5.0",
-    "six_configs_window_hits/.six_configs_window_lookups:0.75",
     "drain_compiled/.drain_python:5.0",
+    "prefilter_compiled/.prefilter_python:5.0",
 )
 
 
@@ -135,6 +134,42 @@ def drain_rates(repeats: int, batch_lines: int = 2048) -> dict:
     return {key: round(value, 1) for key, value in rates.items()}
 
 
+def prefilter_rates(repeats: int, window: int = 1 << 16) -> dict:
+    """References/sec of one L1 window on each target of the
+    ``prefilter`` rendering — ``prefilter_compiled`` the kernel a
+    ``SmallLRUCache`` binds (the Python target on a host without ``cc``),
+    ``prefilter_python`` the Python rendering — and both as ns per
+    reference.  The L1 is the paper's (Table II: 128 sets, 2 ways), the
+    window the first of a paper-scale ``mcf`` trace, walked over an L1
+    its previous repeat left warm."""
+    from repro.cache import transitions
+    from repro.cache.l1 import SmallLRUCache
+    from repro.config import ProcessorConfig
+    from repro.workloads.generator import generate_trace
+
+    processor = ProcessorConfig(num_cores=1)
+    lines = generate_trace("mcf", window, processor.l2.num_lines,
+                           seed=42).lines
+    rates = {}
+    for target, calls in (("compiled", 20), ("python", 1)):
+        if target == "python":
+            with transitions.python_target():
+                l1 = SmallLRUCache(processor.l1d)
+        else:
+            l1 = SmallLRUCache(processor.l1d)
+
+        def op(l1, calls=calls):
+            for _ in range(calls):
+                l1.access_lines_hit(lines)
+
+        rates[f"prefilter_{target}"] = _rate(lambda l1=l1: l1, op,
+                                             calls * window, repeats)
+    return {"rates": {key: round(value, 1) for key, value in rates.items()},
+            "ns_per_ref": {target: round(1e9 / rates[f"prefilter_{target}"],
+                                         2)
+                           for target in ("compiled", "python")}}
+
+
 def record_engine(accesses: int, repeats: int) -> dict:
     from bench_engine import run_once, run_six_configs
 
@@ -151,16 +186,17 @@ def record_engine(accesses: int, repeats: int) -> dict:
              for k, v in timings.items()}
     # Six configurations of the mix in one process (a figure sweep in
     # miniature).
-    six_seconds, six_refs, cache = run_six_configs(accesses)
+    six_seconds, six_refs = run_six_configs(accesses)
     rates["engine_six_configs"] = round(six_refs / six_seconds, 1)
-    rates["six_configs_window_lookups"] = cache["lookups"]
-    rates["six_configs_window_hits"] = cache["hits"]
     rates.update(drain_rates(repeats))
+    prefilter = prefilter_rates(repeats)
+    rates.update(prefilter["rates"])
     return {
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,
         "seconds": {k: round(v, 4) for k, v in timings.items()},
         "rates": rates,
+        "prefilter_ns_per_ref": prefilter["ns_per_ref"],
         "batched_speedup": round(timings["reference"] / timings["batched"], 3),
     }
 

@@ -1,12 +1,13 @@
-"""The compiled target of the ``loop`` and ``observe`` renderings: build,
-cache, load, run.
+"""The compiled target of the ``loop``, ``observe`` and ``prefilter``
+renderings: build, cache, load, run.
 
 :func:`load` turns the C translation of one stock kernel — the event loop
-of a ``(policy, scheme)`` pair, the ATD drain of a policy
-(:func:`repro.cache.transitions.translate`) — into a loaded shared object,
-compiled with the host's ``cc`` on first use and kept in a private
-per-user cache directory under a name that is the SHA-256 of source +
-compiler version + flags (plus a digest of the object itself);
+of a ``(policy, scheme)`` pair, the ATD drain of a policy, the private
+L1's window walk (:func:`repro.cache.transitions.translate`) — into a
+loaded shared object, compiled with the host's ``cc`` on first use and
+kept in a private per-user cache directory under a name that is the
+SHA-256 of source + compiler version + flags (plus a digest of the
+object itself);
 :class:`CompiledKernel` is that object behind the Python kernel's exact
 call signature.  Everything here is stdlib ``ctypes`` and one ``cc``
 subprocess; nothing is downloaded.
@@ -21,17 +22,22 @@ removed and rebuilt); objects are written under a temporary name and
 ``os.replace``\\ d, so two processes racing through a cold cache (the
 normal case under a process pool) each install a complete file.
 
-State during a call.  There is no resident C state: the owner's tag /
-policy / scheme arrays (an L2's for ``loop``, an ATD's with its SDH
-registers and counters for ``observe``) are copied into C-typed buffers
-at entry and back — in place, into the very lists and dict the Python
-kernels hold — at exit, also when the call raises.  Between two calls the
-truth is always those lists, so whatever mutates them in place
-(``SDH.halve``, ``ATD.reset``, a repartition) is seen by the next call.
-That copy is per *call*: a run of the event loop pays it once, a drain
-once per batch of lines (~0.1 ms), and a kernel called per access would
-pay it per access — which is why every rendering is a batch kernel and a
-drain shorter than the directory it would copy runs the Python target
+State during a call.  There is no resident C state.  An owner array
+Python and C can share by address — a ``ctypes`` array, an
+``array.array``, a contiguous numpy column of the C element type — is
+handed over as it stands: the L1's slots and dirty flags and the
+prefilter's output columns, so a window's call copies nothing.  The
+other owner arrays, Python lists (an L2's tag / policy / scheme arrays
+for ``loop``, an ATD's with its SDH registers and counters for
+``observe``), are copied into C-typed buffers at entry and back — in
+place, into the very lists and dict the Python kernels hold — at exit,
+also when the call raises.  Between two calls the truth is always those
+lists, so whatever mutates them in place (``SDH.halve``, ``ATD.reset``, a
+repartition) is seen by the next call.  That copy is per *call*: a run of
+the event loop pays it once, a drain once per batch of lines (~0.1 ms),
+and a kernel called per access would pay it per access — which is why
+every rendering is a batch kernel and a drain shorter than the directory
+it would copy runs the Python target
 (:class:`repro.cache.state.DrainKernel`).
 Per-thread cursors are ``ctypes`` arrays the engine shell shares with
 the loop (:meth:`CompiledKernel.ints` / :meth:`~CompiledKernel.floats`);
@@ -82,8 +88,9 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off")
 _C_SCALARS = {"i64": ctypes.c_int64, "double": ctypes.c_double}
 _SCALARS = {"int": ctypes.c_int64, "float": ctypes.c_double}
 #: C array type -> (numpy dtype, ctypes element, ``array`` typecode).
-_ARRAYS = {"i64 *": (np.int64, ctypes.c_int64, "q"),
-           "double *": (np.float64, ctypes.c_double, "d")}
+_ARRAYS = {"i64 *": (np.dtype(np.int64), ctypes.c_int64, "q"),
+           "double *": (np.dtype(np.float64), ctypes.c_double, "d")}
+_INT64 = _ARRAYS["i64 *"][0]
 
 
 class Unavailable(Exception):
@@ -209,6 +216,38 @@ class Loaded(NamedTuple):
     args: type                          # the ctypes mirror of Args
     callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
     bindings: Callable                  # build(owner, ...) -> {name: obj}
+    #: The members by how a call marshals them (:func:`_groups`).
+    groups: Dict[str, Tuple[Tuple[str, str, str], ...]]
+
+
+#: Marshalling group of each member kind (prefixed kinds by their prefix;
+#: ``error`` and ``length`` members are set along with another).
+_GROUPS = {"int": "scalar", "float": "scalar", "ints": "array",
+           "floats": "array", "column": "column", "shared": "shared",
+           "cores": "shared", "heap": "heap", "rows": "rows", "ret": "ret",
+           "lists": "lists", "callout": "callout"}
+
+
+def _groups(kernel) -> Dict[str, Tuple[Tuple[str, str, str], ...]]:
+    """``kernel.members`` by marshalling group, each in member order, plus
+    ``stored``: the members the kernel writes; and ``flat``: for a kernel
+    of scalars, arrays and columns only, every member but the returns
+    (the argument block's leading fields, :func:`_shared_call`)."""
+    groups: Dict[str, list] = {group: [] for group in _GROUPS.values()}
+    groups["stored"] = []
+    for member in kernel.members:
+        name, _ctype, kind = member
+        group = _GROUPS.get(kind.partition(":")[0])
+        if group is not None:
+            groups[group].append(member)
+        if name in kernel.stored:
+            groups["stored"].append(member)
+    flat = not kernel.tags and not any(
+        groups[group] for group in ("heap", "callout", "shared", "lists",
+                                    "rows"))
+    groups["flat"] = [member for member in kernel.members
+                      if flat and member[2] != "ret"]
+    return {group: tuple(members) for group, members in groups.items()}
 
 
 def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
@@ -282,7 +321,7 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     library.run.argtypes = [ctypes.POINTER(args)]
     library.run.restype = ctypes.c_int64
     return Loaded(kernel, library.run, args, callouts,
-                  _bindings(rendering, key, kernel)), info
+                  _bindings(rendering, key, kernel), _groups(kernel)), info
 
 
 # ----------------------------------------------------------------------
@@ -290,33 +329,55 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
 # ----------------------------------------------------------------------
 def _address(name: str, ctype: str, value) -> Optional[int]:
     """Address of a buffer Python and C may share (a ``ctypes`` array,
-    an ``array.array``), 0 for None, None for anything to be copied."""
-    _dtype, element, typecode = _ARRAYS[ctype]
+    an ``array.array``, a contiguous numpy column of the C element type),
+    0 for None, None for anything to be copied."""
+    dtype, element, typecode = _ARRAYS[ctype]
     if value is None:
         return 0
-    if isinstance(value, ctypes.Array):
-        if value._type_ is not element:
-            raise TypeError(f"{name}: ctypes array of {value._type_}")
-        return ctypes.addressof(value)
+    if isinstance(value, np.ndarray):
+        if _flat(value, dtype) and value.flags.writeable:
+            return _data(value)
+        return None
     if isinstance(value, array.array):
         if value.typecode != typecode:
             raise TypeError(f"{name}: array of typecode {value.typecode!r}")
         return value.buffer_info()[0]
+    if isinstance(value, ctypes.Array):
+        if value._type_ is not element:
+            raise TypeError(f"{name}: ctypes array of {value._type_}")
+        return ctypes.addressof(value)
     return None
+
+
+def _flat(column: np.ndarray, dtype: np.dtype) -> bool:
+    """One contiguous run of native ``dtype`` elements."""
+    return (column.dtype is dtype and column.ndim == 1
+            and column.flags.c_contiguous)
+
+
+def _data(column: np.ndarray) -> int:
+    """Address of a contiguous numpy array's first element.
+    ``from_buffer`` costs a third of ``.ctypes.data`` — which matters for
+    a kernel called once per L1 window — and refuses only read-only and
+    empty arrays."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(column))
+    except (TypeError, ValueError):
+        return column.ctypes.data
 
 
 def _column_address(name: str, column) -> int:
     """Address of an ``int64`` column C may read as it stands."""
-    if not (isinstance(column, np.ndarray) and column.dtype == np.int64
-            and column.ndim == 1 and column.flags.c_contiguous):
+    if not (isinstance(column, np.ndarray) and _flat(column, _INT64)):
         raise TypeError(f"{name}: not a contiguous int64 column")
-    return column.ctypes.data
+    return _data(column)
 
 
 class CompiledKernel:
     """The compiled kernel of one rendering and key bound to its owner (a
-    cache and memory channel for ``loop``, an ATD for ``observe``): called
-    exactly like the Python target's kernel."""
+    cache and memory channel for ``loop``, an ATD for ``observe``, an L1
+    for ``prefilter``): called exactly like the Python target's
+    kernel."""
 
     def __init__(self, loaded: Loaded, owner, *args) -> None:
         self._loaded = loaded
@@ -336,7 +397,38 @@ class CompiledKernel:
         loaded = self._loaded
         values = dict(self._bound)
         values.update(zip(loaded.kernel.params, arguments, strict=True))
+        if loaded.groups["flat"]:
+            result = _shared_call(loaded, values)
+            if result is not None:
+                return result
         return _Run(loaded, values).execute()
+
+
+def _shared_call(loaded: Loaded, values: Dict[str, object]
+                 ) -> Optional[tuple]:
+    """One call of a flat kernel whose every array Python and C share by
+    address: the argument block built in one go, nothing copied either
+    way — the L1 prefilter's path, called once per trace window.  None
+    when an array would have to be copied (:class:`_Run` then takes the
+    call)."""
+    fields: list = []
+    for name, ctype, kind in loaded.groups["flat"]:
+        if kind in ("int", "float"):
+            fields.append(values[name])
+        elif kind in ("ints", "floats"):
+            address = _address(name, ctype, values[name])
+            if address is None:
+                return None
+            fields.append(address)
+        elif kind == "column":
+            column = values[name]
+            fields += (_column_address(name, column), len(column))
+        elif kind == "error":
+            fields.append(0)
+    args = loaded.args(*fields)
+    loaded.run(ctypes.byref(args))
+    return tuple(getattr(args, name)
+                 for name, _ctype, _kind in loaded.groups["ret"])
 
 
 class _Run:
@@ -359,48 +451,45 @@ class _Run:
     # -- entry ----------------------------------------------------------
     def marshal(self) -> None:
         values, args = self.values, self.args
-        members = self.loaded.kernel.members
+        groups = self.loaded.groups
         # One clock per thread: the popped thread's slot plus the heap's
         # (a kernel without a heap has no per-thread member).
         self.threads = sum(1 + len(values[name])
-                           for name, _ctype, kind in members
-                           if kind == "heap")
-        for name, ctype, kind in members:
-            if kind in ("int", "float"):
-                setattr(args, name, values[name])
-            elif kind == "heap":
-                clocks = (ctypes.c_double * self.threads)()
-                for clock, thread in values[name]:
-                    clocks[thread] = clock
-                self.keep.append(clocks)
-                setattr(args, name, ctypes.addressof(clocks))
-                setattr(args, name + "_n", self.threads)
-            elif kind.startswith("callout:"):
-                callback = self.loaded.callouts[name](
-                    self.callout(values[name]))
-                self.keep.append(callback)
-                setattr(args, name, callback)
-            elif kind in ("shared", "cores"):
-                self.shared.append((name, ctype, kind))
+                           for name, _ctype, _kind in groups["heap"])
+        for name, _ctype, _kind in groups["scalar"]:
+            setattr(args, name, values[name])
+        for name, ctype, kind in groups["array"]:
+            address = _address(name, ctype, values[name])
+            if address is None:
                 self.copy_in(name, ctype, kind)
-            elif kind in ("ints", "floats"):
-                address = _address(name, ctype, values[name])
-                if address is None:
-                    self.copy_in(name, ctype, kind)
-                else:
-                    setattr(args, name, address)
-            elif kind.startswith("lists:"):
-                self.lists_in(name, values[kind[6:]])
-            elif kind == "column":
-                setattr(args, name, _column_address(name, values[name]))
-                setattr(args, name + "_n", len(values[name]))
-            elif kind == "rows":
-                if len(values[name]) != self.threads:
-                    raise ValueError(f"{name}: {len(values[name])} columns "
-                                     f"for {self.threads} threads")
-                table = (ctypes.c_void_p * self.threads)()
-                self.rows[name] = (table, [None] * self.threads)
-                setattr(args, name, ctypes.addressof(table))
+            else:
+                setattr(args, name, address)
+        for name, _ctype, _kind in groups["column"]:
+            setattr(args, name, _column_address(name, values[name]))
+            setattr(args, name + "_n", len(values[name]))
+        for name, _ctype, _kind in groups["heap"]:
+            clocks = (ctypes.c_double * self.threads)()
+            for clock, thread in values[name]:
+                clocks[thread] = clock
+            self.keep.append(clocks)
+            setattr(args, name, ctypes.addressof(clocks))
+            setattr(args, name + "_n", self.threads)
+        for name, _ctype, _kind in groups["callout"]:
+            callback = self.loaded.callouts[name](self.callout(values[name]))
+            self.keep.append(callback)
+            setattr(args, name, callback)
+        for member in groups["shared"]:
+            self.shared.append(member)
+            self.copy_in(*member)
+        for name, _ctype, kind in groups["lists"]:
+            self.lists_in(name, values[kind[6:]])
+        for name, _ctype, _kind in groups["rows"]:
+            if len(values[name]) != self.threads:
+                raise ValueError(f"{name}: {len(values[name])} columns "
+                                 f"for {self.threads} threads")
+            table = (ctypes.c_void_p * self.threads)()
+            self.rows[name] = (table, [None] * self.threads)
+            setattr(args, name, ctypes.addressof(table))
         self.repoint()
 
     def copy_in(self, name: str, ctype: str, kind: str) -> None:
@@ -477,8 +566,8 @@ class _Run:
     def unmarshal(self) -> None:
         values, buffers = self.values, self.buffers
         kernel = self.loaded.kernel
-        for name, _ctype, kind in kernel.members:
-            if name not in kernel.stored or name not in buffers:
+        for name, _ctype, kind in self.loaded.groups["stored"]:
+            if name not in buffers:
                 continue
             if kind.startswith("lists:"):
                 capacity = values[kind[6:]]
@@ -505,8 +594,7 @@ class _Run:
         finally:
             self.unmarshal()
         result = tuple(getattr(self.args, name)
-                       for name, _ctype, kind in self.loaded.kernel.members
-                       if kind == "ret")
+                       for name, _ctype, _kind in self.loaded.groups["ret"])
         # The call-out thunks (held by the block) point back at this
         # object: drop them so the buffers go with the call, not with the
         # next GC pass.

@@ -4,10 +4,12 @@ Two interchangeable implementations of the simulation hot loop:
 
 * :class:`ReferenceEngine` — one scheduler event per memory reference,
   routed through the full hierarchy.  The semantic oracle.
-* :class:`BatchedEngine` — bulk L1 prefilter (numpy over the trace) with
-  slow-path events only for references that reach the shared L2, executed
-  by the ``loop`` rendering of the policy's transition spec
-  (:mod:`repro.cache.transitions`; compiled where the host has ``cc``).
+* :class:`BatchedEngine` — bulk L1 prefilter (the L1's ``prefilter``
+  rendering, one call per window of the trace) with slow-path events
+  only for references that reach the shared L2, executed by the ``loop``
+  rendering of the policy's transition spec
+  (:mod:`repro.cache.transitions`; both compiled where the host has
+  ``cc``).
   Bit-identical results at every core count: a single-thread run —
   every isolation job, every 1-core figure point — is the same loop over
   a heap of one.
@@ -54,6 +56,7 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/native.py",
     "repro/cache/cache.py",
     "repro/cache/hierarchy.py",
+    "repro/cache/l1.py",
     "repro/cmp/memory.py",
     "repro/profiling/atd.py",
 )
@@ -64,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "e56e324f745efd42548bb601a7ec9ce90d5a5a5f4e53e55630fb25f939bf6587"
+ENGINE_SOURCE_CHECKSUM = "7387925fe5603a4bf0ecbdf72c49b29e47e6f536ddc1121f7ecf23965e7d0869"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -2,14 +2,12 @@
 
 The key observation: the private L1s interact with nothing shared.  A
 thread's L1 hit/miss outcome for every reference is a pure function of its
-own reference stream, so it is computed *in bulk* ahead of time
-(:func:`.common.l1_miss_window`), one window of :data:`CHUNK_SIZE`
-references at a time — and only once per (trace window, L1 state): the
-window cache in :mod:`.common` replays it for every later pass over the
-trace and every other configuration of the mix.  Of each window the
-engine keeps only the **L1-miss stream** — the lines that reach the
-shared L2 and the number of L1 hits (the *gap*) preceding each — and
-schedules exactly one heap event per L2 access:
+own reference stream, so it is computed *in bulk* ahead of time, one
+window of :data:`CHUNK_SIZE` references per call of the L1's ``prefilter``
+kernel (:meth:`repro.cache.l1.SmallLRUCache.access_lines_hit`).  Of each
+window the engine keeps only the **L1-miss stream** the kernel writes —
+the lines that reach the shared L2 and the number of L1 hits (the *gap*)
+preceding each — and schedules exactly one heap event per L2 access:
 ``(anchor + gap * base, thread)``, the reference engine's pop key for
 that access.
 
@@ -52,8 +50,8 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   ``observe_many`` somebody replaced as it stands, with lists.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets (it only counts them), so a drain hands the
-  kernel just the slice's *sampled* lines — the window's cached
-  sampled positions cut by two bisects, an order-preserving
+  kernel just the slice's *sampled* lines — the window's sampled
+  positions cut by two bisects, an order-preserving
   sub-sequence — and adds the others to ``skipped_accesses``
   arithmetically: tag state, SDH registers and both counters equal the
   unfiltered drain's.
@@ -92,15 +90,11 @@ import numpy as np
 
 from repro.cache import transitions
 from repro.cache.state import rendered_drain_kernel, rendered_key
-from repro.cmp.engine.common import (
-    EngineBase,
-    deferrable_profiling,
-    l1_miss_window,
-)
+from repro.cmp.engine.common import EngineBase, deferrable_profiling
 from repro.cmp.results import SimulationResult, ThreadResult
 
-#: References prefiltered per bulk L1 call.  Bounds the flag/victim arrays
-#: (a few hundred KB per thread) while amortising the numpy fixed costs.
+#: References prefiltered per bulk L1 call.  Bounds the miss-stream
+#: columns (a few hundred KB per thread) while amortising the call.
 CHUNK_SIZE = 1 << 16
 
 _NO_MISSES = np.empty(0, dtype=np.int64)
@@ -162,28 +156,31 @@ class BatchedEngine(EngineBase):
         if streaming:
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
-            atd = self._atds[t] if self._atds is not None else None
-            window, lines = l1_miss_window(
-                self.sim.traces[t], self.sim.hierarchy.l1[t], pos, end,
-                self.has_writes, atd)
-            offs = window.offs
-            if self._columns:
-                gaps = window.gaps.astype(np.int64)
-                self._ck_lines[t] = np.ascontiguousarray(lines, np.int64)
+            trace = self.sim.traces[t]
+            l1 = self.sim.hierarchy.l1[t]
+            window = trace.chunk_view(pos, end - pos)
+            if self.has_writes:
+                writes = (trace.writes[pos:end] if trace.writes is not None
+                          else None)
+                offs, gaps, lines, victims = l1.access_lines_rw(window,
+                                                                writes)
+                self._ck_victims[t] = victims.tolist()
             else:
-                gaps = window.gaps.tolist()
-                self._ck_lines[t] = lines.tolist()
+                offs, gaps, lines, _ = l1.access_lines_hit(window)
             if len(gaps):
                 gaps[0] += carry
-            self._ck_victims[t] = (window.victims.tolist()
-                                   if window.victims is not None else None)
+            if self._columns:
+                self._ck_lines[t] = lines
+            else:
+                gaps = gaps.tolist()
+                self._ck_lines[t] = lines.tolist()
+            atd = self._atds[t] if self._atds is not None else None
             if atd is not None:
-                positions = window.sampled[atd.sampling]
+                positions = atd.sampled_positions(lines)
                 self._ck_spos[t] = positions.tolist()
                 sampled = lines[positions]
-                self._ck_slines[t] = (
-                    np.ascontiguousarray(sampled, np.int64)
-                    if self._drain_columns[t] else sampled.tolist())
+                self._ck_slines[t] = (sampled if self._drain_columns[t]
+                                      else sampled.tolist())
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:

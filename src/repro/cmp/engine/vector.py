@@ -1,20 +1,14 @@
 """Benchmark-owned stub; the vector engine and its ``window`` kernels
 are gone (``batched`` runs a single thread as a heap of one)."""
 
-from repro.cmp.engine.common import window_cache_stats
-
 
 def memo_stats() -> dict:
-    """Counters of the window cache (:func:`.common.window_cache_stats`),
-    the one prefilter cache the batched engine keeps, under
-    ``window_cache``.  The flat ``l1_hits`` / ``l1_misses`` (= lookups -
-    hits) repeat them only because ``benchmarks/e2e/workloads.py`` reads
-    these keys and only a benchmark PR may edit it — ROADMAP item 5
-    drops both."""
-    cache = window_cache_stats()
-    return {"l1_hits": cache["hits"],
-            "l1_misses": cache["lookups"] - cache["hits"],
-            "window_cache": cache}
+    """Constant zeros: there is no L1 memo any more — the batched engine
+    walks every window through the L1's compiled ``prefilter`` kernel,
+    which costs less than a lookup did.  Kept only because
+    ``benchmarks/e2e/workloads.py`` reads these keys and only a benchmark
+    PR may edit it — ROADMAP item 7 drops the metric and this stub."""
+    return {"l1_hits": 0, "l1_misses": 0}
 
 
 class VectorEngine:

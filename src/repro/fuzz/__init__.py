@@ -13,7 +13,7 @@ from repro.fuzz.case import ALL_ENGINES, CORPUS_FORMAT, FuzzCase
 from repro.fuzz.generators import TRACE_SHAPES, generate_case, \
     generate_trace_shape
 from repro.fuzz.oracle import CaseReport, Snapshot, diff_snapshots, \
-    run_case, run_engine, state_digest
+    prefilter_diffs, run_case, run_engine, state_digest
 from repro.fuzz.runner import Finding, FuzzReport, run_fuzz
 from repro.fuzz.shrink import divergence_predicate, shrink_case
 
@@ -30,6 +30,7 @@ __all__ = [
     "divergence_predicate",
     "generate_case",
     "generate_trace_shape",
+    "prefilter_diffs",
     "run_case",
     "run_engine",
     "run_fuzz",

@@ -25,26 +25,27 @@ diff **everything observable** after the run:
 Two engines that agree on all of the above executed the same decision
 sequence; any mismatch is reported as a list of dotted field paths.
 
-The batched engine runs **twice** per case — once with the window
-cache cold, once warm off the first run — and
-both snapshots are diffed against the reference, which walks its L1 per
-access, never touches a cache and — by construction, since only batch
-kernels are rendered — steps the policy, scheme and profiler classes, so
-it stays the independent oracle.  A
-cache that replays the wrong window, or restores the wrong L1 state, can
-only show on the warm run.
-
-It runs a third time with its event loop *and its ATD drains* held to
-the **Python target** (:func:`repro.cache.transitions.python_target`).
-Where the host has a C compiler the first two runs executed the compiled
+The batched engine runs **twice** per case and both snapshots are diffed
+against the reference, which walks its L1 per access and — by
+construction, since only batch kernels are rendered — steps the policy,
+scheme and profiler classes, so it stays the independent oracle.  The
+second run holds its event loop, its ATD drains *and its L1 prefilter*
+to the **Python target** (:func:`repro.cache.transitions.python_target`).
+Where the host has a C compiler the first run executed the compiled
 targets of the same renderings, so the stage is compiled-vs-Python over
-the full snapshot — SDH registers and ATD tags included; without one all
-three are the Python target and the stage costs one redundant run.
+the full snapshot — SDH registers and ATD tags included; without one both
+are the Python target and the stage costs one redundant run.
+
+Finally every thread's trace is walked through both targets of the L1's
+``prefilter`` directly, in windows of uneven widths
+(:func:`prefilter_diffs`): miss streams, L1 slots, dirty flags and
+statistics must be equal (paths prefixed ``prefilter:``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -52,15 +53,19 @@ import numpy as np
 
 from contextlib import nullcontext
 
+from repro.cache.l1 import SmallLRUCache
 from repro.cache.transitions import python_target
-from repro.cmp.engine.common import clear_window_cache
 from repro.config import ENGINE_REFERENCE
 from repro.fuzz.case import FuzzCase
 
 #: The runs of the batched engine per case (module docstring): diff-path
 #: prefix and the context each runs in.
-_STAGES = (("", nullcontext), ("warm: ", nullcontext),
-           ("python target: ", python_target))
+_STAGES = (("", nullcontext), ("python target: ", python_target))
+
+#: Window widths :func:`prefilter_diffs` cycles through: a single
+#: reference, short odd ones and a long one, so state carries across
+#: every kind of seam.
+_PREFILTER_WIDTHS = (1, 7, 64, 3, 1000)
 
 #: Cap on reported diff paths per engine pair (divergences are usually
 #: systemic; the first few paths identify the failing subsystem).
@@ -233,6 +238,37 @@ def diff_snapshots(reference: Snapshot, other: Snapshot) -> List[str]:
     return out
 
 
+def _prefilter_walk(case: FuzzCase, trace) -> list:
+    """The miss streams of ``trace`` through a fresh L1 of the case,
+    window by window, then the L1's slots, dirty flags and statistics."""
+    l1 = SmallLRUCache(case.processor().l1d)
+    walked = []
+    pos = 0
+    for width in itertools.cycle(_PREFILTER_WIDTHS):
+        if pos == len(trace):
+            break
+        end = min(len(trace), pos + width)
+        writes = None if trace.writes is None else trace.writes[pos:end]
+        walked.append([column.tolist() for column in
+                       l1.access_lines_rw(trace.lines[pos:end], writes)])
+        pos = end
+    return [walked, list(l1._slots), list(l1._dirty),
+            [list(getattr(l1.stats, name)) for name in l1.stats.__slots__]]
+
+
+def prefilter_diffs(case: FuzzCase) -> List[str]:
+    """Dotted paths where the two targets of the L1 ``prefilter`` walk a
+    thread's trace differently (empty = identical; on a host without a C
+    compiler both sides are the Python target)."""
+    out: List[str] = []
+    for core, trace in enumerate(case.traces):
+        compiled = _prefilter_walk(case, trace)
+        with python_target():
+            python = _prefilter_walk(case, trace)
+        _walk_diff(f"t{core}", compiled, python, out)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Per-case oracle
 # ----------------------------------------------------------------------
@@ -243,13 +279,12 @@ class CaseReport:
     case: FuzzCase
     engines: Tuple[str, ...]
     #: engine name -> diff paths vs the reference snapshot (empty = equal);
-    #: the warm run's paths carry a ``warm:`` prefix, the batched
-    #: engine's Python-target run a ``python target:`` one.
+    #: the batched engine's Python-target run carries a ``python
+    #: target:`` prefix, the prefilter's target diff a ``prefilter:`` one.
     diffs: Dict[str, List[str]] = field(default_factory=dict)
     error: Optional[str] = None
     #: Engine runs that completed (the reference once, every other engine
-    #: cold and warm, batched once more on the Python target — fewer when
-    #: a run crashed).
+    #: as it stands and on the Python target — fewer when a run crashed).
     engine_runs: int = 0
 
     @property
@@ -281,7 +316,8 @@ class CaseReport:
 def run_case(case: FuzzCase,
              engines: Optional[Tuple[str, ...]] = None) -> CaseReport:
     """Cross-check one case: reference vs every other applicable engine,
-    each run cold and then warm (module docstring).
+    each run as it stands and on the Python target, plus the prefilter's
+    two targets (module docstring).
 
     Engine crashes (exceptions out of an engine run) count as divergence
     — an engine that raises where the oracle completes is as wrong as
@@ -301,7 +337,6 @@ def run_case(case: FuzzCase,
     for engine in engines:
         if engine == ENGINE_REFERENCE:
             continue
-        clear_window_cache()
         diffs = report.diffs[engine] = []
         for prefix, target in _STAGES:
             try:
@@ -313,4 +348,6 @@ def run_case(case: FuzzCase,
             report.engine_runs += 1
             diffs += [prefix + path
                       for path in diff_snapshots(reference, snapshot)]
+        else:                           # no run crashed
+            diffs += ["prefilter: " + path for path in prefilter_diffs(case)]
     return report

@@ -14,8 +14,9 @@ rules hold; each gets a mechanical check here:
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
   renders (``observe_many`` for each policy, the event loop of
   ``BatchedEngine.run`` for each policy x scheme, plus the call-form
-  loop) and any closure built by a ``*_kernel`` function in
-  ``cache/state.py`` must run on bound locals only: no attribute loads
+  loop and the L1 ``prefilter``) and any closure built by a ``*_kernel``
+  function in ``cache/state.py`` must run on bound locals only: no
+  attribute loads
   (beyond int/list method calls on locals), no global lookups, no
   list/dict/set or comprehension allocations.  The spec tables are read
   off the checked tree as literals and rendered with this package's
@@ -279,7 +280,10 @@ class HotPathPurityRule(Rule):
             except ValueError as exc:
                 yield self.diag(ctx, path, constants[C_KINDS_TABLE][1],
                                 f"{C_KINDS_TABLE} is not a literal: {exc!r}")
-        keys = transitions.rendering_keys(*tables[:2])
+        # The renderings the checked spec has a skeleton for.
+        keys = [(rendering, key) for rendering, key
+                in transitions.rendering_keys(*tables[:2])
+                if rendering in tables[2]]
         for rel, rendering in EVENT_LOOPS:
             if ctx.find(rel) == path and not any(
                     kind == rendering for kind, _ in keys):

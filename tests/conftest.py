@@ -50,12 +50,3 @@ def line_stream(rng, count: int, footprint: int, offset: int = 0):
 def sequential_stream(count: int, footprint: int, offset: int = 0):
     """A wrap-around sequential line stream."""
     return [offset + (i % footprint) for i in range(count)]
-
-
-@pytest.fixture(autouse=True)
-def cold_engine_memos():
-    """Every test starts with the process-wide window cache empty, so
-    test order can never matter."""
-    from repro.cmp.engine.common import clear_window_cache
-
-    clear_window_cache()

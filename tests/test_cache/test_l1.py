@@ -60,6 +60,13 @@ class TestSmallLRU:
             assert sorted(fast.stack_of(s)) == sorted(ref.resident_lines(s))
 
 
+def hit_flags(stream, width):
+    """Per-access hit flags of a window from its miss stream."""
+    flags = np.ones(width, dtype=bool)
+    flags[stream.offs] = False
+    return flags
+
+
 class TestBulkAccess:
     """access_lines_hit / access_lines_rw must be exactly per-element."""
 
@@ -70,8 +77,10 @@ class TestBulkAccess:
         bulk = SmallLRUCache(g)
         lines = rng.integers(0, 12 * assoc, size=4000)
         expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        got = bulk.access_lines_hit(lines)
-        assert np.array_equal(expected, got)
+        stream = bulk.access_lines_hit(lines)
+        assert np.array_equal(expected, hit_flags(stream, len(lines)))
+        assert stream.lines.tolist() == lines[~expected].tolist()
+        assert stream.victims is None
         for field in ("accesses", "hits", "misses", "evictions"):
             assert getattr(seq.stats, field) == getattr(bulk.stats, field)
         for s in range(4):
@@ -83,7 +92,8 @@ class TestBulkAccess:
         chunked = SmallLRUCache(g)
         lines = rng.integers(0, 24, size=5000)
         expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        parts = [chunked.access_lines_hit(lines[i:i + 700])
+        parts = [hit_flags(chunked.access_lines_hit(lines[i:i + 700]),
+                           len(lines[i:i + 700]))
                  for i in range(0, 5000, 700)]
         assert np.array_equal(expected, np.concatenate(parts))
         for s in range(4):
@@ -91,7 +101,8 @@ class TestBulkAccess:
 
     def test_bulk_empty(self):
         l1 = SmallLRUCache(geometry())
-        assert len(l1.access_lines_hit(np.empty(0, dtype=np.int64))) == 0
+        stream = l1.access_lines_hit(np.empty(0, dtype=np.int64))
+        assert len(stream.offs) == len(stream.lines) == 0
         assert l1.stats.accesses[0] == 0
 
     def test_bulk_rw_matches_sequential(self, rng):
@@ -105,28 +116,31 @@ class TestBulkAccess:
         for line, write in zip(lines, writes):
             hit, victim = seq.access_line_rw(int(line), bool(write))
             exp_flags.append(hit)
-            exp_victims.append(-1 if victim is None else victim)
-        flags, victims = bulk.access_lines_rw(lines, writes)
-        assert np.array_equal(np.array(exp_flags), flags)
-        assert np.array_equal(np.array(exp_victims), victims)
+            if not hit:
+                exp_victims.append(-1 if victim is None else victim)
+        stream = bulk.access_lines_rw(lines, writes)
+        assert np.array_equal(np.array(exp_flags),
+                              hit_flags(stream, len(lines)))
+        assert stream.victims.tolist() == exp_victims
         for field in ("accesses", "hits", "misses", "evictions",
                       "write_accesses", "writebacks"):
             assert getattr(seq.stats, field) == getattr(bulk.stats, field)
 
     def test_bulk_rw_read_only_fast_path(self, rng):
-        """writes=None over a clean cache takes the vectorised path."""
+        """writes=None is a window of reads: no victim over a clean
+        cache."""
         g = geometry(num_sets=4, assoc=2)
         seq = SmallLRUCache(g)
         bulk = SmallLRUCache(g)
         lines = rng.integers(0, 24, size=3000)
         expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        flags, victims = bulk.access_lines_rw(lines, None)
-        assert np.array_equal(expected, flags)
-        assert np.all(victims == -1)
+        stream = bulk.access_lines_rw(lines, None)
+        assert np.array_equal(expected, hit_flags(stream, len(lines)))
+        assert np.all(stream.victims == -1)
 
     def test_bulk_after_writes_stays_exact(self, rng):
-        """Once dirty lines exist, the read-only bulk path must not take the
-        vectorised shortcut (it cannot track dirty evictions)."""
+        """A read window over dirty lines evicts them exactly as the
+        per-access path does — write-backs included."""
         g = geometry(num_sets=2, assoc=2)
         seq = SmallLRUCache(g)
         bulk = SmallLRUCache(g)
@@ -135,8 +149,25 @@ class TestBulkAccess:
             cache.access_line_rw(2, True)
         lines = rng.integers(0, 12, size=1000)
         expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        got = bulk.access_lines_hit(lines)
+        got = hit_flags(bulk.access_lines_hit(lines), len(lines))
         assert np.array_equal(expected, got)
+        assert bulk.stats.writebacks == seq.stats.writebacks == [2]
+
+
+class TestWritebacks:
+    def test_read_eviction_of_a_dirty_line_writes_it_back_once(self):
+        """A read that evicts a dirty line counts its writeback, and the
+        line's dirty flag leaves with it: refilled clean and evicted
+        again, it is not written back a second time.  (Once the read
+        path dropped the writeback and left the line marked dirty.)"""
+        l1 = SmallLRUCache(geometry(num_sets=2, assoc=1))
+        assert l1.access_line_rw(0, True) == (False, None)
+        assert not l1.access_line_hit(2)            # evicts dirty 0
+        assert l1.stats.writebacks[0] == 1
+        assert l1.access_line_rw(0, False) == (False, None)
+        assert not l1.is_dirty(0)
+        assert l1.access_line_rw(2, False) == (False, None)
+        assert l1.stats.writebacks[0] == 1
 
 
 class TestDerivedEvictionStats:
@@ -161,46 +192,3 @@ class TestDerivedEvictionStats:
             rw.access_line_rw(int(line), bool(line & 1))
         assert ro.stats.evictions == rw.stats.evictions
         assert ro.stats.hits == rw.stats.hits
-
-
-class TestSnapshotRestore:
-    """The state image the engines' window cache keys on and restores."""
-
-    @pytest.mark.parametrize("assoc", [1, 2, 4])
-    def test_restored_cache_behaves_like_the_original(self, rng, assoc):
-        g = geometry(num_sets=4, assoc=assoc)
-        original = SmallLRUCache(g)
-        lines = rng.integers(0, 40, size=600)
-        writes = rng.random(600) < 0.3
-        original.access_lines_rw(lines[:300], writes[:300])
-        image = original.snapshot()
-        hash(image)
-        clone = SmallLRUCache(g)
-        clone.access_lines_hit(rng.integers(100, 140, size=50))   # junk
-        stacks = clone._sets
-        clone.restore(image)
-        assert clone._sets is stacks          # in place
-        assert clone.snapshot() == image
-        assert [clone.stack_of(s) for s in range(4)] == \
-            [original.stack_of(s) for s in range(4)]
-        f1, v1 = original.access_lines_rw(lines[300:], writes[300:])
-        f2, v2 = clone.access_lines_rw(lines[300:], writes[300:])
-        assert np.array_equal(f1, f2) and np.array_equal(v1, v2)
-        assert clone.snapshot() == original.snapshot()
-
-    def test_image_is_a_copy_and_excludes_statistics(self):
-        l1 = SmallLRUCache(geometry())
-        l1.access_line_rw(5, True)
-        image = l1.snapshot()
-        l1.access_line_hit(9)
-        l1.access_line_hit(13)
-        assert l1.snapshot() != image
-        accesses = l1.stats.accesses[0]
-        l1.restore(image)
-        assert l1.snapshot() == image and l1.is_dirty(5)
-        assert l1.stats.accesses[0] == accesses
-
-    def test_geometry_mismatch_rejected(self):
-        image = SmallLRUCache(geometry(num_sets=2)).snapshot()
-        with pytest.raises(ValueError, match="sets"):
-            SmallLRUCache(geometry(num_sets=4)).restore(image)

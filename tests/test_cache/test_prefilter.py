@@ -1,0 +1,171 @@
+"""The L1 ``prefilter`` rendering: C target, Python target and the
+per-access path agree.
+
+``SmallLRUCache.access_lines_hit`` / ``access_lines_rw`` walk a whole
+window through the kernel ``transitions.bind`` gave the L1 at
+construction (compiled where the host has ``cc``); ``access_line_rw`` is
+the hand-written per-access oracle over the same two arrays.  Every test
+here walks random streams through all three and compares the miss
+streams, the L1 slots and dirty flags, and the statistics — with state
+carried across windows of random widths and sets left partly invalid.
+"""
+
+import ast
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.cache import native, transitions
+from repro.cache.geometry import CacheGeometry
+from repro.cache.l1 import SmallLRUCache
+
+KEY = transitions.PREFILTER_KEY
+
+
+def geometry(num_sets, assoc):
+    return CacheGeometry(num_sets * assoc * 128, assoc, 128)
+
+
+def state(l1):
+    """Slots, dirty flags and every statistics field."""
+    return (list(l1._slots), list(l1._dirty),
+            [list(getattr(l1.stats, name)) for name in l1.stats.__slots__])
+
+
+def per_access(l1, lines, writes):
+    """The miss stream :meth:`access_line_rw` walks, one access at a
+    time: ``[offs, gaps, lines, victims]`` as lists."""
+    stream = [[], [], [], []]
+    gap = 0
+    for offset, line in enumerate(lines.tolist()):
+        write = bool(writes[offset]) if writes is not None else False
+        hit, victim = l1.access_line_rw(line, write)
+        if hit:
+            gap += 1
+            continue
+        for column, value in zip(stream, (offset, gap, line,
+                                          -1 if victim is None else victim)):
+            column.append(value)
+        gap = 0
+    return stream
+
+
+def walks(seed, num_sets, assoc, writes, windows=12):
+    """Random windows of random widths over a footprint that leaves some
+    sets partly invalid — all reads, all with writes, or alternating
+    (``"mixed"``: read windows over an L1 holding dirty lines) — walked
+    by the per-access path, the bound kernel and the Python target in
+    turn.  Returns the three sides' streams and final states."""
+    rng = np.random.default_rng(seed)
+    g = geometry(num_sets, assoc)
+    sides = {"per access": SmallLRUCache(g), "bound": SmallLRUCache(g)}
+    with transitions.python_target():
+        sides["python"] = SmallLRUCache(g)
+    # Lines of every other set only, so half the sets stay invalid, plus
+    # a narrow alphabet in the rest: hits, misses, invalid fills.
+    footprint = 3 * assoc * num_sets
+    streams = {name: [] for name in sides}
+    for window in range(windows):
+        width = int(rng.integers(0, 300))
+        lines = rng.integers(0, footprint, size=width) * 2
+        flags = rng.random(width) < 0.35
+        if writes == "reads" or (writes == "mixed" and window % 2):
+            flags = None
+        for name, l1 in sides.items():
+            if name == "per access":
+                streams[name].append(per_access(l1, lines, flags))
+            else:
+                streams[name].append(
+                    [column.tolist()
+                     for column in l1.access_lines_rw(lines, flags)])
+    return streams, {name: state(l1) for name, l1 in sides.items()}
+
+
+@pytest.mark.parametrize("writes", ["reads", "writes", "mixed"])
+@pytest.mark.parametrize("assoc", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_targets_and_per_access_path_agree(seed, assoc, writes):
+    streams, states = walks(seed, num_sets=8, assoc=assoc, writes=writes)
+    assert streams["bound"] == streams["per access"]
+    assert streams["python"] == streams["per access"]
+    assert states["bound"] == states["per access"] == states["python"]
+    slots = states["bound"][0]
+    assert -1 in slots and any(line >= 0 for line in slots)
+
+
+def test_read_walk_reports_no_victims_but_counts_writebacks():
+    """``access_lines_hit`` is a read window: dirty lines it evicts are
+    written back in the statistics, and its stream has no victim
+    column."""
+    for target in ("bound", "python"):
+        if target == "python":
+            with transitions.python_target():
+                l1 = SmallLRUCache(geometry(2, 1))
+        else:
+            l1 = SmallLRUCache(geometry(2, 1))
+        l1.access_line_rw(0, True)
+        stream = l1.access_lines_hit(np.array([2, 0, 2], dtype=np.int64))
+        assert stream.victims is None
+        assert stream.offs.tolist() == [0, 1, 2]
+        assert l1.stats.writebacks == [1] and not l1.is_dirty(0)
+
+
+def test_gaps_count_the_hits_between_misses():
+    l1 = SmallLRUCache(geometry(4, 2))
+    lines = np.array([0, 0, 0, 4, 4, 8, 0, 8, 12], dtype=np.int64)
+    stream = l1.access_lines_hit(lines)
+    assert stream.offs.tolist() == [0, 3, 5, 6, 8]
+    assert stream.gaps.tolist() == [0, 2, 1, 0, 1]
+    assert stream.lines.tolist() == lines[stream.offs].tolist()
+
+
+def test_state_is_shared_in_place():
+    """The kernel works on the L1's own arrays — nothing is copied in or
+    out, nothing rebound — so ``flush`` (in place) is seen by the next
+    window on either target."""
+    g = geometry(4, 2)
+    lines = np.arange(16, dtype=np.int64)
+    caches = [SmallLRUCache(g)]
+    with transitions.python_target():
+        caches.append(SmallLRUCache(g))
+    for l1 in caches:
+        slots, dirty = l1._slots, l1._dirty
+        l1.access_lines_rw(lines, np.ones(16, dtype=bool))
+        assert l1._slots is slots and l1._dirty is dirty
+        assert l1.occupancy() == 8 and all(dirty)
+        l1.flush()
+        assert len(l1.access_lines_hit(lines[:8]).offs) == 8
+        assert l1.stats.writebacks == [8]
+
+
+def test_bound_target_is_compiled_where_the_host_has_cc():
+    l1 = SmallLRUCache(geometry(4, 2))
+    entry = transitions.target_stats()["prefilter", KEY]
+    if shutil.which("cc") is None:
+        assert entry["target"] == "python"
+        return
+    assert entry["target"] == "c"
+    assert isinstance(l1._prefilter, native.CompiledKernel)
+    assert "prefilter c=1 python=0" in transitions.target_summary()
+
+
+def test_kernel_has_no_data_dependent_branch():
+    """The rendering is a fixed-trip move-to-front: one ``if``, on whether
+    the walk tracks dirty flags, picks the loop; every ``while`` runs over
+    the set's slots; every other choice is a select.  So what the C
+    target branches on is the window length, the associativity and that
+    one flag — never a line or a slot."""
+    factory = ast.parse(transitions.render("prefilter", KEY)).body[0]
+    kernel = next(node for node in factory.body
+                  if isinstance(node, ast.FunctionDef))
+    ifs = [node for node in ast.walk(kernel) if isinstance(node, ast.If)]
+    assert [ast.unparse(node.test) for node in ifs] == ["writing"]
+    loops = [node for node in ast.walk(kernel) if isinstance(node, ast.While)]
+    assert {ast.unparse(loop.test) for loop in loops} == {"k < assoc"}
+    tests = {ast.unparse(node.test) for node in ast.walk(kernel)
+             if isinstance(node, ast.IfExp)}
+    assert tests == {"hit", "wb"}
+    run = transitions.render("prefilter", KEY, target="c").split(
+        "i64 run(Args *a) {")[1]
+    assert run.count("if (") == 1 and "if (writing) {" in run

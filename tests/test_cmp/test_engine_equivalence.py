@@ -233,9 +233,9 @@ class TestMissStreamSeams:
         # The scenario really is a freeze on a hit deep inside that gap:
         # access 1400 (pass 2, position 99) with no miss since 900.
         from repro.cache.l1 import SmallLRUCache
-        flags = SmallLRUCache(processor().l1d).access_lines_hit(
-            np.concatenate([trace.lines, trace.lines]))
-        assert flags[901:1500].all() and not flags[900]
+        offs = SmallLRUCache(processor().l1d).access_lines_hit(
+            np.concatenate([trace.lines, trace.lines])).offs
+        assert 900 in offs and not ((offs > 900) & (offs < 1500)).any()
         ref, bat = both_engines(config, [trace, self.stream()],
                                 per_thread=(1400 * 4, other_budget))
         assert_identical(ref, bat)

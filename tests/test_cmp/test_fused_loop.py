@@ -322,12 +322,13 @@ class TestGeneratedSourceExplainsItself:
             transitions.render("loop", ("nru", "masks"), schemes=schemes)
 
     def test_every_shipped_rendering_passes_the_checks(self):
-        """Three ``observe`` keys, twelve stock ``loop`` keys and the call
-        form: only batch kernels are rendered."""
+        """Three ``observe`` keys, twelve stock ``loop`` keys, the call
+        form and the L1 ``prefilter``: only batch kernels are rendered."""
         keys = transitions.rendering_keys()
         assert sum(rendering == "observe" for rendering, _ in keys) == 3
         assert sum(rendering == "loop" and key is not None
                    for rendering, key in keys) == 12
-        assert ("loop", None) in keys and len(keys) == 16
+        assert ("loop", None) in keys and len(keys) == 17
+        assert ("prefilter", transitions.PREFILTER_KEY) in keys
         for rendering, key in keys:
             transitions.factory(rendering, key)     # render + closure checks

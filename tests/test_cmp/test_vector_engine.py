@@ -1,5 +1,5 @@
 """Single-thread runs, second half: the Python target, hit-dense streams,
-custom observers and the window cache as an n = 1 run sees it.
+custom observers and the L1 walk as an n = 1 run sees it.
 
 ``test_solo_engine.py`` pins the batched engine at n = 1 against the
 reference loop on the target ``transitions.bind`` picks.  This module
@@ -13,10 +13,8 @@ adds what the vector engine's suite held that no multi-core case covers:
 * streams dense with immediate same-set repeats and two-line
   alternations (long hit chains through the fused loop), on both targets;
 * custom and wrapped L2 observers, which take the call-form loop;
-* the **shared window cache** behind a single-thread run: a warm run
-  skips the L1 walk and is bit-identical, the simulator's L1 is exact
-  after cold and warm runs, and the ``vector.memo_stats()`` shim
-  ``benchmarks/e2e`` reads repeats the cache's own counters.
+* the L1 a single-thread run walks window by window: a repeat run is
+  bit-identical and the simulator's L1 is exact after every run.
 
 (Module and class names date from the vector engine; they are kept
 because they are the suite's recorded test ids.)
@@ -25,8 +23,6 @@ because they are the suite's recorded test ids.)
 import numpy as np
 import pytest
 
-import repro.cmp.engine.batched as batched_mod
-import repro.cmp.engine.common as common_mod
 import repro.cmp.engine.vector as vector_mod
 import test_solo_engine as solo
 from repro.cmp.engine import BatchedEngine, make_engine, resolve_engine_name
@@ -139,113 +135,57 @@ class TestElisionPythonTarget(PythonTarget, TestElision):
 
 
 class TestL1Memo:
-    """A single-thread run prefilters through the shared window cache
-    (:func:`repro.cmp.engine.common.l1_miss_window`) and nothing else."""
+    """A single-thread run walks its L1 window by window through the
+    ``prefilter`` kernel and nothing else: a repeat run in the same
+    process walks again and is bit-identical, and the simulator's L1 is
+    exact after every run.  (The class name dates from the window cache
+    those repeats once replayed; it is kept for the suite's recorded
+    ids.)"""
 
-    def _run_solo(self, trace, budget=30_000, keep_sim=False,
-                  max_cycles=None):
+    def _run_solo(self, trace, budget=30_000, max_cycles=None):
         sim = CMPSimulator(
             processor(), config_unpartitioned("lru"), [trace],
             SimulationConfig(instructions_per_thread=budget, seed=7,
                              max_cycles=max_cycles, engine="batched"))
-        result = sim.run()
-        return (result, sim) if keep_sim else result
-
-    def test_replay_is_bit_identical_and_skips_l1(self, monkeypatch):
-        from repro.cache.l1 import SmallLRUCache
-
-        trace = make_trace(seed=321, name="memo")
-        first = self._run_solo(trace)
-        cold = common_mod.window_cache_stats()
-        assert cold["lookups"] > 0 and cold["hits"] == 0
-        walks = []
-        bulk = SmallLRUCache.access_lines_hit
-        monkeypatch.setattr(
-            SmallLRUCache, "access_lines_hit",
-            lambda self, lines: walks.append(len(lines)) or bulk(self, lines))
-        # Same content under a different Trace object: the fingerprint
-        # key must hit on every lookup, the L1 walk must be skipped...
-        clone = Trace("memo", trace.lines.copy(), ipm=4.0, cpi_base=1.0)
-        second = self._run_solo(clone)
-        warm = common_mod.window_cache_stats()
-        assert warm["lookups"] == 2 * cold["lookups"]
-        assert warm["hits"] == cold["lookups"]
-        assert walks == []
-        # ... and every reported number must still be bit-identical.
-        assert_identical(first, second)
+        return sim.run()
 
     def test_replay_matches_reference(self):
         trace = make_trace(seed=654, name="memo-ref")
-        self._run_solo(trace)  # prime the cache
+        self._run_solo(trace)               # an earlier run of the trace
         ref, bat = run_engines(config_unpartitioned("nru"), [trace],
                                ("reference", "batched"))
-        assert common_mod.window_cache_stats()["hits"] > 0
         assert_identical(ref, bat)
 
-    def test_key_covers_budget_and_chunk_size(self, monkeypatch):
-        """A window is a function of (trace window, L1 state), not of the
-        budget: a shorter run replays the longer one's windows.  Another
-        chunk size cuts other windows and must not hit the old ones."""
-        trace = make_trace(seed=987, name="memo-key")
-        a = self._run_solo(trace, budget=30_000)
-        lookups = common_mod.window_cache_stats()["lookups"]
-        b = self._run_solo(trace, budget=12_000)
-        stats = common_mod.window_cache_stats()
-        assert stats["hits"] == stats["lookups"] - lookups
-        assert a.threads[0].l1_accesses != b.threads[0].l1_accesses
-        ref = run_engines(config_unpartitioned("lru"), [trace],
-                          ("reference",), budget=12_000)[0]
-        assert_identical(ref, b)
-        monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
-        c = self._run_solo(trace, budget=30_000)
-        assert common_mod.window_cache_stats()["hits"] == stats["hits"]
-        assert_identical(a, c)
-
     def test_aborted_run_publishes_nothing(self):
-        """Nothing that could replay wrongly: whatever a run aborted by
-        ``max_cycles`` left in the cache, a later full run replays it
-        bit-identically to a cold one."""
+        """Whatever a run aborted by ``max_cycles`` left behind, a later
+        full run of the same trace is the reference's."""
         trace = Trace("stream", np.arange(20_000) + 1_000_000,
                       ipm=4.0, cpi_base=1.0)
         with pytest.raises(RuntimeError, match="max_cycles"):
             self._run_solo(trace, budget=40_000, max_cycles=10_000)
-        warm = self._run_solo(trace, budget=40_000)
-        assert common_mod.window_cache_stats()["hits"] > 0
-        common_mod.clear_window_cache()
-        cold = self._run_solo(trace, budget=40_000)
-        assert common_mod.window_cache_stats()["hits"] == 0
-        assert_identical(cold, warm)
-
-    def test_memo_is_bounded(self, monkeypatch):
-        """More traces than fit: the accounted bytes stay under the one
-        budget every engine shares."""
-        budget = 20_000
-        monkeypatch.setattr(common_mod, "WINDOW_CACHE_BYTES", budget)
-        monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
-        for seed in (1, 2, 3, 4):
-            self._run_solo(make_trace(count=1500, seed=seed), budget=4_000)
-            assert common_mod.window_cache_stats()["bytes"] <= budget
-        stats = common_mod.window_cache_stats()
-        assert stats["evictions"] > 0 and stats["entries"] > 0
+        after = self._run_solo(trace, budget=40_000)
+        ref = run_engines(config_unpartitioned("lru"), [trace],
+                          ("reference",), budget=40_000)[0]
+        assert_identical(ref, after)
 
     @pytest.mark.parametrize("passes", [1, 2])
     def test_l1_is_exact_after_cold_and_warm_runs(self, passes):
-        """No stale-L1 path: after a batched run and after its warm repeat
-        the simulator's own L1 — stacks, dirty set, statistics — is what
-        the reference's per-access walk leaves.  (The budget ends on a
-        window edge; the engines prefilter whole windows.)"""
+        """After a batched run and after its repeat the simulator's own
+        L1 — slots, dirty flags, statistics — is what the reference's
+        per-access walk leaves.  (The budget ends on a window edge; the
+        engines prefilter whole windows.)"""
         trace = make_trace(seed=55, name="l1-exact")
         budget = (passes * trace.instructions,)
         (ref, cold, warm), sims = run_engines(
             config_unpartitioned("lru"), [trace],
             ("reference", "batched", "batched"), per_thread=budget,
             keep_sim=True)
-        assert common_mod.window_cache_stats()["hits"] > 0
         ref_l1 = sims[0].hierarchy.l1[0]
         for result, sim in zip((cold, warm), sims[1:]):
             assert_identical(ref, result)
             l1 = sim.hierarchy.l1[0]
-            assert l1.snapshot() == ref_l1.snapshot()
+            assert l1._slots == ref_l1._slots
+            assert l1._dirty == ref_l1._dirty
             for field in type(l1.stats).__slots__:
                 assert getattr(l1.stats, field) == \
                     getattr(ref_l1.stats, field), field
@@ -253,75 +193,13 @@ class TestL1Memo:
 
 
 def test_vector_module_holds_no_containers():
-    """The only engine-side cache is ``common._TRACES``: what is left of
-    the vector module (a benchmark-owned stub around ``memo_stats``)
-    keeps no module-level ``dict`` / ``list`` / ``OrderedDict``."""
+    """No engine-side cache survives a run: what is left of the vector
+    module (a benchmark-owned stub around ``memo_stats``) keeps no
+    module-level ``dict`` / ``list`` / ``set``."""
     held = {name: value for name, value in vars(vector_mod).items()
             if not name.startswith("__")
             and isinstance(value, (dict, list, set))}
     assert held == {}
-
-
-class TestMemoStats:
-    """``vector.memo_stats()``, the shim ``benchmarks/e2e`` reads: the
-    window cache's counters as single-thread runs move them."""
-
-    ZEROED = {"l1_hits": 0, "l1_misses": 0,
-              "window_cache": {"lookups": 0, "hits": 0, "evictions": 0,
-                               "entries": 0, "bytes": 0}}
-
-    def _run(self, trace, engine="auto"):
-        sim = CMPSimulator(
-            processor(), config_unpartitioned("lru"), [trace],
-            SimulationConfig(instructions_per_thread=30_000, seed=7,
-                             engine=engine))
-        return sim.run()
-
-    def test_counters_track_lookups(self):
-        common_mod.clear_window_cache()
-        stats = vector_mod.memo_stats()
-        assert stats == self.ZEROED
-        trace = make_trace(seed=4242, name="memo-stats")
-        self._run(trace)
-        stats = vector_mod.memo_stats()
-        lookups = stats["window_cache"]["lookups"]
-        assert stats["l1_misses"] == lookups > 0 and stats["l1_hits"] == 0
-        assert stats["window_cache"]["entries"] == lookups
-        self._run(trace)
-        stats = vector_mod.memo_stats()
-        assert stats["l1_hits"] == lookups and stats["l1_misses"] == lookups
-        assert stats["window_cache"]["lookups"] == 2 * lookups
-
-    def test_snapshot_is_a_copy_and_clear_resets(self):
-        common_mod.clear_window_cache()
-        trace = make_trace(seed=2121, count=1500, name="memo-copy")
-        self._run(trace)
-        snap = vector_mod.memo_stats()
-        misses = snap["l1_misses"]
-        snap["l1_misses"] = 99  # mutating the snapshot must not leak back
-        snap["window_cache"]["lookups"] = 99
-        assert vector_mod.memo_stats()["l1_misses"] == misses
-        assert common_mod.window_cache_stats()["lookups"] == misses
-        common_mod.clear_window_cache()
-        assert vector_mod.memo_stats() == self.ZEROED
-
-    def test_window_products_shared_across_backends(self):
-        """One prefilter cache for the process: windows cached by an
-        ``auto`` run are hit by the next one and by an explicit
-        ``batched`` run on the same trace, results identical."""
-        common_mod.clear_window_cache()
-        trace = make_trace(seed=777, name="memo-xbackend")
-        first = self._run(trace)
-        lookups = vector_mod.memo_stats()["l1_misses"]
-        assert lookups > 0
-        second = self._run(trace)
-        assert vector_mod.memo_stats()["l1_hits"] == lookups
-        third = self._run(trace, engine="batched")
-        stats = vector_mod.memo_stats()
-        assert stats["l1_hits"] >= 2 * lookups
-        assert stats["l1_misses"] == lookups
-        assert_identical(first, second)
-        assert_identical(first, third)
 
 
 class TestEngineSelection:
@@ -407,13 +285,11 @@ class TestCustomObserver:
         assert ref_calls
 
     def test_custom_observer_disables_memoization(self):
-        """A call-form run goes through the shared window cache like any
-        other (the name predates it): identical cold and warm, observer
-        calls included."""
+        """A call-form run walks its L1 like any other (the name predates
+        the removal of the window cache): a repeat run is identical,
+        observer calls included."""
         config = config_unpartitioned("lru")
         cold, _, cold_calls = self._run("batched", config, wrap=True)
-        assert common_mod.window_cache_stats()["hits"] == 0
         warm, _, warm_calls = self._run("batched", config, wrap=True)
-        assert common_mod.window_cache_stats()["hits"] > 0
         assert_identical(cold, warm)
         assert cold_calls == warm_calls and cold_calls

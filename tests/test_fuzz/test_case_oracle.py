@@ -66,17 +66,17 @@ class TestOracle:
         assert report.engines == ("reference", "batched")
         assert all(not d for d in report.diffs.values())
         assert report.summary().startswith("ok:")
-        # The reference once, every other engine cold and warm, batched
-        # once more on the Python target.
-        assert report.engine_runs == 2 * len(report.engines)
+        # The reference once, every other engine as it stands and on the
+        # Python target.
+        assert report.engine_runs == 2 * len(report.engines) - 1
 
     def test_compiled_only_bug_shows_on_the_compiled_runs_alone(
             self, monkeypatch):
-        """The batched engine's third run is held to the Python target, so
-        a bug in the compiled target alone — here the C translated from a
-        spec whose LRU hit re-inserts below the MRU — diverges on the cold
-        and warm runs and not on the ``python target:`` one.  (Without a
-        C compiler all three are the Python target and agree.)"""
+        """The batched engine's second run is held to the Python target,
+        so a bug in the compiled target alone — here the C translated from
+        a spec whose LRU hit re-inserts below the MRU — diverges on the
+        first run and not on the ``python target:`` one.  (Without a C
+        compiler both are the Python target and agree.)"""
         import shutil
 
         from repro.cache import native, transitions
@@ -103,9 +103,42 @@ class TestOracle:
         if shutil.which("cc") is None:
             assert diffs == []
             return
-        assert any(not path.startswith(("warm: ", "python target: "))
+        assert any(not path.startswith("python target: ")
                    for path in diffs)
-        assert any(path.startswith("warm: ") for path in diffs)
+        assert not any(path.startswith(("python target: ", "prefilter: "))
+                       for path in diffs)
+
+    def test_compiled_only_prefilter_bug_shows_in_the_prefilter_stage(
+            self, monkeypatch):
+        """The same for the L1's ``prefilter``: C translated from a
+        template whose hits never lengthen a gap diverges on the first
+        batched run and in the ``prefilter:`` diff of the two targets,
+        not on the ``python target:`` run."""
+        import shutil
+
+        from repro.cache import native, transitions
+
+        stock = transitions.TEMPLATES["prefilter"]
+        mutated = dict(transitions.TEMPLATES, prefilter=stock.replace(
+            "gap = (gap + 1) & -hit", "gap = gap & -hit"))
+        assert mutated["prefilter"] != stock
+        translate = transitions.translate
+        monkeypatch.setattr(
+            transitions, "translate",
+            lambda rendering, key: translate(rendering, key,
+                                             templates=mutated))
+        native.load.cache_clear()
+        try:
+            report = run_case(small_case())
+        finally:
+            native.load.cache_clear()
+        diffs = report.diffs["batched"]
+        if shutil.which("cc") is None:
+            assert diffs == []
+            return
+        assert any(path.startswith("prefilter: t0") for path in diffs)
+        assert any(not path.startswith(("python target: ", "prefilter: "))
+                   for path in diffs)
         assert not any(path.startswith("python target: ") for path in diffs)
 
     def test_snapshot_diff_detects_state_changes(self):
@@ -126,7 +159,7 @@ class TestOracle:
         assert report.divergent_engines() == ["bogus"]
         assert "crashed" in report.diffs["bogus"][0]
         assert "DIVERGENCE" in report.summary()
-        assert report.engine_runs == 1      # no warm run after a crash
+        assert report.engine_runs == 1      # no second run after a crash
 
     def test_reference_crash_is_terminal(self):
         case = small_case(

@@ -87,7 +87,10 @@ class TestMultiCoreShapes:
         from repro.cache.l1 import SmallLRUCache
 
         lines = np.tile(case.traces[core].lines, passes)
-        return SmallLRUCache(case.processor().l1d).access_lines_hit(lines)
+        flags = np.ones(len(lines), dtype=bool)
+        flags[SmallLRUCache(case.processor().l1d).access_lines_hit(
+            lines).offs] = False
+        return flags
 
     def test_dealt_to_multi_core_cases_only(self):
         for shape in ("l1_resident", "freeze_in_gap"):

@@ -8,7 +8,6 @@ import shutil
 from repro.cache import native, transitions
 from repro.cli import main
 from repro.cmp.engine.batched import BatchedEngine
-from repro.cmp.engine.common import clear_window_cache
 from repro.fuzz import FuzzCase, run_case, run_fuzz
 
 
@@ -63,12 +62,10 @@ class MutatedBatchedEngine:
             engine.interval *= 1.25
 
         BatchedEngine.__init__ = late
-        clear_window_cache()
         return self
 
     def __exit__(self, *exc):
         BatchedEngine.__init__ = self._init
-        clear_window_cache()
         return False
 
 
@@ -92,7 +89,6 @@ class MutatedObserveRendering:
         transitions.TEMPLATES["observe"] = template
         transitions.factory.cache_clear()
         native.load.cache_clear()
-        clear_window_cache()
 
     def __enter__(self):
         assert self.MUTATED != self.STOCK
@@ -167,9 +163,9 @@ class TestMutationAcceptance:
     def test_sdh_read_after_promote_is_caught_on_both_targets(
             self, tmp_path, capsys):
         """A bug in the ``observe`` rendering reaches the drains on both
-        targets (compiled on the cold and warm runs wherever the host has
-        ``cc``, Python on the third); the reference steps the profiler
-        classes and disagrees with all."""
+        targets (compiled on the first batched run wherever the host has
+        ``cc``, Python on the second); the reference steps the profiler
+        classes and disagrees with both."""
         with MutatedObserveRendering():
             rc = main(["fuzz", "--seed", "0", "--budget", "1",
                        "--out", str(tmp_path), "--quiet"])
@@ -183,20 +179,20 @@ class TestMutationAcceptance:
             report = run_case(case)
             after = transitions.target_stats()["observe", ("lru", "none")]
             diffs = report.diffs["batched"]
-            # The SDH registers, and nothing but them: cold, warm, Python.
+            # The SDH registers, and nothing but them: compiled, Python.
             assert diffs and all("profiling[0][1]" in path
                                  for path in diffs), diffs
-            for prefix in ("profiling", "warm: ", "python target: "):
+            for prefix in ("profiling", "python target: "):
                 assert any(path.startswith(prefix) for path in diffs)
             # Every simulator built binds its ATD's drain kernel — the
-            # reference's too, which never calls it.  The third stage held
-            # the drains (not just the loop) to the Python target; the
-            # others bound whatever the host builds.
+            # reference's too, which never calls it.  The second batched
+            # stage held the drains (not just the loop) to the Python
+            # target; the others bound whatever the host builds.
             host = "c" if shutil.which("cc") else "python"
             assert after["binds"]["python"] - before["binds"]["python"] \
-                == (4 if host == "python" else 1)
+                == (3 if host == "python" else 1)
             assert sum(after["binds"].values()) \
-                - sum(before["binds"].values()) == 4
+                - sum(before["binds"].values()) == 3
             assert after["reason"] == "python_target() block"
         report = run_case(case)
         assert not report.divergent, report.summary()

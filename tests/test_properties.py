@@ -349,7 +349,6 @@ class TestMetamorphicReplay:
         import dataclasses
 
         import repro.cmp.engine.batched as batched_mod
-        from repro.cmp.engine.common import clear_window_cache
         from repro.cmp.simulator import CMPSimulator
         from repro.config import (ProcessorConfig, SimulationConfig,
                                   config_unpartitioned)
@@ -375,11 +374,9 @@ class TestMetamorphicReplay:
         default_chunk = batched_mod.CHUNK_SIZE
         try:
             batched_mod.CHUNK_SIZE = 512
-            clear_window_cache()
             chunked = run()
         finally:
             batched_mod.CHUNK_SIZE = default_chunk
-            clear_window_cache()
         assert dataclasses.asdict(baseline.threads[0]) == \
             dataclasses.asdict(chunked.threads[0])
         assert dataclasses.asdict(baseline.events) == \
@@ -442,23 +439,23 @@ class TestMetamorphicReplay:
         finally:
             batched_mod.CHUNK_SIZE = default_chunk
 
-    @given(st.data(), st.sampled_from([0, 3_000, 8 << 20]),
-           st.sampled_from([64, 512, 1 << 16]),
-           st.sampled_from(["C-L", "M-BT", "nru"]))
+    @given(st.data(), st.sampled_from([1, 7, 64, 512, 1 << 16]),
+           st.sampled_from(["C-L", "M-BT", "nru"]), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_window_cache_is_unobservable(self, data, budget, chunk,
-                                          config_name):
-        """Whatever the byte budget (nothing stored, constant eviction,
-        everything resident), the window size and whether the cache is
-        cold or warm, a batched run leaves the results, the L2, the
-        ATD/SDH state and its own L1s exactly as the per-access reference
-        engine's walk does."""
+    def test_prefilter_window_is_unobservable(self, data, chunk,
+                                              config_name, writes):
+        """Whatever the window width — one reference, odd widths, the
+        default — and whatever the target of the L1 ``prefilter``, a
+        batched run leaves the results, the L2 and the ATD/SDH state of
+        the per-access reference engine's walk, writes or not; and both
+        targets leave the simulator's L1s identical."""
         import repro.cmp.engine.batched as batched_mod
-        import repro.cmp.engine.common as common
+        from repro.cache.transitions import python_target
         from repro.config import (PartitioningConfig, config_C_L,
                                   config_M_BT)
         from repro.fuzz import FuzzCase, diff_snapshots, run_engine
         from repro.workloads.trace import Trace
+        from repro.workloads.writes import overlay_writes
 
         partitioning = {
             "C-L": config_C_L(atd_sampling=2, interval_cycles=2_000),
@@ -470,9 +467,11 @@ class TestMetamorphicReplay:
             alphabet = data.draw(st.sampled_from([3, 8, 40, 400]))
             stream = data.draw(st.lists(st.integers(0, alphabet - 1),
                                         min_size=20, max_size=300))
-            traces.append(Trace(f"t{core}",
-                                np.asarray(stream) + core * 1_000_000,
-                                ipm=4.0, cpi_base=1.1))
+            trace = Trace(f"t{core}", np.asarray(stream) + core * 1_000_000,
+                          ipm=4.0, cpi_base=1.1)
+            if writes:
+                trace = overlay_writes(trace, 0.3, seed=core)
+            traces.append(trace)
             budgets.append(data.draw(st.integers(40, 4_000)))
         case = FuzzCase(traces=traces, l1_sets=2, l1_assoc=2, l2_sets=16,
                         l2_assoc=8, partitioning=partitioning,
@@ -482,22 +481,19 @@ class TestMetamorphicReplay:
         def batched():
             sim = case.simulator("batched")
             sim.run()
-            return [(l1.snapshot(), [list(getattr(l1.stats, name))
-                                     for name in l1.stats.__slots__])
+            return [(list(l1._slots), list(l1._dirty),
+                     [list(getattr(l1.stats, name))
+                      for name in l1.stats.__slots__])
                     for l1 in sim.hierarchy.l1]
 
         reference = run_engine(case, "reference")
-        defaults = (batched_mod.CHUNK_SIZE, common.WINDOW_CACHE_BYTES)
+        default_chunk = batched_mod.CHUNK_SIZE
         try:
             batched_mod.CHUNK_SIZE = chunk
-            common.WINDOW_CACHE_BYTES = 0
-            walked_l1 = batched()
-            common.WINDOW_CACHE_BYTES = budget
-            common.clear_window_cache()
-            for _ in ("cold", "warm"):
-                assert diff_snapshots(reference,
-                                      run_engine(case, "batched")) == []
-                assert batched() == walked_l1
+            assert diff_snapshots(reference,
+                                  run_engine(case, "batched")) == []
+            with python_target():
+                walked_l1 = batched()
+            assert batched() == walked_l1
         finally:
-            batched_mod.CHUNK_SIZE, common.WINDOW_CACHE_BYTES = defaults
-            common.clear_window_cache()
+            batched_mod.CHUNK_SIZE = default_chunk

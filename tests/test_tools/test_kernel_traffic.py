@@ -29,7 +29,8 @@ def clean_result():
     """The shape ``measure`` returns, with every count healthy."""
     return {
         "scale": "micro",
-        "builds": {"observe": {"lru/none": 1}, "loop": {"lru/none": 3}},
+        "builds": {"observe": {"lru/none": 1}, "loop": {"lru/none": 3},
+                   "prefilter": {"lru/none": 4}},
         "fragments": {
             "policy": {"lru": {"observe": 1, "loop": 3}},
             "scheme": {"none": {"loop": 3}},
@@ -38,7 +39,8 @@ def clean_result():
         "cc": "/usr/bin/cc",
         "targets": {name: {"target": "c", "cache": "hit",
                            "build_s": 0.001, "binds": {"c": 1, "python": 0}}
-                    for name in ("loop lru/none", "observe lru/none")},
+                    for name in ("loop lru/none", "observe lru/none",
+                                 "prefilter lru/none")},
     }
 
 
@@ -53,7 +55,8 @@ class TestProblems:
         (message,) = kernel_traffic.problems(result)
         assert "policy:lru:observe" in message
 
-    @pytest.mark.parametrize("name", ["loop lru/none", "observe lru/none"])
+    @pytest.mark.parametrize("name", ["loop lru/none", "observe lru/none",
+                                      "prefilter lru/none"])
     def test_python_target_beside_a_compiler_is_a_problem(self, name):
         result = clean_result()
         result["targets"][name] = {
@@ -80,6 +83,12 @@ class TestProblems:
         del result["targets"]["observe lru/none"]
         (message,) = kernel_traffic.problems(result)
         assert message == "no run at micro bound a drain kernel for: lru"
+
+    def test_a_report_whose_l1s_never_bound_the_prefilter_is_a_problem(self):
+        result = clean_result()
+        del result["targets"]["prefilter lru/none"]
+        (message,) = kernel_traffic.problems(result)
+        assert message == "no L1 at micro bound the prefilter"
 
 
 def test_wrappers_count_builds_per_key_and_runs_per_thread_count():

@@ -5,7 +5,8 @@ Wraps ``repro.cache.transitions.bind`` — the one entry point every
 rendered kernel is built through — from outside ``src/``, runs one cold
 serial ``repro report run --scale SCALE`` into a temporary store and
 prints, as JSON, how many kernels each ``(policy, scheme)`` key built per
-rendering (``observe`` / ``loop``; ``call`` is the call-form loop), the
+rendering (``observe`` / ``loop``; ``call`` is the call-form loop; and
+the L1s' ``prefilter``, which holds no fragment), the
 same counts per *policy fragment* and per *scheme fragment*, and how many
 times ``BatchedEngine.run`` was entered per thread count (``"1"`` is the
 isolation jobs and the one-core figure points).
@@ -17,13 +18,14 @@ exit status is 1 when a policy of ``transitions.POLICIES`` has zero
 builds in either rendering or a scheme of ``transitions.SCHEMES`` has
 zero ``loop`` builds.
 ``targets`` is ``transitions.target_stats()``: per stock ``loop`` key —
-the ``*/none`` keys the single-thread runs bind included — and per
-``observe`` key the ATDs bound for their drains, the target its
-calls got (``c`` or ``python``), whether the object came from the cache
-or was built, and why it fell back; with ``cc`` on ``PATH`` a stock loop
-or drain on the Python target is a failed or disabled build, and so is a
-policy whose drains were never bound at all: the exit status is 1.  CI
-runs this at ``micro`` in the ``campaign-smoke`` job.
+the ``*/none`` keys the single-thread runs bind included — per
+``observe`` key the ATDs bound for their drains, and the L1s'
+``prefilter``: the target its calls got (``c`` or ``python``), whether
+the object came from the cache or was built, and why it fell back; with
+``cc`` on ``PATH`` a stock loop, drain or prefilter on the Python target
+is a failed or disabled build, and so is a policy whose drains were never
+bound at all, or a report whose L1s never bound the prefilter: the exit
+status is 1.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -57,7 +59,7 @@ def _counting_bind(bind, builds, fragments):
         label = "call" if key is None else "/".join(key)
         per_key = builds[rendering]
         per_key[label] = per_key.get(label, 0) + 1
-        if key is not None:
+        if key is not None and rendering in RENDERINGS["policy"]:
             policy, scheme = key
             fragments["policy"][policy][rendering] += 1
             if rendering in RENDERINGS["scheme"]:
@@ -81,7 +83,8 @@ def measure(scale: str) -> dict:
     per thread count, over one cold serial report run."""
     runs = {}
     BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
-    builds = {rendering: {} for rendering in RENDERINGS["policy"]}
+    builds = {rendering: {}
+              for rendering in RENDERINGS["policy"] + ("prefilter",)}
     fragments = {
         "policy": {name: dict.fromkeys(RENDERINGS["policy"], 0)
                    for name in transitions.POLICIES},
@@ -129,6 +132,9 @@ def problems(result: dict) -> list:
     if undrained:
         found.append(f"no run at {result['scale']} bound a drain kernel "
                      f"for: {', '.join(undrained)}")
+    prefilter = "prefilter " + "/".join(transitions.PREFILTER_KEY)
+    if prefilter not in result["targets"]:
+        found.append(f"no L1 at {result['scale']} bound the prefilter")
     return found
 
 
