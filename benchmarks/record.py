@@ -7,9 +7,10 @@ Two recording modes::
 
 ``engine`` measures the end-to-end reference vs batched engine wall-clock
 on the 4-core mix of ``bench_engine.py`` and the **six configs, one mix**
-composite (``bench_engine.run_six_configs``), one ATD drain of 2 K
-sampled lines per paper policy through both targets of the ``observe``
-rendering (:func:`drain_rates`), and one 64 Ki-reference L1 window
+composite (``bench_engine.run_six_configs``), ATD drains of 2 K and of
+130 sampled lines (``micro``'s median drain) per paper policy through
+both targets of the ``observe`` rendering (:func:`drain_rates`), and one
+64 Ki-reference L1 window
 through both targets of the ``prefilter`` rendering
 (:func:`prefilter_rates`), each a best-of-``--repeats`` ``perf_counter``
 loop.  (Single-thread runs
@@ -48,18 +49,23 @@ import numpy as np
 #: compares the *current* ``cur`` rate against the *baseline* ``base``
 #: rate; a ``.`` prefix on the denominator (``cur/.base``) reads it from
 #: the *current* recording instead — a same-machine, same-run ratio.
-#: All three engine floors are of that kind, so the baseline file only
+#: All four engine floors are of that kind, so the baseline file only
 #: supplies the ``speedup_vs_baseline`` block: the batched engine against
 #: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
-#: canary — over the three paper policies a compiled drain of 2 K lines,
-#: state copied in and out included, must run at 5x the Python rendering
-#: or better (measured ~8x); and the L1 prefilter's — the compiled walk
-#: of a window must run at 5x its Python rendering or better (measured
-#: ~150x).  A host without ``cc`` runs both on Python and fails here, it
-#: is never skipped.
+#: canaries — over the three paper policies a compiled drain of 2 K
+#: lines must run at 5x the Python rendering or better (measured ~20x),
+#: and one of 130 lines, where the call's fixed cost (argument block,
+#: LRU's order lists, the tag-dict rebuild) weighs most, no slower than
+#: it (measured ~2.1x; about 0.86x while every call copied the
+#: directory in and out); and the L1 prefilter's — the compiled walk of
+#: a window must run at 5x its Python rendering or better (measured
+#: ~150x).  A host
+#: without ``cc`` runs all of them on Python and fails here, it is never
+#: skipped.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "engine_batched/.engine_reference:5.0",
     "drain_compiled/.drain_python:5.0",
+    "drain_compiled_short/.drain_python_short:1.0",
     "prefilter_compiled/.prefilter_python:5.0",
 )
 
@@ -88,49 +94,58 @@ def _rate(setup, op, n_ops: int, repeats: int) -> float:
     return n_ops / best
 
 
-def drain_rates(repeats: int, batch_lines: int = 2048) -> dict:
-    """Lines/sec of one ATD drain per paper policy on each target of the
-    ``observe`` rendering — ``drain_compiled_<p>`` is the compiled kernel
-    the ATD binds for its drains (per-call state copy included; the
-    Python target on a host without ``cc``), ``drain_python_<p>`` the
-    Python rendering beside it — and both composites over the three
-    policies.  The ATD is ``small``'s: a 128-set 16-way L2 sampled 1 in
-    8."""
+def drain_rates(repeats: int, batch_lines: int = 2048,
+                short_lines: int = 130) -> dict:
+    """Lines/sec of ATD drains per paper policy on each target of the
+    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel the ATD
+    binds for its drains (the Python target on a host without ``cc``),
+    ``drain_python_<p>`` the Python rendering
+    (:func:`repro.cache.transitions.factory`) bound to the same ATD — and
+    both composites over the three policies; batches of
+    ``batch_lines`` and, as ``drain_*_short``, of ``short_lines`` (the
+    median drain of a ``micro`` report), both as the ``array('q')`` the
+    batched engine hands a drain.  The ATD is ``small``'s (and
+    ``micro``'s): a 16-set 16-way directory."""
+    from array import array
+
+    from repro.cache import transitions
     from repro.cache.geometry import CacheGeometry
     from repro.profiling.atd import ATD
     from repro.profiling.profilers import make_profiler
 
     geometry = CacheGeometry(128 * 16 * 128, 16, 128)
-    batch = np.random.default_rng(7).integers(
+    lines = np.random.default_rng(7).integers(
         0, 3000, size=batch_lines).astype(np.int64) * 8
     rates = {}
-    for policy in ("lru", "nru", "bt"):
-        def setup(policy=policy):
-            atd = ATD(geometry, 8, policy, make_profiler(policy, 0.75))
-            kernel = atd.observe_many
-            compiled = kernel.compiled or kernel.python
-            warm = batch if hasattr(compiled, "ints") else batch.tolist()
-            compiled(warm)                  # directory past its cold fill
-            return kernel.python, compiled, warm
+    for suffix, size, calls in (("", batch_lines, 20),
+                                ("_short", short_lines, 300)):
+        batch = array("q", lines[:size].tobytes())
+        for policy in ("lru", "nru", "bt"):
+            def setup(policy=policy):
+                atd = ATD(geometry, 8, policy, make_profiler(policy, 0.75))
+                python = transitions.factory("observe", (policy, "none"))
+                atd.observe_many(array("q", lines.tobytes()))   # warm
+                return python(atd), atd.observe_many
 
-        def op_compiled(state):
-            _python, compiled, lines = state
-            for _ in range(20):
-                compiled(lines)
+            def op_compiled(state, calls=calls, batch=batch):
+                _python, compiled = state
+                for _ in range(calls):
+                    compiled(batch)
 
-        def op_python(state):
-            python, _compiled, _lines = state
-            lines = batch.tolist()
-            for _ in range(20):
-                python(lines)
+            def op_python(state, calls=calls, batch=batch):
+                python, _compiled = state
+                for _ in range(calls):
+                    python(batch)
 
-        n = 20 * batch_lines
-        rates[f"drain_compiled_{policy}"] = _rate(setup, op_compiled, n,
-                                                  repeats)
-        rates[f"drain_python_{policy}"] = _rate(setup, op_python, n, repeats)
-    for target in ("compiled", "python"):
-        rates[f"drain_{target}"] = 3.0 / sum(
-            1.0 / rates[f"drain_{target}_{p}"] for p in ("lru", "nru", "bt"))
+            n = calls * size
+            rates[f"drain_compiled{suffix}_{policy}"] = _rate(
+                setup, op_compiled, n, repeats)
+            rates[f"drain_python{suffix}_{policy}"] = _rate(
+                setup, op_python, n, repeats)
+        for target in ("compiled", "python"):
+            rates[f"drain_{target}{suffix}"] = 3.0 / sum(
+                1.0 / rates[f"drain_{target}{suffix}_{p}"]
+                for p in ("lru", "nru", "bt"))
     return {key: round(value, 1) for key, value in rates.items()}
 
 

@@ -23,6 +23,7 @@ The cache works in *line address* space (byte address >> line_shift);
 
 from __future__ import annotations
 
+from array import array
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -55,7 +56,9 @@ class CacheStats:
     fills_invalid``: every miss either fills an invalid way or evicts) are
     derived.  ``write_accesses`` and ``writebacks`` (dirty evictions) stay
     zero for read-only workloads — the paper's methodology — and are
-    populated by the write-back extension.
+    populated by the write-back extension.  The two the fused event loop
+    counts, ``misses`` and ``fills_invalid``, are ``array('q')``: its
+    compiled target bumps them in place.
     """
 
     __slots__ = ("accesses", "misses", "fills_invalid",
@@ -63,13 +66,13 @@ class CacheStats:
 
     def __init__(self, num_cores: int) -> None:
         self.accesses = [0] * num_cores
-        self.misses = [0] * num_cores
-        self.fills_invalid = [0] * num_cores
+        self.misses = array("q", [0]) * num_cores
+        self.fills_invalid = array("q", [0]) * num_cores
         self.write_accesses = [0] * num_cores
         self.writebacks = [0] * num_cores
 
     def reset(self) -> None:
-        """Zero every counter in place (the lists stay the same objects)."""
+        """Zero every counter in place (the arrays stay the same objects)."""
         for field in (self.accesses, self.misses, self.fills_invalid,
                       self.write_accesses, self.writebacks):
             for i in range(len(field)):

@@ -23,12 +23,10 @@ per name:
 ``int`` / ``float``
     scalar argument; a parameter the kernel assigns becomes a local
     initialised from it.
-``ints`` / ``floats``
-    array owned by the C side for the whole run.
-``shared`` / ``cores``
-    integer array Python code may read or replace during a call-out
-    (``cores``: one slot per thread); re-read from the argument block on
-    every access.
+``ints`` / ``floats`` / ``cores``
+    an owner's array, shared with Python by address for the call: what
+    either side stores the other sees, call-outs included (``cores``:
+    an integer array with one slot per thread).
 ``lists:CAP``
     per-set bounded lists, ``CAP`` (a bound ``int`` name) slots each.
 ``rows``
@@ -46,7 +44,7 @@ per name:
     ``LINES``, ``None`` is ``-1``, and stores to / deletions from the
     dict are dropped (``LINES`` is the truth; the dict — every
     non-negative entry of ``LINES`` mapped to its index modulo ``ASSOC``
-    — is rebuilt from it after the run).
+    — is rebuilt from it after the call).
 ``callout:RET(ARGS)``
     a Python callable: called through a function pointer; the statement
     that called it ends with a check of the error word, so an exception
@@ -129,8 +127,7 @@ _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.BitAnd: "&",
 _FLOAT_BINOPS = (ast.Add, ast.Sub, ast.Mult)
 _COMPARES = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
              ast.Gt: ">", ast.GtE: ">="}
-_ARRAY_KINDS = {"ints": "int", "shared": "int", "cores": "int",
-                "floats": "float"}
+_ARRAY_KINDS = {"ints": "int", "cores": "int", "floats": "float"}
 
 
 class Kernel(NamedTuple):
@@ -146,10 +143,11 @@ class Kernel(NamedTuple):
     members: Tuple[Tuple[str, str, str], ...]
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
-    #: Arrays and lists the kernel writes (copied back after the run).
+    #: Arrays and lists the kernel writes (the lists are copied back
+    #: after the call, a tag dict over a written ``LINES`` rebuilt).
     stored: frozenset
     #: ``(dict, LINES, ASSOC)`` of every tag dict whose updates were
-    #: dropped (rebuilt after the run).
+    #: dropped (rebuilt after the call).
     tags: Tuple[Tuple[str, str, str], ...]
 
 
@@ -213,10 +211,9 @@ class _Translator:
         return kind
 
     def ref(self, name: str) -> str:
-        """C spelling of a bound name."""
-        kind = self.kinds[name]
-        self.used.setdefault(name, kind)
-        return f"a->{name}" if kind in ("shared", "cores") else name
+        """C spelling of a bound name (registering its use)."""
+        self.used.setdefault(name, self.kinds[name])
+        return name
 
     # ------------------------------------------------------------------
     # Expressions: (C text, "int" | "float" | "opt")
@@ -724,8 +721,7 @@ class _Translator:
             elif kind in _ARRAY_KINDS:
                 ctype = _C_TYPES[_ARRAY_KINDS[kind]]
                 members.append((name, f"{ctype} *", kind))
-                if kind not in ("shared", "cores"):
-                    prologue.append(f"{ctype} *const {name} = a->{name};")
+                prologue.append(f"{ctype} *const {name} = a->{name};")
             elif kind.startswith("lists:"):
                 members += [(name, "i64 *", kind),
                             (f"{name}_n", "i64 *", "length")]

@@ -16,8 +16,11 @@ Two ways in, over the same arrays:
   :meth:`~SmallLRUCache.access_lines_rw` — the ``prefilter`` rendering of
   :mod:`repro.cache.transitions`, bound at construction (compiled where
   the host has ``cc``), which walks a whole window and returns its
-  L1-miss stream.  The compiled kernel shares the two arrays and the
-  output columns by address: a call copies no state.
+  L1-miss stream.  The compiled kernel works on the two arrays and the
+  output columns in place, by address, like every compiled kernel's
+  owner arrays (:mod:`repro.cache.native`): a call copies no state.  The
+  window is an ``int64`` column on that target and a list on the Python
+  one, whose loop would otherwise compute on numpy scalars.
 
 Behaviourally identical to ``SetAssociativeCache(geometry, "lru")`` for a
 single accessing core (verified by the equivalence tests in
@@ -66,7 +69,7 @@ class SmallLRUCache:
             "prefilter", transitions.PREFILTER_KEY, self)
         # The compiled kernel takes the window as an int64 column, the
         # Python one as lists.
-        self._columns = hasattr(self._prefilter, "ints")
+        self._columns = transitions.compiled(self._prefilter)
 
     def access_line_hit(self, line: int, core: int = 0) -> bool:
         """Read a line address; True on a hit.  LRU replacement."""

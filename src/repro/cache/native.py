@@ -22,30 +22,24 @@ removed and rebuilt); objects are written under a temporary name and
 ``os.replace``\\ d, so two processes racing through a cold cache (the
 normal case under a process pool) each install a complete file.
 
-State during a call.  There is no resident C state.  An owner array
-Python and C can share by address — a ``ctypes`` array, an
-``array.array``, a contiguous numpy column of the C element type — is
-handed over as it stands: the L1's slots and dirty flags and the
-prefilter's output columns, so a window's call copies nothing.  The
-other owner arrays, Python lists (an L2's tag / policy / scheme arrays
-for ``loop``, an ATD's with its SDH registers and counters for
-``observe``), are copied into C-typed buffers at entry and back — in
-place, into the very lists and dict the Python kernels hold — at exit,
-also when the call raises.  Between two calls the truth is always those
-lists, so whatever mutates them in place (``SDH.halve``, ``ATD.reset``, a
-repartition) is seen by the next call.  That copy is per *call*: a run of
-the event loop pays it once, a drain once per batch of lines (~0.1 ms),
-and a kernel called per access would pay it per access — which is why
-every rendering is a batch kernel and a drain shorter than the directory
-it would copy runs the Python target
-(:class:`repro.cache.state.DrainKernel`).
-Per-thread cursors are ``ctypes`` arrays the engine shell shares with
-the loop (:meth:`CompiledKernel.ints` / :meth:`~CompiledKernel.floats`);
-the miss-stream columns and a drain's batch are handed over by pointer.
+State during a call.  There is no resident C state and, for arrays, no
+copy: every flat array a kernel binds is an ``array('q')`` /
+``array('d')`` its owner allocated once and only ever mutates in place
+(a tag store's lines and masks, policy and scheme words, statistics, SDH
+registers, the engine's per-thread cursors), or a contiguous numpy
+column of the C element type (the prefilter's window and output
+columns, the miss stream, a drain's batch, which may also be an
+``array('q')``).  Each is handed to C by address and pinned — a buffer
+export held — for the length of the call, so whatever Python does in a
+call-out sees and is seen by C at once, and a resize there raises
+:class:`BufferError` instead of leaving C a dangling pointer.  Anything
+else where an array belongs is a :class:`TypeError` before the kernel
+runs.  Two things are still copied, on purpose: LRU's per-set order
+lists (``lists:`` — the Python side keeps C-speed ``remove`` /
+``insert``) into one bounded segment per set and back, and a tag dict
+(``tags:``), rebuilt from its tag lines after a call that wrote them.
 The loop returns to Python through call-outs (``beyond``, ``freeze``,
-``resume``): around each, the small arrays both sides touch (per-core
-statistics, masks, quotas, BT force words) are published to the Python
-lists before and re-read after, and a changed miss-stream column is
+``resume``); after each, a miss-stream column the shell replaced is
 re-pointed.  An exception raised inside a call-out stops the C loop at
 that statement and is re-raised from :meth:`CompiledKernel.__call__`.
 
@@ -71,6 +65,7 @@ import tempfile
 import time
 import warnings
 from functools import lru_cache
+from itertools import cycle
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -87,10 +82,9 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off")
 
 _C_SCALARS = {"i64": ctypes.c_int64, "double": ctypes.c_double}
 _SCALARS = {"int": ctypes.c_int64, "float": ctypes.c_double}
-#: C array type -> (numpy dtype, ctypes element, ``array`` typecode).
-_ARRAYS = {"i64 *": (np.dtype(np.int64), ctypes.c_int64, "q"),
-           "double *": (np.dtype(np.float64), ctypes.c_double, "d")}
-_INT64 = _ARRAYS["i64 *"][0]
+#: C array type -> (numpy dtype, ``array`` typecode).
+_ARRAYS = {"i64 *": (np.dtype(np.int64), "q"),
+           "double *": (np.dtype(np.float64), "d")}
 
 
 class Unavailable(Exception):
@@ -216,38 +210,18 @@ class Loaded(NamedTuple):
     args: type                          # the ctypes mirror of Args
     callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
     bindings: Callable                  # build(owner, ...) -> {name: obj}
-    #: The members by how a call marshals them (:func:`_groups`).
-    groups: Dict[str, Tuple[Tuple[str, str, str], ...]]
-
-
-#: Marshalling group of each member kind (prefixed kinds by their prefix;
-#: ``error`` and ``length`` members are set along with another).
-_GROUPS = {"int": "scalar", "float": "scalar", "ints": "array",
-           "floats": "array", "column": "column", "shared": "shared",
-           "cores": "shared", "heap": "heap", "rows": "rows", "ret": "ret",
-           "lists": "lists", "callout": "callout"}
-
-
-def _groups(kernel) -> Dict[str, Tuple[Tuple[str, str, str], ...]]:
-    """``kernel.members`` by marshalling group, each in member order, plus
-    ``stored``: the members the kernel writes; and ``flat``: for a kernel
-    of scalars, arrays and columns only, every member but the returns
-    (the argument block's leading fields, :func:`_shared_call`)."""
-    groups: Dict[str, list] = {group: [] for group in _GROUPS.values()}
-    groups["stored"] = []
-    for member in kernel.members:
-        name, _ctype, kind = member
-        group = _GROUPS.get(kind.partition(":")[0])
-        if group is not None:
-            groups[group].append(member)
-        if name in kernel.stored:
-            groups["stored"].append(member)
-    flat = not kernel.tags and not any(
-        groups[group] for group in ("heap", "callout", "shared", "lists",
-                                    "rows"))
-    groups["flat"] = [member for member in kernel.members
-                      if flat and member[2] != "ret"]
-    return {group: tuple(members) for group, members in groups.items()}
+    #: ``(name, C type, kind)`` of every member a call sets, in member
+    #: order — all but the lengths (set along with their array) and the
+    #: returns, which trail the block (:meth:`_Run.fields`).
+    fields: Tuple[Tuple[str, str, str], ...]
+    #: The returned values' members, in order.
+    returns: Tuple[str, ...]
+    #: ``(name, capacity)`` of each bounded-list table the kernel writes:
+    #: copied back after the call.
+    lists: Tuple[Tuple[str, str], ...]
+    #: ``(dict, LINES, ASSOC)`` of each tag dict whose ``LINES`` the
+    #: kernel writes: rebuilt after the call.
+    tags: Tuple[Tuple[str, str, str], ...]
 
 
 def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
@@ -320,39 +294,23 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     args, callouts = _args_type(kernel)
     library.run.argtypes = [ctypes.POINTER(args)]
     library.run.restype = ctypes.c_int64
-    return Loaded(kernel, library.run, args, callouts,
-                  _bindings(rendering, key, kernel), _groups(kernel)), info
+    members = kernel.members
+    return Loaded(
+        kernel, library.run, args, callouts,
+        _bindings(rendering, key, kernel),
+        fields=tuple(m for m in members if m[2] not in ("length", "ret")),
+        returns=tuple(name for name, _ctype, kind in members
+                      if kind == "ret"),
+        lists=tuple((name, kind[6:]) for name, _ctype, kind in members
+                    if kind.startswith("lists:") and name in kernel.stored),
+        tags=tuple(entry for entry in kernel.tags
+                   if entry[1] in kernel.stored)), info
 
 
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
-def _address(name: str, ctype: str, value) -> Optional[int]:
-    """Address of a buffer Python and C may share (a ``ctypes`` array,
-    an ``array.array``, a contiguous numpy column of the C element type),
-    0 for None, None for anything to be copied."""
-    dtype, element, typecode = _ARRAYS[ctype]
-    if value is None:
-        return 0
-    if isinstance(value, np.ndarray):
-        if _flat(value, dtype) and value.flags.writeable:
-            return _data(value)
-        return None
-    if isinstance(value, array.array):
-        if value.typecode != typecode:
-            raise TypeError(f"{name}: array of typecode {value.typecode!r}")
-        return value.buffer_info()[0]
-    if isinstance(value, ctypes.Array):
-        if value._type_ is not element:
-            raise TypeError(f"{name}: ctypes array of {value._type_}")
-        return ctypes.addressof(value)
-    return None
-
-
-def _flat(column: np.ndarray, dtype: np.dtype) -> bool:
-    """One contiguous run of native ``dtype`` elements."""
-    return (column.dtype is dtype and column.ndim == 1
-            and column.flags.c_contiguous)
+_INT64 = _ARRAYS["i64 *"][0]
 
 
 def _data(column: np.ndarray) -> int:
@@ -367,10 +325,14 @@ def _data(column: np.ndarray) -> int:
 
 
 def _column_address(name: str, column) -> int:
-    """Address of an ``int64`` column C may read as it stands."""
-    if not (isinstance(column, np.ndarray) and _flat(column, _INT64)):
-        raise TypeError(f"{name}: not a contiguous int64 column")
-    return _data(column)
+    """Address of an ``int64`` column C reads as it stands: an
+    ``array('q')`` or a contiguous numpy column."""
+    if isinstance(column, array.array) and column.typecode == "q":
+        return column.buffer_info()[0]
+    if (isinstance(column, np.ndarray) and column.dtype is _INT64
+            and column.ndim == 1 and column.flags.c_contiguous):
+        return _data(column)
+    raise TypeError(f"{name}: not a contiguous int64 column")
 
 
 class CompiledKernel:
@@ -383,144 +345,108 @@ class CompiledKernel:
         self._loaded = loaded
         self._bound = loaded.bindings(owner, *args)
 
-    @staticmethod
-    def ints(values) -> ctypes.Array:
-        """Per-thread integers the shell and the loop share."""
-        return (ctypes.c_int64 * len(values))(*values)
-
-    @staticmethod
-    def floats(values) -> ctypes.Array:
-        """Per-thread floats the shell and the loop share."""
-        return (ctypes.c_double * len(values))(*values)
-
     def __call__(self, *arguments):
-        loaded = self._loaded
         values = dict(self._bound)
-        values.update(zip(loaded.kernel.params, arguments, strict=True))
-        if loaded.groups["flat"]:
-            result = _shared_call(loaded, values)
-            if result is not None:
-                return result
-        return _Run(loaded, values).execute()
-
-
-def _shared_call(loaded: Loaded, values: Dict[str, object]
-                 ) -> Optional[tuple]:
-    """One call of a flat kernel whose every array Python and C share by
-    address: the argument block built in one go, nothing copied either
-    way — the L1 prefilter's path, called once per trace window.  None
-    when an array would have to be copied (:class:`_Run` then takes the
-    call)."""
-    fields: list = []
-    for name, ctype, kind in loaded.groups["flat"]:
-        if kind in ("int", "float"):
-            fields.append(values[name])
-        elif kind in ("ints", "floats"):
-            address = _address(name, ctype, values[name])
-            if address is None:
-                return None
-            fields.append(address)
-        elif kind == "column":
-            column = values[name]
-            fields += (_column_address(name, column), len(column))
-        elif kind == "error":
-            fields.append(0)
-    args = loaded.args(*fields)
-    loaded.run(ctypes.byref(args))
-    return tuple(getattr(args, name)
-                 for name, _ctype, _kind in loaded.groups["ret"])
+        values.update(zip(self._loaded.kernel.params, arguments, strict=True))
+        return _Run(self._loaded, values).execute()
 
 
 class _Run:
-    """One call: marshal in, run, marshal out."""
+    """One call: share the arrays, run, copy the lists back."""
 
     def __init__(self, loaded: Loaded, values: Dict[str, object]) -> None:
         self.loaded = loaded
         self.values = values
-        self.args = loaded.args()
+        self.args = None
         self.error: Optional[BaseException] = None
-        self.threads = 0
-        #: name -> numpy buffer C works on (kept alive here).
-        self.buffers: Dict[str, np.ndarray] = {}
-        #: (name, C type) of the arrays synced around every call-out.
-        self.shared: List[Tuple[str, str, str]] = []
+        #: Buffer exports that keep the shared arrays in place.
+        self.pins: List[memoryview] = []
+        #: name -> (segments, lengths) of a bounded-list table's copy.
+        self.buffers: Dict[str, Tuple[array.array, array.array]] = {}
         #: name -> (pointer table, columns it currently points at).
         self.rows: Dict[str, Tuple[ctypes.Array, list]] = {}
         self.keep: list = []
 
     # -- entry ----------------------------------------------------------
-    def marshal(self) -> None:
-        values, args = self.values, self.args
-        groups = self.loaded.groups
+    def fields(self) -> list:
+        """The argument block's values, in member order."""
+        loaded, values = self.loaded, self.values
+        stored = loaded.kernel.stored
         # One clock per thread: the popped thread's slot plus the heap's
         # (a kernel without a heap has no per-thread member).
-        self.threads = sum(1 + len(values[name])
-                           for name, _ctype, _kind in groups["heap"])
-        for name, _ctype, _kind in groups["scalar"]:
-            setattr(args, name, values[name])
-        for name, ctype, kind in groups["array"]:
-            address = _address(name, ctype, values[name])
-            if address is None:
-                self.copy_in(name, ctype, kind)
-            else:
-                setattr(args, name, address)
-        for name, _ctype, _kind in groups["column"]:
-            setattr(args, name, _column_address(name, values[name]))
-            setattr(args, name + "_n", len(values[name]))
-        for name, _ctype, _kind in groups["heap"]:
-            clocks = (ctypes.c_double * self.threads)()
-            for clock, thread in values[name]:
-                clocks[thread] = clock
-            self.keep.append(clocks)
-            setattr(args, name, ctypes.addressof(clocks))
-            setattr(args, name + "_n", self.threads)
-        for name, _ctype, _kind in groups["callout"]:
-            callback = self.loaded.callouts[name](self.callout(values[name]))
-            self.keep.append(callback)
-            setattr(args, name, callback)
-        for member in groups["shared"]:
-            self.shared.append(member)
-            self.copy_in(*member)
-        for name, _ctype, kind in groups["lists"]:
-            self.lists_in(name, values[kind[6:]])
-        for name, _ctype, _kind in groups["rows"]:
-            if len(values[name]) != self.threads:
-                raise ValueError(f"{name}: {len(values[name])} columns "
-                                 f"for {self.threads} threads")
-            table = (ctypes.c_void_p * self.threads)()
-            self.rows[name] = (table, [None] * self.threads)
-            setattr(args, name, ctypes.addressof(table))
-        self.repoint()
+        threads = sum(1 + len(values[name])
+                      for name, _ctype, kind in loaded.fields
+                      if kind == "heap")
+        out: list = []
+        for name, ctype, kind in loaded.fields:
+            value = values.get(name)
+            if kind in ("ints", "floats", "cores"):
+                if kind == "cores" and len(value) < threads:
+                    raise ValueError(f"{name}: {len(value)} slots for "
+                                     f"{threads} threads")
+                out.append(self.share(name, ctype, value, name in stored))
+            elif kind in ("int", "float"):
+                out.append(value)
+            elif kind == "column":
+                out += (_column_address(name, value), len(value))
+                self.pins.append(memoryview(value))
+            elif kind == "rows":
+                if len(value) != threads:
+                    raise ValueError(f"{name}: {len(value)} columns for "
+                                     f"{threads} threads")
+                table = (ctypes.c_void_p * threads)()
+                self.rows[name] = (table, [None] * threads)
+                out.append(ctypes.addressof(table))
+            elif kind == "heap":
+                clocks = (ctypes.c_double * threads)()
+                for clock, thread in value:
+                    clocks[thread] = clock
+                self.keep.append(clocks)
+                out += (ctypes.addressof(clocks), threads)
+            elif kind == "error":
+                out.append(0)
+            elif kind.startswith("lists:"):
+                out += self.lists_in(name, values[kind[6:]])
+            else:                               # callout:
+                callback = loaded.callouts[name](self.callout(value))
+                self.keep.append(callback)
+                out.append(callback)
+        return out
 
-    def copy_in(self, name: str, ctype: str, kind: str) -> None:
-        value = self.values[name]
-        buffer = np.array(value, dtype=_ARRAYS[ctype][0])
-        if buffer.ndim != 1:
-            raise TypeError(f"{name}: not a flat list of numbers")
-        if kind == "cores" and len(buffer) < self.threads:
-            raise ValueError(f"{name}: {len(buffer)} slots for "
-                             f"{self.threads} threads")
-        self.buffers[name] = buffer
-        setattr(self.args, name, buffer.ctypes.data)
+    def share(self, name: str, ctype: str, value, written: bool) -> int:
+        """Address of an owner array C works on in place — an ``array``
+        of the C element type (pinned for the call: resizing it raises
+        :class:`BufferError` until the call returns) or a contiguous numpy
+        column of it, writable if the kernel stores to it; 0 for None."""
+        dtype, typecode = _ARRAYS[ctype]
+        if value is None:
+            return 0
+        if isinstance(value, array.array) and value.typecode == typecode:
+            self.pins.append(memoryview(value))
+            return value.buffer_info()[0]
+        if (isinstance(value, np.ndarray) and value.dtype is dtype
+                and value.ndim == 1 and value.flags.c_contiguous
+                and (value.flags.writeable or not written)):
+            return _data(value)
+        raise TypeError(f"{name}: a {type(value).__name__} where "
+                        f"array({typecode!r}) or a contiguous {dtype} column "
+                        f"C can share belongs")
 
-    def lists_in(self, name: str, capacity: int) -> None:
-        """Bounded lists as one ``capacity``-slot segment each, plus the
-        lengths."""
+    def lists_in(self, name: str, capacity: int) -> Tuple[int, int]:
+        """Bounded lists copied into one ``capacity``-slot segment each,
+        plus the lengths: the addresses of both."""
         lists = self.values[name]
-        lengths = list(map(len, lists))
+        lengths = array.array("q", map(len, lists))
         if lengths and max(lengths) > capacity:
             raise ValueError(f"{name}: a list longer than its bound "
                              f"{capacity}")
         padding = [0] * capacity
-        flat: List[int] = []
-        for items, length in zip(lists, lengths):
-            flat += items
-            flat += padding[length:]
-        items = self.buffers[name] = np.array(flat, dtype=np.int64)
-        lengths = self.buffers[name + "_n"] = np.array(lengths,
-                                                       dtype=np.int64)
-        setattr(self.args, name, items.ctypes.data)
-        setattr(self.args, name + "_n", lengths.ctypes.data)
+        items = array.array("q")
+        for segment in lists:
+            items.fromlist(segment)
+            items.fromlist(padding[len(segment):])
+        self.buffers[name] = items, lengths
+        return items.buffer_info()[0], lengths.buffer_info()[0]
 
     def repoint(self) -> None:
         """Point each row at the column the shell currently holds."""
@@ -536,10 +462,9 @@ class _Run:
         def call(*arguments):
             if self.error is not None:
                 return 0
-            self.publish()
             try:
                 result = function(*arguments)
-                self.reread()
+                self.repoint()
             except BaseException as exc:    # re-raised by execute()
                 self.error = exc
                 self.args.error = 1
@@ -548,58 +473,41 @@ class _Run:
 
         return call
 
-    def publish(self) -> None:
-        """C -> Python, the shared arrays the kernel writes."""
-        stored = self.loaded.kernel.stored
-        for name, _ctype, _kind in self.shared:
-            if name in stored:
-                self.values[name][:] = self.buffers[name].tolist()
-
-    def reread(self) -> None:
-        """Python -> C: shared arrays (they may have been replaced or
-        grown) and the miss-stream columns."""
-        for name, ctype, kind in self.shared:
-            self.copy_in(name, ctype, kind)
-        self.repoint()
-
     # -- exit -----------------------------------------------------------
-    def unmarshal(self) -> None:
-        values, buffers = self.values, self.buffers
-        kernel = self.loaded.kernel
-        for name, _ctype, kind in self.loaded.groups["stored"]:
-            if name not in buffers:
-                continue
-            if kind.startswith("lists:"):
-                capacity = values[kind[6:]]
-                flat = buffers[name].tolist()
-                lengths = buffers[name + "_n"].tolist()
-                for start, (items, length) in zip(
-                        range(0, len(flat), capacity),
-                        zip(values[name], lengths)):
-                    items[:] = flat[start:start + length]
-            else:
-                values[name][:] = buffers[name].tolist()
-        for tags, lines, assoc in kernel.tags:
-            if lines in kernel.stored and lines in buffers:
-                valid = np.flatnonzero(buffers[lines] >= 0)
-                values[tags].clear()
-                values[tags].update(zip(
-                    buffers[lines][valid].tolist(),
-                    (valid % values[assoc]).tolist()))
+    def copy_back(self) -> None:
+        """The bounded lists into the owner's lists, in place; each tag
+        dict rebuilt from its lines (every valid entry mapped to its way:
+        a line is ``-1`` exactly when its way is invalid)."""
+        values = self.values
+        for name, capacity_name in self.loaded.lists:
+            items, lengths = self.buffers[name]
+            for start, segment, length in zip(
+                    range(0, len(items), values[capacity_name]),
+                    values[name], lengths):
+                segment[:] = items[start:start + length].tolist()
+        for tags, lines, assoc in self.loaded.tags:
+            table = values[tags]
+            table.clear()
+            table.update(zip(values[lines], cycle(range(values[assoc]))))
+            table.pop(-1, None)
 
     def execute(self) -> tuple:
-        self.marshal()
+        loaded = self.loaded
         try:
-            self.loaded.run(ctypes.byref(self.args))
+            args = self.args = loaded.args(*self.fields())
+            self.repoint()
+            try:
+                loaded.run(ctypes.byref(args))
+            finally:
+                self.copy_back()
+            result = tuple(getattr(args, name) for name in loaded.returns)
         finally:
-            self.unmarshal()
-        result = tuple(getattr(self.args, name)
-                       for name, _ctype, _kind in self.loaded.groups["ret"])
-        # The call-out thunks (held by the block) point back at this
-        # object: drop them so the buffers go with the call, not with the
-        # next GC pass.
-        self.args = None
-        self.keep.clear()
+            for view in self.pins:
+                view.release()
+            # The call-out thunks point back at this object: drop them so
+            # the buffers go with the call, not with the next GC pass.
+            self.args = None
+            self.keep.clear()
         if self.error is not None:
             raise self.error
         return result

@@ -20,7 +20,7 @@ per-line owner bits are needed (§III-C).
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 from repro.cache.partition.allocation import SubcubeAllocation
 from repro.cache.partition.base import PartitionScheme
@@ -43,7 +43,7 @@ class BTVectorPartition(PartitionScheme):
         if policy.num_sets != num_sets or policy.assoc != assoc:
             raise ValueError("policy dimensions do not match the partition scheme")
         self._policy = policy
-        self._masks: List[int] = [self.full_mask] * num_cores
+        self._masks = array("q", [self.full_mask]) * num_cores
 
     def apply(self, allocation) -> None:
         if not isinstance(allocation, SubcubeAllocation):

@@ -10,7 +10,7 @@ Storage cost: ``A × N`` owner-mask bits per cache (Table I(a)).
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 from repro.cache.partition.allocation import WayAllocation
 from repro.cache.partition.base import PartitionScheme
@@ -24,7 +24,7 @@ class MasksPartition(PartitionScheme):
     def __init__(self, num_cores: int, num_sets: int, assoc: int) -> None:
         super().__init__(num_cores, num_sets, assoc)
         # Before the first repartition every core may use every way.
-        self._masks: List[int] = [self.full_mask] * num_cores
+        self._masks = array("q", [self.full_mask]) * num_cores
 
     def apply(self, allocation) -> None:
         if not isinstance(allocation, WayAllocation):
@@ -40,7 +40,7 @@ class MasksPartition(PartitionScheme):
                 f"allocation is for {allocation.assoc}-way, cache is {self.assoc}-way"
             )
         self._allocation = allocation
-        self._masks[:] = allocation.masks
+        self._masks[:] = array("q", allocation.masks)
 
     def candidate_mask(self, set_index: int, core: int) -> int:
         return self._masks[core]

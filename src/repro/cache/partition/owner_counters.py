@@ -21,7 +21,7 @@ cost < 0.5 % performance (§V-B).
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 from repro.cache.partition.allocation import WayAllocation
 from repro.cache.partition.base import PartitionScheme
@@ -36,11 +36,11 @@ class OwnerCountersPartition(PartitionScheme):
     def __init__(self, num_cores: int, num_sets: int, assoc: int) -> None:
         super().__init__(num_cores, num_sets, assoc)
         # Quotas default to "no constraint" until the first apply().
-        self._quota: List[int] = [assoc] * num_cores
+        self._quota = array("q", [assoc]) * num_cores
         # owner[s*assoc+w]: core that filled the line, -1 when invalid/unowned.
-        self._owner: List[int] = [-1] * (num_sets * assoc)
+        self._owner = array("q", [-1]) * (num_sets * assoc)
         # owned[s*num_cores+c]: bitmask of ways owned by core c in set s.
-        self._owned: List[int] = [0] * (num_sets * num_cores)
+        self._owned = array("q", [0]) * (num_sets * num_cores)
 
     # ------------------------------------------------------------------
     def apply(self, allocation) -> None:
@@ -57,7 +57,7 @@ class OwnerCountersPartition(PartitionScheme):
                 f"allocation is for {allocation.assoc}-way, cache is {self.assoc}-way"
             )
         self._allocation = allocation
-        self._quota[:] = allocation.counts
+        self._quota[:] = array("q", allocation.counts)
 
     def candidate_mask(self, set_index: int, core: int) -> int:
         owned = self._owned[set_index * self.num_cores + core]
@@ -92,12 +92,8 @@ class OwnerCountersPartition(PartitionScheme):
         ownership mirror of the now-empty tag store is discarded.  Mutates
         in place (the arrays may be bound by access kernels).
         """
-        owner = self._owner
-        for i in range(len(owner)):
-            owner[i] = -1
-        owned = self._owned
-        for i in range(len(owned)):
-            owned[i] = 0
+        self._owner[:] = array("q", [-1]) * len(self._owner)
+        self._owned[:] = array("q", [0]) * len(self._owned)
 
     # ------------------------------------------------------------------
     def owned_count(self, set_index: int, core: int) -> int:

@@ -38,8 +38,11 @@ per-core ``up``/``down`` force vectors of ``log2(A)`` bits each, installed by
 :class:`repro.cache.partition.btvectors.BTVectorPartition` through
 :meth:`set_force`.  The vectors are kept twice: as the per-level tuples
 :meth:`victim` (the hand-written oracle side) walks, and as the paper's
-machine words (``_up`` / ``_down``, MSB = root level) the ``bt`` victim
-fragment of :mod:`repro.cache.transitions` walks in every rendering.
+machine words (``_up`` / ``_down``, MSB = root level, one slot per core
+a partition can have) the ``bt`` victim fragment of
+:mod:`repro.cache.transitions` walks in every rendering.  Like every flat
+array a kernel binds, the words, the tree and the promote masks are
+``array('q')``s allocated once and mutated in place.
 """
 
 from __future__ import annotations
@@ -96,19 +99,20 @@ class BTPolicy(ReplacementPolicy):
             raise ValueError(f"BT requires a power-of-two associativity >= 2, got {assoc}")
         self.levels = ilog2(assoc)
         #: One tree word per set; bit ``n - 1`` is heap node ``n``.
-        self._tree: List[int] = [0] * num_sets
+        self._tree = array("q", [0]) * num_sets
         # Per-core forced traversal directions: core -> tuple of length
         # `levels`, entries in {0: force upper, 1: force lower, None: free}.
         # Paper: per-level `up`/`down` global vectors (up[l]=1 <=> entry 0,
         # down[l]=1 <=> entry 1, both 0 <=> None).
         self._force: Dict[int, Tuple[Optional[int], ...]] = {}
-        # The same vectors as words, one slot per core up to the highest
-        # one ever forced (grown in place: kernels hold the lists), and
-        # ``_walk = [traverse?, slots]``: the victim fragment walks the
-        # tree only while a vector is installed or no table exists.
-        self._up: List[int] = []
-        self._down: List[int] = []
-        self._walk: List[int] = [0, 0]
+        # The same vectors as words, one slot per core a partition of
+        # this cache can have (each core owns a way, so ``assoc`` slots),
+        # allocated here once, and ``_walk = [traverse?]``: the victim
+        # fragment walks the tree only while a vector is installed or no
+        # table exists.
+        self._up = array("q", [0]) * assoc
+        self._down = array("q", [0]) * assoc
+        self._walk = array("q", [0])
         # Precomputed per-way promote masks and path-bit extraction specs.
         keep: List[int] = []
         setb: List[int] = []
@@ -129,8 +133,8 @@ class BTPolicy(ReplacementPolicy):
             keep.append(~clear)
             setb.append(ones)
             path_spec.append(tuple(spec))
-        self._touch_keep: List[int] = keep
-        self._touch_set: List[int] = setb
+        self._touch_keep = array("q", keep)
+        self._touch_set = array("q", setb)
         self._path_spec: List[Tuple[Tuple[int, int], ...]] = path_spec
         self._victim_table = _victim_table(assoc)
         self._walk[0] = int(self._victim_table is None)
@@ -165,12 +169,10 @@ class BTPolicy(ReplacementPolicy):
         return way
 
     def reset(self) -> None:
-        tree = self._tree
-        for s in range(self.num_sets):
-            tree[s] = 0
+        self._tree[:] = array("q", [0]) * self.num_sets
         self._force.clear()
-        for core in range(len(self._up)):
-            self._set_words(core, 0, 0)
+        self._up[:] = self._down[:] = array("q", [0]) * self.assoc
+        self._walk[0] = int(self._victim_table is None)
 
     # ------------------------------------------------------------------
     # Partition enforcement support (paper Figure 5)
@@ -182,12 +184,14 @@ class BTPolicy(ReplacementPolicy):
         ``force`` is a tuple of ``levels`` entries: ``0`` forces the upper
         sub-tree (the paper's ``up`` vector bit), ``1`` forces the lower
         sub-tree (``down`` bit), ``None`` leaves the stored BT bit in charge.
-        ``None`` for the whole argument removes any forcing.
+        ``None`` for the whole argument removes any forcing.  ``core`` is
+        below ``assoc``: a partition gives every core a way.
         """
+        if not 0 <= core < self.assoc:
+            raise ValueError(f"core {core} out of range 0..{self.assoc - 1}")
         if force is None:
             self._force.pop(core, None)
-            if core < len(self._up):
-                self._set_words(core, 0, 0)
+            self._set_words(core, 0, 0)
             return
         if len(force) != self.levels:
             raise ValueError(
@@ -201,9 +205,6 @@ class BTPolicy(ReplacementPolicy):
                 up |= bit
             elif forced == 1:
                 down |= bit
-        while len(self._up) <= core:
-            self._up.append(0)
-            self._down.append(0)
         self._set_words(core, up, down)
 
     def _set_words(self, core: int, up: int, down: int) -> None:
@@ -211,7 +212,6 @@ class BTPolicy(ReplacementPolicy):
         self._down[core] = down
         self._walk[0] = int(self._victim_table is None
                             or any(self._up) or any(self._down))
-        self._walk[1] = len(self._up)
 
     def get_force(self, core: int) -> Optional[Tuple[Optional[int], ...]]:
         """Current forced directions for ``core`` (None when unrestricted)."""

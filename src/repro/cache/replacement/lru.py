@@ -6,7 +6,8 @@ State is the ``PolicyState`` layout the ``lru`` fragments of
 * ``_order`` — one list per set holding the *touched* ways in MRU-first
   recency order: a permutation of the present ways, nothing else
   (``len(_order[s]) == _present[s].bit_count()``, no stale slots);
-* ``_present`` — per-set bitmask of the ways in the order.
+* ``_present`` — per-set bitmask of the ways in the order (an
+  ``array('q')``, like every flat array a kernel binds).
 
 A hit or fill moves the way to the front with CPython's C-level
 ``list.remove`` + ``list.insert(0, …)`` on a list of at most ``assoc``
@@ -32,6 +33,7 @@ The two operations the partitioning system needs survive unchanged:
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional
 
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
@@ -49,9 +51,10 @@ class LRUPolicy(ReplacementPolicy):
         # Invariant the kernels rely on: a set's list holds every present
         # way exactly once and nothing else.  Kernels capture the outer
         # list at cache construction; ``reset`` empties the per-set lists
-        # in place and never rebinds it.
+        # in place and never rebinds it.  (A compiled kernel copies the
+        # lists in and out per call; ``_present`` it shares by address.)
         self._order: List[List[int]] = [[] for _ in range(num_sets)]
-        self._present: List[int] = [0] * num_sets
+        self._present = array("q", [0]) * num_sets
 
     # ------------------------------------------------------------------
     def touch(self, set_index: int, way: int, core: int,

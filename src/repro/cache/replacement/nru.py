@@ -25,7 +25,8 @@ Rules implemented exactly as described:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from typing import Optional
 
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
 from repro.util.bitops import bit_length_exact
@@ -45,10 +46,10 @@ class NRUPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
-        self._used: List[int] = [0] * num_sets
-        # Cache-global replacement pointer, boxed in a 1-slot list so the
+        self._used = array("q", [0]) * num_sets
+        # Cache-global replacement pointer, boxed in a 1-slot array so the
         # access kernels rotate it with locals-bound writes.
-        self._pointer_box: List[int] = [0]
+        self._pointer_box = array("q", [0])
 
     @property
     def pointer(self) -> int:

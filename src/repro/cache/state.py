@@ -10,27 +10,30 @@ Two pieces live here:
   CPython dict for the whole store — CPython dicts are open-addressed hash
   tables).  The lookup representation was chosen by benchmark
   (``bench_core_structures.py::TestTagStateRepresentation``): a single dict
-  beats a dict-per-set (one indirection less per access) and flat Python
-  lists beat numpy arrays for the scalar reads/writes that dominate the hot
-  path (numpy scalar indexing boxes a fresh object per element access).
-  Bulk consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
+  beats a dict-per-set (one indirection less per access), and a Python
+  probe of the set row costs 10-20x a dict lookup.  The three arrays are
+  ``array('q')``, which a compiled kernel works on in place, by address
+  (:mod:`repro.cache.native`) — only the dict is rebuilt after such a
+  call.  The price is paid by the interpreted paths (the reference
+  engine, the Python target): an element read or write costs ~30 ns more
+  than a list's (``docs/architecture.md``, "State during a run").  Bulk
+  consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
 
 * the **eligibility rules** of the batch renderings for the three paper
   policies (LRU, NRU, BT; every other policy runs the generic
   object-protocol methods).  No transition body is written here:
-  :func:`kernel_key`, :func:`rendered_key`,
-  :func:`build_observe_many_kernel` and :func:`rendered_drain_kernel`
-  decide *whether* a rendering is exact for the instance at hand — the
-  fused event loop of ``BatchedEngine.run`` for a cache, the drain
-  kernel (:class:`DrainKernel`, ``ATD.observe_many``) for an ATD — and
-  the engine / ATD bind the one :mod:`repro.cache.transitions` renders
-  from the policy's single transition spec, performing *exactly* the
-  state transitions of the classes (same victim choices, same
-  statistics, same partition bookkeeping in the same order).  Nothing
-  per-access is rendered: ``access_line_hit`` and ``ATD.observe`` are
-  the classes' methods on every instance.  Equivalence with the generic
-  object-protocol paths is pinned by ``tests/test_cache/test_state.py``
-  and with the seed per-object implementations by
+  :func:`kernel_key`, :func:`rendered_key` and :func:`drain_key` decide
+  *whether* a rendering is exact for the instance at hand — the fused
+  event loop of ``BatchedEngine.run`` for a cache, the drain kernel
+  (``ATD.observe_many``) for an ATD — and the engine / ATD bind the one
+  :mod:`repro.cache.transitions` renders from the policy's single
+  transition spec, performing *exactly* the state transitions of the
+  classes (same victim choices, same statistics, same partition
+  bookkeeping in the same order).  Nothing per-access is rendered:
+  ``access_line_hit`` and ``ATD.observe`` are the classes' methods on
+  every instance.  Equivalence with the generic object-protocol paths is
+  pinned by ``tests/test_cache/test_state.py`` and with the seed
+  per-object implementations by
   ``tests/test_cache/test_flat_equivalence.py``.
 
 The kernels rely on invariants the cache/ATD maintain by construction:
@@ -40,12 +43,14 @@ The kernels rely on invariants the cache/ATD maintain by construction:
 * every *valid* way has been touched, so order-based policies always find
   it in their recency order;
 * ``policy.reset()`` / ``TagStore.flush()`` mutate state **in place** —
-  the arrays a kernel closed over stay live across flushes.
+  the arrays a kernel closed over stay live across flushes, and no owner
+  array is ever resized (a compiled call pins them: a resize inside one
+  raises ``BufferError``).
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -55,8 +60,7 @@ from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
 
-__all__ = ["DrainKernel", "TagStore", "build_observe_many_kernel",
-           "kernel_key", "rendered_drain_kernel", "rendered_key"]
+__all__ = ["TagStore", "drain_key", "kernel_key", "rendered_key"]
 
 
 class TagStore:
@@ -75,11 +79,11 @@ class TagStore:
         #: a line address determines its set, so keys never collide).
         self.map: dict = {}
         #: Flat way-indexed line addresses (``-1`` = invalid), ``s*assoc+w``.
-        self.lines: List[int] = [-1] * (num_sets * assoc)
+        self.lines = array("q", [-1]) * (num_sets * assoc)
         #: Per-set bitmask of invalid ways.
-        self.invalid: List[int] = [self.full_mask] * num_sets
+        self.invalid = array("q", [self.full_mask]) * num_sets
         #: Per-set bitmask of dirty ways.
-        self.dirty: List[int] = [0] * num_sets
+        self.dirty = array("q", [0]) * num_sets
 
     # ------------------------------------------------------------------
     # Lookup-table maintenance.  The hot paths (cache methods, kernels)
@@ -121,15 +125,9 @@ class TagStore:
     def flush(self) -> None:
         """Invalidate everything, in place (kernel bindings stay live)."""
         self.map.clear()
-        lines = self.lines
-        for i in range(len(lines)):
-            lines[i] = -1
-        full = self.full_mask
-        invalid = self.invalid
-        dirty = self.dirty
-        for s in range(self.num_sets):
-            invalid[s] = full
-            dirty[s] = 0
+        self.lines[:] = array("q", [-1]) * len(self.lines)
+        self.invalid[:] = array("q", [self.full_mask]) * self.num_sets
+        self.dirty[:] = array("q", [0]) * self.num_sets
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
@@ -151,7 +149,7 @@ class TagStore:
 
         A copy, not a live view — mutate the store through its methods.
         """
-        return np.asarray(self.lines, dtype=np.int64).reshape(
+        return np.array(self.lines, dtype=np.int64).reshape(
             self.num_sets, self.assoc)
 
 
@@ -201,75 +199,22 @@ def rendered_key(cache) -> Optional[Tuple[str, str]]:
 
 
 # ----------------------------------------------------------------------
-# ATD drain kernels
+# ATD drains
 # ----------------------------------------------------------------------
-# The ``observe`` rendering is the *batch* kernel ``observe_many(lines)``:
+# The ``observe`` rendering is the *batch* kernel ``observe_many(batch)``:
 # it drains a buffered run of one thread's L2-reaching line addresses —
 # sampling filter, the profiler's SDH read of the pre-access state,
-# promote or fill per line — with the per-call overhead amortised over
-# the whole buffer.  The execution engines buffer each thread's stream
-# and drain at controller boundaries / run end, which is exact because
-# ATD state is a pure function of the *own-thread* stream prefix and is
-# only read at those drain points (see ``docs/architecture.md``).  The
-# single-access ``ATD.observe`` is the class's method; equivalence with
-# it is pinned by ``tests/test_cmp/test_solo_engine.py``
-# (``TestDeferredDrains``) and ``tests/test_cache/test_state.py``
-# (``TestDrainTargets``).
+# promote or fill per line.  The batched engine drains each thread's
+# stream at controller boundaries / run end, which is exact because ATD
+# state is a pure function of the *own-thread* stream prefix and is only
+# read at those drain points (see ``docs/architecture.md``).  Equivalence
+# with the class's per-line ``ATD.observe`` is pinned by
+# ``tests/test_cmp/test_solo_engine.py`` (``TestDeferredDrains``) and
+# ``tests/test_cache/test_state.py`` (``TestDrainTargets``).
 
-class DrainKernel:
-    """What a kernelised ATD binds as ``observe_many``: the ATD's
-    ``observe`` rendering, bound once at construction through
-    :func:`repro.cache.transitions.bind` — compiled where the host builds
-    it (``compiled``; None on the Python target).
-
-    A compiled kernel copies the directory in and out on every call, and
-    the copy costs per directory entry what the kernel saves per line, so
-    a batch shorter than the directory (``floor``) — most drains of a
-    ``micro`` run or of an unsampled ATD — goes to ``python``,
-    the Python rendering bound beside it (unrecorded: it is the size
-    rule, not a fallback).  The batched engine hands a compiled kernel
-    ``int64`` columns; a list from any other caller is converted.
-    """
-
-    __slots__ = ("compiled", "python", "floor")
-
-    def __init__(self, key: Tuple[str, str], atd) -> None:
-        target = transitions.bind("observe", key, atd)
-        if hasattr(target, "ints"):
-            self.compiled = target
-            self.python = transitions.factory("observe", key)(atd)
-            self.floor = len(atd.state.lines)
-        else:
-            self.compiled, self.python, self.floor = None, target, math.inf
-
-    def __call__(self, batch) -> None:
-        if len(batch) < self.floor:
-            self.python(batch.tolist() if isinstance(batch, np.ndarray)
-                        else batch)
-        else:
-            self.compiled(np.ascontiguousarray(batch, dtype=np.int64))
-
-
-def rendered_drain_kernel(atd) -> Optional[DrainKernel]:
-    """The batch kernel ``atd`` bound at construction, if draining the
-    ATD still leads to it; else None.
-
-    :func:`rendered_key`'s rule for the drains of ``BatchedEngine.run``,
-    which hands the kernel ``int64`` columns when it is compiled:
-    ``atd.observe_many`` is that kernel or a transparent wrapper of it
-    (a ``__wrapped__`` chain ending there).  Anything else — a test
-    double, the class's generic loop — is drained as it stands, with
-    lists.
-    """
-    bound = getattr(atd, "kernel", None)
-    drain = atd.observe_many
-    while drain is not bound and hasattr(drain, "__wrapped__"):
-        drain = drain.__wrapped__
-    return bound if bound is not None and drain is bound else None
-
-
-def build_observe_many_kernel(atd) -> Optional[DrainKernel]:
-    """Rendered batch ``ATD.observe_many`` for the ATD's policy, or None.
+def drain_key(atd) -> Optional[Tuple[str, str]]:
+    """Key of the ``observe`` rendering that is exact for ``atd``'s
+    drains (``ATD.observe_many``), or None.
 
     The rendering inlines the *stock* profiler's interpretation of the
     flat state, so it only engages when the ATD runs exactly the stock
@@ -290,4 +235,4 @@ def build_observe_many_kernel(atd) -> Optional[DrainKernel]:
     if (type(profiler) is not stock.get(kind)
             or getattr(profiler, "spread_update", False)):
         return None
-    return DrainKernel((kind, "none"), atd)
+    return kind, "none"

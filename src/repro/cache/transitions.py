@@ -63,13 +63,14 @@ from __future__ import annotations
 import ast
 import linecache
 import re
+import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from string import Template
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "PREFILTER_KEY", "PURE_ATTRS", "bind", "factory",
+           "PREFILTER_KEY", "PURE_ATTRS", "bind", "compiled", "factory",
            "python_target", "render",
            "rendering_keys", "source_name", "target_stats", "target_summary",
            "translate"]
@@ -172,14 +173,15 @@ levels = policy.levels""",
         # force vectors), so the victim may be an invalid way outside it.
         # Root-down walk (Figure 5): a set ``up`` bit forces the upper
         # sub-tree, a set ``down`` bit the lower one, else the stored bit
-        # decides; a core past the installed slots walks unforced.  With
-        # no vector installed the whole walk is one table lookup.
+        # decides; a core past the ``assoc`` vector slots (one per core a
+        # partition can give a way) walks unforced.  With no vector
+        # installed the whole walk is one table lookup.
         "victim": """\
 word = tree[$set]
 if walk[0]:
     up = 0
     down = 0
-    if $core < walk[1]:
+    if $core < assoc:
         up = up_l[$core]
         down = down_l[$core]
     node = 1
@@ -570,7 +572,7 @@ C_KINDS = {
     "orders": "lists:assoc", "present": "ints",
     "used_l": "ints", "pointer": "ints",
     "tree": "ints", "keep": "ints", "setb": "ints", "table": "ints",
-    "walk": "shared", "up_l": "shared", "down_l": "shared", "levels": "int",
+    "walk": "ints", "up_l": "ints", "down_l": "ints", "levels": "int",
     "masks": "cores", "quota": "cores", "owner_l": "ints",
     "owned_l": "ints", "ncores": "int",
     "limited": "int", "chan": "floats", "chan_count": "ints",
@@ -697,8 +699,8 @@ def factory(rendering: str, key: Key) -> Callable:
     rendered, checked and compiled on first use, once per process.
 
     :func:`bind` is the entry point that picks a target and records it;
-    calling the factory binds the Python target unrecorded — what an
-    ATD's short drains run beside its compiled kernel."""
+    calling the factory binds the Python target unrecorded (the
+    benchmarks' twin of a compiled kernel)."""
     name = source_name(rendering, key)
     source = render(rendering, key)
     namespace = {"__builtins__": {}}
@@ -784,11 +786,11 @@ def bind(rendering: str, key: Key, owner, *args) -> Callable:
     A stock key is the compiled target wherever this process can build
     and load one (:mod:`repro.cache.native`), the Python target otherwise
     — same signature, same results, bit for bit — and is recorded in
-    :func:`target_stats`.  A compiled kernel copies the owner state it
-    does not share by address in and out on every call, so it pays per
-    *batch*: a whole run of the event loop, a whole ATD drain, a whole
-    L1 window.  The call-form loop (key ``None``) has only the Python
-    target."""
+    :func:`target_stats`.  A compiled kernel works on the owner's arrays
+    in place; what a call still pays for — argument marshalling, LRU's
+    order lists, the tag-dict rebuild — it pays per *batch*: a whole run
+    of the event loop, a whole ATD drain, a whole L1 window.  The
+    call-form loop (key ``None``) has only the Python target."""
     if key is not None:
         loaded = None
         if _python_only:
@@ -804,3 +806,11 @@ def bind(rendering: str, key: Key, owner, *args) -> Callable:
         if loaded is not None:
             return native.CompiledKernel(loaded, owner, *args)
     return factory(rendering, key)(owner, *args)
+
+
+def compiled(kernel) -> bool:
+    """True for a kernel :func:`bind` returned on the C target — which
+    takes its window and miss-stream columns as ``int64`` numpy columns
+    where the Python target takes lists."""
+    native = sys.modules.get("repro.cache.native")
+    return native is not None and isinstance(kernel, native.CompiledKernel)

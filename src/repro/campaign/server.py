@@ -12,6 +12,11 @@ handler maps the store's byte-level contract onto four routes:
 * ``DELETE /objects/<key>`` — remove, 404 if absent;
 * ``GET /keys`` — JSON list of stored keys; ``GET /health`` — liveness.
 
+A PUT whose ``Content-Length`` is not a non-negative integer gets a 400,
+one over :data:`MAX_BODY_BYTES` a 413, before a byte of its body is
+read.  Request counts (``stats``) are kept under a lock: handlers run on
+one thread per connection.
+
 The server is a coordination point for :class:`~.store.HTTPBackend`
 clients (usually wrapped in a read-through ``CachingStore``).  It speaks
 plain HTTP with no authentication — run it on a trusted network only,
@@ -33,12 +38,21 @@ from repro.campaign.store import LocalBackend
 #: reach the filesystem (this is also the path-traversal guard).
 _KEY_RE = re.compile(r"^[0-9a-f]{6,128}$")
 
+#: Largest request body a PUT may carry.  The largest object a store
+#: holds is an 8-thread outcome at ``paper`` scale: 220 KB, nearly all of
+#: it the partition history of its 1 994 repartition records (the
+#: largest at ``small`` is 7.8 KB) — so 4 MiB leaves a margin of 18x.
+MAX_BODY_BYTES = 4 << 20
+
+_LENGTH_RE = re.compile(r"[0-9]+")
+
 
 class _StoreHandler(BaseHTTPRequestHandler):
     """Request handler bound to one :class:`LocalBackend` (see module doc)."""
 
     backend: LocalBackend = None  # type: ignore[assignment]
     stats: Dict[str, int] = {}
+    lock = threading.Lock()
     protocol_version = "HTTP/1.1"
 
     # ------------------------------------------------------------------
@@ -58,10 +72,27 @@ class _StoreHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _drain_body(self) -> bytes:
-        """Read the request body (Content-Length framing only)."""
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+    def _count(self, name: str) -> None:
+        """One more request of kind ``name``."""
+        with self.lock:
+            self.stats[name] = self.stats.get(name, 0) + 1
+
+    def _drain_body(self) -> Optional[bytes]:
+        """Read the request body (Content-Length framing only); None
+        after replying 400 to a malformed length or 413 to one over
+        :data:`MAX_BODY_BYTES` — the body is left unread, so the
+        connection is closed."""
+        text = self.headers.get("Content-Length") or "0"
+        if not _LENGTH_RE.fullmatch(text):
+            code, why = 400, b"bad content-length"
+        elif int(text) > MAX_BODY_BYTES:
+            code, why = 413, b"body too large"
+        else:
+            length = int(text)
+            return self.rfile.read(length) if length else b""
+        self.close_connection = True
+        self._reply(code, why, "text/plain")
+        return None
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:
@@ -71,7 +102,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
             return
         if self.path == "/keys":
             body = json.dumps(sorted(self.backend.keys())).encode("utf-8")
-            self.stats["keys"] = self.stats.get("keys", 0) + 1
+            self._count("keys")
             self._reply(200, body, "application/json")
             return
         key = self._key()
@@ -79,9 +110,9 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self._reply(404, b"bad path", "text/plain")
             return
         data = self.backend.load(key)
-        self.stats["get"] = self.stats.get("get", 0) + 1
+        self._count("get")
         if data is None:
-            self.stats["get_miss"] = self.stats.get("get_miss", 0) + 1
+            self._count("get_miss")
             self._reply(404, b"miss", "text/plain")
         else:
             self._reply(200, data)
@@ -90,12 +121,14 @@ class _StoreHandler(BaseHTTPRequestHandler):
         """Publish one object (dedup: existing keys are left untouched)."""
         key = self._key()
         body = self._drain_body()
+        if body is None:
+            return
         if key is None:
             self._reply(400, b"bad key", "text/plain")
             return
-        self.stats["put"] = self.stats.get("put", 0) + 1
+        self._count("put")
         if self.backend.load(key) is not None:
-            self.stats["put_dedup"] = self.stats.get("put_dedup", 0) + 1
+            self._count("put_dedup")
             self._reply(200, b"exists", "text/plain")
             return
         self.backend.store(key, body)
@@ -127,7 +160,8 @@ class StoreServer:
         backend = LocalBackend(root)
         stats: Dict[str, int] = {}
         handler = type("_BoundStoreHandler", (_StoreHandler,),
-                       {"backend": backend, "stats": stats})
+                       {"backend": backend, "stats": stats,
+                        "lock": threading.Lock()})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self.backend = backend

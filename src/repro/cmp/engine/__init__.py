@@ -67,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "7387925fe5603a4bf0ecbdf72c49b29e47e6f536ddc1121f7ecf23965e7d0869"
+ENGINE_SOURCE_CHECKSUM = "a25e1cabda1b63e4c297f67d94d3d3da375175640b47236ee36b7f6b248303c2"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -39,15 +39,13 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   thread's freeze, when its window is replaced, and at run end.
   Per-thread order is the stream's order; cross-thread drain order is
   immaterial because the ATDs are disjoint.  The kernel is
-  ``atd.observe_many``, the ATD's ``observe`` rendering bound when the
-  ATD was built (:class:`repro.cache.state.DrainKernel`): compiled
-  wherever the host has ``cc``, it copies the ATD's lists in and out
-  once per drain — between two drains the truth is always the ATD's own
-  lists and dict, which is what the controller reads, halves and resets
-  — so a batch shorter than the directory it would copy is drained by
-  the Python rendering instead.  The engine hands a compiled kernel its
-  sampled lines as int64 columns, and drains an ATD whose
-  ``observe_many`` somebody replaced as it stands, with lists.
+  ``atd.observe_many`` as it stands — the ATD's ``observe`` rendering
+  bound when the ATD was built (compiled wherever the host has ``cc``),
+  or whatever somebody replaced it with — and every drain is handed an
+  ``array('q')`` slice of the window's sampled lines, whatever the
+  target.  A compiled drain works on the ATD's arrays in place, so
+  between two drains the truth is the ATD itself, which is what the
+  controller reads, halves and resets.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets (it only counts them), so a drain hands the
   kernel just the slice's *sampled* lines — the window's sampled
@@ -71,7 +69,13 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   form calls ``l2.access_line_hit`` (the classes), so only *how the
   hit/miss bit is computed* differs; the float expressions and the
   ``(clock, thread)`` pops are one template.  Its per-thread access
-  count is settled in ``drain``, like the ATDs.
+  count is settled in ``drain``, like the ATDs.  The per-thread cursors
+  the loop and the shell's call-outs share (``cur``, ``stop``,
+  ``anchor``, ``fz_at``, ``fz_hit``, ``base``) are ``array('q')`` /
+  ``array('d')`` on both targets, which the compiled one works on by
+  address; the miss-stream ``lines`` / ``gaps`` are ``int64`` columns
+  for it and lists for the Python loop, which must not compute on numpy
+  scalars.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
@@ -82,6 +86,7 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from heapq import heapify, heappop, heappushpop
 from typing import List, Optional
@@ -89,7 +94,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.cache import transitions
-from repro.cache.state import rendered_drain_kernel, rendered_key
+from repro.cache.state import rendered_key
 from repro.cmp.engine.common import EngineBase, deferrable_profiling
 from repro.cmp.results import SimulationResult, ThreadResult
 
@@ -128,17 +133,15 @@ class BatchedEngine(EngineBase):
         # lines themselves.
         self._atds: Optional[list] = None
         self._ck_spos: List[list] = [[] for _ in range(n)]
-        self._ck_slines: List[list] = [[] for _ in range(n)]
+        self._ck_slines: List[array] = [array("q") for _ in range(n)]
         # Freeze access of the window, if any: at or in the gap before miss
         # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
         # else its 1-based rank among the gap's hits.
-        self._ck_fz_at = [-2] * n
-        self._ck_fz_hit = [0] * n
+        self._ck_fz_at = array("q", [-2]) * n
+        self._ck_fz_hit = array("q", [0]) * n
         # Set by ``run``: a compiled loop reads the miss stream as int64
-        # numpy columns (by pointer), the Python one as lists — and so,
-        # per thread, does a compiled drain kernel its sampled lines.
+        # numpy columns (by pointer), the Python one as lists.
         self._columns = False
-        self._drain_columns: List[bool] = []
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -178,15 +181,13 @@ class BatchedEngine(EngineBase):
             if atd is not None:
                 positions = atd.sampled_positions(lines)
                 self._ck_spos[t] = positions.tolist()
-                sampled = lines[positions]
-                self._ck_slines[t] = (sampled if self._drain_columns[t]
-                                      else sampled.tolist())
+                self._ck_slines[t] = array("q", lines[positions].tobytes())
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
             offs = _NO_MISSES
             gaps = self._ck_lines[t] = _NO_MISSES if self._columns else []
-            self._ck_spos[t], self._ck_slines[t] = [], []
+            self._ck_spos[t], self._ck_slines[t] = [], array("q")
             width = max(to_freeze, 0)
         fz_at, fz_hit = -2, 0
         if 0 < to_freeze <= width:
@@ -243,34 +244,28 @@ class BatchedEngine(EngineBase):
                if not has_writes and observe_now is None else None)
         fused = key is not None
         loop = transitions.bind("loop", key, l2, self.channel)
-        # The drains, by the same rule: an ATD whose ``observe_many``
-        # still leads to a compiled kernel it bound for itself is handed
-        # its sampled lines as int64 columns; any other ATD, with lists.
-        obs_drain = None
-        if atds is not None:
-            obs_drain = [atd.observe_many for atd in atds]
-            self._drain_columns = [
-                getattr(rendered_drain_kernel(atd), "compiled", None)
-                is not None for atd in atds]
+        obs_drain = ([atd.observe_many for atd in atds]
+                     if atds is not None else None)
         l2_accesses = l2_stats.accesses
-        # A compiled loop shares the per-thread cursors with the closures
-        # below as C-typed arrays and takes the miss stream as columns;
-        # the Python loop works on lists.
-        columns = self._columns = hasattr(loop, "ints")
-        ints, floats = (loop.ints, loop.floats) if columns else (list, list)
+        # The miss stream: int64 columns for a compiled loop, lists for
+        # the Python one.
+        columns = self._columns = transitions.compiled(loop)
 
         lines = self._ck_lines
         gaps = self._ck_gaps
         victims = self._ck_victims
-        fz_at = self._ck_fz_at = ints(self._ck_fz_at)
-        fz_hit = self._ck_fz_hit = ints(self._ck_fz_hit)
-        base = floats(base)
+        fz_at = self._ck_fz_at
+        fz_hit = self._ck_fz_hit
+        base = array("d", base)
         load = self._load_chunk
-        cur = ints([0] * n)   # next pending miss; ``~j`` while a freeze-hit waits
-        stop = ints([0] * n)  # cursor value that needs the slow path
+        # Next pending miss (``~j`` while a freeze-hit waits), the cursor
+        # value that needs the slow path, the clock after the thread's
+        # last L2 access.
+        cur = array("q", [0]) * n
+        stop = array("q", [0]) * n
+        anchor = array("d", [0.0]) * n
         drained = [0] * n     # misses of the window the ATD has seen
         missed = [0] * n      # L1 misses in the windows before this one
-        anchor = floats([0.0] * n)  # clock after the thread's last L2 access
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
 

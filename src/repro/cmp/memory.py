@@ -17,6 +17,7 @@ keeps the simulator hot path intact when disabled
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 
@@ -44,11 +45,11 @@ class MemoryChannel:
         self.service_interval = float(service_interval)
         self.latency = float(latency)
         # Boxed so the event loop's ``request`` fragment
-        # (:mod:`repro.cache.transitions`) steps the same state in place:
-        # ``[next free service start, summed queue cycles]`` and
-        # ``[requests issued]``.
-        self._clock = [0.0, 0.0]
-        self._count = [0]
+        # (:mod:`repro.cache.transitions`) steps the same state in place,
+        # on either target: ``[next free service start, summed queue
+        # cycles]`` and ``[requests issued]``.
+        self._clock = array("d", [0.0, 0.0])
+        self._count = array("q", [0])
 
     @property
     def _next_free(self) -> float:
@@ -80,7 +81,7 @@ class MemoryChannel:
 
     def reset(self) -> None:
         """Return the channel to an idle, counter-free state."""
-        self._clock[:] = (0.0, 0.0)
+        self._clock[:] = array("d", [0.0, 0.0])
         self._count[0] = 0
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -85,7 +86,7 @@ def _primitive(value, depth: int = 0):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, array)):
         return value.tolist()
     if isinstance(value, np.random.Generator):
         # The bit-generator state pins the *number of draws consumed* —

@@ -117,7 +117,8 @@ def _is_array_expr(node: ast.expr) -> bool:
         return _is_array_expr(node.left) or _is_array_expr(node.right)
     if isinstance(node, ast.Call):
         func = node.func
-        if isinstance(func, ast.Name) and func.id in ("list", "bytearray"):
+        if isinstance(func, ast.Name) and func.id in ("list", "bytearray",
+                                                      "array"):
             return True
         if isinstance(func, ast.Attribute) and func.attr in (
                 "zeros", "empty", "ones", "full", "array"):

@@ -16,23 +16,29 @@ single-access :meth:`observe` is always the object-protocol body below,
 stepping the policy and profiler classes (the reference engine, the
 call-form loop, user code).  :meth:`observe_many` — the drains of the
 batched engine — is bound at construction to the ``observe`` rendering
-for a stock policy and profiler (:class:`repro.cache.state.DrainKernel`:
-compiled where the host has ``cc``, with batches shorter than the
-directory on the Python target); the generic loop below is the fallback
-and the reference it is pinned against
+for a stock policy and profiler (:func:`repro.cache.state.drain_key`):
+``transitions.bind("observe", key, atd)``, compiled where the host has
+``cc``, whatever the length of a batch.  Both targets take a batch as an
+``array('q')`` (the compiled one also as an ``int64`` numpy column) and
+work on the ATD's own arrays — tag lines and masks, policy words, SDH
+registers, the two counters — in place, so between two drains what the
+controller reads, halves and resets is simply the ATD.  The generic loop
+below is the fallback and the reference it is pinned against
 (``tests/test_profiling/test_atd.py``, ``tests/test_cache/test_state.py``).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
 
+from repro.cache import transitions
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import make_policy
 from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.state import TagStore, build_observe_many_kernel
+from repro.cache.state import TagStore, drain_key
 from repro.profiling.profilers import DistanceProfiler
 from repro.profiling.sdh import SDH
 from repro.util.bitops import bit_length_exact
@@ -86,15 +92,12 @@ class ATD:
         self._skip_mask = sampling - 1
         self._full_mask = (1 << self.assoc) - 1
         self.state = TagStore(self.num_sets, self.assoc)
-        #: [sampled, skipped] — a list so the observe kernels bump the
+        #: [sampled, skipped] — an array so the observe kernels bump the
         #: counters as locals-bound writes; read via the properties below.
-        self._counts = [0, 0]
-        #: The rendered batch kernel bound below, if any — what tells the
-        #: batched engine that (and on which target) a rendering drains
-        #: this ATD (:func:`repro.cache.state.rendered_drain_kernel`).
-        self.kernel = build_observe_many_kernel(self) if kernels else None
-        if self.kernel is not None:
-            self.observe_many = self.kernel
+        self._counts = array("q", [0, 0])
+        key = drain_key(self) if kernels else None
+        if key is not None:
+            self.observe_many = transitions.bind("observe", key, self)
 
     # ------------------------------------------------------------------
     @property
@@ -163,9 +166,8 @@ class ATD:
         Exactly equivalent to calling :meth:`observe` per element (state,
         SDH registers, sampled/skipped counters) — the deferred-drain entry
         point of the execution engines.  Generic per-line loop; instances
-        with a kernelised policy shadow it with a batch kernel
-        (:func:`repro.cache.state.build_observe_many_kernel`) at
-        construction.
+        with a stock policy and profiler shadow it with the ``observe``
+        rendering (:func:`repro.cache.state.drain_key`) at construction.
         """
         observe = self.observe
         for line in batch:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List
+from array import array
 
 from repro.cache.replacement.bt import BTPolicy
 from repro.cache.replacement.lru import LRUPolicy
@@ -81,7 +81,7 @@ class NRUDistanceProfiler(DistanceProfiler):
         self.scaling = scaling
         self.spread_update = spread_update
 
-    def distance_table(self, assoc: int) -> List[int]:
+    def distance_table(self, assoc: int) -> array:
         """``d = max(1, ceil(S * U))`` for every ``U = 0 .. assoc``.
 
         What the rendered observe kernels index by the used-bit count, so
@@ -89,8 +89,8 @@ class NRUDistanceProfiler(DistanceProfiler):
         :meth:`on_hit` evaluates per hit) and the per-access read is
         integer work on both targets.
         """
-        return [max(1, math.ceil(self.scaling * used))
-                for used in range(assoc + 1)]
+        return array("q", [max(1, math.ceil(self.scaling * used))
+                           for used in range(assoc + 1)])
 
     def on_hit(self, policy: NRUPolicy, set_index: int, way: int, sdh: SDH) -> None:
         """Estimate ``d = ceil(S * U)`` from the set's used bits (§III-A)."""

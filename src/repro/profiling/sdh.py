@@ -9,15 +9,16 @@ At every interval boundary all registers are halved ("right bit shift in
 each counter") so past behaviour decays while the ratio between stack
 positions is preserved.
 
-The register file is a flat Python list (part of the array core: the ATD
-observe kernels increment registers as locals-bound list writes — a numpy
-scalar ``+= 1`` costs several times more than a list store on this path);
-the read-side API still hands out numpy arrays for the selectors.
+The register file is a flat ``array('q')`` (part of the array core: the
+ATD observe kernels increment registers as locals-bound writes — a numpy
+scalar ``+= 1`` costs several times more than an array store on this
+path — and a compiled drain increments them in place, by address); the
+read-side API hands out numpy copies for the selectors.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class SDH:
             raise ValueError("assoc must be positive")
         self.assoc = assoc
         # Index 0 unused; 1..assoc are stack positions; assoc + 1 is misses.
-        self._r: List[int] = [0] * (assoc + 2)
+        self._r = array("q", [0]) * (assoc + 2)
 
     # ------------------------------------------------------------------
     def record(self, distance: int) -> None:
@@ -64,7 +65,7 @@ class SDH:
     def halve(self) -> None:
         """Interval-boundary decay: every register is right-shifted by one.
 
-        In place — the observe kernels bind the register list.
+        In place — the observe kernels bind the register array.
         """
         r = self._r
         for i in range(len(r)):
@@ -80,7 +81,7 @@ class SDH:
     @property
     def registers(self) -> np.ndarray:
         """Copy of ``r[1] .. r[A+1]`` (length ``A + 1``)."""
-        return np.asarray(self._r[1:], dtype=np.int64)
+        return np.array(self._r[1:], dtype=np.int64)
 
     def register(self, index: int) -> int:
         """Value of ``r[index]`` (1..A+1)."""
@@ -109,7 +110,7 @@ class SDH:
         ``curve[w] == misses_with_ways(w)``; non-increasing in ``w`` by
         construction (it is a suffix sum of non-negative registers).
         """
-        r = np.asarray(self._r, dtype=np.int64)
+        r = np.array(self._r, dtype=np.int64)
         suffix = np.cumsum(r[::-1])[::-1]
         # suffix[i] = sum(r[i:]); curve[w] = sum(r[w+1:]) = suffix[w+1]
         return suffix[1:].copy()

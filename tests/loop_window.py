@@ -16,6 +16,7 @@ one, which is what every single-thread run is.
 ``sys.path`` for ``conftest.py``.)
 """
 
+from array import array
 from heapq import heappushpop
 from math import inf
 
@@ -40,14 +41,20 @@ def loop_window(cache, core=0):
     key = rendered_key(cache)
     loop = transitions.bind("loop", key, cache, None)
     threads = core + 1
-    if hasattr(loop, "ints"):
-        # The compiled target: C-typed cursors, int64 columns.
-        ints, floats = loop.ints, loop.floats
-
+    # The cursors are arrays on both targets (the compiled one works on
+    # them in place); the stream is int64 columns for the compiled loop,
+    # lists for the Python one.
+    if transitions.compiled(loop):
         def column(values):
             return np.array(values, dtype=np.int64)
     else:
-        ints = floats = column = list
+        column = list
+
+    def ints(values):
+        return array("q", values)
+
+    def floats(values):
+        return array("d", values)
 
     def kernel(lines, flags):
         count = len(lines)

@@ -73,7 +73,7 @@ class TestBasics:
         cache.access_line(0, core=0)
         cache.access_line(0, core=1)
         assert cache.stats.accesses == [1, 1]
-        assert cache.stats.misses == [1, 0]
+        assert list(cache.stats.misses) == [1, 0]
 
     def test_policy_geometry_mismatch(self):
         geometry = CacheGeometry(4 * 4 * 128, 4, 128)

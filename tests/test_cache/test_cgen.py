@@ -19,7 +19,7 @@ NAME = "<repro kernel test/none loop>"
 
 KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
-    "ints": "ints", "floats": "floats", "shared": "shared",
+    "ints": "ints", "floats": "floats", "shared": "ints",
     "cores": "cores", "cap": "int", "lists": "lists:cap", "rows": "rows",
     "heap": "heap", "pushpop": "pushpop", "col": "column",
     "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
@@ -84,12 +84,15 @@ GOLDEN = [
     ("a = (x & -x).bit_length() - 1",
      ["a = (bit_length((x & (-x))) - INT64_C(1));"]),
     ("a = x.bit_count()", ["a = bit_count(x);"]),
-    # arrays: C-owned ones through a local pointer, shared ones re-read
+    # arrays — the owner's, shared for the call — through a local
+    # pointer read once: a call-out's stores land in the same memory
     ("ints[x] = ints[y] + 1",
      ["i64 *const ints = a->ints;", "ints[x] = (ints[y] + INT64_C(1));"]),
     ("floats[x] += f", ["floats[x] += f;"]),
-    ("a = shared[x] + cores[y]", ["a = (a->shared[x] + a->cores[y]);"]),
-    ("cores[x] += 1", ["a->cores[x] += INT64_C(1);"]),
+    ("a = shared[x] + cores[y]", ["i64 *const shared = a->shared;",
+                                  "a = (shared[x] + cores[y]);"]),
+    ("cores[x] += 1", ["i64 *const cores = a->cores;",
+                       "cores[x] += INT64_C(1);"]),
     ("a = rows[x][y]", ["i64 *const *const rows = a->rows;",
                         "a = rows[x][y];"]),
     # bounded lists: a table element, or a local alias of one

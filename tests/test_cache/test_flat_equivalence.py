@@ -258,7 +258,7 @@ def test_cache_streams_match_seed(policy_name, scheme):
                 assert (old.resident_lines(s)
                         == new.resident_lines(s)), f"set {s} at op {i}"
     assert old.stats.accesses == new.stats.accesses
-    assert old.stats.misses == new.stats.misses
+    assert list(old.stats.misses) == list(new.stats.misses)
     assert old.stats.hits == new.stats.hits
     assert old.stats.evictions == new.stats.evictions
     assert old.occupancy() == new.occupancy()

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -275,15 +276,15 @@ class TestMarshalValidation:
         n = 2
         column = np.arange(3, dtype=np.int64)
 
-        def call(lines=None, heap=((5.0, 1),), threads=n):
+        def call(lines=None, heap=((5.0, 1),), threads=n, cur=None):
             lines = lines if lines is not None else [column] * threads
             return loop(
                 0.0, 0, list(heap), None, 1e9, None, None, None,
-                loop.ints([0] * threads), loop.ints([2] * threads),
-                loop.floats([0.0] * threads), lines, [column] * threads,
-                loop.ints([-2] * threads), loop.ints([0] * threads),
-                loop.floats([1.0] * threads), 10.0, 250.0, None, False,
-                None)
+                cur if cur is not None else array("q", [0] * threads),
+                array("q", [2] * threads), array("d", [0.0] * threads),
+                lines, [column] * threads, array("q", [-2] * threads),
+                array("q", [0] * threads), array("d", [1.0] * threads),
+                10.0, 250.0, None, False, None)
 
         call.cache = cache
         return call
@@ -304,6 +305,17 @@ class TestMarshalValidation:
     def test_rows_must_match_the_thread_count(self, call):
         with pytest.raises(ValueError, match="lines: 1 columns for 2"):
             call(lines=[np.arange(3)])
+
+    def test_an_array_c_cannot_share_is_refused(self, call):
+        """Nothing is copied any more, so an array of the wrong kind is an
+        error, not a slower call: a list, or an array of another element
+        type, is a ``TypeError`` before the loop runs."""
+        for cur in ([0, 0], array("l" if array("l").itemsize != 8
+                                  else "i", [0, 0]), array("d", [0, 0])):
+            with pytest.raises(TypeError, match=r"cur: a \w+ where "
+                                                r"array\('q'\)"):
+                call(cur=cur)
+        assert call.cache.state.occupancy() == 0
 
     @pytest.mark.parametrize("policy", list(transitions.POLICIES))
     def test_batch_that_is_not_a_contiguous_int64_column_is_refused(
@@ -326,6 +338,26 @@ class TestMarshalValidation:
                                                 "int64 column"):
                 drain(batch)
         assert atd.state.occupancy() == 0 and atd.state.map == {}
-        assert atd.sdh.total == 0 and atd._counts == [0, 0]
+        assert atd.sdh.total == 0 and list(atd._counts) == [0, 0]
         drain(np.arange(6, dtype=np.int64)[::2].copy())
-        assert atd._counts == [3, 0] and atd.state.occupancy() == 3
+        assert list(atd._counts) == [3, 0] and atd.state.occupancy() == 3
+        drain(array("q", [6, 8]))           # what the engine hands it
+        assert list(atd._counts) == [5, 0] and atd.state.occupancy() == 5
+
+    def test_an_owner_list_is_refused_before_anything_runs(self):
+        """An owner whose array a kernel binds is not an ``array`` (here
+        an SDH register file turned back into a list) is a ``TypeError``
+        naming the binding; the ATD is left exactly as it was."""
+        from repro.cache.geometry import CacheGeometry
+        from repro.profiling.atd import ATD
+        from repro.profiling.profilers import make_profiler
+
+        atd = ATD(CacheGeometry(16 * 4 * 128, 4, 128), 2, "nru",
+                  make_profiler("nru"))
+        atd.sdh._r = list(atd.sdh._r)
+        drain = transitions.bind("observe", ("nru", "none"), atd)
+        with pytest.raises(TypeError, match=r"sdh_r: a list where "
+                                            r"array\('q'\)"):
+            drain(array("q", [0, 2, 4]))
+        assert atd.state.occupancy() == 0 and atd.state.map == {}
+        assert list(atd._counts) == [0, 0] and atd.sdh.total == 0

@@ -9,8 +9,8 @@ per-access entry points are the classes' methods on every instance.
 """
 
 import copy
-import math
 import shutil
+from array import array
 
 import numpy as np
 import pytest
@@ -27,10 +27,8 @@ from repro.cache.replacement.base import POLICY_REGISTRY, make_policy
 from loop_window import loop_window
 from repro.cache import transitions
 from repro.cache.state import (
-    DrainKernel,
     TagStore,
     kernel_key,
-    rendered_drain_kernel,
     rendered_key,
 )
 from repro.fuzz.oracle import state_digest
@@ -226,9 +224,10 @@ def test_mixed_entry_points_share_state():
 
 @pytest.mark.parametrize("policy_name", ["lru", "nru", "bt"])
 def test_observe_kernel_matches_generic(policy_name):
-    """The drain kernel an ATD binds, fed list batches on both sides of
-    its size floor, against the class's ``observe`` fed the same lines
-    one at a time; the kernel keeps working after a reset."""
+    """The drain kernel an ATD binds, fed ``array('q')`` batches of
+    every length from one line up, against the class's ``observe`` fed
+    the same lines one at a time; the kernel keeps working after a
+    reset."""
     geometry = CacheGeometry(32 * 8 * 128, 8, 128)
 
     def build(kernels):
@@ -238,14 +237,14 @@ def test_observe_kernel_matches_generic(policy_name):
     fast = build(True)
     slow = build(False)
     assert "observe" not in vars(fast) and "observe" not in vars(slow)
-    assert type(fast.observe_many) is DrainKernel
+    assert "observe_many" in vars(fast)
     assert "observe_many" not in vars(slow)
     rng = np.random.default_rng(1)
     lines = rng.integers(0, 3000, size=8000).tolist()
     start = 0
     while start < len(lines):
         stop = start + int(rng.integers(1, 200))
-        fast.observe_many(lines[start:stop])
+        fast.observe_many(array("q", lines[start:stop]))
         for line in lines[start:stop]:
             slow.observe(line)
         start = stop
@@ -256,7 +255,7 @@ def test_observe_kernel_matches_generic(policy_name):
 
     fast.reset()
     assert fast.sampled_accesses == 0
-    fast.observe_many([0])                  # kernel alive after reset
+    fast.observe_many(array("q", [0]))      # kernel alive after reset
     assert fast.sampled_accesses == 1
 
 
@@ -269,11 +268,11 @@ def test_observe_kernel_skipped_for_custom_profiler():
 
     geometry = CacheGeometry(32 * 8 * 128, 8, 128)
     atd = ATD(geometry, 4, "lru", Custom())
-    assert atd.kernel is None and "observe_many" not in vars(atd)
+    assert "observe_many" not in vars(atd)
 
     spread = ATD(geometry, 4, "nru",
                  make_profiler("nru", spread_update=True))
-    assert spread.kernel is None and "observe_many" not in vars(spread)
+    assert "observe_many" not in vars(spread)
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +289,10 @@ def atd_state(atd):
 class TestDrainTargets:
     """The ``observe`` rendering an ATD binds (compiled where the host has
     ``cc``) against the same ATD built inside ``python_target()`` and
-    against the ``kernels=False`` class path, drain by drain."""
+    against the ``kernels=False`` class path, drain by drain.  Every
+    batch, whatever its length, goes to the kernel the ATD bound — there
+    is no size rule — as the ``array('q')`` the batched engine hands it;
+    the compiled kernel also takes an ``int64`` numpy column."""
 
     GEOMETRY = CacheGeometry(128 * 8 * 128, 8, 128)
 
@@ -303,28 +305,27 @@ class TestDrainTargets:
         compiled, classes = build(), build(kernels=False)
         with transitions.python_target():
             rendered = build()
-        kernel = rendered_drain_kernel(compiled)
-        assert kernel is compiled.observe_many
-        assert kernel.python.__code__.co_filename \
+        assert transitions.compiled(compiled.observe_many) \
+            == (shutil.which("cc") is not None)
+        assert not transitions.compiled(rendered.observe_many)
+        assert rendered.observe_many.__code__.co_filename \
             == f"<repro kernel {policy}/none observe>"
-        assert rendered.kernel.compiled is None
-        assert rendered_drain_kernel(classes) is None
-        # The bare kernel, every batch on it whatever its length.
-        return kernel.compiled or kernel.python, compiled, rendered, classes
+        assert "observe_many" not in vars(classes)
+        return compiled, rendered, classes
 
     @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3],
                              ids=["S1", "S0.75", "S0.5", "S0.33"])
     @pytest.mark.parametrize("sampling", [1, 4, 32])
     @pytest.mark.parametrize("policy", sorted(PAPER_KINDS))
     def test_full_state_after_every_drain(self, policy, sampling, scaling):
-        drain, compiled, rendered, classes = self.trio(policy, sampling,
-                                                       scaling)
-        columns = hasattr(drain, "ints")
-        assert columns == (shutil.which("cc") is not None)
+        compiled, rendered, classes = self.trio(policy, sampling, scaling)
+        columns = transitions.compiled(compiled.observe_many)
         rng = np.random.default_rng(sampling * 100 + int(scaling * 12))
         sets = self.GEOMETRY.num_sets
         for step in range(14):
-            size = int(rng.integers(1, 900))
+            # Lengths from one line to several directories' worth: below
+            # and above the size the compiled kernel's directory has.
+            size = int(rng.integers(1, 900)) if step % 3 else 1 + step
             batch = rng.integers(0, 12 * sets, size=size).astype(np.int64)
             if step % 2:
                 batch &= ~np.int64(sampling - 1)    # every line sampled
@@ -338,9 +339,12 @@ class TestDrainTargets:
             if step == 11:
                 for atd in (compiled, rendered, classes):
                     atd.reset()
-            drain(batch if columns else batch.tolist())
-            rendered.observe_many(batch.tolist())
-            classes.observe_many(batch.tolist())
+            lines = array("q", batch.tobytes())
+            # The compiled kernel takes a numpy column as well.
+            compiled.observe_many(batch if columns and step % 5 == 2
+                                  else lines)
+            rendered.observe_many(lines)
+            classes.observe_many(lines)
             assert atd_state(compiled) == atd_state(rendered), step
             assert atd_state(compiled) == atd_state(classes), step
             if step == 6 and sampling > 1:
@@ -357,18 +361,18 @@ class TestDrainTargets:
         atd = ATD(self.GEOMETRY, 4, policy, make_profiler(policy))
         with transitions.python_target():
             drain = transitions.bind("observe", (policy, "none"), atd)
-        assert not hasattr(drain, "ints")
+        assert not transitions.compiled(drain)
         entry = transitions.target_stats()["observe", (policy, "none")]
         assert entry["target"] == "python"
         assert entry["reason"] == "python_target() block"
         drain([0, 4, 8, 1])
-        assert atd._counts == [3, 1]
+        assert list(atd._counts) == [3, 1]
 
     def test_an_atd_binds_its_drain_kernel_when_built(self):
         """The ATD binds its ``observe`` rendering when it is built — one
-        recorded bind, compiled where the host has ``cc`` — with the
-        Python rendering beside a compiled one for short batches, not
-        recorded.  Its single-access ``observe`` is the class's."""
+        recorded bind, compiled where the host has ``cc`` — and drains
+        every batch through it.  Its single-access ``observe`` is the
+        class's."""
         key = ("observe", ("nru", "none"))
 
         def binds():
@@ -379,59 +383,15 @@ class TestDrainTargets:
         atd = ATD(self.GEOMETRY, 4, "nru", make_profiler("nru"))
         assert binds() == before + 1
         kernel = atd.observe_many
-        assert type(kernel) is DrainKernel and kernel is atd.kernel
-        assert "observe" not in vars(atd)
-        assert kernel.python.__code__.co_filename \
-            == "<repro kernel nru/none observe>"
-        if shutil.which("cc"):
-            assert hasattr(kernel.compiled, "ints")
-            assert kernel.floor == len(atd.state.lines)
-        else:
-            assert kernel.compiled is None and kernel.floor == math.inf
-
-    def test_a_batch_shorter_than_the_floor_stays_interpreted(self):
-        """The size rule of a compiled drain kernel: what it copies per
-        call is the directory, so only a batch at least that long goes to
-        it; a shorter column is drained by the Python rendering, as a
-        list, and a list batch of any length still works."""
-        atd = ATD(self.GEOMETRY, 4, "lru", make_profiler("lru"))
-        kernel, calls = atd.observe_many, []
-        assert len(atd.state.lines) == 32 * 8
-
-        class Columns:
-            """Stands in for a compiled kernel."""
-            __call__ = staticmethod(calls.append)
-
-        kernel.compiled, kernel.floor = Columns(), 3
-        kernel(np.array([0, 4], dtype=np.int64))
-        assert calls == [] and atd._counts == [2, 0]
-        assert {type(line) for line in atd.state.map} == {int}
-        kernel(np.array([8, 12, 16], dtype=np.int64))
-        kernel([20, 24, 28])
-        assert [batch.tolist() for batch in calls] \
-            == [[8, 12, 16], [20, 24, 28]]
-        assert all(batch.dtype == np.int64 for batch in calls)
-        assert atd._counts == [2, 0]
-        kernel([8])
-        assert atd._counts == [3, 0]
-
-    def test_only_a_transparent_wrapper_still_leads_to_the_kernel(self):
-        import functools
-
-        atd = ATD(self.GEOMETRY, 4, "bt", make_profiler("bt"))
-        kernel = atd.observe_many
-
-        @functools.wraps(kernel)
-        def traced(batch):
-            return kernel(batch)
-
-        atd.observe_many = functools.wraps(traced)(
-            lambda batch: traced(batch))        # two deep
-        assert rendered_drain_kernel(atd) is kernel
-        atd.observe_many = lambda batch: kernel(batch)
-        assert rendered_drain_kernel(atd) is None
-        del atd.observe_many                # the class's generic loop
-        assert rendered_drain_kernel(atd) is None
+        assert "observe_many" in vars(atd) and "observe" not in vars(atd)
+        assert transitions.compiled(kernel) == (shutil.which("cc")
+                                                is not None)
+        if not transitions.compiled(kernel):
+            assert kernel.__code__.co_filename \
+                == "<repro kernel nru/none observe>"
+        kernel(array("q", [0]))                 # one line: the kernel's
+        assert list(atd._counts) == [1, 0] and atd.state.map == {0: 0}
+        assert binds() == before + 1
 
 
 # ----------------------------------------------------------------------
@@ -557,6 +517,55 @@ class TestWindowKernels:
             kernel([line], flags)
             assert bool(flags[0]) == scalar.access_line_hit(line, 0)
         assert window_cache_state(scalar) == window_cache_state(windowed)
+
+
+@pytest.mark.parametrize("target", ["compiled", "python"])
+def test_bt_vectors_installed_between_windows_steer_both_targets(target):
+    """BT's ``up`` / ``down`` words are allocated once, a slot for every
+    core a partition can have, and never grown: a vector installed for a
+    core that never had one — after windows ran unforced, then replaced
+    by a whole allocation, then removed — is what the next window's
+    victims obey, on either target of the loop, exactly as the classes
+    decide them one access at a time."""
+    num_sets, assoc, cores = 8, 8, 2
+    geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
+
+    def build(kernels):
+        policy = make_policy("bt", num_sets, assoc)
+        part = BTVectorPartition(cores, num_sets, assoc, policy)
+        return SetAssociativeCache(geometry, policy, partition=part,
+                                   num_cores=cores, kernels=kernels)
+
+    fast, slow = build(True), build(False)
+    words = fast.policy._up, fast.policy._down
+    assert len(words[0]) == len(words[1]) == assoc
+    rng = np.random.default_rng(31)
+    installs = [
+        lambda cache: None,                                 # unforced
+        lambda cache: cache.policy.set_force(1, (1, None, None)),
+        lambda cache: cache.partition.apply(
+            even_subcube_allocation(cores, assoc)),
+        lambda cache: cache.policy.set_force(0, None),
+        lambda cache: cache.policy.set_force(1, (0, 1, None)),
+    ]
+    for step, install in enumerate(installs):
+        install(fast)
+        install(slow)
+        for core in (1, 0, 1):
+            lines = rng.integers(0, 40 * num_sets, size=300).tolist()
+            flags = bytearray(len(lines))
+            if target == "python":
+                with transitions.python_target():
+                    kernel = loop_window(fast, core)
+            else:
+                kernel = loop_window(fast, core)
+            kernel(lines, flags)
+            assert list(flags) == [slow.access_line_hit(line, core)
+                                   for line in lines], (step, core)
+            assert window_cache_state(fast) == window_cache_state(slow)
+    assert (fast.policy._up, fast.policy._down) == words
+    assert fast.policy._up is words[0] and fast.policy._down is words[1]
+    assert list(fast.policy._up) == list(slow.policy._up)
 
 
 class TestWindowsPythonTarget(TestWindowKernels):

@@ -1,10 +1,15 @@
 """Content-addressed store: round-trips, atomicity contract, hygiene."""
 
+import http.client
 import pickle
+import sys
+import time
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.campaign.server import StoreServer
+from repro.campaign.server import MAX_BODY_BYTES, StoreServer
 from repro.campaign.store import (
     DEFAULT_STORE,
     CachingStore,
@@ -240,6 +245,74 @@ class TestHTTPBackend:
         assert backend.load("../../etc/passwd") is None
         with pytest.raises(StoreUnavailable):
             backend.store("not-a-hex-key", b"data")
+
+
+class TestServeRequests:
+    """``campaign serve`` under concurrent and malformed requests."""
+
+    def test_concurrent_gets_are_all_counted(self, served):
+        """Handlers run one thread per connection; every GET is counted,
+        none lost to a racing read-modify-write of ``stats``.  The counts
+        land in a dict whose reads give up the interpreter (and the
+        switch interval is shortened), so an unguarded ``+= 1`` would
+        lose some."""
+
+        class Contended(dict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0.0002)
+                return value
+
+        served._httpd.RequestHandlerClass.stats = served.stats = Contended()
+        ResultStore(served.backend.root).put(KEY, "spec", sample_value())
+        url = f"{served.url}/objects/{KEY}"
+        count = 200
+
+        def get(_):
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                return resp.status
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert set(pool.map(get, range(count))) == {200}
+        finally:
+            sys.setswitchinterval(interval)
+        assert served.stats["get"] == count
+        assert "get_miss" not in served.stats
+
+    @staticmethod
+    def put_with_length(server, length: str):
+        """A PUT announcing ``length`` and sending no body: the reply the
+        server gives before reading any."""
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=30)
+        try:
+            conn.putrequest("PUT", f"/objects/{KEY}")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1e3", "+5",
+                                        "\u00b2"])
+    def test_malformed_content_length_is_a_400(self, served, length):
+        assert self.put_with_length(served, length) \
+            == (400, b"bad content-length")
+        assert served.backend.load(KEY) is None
+        assert "put" not in served.stats
+
+    def test_body_over_the_cap_is_a_413_and_never_read(self, served):
+        assert self.put_with_length(served, str(MAX_BODY_BYTES + 1)) \
+            == (413, b"body too large")
+        assert served.backend.load(KEY) is None
+        # A body at the cap is still accepted.
+        backend = HTTPBackend(served.url)
+        backend.store(KEY, b"x" * MAX_BODY_BYTES)
+        assert len(served.backend.load(KEY)) == MAX_BODY_BYTES
 
 
 class TestOpenStore:

@@ -25,6 +25,7 @@ import dataclasses
 import shutil
 import traceback
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -201,8 +202,9 @@ def test_results_hold_builtin_numbers_only(key):
     result = sim.run()
     exact_types(result)
     l2 = sim.hierarchy.l2
-    exact_types([l2.stats.accesses, l2.stats.misses, l2.state.lines,
-                 l2.state.invalid, list(l2.state.map.items())], "l2")
+    exact_types([list(l2.stats.accesses), list(l2.stats.misses),
+                 list(l2.state.lines), list(l2.state.invalid),
+                 list(l2.state.map.items())], "l2")
 
 
 def test_tag_dict_is_rebuilt_from_the_tag_array():
@@ -440,13 +442,12 @@ class RecordingCase(FuzzCase):
 @pytest.mark.parametrize("transparent", [False, True],
                          ids=["opaque", "functools.wraps"])
 def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
-    """Whoever rebinds an ATD's ``observe_many`` sees every drain.  An
-    opaque callable is drained as it stands — lists, into whatever it
-    calls.  A transparent wrapper (a ``__wrapped__`` chain ending at the
-    kernel the ATD bound) is handed what that kernel takes: columns
-    wherever the host has ``cc``.  Either way the run binds no drain
-    kernel of its own: the four are the ATDs', bound when they were
-    built."""
+    """Whoever rebinds an ATD's ``observe_many`` sees every drain, and
+    every drain is the same ``array('q')`` whatever stands behind it: an
+    opaque callable or a transparent wrapper (``functools.wraps``, the
+    way a tracer wraps it), a compiled kernel or a Python one.  Either
+    way the run binds no drain kernel of its own: the four are the
+    ATDs', bound when they were built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
     monkeypatch.setattr(RecordingCase, "seen", [])
@@ -454,21 +455,97 @@ def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
     after = binds(("lru", "none"), "observe")
     assert sum(after.values()) - sum(before.values()) == 4
-    compiled_behind = transparent and expected_target() == "c"
-    assert set(RecordingCase.seen) \
-        == {np.ndarray if compiled_behind else list}
+    assert set(RecordingCase.seen) == {array}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
 
 
 def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
     """Nothing is installed for a run, so nothing needs undoing when one
-    raises: each ATD still drains through the kernel it bound, a list
-    batch longer than its directory included."""
+    raises: each ATD still drains through the kernel it bound, on the
+    target it bound, a batch longer than its directory included."""
     sim, _info = run_overrun()
     atds = [monitor.atd for monitor in sim.profiling.monitors]
     assert len(atds) == 4
     for atd in atds:
-        assert atd.observe_many is atd.kernel
+        assert "observe_many" in vars(atd)
+        assert transitions.compiled(atd.observe_many) \
+            == (expected_target() == "c")
         sampled = atd.sampled_accesses
-        atd.observe_many([0, 2, 4] * len(atd.state.lines))
+        atd.observe_many(array("q", [0, 2, 4] * len(atd.state.lines)))
         assert atd.sampled_accesses > sampled
+
+
+# ----------------------------------------------------------------------
+# Shared, not marshalled: what a compiled call hands C
+# ----------------------------------------------------------------------
+#: The rendering of a translated kernel, by its first parameter.
+RENDERING_OF = {"now": "loop", "batch": "observe", "refs": "prefilter"}
+
+
+@pytest.mark.parametrize("key", list(CONFIGS), ids="/".join)
+def test_a_compiled_call_copies_only_the_lists_and_the_tag_dict(
+        key, request, monkeypatch):
+    """Every compiled call of a run — the loop, each drain, each L1
+    window — hands C the owner's own buffers: every array and column
+    member of the argument block is the address of the very object
+    Python holds (0 for an absent channel), pinned for the call (a
+    resize raises ``BufferError``).  The only copies are the bounded-list
+    tables (LRU's order lists) and, after the call, the tag dict rebuilt
+    from the tag lines."""
+    if key == ("bt", "masks"):
+        request.getfixturevalue("masks_for_bt")
+    seen = set()
+    copy_back = native._Run.copy_back
+
+    def checked(run):
+        loaded, values, args = run.loaded, run.values, run.args
+        for name, _ctype, kind in loaded.fields:
+            if kind not in ("ints", "floats", "cores", "column"):
+                continue
+            value = values[name]
+            if value is None:
+                assert not getattr(args, name), name
+                continue
+            own = (value.buffer_info()[0] if isinstance(value, array)
+                   else value.ctypes.data)
+            assert getattr(args, name) == own, name
+            if isinstance(value, array):
+                with pytest.raises(BufferError):
+                    value.append(0)
+        assert set(run.buffers) == {name for name, _cap in loaded.lists}
+        assert {name for name, _cap in loaded.lists} \
+            <= ({"orders"} if key[0] == "lru" else set())
+        seen.add(RENDERING_OF[loaded.kernel.params[0]])
+        copy_back(run)
+
+    monkeypatch.setattr(native._Run, "copy_back", checked)
+    run_engine(scenario(key, service_interval=37.5), "batched")
+    expected = {"loop", "prefilter"}
+    if CONFIGS[key].partitioned:
+        expected.add("observe")
+    assert seen == (expected if expected_target() == "c" else set())
+
+
+def test_resizing_a_shared_array_in_a_call_out_is_refused():
+    """A controller that grows a bound array inside ``beyond`` gets a
+    ``BufferError`` out of the run — C holds that array's address for
+    the length of the call — and the array is left as it was."""
+    sim = scenario(("nru", "masks")).simulator("batched")
+    masks = sim.hierarchy.l2.partition._masks
+    boundary = sim.controller.interval_boundary
+    before = []
+
+    def grow(cycle):
+        boundary(cycle=cycle)
+        before[:] = [list(masks)]
+        masks.append(masks[0])
+
+    sim.controller.interval_boundary = grow
+    if expected_target() == "c":
+        with pytest.raises(BufferError):
+            sim.run()
+        assert list(masks) == before[0]
+        assert len(masks) == sim.processor.num_cores
+    else:                               # nothing pins a Python list walk
+        sim.run()
+        assert len(masks) > sim.processor.num_cores

@@ -289,7 +289,8 @@ class TestGeneratedSourceExplainsItself:
         assert kernel.__code__.co_filename \
             == "<repro kernel lru/counters loop>"
         assert "owned_l[s * ncores + t]" in inspect.getsource(kernel)
-        drain = sim.profiling.monitors[0].atd.observe_many.python
+        drain = transitions.factory("observe", ("lru", "none"))(
+            sim.profiling.monitors[0].atd)
         name = drain.__code__.co_filename
         assert name == "<repro kernel lru/none observe>"
         assert linecache.getline(name, drain.__code__.co_firstlineno) \

@@ -25,6 +25,7 @@ kept because they are the suite's recorded test ids.)
 """
 
 import dataclasses
+from array import array
 
 import numpy as np
 import pytest
@@ -359,9 +360,9 @@ class TestDeferredDrains:
             one.observe(line)
         # Drain in irregular slices, like the engines do.
         cut1, cut2 = 1_000, 5_500
-        many.observe_many(stream[:cut1])
-        many.observe_many(stream[cut1:cut2])
-        many.observe_many(stream[cut2:])
+        many.observe_many(array("q", stream[:cut1]))
+        many.observe_many(array("q", stream[cut1:cut2]))
+        many.observe_many(array("q", stream[cut2:]))
         assert list(one.state.lines) == list(many.state.lines)
         assert list(one.sdh._r) == list(many.sdh._r)
         assert one.sampled_accesses == many.sampled_accesses
@@ -377,8 +378,8 @@ class TestDeferredDrains:
                      rng=np.random.default_rng(9))
         generic = ATD(geometry, 4, policy, make_profiler(policy),
                       rng=np.random.default_rng(9), kernels=False)
-        kernel.observe_many(stream)
-        generic.observe_many(stream)
+        kernel.observe_many(array("q", stream))
+        generic.observe_many(array("q", stream))
         assert list(kernel.state.lines) == list(generic.state.lines)
         assert list(kernel.sdh._r) == list(generic.sdh._r)
         assert kernel.sampled_accesses == generic.sampled_accesses

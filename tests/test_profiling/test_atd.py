@@ -1,5 +1,7 @@
 """Unit tests for the sampled Auxiliary Tag Directory."""
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ class TestSampling:
         assert positions.tolist() == sampled
         for lo, hi in ((0, 7), (7, 1200), (1200, 1200), (1200, 3000)):
             inside = positions[(positions >= lo) & (positions < hi)]
-            sliced.observe_many(lines[inside].tolist())
+            sliced.observe_many(array("q", lines[inside].tolist()))
             sliced.skipped_accesses += (hi - lo) - len(inside)
         assert atd_state(sliced) == atd_state(full)
 
@@ -86,10 +88,10 @@ class TestSampling:
         assert not {"observe", "observe_many"} & set(one.__dict__)
         answers = [one.observe(line) for line in lines.tolist()]
         assert answers == [not line & 7 for line in lines.tolist()]
-        many.observe_many(lines.tolist())
+        many.observe_many(array("q", lines.tolist()))
         assert atd_state(many) == atd_state(one)
         stock = make_atd(num_sets=64, sampling=8, policy="nru")
-        stock.observe_many(lines.tolist())
+        stock.observe_many(array("q", lines.tolist()))
         assert stock.sdh._r != one.sdh._r      # the ablation is in effect
 
 
