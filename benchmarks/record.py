@@ -13,7 +13,9 @@ both targets of the ``observe`` rendering (:func:`drain_rates`), and one
 64 Ki-reference L1 window
 through both targets of the ``prefilter`` rendering
 (:func:`prefilter_rates`), each a best-of-``--repeats`` ``perf_counter``
-loop.  (Single-thread runs
+loop, and how fast a fresh process loads the compiled kernels of every
+stock key from a cold and from a warm object cache
+(:func:`kernel_load_rates`).  (Single-thread runs
 are the same engine and the same loop at a heap of one; their end-to-end
 number is ``benchmarks/e2e``'s ``isolation_paper`` workload, not a row
 here.)  ``campaign`` races the worker-pool implementations of
@@ -59,7 +61,9 @@ import numpy as np
 #: it (measured ~2.1x; about 0.86x while every call copied the
 #: directory in and out); and the L1 prefilter's — the compiled walk of
 #: a window must run at 5x its Python rendering or better (measured
-#: ~150x).  A host
+#: ~150x); and a fresh process must load a kernel from a warm object
+#: cache at 2x the rate it builds one from a cold cache or better — a
+#: warm load that translates (or compiles) again falls toward 1x.  A host
 #: without ``cc`` runs all of them on Python and fails here, it is never
 #: skipped.
 DEFAULT_ENGINE_FLOOR_KEYS = (
@@ -67,6 +71,7 @@ DEFAULT_ENGINE_FLOOR_KEYS = (
     "drain_compiled/.drain_python:5.0",
     "drain_compiled_short/.drain_python_short:1.0",
     "prefilter_compiled/.prefilter_python:5.0",
+    "kernel_load_warm/.kernel_load_cold:2.0",
 )
 
 
@@ -185,6 +190,47 @@ def prefilter_rates(repeats: int, window: int = 1 << 16) -> dict:
                            for target in ("compiled", "python")}}
 
 
+#: One fresh process's loads of every stock key's compiled kernel.
+_LOAD_KEYS = """
+import json, time
+from repro.cache import native, transitions
+
+keys = [entry for entry in transitions.rendering_keys()
+        if entry[1] is not None]
+start = time.perf_counter()
+for entry in keys:
+    native.load(*entry)
+print(json.dumps([time.perf_counter() - start, len(keys)]))
+"""
+
+
+def kernel_load_rates(repeats: int) -> dict:
+    """Keys/sec at which a fresh process loads the compiled kernel of
+    every stock key (:func:`repro.cache.native.load`) —
+    ``kernel_load_cold`` on an empty object cache (render, translate,
+    ``cc``, open), ``kernel_load_warm`` on the cache the cold process
+    left (render, open, read the member table) — and both as ms per
+    key.  Each repeat starts from its own empty temporary cache."""
+    import subprocess
+    import tempfile
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    best = {"cold": float("inf"), "warm": float("inf")}
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory(prefix="kernel-load-") as home:
+            for phase in ("cold", "warm"):
+                done = subprocess.run(
+                    [sys.executable, "-c", _LOAD_KEYS], check=True,
+                    env=dict(env, XDG_CACHE_HOME=home),
+                    stdout=subprocess.PIPE, text=True)
+                seconds, keys = json.loads(done.stdout)
+                best[phase] = min(best[phase], seconds / keys)
+    return {"rates": {f"kernel_load_{phase}": round(1.0 / seconds, 1)
+                      for phase, seconds in best.items()},
+            "ms_per_key": {phase: round(seconds * 1e3, 2)
+                           for phase, seconds in best.items()}}
+
+
 def record_engine(accesses: int, repeats: int) -> dict:
     from bench_engine import run_once, run_six_configs
 
@@ -206,12 +252,15 @@ def record_engine(accesses: int, repeats: int) -> dict:
     rates.update(drain_rates(repeats))
     prefilter = prefilter_rates(repeats)
     rates.update(prefilter["rates"])
+    loads = kernel_load_rates(repeats)
+    rates.update(loads["rates"])
     return {
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,
         "seconds": {k: round(v, 4) for k, v in timings.items()},
         "rates": rates,
         "prefilter_ns_per_ref": prefilter["ns_per_ref"],
+        "kernel_load_ms_per_key": loads["ms_per_key"],
         "batched_speedup": round(timings["reference"] / timings["batched"], 3),
     }
 

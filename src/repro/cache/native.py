@@ -5,22 +5,36 @@ renderings: build, cache, load, run.
 of a ``(policy, scheme)`` pair, the ATD drain of a policy, the private
 L1's window walk (:func:`repro.cache.transitions.translate`) — into a
 loaded shared object, compiled with the host's ``cc`` on first use and
-kept in a private per-user cache directory under a name that is the
-SHA-256 of source + compiler version + flags (plus a digest of the
-object itself);
+kept in a private per-user cache directory;
 :class:`CompiledKernel` is that object behind the Python kernel's exact
 call signature.  Everything here is stdlib ``ctypes`` and one ``cc``
 subprocess; nothing is downloaded.
+
+Naming.  An object is named by what goes *into* the translator, not by
+what comes out: the SHA-256 of the rendering's Python source
+(:func:`repro.cache.transitions.render`, the text the Python target
+runs) and its source name, the :func:`translator` digest (the
+translator's own source, :data:`repro.cache.transitions.C_KINDS`, the
+interpreter's minor version), the compiler's version line and
+:data:`FLAGS` — followed by a digest of the object's own bytes.  A miss
+translates and appends the kernel's member table (``members``,
+``params``, ``stored``, ``tags``) to the C source as one string constant,
+:data:`TABLE`; a hit renders, opens the object and reads the table back
+as JSON, so a warm process never translates.  The factory's prologue —
+the rendered text up to the kernel's ``def`` — returns the objects the
+table's members name.
 
 Trust.  The process only ever ``dlopen``\\ s bytes it (or an earlier run
 of the same user) compiled: the cache directory is created ``0700`` and
 refused unless it is a real directory owned by this user that nobody
 else can write; an object is refused unless it is a regular file with
 the same properties whose bytes match the digest in its name (mapping a
-truncated object can kill the process; a file that fails any check is
-removed and rebuilt); objects are written under a temporary name and
-``os.replace``\\ d, so two processes racing through a cold cache (the
-normal case under a process pool) each install a complete file.
+truncated object can kill the process), it exports ``run`` and its
+member table is well-formed data — JSON of the expected shape whose
+names are identifiers; the table is never executed.  A file that fails
+any check is removed and rebuilt.  Objects are written under a temporary
+name and ``os.replace``\\ d, so two processes racing through a cold cache
+(the normal case under a process pool) each install a complete file.
 
 State during a call.  There is no resident C state and, for arrays, no
 copy: every flat array a kernel binds is an ``array('q')`` /
@@ -54,13 +68,16 @@ fixed.
 from __future__ import annotations
 
 import array
-import ast
 import ctypes
 import hashlib
+import json
+import keyword
 import os
+import re
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -73,8 +90,8 @@ import numpy as np
 
 from repro.cache import cgen, transitions
 
-__all__ = ["CompiledKernel", "FLAGS", "cache_dir", "compiler", "load",
-           "object_name"]
+__all__ = ["CompiledKernel", "FLAGS", "TABLE", "cache_dir", "compiler",
+           "load", "object_name", "translator"]
 
 #: Build flags.  No fast-math flag and no contraction: every double
 #: operation is the IEEE one the Python target performs, in its order.
@@ -124,9 +141,13 @@ def _private(info: os.stat_result, kind: Callable[[int], bool]) -> bool:
 
 def cache_dir() -> Path:
     """The private object cache, created on first use: ``repro-kernels``
-    under ``$XDG_CACHE_HOME`` (default ``~/.cache``), else a per-uid
-    directory under the system temp directory."""
-    home = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    under ``$XDG_CACHE_HOME`` (default ``~/.cache``; a relative value is
+    ignored, as the XDG spec says, rather than resolved against whatever
+    the working directory is), else a per-uid directory under the system
+    temp directory."""
+    home = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(home):
+        home = os.path.expanduser("~/.cache")
     candidates = [Path(home) / "repro-kernels",
                   Path(tempfile.gettempdir())
                   / f"repro-kernels-{os.geteuid()}"]
@@ -144,11 +165,26 @@ def cache_dir() -> Path:
                       f"{', '.join(map(str, candidates))}", loud=True)
 
 
-def object_name(source: str, version: str, flags=FLAGS) -> str:
+@lru_cache(maxsize=None)
+def translator() -> str:
+    """Digest of what turns a rendering into C: the translator's own
+    source, the kinds it is given and the interpreter (its ``ast``) minor
+    version.  Computed on the first load, never at import."""
+    text = "\0".join((Path(cgen.__file__).read_text(encoding="utf-8"),
+                      json.dumps(transitions.C_KINDS, sort_keys=True),
+                      "%d.%d" % sys.version_info[:2]))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def object_name(source: str, label: str, translator: str, version: str,
+                flags=FLAGS) -> str:
     """First half of an object's file name: the SHA-256 of everything
-    that decides its bytes.  The second half is a digest of the bytes
-    themselves (:func:`_build`), checked before the file is mapped."""
-    text = "\0".join((source, version, " ".join(flags)))
+    that decides its bytes — the rendering's Python ``source`` and its
+    ``label`` (:func:`repro.cache.transitions.source_name`), the
+    :func:`translator` digest, the compiler's version line and the flags.
+    The second half is a digest of the bytes themselves (:func:`_build`),
+    checked before the file is mapped."""
+    text = "\0".join((source, label, translator, version, " ".join(flags)))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -179,19 +215,17 @@ def _build(cc: str, source: str, directory: Path, name: str) -> Path:
             os.unlink(scratch)
 
 
-def _open(path: Path) -> Optional[ctypes.CDLL]:
+def _open(path: Path, source: str, label: str) -> Optional[Loaded]:
     """The kernel object at ``path`` — or None, and the file removed,
     unless it is this user's own regular file, its bytes match the digest
-    in its name (mapping a truncated object can kill the process) and it
-    exports ``run``."""
+    in its name (mapping a truncated object can kill the process), it
+    exports ``run`` and it carries a well-formed member table."""
     try:
         if (_private(os.lstat(path), stat.S_ISREG)
                 and path.stem.rpartition("-")[2] == _digest(path)):
-            library = ctypes.CDLL(str(path))
-            library.run                     # noqa: B018 — symbol check
-            return library
-    except (OSError, AttributeError):
-        pass
+            return _loaded(ctypes.CDLL(str(path)), source, label)
+    except (OSError, AttributeError, ValueError, KeyError, TypeError):
+        pass                                # damaged, foreign, bad table
     try:
         os.unlink(path)
     except OSError:
@@ -200,12 +234,56 @@ def _open(path: Path) -> Optional[ctypes.CDLL]:
 
 
 # ----------------------------------------------------------------------
+# The member table an object carries
+# ----------------------------------------------------------------------
+#: The string constant every object exports: its kernel's member table
+#: as JSON.
+TABLE = "repro_members"
+
+
+def table_constant(kernel) -> str:
+    """``kernel``'s member table — ``members``, ``params``, ``stored``,
+    ``tags`` — as the C definition of :data:`TABLE`, appended to its
+    translation unit."""
+    text = json.dumps({"members": kernel.members, "params": kernel.params,
+                       "stored": sorted(kernel.stored), "tags": kernel.tags})
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'\nconst char {TABLE}[] = "{text}";\n'
+
+
+def _read_table(library: ctypes.CDLL):
+    """``(members, params, stored, tags)`` of the table ``library``
+    exports: parsed as JSON and checked as data, never executed.  A
+    missing or malformed table raises :class:`ValueError` (a missing
+    symbol, bad JSON, a failed check), :class:`KeyError` or
+    :class:`TypeError`."""
+    table = json.loads(ctypes.string_at(ctypes.addressof(
+        ctypes.c_char.in_dll(library, TABLE))))
+    members, tags = (tuple(map(tuple, table[part]))
+                     for part in ("members", "tags"))
+    params, stored = tuple(table["params"]), frozenset(table["stored"])
+    strings = [*params, *stored,
+               *(text for entry in members + tags for text in entry)]
+    names = [*params, *(entry[0] for entry in members + tags)]
+    if (sorted(table) != ["members", "params", "stored", "tags"]
+            or any(len(entry) != 3 for entry in members + tags)
+            or not all(isinstance(text, str) for text in strings)
+            or not all(name.isidentifier() and not keyword.iskeyword(name)
+                       for name in names)):
+        raise ValueError(f"malformed member table {TABLE}")
+    return members, params, stored, tags
+
+
+# ----------------------------------------------------------------------
 # One loaded kernel per rendering and key
 # ----------------------------------------------------------------------
 class Loaded(NamedTuple):
     """A kernel ready to run."""
 
-    kernel: object                      # repro.cache.cgen.Kernel
+    #: The kernel's own parameters, in order.
+    params: Tuple[str, ...]
+    #: Arrays and lists the kernel writes.
+    stored: frozenset
     run: Callable                       # i64 run(Args *)
     args: type                          # the ctypes mirror of Args
     callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
@@ -224,9 +302,9 @@ class Loaded(NamedTuple):
     tags: Tuple[Tuple[str, str, str], ...]
 
 
-def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
+def _args_type(members) -> Tuple[type, Dict[str, type]]:
     fields, callouts = [], {}
-    for name, ctype, kind in kernel.members:
+    for name, ctype, kind in members:
         if ctype in _C_SCALARS:
             fields.append((name, _C_SCALARS[ctype]))
         elif kind.startswith("callout:"):
@@ -239,47 +317,68 @@ def _args_type(kernel) -> Tuple[type, Dict[str, type]]:
     return type("Args", (ctypes.Structure,), {"_fields_": fields}), callouts
 
 
-def _bindings(rendering, key, kernel) -> Callable:
-    """The Python factory of the rendering with its kernel cut out:
-    ``build(cache, channel)`` / ``build(atd)`` returns the objects the
-    kernel's bound names stand for — the Python target's own bind
-    fragments decide what the compiled one operates on."""
-    name = transitions.source_name(rendering, key)
-    tree = ast.parse(transitions.render(rendering, key))
-    factory = tree.body[0]
-    names = [member for member, _ctype, kind in kernel.members
-             if member not in kernel.params
-             and kind not in ("error", "length", "ret")]
-    names += [dict_name for dict_name, _lines, _assoc in kernel.tags]
-    factory.body = [node for node in factory.body
-                    if not isinstance(node, (ast.FunctionDef, ast.Return))]
-    factory.body.append(ast.Return(ast.Dict(
-        keys=[ast.Constant(n) for n in names],
-        values=[ast.Name(n, ast.Load()) for n in names])))
+#: Where a rendering's factory prologue ends: its kernel closure's ``def``.
+_KERNEL_DEF = re.compile(r"^    def ", re.MULTILINE)
+
+
+def _bindings(source: str, label: str, names) -> Callable:
+    """The rendering's factory ``source`` cut at its kernel's ``def``:
+    ``build(cache, channel)`` / ``build(atd)`` / ``build(l1)`` returns
+    the objects the kernel's bound ``names`` (identifiers) stand for —
+    the Python target's own bind fragments decide what the compiled one
+    operates on."""
+    prologue = source[:_KERNEL_DEF.search(source).start()]
+    returned = ", ".join(f"{name!r}: {name}" for name in names)
     namespace = {"__builtins__": {}}
-    exec(compile(ast.fix_missing_locations(tree), name, "exec"), namespace)
+    exec(compile(f"{prologue}    return {{{returned}}}\n", label, "exec"),
+         namespace)
     return namespace["build"]
+
+
+def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
+    """The kernel ``library`` holds, described by its own member table
+    and bound through the rendering ``source``."""
+    members, params, stored, tags = _read_table(library)
+    args, callouts = _args_type(members)
+    library.run.argtypes = [ctypes.POINTER(args)]
+    library.run.restype = ctypes.c_int64
+    bound = [name for name, _ctype, kind in members
+             if name not in params and kind not in ("error", "length", "ret")]
+    return Loaded(
+        params, stored, library.run, args, callouts,
+        _bindings(source, label,
+                  bound + [dict_name for dict_name, _lines, _assoc in tags]),
+        fields=tuple(m for m in members if m[2] not in ("length", "ret")),
+        returns=tuple(name for name, _ctype, kind in members
+                      if kind == "ret"),
+        lists=tuple((name, kind[6:]) for name, _ctype, kind in members
+                    if kind.startswith("lists:") and name in stored),
+        tags=tuple(entry for entry in tags if entry[1] in stored))
 
 
 @lru_cache(maxsize=None)
 def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     """``(kernel, info)`` of the compiled ``rendering`` of ``key``, built
     and loaded once per process; ``(None, {"reason": ...})`` where the
-    Python target must run (module docstring: *Failure*)."""
+    Python target must run (module docstring: *Failure*).  A cached
+    object is found by the rendering alone: only a miss translates."""
     started = time.perf_counter()
     try:
         cc, version = compiler()
-        kernel = transitions.translate(rendering, key)
+        source = transitions.render(rendering, key)
+        label = transitions.source_name(rendering, key)
         directory = cache_dir()
-        name = object_name(kernel.source, version)
-        library = None
+        name = object_name(source, label, translator(), version)
+        loaded = None
         for path in sorted(directory.glob(f"{name}-*.so")):
-            library = library or _open(path)
-        info = {"cache": "hit" if library is not None else "built"}
-        if library is None:
-            path = _build(cc, kernel.source, directory, name)
-            library = _open(path)
-            if library is None:
+            loaded = loaded or _open(path, source, label)
+        info = {"cache": "hit" if loaded is not None else "built"}
+        if loaded is None:
+            kernel = transitions.translate(rendering, key)
+            path = _build(cc, kernel.source + table_constant(kernel),
+                          directory, name)
+            loaded = _open(path, source, label)
+            if loaded is None:
                 raise Unavailable(f"{path} was built but does not load",
                                   loud=True)
         info["build_s"] = time.perf_counter() - started
@@ -291,20 +390,7 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
                           f"Python target: {exc}", RuntimeWarning,
                           stacklevel=2)
         return None, {"reason": str(exc)}
-    args, callouts = _args_type(kernel)
-    library.run.argtypes = [ctypes.POINTER(args)]
-    library.run.restype = ctypes.c_int64
-    members = kernel.members
-    return Loaded(
-        kernel, library.run, args, callouts,
-        _bindings(rendering, key, kernel),
-        fields=tuple(m for m in members if m[2] not in ("length", "ret")),
-        returns=tuple(name for name, _ctype, kind in members
-                      if kind == "ret"),
-        lists=tuple((name, kind[6:]) for name, _ctype, kind in members
-                    if kind.startswith("lists:") and name in kernel.stored),
-        tags=tuple(entry for entry in kernel.tags
-                   if entry[1] in kernel.stored)), info
+    return loaded, info
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +433,7 @@ class CompiledKernel:
 
     def __call__(self, *arguments):
         values = dict(self._bound)
-        values.update(zip(self._loaded.kernel.params, arguments, strict=True))
+        values.update(zip(self._loaded.params, arguments, strict=True))
         return _Run(self._loaded, values).execute()
 
 
@@ -371,7 +457,7 @@ class _Run:
     def fields(self) -> list:
         """The argument block's values, in member order."""
         loaded, values = self.loaded, self.values
-        stored = loaded.kernel.stored
+        stored = loaded.stored
         # One clock per thread: the popped thread's slot plus the heap's
         # (a kernel without a heap has no per-thread member).
         threads = sum(1 + len(values[name])

@@ -67,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "a25e1cabda1b63e4c297f67d94d3d3da375175640b47236ee36b7f6b248303c2"
+ENGINE_SOURCE_CHECKSUM = "2a5c51e0a45b4755da92ebd6de4f55d220b06e9f7fb703357f509e96bc4aa6bf"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -66,12 +66,14 @@ class Trace:
         """
         fp = self._fingerprint
         if fp is None:
+            # The C-contiguous arrays are hashed in place: ``tobytes()``
+            # would copy a paper trace (16 MB) first.
             h = hashlib.sha256()
             h.update(f"{self.ipm!r}:{self.cpi_base!r}:".encode())
-            h.update(self.lines.tobytes())
+            h.update(np.ascontiguousarray(self.lines))
             if self.writes is not None:
                 h.update(b"w")
-                h.update(self.writes.tobytes())
+                h.update(np.ascontiguousarray(self.writes))
             fp = h.hexdigest()
             self._fingerprint = fp
         return fp

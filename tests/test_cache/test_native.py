@@ -2,14 +2,17 @@
 
 What must hold for the object cache (``repro.cache.native``): it is
 private to the user or it is not used; an object's name covers everything
-that decides its bytes; a damaged or unexpected file under the right name
-is replaced, never loaded; two processes racing through a cold cache both
-end up with a complete object; and a host without a compiler simply runs
-the Python target — while a host *with* one that cannot build is told.
+that decides its bytes, and a warm process finds it without translating
+anything; a damaged or unexpected file under the right name — its member
+table included — is replaced, never loaded; two processes racing through
+a cold cache both end up with a complete object; and a host without a
+compiler simply runs the Python target — while a host *with* one that
+cannot build is told.
 None of these tests skips on a host without ``cc``: they assert what that
 host must do instead.
 """
 
+import json
 import os
 import shutil
 import stat
@@ -50,8 +53,9 @@ def cache_home(monkeypatch, tmp_path):
 
 def object_stem(key=KEY) -> str:
     _cc, version = native.compiler()
-    source = transitions.render("loop", key, target="c")
-    return native.object_name(source, version)
+    return native.object_name(transitions.render("loop", key),
+                              transitions.source_name("loop", key),
+                              native.translator(), version)
 
 
 # ----------------------------------------------------------------------
@@ -124,17 +128,50 @@ def test_unusable_home_falls_back_to_a_per_uid_temp_directory(
     assert stat.S_IMODE(path.stat().st_mode) == 0o700
 
 
+def test_relative_cache_home_is_ignored(monkeypatch, tmp_path):
+    """The XDG spec: a relative ``$XDG_CACHE_HOME`` is invalid and is
+    ignored, exactly like an unset one — never resolved against the
+    working directory, which differs between processes."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    relative = native.cache_dir()
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert relative == native.cache_dir() \
+        == tmp_path / "home" / ".cache" / "repro-kernels"
+    assert list((tmp_path / "cwd").iterdir()) == []
+
+
 def test_name_covers_source_compiler_and_flags():
-    name = native.object_name("int x;", "cc 1.0")
-    assert name == native.object_name("int x;", "cc 1.0")
+    """Rendered source, its label, the translator digest, the compiler
+    version and the flags: change any one and the name changes."""
+    parts = ("def build(l1):\n    pass\n",
+             "<repro kernel lru/none prefilter>", "0" * 64, "cc 1.0")
+    name = native.object_name(*parts)
+    assert name == native.object_name(*parts)
     assert len(name) == 64
-    others = {native.object_name("int y;", "cc 1.0"),
-              native.object_name("int x;", "cc 1.1"),
-              native.object_name("int x;", "cc 1.0",
-                                 native.FLAGS + ("-O3",))}
-    assert len(others | {name}) == 4
+    others = {native.object_name(*parts[:i], parts[i] + " ", *parts[i + 1:])
+              for i in range(len(parts))}
+    others.add(native.object_name(*parts, native.FLAGS + ("-O3",)))
+    assert len(others | {name}) == len(parts) + 2
     assert "-ffp-contract=off" in native.FLAGS
     assert not any("fast" in flag for flag in native.FLAGS)
+
+
+def test_translator_digest_covers_the_kinds(monkeypatch):
+    """The translator's own source is read from its module file; the
+    kinds it is handed are part of the digest too."""
+    stock = native.translator()
+    assert len(stock) == 64 and stock == native.translator()
+    monkeypatch.setitem(transitions.C_KINDS, "probe", "int")
+    native.translator.cache_clear()
+    try:
+        assert native.translator() != stock
+    finally:
+        monkeypatch.undo()
+        native.translator.cache_clear()
+    assert native.translator() == stock
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +180,19 @@ needs_cc = pytest.mark.skipif(
                        "that host is covered by the tests above and below")
 
 
-def good_object(cache_home) -> Path:
-    """KEY's object, built but never mapped into this process (damaging a
-    mapped file in place would fault the test itself)."""
+def plant(source: str) -> Path:
+    """``source`` compiled under KEY's object name, never mapped into
+    this process (damaging a mapped file in place would fault the test
+    itself)."""
     cc, _version = native.compiler()
-    path = native._build(cc, transitions.render("loop", KEY, target="c"),
-                         native.cache_dir(), object_stem())
+    return native._build(cc, source, native.cache_dir(), object_stem())
+
+
+def good_object(cache_home) -> Path:
+    """KEY's object as a cold load builds it: the translation plus its
+    member table."""
+    kernel = transitions.translate("loop", KEY)
+    path = plant(kernel.source + native.table_constant(kernel))
     assert path.parent == cache_home / "repro-kernels"
     assert path.name.startswith(object_stem() + "-") and path.suffix == ".so"
     return path
@@ -198,6 +242,83 @@ def test_foreign_library_under_the_right_name_is_rebuilt(cache_home):
     scratch.rename(planted)
     rebuilt_not_loaded(cache_home, planted)
     assert not planted.exists()
+
+
+def _constant(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'\nconst char {native.TABLE}[] = "{escaped}";\n'
+
+
+#: Member tables a planted object carries under KEY's name: each is
+#: refused before anything is bound, and the object rebuilt.
+BAD_TABLES = {
+    "missing": lambda kernel: "",
+    "not-json": lambda kernel: _constant("{members: [}"),
+    "not-an-object": lambda kernel: _constant("[1, 2, 3]"),
+    "part-missing": lambda kernel: _constant(json.dumps(
+        {"members": kernel.members, "params": kernel.params})),
+    "member-not-a-triple": lambda kernel: native.table_constant(
+        kernel._replace(members=kernel.members + (("x", "i64"),))),
+    "name-not-an-identifier": lambda kernel: native.table_constant(
+        kernel._replace(tags=(("__import__('os').getpid()", "tag_lines",
+                               "assoc"),))),
+    "unknown-call-out-type": lambda kernel: native.table_constant(
+        kernel._replace(members=kernel.members + (
+            ("hook", "i64 (*)(void)", "callout:str()"),))),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("table", list(BAD_TABLES))
+def test_object_whose_member_table_is_missing_or_malformed_is_rebuilt(
+        cache_home, table):
+    """The table is data: a well-formed kernel under the right name
+    whose table is absent, not JSON, of the wrong shape, or names a
+    binding that is not an identifier is removed and rebuilt, never
+    used."""
+    kernel = transitions.translate("loop", KEY)
+    planted = plant(kernel.source + BAD_TABLES[table](kernel))
+    rebuilt_not_loaded(cache_home, planted)
+    assert not planted.exists()
+
+
+WARM = """
+import json, sys
+from repro.cache import cgen, native, transitions
+
+assert native.translator.cache_info().currsize == 0, "digest at import"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a warm cache translated a kernel")
+
+
+cgen.translate = refuse
+print(json.dumps({f"{rendering} {'/'.join(key)}":
+                  native.load(rendering, key)[1]
+                  for rendering, key in transitions.rendering_keys()
+                  if key is not None}))
+"""
+
+
+@needs_cc
+def test_a_warm_process_loads_every_key_without_translating(cache_home):
+    """A fresh process on a warm cache finds every stock key and the
+    prefilter by its rendering alone: with the translator made to raise,
+    every key is a ``hit`` (and the translator digest is not computed at
+    import)."""
+    keys = [entry for entry in transitions.rendering_keys()
+            if entry[1] is not None]
+    assert len(keys) == len(STOCK) + 1
+    assert all(native.load(*entry)[1]["cache"] == "built" for entry in keys)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", WARM], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    infos = json.loads(done.stdout)
+    assert len(infos) == len(keys)
+    assert {info.get("cache") for info in infos.values()} == {"hit"}, infos
+    assert len(list((cache_home / "repro-kernels").iterdir())) == len(keys)
 
 
 @needs_cc

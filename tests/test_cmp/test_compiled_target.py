@@ -515,7 +515,7 @@ def test_a_compiled_call_copies_only_the_lists_and_the_tag_dict(
         assert set(run.buffers) == {name for name, _cap in loaded.lists}
         assert {name for name, _cap in loaded.lists} \
             <= ({"orders"} if key[0] == "lru" else set())
-        seen.add(RENDERING_OF[loaded.kernel.params[0]])
+        seen.add(RENDERING_OF[loaded.params[0]])
         copy_back(run)
 
     monkeypatch.setattr(native._Run, "copy_back", checked)

@@ -90,6 +90,8 @@ class TestOracle:
             transitions, "translate",
             lambda rendering, key: translate(rendering, key,
                                              policies=mutated))
+        # Another translator: objects are named by its digest.
+        monkeypatch.setattr(native, "translator", lambda: "mutated promote")
         rng = np.random.default_rng(3)
         case = small_case(traces=[
             Trace(f"t{core}", rng.integers(0, 60, size=300) + core * 4096,
@@ -127,6 +129,7 @@ class TestOracle:
             transitions, "translate",
             lambda rendering, key: translate(rendering, key,
                                              templates=mutated))
+        monkeypatch.setattr(native, "translator", lambda: "mutated gap")
         native.load.cache_clear()
         try:
             report = run_case(small_case())

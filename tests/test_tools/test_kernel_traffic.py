@@ -41,6 +41,10 @@ def clean_result():
                            "build_s": 0.001, "binds": {"c": 1, "python": 0}}
                     for name in ("loop lru/none", "observe lru/none",
                                  "prefilter lru/none")},
+        "warm": {name: {"target": "c", "cache": "hit", "build_s": 0.001,
+                        "binds": {"c": 1, "python": 0}}
+                 for name in ("loop lru/none", "observe lru/none",
+                              "prefilter lru/none")},
     }
 
 
@@ -67,9 +71,25 @@ class TestProblems:
                            "the Python target at micro: "
                            f"{name} (cc exited 1: boom)")
 
+    @pytest.mark.parametrize("entry", [
+        {"target": "c", "cache": "built", "build_s": 0.09},
+        {"target": "python", "reason": "cc exited 1: boom"}])
+    def test_a_key_a_warm_second_run_did_not_hit_is_a_problem(self, entry):
+        """A fresh process on the cache the first run left must find
+        every object by its rendering."""
+        result = clean_result()
+        result["warm"]["loop lru/none"] = dict(
+            entry, binds={"c": 0, "python": 0})
+        (message,) = kernel_traffic.problems(result)
+        state = entry.get("cache") or entry.get("reason")
+        assert message == ("a second run at micro on the same object cache "
+                           "did not load every key as a hit: "
+                           f"loop lru/none ({state})")
+
     def test_python_target_without_a_compiler_is_not(self):
         result = clean_result()
         result["cc"] = None
+        result["warm"] = {}
         for name in result["targets"]:
             result["targets"][name] = {
                 "target": "python", "reason": "no C compiler (cc) on PATH",

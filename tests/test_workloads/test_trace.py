@@ -1,5 +1,7 @@
 """Unit tests for the Trace container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ class TestTrace:
         assert (loaded.lines == trace.lines).all()
         assert loaded.ipm == 3.5
         assert loaded.cpi_base == 0.9
+
+    @pytest.mark.parametrize("writes", [None, [True, False, False, True]])
+    def test_fingerprint_is_the_tobytes_digest(self, writes):
+        """Hashing the arrays in place gives the digest every store key
+        was built with: the ``tobytes()`` copies it replaced."""
+        trace = Trace("t", np.array([9, 1 << 40, -1, 7]), ipm=2.5,
+                      cpi_base=1.25, writes=writes)
+        old = hashlib.sha256(b"2.5:1.25:" + trace.lines.tobytes())
+        if writes is not None:
+            old.update(b"w" + trace.writes.tobytes())
+        assert trace.fingerprint() == old.hexdigest()
 
 
 class TestChunkViews:

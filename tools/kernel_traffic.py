@@ -25,7 +25,11 @@ the object came from the cache or was built, and why it fell back; with
 ``cc`` on ``PATH`` a stock loop, drain or prefilter on the Python target
 is a failed or disabled build, and so is a policy whose drains were never
 bound at all, or a report whose L1s never bound the prefilter: the exit
-status is 1.  CI runs this at ``micro`` in the ``campaign-smoke`` job.
+status is 1.  ``warm`` is the same ``targets`` from a second report run
+in a fresh process against the same object cache (``cc`` hosts only):
+a compiled object is found by its rendering, so every key there must be
+a ``hit`` — one that was built again, or fell back, is exit status 1.
+CI runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
 
@@ -38,6 +42,7 @@ import argparse
 import contextlib
 import json
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -110,6 +115,19 @@ def measure(scale: str) -> dict:
                         in sorted(transitions.target_stats().items())}}
 
 
+def warm_targets(scale: str) -> dict:
+    """``targets`` of a second :func:`measure` in a fresh process: what a
+    warm object cache gives a process that has loaded nothing yet."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import kernel_traffic; "
+            "result = kernel_traffic.measure(sys.argv[2]); "
+            "print(json.dumps(result['targets']))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent), scale],
+        check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(done.stdout)
+
+
 def problems(result: dict) -> list:
     """What makes the exit status 1 (module docstring), as messages."""
     found = []
@@ -135,6 +153,13 @@ def problems(result: dict) -> list:
     prefilter = "prefilter " + "/".join(transitions.PREFILTER_KEY)
     if prefilter not in result["targets"]:
         found.append(f"no L1 at {result['scale']} bound the prefilter")
+    unwarmed = [f"{label} ({entry.get('cache') or entry.get('reason')})"
+                for label, entry in result["warm"].items()
+                if entry.get("cache") != "hit"]
+    if result["cc"] and unwarmed:
+        found.append(f"a second run at {result['scale']} on the same object "
+                     f"cache did not load every key as a hit: "
+                     f"{', '.join(unwarmed)}")
     return found
 
 
@@ -144,6 +169,7 @@ def main(argv=None) -> int:
                         help="report scale to run (default: micro)")
     args = parser.parse_args(argv)
     result = measure(args.scale)
+    result["warm"] = warm_targets(args.scale) if result["cc"] else {}
     print(json.dumps(result, indent=2))
     found = problems(result)
     for message in found:
