@@ -10,8 +10,6 @@ jobs run the batch kernels (``benchmarks/record.py engine``).
 core's representation choices (``repro.cache.state.TagStore``): one
 process-wide open-addressed dict vs a dict per set for the tag lookup, and
 Python-list vs numpy scalar element access for the flat state arrays.
-``TestLRUOrderRepresentation`` is the same for ``LRUPolicy``'s recency
-order: flat per-set segments vs one short list per set.
 """
 
 import numpy as np
@@ -158,51 +156,6 @@ class TestTagStateRepresentation:
             for line in STREAM:
                 i = (line & mask) * 16 + (line & 15)
                 state[i] = state[i] + 1
-
-        benchmark(run)
-
-
-class TestLRUOrderRepresentation:
-    """The pair behind ``LRUPolicy``'s recency-order layout.
-
-    Each case performs the move-to-front of an LRU hit in isolation (every
-    access hits way ``(line >> 7) & 15`` of set ``line & mask``, so the
-    hit depth is uniform — the worst case for both).  The winner —
-    one short MRU-first list per set, ``remove`` + ``insert`` — is what
-    ``repro.cache.replacement.lru`` and the ``lru`` fragments of
-    ``repro.cache.transitions`` implement; the flat ``set * assoc + slot``
-    segments are what they replaced.
-    """
-
-    SETS, ASSOC = 128, 16
-
-    def test_promote_flat_segments(self, benchmark):
-        assoc, mask = self.ASSOC, self.SETS - 1
-        order = list(range(assoc)) * self.SETS
-        order_index = order.index
-
-        def run():
-            for line in STREAM:
-                way = (line >> 7) & 15
-                row = (line & mask) * assoc
-                pos = order_index(way, row, row + assoc)
-                if pos != row:
-                    order[row + 1:pos + 1] = order[row:pos]
-                    order[row] = way
-
-        benchmark(run)
-
-    def test_promote_list_per_set(self, benchmark):
-        mask = self.SETS - 1
-        orders = [list(range(self.ASSOC)) for _ in range(self.SETS)]
-
-        def run():
-            for line in STREAM:
-                way = (line >> 7) & 15
-                o = orders[line & mask]
-                if o[0] != way:
-                    o.remove(way)
-                    o.insert(0, way)
 
         benchmark(run)
 

@@ -57,7 +57,7 @@ import numpy as np
 #: canaries — over the three paper policies a compiled drain of 2 K
 #: lines must run at 5x the Python rendering or better (measured ~20x),
 #: and one of 130 lines, where the call's fixed cost (argument block,
-#: LRU's order lists, the tag-dict rebuild) weighs most, no slower than
+#: the tag-dict rebuild) weighs most, no slower than
 #: it (measured ~2.1x; about 0.86x while every call copied the
 #: directory in and out); and the L1 prefilter's — the compiled walk of
 #: a window must run at 5x its Python rendering or better (measured

@@ -12,12 +12,12 @@ The subset.  Integer and float locals (a name's type is the type of its
 first assignment and never changes), ``if`` / ``elif`` / ``else``,
 ``while``, ``break``, ``continue``, ``for NAME in <column>`` (exactly
 that: no ``else``, no nesting, no store to ``NAME`` in the body), plain
-and augmented assignment, ``del``, integer
+and augmented assignment, ``del`` of a tag-dict entry, integer
 arithmetic and bit operations, comparisons, ``and`` / ``or`` / ``not``,
-the conditional expression, indexing of bound arrays, and the attribute
-calls :data:`PURE_ATTRS` admits: ``bit_length`` / ``bit_count`` on
-integers, ``insert`` / ``remove`` / ``index`` on *bounded* lists (one
-fixed-capacity segment per set plus a length word).  Kinds, as declared
+the conditional expression, indexing of bound arrays, and the only
+attribute calls :data:`PURE_ATTRS` admits: ``bit_length`` /
+``bit_count`` on integers.  Every piece of state is a flat array, so
+there are no containers and no container methods.  Kinds, as declared
 per name:
 
 ``int`` / ``float``
@@ -27,8 +27,6 @@ per name:
     an owner's array, shared with Python by address for the call: what
     either side stores the other sees, call-outs included (``cores``:
     an integer array with one slot per thread).
-``lists:CAP``
-    per-set bounded lists, ``CAP`` (a bound ``int`` name) slots each.
 ``rows``
     per-thread table of ``int64`` columns (``lines[t][j]``).
 ``column``
@@ -89,35 +87,6 @@ static inline i64 heap_min(const double *clock, i64 n) {
         if (clock[u] < clock[best]) best = u;
     return best;
 }
-/* Bounded lists: a breach of the bound (or of what Python would raise
-   IndexError / ValueError for) traps instead of touching a neighbour. */
-static inline i64 list_at(const i64 *o, i64 n, i64 i) {
-    if (i < 0) i += n;
-    if (i < 0 || i >= n) __builtin_trap();
-    return o[i];
-}
-static inline i64 list_index(const i64 *o, i64 n, i64 v) {
-    for (i64 i = 0; i < n; i++)
-        if (o[i] == v) return i;
-    __builtin_trap();
-}
-static inline void list_del(i64 *o, i64 *n, i64 i) {
-    if (i < 0) i += *n;
-    if (i < 0 || i >= *n) __builtin_trap();
-    for (*n -= 1; i < *n; i++) o[i] = o[i + 1];
-}
-static inline void list_remove(i64 *o, i64 *n, i64 v) {
-    list_del(o, n, list_index(o, *n, v));
-}
-static inline void list_insert(i64 *o, i64 *n, i64 cap, i64 i, i64 v) {
-    if (*n >= cap) __builtin_trap();
-    if (i < 0) i += *n;
-    if (i < 0) i = 0;
-    if (i > *n) i = *n;
-    for (i64 k = *n; k > i; k--) o[k] = o[k - 1];
-    o[i] = v;
-    *n += 1;
-}
 """
 
 _C_TYPES = {"int": "i64", "float": "double"}
@@ -137,14 +106,13 @@ class Kernel(NamedTuple):
     source: str
     #: ``(name, C type, kind)`` of every member of ``Args``, in order.
     #: Kinds are those of the module docstring plus ``error`` (the word a
-    #: failed call-out sets), ``length`` (the member after a ``lists:``,
-    #: ``heap`` or ``column`` one) and ``ret`` (the returned tuple,
-    #: ``ret0`` ...).
+    #: failed call-out sets), ``length`` (the member after a ``heap`` or
+    #: ``column`` one) and ``ret`` (the returned tuple, ``ret0`` ...).
     members: Tuple[Tuple[str, str, str], ...]
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
-    #: Arrays and lists the kernel writes (the lists are copied back
-    #: after the call, a tag dict over a written ``LINES`` rebuilt).
+    #: Arrays the kernel writes (a tag dict over a written ``LINES`` is
+    #: rebuilt after the call).
     stored: frozenset
     #: ``(dict, LINES, ASSOC)`` of every tag dict whose updates were
     #: dropped (rebuilt after the call).
@@ -332,7 +300,7 @@ class _Translator:
                           f"factory bindings only")
 
     def expr_Subscript(self, node) -> Tuple[str, str]:
-        """An indexed scalar: array element, row element, list element."""
+        """An indexed scalar: array element or row element."""
         base = node.value
         index = self.int_expr(node.slice)
         if isinstance(base, ast.Name) and base.id not in self.locals:
@@ -346,34 +314,9 @@ class _Translator:
             self.kind(base.value)
             row = self.int_expr(base.slice)
             return f"{base.value.id}[{row}][{index}]", "int"
-        items, length, _cap = self.list_of(base)
-        return f"list_at({items}, *{length}, {index})", "int"
-
-    def list_of(self, node) -> Tuple[str, str, str]:
-        """``(items, &length, capacity)`` of a bounded-list expression: a
-        local bound to one, or ``lists[i]``."""
-        if isinstance(node, ast.Name) and node.id in self.locals:
-            if self.locals[node.id].startswith("list:"):
-                return node.id, f"{node.id}_n", self.locals[node.id][5:]
-        elif (isinstance(node, ast.Subscript)
-              and isinstance(node.value, ast.Name)
-              and self.kinds.get(node.value.id, "").startswith("lists:")):
-            name = node.value.id
-            cap = self.capacity(node.value)
-            index = self.int_expr(node.slice)
-            return (f"({name} + {index} * {cap})", f"(&{name}_n[{index}])",
-                    cap)
-        if isinstance(node, ast.Attribute):
-            self.refuse(node, f"attribute access .{node.attr}: a kernel "
-                              f"touches factory bindings only")
-        self.refuse(node, "not a bounded list (an unbounded Python list "
-                          "has no C layout)")
-
-    def capacity(self, node: ast.Name) -> str:
-        cap = self.kind(node).partition(":")[2]
-        if self.kinds.get(cap) != "int":
-            self.refuse(node, f"list capacity {cap!r} is not a bound int")
-        return self.ref(cap)
+        if isinstance(base, ast.Attribute):
+            self.expr_Attribute(base)
+        self.refuse(node, "indexing anything but a bound array or a row")
 
     def expr_Call(self, node):
         func = node.func
@@ -408,11 +351,8 @@ class _Translator:
         attr = func.attr
         if attr in ("bit_length", "bit_count") and not node.args:
             return f"{attr}({self.int_expr(func.value)})", "int"
-        if attr == "index" and len(node.args) == 1:
-            items, length, _cap = self.list_of(func.value)
-            return (f"list_index({items}, *{length}, "
-                    f"{self.int_expr(node.args[0])})"), "int"
-        self.refuse(node, f"attribute .{attr} in an expression")
+        self.refuse(node, f"method .{attr}(): the only methods translated "
+                          f"are an integer's bit_length() / bit_count()")
 
     def has_callout(self, node) -> bool:
         return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
@@ -460,8 +400,6 @@ class _Translator:
         if self.is_tags(base):
             return                          # the dict mirrors its LINES
         place, place_typ = self.expr_Subscript(target)
-        if place.startswith("list_at("):
-            self.refuse(node, "store into a bounded-list element")
         if typ == "opt" or (place_typ == "int" and typ == "float"):
             self.refuse(node, f"{typ} stored into an {place_typ} array")
         self.stored.add(base.id if isinstance(base, ast.Name)
@@ -474,23 +412,9 @@ class _Translator:
         target, value = node.targets[0], node.value
         if isinstance(target, ast.Tuple):
             return self.pushpop(node, target, value, depth)
-        if isinstance(target, ast.Name) and self.is_list(value):
-            items, length, cap = self.list_of(value)
-            self.declare(node, target.id, f"list:{cap}")
-            self.emit(depth, f"{target.id} = {items};")
-            self.emit(depth, f"{target.id}_n = {length};")
-            return
         text, typ = self.expr(value)
         self.assign(target, text, typ, node, depth)
         self.after_callout(value, depth)
-
-    def is_list(self, node) -> bool:
-        return ((isinstance(node, ast.Subscript)
-                 and isinstance(node.value, ast.Name)
-                 and self.kinds.get(node.value.id, "").startswith("lists:")
-                 and node.value.id not in self.locals)
-                or (isinstance(node, ast.Name)
-                    and self.locals.get(node.id, "").startswith("list:")))
 
     def pushpop(self, node, target, value, depth):
         """``now, t = pushpop(heap, (clock, t))``."""
@@ -541,13 +465,8 @@ class _Translator:
         for target in node.targets:
             if not isinstance(target, ast.Subscript):
                 self.refuse(node, "del of a name")
-            base = target.value
-            if self.is_tags(base):
-                continue
-            items, length, _cap = self.list_of(base)
-            self.mark_list_stored(base)
-            self.emit(depth, f"list_del({items}, {length}, "
-                             f"{self.int_expr(target.slice)});")
+            if not self.is_tags(target.value):
+                self.refuse(node, "del of anything but a tag-dict entry")
 
     def is_tags(self, node) -> bool:
         if (isinstance(node, ast.Name) and node.id not in self.locals
@@ -556,35 +475,10 @@ class _Translator:
             return True
         return False
 
-    def mark_list_stored(self, node) -> None:
-        if isinstance(node, ast.Subscript):
-            self.stored.add(node.value.id)
-        else:
-            # A local alias: it was bound from ``lists[i]`` of some table;
-            # every bounded-list table in use is written back.
-            self.stored.update(name for name, kind in self.used.items()
-                               if kind.startswith("lists:"))
-
     def stmt_Expr(self, node, depth):
         call = node.value
         if not isinstance(call, ast.Call):
             self.refuse(node, "expression statement")
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in ("insert",
-                                                             "remove"):
-            items, length, cap = self.list_of(func.value)
-            self.mark_list_stored(func.value)
-            args = ", ".join(self.int_expr(arg) for arg in call.args)
-            if func.attr == "insert" and len(call.args) == 2:
-                self.emit(depth, f"list_insert({items}, {length}, {cap}, "
-                                 f"{args});")
-                return
-            if func.attr == "remove" and len(call.args) == 1:
-                self.emit(depth, f"list_remove({items}, {length}, {args});")
-                return
-        if isinstance(func, ast.Attribute):
-            self.refuse(node, f"attribute .{func.attr} is not one of the "
-                              f"admitted list methods")
         text, _typ = self.expr(call)
         self.emit(depth, f"(void){text};")
         self.after_callout(call, depth)
@@ -722,11 +616,6 @@ class _Translator:
                 ctype = _C_TYPES[_ARRAY_KINDS[kind]]
                 members.append((name, f"{ctype} *", kind))
                 prologue.append(f"{ctype} *const {name} = a->{name};")
-            elif kind.startswith("lists:"):
-                members += [(name, "i64 *", kind),
-                            (f"{name}_n", "i64 *", "length")]
-                prologue += [f"i64 *const {name} = a->{name};",
-                             f"i64 *const {name}_n = a->{name}_n;"]
             elif kind == "rows":
                 members.append((name, "i64 **", kind))
                 prologue.append(f"i64 *const *const {name} = a->{name};")
@@ -748,11 +637,8 @@ class _Translator:
         for position, typ in enumerate(self.returns):
             members.append((f"ret{position}", _C_TYPES[typ], "ret"))
         for name, typ in self.locals.items():
-            if typ.startswith("list:"):
-                prologue += [f"i64 *{name} = 0;", f"i64 *{name}_n = 0;"]
-            else:
-                start = f"a->{name}" if name in self.used else "0"
-                prologue.append(f"{_C_TYPES[typ]} {name} = {start};")
+            start = f"a->{name}" if name in self.used else "0"
+            prologue.append(f"{_C_TYPES[typ]} {name} = {start};")
         struct = [f"    {ctype.replace('(*)', f'(*{name})')};" if "(*)" in ctype
                   else f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};"
                   for name, ctype, _kind in members]

@@ -36,11 +36,12 @@ any check is removed and rebuilt.  Objects are written under a temporary
 name and ``os.replace``\\ d, so two processes racing through a cold cache
 (the normal case under a process pool) each install a complete file.
 
-State during a call.  There is no resident C state and, for arrays, no
-copy: every flat array a kernel binds is an ``array('q')`` /
+State during a call.  There is no resident C state and no copy of an
+array: every flat array a kernel binds is an ``array('q')`` /
 ``array('d')`` its owner allocated once and only ever mutates in place
-(a tag store's lines and masks, policy and scheme words, statistics, SDH
-registers, the engine's per-thread cursors), or a contiguous numpy
+(a tag store's lines and masks, policy and scheme words — LRU's
+recency order included — statistics, SDH registers, the engine's
+per-thread cursors), or a contiguous numpy
 column of the C element type (the prefilter's window and output
 columns, the miss stream, a drain's batch, which may also be an
 ``array('q')``).  Each is handed to C by address and pinned — a buffer
@@ -48,13 +49,10 @@ export held — for the length of the call, so whatever Python does in a
 call-out sees and is seen by C at once, and a resize there raises
 :class:`BufferError` instead of leaving C a dangling pointer.  Anything
 else where an array belongs is a :class:`TypeError` before the kernel
-runs.  Two things are still copied, on purpose: LRU's per-set order
-lists (``lists:`` — the Python side keeps C-speed ``remove`` /
-``insert``) into one bounded segment per set and back, and a tag dict
-(``tags:``), rebuilt from its tag lines after a call that wrote them.
-The loop returns to Python through call-outs (``beyond``, ``freeze``,
-``resume``); after each, a miss-stream column the shell replaced is
-re-pointed.  An exception raised inside a call-out stops the C loop at
+runs.  One thing is still copied: a tag dict (``tags:``), rebuilt from
+its tag lines after a call that wrote them.  The loop returns to Python
+through call-outs (``beyond``, ``freeze``, ``resume``); after each, a
+miss-stream column the shell replaced is re-pointed.  An exception raised inside a call-out stops the C loop at
 that statement and is re-raised from :meth:`CompiledKernel.__call__`.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
@@ -282,7 +280,7 @@ class Loaded(NamedTuple):
 
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
-    #: Arrays and lists the kernel writes.
+    #: Arrays the kernel writes.
     stored: frozenset
     run: Callable                       # i64 run(Args *)
     args: type                          # the ctypes mirror of Args
@@ -294,9 +292,6 @@ class Loaded(NamedTuple):
     fields: Tuple[Tuple[str, str, str], ...]
     #: The returned values' members, in order.
     returns: Tuple[str, ...]
-    #: ``(name, capacity)`` of each bounded-list table the kernel writes:
-    #: copied back after the call.
-    lists: Tuple[Tuple[str, str], ...]
     #: ``(dict, LINES, ASSOC)`` of each tag dict whose ``LINES`` the
     #: kernel writes: rebuilt after the call.
     tags: Tuple[Tuple[str, str, str], ...]
@@ -351,8 +346,6 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
         fields=tuple(m for m in members if m[2] not in ("length", "ret")),
         returns=tuple(name for name, _ctype, kind in members
                       if kind == "ret"),
-        lists=tuple((name, kind[6:]) for name, _ctype, kind in members
-                    if kind.startswith("lists:") and name in stored),
         tags=tuple(entry for entry in tags if entry[1] in stored))
 
 
@@ -438,7 +431,7 @@ class CompiledKernel:
 
 
 class _Run:
-    """One call: share the arrays, run, copy the lists back."""
+    """One call: share the arrays, run, rebuild the tag dicts."""
 
     def __init__(self, loaded: Loaded, values: Dict[str, object]) -> None:
         self.loaded = loaded
@@ -447,8 +440,6 @@ class _Run:
         self.error: Optional[BaseException] = None
         #: Buffer exports that keep the shared arrays in place.
         self.pins: List[memoryview] = []
-        #: name -> (segments, lengths) of a bounded-list table's copy.
-        self.buffers: Dict[str, Tuple[array.array, array.array]] = {}
         #: name -> (pointer table, columns it currently points at).
         self.rows: Dict[str, Tuple[ctypes.Array, list]] = {}
         self.keep: list = []
@@ -491,8 +482,6 @@ class _Run:
                 out += (ctypes.addressof(clocks), threads)
             elif kind == "error":
                 out.append(0)
-            elif kind.startswith("lists:"):
-                out += self.lists_in(name, values[kind[6:]])
             else:                               # callout:
                 callback = loaded.callouts[name](self.callout(value))
                 self.keep.append(callback)
@@ -517,22 +506,6 @@ class _Run:
         raise TypeError(f"{name}: a {type(value).__name__} where "
                         f"array({typecode!r}) or a contiguous {dtype} column "
                         f"C can share belongs")
-
-    def lists_in(self, name: str, capacity: int) -> Tuple[int, int]:
-        """Bounded lists copied into one ``capacity``-slot segment each,
-        plus the lengths: the addresses of both."""
-        lists = self.values[name]
-        lengths = array.array("q", map(len, lists))
-        if lengths and max(lengths) > capacity:
-            raise ValueError(f"{name}: a list longer than its bound "
-                             f"{capacity}")
-        padding = [0] * capacity
-        items = array.array("q")
-        for segment in lists:
-            items.fromlist(segment)
-            items.fromlist(padding[len(segment):])
-        self.buffers[name] = items, lengths
-        return items.buffer_info()[0], lengths.buffer_info()[0]
 
     def repoint(self) -> None:
         """Point each row at the column the shell currently holds."""
@@ -560,17 +533,11 @@ class _Run:
         return call
 
     # -- exit -----------------------------------------------------------
-    def copy_back(self) -> None:
-        """The bounded lists into the owner's lists, in place; each tag
-        dict rebuilt from its lines (every valid entry mapped to its way:
-        a line is ``-1`` exactly when its way is invalid)."""
+    def rebuild_tags(self) -> None:
+        """Each tag dict rebuilt from its lines (every valid entry mapped
+        to its way: a line is ``-1`` exactly when its way is invalid) —
+        the one thing a call does not share."""
         values = self.values
-        for name, capacity_name in self.loaded.lists:
-            items, lengths = self.buffers[name]
-            for start, segment, length in zip(
-                    range(0, len(items), values[capacity_name]),
-                    values[name], lengths):
-                segment[:] = items[start:start + length].tolist()
         for tags, lines, assoc in self.loaded.tags:
             table = values[tags]
             table.clear()
@@ -585,7 +552,7 @@ class _Run:
             try:
                 loaded.run(ctypes.byref(args))
             finally:
-                self.copy_back()
+                self.rebuild_tags()
             result = tuple(getattr(args, name) for name in loaded.returns)
         finally:
             for view in self.pins:

@@ -20,9 +20,9 @@ recency order:
 
 LRU-position insertions live in a per-set *below* block
 (``_below``/``_below_size``/``_below_mask``, flat ``set * assoc + slot``
-segments, unlike :class:`LRUPolicy`'s per-set order lists: these policies
-run on the generic object path and no shipped figure builds one, so the
-block was not re-laid-out with the order): ways below the recency order,
+segments like :class:`LRUPolicy`'s order, but plain lists with an
+explicit size: these policies run on the generic object path only, and
+no kernel binds the block): ways below the recency order,
 ordered so the **newest** insertion is the next victim — the exact
 behaviour of the seed implementation's strictly-decreasing stamp floor
 (each LRU-insertion took a stamp below every valid line and below all
@@ -144,8 +144,8 @@ class LIPPolicy(LRUPolicy):
 
     def stack_order(self, set_index: int) -> List[int]:
         base = set_index * self.assoc
-        touched = self._order[set_index]
         present = self._present[set_index]
+        touched = self._order[base:base + present.bit_count()].tolist()
         bmask = self._below_mask[set_index]
         untouched = [w for w in range(self.assoc)
                      if not ((present | bmask) >> w) & 1]

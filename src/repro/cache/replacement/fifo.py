@@ -6,11 +6,11 @@ candidate ways.  Hits do not move a line ("no promotion"), which is what
 separates FIFO from LRU and makes it vulnerable to cyclic working sets that
 slightly exceed the cache.
 
-State is :class:`LRUPolicy`'s (``_order``, one MRU-first list of the
-filled ways per set, and the ``_present`` bitmasks), except only
-:meth:`touch_fill` moves a way to the front — behaviourally identical to
-the seed's fill-timestamp lists (never-filled ways oldest, ties toward
-lower way).
+State is :class:`LRUPolicy`'s (``_order``, the filled ways of each set
+MRU first in ``assoc`` flat slots with a ``-1`` suffix, and the
+``_present`` bitmasks), except only :meth:`touch_fill` moves a way to
+the front — behaviourally identical to the seed's fill-timestamp lists
+(never-filled ways oldest, ties toward lower way).
 
 Hardware equivalent: one ``log2(A)``-bit insertion pointer per set (the
 classical round-robin implementation).  The order representation used here

@@ -75,43 +75,59 @@ __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
            "rendering_keys", "source_name", "target_stats", "target_summary",
            "translate"]
 
-#: Attribute loads a kernel closure may perform: C-level int and list
-#: methods on locals.
-PURE_ATTRS = frozenset({"bit_length", "bit_count",
-                        "index", "insert", "remove"})
+#: Attribute loads a kernel closure may perform: C-level int methods on
+#: locals.
+PURE_ATTRS = frozenset({"bit_length", "bit_count"})
 
 POLICIES = {
     "lru": {
-        # Exact LRU: one MRU-first list of the touched ways per set — every
-        # present way exactly once, nothing else.  A valid way is present
-        # (fills touch, invalidation removes), so a hit never searches for
-        # a way that is not there and a victim walk always ends.
+        # Exact LRU: ``assoc`` slots per set (from ``row``), the present
+        # ways MRU first, then -1.  A valid way is present (fills touch,
+        # invalidation removes), so a hit never searches for a way that
+        # is not there and a victim walk always ends inside the set.
         "bind": """\
 orders = policy._order
 present = policy._present""",
-        "locate": "o = orders[$set]",
-        # 30-84 % of L2 hits are to the MRU way already.
+        "locate": "row = $set * assoc",
+        # One shift pass down to the way's slot, the way into the front;
+        # skipped for the 30-84 % of L2 hits that are to the MRU already.
         "promote": """\
-if o[0] != way:
-    o.remove(way)
-    o.insert(0, way)""",
+held = orders[row]
+if held != way:
+    slot = row
+    carry = way
+    while held != way:
+        orders[slot] = carry
+        carry = held
+        slot += 1
+        held = orders[slot]
+    orders[slot] = carry""",
         "fill_invalid": """\
-orders[$set].insert(0, way)
+slot = row + present[$set].bit_count()
+while slot > row:
+    orders[slot] = orders[slot - 1]
+    slot -= 1
+orders[row] = way
 present[$set] |= 1 << way""",
         # Deepest member of the mask, moved to MRU in the same step.
         "victim": """\
-o = orders[$set]
-i = -1
-way = o[i]
+slot = row + present[$set].bit_count() - 1
+way = orders[slot]
 while not (mask >> way) & 1:
-    i -= 1
-    way = o[i]
-del o[i]
-o.insert(0, way)""",
+    slot -= 1
+    way = orders[slot]
+while slot > row:
+    orders[slot] = orders[slot - 1]
+    slot -= 1
+orders[row] = way""",
         "victim_in_mask": True,
         "fill": "",
-        # Exact stack position: the way's index in the order (§II-A).
-        "sdh": "sdh_r[o.index(way) + 1] += 1",
+        # Exact stack position: the way's slot in the order (§II-A).
+        "sdh": """\
+slot = row
+while orders[slot] != way:
+    slot += 1
+sdh_r[slot - row + 1] += 1""",
         "bind_sdh": "",
     },
     "nru": {
@@ -569,7 +585,7 @@ C_KINDS = {
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "misses": "cores", "fills_invalid": "cores",
-    "orders": "lists:assoc", "present": "ints",
+    "orders": "ints", "present": "ints",
     "used_l": "ints", "pointer": "ints",
     "tree": "ints", "keep": "ints", "setb": "ints", "table": "ints",
     "walk": "ints", "up_l": "ints", "down_l": "ints", "levels": "int",
@@ -787,8 +803,8 @@ def bind(rendering: str, key: Key, owner, *args) -> Callable:
     and load one (:mod:`repro.cache.native`), the Python target otherwise
     — same signature, same results, bit for bit — and is recorded in
     :func:`target_stats`.  A compiled kernel works on the owner's arrays
-    in place; what a call still pays for — argument marshalling, LRU's
-    order lists, the tag-dict rebuild — it pays per *batch*: a whole run
+    in place; what a call still pays for — argument marshalling and the
+    tag-dict rebuild — it pays per *batch*: a whole run
     of the event loop, a whole ATD drain, a whole L1 window.  The
     call-form loop (key ``None``) has only the Python target."""
     if key is not None:

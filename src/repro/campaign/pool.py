@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.jobs import Job
+from repro.campaign.server import MAX_BODY_BYTES
 from repro.campaign.store import ResultStore, store_from_spec, store_spec
 
 
@@ -371,11 +372,16 @@ def _send_frame(sock: socket.socket, obj: Any) -> None:
 
 
 def _recv_frame(rfile) -> Any:
-    """Read one length-prefixed pickle frame (EOFError on a closed peer)."""
+    """Read one length-prefixed pickle frame (EOFError on a closed peer;
+    ValueError, before a byte of the body is read, on a length over
+    :data:`~.server.MAX_BODY_BYTES`, the store server's own cap)."""
     header = rfile.read(4)
     if len(header) < 4:
         raise EOFError("connection closed")
     (length,) = struct.unpack(">I", header)
+    if length > MAX_BODY_BYTES:
+        raise ValueError(f"frame of {length} bytes over the "
+                         f"{MAX_BODY_BYTES}-byte cap")
     data = rfile.read(length)
     if len(data) < length:
         raise EOFError("connection closed mid-frame")
@@ -430,13 +436,18 @@ class RemotePool(WorkerPool):
                              daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        """Handshake one worker, then relay its acks as events."""
+        """Handshake one worker, then relay its acks as events.
+
+        Whatever ends the connection — the peer closing it, an oversized
+        or undecodable frame, an ack that is not ``(kind, key, error)``
+        with ``kind`` ``done`` / ``failed`` and two strings, any other
+        exception — is a ``lost`` event, so the job in flight is
+        requeued rather than waited for."""
         rfile = conn.makefile("rb")
         worker = None
         try:
             hello = _recv_frame(rfile)
             if not (isinstance(hello, tuple) and hello[0] == "hello"):
-                conn.close()
                 return
             with self._lock:
                 worker = f"remote-{self._accepted}"
@@ -449,13 +460,16 @@ class RemotePool(WorkerPool):
             self._events.put(("joined", worker, None, ""))
             while True:
                 msg = _recv_frame(rfile)
-                kind, key = msg[0], msg[1]
-                error = msg[2] if len(msg) > 2 else ""
-                self._events.put((kind, worker, key, error))
-        except (EOFError, OSError, pickle.UnpicklingError):
+                if not (isinstance(msg, tuple) and len(msg) == 3
+                        and msg[0] in ("done", "failed")
+                        and all(isinstance(part, str) for part in msg)):
+                    break
+                self._events.put((msg[0], worker, msg[1], msg[2]))
+        except Exception:   # noqa: BLE001 - any damage ends the connection
+            pass
+        finally:
             if worker is not None:
                 self._events.put(("lost", worker, None, ""))
-        finally:
             try:
                 conn.close()
             except OSError:

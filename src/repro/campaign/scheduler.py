@@ -124,21 +124,16 @@ class ReadySetScheduler:
         ack second).
     max_retries:
         Requeues allowed per job before it is recorded as failed.
-    locality:
-        Route jobs sharing :func:`locality_key` to a sticky worker.  Off
-        is scatter placement (tests only; the campaign always routes).
     on_dispatch:
         Test hook called ``(key, job, worker)`` at each dispatch, before
         the job is handed to the pool.
     """
 
     def __init__(self, store: ResultStore, max_retries: int = 2,
-                 locality: bool = True,
                  on_dispatch: Optional[Callable[[str, Job, str], None]] = None,
                  echo: Optional[Callable[[str], None]] = None) -> None:
         self.store = store
         self.max_retries = max_retries
-        self.locality = locality
         self.on_dispatch = on_dispatch
         self.echo = echo or (lambda _msg: None)
         self.stats = SchedulerStats()
@@ -205,9 +200,7 @@ class ReadySetScheduler:
     # ------------------------------------------------------------------
     def _push_ready(self, key: str, front: bool = False) -> None:
         """Queue a runnable job, honouring its locality assignment."""
-        target = None
-        if self.locality:
-            target = self._assignment.get(locality_key(self._jobs[key]))
+        target = self._assignment.get(locality_key(self._jobs[key]))
         if target is not None and target in self._workers:
             dq = self._ready_for.setdefault(target, deque())
         else:
@@ -226,8 +219,7 @@ class ReadySetScheduler:
             key = dq.popleft()
         elif self._ready_any:
             key = self._ready_any.popleft()
-            if self.locality:
-                self._assignment[locality_key(self._jobs[key])] = worker
+            self._assignment[locality_key(self._jobs[key])] = worker
         else:
             victim = max((d for d in self._ready_for.values() if d),
                          key=len, default=None)

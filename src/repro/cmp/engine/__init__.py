@@ -67,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "2a5c51e0a45b4755da92ebd6de4f55d220b06e9f7fb703357f509e96bc4aa6bf"
+ENGINE_SOURCE_CHECKSUM = "2655b1c091bf37117e0a409537635c1cbffddd7571eb01e624ad31a08340941e"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

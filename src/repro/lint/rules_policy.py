@@ -14,10 +14,9 @@ rules hold; each gets a mechanical check here:
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
   renders (``observe_many`` for each policy, the event loop of
   ``BatchedEngine.run`` for each policy x scheme, plus the call-form
-  loop and the L1 ``prefilter``) and any closure built by a ``*_kernel``
-  function in ``cache/state.py`` must run on bound locals only: no
-  attribute loads
-  (beyond int/list method calls on locals), no global lookups, no
+  loop and the L1 ``prefilter``; renderings are the only kernel closures
+  there are) must run on bound locals only: no attribute loads (beyond
+  ``bit_length`` / ``bit_count`` on locals), no global lookups, no
   list/dict/set or comprehension allocations.  The spec tables are read
   off the checked tree as literals and rendered with this package's
   renderer — the checked tree is never imported — so a fragment storing
@@ -44,10 +43,6 @@ KERNEL_METHODS = ("touch", "touch_fill", "victim")
 #: Directories whose classes hold kernel-captured state arrays.
 STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
 
-#: Modules whose module-level ``*_kernel`` functions may build hot-path
-#: closures (private or public, none exempt).
-HOT_KERNEL_MODULES = ("repro/cache/state.py",)
-
 #: Module whose literal ``POLICIES`` / ``SCHEMES`` / ``TEMPLATES`` /
 #: ``PRIVATE_LOCALS`` tables every hot kernel is rendered from.
 TRANSITION_SPEC = "repro/cache/transitions.py"
@@ -62,9 +57,10 @@ C_KINDS_TABLE = "C_KINDS"
 #: strict contract.
 EVENT_LOOPS = ((TRANSITION_SPEC, "loop"),)
 
-#: Attribute loads permitted inside kernel closures: C-level int/list
-#: methods on already-bound locals.  Everything else (``obj.attr`` chases,
-#: ``dict.get`` re-lookups) must be bound once in the factory.
+#: Attribute loads permitted inside kernel closures: C-level int methods
+#: on already-bound locals.  Everything else (``obj.attr`` chases,
+#: ``dict.get`` re-lookups, list methods) must be bound once in the
+#: factory or not used at all.
 PURE_LOCAL_ATTRS = transitions.PURE_ATTRS
 
 
@@ -249,18 +245,6 @@ class HotPathPurityRule(Rule):
                    "factory-bound locals")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        for rel in HOT_KERNEL_MODULES:
-            path = ctx.find(rel)
-            tree = ctx.tree(path) if path is not None else None
-            if tree is None:
-                continue
-            for node in tree.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name.endswith("_kernel")):
-                    yield from self._check_factory(ctx, path, node)
-        yield from self._check_rendered(ctx)
-
-    def _check_rendered(self, ctx: LintContext) -> Iterator[Diagnostic]:
         """Strict contract over every rendering of the transition spec."""
         path = ctx.find(TRANSITION_SPEC)
         tree = ctx.tree(path) if path is not None else None

@@ -20,7 +20,7 @@ NAME = "<repro kernel test/none loop>"
 KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
     "ints": "ints", "floats": "floats", "shared": "ints",
-    "cores": "cores", "cap": "int", "lists": "lists:cap", "rows": "rows",
+    "cores": "cores", "cap": "int", "rows": "rows",
     "heap": "heap", "pushpop": "pushpop", "col": "column",
     "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
     "get_s": "probe:ints,s,cap",
@@ -95,17 +95,6 @@ GOLDEN = [
                        "cores[x] += INT64_C(1);"]),
     ("a = rows[x][y]", ["i64 *const *const rows = a->rows;",
                         "a = rows[x][y];"]),
-    # bounded lists: a table element, or a local alias of one
-    ("lists[x].insert(0, y)",
-     ["list_insert((lists + x * cap), (&lists_n[x]), cap, INT64_C(0), y);"]),
-    ("o = lists[x]\nif o[0] != y:\n    o.remove(y)\na = o[-1]\ndel o[a]",
-     ["i64 *o = 0;", "i64 *o_n = 0;", "o = (lists + x * cap);",
-      "o_n = (&lists_n[x]);",
-      "if ((list_at(o, *o_n, INT64_C(0)) != y)) {",
-      "list_remove(o, o_n, y);", "a = list_at(o, *o_n, (-INT64_C(1)));",
-      "list_del(o, o_n, a);"]),
-    ("a = lists[x].index(y)",
-     ["a = list_index((lists + x * cap), *(&lists_n[x]), y);"]),
     # the tag dict: lookups probe the set, None is -1, updates are dropped
     ("w = get(y)\nif w is not None:\n    a = w\nelse:\n    w = 0\n"
      "tags[y] = w\ndel tags[y]",
@@ -155,11 +144,11 @@ def test_a_column_is_a_pointer_and_its_length():
 
 
 def test_members_mirror_the_struct_in_order():
-    kernel = translate("ints[x] = 1\nlists[y].insert(0, x)\ng = out(x, f)\n"
+    kernel = translate("ints[x] = 1\ncores[y] += x\ng = out(x, f)\n"
                        "f, x = pushpop(heap, (g, x))\nreturn f, x")
     names = [name for name, _ctype, _kind in kernel.members]
-    assert names == ["error", "x", "f", "g", "ints", "lists", "lists_n",
-                     "cap", "y", "out", "heap", "heap_n", "ret0", "ret1"]
+    assert names == ["error", "x", "f", "g", "ints", "y", "cores", "out",
+                     "heap", "heap_n", "ret0", "ret1"]
     struct = kernel.source[kernel.source.index("typedef struct {"):
                            kernel.source.index("} Args;")]
     assert [line.split()[-1].rstrip(";").lstrip("*")
@@ -167,7 +156,7 @@ def test_members_mirror_the_struct_in_order():
             if "(*" not in line] == [n for n in names if n != "out"]
     assert "double (*out)(i64, double);" in struct
     assert kernel.params == ("x", "y", "f", "g")
-    assert kernel.stored == {"ints", "lists"}
+    assert kernel.stored == {"ints", "cores"}
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +164,6 @@ def test_members_mirror_the_struct_in_order():
 # ----------------------------------------------------------------------
 REFUSED = [
     ("a = x.real", "attribute access .real"),
-    ("lists[x].sort()", "attribute .sort is not one of the admitted"),
-    ("a = lists[x].pop()", "attribute .pop in an expression"),
     ("a = f / 2", "operator Div"),
     ("a = x // 2", "operator FloorDiv"),
     ("a = x % 2", "operator Mod"),
@@ -194,8 +181,6 @@ REFUSED = [
     ("for a in ints:\n    pass", "for over anything but a column"),
     ("for a in range(3):\n    pass", "for over anything but a column"),
     ("for a in rows[x]:\n    pass", "for over anything but a column"),
-    ("o = lists[x]\nfor a in o:\n    pass",
-     "for over anything but a column"),
     ("for a in col:\n    pass\nelse:\n    y = 1", "for/else"),
     ("for a in col:\n    for b in col:\n        pass", "nested for"),
     ("for a in col:\n    a = a + 1", "store to the loop variable 'a'"),
@@ -242,15 +227,27 @@ def test_a_parameter_without_a_kind_is_refused():
         translate("a = 1", params="q")
 
 
-def test_an_unbounded_list_binding_is_refused():
-    """A list whose kind declares no capacity has no C layout."""
-    kinds = dict(KINDS, lists="lists:nowhere")
-    with pytest.raises(ValueError, match="capacity 'nowhere' is not a "
-                                         "bound int"):
-        translate("lists[x].insert(0, y)", kinds=kinds)
-    with pytest.raises(ValueError, match=r"'lists' \(lists:cap\) indexed "
-                                         r"as an array|not a bounded list"):
-        translate("a = lists[x] + 1")
+@pytest.mark.parametrize("rendering,slot,text,method", [
+    ("loop", "promote", "orders.remove(way)\norders.insert(row, way)",
+     "remove"),
+    ("loop", "promote", "orders.insert(row, way)", "insert"),
+    ("observe", "sdh", "sdh_r[orders.index(way, row) - row + 1] += 1",
+     "index"),
+], ids=["remove", "insert", "index"])
+def test_a_list_method_in_a_fragment_is_refused_by_name(
+        rendering, slot, text, method, monkeypatch):
+    """Every piece of kernel state is a flat array, so neither target
+    has container methods: the C translation refuses the method by name,
+    and so does the Python target's purity check."""
+    monkeypatch.setitem(transitions.POLICIES, "probe",
+                        dict(transitions.POLICIES["lru"], **{slot: text}))
+    with pytest.raises(ValueError,
+                       match=rf"<repro kernel probe/none {rendering}>: line "
+                             rf"\d+: method \.{method}\(\)"):
+        transitions.translate(rendering, ("probe", "none"))
+    with pytest.raises(ValueError,
+                       match=rf"closure loads \[[^]]*'{method}'"):
+        transitions.factory.__wrapped__(rendering, ("probe", "none"))
 
 
 # ----------------------------------------------------------------------

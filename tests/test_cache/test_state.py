@@ -8,7 +8,6 @@ partition scheme.  ``kernels=False`` builds the generic twin; the
 per-access entry points are the classes' methods on every instance.
 """
 
-import copy
 import shutil
 from array import array
 
@@ -398,15 +397,15 @@ class TestDrainTargets:
 # Windows: one thread's stream through the event loop (loop_window)
 # ----------------------------------------------------------------------
 def window_policy_state(cache):
-    """Every mutable policy-internal array, snapshotted as plain lists
-    (deep: LRU's ``_order`` holds one live list per set, and a shallow
-    copy would alias them into every later comparison)."""
+    """Every mutable policy-internal array, snapshotted as a plain list
+    (the arrays stay live: a held reference would change under every
+    later comparison)."""
     p = cache.policy
     state = {}
     for attr in ("_order", "_present", "_used", "_tree", "_rrpv",
                  "_pointer_box", "_below_mask"):
         if hasattr(p, attr):
-            state[attr] = copy.deepcopy(getattr(p, attr))
+            state[attr] = list(getattr(p, attr))
     return state
 
 

@@ -1,5 +1,8 @@
 """Worker pools: crash recovery, remote execution, tri-modal bit-identity."""
 
+import io
+import socket
+import struct
 import threading
 
 import pytest
@@ -8,6 +11,8 @@ from repro.campaign.pool import (
     ProcessPool,
     RemotePool,
     SerialPool,
+    _recv_frame,
+    _send_frame,
     resolve_workers,
     run_remote_worker,
 )
@@ -16,7 +21,7 @@ from repro.campaign.store import ResultStore
 from repro.config import config_unpartitioned
 from repro.experiments.common import WorkloadRunner
 
-from repro.campaign.jobs import outcome_job
+from repro.campaign.jobs import isolation_job, outcome_job
 
 
 def small_matrix(scale):
@@ -27,6 +32,32 @@ def small_matrix(scale):
             jobs.append(outcome_job(scale, mix, config_unpartitioned(policy),
                                     benchmarks=benchmarks))
     return jobs
+
+
+#: What a misbehaving peer sends instead of an ack.
+ROGUE_REPLIES = {
+    "ack-without-key": lambda sock: _send_frame(sock, ("done",)),
+    "oversized-header": lambda sock: sock.sendall(
+        struct.pack(">I", 0xFFFFFFF0)),
+}
+
+
+def rogue_peer(address, reply):
+    """Attach as a worker, take one job, ``reply`` to it, then stall
+    until the coordinator hangs up."""
+    sock = socket.create_connection(address, timeout=20.0)
+    try:
+        rfile = sock.makefile("rb")
+        _send_frame(sock, ("hello", "rogue"))
+        _recv_frame(rfile)                  # welcome
+        _recv_frame(rfile)                  # the job
+        reply(sock)
+        while sock.recv(4096):
+            pass
+    except OSError:
+        pass
+    finally:
+        sock.close()
 
 
 def store_fingerprint(store):
@@ -156,6 +187,62 @@ class TestRemotePool:
             assert port > 0
         finally:
             pool.close()
+
+    def test_a_frame_over_the_store_cap_is_refused_unread(self):
+        """One cap for both channels: the store server's body limit."""
+        from repro.campaign import server
+
+        rfile = io.BytesIO(struct.pack(">I", server.MAX_BODY_BYTES + 1)
+                           + b"body")
+        with pytest.raises(ValueError, match="-byte cap"):
+            _recv_frame(rfile)
+        assert rfile.read() == b"body"
+
+    @pytest.mark.parametrize("reply", list(ROGUE_REPLIES))
+    def test_a_malformed_reply_is_a_lost_connection(self, reply, micro_scale,
+                                                    store):
+        """An ack missing its key, or a header announcing ~4 GiB followed
+        by silence: the coordinator drops the peer at once and reports
+        the job it held as ``died``."""
+        pool = RemotePool("127.0.0.1", 0)
+        pool.start(store)
+        peer = threading.Thread(target=rogue_peer,
+                                args=(pool.address, ROGUE_REPLIES[reply]),
+                                daemon=True)
+        peer.start()
+        try:
+            joined = pool.next_event(timeout=10.0)
+            assert joined.kind == "joined"
+            job = isolation_job(micro_scale, "crafty", 0, "lru")
+            pool.dispatch(joined.worker, "k0", job)
+            died = pool.next_event(timeout=10.0)
+            assert died is not None and died.kind == "died"
+            assert died.worker == joined.worker and died.keys == ("k0",)
+        finally:
+            pool.close()
+            peer.join(timeout=10.0)
+
+    @pytest.mark.parametrize("reply", list(ROGUE_REPLIES))
+    def test_a_campaign_on_a_malformed_peer_finishes(self, reply, micro_scale,
+                                                     store):
+        """With no retries the job fails and ``Campaign.run`` returns."""
+        pool = RemotePool("127.0.0.1", 0)
+        job = isolation_job(micro_scale, "crafty", 0, "lru")
+        peer = threading.Thread(target=rogue_peer,
+                                args=(pool.address, ROGUE_REPLIES[reply]),
+                                daemon=True)
+        peer.start()
+        outcome = []
+        campaign = Campaign(store, workers=1, pool=pool, max_retries=0)
+        runner = threading.Thread(
+            target=lambda: outcome.append(campaign.run([job])), daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        peer.join(timeout=10.0)
+        assert outcome, "Campaign.run still waiting after 30 s"
+        _results, report = outcome[0]
+        assert [failure.label for failure in report.failed] == [job.label]
+        assert report.scheduler.worker_deaths == 1
 
 
 class TestTriModalBitIdentity:

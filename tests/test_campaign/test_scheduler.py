@@ -217,7 +217,7 @@ class TestLocality:
                                                          store):
         pending, _ = pending_for(micro_scale)
         pool = ScriptedPool(workers=2)
-        sched = ReadySetScheduler(store, locality=True)
+        sched = ReadySetScheduler(store)
         pool.start(store)
         sched.run(pool, pending, set(), {})
         stats = sched.stats
@@ -226,15 +226,6 @@ class TestLocality:
         # The small matrix reuses (benchmark, core) slots across policies:
         # sticky placement must convert some of that into warm dispatches.
         assert stats.locality_hits > 0
-
-    def test_locality_disabled_never_steals(self, micro_scale, store):
-        pending, _ = pending_for(micro_scale)
-        pool = ScriptedPool(workers=2)
-        sched = ReadySetScheduler(store, locality=False)
-        pool.start(store)
-        executed = sched.run(pool, pending, set(), {})
-        assert executed == len(pending)
-        assert sched.stats.steals == 0
 
     def test_locality_key_shape(self, micro_scale):
         cfg = config_unpartitioned("lru")

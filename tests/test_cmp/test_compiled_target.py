@@ -233,6 +233,23 @@ def relearn():
     forget()
 
 
+#: LRU's ``promote`` with the injected bug of
+#: ``tests/corpus/lru-promote-below-mru.json``: the shift pass starts one
+#: slot below the MRU, so a hit way lands there and the MRU stays.
+PROMOTE_BELOW_MRU = """\
+held = orders[row]
+if held != way:
+    slot = row + 1
+    held = orders[slot]
+    carry = way
+    while held != way:
+        orders[slot] = carry
+        carry = held
+        slot += 1
+        held = orders[slot]
+    orders[slot] = carry"""
+
+
 def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
     """The injected bug of ``tests/corpus/lru-promote-below-mru.json`` —
     the hit way re-inserted one slot below the MRU — in the one ``promote``
@@ -243,9 +260,8 @@ def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
     generic = run_engine(GenericL2Case(**vars(case)), "batched")
     assert diff_snapshots(generic, stock) == []
 
-    monkeypatch.setitem(
-        transitions.POLICIES["lru"], "promote",
-        "if o[0] != way:\n    o.remove(way)\n    o.insert(1, way)")
+    monkeypatch.setitem(transitions.POLICIES["lru"], "promote",
+                        PROMOTE_BELOW_MRU)
     transitions.factory.cache_clear()
     native.load.cache_clear()
     before = binds(("lru", "masks"))
@@ -257,7 +273,7 @@ def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
     assert diff_snapshots(python, compiled) == []
     assert any("l2_misses" in path
                for path in diff_snapshots(stock, compiled))
-    assert "list_insert(o, o_n, assoc, INT64_C(1), way);" in \
+    assert "slot = (row + INT64_C(1));" in \
         transitions.render("loop", ("lru", "masks"), target="c")
 
 
@@ -276,8 +292,9 @@ def run_overrun():
 
 def test_overrun_under_the_compiled_target_raises_the_same_error():
     """``beyond`` raises inside a call-out: the C loop stops at that
-    statement, the state it reached is copied back, and the original
-    exception — text and Python-side frames — comes out of ``run``."""
+    statement, the tag dict is rebuilt from the state it reached, and
+    the original exception — text and Python-side frames — comes out of
+    ``run``."""
     text = ("simulation exceeded max_cycles=10000 with 3 threads still "
             "running")
     sim, info = run_overrun()
@@ -482,26 +499,35 @@ def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
 RENDERING_OF = {"now": "loop", "batch": "observe", "refs": "prefilter"}
 
 
+#: What a call hands C besides a shared array or column: nothing it
+#: copies back.
+UNSHARED_KINDS = {"error", "int", "float", "rows", "heap", "callout"}
+
+
 @pytest.mark.parametrize("key", list(CONFIGS), ids="/".join)
-def test_a_compiled_call_copies_only_the_lists_and_the_tag_dict(
-        key, request, monkeypatch):
+def test_a_compiled_call_copies_only_the_tag_dict(key, request, monkeypatch):
     """Every compiled call of a run — the loop, each drain, each L1
     window — hands C the owner's own buffers: every array and column
     member of the argument block is the address of the very object
     Python holds (0 for an absent channel), pinned for the call (a
-    resize raises ``BufferError``).  The only copies are the bounded-list
-    tables (LRU's order lists) and, after the call, the tag dict rebuilt
-    from the tag lines."""
+    resize raises ``BufferError``); every other member is a scalar, a
+    row table, the heap's clocks, a call-out or the error word.  LRU's
+    recency order is one of the shared arrays.  The one thing rebuilt
+    after the call is the tag dict, from the tag lines."""
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
     seen = set()
-    copy_back = native._Run.copy_back
+    rebuild_tags = native._Run.rebuild_tags
 
     def checked(run):
         loaded, values, args = run.loaded, run.values, run.args
+        rendering = RENDERING_OF[loaded.params[0]]
+        shared = set()
         for name, _ctype, kind in loaded.fields:
             if kind not in ("ints", "floats", "cores", "column"):
+                assert kind.partition(":")[0] in UNSHARED_KINDS, name
                 continue
+            shared.add(name)
             value = values[name]
             if value is None:
                 assert not getattr(args, name), name
@@ -512,13 +538,18 @@ def test_a_compiled_call_copies_only_the_lists_and_the_tag_dict(
             if isinstance(value, array):
                 with pytest.raises(BufferError):
                     value.append(0)
-        assert set(run.buffers) == {name for name, _cap in loaded.lists}
-        assert {name for name, _cap in loaded.lists} \
-            <= ({"orders"} if key[0] == "lru" else set())
-        seen.add(RENDERING_OF[loaded.params[0]])
-        copy_back(run)
+        if key[0] == "lru" and rendering != "prefilter":
+            assert {"orders", "present"} <= shared
+        # No per-call buffer beyond the pins, the row tables and the
+        # call-out thunks; the tag dict is all there is to rebuild.
+        assert set(vars(run)) == {"loaded", "values", "args", "error",
+                                  "pins", "rows", "keep"}
+        assert [tags for tags, _lines, _assoc in loaded.tags] \
+            == ([] if rendering == "prefilter" else ["tag_map"])
+        seen.add(rendering)
+        rebuild_tags(run)
 
-    monkeypatch.setattr(native._Run, "copy_back", checked)
+    monkeypatch.setattr(native._Run, "rebuild_tags", checked)
     run_engine(scenario(key, service_interval=37.5), "batched")
     expected = {"loop", "prefilter"}
     if CONFIGS[key].partitioned:

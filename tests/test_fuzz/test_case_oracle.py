@@ -81,10 +81,13 @@ class TestOracle:
 
         from repro.cache import native, transitions
 
+        stock = transitions.POLICIES["lru"]["promote"]
         mutated = dict(transitions.POLICIES, lru=dict(
             transitions.POLICIES["lru"],
-            promote="if o[0] != way:\n    o.remove(way)\n"
-                    "    o.insert(1, way)"))
+            promote=stock.replace("    slot = row\n",
+                                  "    slot = row + 1\n"
+                                  "    held = orders[slot]\n")))
+        assert mutated["lru"]["promote"] != stock
         translate = transitions.translate
         monkeypatch.setattr(
             transitions, "translate",

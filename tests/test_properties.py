@@ -186,13 +186,15 @@ class TestEnforcementProperties:
 
 
 class TestLRUOrderLists:
-    """The LRU family's recency order is one MRU-first list per set.
+    """The LRU family's recency order is ``assoc`` flat slots per set.
 
-    The rendered kernels search and splice those lists without a length
-    or presence check, so — unlike the flat segments they replaced, which
-    tolerated stale slots — each list must hold every present way exactly
-    once and nothing else, and ``_order`` must stay the same object for
-    the life of the policy (kernels capture it at cache construction).
+    The rendered kernels search and shift those slots without a bound
+    check — a hit's search stops at its way, a victim walk starts at the
+    deepest present slot, a fill shifts the present prefix — so the first
+    ``_present[s].bit_count()`` slots of set ``s`` must be exactly its
+    present ways, MRU first, and every other slot ``-1``; and ``_order``
+    must stay the same object for the life of the policy (kernels capture
+    it at cache construction, and C shares it by address).
     """
 
     SETS, ASSOC = 2, 4
@@ -221,26 +223,32 @@ class TestLRUOrderLists:
                 policy.invalidate(s, way)
             else:
                 policy.reset()
-            for index, order in enumerate(policy._order):
-                present = policy._present[index]
-                assert len(order) == present.bit_count()
-                assert sum(1 << w for w in order) == present
+            assert len(policy._order) == self.SETS * self.ASSOC
+            for s in range(self.SETS):
+                present = policy._present[s]
+                count = present.bit_count()
+                slots = list(policy._order[s * self.ASSOC:
+                                           (s + 1) * self.ASSOC])
+                assert sum(1 << w for w in slots[:count]) == present
+                assert len(set(slots[:count])) == count
+                assert slots[count:] == [-1] * (self.ASSOC - count)
         assert policy._order is outer
 
     @given(line_streams, line_streams)
     @settings(max_examples=40, deadline=None)
     def test_kernel_bound_before_a_flush_drives_the_same_lists(self, prefix,
                                                                stream):
-        """``flush()`` empties the lists in place: a fused event loop
+        """``flush()`` empties the slots in place: a fused event loop
         bound before it replays the next stream exactly as a fresh
-        cache's does, and leaves its result in the policy's own lists."""
+        cache's does, and leaves its result in the policy's own array."""
         flushed = SetAssociativeCache(geometry(4, 4), "lru")
         assert rendered_key(flushed) == ("lru", "none")
         kernel = loop_window(flushed)
         orders = flushed.policy._order
         kernel(prefix, bytearray(len(prefix)))
         flushed.flush()
-        assert flushed.policy._order is orders and not any(orders)
+        assert flushed.policy._order is orders
+        assert list(orders) == [-1] * len(orders)
         flags_flushed = bytearray(len(stream))
         kernel(stream, flags_flushed)
         fresh = SetAssociativeCache(geometry(4, 4), "lru")
