@@ -26,6 +26,8 @@ KINDS = {
     "get_s": "probe:ints,s,cap",
     "out": "callout:float(int,float)", "ask": "callout:int()",
     "py": "python",
+    # what was a table of bounded lists: flat slots, like LRU's order
+    "lists": "ints",
 }
 
 
@@ -164,6 +166,11 @@ def test_members_mirror_the_struct_in_order():
 # ----------------------------------------------------------------------
 REFUSED = [
     ("a = x.real", "attribute access .real"),
+    # an element of flat slots is an int: no list method, no walk
+    ("lists[x].sort()", "method .sort()"),
+    ("a = lists[x].pop()", "method .pop()"),
+    ("lists[x].insert(0, y)", "method .insert()"),
+    ("a = lists[x].index(y)", "method .index()"),
     ("a = f / 2", "operator Div"),
     ("a = x // 2", "operator FloorDiv"),
     ("a = x % 2", "operator Mod"),
@@ -181,6 +188,8 @@ REFUSED = [
     ("for a in ints:\n    pass", "for over anything but a column"),
     ("for a in range(3):\n    pass", "for over anything but a column"),
     ("for a in rows[x]:\n    pass", "for over anything but a column"),
+    ("o = lists[x]\nfor a in o:\n    pass",
+     "for over anything but a column"),
     ("for a in col:\n    pass\nelse:\n    y = 1", "for/else"),
     ("for a in col:\n    for b in col:\n        pass", "nested for"),
     ("for a in col:\n    a = a + 1", "store to the loop variable 'a'"),
@@ -225,6 +234,19 @@ def test_refused_with_the_rendering_name(body, why):
 def test_a_parameter_without_a_kind_is_refused():
     with pytest.raises(ValueError, match="parameter 'q' has no declared"):
         translate("a = 1", params="q")
+
+
+def test_an_unbounded_list_binding_is_refused():
+    """A list binding, bounded or not, has no C layout: the translator
+    has no list kind, so neither its elements nor their methods
+    translate."""
+    for kind in ("lists:nowhere", "lists:cap"):
+        kinds = dict(KINDS, lists=kind)
+        with pytest.raises(ValueError, match=rf"'lists' \({kind}\) indexed "
+                                             rf"as an array"):
+            translate("a = lists[x] + 1", kinds=kinds)
+        with pytest.raises(ValueError, match=r"method \.insert\(\)"):
+            translate("lists[x].insert(0, y)", kinds=kinds)
 
 
 @pytest.mark.parametrize("rendering,slot,text,method", [
