@@ -55,11 +55,13 @@ import numpy as np
 #: supplies the ``speedup_vs_baseline`` block: the batched engine against
 #: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
 #: canaries — over the three paper policies a compiled drain of 2 K
-#: lines must run at 5x the Python rendering or better (measured ~20x),
-#: and one of 130 lines, where the call's fixed cost (argument block,
-#: the tag-dict rebuild) weighs most, no slower than
-#: it (measured ~2.1x; about 0.86x while every call copied the
-#: directory in and out); and the L1 prefilter's — the compiled walk of
+#: lines must run at 5x the Python rendering or better (measured ~67x),
+#: and one of 130 lines, where the call's fixed cost weighs most, at 8x
+#: or better (measured ~26x now that a call writes only its
+#: batch into an argument block built at bind and copies nothing back;
+#: ~2.1x while each call built the block and rebuilt the tag dict, about
+#: 0.86x while it copied the directory in and out); and the L1
+#: prefilter's — the compiled walk of
 #: a window must run at 5x its Python rendering or better (measured
 #: ~150x); and a fresh process must load a kernel from a warm object
 #: cache at 2x the rate it builds one from a cold cache or better — a
@@ -69,7 +71,7 @@ import numpy as np
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "engine_batched/.engine_reference:5.0",
     "drain_compiled/.drain_python:5.0",
-    "drain_compiled_short/.drain_python_short:1.0",
+    "drain_compiled_short/.drain_python_short:8.0",
     "prefilter_compiled/.prefilter_python:5.0",
     "kernel_load_warm/.kernel_load_cold:2.0",
 )
@@ -102,15 +104,17 @@ def _rate(setup, op, n_ops: int, repeats: int) -> float:
 def drain_rates(repeats: int, batch_lines: int = 2048,
                 short_lines: int = 130) -> dict:
     """Lines/sec of ATD drains per paper policy on each target of the
-    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel the ATD
+    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel an ATD
     binds for its drains (the Python target on a host without ``cc``),
-    ``drain_python_<p>`` the Python rendering
-    (:func:`repro.cache.transitions.factory`) bound to the same ATD — and
-    both composites over the three policies; batches of
-    ``batch_lines`` and, as ``drain_*_short``, of ``short_lines`` (the
-    median drain of a ``micro`` report), both as the ``array('q')`` the
-    batched engine hands a drain.  The ATD is ``small``'s (and
-    ``micro``'s): a 16-set 16-way directory."""
+    ``drain_python_<p>`` the one an ATD built inside
+    :func:`repro.cache.transitions.python_target` binds: each target
+    drains its own ATD, as no owner keeps kernels of both — and both
+    composites over the three policies; batches of ``batch_lines`` and,
+    as ``drain_*_short``, of ``short_lines`` (the median drain of a
+    ``micro`` report), each as the batched engine hands it to that
+    target under a compiled loop: the ``int64`` column itself to a
+    compiled drain, an ``array('q')`` of it to a Python one.  The ATD is
+    ``small``'s (and ``micro``'s): a 16-set 16-way directory."""
     from array import array
 
     from repro.cache import transitions
@@ -124,18 +128,24 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
     rates = {}
     for suffix, size, calls in (("", batch_lines, 20),
                                 ("_short", short_lines, 300)):
-        batch = array("q", lines[:size].tobytes())
+        column = lines[:size]
+        batch = array("q", column.tobytes())
         for policy in ("lru", "nru", "bt"):
             def setup(policy=policy):
-                atd = ATD(geometry, 8, policy, make_profiler(policy, 0.75))
-                python = transitions.factory("observe", (policy, "none"))
-                atd.observe_many(array("q", lines.tobytes()))   # warm
-                return python(atd), atd.observe_many
+                def warm_drain():
+                    atd = ATD(geometry, 8, policy,
+                              make_profiler(policy, 0.75))
+                    atd.observe_many(array("q", lines.tobytes()))
+                    return atd.observe_many
 
-            def op_compiled(state, calls=calls, batch=batch):
+                with transitions.python_target():
+                    python = warm_drain()
+                return python, warm_drain()
+
+            def op_compiled(state, calls=calls, column=column):
                 _python, compiled = state
                 for _ in range(calls):
-                    compiled(batch)
+                    compiled(column)
 
             def op_python(state, calls=calls, batch=batch):
                 python, _compiled = state

@@ -104,8 +104,10 @@ class SmallLRUCache:
             hit = False
         old = slots[end]
         flag = dirty[end]
-        slots[row + 1:end + 1] = slots[row:end]
-        dirty[row + 1:end + 1] = dirty[row:end]
+        # An empty slice move raises while a kernel pins them.
+        if end > row:
+            slots[row + 1:end + 1] = slots[row:end]
+            dirty[row + 1:end + 1] = dirty[row:end]
         slots[row] = line
         if hit:
             dirty[row] = flag | write

@@ -40,20 +40,26 @@ State during a call.  There is no resident C state and no copy of an
 array: every flat array a kernel binds is an ``array('q')`` /
 ``array('d')`` its owner allocated once and only ever mutates in place
 (a tag store's lines and masks, policy and scheme words — LRU's
-recency order included — statistics, SDH registers, the engine's
-per-thread cursors), or a contiguous numpy
-column of the C element type (the prefilter's window and output
-columns, the miss stream, a drain's batch, which may also be an
-``array('q')``).  Each is handed to C by address and pinned — a buffer
-export held — for the length of the call, so whatever Python does in a
-call-out sees and is seen by C at once, and a resize there raises
-:class:`BufferError` instead of leaving C a dangling pointer.  Anything
-else where an array belongs is a :class:`TypeError` before the kernel
-runs.  One thing is still copied: a tag dict (``tags:``), rebuilt from
-its tag lines after a call that wrote them.  The loop returns to Python
-through call-outs (``beyond``, ``freeze``, ``resume``); after each, a
-miss-stream column the shell replaced is re-pointed.  An exception raised inside a call-out stops the C loop at
-that statement and is re-raised from :meth:`CompiledKernel.__call__`.
+recency order included — statistics, SDH registers), or a contiguous
+numpy column of the C element type.  The argument block is built once,
+at bind (:class:`CompiledKernel`): every bound member — an owner array's
+address, a scalar, the error word — is written then, and each owner
+``array`` stays pinned — a buffer export held — for the kernel's
+lifetime, so whatever Python does sees and is seen by C at once, and
+resizing one raises :class:`BufferError` at any time instead of leaving
+C a dangling pointer.  Anything else where an owner array belongs is a
+:class:`TypeError` at bind.  A call writes only its own parameters —
+the loop's cursors, rows, heap, call-outs and scalars, the prefilter's
+window and output columns, a drain's batch (an ``int64`` column or an
+``array('q')``), each pinned for the call where it is an ``array`` —
+runs, and reads the returns.  Nothing is copied back either: a kernel
+that writes a tag store's lines leaves the store stale
+(:attr:`repro.cache.state.TagStore.stale`), and the tag dict is derived
+from the lines when it is next read.  The loop returns to Python through
+call-outs (``beyond``, ``freeze``, ``resume``); after each, a miss-stream
+column the shell replaced is re-pointed.  An exception raised inside a
+call-out stops the C loop at that statement and is re-raised from
+:meth:`CompiledKernel.__call__`.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
 ``None`` with the reason and the caller runs the Python target, silently
@@ -286,15 +292,16 @@ class Loaded(NamedTuple):
     args: type                          # the ctypes mirror of Args
     callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
     bindings: Callable                  # build(owner, ...) -> {name: obj}
-    #: ``(name, C type, kind)`` of every member a call sets, in member
-    #: order — all but the lengths (set along with their array) and the
-    #: returns, which trail the block (:meth:`_Run.fields`).
+    #: ``(name, C type, kind)`` of every member the bind or a call sets,
+    #: in member order — all but the lengths (set along with their
+    #: column or heap) and the returns, which trail the block.
     fields: Tuple[Tuple[str, str, str], ...]
     #: The returned values' members, in order.
     returns: Tuple[str, ...]
-    #: ``(dict, LINES, ASSOC)`` of each tag dict whose ``LINES`` the
-    #: kernel writes: rebuilt after the call.
-    tags: Tuple[Tuple[str, str, str], ...]
+    #: The kernel writes the ``LINES`` of a tag dict (a translated dict's
+    #: updates are dropped): a call leaves the rendering's tag ``store``
+    #: stale.
+    writes_tags: bool
 
 
 def _args_type(members) -> Tuple[type, Dict[str, type]]:
@@ -339,14 +346,15 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
     library.run.restype = ctypes.c_int64
     bound = [name for name, _ctype, kind in members
              if name not in params and kind not in ("error", "length", "ret")]
+    writes_tags = any(lines in stored for _dict, lines, _assoc in tags)
+    # Every tag dict is ``store.map`` (``TEMPLATES["bind_tags"]``).
     return Loaded(
         params, stored, library.run, args, callouts,
-        _bindings(source, label,
-                  bound + [dict_name for dict_name, _lines, _assoc in tags]),
+        _bindings(source, label, bound + ["store"] * writes_tags),
         fields=tuple(m for m in members if m[2] not in ("length", "ret")),
         returns=tuple(name for name, _ctype, kind in members
                       if kind == "ret"),
-        tags=tuple(entry for entry in tags if entry[1] in stored))
+        writes_tags=writes_tags)
 
 
 @lru_cache(maxsize=None)
@@ -414,109 +422,170 @@ def _column_address(name: str, column) -> int:
     raise TypeError(f"{name}: not a contiguous int64 column")
 
 
+def _share(name: str, ctype: str, value, written: bool,
+           pins: List[memoryview]) -> int:
+    """Address of an array C works on in place — an ``array`` of the C
+    element type (pinned into ``pins``: resizing it raises
+    :class:`BufferError` while the export is held) or a contiguous numpy
+    column of it, writable if the kernel stores to it; 0 for None."""
+    dtype, typecode = _ARRAYS[ctype]
+    if value is None:
+        return 0
+    if isinstance(value, array.array) and value.typecode == typecode:
+        pins.append(memoryview(value))
+        return value.buffer_info()[0]
+    if (isinstance(value, np.ndarray) and value.dtype is dtype
+            and value.ndim == 1 and value.flags.c_contiguous
+            and (value.flags.writeable or not written)):
+        return _data(value)
+    raise TypeError(f"{name}: a {type(value).__name__} where "
+                    f"array({typecode!r}) or a contiguous {dtype} column "
+                    f"C can share belongs")
+
+
+_ARRAY_KINDS = ("ints", "floats", "cores")
+
+
 class CompiledKernel:
     """The compiled kernel of one rendering and key bound to its owner (a
     cache and memory channel for ``loop``, an ATD for ``observe``, an L1
     for ``prefilter``): called exactly like the Python target's
-    kernel."""
+    kernel.
+
+    The bind fills the argument block with every member that is not a
+    parameter and pins each owner ``array`` for the kernel's lifetime; a
+    call writes its parameters into the same block, runs, and marks the
+    tag store stale (module docstring, *State during a call*)."""
 
     def __init__(self, loaded: Loaded, owner, *args) -> None:
         self._loaded = loaded
-        self._bound = loaded.bindings(owner, *args)
+        #: What the bound members stand for — held, so no address in the
+        #: block outlives its array.
+        self._bound = bound = loaded.bindings(owner, *args)
+        self._block = block = loaded.args()
+        self._pointer = ctypes.byref(block)
+        #: Buffer exports of the bound arrays, held while the kernel lives.
+        self._pins: List[memoryview] = []
+        #: Bound per-thread arrays, checked against each call's threads.
+        self._cores: List[Tuple[str, object]] = []
+        params = loaded.params
+        for name, ctype, kind in loaded.fields:
+            if name in params or kind == "error":
+                continue
+            value = bound[name]
+            if kind in _ARRAY_KINDS:
+                setattr(block, name, _share(name, ctype, value,
+                                            name in loaded.stored,
+                                            self._pins))
+                if kind == "cores":
+                    self._cores.append((name, value))
+            else:
+                setattr(block, name, value)
+        self._store = bound["store"] if loaded.writes_tags else None
+        members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
+        #: ``(name, C type, kind)`` per parameter; kind None for a name
+        #: only the call-form loop reads.
+        self._params = tuple((name, *members.get(name, (None, None)))
+                             for name in params)
+        kinds = [kind for _name, _ctype, kind in self._params]
+        self._heap = kinds.index("heap") if "heap" in kinds else None
+        #: Kernels that leave C for Python mid-call (``loop``) keep
+        #: per-call state (:class:`_Run`).
+        self._returns_to_python = "rows" in kinds or bool(loaded.callouts)
 
     def __call__(self, *arguments):
-        values = dict(self._bound)
-        values.update(zip(self._loaded.params, arguments, strict=True))
-        return _Run(self._loaded, values).execute()
+        loaded, block, store = self._loaded, self._block, self._store
+        if len(arguments) != len(self._params):
+            raise TypeError(f"{len(arguments)} arguments where "
+                            f"{len(self._params)} belong")
+        # One clock per thread: the popped thread's slot plus the heap's
+        # (a kernel without a heap has no per-thread member).
+        threads = (0 if self._heap is None
+                   else 1 + len(arguments[self._heap]))
+        for name, value in self._cores:
+            _check_cores(name, value, threads)
+        run = _Run(block) if self._returns_to_python else None
+        pins: List[memoryview] = []
+        keep: list = []
+        try:
+            for (name, ctype, kind), value in zip(self._params, arguments):
+                if kind == "column":
+                    setattr(block, name, _column_address(name, value))
+                    setattr(block, f"{name}_n", len(value))
+                    if isinstance(value, array.array):
+                        pins.append(memoryview(value))
+                elif kind in ("int", "float"):
+                    setattr(block, name, value)
+                elif kind in _ARRAY_KINDS:
+                    if kind == "cores":
+                        _check_cores(name, value, threads)
+                    setattr(block, name, _share(name, ctype, value,
+                                                name in loaded.stored, pins))
+                elif kind == "rows":
+                    setattr(block, name, run.rows_for(name, value, threads))
+                elif kind == "heap":
+                    clocks = (ctypes.c_double * threads)()
+                    for clock, thread in value:
+                        clocks[thread] = clock
+                    keep.append(clocks)
+                    setattr(block, name, ctypes.addressof(clocks))
+                    setattr(block, f"{name}_n", threads)
+                elif kind is not None:          # callout:
+                    thunk = loaded.callouts[name](run.callout(value))
+                    keep.append(thunk)
+                    setattr(block, name, thunk)
+            if run is not None:
+                run.repoint()
+            if store is not None:
+                store.stale = True
+            loaded.run(self._pointer)
+        finally:
+            if store is not None:
+                store.stale = True
+            for view in pins:
+                view.release()
+            if run is not None:
+                run.close(loaded.callouts)
+        if run is not None and run.error is not None:
+            raise run.error
+        return tuple(getattr(block, name) for name in loaded.returns)
+
+
+def _check_cores(name: str, value, threads: int) -> None:
+    if value is not None and len(value) < threads:
+        raise ValueError(f"{name}: {len(value)} slots for {threads} threads")
 
 
 class _Run:
-    """One call: share the arrays, run, rebuild the tag dicts."""
+    """What a call that returns to Python mid-way keeps: the exception a
+    call-out raised, and the row tables re-pointed after each call-out."""
 
-    def __init__(self, loaded: Loaded, values: Dict[str, object]) -> None:
-        self.loaded = loaded
-        self.values = values
-        self.args = None
+    def __init__(self, block) -> None:
+        self.block = block
         self.error: Optional[BaseException] = None
-        #: Buffer exports that keep the shared arrays in place.
-        self.pins: List[memoryview] = []
-        #: name -> (pointer table, columns it currently points at).
-        self.rows: Dict[str, Tuple[ctypes.Array, list]] = {}
-        self.keep: list = []
+        #: name -> (pointer table, columns the shell holds, columns it
+        #: currently points at).
+        self.rows: Dict[str, Tuple[ctypes.Array, list, list]] = {}
 
-    # -- entry ----------------------------------------------------------
-    def fields(self) -> list:
-        """The argument block's values, in member order."""
-        loaded, values = self.loaded, self.values
-        stored = loaded.stored
-        # One clock per thread: the popped thread's slot plus the heap's
-        # (a kernel without a heap has no per-thread member).
-        threads = sum(1 + len(values[name])
-                      for name, _ctype, kind in loaded.fields
-                      if kind == "heap")
-        out: list = []
-        for name, ctype, kind in loaded.fields:
-            value = values.get(name)
-            if kind in ("ints", "floats", "cores"):
-                if kind == "cores" and len(value) < threads:
-                    raise ValueError(f"{name}: {len(value)} slots for "
-                                     f"{threads} threads")
-                out.append(self.share(name, ctype, value, name in stored))
-            elif kind in ("int", "float"):
-                out.append(value)
-            elif kind == "column":
-                out += (_column_address(name, value), len(value))
-                self.pins.append(memoryview(value))
-            elif kind == "rows":
-                if len(value) != threads:
-                    raise ValueError(f"{name}: {len(value)} columns for "
-                                     f"{threads} threads")
-                table = (ctypes.c_void_p * threads)()
-                self.rows[name] = (table, [None] * threads)
-                out.append(ctypes.addressof(table))
-            elif kind == "heap":
-                clocks = (ctypes.c_double * threads)()
-                for clock, thread in value:
-                    clocks[thread] = clock
-                self.keep.append(clocks)
-                out += (ctypes.addressof(clocks), threads)
-            elif kind == "error":
-                out.append(0)
-            else:                               # callout:
-                callback = loaded.callouts[name](self.callout(value))
-                self.keep.append(callback)
-                out.append(callback)
-        return out
-
-    def share(self, name: str, ctype: str, value, written: bool) -> int:
-        """Address of an owner array C works on in place — an ``array``
-        of the C element type (pinned for the call: resizing it raises
-        :class:`BufferError` until the call returns) or a contiguous numpy
-        column of it, writable if the kernel stores to it; 0 for None."""
-        dtype, typecode = _ARRAYS[ctype]
-        if value is None:
-            return 0
-        if isinstance(value, array.array) and value.typecode == typecode:
-            self.pins.append(memoryview(value))
-            return value.buffer_info()[0]
-        if (isinstance(value, np.ndarray) and value.dtype is dtype
-                and value.ndim == 1 and value.flags.c_contiguous
-                and (value.flags.writeable or not written)):
-            return _data(value)
-        raise TypeError(f"{name}: a {type(value).__name__} where "
-                        f"array({typecode!r}) or a contiguous {dtype} column "
-                        f"C can share belongs")
+    def rows_for(self, name: str, columns: list, threads: int) -> int:
+        """Address of a fresh pointer table for the per-thread
+        ``columns`` (filled by :meth:`repoint`)."""
+        if len(columns) != threads:
+            raise ValueError(f"{name}: {len(columns)} columns for "
+                             f"{threads} threads")
+        table = (ctypes.c_void_p * threads)()
+        self.rows[name] = (table, columns, [None] * threads)
+        return ctypes.addressof(table)
 
     def repoint(self) -> None:
         """Point each row at the column the shell currently holds."""
-        for name, (table, seen) in self.rows.items():
-            for thread, column in enumerate(self.values[name]):
+        for name, (table, columns, seen) in self.rows.items():
+            for thread, column in enumerate(columns):
                 if column is not seen[thread]:
                     table[thread] = _column_address(f"{name}[{thread}]",
                                                     column)
                     seen[thread] = column       # keeps it alive
 
-    # -- call-outs ------------------------------------------------------
     def callout(self, function: Callable) -> Callable:
         def call(*arguments):
             if self.error is not None:
@@ -524,43 +593,18 @@ class _Run:
             try:
                 result = function(*arguments)
                 self.repoint()
-            except BaseException as exc:    # re-raised by execute()
+            except BaseException as exc:    # re-raised by the call
                 self.error = exc
-                self.args.error = 1
+                self.block.error = 1
                 return 0
             return result
 
         return call
 
-    # -- exit -----------------------------------------------------------
-    def rebuild_tags(self) -> None:
-        """Each tag dict rebuilt from its lines (every valid entry mapped
-        to its way: a line is ``-1`` exactly when its way is invalid) —
-        the one thing a call does not share."""
-        values = self.values
-        for tags, lines, assoc in self.loaded.tags:
-            table = values[tags]
-            table.clear()
-            table.update(zip(values[lines], cycle(range(values[assoc]))))
-            table.pop(-1, None)
-
-    def execute(self) -> tuple:
-        loaded = self.loaded
-        try:
-            args = self.args = loaded.args(*self.fields())
-            self.repoint()
-            try:
-                loaded.run(ctypes.byref(args))
-            finally:
-                self.rebuild_tags()
-            result = tuple(getattr(args, name) for name in loaded.returns)
-        finally:
-            for view in self.pins:
-                view.release()
-            # The call-out thunks point back at this object: drop them so
-            # the buffers go with the call, not with the next GC pass.
-            self.args = None
-            self.keep.clear()
-        if self.error is not None:
-            raise self.error
-        return result
+    def close(self, callouts: Dict[str, type]) -> None:
+        """Clear the error word and the block's call-out thunks: they
+        point back at this object, which the block outlives."""
+        block = self.block
+        block.error = 0
+        for name, functype in callouts.items():
+            setattr(block, name, functype())

@@ -50,6 +50,8 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
 from repro.util.bitops import ilog2
 
@@ -61,6 +63,9 @@ _VICTIM_TABLES: Dict[int, array] = {}
 
 #: Largest associativity for which a full-tree victim table is built.
 _MAX_TABLE_ASSOC = 16
+
+#: Tree words walked per numpy step while a table is built.
+_TABLE_BLOCK = 2048
 
 
 def _traverse(tree: int, levels: int) -> int:
@@ -80,9 +85,18 @@ def _victim_table(assoc: int) -> Optional[array]:
         return None
     table = _VICTIM_TABLES.get(assoc)
     if table is None:
-        levels = ilog2(assoc)
-        table = array("q", (_traverse(tree, levels)
-                            for tree in range(1 << (assoc - 1))))
+        table = array("q", [0]) * (1 << (assoc - 1))
+        ways = np.frombuffer(table, dtype=np.int64)
+        # :func:`_traverse` of every tree word, a block of words at a time
+        # (the scratch stays small next to the table): one shift/mask
+        # step per level; the leaf's heap index less ``assoc`` is its way.
+        for start in range(0, len(ways), _TABLE_BLOCK):
+            words = np.arange(start, min(start + _TABLE_BLOCK, len(ways)))
+            node = np.ones_like(words)
+            for _ in range(ilog2(assoc)):
+                node = (node << 1) | ((words >> (node - 1)) & 1)
+            ways[start:start + len(words)] = node - assoc
+        del ways                        # the view pins the table
         _VICTIM_TABLES[assoc] = table
     return table
 

@@ -68,7 +68,9 @@ class LRUPolicy(ReplacementPolicy):
         else:
             k = row + present.bit_count()
             self._present[set_index] = present | (1 << way)
-        o[row + 1:k + 1] = o[row:k]
+        # An empty slice move raises while a kernel pins ``o``.
+        if k > row:
+            o[row + 1:k + 1] = o[row:k]
         o[row] = way
 
     def victim(self, set_index: int, core: int, mask: int) -> int:
@@ -98,7 +100,9 @@ class LRUPolicy(ReplacementPolicy):
         o = self._order
         end = (set_index + 1) * self.assoc
         k = o.index(way, end - self.assoc, end)
-        o[k:end - 1] = o[k + 1:end]
+        # An empty slice move raises while a kernel pins ``o``.
+        if k < end - 1:
+            o[k:end - 1] = o[k + 1:end]
         o[end - 1] = -1
         self._present[set_index] &= ~(1 << way)
 

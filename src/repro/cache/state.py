@@ -13,11 +13,14 @@ Two pieces live here:
   beats a dict-per-set (one indirection less per access), and a Python
   probe of the set row costs 10-20x a dict lookup.  The three arrays are
   ``array('q')``, which a compiled kernel works on in place, by address
-  (:mod:`repro.cache.native`) — only the dict is rebuilt after such a
-  call.  The price is paid by the interpreted paths (the reference
+  (:mod:`repro.cache.native`); such a call leaves the dict
+  :attr:`~TagStore.stale`, and :attr:`TagStore.map` derives it from the
+  lines on the next read, so a run of compiled calls rebuilds it at most
+  once.  The price is paid by the interpreted paths (the reference
   engine, the Python target): an element read or write costs ~30 ns more
-  than a list's (``docs/architecture.md``, "State during a run").  Bulk
-  consumers get a numpy snapshot via :meth:`TagStore.lines_array`.
+  than a list's, and every ``map`` read is a property read
+  (``docs/architecture.md``, "State during a run").  Bulk consumers get
+  a numpy snapshot via :meth:`TagStore.lines_array`.
 
 * the **eligibility rules** of the batch renderings for the three paper
   policies (LRU, NRU, BT; every other policy runs the generic
@@ -44,13 +47,17 @@ The kernels rely on invariants the cache/ATD maintain by construction:
   it in their recency order;
 * ``policy.reset()`` / ``TagStore.flush()`` mutate state **in place** —
   the arrays a kernel closed over stay live across flushes, and no owner
-  array is ever resized (a compiled call pins them: a resize inside one
-  raises ``BufferError``).
+  array is ever resized (a compiled kernel pins them while it lives: a
+  resize raises ``BufferError``);
+* a Python-target kernel holds the dict object itself, so it must never
+  run on a store a compiled call has left stale since the bind: no owner
+  keeps kernels of both targets.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import cycle
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,7 +73,7 @@ __all__ = ["TagStore", "drain_key", "kernel_key", "rendered_key"]
 class TagStore:
     """Struct-of-arrays tag state for one set-associative directory."""
 
-    __slots__ = ("num_sets", "assoc", "full_mask", "map", "lines",
+    __slots__ = ("num_sets", "assoc", "full_mask", "_map", "stale", "lines",
                  "invalid", "dirty")
 
     def __init__(self, num_sets: int, assoc: int) -> None:
@@ -75,15 +82,35 @@ class TagStore:
         self.num_sets = num_sets
         self.assoc = assoc
         self.full_mask = (1 << assoc) - 1
-        #: Open-addressed lookup: line address -> way (global, not per set —
-        #: a line address determines its set, so keys never collide).
-        self.map: dict = {}
+        self._map: dict = {}
+        #: True while ``lines`` holds writes the dict has not seen (a
+        #: compiled call left them): the next :attr:`map` read derives it.
+        self.stale = False
         #: Flat way-indexed line addresses (``-1`` = invalid), ``s*assoc+w``.
         self.lines = array("q", [-1]) * (num_sets * assoc)
         #: Per-set bitmask of invalid ways.
         self.invalid = array("q", [self.full_mask]) * num_sets
         #: Per-set bitmask of dirty ways.
         self.dirty = array("q", [0]) * num_sets
+
+    @property
+    def map(self) -> dict:
+        """Open-addressed lookup: line address -> way (global, not per set —
+        a line address determines its set, so keys never collide).  Always
+        the same dict object, derived in place from ``lines`` on the first
+        read after a compiled call (:attr:`stale`)."""
+        if self.stale:
+            self._derive()
+        return self._map
+
+    def _derive(self) -> None:
+        """Rebuild the dict from ``lines``: every valid entry mapped to its
+        way (a line is ``-1`` exactly when its way is invalid)."""
+        table = self._map
+        table.clear()
+        table.update(zip(self.lines, cycle(range(self.assoc))))
+        table.pop(-1, None)
+        self.stale = False
 
     # ------------------------------------------------------------------
     # Lookup-table maintenance.  The hot paths (cache methods, kernels)
@@ -124,7 +151,8 @@ class TagStore:
 
     def flush(self) -> None:
         """Invalidate everything, in place (kernel bindings stay live)."""
-        self.map.clear()
+        self._map.clear()
+        self.stale = False
         self.lines[:] = array("q", [-1]) * len(self.lines)
         self.invalid[:] = array("q", [self.full_mask]) * self.num_sets
         self.dirty[:] = array("q", [0]) * self.num_sets

@@ -67,7 +67,7 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from string import Template
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
            "PREFILTER_KEY", "PURE_ATTRS", "bind", "compiled", "factory",
@@ -629,10 +629,13 @@ def _standalone(fragment: str) -> str:
     return Template(body).substitute(core="core", set="s", line="line")
 
 
-def _stores(fragment: str) -> Set[str]:
-    """Names ``fragment`` assigns."""
-    return {node.id for node in ast.walk(ast.parse(_standalone(fragment)))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+@lru_cache(maxsize=None)
+def _stores(fragment: str) -> FrozenSet[str]:
+    """Names ``fragment`` assigns — parsed once per distinct text, so
+    rendering every key does not re-parse every stock fragment."""
+    return frozenset(
+        node.id for node in ast.walk(ast.parse(_standalone(fragment)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
 
 
 def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
@@ -803,10 +806,10 @@ def bind(rendering: str, key: Key, owner, *args) -> Callable:
     and load one (:mod:`repro.cache.native`), the Python target otherwise
     — same signature, same results, bit for bit — and is recorded in
     :func:`target_stats`.  A compiled kernel works on the owner's arrays
-    in place; what a call still pays for — argument marshalling and the
-    tag-dict rebuild — it pays per *batch*: a whole run
-    of the event loop, a whole ATD drain, a whole L1 window.  The
-    call-form loop (key ``None``) has only the Python target."""
+    in place, its argument block built here, at bind; a call pays only
+    for writing its own parameters, once per *batch*: a whole run of the
+    event loop, a whole ATD drain, a whole L1 window.  The call-form loop
+    (key ``None``) has only the Python target."""
     if key is not None:
         loaded = None
         if _python_only:

@@ -67,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "2655b1c091bf37117e0a409537635c1cbffddd7571eb01e624ad31a08340941e"
+ENGINE_SOURCE_CHECKSUM = "3a46d70e768802256096668e804ea42c79fe6165a6925580326f80549c6c97bf"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

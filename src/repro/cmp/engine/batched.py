@@ -41,18 +41,16 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   immaterial because the ATDs are disjoint.  The kernel is
   ``atd.observe_many`` as it stands — the ATD's ``observe`` rendering
   bound when the ATD was built (compiled wherever the host has ``cc``),
-  or whatever somebody replaced it with — and every drain is handed an
-  ``array('q')`` slice of the window's sampled lines, whatever the
-  target.  A compiled drain works on the ATD's arrays in place, so
-  between two drains the truth is the ATD itself, which is what the
-  controller reads, halves and resets.
+  or whatever somebody replaced it with.  A compiled drain works on the
+  ATD's arrays in place, so between two drains the truth is the ATD
+  itself, which is what the controller reads, halves and resets.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
-  outside its sampled sets (it only counts them), so a drain hands the
-  kernel just the slice's *sampled* lines — the window's sampled
-  positions cut by two bisects, an order-preserving
-  sub-sequence — and adds the others to ``skipped_accesses``
-  arithmetically: tag state, SDH registers and both counters equal the
-  unfiltered drain's.
+  outside its sampled sets, only counting it.  A drain hands the kernel
+  the whole slice — a view of the compiled loop's ``int64`` column where
+  the drain is compiled too (seen through any transparent wrapper), which
+  it reads by address, else an ``array('q')`` of it — and the kernel's
+  own ``skip_mask`` test counts the unsampled lines, the way the
+  hardware decodes sampling from index bits.
 * **Parked threads.**  After a whole trace pass without an L1 miss the L1
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
@@ -85,9 +83,9 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 
 from __future__ import annotations
 
+import inspect
 import math
 from array import array
-from bisect import bisect_left
 from heapq import heapify, heappop, heappushpop
 from typing import List, Optional
 
@@ -128,12 +126,6 @@ class BatchedEngine(EngineBase):
         self._ck_lines: List[list] = [[] for _ in range(n)]
         self._ck_victims: List[Optional[list]] = [None] * n
         self._ck_gaps: List[list] = [[] for _ in range(n)]
-        # Deferred profiling (set by ``run``): per thread its ATD, the
-        # positions in ``lines`` that fall in a sampled ATD set, and those
-        # lines themselves.
-        self._atds: Optional[list] = None
-        self._ck_spos: List[list] = [[] for _ in range(n)]
-        self._ck_slines: List[array] = [array("q") for _ in range(n)]
         # Freeze access of the window, if any: at or in the gap before miss
         # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
         # else its 1-based rank among the gap's hits.
@@ -177,17 +169,11 @@ class BatchedEngine(EngineBase):
             else:
                 gaps = gaps.tolist()
                 self._ck_lines[t] = lines.tolist()
-            atd = self._atds[t] if self._atds is not None else None
-            if atd is not None:
-                positions = atd.sampled_positions(lines)
-                self._ck_spos[t] = positions.tolist()
-                self._ck_slines[t] = array("q", lines[positions].tobytes())
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
             offs = _NO_MISSES
             gaps = self._ck_lines[t] = _NO_MISSES if self._columns else []
-            self._ck_spos[t], self._ck_slines[t] = [], array("q")
             width = max(to_freeze, 0)
         fz_at, fz_hit = -2, 0
         if 0 < to_freeze <= width:
@@ -231,10 +217,8 @@ class BatchedEngine(EngineBase):
         # observer keeps immediate per-access calls.
         profiling = deferrable_profiling(sim)
         observe_now = hierarchy.l2_observer if profiling is None else None
-        atds = self._atds = ([m.atd for m in profiling.monitors]
-                             if profiling is not None else None)
-        spos = self._ck_spos
-        slines = self._ck_slines
+        atds = ([m.atd for m in profiling.monitors]
+                if profiling is not None else None)
         # The one loop source is the ``loop`` template of
         # repro.cache.transitions.  For a stock (policy, scheme) pair
         # whose ``access_line_hit`` nobody shadowed, a read-only run
@@ -250,6 +234,10 @@ class BatchedEngine(EngineBase):
         # The miss stream: int64 columns for a compiled loop, lists for
         # the Python one.
         columns = self._columns = transitions.compiled(loop)
+        # A compiled drain reads such a column by address; any other gets
+        # its slice as an ``array('q')`` of Python ints.
+        direct = [columns and transitions.compiled(inspect.unwrap(kernel))
+                  for kernel in obs_drain or ()]
 
         lines = self._ck_lines
         gaps = self._ck_gaps
@@ -280,13 +268,12 @@ class BatchedEngine(EngineBase):
                 # nothing reads it between two drains.
                 l2_accesses[u] += j - d
             if obs_drain is not None:
-                # Only the sampled lines reach the kernel; the rest are
-                # counted (module docstring).
-                lo = bisect_left(spos[u], d)
-                hi = bisect_left(spos[u], j, lo)
-                if hi > lo:
-                    obs_drain[u](slines[u][lo:hi])
-                atds[u].skipped_accesses += (j - d) - (hi - lo)
+                # The whole slice: the kernel counts the unsampled lines
+                # (module docstring).
+                batch = lines[u][d:j]
+                if not direct[u]:
+                    batch = array("q", batch.tobytes() if columns else batch)
+                obs_drain[u](batch)
 
         def beyond(now: float) -> float:
             """Rare path of a pop at or past the horizon — the earlier of

@@ -19,11 +19,15 @@ batched engine — is bound at construction to the ``observe`` rendering
 for a stock policy and profiler (:func:`repro.cache.state.drain_key`):
 ``transitions.bind("observe", key, atd)``, compiled where the host has
 ``cc``, whatever the length of a batch.  Both targets take a batch as an
-``array('q')`` (the compiled one also as an ``int64`` numpy column) and
-work on the ATD's own arrays — tag lines and masks, policy words, SDH
-registers, the two counters — in place, so between two drains what the
-controller reads, halves and resets is simply the ATD.  The generic loop
-below is the fallback and the reference it is pinned against
+``array('q')`` (the compiled one also as an ``int64`` numpy column) of
+every L2 access in it, sampled or not — the kernel's own ``skip_mask``
+test counts the others, the way the hardware decodes sampling from
+index bits — and work on the ATD's own arrays — tag lines and masks,
+policy words, SDH registers, the two counters — in place, so between two
+drains what the controller reads, halves and resets is simply the ATD
+(the tag dict is derived from the lines when next read:
+:attr:`repro.cache.state.TagStore.map`).  The generic loop below is the
+fallback and the reference it is pinned against
 (``tests/test_profiling/test_atd.py``, ``tests/test_cache/test_state.py``).
 """
 
@@ -172,16 +176,6 @@ class ATD:
         observe = self.observe
         for line in batch:
             observe(line)
-
-    def sampled_positions(self, lines: np.ndarray) -> np.ndarray:
-        """Ascending indices of the entries of ``lines`` (an integer array
-        of line addresses) that fall in a sampled set.
-
-        The filter of :meth:`observe`, vectorised: a caller may feed
-        :meth:`observe_many` only ``lines[positions]`` and add the rest to
-        :attr:`skipped_accesses` — the directory never sees the others.
-        """
-        return np.flatnonzero((lines & self._skip_mask) == 0)
 
     # ------------------------------------------------------------------
     def contains_line(self, line: int) -> bool:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache.replacement import bt
 from repro.cache.replacement.bt import BTPolicy
 
 
@@ -171,6 +172,21 @@ class TestInvariants:
         for way in range(8):
             estimate = 8 - (p.path_bits(0, way) ^ p.id_bits(way))
             assert 1 <= estimate <= 8
+
+
+class TestVictimTable:
+    @pytest.mark.parametrize("assoc", [2, 4, 8, 16])
+    def test_table_is_the_traversal_of_every_word(self, assoc, monkeypatch):
+        """The unforced-victim table is built with array arithmetic over
+        all tree words at once; entry for entry it is the root-down walk
+        of :func:`bt._traverse`."""
+        monkeypatch.setattr(bt, "_VICTIM_TABLES", {})
+        levels = assoc.bit_length() - 1
+        table = bt._victim_table(assoc)
+        assert list(table) == [bt._traverse(word, levels)
+                               for word in range(1 << (assoc - 1))]
+        assert bt._victim_table(assoc) is table
+        assert bt._victim_table(32) is None
 
 
 class TestMisc:

@@ -169,6 +169,17 @@ class TestWritebacks:
         assert l1.access_line_rw(2, False) == (False, None)
         assert l1.stats.writebacks[0] == 1
 
+    def test_a_one_way_l1_shifts_nothing_while_pinned(self):
+        """At associativity 1 a miss has no slot to shift: the walk skips
+        the empty slice move CPython refuses on an array with a buffer
+        export — which the compiled ``prefilter`` holds while it lives."""
+        l1 = SmallLRUCache(geometry(num_sets=2, assoc=1))
+        with memoryview(l1._slots), memoryview(l1._dirty):
+            assert l1.access_line_rw(0, True) == (False, None)
+            assert l1.access_line_rw(2, False) == (False, 0)
+        assert list(l1._slots) == [2, -1] and list(l1._dirty) == [0, 0]
+        assert l1.stats.writebacks[0] == 1
+
 
 class TestDerivedEvictionStats:
     """hits/evictions are derived (accesses-misses / misses-fills_invalid);

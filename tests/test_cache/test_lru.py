@@ -106,6 +106,27 @@ class TestInvalidate:
         assert p.victim(0, 0, 0b1111) == 2
 
 
+class TestPinnedOrder:
+    """A compiled kernel holds a buffer export of ``_order`` for as long
+    as it lives, and CPython refuses even an *empty* slice assignment on
+    an exporting array: a move with nothing to shift is skipped."""
+
+    def test_touch_into_an_empty_order(self):
+        p = LRUPolicy(num_sets=2, assoc=4)
+        with memoryview(p._order):
+            p.touch(1, 2, core=0)
+        assert list(p._order[4:]) == [2, -1, -1, -1]
+        assert p.stack_order(1) == [2, 0, 1, 3]
+
+    def test_invalidate_at_the_last_slot(self):
+        p = LRUPolicy(num_sets=2, assoc=4)
+        touch_seq(p, [0, 1, 2, 3], set_index=1)
+        with memoryview(p._order):
+            p.invalidate(1, 0)          # the LRU way: the set's last slot
+        assert list(p._order[4:]) == [3, 2, 1, -1]
+        assert p.victim(1, 0, 0b1111) == 0
+
+
 class TestMisc:
     def test_reset(self):
         p = LRUPolicy(num_sets=1, assoc=4)

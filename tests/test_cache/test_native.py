@@ -468,17 +468,20 @@ class TestMarshalValidation:
     def test_an_owner_list_is_refused_before_anything_runs(self):
         """An owner whose array a kernel binds is not an ``array`` (here
         an SDH register file turned back into a list) is a ``TypeError``
-        naming the binding; the ATD is left exactly as it was."""
+        naming the binding, raised by ``transitions.bind`` — the argument
+        block is built there — so nothing can run; the ATD is left exactly
+        as it was, its own drain included."""
         from repro.cache.geometry import CacheGeometry
         from repro.profiling.atd import ATD
         from repro.profiling.profilers import make_profiler
 
         atd = ATD(CacheGeometry(16 * 4 * 128, 4, 128), 2, "nru",
                   make_profiler("nru"))
+        own = atd.observe_many
         atd.sdh._r = list(atd.sdh._r)
-        drain = transitions.bind("observe", ("nru", "none"), atd)
         with pytest.raises(TypeError, match=r"sdh_r: a list where "
                                             r"array\('q'\)"):
-            drain(array("q", [0, 2, 4]))
+            transitions.bind("observe", ("nru", "none"), atd)
+        assert atd.observe_many is own
         assert atd.state.occupancy() == 0 and atd.state.map == {}
         assert list(atd._counts) == [0, 0] and atd.sdh.total == 0

@@ -33,6 +33,7 @@ import pytest
 import repro.cmp.engine.batched as batched_mod
 from repro.cache import native, transitions
 from repro.cache.partition.masks import MasksPartition
+from repro.cache.state import TagStore
 from repro.cmp import simulator as simulator_module
 from repro.config import (
     PartitioningConfig,
@@ -292,7 +293,7 @@ def run_overrun():
 
 def test_overrun_under_the_compiled_target_raises_the_same_error():
     """``beyond`` raises inside a call-out: the C loop stops at that
-    statement, the tag dict is rebuilt from the state it reached, and
+    statement, the tag dict is derived from the state it reached, and
     the original exception — text and Python-side frames — comes out of
     ``run``."""
     text = ("simulation exceeded max_cycles=10000 with 3 threads still "
@@ -302,7 +303,7 @@ def test_overrun_under_the_compiled_target_raises_the_same_error():
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert frames[-1] == "beyond"
     if expected_target() == "c":
-        assert "loop" not in frames and "execute" in frames
+        assert "loop" not in frames and "__call__" in frames
     with transitions.python_target():
         python_sim, python_info = run_overrun()
     assert str(python_info.value) == text
@@ -459,12 +460,14 @@ class RecordingCase(FuzzCase):
 @pytest.mark.parametrize("transparent", [False, True],
                          ids=["opaque", "functools.wraps"])
 def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
-    """Whoever rebinds an ATD's ``observe_many`` sees every drain, and
-    every drain is the same ``array('q')`` whatever stands behind it: an
+    """Whoever rebinds an ATD's ``observe_many`` sees every drain: an
     opaque callable or a transparent wrapper (``functools.wraps``, the
-    way a tracer wraps it), a compiled kernel or a Python one.  Either
-    way the run binds no drain kernel of its own: the four are the
-    ATDs', bound when they were built."""
+    way a tracer wraps it).  A drain is handed its stream slice as the
+    loop's own ``int64`` column only where what stands behind it — seen
+    through a transparent wrapper — is a compiled kernel, so traced and
+    untraced runs execute the same code; anything else gets an
+    ``array('q')``.  Either way the run binds no drain kernel of its own:
+    the four are the ATDs', bound when they were built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
     monkeypatch.setattr(RecordingCase, "seen", [])
@@ -472,7 +475,8 @@ def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
     after = binds(("lru", "none"), "observe")
     assert sum(after.values()) - sum(before.values()) == 4
-    assert set(RecordingCase.seen) == {array}
+    column = transparent and expected_target() == "c"
+    assert set(RecordingCase.seen) == {np.ndarray if column else array}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
 
 
@@ -499,62 +503,115 @@ def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
 RENDERING_OF = {"now": "loop", "batch": "observe", "refs": "prefilter"}
 
 
-#: What a call hands C besides a shared array or column: nothing it
-#: copies back.
-UNSHARED_KINDS = {"error", "int", "float", "rows", "heap", "callout"}
+def bound_arrays(kernel):
+    """``(name, kind)`` of each member the bind set: every one that is
+    not a parameter or the error word."""
+    loaded = kernel._loaded
+    return [(name, kind) for name, _ctype, kind in loaded.fields
+            if name not in loaded.params and kind != "error"]
+
+
+def own_address(value) -> int:
+    if value is None:
+        return 0
+    return (value.buffer_info()[0] if isinstance(value, array)
+            else value.ctypes.data)
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every compiled kernel bound from here on, with its bound members'
+    values in the argument block right after the bind; each is kept
+    alive, its pins held."""
+    bound = []
+    init = native.CompiledKernel.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        bound.append((self, {name: getattr(self._block, name)
+                             for name, _kind in bound_arrays(self)}))
+
+    monkeypatch.setattr(native.CompiledKernel, "__init__", recorded)
+    return bound
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Every tag store whose dict is derived from here on, in order."""
+    stores = []
+    derive = TagStore._derive
+
+    def counted(store):
+        stores.append(store)
+        derive(store)
+
+    monkeypatch.setattr(TagStore, "_derive", counted)
+    return stores
 
 
 @pytest.mark.parametrize("key", list(CONFIGS), ids="/".join)
-def test_a_compiled_call_copies_only_the_tag_dict(key, request, monkeypatch):
-    """Every compiled call of a run — the loop, each drain, each L1
-    window — hands C the owner's own buffers: every array and column
-    member of the argument block is the address of the very object
-    Python holds (0 for an absent channel), pinned for the call (a
-    resize raises ``BufferError``); every other member is a scalar, a
-    row table, the heap's clocks, a call-out or the error word.  LRU's
-    recency order is one of the shared arrays.  The one thing rebuilt
-    after the call is the tag dict, from the tag lines."""
+def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
+    """Every compiled kernel of a run — the loop, each drain, each L1
+    window walk — gets its argument block at bind: every array member
+    that is not a parameter holds the address of the owner's own buffer
+    (0 for an absent channel), every other bound member is a scalar, and
+    no call changes either.  LRU's recency order is one of the shared
+    arrays.  Nothing is copied back: a whole run derives no tag dict, and
+    the first ``map`` read afterwards derives each store's once, equal to
+    a dict built from scratch."""
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
+    sim = scenario(key, service_interval=37.5).simulator("batched")
+    sim.run()
+    assert derived == []
     seen = set()
-    rebuild_tags = native._Run.rebuild_tags
-
-    def checked(run):
-        loaded, values, args = run.loaded, run.values, run.args
-        rendering = RENDERING_OF[loaded.params[0]]
+    for kernel, at_bind in kernels:
+        rendering = RENDERING_OF[kernel._loaded.params[0]]
+        seen.add(rendering)
         shared = set()
-        for name, _ctype, kind in loaded.fields:
-            if kind not in ("ints", "floats", "cores", "column"):
-                assert kind.partition(":")[0] in UNSHARED_KINDS, name
-                continue
-            shared.add(name)
-            value = values[name]
-            if value is None:
-                assert not getattr(args, name), name
-                continue
-            own = (value.buffer_info()[0] if isinstance(value, array)
-                   else value.ctypes.data)
-            assert getattr(args, name) == own, name
-            if isinstance(value, array):
-                with pytest.raises(BufferError):
-                    value.append(0)
+        for name, kind in bound_arrays(kernel):
+            value = getattr(kernel._block, name)
+            assert value == at_bind[name], name
+            if kind in ("ints", "floats", "cores"):
+                shared.add(name)
+                assert (value or 0) == own_address(kernel._bound[name]), name
+            else:
+                assert kind in ("int", "float"), name
         if key[0] == "lru" and rendering != "prefilter":
             assert {"orders", "present"} <= shared
-        # No per-call buffer beyond the pins, the row tables and the
-        # call-out thunks; the tag dict is all there is to rebuild.
-        assert set(vars(run)) == {"loaded", "values", "args", "error",
-                                  "pins", "rows", "keep"}
-        assert [tags for tags, _lines, _assoc in loaded.tags] \
-            == ([] if rendering == "prefilter" else ["tag_map"])
-        seen.add(rendering)
-        rebuild_tags(run)
-
-    monkeypatch.setattr(native._Run, "rebuild_tags", checked)
-    run_engine(scenario(key, service_interval=37.5), "batched")
     expected = {"loop", "prefilter"}
     if CONFIGS[key].partitioned:
         expected.add("observe")
-    assert seen == (expected if expected_target() == "c" else set())
+    compiled = expected_target() == "c"
+    assert seen == (expected if compiled else set())
+
+    stores = [sim.hierarchy.l2.state]
+    if CONFIGS[key].partitioned:
+        stores += [monitor.atd.state for monitor in sim.profiling.monitors]
+    for store in stores + stores:
+        assert store.map == {line: flat % store.assoc
+                             for flat, line in enumerate(store.lines)
+                             if line >= 0}
+    assert derived == (stores if compiled else [])
+
+
+def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
+    """A compiled kernel holds a buffer export of every owner ``array`` it
+    binds for as long as it lives, so the rule that no owner array is
+    ever resized is enforced at any time, not only inside a call: after a
+    whole run, ``append`` on any of them raises ``BufferError`` and
+    leaves it as it was."""
+    sim = scenario(("lru", "counters")).simulator("batched")
+    sim.run()
+    assert len(kernels) == (1 + 4 + 4 if expected_target() == "c" else 0)
+    for kernel, _at_bind in kernels:
+        for name, kind in bound_arrays(kernel):
+            value = kernel._bound[name]
+            if isinstance(value, array):
+                before = list(value)
+                with pytest.raises(BufferError):
+                    value.append(value[0])
+                assert list(value) == before, name
 
 
 def test_resizing_a_shared_array_in_a_call_out_is_refused():

@@ -322,6 +322,23 @@ class TestGeneratedSourceExplainsItself:
         with pytest.raises(ValueError, match=r"scheme 'mask' -> j"):
             transitions.render("loop", ("nru", "masks"), schemes=schemes)
 
+    def test_a_clobbering_fragment_is_refused_with_a_warm_parse_cache(
+            self):
+        """The clobber check parses each distinct fragment text once per
+        process: after every stock key has rendered, a new fragment — a
+        test's injected one — is still parsed and refused, each time it
+        is rendered."""
+        for rendering, key in transitions.rendering_keys():
+            transitions.render(rendering, key)
+        policies = dict(transitions.POLICIES, probe=dict(
+            transitions.POLICIES["lru"], promote="clock = orders[row]"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"policy 'promote' -> "
+                                                 r"clock"):
+                transitions.render("loop", ("probe", "none"),
+                                   policies=policies)
+        transitions.render("observe", ("probe", "none"), policies=policies)
+
     def test_every_shipped_rendering_passes_the_checks(self):
         """Three ``observe`` keys, twelve stock ``loop`` keys, the call
         form and the L1 ``prefilter``: only batch kernels are rendered."""

@@ -2,8 +2,8 @@
 be unobservable.
 
 Each window of a thread's trace goes through the L1's ``prefilter``
-kernel, and the engine drains only the miss stream's *sampled* lines
-into the ATDs.  Neither may change anything a run can observe: results,
+kernel, and the engine drains slices of the miss stream into the ATDs,
+whose kernels count the lines outside their sampled sets.  Neither may change anything a run can observe: results,
 the L2, the profiling state — and the simulator's own L1 objects.  The
 reference engine walks its L1 one access at a time and is the oracle
 throughout.  (The module keeps the name of the window cache it once
@@ -181,15 +181,40 @@ class TestWrites:
             assert diff_snapshots(reference, run_engine(case, engine)) == []
 
 
+class SpyCase(FuzzCase):
+    """The case with every ATD's drain behind a transparent wrapper
+    (``functools.update_wrapper``, as a tracer wraps it) that records the
+    lines it is handed."""
+
+    handed: list = []
+
+    def simulator(self, engine):
+        import functools
+
+        sim = super().simulator(engine)
+        for monitor in sim.profiling.monitors:
+            kernel = monitor.atd.observe_many
+
+            def spy(batch, kernel=kernel):
+                type(self).handed.extend(batch.tolist())
+                kernel(batch)
+
+            monitor.atd.observe_many = functools.update_wrapper(spy, kernel)
+        return sim
+
+
 class TestSampledDrain:
     @pytest.mark.parametrize("sampling", [1, 2, 32])
     @pytest.mark.parametrize("config", [config_C_L, config_M_BT],
                              ids=["C-L", "M-BT"])
     def test_atd_state_equals_the_unfiltered_drain(self, small_windows,
-                                                   config, sampling):
-        """The reference engine observes every L2 access one by one; the
-        batched engine hands the ATD kernels sampled slices only.  Tag
-        state, SDH registers, sampled and skipped counters must agree."""
+                                                   config, sampling,
+                                                   monkeypatch):
+        """The reference engine observes every L2 access one by one
+        (``ATD.observe``); the batched engine hands each drain its whole
+        stream slice, and the drain kernel's own ``skip_mask`` test counts
+        the unsampled lines — on both targets.  Tag state, SDH registers,
+        sampled and skipped counters must agree."""
         case = make_case(2, sampling=sampling, l2_sets=64)
         case = dataclasses.replace(case, partitioning=config(
             atd_sampling=sampling, interval_cycles=9_000))
@@ -198,6 +223,18 @@ class TestSampledDrain:
         if sampling > 1:
             assert all(skipped > 0
                        for _, _, _, skipped in reference.profiling)
-        snapshot = run_engine(case, "batched")
-        assert snapshot.profiling == reference.profiling
-        assert diff_snapshots(reference, snapshot) == []
+        for target in ("compiled", "python"):
+            monkeypatch.setattr(SpyCase, "handed", [])
+            if target == "python":
+                with python_target():
+                    snapshot = run_engine(SpyCase(**vars(case)), "batched")
+            else:
+                snapshot = run_engine(SpyCase(**vars(case)), "batched")
+            assert snapshot.profiling == reference.profiling
+            assert diff_snapshots(reference, snapshot) == []
+            # Every L2 access reached a kernel, the unsampled ones too.
+            assert len(SpyCase.handed) == sum(
+                sampled + skipped
+                for _, _, sampled, skipped in reference.profiling)
+            assert any(line & (sampling - 1) for line in SpyCase.handed) \
+                == (sampling > 1)

@@ -5,6 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
+from repro.cache import transitions
 from repro.cache.geometry import CacheGeometry
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
@@ -51,10 +52,13 @@ class TestSampling:
     @pytest.mark.parametrize("sampling", [1, 2, 8, 32])
     @pytest.mark.parametrize("policy", ["lru", "nru", "bt"])
     def test_sampled_positions_is_the_observe_filter(self, policy, sampling):
-        """Feeding the sampled sub-stream and counting the rest equals
-        feeding everything, whatever the slicing — and ``observe``, a
-        one-line batch through the batch kernel, answers and counts per
-        access exactly like the generic object-protocol path."""
+        """The positions ``observe`` samples are those whose low index
+        bits are zero, and the batch kernel applies that filter itself:
+        handing it every line in slices — the batched engine's drains, as
+        ``int64`` columns where the kernel is compiled and as
+        ``array('q')``\\ s — equals feeding them one by one, both counters
+        included.  ``observe`` answers and counts per access exactly like
+        the generic object-protocol path."""
         lines = np.random.default_rng(5).integers(0, 4096, size=3000)
         full = make_atd(num_sets=64, sampling=sampling, policy=policy)
         generic = make_atd(num_sets=64, sampling=sampling, policy=policy,
@@ -68,13 +72,14 @@ class TestSampling:
             if answer:
                 sampled.append(i)
         assert atd_state(full) == atd_state(generic)
+        assert sampled == np.flatnonzero(lines % sampling == 0).tolist()
         sliced = make_atd(num_sets=64, sampling=sampling, policy=policy)
-        positions = sliced.sampled_positions(lines)
-        assert positions.tolist() == sampled
-        for lo, hi in ((0, 7), (7, 1200), (1200, 1200), (1200, 3000)):
-            inside = positions[(positions >= lo) & (positions < hi)]
-            sliced.observe_many(array("q", lines[inside].tolist()))
-            sliced.skipped_accesses += (hi - lo) - len(inside)
+        columns = transitions.compiled(sliced.observe_many)
+        for k, (lo, hi) in enumerate(((0, 7), (7, 1200), (1200, 1200),
+                                      (1200, 3000))):
+            batch = lines[lo:hi]
+            sliced.observe_many(batch if columns and k % 2
+                                else array("q", batch.tolist()))
         assert atd_state(sliced) == atd_state(full)
 
     def test_spread_update_keeps_the_generic_pair(self):
