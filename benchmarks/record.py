@@ -55,9 +55,9 @@ import numpy as np
 #: supplies the ``speedup_vs_baseline`` block: the batched engine against
 #: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
 #: canaries — over the three paper policies a compiled drain of 2 K
-#: lines must run at 5x the Python rendering or better (measured ~67x),
+#: lines must run at 5x the Python rendering or better (measured ~72x),
 #: and one of 130 lines, where the call's fixed cost weighs most, at 8x
-#: or better (measured ~26x now that a call writes only its
+#: or better (measured ~29x now that a call writes only its
 #: batch into an argument block built at bind and copies nothing back;
 #: ~2.1x while each call built the block and rebuilt the tag dict, about
 #: 0.86x while it copied the directory in and out); and the L1
@@ -111,10 +111,9 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
     drains its own ATD, as no owner keeps kernels of both — and both
     composites over the three policies; batches of ``batch_lines`` and,
     as ``drain_*_short``, of ``short_lines`` (the median drain of a
-    ``micro`` report), each as the batched engine hands it to that
-    target under a compiled loop: the ``int64`` column itself to a
-    compiled drain, an ``array('q')`` of it to a Python one.  The ATD is
-    ``small``'s (and ``micro``'s): a 16-set 16-way directory."""
+    ``micro`` report), both as the ``array('q')`` the batched engine
+    hands a drain.  The ATD is ``small``'s (and ``micro``'s): a 16-set
+    16-way directory."""
     from array import array
 
     from repro.cache import transitions
@@ -128,8 +127,7 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
     rates = {}
     for suffix, size, calls in (("", batch_lines, 20),
                                 ("_short", short_lines, 300)):
-        column = lines[:size]
-        batch = array("q", column.tobytes())
+        batch = array("q", lines[:size].tobytes())
         for policy in ("lru", "nru", "bt"):
             def setup(policy=policy):
                 def warm_drain():
@@ -142,10 +140,10 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
                     python = warm_drain()
                 return python, warm_drain()
 
-            def op_compiled(state, calls=calls, column=column):
+            def op_compiled(state, calls=calls, batch=batch):
                 _python, compiled = state
                 for _ in range(calls):
-                    compiled(column)
+                    compiled(batch)
 
             def op_python(state, calls=calls, batch=batch):
                 python, _compiled = state

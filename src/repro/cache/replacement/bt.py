@@ -47,10 +47,9 @@ array a kernel binds, the words, the tree and the promote masks are
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
 from repro.util.bitops import ilog2
@@ -63,9 +62,6 @@ _VICTIM_TABLES: Dict[int, array] = {}
 
 #: Largest associativity for which a full-tree victim table is built.
 _MAX_TABLE_ASSOC = 16
-
-#: Tree words walked per numpy step while a table is built.
-_TABLE_BLOCK = 2048
 
 
 def _traverse(tree: int, levels: int) -> int:
@@ -85,18 +81,22 @@ def _victim_table(assoc: int) -> Optional[array]:
         return None
     table = _VICTIM_TABLES.get(assoc)
     if table is None:
-        table = array("q", [0]) * (1 << (assoc - 1))
-        ways = np.frombuffer(table, dtype=np.int64)
-        # :func:`_traverse` of every tree word, a block of words at a time
-        # (the scratch stays small next to the table): one shift/mask
-        # step per level; the leaf's heap index less ``assoc`` is its way.
-        for start in range(0, len(ways), _TABLE_BLOCK):
-            words = np.arange(start, min(start + _TABLE_BLOCK, len(ways)))
-            node = np.ones_like(words)
-            for _ in range(ilog2(assoc)):
-                node = (node << 1) | ((words >> (node - 1)) & 1)
-            ways[start:start + len(words)] = node - assoc
-        del ways                        # the view pins the table
+        # :func:`_traverse` of every tree word, one leaf level at a time,
+        # a byte per word.  Below a tree of ``half`` leaves (words of
+        # ``half - 1`` bits, victims ``ways``) the next level's ``half``
+        # bits are the word's high part, bit ``v`` under old leaf ``v``:
+        # the victim ``v`` of a word becomes ``2v + bit v`` of its high
+        # part, one ``bytes.translate`` per high part.
+        ways, half = b"\0", 1
+        while half < assoc:
+            ways = b"".join(
+                ways.translate(bytes(2 * v + (high >> v & 1)
+                                     for v in range(half)).ljust(256, b"\0"))
+                for high in range(1 << half))
+            half *= 2
+        table = array("q", [0]) * len(ways)
+        with memoryview(table) as view, view.cast("B") as octets:
+            octets[0 if sys.byteorder == "little" else 7::8] = ways
         _VICTIM_TABLES[assoc] = table
     return table
 

@@ -51,7 +51,9 @@ The kernels rely on invariants the cache/ATD maintain by construction:
   resize raises ``BufferError``);
 * a Python-target kernel holds the dict object itself, so it must never
   run on a store a compiled call has left stale since the bind: no owner
-  keeps kernels of both targets.
+  keeps kernels of both targets (every stock tag store has one kernel,
+  an ATD's drain or the L2's loop;
+  ``test_compiled_target.py::test_no_python_kernel_runs_on_a_stale_store``).
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "3a46d70e768802256096668e804ea42c79fe6165a6925580326f80549c6c97bf"
+ENGINE_SOURCE_CHECKSUM = "bce2e79bdf6a219b8b24809c05e032ca66b5b951f024f29b9bb6c691128520b8"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -46,10 +46,8 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   itself, which is what the controller reads, halves and resets.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets, only counting it.  A drain hands the kernel
-  the whole slice — a view of the compiled loop's ``int64`` column where
-  the drain is compiled too (seen through any transparent wrapper), which
-  it reads by address, else an ``array('q')`` of it — and the kernel's
-  own ``skip_mask`` test counts the unsampled lines, the way the
+  the whole slice, as an ``array('q')`` whatever the target, and the
+  kernel's own ``skip_mask`` test counts the unsampled lines, the way the
   hardware decodes sampling from index bits.
 * **Parked threads.**  After a whole trace pass without an L1 miss the L1
   contents can never change again (hits install nothing), so the thread
@@ -83,7 +81,6 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 
 from __future__ import annotations
 
-import inspect
 import math
 from array import array
 from heapq import heapify, heappop, heappushpop
@@ -234,10 +231,6 @@ class BatchedEngine(EngineBase):
         # The miss stream: int64 columns for a compiled loop, lists for
         # the Python one.
         columns = self._columns = transitions.compiled(loop)
-        # A compiled drain reads such a column by address; any other gets
-        # its slice as an ``array('q')`` of Python ints.
-        direct = [columns and transitions.compiled(inspect.unwrap(kernel))
-                  for kernel in obs_drain or ()]
 
         lines = self._ck_lines
         gaps = self._ck_gaps
@@ -271,9 +264,7 @@ class BatchedEngine(EngineBase):
                 # The whole slice: the kernel counts the unsampled lines
                 # (module docstring).
                 batch = lines[u][d:j]
-                if not direct[u]:
-                    batch = array("q", batch.tobytes() if columns else batch)
-                obs_drain[u](batch)
+                obs_drain[u](array("q", batch.tobytes() if columns else batch))
 
         def beyond(now: float) -> float:
             """Rare path of a pop at or past the horizon — the earlier of

@@ -177,9 +177,9 @@ class TestInvariants:
 class TestVictimTable:
     @pytest.mark.parametrize("assoc", [2, 4, 8, 16])
     def test_table_is_the_traversal_of_every_word(self, assoc, monkeypatch):
-        """The unforced-victim table is built with array arithmetic over
-        all tree words at once; entry for entry it is the root-down walk
-        of :func:`bt._traverse`."""
+        """The unforced-victim table is built a leaf level at a time, by
+        byte translation over all tree words; entry for entry it is the
+        root-down walk of :func:`bt._traverse`."""
         monkeypatch.setattr(bt, "_VICTIM_TABLES", {})
         levels = assoc.bit_length() - 1
         table = bt._victim_table(assoc)

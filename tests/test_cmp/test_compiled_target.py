@@ -460,14 +460,12 @@ class RecordingCase(FuzzCase):
 @pytest.mark.parametrize("transparent", [False, True],
                          ids=["opaque", "functools.wraps"])
 def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
-    """Whoever rebinds an ATD's ``observe_many`` sees every drain: an
+    """Whoever rebinds an ATD's ``observe_many`` sees every drain, and
+    every drain is the same ``array('q')`` whatever stands behind it: an
     opaque callable or a transparent wrapper (``functools.wraps``, the
-    way a tracer wraps it).  A drain is handed its stream slice as the
-    loop's own ``int64`` column only where what stands behind it — seen
-    through a transparent wrapper — is a compiled kernel, so traced and
-    untraced runs execute the same code; anything else gets an
-    ``array('q')``.  Either way the run binds no drain kernel of its own:
-    the four are the ATDs', bound when they were built."""
+    way a tracer wraps it), a compiled kernel or a Python one.  Either
+    way the run binds no drain kernel of its own: the four are the
+    ATDs', bound when they were built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
     monkeypatch.setattr(RecordingCase, "seen", [])
@@ -475,8 +473,7 @@ def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
     after = binds(("lru", "none"), "observe")
     assert sum(after.values()) - sum(before.values()) == 4
-    column = transparent and expected_target() == "c"
-    assert set(RecordingCase.seen) == {np.ndarray if column else array}
+    assert set(RecordingCase.seen) == {array}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
 
 
@@ -518,20 +515,55 @@ def own_address(value) -> int:
             else value.ctypes.data)
 
 
+#: Parameter kinds a call hands C by address.
+SHARED_PARAMS = ("column", "ints", "floats", "cores")
+
+
 @pytest.fixture
 def kernels(monkeypatch):
-    """Every compiled kernel bound from here on, with its bound members'
-    values in the argument block right after the bind; each is kept
-    alive, its pins held."""
+    """Every compiled kernel bound from here on: ``(kernel, its bound
+    members' values in the argument block right after the bind, the
+    parameters checked at its calls)``; each is kept alive, its pins
+    held.
+
+    Every call is checked as C starts: each column or array parameter's
+    member is the address of the very object the caller passed (0 for
+    None), so nothing on the way copied it, a column's length is its
+    length, and an ``array`` parameter is pinned (``BufferError``)."""
     bound = []
     init = native.CompiledKernel.__init__
+    call = native.CompiledKernel.__call__
 
     def recorded(self, *args):
         init(self, *args)
+        run, handed = self._loaded.run, set()
+
+        def checked(pointer):
+            for (name, _ctype, kind), value in zip(self._params,
+                                                   self._handed):
+                if kind not in SHARED_PARAMS:
+                    continue
+                handed.add(name)
+                assert (getattr(self._block, name) or 0) \
+                    == own_address(value), name
+                if kind == "column":
+                    assert getattr(self._block, f"{name}_n") == len(value)
+                if isinstance(value, array):
+                    with pytest.raises(BufferError):
+                        value.append(0)
+            return run(pointer)
+
+        self._loaded = self._loaded._replace(run=checked)
         bound.append((self, {name: getattr(self._block, name)
-                             for name, _kind in bound_arrays(self)}))
+                             for name, _kind in bound_arrays(self)},
+                      handed))
+
+    def remembered(self, *arguments):
+        self._handed = arguments
+        return call(self, *arguments)
 
     monkeypatch.setattr(native.CompiledKernel, "__init__", recorded)
+    monkeypatch.setattr(native.CompiledKernel, "__call__", remembered)
     return bound
 
 
@@ -556,18 +588,23 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
     that is not a parameter holds the address of the owner's own buffer
     (0 for an absent channel), every other bound member is a scalar, and
     no call changes either.  LRU's recency order is one of the shared
-    arrays.  Nothing is copied back: a whole run derives no tag dict, and
-    the first ``map`` read afterwards derives each store's once, equal to
-    a dict built from scratch."""
+    arrays.  Every call hands C the very columns and arrays it was
+    given — the prefilter's window and output columns, a drain's batch,
+    the loop's cursors — each pinned where it is an ``array``
+    (:func:`kernels`).  Nothing is copied back: a whole run derives no
+    tag dict, and the first ``map`` read afterwards derives each store's
+    once, equal to a dict built from scratch."""
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
     sim = scenario(key, service_interval=37.5).simulator("batched")
     sim.run()
     assert derived == []
     seen = set()
-    for kernel, at_bind in kernels:
+    for kernel, at_bind, handed in kernels:
         rendering = RENDERING_OF[kernel._loaded.params[0]]
         seen.add(rendering)
+        assert handed == {name for name, _ctype, kind in kernel._params
+                          if kind in SHARED_PARAMS}
         shared = set()
         for name, kind in bound_arrays(kernel):
             value = getattr(kernel._block, name)
@@ -604,7 +641,7 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
     sim = scenario(("lru", "counters")).simulator("batched")
     sim.run()
     assert len(kernels) == (1 + 4 + 4 if expected_target() == "c" else 0)
-    for kernel, _at_bind in kernels:
+    for kernel, _at_bind, _handed in kernels:
         for name, kind in bound_arrays(kernel):
             value = kernel._bound[name]
             if isinstance(value, array):
@@ -612,6 +649,76 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
                 with pytest.raises(BufferError):
                     value.append(value[0])
                 assert list(value) == before, name
+
+
+class SplitCase(FuzzCase):
+    """The case with its owners' kernels — the ATDs' drains and the L1s'
+    prefilters, bound when the simulator is built — on one target and
+    its run's loop on the other; ``python`` names the Python side,
+    ``"owners"`` or ``"loop"``."""
+
+    python = "owners"
+
+    def simulator(self, engine):
+        if self.python == "owners":
+            with transitions.python_target():
+                return super().simulator(engine)
+        sim = super().simulator(engine)
+        run = sim.run
+
+        def python_run():
+            with transitions.python_target():
+                return run()
+
+        sim.run = python_run
+        return sim
+
+
+@pytest.fixture
+def python_calls(monkeypatch):
+    """The tag store of every call of a Python-target kernel built from
+    here on, each asserted not stale when the call starts."""
+    stores = []
+    factory = transitions.factory
+
+    def checking(rendering, key):
+        build = factory(rendering, key)
+
+        def bound(owner, *args):
+            kernel, store = build(owner, *args), getattr(owner, "state", None)
+            if store is None:                   # an L1: no tag dict
+                return kernel
+
+            def checked(*arguments):
+                assert not store.stale
+                stores.append(store)
+                return kernel(*arguments)
+
+            return checked
+
+        return bound
+
+    monkeypatch.setattr(transitions, "factory", checking)
+    return stores
+
+
+@pytest.mark.parametrize("python", ["owners", "loop"])
+@pytest.mark.parametrize("key", [("lru", "counters"), ("nru", "masks"),
+                                 ("bt", "btvectors")], ids="/".join)
+def test_no_python_kernel_runs_on_a_stale_store(key, python, monkeypatch,
+                                                python_calls):
+    """A Python-target kernel holds its tag dict itself, so it must never
+    run on a store a compiled call has left stale (:mod:`repro.cache.state`).
+    Every stock tag store has one kernel — an ATD's drain, bound when it
+    is built, or the L2's loop, bound by each run — so even a run whose
+    owners and loop are on different targets hands no Python kernel a
+    stale store, and matches the run on one target."""
+    monkeypatch.setattr(SplitCase, "python", python)
+    case = scenario(key)
+    split = run_engine(SplitCase(**vars(case)), "batched")
+    assert len({id(store) for store in python_calls}) \
+        == (4 if python == "owners" else 1)
+    assert diff_snapshots(run_engine(case, "batched"), split) == []
 
 
 def test_resizing_a_shared_array_in_a_call_out_is_refused():
