@@ -57,6 +57,7 @@ from repro.campaign.scheduler import (
     FailedJob,
     ReadySetScheduler,
     SchedulerStats,
+    locality_key,
 )
 from repro.campaign.store import ResultStore
 from repro.experiments.common import (
@@ -77,8 +78,10 @@ def execute_job(job: Job, runner: WorkloadRunner) -> Any:
     constructed with ``job.scale`` — the caller owns runner reuse.
     """
     if job.kind == KIND_ISOLATION:
+        # The store (or the caller's result dict) memoises isolation jobs:
+        # the runner's fingerprint-keyed memo would never hit.
         trace = runner.isolation_trace(job.benchmark, job.core_id)
-        return runner.isolation(job.l2_bytes).thread_result(trace, job.policy)
+        return runner.isolation(job.l2_bytes).simulate(trace, job.policy)
     return runner.run(job.mix, job.config, l2_bytes=job.l2_bytes,
                       benchmarks=job.benchmarks,
                       memory_service_interval=job.memory_service_interval)
@@ -181,7 +184,11 @@ class Plan:
 
 
 def plan_jobs(jobs: Sequence[Job]) -> Plan:
-    """Expand isolation dependencies and deduplicate by store key."""
+    """Expand isolation dependencies and deduplicate by store key.
+
+    Isolation entries are stable-sorted by :func:`locality_key`, so the
+    jobs of one trace run back to back and a runner generates it once.
+    """
     seen: Dict[str, None] = {}
     isolation: List[Tuple[str, Job]] = []
     outcome: List[Tuple[str, Job]] = []
@@ -197,6 +204,7 @@ def plan_jobs(jobs: Sequence[Job]) -> Plan:
             if key not in seen:
                 seen[key] = None
                 outcome.append((key, job))
+    isolation.sort(key=lambda entry: locality_key(entry[1]))
     return Plan(isolation=isolation, outcome=outcome)
 
 

@@ -44,7 +44,9 @@ ENGINE_VERSION = 2
 
 #: Hot-path sources whose bytes are covered by the engine-version guard.
 #: Paths are relative to ``src/``; edit the tuple when the hot path grows
-#: a new module.
+#: a new module.  The trace generator is here too: every stored result is
+#: keyed by a trace *recipe*, so an edit that changes a generated trace
+#: must be as visible as one that changes the simulation.
 ENGINE_GUARDED_SOURCES = (
     "repro/cmp/engine/batched.py",
     "repro/cmp/engine/common.py",
@@ -59,6 +61,7 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/l1.py",
     "repro/cmp/memory.py",
     "repro/profiling/atd.py",
+    "repro/workloads/generator.py",
 )
 
 #: sha256 over ``ENGINE_VERSION`` and the guarded sources, recorded so the
@@ -67,7 +70,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "bce2e79bdf6a219b8b24809c05e032ca66b5b951f024f29b9bb6c691128520b8"
+ENGINE_SOURCE_CHECKSUM = "276c549daeadcf979448653bcc5c8964eb080c9ffe8d88b2ee2bf3f1a08fcaf8"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -48,13 +48,16 @@ class IsolationRunner:
         """Isolation statistics for one trace under one replacement policy."""
         key = self._key(trace, policy)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._cache[key] = self.simulate(trace, policy)
+        return cached
+
+    def simulate(self, trace: Trace, policy: str) -> ThreadResult:
+        """One isolation run, outside the memo (and without the trace
+        fingerprint that keys it): for callers that memoise elsewhere."""
         config = config_unpartitioned(policy)
         sim = CMPSimulator(self.processor, config, [trace], self.simulation)
-        result = sim.run().threads[0]
-        self._cache[key] = result
-        return result
+        return sim.run().threads[0]
 
     def ipc(self, trace: Trace, policy: str) -> float:
         """Isolation IPC for one trace under one replacement policy."""

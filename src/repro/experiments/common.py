@@ -211,38 +211,60 @@ class WorkloadRunner:
     def __init__(self, scale: ExperimentScale) -> None:
         self.scale = scale
         self.power_model = PowerModel()
-        self._traces: Dict[Tuple[str, ...], List[Trace]] = {}
+        #: Traces of the mixes run so far, by slot ``(benchmark, core_id)``:
+        #: mixes sharing a slot share its trace.
+        self._traces: Dict[Tuple[str, int], Trace] = {}
+        self._mixes: Dict[Tuple[str, ...], List[Trace]] = {}
         self._iso_trace: Dict[Tuple[str, int], Trace] = {}   # one slot
         self._isolation: Dict[int, IsolationRunner] = {}
         self._budgets: Dict[Tuple, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
+    def _generate(self, benchmark: str, core_id: int) -> Trace:
+        return generate_trace(benchmark, self.scale.accesses,
+                              self.scale.baseline_l2_lines,
+                              seed=self.scale.seed, core_id=core_id)
+
     def traces_for(self, benchmarks: Sequence[str]) -> List[Trace]:
-        """Traces of a mix (footprints tied to the baseline L2 capacity)."""
+        """Traces of a mix (footprints tied to the baseline L2 capacity).
+
+        Core ``i`` of the mix is slot ``(benchmarks[i], i)``; a slot's
+        trace is generated once per runner, or taken over from the
+        isolation slot when that holds it."""
         key = tuple(benchmarks)
-        cached = self._traces.get(key)
-        if cached is None:
-            cached = [
-                generate_trace(name, self.scale.accesses,
-                               self.scale.baseline_l2_lines,
-                               seed=self.scale.seed, core_id=i)
-                for i, name in enumerate(key)
-            ]
-            self._traces[key] = cached
-        return cached
+        traces = self._mixes.get(key)
+        if traces is None:
+            traces = self._mixes[key] = [
+                self._slot_trace(benchmark, core_id)
+                for core_id, benchmark in enumerate(key)]
+        return traces
+
+    def _slot_trace(self, benchmark: str, core_id: int) -> Trace:
+        key = (benchmark, core_id)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._iso_trace.get(key)
+            if trace is None:
+                trace = self._generate(benchmark, core_id)
+            self._traces[key] = trace
+        return trace
 
     def isolation_trace(self, benchmark: str, core_id: int) -> Trace:
-        """Trace of one isolation job.  Campaigns order isolation jobs by
-        trace, so one slot pays for generation and fingerprint once per
-        trace; it is emptied *before* the next is generated, so two
-        paper-scale traces (16 MB each) are never resident together."""
+        """Trace of one isolation job.
+
+        A slot some mix already holds is reused.  Otherwise the trace goes
+        into the one isolation slot, which is emptied *before* the next is
+        generated, so an isolation-only campaign never holds two
+        paper-scale traces (16 MB each) at once; :func:`plan_jobs
+        <repro.campaign.runner.plan_jobs>` orders isolation jobs by trace,
+        so each is generated once."""
         key = (benchmark, core_id)
-        trace = self._iso_trace.get(key)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._iso_trace.get(key)
         if trace is None:
             self._iso_trace.clear()
-            trace = self._iso_trace[key] = generate_trace(
-                benchmark, self.scale.accesses, self.scale.baseline_l2_lines,
-                seed=self.scale.seed, core_id=core_id)
+            trace = self._iso_trace[key] = self._generate(benchmark, core_id)
         return trace
 
     def isolation(self, l2_bytes: int = BASE_L2_BYTES) -> IsolationRunner:

@@ -13,6 +13,24 @@ Generation is region-mixture sampling, fully vectorised with numpy:
 5. region base addresses are disjoint per (core, region) so threads never
    share lines (the paper's mixes are multiprogrammed, not multithreaded).
 
+A trace is a pure function of its recipe, and the stores replay results
+keyed by that recipe, so the stream is pinned bit for bit
+(``tests/test_workloads/test_generator_digests.py``).  It is the stream of
+the plain numpy formulation — per phase ``rng.choice(R, p=weights)``, then
+per region a boolean mask and one draw, a zipf rank being
+``np.searchsorted(cdf, rng.random(n))`` — computed with the same RNG calls
+in the same order, only cheaper:
+
+* a region pick is ``rng.choice`` taken apart: one ``rng.random(count)``
+  against the CDF ``Generator.choice`` builds, the index being the number
+  of CDF edges at or below ``u``;
+* each region's positions are listed in order (together, a stable
+  counting order of the picks), its offsets drawn with one call in region
+  order and scattered there;
+* a zipf rank is answered through a guide table (Chen–Asau indexed
+  search, :func:`guided_ranks`): a few steps from a precomputed start
+  instead of a binary search over every rank.
+
 Consecutive lines of a region map to consecutive L2 sets, so region sizes
 translate directly into ways-of-occupancy: a uniform region of ``k × sets``
 lines needs about ``k`` ways to stop missing — the knee of the benchmark's
@@ -41,8 +59,43 @@ _REGION_SHIFT = 32
 _CORE_SHIFT = 44
 
 
+#: Guide-table buckets per zipf rank.  Each bucket starts the search a few
+#: ranks short of the answer at most; two per rank make a zipf draw ~40 %
+#: cheaper than one, for 16 bytes a rank.
+_GUIDE_BUCKETS_PER_RANK = 2
+
+
+def guide_table(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """Chen–Asau guide table over a CDF: ``guide[j]`` is the first index
+    whose CDF value reaches ``j / buckets``."""
+    return np.searchsorted(cdf, np.arange(buckets) / buckets, side="left")
+
+
+def guided_ranks(cdf: np.ndarray, guide: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Exactly ``np.searchsorted(cdf, u, side="left")``, through ``guide``.
+
+    Needs ``cdf[-1] >= u`` for every ``u`` (the generator's CDFs end at 1.0
+    and ``u`` is in ``[0, 1)``).  The search starts one bucket below
+    ``floor(u * buckets)``: a rounded-up product can overshoot by one
+    bucket, never by two, so ``guide`` at the start is at most the answer.
+    It then steps forward while ``cdf[i] < u`` and stops at the first index
+    that reaches ``u`` — the left insertion point.
+    """
+    start = (u * len(guide)).astype(np.intp)
+    start -= 1
+    np.maximum(start, 0, out=start)
+    ranks = guide[start]
+    behind = np.flatnonzero(cdf[ranks] < u)
+    while behind.size:
+        ranks[behind] += 1
+        behind = behind[cdf[ranks[behind]] < u[behind]]
+    return ranks
+
+
 def _zipf_tables(size: int, rng: np.random.Generator):
-    """CDF over ranks and a rank -> offset permutation for one region.
+    """CDF over ranks, a rank -> offset permutation and the CDF's guide
+    table for one region.
 
     The permutation spreads hot ranks across the whole region (and hence
     across all cache sets); without it the skew would pile onto the first
@@ -53,7 +106,17 @@ def _zipf_tables(size: int, rng: np.random.Generator):
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     permutation = rng.permutation(size).astype(np.int64)
-    return cdf, permutation
+    return cdf, permutation, guide_table(cdf, _GUIDE_BUCKETS_PER_RANK * size)
+
+
+def _region_edges(weights) -> np.ndarray:
+    """The region-pick CDF of one phase, built as ``Generator.choice``
+    builds it from the normalised weights, less its last edge (1.0, above
+    every draw)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf[:-1]
 
 
 def generate_trace(spec, num_accesses: int, l2_lines: int,
@@ -98,6 +161,8 @@ def generate_trace(spec, num_accesses: int, l2_lines: int,
         r: _zipf_tables(int(sizes[r]), make_rng(seed, "zipf", spec.name, r))
         for r in range(num_regions) if is_zipf[r]
     }
+    phase_edges = [_region_edges(phase.weights) for phase in spec.phases]
+    choice_type = np.min_scalar_type(num_regions)
 
     out = np.empty(num_accesses, dtype=np.int64)
     filled = 0
@@ -105,16 +170,17 @@ def generate_trace(spec, num_accesses: int, l2_lines: int,
     num_phases = len(spec.phases)
 
     while filled < num_accesses:
-        phase = spec.phases[phase_index % num_phases]
+        edges = phase_edges[phase_index % num_phases]
         phase_index += 1
         count = min(spec.phase_accesses, num_accesses - filled)
-        weights = np.asarray(phase.weights, dtype=np.float64)
-        weights = weights / weights.sum()
-        choices = rng.choice(num_regions, size=count, p=weights)
-        segment = np.empty(count, dtype=np.int64)
+        u = rng.random(count)
+        choices = np.zeros(count, dtype=choice_type)
+        for edge in edges:
+            choices += u >= edge
+        segment = out[filled:filled + count]
         for r in range(num_regions):
-            mask = choices == r
-            n = int(mask.sum())
+            positions = np.flatnonzero(choices == r)
+            n = len(positions)
             if n == 0:
                 continue
             size = int(sizes[r])
@@ -124,13 +190,11 @@ def generate_trace(spec, num_accesses: int, l2_lines: int,
                 offsets = stream_pos[r] + np.arange(n, dtype=np.int64)
                 stream_pos[r] += n
             elif is_zipf[r]:
-                cdf, permutation = zipf_tables[r]
-                ranks = np.searchsorted(cdf, rng.random(n), side="left")
-                offsets = permutation[ranks]
+                cdf, permutation, guide = zipf_tables[r]
+                offsets = permutation[guided_ranks(cdf, guide, rng.random(n))]
             else:
                 offsets = rng.integers(0, size, size=n, dtype=np.int64)
-            segment[mask] = bases[r] + offsets
-        out[filled:filled + count] = segment
+            segment[positions] = bases[r] + offsets
         filled += count
 
     return Trace(name=spec.name, lines=out, ipm=spec.ipm,

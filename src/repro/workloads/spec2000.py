@@ -29,6 +29,7 @@ of the per-benchmark miss curves matters for reproducing the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -74,6 +75,8 @@ class Phase:
     def __post_init__(self) -> None:
         if not self.weights or any(w < 0 for w in self.weights):
             raise ValueError("phase weights must be non-negative and non-empty")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("phase weights must be finite")
         if sum(self.weights) <= 0:
             raise ValueError("phase weights must not all be zero")
 

@@ -1,5 +1,7 @@
 """Campaign execution: pool == serial, memoisation, resume, sharing."""
 
+from collections import Counter
+
 import pytest
 
 from repro.campaign.hashing import job_key
@@ -10,8 +12,9 @@ from repro.campaign.runner import (
     plan_jobs,
     run_serial,
 )
-from repro.config import config_unpartitioned
+from repro.config import config_unpartitioned, paper_figure7_configs
 from repro.experiments.common import WorkloadRunner
+from repro.workloads.mixes import get_workload
 
 
 def small_matrix(scale):
@@ -46,26 +49,54 @@ class TestPlan:
 class TestIsolationTraceSlot:
     def test_consecutive_jobs_of_a_trace_generate_it_once(self, micro_scale,
                                                           monkeypatch):
-        """Isolation jobs are ordered by trace; the runner holds one
-        trace, and drops it *before* generating the next (two paper-scale
-        traces must never be resident together)."""
+        """plan_jobs orders policy-major isolation jobs by trace; the
+        runner holds one isolation trace, and drops it *before* generating
+        the next (two paper-scale traces must never be resident
+        together)."""
         from repro.experiments import common
 
         runner = WorkloadRunner(micro_scale)
         generate, held_at_call = common.generate_trace, []
 
         def counting(*args, **kwargs):
-            held_at_call.append(dict(runner._iso_trace))
+            held_at_call.append((dict(runner._iso_trace),
+                                 dict(runner._traces)))
             return generate(*args, **kwargs)
 
         monkeypatch.setattr(common, "generate_trace", counting)
         jobs = [isolation_job(micro_scale, benchmark, core_id, policy)
-                for benchmark, core_id in (("crafty", 0), ("mcf", 1))
-                for policy in ("lru", "nru", "bt")]
-        results = run_serial(jobs + jobs[:1], runner)
-        assert held_at_call == [{}] * 3
-        fresh = run_serial(jobs[3:4], WorkloadRunner(micro_scale))
-        assert results[jobs[3]] == fresh[jobs[3]]
+                for policy in ("lru", "nru", "bt")
+                for benchmark, core_id in (("crafty", 0), ("mcf", 1))]
+        planned = [job for _key, job in plan_jobs(jobs).isolation]
+        results = run_serial(planned, runner)
+        assert held_at_call == [({}, {})] * 2
+        fresh = run_serial(jobs[1:2], WorkloadRunner(micro_scale))
+        assert results[jobs[1]] == fresh[jobs[1]]
+
+
+class TestTraceGeneration:
+    def test_campaign_generates_each_slot_at_most_twice(self, micro_scale,
+                                                        store, monkeypatch):
+        """Once for its isolation jobs, once for the mixes (the isolation
+        slot's last trace is taken over), however many configurations."""
+        from repro.experiments import common
+
+        generate, calls = common.generate_trace, Counter()
+
+        def counting(name, *args, core_id=0, **kwargs):
+            calls[name, core_id] += 1
+            return generate(name, *args, core_id=core_id, **kwargs)
+
+        monkeypatch.setattr(common, "generate_trace", counting)
+        mixes = ("2T_05", "4T_01")
+        jobs = [outcome_job(micro_scale, mix, config)
+                for mix in mixes for config in paper_figure7_configs()]
+        _, report = Campaign(store, workers=1).run(jobs)
+        assert not report.failed
+        assert set(calls) == {(name, core_id) for mix in mixes
+                              for core_id, name in
+                              enumerate(get_workload(mix))}
+        assert max(calls.values()) <= 2, calls
 
 
 class TestPoolVsSerial:

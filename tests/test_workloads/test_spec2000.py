@@ -81,6 +81,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Phase((0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_phase_weights_must_be_finite(self, bad):
+        # The generator inverts the weights' CDF itself: a NaN or inf
+        # weight would pick regions silently instead of failing.
+        with pytest.raises(ValueError, match="finite"):
+            Phase((0.5, bad))
+
     def test_spec_weight_arity_checked(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(
