@@ -9,10 +9,12 @@ Two recording modes::
 on the 4-core mix of ``bench_engine.py`` and the **six configs, one mix**
 composite (``bench_engine.run_six_configs``), ATD drains of 2 K and of
 130 sampled lines (``micro``'s median drain) per paper policy through
-both targets of the ``observe`` rendering (:func:`drain_rates`), and one
-64 Ki-reference L1 window
-through both targets of the ``prefilter`` rendering
-(:func:`prefilter_rates`), each a best-of-``--repeats`` ``perf_counter``
+the compiled ``observe`` rendering and through the class's per-line
+``ATD.observe`` (:func:`drain_rates`), and one 64 Ki-reference L1 window
+through the compiled ``prefilter`` and through the class's per-access
+``SmallLRUCache.access_line_hit`` (:func:`prefilter_rates`) — the class
+paths are what a host without ``cc`` runs, on the reference engine —
+each a best-of-``--repeats`` ``perf_counter``
 loop, and how fast a fresh process loads the compiled kernels of every
 stock key from a cold and from a warm object cache
 (:func:`kernel_load_rates`).  (Single-thread runs
@@ -55,24 +57,22 @@ import numpy as np
 #: supplies the ``speedup_vs_baseline`` block: the batched engine against
 #: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
 #: canaries — over the three paper policies a compiled drain of 2 K
-#: lines must run at 5x the Python rendering or better (measured ~72x),
+#: lines must run at 5x the class's per-line ``ATD.observe`` or better,
 #: and one of 130 lines, where the call's fixed cost weighs most, at 8x
-#: or better (measured ~29x now that a call writes only its
-#: batch into an argument block built at bind and copies nothing back;
-#: ~2.1x while each call built the block and rebuilt the tag dict, about
-#: 0.86x while it copied the directory in and out); and the L1
-#: prefilter's — the compiled walk of
-#: a window must run at 5x its Python rendering or better (measured
-#: ~150x); and a fresh process must load a kernel from a warm object
-#: cache at 2x the rate it builds one from a cold cache or better — a
-#: warm load that translates (or compiles) again falls toward 1x.  A host
-#: without ``cc`` runs all of them on Python and fails here, it is never
+#: or better (the floors were set against the Python rendering the
+#: kernels once had, measured ~72x and ~29x; the class path is the
+#: slower denominator); and the L1 prefilter's — the compiled walk of a
+#: window must run at 5x the per-access ``access_line_hit`` or better;
+#: and a fresh process must load a kernel from a warm object cache at 2x
+#: the rate it builds one from a cold cache or better — a warm load that
+#: translates (or compiles) again falls toward 1x.  A host without
+#: ``cc`` has no compiled kernel to time and fails here, it is never
 #: skipped.
 DEFAULT_ENGINE_FLOOR_KEYS = (
     "engine_batched/.engine_reference:5.0",
-    "drain_compiled/.drain_python:5.0",
-    "drain_compiled_short/.drain_python_short:8.0",
-    "prefilter_compiled/.prefilter_python:5.0",
+    "drain_compiled/.drain_classes:5.0",
+    "drain_compiled_short/.drain_classes_short:8.0",
+    "prefilter_compiled/.prefilter_classes:5.0",
     "kernel_load_warm/.kernel_load_cold:2.0",
 )
 
@@ -103,20 +103,17 @@ def _rate(setup, op, n_ops: int, repeats: int) -> float:
 
 def drain_rates(repeats: int, batch_lines: int = 2048,
                 short_lines: int = 130) -> dict:
-    """Lines/sec of ATD drains per paper policy on each target of the
-    ``observe`` rendering — ``drain_compiled_<p>`` is the kernel an ATD
-    binds for its drains (the Python target on a host without ``cc``),
-    ``drain_python_<p>`` the one an ATD built inside
-    :func:`repro.cache.transitions.python_target` binds: each target
-    drains its own ATD, as no owner keeps kernels of both — and both
-    composites over the three policies; batches of ``batch_lines`` and,
-    as ``drain_*_short``, of ``short_lines`` (the median drain of a
-    ``micro`` report), both as the ``array('q')`` the batched engine
-    hands a drain.  The ATD is ``small``'s (and ``micro``'s): a 16-set
-    16-way directory."""
+    """Lines/sec of ATD drains per paper policy — ``drain_compiled_<p>``
+    through the compiled ``observe`` kernel an ATD binds for its drains,
+    ``drain_classes_<p>`` through the class's per-line ``ATD.observe``
+    (a ``kernels=False`` ATD's ``observe_many``: what a host without
+    ``cc`` runs) — and both composites over the three policies; batches
+    of ``batch_lines`` and, as ``drain_*_short``, of ``short_lines`` (the
+    median drain of a ``micro`` report), both as the ``array('q')`` the
+    batched engine hands a drain.  The ATD is ``small``'s (and
+    ``micro``'s): a 16-set 16-way directory."""
     from array import array
 
-    from repro.cache import transitions
     from repro.cache.geometry import CacheGeometry
     from repro.profiling.atd import ATD
     from repro.profiling.profilers import make_profiler
@@ -129,48 +126,34 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
                                 ("_short", short_lines, 300)):
         batch = array("q", lines[:size].tobytes())
         for policy in ("lru", "nru", "bt"):
-            def setup(policy=policy):
-                def warm_drain():
+            for side, kernels in (("compiled", True), ("classes", False)):
+                def setup(policy=policy, kernels=kernels):
                     atd = ATD(geometry, 8, policy,
-                              make_profiler(policy, 0.75))
+                              make_profiler(policy, 0.75), kernels=kernels)
                     atd.observe_many(array("q", lines.tobytes()))
                     return atd.observe_many
 
-                with transitions.python_target():
-                    python = warm_drain()
-                return python, warm_drain()
+                def op(drain, calls=calls, batch=batch):
+                    for _ in range(calls):
+                        drain(batch)
 
-            def op_compiled(state, calls=calls, batch=batch):
-                _python, compiled = state
-                for _ in range(calls):
-                    compiled(batch)
-
-            def op_python(state, calls=calls, batch=batch):
-                python, _compiled = state
-                for _ in range(calls):
-                    python(batch)
-
-            n = calls * size
-            rates[f"drain_compiled{suffix}_{policy}"] = _rate(
-                setup, op_compiled, n, repeats)
-            rates[f"drain_python{suffix}_{policy}"] = _rate(
-                setup, op_python, n, repeats)
-        for target in ("compiled", "python"):
-            rates[f"drain_{target}{suffix}"] = 3.0 / sum(
-                1.0 / rates[f"drain_{target}{suffix}_{p}"]
+                rates[f"drain_{side}{suffix}_{policy}"] = _rate(
+                    setup, op, calls * size, repeats)
+        for side in ("compiled", "classes"):
+            rates[f"drain_{side}{suffix}"] = 3.0 / sum(
+                1.0 / rates[f"drain_{side}{suffix}_{p}"]
                 for p in ("lru", "nru", "bt"))
     return {key: round(value, 1) for key, value in rates.items()}
 
 
 def prefilter_rates(repeats: int, window: int = 1 << 16) -> dict:
-    """References/sec of one L1 window on each target of the
-    ``prefilter`` rendering — ``prefilter_compiled`` the kernel a
-    ``SmallLRUCache`` binds (the Python target on a host without ``cc``),
-    ``prefilter_python`` the Python rendering — and both as ns per
-    reference.  The L1 is the paper's (Table II: 128 sets, 2 ways), the
-    window the first of a paper-scale ``mcf`` trace, walked over an L1
-    its previous repeat left warm."""
-    from repro.cache import transitions
+    """References/sec of one L1 window — ``prefilter_compiled`` through
+    the compiled ``prefilter`` kernel a ``SmallLRUCache`` binds,
+    ``prefilter_classes`` through its per-access ``access_line_hit``
+    (what the reference engine steps, the only path on a host without
+    ``cc``) — and both as ns per reference.  The L1 is the paper's
+    (Table II: 128 sets, 2 ways), the window the first of a paper-scale
+    ``mcf`` trace, walked over an L1 its previous repeat left warm."""
     from repro.cache.l1 import SmallLRUCache
     from repro.config import ProcessorConfig
     from repro.workloads.generator import generate_trace
@@ -178,24 +161,27 @@ def prefilter_rates(repeats: int, window: int = 1 << 16) -> dict:
     processor = ProcessorConfig(num_cores=1)
     lines = generate_trace("mcf", window, processor.l2.num_lines,
                            seed=42).lines
+    listed = lines.tolist()
+    windows = 20
+
+    def compiled(l1):
+        for _ in range(windows):
+            l1.access_lines_hit(lines)
+
+    def classes(l1):
+        hit = l1.access_line_hit
+        for line in listed:
+            hit(line)
+
     rates = {}
-    for target, calls in (("compiled", 20), ("python", 1)):
-        if target == "python":
-            with transitions.python_target():
-                l1 = SmallLRUCache(processor.l1d)
-        else:
-            l1 = SmallLRUCache(processor.l1d)
-
-        def op(l1, calls=calls):
-            for _ in range(calls):
-                l1.access_lines_hit(lines)
-
-        rates[f"prefilter_{target}"] = _rate(lambda l1=l1: l1, op,
-                                             calls * window, repeats)
+    for side, op, calls in (("compiled", compiled, windows),
+                            ("classes", classes, 1)):
+        l1 = SmallLRUCache(processor.l1d)
+        rates[f"prefilter_{side}"] = _rate(lambda l1=l1: l1, op,
+                                           calls * window, repeats)
     return {"rates": {key: round(value, 1) for key, value in rates.items()},
-            "ns_per_ref": {target: round(1e9 / rates[f"prefilter_{target}"],
-                                         2)
-                           for target in ("compiled", "python")}}
+            "ns_per_ref": {side: round(1e9 / rates[f"prefilter_{side}"], 2)
+                           for side in ("compiled", "classes")}}
 
 
 #: One fresh process's loads of every stock key's compiled kernel.
@@ -203,8 +189,7 @@ _LOAD_KEYS = """
 import json, time
 from repro.cache import native, transitions
 
-keys = [entry for entry in transitions.rendering_keys()
-        if entry[1] is not None]
+keys = transitions.rendering_keys()
 start = time.perf_counter()
 for entry in keys:
     native.load(*entry)

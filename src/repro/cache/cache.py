@@ -10,8 +10,8 @@ the candidate mask supplied by the enforcement scheme is always nonzero.
 
 Every access method steps the policy and scheme *classes* through one
 miss path (:meth:`_fill`); this is the per-access oracle the reference
-engine and the call-form event loop run.  For a stock (policy, scheme)
-pair the batched engine's fused event loop inlines the same transitions
+engine runs.  For a stock (policy, scheme) pair the batched engine's
+fused event loop inlines the same transitions
 (the ``loop`` rendering of :mod:`repro.cache.transitions`); the cache
 only records which key that is (:attr:`kernel`) and is pinned against it
 in ``tests/test_cache``.
@@ -134,8 +134,8 @@ class SetAssociativeCache:
         Number of distinct cores that will access the cache (statistics and
         ownership arrays are sized accordingly).
     kernels:
-        When False, record no rendering key: the batched engine then runs
-        the call-form loop over the classes (equivalence tests).
+        When False, record no rendering key: a run over the cache then
+        goes to the reference engine (equivalence tests).
     """
 
     def __init__(self, geometry: CacheGeometry,
@@ -197,8 +197,8 @@ class SetAssociativeCache:
         """Access a line and report only hit/miss: a read
         (:meth:`access_line_rw` with ``write=False``).
 
-        The per-access entry point of the reference engine and the
-        call-form event loop, stepping the policy and scheme classes.
+        The per-access entry point of the reference engine, stepping the
+        policy and scheme classes.
         The batched engine's fused loop inlines the same transition for a
         stock (policy, scheme) pair — but only while no instance
         attribute shadows this method

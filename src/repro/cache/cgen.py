@@ -2,8 +2,8 @@
 statement.
 
 :func:`translate` takes the *Python* source :func:`repro.cache.transitions.render`
-produced — the same checked text the Python target executes — and emits
-one C function with the same control flow over the same arrays.  Nothing
+produced — the checked text the ``hot-path-purity`` rule reads — and
+emits one C function with the same control flow over the same arrays.  Nothing
 about a policy or scheme is written here: the translator knows the
 Python subset the fragments live in and the C type of every name the
 factory binds (:data:`repro.cache.transitions.C_KINDS`), nothing else.
@@ -47,13 +47,11 @@ per name:
     a Python callable: called through a function pointer; the statement
     that called it ends with a check of the error word, so an exception
     raised on the Python side stops the loop there.
-``python``
-    a name only the call-form loop uses; any reference is refused.
 
 Floats are IEEE doubles evaluated in source order (an ``int`` operand is
 converted first, as Python does); the build adds ``-ffp-contract=off``
-and no fast-math flag, so every clock is bit-equal to the Python
-target's.  Anything outside the subset raises :class:`ValueError`
+and no fast-math flag, so every clock is bit-equal to the reference
+engine's, which evaluates the same expressions in Python.  Anything outside the subset raises :class:`ValueError`
 carrying the rendering's ``source_name`` — the translator never guesses.
 """
 
@@ -173,8 +171,6 @@ class _Translator:
         except KeyError:
             self.refuse(node, f"unknown name {node.id!r}: neither a local "
                               f"assigned before use nor a declared binding")
-        if kind == "python":
-            self.refuse(node, f"{node.id!r} exists on the Python target only")
         self.used.setdefault(node.id, kind)
         return kind
 

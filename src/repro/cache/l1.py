@@ -13,14 +13,11 @@ Two ways in, over the same arrays:
   :meth:`~SmallLRUCache.access_line_hit`) — hand-written, the reference
   engine's path and the oracle;
 * per window, :meth:`~SmallLRUCache.access_lines_hit` /
-  :meth:`~SmallLRUCache.access_lines_rw` — the ``prefilter`` rendering of
-  :mod:`repro.cache.transitions`, bound at construction (compiled where
-  the host has ``cc``), which walks a whole window and returns its
-  L1-miss stream.  The compiled kernel works on the two arrays and the
-  output columns in place, by address, like every compiled kernel's
-  owner arrays (:mod:`repro.cache.native`): a call copies no state.  The
-  window is an ``int64`` column on that target and a list on the Python
-  one, whose loop would otherwise compute on numpy scalars.
+  :meth:`~SmallLRUCache.access_lines_rw` — the compiled ``prefilter``
+  rendering of :mod:`repro.cache.transitions`, bound at construction,
+  which walks a whole window (an ``int64`` column) in place and returns
+  its L1-miss stream.  Where it does not load they raise: every run
+  there is the reference engine's, which steps the L1 per access.
 
 Behaviourally identical to ``SetAssociativeCache(geometry, "lru")`` for a
 single accessing core (verified by the equivalence tests in
@@ -67,9 +64,6 @@ class SmallLRUCache:
         self.stats = CacheStats(1)
         self._prefilter = transitions.bind(
             "prefilter", transitions.PREFILTER_KEY, self)
-        # The compiled kernel takes the window as an int64 column, the
-        # Python one as lists.
-        self._columns = transitions.compiled(self._prefilter)
 
     def access_line_hit(self, line: int, core: int = 0) -> bool:
         """Read a line address; True on a hit.  LRU replacement."""
@@ -156,6 +150,8 @@ class SmallLRUCache:
 
     def _walk(self, lines, writes):
         """One ``prefilter`` call: the four columns, statistics folded."""
+        if self._prefilter is None:
+            raise RuntimeError(f"{self.name}: no compiled prefilter")
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         width = len(lines)
         stats = self.stats
@@ -169,13 +165,8 @@ class SmallLRUCache:
         # Slot ``n`` of each column is written on every access and kept
         # on a miss, so each needs the window's width.
         columns = np.empty((4, width), dtype=np.int64)
-        if self._columns:
-            n, fills, writebacks = self._prefilter(
-                lines, writes, writes is not None, *columns)
-        else:
-            n, fills, writebacks = self._prefilter(
-                lines.tolist(), None if writes is None else writes.tolist(),
-                writes is not None, *columns)
+        n, fills, writebacks = self._prefilter(
+            lines, writes, writes is not None, *columns)
         stats.accesses[0] += width
         stats.misses[0] += n
         stats.fills_invalid[0] += fills

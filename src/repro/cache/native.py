@@ -6,14 +6,14 @@ of a ``(policy, scheme)`` pair, the ATD drain of a policy, the private
 L1's window walk (:func:`repro.cache.transitions.translate`) — into a
 loaded shared object, compiled with the host's ``cc`` on first use and
 kept in a private per-user cache directory;
-:class:`CompiledKernel` is that object behind the Python kernel's exact
-call signature.  Everything here is stdlib ``ctypes`` and one ``cc``
-subprocess; nothing is downloaded.
+:class:`CompiledKernel` is that object behind the call signature of the
+rendering's kernel closure.  Everything here is stdlib ``ctypes`` and one
+``cc`` subprocess; nothing is downloaded.
 
 Naming.  An object is named by what goes *into* the translator, not by
 what comes out: the SHA-256 of the rendering's Python source
-(:func:`repro.cache.transitions.render`, the text the Python target
-runs) and its source name, the :func:`translator` digest (the
+(:func:`repro.cache.transitions.render`, the text the translator reads)
+and its source name, the :func:`translator` digest (the
 translator's own source, :data:`repro.cache.transitions.C_KINDS`, the
 interpreter's minor version), the compiler's version line and
 :data:`FLAGS` — followed by a digest of the object's own bytes.  A miss
@@ -62,11 +62,11 @@ call-out stops the C loop at that statement and is re-raised from
 :meth:`CompiledKernel.__call__`.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
-``None`` with the reason and the caller runs the Python target, silently
-— that host is simply slower.  A ``cc`` that is present but fails, an
-unusable cache directory, an object that will not load: the same
-fall-back plus one :class:`RuntimeWarning`, because that host can be
-fixed.
+``None`` with the reason, silently — that host is simply slower: every
+run goes to the reference engine, stepping the classes
+(:func:`repro.cmp.engine.batched_refusal`).  A ``cc`` that is present
+but fails, an unusable cache directory, an object that will not load:
+the same, plus one :class:`RuntimeWarning`: that host can be fixed.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ import tempfile
 import time
 import warnings
 from functools import lru_cache
-from itertools import cycle
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -98,7 +97,8 @@ __all__ = ["CompiledKernel", "FLAGS", "TABLE", "cache_dir", "compiler",
            "load", "object_name", "translator"]
 
 #: Build flags.  No fast-math flag and no contraction: every double
-#: operation is the IEEE one the Python target performs, in its order.
+#: operation is the IEEE one Python performs for the same expression (the
+#: reference engine's), in its order.
 FLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off")
 
 _C_SCALARS = {"i64": ctypes.c_int64, "double": ctypes.c_double}
@@ -109,8 +109,8 @@ _ARRAYS = {"i64 *": (np.dtype(np.int64), "q"),
 
 
 class Unavailable(Exception):
-    """The compiled target cannot be used here; ``loud`` when the host
-    has a compiler and the cause can be fixed."""
+    """No compiled kernel can be loaded here; ``loud`` when the host has
+    a compiler and the cause can be fixed."""
 
     def __init__(self, reason: str, loud: bool) -> None:
         super().__init__(reason)
@@ -327,8 +327,8 @@ def _bindings(source: str, label: str, names) -> Callable:
     """The rendering's factory ``source`` cut at its kernel's ``def``:
     ``build(cache, channel)`` / ``build(atd)`` / ``build(l1)`` returns
     the objects the kernel's bound ``names`` (identifiers) stand for —
-    the Python target's own bind fragments decide what the compiled one
-    operates on."""
+    the rendering's own bind fragments decide what the kernel operates
+    on."""
     prologue = source[:_KERNEL_DEF.search(source).start()]
     returned = ", ".join(f"{name!r}: {name}" for name in names)
     namespace = {"__builtins__": {}}
@@ -360,9 +360,9 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
 @lru_cache(maxsize=None)
 def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     """``(kernel, info)`` of the compiled ``rendering`` of ``key``, built
-    and loaded once per process; ``(None, {"reason": ...})`` where the
-    Python target must run (module docstring: *Failure*).  A cached
-    object is found by the rendering alone: only a miss translates."""
+    and loaded once per process; ``(None, {"reason": ...})`` where none
+    can be (module docstring: *Failure*).  A cached object is found by
+    the rendering alone: only a miss translates."""
     started = time.perf_counter()
     try:
         cc, version = compiler()
@@ -387,9 +387,8 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
         if exc.loud:
             # The same text for every key: the default filter shows it
             # once per process.
-            warnings.warn(f"compiled target unavailable, running the "
-                          f"Python target: {exc}", RuntimeWarning,
-                          stacklevel=2)
+            warnings.warn(f"no compiled kernel, the classes run instead: "
+                          f"{exc}", RuntimeWarning, stacklevel=2)
         return None, {"reason": str(exc)}
     return loaded, info
 
@@ -449,8 +448,7 @@ _ARRAY_KINDS = ("ints", "floats", "cores")
 class CompiledKernel:
     """The compiled kernel of one rendering and key bound to its owner (a
     cache and memory channel for ``loop``, an ATD for ``observe``, an L1
-    for ``prefilter``): called exactly like the Python target's
-    kernel.
+    for ``prefilter``): called like the rendering's kernel closure.
 
     The bind fills the argument block with every member that is not a
     parameter and pins each owner ``array`` for the kernel's lifetime; a
@@ -483,8 +481,8 @@ class CompiledKernel:
                 setattr(block, name, value)
         self._store = bound["store"] if loaded.writes_tags else None
         members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
-        #: ``(name, C type, kind)`` per parameter; kind None for a name
-        #: only the call-form loop reads.
+        #: ``(name, C type, kind)`` per parameter; kind None for one with
+        #: no member (``pushpop``: a store and an arg-min in C).
         self._params = tuple((name, *members.get(name, (None, None)))
                              for name in params)
         kinds = [kind for _name, _ctype, kind in self._params]

@@ -16,9 +16,9 @@ Two pieces live here:
   (:mod:`repro.cache.native`); such a call leaves the dict
   :attr:`~TagStore.stale`, and :attr:`TagStore.map` derives it from the
   lines on the next read, so a run of compiled calls rebuilds it at most
-  once.  The price is paid by the interpreted paths (the reference
-  engine, the Python target): an element read or write costs ~30 ns more
-  than a list's, and every ``map`` read is a property read
+  once.  The price is paid by the interpreted path (the reference
+  engine): an element read or write costs ~30 ns more than a list's, and
+  every ``map`` read is a property read
   (``docs/architecture.md``, "State during a run").  Bulk consumers get
   a numpy snapshot via :meth:`TagStore.lines_array`.
 
@@ -28,9 +28,9 @@ Two pieces live here:
   :func:`kernel_key`, :func:`rendered_key` and :func:`drain_key` decide
   *whether* a rendering is exact for the instance at hand — the fused
   event loop of ``BatchedEngine.run`` for a cache, the drain kernel
-  (``ATD.observe_many``) for an ATD — and the engine / ATD bind the one
-  :mod:`repro.cache.transitions` renders from the policy's single
-  transition spec, performing *exactly* the state transitions of the
+  (``ATD.observe_many``) for an ATD — and the engine / ATD bind the
+  compiled kernel :mod:`repro.cache.transitions` renders from the
+  policy's single transition spec, performing *exactly* the state transitions of the
   classes (same victim choices, same statistics, same partition
   bookkeeping in the same order).  Nothing per-access is rendered:
   ``access_line_hit`` and ``ATD.observe`` are the classes' methods on
@@ -46,14 +46,9 @@ The kernels rely on invariants the cache/ATD maintain by construction:
 * every *valid* way has been touched, so order-based policies always find
   it in their recency order;
 * ``policy.reset()`` / ``TagStore.flush()`` mutate state **in place** —
-  the arrays a kernel closed over stay live across flushes, and no owner
+  the arrays a kernel was bound to stay live across flushes, and no owner
   array is ever resized (a compiled kernel pins them while it lives: a
-  resize raises ``BufferError``);
-* a Python-target kernel holds the dict object itself, so it must never
-  run on a store a compiled call has left stale since the bind: no owner
-  keeps kernels of both targets (every stock tag store has one kernel,
-  an ATD's drain or the L2's loop;
-  ``test_compiled_target.py::test_no_python_kernel_runs_on_a_stale_store``).
+  resize raises ``BufferError``).
 """
 
 from __future__ import annotations

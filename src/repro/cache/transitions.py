@@ -16,11 +16,13 @@ A third, ``prefilter``, is the private true-LRU L1 the engine walks one
 window of a thread's references at a time: its template alone, with no
 fragment slot (:data:`PREFILTER_KEY`).
 
-All have two targets: Python, and C translated from the same source
-(:func:`translate`, :data:`C_KINDS`, :func:`bind`).  Nothing steps a
-rendering one access at a time: the per-access entry points
+A rendering is Python text that only :func:`translate` reads: it
+becomes C (:mod:`repro.cache.cgen`), which :func:`bind` loads or, with
+the reason recorded, does not.  The per-access entry points
 (``SetAssociativeCache.access_line_hit``, ``ATD.observe``,
-``SmallLRUCache.access_line_rw``) are the classes' own methods.
+``SmallLRUCache.access_line_rw``) are the classes' own methods — what
+the reference engine steps, also on every run without a compiled
+kernel (:func:`repro.cmp.engine.batched_refusal`).
 
 :data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
@@ -29,31 +31,24 @@ read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
 ``full_mask``); :data:`TEMPLATES` holds the kernel skeletons, the
-miss path ``observe`` and ``loop`` share, and the two access blocks of
-the event loop: the
-*fused* one inlines the L2 transition, the *call* one (key ``None``)
-goes through ``l2.access_line_hit`` / ``access_line_rw`` and an
-immediate observer — the form every kernel-less policy, write trace,
-custom observer and non-stock scheme gets, over the classes.  Who gets
-which is decided by
-the callers from what they can observe
+miss path ``observe`` and ``loop`` share, and the event loop's access
+block, which inlines the L2 transition.  Whether a rendering is exact
+for an instance is decided by the callers from what they can observe
 (:func:`repro.cache.state.kernel_key`), never by an option.
 
 A line holding only ``$slot`` is replaced by that fragment at the line's
 indentation (recursively); ``$line``, ``$core`` and ``$set`` are the
 access's line address, core and set index in the rendering at hand.
-Rendering is checked — an unknown slot or placeholder raises, no
+Rendering is checked — an unknown slot or placeholder raises, and no
 policy / scheme fragment may store to a local its skeleton keeps for
-itself (:data:`PRIVATE_LOCALS`), the closure may load no global and no
-attribute beyond :data:`PURE_ATTRS`, none of its locals may shadow a
-factory binding — and lazy: a key is
-rendered, compiled and registered in :mod:`linecache` (tracebacks and
-``inspect.getsource`` show real lines) on its first :func:`bind`, once
-per process.  The tables are literals on purpose: ``repro lint`` reads
-them without importing this module and holds every rendering to the
-``hot-path-purity`` contract.  The policy, scheme and profiler classes
-and ``tests/seed_reference.py`` stay hand-written: they are the oracle
-side every rendering is pinned against (``tests/test_cache/test_state.py``,
+itself (:data:`PRIVATE_LOCALS`); ``hot-path-purity`` and the
+translator's refusals hold the closure to factory bindings — and lazy:
+a key is rendered on its first :func:`bind`, and translated only when no
+compiled object of it is cached.  The tables are literals on purpose:
+``repro lint`` reads them without importing this module.  The policy,
+scheme and profiler classes and ``tests/seed_reference.py`` stay
+hand-written: they are the oracle side every rendering is pinned
+against (``tests/test_cache/test_state.py``,
 ``tests/test_cmp/test_fused_loop.py``, the reference engine, the fuzz
 oracle), and no rendering is bound on that side.
 """
@@ -61,17 +56,13 @@ oracle), and no rendering is bound on that side.
 from __future__ import annotations
 
 import ast
-import linecache
 import re
-import sys
-from contextlib import contextmanager
 from functools import lru_cache
 from string import Template
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "PREFILTER_KEY", "PURE_ATTRS", "bind", "compiled", "factory",
-           "python_target", "render",
+           "PREFILTER_KEY", "PURE_ATTRS", "bind", "render",
            "rendering_keys", "source_name", "target_stats", "target_summary",
            "translate"]
 
@@ -364,8 +355,7 @@ def build(atd):
 """,
     # One heap event per L2 access (see repro.cmp.engine.batched for the
     # exactness argument).  The float expressions and the (clock, thread)
-    # pop order are the reference engine's; only the L2 access differs
-    # between the fused and the call form.
+    # pop order are the reference engine's.
     "loop": """\
 def build(cache, channel):
     $bind_loop
@@ -373,9 +363,7 @@ def build(cache, channel):
 
     def loop(now, t, heap, pushpop, horizon, beyond, freeze, resume, cur,
              stop, anchor, lines, gaps, fz_at, fz_hit, base, l2_hit_pen,
-             mem_pen, victims, has_writes, observe_now):
-        wb_l1_to_l2 = 0
-        wb_l1_to_mem = 0
+             mem_pen):
         while True:
             if now >= horizon:
                 horizon = beyond(now)
@@ -399,7 +387,7 @@ def build(cache, channel):
                     break
                 clock = resume(t, j)
             now, t = pushpop(heap, (clock, t))
-        return now, t, wb_l1_to_l2, wb_l1_to_mem
+        return now, t
 
     return loop
 """,
@@ -433,31 +421,6 @@ chan[0] = start + service_interval
 chan_count[0] += 1
 chan[1] += start - issued
 clock = start + latency + base[t]""",
-    "bind_call": """\
-l2_access_hit = cache.access_line_hit
-l2_access_rw = cache.access_line_rw
-l2_write_back = cache.write_back_line""",
-    "access_call": """\
-if has_writes:
-    victim = victims[t][j]
-    if victim >= 0:
-        if l2_write_back(victim, t):
-            wb_l1_to_l2 += 1
-        else:
-            wb_l1_to_mem += 1
-    if observe_now is not None:
-        observe_now(t, line)
-    hit2 = l2_access_rw(line, t, False)
-else:
-    if observe_now is not None:
-        observe_now(t, line)
-    hit2 = l2_access_hit(line, t)
-if hit2:
-    clock = now + base[t] + l2_hit_pen
-elif limited:
-    $request
-else:
-    clock = now + base[t] + mem_pen""",
     # The private L1 in front of one thread (Table II: true LRU), one
     # window of its references per call.  Each set is ``assoc`` slots,
     # MRU first, -1 invalid (always a suffix), with a dirty flag per
@@ -561,12 +524,11 @@ PREFILTER_KEY = ("lru", "none")
 #: name), so :func:`render` refuses the pair.
 PRIVATE_LOCALS = {
     "observe": ("sampled", "skipped"),
-    "loop": ("j", "t", "now", "clock", "horizon", "wb_l1_to_l2",
-             "wb_l1_to_mem"),
+    "loop": ("j", "t", "now", "clock", "horizon"),
 }
 
-#: What every name a keyed kernel may touch is on the C target (the
-#: vocabulary is :mod:`repro.cache.cgen`'s): the ``loop`` skeleton's
+#: What every name a kernel may touch is in C (the vocabulary is
+#: :mod:`repro.cache.cgen`'s): the ``loop`` skeleton's
 #: parameters, then the factory bindings of the tag store, the
 #: statistics, each policy, each scheme and the memory channel, then the
 #: ``observe`` skeleton's parameter and the ATD / SDH bindings, then the
@@ -580,7 +542,6 @@ C_KINDS = {
     "cur": "ints", "stop": "ints", "anchor": "floats", "lines": "rows",
     "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
     "l2_hit_pen": "float", "mem_pen": "float",
-    "victims": "python", "has_writes": "python", "observe_now": "python",
     "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,s,assoc",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
@@ -603,13 +564,12 @@ C_KINDS = {
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
 
-Key = Optional[Tuple[str, str]]
+Key = Tuple[str, str]
 
 
 def source_name(rendering: str, key: Key) -> str:
     """Stable pseudo-filename of a rendering (``<repro kernel …>``)."""
-    label = "call" if key is None else "/".join(key)
-    return f"<repro kernel {label} {rendering}>"
+    return f"<repro kernel {'/'.join(key)} {rendering}>"
 
 
 def _expand(text: str, slots: Dict[str, str], indent: str = "") -> Iterator[str]:
@@ -639,21 +599,12 @@ def _stores(fragment: str) -> FrozenSet[str]:
 
 
 def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
-           templates=TEMPLATES, private=PRIVATE_LOCALS, kinds=C_KINDS,
-           target: str = "python") -> str:
+           templates=TEMPLATES, private=PRIVATE_LOCALS) -> str:
     """Source of one rendering: a ``build(owner)`` factory whose closure
-    is the kernel.  ``key`` is ``(policy kind, scheme name)``; ``None``
-    (``loop`` only) is the call form; ``prefilter`` is its template
-    alone.  ``target="c"`` is the same kernel as a C translation unit
-    (:func:`translate`)."""
-    if target == "c":
-        return translate(rendering, key, policies, schemes, templates,
-                         private, kinds).source
+    is the kernel (:func:`translate` makes it C).  ``key`` is ``(policy
+    kind, scheme name)``; ``prefilter`` is its template alone."""
     slots = dict(templates)
-    if key is None:
-        slots.update(bind_loop=templates["bind_call"],
-                     access=templates["access_call"])
-    elif rendering != "prefilter":
+    if rendering != "prefilter":
         policy, scheme = policies[key[0]], schemes[key[1]]
         clobbered = sorted(
             f"{table} {name!r} -> {local}"
@@ -688,7 +639,7 @@ def translate(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
     from repro.cache import cgen
 
     name = source_name(rendering, key)
-    if key is not None and rendering != "prefilter":
+    if rendering != "prefilter":
         for table, fragments in (("policy", policies[key[0]]),
                                  ("scheme", schemes[key[1]])):
             for label, text in fragments.items():
@@ -704,76 +655,25 @@ def translate(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
 def rendering_keys(policies=POLICIES, schemes=SCHEMES
                    ) -> List[Tuple[str, Key]]:
     """``(rendering, key)`` of every rendering there is: each policy for
-    ``observe``, each policy x scheme for ``loop``, the call-form loop
-    and the L1 ``prefilter`` — what ``hot-path-purity`` checks."""
+    ``observe``, each policy x scheme for ``loop`` and the L1
+    ``prefilter`` — what ``hot-path-purity`` checks."""
     keys = [("observe", (kind, "none")) for kind in policies]
     keys += [("loop", (kind, scheme)) for kind in policies
              for scheme in schemes]
-    return keys + [("loop", None), ("prefilter", PREFILTER_KEY)]
+    return keys + [("prefilter", PREFILTER_KEY)]
 
 
-@lru_cache(maxsize=None)
-def factory(rendering: str, key: Key) -> Callable:
-    """The Python target's ``build(owner, *args)`` of one rendering:
-    rendered, checked and compiled on first use, once per process.
-
-    :func:`bind` is the entry point that picks a target and records it;
-    calling the factory binds the Python target unrecorded (the
-    benchmarks' twin of a compiled kernel)."""
-    name = source_name(rendering, key)
-    source = render(rendering, key)
-    namespace = {"__builtins__": {}}
-    exec(compile(source, name, "exec"), namespace)
-    build = namespace["build"].__code__
-    kernel = next(const for const in build.co_consts
-                  if hasattr(const, "co_freevars"))
-    impure = set(kernel.co_names) - PURE_ATTRS
-    shadowed = set(kernel.co_varnames) & set(build.co_varnames
-                                             + build.co_cellvars)
-    if impure or shadowed:
-        raise ValueError(
-            f"{name}: closure loads {sorted(impure)} / shadows "
-            f"{sorted(shadowed)}; fragments must use factory bindings only")
-    linecache.cache[name] = (len(source), None,
-                             source.splitlines(True), name)
-    return namespace["build"]
+#: Per ``(rendering, key)`` bound in this process: its binds and why
+#: one did not load.  Observational; nothing on a hot path reads it.
+_TARGETS: Dict[Tuple[str, Key], dict] = {}
 
 
-#: Per keyed ``(rendering, key)`` bound in this process: which target its
-#: calls got and why.  Observational and unkeyed; nothing on a hot path
-#: reads it.
-_TARGETS: Dict[Tuple[str, Tuple[str, str]], dict] = {}
-
-#: Depth of :func:`python_target` blocks.
-_python_only = 0
-
-
-@contextmanager
-def python_target() -> Iterator[None]:
-    """Every kernel bound inside the block — ``loop``, ``observe``,
-    ``prefilter`` — is the Python target.
-
-    The one internal seam by which the differential tests and the fuzz
-    oracle reach the target every compiled kernel is diffed against.  Not
-    a user-facing switch: no configuration field, flag or environment
-    variable leads here."""
-    global _python_only
-    _python_only += 1
-    try:
-        yield
-    finally:
-        _python_only -= 1
-
-
-def target_stats() -> Dict[Tuple[str, Tuple[str, str]], dict]:
-    """Per ``(rendering, key)`` bound so far — the stock ``loop`` keys,
-    the ``observe`` keys of the drains and the L1s' ``prefilter``:
-    ``target`` (``"c"`` or
-    ``"python"``) of its latest bind, ``binds`` per target, and from the
-    compiled side ``cache`` (``"hit"`` / ``"built"``) with ``build_s``, or
-    the ``reason`` it fell back (a copy)."""
-    return {key: dict(entry, binds=dict(entry["binds"]))
-            for key, entry in _TARGETS.items()}
+def target_stats() -> Dict[Tuple[str, Key], dict]:
+    """A copy of, per ``(rendering, key)`` bound so far: ``target``
+    (``"c"``, or None where no compiled kernel loaded) of its latest
+    bind, ``binds`` and ``compiled`` (how many loaded), and ``cache``
+    (``"hit"`` / ``"built"``) with ``build_s``, or the ``reason``."""
+    return {key: dict(entry) for key, entry in _TARGETS.items()}
 
 
 def target_summary() -> str:
@@ -785,8 +685,9 @@ def target_summary() -> str:
         stats = [entry for (kind, _key), entry in _TARGETS.items()
                  if kind == rendering]
         compiled = sum(entry["target"] == "c" for entry in stats)
-        parts.append(f"{rendering} c={compiled} "
-                     f"python={len(stats) - compiled}")
+        missing = len(stats) - compiled
+        parts.append(f"{rendering} c={compiled}"
+                     + (f" unavailable={missing}" if missing else ""))
     compiled = [s for s in _TARGETS.values() if s["target"] == "c"]
     built = sum(s["cache"] == "built" for s in compiled)
     text = (f"targets: {', '.join(parts)}; built={built} "
@@ -796,40 +697,24 @@ def target_summary() -> str:
     return text + (f" ({'; '.join(reasons)})" if reasons else "")
 
 
-def bind(rendering: str, key: Key, owner, *args) -> Callable:
-    """The ``rendering`` kernel for ``key``, bound to ``owner``'s arrays
-    (a cache for ``loop``, an ATD for ``observe``, a private L1 for
+def bind(rendering: str, key: Key, owner, *args) -> Optional[Callable]:
+    """The compiled ``rendering`` kernel for ``key``, bound to ``owner``'s
+    arrays (a cache for ``loop``, an ATD for ``observe``, a private L1 for
     ``prefilter``); ``loop`` takes the memory channel (or None) as
-    ``args``.
+    ``args``; None where this process cannot build and load it
+    (:mod:`repro.cache.native`, *Failure*).  Recorded in
+    :func:`target_stats`.  The kernel works on the owner's arrays in
+    place, its argument block built here; a call pays only for writing
+    its parameters, once per *batch*: a whole run of the event loop, a
+    whole ATD drain, a whole L1 window."""
+    from repro.cache import native          # ctypes + cc: first use
 
-    A stock key is the compiled target wherever this process can build
-    and load one (:mod:`repro.cache.native`), the Python target otherwise
-    — same signature, same results, bit for bit — and is recorded in
-    :func:`target_stats`.  A compiled kernel works on the owner's arrays
-    in place, its argument block built here, at bind; a call pays only
-    for writing its own parameters, once per *batch*: a whole run of the
-    event loop, a whole ATD drain, a whole L1 window.  The call-form loop
-    (key ``None``) has only the Python target."""
-    if key is not None:
-        loaded = None
-        if _python_only:
-            info = {"reason": "python_target() block"}
-        else:
-            from repro.cache import native      # ctypes + cc: first use
-            loaded, info = native.load(rendering, key)
-        target = "python" if loaded is None else "c"
-        binds = _TARGETS.get((rendering, key), {}).get(
-            "binds", {"c": 0, "python": 0})
-        binds[target] += 1
-        _TARGETS[rendering, key] = dict(info, target=target, binds=binds)
-        if loaded is not None:
-            return native.CompiledKernel(loaded, owner, *args)
-    return factory(rendering, key)(owner, *args)
-
-
-def compiled(kernel) -> bool:
-    """True for a kernel :func:`bind` returned on the C target — which
-    takes its window and miss-stream columns as ``int64`` numpy columns
-    where the Python target takes lists."""
-    native = sys.modules.get("repro.cache.native")
-    return native is not None and isinstance(kernel, native.CompiledKernel)
+    loaded, info = native.load(rendering, key)
+    entry = _TARGETS.get((rendering, key), {"binds": 0, "compiled": 0})
+    _TARGETS[rendering, key] = dict(
+        info, target=None if loaded is None else "c",
+        binds=entry["binds"] + 1,
+        compiled=entry["compiled"] + (loaded is not None))
+    if loaded is None:
+        return None
+    return native.CompiledKernel(loaded, owner, *args)

@@ -60,6 +60,7 @@ from repro.campaign.scheduler import (
     locality_key,
 )
 from repro.campaign.store import ResultStore
+from repro.cmp.engine import engine_summary
 from repro.experiments.common import (
     BASE_L2_BYTES,
     ExperimentScale,
@@ -337,8 +338,8 @@ class Campaign:
             pool.close()
         report.scheduler = scheduler.stats
         report.failed.extend(scheduler.failed)
-        # Which target the event loops bound in *this* process got (a
+        # Which kernels loaded and which engines ran in *this* process (a
         # process pool's workers bind their own): observational, unkeyed.
         self.echo(f"  {scheduler.stats.summary()}; "
-                  f"{transitions.target_summary()}")
+                  f"{transitions.target_summary()}; {engine_summary()}")
         return scheduler.kind_walls

@@ -26,12 +26,12 @@ bit-identically, because the computation itself is deterministic.  That
 safety net is also what lets a permanently-failed isolation job merely
 degrade its dependents (they recompute inline) instead of wedging them.
 
-**Locality.**  Workers keep warm per-scale runners; the trace cache, the
-bulk-L1 window memos and the isolation memo are all keyed by trace
-identity and geometry.  Jobs sharing :func:`locality_key` (same scale
-recipe, same benchmark/core slots) are therefore routed to the worker
-that last ran one of them — a sticky assignment with per-worker ready
-queues.  An idle worker with nothing of its own *steals* from the
+**Locality.**  Workers keep warm per-scale runners, whose traces are
+memoised by ``(benchmark, core)`` slot (one isolation slot at a time).
+Jobs sharing :func:`locality_key` (same scale recipe, same
+benchmark/core slots) are therefore routed to the worker that last ran
+one of them, which generates none of their traces again — a sticky
+assignment with per-worker ready queues.  An idle worker with nothing of its own *steals* from the
 longest queue (classic work stealing, taking from the tail to leave the
 victim its locality run), so placement is a hint, never a stall.
 
@@ -60,8 +60,8 @@ def locality_key(job: Job) -> Tuple:
 
     Two jobs with equal keys replay the same generated traces (same
     ``(seed, benchmark, core_id)`` recipes, same access count) over the
-    same geometry family, so a worker that just ran one has the traces,
-    bulk-L1 windows and isolation results of the other warm.
+    same geometry family, so a worker that just ran one has the other's
+    traces warm.
     """
     scale = job.scale
     if job.kind == KIND_OUTCOME:

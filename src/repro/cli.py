@@ -152,10 +152,13 @@ def _campaign_store(args: argparse.Namespace):
 
 
 def _jobs_count(value: str) -> int:
-    """``--jobs`` parser: an integer, or ``auto`` for every core."""
+    """``--jobs`` parser: a count ``>= 0``, or ``auto`` for every core."""
     if value == "auto":
         return 0
-    return int(value)
+    count = int(value)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 or 'auto': {value}")
+    return count
 
 
 def _parse_hostport(value: str, default_port: int = 0):

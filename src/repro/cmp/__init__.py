@@ -8,8 +8,8 @@ freezing each thread's statistics after its instruction budget (the paper's
 threads keep running to preserve contention).
 
 The hot loop lives in :mod:`repro.cmp.engine`; ``SimulationConfig.engine``
-selects the engine — the default ``"auto"`` is the batched engine at every
-core count, with the per-access reference oracle always available.
+selects the engine — the default ``"auto"`` is the batched engine wherever
+it can run the simulation, the per-access reference oracle otherwise.
 """
 
 from repro.cmp.engine import (

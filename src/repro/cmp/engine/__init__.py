@@ -1,22 +1,19 @@
 """CMP execution engines.
 
-Two interchangeable implementations of the simulation hot loop:
+Two engines, one implementation each:
 
 * :class:`ReferenceEngine` — one scheduler event per memory reference,
-  routed through the full hierarchy.  The semantic oracle.
-* :class:`BatchedEngine` — bulk L1 prefilter (the L1's ``prefilter``
-  rendering, one call per window of the trace) with slow-path events
-  only for references that reach the shared L2, executed by the ``loop``
-  rendering of the policy's transition spec
-  (:mod:`repro.cache.transitions`; both compiled where the host has
-  ``cc``).
-  Bit-identical results at every core count: a single-thread run —
-  every isolation job, every 1-core figure point — is the same loop over
-  a heap of one.
+  routed through the full hierarchy, stepping the policy, scheme and
+  profiler classes: the semantic oracle, and what runs everything else.
+* :class:`BatchedEngine` — the compiled L1 ``prefilter`` feeding the
+  compiled ``loop`` rendering of the L2's stock (policy, scheme) pair
+  (:mod:`repro.cache.transitions`), one event per reference that reaches
+  the shared L2, bit-identical at every core count (a single thread is a
+  heap of one); what it runs is :func:`batched_refusal`'s rule.
 
-:func:`make_engine` instantiates by the ``SimulationConfig.engine`` name;
-the default ``"auto"`` resolves through :func:`resolve_engine_name` to
-the batched engine, whatever the core count.
+:func:`make_engine` instantiates by the ``SimulationConfig.engine`` name
+(``"auto"``: :func:`resolve_engine_name`); :func:`engine_summary` says
+which engines ran, and why.
 
 (``solo.py`` and ``vector.py`` beside this file are benchmark-owned
 stubs of two deleted single-thread engines: ``benchmarks/e2e`` imports
@@ -26,7 +23,9 @@ registers, exports or selects them.)
 
 from __future__ import annotations
 
-from repro.cmp.engine.batched import BatchedEngine, CHUNK_SIZE
+from collections import Counter
+
+from repro.cmp.engine.batched import BatchedEngine, CHUNK_SIZE, batched_refusal
 from repro.cmp.engine.common import EngineBase, freeze_count
 from repro.cmp.engine.reference import ReferenceEngine
 from repro.cmp.engine.scheduler import EventScheduler
@@ -70,7 +69,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "276c549daeadcf979448653bcc5c8964eb080c9ffe8d88b2ee2bf3f1a08fcaf8"
+ENGINE_SOURCE_CHECKSUM = "78685a80760725f508b2b610a3ee678c538d2dd72330e964653b262ce59f7f83"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,
@@ -78,29 +77,50 @@ _ENGINES = {
 }
 
 
-def resolve_engine_name(name: str, num_cores: int) -> str:
-    """Concrete engine name for a configuration (resolves ``"auto"``).
+#: Engines :func:`make_engine` built in this process, and the reasons
+#: ``auto`` runs went to the reference engine (:func:`engine_summary`).
+_BUILT: Counter = Counter()
+_REFUSED: Counter = Counter()
 
-    ``"auto"`` — the :class:`~repro.config.SimulationConfig` default — is
-    the batched engine for every ``num_cores``: a replacement policy is a
-    per-set automaton that does not care how many threads feed it, so one
-    rendering of it serves isolation runs and multi-core runs alike.
-    Explicit names pass through unchanged.
-    """
-    return ENGINE_BATCHED if name == ENGINE_AUTO else name
+
+def resolve_engine_name(name: str, sim) -> str:
+    """Concrete engine name for one simulator: ``"auto"`` — the
+    :class:`~repro.config.SimulationConfig` default — is the batched
+    engine at every core count unless :func:`batched_refusal` finds a
+    reason against it; explicit names pass through unchanged."""
+    if name != ENGINE_AUTO:
+        return name
+    return ENGINE_BATCHED if batched_refusal(sim) is None else ENGINE_REFERENCE
 
 
 def make_engine(sim, name: str) -> EngineBase:
-    """Instantiate the execution engine ``name`` for one simulator."""
-    name = resolve_engine_name(name, len(sim.traces))
+    """Instantiate the execution engine ``name`` for one simulator; an
+    explicit ``"batched"`` the simulation does not admit raises
+    :class:`ValueError` naming the reason."""
+    engine = resolve_engine_name(name, sim)
     try:
-        cls = _ENGINES[name]
+        cls = _ENGINES[engine]
     except KeyError:
         raise ValueError(
-            f"unknown engine {name!r}; known: {sorted(_ENGINES)} "
+            f"unknown engine {engine!r}; known: {sorted(_ENGINES)} "
             f"(or '{ENGINE_AUTO}')"
         ) from None
-    return cls(sim)
+    built = cls(sim)
+    _BUILT[engine] += 1
+    if name == ENGINE_AUTO and engine == ENGINE_REFERENCE:
+        _REFUSED[batched_refusal(sim)] += 1
+    return built
+
+
+def engine_summary() -> str:
+    """The engines :func:`make_engine` built in this process, and why
+    ``auto`` did not pick the batched one, as one accounting line."""
+    text = (f"engines: batched={_BUILT[ENGINE_BATCHED]} "
+            f"reference={_BUILT[ENGINE_REFERENCE]}")
+    if _REFUSED:
+        text += " (" + "; ".join(f"{count}x {reason}" for reason, count
+                                 in sorted(_REFUSED.items())) + ")"
+    return text
 
 
 __all__ = [
@@ -110,6 +130,8 @@ __all__ = [
     "EngineBase",
     "EventScheduler",
     "ReferenceEngine",
+    "batched_refusal",
+    "engine_summary",
     "freeze_count",
     "make_engine",
     "resolve_engine_name",

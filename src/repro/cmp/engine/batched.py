@@ -11,15 +11,20 @@ preceding each — and schedules exactly one heap event per L2 access:
 ``(anchor + gap * base, thread)``, the reference engine's pop key for
 that access.
 
+It runs read-only traces of an L2 with a stock (policy, scheme) pair
+under stock profiling or none, where the compiled ``loop`` and
+``prefilter`` load (:func:`batched_refusal`): every job of every figure.
+Anything else is the reference engine's.
+
 Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 
 * **Folded gaps.**  L1 hits touch no shared state, so they need no event
   of their own.  The reference pops the access that follows ``gap`` hits
   at ``anchor + gap * base`` (:mod:`.common`); this engine evaluates the
   identical float expression, with the gap accumulated across window
-  seams and trace wraps, so the L2 accesses, write-back drains and
-  memory-channel requests of all threads execute in the same total
-  ``(clock, thread)`` order with bit-equal clocks.
+  seams and trace wraps, so the L2 accesses and memory-channel requests
+  of all threads execute in the same total ``(clock, thread)`` order
+  with bit-equal clocks.
 * **Freeze-hit event.**  A thread's freeze access must commit in exact
   global order (it may end the run).  When it is an L2 access it already
   is an event.  When it is the ``h``-th L1 hit of a gap it becomes the
@@ -35,20 +40,18 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   stream and is read only at controller boundaries and run end, so stock
   profiling (:func:`.common.deferrable_profiling`) is *deferred*: the
   executed part of each miss stream, ``lines[drained:cursor]``, drains
-  through the batch observe kernels right before every boundary, at the
+  through ``atd.observe_many`` right before every boundary, at the
   thread's freeze, when its window is replaced, and at run end.
   Per-thread order is the stream's order; cross-thread drain order is
-  immaterial because the ATDs are disjoint.  The kernel is
-  ``atd.observe_many`` as it stands — the ATD's ``observe`` rendering
-  bound when the ATD was built (compiled wherever the host has ``cc``),
-  or whatever somebody replaced it with.  A compiled drain works on the
-  ATD's arrays in place, so between two drains the truth is the ATD
-  itself, which is what the controller reads, halves and resets.
+  immaterial because the ATDs are disjoint.  ``observe_many`` is the
+  ATD's compiled ``observe`` kernel (or whatever replaced it), which
+  works on the ATD's arrays in place: between two drains the truth is
+  the ATD itself, which is what the controller reads, halves and resets.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
-  outside its sampled sets, only counting it.  A drain hands the kernel
-  the whole slice, as an ``array('q')`` whatever the target, and the
-  kernel's own ``skip_mask`` test counts the unsampled lines, the way the
-  hardware decodes sampling from index bits.
+  outside its sampled sets, only counting it.  A drain hands it the
+  whole slice, as an ``array('q')``, and the kernel's own ``skip_mask``
+  test counts the unsampled lines, the way the hardware decodes sampling
+  from index bits.
 * **Parked threads.**  After a whole trace pass without an L1 miss the L1
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
@@ -60,18 +63,12 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   termination rollback has nobody to visit; there is no separate
   single-thread engine.
 * **Fused L2 access.**  The loop itself is the ``loop`` rendering of
-  :mod:`repro.cache.transitions`: for a stock (policy, scheme) pair the
-  L2 transition is inlined from the pair's fragments, where the call
-  form calls ``l2.access_line_hit`` (the classes), so only *how the
-  hit/miss bit is computed* differs; the float expressions and the
-  ``(clock, thread)`` pops are one template.  Its per-thread access
-  count is settled in ``drain``, like the ATDs.  The per-thread cursors
-  the loop and the shell's call-outs share (``cur``, ``stop``,
-  ``anchor``, ``fz_at``, ``fz_hit``, ``base``) are ``array('q')`` /
-  ``array('d')`` on both targets, which the compiled one works on by
-  address; the miss-stream ``lines`` / ``gaps`` are ``int64`` columns
-  for it and lists for the Python loop, which must not compute on numpy
-  scalars.
+  :mod:`repro.cache.transitions`, the L2 transition inlined; its float
+  expressions and ``(clock, thread)`` pops are the reference engine's,
+  and its per-thread access count is settled in ``drain``, like the
+  ATDs.  It works by address on the cursors it shares with the shell's
+  call-outs (``array('q')`` / ``array('d')``) and on the ``int64``
+  miss-stream columns the prefilter wrote.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
@@ -100,12 +97,43 @@ CHUNK_SIZE = 1 << 16
 _NO_MISSES = np.empty(0, dtype=np.int64)
 
 
+def batched_refusal(sim) -> Optional[str]:
+    """Why :class:`BatchedEngine` cannot run ``sim`` exactly, or None:
+    read off the simulator and this host, never an option."""
+    from repro.cache import native          # ctypes + cc: first use
+
+    hierarchy = sim.hierarchy
+    l2 = hierarchy.l2
+    key = rendered_key(l2)
+    if key is None:
+        if "access_line_hit" in vars(l2):
+            return "the L2's access_line_hit is rebound"
+        scheme = type(l2.partition).__name__ if l2.partition else "none"
+        return (f"no rendering of the L2's {type(l2.policy).__name__} "
+                f"with scheme {scheme}")
+    if any(trace.writes is not None for trace in sim.traces):
+        return "a trace writes"
+    if (hierarchy.l2_observer is not None
+            and deferrable_profiling(sim) is None):
+        return "a custom L2 observer"
+    for rendering, kernel in (("loop", key),
+                              ("prefilter", transitions.PREFILTER_KEY)):
+        loaded, info = native.load(rendering, kernel)
+        if loaded is None:
+            return f"no compiled {rendering}: {info['reason']}"
+    return None
+
+
 class BatchedEngine(EngineBase):
     """One heap event per L2 access over the bulk-prefiltered miss streams."""
 
     name = "batched"
 
     def __init__(self, sim) -> None:
+        refusal = batched_refusal(sim)
+        if refusal is not None:
+            raise ValueError(f"the batched engine cannot run this "
+                             f"simulation: {refusal}")
         super().__init__(sim)
         n = self.n
         # Per-thread prefilter window.  ``pos`` is the trace position after
@@ -114,23 +142,19 @@ class BatchedEngine(EngineBase):
         # (all hits since that L2 access while the window has no miss).
         # ``span`` counts the window's references through its last miss
         # (so the next window's ``upto`` is ``upto + span``).
-        # ``lines``/``victims`` are the addresses and displaced dirty lines
-        # of its L1 misses, ``gaps[j]`` the L1 hits preceding miss ``j``.
+        # ``lines`` are the addresses of its L1 misses, ``gaps[j]`` the L1
+        # hits preceding miss ``j`` (int64 columns the loop reads).
         self._ck_pos = [0] * n
         self._ck_upto = [0] * n
         self._ck_span = [0] * n
         self._ck_tail = [0] * n
-        self._ck_lines: List[list] = [[] for _ in range(n)]
-        self._ck_victims: List[Optional[list]] = [None] * n
-        self._ck_gaps: List[list] = [[] for _ in range(n)]
+        self._ck_lines: List[np.ndarray] = [_NO_MISSES] * n
+        self._ck_gaps: List[np.ndarray] = [_NO_MISSES] * n
         # Freeze access of the window, if any: at or in the gap before miss
         # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
         # else its 1-based rank among the gap's hits.
         self._ck_fz_at = array("q", [-2]) * n
         self._ck_fz_hit = array("q", [0]) * n
-        # Set by ``run``: a compiled loop reads the miss stream as int64
-        # numpy columns (by pointer), the Python one as lists.
-        self._columns = False
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -148,29 +172,16 @@ class BatchedEngine(EngineBase):
         if streaming:
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
-            trace = self.sim.traces[t]
-            l1 = self.sim.hierarchy.l1[t]
-            window = trace.chunk_view(pos, end - pos)
-            if self.has_writes:
-                writes = (trace.writes[pos:end] if trace.writes is not None
-                          else None)
-                offs, gaps, lines, victims = l1.access_lines_rw(window,
-                                                                writes)
-                self._ck_victims[t] = victims.tolist()
-            else:
-                offs, gaps, lines, _ = l1.access_lines_hit(window)
+            window = self.sim.traces[t].chunk_view(pos, end - pos)
+            offs, gaps, lines, _ = \
+                self.sim.hierarchy.l1[t].access_lines_hit(window)
             if len(gaps):
                 gaps[0] += carry
-            if self._columns:
-                self._ck_lines[t] = lines
-            else:
-                gaps = gaps.tolist()
-                self._ck_lines[t] = lines.tolist()
+            self._ck_lines[t] = lines
             width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
-            offs = _NO_MISSES
-            gaps = self._ck_lines[t] = _NO_MISSES if self._columns else []
+            offs = gaps = self._ck_lines[t] = _NO_MISSES
             width = max(to_freeze, 0)
         fz_at, fz_hit = -2, 0
         if 0 < to_freeze <= width:
@@ -198,7 +209,6 @@ class BatchedEngine(EngineBase):
         n = self.n
         base = self.base_cost
         freeze_counts = self.freeze_counts
-        has_writes = self.has_writes
         l2_hit_pen = self.l2_hit_pen
         mem_pen = self.mem_pen
         max_cycles = self.max_cycles
@@ -210,31 +220,16 @@ class BatchedEngine(EngineBase):
         hierarchy = sim.hierarchy
         l2 = hierarchy.l2
         l2_stats = l2.stats
-        # Stock profiling drains in slices (module docstring); a custom
-        # observer keeps immediate per-access calls.
+        # Stock profiling (or none: the constructor refused any other
+        # observer) drains in slices (module docstring).
         profiling = deferrable_profiling(sim)
-        observe_now = hierarchy.l2_observer if profiling is None else None
-        atds = ([m.atd for m in profiling.monitors]
-                if profiling is not None else None)
-        # The one loop source is the ``loop`` template of
-        # repro.cache.transitions.  For a stock (policy, scheme) pair
-        # whose ``access_line_hit`` nobody shadowed, a read-only run
-        # without an immediate observer gets it with that pair's
-        # transition inlined; every other run gets the call form.
-        key = (rendered_key(l2)
-               if not has_writes and observe_now is None else None)
-        fused = key is not None
-        loop = transitions.bind("loop", key, l2, self.channel)
-        obs_drain = ([atd.observe_many for atd in atds]
-                     if atds is not None else None)
+        obs_drain = ([m.atd.observe_many for m in profiling.monitors]
+                     if profiling is not None else None)
+        loop = transitions.bind("loop", rendered_key(l2), l2, self.channel)
         l2_accesses = l2_stats.accesses
-        # The miss stream: int64 columns for a compiled loop, lists for
-        # the Python one.
-        columns = self._columns = transitions.compiled(loop)
 
         lines = self._ck_lines
         gaps = self._ck_gaps
-        victims = self._ck_victims
         fz_at = self._ck_fz_at
         fz_hit = self._ck_fz_hit
         base = array("d", base)
@@ -256,15 +251,13 @@ class BatchedEngine(EngineBase):
             if j <= d:
                 return
             drained[u] = j
-            if fused:
-                # The fused loop leaves the per-access count to here;
-                # nothing reads it between two drains.
-                l2_accesses[u] += j - d
+            # The loop leaves the per-access count to here; nothing reads
+            # it between two drains.
+            l2_accesses[u] += j - d
             if obs_drain is not None:
                 # The whole slice: the kernel counts the unsampled lines
                 # (module docstring).
-                batch = lines[u][d:j]
-                obs_drain[u](array("q", batch.tobytes() if columns else batch))
+                obs_drain[u](array("q", lines[u][d:j].tobytes()))
 
         def beyond(now: float) -> float:
             """Rare path of a pop at or past the horizon — the earlier of
@@ -328,11 +321,10 @@ class BatchedEngine(EngineBase):
         heap = [(resume(t, 0), t) for t in range(n)]
         heapify(heap)
         now, t = heappop(heap)
-        now, t, wb_l1_to_l2, wb_l1_to_mem = loop(
+        now, t = loop(
             now, t, heap, heappushpop, min(next_boundary, cycle_cap),
             beyond, freeze, resume, cur, stop, anchor, lines, gaps,
-            fz_at, fz_hit, base, l2_hit_pen, mem_pen, victims,
-            has_writes, observe_now)
+            fz_at, fz_hit, base, l2_hit_pen, mem_pen)
         for u in range(n):
             if u != t:
                 drain(u, cur[u])
@@ -345,9 +337,7 @@ class BatchedEngine(EngineBase):
             if u == t:
                 continue
             j = cur[u]
-            hits = gaps[u][:j]
-            l1_accesses += (self._ck_upto[u] + j
-                            + (int(hits.sum()) if columns else sum(hits)))
+            l1_accesses += self._ck_upto[u] + j + int(gaps[u][:j].sum())
             a0 = anchor[u]
             b = base[u]
             # A parked thread's gap is unbounded; any count past the final
@@ -365,6 +355,6 @@ class BatchedEngine(EngineBase):
         return self._assemble(
             frozen,
             l1_accesses=l1_accesses,
-            l1_writebacks=wb_l1_to_l2 + wb_l1_to_mem,
-            memory_writebacks=l2_stats.total_writebacks + wb_l1_to_mem,
+            l1_writebacks=0,
+            memory_writebacks=l2_stats.total_writebacks,
         )

@@ -46,14 +46,10 @@ class MemoryChannel:
         self.latency = float(latency)
         # Boxed so the event loop's ``request`` fragment
         # (:mod:`repro.cache.transitions`) steps the same state in place,
-        # on either target: ``[next free service start, summed queue
-        # cycles]`` and ``[requests issued]``.
+        # by address: ``[next free service start, summed queue cycles]``
+        # and ``[requests issued]``.
         self._clock = array("d", [0.0, 0.0])
         self._count = array("q", [0])
-
-    @property
-    def _next_free(self) -> float:
-        return self._clock[0]
 
     @property
     def queue_cycles(self) -> float:

@@ -21,9 +21,9 @@ threads commits 100 million instructions".
 
 This module is the configuration facade; the hot loop lives in
 :mod:`repro.cmp.engine`.  ``SimulationConfig.engine`` selects the engine;
-the default ``"auto"`` resolves to the batched engine (bulk L1 prefilter,
-one event per L2 access) at every core count, with ``"reference"`` as the
-per-access oracle loop the equivalence suites pin it against.
+the default ``"auto"`` resolves to the batched engine (compiled bulk L1
+prefilter, one event per L2 access) wherever it can run the simulation,
+else to ``"reference"``, the per-access oracle loop it is pinned against.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ SELECTORS = (SELECTOR_MINMISSES, SELECTOR_LOOKAHEAD, SELECTOR_EVEN,
 #: Simulation engine identifiers (see :mod:`repro.cmp.engine`).
 ENGINE_REFERENCE = "reference"   # per-access oracle loop
 ENGINE_BATCHED = "batched"       # bulk L1 prefilter + event scheduler
-ENGINE_AUTO = "auto"             # batched, at every core count
+ENGINE_AUTO = "auto"             # batched where it can run, else reference
 ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_AUTO)
 
 
@@ -248,12 +248,11 @@ class SimulationConfig:
     #: Minimum cycles between successive memory services (single-channel
     #: FCFS queue).  0 = the paper's fixed-latency memory (default).
     memory_service_interval: float = 0.0
-    #: Execution engine: ``"auto"`` (the default — ``"batched"`` at
-    #: every core count), ``"batched"`` (bulk L1 prefilter + event
-    #: scheduler, a heap of one for a single thread) or ``"reference"``
-    #: (the per-access oracle loop).  Both engines produce identical
-    #: results; the equivalence suites and the ``repro fuzz``
-    #: differential harness pin this.
+    #: Execution engine: ``"auto"`` (the default — ``"batched"`` wherever
+    #: it can run the simulation, else ``"reference"``), ``"batched"``
+    #: (the compiled L1 prefilter and event loop) or ``"reference"`` (the
+    #: per-access oracle loop).  Both engines produce identical results;
+    #: the equivalence suites and ``repro fuzz`` pin this.
     engine: str = ENGINE_AUTO
 
     def __post_init__(self) -> None:

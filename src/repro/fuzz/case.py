@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cache.geometry import CacheGeometry
+from repro.cmp.engine import batched_refusal
 from repro.cmp.simulator import CMPSimulator
 from repro.config import (
     ENGINE_BATCHED,
@@ -90,8 +91,11 @@ class FuzzCase:
                             self.traces, self.simulation(engine))
 
     def applicable_engines(self) -> Tuple[str, ...]:
-        """Engines this case can legally run: both, at every core count."""
-        return ALL_ENGINES
+        """The reference, and the batched engine where it runs the case
+        (:func:`repro.cmp.engine.batched_refusal`)."""
+        if batched_refusal(self.simulator(ENGINE_REFERENCE)) is None:
+            return ALL_ENGINES
+        return (ENGINE_REFERENCE,)
 
     def total_accesses(self) -> int:
         """Summed trace length — the shrinker's minimisation metric."""

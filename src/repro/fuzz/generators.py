@@ -48,12 +48,12 @@ They aim at what the batched engine's miss-stream loop special-cases:
   core's budget chosen so its freeze access is a hit deep in a streak
   (possibly passes later, across the wrap): the freeze-hit event.
 
-Configuration points sample the full legal cross product the repo's
-hand-written suites enumerate piecewise: all 10 policies, every
-enforcement scheme (respecting the config invariants: partitioned needs
-a profilable policy, BT pairs with btvectors), selectors including
-``static``, boundary-dense intervals, ATD sampling ratios, write
-overlays, the bandwidth channel and non-dyadic ``ipm``/``cpi`` values.
+Configuration points sample the legal cross product the batched engine
+runs (anything else has no second engine to diff): the three paper
+policies under every enforcement scheme (partitioned needs a profilable
+policy, BT pairs with btvectors), selectors including ``static``,
+boundary-dense intervals, ATD sampling ratios, the bandwidth channel and
+non-dyadic ``ipm``/``cpi`` values, on read-only traces.
 """
 
 from __future__ import annotations
@@ -67,14 +67,12 @@ from repro.config import (
     ENFORCE_COUNTERS,
     ENFORCE_MASKS,
     ENFORCE_NONE,
-    POLICIES,
     PROFILABLE_POLICIES,
     PartitioningConfig,
     SELECTOR_STATIC,
 )
 from repro.fuzz.case import FuzzCase
 from repro.workloads.trace import Trace
-from repro.workloads.writes import overlay_writes
 
 #: Shape registry order is part of the deterministic contract — new
 #: shapes append, never reorder.
@@ -316,10 +314,10 @@ def _sample_partitioning(rng: np.random.Generator, num_cores: int,
                          l2_sets: int, l2_assoc: int) -> PartitioningConfig:
     """A legal PartitioningConfig point (invariants respected up front)."""
     partitioned = rng.random() < 0.5
-    if not partitioned:
-        policy = POLICIES[_int(rng, 0, len(POLICIES) - 1)]
-        return PartitioningConfig(policy=policy, enforcement=ENFORCE_NONE)
+    # The paper policies, the ones with a rendering (module docstring).
     policy = PROFILABLE_POLICIES[_int(rng, 0, len(PROFILABLE_POLICIES) - 1)]
+    if not partitioned:
+        return PartitioningConfig(policy=policy, enforcement=ENFORCE_NONE)
     if policy == "bt":
         enforcement = ENFORCE_BTVECTORS
     else:
@@ -379,11 +377,6 @@ def generate_case(seed: int, index: int) -> FuzzCase:
             trace = Trace(trace.name, trace.lines + (core << 20),
                           ipm=trace.ipm, cpi_base=trace.cpi_base)
         traces.append(trace)
-
-    if rng.random() < 0.15:
-        fraction = 0.2 + 0.2 * rng.random()
-        traces = [overlay_writes(t, fraction, seed=_int(rng, 0, 10_000))
-                  for t in traces]
 
     per_thread = None
     if "wrap_heavy" in shapes:

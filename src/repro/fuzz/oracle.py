@@ -25,21 +25,16 @@ diff **everything observable** after the run:
 Two engines that agree on all of the above executed the same decision
 sequence; any mismatch is reported as a list of dotted field paths.
 
-The batched engine runs **twice** per case and both snapshots are diffed
-against the reference, which walks its L1 per access and — by
-construction, since only batch kernels are rendered — steps the policy,
-scheme and profiler classes, so it stays the independent oracle.  The
-second run holds its event loop, its ATD drains *and its L1 prefilter*
-to the **Python target** (:func:`repro.cache.transitions.python_target`).
-Where the host has a C compiler the first run executed the compiled
-targets of the same renderings, so the stage is compiled-vs-Python over
-the full snapshot — SDH registers and ATD tags included; without one both
-are the Python target and the stage costs one redundant run.
-
-Finally every thread's trace is walked through both targets of the L1's
-``prefilter`` directly, in windows of uneven widths
-(:func:`prefilter_diffs`): miss streams, L1 slots, dirty flags and
-statistics must be equal (paths prefixed ``prefilter:``).
+The batched engine — compiled event loop, ATD drains and L1 prefilter
+— is diffed against the reference, which walks its L1 per access and
+steps the policy, scheme and profiler classes: an oracle that shares no
+transition body with the kernels.  A case the batched engine refuses
+(:func:`repro.cmp.engine.batched_refusal`) has no pair to diff.  Then
+every thread's trace is walked, in windows of uneven widths, through
+the compiled ``prefilter`` and through the class's per-access
+``access_line_rw`` (:func:`prefilter_diffs`): miss streams, L1 slots,
+dirty flags and statistics must be equal (paths prefixed
+``prefilter:``).
 """
 
 from __future__ import annotations
@@ -52,16 +47,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from contextlib import nullcontext
-
 from repro.cache.l1 import SmallLRUCache
-from repro.cache.transitions import python_target
 from repro.config import ENGINE_REFERENCE
 from repro.fuzz.case import FuzzCase
-
-#: The runs of the batched engine per case (module docstring): diff-path
-#: prefix and the context each runs in.
-_STAGES = (("", nullcontext), ("python target: ", python_target))
 
 #: Window widths :func:`prefilter_diffs` cycles through: a single
 #: reference, short odd ones and a long one, so state carries across
@@ -239,9 +227,25 @@ def diff_snapshots(reference: Snapshot, other: Snapshot) -> List[str]:
     return out
 
 
-def _prefilter_walk(case: FuzzCase, trace) -> list:
-    """The miss streams of ``trace`` through a fresh L1 of the case,
-    window by window, then the L1's slots, dirty flags and statistics."""
+def _stepped(l1: SmallLRUCache, lines, writes) -> list:
+    """The four :class:`~repro.cache.l1.MissStream` columns of one window,
+    as lists, from per-access ``access_line_rw`` calls."""
+    stream, gap = [[], [], [], []], 0
+    for i, line in enumerate(lines.tolist()):
+        hit, victim = l1.access_line_rw(
+            line, writes is not None and bool(writes[i]))
+        gap += hit
+        if not hit:
+            for column, value in zip(stream, (i, gap, line, victim)):
+                column.append(-1 if value is None else value)
+            gap = 0
+    return stream
+
+
+def _prefilter_walk(case: FuzzCase, trace, per_access: bool) -> list:
+    """The miss streams of ``trace``, window by window, through a fresh
+    L1's compiled ``prefilter`` (or, ``per_access``, ``access_line_rw``),
+    then the L1's slots, dirty flags and statistics."""
     l1 = SmallLRUCache(case.processor().l1d)
     walked = []
     pos = 0
@@ -249,24 +253,24 @@ def _prefilter_walk(case: FuzzCase, trace) -> list:
         if pos == len(trace):
             break
         end = min(len(trace), pos + width)
+        lines = trace.lines[pos:end]
         writes = None if trace.writes is None else trace.writes[pos:end]
-        walked.append([column.tolist() for column in
-                       l1.access_lines_rw(trace.lines[pos:end], writes)])
+        walked.append(_stepped(l1, lines, writes) if per_access else
+                      [column.tolist() for column in
+                       l1.access_lines_rw(lines, writes)])
         pos = end
     return [walked, list(l1._slots), list(l1._dirty),
             [list(getattr(l1.stats, name)) for name in l1.stats.__slots__]]
 
 
 def prefilter_diffs(case: FuzzCase) -> List[str]:
-    """Dotted paths where the two targets of the L1 ``prefilter`` walk a
-    thread's trace differently (empty = identical; on a host without a C
-    compiler both sides are the Python target)."""
+    """Dotted paths where the compiled L1 ``prefilter`` walks a thread's
+    trace differently from the class's per-access ``access_line_rw``
+    (empty = identical)."""
     out: List[str] = []
     for core, trace in enumerate(case.traces):
-        compiled = _prefilter_walk(case, trace)
-        with python_target():
-            python = _prefilter_walk(case, trace)
-        _walk_diff(f"t{core}", compiled, python, out)
+        _walk_diff(f"t{core}", _prefilter_walk(case, trace, per_access=True),
+                   _prefilter_walk(case, trace, per_access=False), out)
     return out
 
 
@@ -280,12 +284,12 @@ class CaseReport:
     case: FuzzCase
     engines: Tuple[str, ...]
     #: engine name -> diff paths vs the reference snapshot (empty = equal);
-    #: the batched engine's Python-target run carries a ``python
-    #: target:`` prefix, the prefilter's target diff a ``prefilter:`` one.
+    #: the prefilter's diff against the per-access L1 carries a
+    #: ``prefilter:`` prefix.
     diffs: Dict[str, List[str]] = field(default_factory=dict)
     error: Optional[str] = None
-    #: Engine runs that completed (the reference once, every other engine
-    #: as it stands and on the Python target — fewer when a run crashed).
+    #: Engine runs that completed (the reference once, then every other
+    #: engine — fewer when a run crashed).
     engine_runs: int = 0
 
     @property
@@ -317,38 +321,31 @@ class CaseReport:
 def run_case(case: FuzzCase,
              engines: Optional[Tuple[str, ...]] = None) -> CaseReport:
     """Cross-check one case: reference vs every other applicable engine,
-    each run as it stands and on the Python target, plus the prefilter's
-    two targets (module docstring).
+    plus the compiled prefilter vs the per-access L1 (module docstring).
 
     Engine crashes (exceptions out of an engine run) count as divergence
     — an engine that raises where the oracle completes is as wrong as
     one that returns different numbers.
     """
-    if engines is None:
-        engines = case.applicable_engines()
-    if ENGINE_REFERENCE not in engines:
-        engines = (ENGINE_REFERENCE,) + tuple(engines)
-    report = CaseReport(case=case, engines=tuple(engines))
+    report = CaseReport(case=case, engines=(ENGINE_REFERENCE,))
     try:
         reference = run_engine(case, ENGINE_REFERENCE)
     except Exception as exc:  # noqa: BLE001 — any oracle crash is terminal
         report.error = f"reference engine crashed: {exc!r}"
         return report
     report.engine_runs += 1
-    for engine in engines:
-        if engine == ENGINE_REFERENCE:
+    if engines is None:
+        engines = case.applicable_engines()
+    others = tuple(engine for engine in engines if engine != ENGINE_REFERENCE)
+    report.engines += others
+    for engine in others:
+        try:
+            snapshot = run_engine(case, engine)
+        except Exception as exc:  # noqa: BLE001 — crash == divergence
+            report.diffs[engine] = [f"engine crashed: {exc!r}"]
             continue
-        diffs = report.diffs[engine] = []
-        for prefix, target in _STAGES:
-            try:
-                with target():
-                    snapshot = run_engine(case, engine)
-            except Exception as exc:  # noqa: BLE001 — crash == divergence
-                diffs.append(f"{prefix}engine crashed: {exc!r}")
-                break
-            report.engine_runs += 1
-            diffs += [prefix + path
-                      for path in diff_snapshots(reference, snapshot)]
-        else:                           # no run crashed
-            diffs += ["prefilter: " + path for path in prefilter_diffs(case)]
+        report.engine_runs += 1
+        report.diffs[engine] = (
+            diff_snapshots(reference, snapshot)
+            + ["prefilter: " + path for path in prefilter_diffs(case)])
     return report

@@ -13,15 +13,15 @@ rules hold; each gets a mechanical check here:
   detaches every kernel local captured at cache construction.
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
   renders (``observe_many`` for each policy, the event loop of
-  ``BatchedEngine.run`` for each policy x scheme, plus the call-form
-  loop and the L1 ``prefilter``; renderings are the only kernel closures
-  there are) must run on bound locals only: no attribute loads (beyond
+  ``BatchedEngine.run`` for each policy x scheme, and the L1
+  ``prefilter``; renderings are the only kernel closures there are) must
+  run on bound locals only: no attribute loads (beyond
   ``bit_length`` / ``bit_count`` on locals), no global lookups, no
   list/dict/set or comprehension allocations.  The spec tables are read
   off the checked tree as literals and rendered with this package's
   renderer — the checked tree is never imported — so a fragment storing
   to a local its skeleton keeps for itself (``PRIVATE_LOCALS``) is
-  flagged here too, and so is a keyed rendering the C translator
+  flagged here too, and so is a rendering the C translator
   (:mod:`repro.cache.cgen`, typed by the ``C_KINDS`` table) refuses.
 """
 
@@ -48,13 +48,12 @@ STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
 TRANSITION_SPEC = "repro/cache/transitions.py"
 SPEC_TABLES = ("POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS")
 #: Optional fifth literal: the C type of every name a stock event loop
-#: or ATD drain touches.  A spec that declares it promises every keyed
-#: rendering a C target.
+#: or ATD drain touches.  A spec that declares it promises every
+#: rendering a C translation.
 C_KINDS_TABLE = "C_KINDS"
 
 #: ``(spec module, rendering)`` that run once per simulated event: the
-#: spec must render them (for every key and the call form), under the
-#: strict contract.
+#: spec must render them (for every key), under the strict contract.
 EVENT_LOOPS = ((TRANSITION_SPEC, "loop"),)
 
 #: Attribute loads permitted inside kernel closures: C-level int methods
@@ -289,7 +288,7 @@ class HotPathPurityRule(Rule):
                 yield self.diag(ctx, path, 1,
                                 f"{name} does not render: {exc}")
                 continue
-            if kinds is not None and key is not None:
+            if kinds is not None:
                 try:
                     transitions.translate(rendering, key, *tables, kinds)
                 except ValueError as exc:

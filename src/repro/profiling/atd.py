@@ -13,22 +13,19 @@ through a :class:`~repro.profiling.profilers.DistanceProfiler`.
 Tag state is the same flat :class:`~repro.cache.state.TagStore` the L2
 uses — the ATD no longer carries its own directory implementation.  The
 single-access :meth:`observe` is always the object-protocol body below,
-stepping the policy and profiler classes (the reference engine, the
-call-form loop, user code).  :meth:`observe_many` — the drains of the
-batched engine — is bound at construction to the ``observe`` rendering
-for a stock policy and profiler (:func:`repro.cache.state.drain_key`):
-``transitions.bind("observe", key, atd)``, compiled where the host has
-``cc``, whatever the length of a batch.  Both targets take a batch as an
-``array('q')`` (the compiled one also as an ``int64`` numpy column) of
-every L2 access in it, sampled or not — the kernel's own ``skip_mask``
-test counts the others, the way the hardware decodes sampling from
-index bits — and work on the ATD's own arrays — tag lines and masks,
-policy words, SDH registers, the two counters — in place, so between two
-drains what the controller reads, halves and resets is simply the ATD
-(the tag dict is derived from the lines when next read:
-:attr:`repro.cache.state.TagStore.map`).  The generic loop below is the
-fallback and the reference it is pinned against
-(``tests/test_profiling/test_atd.py``, ``tests/test_cache/test_state.py``).
+stepping the policy and profiler classes (the reference engine, user
+code).  :meth:`observe_many` — the drains of the batched engine — is
+bound at construction to the compiled ``observe`` rendering for a stock
+policy and profiler (:func:`repro.cache.state.drain_key`).  It takes a
+batch of any length as an ``array('q')`` (or an ``int64`` numpy column)
+of every L2 access in it, sampled or not — the kernel's own
+``skip_mask`` test counts the others, the way the hardware decodes
+sampling from index bits — and works on the ATD's own arrays in place:
+between two drains what the controller reads, halves and resets is the
+ATD (its tag dict derived when next read).  The generic loop below is
+what an ATD drains through where no kernel loads, and the reference the
+kernel is pinned against (``tests/test_profiling/test_atd.py``,
+``tests/test_cache/test_state.py``).
 """
 
 from __future__ import annotations
@@ -100,8 +97,9 @@ class ATD:
         #: counters as locals-bound writes; read via the properties below.
         self._counts = array("q", [0, 0])
         key = drain_key(self) if kernels else None
-        if key is not None:
-            self.observe_many = transitions.bind("observe", key, self)
+        drain = transitions.bind("observe", key, self) if key else None
+        if drain is not None:
+            self.observe_many = drain
 
     # ------------------------------------------------------------------
     @property
@@ -170,8 +168,9 @@ class ATD:
         Exactly equivalent to calling :meth:`observe` per element (state,
         SDH registers, sampled/skipped counters) — the deferred-drain entry
         point of the execution engines.  Generic per-line loop; instances
-        with a stock policy and profiler shadow it with the ``observe``
-        rendering (:func:`repro.cache.state.drain_key`) at construction.
+        with a stock policy and profiler shadow it with the compiled
+        ``observe`` rendering (:func:`repro.cache.state.drain_key`) at
+        construction, where it loads.
         """
         observe = self.observe
         for line in batch:

@@ -87,7 +87,7 @@ class NRUDistanceProfiler(DistanceProfiler):
         What the rendered observe kernels index by the used-bit count, so
         the float product is taken once per ``U`` here (by the expression
         :meth:`on_hit` evaluates per hit) and the per-access read is
-        integer work on both targets.
+        integer work in the compiled kernel too.
         """
         return array("q", [max(1, math.ceil(self.scaling * used))
                            for used in range(assoc + 1)])

@@ -28,11 +28,13 @@ from repro.experiments.common import (
     scale_preset,
 )
 from repro.reporting.model import Report
-from repro.reporting.sections import SectionSpec, resolve_sections
+from repro.reporting.sections import SECTIONS, SectionSpec, resolve_sections
 
 #: Manifest file name (lives at the store root, beside ``objects/``).
 MANIFEST_NAME = "report-manifest.json"
 MANIFEST_SCHEMA = "repro-report-manifest/1"
+
+_SCALE_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentScale))
 
 #: Tuple-typed ExperimentScale fields (JSON round-trips them as lists).
 _TUPLE_FIELDS = tuple(
@@ -99,12 +101,21 @@ def write_manifest(store: ResultStore, scale_name: str,
 
 def read_manifest(store: ResultStore) -> Optional[dict]:
     """Manifest payload, or None when absent/corrupt (build falls back to
-    its defaults — the manifest is a convenience, never a requirement)."""
+    its defaults — the manifest is a convenience, never a requirement),
+    a schema match with missing keys, unknown scale fields or sections
+    included."""
     try:
         payload = json.loads(manifest_path(store).read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
     if not isinstance(payload, dict) or payload.get("schema") != MANIFEST_SCHEMA:
+        return None
+    scale, sections = payload.get("scale"), payload.get("sections")
+    if (not isinstance(payload.get("scale_name"), str)
+            or not isinstance(scale, dict) or not set(scale) <= _SCALE_FIELDS
+            or not isinstance(sections, list)
+            or not all(isinstance(name, str) and name in SECTIONS
+                       for name in sections)):
         return None
     return payload
 

@@ -1,16 +1,15 @@
 """Cache-level driver of the ``loop`` rendering: one thread, one stream.
 
 ``BatchedEngine.run`` is the only production caller of the event loop
-:func:`repro.cache.transitions.bind` renders, and it arrives with traces,
+:func:`repro.cache.transitions.bind` loads, and it arrives with traces,
 an L1 prefilter and a controller.  The cache-level suites want less: push
 a list of line addresses through a cache *as the whole L2 stream of one
 thread* and look at the cache afterwards.  :func:`loop_window` does that
-with the loop the engine would bind for the same cache — fused for a
-stock cache nobody rebound (:func:`repro.cache.state.rendered_key`), the
-call form over the classes otherwise,
-compiled where the host has ``cc`` (wrap the call in
-``transitions.python_target()`` for the other target) — over a heap of
-one, which is what every single-thread run is.
+the way a run would: with the compiled loop the batched engine binds for
+a stock cache nobody rebound (:func:`repro.cache.state.rendered_key`),
+over a heap of one, which is what every single-thread run is; and for
+every other cache through its ``access_line_hit``, one access at a time,
+as the reference engine steps it.
 
 (Importable as ``loop_window`` because pytest puts ``tests/`` on
 ``sys.path`` for ``conftest.py``.)
@@ -30,25 +29,28 @@ def loop_window(cache, core=0):
     """``kernel(lines, flags)`` — ``lines`` through ``cache`` as thread
     ``core``'s stream, in order, ``flags[i] = 1`` where access ``i`` hit.
 
-    The stream is one window of back-to-back L1 misses (every gap 0) with
-    the thread's freeze on its last access, so the loop ends there.  With
-    ``base`` 0 and penalties 0 (hit) / 1 (miss) the thread's clock counts
-    its misses; ``stop`` is kept one ahead of the cursor, so the loop
-    calls ``resume`` after every access and the flag is read off the
-    clock.  Threads below ``core`` exist only to give ``core`` its index:
-    they hold no stream and sit parked at ``inf``.
+    For the compiled loop the stream is one window of back-to-back L1
+    misses (every gap 0) with the thread's freeze on its last access, so
+    the loop ends there.  With ``base`` 0 and penalties 0 (hit) / 1
+    (miss) the thread's clock counts its misses; ``stop`` is kept one
+    ahead of the cursor, so the loop calls ``resume`` after every access
+    and the flag is read off the clock.  Threads below ``core`` exist
+    only to give ``core`` its index: they hold no stream and sit parked
+    at ``inf``.
     """
     key = rendered_key(cache)
+    if key is None:
+        def stepped(lines, flags):
+            for i, line in enumerate(lines):
+                flags[i] = cache.access_line_hit(line, core)
+
+        return stepped
     loop = transitions.bind("loop", key, cache, None)
+    assert loop is not None, transitions.target_stats()["loop", key]
     threads = core + 1
-    # The cursors are arrays on both targets (the compiled one works on
-    # them in place); the stream is int64 columns for the compiled loop,
-    # lists for the Python one.
-    if transitions.compiled(loop):
-        def column(values):
-            return np.array(values, dtype=np.int64)
-    else:
-        column = list
+
+    def column(values):
+        return np.array(values, dtype=np.int64)
 
     def ints(values):
         return array("q", values)
@@ -89,10 +91,8 @@ def loop_window(cache, core=0):
 
         loop(0.0, core, [(inf, t) for t in range(core)], heappushpop, inf,
              beyond, freeze, resume, cur, stop, anchor, rows, gaps, fz_at,
-             fz_hit, floats([0.0] * threads), 0.0, 1.0, [None] * threads,
-             False, None)
-        if key is not None:
-            # The fused loop leaves the access count to its caller.
-            cache.stats.accesses[core] += count
+             fz_hit, floats([0.0] * threads), 0.0, 1.0)
+        # The loop leaves the access count to its caller.
+        cache.stats.accesses[core] += count
 
     return kernel

@@ -25,7 +25,6 @@ KINDS = {
     "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
     "get_s": "probe:ints,s,cap",
     "out": "callout:float(int,float)", "ask": "callout:int()",
-    "py": "python",
     # what was a table of bounded lists: flat slots, like LRU's order
     "lists": "ints",
 }
@@ -180,7 +179,7 @@ REFUSED = [
     ("ints[x] = f", "float stored into an int array"),
     ("a = z + 1", "unknown name 'z'"),
     ("a = len(ints)", "unknown name 'len'"),
-    ("a = py", "'py' exists on the Python target only"),
+    ("a = py", "unknown name 'py'"),
     ("a = ints", "'ints' (ints) used as a value"),
     ("ints = 3", "assignment to the binding 'ints'"),
     ("o = [x, y]", "List is outside the translated subset"),
@@ -258,18 +257,15 @@ def test_an_unbounded_list_binding_is_refused():
 ], ids=["remove", "insert", "index"])
 def test_a_list_method_in_a_fragment_is_refused_by_name(
         rendering, slot, text, method, monkeypatch):
-    """Every piece of kernel state is a flat array, so neither target
-    has container methods: the C translation refuses the method by name,
-    and so does the Python target's purity check."""
+    """Every piece of kernel state is a flat array, so no kernel has
+    container methods: the C translation refuses the method by name (as
+    ``hot-path-purity`` refuses the attribute load)."""
     monkeypatch.setitem(transitions.POLICIES, "probe",
                         dict(transitions.POLICIES["lru"], **{slot: text}))
     with pytest.raises(ValueError,
                        match=rf"<repro kernel probe/none {rendering}>: line "
                              rf"\d+: method \.{method}\(\)"):
         transitions.translate(rendering, ("probe", "none"))
-    with pytest.raises(ValueError,
-                       match=rf"closure loads \[[^]]*'{method}'"):
-        transitions.factory.__wrapped__(rendering, ("probe", "none"))
 
 
 # ----------------------------------------------------------------------
@@ -282,20 +278,18 @@ STOCK = [(policy, scheme) for policy in transitions.POLICIES
 @pytest.mark.parametrize("key", STOCK, ids="/".join)
 def test_every_stock_loop_translates(key):
     kernel = transitions.translate("loop", key)
-    assert kernel.source == transitions.render("loop", key, target="c")
     assert kernel.params[:4] == ("now", "t", "heap", "pushpop")
     assert {"tag_lines", "invalid", "misses", "anchor", "cur"} \
         <= kernel.stored
-    # The Python-only parameters never reach the argument block.
+    # The tag dict never reaches the argument block: its LINES do.
     names = {name for name, _ctype, _kind in kernel.members}
-    assert not names & {"victims", "has_writes", "observe_now", "tag_map"}
+    assert "tag_map" not in names
 
 
 @pytest.mark.parametrize("policy", list(transitions.POLICIES))
 def test_every_stock_drain_translates(policy):
     key = (policy, "none")
     kernel = transitions.translate("observe", key)
-    assert kernel.source == transitions.render("observe", key, target="c")
     assert kernel.params == ("batch",)
     assert {"tag_lines", "invalid", "sdh_r", "counts"} <= kernel.stored
     # Read-only tables are never copied back; the dict is rebuilt.
@@ -305,13 +299,6 @@ def test_every_stock_drain_translates(policy):
     assert "for (i64 batch_i = 0; batch_i < batch_n; batch_i++) {" in body
     assert "a->error" not in body           # no call-out: nothing to check
     assert "double" not in body             # integer work only
-
-
-def test_the_call_form_has_no_c_target():
-    with pytest.raises(ValueError, match=r"<repro kernel call loop>: line "
-                                         r"\d+: 'has_writes' exists on the "
-                                         r"Python target only"):
-        transitions.render("loop", None, target="c")
 
 
 def test_float_operation_in_a_fragment_is_refused():
@@ -328,7 +315,7 @@ def test_float_operation_in_a_fragment_is_refused():
         assert str(info.value).startswith(
             "<repro kernel probe/none loop>: float operation in policy "
             "'locate' fragment"), label
-    # The same fragments still render for the Python target.
+    # The same fragments still render as Python text.
     transitions.render("loop", ("probe", "none"), policies=policies)
 
 

@@ -6,8 +6,8 @@ that decides its bytes, and a warm process finds it without translating
 anything; a damaged or unexpected file under the right name — its member
 table included — is replaced, never loaded; two processes racing through
 a cold cache both end up with a complete object; and a host without a
-compiler simply runs the Python target — while a host *with* one that
-cannot build is told.
+compiler simply loads nothing (its runs take the reference engine) —
+while a host *with* one that cannot build is told.
 None of these tests skips on a host without ``cc``: they assert what that
 host must do instead.
 """
@@ -62,7 +62,7 @@ def object_stem(key=KEY) -> str:
 def test_a_host_with_a_compiler_builds_every_stock_key(cache_home):
     """The numba lesson: where ``cc`` exists the compiled target must
     build — this test fails, it never skips.  Where it does not, every
-    key reports why it runs on the Python target."""
+    key reports why it has no compiled kernel."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = {key: native.load(*key) for key in STOCK}
@@ -98,7 +98,7 @@ def test_directory_others_can_write_is_refused(cache_home, mode):
         native.cache_dir()
     assert info.value.loud
     if HAS_CC:
-        with pytest.warns(RuntimeWarning, match="running the Python target"):
+        with pytest.warns(RuntimeWarning, match="the classes run instead"):
             loaded, why = native.load("loop", KEY)
         assert loaded is None and "only they can write" in why["reason"]
     assert list(path.iterdir()) == []
@@ -405,7 +405,7 @@ class TestMarshalValidation:
                 array("q", [2] * threads), array("d", [0.0] * threads),
                 lines, [column] * threads, array("q", [-2] * threads),
                 array("q", [0] * threads), array("d", [1.0] * threads),
-                10.0, 250.0, None, False, None)
+                10.0, 250.0)
 
         call.cache = cache
         return call

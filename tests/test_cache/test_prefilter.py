@@ -1,17 +1,16 @@
-"""The L1 ``prefilter`` rendering: C target, Python target and the
+"""The L1 ``prefilter`` rendering: the compiled kernel and the
 per-access path agree.
 
 ``SmallLRUCache.access_lines_hit`` / ``access_lines_rw`` walk a whole
-window through the kernel ``transitions.bind`` gave the L1 at
-construction (compiled where the host has ``cc``); ``access_line_rw`` is
-the hand-written per-access oracle over the same two arrays.  Every test
-here walks random streams through all three and compares the miss
-streams, the L1 slots and dirty flags, and the statistics — with state
-carried across windows of random widths and sets left partly invalid.
+window through the compiled kernel ``transitions.bind`` gave the L1 at
+construction; ``access_line_rw`` is the hand-written per-access oracle
+over the same two arrays.  Every test here walks random streams through
+both and compares the miss streams, the L1 slots and dirty flags, and
+the statistics — with state carried across windows of random widths and
+sets left partly invalid.
 """
 
 import ast
-import shutil
 
 import numpy as np
 import pytest
@@ -55,13 +54,11 @@ def walks(seed, num_sets, assoc, writes, windows=12):
     """Random windows of random widths over a footprint that leaves some
     sets partly invalid — all reads, all with writes, or alternating
     (``"mixed"``: read windows over an L1 holding dirty lines) — walked
-    by the per-access path, the bound kernel and the Python target in
-    turn.  Returns the three sides' streams and final states."""
+    by the per-access path and the bound kernel in turn.  Returns both
+    sides' streams and final states."""
     rng = np.random.default_rng(seed)
     g = geometry(num_sets, assoc)
     sides = {"per access": SmallLRUCache(g), "bound": SmallLRUCache(g)}
-    with transitions.python_target():
-        sides["python"] = SmallLRUCache(g)
     # Lines of every other set only, so half the sets stay invalid, plus
     # a narrow alphabet in the rest: hits, misses, invalid fills.
     footprint = 3 * assoc * num_sets
@@ -88,8 +85,7 @@ def walks(seed, num_sets, assoc, writes, windows=12):
 def test_targets_and_per_access_path_agree(seed, assoc, writes):
     streams, states = walks(seed, num_sets=8, assoc=assoc, writes=writes)
     assert streams["bound"] == streams["per access"]
-    assert streams["python"] == streams["per access"]
-    assert states["bound"] == states["per access"] == states["python"]
+    assert states["bound"] == states["per access"]
     slots = states["bound"][0]
     assert -1 in slots and any(line >= 0 for line in slots)
 
@@ -98,17 +94,12 @@ def test_read_walk_reports_no_victims_but_counts_writebacks():
     """``access_lines_hit`` is a read window: dirty lines it evicts are
     written back in the statistics, and its stream has no victim
     column."""
-    for target in ("bound", "python"):
-        if target == "python":
-            with transitions.python_target():
-                l1 = SmallLRUCache(geometry(2, 1))
-        else:
-            l1 = SmallLRUCache(geometry(2, 1))
-        l1.access_line_rw(0, True)
-        stream = l1.access_lines_hit(np.array([2, 0, 2], dtype=np.int64))
-        assert stream.victims is None
-        assert stream.offs.tolist() == [0, 1, 2]
-        assert l1.stats.writebacks == [1] and not l1.is_dirty(0)
+    l1 = SmallLRUCache(geometry(2, 1))
+    l1.access_line_rw(0, True)
+    stream = l1.access_lines_hit(np.array([2, 0, 2], dtype=np.int64))
+    assert stream.victims is None
+    assert stream.offs.tolist() == [0, 1, 2]
+    assert l1.stats.writebacks == [1] and not l1.is_dirty(0)
 
 
 def test_gaps_count_the_hits_between_misses():
@@ -123,31 +114,35 @@ def test_gaps_count_the_hits_between_misses():
 def test_state_is_shared_in_place():
     """The kernel works on the L1's own arrays — nothing is copied in or
     out, nothing rebound — so ``flush`` (in place) is seen by the next
-    window on either target."""
-    g = geometry(4, 2)
+    window."""
     lines = np.arange(16, dtype=np.int64)
-    caches = [SmallLRUCache(g)]
-    with transitions.python_target():
-        caches.append(SmallLRUCache(g))
-    for l1 in caches:
-        slots, dirty = l1._slots, l1._dirty
-        l1.access_lines_rw(lines, np.ones(16, dtype=bool))
-        assert l1._slots is slots and l1._dirty is dirty
-        assert l1.occupancy() == 8 and all(dirty)
-        l1.flush()
-        assert len(l1.access_lines_hit(lines[:8]).offs) == 8
-        assert l1.stats.writebacks == [8]
+    l1 = SmallLRUCache(geometry(4, 2))
+    slots, dirty = l1._slots, l1._dirty
+    l1.access_lines_rw(lines, np.ones(16, dtype=bool))
+    assert l1._slots is slots and l1._dirty is dirty
+    assert l1.occupancy() == 8 and all(dirty)
+    l1.flush()
+    assert len(l1.access_lines_hit(lines[:8]).offs) == 8
+    assert l1.stats.writebacks == [8]
 
 
 def test_bound_target_is_compiled_where_the_host_has_cc():
     l1 = SmallLRUCache(geometry(4, 2))
     entry = transitions.target_stats()["prefilter", KEY]
-    if shutil.which("cc") is None:
-        assert entry["target"] == "python"
-        return
     assert entry["target"] == "c"
     assert isinstance(l1._prefilter, native.CompiledKernel)
-    assert "prefilter c=1 python=0" in transitions.target_summary()
+    assert "prefilter c=1" in transitions.target_summary()
+
+
+def test_an_l1_without_a_kernel_refuses_a_window(monkeypatch):
+    """Where no prefilter loads the bulk entry points raise rather than
+    walk slowly: every run there is the reference engine's, which steps
+    ``access_line_rw``."""
+    l1 = SmallLRUCache(geometry(4, 2))
+    monkeypatch.setattr(l1, "_prefilter", None)
+    with pytest.raises(RuntimeError, match="no compiled prefilter"):
+        l1.access_lines_hit(np.arange(4, dtype=np.int64))
+    assert l1.stats.accesses == [0]
 
 
 def test_kernel_has_no_data_dependent_branch():
@@ -166,6 +161,6 @@ def test_kernel_has_no_data_dependent_branch():
     tests = {ast.unparse(node.test) for node in ast.walk(kernel)
              if isinstance(node, ast.IfExp)}
     assert tests == {"hit", "wb"}
-    run = transitions.render("prefilter", KEY, target="c").split(
+    run = transitions.translate("prefilter", KEY).source.split(
         "i64 run(Args *a) {")[1]
     assert run.count("if (") == 1 and "if (writing) {" in run

@@ -1,14 +1,14 @@
 """Unit tests for the flat array core: TagStore and the batch kernels.
 
-The renderings a cache or an ATD is eligible for (the fused event loop,
-the ATD's drain kernel) must be *observably identical* to the generic
-object-protocol paths — same hit/miss outcomes, same statistics, same
-resident lines, same policy state — for every registered policy and
-partition scheme.  ``kernels=False`` builds the generic twin; the
-per-access entry points are the classes' methods on every instance.
+The compiled renderings a cache or an ATD is eligible for (the fused
+event loop, the ATD's drain kernel) must be *observably identical* to
+the generic object-protocol paths — same hit/miss outcomes, same
+statistics, same resident lines, same policy state — for every
+registered policy and partition scheme.  ``kernels=False`` builds the
+generic twin; the per-access entry points are the classes' methods on
+every instance.
 """
 
-import shutil
 from array import array
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.cache.partition.base import make_partition
 from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.replacement.base import POLICY_REGISTRY, make_policy
 from loop_window import loop_window
-from repro.cache import transitions
+from repro.cache import native, transitions
 from repro.cache.state import (
     TagStore,
     kernel_key,
@@ -275,7 +275,7 @@ def test_observe_kernel_skipped_for_custom_profiler():
 
 
 # ----------------------------------------------------------------------
-# Drains: the two targets of the ``observe`` rendering and the classes
+# Drains: the compiled ``observe`` rendering and the classes
 # ----------------------------------------------------------------------
 def atd_state(atd):
     """The full flat state a drain may touch."""
@@ -286,39 +286,31 @@ def atd_state(atd):
 
 
 class TestDrainTargets:
-    """The ``observe`` rendering an ATD binds (compiled where the host has
-    ``cc``) against the same ATD built inside ``python_target()`` and
-    against the ``kernels=False`` class path, drain by drain.  Every
-    batch, whatever its length, goes to the kernel the ATD bound — there
-    is no size rule — as the ``array('q')`` the batched engine hands it;
-    the compiled kernel also takes an ``int64`` numpy column."""
+    """The compiled ``observe`` rendering an ATD binds against the
+    ``kernels=False`` class path, drain by drain.  Every batch, whatever
+    its length, goes to the kernel the ATD bound — there is no size rule
+    — as the ``array('q')`` the batched engine hands it; the kernel also
+    takes an ``int64`` numpy column."""
 
     GEOMETRY = CacheGeometry(128 * 8 * 128, 8, 128)
 
-    def trio(self, policy, sampling, scaling):
+    def pair(self, policy, sampling, scaling):
         def build(**kw):
             return ATD(self.GEOMETRY, sampling, policy,
                        make_profiler(policy, scaling=scaling),
                        rng=np.random.default_rng(9), **kw)
 
         compiled, classes = build(), build(kernels=False)
-        with transitions.python_target():
-            rendered = build()
-        assert transitions.compiled(compiled.observe_many) \
-            == (shutil.which("cc") is not None)
-        assert not transitions.compiled(rendered.observe_many)
-        assert rendered.observe_many.__code__.co_filename \
-            == f"<repro kernel {policy}/none observe>"
+        assert isinstance(compiled.observe_many, native.CompiledKernel)
         assert "observe_many" not in vars(classes)
-        return compiled, rendered, classes
+        return compiled, classes
 
     @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3],
                              ids=["S1", "S0.75", "S0.5", "S0.33"])
     @pytest.mark.parametrize("sampling", [1, 4, 32])
     @pytest.mark.parametrize("policy", sorted(PAPER_KINDS))
     def test_full_state_after_every_drain(self, policy, sampling, scaling):
-        compiled, rendered, classes = self.trio(policy, sampling, scaling)
-        columns = transitions.compiled(compiled.observe_many)
+        compiled, classes = self.pair(policy, sampling, scaling)
         rng = np.random.default_rng(sampling * 100 + int(scaling * 12))
         sets = self.GEOMETRY.num_sets
         for step in range(14):
@@ -333,18 +325,15 @@ class TestDrainTargets:
             if step == 6:
                 batch |= np.int64(sampling > 1)     # nothing sampled
             if step == 8:
-                for atd in (compiled, rendered, classes):
+                for atd in (compiled, classes):
                     atd.sdh.halve()
             if step == 11:
-                for atd in (compiled, rendered, classes):
+                for atd in (compiled, classes):
                     atd.reset()
             lines = array("q", batch.tobytes())
-            # The compiled kernel takes a numpy column as well.
-            compiled.observe_many(batch if columns and step % 5 == 2
-                                  else lines)
-            rendered.observe_many(lines)
+            # The kernel takes a numpy column as well.
+            compiled.observe_many(batch if step % 5 == 2 else lines)
             classes.observe_many(lines)
-            assert atd_state(compiled) == atd_state(rendered), step
             assert atd_state(compiled) == atd_state(classes), step
             if step == 6 and sampling > 1:
                 assert compiled.skipped_accesses >= size
@@ -355,39 +344,22 @@ class TestDrainTargets:
                        compiled.state.map, compiled.state.map.values()):
             assert {type(value) for value in values} == {int}
 
-    @pytest.mark.parametrize("policy", sorted(PAPER_KINDS))
-    def test_python_target_block_binds_the_rendering(self, policy):
-        atd = ATD(self.GEOMETRY, 4, policy, make_profiler(policy))
-        with transitions.python_target():
-            drain = transitions.bind("observe", (policy, "none"), atd)
-        assert not transitions.compiled(drain)
-        entry = transitions.target_stats()["observe", (policy, "none")]
-        assert entry["target"] == "python"
-        assert entry["reason"] == "python_target() block"
-        drain([0, 4, 8, 1])
-        assert list(atd._counts) == [3, 1]
-
     def test_an_atd_binds_its_drain_kernel_when_built(self):
-        """The ATD binds its ``observe`` rendering when it is built — one
-        recorded bind, compiled where the host has ``cc`` — and drains
-        every batch through it.  Its single-access ``observe`` is the
-        class's."""
+        """The ATD binds its compiled ``observe`` rendering when it is
+        built — one recorded bind — and drains every batch through it.
+        Its single-access ``observe`` is the class's."""
         key = ("observe", ("nru", "none"))
 
         def binds():
             entry = transitions.target_stats().get(key)
-            return sum(entry["binds"].values()) if entry else 0
+            return entry["compiled"] if entry else 0
 
         before = binds()
         atd = ATD(self.GEOMETRY, 4, "nru", make_profiler("nru"))
         assert binds() == before + 1
         kernel = atd.observe_many
         assert "observe_many" in vars(atd) and "observe" not in vars(atd)
-        assert transitions.compiled(kernel) == (shutil.which("cc")
-                                                is not None)
-        if not transitions.compiled(kernel):
-            assert kernel.__code__.co_filename \
-                == "<repro kernel nru/none observe>"
+        assert isinstance(kernel, native.CompiledKernel)
         kernel(array("q", [0]))                 # one line: the kernel's
         assert list(atd._counts) == [1, 0] and atd.state.map == {0: 0}
         assert binds() == before + 1
@@ -421,8 +393,7 @@ def window_cache_state(cache):
 
 def rebind_hit_kernel(cache):
     """Shadow ``cache.access_line_hit`` with a wrapper on the instance:
-    its event loop must then be the call form, over the wrapper, whatever
-    it does."""
+    a stream through it must then step the wrapper, whatever it does."""
     hit = cache.access_line_hit
     cache.access_line_hit = lambda line, core=0: hit(line, core)
     return cache
@@ -433,12 +404,11 @@ class TestWindowKernels:
     object-protocol path.
 
     A window is a stretch of one thread's stream with no boundary in it;
-    since the ``window`` rendering went, what executes it is the event
-    loop at a heap of one (``loop_window``): the fused ``loop`` rendering
-    for a stock cache nobody rebound — the compiled
-    target where the host has ``cc``, so every window here also crosses
-    the marshalling of the flat state into C and back — and the call
-    form for every other cache.  The reference for both is the
+    what executes it is what a run would (``loop_window``): the compiled
+    ``loop`` rendering at a heap of one for a stock cache nobody rebound
+    — so every window here also crosses the sharing of the flat state
+    with C — and the classes one access at a time for every other cache,
+    as the reference engine steps them.  The reference for both is the
     ``kernels=False`` twin stepping the policy classes one access at a
     time.  Same per-access hit flags, same statistics, same tags and same
     policy-internal state — across every policy x partition-scheme
@@ -518,14 +488,13 @@ class TestWindowKernels:
         assert window_cache_state(scalar) == window_cache_state(windowed)
 
 
-@pytest.mark.parametrize("target", ["compiled", "python"])
-def test_bt_vectors_installed_between_windows_steer_both_targets(target):
+def test_bt_vectors_installed_between_windows_steer_the_loop():
     """BT's ``up`` / ``down`` words are allocated once, a slot for every
     core a partition can have, and never grown: a vector installed for a
     core that never had one — after windows ran unforced, then replaced
     by a whole allocation, then removed — is what the next window's
-    victims obey, on either target of the loop, exactly as the classes
-    decide them one access at a time."""
+    victims obey in the compiled loop, exactly as the classes decide them
+    one access at a time."""
     num_sets, assoc, cores = 8, 8, 2
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
 
@@ -553,28 +522,13 @@ def test_bt_vectors_installed_between_windows_steer_both_targets(target):
         for core in (1, 0, 1):
             lines = rng.integers(0, 40 * num_sets, size=300).tolist()
             flags = bytearray(len(lines))
-            if target == "python":
-                with transitions.python_target():
-                    kernel = loop_window(fast, core)
-            else:
-                kernel = loop_window(fast, core)
-            kernel(lines, flags)
+            loop_window(fast, core)(lines, flags)
             assert list(flags) == [slow.access_line_hit(line, core)
                                    for line in lines], (step, core)
             assert window_cache_state(fast) == window_cache_state(slow)
     assert (fast.policy._up, fast.policy._down) == words
     assert fast.policy._up is words[0] and fast.policy._down is words[1]
     assert list(fast.policy._up) == list(slow.policy._up)
-
-
-class TestWindowsPythonTarget(TestWindowKernels):
-    """The same windows with the loop held to its Python target (the
-    one a host without ``cc`` runs)."""
-
-    @pytest.fixture(autouse=True)
-    def python_target(self):
-        with transitions.python_target():
-            yield
 
 
 class TestElisionEligibility:
@@ -643,8 +597,9 @@ class TestElisionEligibility:
 
 
 class TestArrayKernelProperties:
-    """The fused ``loop`` rendering vs the call-form loop over the
-    classes, one window at a time: full flat-state equality.
+    """The fused ``loop`` rendering vs the classes stepped one access at
+    a time through a rebound ``access_line_hit``, one window at a time:
+    full flat-state equality.
 
     (The class and its shapes were written against the numpy array
     backend; the ids are kept so the test trajectory stays comparable.)
@@ -654,7 +609,7 @@ class TestArrayKernelProperties:
     rotation including the stale tail beyond ``size``).
     """
 
-    #: ``fifo`` has no rendering: both sides take the call form.
+    #: ``fifo`` has no rendering: both sides step the classes.
     ARRAY_KINDS = ("lru", "fifo", "nru", "bt")
 
     def _pair(self, policy_name, num_sets, assoc):
@@ -666,7 +621,7 @@ class TestArrayKernelProperties:
                                        num_cores=1, kernels=True)
 
         ref, arr = rebind_hit_kernel(build()), build()
-        assert rendered_key(ref) is None, "call form"
+        assert rendered_key(ref) is None, "classes"
         assert (rendered_key(arr) is not None) \
             == (policy_name in PAPER_KINDS), "fused for paper kinds"
         return ref, loop_window(ref), arr, loop_window(arr)
@@ -728,7 +683,7 @@ class TestArrayKernelProperties:
 
     @pytest.mark.parametrize("policy_name", sorted(PAPER_KINDS))
     def test_cold_window_and_same_window_after_flush(self, policy_name):
-        """Run cold, a window matches the call form in full state; run
+        """Run cold, a window matches the classes in full state; run
         again after other traffic and a flush, it matches again and
         reproduces the cold outcome (flush resets in place, the arrays a
         loop binds stay live)."""
@@ -757,7 +712,7 @@ class TestArrayKernelProperties:
         """Which loop a cache's stream gets is decided by what it can
         observe: the fused one only for a stock pair whose
         ``access_line_hit`` no instance attribute shadows — partitioned
-        or not — and the call form for a kernel-less policy, a subclassed
+        or not — and the classes for a kernel-less policy, a subclassed
         scheme, a ``kernels=False`` cache and a rebound
         ``access_line_hit``."""
         from repro.cache.partition.masks import MasksPartition

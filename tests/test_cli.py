@@ -25,6 +25,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    @pytest.mark.parametrize("verb", [["campaign", "run", "smoke"],
+                                      ["report", "run"]])
+    def test_negative_jobs_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*verb, "--jobs", "-2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "must be >= 0 or 'auto': -2" in err
+        assert build_parser().parse_args([*verb, "--jobs", "auto"]).jobs == 0
+
     def test_figure_flags(self):
         args = build_parser().parse_args(
             ["fig6", "--scale", "4", "--accesses", "1000",

@@ -1,28 +1,26 @@
-"""The two targets of the ``loop`` and ``observe`` renderings against each
-other and against the policy classes.
+"""The compiled ``loop``, ``observe`` and ``prefilter`` kernels against
+the policy classes.
 
-``BatchedEngine.run`` executes the compiled target of a stock key — its
-event loop and, in a profiled run, the drains of its ATDs — wherever
-the host can build it and the Python target otherwise
-(:func:`repro.cache.transitions.bind`).  Both are translations of one
-checked source, so every run here is made three times — compiled (the
-default), Python (through :func:`repro.cache.transitions.python_target`,
-the one internal seam) and over the generic object protocol, which steps
-the hand-written policy and scheme *classes* (the call-form loop) — and
-the full fuzz-oracle snapshots must agree: result, tag directory, policy
-/ scheme state, ATD / SDH registers, victim probe.
+``BatchedEngine.run`` executes the compiled kernels of a stock key — its
+event loop, the L1s' window walks and, in a profiled run, the drains of
+its ATDs (:func:`repro.cache.transitions.bind`); where they do not load,
+every run is the reference engine's.  Every run here is made over the
+kernels and over the generic object protocol, which steps the
+hand-written policy and scheme *classes* (the reference engine, reached
+through ``auto`` by shadowing the L2's ``access_line_hit``), and the full
+fuzz-oracle snapshots must agree: result, tag directory, policy / scheme
+state, ATD / SDH registers, victim probe.  (Names that say *both
+targets* date from the Python target the kernels once had; the other
+side is now the classes.)
 
 The scenario packs what the loop special-cases into one run per key:
 non-dyadic ``ipm`` / ``cpi``, 512-reference windows (seams), trace wraps,
 a freeze on an L1 hit deep inside a gap, a thread that parks, several
 repartitions, and — second parametrisation — a bandwidth-limited memory
-channel.  On a host without ``cc`` the "compiled" run is the Python
-target too and the suite still passes; :func:`expected_target` is what
-each run must report.
+channel.  The suite needs ``cc``.
 """
 
 import dataclasses
-import shutil
 import traceback
 import warnings
 from array import array
@@ -35,6 +33,7 @@ from repro.cache import native, transitions
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.state import TagStore
 from repro.cmp import simulator as simulator_module
+from repro.cmp.engine import BatchedEngine, engine_summary
 from repro.config import (
     PartitioningConfig,
     config_C_L,
@@ -69,10 +68,6 @@ CONFIGS = {
 }
 
 
-def expected_target() -> str:
-    return "c" if shutil.which("cc") else "python"
-
-
 def scenario_traces():
     stream = Trace("stream", np.arange(3000) + 10_000_000, ipm=2.6,
                    cpi_base=1.1)
@@ -99,8 +94,8 @@ def scenario(key, service_interval=0.0):
 
 class GenericL2Case(FuzzCase):
     """The same case with an instance attribute shadowing the L2's
-    ``access_line_hit`` (by the class's own method): the call-form loop
-    over the policy and scheme classes."""
+    ``access_line_hit`` (by the class's own method): under ``auto``, the
+    reference engine over the policy and scheme classes."""
 
     def simulator(self, engine):
         sim = super().simulator(engine)
@@ -124,8 +119,9 @@ def masks_for_bt(monkeypatch):
 
 
 def binds(key, rendering="loop"):
-    return dict(transitions.target_stats().get(
-        (rendering, key), {"binds": {"c": 0, "python": 0}})["binds"])
+    """Compiled binds of ``key``'s ``rendering`` in this process."""
+    return transitions.target_stats().get(
+        (rendering, key), {"compiled": 0})["compiled"]
 
 
 @pytest.mark.parametrize("service_interval", [0.0, 37.5],
@@ -139,21 +135,15 @@ def test_both_targets_match_the_policy_classes(key, service_interval,
     drains = (key[0], "none")
     before, drains_before = binds(key), binds(drains, "observe")
     compiled = run_engine(case, "batched")
-    with transitions.python_target():
-        python = run_engine(case, "batched")
-    generic = run_engine(GenericL2Case(**vars(case)), "batched")
+    generic = run_engine(GenericL2Case(**vars(case)), "auto")
     after, drains_after = binds(key), binds(drains, "observe")
-    assert after[expected_target()] == before[expected_target()] + 1
-    assert after["python"] >= before["python"] + 1
-    # One drain kernel per ATD, bound when the simulator is built, on the
-    # target the loop got — the generic-L2 run included: its ATDs still
-    # run their rendering.
+    # The generic-L2 run binds no loop; one drain kernel per ATD, bound
+    # when the simulator is built, the generic-L2 run's included (the
+    # reference engine observes through the class's ``observe``).
+    assert after == before + 1
     atds = 4 if CONFIGS[key].partitioned else 0
-    assert drains_after[expected_target()] \
-        == drains_before[expected_target()] + 2 * atds
-    assert drains_after["python"] >= drains_before["python"] + atds
+    assert drains_after == drains_before + 2 * atds
 
-    assert diff_snapshots(python, compiled) == []
     assert diff_snapshots(generic, compiled) == []
     # The scenario is what it claims to be.
     threads = {t["name"]: t for t in compiled.threads}
@@ -169,13 +159,11 @@ def test_both_targets_match_the_policy_classes(key, service_interval,
 @pytest.mark.parametrize("key", [("nru", "masks"), ("lru", "counters"),
                                  ("bt", "btvectors")], ids="/".join)
 def test_reference_engine_agrees_with_both_targets(key):
-    """The reference engine walks every access; both targets of the
-    batched loop reproduce its full snapshot."""
+    """The reference engine walks every access; the compiled batched run
+    reproduces its full snapshot."""
     case = scenario(key)
     reference = run_engine(case, "reference")
     assert diff_snapshots(reference, run_engine(case, "batched")) == []
-    with transitions.python_target():
-        assert diff_snapshots(reference, run_engine(case, "batched")) == []
 
 
 def exact_types(value, path="result"):
@@ -225,13 +213,9 @@ def test_tag_dict_is_rebuilt_from_the_tag_array():
 @pytest.fixture
 def relearn():
     """Render, translate and build again around a spec mutation."""
-    def forget():
-        transitions.factory.cache_clear()
-        native.load.cache_clear()
-
-    forget()
+    native.load.cache_clear()
     yield
-    forget()
+    native.load.cache_clear()
 
 
 #: LRU's ``promote`` with the injected bug of
@@ -254,28 +238,25 @@ if held != way:
 def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
     """The injected bug of ``tests/corpus/lru-promote-below-mru.json`` —
     the hit way re-inserted one slot below the MRU — in the one ``promote``
-    fragment: the compiled and the Python loop both change, identically,
-    and both now disagree with the policy classes."""
+    fragment: the compiled loop changes and now disagrees with the policy
+    classes, which stay as they were."""
     case = scenario(("lru", "masks"))
     stock = run_engine(case, "batched")
-    generic = run_engine(GenericL2Case(**vars(case)), "batched")
+    generic = run_engine(GenericL2Case(**vars(case)), "auto")
     assert diff_snapshots(generic, stock) == []
 
     monkeypatch.setitem(transitions.POLICIES["lru"], "promote",
                         PROMOTE_BELOW_MRU)
-    transitions.factory.cache_clear()
     native.load.cache_clear()
     before = binds(("lru", "masks"))
     compiled = run_engine(case, "batched")
-    with transitions.python_target():
-        python = run_engine(case, "batched")
-    assert binds(("lru", "masks"))[expected_target()] \
-        == before[expected_target()] + 1
-    assert diff_snapshots(python, compiled) == []
+    assert binds(("lru", "masks")) == before + 1
+    assert diff_snapshots(generic, run_engine(GenericL2Case(**vars(case)),
+                                              "auto")) == []
     assert any("l2_misses" in path
                for path in diff_snapshots(stock, compiled))
     assert "slot = (row + INT64_C(1));" in \
-        transitions.render("loop", ("lru", "masks"), target="c")
+        transitions.translate("loop", ("lru", "masks")).source
 
 
 # ----------------------------------------------------------------------
@@ -302,19 +283,11 @@ def test_overrun_under_the_compiled_target_raises_the_same_error():
     assert str(info.value) == text
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert frames[-1] == "beyond"
-    if expected_target() == "c":
-        assert "loop" not in frames and "__call__" in frames
-    with transitions.python_target():
-        python_sim, python_info = run_overrun()
-    assert str(python_info.value) == text
-    assert "loop" in [f.name for f in traceback.extract_tb(python_info.tb)]
-    # Both stopped at the same access with the same state.
-    for attr in ("lines", "invalid"):
-        assert getattr(sim.hierarchy.l2.state, attr) \
-            == getattr(python_sim.hierarchy.l2.state, attr)
-    assert sim.hierarchy.l2.state.map == python_sim.hierarchy.l2.state.map
-    assert sim.hierarchy.l2.stats.misses \
-        == python_sim.hierarchy.l2.stats.misses
+    assert "loop" not in frames and "__call__" in frames
+    store = sim.hierarchy.l2.state
+    assert store.map == {line: flat % store.assoc
+                         for flat, line in enumerate(store.lines)
+                         if line >= 0}
     assert sum(sim.hierarchy.l2.stats.misses) > 0
 
 
@@ -327,51 +300,71 @@ def test_target_stats_say_what_ran_and_why():
     run_engine(scenario(key), "batched")
     for name in both:
         entry = transitions.target_stats()[name]
-        assert entry["target"] == expected_target()
-        if expected_target() == "c":
-            assert entry["cache"] in ("hit", "built")
-            assert entry["build_s"] >= 0 and "reason" not in entry
-        else:
-            assert entry["reason"] == "no C compiler (cc) on PATH"
-    with transitions.python_target():
-        run_engine(scenario(key), "batched")
-    for name in both:
-        entry = transitions.target_stats()[name]
-        assert entry["target"] == "python"
-        assert entry["reason"] == "python_target() block"
-        assert "cache" not in entry
-    entry["binds"]["c"] = -1            # a copy: nothing leaks back
-    assert transitions.target_stats()[name]["binds"]["c"] >= 0
+        assert entry["target"] == "c"
+        assert entry["cache"] in ("hit", "built")
+        assert entry["build_s"] >= 0 and "reason" not in entry
+        assert entry["binds"] == entry["compiled"] >= 1
+    entry["binds"] = -1                 # a copy: nothing leaks back
+    assert transitions.target_stats()[name]["binds"] >= 1
     summary = transitions.target_summary()
     assert summary.startswith("targets: loop c=")
     assert ", observe c=" in summary and "; built=" in summary
-    assert "python_target() block" in summary
 
 
-def test_host_without_a_compiler_runs_the_python_target(monkeypatch,
-                                                        tmp_path):
-    """An empty ``PATH``: same results, no warning, and ``target_stats``
-    says why."""
+def test_host_without_a_compiler_runs_the_reference_engine(monkeypatch,
+                                                           tmp_path):
+    """An empty ``PATH``: ``auto`` runs the reference engine with the
+    compiled run's results and no warning, an explicit ``batched``
+    refuses naming why, and ``target_stats`` / ``engine_summary`` say
+    why."""
     key = ("nru", "masks")
     case = scenario(key)
-    with transitions.python_target():
-        python = run_engine(case, "batched")
+    compiled = run_engine(case, "batched")
     monkeypatch.setenv("PATH", str(tmp_path))
     native.load.cache_clear()
     native.compiler.cache_clear()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bare = run_engine(case, "batched")
+            bare = run_engine(case, "auto")
+            with pytest.raises(ValueError, match="no compiled loop: no C "
+                                                 r"compiler \(cc\) on PATH"):
+                case.simulator("batched").run()
         stats = transitions.target_stats()
+        summary = engine_summary()
     finally:
+        monkeypatch.undo()
         native.load.cache_clear()
         native.compiler.cache_clear()
-    assert diff_snapshots(python, bare) == []
-    for name in (("loop", key), ("observe", ("nru", "none"))):
-        assert stats[name]["target"] == "python"
+    assert diff_snapshots(compiled, bare) == []
+    for name in (("prefilter", transitions.PREFILTER_KEY),
+                 ("observe", ("nru", "none"))):
+        assert stats[name]["target"] is None
         assert stats[name]["reason"] == "no C compiler (cc) on PATH"
-    assert "no C compiler (cc) on PATH" in transitions.target_summary()
+    assert "no compiled loop: no C compiler (cc) on PATH" in summary
+
+
+def test_an_unavailable_compiler_takes_the_reference_engine(monkeypatch):
+    """``native.compiler`` raising :class:`native.Unavailable` — a host
+    whose compiler cannot be used — sends ``auto`` to the reference
+    engine, and an explicit ``batched`` names the reason."""
+    def unavailable():
+        raise native.Unavailable("compiler probe refused", loud=False)
+
+    case = scenario(("lru", "counters"))
+    compiled = run_engine(case, "batched")
+    monkeypatch.setattr(native, "compiler", unavailable)
+    native.load.cache_clear()
+    try:
+        sim = case.simulator("auto")
+        with pytest.raises(ValueError, match="no compiled loop: compiler "
+                                             "probe refused"):
+            BatchedEngine(sim)
+        assert type(simulator_module.make_engine(sim, "auto")).__name__ \
+            == "ReferenceEngine"
+        assert diff_snapshots(compiled, run_engine(case, "auto")) == []
+    finally:
+        native.load.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -379,21 +372,11 @@ def test_host_without_a_compiler_runs_the_python_target(monkeypatch,
 # ----------------------------------------------------------------------
 def test_reference_and_call_form_runs_enter_no_rendered_kernel(monkeypatch):
     """Only batch kernels are rendered, so the per-access paths step the
-    classes by construction: a reference run enters no rendering at all,
-    a call-form run with an immediate observer only the call-form loop
-    and the L1's window ``prefilter`` (every batched run walks its L1s in
-    windows), neither calls another compiled kernel — and both reproduce
-    the batched run."""
-    import sys
-
-    prefilter = native.load("prefilter", transitions.PREFILTER_KEY)[0]
-    call = native.CompiledKernel.__call__
-
+    classes by construction: neither a reference run nor an ``auto`` run
+    with an immediate observer (the reference engine's) calls a compiled
+    kernel — and both reproduce the batched run."""
     def crossed(self, *arguments):
-        if prefilter is None or self._loaded is not prefilter:
-            raise AssertionError("a per-access path entered a compiled "
-                                 "kernel")
-        return call(self, *arguments)
+        raise AssertionError("a per-access path entered a compiled kernel")
 
     case = scenario(("nru", "masks"))
     batched = run_engine(case, "batched")
@@ -407,30 +390,9 @@ def test_reference_and_call_form_runs_enter_no_rendered_kernel(monkeypatch):
                 lambda core, line: observe(core, line)
             return sim
 
-    def entered(engine, case):
-        names = set()
-
-        def profile(frame, event, _arg):
-            # A rendering's ``build`` (binding it) shares its file name.
-            code = frame.f_code
-            if (event == "call" and code.co_name != "build"
-                    and code.co_filename.startswith("<repro kernel")):
-                names.add(code.co_filename)
-
-        sys.setprofile(profile)
-        try:
-            snapshot = run_engine(case, engine)
-        finally:
-            sys.setprofile(None)
-        assert diff_snapshots(snapshot, batched) == []
-        return names
-
-    assert entered("reference", case) == set()
-    expected = {"<repro kernel call loop>"}
-    if prefilter is None:               # no cc: the Python prefilter runs
-        expected.add(transitions.source_name("prefilter",
-                                             transitions.PREFILTER_KEY))
-    assert entered("batched", ImmediateCase(**vars(case))) == expected
+    assert diff_snapshots(run_engine(case, "reference"), batched) == []
+    assert diff_snapshots(run_engine(ImmediateCase(**vars(case)), "auto"),
+                          batched) == []
 
 
 class RecordingCase(FuzzCase):
@@ -463,31 +425,27 @@ def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     """Whoever rebinds an ATD's ``observe_many`` sees every drain, and
     every drain is the same ``array('q')`` whatever stands behind it: an
     opaque callable or a transparent wrapper (``functools.wraps``, the
-    way a tracer wraps it), a compiled kernel or a Python one.  Either
-    way the run binds no drain kernel of its own: the four are the
-    ATDs', bound when they were built."""
+    way a tracer wraps it).  Either way the run binds no drain kernel of
+    its own: the four are the ATDs', bound when they were built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
     monkeypatch.setattr(RecordingCase, "seen", [])
     before = binds(("lru", "none"), "observe")
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
-    after = binds(("lru", "none"), "observe")
-    assert sum(after.values()) - sum(before.values()) == 4
+    assert binds(("lru", "none"), "observe") - before == 4
     assert set(RecordingCase.seen) == {array}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
 
 
 def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
     """Nothing is installed for a run, so nothing needs undoing when one
-    raises: each ATD still drains through the kernel it bound, on the
-    target it bound, a batch longer than its directory included."""
+    raises: each ATD still drains through the compiled kernel it bound,
+    a batch longer than its directory included."""
     sim, _info = run_overrun()
     atds = [monitor.atd for monitor in sim.profiling.monitors]
     assert len(atds) == 4
     for atd in atds:
-        assert "observe_many" in vars(atd)
-        assert transitions.compiled(atd.observe_many) \
-            == (expected_target() == "c")
+        assert isinstance(vars(atd)["observe_many"], native.CompiledKernel)
         sampled = atd.sampled_accesses
         atd.observe_many(array("q", [0, 2, 4] * len(atd.state.lines)))
         assert atd.sampled_accesses > sampled
@@ -619,8 +577,7 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
     expected = {"loop", "prefilter"}
     if CONFIGS[key].partitioned:
         expected.add("observe")
-    compiled = expected_target() == "c"
-    assert seen == (expected if compiled else set())
+    assert seen == expected
 
     stores = [sim.hierarchy.l2.state]
     if CONFIGS[key].partitioned:
@@ -629,7 +586,7 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
         assert store.map == {line: flat % store.assoc
                              for flat, line in enumerate(store.lines)
                              if line >= 0}
-    assert derived == (stores if compiled else [])
+    assert derived == stores
 
 
 def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
@@ -640,7 +597,7 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
     leaves it as it was."""
     sim = scenario(("lru", "counters")).simulator("batched")
     sim.run()
-    assert len(kernels) == (1 + 4 + 4 if expected_target() == "c" else 0)
+    assert len(kernels) == 1 + 4 + 4
     for kernel, _at_bind, _handed in kernels:
         for name, kind in bound_arrays(kernel):
             value = kernel._bound[name]
@@ -649,76 +606,6 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
                 with pytest.raises(BufferError):
                     value.append(value[0])
                 assert list(value) == before, name
-
-
-class SplitCase(FuzzCase):
-    """The case with its owners' kernels — the ATDs' drains and the L1s'
-    prefilters, bound when the simulator is built — on one target and
-    its run's loop on the other; ``python`` names the Python side,
-    ``"owners"`` or ``"loop"``."""
-
-    python = "owners"
-
-    def simulator(self, engine):
-        if self.python == "owners":
-            with transitions.python_target():
-                return super().simulator(engine)
-        sim = super().simulator(engine)
-        run = sim.run
-
-        def python_run():
-            with transitions.python_target():
-                return run()
-
-        sim.run = python_run
-        return sim
-
-
-@pytest.fixture
-def python_calls(monkeypatch):
-    """The tag store of every call of a Python-target kernel built from
-    here on, each asserted not stale when the call starts."""
-    stores = []
-    factory = transitions.factory
-
-    def checking(rendering, key):
-        build = factory(rendering, key)
-
-        def bound(owner, *args):
-            kernel, store = build(owner, *args), getattr(owner, "state", None)
-            if store is None:                   # an L1: no tag dict
-                return kernel
-
-            def checked(*arguments):
-                assert not store.stale
-                stores.append(store)
-                return kernel(*arguments)
-
-            return checked
-
-        return bound
-
-    monkeypatch.setattr(transitions, "factory", checking)
-    return stores
-
-
-@pytest.mark.parametrize("python", ["owners", "loop"])
-@pytest.mark.parametrize("key", [("lru", "counters"), ("nru", "masks"),
-                                 ("bt", "btvectors")], ids="/".join)
-def test_no_python_kernel_runs_on_a_stale_store(key, python, monkeypatch,
-                                                python_calls):
-    """A Python-target kernel holds its tag dict itself, so it must never
-    run on a store a compiled call has left stale (:mod:`repro.cache.state`).
-    Every stock tag store has one kernel — an ATD's drain, bound when it
-    is built, or the L2's loop, bound by each run — so even a run whose
-    owners and loop are on different targets hands no Python kernel a
-    stale store, and matches the run on one target."""
-    monkeypatch.setattr(SplitCase, "python", python)
-    case = scenario(key)
-    split = run_engine(SplitCase(**vars(case)), "batched")
-    assert len({id(store) for store in python_calls}) \
-        == (4 if python == "owners" else 1)
-    assert diff_snapshots(run_engine(case, "batched"), split) == []
 
 
 def test_resizing_a_shared_array_in_a_call_out_is_refused():
@@ -736,11 +623,7 @@ def test_resizing_a_shared_array_in_a_call_out_is_refused():
         masks.append(masks[0])
 
     sim.controller.interval_boundary = grow
-    if expected_target() == "c":
-        with pytest.raises(BufferError):
-            sim.run()
-        assert list(masks) == before[0]
-        assert len(masks) == sim.processor.num_cores
-    else:                               # nothing pins a Python list walk
+    with pytest.raises(BufferError):
         sim.run()
-        assert len(masks) > sim.processor.num_cores
+    assert list(masks) == before[0]
+    assert len(masks) == sim.processor.num_cores

@@ -1,20 +1,18 @@
 """The fused event loop: who gets it, and a differential that shares no
 transition body with it.
 
-``BatchedEngine.run`` executes the ``loop`` rendering of
-:mod:`repro.cache.transitions` — with the L2 transition of a stock
-(policy, scheme) pair inlined when that is exact, through
-``l2.access_line_hit`` (the *call form*) otherwise.  ``access_line_hit``
-is the class's method, stepping the hand-written policy and scheme
-*classes*, so the reference engine is an oracle independent of the
-fused loop; the pairing here keeps the batched engine and shadows the
-L2's ``access_line_hit`` on the instance, which moves the run to the call
-form over the same classes.
+``BatchedEngine.run`` executes the compiled ``loop`` rendering of
+:mod:`repro.cache.transitions`, with the L2 transition of a stock
+(policy, scheme) pair inlined, and only when that is exact; every other
+run is the reference engine's, through ``l2.access_line_hit``.
+``access_line_hit`` is the class's method, stepping the hand-written
+policy and scheme *classes*, so the reference engine is an oracle
+independent of the fused loop; the pairing here shadows the L2's
+``access_line_hit`` on the instance, which moves an ``auto`` run to the
+reference engine over the same classes.
 """
 
 import dataclasses
-import inspect
-import linecache
 import traceback
 
 import numpy as np
@@ -73,7 +71,7 @@ def make_case(config, num_cores, traces=None):
 
 class GenericL2Case(FuzzCase):
     """The same case with an instance attribute shadowing the L2's
-    ``access_line_hit`` (by the class's own method): the call form."""
+    ``access_line_hit`` (by the class's own method): the classes."""
 
     def simulator(self, engine):
         sim = super().simulator(engine)
@@ -104,36 +102,19 @@ def test_fused_run_matches_generic_object_protocol(key, config, num_cores,
                                                    loop_keys):
     """Full oracle snapshot — result, tag directory, policy + partition
     state, ATD/SDH, victim probe — of the fused run equals the run over
-    the policy classes."""
+    the policy classes (``auto`` takes the rebound L2 to the reference
+    engine)."""
     case = make_case(config, num_cores)
     fused = run_engine(case, "batched")
-    generic = run_engine(GenericL2Case(**vars(case)), "batched")
-    assert loop_keys == [key, None]
+    generic = run_engine(GenericL2Case(**vars(case)), "auto")
+    assert loop_keys == [key]
     assert diff_snapshots(generic, fused) == []
     assert fused.events["l2_misses"] > 0 and fused.events["l2_hits"] > 0
 
 
-@pytest.mark.parametrize("num_cores", [2, 4])
-@pytest.mark.parametrize("key,config", SHIPPED_PAIRS,
-                         ids=["/".join(key) for key, _ in SHIPPED_PAIRS])
-def test_python_target_matches_generic_object_protocol(key, config,
-                                                       num_cores, loop_keys):
-    """The same differential with the fused loop held to the Python
-    target (the run above is the compiled one wherever ``cc`` exists;
-    ``test_compiled_target.py`` pins the two against each other on every
-    stock key)."""
-    case = make_case(config, num_cores)
-    with transitions.python_target():
-        fused = run_engine(case, "batched")
-    assert loop_keys == [key]
-    assert transitions.target_stats()["loop", key]["target"] == "python"
-    generic = run_engine(GenericL2Case(**vars(case)), "batched")
-    assert diff_snapshots(generic, fused) == []
-
-
 def run_pair(config, traces, build=CMPSimulator,
              engines=("reference", "batched"), **knobs):
-    """(reference result, batched result) of one configuration."""
+    """The results of one configuration under each of ``engines``."""
     results = []
     for engine in engines:
         processor = ProcessorConfig(
@@ -171,9 +152,23 @@ class HitsDoNotPromote(LRUPolicy):
         LRUPolicy.touch(self, set_index, way, core, reset_domain)
 
 
+def run_guarded(config, traces, reason, build=CMPSimulator):
+    """The ``auto`` result of a configuration the batched engine must
+    refuse: an explicit ``batched`` raises naming ``reason``, and ``auto``
+    runs the reference engine, equal to an explicit ``reference`` run."""
+    with pytest.raises(ValueError, match=reason):
+        run_pair(config, traces, build=build, engines=("batched",))
+    ref, auto = run_pair(config, traces, build=build,
+                         engines=("reference", "auto"))
+    assert as_dict(ref) == as_dict(auto)
+    return auto
+
+
 class TestCallFormGuard:
     """Inlining is exact only for the stock classes: anything else must
-    take the call form — and its override must demonstrably run."""
+    take the reference engine over the classes — and its override must
+    demonstrably run.  (The names date from the call-form event loop
+    that used to take these inputs.)"""
 
     def test_scheme_subclass_is_honoured(self, monkeypatch, loop_keys):
         traces = make_traces(2)
@@ -184,10 +179,10 @@ class TestCallFormGuard:
             lambda name, cores, sets, assoc, policy=None:
                 NarrowMasks(cores, sets, assoc))
         del loop_keys[:]
-        ref, bat = run_pair(config, traces)
-        assert loop_keys == [None]
-        assert as_dict(ref) == as_dict(bat)
-        assert bat.events.l2_misses > stock.events.l2_misses
+        auto = run_guarded(config, traces, "no rendering of the L2's "
+                                           "LRUPolicy with scheme NarrowMasks")
+        assert loop_keys == []
+        assert auto.events.l2_misses > stock.events.l2_misses
 
     def test_kernel_less_policy_subclass_is_honoured(self, monkeypatch,
                                                      loop_keys):
@@ -199,17 +194,18 @@ class TestCallFormGuard:
             lambda name, sets, assoc, rng=None:
                 HitsDoNotPromote(sets, assoc, rng=rng))
         del loop_keys[:]
-        ref, bat = run_pair(config, traces)
-        assert loop_keys == [None]
-        assert as_dict(ref) == as_dict(bat)
-        assert bat.events.l2_misses != stock.events.l2_misses
+        auto = run_guarded(config, traces, "no rendering of the L2's "
+                                           "HitsDoNotPromote with scheme "
+                                           "none")
+        assert loop_keys == []
+        assert auto.events.l2_misses != stock.events.l2_misses
 
     def test_write_trace_takes_the_call_form(self, loop_keys):
         traces = [overlay_writes(t, 0.3, seed=3) for t in make_traces(2)]
-        ref, bat = run_pair(config_M_N(0.75, **KNOBS), traces)
-        assert loop_keys == [None]
-        assert as_dict(ref) == as_dict(bat)
-        assert bat.events.l1_writebacks > 0
+        auto = run_guarded(config_M_N(0.75, **KNOBS), traces,
+                           "a trace writes")
+        assert loop_keys == []
+        assert auto.events.l1_writebacks > 0
 
     def test_custom_observer_takes_the_call_form(self, loop_keys):
         logs = []
@@ -221,11 +217,10 @@ class TestCallFormGuard:
                 lambda core, line, log=logs[-1]: log.append((core, line))
             return sim
 
-        ref, bat = run_pair(config_unpartitioned("nru"), make_traces(2),
-                            build=build)
-        assert loop_keys == [None]
-        assert as_dict(ref) == as_dict(bat)
-        assert logs[0] == logs[1] and logs[0]
+        run_guarded(config_unpartitioned("nru"), make_traces(2),
+                    "a custom L2 observer", build=build)
+        assert loop_keys == []
+        assert logs[0] == [] and logs[1] == logs[2] and logs[1]
 
     def test_rebound_access_line_hit_takes_the_call_form(self, loop_keys):
         """The fused loop bypasses ``l2.access_line_hit``, so it may only
@@ -243,36 +238,19 @@ class TestCallFormGuard:
             sim.hierarchy.l2.access_line_hit = counted
             return sim
 
-        ref, bat = run_pair(config_unpartitioned("lru"), make_traces(2),
-                            build=build)
-        assert loop_keys == [None]
-        assert as_dict(ref) == as_dict(bat)
-        assert len(calls) == 2 * bat.events.l2_accesses
+        auto = run_guarded(config_unpartitioned("lru"), make_traces(2),
+                           "the L2's access_line_hit is rebound",
+                           build=build)
+        assert loop_keys == []
+        assert len(calls) == 2 * auto.events.l2_accesses
 
 
 class TestGeneratedSourceExplainsItself:
-    def test_overrun_traceback_shows_the_rendered_line(self):
-        """A ``max_cycles`` overrun raised under a fused run of the Python
-        target: every frame of the traceback, the generated loop's
-        included, has a source line; the error text is the hand-written
-        loop's."""
-        with pytest.raises(RuntimeError) as info, \
-                transitions.python_target():
-            run_pair(config_M_N(0.75, **KNOBS), make_traces(2),
-                     engines=("batched",), max_cycles=10_000)
-        assert str(info.value) == ("simulation exceeded max_cycles=10000 "
-                                   "with 2 threads still running")
-        frames = traceback.extract_tb(info.tb)
-        rendered = [f for f in frames
-                    if f.filename == "<repro kernel nru/masks loop>"]
-        assert len(rendered) == 1 and rendered[0].name == "loop"
-        assert rendered[0].line == "horizon = beyond(now)"
-        assert all(frame.line for frame in frames)
-
     def test_overrun_under_the_compiled_target_has_the_same_text(self):
-        """The compiled twin: no Python frame of the loop exists, the
-        ``RuntimeError`` raised inside the ``beyond`` call-out comes out
-        of ``run`` unchanged."""
+        """A ``max_cycles`` overrun under the compiled loop: no Python
+        frame of the loop exists, the ``RuntimeError`` raised inside the
+        ``beyond`` call-out comes out of ``run`` unchanged, with the
+        hand-written loop's text, and every frame has a source line."""
         with pytest.raises(RuntimeError) as info:
             run_pair(config_M_N(0.75, **KNOBS), make_traces(2),
                      engines=("batched",), max_cycles=10_000)
@@ -283,18 +261,16 @@ class TestGeneratedSourceExplainsItself:
         assert all(frame.line for frame in frames)
 
     def test_getsource_and_names(self):
-        sim = make_case(config_C_L(**KNOBS), 2).simulator("batched")
-        kernel = transitions.factory("loop", ("lru", "counters"))(
-            sim.hierarchy.l2, None)
-        assert kernel.__code__.co_filename \
-            == "<repro kernel lru/counters loop>"
-        assert "owned_l[s * ncores + t]" in inspect.getsource(kernel)
-        drain = transitions.factory("observe", ("lru", "none"))(
-            sim.profiling.monitors[0].atd)
-        name = drain.__code__.co_filename
-        assert name == "<repro kernel lru/none observe>"
-        assert linecache.getline(name, drain.__code__.co_firstlineno) \
-            .strip() == "def observe_many(batch):"
+        """Each rendering's text carries its inlined fragments, and its C
+        translation names the rendering it came from."""
+        key = ("lru", "counters")
+        assert "owned_l[s * ncores + t]" in transitions.render("loop", key)
+        name = transitions.source_name("loop", key)
+        assert name == "<repro kernel lru/counters loop>"
+        assert transitions.translate("loop", key).source.startswith(
+            f"/* {name}: generated by repro.cache.cgen")
+        assert "    def observe_many(batch):\n" in transitions.render(
+            "observe", ("lru", "none"))
 
     def test_unknown_slot_or_placeholder_is_an_error(self):
         broken = dict(transitions.TEMPLATES, miss="$no_such_slot")
@@ -340,13 +316,13 @@ class TestGeneratedSourceExplainsItself:
         transitions.render("observe", ("probe", "none"), policies=policies)
 
     def test_every_shipped_rendering_passes_the_checks(self):
-        """Three ``observe`` keys, twelve stock ``loop`` keys, the call
-        form and the L1 ``prefilter``: only batch kernels are rendered."""
+        """Three ``observe`` keys, twelve stock ``loop`` keys and the L1
+        ``prefilter``: only batch kernels are rendered, each with a C
+        translation."""
         keys = transitions.rendering_keys()
         assert sum(rendering == "observe" for rendering, _ in keys) == 3
-        assert sum(rendering == "loop" and key is not None
-                   for rendering, key in keys) == 12
-        assert ("loop", None) in keys and len(keys) == 17
+        assert sum(rendering == "loop" for rendering, _ in keys) == 12
         assert ("prefilter", transitions.PREFILTER_KEY) in keys
+        assert len(keys) == 16 and all(key is not None for _, key in keys)
         for rendering, key in keys:
-            transitions.factory(rendering, key)     # render + closure checks
+            transitions.translate(rendering, key)   # render + C checks

@@ -1,18 +1,14 @@
-"""Single-thread runs, second half: the Python target, hit-dense streams,
-custom observers and the L1 walk as an n = 1 run sees it.
+"""Single-thread runs, second half: hit-dense streams, custom observers
+and the L1 walk as an n = 1 run sees it.
 
 ``test_solo_engine.py`` pins the batched engine at n = 1 against the
-reference loop on the target ``transitions.bind`` picks.  This module
-adds what the vector engine's suite held that no multi-core case covers:
+reference loop.  This module adds what the vector engine's suite held
+that no multi-core case covers:
 
-* ``TestVectorVsReference`` — every scenario of
-  ``TestSoloVsReference`` again with the loop held to its **Python
-  target**, the loop a host without ``cc`` runs for every isolation job —
-  and ``TestDeferredDrainsPythonTarget``, the same twin for the deferred
-  ATD drains;
 * streams dense with immediate same-set repeats and two-line
-  alternations (long hit chains through the fused loop), on both targets;
-* custom and wrapped L2 observers, which take the call-form loop;
+  alternations (long hit chains through the fused loop);
+* custom and wrapped L2 observers, which the batched engine refuses and
+  ``auto`` takes to the reference engine;
 * the L1 a single-thread run walks window by window: a repeat run is
   bit-identical and the simulator's L1 is exact after every run.
 
@@ -35,15 +31,18 @@ from repro.config import (
 )
 from repro.workloads.trace import Trace
 from repro.workloads.writes import overlay_writes
-from test_engine_equivalence import PythonTarget
 from test_solo_engine import (
     PARTITIONED_CONFIGS,
     assert_identical,
     make_trace,
     processor,
     profiling_state,
+    reference_only,
     run_engines,
 )
+
+#: The policies with a rendering: the only ones the batched engine runs.
+PAPER_POLICIES = ("lru", "nru", "bt")
 
 
 def rotation_trace(count=6000, name="rot"):
@@ -76,29 +75,26 @@ def alternation_trace(count=8000, name="alt"):
                  ipm=4.0, cpi_base=1.0)
 
 
-class TestVectorVsReference(PythonTarget, solo.TestSoloVsReference):
-    """Every single-thread scenario, on the Python target of the loop."""
-
-
-class TestDeferredDrainsPythonTarget(PythonTarget, solo.TestDeferredDrains):
-    """Every deferred-drain scenario with the loop *and* the drains held
-    to the Python rendering (above, ``solo.TestDeferredDrains`` drains
-    through the compiled kernels wherever the host has ``cc``)."""
-
-
 class TestElision:
     """Hit-dense streams (shaped, originally, to maximise the vector
     engine's elision paths) at n = 1, vs the reference."""
 
+    @staticmethod
+    def against_reference(policy, trace):
+        """The reference result, which the batched run reproduces — or,
+        for a policy without a rendering, which ``auto`` reproduces."""
+        config = config_unpartitioned(policy)
+        if policy not in PAPER_POLICIES:
+            return reference_only(config, [trace],
+                                  "no rendering of the L2's .*Policy")
+        ref, bat = run_engines(config, [trace], ("reference", "batched"))
+        assert_identical(ref, bat)
+        return ref
+
     @pytest.mark.parametrize("policy", ["lru", "fifo", "nru", "bt", "random"])
     def test_repeat_heavy_stream(self, policy):
         """Nearly every grouped access is an immediate same-set repeat."""
-        results = run_engines(config_unpartitioned(policy),
-                              [rotation_trace()],
-                              ("reference", "batched"))
-        ref = results[0]
-        for bat in results[1:]:
-            assert_identical(ref, bat)
+        ref = self.against_reference(policy, rotation_trace())
         # The shape did reach the L2 slow path en masse.
         assert ref.threads[0].l1_misses > 5000
         assert ref.threads[0].l2_accesses > 5000
@@ -106,12 +102,7 @@ class TestElision:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_alternation_stream(self, policy):
         """Two-line alternations, for every policy."""
-        results = run_engines(config_unpartitioned(policy),
-                              [alternation_trace()],
-                              ("reference", "batched"))
-        ref = results[0]
-        for bat in results[1:]:
-            assert_identical(ref, bat)
+        ref = self.against_reference(policy, alternation_trace())
         assert ref.threads[0].l1_misses > 5000
 
     def test_alternation_partitioned_lru(self):
@@ -124,14 +115,8 @@ class TestElision:
 
     def test_alternation_with_writes_and_channel(self):
         trace = overlay_writes(alternation_trace(), 0.3, seed=4)
-        ref, bat = run_engines(config_unpartitioned("lru"), [trace],
-                               ("reference", "batched"),
-                               service_interval=350.0)
-        assert_identical(ref, bat)
-
-
-class TestElisionPythonTarget(PythonTarget, TestElision):
-    pass
+        reference_only(config_unpartitioned("lru"), [trace],
+                       "a trace writes", service_interval=350.0)
 
 
 class TestL1Memo:
@@ -206,10 +191,9 @@ class TestEngineSelection:
     def test_auto_resolves_batched_for_one_core(self):
         """The single-thread fast paths are gone: auto is batched for
         one thread as for eight."""
-        assert resolve_engine_name("auto", 1) == "batched"
-        assert resolve_engine_name("auto", 8) == "batched"
         sim = CMPSimulator(processor(), config_unpartitioned("lru"),
                            [make_trace()], SimulationConfig())
+        assert resolve_engine_name("auto", sim) == "batched"
         assert type(make_engine(sim, sim.simulation.engine)) is BatchedEngine
 
     def test_vector_rejects_multi_core(self):
@@ -218,13 +202,13 @@ class TestEngineSelection:
 
 
 class TestCustomObserver:
-    """A non-stock L2 observer must disable deferral yet stay
-    bit-identical to the reference oracle.
+    """A non-stock L2 observer cannot be deferred: the batched engine
+    refuses it, and ``auto`` runs it on the reference oracle.
 
     ``deferrable_profiling`` only engages for the stock
     ``ProfilingSystem.observe`` bound method; anything else (a wrapper, a
-    test callable) needs its per-access call *during* the run, so the
-    engine binds the call-form loop and does not defer ATD drains.
+    test callable) needs its per-access call *during* the run, which only
+    the reference engine makes.
     """
 
     @staticmethod
@@ -254,10 +238,13 @@ class TestCustomObserver:
     @pytest.mark.parametrize("config", PARTITIONED_CONFIGS,
                              ids=lambda c: c.acronym)
     def test_wrapped_observer_matches_reference(self, config):
-        """Same wrapped observer on both engines: identical results,
-        profiling state and per-access call sequences."""
+        """The batched engine refuses a wrapped observer; ``auto`` and the
+        reference engine under one: identical results, profiling state
+        and per-access call sequences."""
+        with pytest.raises(ValueError, match="a custom L2 observer"):
+            self._run("batched", config, wrap=True)
         ref, ref_sim, ref_calls = self._run("reference", config, wrap=True)
-        bat, bat_sim, bat_calls = self._run("batched", config, wrap=True)
+        bat, bat_sim, bat_calls = self._run("auto", config, wrap=True)
         assert_identical(ref, bat)
         assert profiling_state(ref_sim) == profiling_state(bat_sim)
         assert ref_calls == bat_calls
@@ -267,29 +254,32 @@ class TestCustomObserver:
                              ids=lambda c: c.acronym)
     def test_wrapped_observer_matches_stock_run(self, config):
         """Wrapping the stock observer must not change the simulation:
-        only the deferral strategy differs, never the results."""
+        only the engine differs (``auto`` runs the wrapped one on the
+        reference engine), never the results."""
         stock, stock_sim, _ = self._run("batched", config, wrap=False)
-        wrapped, wrapped_sim, calls = self._run("batched", config, wrap=True)
+        wrapped, wrapped_sim, calls = self._run("auto", config, wrap=True)
         assert_identical(stock, wrapped)
         assert profiling_state(stock_sim) == profiling_state(wrapped_sim)
         assert calls
 
     def test_custom_observer_without_profiling_matches(self):
         """An observer on an unpartitioned run (no profiling system at
-        all) also takes the call form and matches the oracle."""
+        all) also takes the reference engine under ``auto``."""
         config = config_unpartitioned("lru")
+        with pytest.raises(ValueError, match="a custom L2 observer"):
+            self._run("batched", config, wrap=True)
         ref, _, ref_calls = self._run("reference", config, wrap=True)
-        bat, _, bat_calls = self._run("batched", config, wrap=True)
+        bat, _, bat_calls = self._run("auto", config, wrap=True)
         assert_identical(ref, bat)
         assert ref_calls == bat_calls
         assert ref_calls
 
     def test_custom_observer_disables_memoization(self):
-        """A call-form run walks its L1 like any other (the name predates
-        the removal of the window cache): a repeat run is identical,
-        observer calls included."""
+        """An observed run is repeatable (the name predates the removal
+        of the window cache): a repeat run is identical, observer calls
+        included."""
         config = config_unpartitioned("lru")
-        cold, _, cold_calls = self._run("batched", config, wrap=True)
-        warm, _, warm_calls = self._run("batched", config, wrap=True)
+        cold, _, cold_calls = self._run("auto", config, wrap=True)
+        warm, _, warm_calls = self._run("auto", config, wrap=True)
         assert_identical(cold, warm)
         assert cold_calls == warm_calls and cold_calls

@@ -18,7 +18,6 @@ import pytest
 import repro.cmp.engine.batched as batched_mod
 from repro.cache.geometry import CacheGeometry
 from repro.cache.l1 import SmallLRUCache
-from repro.cache.transitions import python_target
 from repro.config import PartitioningConfig, config_C_L, config_M_BT
 from repro.fuzz import FuzzCase, diff_snapshots, run_engine
 from repro.workloads.trace import Trace
@@ -77,17 +76,13 @@ class TestColdWarm:
         pytest.param("batched", 1, id="solo-1")])
     def test_results_and_l1_state_identical(self, small_windows, engine,
                                             num_cores):
-        """A run, its repeat in the same process and a run on the
-        prefilter's Python target: the reference's results, and the same
-        L1 slots, dirty flags and statistics."""
+        """A run and its repeat in the same process: the reference's
+        results, and the same L1 slots, dirty flags and statistics."""
         case = make_case(num_cores)
-        with python_target():
-            walked, walked_l1 = run(case, engine)
         cold, cold_l1 = run(case, engine)
         warm, warm_l1 = run(case, engine)
-        assert cold == walked and warm == walked
-        assert cold == run(case, "reference")[0]
-        assert cold_l1 == walked_l1 and warm_l1 == walked_l1
+        assert cold == warm == run(case, "reference")[0]
+        assert cold_l1 == warm_l1
 
 
 class TestKey:
@@ -174,11 +169,15 @@ class TestWrites:
         ("batched", 2), pytest.param("batched", 1, id="solo-1")])
     def test_write_traces_cold_and_warm(self, small_windows, engine,
                                         num_cores):
+        """The batched engine refuses a write trace; ``auto`` runs it on
+        the reference engine, cold and warm alike."""
         case = make_case(num_cores, writes=True)
+        with pytest.raises(ValueError, match="a trace writes"):
+            run_engine(case, engine)
         reference = run_engine(case, "reference")
         assert reference.events["l1_writebacks"] > 0
         for _ in ("cold", "warm"):
-            assert diff_snapshots(reference, run_engine(case, engine)) == []
+            assert diff_snapshots(reference, run_engine(case, "auto")) == []
 
 
 class SpyCase(FuzzCase):
@@ -213,8 +212,8 @@ class TestSampledDrain:
         """The reference engine observes every L2 access one by one
         (``ATD.observe``); the batched engine hands each drain its whole
         stream slice, and the drain kernel's own ``skip_mask`` test counts
-        the unsampled lines — on both targets.  Tag state, SDH registers,
-        sampled and skipped counters must agree."""
+        the unsampled lines.  Tag state, SDH registers, sampled and
+        skipped counters must agree."""
         case = make_case(2, sampling=sampling, l2_sets=64)
         case = dataclasses.replace(case, partitioning=config(
             atd_sampling=sampling, interval_cycles=9_000))
@@ -223,18 +222,13 @@ class TestSampledDrain:
         if sampling > 1:
             assert all(skipped > 0
                        for _, _, _, skipped in reference.profiling)
-        for target in ("compiled", "python"):
-            monkeypatch.setattr(SpyCase, "handed", [])
-            if target == "python":
-                with python_target():
-                    snapshot = run_engine(SpyCase(**vars(case)), "batched")
-            else:
-                snapshot = run_engine(SpyCase(**vars(case)), "batched")
-            assert snapshot.profiling == reference.profiling
-            assert diff_snapshots(reference, snapshot) == []
-            # Every L2 access reached a kernel, the unsampled ones too.
-            assert len(SpyCase.handed) == sum(
-                sampled + skipped
-                for _, _, sampled, skipped in reference.profiling)
-            assert any(line & (sampling - 1) for line in SpyCase.handed) \
-                == (sampling > 1)
+        monkeypatch.setattr(SpyCase, "handed", [])
+        snapshot = run_engine(SpyCase(**vars(case)), "batched")
+        assert snapshot.profiling == reference.profiling
+        assert diff_snapshots(reference, snapshot) == []
+        # Every L2 access reached a kernel, the unsampled ones too.
+        assert len(SpyCase.handed) == sum(
+            sampled + skipped
+            for _, _, sampled, skipped in reference.profiling)
+        assert any(line & (sampling - 1) for line in SpyCase.handed) \
+            == (sampling > 1)

@@ -1,9 +1,9 @@
 """Fixture: a transition spec with an attribute chase in a policy fragment
 (so it lands in every rendering) and a float in its SDH read, a second
 policy whose SDH read iterates a tuple table, a per-event allocation, a
-list method on it and a global lookup in the call-form access block of
-the event loop, and a scheme whose mask fragment stores to the event
-loop's horizon."""
+list method on it and a global lookup in the miss branch of the event
+loop's access block, and a scheme whose mask fragment stores to the
+event loop's horizon."""
 
 POLICIES = {
     "flat": {
@@ -117,13 +117,10 @@ if way is not None:
     clock = now + 1.0
 else:
     $miss
+    record = [t, line]
+    record.remove(t)
+    heappush(heap, record)
     clock = now + 9.0""",
-    "bind_call": "l2_access_hit = cache.access_line_hit",
-    "access_call": """\
-record = [t, line]
-record.remove(t)
-heappush(heap, record)
-clock = now + (1.0 if l2_access_hit(line, t) else 9.0)""",
 }
 
 PRIVATE_LOCALS = {

@@ -98,8 +98,6 @@ if way is not None:
 else:
     $miss
     clock = now + 9.0""",
-    "bind_call": "l2_access_hit = cache.access_line_hit",
-    "access_call": "clock = now + (1.0 if l2_access_hit(line, t) else 9.0)",
 }
 
 PRIVATE_LOCALS = {

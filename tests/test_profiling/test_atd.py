@@ -5,7 +5,6 @@ from array import array
 import numpy as np
 import pytest
 
-from repro.cache import transitions
 from repro.cache.geometry import CacheGeometry
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
@@ -54,11 +53,11 @@ class TestSampling:
     def test_sampled_positions_is_the_observe_filter(self, policy, sampling):
         """The positions ``observe`` samples are those whose low index
         bits are zero, and the batch kernel applies that filter itself:
-        handing it every line in slices — the batched engine's drains, as
-        ``int64`` columns where the kernel is compiled and as
-        ``array('q')``\\ s — equals feeding them one by one, both counters
-        included.  ``observe`` answers and counts per access exactly like
-        the generic object-protocol path."""
+        handing it every line in slices — as ``int64`` columns and as
+        ``array('q')``\\ s, what the batched engine hands its drains —
+        equals feeding them one by one, both counters included.
+        ``observe`` answers and counts per access exactly like the
+        generic object-protocol path."""
         lines = np.random.default_rng(5).integers(0, 4096, size=3000)
         full = make_atd(num_sets=64, sampling=sampling, policy=policy)
         generic = make_atd(num_sets=64, sampling=sampling, policy=policy,
@@ -74,11 +73,10 @@ class TestSampling:
         assert atd_state(full) == atd_state(generic)
         assert sampled == np.flatnonzero(lines % sampling == 0).tolist()
         sliced = make_atd(num_sets=64, sampling=sampling, policy=policy)
-        columns = transitions.compiled(sliced.observe_many)
         for k, (lo, hi) in enumerate(((0, 7), (7, 1200), (1200, 1200),
                                       (1200, 3000))):
             batch = lines[lo:hi]
-            sliced.observe_many(batch if columns and k % 2
+            sliced.observe_many(batch if k % 2
                                 else array("q", batch.tolist()))
         assert atd_state(sliced) == atd_state(full)
 

@@ -88,9 +88,9 @@ class TestNRUProfiler:
     @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3, 0.1])
     def test_distance_table_is_on_hit_for_every_used_count(self, scaling,
                                                            assoc):
-        """What the rendered observe kernels index (both targets) against
-        the oracle side, ``U = 0 .. A``: the entry for ``U`` is the
-        register ``on_hit`` bumps when ``U`` used bits are set."""
+        """What the compiled observe kernels index against the oracle
+        side, ``U = 0 .. A``: the entry for ``U`` is the register
+        ``on_hit`` bumps when ``U`` used bits are set."""
         profiler = NRUDistanceProfiler(scaling=scaling)
         table = profiler.distance_table(assoc)
         assert len(table) == assoc + 1 and table[0] == 1

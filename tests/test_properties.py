@@ -15,6 +15,7 @@ These pin the *theorems* the paper's system rests on:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loop_window import loop_window
@@ -295,7 +296,8 @@ class TestMetamorphicReplay:
     @staticmethod
     def _replay(cache, lines):
         """Hit flags of ``lines`` as one thread's stream through the
-        event loop (fused for lru / nru / bt, call form for fifo)."""
+        event loop (fused for lru / nru / bt; fifo steps the classes, as
+        the reference engine does)."""
         flags = bytearray(len(lines))
         loop_window(cache)(lines, flags)
         return list(flags)
@@ -453,12 +455,12 @@ class TestMetamorphicReplay:
     def test_prefilter_window_is_unobservable(self, data, chunk,
                                               config_name, writes):
         """Whatever the window width — one reference, odd widths, the
-        default — and whatever the target of the L1 ``prefilter``, a
-        batched run leaves the results, the L2 and the ATD/SDH state of
-        the per-access reference engine's walk, writes or not; and both
-        targets leave the simulator's L1s identical."""
+        default — a batched run leaves the results, the L2 and the
+        ATD/SDH state of the per-access reference engine's walk, and a
+        repeat run leaves the simulator's L1s identical; a write trace is
+        the reference engine's under ``auto`` and the batched engine
+        refuses it."""
         import repro.cmp.engine.batched as batched_mod
-        from repro.cache.transitions import python_target
         from repro.config import (PartitioningConfig, config_C_L,
                                   config_M_BT)
         from repro.fuzz import FuzzCase, diff_snapshots, run_engine
@@ -498,10 +500,14 @@ class TestMetamorphicReplay:
         default_chunk = batched_mod.CHUNK_SIZE
         try:
             batched_mod.CHUNK_SIZE = chunk
+            if writes:
+                with pytest.raises(ValueError, match="a trace writes"):
+                    batched()
+                assert diff_snapshots(reference,
+                                      run_engine(case, "auto")) == []
+                return
             assert diff_snapshots(reference,
                                   run_engine(case, "batched")) == []
-            with python_target():
-                walked_l1 = batched()
-            assert batched() == walked_l1
+            assert batched() == batched()
         finally:
             batched_mod.CHUNK_SIZE = default_chunk

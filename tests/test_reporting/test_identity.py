@@ -8,9 +8,12 @@ points — is *identical* (float equality, not approx), plus a cheap
 end-to-end build over the simulation-free table sections.
 """
 
+import json
+
 import pytest
 
 from repro.campaign.runner import run_serial
+from repro.cli import main
 from repro.campaign.store import ResultStore
 from repro.experiments import fig6
 from repro.experiments.common import WorkloadRunner
@@ -116,6 +119,32 @@ class TestManifestHandoff:
 
     def test_missing_manifest_reads_as_none(self, tmp_path):
         assert build.read_manifest(ResultStore(tmp_path / "none")) is None
+
+    @pytest.mark.parametrize("damage", [
+        lambda payload: payload.pop("scale"),
+        lambda payload: payload["scale"].update(replicates=3),
+        lambda payload: payload.pop("sections"),
+        lambda payload: payload["sections"].append("fig99"),
+        lambda payload: payload.update(scale_name=None),
+    ], ids=["no-scale", "unknown-scale-field", "no-sections",
+            "unknown-section", "no-scale-name"])
+    def test_schema_matching_manifest_with_bad_fields_reads_as_none(
+            self, damage, micro_scale, tmp_path, capsys):
+        """A manifest of the current schema whose fields would not rebuild
+        a scale or a section list reads as None, and a flag-less
+        ``report build`` falls back to its defaults instead of a
+        traceback."""
+        store = ResultStore(tmp_path / "store")
+        path = build.write_manifest(store, "micro", micro_scale,
+                                    resolve_sections(["table1"]))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        damage(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert build.read_manifest(store) is None
+        assert main(["report", "build", "--store", str(tmp_path / "store"),
+                     "--only", "table1", "--out",
+                     str(tmp_path / "out")]) == 0
+        assert "(scale: small)" in capsys.readouterr().out
 
 
 class TestResolveScale:

@@ -38,11 +38,11 @@ def clean_result():
         "runs": {"1": 2, "2": 1},
         "cc": "/usr/bin/cc",
         "targets": {name: {"target": "c", "cache": "hit",
-                           "build_s": 0.001, "binds": {"c": 1, "python": 0}}
+                           "build_s": 0.001, "binds": 1, "compiled": 1}
                     for name in ("loop lru/none", "observe lru/none",
                                  "prefilter lru/none")},
         "warm": {name: {"target": "c", "cache": "hit", "build_s": 0.001,
-                        "binds": {"c": 1, "python": 0}}
+                        "binds": 1, "compiled": 1}
                  for name in ("loop lru/none", "observe lru/none",
                               "prefilter lru/none")},
     }
@@ -61,44 +61,45 @@ class TestProblems:
 
     @pytest.mark.parametrize("name", ["loop lru/none", "observe lru/none",
                                       "prefilter lru/none"])
-    def test_python_target_beside_a_compiler_is_a_problem(self, name):
+    def test_unavailable_kernel_beside_a_compiler_is_a_problem(self, name):
         result = clean_result()
         result["targets"][name] = {
-            "target": "python", "reason": "cc exited 1: boom",
-            "binds": {"c": 0, "python": 1}}
+            "target": "unavailable (cc exited 1: boom)",
+            "reason": "cc exited 1: boom", "binds": 1, "compiled": 0}
         (message,) = kernel_traffic.problems(result)
-        assert message == ("/usr/bin/cc is on PATH but stock kernels ran on "
-                           "the Python target at micro: "
-                           f"{name} (cc exited 1: boom)")
+        assert message == ("/usr/bin/cc is on PATH but stock kernels did "
+                           "not load at micro: "
+                           f"{name}: unavailable (cc exited 1: boom)")
 
     @pytest.mark.parametrize("entry", [
         {"target": "c", "cache": "built", "build_s": 0.09},
-        {"target": "python", "reason": "cc exited 1: boom"}])
+        {"target": "unavailable (cc exited 1: boom)",
+         "reason": "cc exited 1: boom"}])
     def test_a_key_a_warm_second_run_did_not_hit_is_a_problem(self, entry):
         """A fresh process on the cache the first run left must find
         every object by its rendering."""
         result = clean_result()
-        result["warm"]["loop lru/none"] = dict(
-            entry, binds={"c": 0, "python": 0})
+        result["warm"]["loop lru/none"] = dict(entry, binds=1, compiled=0)
         (message,) = kernel_traffic.problems(result)
-        state = entry.get("cache") or entry.get("reason")
+        state = entry.get("cache") or entry["target"]
         assert message == ("a second run at micro on the same object cache "
                            "did not load every key as a hit: "
-                           f"loop lru/none ({state})")
+                           f"loop lru/none: {state}")
 
-    def test_python_target_without_a_compiler_is_not(self):
+    def test_unavailable_kernels_without_a_compiler_are_not(self):
         result = clean_result()
         result["cc"] = None
         result["warm"] = {}
         for name in result["targets"]:
             result["targets"][name] = {
-                "target": "python", "reason": "no C compiler (cc) on PATH",
-                "binds": {"c": 0, "python": 1}}
+                "target": "unavailable (no C compiler (cc) on PATH)",
+                "reason": "no C compiler (cc) on PATH", "binds": 1,
+                "compiled": 0}
         assert kernel_traffic.problems(result) == []
 
     def test_a_policy_whose_drains_were_never_bound_is_a_problem(self):
         """Never skipped green: an ATD built for the policy is not a
-        drain run on either target."""
+        drain run."""
         result = clean_result()
         del result["targets"]["observe lru/none"]
         (message,) = kernel_traffic.problems(result)
@@ -129,11 +130,9 @@ def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
         SetAssociativeCache(geometry, "fifo", rng=np.random.default_rng(0))
         ATD(geometry, 2, "nru", make_profiler("nru"))
         transitions.bind("loop", ("nru", "none"), stock, None)
-        transitions.bind("loop", None, stock, None)
     finally:
         transitions.bind = original
-    assert builds == {"observe": {"nru/none": 1},
-                      "loop": {"nru/none": 1, "call": 1}}
+    assert builds == {"observe": {"nru/none": 1}, "loop": {"nru/none": 1}}
     assert fragments["policy"]["nru"] == {"observe": 1, "loop": 1}
     assert fragments["scheme"]["none"] == {"loop": 1}
 

@@ -5,9 +5,9 @@ Wraps ``repro.cache.transitions.bind`` — the one entry point every
 rendered kernel is built through — from outside ``src/``, runs one cold
 serial ``repro report run --scale SCALE`` into a temporary store and
 prints, as JSON, how many kernels each ``(policy, scheme)`` key built per
-rendering (``observe`` / ``loop``; ``call`` is the call-form loop; and
-the L1s' ``prefilter``, which holds no fragment), the
-same counts per *policy fragment* and per *scheme fragment*, and how many
+rendering (``observe`` / ``loop``, and the L1s' ``prefilter``, which
+holds no fragment), the same counts per *policy fragment* and per
+*scheme fragment*, and how many
 times ``BatchedEngine.run`` was entered per thread count (``"1"`` is the
 isolation jobs and the one-core figure points).
 
@@ -20,15 +20,16 @@ zero ``loop`` builds.
 ``targets`` is ``transitions.target_stats()``: per stock ``loop`` key —
 the ``*/none`` keys the single-thread runs bind included — per
 ``observe`` key the ATDs bound for their drains, and the L1s'
-``prefilter``: the target its calls got (``c`` or ``python``), whether
-the object came from the cache or was built, and why it fell back; with
-``cc`` on ``PATH`` a stock loop, drain or prefilter on the Python target
-is a failed or disabled build, and so is a policy whose drains were never
-bound at all, or a report whose L1s never bound the prefilter: the exit
-status is 1.  ``warm`` is the same ``targets`` from a second report run
-in a fresh process against the same object cache (``cc`` hosts only):
-a compiled object is found by its rendering, so every key there must be
-a ``hit`` — one that was built again, or fell back, is exit status 1.
+``prefilter``: ``c`` where the compiled kernel loaded, else
+``unavailable (reason)``, and whether the object came from the cache or
+was built; with ``cc`` on ``PATH`` a stock loop, drain or prefilter that
+did not load is a failed or disabled build, and so is a policy whose
+drains were never bound at all, or a report whose L1s never bound the
+prefilter: the exit status is 1.  ``warm`` is the same ``targets`` from
+a second report run in a fresh process against the same object cache
+(``cc`` hosts only): a compiled object is found by its rendering, so
+every key there must be a ``hit`` — one that was built again, or did not
+load, is exit status 1.
 CI runs this at ``micro`` in the ``campaign-smoke`` job.
 
 Run from the repo root::
@@ -61,10 +62,10 @@ RENDERINGS = {"policy": ("observe", "loop"),
 
 def _counting_bind(bind, builds, fragments):
     def counted(rendering, key, owner, *args):
-        label = "call" if key is None else "/".join(key)
+        label = "/".join(key)
         per_key = builds[rendering]
         per_key[label] = per_key.get(label, 0) + 1
-        if key is not None and rendering in RENDERINGS["policy"]:
+        if rendering in RENDERINGS["policy"]:
             policy, scheme = key
             fragments["policy"][policy][rendering] += 1
             if rendering in RENDERINGS["scheme"]:
@@ -110,7 +111,9 @@ def measure(scale: str) -> dict:
             "fragments": fragments,
             "runs": runs,
             "cc": shutil.which("cc"),
-            "targets": {f"{rendering} {'/'.join(key)}": entry
+            "targets": {f"{rendering} {'/'.join(key)}": dict(
+                            entry, target=entry["target"]
+                            or f"unavailable ({entry['reason']})")
                         for (rendering, key), entry
                         in sorted(transitions.target_stats().items())}}
 
@@ -138,13 +141,12 @@ def problems(result: dict) -> list:
     if unused:
         found.append(f"registered fragments with zero builds at "
                      f"{result['scale']}: {', '.join(unused)}")
-    interpreted = [f"{label} ({entry.get('reason', 'no reason recorded')})"
+    unavailable = [f"{label}: {entry['target']}"
                    for label, entry in result["targets"].items()
                    if entry["target"] != "c"]
-    if result["cc"] and interpreted:
-        found.append(f"{result['cc']} is on PATH but stock kernels ran on "
-                     f"the Python target at {result['scale']}: "
-                     f"{', '.join(interpreted)}")
+    if result["cc"] and unavailable:
+        found.append(f"{result['cc']} is on PATH but stock kernels did not "
+                     f"load at {result['scale']}: {', '.join(unavailable)}")
     undrained = [policy for policy in result["fragments"]["policy"]
                  if f"observe {policy}/none" not in result["targets"]]
     if undrained:
@@ -153,7 +155,7 @@ def problems(result: dict) -> list:
     prefilter = "prefilter " + "/".join(transitions.PREFILTER_KEY)
     if prefilter not in result["targets"]:
         found.append(f"no L1 at {result['scale']} bound the prefilter")
-    unwarmed = [f"{label} ({entry.get('cache') or entry.get('reason')})"
+    unwarmed = [f"{label}: {entry.get('cache') or entry['target']}"
                 for label, entry in result["warm"].items()
                 if entry.get("cache") != "hit"]
     if result["cc"] and unwarmed:
