@@ -17,8 +17,9 @@ paths are what a host without ``cc`` runs, on the reference engine —
 each a best-of-``--repeats`` ``perf_counter``
 loop, and how fast a fresh process loads the compiled kernels of every
 stock key from a cold and from a warm object cache
-(:func:`kernel_load_rates`).  (Single-thread runs
-are the same engine and the same loop at a heap of one; their end-to-end
+(:func:`kernel_load_rates`), and each engine's best wall time per L2
+access of its run (``ns_per_l2_access``, no floor).  (Single-thread runs
+are the same engine and the same loop with one clock; their end-to-end
 number is ``benchmarks/e2e``'s ``isolation_paper`` workload, not a row
 here.)  ``campaign`` races the worker-pool implementations of
 ``bench_campaign.py --pool-modes`` (serial, persistent process pool,
@@ -227,14 +228,15 @@ def kernel_load_rates(repeats: int) -> dict:
 def record_engine(accesses: int, repeats: int) -> dict:
     from bench_engine import run_once, run_six_configs
 
-    timings = {}
+    timings, l2_accesses = {}, {}
     for engine in ("reference", "batched"):
         best = float("inf")
         for _ in range(repeats):
-            elapsed, _ = run_once(engine, accesses)
+            elapsed, result = run_once(engine, accesses)
             if elapsed < best:
                 best = elapsed
         timings[engine] = best
+        l2_accesses[engine] = result.events.l2_accesses
 
     rates = {f"engine_{k}": round(4 * accesses / v, 1)
              for k, v in timings.items()}
@@ -251,6 +253,10 @@ def record_engine(accesses: int, repeats: int) -> dict:
         "kind": "engine", "unit": "seconds", "machine": _machine(),
         "accesses_per_thread": accesses,
         "seconds": {k: round(v, 4) for k, v in timings.items()},
+        # The engine's own cost per unit of simulated work, independent
+        # of the L1 hit rate: best wall time over the run's L2 accesses.
+        "ns_per_l2_access": {k: round(1e9 * v / l2_accesses[k], 2)
+                             for k, v in timings.items()},
         "rates": rates,
         "prefilter_ns_per_ref": prefilter["ns_per_ref"],
         "kernel_load_ms_per_key": loads["ms_per_key"],

@@ -12,9 +12,9 @@ The subset.  Integer and float locals (a name's type is the type of its
 first assignment and never changes), ``if`` / ``elif`` / ``else``,
 ``while``, ``break``, ``continue``, ``for NAME in <column>`` (exactly
 that: no ``else``, no nesting, no store to ``NAME`` in the body), plain
-and augmented assignment, ``del`` of a tag-dict entry, integer
-arithmetic and bit operations, comparisons, ``and`` / ``or`` / ``not``,
-the conditional expression, indexing of bound arrays, and the only
+and augmented assignment, integer arithmetic and bit operations,
+comparisons, ``and`` / ``or`` / ``not``, the conditional expression,
+indexing of bound arrays, and the only
 attribute calls :data:`PURE_ATTRS` admits: ``bit_length`` /
 ``bit_count`` on integers.  Every piece of state is a flat array, so
 there are no containers and no container methods.  Kinds, as declared
@@ -32,17 +32,6 @@ per name:
 ``column``
     one ``int64`` column and its length: the only thing a ``for`` may
     iterate.
-``heap`` / ``pushpop``
-    ``now, t = pushpop(heap, (clock, t))`` becomes a store and an
-    arg-min over the per-thread clocks: the same total ``(clock,
-    thread)`` order as the tuple heap.
-``tags:LINES,ASSOC`` / ``probe:LINES,SET,ASSOC``
-    the tag dict and its ``get``: a lookup is a probe of set ``SET`` (the
-    integer local or binding that holds the line's set index by then) in
-    ``LINES``, ``None`` is ``-1``, and stores to / deletions from the
-    dict are dropped (``LINES`` is the truth; the dict — every
-    non-negative entry of ``LINES`` mapped to its index modulo ``ASSOC``
-    — is rebuilt from it after the call).
 ``callout:RET(ARGS)``
     a Python callable: called through a function pointer; the statement
     that called it ends with a check of the error word, so an exception
@@ -74,17 +63,6 @@ static inline i64 bit_length(i64 x) {
 static inline i64 bit_count(i64 x) {
     return __builtin_popcountll(x < 0 ? -(u64)x : (u64)x);
 }
-static inline i64 probe(const i64 *row, i64 assoc, i64 line) {
-    for (i64 w = 0; w < assoc; w++)
-        if (row[w] == line) return w;
-    return -1;
-}
-static inline i64 heap_min(const double *clock, i64 n) {
-    i64 best = 0;
-    for (i64 u = 1; u < n; u++)
-        if (clock[u] < clock[best]) best = u;
-    return best;
-}
 """
 
 _C_TYPES = {"int": "i64", "float": "double"}
@@ -104,17 +82,13 @@ class Kernel(NamedTuple):
     source: str
     #: ``(name, C type, kind)`` of every member of ``Args``, in order.
     #: Kinds are those of the module docstring plus ``error`` (the word a
-    #: failed call-out sets), ``length`` (the member after a ``heap`` or
-    #: ``column`` one) and ``ret`` (the returned tuple, ``ret0`` ...).
+    #: failed call-out sets), ``length`` (the member after a ``column``
+    #: one) and ``ret`` (the returned tuple, ``ret0`` ...).
     members: Tuple[Tuple[str, str, str], ...]
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
-    #: Arrays the kernel writes (a tag dict over a written ``LINES`` is
-    #: rebuilt after the call).
+    #: Arrays the kernel writes.
     stored: frozenset
-    #: ``(dict, LINES, ASSOC)`` of every tag dict whose updates were
-    #: dropped (rebuilt after the call).
-    tags: Tuple[Tuple[str, str, str], ...]
 
 
 class _Refused(Exception):
@@ -148,9 +122,7 @@ class _Translator:
         self.kinds = kinds
         self.used: Dict[str, str] = {}       # bound name -> kind, first use
         self.locals: Dict[str, str] = {}     # local -> "int" | "float"
-        self.optional: Set[str] = set()      # locals that may hold None (-1)
         self.stored: Set[str] = set()
-        self.tags: Dict[str, None] = {}
         self.params: Tuple[str, ...] = ()
         self.returns: List[str] = []
         self.lines: List[str] = []
@@ -180,7 +152,7 @@ class _Translator:
         return name
 
     # ------------------------------------------------------------------
-    # Expressions: (C text, "int" | "float" | "opt")
+    # Expressions: (C text, "int" | "float")
     # ------------------------------------------------------------------
     def expr(self, node) -> Tuple[str, str]:
         method = getattr(self, "expr_" + type(node).__name__, None)
@@ -196,17 +168,13 @@ class _Translator:
         return text
 
     def as_float(self, node) -> str:
-        return self.numbers(node, node, floats=True)[0][0]
+        return self.numbers(node, floats=True)[0][0]
 
-    def numbers(self, where, *operands, floats=False):
+    def numbers(self, *operands, floats=False):
         """``operands`` evaluated once each and brought to one numeric
         type — ``float`` if any is (or ``floats``), an ``int`` operand
         converted first, as Python does: ``([C text, ...], type)``."""
         pairs = [self.expr(operand) for operand in operands]
-        for _text, typ in pairs:
-            if typ not in ("int", "float"):
-                self.refuse(where, "a value that may be None in arithmetic"
-                            if typ == "opt" else f"number expected, got {typ}")
         common = ("float" if floats or any(typ == "float" for _t, typ in pairs)
                   else "int")
         return [text if typ == common else f"(double)({text})"
@@ -222,8 +190,7 @@ class _Translator:
 
     def expr_Name(self, node):
         if node.id in self.locals:
-            typ = self.locals[node.id]
-            return node.id, "opt" if node.id in self.optional else typ
+            return node.id, self.locals[node.id]
         kind = self.kind(node)
         if kind in ("int", "float"):
             return self.ref(node.id), kind
@@ -243,7 +210,7 @@ class _Translator:
         op = _BINOPS.get(type(node.op))
         if op is None:
             self.refuse(node, f"operator {type(node.op).__name__}")
-        (left, right), typ = self.numbers(node, node.left, node.right)
+        (left, right), typ = self.numbers(node.left, node.right)
         if typ == "float" and not isinstance(node.op, _FLOAT_BINOPS):
             self.refuse(node, f"float operand of {op}")
         return f"({left} {op} {right})", typ
@@ -252,18 +219,10 @@ class _Translator:
         if len(node.ops) != 1:
             self.refuse(node, "chained comparison")
         op, right = node.ops[0], node.comparators[0]
-        if isinstance(op, (ast.Is, ast.IsNot)):
-            text, typ = self.expr(node.left)
-            if (typ != "opt" or not isinstance(right, ast.Constant)
-                    or right.value is not None):
-                self.refuse(node, "`is` other than `<probe result> is "
-                                  "[not] None`")
-            return f"({text} {'<' if isinstance(op, ast.Is) else '>='} 0)", \
-                "int"
         symbol = _COMPARES.get(type(op))
         if symbol is None:
             self.refuse(node, f"comparison {type(op).__name__}")
-        (left, right), _typ = self.numbers(node, node.left, right)
+        (left, right), _typ = self.numbers(node.left, right)
         return f"({left} {symbol} {right})", "int"
 
     def condition(self, node) -> str:
@@ -288,7 +247,7 @@ class _Translator:
         return text, "int"
 
     def expr_IfExp(self, node):
-        (body, orelse), typ = self.numbers(node, node.body, node.orelse)
+        (body, orelse), typ = self.numbers(node.body, node.orelse)
         return f"({self.condition(node.test)} ? {body} : {orelse})", typ
 
     def expr_Attribute(self, node):
@@ -323,16 +282,6 @@ class _Translator:
         if not isinstance(func, ast.Name) or func.id in self.locals:
             self.refuse(node, "call of a computed callable")
         kind = self.kind(func)
-        if kind.startswith("probe:"):
-            lines, index, assoc = kind[6:].split(",")
-            if self.locals.get(index, self.kinds.get(index)) != "int":
-                self.refuse(node, f"{func.id} before its set index "
-                                  f"{index!r} is an integer")
-            index = index if index in self.locals else self.ref(index)
-            lines, assoc = self.ref(lines), self.ref(assoc)
-            (arg,) = node.args
-            return (f"probe({lines} + {index} * {assoc}, {assoc}, "
-                    f"{self.int_expr(arg)})"), "opt"
         if kind.startswith("callout:"):
             ret, params = callout_signature(kind)
             if len(params) != len(node.args):
@@ -380,11 +329,6 @@ class _Translator:
     def assign(self, target, value: str, typ: str, node, depth: int,
                op: str = "=") -> None:
         if isinstance(target, ast.Name):
-            if typ == "opt":
-                self.optional.add(target.id)
-                typ = "int"
-            elif op == "=":
-                self.optional.discard(target.id)
             if self.locals.get(target.id) == "float" and typ == "int":
                 value, typ = f"(double)({value})", "float"
             self.declare(node, target.id, typ)
@@ -393,10 +337,8 @@ class _Translator:
         if not isinstance(target, ast.Subscript):
             self.refuse(node, f"assignment to {type(target).__name__}")
         base = target.value
-        if self.is_tags(base):
-            return                          # the dict mirrors its LINES
         place, place_typ = self.expr_Subscript(target)
-        if typ == "opt" or (place_typ == "int" and typ == "float"):
+        if place_typ == "int" and typ == "float":
             self.refuse(node, f"{typ} stored into an {place_typ} array")
         self.stored.add(base.id if isinstance(base, ast.Name)
                         else base.value.id)
@@ -407,35 +349,10 @@ class _Translator:
             self.refuse(node, "chained assignment")
         target, value = node.targets[0], node.value
         if isinstance(target, ast.Tuple):
-            return self.pushpop(node, target, value, depth)
+            self.refuse(node, "tuple assignment")
         text, typ = self.expr(value)
         self.assign(target, text, typ, node, depth)
         self.after_callout(value, depth)
-
-    def pushpop(self, node, target, value, depth):
-        """``now, t = pushpop(heap, (clock, t))``."""
-        shape_ok = (
-            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-            and self.kinds.get(value.func.id) == "pushpop"
-            and len(value.args) == 2 and isinstance(value.args[0], ast.Name)
-            and self.kinds.get(value.args[0].id) == "heap"
-            and isinstance(value.args[1], ast.Tuple)
-            and len(value.args[1].elts) == 2 and len(target.elts) == 2
-            and all(isinstance(elt, ast.Name) for elt in target.elts))
-        if not shape_ok or self.has_callout(value):
-            self.refuse(node, "tuple assignment other than "
-                              "`now, t = pushpop(heap, (clock, t))`")
-        self.kind(value.func)
-        heap = self.ref(value.args[0].id)
-        self.kind(value.args[0])
-        clock, thread = value.args[1].elts
-        now, popped = (elt.id for elt in target.elts)
-        self.declare(node, now, "float")
-        self.declare(node, popped, "int")
-        self.emit(depth, f"{heap}[{self.int_expr(thread)}] = "
-                         f"{self.as_float(clock)};")
-        self.emit(depth, f"{popped} = heap_min({heap}, {heap}_n);")
-        self.emit(depth, f"{now} = {heap}[{popped}];")
 
     def stmt_AugAssign(self, node, depth):
         op = _BINOPS.get(type(node.op))
@@ -457,20 +374,6 @@ class _Translator:
         self.assign(node.target, value, typ, node, depth, op + "=")
         self.after_callout(node.value, depth)
 
-    def stmt_Delete(self, node, depth):
-        for target in node.targets:
-            if not isinstance(target, ast.Subscript):
-                self.refuse(node, "del of a name")
-            if not self.is_tags(target.value):
-                self.refuse(node, "del of anything but a tag-dict entry")
-
-    def is_tags(self, node) -> bool:
-        if (isinstance(node, ast.Name) and node.id not in self.locals
-                and self.kinds.get(node.id, "").startswith("tags:")):
-            self.tags[node.id] = None
-            return True
-        return False
-
     def stmt_Expr(self, node, depth):
         call = node.value
         if not isinstance(call, ast.Call):
@@ -490,28 +393,13 @@ class _Translator:
             depth += 1
         else:
             self.emit(depth, f"if ({test}) {{")
-        # ``if x is not None:`` — ``x`` is an integer inside the body; a
-        # name may hold None after the statement if it may on either path.
-        before = set(self.optional)
-        self.optional -= self.narrowed(node.test, ast.IsNot)
         self.block(node.body, depth + 1)
-        after_body, self.optional = self.optional, before
-        self.optional -= self.narrowed(node.test, ast.Is)
         if node.orelse:
             self.emit(depth, "} else {")
             self.block(node.orelse, depth + 1)
-        self.optional |= after_body
         self.emit(depth, "}")
         if self.has_callout(node.test):
             self.emit(depth - 1, "}")
-
-    @staticmethod
-    def narrowed(test, op) -> Set[str]:
-        if (isinstance(test, ast.Compare) and len(test.ops) == 1
-                and isinstance(test.ops[0], op)
-                and isinstance(test.left, ast.Name)):
-            return {test.left.id}
-        return set()
 
     def stmt_While(self, node, depth):
         if node.orelse:
@@ -522,9 +410,7 @@ class _Translator:
                    and node.test.value is True)
         self.emit(depth, "for (;;) {" if forever
                   else f"while ({self.condition(node.test)}) {{")
-        before = set(self.optional)
         self.block(node.body, depth + 1)
-        self.optional |= before
         self.emit(depth, "}")
 
     def stmt_For(self, node, depth):
@@ -545,16 +431,13 @@ class _Translator:
             self.refuse(node, f"store to the loop variable {target.id!r}")
         self.kind(column)
         self.declare(node, target.id, "int")
-        self.optional.discard(target.id)
         items, index = column.id, f"{column.id}_i"
         self.emit(depth, f"for (i64 {index} = 0; {index} < {items}_n; "
                          f"{index}++) {{")
         self.emit(depth + 1, f"{target.id} = {items}[{index}];")
-        before = set(self.optional)
         self.in_for = True
         self.block(node.body, depth + 1)
         self.in_for = False
-        self.optional |= before
         self.emit(depth, "}")
 
     def stmt_Break(self, node, depth):
@@ -573,8 +456,6 @@ class _Translator:
             self.refuse(node, "returns of different lengths")
         for position, value in enumerate(values):
             text, typ = self.expr(value)
-            if typ == "opt":
-                self.refuse(node, "return of a value that may be None")
             if position == len(self.returns):
                 self.returns.append(typ)
             elif self.returns[position] != typ:
@@ -620,11 +501,6 @@ class _Translator:
                             (f"{name}_n", "i64", "length")]
                 prologue += [f"const i64 *const {name} = a->{name};",
                              f"const i64 {name}_n = a->{name}_n;"]
-            elif kind == "heap":
-                members += [(name, "double *", kind),
-                            (f"{name}_n", "i64", "length")]
-                prologue += [f"double *const {name} = a->{name};",
-                             f"const i64 {name}_n = a->{name}_n;"]
             elif kind.startswith("callout:"):
                 ret, params = callout_signature(kind)
                 params = ", ".join(_C_TYPES[p] for p in params) or "void"
@@ -643,10 +519,8 @@ class _Translator:
              f"rendering of that name. */", PRELUDE, "typedef struct {"]
             + struct + ["} Args;", "", "i64 run(Args *a) {"]
             + ["    " + line for line in prologue] + self.lines + ["}", ""])
-        tags = tuple((name, *self.kinds[name][5:].split(","))
-                     for name in self.tags)
         return Kernel(source, tuple(members), self.params,
-                      frozenset(self.stored), tags)
+                      frozenset(self.stored))
 
 
 def translate(source: str, name: str, kinds: Mapping[str, str]) -> Kernel:

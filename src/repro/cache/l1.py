@@ -11,13 +11,15 @@ Two ways in, over the same arrays:
 
 * per access, :meth:`SmallLRUCache.access_line_rw` (and its read,
   :meth:`~SmallLRUCache.access_line_hit`) — hand-written, the reference
-  engine's path and the oracle;
-* per window, :meth:`~SmallLRUCache.access_lines_hit` /
-  :meth:`~SmallLRUCache.access_lines_rw` — the compiled ``prefilter``
-  rendering of :mod:`repro.cache.transitions`, bound at construction,
-  which walks a whole window (an ``int64`` column) in place and returns
-  its L1-miss stream.  Where it does not load they raise: every run
-  there is the reference engine's, which steps the L1 per access.
+  engine's path and the oracle, writes included;
+* per read window, :meth:`~SmallLRUCache.access_lines_hit` — the
+  compiled ``prefilter`` rendering of :mod:`repro.cache.transitions`,
+  bound at construction, which walks a whole window (an ``int64``
+  column) in place and returns its L1-miss stream.  It reads an L1
+  without a dirty line — the batched engine runs read-only traces only
+  (:func:`repro.cmp.engine.batched_refusal`) — and raises on any other,
+  and where the kernel does not load: every run there is the reference
+  engine's, which steps the L1 per access.
 
 Behaviourally identical to ``SetAssociativeCache(geometry, "lru")`` for a
 single accessing core (verified by the equivalence tests in
@@ -27,7 +29,7 @@ single accessing core (verified by the equivalence tests in
 from __future__ import annotations
 
 from array import array
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -37,16 +39,14 @@ from repro.cache.geometry import CacheGeometry
 
 
 class MissStream(NamedTuple):
-    """The L1 misses of one window, as ``int64`` columns: ``offs[j]`` is
-    the window offset of miss ``j``, ``gaps[j]`` the L1 hits between miss
-    ``j - 1`` (or the window start) and it, ``lines[j]`` its line address
-    and ``victims[j]`` the dirty line its fill displaced (-1 for none) —
-    None for a read walk."""
+    """The L1 misses of one read window, as ``int64`` columns:
+    ``offs[j]`` is the window offset of miss ``j``, ``gaps[j]`` the L1
+    hits between miss ``j - 1`` (or the window start) and it, and
+    ``lines[j]`` its line address."""
 
     offs: np.ndarray
     gaps: np.ndarray
     lines: np.ndarray
-    victims: Optional[np.ndarray]
 
 
 class SmallLRUCache:
@@ -76,7 +76,7 @@ class SmallLRUCache:
         address whose dirty copy this access's fill evicted (None when
         nothing dirty was displaced).  A write marks the line dirty, a
         read fill installs it clean, and evicting a dirty line counts a
-        writeback — whichever entry point evicts it.
+        writeback.
         """
         slots = self._slots
         dirty = self._dirty
@@ -131,47 +131,34 @@ class SmallLRUCache:
 
         Exactly :meth:`access_line_hit` per element — state, statistics
         and outcomes (``tests/test_cache/test_prefilter.py``) — in one
-        call of the ``prefilter`` kernel.  ``victims`` is None.
+        call of the ``prefilter`` kernel, over an L1 that holds no dirty
+        line (:class:`ValueError` otherwise, nothing walked: only the
+        per-access path writes back).
         """
-        offs, gaps, misses, _victims = self._walk(lines, None)
-        return MissStream(offs, gaps, misses, None)
-
-    def access_lines_rw(self, lines: np.ndarray,
-                        writes: Optional[np.ndarray] = None) -> MissStream:
-        """Read/write a window of line addresses (``writes`` a boolean
-        column, None for all reads); its L1-miss stream, dirty victims
-        included.  Exactly :meth:`access_line_rw` per element."""
-        if writes is not None and len(writes) != len(lines):
-            raise ValueError(
-                f"writes array has {len(writes)} entries for "
-                f"{len(lines)} lines"
-            )
-        return MissStream(*self._walk(lines, writes))
-
-    def _walk(self, lines, writes):
-        """One ``prefilter`` call: the four columns, statistics folded."""
         if self._prefilter is None:
             raise RuntimeError(f"{self.name}: no compiled prefilter")
+        if 1 in self._dirty:
+            raise ValueError(f"{self.name}: a window walk reads a clean L1; "
+                             f"this one holds a dirty line")
         lines = np.ascontiguousarray(lines, dtype=np.int64)
         width = len(lines)
-        stats = self.stats
-        if writes is not None:
-            writes = np.asarray(writes, dtype=np.int64)
-            stats.write_accesses[0] += int(np.count_nonzero(writes))
-        elif 1 in self._dirty:
-            # A read window can still evict a dirty line: the flags must
-            # move, so the kernel gets the window as writes of all zeros.
-            writes = np.zeros(width, dtype=np.int64)
         # Slot ``n`` of each column is written on every access and kept
         # on a miss, so each needs the window's width.
-        columns = np.empty((4, width), dtype=np.int64)
-        n, fills, writebacks = self._prefilter(
-            lines, writes, writes is not None, *columns)
+        columns = np.empty((3, width), dtype=np.int64)
+        n, fills = self._prefilter(lines, *columns)
+        stats = self.stats
         stats.accesses[0] += width
         stats.misses[0] += n
         stats.fills_invalid[0] += fills
-        stats.writebacks[0] += writebacks
-        return columns[:, :n]
+        return MissStream(*columns[:, :n])
+
+    def access_lines_rw(self, lines, writes=None):
+        """Benchmark-owned stub: ``benchmarks/e2e/tracing.py`` wraps this
+        method of the class's own ``__dict__``, and only a benchmark
+        change may drop it.  Always raises: no window walk writes —
+        :meth:`access_line_rw` steps a writing trace."""
+        raise NotImplementedError("no write window walk; step "
+                                  "access_line_rw per access")
 
     # ------------------------------------------------------------------
     def contains_line(self, line: int) -> bool:

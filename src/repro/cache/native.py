@@ -18,7 +18,7 @@ translator's own source, :data:`repro.cache.transitions.C_KINDS`, the
 interpreter's minor version), the compiler's version line and
 :data:`FLAGS` — followed by a digest of the object's own bytes.  A miss
 translates and appends the kernel's member table (``members``,
-``params``, ``stored``, ``tags``) to the C source as one string constant,
+``params``, ``stored``) to the C source as one string constant,
 :data:`TABLE`; a hit renders, opens the object and reads the table back
 as JSON, so a warm process never translates.  The factory's prologue —
 the rendered text up to the kernel's ``def`` — returns the objects the
@@ -49,17 +49,18 @@ lifetime, so whatever Python does sees and is seen by C at once, and
 resizing one raises :class:`BufferError` at any time instead of leaving
 C a dangling pointer.  Anything else where an owner array belongs is a
 :class:`TypeError` at bind.  A call writes only its own parameters —
-the loop's cursors, rows, heap, call-outs and scalars, the prefilter's
+the loop's cursors, rows, clocks, call-outs and scalars, the prefilter's
 window and output columns, a drain's batch (an ``int64`` column or an
 ``array('q')``), each pinned for the call where it is an ``array`` —
-runs, and reads the returns.  Nothing is copied back either: a kernel
-that writes a tag store's lines leaves the store stale
-(:attr:`repro.cache.state.TagStore.stale`), and the tag dict is derived
-from the lines when it is next read.  The loop returns to Python through
-call-outs (``beyond``, ``freeze``, ``resume``); after each, a miss-stream
-column the shell replaced is re-pointed.  An exception raised inside a
-call-out stops the C loop at that statement and is re-raised from
-:meth:`CompiledKernel.__call__`.
+runs, and reads the returns.  Nothing is copied back either: C probes
+a set's row of a tag store's ``lines``, so a kernel that stores
+``tag_lines`` leaves its bound ``store`` stale
+(:attr:`repro.cache.state.TagStore.stale`), and the classes' tag dict is
+derived from the lines when it is next read.  The loop returns to
+Python through call-outs (``beyond``, ``freeze``, ``resume``); after
+each, a miss-stream column the shell replaced is re-pointed.  An
+exception raised inside a call-out stops the C loop at that statement
+and is re-raised from :meth:`CompiledKernel.__call__`.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
 ``None`` with the reason, silently — that host is simply slower: every
@@ -246,36 +247,35 @@ TABLE = "repro_members"
 
 
 def table_constant(kernel) -> str:
-    """``kernel``'s member table — ``members``, ``params``, ``stored``,
-    ``tags`` — as the C definition of :data:`TABLE`, appended to its
-    translation unit."""
+    """``kernel``'s member table — ``members``, ``params``, ``stored`` —
+    as the C definition of :data:`TABLE`, appended to its translation
+    unit."""
     text = json.dumps({"members": kernel.members, "params": kernel.params,
-                       "stored": sorted(kernel.stored), "tags": kernel.tags})
+                       "stored": sorted(kernel.stored)})
     text = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'\nconst char {TABLE}[] = "{text}";\n'
 
 
 def _read_table(library: ctypes.CDLL):
-    """``(members, params, stored, tags)`` of the table ``library``
+    """``(members, params, stored)`` of the table ``library``
     exports: parsed as JSON and checked as data, never executed.  A
     missing or malformed table raises :class:`ValueError` (a missing
     symbol, bad JSON, a failed check), :class:`KeyError` or
     :class:`TypeError`."""
     table = json.loads(ctypes.string_at(ctypes.addressof(
         ctypes.c_char.in_dll(library, TABLE))))
-    members, tags = (tuple(map(tuple, table[part]))
-                     for part in ("members", "tags"))
+    members = tuple(map(tuple, table["members"]))
     params, stored = tuple(table["params"]), frozenset(table["stored"])
-    strings = [*params, *stored,
-               *(text for entry in members + tags for text in entry)]
-    names = [*params, *(entry[0] for entry in members + tags)]
-    if (sorted(table) != ["members", "params", "stored", "tags"]
-            or any(len(entry) != 3 for entry in members + tags)
+    strings = [*params, *stored, *(text for entry in members
+                                   for text in entry)]
+    names = [*params, *(entry[0] for entry in members)]
+    if (sorted(table) != ["members", "params", "stored"]
+            or any(len(entry) != 3 for entry in members)
             or not all(isinstance(text, str) for text in strings)
             or not all(name.isidentifier() and not keyword.iskeyword(name)
                        for name in names)):
         raise ValueError(f"malformed member table {TABLE}")
-    return members, params, stored, tags
+    return members, params, stored
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +294,10 @@ class Loaded(NamedTuple):
     bindings: Callable                  # build(owner, ...) -> {name: obj}
     #: ``(name, C type, kind)`` of every member the bind or a call sets,
     #: in member order — all but the lengths (set along with their
-    #: column or heap) and the returns, which trail the block.
+    #: column) and the returns, which trail the block.
     fields: Tuple[Tuple[str, str, str], ...]
     #: The returned values' members, in order.
     returns: Tuple[str, ...]
-    #: The kernel writes the ``LINES`` of a tag dict (a translated dict's
-    #: updates are dropped): a call leaves the rendering's tag ``store``
-    #: stale.
-    writes_tags: bool
 
 
 def _args_type(members) -> Tuple[type, Dict[str, type]]:
@@ -318,6 +314,12 @@ def _args_type(members) -> Tuple[type, Dict[str, type]]:
             fields.append((name, ctypes.c_void_p))
     return type("Args", (ctypes.Structure,), {"_fields_": fields}), callouts
 
+
+#: The tag store's lines: a kernel that stores them leaves the store stale.
+_TAGS = "tag_lines"
+#: The loop's thread count: what every per-thread argument is checked
+#: against.
+_THREADS = "threads"
 
 #: Where a rendering's factory prologue ends: its kernel closure's ``def``.
 _KERNEL_DEF = re.compile(r"^    def ", re.MULTILINE)
@@ -340,21 +342,19 @@ def _bindings(source: str, label: str, names) -> Callable:
 def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
     """The kernel ``library`` holds, described by its own member table
     and bound through the rendering ``source``."""
-    members, params, stored, tags = _read_table(library)
+    members, params, stored = _read_table(library)
     args, callouts = _args_type(members)
     library.run.argtypes = [ctypes.POINTER(args)]
     library.run.restype = ctypes.c_int64
     bound = [name for name, _ctype, kind in members
              if name not in params and kind not in ("error", "length", "ret")]
-    writes_tags = any(lines in stored for _dict, lines, _assoc in tags)
-    # Every tag dict is ``store.map`` (``TEMPLATES["bind_tags"]``).
+    # ``tag_lines`` is ``store.lines`` (``TEMPLATES["bind_tags"]``).
     return Loaded(
         params, stored, library.run, args, callouts,
-        _bindings(source, label, bound + ["store"] * writes_tags),
+        _bindings(source, label, bound + ["store"] * (_TAGS in stored)),
         fields=tuple(m for m in members if m[2] not in ("length", "ret")),
         returns=tuple(name for name, _ctype, kind in members
-                      if kind == "ret"),
-        writes_tags=writes_tags)
+                      if kind == "ret"))
 
 
 @lru_cache(maxsize=None)
@@ -453,7 +453,10 @@ class CompiledKernel:
     The bind fills the argument block with every member that is not a
     parameter and pins each owner ``array`` for the kernel's lifetime; a
     call writes its parameters into the same block, runs, and marks the
-    tag store stale (module docstring, *State during a call*)."""
+    tag store stale (module docstring, *State during a call*).  A kernel
+    with a ``threads`` parameter (``loop``) indexes every ``cores`` array
+    and every array parameter by thread, and has one column per thread
+    in each ``rows`` table: a call checks each against it."""
 
     def __init__(self, loaded: Loaded, owner, *args) -> None:
         self._loaded = loaded
@@ -479,14 +482,12 @@ class CompiledKernel:
                     self._cores.append((name, value))
             else:
                 setattr(block, name, value)
-        self._store = bound["store"] if loaded.writes_tags else None
+        self._store = bound["store"] if _TAGS in loaded.stored else None
         members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
-        #: ``(name, C type, kind)`` per parameter; kind None for one with
-        #: no member (``pushpop``: a store and an arg-min in C).
-        self._params = tuple((name, *members.get(name, (None, None)))
-                             for name in params)
+        #: ``(name, C type, kind)`` per parameter.
+        self._params = tuple((name, *members[name]) for name in params)
         kinds = [kind for _name, _ctype, kind in self._params]
-        self._heap = kinds.index("heap") if "heap" in kinds else None
+        self._threads = params.index(_THREADS) if _THREADS in params else None
         #: Kernels that leave C for Python mid-call (``loop``) keep
         #: per-call state (:class:`_Run`).
         self._returns_to_python = "rows" in kinds or bool(loaded.callouts)
@@ -496,10 +497,8 @@ class CompiledKernel:
         if len(arguments) != len(self._params):
             raise TypeError(f"{len(arguments)} arguments where "
                             f"{len(self._params)} belong")
-        # One clock per thread: the popped thread's slot plus the heap's
-        # (a kernel without a heap has no per-thread member).
-        threads = (0 if self._heap is None
-                   else 1 + len(arguments[self._heap]))
+        threads = (0 if self._threads is None
+                   else arguments[self._threads])
         for name, value in self._cores:
             _check_cores(name, value, threads)
         run = _Run(block) if self._returns_to_python else None
@@ -515,20 +514,12 @@ class CompiledKernel:
                 elif kind in ("int", "float"):
                     setattr(block, name, value)
                 elif kind in _ARRAY_KINDS:
-                    if kind == "cores":
-                        _check_cores(name, value, threads)
+                    _check_cores(name, value, threads)
                     setattr(block, name, _share(name, ctype, value,
                                                 name in loaded.stored, pins))
                 elif kind == "rows":
                     setattr(block, name, run.rows_for(name, value, threads))
-                elif kind == "heap":
-                    clocks = (ctypes.c_double * threads)()
-                    for clock, thread in value:
-                        clocks[thread] = clock
-                    keep.append(clocks)
-                    setattr(block, name, ctypes.addressof(clocks))
-                    setattr(block, f"{name}_n", threads)
-                elif kind is not None:          # callout:
+                else:                           # callout:
                     thunk = loaded.callouts[name](run.callout(value))
                     keep.append(thunk)
                     setattr(block, name, thunk)

@@ -11,12 +11,14 @@ Two pieces live here:
   tables).  The lookup representation was chosen by benchmark
   (``bench_core_structures.py::TestTagStateRepresentation``): a single dict
   beats a dict-per-set (one indirection less per access), and a Python
-  probe of the set row costs 10-20x a dict lookup.  The three arrays are
+  probe of the set row costs 10-20x a dict lookup.  The dict is the
+  classes' alone: a compiled kernel probes the set row of ``lines`` (in
+  C, a few ns) and never touches it.  The three arrays are
   ``array('q')``, which a compiled kernel works on in place, by address
-  (:mod:`repro.cache.native`); such a call leaves the dict
-  :attr:`~TagStore.stale`, and :attr:`TagStore.map` derives it from the
-  lines on the next read, so a run of compiled calls rebuilds it at most
-  once.  The price is paid by the interpreted path (the reference
+  (:mod:`repro.cache.native`); a call that stores ``lines`` leaves the
+  dict :attr:`~TagStore.stale`, and :attr:`TagStore.map` derives it from
+  the lines on the next read, so a run of compiled calls rebuilds it at
+  most once.  The price is paid by the interpreted path (the reference
   engine): an element read or write costs ~30 ns more than a list's, and
   every ``map`` read is a property read
   (``docs/architecture.md``, "State during a run").  Bulk consumers get

@@ -18,23 +18,28 @@ fragment slot (:data:`PREFILTER_KEY`).
 
 A rendering is Python text that only :func:`translate` reads: it
 becomes C (:mod:`repro.cache.cgen`), which :func:`bind` loads or, with
-the reason recorded, does not.  The per-access entry points
+the reason recorded, does not.  So the text says what the C does, over
+flat arrays only: a line is looked up by a probe of its set's row of
+``tag_lines`` (``way == assoc``: not there), the next thread to run is
+an arg-min over one clock per thread, and the L1 walk reads.  The
+per-access entry points
 (``SetAssociativeCache.access_line_hit``, ``ATD.observe``,
 ``SmallLRUCache.access_line_rw``) are the classes' own methods — what
 the reference engine steps, also on every run without a compiled
 kernel (:func:`repro.cmp.engine.batched_refusal`).
 
-:data:`POLICIES` holds, per kernel kind, *locate* / *promote* on a hit,
+:data:`POLICIES` holds, per kernel kind, *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
 its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
 read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
 ``full_mask``); :data:`TEMPLATES` holds the kernel skeletons, the
-miss path ``observe`` and ``loop`` share, and the event loop's access
-block, which inlines the L2 transition.  Whether a rendering is exact
-for an instance is decided by the callers from what they can observe
-(:func:`repro.cache.state.kernel_key`), never by an option.
+probe and the miss path ``observe`` and ``loop`` share, and the event
+loop's access block, which inlines the L2 transition.  Whether a
+rendering is exact for an instance is decided by the callers from what
+they can observe (:func:`repro.cache.state.kernel_key`), never by an
+option.
 
 A line holding only ``$slot`` is replaced by that fragment at the line's
 indentation (recursively); ``$line``, ``$core`` and ``$set`` are the
@@ -79,7 +84,6 @@ POLICIES = {
         "bind": """\
 orders = policy._order
 present = policy._present""",
-        "locate": "row = $set * assoc",
         # One shift pass down to the way's slot, the way into the front;
         # skipped for the 30-84 % of L2 hits that are to the MRU already.
         "promote": """\
@@ -125,7 +129,6 @@ sdh_r[slot - row + 1] += 1""",
         "bind": """\
 used_l = policy._used
 pointer = policy._pointer_box""",
-        "locate": "",
         # Set the used bit; when the whole reset domain is then set, clear
         # it except the accessed line (§III-A).
         "promote": """\
@@ -173,7 +176,6 @@ walk = policy._walk
 up_l = policy._up
 down_l = policy._down
 levels = policy.levels""",
-        "locate": "",
         "promote": "tree[$set] = (tree[$set] & keep[way]) | setb[way]",
         "fill_invalid": "",
         # The traversal ignores the candidate mask (enforcement is the
@@ -270,8 +272,6 @@ if previous != $core:
 
 TEMPLATES = {
     "bind_tags": """\
-tag_map = store.map
-tag_get = tag_map.get
 tag_lines = store.lines
 invalid = store.invalid
 assoc = store.assoc
@@ -291,7 +291,6 @@ $bind_scheme""",
     # install; scheme bookkeeping; promote.  (The promote commutes with
     # install / on_fill: the policy never reads tag or partition state.)
     "miss": """\
-row = $set * assoc
 $mask
 inv = invalid[$set] & mask
 if inv:
@@ -303,15 +302,11 @@ else:
     $victim
     $evict
 tag_lines[row + way] = $line
-tag_map[$line] = way
 $on_fill
 $fill""",
-    "evict_in_mask": "del tag_map[tag_lines[row + way]]",
+    # A victim outside the mask may be an invalid way (BT): fill it.
     "evict_any": """\
-old = tag_lines[row + way]
-if old >= 0:
-    del tag_map[old]
-else:
+if tag_lines[row + way] < 0:
     invalid[$set] &= ~(1 << way)
     $count_fill""",
     # The ATD runs full-mask, single-core, unpartitioned: scheme ``none``,
@@ -340,9 +335,8 @@ def build(atd):
                 continue
             sampled += 1
             s = (line & l2_set_mask) >> set_shift
-            way = tag_get(line)
-            if way is not None:
-                $locate
+            $probe
+            if way < assoc:
                 $sdh
                 $promote
                 continue
@@ -353,15 +347,23 @@ def build(atd):
 
     return observe_many
 """,
-    # One heap event per L2 access (see repro.cmp.engine.batched for the
-    # exactness argument).  The float expressions and the (clock, thread)
-    # pop order are the reference engine's.
+    # The line's way in its set's row of ``tag_lines``; ``assoc`` when
+    # the line is not there.
+    "probe": """\
+row = $set * assoc
+way = 0
+while way < assoc and tag_lines[row + way] != $line:
+    way += 1""",
+    # One event per L2 access (see repro.cmp.engine.batched for the
+    # exactness argument).  The float expressions are the reference
+    # engine's, and so is the pop order: the thread with the least clock
+    # runs next, the lowest index among equal clocks (strict ``<``).
     "loop": """\
 def build(cache, channel):
     $bind_loop
     $bind_channel
 
-    def loop(now, t, heap, pushpop, horizon, beyond, freeze, resume, cur,
+    def loop(now, t, clocks, threads, horizon, beyond, freeze, resume, cur,
              stop, anchor, lines, gaps, fz_at, fz_hit, base, l2_hit_pen,
              mem_pen):
         while True:
@@ -386,16 +388,22 @@ def build(cache, channel):
                 if not freeze(t, anchor[t] + fz_hit[t] * base[t], j):
                     break
                 clock = resume(t, j)
-            now, t = pushpop(heap, (clock, t))
+            clocks[t] = clock
+            t = 0
+            u = 1
+            while u < threads:
+                if clocks[u] < clocks[t]:
+                    t = u
+                u += 1
+            now = clocks[t]
         return now, t
 
     return loop
 """,
     "access_fused": """\
 s = line & set_mask
-way = tag_get(line)
-if way is not None:
-    $locate
+$probe
+if way < assoc:
     $promote
     clock = now + base[t] + l2_hit_pen
 else:
@@ -422,95 +430,56 @@ chan_count[0] += 1
 chan[1] += start - issued
 clock = start + latency + base[t]""",
     # The private L1 in front of one thread (Table II: true LRU), one
-    # window of its references per call.  Each set is ``assoc`` slots,
-    # MRU first, -1 invalid (always a suffix), with a dirty flag per
-    # slot.  An access moves its line to the front in one fixed-trip pass
-    # over the slots: each slot takes what the slot before it held until
-    # the line's own slot has been passed (on a miss the last slot — the
-    # LRU line or an invalid one — falls off the end), with selects and
-    # unconditional stores, so on the C target nothing branches on the
-    # data.  The miss stream is written the same way: slot ``n`` of each
-    # column is rewritten on every access and kept (``n`` advanced) on a
-    # miss.  The flags move with their lines only when the walk can see a
-    # dirty one (``writing``: the window writes or the L1 holds a dirty
-    # line); otherwise every flag is and stays 0 and the second loop —
-    # the first minus its flag work, 40 % faster on the C target —
-    # leaves them alone.
+    # read window of its references per call.  Each set is ``assoc``
+    # slots, MRU first, -1 invalid (always a suffix).  An access moves its
+    # line to the front in one fixed-trip pass over the slots: each slot
+    # takes what the slot before it held until the line's own slot has
+    # been passed (on a miss the last slot — the LRU line or an invalid
+    # one — falls off the end), with selects and unconditional stores, so
+    # on the C target nothing branches on the data.  The miss stream is
+    # written the same way: slot ``n`` of each column is rewritten on
+    # every access and kept (``n`` advanced) on a miss.  The L1's dirty
+    # flags are all 0 (its caller checks) and stay so: a read installs
+    # clean, and a clean line needs no write-back.
     "prefilter": """\
 def build(l1):
     slots = l1._slots
-    dirty = l1._dirty
     assoc = l1._assoc
     set_mask = l1._set_mask
 
-    def prefilter(refs, writes, writing, miss_offs, miss_gaps, miss_lines,
-                  miss_victims):
+    def prefilter(refs, miss_offs, miss_gaps, miss_lines):
         i = 0
         n = 0
         gap = 0
         fills = 0
-        writebacks = 0
-        if writing:
-            for line in refs:
-                row = (line & set_mask) * assoc
-                hit = 0
-                d = 0
-                carry = line
-                carried = 0
-                k = 0
-                while k < assoc:
-                    here = slots[row + k]
-                    flag = dirty[row + k]
-                    slots[row + k] = here if hit else carry
-                    dirty[row + k] = flag if hit else carried
-                    match = here == line
-                    hit |= match
-                    d |= flag & match
-                    carry = here
-                    carried = flag
-                    k += 1
-                # ``here`` / ``flag``: the last slot, the one a miss drops.
-                miss = 1 - hit
-                wb = flag & miss
-                dirty[row] = d | writes[i]
-                miss_offs[n] = i
-                miss_gaps[n] = gap
-                miss_lines[n] = line
-                miss_victims[n] = here if wb else -1
-                n += miss
-                gap = (gap + 1) & -hit
-                fills += (here < 0) & miss
-                writebacks += wb
-                i += 1
-        else:
-            for line in refs:
-                row = (line & set_mask) * assoc
-                hit = 0
-                carry = line
-                k = 0
-                while k < assoc:
-                    here = slots[row + k]
-                    slots[row + k] = here if hit else carry
-                    hit |= here == line
-                    carry = here
-                    k += 1
-                miss = 1 - hit
-                miss_offs[n] = i
-                miss_gaps[n] = gap
-                miss_lines[n] = line
-                miss_victims[n] = -1
-                n += miss
-                gap = (gap + 1) & -hit
-                fills += (here < 0) & miss
-                i += 1
-        return n, fills, writebacks
+        for line in refs:
+            row = (line & set_mask) * assoc
+            hit = 0
+            carry = line
+            k = 0
+            while k < assoc:
+                here = slots[row + k]
+                slots[row + k] = here if hit else carry
+                hit |= here == line
+                carry = here
+                k += 1
+            # ``here``: the last slot, the one a miss drops.
+            miss = 1 - hit
+            miss_offs[n] = i
+            miss_gaps[n] = gap
+            miss_lines[n] = line
+            n += miss
+            gap = (gap + 1) & -hit
+            fills += (here < 0) & miss
+            i += 1
+        return n, fills
 
     return prefilter
 """,
 }
 
 #: ``$core`` per rendering (``$set`` is ``s`` and ``$line`` ``line`` in
-#: all): the popped thread of ``loop``; the ATD's ``observe`` is
+#: all): the running thread of ``loop``; the ATD's ``observe`` is
 #: single-core and keeps no fill count; ``prefilter`` has no placeholder.
 _CORE = {"observe": "0", "loop": "t", "prefilter": "0"}
 
@@ -524,7 +493,7 @@ PREFILTER_KEY = ("lru", "none")
 #: name), so :func:`render` refuses the pair.
 PRIVATE_LOCALS = {
     "observe": ("sampled", "skipped"),
-    "loop": ("j", "t", "now", "clock", "horizon"),
+    "loop": ("j", "t", "u", "now", "clock", "horizon"),
 }
 
 #: What every name a kernel may touch is in C (the vocabulary is
@@ -535,14 +504,13 @@ PRIVATE_LOCALS = {
 #: ``prefilter``'s window, miss-stream columns and L1 slots.  A name
 #: missing here is an error at translation time, never a guess.
 C_KINDS = {
-    "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
+    "now": "float", "t": "int", "clocks": "floats", "threads": "int",
     "horizon": "float", "beyond": "callout:float(float)",
     "freeze": "callout:int(int,float,int)",
     "resume": "callout:float(int,int)",
     "cur": "ints", "stop": "ints", "anchor": "floats", "lines": "rows",
     "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
     "l2_hit_pen": "float", "mem_pen": "float",
-    "tag_map": "tags:tag_lines,assoc", "tag_get": "probe:tag_lines,s,assoc",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "misses": "cores", "fills_invalid": "cores",
@@ -557,9 +525,8 @@ C_KINDS = {
     "batch": "column", "counts": "ints", "l2_set_mask": "int",
     "skip_mask": "int", "set_shift": "int", "sdh_r": "ints",
     "miss_reg": "int", "dist": "ints",
-    "refs": "column", "writes": "ints", "writing": "int",
-    "miss_offs": "ints", "miss_gaps": "ints", "miss_lines": "ints",
-    "miss_victims": "ints", "slots": "ints", "dirty": "ints",
+    "refs": "column", "miss_offs": "ints", "miss_gaps": "ints",
+    "miss_lines": "ints", "slots": "ints",
 }
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
@@ -621,8 +588,7 @@ def render(rendering: str, key: Key, policies=POLICIES, schemes=SCHEMES,
             scheme, bind=policy["bind"], bind_scheme=scheme["bind"],
             bind_loop=templates["bind_cache"],
             access=templates["access_fused"],
-            evict=templates["evict_in_mask" if policy["victim_in_mask"]
-                            else "evict_any"],
+            evict="" if policy["victim_in_mask"] else templates["evict_any"],
             count_fill=("" if rendering == "observe"
                         else "fills_invalid[$core] += 1"))
     source = "\n".join(_expand(templates[rendering], slots)) + "\n"

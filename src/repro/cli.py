@@ -102,11 +102,17 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
     flags = vars(args)
     overrides = {var: str(flags[flag]) for flag, var in _SCALE_FLAGS.items()
                  if flags.get(flag) is not None}
+    names = {var: "--" + flag.replace("_", "-")
+             for flag, var in _SCALE_FLAGS.items() if var in overrides}
     if flags.get("full"):
         overrides["REPRO_FULL"] = "1"
     if flags.get("mixes") == "all":
         overrides["REPRO_MIXES"] = "all"
-    return ExperimentScale.from_env({**os.environ, **overrides})
+    try:
+        return ExperimentScale.from_env({**os.environ, **overrides}, names)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_sections(args: argparse.Namespace) -> int:
@@ -161,11 +167,16 @@ def _jobs_count(value: str) -> int:
     return count
 
 
-def _parse_hostport(value: str, default_port: int = 0):
-    """Split a ``HOST:PORT`` argument (bare host means an ephemeral port)."""
+def _parse_hostport(value: str):
+    """``HOST:PORT`` as ``(host, port)`` — an argparse ``type``: a bare
+    host means an ephemeral port, an empty host the loopback; a port
+    that is not a number in 0-65535 is a usage error."""
     host, sep, port = value.rpartition(":")
     if not sep:
-        return value, default_port
+        return value, 0
+    if not (port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"{value!r}: PORT must be a number in 0-65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -181,7 +192,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     workers = 1 if args.pool == "serial" else args.jobs
     pool = None
     if args.pool == "remote":
-        host, port = _parse_hostport(args.bind or "127.0.0.1:0")
+        host, port = args.bind or ("127.0.0.1", 0)
         pool = RemotePool(host, port)
         print(f"remote pool: waiting for `repro campaign worker "
               f"{pool.address[0]}:{pool.address[1]}` to connect")
@@ -260,7 +271,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from repro.campaign.pool import run_remote_worker
 
     store = _campaign_store(args)
-    address = _parse_hostport(args.coordinator)
+    address = args.coordinator
     print(f"worker store: {store.describe()}")
     try:
         return run_remote_worker(address, store, name=args.name,
@@ -277,7 +288,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
     from repro.campaign.server import StoreServer
     from repro.campaign.store import default_store_path
 
-    host, port = _parse_hostport(args.bind or "127.0.0.1:0")
+    host, port = args.bind or ("127.0.0.1", 0)
     server = StoreServer(args.store or default_store_path(), host, port)
     print(f"serving store {server.backend.describe()} at {server.url}")
     print(f"point workers at it with --store-url {server.url} "
@@ -512,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution pool: auto picks serial/process from "
                             "--jobs; remote waits for campaign workers")
     run_p.add_argument("--bind", default=None, metavar="HOST:PORT",
+                       type=_parse_hostport,
                        help="listen address for --pool remote "
                             "(default: 127.0.0.1:0)")
     run_p.add_argument("--max-retries", type=int, default=2, metavar="N",
@@ -540,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p = csub.add_parser(
         "worker", help="pull jobs from a remote-pool coordinator")
     worker_p.add_argument("coordinator", metavar="HOST:PORT",
+                          type=_parse_hostport,
                           help="address printed by "
                                "`campaign run --pool remote`")
     worker_p.add_argument("--store", default=None,
@@ -560,6 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="store directory to serve (default: "
                               ".repro-store or $REPRO_STORE)")
     serve_p.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
+                         type=_parse_hostport,
                          help="listen address (default: 127.0.0.1:0)")
 
     report = sub.add_parser(

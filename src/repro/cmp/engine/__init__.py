@@ -8,8 +8,8 @@ Two engines, one implementation each:
 * :class:`BatchedEngine` — the compiled L1 ``prefilter`` feeding the
   compiled ``loop`` rendering of the L2's stock (policy, scheme) pair
   (:mod:`repro.cache.transitions`), one event per reference that reaches
-  the shared L2, bit-identical at every core count (a single thread is a
-  heap of one); what it runs is :func:`batched_refusal`'s rule.
+  the shared L2, bit-identical at every core count (a single thread is
+  one clock); what it runs is :func:`batched_refusal`'s rule.
 
 :func:`make_engine` instantiates by the ``SimulationConfig.engine`` name
 (``"auto"``: :func:`resolve_engine_name`); :func:`engine_summary` says
@@ -69,7 +69,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "78685a80760725f508b2b610a3ee678c538d2dd72330e964653b262ce59f7f83"
+ENGINE_SOURCE_CHECKSUM = "51983429c75e9979bb351bf6ac97fa67fdc3881c9b7742431b9f3124c94ca0ae"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -7,9 +7,9 @@ window of :data:`CHUNK_SIZE` references per call of the L1's ``prefilter``
 kernel (:meth:`repro.cache.l1.SmallLRUCache.access_lines_hit`).  Of each
 window the engine keeps only the **L1-miss stream** the kernel writes —
 the lines that reach the shared L2 and the number of L1 hits (the *gap*)
-preceding each — and schedules exactly one heap event per L2 access:
-``(anchor + gap * base, thread)``, the reference engine's pop key for
-that access.
+preceding each — and schedules exactly one event per L2 access, at
+``anchor + gap * base``: the reference engine's pop key
+``(clock, thread)`` for that access.
 
 It runs read-only traces of an L2 with a stock (policy, scheme) pair
 under stock profiling or none, where the compiled ``loop`` and
@@ -56,23 +56,27 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
   then parks at ``+inf``.
+* **One clock per thread.**  The pending events are ``clocks``, one
+  ``array('d')`` slot per thread: the loop stores the thread's next key
+  in its slot and runs the thread with the least clock, the lowest index
+  among equal ones (strict ``<``) — the ``(clock, thread)`` order of the
+  reference engine's heap.  A parked thread's slot holds ``+inf``.
 * **One thread.**  Nothing above assumes a second thread.  With ``n == 1``
-  — every isolation job, every 1-core figure point — the heap is empty
-  after the first pop, ``heappushpop`` hands each event straight back,
-  the loop returns to Python once per window (``resume``) and the
-  termination rollback has nobody to visit; there is no separate
-  single-thread engine.
+  — every isolation job, every 1-core figure point — the arg-min has one
+  slot to look at, the loop returns to Python once per window
+  (``resume``) and the termination rollback has nobody to visit; there
+  is no separate single-thread engine.
 * **Fused L2 access.**  The loop itself is the ``loop`` rendering of
   :mod:`repro.cache.transitions`, the L2 transition inlined; its float
-  expressions and ``(clock, thread)`` pops are the reference engine's,
+  expressions and ``(clock, thread)`` order are the reference engine's,
   and its per-thread access count is settled in ``drain``, like the
-  ATDs.  It works by address on the cursors it shares with the shell's
-  call-outs (``array('q')`` / ``array('d')``) and on the ``int64``
-  miss-stream columns the prefilter wrote.
+  ATDs.  It works by address on the clocks and cursors it shares with
+  the shell's call-outs (``array('q')`` / ``array('d')``) and on the
+  ``int64`` miss-stream columns the prefilter wrote.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
-  be affected (its pending L2 access is still in the heap), so a binary
+  be affected (its pending L2 access never ran), so a binary
   search over the gap's pop keys counts the hits that did commit.
 """
 
@@ -80,7 +84,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from heapq import heapify, heappop, heappushpop
 from typing import List, Optional
 
 import numpy as np
@@ -125,7 +128,7 @@ def batched_refusal(sim) -> Optional[str]:
 
 
 class BatchedEngine(EngineBase):
-    """One heap event per L2 access over the bulk-prefiltered miss streams."""
+    """One event per L2 access over the bulk-prefiltered miss streams."""
 
     name = "batched"
 
@@ -173,7 +176,7 @@ class BatchedEngine(EngineBase):
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
             window = self.sim.traces[t].chunk_view(pos, end - pos)
-            offs, gaps, lines, _ = \
+            offs, gaps, lines = \
                 self.sim.hierarchy.l1[t].access_lines_hit(window)
             if len(gaps):
                 gaps[0] += carry
@@ -316,13 +319,12 @@ class BatchedEngine(EngineBase):
                     return math.inf
                 j = 0
 
-        # Raw heapq over (clock, thread) pairs: the same exact order as
-        # EventScheduler (see scheduler.py), without the method-call layer.
-        heap = [(resume(t, 0), t) for t in range(n)]
-        heapify(heap)
-        now, t = heappop(heap)
+        # The first pop: the least clock, the lowest thread among equal
+        # ones, as the loop's own arg-min (module docstring).
+        clocks = array("d", [resume(t, 0) for t in range(n)])
+        t = min(range(n), key=clocks.__getitem__)
         now, t = loop(
-            now, t, heap, heappushpop, min(next_boundary, cycle_cap),
+            clocks[t], t, clocks, n, min(next_boundary, cycle_cap),
             beyond, freeze, resume, cur, stop, anchor, lines, gaps,
             fz_at, fz_hit, base, l2_hit_pen, mem_pen)
         for u in range(n):

@@ -21,9 +21,9 @@ compare engines, not setup code:
 
 The per-window L1-miss stream the batched engine walks is the private
 L1's own bulk entry point
-(:meth:`repro.cache.l1.SmallLRUCache.access_lines_hit` /
-``access_lines_rw``, the ``prefilter`` rendering of
-:mod:`repro.cache.transitions`), called by ``BatchedEngine._load_chunk``;
+(:meth:`repro.cache.l1.SmallLRUCache.access_lines_hit`, the read-only
+``prefilter`` rendering of :mod:`repro.cache.transitions`), called by
+``BatchedEngine._load_chunk``;
 the reference engine steps the same L1 one access at a time.
 """
 

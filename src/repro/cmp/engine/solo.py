@@ -1,5 +1,5 @@
 """Benchmark-owned stub; the solo engine is gone (``batched`` runs a
-single thread as a heap of one)."""
+single thread with one clock)."""
 
 
 class SoloEngine:

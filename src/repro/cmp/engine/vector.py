@@ -1,5 +1,5 @@
 """Benchmark-owned stub; the vector engine and its ``window`` kernels
-are gone (``batched`` runs a single thread as a heap of one)."""
+are gone (``batched`` runs a single thread with one clock)."""
 
 
 def memo_stats() -> dict:

@@ -46,6 +46,7 @@ from repro.cmp.simulator import CMPSimulator, SimulationResult, ThreadResult
 from repro.hwmodel.power import PowerModel, PowerReport
 from repro.workloads.generator import generate_trace
 from repro.workloads.mixes import get_workload, workload_names
+from repro.util.validation import check_positive
 from repro.workloads.trace import Trace
 
 #: Baseline L2 capacity of the paper (scaled by ExperimentScale.scale).
@@ -80,10 +81,14 @@ class ExperimentScale:
                                       "apsi", "twolf", "gzip")
 
     @classmethod
-    def from_env(cls, environ: Mapping[str, str] = os.environ
-                 ) -> "ExperimentScale":
+    def from_env(cls, environ: Mapping[str, str] = os.environ,
+                 names: Mapping[str, str] = {}) -> "ExperimentScale":
         """Build a scale honouring the REPRO_* knobs of ``environ``
-        (``REPRO_FULL`` starts from the ``paper`` preset)."""
+        (``REPRO_FULL`` starts from the ``paper`` preset).  A value that
+        makes no scale — not a number, a divisor some cache capacity
+        does not take (:meth:`CacheGeometry.scaled`), no accesses —
+        raises :class:`ValueError` naming where it came from:
+        ``names[var]`` (the flag that set it) or the variable."""
         base = _paper_scale() if environ.get("REPRO_FULL") else cls()
         kwargs: Dict[str, object] = {}
         if environ.get("REPRO_MIXES", "").lower() == "all":
@@ -93,8 +98,17 @@ class ExperimentScale:
                                 ("REPRO_SEED", "seed", int),
                                 ("REPRO_TARGET_CYCLES", "target_cycles",
                                  float)):
-            if var in environ:
-                kwargs[name] = cast(environ[var])
+            if var not in environ:
+                continue
+            source = names.get(var, var)
+            try:
+                kwargs[name] = value = cast(environ[var])
+                if name == "scale":
+                    ProcessorConfig().scaled(value)
+                elif name == "accesses":
+                    check_positive("the trace length", value)
+            except ValueError as exc:
+                raise ValueError(f"{source}={environ[var]}: {exc}") from None
         return replace(base, **kwargs)  # type: ignore[arg-type]
 
     def mixes_for(self, num_threads: int) -> Tuple[str, ...]:

@@ -30,11 +30,11 @@ The batched engine — compiled event loop, ATD drains and L1 prefilter
 steps the policy, scheme and profiler classes: an oracle that shares no
 transition body with the kernels.  A case the batched engine refuses
 (:func:`repro.cmp.engine.batched_refusal`) has no pair to diff.  Then
-every thread's trace is walked, in windows of uneven widths, through
-the compiled ``prefilter`` and through the class's per-access
-``access_line_rw`` (:func:`prefilter_diffs`): miss streams, L1 slots,
+every read-only thread's trace is walked, in windows of uneven widths,
+through the compiled ``prefilter`` and through the class's per-access
+``access_line_hit`` (:func:`prefilter_diffs`): miss streams, L1 slots,
 dirty flags and statistics must be equal (paths prefixed
-``prefilter:``).
+``prefilter:``).  A writing trace never reaches the kernel.
 """
 
 from __future__ import annotations
@@ -227,50 +227,50 @@ def diff_snapshots(reference: Snapshot, other: Snapshot) -> List[str]:
     return out
 
 
-def _stepped(l1: SmallLRUCache, lines, writes) -> list:
-    """The four :class:`~repro.cache.l1.MissStream` columns of one window,
-    as lists, from per-access ``access_line_rw`` calls."""
-    stream, gap = [[], [], [], []], 0
+def _stepped(l1: SmallLRUCache, lines) -> list:
+    """The three :class:`~repro.cache.l1.MissStream` columns of one read
+    window, as lists, from per-access ``access_line_hit`` calls."""
+    stream, gap = [[], [], []], 0
     for i, line in enumerate(lines.tolist()):
-        hit, victim = l1.access_line_rw(
-            line, writes is not None and bool(writes[i]))
-        gap += hit
-        if not hit:
-            for column, value in zip(stream, (i, gap, line, victim)):
-                column.append(-1 if value is None else value)
-            gap = 0
+        if l1.access_line_hit(line):
+            gap += 1
+            continue
+        for column, value in zip(stream, (i, gap, line)):
+            column.append(value)
+        gap = 0
     return stream
 
 
 def _prefilter_walk(case: FuzzCase, trace, per_access: bool) -> list:
-    """The miss streams of ``trace``, window by window, through a fresh
-    L1's compiled ``prefilter`` (or, ``per_access``, ``access_line_rw``),
-    then the L1's slots, dirty flags and statistics."""
+    """The miss streams of the read-only ``trace``, window by window,
+    through a fresh L1's compiled ``prefilter`` (or, ``per_access``,
+    ``access_line_hit``), then the L1's slots, dirty flags and
+    statistics."""
     l1 = SmallLRUCache(case.processor().l1d)
     walked = []
     pos = 0
     for width in itertools.cycle(_PREFILTER_WIDTHS):
         if pos == len(trace):
             break
-        end = min(len(trace), pos + width)
-        lines = trace.lines[pos:end]
-        writes = None if trace.writes is None else trace.writes[pos:end]
-        walked.append(_stepped(l1, lines, writes) if per_access else
-                      [column.tolist() for column in
-                       l1.access_lines_rw(lines, writes)])
-        pos = end
+        lines = trace.lines[pos:pos + width]
+        walked.append(_stepped(l1, lines) if per_access else
+                      [column.tolist()
+                       for column in l1.access_lines_hit(lines)])
+        pos += len(lines)
     return [walked, list(l1._slots), list(l1._dirty),
             [list(getattr(l1.stats, name)) for name in l1.stats.__slots__]]
 
 
 def prefilter_diffs(case: FuzzCase) -> List[str]:
-    """Dotted paths where the compiled L1 ``prefilter`` walks a thread's
-    trace differently from the class's per-access ``access_line_rw``
-    (empty = identical)."""
+    """Dotted paths where the compiled L1 ``prefilter`` walks a read-only
+    thread's trace differently from the class's per-access
+    ``access_line_hit`` (empty = identical)."""
     out: List[str] = []
     for core, trace in enumerate(case.traces):
-        _walk_diff(f"t{core}", _prefilter_walk(case, trace, per_access=True),
-                   _prefilter_walk(case, trace, per_access=False), out)
+        if trace.writes is None:
+            _walk_diff(f"t{core}",
+                       _prefilter_walk(case, trace, per_access=True),
+                       _prefilter_walk(case, trace, per_access=False), out)
     return out
 
 

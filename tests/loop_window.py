@@ -7,7 +7,7 @@ a list of line addresses through a cache *as the whole L2 stream of one
 thread* and look at the cache afterwards.  :func:`loop_window` does that
 the way a run would: with the compiled loop the batched engine binds for
 a stock cache nobody rebound (:func:`repro.cache.state.rendered_key`),
-over a heap of one, which is what every single-thread run is; and for
+with one clock per thread, as every run has; and for
 every other cache through its ``access_line_hit``, one access at a time,
 as the reference engine steps it.
 
@@ -16,7 +16,6 @@ as the reference engine steps it.
 """
 
 from array import array
-from heapq import heappushpop
 from math import inf
 
 import numpy as np
@@ -89,7 +88,7 @@ def loop_window(cache, core=0):
             stop[t] = j + 1
             return anchor[t]
 
-        loop(0.0, core, [(inf, t) for t in range(core)], heappushpop, inf,
+        loop(0.0, core, floats([inf] * core + [0.0]), threads, inf,
              beyond, freeze, resume, cur, stop, anchor, rows, gaps, fz_at,
              fz_hit, floats([0.0] * threads), 0.0, 1.0)
         # The loop leaves the access count to its caller.

@@ -20,10 +20,7 @@ NAME = "<repro kernel test/none loop>"
 KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
     "ints": "ints", "floats": "floats", "shared": "ints",
-    "cores": "cores", "cap": "int", "rows": "rows",
-    "heap": "heap", "pushpop": "pushpop", "col": "column",
-    "tags": "tags:ints,cap", "get": "probe:ints,x,cap",
-    "get_s": "probe:ints,s,cap",
+    "cores": "cores", "cap": "int", "rows": "rows", "col": "column",
     "out": "callout:float(int,float)", "ask": "callout:int()",
     # what was a table of bounded lists: flat slots, like LRU's order
     "lists": "ints",
@@ -96,19 +93,20 @@ GOLDEN = [
                        "cores[x] += INT64_C(1);"]),
     ("a = rows[x][y]", ["i64 *const *const rows = a->rows;",
                         "a = rows[x][y];"]),
-    # the tag dict: lookups probe the set, None is -1, updates are dropped
-    ("w = get(y)\nif w is not None:\n    a = w\nelse:\n    w = 0\n"
-     "tags[y] = w\ndel tags[y]",
-     ["w = probe(ints + x * cap, cap, y);", "if ((w >= 0)) {",
-      "a = w;"]),
-    # ... of the set a local holds by then
-    ("s = y >> 2\nw = get_s(y)",
-     ["s = (y >> INT64_C(2));", "w = probe(ints + s * cap, cap, y);"]),
-    ("w = get(y)\nif w is None:\n    w = 1\na = w + 1",
-     ["if ((w < 0)) {", "a = (w + INT64_C(1));"]),
-    # the heap: a store and an arg-min in (clock, thread) order
-    ("c = f\nf, x = pushpop(heap, (c, x))",
-     ["heap[x] = c;", "x = heap_min(heap, heap_n);", "f = heap[x];"]),
+    # a probe of the set's row, as the skeletons write it: a while that
+    # stops at the line's way, or at ``cap`` when it is not there
+    ("s = y >> 2\nw = 0\nwhile w < cap and ints[s * cap + w] != y:\n"
+     "    w += 1",
+     ["s = (y >> INT64_C(2));", "w = INT64_C(0);",
+      "while (((w < cap) && (ints[((s * cap) + w)] != y))) {",
+      "w += INT64_C(1);"]),
+    # the loop's next thread: a store and an arg-min over the clocks,
+    # the lowest index among equal ones
+    ("c = f\nfloats[x] = c\nx = 0\nu = 1\nwhile u < y:\n"
+     "    if floats[u] < floats[x]:\n        x = u\n    u += 1\n"
+     "f = floats[x]",
+     ["floats[x] = c;", "x = INT64_C(0);", "while ((u < y)) {",
+      "if ((floats[u] < floats[x])) {", "x = u;", "f = floats[x];"]),
     # call-outs: through the block, error word checked after the statement
     ("g = out(x, f)", ["g = a->out(x, f);", "if (a->error) return 1;"]),
     ("a = out(x, y)", ["a = a->out(x, (double)(y));"]),
@@ -129,13 +127,6 @@ def test_golden_snippet(body, expected):
             "i64 run(Args *a) {"):])
 
 
-def test_dropped_tag_updates_emit_nothing_and_name_what_to_rebuild():
-    kernel = translate("tags[y] = x\ndel tags[y]")
-    body = kernel.source[kernel.source.index("i64 run"):]
-    assert "tags" not in body
-    assert kernel.tags == (("tags", "ints", "cap"),)
-
-
 def test_a_column_is_a_pointer_and_its_length():
     kernel = translate("for v in col:\n    ints[v] += 1", params="col")
     assert [m for m in kernel.members if m[0].startswith("col")] \
@@ -146,10 +137,10 @@ def test_a_column_is_a_pointer_and_its_length():
 
 def test_members_mirror_the_struct_in_order():
     kernel = translate("ints[x] = 1\ncores[y] += x\ng = out(x, f)\n"
-                       "f, x = pushpop(heap, (g, x))\nreturn f, x")
+                       "floats[x] = g\nx = 0\nf = floats[x]\nreturn f, x")
     names = [name for name, _ctype, _kind in kernel.members]
     assert names == ["error", "x", "f", "g", "ints", "y", "cores", "out",
-                     "heap", "heap_n", "ret0", "ret1"]
+                     "floats", "ret0", "ret1"]
     struct = kernel.source[kernel.source.index("typedef struct {"):
                            kernel.source.index("} Args;")]
     assert [line.split()[-1].rstrip(";").lstrip("*")
@@ -157,7 +148,7 @@ def test_members_mirror_the_struct_in_order():
             if "(*" not in line] == [n for n in names if n != "out"]
     assert "double (*out)(i64, double);" in struct
     assert kernel.params == ("x", "y", "f", "g")
-    assert kernel.stored == {"ints", "cores"}
+    assert kernel.stored == {"ints", "cores", "floats"}
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +188,15 @@ REFUSED = [
     ("for cap in col:\n    pass", "assignment to the binding 'cap'"),
     ("a = col", "'col' (column) used as a value"),
     ("a = col[x]", "'col' (column) indexed as an array"),
-    ("w = get_s(y)", "get_s before its set index 's' is an integer"),
-    ("s = f\nw = get_s(y)", "get_s before its set index 's' is an integer"),
+    # a probe's row from a set index that is not an integer
+    ("s = f\nw = ints[s * cap]", "integer expected, got float"),
     ("a = x < y < 3", "chained comparison"),
-    ("a = x is y", "`is` other than"),
-    ("w = get(y)\na = w + 1", "a value that may be None in arithmetic"),
-    ("w = get(y)\nif x:\n    w = 0\na = w + 1",
-     "a value that may be None in arithmetic"),
-    ("w = get(y)\nints[w] = 1", "integer expected, got opt"),
+    # no value may be None: ``is`` is not translated
+    ("a = x is y", "comparison Is"),
+    ("a = x is not None", "comparison IsNot"),
     ("a = True", "constant True"),
     ("a = 'x'", "constant 'x'"),
-    ("a, b = x, y", "tuple assignment other than"),
-    ("f, x = pushpop(heap, (out(x, f), x))", "tuple assignment other than"),
+    ("a, b = x, y", "tuple assignment"),
     ("a = b = x", "chained assignment"),
     ("while ask():\n    pass", "call-out in a loop condition"),
     ("a = (x or ask())", "call-out inside a valued and/or"),
@@ -216,7 +204,8 @@ REFUSED = [
     ("a = x\na += f", "integer expected, got float"),
     ("try:\n    pass\nexcept Exception:\n    pass", "Try statement"),
     ("a = lambda: x", "Lambda is outside"),
-    ("del x", "del of a name"),
+    ("del x", "Delete statement is outside the translated subset"),
+    ("del ints[x]", "Delete statement is outside the translated subset"),
     ("ints[x:y] = 0", "Slice is outside"),
 ]
 
@@ -278,12 +267,15 @@ STOCK = [(policy, scheme) for policy in transitions.POLICIES
 @pytest.mark.parametrize("key", STOCK, ids="/".join)
 def test_every_stock_loop_translates(key):
     kernel = transitions.translate("loop", key)
-    assert kernel.params[:4] == ("now", "t", "heap", "pushpop")
-    assert {"tag_lines", "invalid", "misses", "anchor", "cur"} \
+    assert kernel.params[:4] == ("now", "t", "clocks", "threads")
+    assert {"tag_lines", "invalid", "misses", "anchor", "cur", "clocks"} \
         <= kernel.stored
-    # The tag dict never reaches the argument block: its LINES do.
-    names = {name for name, _ctype, _kind in kernel.members}
-    assert "tag_map" not in names
+    # A line is a probe of its set's row of the tag lines, and the next
+    # thread an arg-min over the clocks: no helper, no dict, no heap.
+    body = kernel.source[kernel.source.index("i64 run"):]
+    assert "while (((way < assoc) && (tag_lines[(row + way)] != line)))" \
+        in body
+    assert "if ((clocks[u] < clocks[t])) {" in body
 
 
 @pytest.mark.parametrize("policy", list(transitions.POLICIES))
@@ -292,9 +284,8 @@ def test_every_stock_drain_translates(policy):
     kernel = transitions.translate("observe", key)
     assert kernel.params == ("batch",)
     assert {"tag_lines", "invalid", "sdh_r", "counts"} <= kernel.stored
-    # Read-only tables are never copied back; the dict is rebuilt.
+    # Read-only tables are never copied back.
     assert not kernel.stored & {"dist", "keep", "setb", "table", "batch"}
-    assert kernel.tags == (("tag_map", "tag_lines", "assoc"),)
     body = kernel.source[kernel.source.index("i64 run"):]
     assert "for (i64 batch_i = 0; batch_i < batch_n; batch_i++) {" in body
     assert "a->error" not in body           # no call-out: nothing to check
@@ -308,13 +299,13 @@ def test_float_operation_in_a_fragment_is_refused():
                         ("used = used_l[$set] / 2", "true division"),
                         ("used = mem_pen", "float binding")):
         policies = dict(transitions.POLICIES, probe=dict(
-            transitions.POLICIES["nru"], locate=text))
+            transitions.POLICIES["nru"], fill_invalid=text))
         with pytest.raises(ValueError) as info:
             transitions.translate("loop", ("probe", "none"),
                                   policies=policies)
         assert str(info.value).startswith(
             "<repro kernel probe/none loop>: float operation in policy "
-            "'locate' fragment"), label
+            "'fill_invalid' fragment"), label
     # The same fragments still render as Python text.
     transitions.render("loop", ("probe", "none"), policies=policies)
 

@@ -68,7 +68,7 @@ def hit_flags(stream, width):
 
 
 class TestBulkAccess:
-    """access_lines_hit / access_lines_rw must be exactly per-element."""
+    """access_lines_hit must be exactly per-element."""
 
     @pytest.mark.parametrize("assoc", [1, 2, 4])
     def test_bulk_matches_sequential(self, assoc, rng):
@@ -80,7 +80,7 @@ class TestBulkAccess:
         stream = bulk.access_lines_hit(lines)
         assert np.array_equal(expected, hit_flags(stream, len(lines)))
         assert stream.lines.tolist() == lines[~expected].tolist()
-        assert stream.victims is None
+        assert stream._fields == ("offs", "gaps", "lines")
         for field in ("accesses", "hits", "misses", "evictions"):
             assert getattr(seq.stats, field) == getattr(bulk.stats, field)
         for s in range(4):
@@ -105,42 +105,11 @@ class TestBulkAccess:
         assert len(stream.offs) == len(stream.lines) == 0
         assert l1.stats.accesses[0] == 0
 
-    def test_bulk_rw_matches_sequential(self, rng):
-        g = geometry(num_sets=4, assoc=2)
-        seq = SmallLRUCache(g)
-        bulk = SmallLRUCache(g)
-        lines = rng.integers(0, 24, size=4000)
-        writes = rng.random(4000) < 0.4
-        exp_flags = []
-        exp_victims = []
-        for line, write in zip(lines, writes):
-            hit, victim = seq.access_line_rw(int(line), bool(write))
-            exp_flags.append(hit)
-            if not hit:
-                exp_victims.append(-1 if victim is None else victim)
-        stream = bulk.access_lines_rw(lines, writes)
-        assert np.array_equal(np.array(exp_flags),
-                              hit_flags(stream, len(lines)))
-        assert stream.victims.tolist() == exp_victims
-        for field in ("accesses", "hits", "misses", "evictions",
-                      "write_accesses", "writebacks"):
-            assert getattr(seq.stats, field) == getattr(bulk.stats, field)
-
-    def test_bulk_rw_read_only_fast_path(self, rng):
-        """writes=None is a window of reads: no victim over a clean
-        cache."""
-        g = geometry(num_sets=4, assoc=2)
-        seq = SmallLRUCache(g)
-        bulk = SmallLRUCache(g)
-        lines = rng.integers(0, 24, size=3000)
-        expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        stream = bulk.access_lines_rw(lines, None)
-        assert np.array_equal(expected, hit_flags(stream, len(lines)))
-        assert np.all(stream.victims == -1)
-
     def test_bulk_after_writes_stays_exact(self, rng):
-        """A read window over dirty lines evicts them exactly as the
-        per-access path does — write-backs included."""
+        """Only the per-access path writes back: over dirty lines the bulk
+        path refuses a window and changes nothing; once reads stepped
+        per access have evicted them (write-backs counted), it walks the
+        rest exactly as the per-access path does."""
         g = geometry(num_sets=2, assoc=2)
         seq = SmallLRUCache(g)
         bulk = SmallLRUCache(g)
@@ -148,10 +117,21 @@ class TestBulkAccess:
             cache.access_line_rw(0, True)
             cache.access_line_rw(2, True)
         lines = rng.integers(0, 12, size=1000)
-        expected = np.array([seq.access_line_hit(int(x)) for x in lines])
-        got = hit_flags(bulk.access_lines_hit(lines), len(lines))
-        assert np.array_equal(expected, got)
+        with pytest.raises(ValueError, match="holds a dirty line"):
+            bulk.access_lines_hit(lines)
+        assert bulk._slots == seq._slots and bulk._dirty == seq._dirty
+        assert bulk.stats.accesses == seq.stats.accesses == [2]
+        expected = [seq.access_line_hit(int(x)) for x in lines]
+        stepped = 0
+        while 1 in bulk._dirty:
+            assert bulk.access_line_hit(int(lines[stepped])) \
+                == expected[stepped]
+            stepped += 1
+        got = hit_flags(bulk.access_lines_hit(lines[stepped:]),
+                        len(lines) - stepped)
+        assert np.array_equal(np.array(expected[stepped:]), got)
         assert bulk.stats.writebacks == seq.stats.writebacks == [2]
+        assert bulk._slots == seq._slots
 
 
 class TestWritebacks:

@@ -260,8 +260,8 @@ BAD_TABLES = {
     "member-not-a-triple": lambda kernel: native.table_constant(
         kernel._replace(members=kernel.members + (("x", "i64"),))),
     "name-not-an-identifier": lambda kernel: native.table_constant(
-        kernel._replace(tags=(("__import__('os').getpid()", "tag_lines",
-                               "assoc"),))),
+        kernel._replace(members=kernel.members + (
+            ("__import__('os').getpid()", "i64", "int"),))),
     "unknown-call-out-type": lambda kernel: native.table_constant(
         kernel._replace(members=kernel.members + (
             ("hook", "i64 (*)(void)", "callout:str()"),))),
@@ -397,10 +397,11 @@ class TestMarshalValidation:
         n = 2
         column = np.arange(3, dtype=np.int64)
 
-        def call(lines=None, heap=((5.0, 1),), threads=n, cur=None):
+        def call(lines=None, threads=n, cur=None):
             lines = lines if lines is not None else [column] * threads
             return loop(
-                0.0, 0, list(heap), None, 1e9, None, None, None,
+                0.0, 0, array("d", [5.0] * threads), threads, 1e9, None,
+                None, None,
                 cur if cur is not None else array("q", [0] * threads),
                 array("q", [2] * threads), array("d", [0.0] * threads),
                 lines, [column] * threads, array("q", [-2] * threads),
@@ -421,7 +422,14 @@ class TestMarshalValidation:
     def test_per_core_array_shorter_than_the_threads_is_refused(self, call):
         column = np.arange(3, dtype=np.int64)
         with pytest.raises(ValueError, match="2 slots for 3 threads"):
-            call(lines=[column] * 3, heap=((5.0, 1), (6.0, 2)), threads=3)
+            call(lines=[column] * 3, threads=3)
+
+    def test_a_per_thread_argument_shorter_than_the_threads_is_refused(
+            self, call):
+        """The loop indexes its cursors and clocks by thread too."""
+        with pytest.raises(ValueError, match="cur: 1 slots for 2 threads"):
+            call(cur=array("q", [0]))
+        assert call.cache.state.occupancy() == 0
 
     def test_rows_must_match_the_thread_count(self, call):
         with pytest.raises(ValueError, match="lines: 1 columns for 2"):

@@ -36,6 +36,27 @@ class TestParser:
         assert "must be >= 0 or 'auto': -2" in err
         assert build_parser().parse_args([*verb, "--jobs", "auto"]).jobs == 0
 
+    @pytest.mark.parametrize("verb", [
+        ["campaign", "worker", "localhost:abc"],
+        ["campaign", "serve", "--bind", "127.0.0.1:70000"],
+        ["campaign", "run", "smoke", "--pool", "remote", "--bind", "h:-1"]])
+    def test_a_bad_host_port_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(verb)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "PORT must be a number in 0-65535" in err
+
+    def test_host_port_parses_to_an_address(self):
+        parse = build_parser().parse_args
+        assert parse(["campaign", "worker", "10.0.0.2:9100"]).coordinator \
+            == ("10.0.0.2", 9100)
+        assert parse(["campaign", "worker", ":9100"]).coordinator \
+            == ("127.0.0.1", 9100)
+        assert parse(["campaign", "serve"]).bind == ("127.0.0.1", 0)
+        assert parse(["campaign", "run", "smoke"]).bind is None
+
     def test_figure_flags(self):
         args = build_parser().parse_args(
             ["fig6", "--scale", "4", "--accesses", "1000",
@@ -103,6 +124,28 @@ class TestScaleFromArgs:
         refined = ExperimentScale.from_env({"REPRO_FULL": "1",
                                             "REPRO_ACCESSES": "500"})
         assert refined.accesses == 500 and refined.scale == 1
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["--scale", "0"], {}, "--scale=0: factor must be positive"),
+        ([], {"REPRO_SCALE": "0"}, "REPRO_SCALE=0: factor must be positive"),
+        ([], {"REPRO_SCALE": "x"}, "REPRO_SCALE=x: invalid literal"),
+        (["--scale", "3"], {}, "--scale=3: cannot scale 65536 B by 1/3"),
+        (["--accesses", "0"], {},
+         "--accesses=0: the trace length must be positive"),
+    ], ids=["flag-zero", "env-zero", "env-not-a-number", "flag-no-divisor",
+            "no-accesses"])
+    def test_a_value_that_makes_no_scale_exits_2_naming_it(
+            self, argv, env, message, monkeypatch, capsys):
+        """Before any simulation: one line on stderr naming the flag or
+        variable, exit status 2 — no traceback from deep in a run."""
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig6", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro: error: ")
+        assert message in err
 
 
 class TestInfoCommands:

@@ -287,8 +287,10 @@ class TestGeneratedSourceExplainsItself:
         skeleton's own locals are declared; a policy / scheme fragment
         assigning one is refused for that rendering and no other."""
         policies = dict(transitions.POLICIES, probe=dict(
-            transitions.POLICIES["nru"], locate="sampled = used_l[$set]"))
-        with pytest.raises(ValueError, match=r"policy 'locate' -> sampled"):
+            transitions.POLICIES["nru"],
+            fill_invalid="sampled = used_l[$set]"))
+        with pytest.raises(ValueError,
+                           match=r"policy 'fill_invalid' -> sampled"):
             transitions.render("observe", ("probe", "none"),
                                policies=policies)
         transitions.render("observe", ("nru", "none"), policies=policies)
@@ -326,3 +328,52 @@ class TestGeneratedSourceExplainsItself:
         assert len(keys) == 16 and all(key is not None for _, key in keys)
         for rendering, key in keys:
             transitions.translate(rendering, key)   # render + C checks
+
+
+@pytest.mark.parametrize("policy", list(transitions.POLICIES))
+def test_equal_clocks_run_the_lower_thread_first(policy):
+    """The loop's arg-min over the per-thread clocks keeps the
+    reference's ``(clock, thread)`` order: at equal clocks the lower
+    thread runs.  Every access here costs nothing, so both threads sit
+    at clock 0 throughout; thread 0 must finish its stream (and park at
+    ``inf``) before thread 1 makes its first access — a ``<=`` would
+    alternate them."""
+    from array import array
+    from math import inf
+
+    from repro.cache.cache import SetAssociativeCache
+
+    cache = SetAssociativeCache(CacheGeometry(8 * 4 * 128, 4, 128), policy,
+                                num_cores=2)
+    loop = transitions.bind("loop", (policy, "none"), cache, None)
+    assert loop is not None, transitions.target_stats()["loop",
+                                                        (policy, "none")]
+    streams = [np.array([0, 8, 16], dtype=np.int64),
+               np.array([1, 9, 17], dtype=np.int64)]
+    cur, stop = array("q", [0, 0]), array("q", [1, 1])
+    anchor = array("d", [0.0, 0.0])
+    fz_at = array("q", [2, 2])
+    order = []
+    active = [2]
+
+    def beyond(now):
+        raise AssertionError("no horizon")
+
+    def freeze(t, clock, j):
+        order.append((t, j))
+        active[0] -= 1
+        return active[0]
+
+    def resume(t, j):
+        if j == len(streams[t]):
+            return inf
+        order.append((t, j))
+        cur[t], stop[t] = j, j + 1
+        return anchor[t]
+
+    now, t = loop(0.0, 0, array("d", [0.0, 0.0]), 2, inf, beyond, freeze,
+                  resume, cur, stop, anchor, streams,
+                  [np.zeros(3, dtype=np.int64)] * 2, fz_at,
+                  array("q", [0, 0]), array("d", [0.0, 0.0]), 0.0, 0.0)
+    assert order == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
+    assert (now, t) == (0.0, 1)

@@ -113,17 +113,15 @@ class TestKey:
 
     def test_key_covers_content_geometry_and_write_mode(self):
         """What a window's miss stream depends on — its content, the L1
-        geometry, the write mode — and what it does not: the trace's
-        name."""
+        geometry — and what it does not: the trace's name.  A window
+        walk reads: a write is no walk's input, and an L1 a write left
+        dirty is refused."""
         trace = self.trace()
 
-        def stream(trace, geometry=L1, writes=False):
+        def stream(trace, geometry=L1):
             l1 = SmallLRUCache(geometry)
-            window = trace.lines[:512]
-            walked = (l1.access_lines_rw(window, trace.writes[:512])
-                      if writes else l1.access_lines_hit(window))
-            return [None if column is None else column.tolist()
-                    for column in walked]
+            return [column.tolist()
+                    for column in l1.access_lines_hit(trace.lines[:512])]
 
         base = stream(trace)
         renamed = Trace("other-name", trace.lines.copy(), ipm=4.0,
@@ -133,22 +131,30 @@ class TestKey:
         assert stream(shifted) != base
         assert stream(trace, CacheGeometry(4 * 2 * 128, 2, 128)) != base
         written = overlay_writes(trace, 0.4, seed=2)
-        assert stream(written, writes=True)[:3] == base[:3]
-        assert stream(written, writes=True) != base
+        assert stream(written) == base
+        with pytest.raises(NotImplementedError):
+            SmallLRUCache(L1).access_lines_rw(written.lines[:512],
+                                              written.writes[:512])
+        l1 = SmallLRUCache(L1)
+        l1.access_line_rw(int(written.lines[0]), True)
+        with pytest.raises(ValueError, match="holds a dirty line"):
+            l1.access_lines_hit(written.lines[1:512])
 
     def test_dirty_set_is_part_of_the_key(self):
-        """Same slots, different dirty flags: the write-backs differ, so
-        the dirty flags are part of the state a stream depends on."""
-        trace = overlay_writes(self.trace(), 0.4, seed=2)
+        """Same slots, different dirty flags: the clean L1 walks the
+        window, the dirty one refuses it and stays as it was, so the
+        dirty flags are part of the state a walk depends on."""
+        trace = self.trace()
         clean, dirty = SmallLRUCache(L1), SmallLRUCache(L1)
         for line in (1001, 1002, 1003, 1004):
             clean.access_line_rw(line, False)
             dirty.access_line_rw(line, True)
         assert clean._slots == dirty._slots and clean._dirty != dirty._dirty
-        a = clean.access_lines_rw(trace.lines[:512], trace.writes[:512])
-        b = dirty.access_lines_rw(trace.lines[:512], trace.writes[:512])
-        assert a.offs.tolist() == b.offs.tolist()
-        assert (a.victims >= 0).sum() < (b.victims >= 0).sum()
+        slots = list(dirty._slots)
+        assert len(clean.access_lines_hit(trace.lines[:512]).offs)
+        with pytest.raises(ValueError, match="holds a dirty line"):
+            dirty.access_lines_hit(trace.lines[:512])
+        assert list(dirty._slots) == slots
 
     def test_columns_are_compact_and_consistent(self):
         """One entry per miss in every column, nothing per hit: the lines
@@ -161,7 +167,7 @@ class TestKey:
         assert stream.lines.tolist() == trace.lines[stream.offs].tolist()
         assert stream.gaps.tolist() == \
             (np.diff(stream.offs, prepend=-1) - 1).tolist()
-        assert stream.victims is None
+        assert len(stream) == 3
 
 
 class TestWrites:

@@ -5,7 +5,6 @@ them with the package's own renderer)."""
 POLICIES = {
     "flat": {
         "bind": "used_l = policy._used",
-        "locate": "",
         "promote": "used_l[$set] |= 1 << way",
         "fill_invalid": "",
         "victim": "way = (mask & -mask).bit_length() - 1",
@@ -24,8 +23,6 @@ SCHEMES = {
 TEMPLATES = {
     "bind_cache": """\
 policy = cache.policy
-tag_map = cache.state.map
-tag_get = tag_map.get
 tag_lines = cache.state.lines
 invalid = cache.state.invalid
 set_mask = cache.state.num_sets - 1
@@ -34,8 +31,12 @@ full_mask = cache.state.full_mask
 fills_invalid = cache.stats.fills_invalid
 $bind
 $bind_scheme""",
-    "miss": """\
+    "probe": """\
 row = $set * assoc
+way = 0
+while way < assoc and tag_lines[row + way] != $line:
+    way += 1""",
+    "miss": """\
 $mask
 inv = invalid[$set] & mask
 if inv:
@@ -46,15 +47,11 @@ else:
     $victim
     $evict
 tag_lines[row + way] = $line
-tag_map[$line] = way
 $fill""",
-    "evict_in_mask": "del tag_map[tag_lines[row + way]]",
     "evict_any": "",
     "observe": """\
 def build(atd):
     policy = atd.policy
-    tag_map = atd.state.map
-    tag_get = tag_map.get
     tag_lines = atd.state.lines
     invalid = atd.state.invalid
     assoc = atd.assoc
@@ -66,8 +63,8 @@ def build(atd):
     def observe_many(batch):
         for line in batch:
             s = line & 7
-            way = tag_get(line)
-            if way is not None:
+            $probe
+            if way < assoc:
                 $sdh
                 $promote
                 continue
@@ -79,20 +76,27 @@ def build(atd):
 def build(cache):
     $bind_loop
 
-    def loop(now, t, heap, pushpop, horizon, beyond, lines, cur):
+    def loop(now, t, clocks, threads, horizon, beyond, lines, cur):
         while True:
             if now >= horizon:
                 horizon = beyond(now)
             line = lines[t][cur[t]]
             $access
-            now, t = pushpop(heap, (clock, t))
+            clocks[t] = clock
+            t = 0
+            u = 1
+            while u < threads:
+                if clocks[u] < clocks[t]:
+                    t = u
+                u += 1
+            now = clocks[t]
 
     return loop
 """,
     "access_fused": """\
 s = line & set_mask
-way = tag_get(line)
-if way is not None:
+$probe
+if way < assoc:
     $promote
     clock = now + 1.0
 else:
@@ -102,14 +106,13 @@ else:
 
 PRIVATE_LOCALS = {
     "observe": (),
-    "loop": ("t", "now", "clock", "horizon"),
+    "loop": ("t", "u", "now", "clock", "horizon"),
 }
 
 C_KINDS = {
-    "now": "float", "t": "int", "heap": "heap", "pushpop": "pushpop",
+    "now": "float", "t": "int", "clocks": "floats", "threads": "int",
     "horizon": "float", "beyond": "callout:float(float)", "lines": "rows",
-    "cur": "ints", "tag_map": "tags:tag_lines,assoc",
-    "tag_get": "probe:tag_lines,s,assoc", "tag_lines": "ints",
+    "cur": "ints", "tag_lines": "ints",
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
     "batch": "column", "sdh_r": "ints", "spec_l": "ints",
