@@ -22,6 +22,7 @@ from repro.core.buddy import best_subcube_allocation
 from repro.core.lookahead import lookahead_partition
 from repro.core.minmisses import minmisses_partition
 from repro.profiling.atd import ATD
+from repro.profiling.monitor import ProfilingSystem
 from repro.profiling.profilers import make_profiler
 from repro.workloads.generator import generate_trace
 
@@ -160,9 +161,15 @@ class TestTagStateRepresentation:
         benchmark(run)
 
 
-def test_minmisses_dp_rate(benchmark):
+#: Thread counts of the selector rates: the reports' boundaries are mostly
+#: 2- and 4-thread, the paper's largest mixes 8-thread.
+SELECTOR_THREADS = [2, 4, 8]
+
+
+@pytest.mark.parametrize("threads", SELECTOR_THREADS)
+def test_minmisses_dp_rate(benchmark, threads):
     rng = np.random.default_rng(3)
-    curves = np.sort(rng.integers(0, 10**6, (8, 17)), axis=1)[:, ::-1]
+    curves = np.sort(rng.integers(0, 10**6, (threads, 17)), axis=1)[:, ::-1]
     counts = benchmark(minmisses_partition, curves.astype(float), 16)
     assert sum(counts) == 16
 
@@ -174,11 +181,22 @@ def test_lookahead_rate(benchmark):
     assert sum(counts) == 16
 
 
-def test_subcube_dp_rate(benchmark):
+@pytest.mark.parametrize("threads", SELECTOR_THREADS)
+def test_subcube_dp_rate(benchmark, threads):
     rng = np.random.default_rng(5)
-    curves = np.sort(rng.integers(0, 10**6, (8, 17)), axis=1)[:, ::-1]
+    curves = np.sort(rng.integers(0, 10**6, (threads, 17)), axis=1)[:, ::-1]
     alloc = benchmark(best_subcube_allocation, curves.astype(float), 16)
     assert sum(alloc.counts) == 16
+
+
+def test_miss_curves_rate(benchmark):
+    """One boundary's curve read: 8 threads' SDH registers, 16 ways."""
+    system = ProfilingSystem(8, GEOMETRY, "lru", sampling=8, seed=6)
+    for core in range(8):
+        for line in SAMPLED_STREAM[core * 2_000:(core + 1) * 2_000]:
+            system.observe(core, line)
+    curves = benchmark(system.miss_curves)
+    assert curves.shape == (8, 17)
 
 
 def test_trace_generation_rate(benchmark):

@@ -45,7 +45,9 @@ ENGINE_VERSION = 2
 #: Paths are relative to ``src/``; edit the tuple when the hot path grows
 #: a new module.  The trace generator is here too: every stored result is
 #: keyed by a trace *recipe*, so an edit that changes a generated trace
-#: must be as visible as one that changes the simulation.
+#: must be as visible as one that changes the simulation.  So are the
+#: profiling read-out and the partition selectors: they decide every
+#: partitioned result at each interval boundary.
 ENGINE_GUARDED_SOURCES = (
     "repro/cmp/engine/batched.py",
     "repro/cmp/engine/common.py",
@@ -60,6 +62,11 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cache/l1.py",
     "repro/cmp/memory.py",
     "repro/profiling/atd.py",
+    "repro/profiling/sdh.py",
+    "repro/profiling/monitor.py",
+    "repro/core/buddy.py",
+    "repro/core/minmisses.py",
+    "repro/core/controller.py",
     "repro/workloads/generator.py",
 )
 
@@ -69,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "51983429c75e9979bb351bf6ac97fa67fdc3881c9b7742431b9f3124c94ca0ae"
+ENGINE_SOURCE_CHECKSUM = "9a29ccabc683cb9756568ef79e8ae90622022fa5b26abff9243f53e3e5f5c977"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

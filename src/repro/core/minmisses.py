@@ -8,6 +8,18 @@ way budgets — cheap at hardware scales (A ≤ 32, N ≤ 8).  Ties on the miss
 count are broken toward the most balanced allocation (smallest sum of
 squared deviations from an even split), which keeps the selection
 deterministic and sensible when miss curves are flat (e.g. cold SDHs).
+
+:func:`minmisses_partition` runs at every interval boundary, so it works on
+plain floats: the curves are read once with ``tolist()``, the squared
+deviations come from a per-call table indexed by way count, and the DP
+keeps two parallel lists (misses, imbalance) indexed by ways used plus one
+list of choices per thread.  Threads are added in id order; for each
+budget already reached (ascending) thread ``t`` tries every way count
+(ascending) — the last thread only the one that fills all ``assoc`` ways,
+the only total read back — and a candidate replaces the stored cost only
+if its ``(misses, imbalance)`` is strictly lexicographically smaller — so
+on a full tie the first candidate enumerated, the smallest budget of the
+threads before ``t``, keeps its place.
 """
 
 from __future__ import annotations
@@ -59,40 +71,52 @@ def minmisses_partition(curves: np.ndarray, assoc: int,
     """
     curves = _validate_curves(curves, assoc, min_ways)
     threads = curves.shape[0]
+    rows = curves.tolist()
     even = assoc / threads
+    penalty = [(w - even) ** 2 for w in range(assoc + 1)]
     inf = float("inf")
 
-    # dp[u] = (misses, imbalance) for the first t threads using u ways.
-    dp = [(inf, inf)] * (assoc + 1)
-    dp[0] = (0.0, 0.0)
-    choice = np.full((threads, assoc + 1), -1, dtype=np.int64)
+    # (misses[u], imbalance[u]) is the best cost of the first t threads
+    # using u ways; choice[t][u] is the ways thread t takes in it.
+    misses = [inf] * (assoc + 1)
+    imbalance = [inf] * (assoc + 1)
+    misses[0] = imbalance[0] = 0.0
+    choice = []
 
     for t in range(threads):
+        row = rows[t]
         remaining = threads - t - 1
-        ndp = [(inf, inf)] * (assoc + 1)
+        next_misses = [inf] * (assoc + 1)
+        next_imbalance = [inf] * (assoc + 1)
+        picks = [-1] * (assoc + 1)
         max_total = assoc - remaining * min_ways
         for used in range(t * min_ways, max_total + 1 - min_ways):
-            cost = dp[used]
-            if cost[0] == inf:
+            base = misses[used]
+            if base == inf:
                 continue
-            # Thread t may take w ways; leave enough for the rest.
-            w_hi = max_total - used
-            for w in range(min_ways, w_hi + 1):
-                cand = (cost[0] + curves[t][w],
-                        cost[1] + (w - even) ** 2)
+            base_imbalance = imbalance[used]
+            # Thread t may take w ways; leave enough for the rest.  The
+            # last thread's only target that is ever read is ``assoc``.
+            w_lo = max_total - used if remaining == 0 else min_ways
+            for w in range(w_lo, max_total - used + 1):
+                m = base + row[w]
                 target = used + w
-                if cand < ndp[target]:
-                    ndp[target] = cand
-                    choice[t][target] = w
-        dp = ndp
+                best = next_misses[target]
+                if m < best or (m == best and base_imbalance + penalty[w]
+                                < next_imbalance[target]):
+                    next_misses[target] = m
+                    next_imbalance[target] = base_imbalance + penalty[w]
+                    picks[target] = w
+        misses, imbalance = next_misses, next_imbalance
+        choice.append(picks)
 
-    if dp[assoc][0] == inf:  # pragma: no cover - guarded by validation
+    if misses[assoc] == inf:  # pragma: no cover - guarded by validation
         raise RuntimeError("MinMisses DP found no feasible allocation")
 
     counts = [0] * threads
     used = assoc
     for t in range(threads - 1, -1, -1):
-        w = int(choice[t][used])
+        w = choice[t][used]
         counts[t] = w
         used -= w
     assert used == 0

@@ -79,6 +79,8 @@ class ProfilingSystem:
         # Bound per-core ATD observers: one indirection on the hot path.
         self._observe = [m.atd.observe for m in self.monitors]
         self._counts = [m.atd._counts for m in self.monitors]
+        # SDH register files (stable: halving and resets work in place).
+        self._registers = [m.sdh._r for m in self.monitors]
         # Sampling filter hoisted out of the ATD: a set is sampled iff the
         # low log2(sampling) index bits of the line are zero.
         self._skip_mask = sampling - 1
@@ -97,8 +99,14 @@ class ProfilingSystem:
         self._observe[core](line)
 
     def miss_curves(self) -> np.ndarray:
-        """Matrix ``(num_cores, A + 1)`` of per-thread miss curves."""
-        return np.stack([m.miss_curve() for m in self.monitors])
+        """Matrix ``(num_cores, A + 1)`` of per-thread miss curves.
+
+        Row ``t`` is ``self[t].miss_curve()``: one ``int64`` stack of the
+        register files ``r[0] .. r[A+1]`` and one cumulative sum over
+        ``r[A+1] .. r[1]``, reversed, so ``curves[t][w] = sum(r[w+1:])``.
+        """
+        r = np.array(self._registers, dtype=np.int64)
+        return np.cumsum(r[:, :0:-1], axis=1)[:, ::-1].copy()
 
     def halve_all(self) -> None:
         """Interval-boundary decay of every thread's SDH (paper §II-A)."""

@@ -56,6 +56,20 @@ class TestProfilingSystem:
         curves = system.miss_curves()
         assert curves.shape == (3, 5)
 
+    def test_miss_curves_stack_each_monitor(self):
+        """One array op over every register file == each monitor's curve."""
+        system = ProfilingSystem(3, geometry(), "nru", sampling=4, seed=5)
+        rng = np.random.default_rng(5)
+        for core in range(3):
+            for line in rng.integers(0, 64, 400 * (core + 1)) * 4:
+                system.observe(core, int(line))
+        system.halve_all()
+        curves = system.miss_curves()
+        expected = np.stack([m.miss_curve() for m in system.monitors])
+        assert curves.dtype == np.int64 and curves.flags.c_contiguous
+        assert np.array_equal(curves, expected)
+        assert curves[:, 0].tolist() == [m.sdh.total for m in system.monitors]
+
     def test_halve_all(self):
         system = ProfilingSystem(2, geometry(), "lru", sampling=4)
         system.observe(0, 0)       # miss
