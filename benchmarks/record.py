@@ -106,14 +106,15 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
                 short_lines: int = 130) -> dict:
     """Lines/sec of ATD drains per paper policy — ``drain_compiled_<p>``
     through the compiled ``observe`` kernel an ATD binds for its drains,
-    ``drain_classes_<p>`` through the class's per-line ``ATD.observe``
-    (a ``kernels=False`` ATD's ``observe_many``: what a host without
-    ``cc`` runs) — and both composites over the three policies; batches
+    ``drain_classes_<p>`` through the class's per-line loop
+    (``ATD.observe_many`` bound to the same stock ATD: what a host
+    without ``cc`` runs) — and both composites over the three policies; batches
     of ``batch_lines`` and, as ``drain_*_short``, of ``short_lines`` (the
     median drain of a ``micro`` report), both as the ``array('q')`` the
     batched engine hands a drain.  The ATD is ``small``'s (and
     ``micro``'s): a 16-set 16-way directory."""
     from array import array
+    from types import MethodType
 
     from repro.cache.geometry import CacheGeometry
     from repro.profiling.atd import ATD
@@ -127,12 +128,14 @@ def drain_rates(repeats: int, batch_lines: int = 2048,
                                 ("_short", short_lines, 300)):
         batch = array("q", lines[:size].tobytes())
         for policy in ("lru", "nru", "bt"):
-            for side, kernels in (("compiled", True), ("classes", False)):
-                def setup(policy=policy, kernels=kernels):
+            for side in ("compiled", "classes"):
+                def setup(policy=policy, side=side):
                     atd = ATD(geometry, 8, policy,
-                              make_profiler(policy, 0.75), kernels=kernels)
-                    atd.observe_many(array("q", lines.tobytes()))
-                    return atd.observe_many
+                              make_profiler(policy, 0.75))
+                    drain = (atd.observe_many if side == "compiled"
+                             else MethodType(ATD.observe_many, atd))
+                    drain(array("q", lines.tobytes()))
+                    return drain
 
                 def op(drain, calls=calls, batch=batch):
                     for _ in range(calls):

@@ -133,9 +133,6 @@ class SetAssociativeCache:
     num_cores:
         Number of distinct cores that will access the cache (statistics and
         ownership arrays are sized accordingly).
-    kernels:
-        When False, record no rendering key: a run over the cache then
-        goes to the reference engine (equivalence tests).
     """
 
     def __init__(self, geometry: CacheGeometry,
@@ -143,8 +140,7 @@ class SetAssociativeCache:
                  partition: Optional[PartitionScheme] = None,
                  num_cores: int = 1,
                  rng: Optional[np.random.Generator] = None,
-                 name: str = "cache",
-                 kernels: bool = True) -> None:
+                 name: str = "cache") -> None:
         self.geometry = geometry
         self.name = name
         self.num_cores = num_cores
@@ -171,7 +167,7 @@ class SetAssociativeCache:
         #: ``(policy kind, scheme name)`` of the stock pair, if any — what
         #: tells the batched engine that (and which) fused event loop is
         #: exact for this cache (:func:`repro.cache.state.rendered_key`).
-        self.kernel = kernel_key(self) if kernels else None
+        self.kernel = kernel_key(self)
 
     # ------------------------------------------------------------------
     def access(self, addr: int, core: int = 0) -> AccessResult:

@@ -1,12 +1,12 @@
 """C target of a rendering: the kernel closure, translated statement by
 statement.
 
-:func:`translate` takes the *Python* source :func:`repro.cache.transitions.render`
-produced — the checked text the ``hot-path-purity`` rule reads — and
-emits one C function with the same control flow over the same arrays.  Nothing
-about a policy or scheme is written here: the translator knows the
-Python subset the fragments live in and the C type of every name the
-factory binds (:data:`repro.cache.transitions.C_KINDS`), nothing else.
+:func:`translate` takes the *Python* source
+:func:`repro.cache.transitions.render` produced and emits one C function
+with the same control flow over the same arrays.  Nothing about a policy
+or scheme is written here: the translator knows the Python subset the
+fragments live in and the C type of every name the factory binds
+(:data:`repro.cache.transitions.C_KINDS`), nothing else.
 
 The subset.  Integer and float locals (a name's type is the type of its
 first assignment and never changes), ``if`` / ``elif`` / ``else``,
@@ -14,11 +14,12 @@ first assignment and never changes), ``if`` / ``elif`` / ``else``,
 that: no ``else``, no nesting, no store to ``NAME`` in the body), plain
 and augmented assignment, integer arithmetic and bit operations,
 comparisons, ``and`` / ``or`` / ``not``, the conditional expression,
-indexing of bound arrays, and the only
-attribute calls :data:`PURE_ATTRS` admits: ``bit_length`` /
-``bit_count`` on integers.  Every piece of state is a flat array, so
-there are no containers and no container methods.  Kinds, as declared
-per name:
+indexing of bound arrays, and the only attribute calls there are:
+``bit_length`` / ``bit_count`` on integers.  Every piece of state is a
+flat array, so there are no containers and no container methods.  A
+name the kernel reads is one of its parameters, a local it assigns, or
+a binding the factory assigns before the closure; each binding has its
+kind declared (:data:`~repro.cache.transitions.C_KINDS`), as follows:
 
 ``int`` / ``float``
     scalar argument; a parameter the kernel assigns becomes a local
@@ -42,6 +43,8 @@ converted first, as Python does); the build adds ``-ffp-contract=off``
 and no fast-math flag, so every clock is bit-equal to the reference
 engine's, which evaluates the same expressions in Python.  Anything outside the subset raises :class:`ValueError`
 carrying the rendering's ``source_name`` — the translator never guesses.
+That refusal is the hot-path check: the ``hot-path-purity`` lint rule
+translates every rendering of the checked spec and reports it.
 """
 
 from __future__ import annotations
@@ -117,9 +120,11 @@ def check_fragment(name: str, label: str, text: str,
 
 
 class _Translator:
-    def __init__(self, name: str, kinds: Mapping[str, str]) -> None:
+    def __init__(self, name: str, kinds: Mapping[str, str],
+                 bound: Set[str]) -> None:
         self.name = name
         self.kinds = kinds
+        self.bound = bound                   # names the factory assigns
         self.used: Dict[str, str] = {}       # bound name -> kind, first use
         self.locals: Dict[str, str] = {}     # local -> "int" | "float"
         self.stored: Set[str] = set()
@@ -143,6 +148,9 @@ class _Translator:
         except KeyError:
             self.refuse(node, f"unknown name {node.id!r}: neither a local "
                               f"assigned before use nor a declared binding")
+        if node.id not in self.bound and node.id not in self.params:
+            self.refuse(node, f"{node.id!r} ({kind}) is not assigned by "
+                              f"this rendering's factory")
         self.used.setdefault(node.id, kind)
         return kind
 
@@ -532,7 +540,11 @@ def translate(source: str, name: str, kinds: Mapping[str, str]) -> Kernel:
     if len(kernels) != 1:
         raise ValueError(f"{name}: expected one kernel closure, found "
                          f"{len(kernels)}")
-    translator = _Translator(name, kinds)
+    closure = {id(node) for node in ast.walk(kernels[0])}
+    translator = _Translator(name, kinds, {
+        node.id for node in ast.walk(factory)
+        if id(node) not in closure and isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)})
     # Parameters the kernel assigns are locals initialised from Args.
     assigned = {node.id for node in ast.walk(kernels[0])
                 if isinstance(node, ast.Name)

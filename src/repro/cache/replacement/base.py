@@ -27,33 +27,23 @@ class ReplacementPolicy(ABC):
     **PolicyState contract (the flat-array core).**  Every registered policy
     stores its per-set state in preallocated flat integer arrays (Python
     lists indexed ``set * assoc + way`` or one word per set; the LRU
-    family's recency order is one short list per set).  The three
-    paper policies (LRU, NRU, BT) advertise the layout through
-    :attr:`kernel_kind`, which :mod:`repro.cache.state` dispatches on to
-    bind the batch renderings of :mod:`repro.cache.transitions` — the
-    fused event loop of ``BatchedEngine.run``, the ATD drains — to those
-    arrays; every other policy declares ``""`` and runs the generic
-    object-protocol path.  Two rules keep the kernels valid:
-
-    * :meth:`reset` (and every other mutator) must update the arrays **in
-      place** — never rebind them — because kernels capture the objects
-      when they are bound;
-    * a subclass that changes ``touch``/``touch_fill``/``victim`` semantics
-      must override ``kernel_kind`` (with ``""`` to opt out), otherwise the
-      inherited kernel would silently bypass its overrides on the hot path.
-
-    Both rules are linted: ``python -m repro lint`` enforces them as the
-    ``state-rebind`` and ``kernel-kind-override`` rules (see
-    ``docs/static-analysis.md``), so violations fail CI rather than
-    silently corrupting hot-path results.
+    family's recency order is one short list per set).  The batch
+    renderings of :mod:`repro.cache.transitions` — the fused event loop
+    of ``BatchedEngine.run``, the ATD drains — bind to the arrays of the
+    three paper policies (LRU, NRU, BT), and only to an instance of
+    exactly :class:`LRUPolicy`, :class:`NRUPolicy` or :class:`BTPolicy`
+    (:func:`repro.cache.state.kernel_key`): a subclass, whatever it
+    overrides, and every other policy run the generic object-protocol
+    path.  One rule keeps the kernels valid: :meth:`reset` (and every
+    other mutator) must update the arrays **in place** — never rebind
+    them — because kernels capture the objects when they are bound.
+    ``python -m repro lint`` enforces it as the ``state-rebind`` rule
+    (see ``docs/static-analysis.md``), so a violation fails CI rather
+    than silently corrupting hot-path results.
     """
 
     #: Short registry name ("lru", "nru", "bt", "random").
     name: str = "abstract"
-
-    #: Flat-state layout tag for the rendered kernels ("" = no kernel; the
-    #: engine and ATD then use the generic object-protocol path).
-    kernel_kind: str = ""
 
     def __init__(self, num_sets: int, assoc: int,
                  rng: Optional[np.random.Generator] = None) -> None:

@@ -105,8 +105,6 @@ def _victim_table(assoc: int) -> Optional[array]:
 class BTPolicy(ReplacementPolicy):
     """Tree pseudo-LRU with optional per-core per-level forced directions."""
 
-    kernel_kind = "bt"
-
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
         if assoc < 2 or assoc & (assoc - 1):

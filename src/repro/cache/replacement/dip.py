@@ -55,8 +55,6 @@ PSEL_BITS = 10
 class LIPPolicy(LRUPolicy):
     """LRU with fills inserted at the LRU position."""
 
-    kernel_kind = ""    # generic object-protocol path
-
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
         self._below: List[int] = [0] * (num_sets * assoc)
@@ -157,8 +155,6 @@ class LIPPolicy(LRUPolicy):
 class BIPPolicy(LIPPolicy):
     """Bimodal insertion: mostly LIP, 1/32 of fills at MRU."""
 
-    kernel_kind = ""
-
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  throttle: int = BIP_THROTTLE) -> None:
         super().__init__(num_sets, assoc, rng=rng)
@@ -187,8 +183,6 @@ class DIPPolicy(BIPPolicy):
         sets (32 in the original paper).  Automatically reduced for tiny
         caches so both leader groups are non-empty.
     """
-
-    kernel_kind = ""
 
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  throttle: int = BIP_THROTTLE,

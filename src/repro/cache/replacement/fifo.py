@@ -32,8 +32,6 @@ from repro.util.bitops import bit_length_exact
 class FIFOPolicy(LRUPolicy):
     """Oldest-fill-first replacement; hits never reorder."""
 
-    kernel_kind = ""    # generic object-protocol path
-
     def touch(self, set_index: int, way: int, core: int,
               reset_domain: Optional[int] = None) -> None:
         """Hits leave the FIFO order untouched."""

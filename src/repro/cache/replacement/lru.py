@@ -45,8 +45,6 @@ from repro.util.bitops import bit_length_exact
 class LRUPolicy(ReplacementPolicy):
     """Exact LRU over flat per-set MRU-first slots."""
 
-    kernel_kind = "lru"
-
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
         # Kernels capture both arrays at cache construction and C shares

@@ -37,12 +37,10 @@ class NRUPolicy(ReplacementPolicy):
     """Used-bit NRU with a cache-global rotating replacement pointer.
 
     The state was already flat — ``_used`` is one per-set bitmask word plus
-    the scalar cache-global ``pointer`` — so the array-core refactor only
-    declares the layout (``kernel_kind``) for the access kernels in
-    :mod:`repro.cache.state` to inline.
+    the scalar cache-global ``pointer`` — so the array-core refactor left
+    it as it was for the batch renderings of
+    :mod:`repro.cache.transitions` to bind.
     """
-
-    kernel_kind = "nru"
 
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)

@@ -20,8 +20,6 @@ from repro.util.bitops import iter_set_bits
 class RandomPolicy(ReplacementPolicy):
     """Victims drawn uniformly from the candidate mask."""
 
-    kernel_kind = ""    # generic object-protocol path
-
     def __init__(self, num_sets: int, assoc: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__(num_sets, assoc, rng=rng)

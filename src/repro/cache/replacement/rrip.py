@@ -54,8 +54,6 @@ class SRRIPPolicy(ReplacementPolicy):
     #: re-reference prediction; 1.0 for SRRIP, 1/32 for BRRIP.
     long_insert_probability = 1.0
 
-    kernel_kind = ""    # generic object-protocol path
-
     def __init__(self, num_sets: int, assoc: int, rng=None,
                  m_bits: int = 2) -> None:
         super().__init__(num_sets, assoc, rng=rng)

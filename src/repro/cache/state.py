@@ -61,10 +61,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache import transitions
 from repro.cache.partition.btvectors import BTVectorPartition
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.partition.owner_counters import OwnerCountersPartition
+from repro.cache.replacement.bt import BTPolicy
+from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.nru import NRUPolicy
 
 __all__ = ["TagStore", "drain_key", "kernel_key", "rendered_key"]
 
@@ -184,13 +186,14 @@ class TagStore:
 # Eligibility of the batch renderings
 # ----------------------------------------------------------------------
 # A rendering inlines the *stock* bodies of the policy, the enforcement
-# scheme and the profiler, so it only engages for exactly those: the
-# policy by its declared ``kernel_kind`` (a subclass changing semantics
-# must redeclare it — the ``kernel-kind-override`` lint rule), the scheme
-# and the profiler by exact type, so a subclass overriding
-# ``candidate_mask`` / ``reset_domain`` / ``on_fill`` / ``on_hit`` is never
-# silently bypassed.  Everything else runs the generic object-protocol
+# scheme and the profiler, so it only engages for exactly those, each by
+# exact type: a subclass overriding ``touch`` / ``touch_fill`` /
+# ``victim``, ``candidate_mask`` / ``reset_domain`` / ``on_fill`` or
+# ``on_hit`` is never silently bypassed, and one overriding nothing runs
+# the classes too.  Everything else runs the generic object-protocol
 # methods.
+
+_STOCK_POLICIES = {LRUPolicy: "lru", NRUPolicy: "nru", BTPolicy: "bt"}
 
 _STOCK_SCHEMES = {
     type(None): "none",
@@ -203,9 +206,9 @@ _STOCK_SCHEMES = {
 def kernel_key(cache) -> Optional[Tuple[str, str]]:
     """``(policy kind, scheme name)`` of the rendering that is exact for
     ``cache``, or None when it must stay on the generic path."""
-    kind = getattr(cache.policy, "kernel_kind", "")
+    kind = _STOCK_POLICIES.get(type(cache.policy))
     scheme = _STOCK_SCHEMES.get(type(cache.partition))
-    if kind not in transitions.POLICIES or scheme is None:
+    if kind is None or scheme is None:
         return None
     return kind, scheme
 
@@ -257,7 +260,7 @@ def drain_key(atd) -> Optional[Tuple[str, str]]:
 
     stock = {"lru": LRUDistanceProfiler, "nru": NRUDistanceProfiler,
              "bt": BTDistanceProfiler}
-    kind = getattr(atd.policy, "kernel_kind", "")
+    kind = _STOCK_POLICIES.get(type(atd.policy))
     profiler = atd.profiler
     if (type(profiler) is not stock.get(kind)
             or getattr(profiler, "spread_update", False)):

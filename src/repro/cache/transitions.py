@@ -46,11 +46,12 @@ indentation (recursively); ``$line``, ``$core`` and ``$set`` are the
 access's line address, core and set index in the rendering at hand.
 Rendering is checked — an unknown slot or placeholder raises, and no
 policy / scheme fragment may store to a local its skeleton keeps for
-itself (:data:`PRIVATE_LOCALS`); ``hot-path-purity`` and the
-translator's refusals hold the closure to factory bindings — and lazy:
-a key is rendered on its first :func:`bind`, and translated only when no
+itself (:data:`PRIVATE_LOCALS`); the translator holds the closure to
+its parameters, its locals and what its factory assigns — and lazy: a
+key is rendered on its first :func:`bind`, and translated only when no
 compiled object of it is cached.  The tables are literals on purpose:
-``repro lint`` reads them without importing this module.  The policy,
+``repro lint`` (``hot-path-purity``) reads them without importing this
+module, and renders and translates every key.  The policy,
 scheme and profiler classes and ``tests/seed_reference.py`` stay
 hand-written: they are the oracle side every rendering is pinned
 against (``tests/test_cache/test_state.py``,
@@ -67,13 +68,8 @@ from string import Template
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "PREFILTER_KEY", "PURE_ATTRS", "bind", "render",
-           "rendering_keys", "source_name", "target_stats", "target_summary",
-           "translate"]
-
-#: Attribute loads a kernel closure may perform: C-level int methods on
-#: locals.
-PURE_ATTRS = frozenset({"bit_length", "bit_count"})
+           "PREFILTER_KEY", "bind", "render", "rendering_keys", "source_name",
+           "target_stats", "target_summary", "translate"]
 
 POLICIES = {
     "lru": {

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "9a29ccabc683cb9756568ef79e8ae90622022fa5b26abff9243f53e3e5f5c977"
+ENGINE_SOURCE_CHECKSUM = "0f5fbe1ff8d8fb9437ca3c8a7b116bd2a9634dc95df0ec9bdb633afe41c0359d"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

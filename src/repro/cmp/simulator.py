@@ -106,7 +106,6 @@ class CMPSimulator:
                 self.profiling, scheme, l2.assoc,
                 selector=partitioning.selector,
                 min_ways=partitioning.min_ways,
-                record=simulation.record_partitions,
                 static_counts=partitioning.static_counts,
             )
         else:

@@ -243,8 +243,6 @@ class SimulationConfig:
     seed: int = 12345
     #: Optional cap on total simulated cycles (safety valve; None = off).
     max_cycles: Optional[int] = None
-    #: Record per-interval partition decisions (memory cost; default on).
-    record_partitions: bool = True
     #: Minimum cycles between successive memory services (single-channel
     #: FCFS queue).  0 = the paper's fixed-latency memory (default).
     memory_service_interval: float = 0.0

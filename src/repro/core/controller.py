@@ -89,24 +89,23 @@ class PartitionController:
 
     def __init__(self, profiling: ProfilingSystem, scheme: PartitionScheme,
                  assoc: int, selector: str = "minmisses", min_ways: int = 1,
-                 record: bool = True,
                  static_counts: Optional[Tuple[int, ...]] = None) -> None:
         """Wire a profiling system to an enforcement scheme.
 
         ``selector`` names the partition-selection block (``minmisses`` /
         ``lookahead`` / ``fair`` / ``even`` / ``static``); BT-vector
-        enforcement automatically switches to the subcube DP.  ``record``
-        keeps a :class:`PartitionRecord` history for analysis (tests and
-        examples read it); ``static_counts`` is required by — and only
-        meaningful for — ``selector='static'``.  An initial allocation
-        (even split, or the static one) is installed immediately.
+        enforcement automatically switches to the subcube DP.  Every
+        boundary appends a :class:`PartitionRecord` to :attr:`history`
+        (results, tests and examples read it); ``static_counts`` is
+        required by — and only meaningful for — ``selector='static'``.
+        An initial allocation (even split, or the static one) is
+        installed immediately.
         """
         self.profiling = profiling
         self.scheme = scheme
         self.assoc = assoc
         self.selector = selector
         self.min_ways = min_ways
-        self.record = record
         self.static_counts = static_counts
         self.subcube = isinstance(scheme, BTVectorPartition)
         self.history: List[PartitionRecord] = []
@@ -141,10 +140,9 @@ class PartitionController:
         )
         self.scheme.apply(allocation)
         self.repartitions += 1
-        if self.record:
-            counts = tuple(allocation.counts)
-            predicted = float(sum(curves[t][w] for t, w in enumerate(counts)))
-            self.history.append(PartitionRecord(cycle, counts, predicted))
+        counts = tuple(allocation.counts)
+        predicted = float(sum(curves[t][w] for t, w in enumerate(counts)))
+        self.history.append(PartitionRecord(cycle, counts, predicted))
         self.profiling.halve_all()
 
     @property

@@ -8,9 +8,8 @@ package checks them mechanically, with stdlib ``ast`` only:
 ========================  ==============================================
 rule                      contract
 ========================  ==============================================
-kernel-kind-override      policy subclasses redeclare ``kernel_kind``
 state-rebind              state arrays are mutated in place, not rebound
-hot-path-purity           kernel closures touch bound locals only
+hot-path-purity           every rendering of the spec translates to C
 experiment-contract       fig*/table* modules export the full surface
 job-hash-discipline       every job/scale field keyed or UNKEYED_FIELDS
 import-purity             declared pure modules import no ``repro``

@@ -254,31 +254,6 @@ class LintContext:
             self._class_graph = graph
         return self._class_graph
 
-    def subclasses_of(self, root: str) -> List[ClassInfo]:
-        """Classes transitively derived (by name) from ``root``.
-
-        Name-based resolution is deliberate: the linter never imports the
-        checked code, and class names are unique in this repo.  The root
-        itself is not included.
-        """
-        graph = self.class_graph()
-        children: Dict[str, List[ClassInfo]] = {}
-        for infos in graph.values():
-            for info in infos:
-                for base in info.bases:
-                    children.setdefault(base, []).append(info)
-        result: List[ClassInfo] = []
-        seen: Set[str] = {root}
-        frontier = [root]
-        while frontier:
-            name = frontier.pop()
-            for info in children.get(name, ()):
-                if info.name not in seen:
-                    seen.add(info.name)
-                    result.append(info)
-                    frontier.append(info.name)
-        return result
-
     def ancestors_of(self, info: ClassInfo) -> List[ClassInfo]:
         """In-tree ancestor classes of ``info`` (name-resolved, transitive)."""
         graph = self.class_graph()

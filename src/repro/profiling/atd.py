@@ -51,8 +51,7 @@ class ATD:
     def __init__(self, l2_geometry: CacheGeometry, sampling: int,
                  policy_name: str, profiler: DistanceProfiler,
                  sdh: Optional[SDH] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 kernels: bool = True) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         """Build the directory for one thread.
 
         ``sampling`` is the 1-in-N set-sampling ratio (a power of two
@@ -61,8 +60,7 @@ class ATD:
         the ATD shadows the cache and the profiler interprets its state.
         ``sdh`` and ``rng`` default to a fresh register file and the
         policy's own stream (pass explicit ones to share or to pin
-        determinism across runs).  ``kernels=False`` keeps the generic
-        ``observe_many`` loop (equivalence tests).
+        determinism across runs).
         """
         if sampling <= 0 or sampling & (sampling - 1):
             raise ValueError(
@@ -96,7 +94,7 @@ class ATD:
         #: [sampled, skipped] — an array so the observe kernels bump the
         #: counters as locals-bound writes; read via the properties below.
         self._counts = array("q", [0, 0])
-        key = drain_key(self) if kernels else None
+        key = drain_key(self)
         drain = transitions.bind("observe", key, self) if key else None
         if drain is not None:
             self.observe_many = drain

@@ -24,11 +24,17 @@ KINDS = {
     "out": "callout:float(int,float)", "ask": "callout:int()",
     # what was a table of bounded lists: flat slots, like LRU's order
     "lists": "ints",
+    # declared, but no factory of this module assigns it
+    "stray": "ints",
 }
 
 
 def translate(body, params="x, y, f, g", kinds=KINDS):
-    source = (f"def build(owner):\n    def kernel({params}):\n"
+    """Translate ``body`` as the kernel of a factory that binds every
+    declared name but ``stray`` from its owner, as a rendering does."""
+    binds = "".join(f"    {name} = owner.{name}\n" for name in kinds
+                    if name != "stray")
+    source = (f"def build(owner):\n{binds}    def kernel({params}):\n"
               + textwrap.indent(textwrap.dedent(body), " " * 8)
               + "\n    return kernel\n")
     return cgen.translate(source, NAME, kinds)
@@ -169,6 +175,9 @@ REFUSED = [
     ("a = x\na = f", "'a' is int and is assigned float"),
     ("ints[x] = f", "float stored into an int array"),
     ("a = z + 1", "unknown name 'z'"),
+    # declared in the kinds table, but this factory never assigns it
+    ("stray[x] += 1", "'stray' (ints) is not assigned by this rendering's "
+                      "factory"),
     ("a = len(ints)", "unknown name 'len'"),
     ("a = py", "unknown name 'py'"),
     ("a = ints", "'ints' (ints) used as a value"),

@@ -27,7 +27,7 @@ def make_cache(policy_name="lru", num_sets=8, assoc=8):
     policy = make_policy(policy_name, num_sets, assoc,
                          rng=np.random.default_rng(3))
     return SetAssociativeCache(geometry, policy, partition=None,
-                               num_cores=1, kernels=True)
+                               num_cores=1)
 
 
 def rebound(cache):

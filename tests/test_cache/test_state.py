@@ -4,10 +4,14 @@ The compiled renderings a cache or an ATD is eligible for (the fused
 event loop, the ATD's drain kernel) must be *observably identical* to
 the generic object-protocol paths — same hit/miss outcomes, same
 statistics, same resident lines, same policy state — for every
-registered policy and partition scheme.  ``kernels=False`` builds the
-generic twin; the per-access entry points are the classes' methods on
-every instance.
+registered policy and partition scheme.  The twin is a second cache
+(or ATD) built the same way and stepped through the classes' methods
+one access at a time: the per-access entry points are the classes'
+methods on every instance, and ``ATD.observe_many`` called on the class
+is its per-line loop.
 """
+
+import dataclasses
 
 from array import array
 
@@ -30,9 +34,19 @@ from repro.cache.state import (
     kernel_key,
     rendered_key,
 )
+from repro.cmp.engine import batched_refusal
+from repro.cmp.simulator import CMPSimulator
+from repro.config import (
+    ProcessorConfig,
+    SimulationConfig,
+    config_M_BT,
+    config_M_L,
+    config_M_N,
+)
 from repro.fuzz.oracle import state_digest
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
+from repro.workloads.trace import Trace
 
 ALL_POLICIES = sorted(POLICY_REGISTRY)
 
@@ -42,11 +56,15 @@ PAPER_KINDS = {"lru", "nru", "bt"}
 
 def test_kernel_tables_name_the_three_paper_kinds():
     """One kernel kind per paper policy in the transition spec — the only
-    kernel table there is; every other registered policy stays on the
-    generic path."""
+    kernel table there is; a cache of each registered paper policy gets
+    its kind, every other registered policy stays on the generic path."""
     assert set(transitions.POLICIES) == PAPER_KINDS
-    for name, cls in POLICY_REGISTRY.items():
-        assert cls.kernel_kind == (name if name in PAPER_KINDS else "")
+    geometry = CacheGeometry(4 * 4 * 128, 4, 128)
+    for name in POLICY_REGISTRY:
+        cache = SetAssociativeCache(geometry, name,
+                                    rng=np.random.default_rng(0))
+        assert kernel_key(cache) == ((name, "none")
+                                     if name in PAPER_KINDS else None)
 
 
 class TestTagStore:
@@ -118,29 +136,28 @@ KERNEL_CASES = [(p, s) for p in ALL_POLICIES
 @pytest.mark.parametrize("policy_name,scheme", KERNEL_CASES,
                          ids=lambda v: str(v))
 def test_kernel_matches_generic_path(policy_name, scheme):
-    """The loop a kernels=True cache is eligible for (fused for the paper
-    kinds) and the kernels=False twin stepping the classes evolve
+    """The loop a cache is eligible for (fused for the paper kinds) and
+    its twin stepping the classes one access at a time evolve
     identically through windows of both cores interleaved with
     invalidations and flushes."""
     num_sets, assoc, cores = 8, 8, 2
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
 
-    def build(kernels):
+    def build():
         policy = make_policy(policy_name, num_sets, assoc,
                              rng=np.random.default_rng(3))
         part = scheme_for(scheme, policy, cores, num_sets, assoc)
         return SetAssociativeCache(geometry, policy, partition=part,
-                                   num_cores=cores, kernels=kernels)
+                                   num_cores=cores)
 
-    fast = build(True)
-    slow = build(False)
+    fast = build()
+    slow = build()
     # No instance shadows the per-access method; only the paper kinds
     # record a key, and with it the fused loop.
     assert "access_line_hit" not in vars(fast)
     assert "access_line_hit" not in vars(slow)
     assert rendered_key(fast) == ((policy_name, scheme)
                                   if policy_name in PAPER_KINDS else None)
-    assert rendered_key(slow) is None
 
     loops = [loop_window(fast, core) for core in range(cores)]
     rng = np.random.default_rng(23)
@@ -184,27 +201,52 @@ def test_kernel_survives_flush():
     assert cache.occupancy() == 32
 
 
-def test_unknown_policy_falls_back_to_generic():
-    """A policy without kernel_kind gets no kernel and still works."""
-    policy = make_policy("lru", 4, 4)
-
-    class Weird(type(policy)):
-        kernel_kind = ""
-
-    weird = Weird(4, 4)
+def test_unknown_policy_falls_back_to_generic(monkeypatch):
+    """A subclass of a paper policy is not the stock class, even a bare
+    one that overrides and declares nothing: it gets no kernel and still
+    works; a run over it — cache and ATDs — is refused by the batched
+    engine by name and taken by ``auto`` to the reference engine, with
+    the stock class's reference results."""
     geometry = CacheGeometry(4 * 4 * 128, 4, 128)
-    cache = SetAssociativeCache(geometry, weird)
-    assert kernel_key(cache) is None and cache.kernel is None
-    assert "access_line_hit" not in cache.__dict__
-    assert cache.access_line_hit(5) is False
-    assert cache.access_line_hit(5) is True
+    processor = ProcessorConfig(
+        num_cores=2, l1i=CacheGeometry(2 * 2 * 128, 2, 128),
+        l1d=CacheGeometry(2 * 2 * 128, 2, 128),
+        l2=CacheGeometry(16 * 8 * 128, 8, 128))
+    rng = np.random.default_rng(4)
+    traces = [Trace(f"t{core}", rng.integers(0, 400, size=3000),
+                    ipm=4.0, cpi_base=1.0) for core in range(2)]
+
+    def run(config, engine):
+        sim = CMPSimulator(processor, config, traces, SimulationConfig(
+            instructions_per_thread=12_000, seed=7, engine=engine))
+        return sim, sim.run()
+
+    for name, config in (("lru", config_M_L), ("nru", config_M_N),
+                         ("bt", config_M_BT)):
+        stock = POLICY_REGISTRY[name]
+        Weird = type(f"Weird{stock.__name__}", (stock,), {})
+        cache = SetAssociativeCache(geometry, Weird(4, 4))
+        assert kernel_key(cache) is None and cache.kernel is None
+        assert "access_line_hit" not in cache.__dict__
+        assert cache.access_line_hit(5) is False
+        assert cache.access_line_hit(5) is True
+
+        partitioning = config(atd_sampling=4, interval_cycles=10_000)
+        _sim, reference = run(partitioning, "reference")
+        monkeypatch.setitem(POLICY_REGISTRY, name, Weird)
+        sim, auto = run(partitioning, "auto")
+        assert type(sim.hierarchy.l2.policy) is Weird
+        assert "observe_many" not in vars(sim.profiling[0].atd)
+        assert batched_refusal(sim).startswith(
+            f"no rendering of the L2's {Weird.__name__} ")
+        assert dataclasses.asdict(auto) == dataclasses.asdict(reference)
 
 
 def test_mixed_entry_points_share_state():
     """access_line / access_line_rw / access_line_hit interleave."""
     geometry = CacheGeometry(8 * 4 * 128, 4, 128)
     fast = SetAssociativeCache(geometry, "lru")
-    slow = SetAssociativeCache(geometry, "lru", kernels=False)
+    slow = SetAssociativeCache(geometry, "lru")
     rng = np.random.default_rng(5)
     for line in rng.integers(0, 100, size=2000).tolist():
         kind = line % 3
@@ -229,15 +271,14 @@ def test_observe_kernel_matches_generic(policy_name):
     reset."""
     geometry = CacheGeometry(32 * 8 * 128, 8, 128)
 
-    def build(kernels):
+    def build():
         return ATD(geometry, 4, policy_name, make_profiler(policy_name),
-                   rng=np.random.default_rng(9), kernels=kernels)
+                   rng=np.random.default_rng(9))
 
-    fast = build(True)
-    slow = build(False)
+    fast = build()
+    slow = build()
     assert "observe" not in vars(fast) and "observe" not in vars(slow)
     assert "observe_many" in vars(fast)
-    assert "observe_many" not in vars(slow)
     rng = np.random.default_rng(1)
     lines = rng.integers(0, 3000, size=8000).tolist()
     start = 0
@@ -286,8 +327,9 @@ def atd_state(atd):
 
 
 class TestDrainTargets:
-    """The compiled ``observe`` rendering an ATD binds against the
-    ``kernels=False`` class path, drain by drain.  Every batch, whatever
+    """The compiled ``observe`` rendering an ATD binds against the class
+    path (``ATD.observe_many`` called on the class) of a twin ATD, drain
+    by drain.  Every batch, whatever
     its length, goes to the kernel the ATD bound — there is no size rule
     — as the ``array('q')`` the batched engine hands it; the kernel also
     takes an ``int64`` numpy column."""
@@ -300,9 +342,8 @@ class TestDrainTargets:
                        make_profiler(policy, scaling=scaling),
                        rng=np.random.default_rng(9), **kw)
 
-        compiled, classes = build(), build(kernels=False)
+        compiled, classes = build(), build()
         assert isinstance(compiled.observe_many, native.CompiledKernel)
-        assert "observe_many" not in vars(classes)
         return compiled, classes
 
     @pytest.mark.parametrize("scaling", [1.0, 0.75, 0.5, 1 / 3],
@@ -333,7 +374,7 @@ class TestDrainTargets:
             lines = array("q", batch.tobytes())
             # The kernel takes a numpy column as well.
             compiled.observe_many(batch if step % 5 == 2 else lines)
-            classes.observe_many(lines)
+            ATD.observe_many(classes, lines)
             assert atd_state(compiled) == atd_state(classes), step
             if step == 6 and sampling > 1:
                 assert compiled.skipped_accesses >= size
@@ -408,9 +449,8 @@ class TestWindowKernels:
     ``loop`` rendering at a heap of one for a stock cache nobody rebound
     — so every window here also crosses the sharing of the flat state
     with C — and the classes one access at a time for every other cache,
-    as the reference engine steps them.  The reference for both is the
-    ``kernels=False`` twin stepping the policy classes one access at a
-    time.  Same per-access hit flags, same statistics, same tags and same
+    as the reference engine steps them.  The reference for both is a
+    twin cache stepping the policy classes one access at a time.  Same per-access hit flags, same statistics, same tags and same
     policy-internal state — across every policy x partition-scheme
     combination, every core, with partition masks re-applied mid-run and
     invalid-way fills from both cold sets and mid-run flushes.
@@ -418,7 +458,7 @@ class TestWindowKernels:
 
     NUM_SETS, ASSOC, CORES = 8, 8, 2
 
-    def _build(self, policy_name, scheme, kernels=True):
+    def _build(self, policy_name, scheme):
         geometry = CacheGeometry(self.NUM_SETS * self.ASSOC * 128,
                                  self.ASSOC, 128)
         policy = make_policy(policy_name, self.NUM_SETS, self.ASSOC,
@@ -426,12 +466,12 @@ class TestWindowKernels:
         part = scheme_for(scheme, policy, self.CORES, self.NUM_SETS,
                           self.ASSOC)
         return SetAssociativeCache(geometry, policy, partition=part,
-                                   num_cores=self.CORES, kernels=kernels)
+                                   num_cores=self.CORES)
 
     @pytest.mark.parametrize("policy_name,scheme", KERNEL_CASES,
                              ids=lambda v: str(v))
     def test_window_matches_scalar_replay(self, policy_name, scheme):
-        scalar = self._build(policy_name, scheme, kernels=False)
+        scalar = self._build(policy_name, scheme)
         windowed = self._build(policy_name, scheme)
         fused = (policy_name, scheme) if policy_name in PAPER_KINDS else None
         assert rendered_key(windowed) == fused, "fused for paper kinds only"
@@ -477,7 +517,7 @@ class TestWindowKernels:
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
     def test_single_access_windows(self, policy_name):
         """Degenerate one-line windows equal one generic call each."""
-        scalar = self._build(policy_name, "none", kernels=False)
+        scalar = self._build(policy_name, "none")
         windowed = self._build(policy_name, "none")
         kernel = loop_window(windowed)
         rng = np.random.default_rng(7)
@@ -498,13 +538,13 @@ def test_bt_vectors_installed_between_windows_steer_the_loop():
     num_sets, assoc, cores = 8, 8, 2
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
 
-    def build(kernels):
+    def build():
         policy = make_policy("bt", num_sets, assoc)
         part = BTVectorPartition(cores, num_sets, assoc, policy)
         return SetAssociativeCache(geometry, policy, partition=part,
-                                   num_cores=cores, kernels=kernels)
+                                   num_cores=cores)
 
-    fast, slow = build(True), build(False)
+    fast, slow = build(), build()
     words = fast.policy._up, fast.policy._down
     assert len(words[0]) == len(words[1]) == assoc
     rng = np.random.default_rng(31)
@@ -545,8 +585,7 @@ class TestElisionEligibility:
             part = make_partition("masks", 2, num_sets, assoc)
             part.apply(WayAllocation.from_counts((assoc - 3, 3), assoc))
         return SetAssociativeCache(geometry, policy, partition=part,
-                                   num_cores=2 if partitioned else 1,
-                                   kernels=True)
+                                   num_cores=2 if partitioned else 1)
 
     @pytest.mark.parametrize("policy_name",
                              ["lru", "fifo", "nru", "bt", "random"])
@@ -618,7 +657,7 @@ class TestArrayKernelProperties:
             policy = make_policy(policy_name, num_sets, assoc,
                                  rng=np.random.default_rng(3))
             return SetAssociativeCache(geometry, policy, partition=None,
-                                       num_cores=1, kernels=True)
+                                       num_cores=1)
 
         ref, arr = rebind_hit_kernel(build()), build()
         assert rendered_key(ref) is None, "classes"
@@ -713,8 +752,7 @@ class TestArrayKernelProperties:
         observe: the fused one only for a stock pair whose
         ``access_line_hit`` no instance attribute shadows — partitioned
         or not — and the classes for a kernel-less policy, a subclassed
-        scheme, a ``kernels=False`` cache and a rebound
-        ``access_line_hit``."""
+        scheme and a rebound ``access_line_hit``."""
         from repro.cache.partition.masks import MasksPartition
 
         num_sets, assoc = 8, 8
@@ -724,7 +762,7 @@ class TestArrayKernelProperties:
             def candidate_mask(self, set_index, core):
                 return super().candidate_mask(set_index, core)
 
-        def cache_for(policy_name, scheme=None, **kwargs):
+        def cache_for(policy_name, scheme=None):
             policy = make_policy(policy_name, num_sets, assoc,
                                  rng=np.random.default_rng(3))
             part = None
@@ -732,7 +770,7 @@ class TestArrayKernelProperties:
                 part = scheme(2, num_sets, assoc)
                 part.apply(WayAllocation.from_counts((5, 3), assoc))
             return SetAssociativeCache(geometry, policy, partition=part,
-                                       num_cores=2 if part else 1, **kwargs)
+                                       num_cores=2 if part else 1)
 
         def rendered(cache):
             return rendered_key(cache) is not None
@@ -742,5 +780,4 @@ class TestArrayKernelProperties:
         for name in ("fifo", "random", "srrip", "lip"):
             assert not rendered(cache_for(name))
         assert not rendered(cache_for("lru", NarrowedMasks))
-        assert not rendered(cache_for("lru", kernels=False))
         assert not rendered(rebind_hit_kernel(cache_for("lru")))

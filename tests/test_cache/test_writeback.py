@@ -13,6 +13,7 @@ from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy, HierarchyAccess
 from repro.cache.l1 import SmallLRUCache
+from repro.cache.replacement.lru import LRUPolicy
 from repro.workloads.trace import Trace
 from repro.workloads.writes import overlay_workload_writes, overlay_writes
 
@@ -45,13 +46,17 @@ class TestCacheDirtyBits:
         assert not cache.is_dirty(2)
 
     @pytest.mark.parametrize("entry", ["access_line_hit", "access_line"])
-    @pytest.mark.parametrize("kernels", [True, False])
-    def test_every_entry_point_shares_the_miss_path(self, entry, kernels):
+    @pytest.mark.parametrize("rendered", [True, False])
+    def test_every_entry_point_shares_the_miss_path(self, entry, rendered):
         """A read through the read-only entry points that evicts a dirty
         line installs the new one clean and counts the writeback — the
-        one miss path, whichever method evicts."""
+        one miss path, whichever method evicts, whether or not the cache
+        has a rendering (the stock LRU, or a bare subclass of it)."""
         geometry = tiny_geometry(num_sets=1, assoc=2)
-        cache = SetAssociativeCache(geometry, "lru", kernels=kernels)
+        policy = (LRUPolicy if rendered
+                  else type("BareLRU", (LRUPolicy,), {}))(1, 2)
+        cache = SetAssociativeCache(geometry, policy)
+        assert (cache.kernel is not None) == rendered
         cache.access_line_rw(0, write=True)
         getattr(cache, entry)(1)
         getattr(cache, entry)(2)               # evicts dirty line 0

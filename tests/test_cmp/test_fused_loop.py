@@ -143,8 +143,6 @@ class NarrowMasks(MasksPartition):
 class HitsDoNotPromote(LRUPolicy):
     """FIFO out of the LRU arrays: only fills move a way to MRU."""
 
-    kernel_kind = ""
-
     def touch(self, set_index, way, core, reset_domain=None):
         pass
 

@@ -268,16 +268,14 @@ class TestSoloVsReference:
         assert ref.events.memory_queue_cycles > 0 < ref.events.repartitions
 
     def test_kernelless_policy_runs_on_the_vector_path(self, monkeypatch):
-        """A policy that opts out of the flat-state kernels
-        (``kernel_kind = ""``) runs on the reference engine over the
-        generic ``access_line_hit``, which ``auto`` picks and the batched
-        engine refuses by name.  (The name dates from the vector engine's
-        window path.)"""
+        """A subclass of a paper policy is not the stock class, so it has
+        no rendering: it runs on the reference engine over the generic
+        ``access_line_hit``, which ``auto`` picks and the batched engine
+        refuses by name.  (The name dates from the vector engine's window
+        path.)"""
         from repro.cache.replacement.base import POLICY_REGISTRY
 
         class MRUVictim(POLICY_REGISTRY["lru"]):
-            kernel_kind = ""
-
             def victim(self, set_index, core, mask):
                 for way in self.stack_order(set_index):
                     if (mask >> way) & 1:
@@ -390,16 +388,18 @@ class TestDeferredDrains:
 
     @pytest.mark.parametrize("policy", ["lru", "nru", "bt"])
     def test_observe_many_generic_fallback(self, policy):
-        """``kernels=False`` keeps the generic loop; same state either way."""
+        """The class's ``observe_many`` loop, called on a stock ATD whose
+        drains are bound to the compiled kernel, leaves the same state
+        as the kernel."""
         geometry = CacheGeometry(64 * 8 * 128, 8, 128)
         rng = np.random.default_rng(3)
         stream = [int(x) for x in rng.integers(0, 2048, size=4_000)]
         kernel = ATD(geometry, 4, policy, make_profiler(policy),
                      rng=np.random.default_rng(9))
         generic = ATD(geometry, 4, policy, make_profiler(policy),
-                      rng=np.random.default_rng(9), kernels=False)
+                      rng=np.random.default_rng(9))
         kernel.observe_many(array("q", stream))
-        generic.observe_many(array("q", stream))
+        ATD.observe_many(generic, array("q", stream))
         assert list(kernel.state.lines) == list(generic.state.lines)
         assert list(kernel.sdh._r) == list(generic.sdh._r)
         assert kernel.sampled_accesses == generic.sampled_accesses

@@ -1,9 +1,18 @@
-"""Fixture: a transition spec with an attribute chase in a policy fragment
-(so it lands in every rendering) and a float in its SDH read, a second
-policy whose SDH read iterates a tuple table, a per-event allocation, a
-list method on it and a global lookup in the miss branch of the event
-loop's access block, and a scheme whose mask fragment stores to the
-event loop's horizon."""
+"""Fixture: a transition spec whose renderings the translator refuses,
+one reason each.
+
+* ``flat``: an attribute chase in its promote fragment (so it lands in
+  every event loop) and a float in its SDH read (which refuses its drain
+  on the fragment itself);
+* ``walk``: an SDH read iterating a tuple table instead of a column;
+* ``tally``: a fill counting into ``fills_invalid``, which the event
+  loop's factory binds and the drain's never assigns;
+* schemes: ``clobber`` stores to the event loop's horizon, ``alloc``
+  allocates a list, ``method`` calls a list method and ``global`` looks
+  up a global, each in its on-fill bookkeeping.
+
+``walk`` and ``tally`` under ``none`` and the prefilter are clean.
+"""
 
 POLICIES = {
     "flat": {
@@ -30,6 +39,18 @@ for shift in spec_l:
     sdh_r[(used_l[$set] >> shift) & 1] += 1""",
         "bind_sdh": "spec_l = policy._path_spec",
     },
+    "tally": {
+        "bind": "used_l = policy._used",
+        "promote": "used_l[$set] |= 1 << way",
+        "fill_invalid": "",
+        "victim": "way = (mask & -mask).bit_length() - 1",
+        "victim_in_mask": True,
+        "fill": """\
+$promote
+fills_invalid[0] += 1""",
+        "sdh": "sdh_r[used_l[$set].bit_count()] += 1",
+        "bind_sdh": "",
+    },
 }
 
 SCHEMES = {
@@ -37,6 +58,12 @@ SCHEMES = {
              "on_fill": ""},
     "clobber": {"bind": "", "mask": "horizon = mask = full_mask",
                 "domain": "", "on_fill": ""},
+    "alloc": {"bind": "", "mask": "mask = full_mask", "domain": "",
+              "on_fill": "record = [$core, $line]"},
+    "method": {"bind": "", "mask": "mask = full_mask", "domain": "",
+               "on_fill": "tag_lines.remove($line)"},
+    "global": {"bind": "", "mask": "mask = full_mask", "domain": "",
+               "on_fill": "heappush(tag_lines, $line)"},
 }
 
 TEMPLATES = {
@@ -66,6 +93,7 @@ else:
     $victim
     $evict
 tag_lines[row + way] = $line
+$on_fill
 $fill""",
     "evict_any": "",
     "observe": """\
@@ -120,10 +148,20 @@ if way < assoc:
     clock = now + 1.0
 else:
     $miss
-    record = [t, line]
-    record.remove(t)
-    heappush(clocks, record)
     clock = now + 9.0""",
+    "prefilter": """\
+def build(l1):
+    slots = l1._slots
+
+    def prefilter(refs):
+        n = 0
+        for line in refs:
+            n += slots[line & 7] != line
+            slots[line & 7] = line
+        return n
+
+    return prefilter
+""",
 }
 
 PRIVATE_LOCALS = {
@@ -138,4 +176,5 @@ C_KINDS = {
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
     "batch": "column", "sdh_r": "ints", "spec_l": "ints",
+    "refs": "column", "slots": "ints",
 }

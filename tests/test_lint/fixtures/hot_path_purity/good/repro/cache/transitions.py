@@ -1,6 +1,6 @@
-"""Fixture: a one-policy, one-scheme transition spec whose renderings run
-on factory-bound locals only (the tables are literals; the linter renders
-them with the package's own renderer)."""
+"""Fixture: a one-policy, one-scheme transition spec every rendering of
+which translates to C (the tables are literals; the linter renders and
+translates them with the package's own renderer and translator)."""
 
 POLICIES = {
     "flat": {
@@ -102,6 +102,19 @@ if way < assoc:
 else:
     $miss
     clock = now + 9.0""",
+    "prefilter": """\
+def build(l1):
+    slots = l1._slots
+
+    def prefilter(refs):
+        n = 0
+        for line in refs:
+            n += slots[line & 7] != line
+            slots[line & 7] = line
+        return n
+
+    return prefilter
+""",
 }
 
 PRIVATE_LOCALS = {
@@ -116,4 +129,5 @@ C_KINDS = {
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
     "batch": "column", "sdh_r": "ints", "spec_l": "ints",
+    "refs": "column", "slots": "ints",
 }

@@ -18,9 +18,9 @@ from repro.lint.core import (
 )
 
 EXPECTED_RULES = {
-    "kernel-kind-override", "state-rebind", "hot-path-purity",
-    "experiment-contract", "job-hash-discipline", "import-purity",
-    "public-docstrings", "engine-version-guard", "docs-links",
+    "state-rebind", "hot-path-purity", "experiment-contract",
+    "job-hash-discipline", "import-purity", "public-docstrings",
+    "engine-version-guard", "docs-links",
 }
 
 #: A state-rebind violation template used by the suppression tests; the

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.cache import transitions
+
 RULES = sorted([
-    "kernel-kind-override", "state-rebind", "hot-path-purity",
-    "experiment-contract", "job-hash-discipline", "import-purity",
-    "public-docstrings", "engine-version-guard", "docs-links",
+    "state-rebind", "hot-path-purity", "experiment-contract",
+    "job-hash-discipline", "import-purity", "public-docstrings",
+    "engine-version-guard", "docs-links",
 ])
 
 
@@ -22,13 +26,6 @@ class TestFixturePairs:
         assert {d.rule for d in diags} == {rule}
 
 
-class TestKernelKindOverride:
-    def test_flags_the_sneaky_subclass(self, lint_fixture):
-        (diag,) = lint_fixture("kernel-kind-override", "bad")
-        assert "SneakyPolicy" in diag.message
-        assert "touch_fill" in diag.message
-
-
 class TestStateRebind:
     def test_names_attribute_and_in_place_fix(self, lint_fixture):
         (diag,) = lint_fixture("state-rebind", "bad")
@@ -37,87 +34,110 @@ class TestStateRebind:
 
 
 class TestHotPathPurity:
+    """``hot-path-purity`` renders and translates every key of the
+    checked spec: its diagnostics are the translator's refusals, one per
+    rendering, each naming the rendering."""
+
+    @staticmethod
+    def refusals(lint_fixture):
+        """``{rendering name: message}`` of the bad tree."""
+        found = {}
+        for diag in lint_fixture("hot-path-purity", "bad"):
+            name = re.search(r"<repro kernel [^>]+>", diag.message)[0]
+            assert name not in found, diag.message
+            found[name] = diag.message
+        return found
+
+    def test_every_bad_rendering_is_flagged(self, lint_fixture):
+        """Every key but the three clean ones (``walk`` and ``tally``
+        under ``none``, the prefilter) is reported, once."""
+        keys = [(rendering, key) for rendering, key in
+                transitions.rendering_keys(
+                    ["flat", "walk", "tally"],
+                    ["none", "clobber", "alloc", "method", "global"])]
+        clean = {("loop", ("walk", "none")), ("loop", ("tally", "none")),
+                 ("prefilter", transitions.PREFILTER_KEY)}
+        assert set(self.refusals(lint_fixture)) == {
+            transitions.source_name(*key) for key in keys
+            if key not in clean}
+
     def test_a_list_method_in_a_rendered_closure_is_an_attribute_load(
             self, lint_fixture):
-        """``PURE_ATTRS`` names only the C-level ``int`` methods a
-        closure may call on a local: kernel state is flat arrays, so a
-        list method (``record.remove(t)``) is an attribute load."""
-        messages = [m.message
-                    for m in lint_fixture("hot-path-purity", "bad")
-                    if "attribute load .remove" in m.message]
-        assert len(messages) == 1           # one per (message, line)
-        assert "<repro kernel flat/none loop>" in messages[0]
-        assert "`record.remove(t)`" in messages[0]
+        """Kernel state is flat arrays, so a list method
+        (``tag_lines.remove(line)``) is refused by name: the only
+        attribute calls translated are an integer's ``bit_length()`` /
+        ``bit_count()``."""
+        found = self.refusals(lint_fixture)
+        for policy in ("walk", "tally"):
+            message = found[f"<repro kernel {policy}/method loop>"]
+            assert "no C target" in message
+            assert "method .remove()" in message
+            assert "bit_length() / bit_count()" in message
 
     def test_flags_fragment_storing_to_a_skeleton_local(self, lint_fixture):
         """A scheme fragment assigning the event loop's horizon would
         move every boundary without any error; the rendering that
         declares the local private is refused, the renderings that do
         not are still checked."""
-        messages = [m.message
-                    for m in lint_fixture("hot-path-purity", "bad")
-                    if "does not render" in m.message]
-        assert len(messages) == 2           # one per policy of the fixture
-        assert any("<repro kernel flat/clobber loop>" in m for m in messages)
+        messages = [m for m in self.refusals(lint_fixture).values()
+                    if "does not render" in m]
+        assert len(messages) == 3           # one per policy of the fixture
+        assert all("clobber loop>" in m for m in messages)
         assert all("scheme 'mask' -> horizon" in m for m in messages)
 
     def test_covers_batched_event_loop(self, lint_fixture):
         """The event loop of ``BatchedEngine.run`` is a rendering of the
-        transition spec: it runs once per L2 access and is held to the
-        strict contract against what its factory and signature bind."""
-        messages = [m.message
-                    for m in lint_fixture("hot-path-purity", "bad")
-                    if "build.loop" in m.message]
-        assert any("List allocation" in m
-                   and "<repro kernel flat/none loop>" in m
-                   for m in messages)
-        assert any("lookup of 'heappush'" in m for m in messages)
-        assert not any("lookup of 'lines'" in m for m in messages)
+        transition spec, held to what its factory and signature bind: a
+        list allocation and a global lookup are refused; the loop's own
+        parameters (``lines``) are not."""
+        found = self.refusals(lint_fixture)
+        assert "List is outside the translated subset" \
+            in found["<repro kernel walk/alloc loop>"]
+        assert "unknown name 'heappush'" \
+            in found["<repro kernel walk/global loop>"]
+        assert not any("'lines'" in m for m in found.values())
 
     def test_stock_loop_without_a_c_target_is_flagged(self, lint_fixture):
-        """A spec that declares ``C_KINDS`` promises every stock event
-        loop a C translation: a fragment outside the translated subset
-        (an attribute chase) or a skeleton statement outside it (a list
-        allocation) is named with its rendering — and the good tree, same
-        tables less those, translates."""
-        messages = sorted(m.message
-                          for m in lint_fixture("hot-path-purity", "bad")
-                          if "no C target" in m.message
-                          and " loop>" in m.message)
-        assert len(messages) == 2           # */clobber does not render
-        assert "<repro kernel flat/none loop>" in messages[0]
-        assert "attribute access ._used" in messages[0]
-        assert "<repro kernel walk/none loop>" in messages[1]
-        assert "List is outside the translated subset" in messages[1]
+        """A fragment outside the translated subset (an attribute chase)
+        is named with every loop it is rendered into, and the good tree,
+        same tables less the bad ones, translates."""
+        found = self.refusals(lint_fixture)
+        for scheme in ("none", "alloc", "method", "global"):
+            message = found[f"<repro kernel flat/{scheme} loop>"]
+            assert message.startswith("no C target: ")
+            assert "attribute access ._used" in message
+        assert lint_fixture("hot-path-purity", "good") == []
 
     def test_stock_drain_without_a_c_target_is_flagged(self, lint_fixture):
-        """The same promise for every ``observe`` key.  The two shapes
-        that once kept the drains in the interpreter are each refused by
-        name: a float in an ``sdh`` fragment (NRU's ``ceil(S * U)``) and a
+        """The same for every ``observe`` key.  The two shapes that once
+        kept the drains in the interpreter are each refused by name: a
+        float in an ``sdh`` fragment (NRU's ``ceil(S * U)``) and a
         ``for`` over anything but a column (BT's tuple of path bits)."""
-        messages = [m.message
-                    for m in lint_fixture("hot-path-purity", "bad")
-                    if "no C target" in m.message
-                    and " observe>" in m.message]
-        assert len(messages) == 2
-        assert any("<repro kernel flat/none observe>: float operation in "
-                   "policy 'sdh' fragment" in m for m in messages)
-        assert any("<repro kernel walk/none observe>" in m
-                   and "for over anything but a column binding" in m
-                   for m in messages)
+        found = self.refusals(lint_fixture)
+        assert ("<repro kernel flat/none observe>: float operation in "
+                "policy 'sdh' fragment") \
+            in found["<repro kernel flat/none observe>"]
+        assert "for over anything but a column binding" \
+            in found["<repro kernel walk/none observe>"]
+
+    def test_a_binding_the_factory_never_assigns_is_flagged(
+            self, lint_fixture):
+        """``fills_invalid`` is declared in ``C_KINDS`` and bound by the
+        event loop's factory, so ``tally``'s fill translates there; the
+        drain's factory never assigns it, and the drain is refused."""
+        found = self.refusals(lint_fixture)
+        assert "'fills_invalid' (cores) is not assigned by this " \
+            "rendering's factory" in found["<repro kernel tally/none observe>"]
+        assert "<repro kernel tally/none loop>" not in found
 
     def test_covers_every_rendering_of_a_fragment(self, lint_fixture):
-        """A fragment with an attribute chase is flagged in the observe
-        kernel and the fused loop it is rendered into — once per
-        rendering kind, not once per (policy, scheme)."""
-        messages = [m.message
-                    for m in lint_fixture("hot-path-purity", "bad")
-                    if "attribute load ._used" in m.message]
-        assert len(messages) == 2
-        for closure in ("observe_many", "loop"):
-            assert any(f"build.{closure}" in m for m in messages)
-        assert all("`cache.policy._used[s] |= 1 << way`" in m
-                   for m in messages)
+        """A fragment with an attribute chase is flagged in every
+        rendering it reaches first: the loops of each scheme that
+        renders (``flat``'s drain stops at its SDH read)."""
+        messages = [m for m in self.refusals(lint_fixture).values()
+                    if "attribute access ._used" in m]
+        assert len(messages) == 4
+        assert all("<repro kernel flat/" in m for m in messages)
 
 
 class TestExperimentContract:

@@ -48,7 +48,7 @@ class TestCli:
     def test_rule_subset_limits_the_run(self, capsys):
         root = FIXTURES / "state_rebind" / "bad"
         assert main(["lint", "--root", str(root),
-                     "--rules", "kernel-kind-override"]) == 0
+                     "--rules", "hot-path-purity"]) == 0
 
 
 class TestEngineGuardEndToEnd:

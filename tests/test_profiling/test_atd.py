@@ -10,12 +10,11 @@ from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
 
-def make_atd(num_sets=32, assoc=4, sampling=4, policy="lru", kernels=True,
-             **profiler_kw):
+def make_atd(num_sets=32, assoc=4, sampling=4, policy="lru", **profiler_kw):
     geometry = CacheGeometry(num_sets * assoc * 128, assoc, 128)
     return ATD(geometry, sampling, policy,
                make_profiler(policy, **profiler_kw),
-               rng=np.random.default_rng(0), kernels=kernels)
+               rng=np.random.default_rng(0))
 
 
 def atd_state(atd):
@@ -60,8 +59,7 @@ class TestSampling:
         generic object-protocol path."""
         lines = np.random.default_rng(5).integers(0, 4096, size=3000)
         full = make_atd(num_sets=64, sampling=sampling, policy=policy)
-        generic = make_atd(num_sets=64, sampling=sampling, policy=policy,
-                           kernels=False)
+        generic = make_atd(num_sets=64, sampling=sampling, policy=policy)
         assert "observe_many" in full.__dict__
         assert "observe" not in generic.__dict__
         sampled = []
