@@ -189,22 +189,24 @@ def plan_jobs(jobs: Sequence[Job]) -> Plan:
 
     Isolation entries are stable-sorted by :func:`locality_key`, so the
     jobs of one trace run back to back and a runner generates it once.
+    Each distinct :class:`Job` is hashed once: the configurations of a
+    mix share its isolation dependencies.
     """
-    seen: Dict[str, None] = {}
+    keys: Dict[Job, str] = {}
+    seen: Set[str] = set()
     isolation: List[Tuple[str, Job]] = []
     outcome: List[Tuple[str, Job]] = []
     for job in jobs:
-        deps = isolation_deps(job) if job.kind == KIND_OUTCOME else [job]
-        for dep in deps:
-            key = job_key(dep)
+        entries = [(dep, isolation) for dep in isolation_deps(job)]
+        entries.append((job, outcome if job.kind == KIND_OUTCOME
+                        else isolation))
+        for item, stage in entries:
+            if item in keys:
+                continue
+            key = keys[item] = job_key(item)
             if key not in seen:
-                seen[key] = None
-                isolation.append((key, dep))
-        if job.kind == KIND_OUTCOME:
-            key = job_key(job)
-            if key not in seen:
-                seen[key] = None
-                outcome.append((key, job))
+                seen.add(key)
+                stage.append((key, item))
     isolation.sort(key=lambda entry: locality_key(entry[1]))
     return Plan(isolation=isolation, outcome=outcome)
 
@@ -338,8 +340,14 @@ class Campaign:
             pool.close()
         report.scheduler = scheduler.stats
         report.failed.extend(scheduler.failed)
-        # Which kernels loaded and which engines ran in *this* process (a
-        # process pool's workers bind their own): observational, unkeyed.
-        self.echo(f"  {scheduler.stats.summary()}; "
-                  f"{transitions.target_summary()}; {engine_summary()}")
+        # Which kernels loaded and which engines ran: observational,
+        # unkeyed, counted per process.  Only a serial pool runs its jobs
+        # here; a process or remote pool's workers bind their own, which
+        # the coordinator cannot count until a run record crosses the
+        # pool with each result (ROADMAP item 7).
+        counts = (f"{transitions.target_summary()}; {engine_summary()}"
+                  if pool.name == SerialPool.name else
+                  f"targets and engines: run in the {pool.name} pool's "
+                  f"workers, not counted here")
+        self.echo(f"  {scheduler.stats.summary()}; {counts}")
         return scheduler.kind_walls

@@ -49,7 +49,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.campaign.hashing import job_key
 from repro.campaign.jobs import Job, KIND_OUTCOME, isolation_deps
 from repro.campaign.pool import PoolEvent, WorkerPool
 from repro.campaign.store import ResultStore
@@ -155,14 +154,18 @@ class ReadySetScheduler:
         self._dependents: Dict[str, List[str]] = {}
         self._attempts: Dict[str, int] = {}
         self._done: Set[str] = set(satisfied)
-        pending_keys = set(self._jobs)
+        # Dependencies are looked up among the pending jobs, not hashed.
+        # One equal to none of them is in the store already — or differs
+        # from the pending job with its key in unkeyed fields only, and
+        # the worker's funnel recomputes whatever it misses inline.
+        key_of = {job: key for key, job in pending}
         for key, job in pending:
             if job.kind != KIND_OUTCOME:
                 self._deps[key] = set()
                 continue
-            deps = {job_key(dep) for dep in isolation_deps(job)}
-            self._deps[key] = {d for d in deps
-                               if d in pending_keys and d not in self._done}
+            deps = {key_of[dep] for dep in isolation_deps(job)
+                    if dep in key_of}
+            self._deps[key] = deps - self._done
             for dep in self._deps[key]:
                 self._dependents.setdefault(dep, []).append(key)
 

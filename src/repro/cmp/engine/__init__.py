@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "0f5fbe1ff8d8fb9437ca3c8a7b116bd2a9634dc95df0ec9bdb633afe41c0359d"
+ENGINE_SOURCE_CHECKSUM = "eb86bf8977751066741573487c167072224b716d798754dfaa6e9ac68772941f"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

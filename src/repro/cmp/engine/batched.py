@@ -56,6 +56,17 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   contents can never change again (hits install nothing), so the thread
   has no further L2 access: it gets its freeze-hit event if still due,
   then parks at ``+inf``.
+* **Fixed windows.**  A walk is a pure function of the L1 slots and the
+  window (a read walk leaves the dirty flags all zero).  So when a
+  whole-trace window (a trace of at most :data:`CHUNK_SIZE` references)
+  leaves the slots as it found them, every later pass would walk the
+  same window from the same slots: the engine keeps that walk's columns
+  and hands them out again, adding to the L1's ``CacheStats`` what a walk
+  would (``length`` accesses, the misses, no invalid fill — an invalid
+  fill changes the slots).  The check is what makes it exact; true LRU
+  only makes it early: one pass leaves each set holding the last
+  ``assoc`` distinct lines it saw (all of them, if fewer), whatever it
+  started with, so a thread's second walk already passes the check.
 * **One clock per thread.**  The pending events are ``clocks``, one
   ``array('d')`` slot per thread: the loop stores the thread's next key
   in its slot and runs the thread with the least clock, the lowest index
@@ -158,6 +169,9 @@ class BatchedEngine(EngineBase):
         # else its 1-based rank among the gap's hits.
         self._ck_fz_at = array("q", [-2]) * n
         self._ck_fz_hit = array("q", [0]) * n
+        # ``(offs, gaps, lines, gaps[0])`` of a whole-trace window whose
+        # walk left the L1 as it found it: every later pass's window.
+        self._ck_fixed: List[Optional[tuple]] = [None] * n
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -175,13 +189,25 @@ class BatchedEngine(EngineBase):
         if streaming:
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
-            window = self.sim.traces[t].chunk_view(pos, end - pos)
-            offs, gaps, lines = \
-                self.sim.hierarchy.l1[t].access_lines_hit(window)
+            width = end - pos
+            l1 = self.sim.hierarchy.l1[t]
+            fixed = self._ck_fixed[t]
+            if fixed is not None:
+                # What the walk would return and add (module docstring).
+                offs, gaps, lines, first = fixed
+                gaps[0] = first
+                l1.stats.accesses[0] += length
+                l1.stats.misses[0] += len(lines)
+            else:
+                before = l1._slots[:] if width == length else None
+                window = self.sim.traces[t].chunk_view(pos, width)
+                offs, gaps, lines = l1.access_lines_hit(window)
+                # (A pass without a miss parks the thread instead.)
+                if len(lines) and before == l1._slots:
+                    self._ck_fixed[t] = (offs, gaps, lines, int(gaps[0]))
             if len(gaps):
                 gaps[0] += carry
             self._ck_lines[t] = lines
-            width = end - pos
             self._ck_pos[t] = end if end < length else 0
         else:
             offs = gaps = self._ck_lines[t] = _NO_MISSES

@@ -4,7 +4,7 @@ are gone (``batched`` runs a single thread with one clock)."""
 
 def memo_stats() -> dict:
     """Constant zeros: there is no L1 memo any more — the batched engine
-    walks every window through the L1's compiled ``prefilter`` kernel,
+    walks its windows through the L1's compiled ``prefilter`` kernel,
     which costs less than a lookup did.  Kept only because
     ``benchmarks/e2e/workloads.py`` reads these keys and only a benchmark
     PR may edit it — ROADMAP item 7 drops the metric and this stub."""

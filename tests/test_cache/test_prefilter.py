@@ -14,6 +14,7 @@ import ast
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import native, transitions
 from repro.cache.geometry import CacheGeometry
@@ -110,6 +111,33 @@ def test_targets_and_per_access_path_agree(seed, assoc, writes):
     assert walked >= {"reads": 12, "writes": 1, "mixed": 1}[writes]
     slots = states["bound"][0]
     assert -1 in slots and any(line >= 0 for line in slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(assoc=st.sampled_from([1, 2, 4]),
+       start=st.lists(st.integers(0, 47), max_size=80),
+       window=st.lists(st.integers(0, 47), max_size=200))
+def test_a_second_walk_of_a_window_is_a_fixed_point(assoc, start, window):
+    """True LRU forgets: one walk of a window leaves each set holding the
+    last ``assoc`` distinct lines it saw there (all of them, if fewer, in
+    front of what it held), whatever it started from.  So from any start
+    state — any read prefix reaches any valid one — the second walk
+    leaves the slots as the first left them, fills no invalid slot, and
+    the third walk returns the second's columns: the batched engine's
+    fixed window."""
+    l1 = SmallLRUCache(geometry(4, assoc))
+    for line in start:
+        l1.access_line_rw(line, False)
+    lines = np.array(window, dtype=np.int64)
+    l1.access_lines_hit(lines)
+    first = list(l1._slots)
+    fills = l1.stats.fills_invalid[0]
+    second = [column.tolist() for column in l1.access_lines_hit(lines)]
+    assert list(l1._slots) == first
+    assert l1.stats.fills_invalid[0] == fills
+    third = [column.tolist() for column in l1.access_lines_hit(lines)]
+    assert list(l1._slots) == first
+    assert third == second
 
 
 def test_a_window_walk_refuses_an_l1_holding_a_dirty_line():

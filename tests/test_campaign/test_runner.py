@@ -45,6 +45,29 @@ class TestPlan:
         plan_twice = plan_jobs(jobs + jobs)
         assert plan_twice.total == plan_once.total
 
+    def test_each_distinct_job_is_hashed_once(self, micro_scale,
+                                              monkeypatch):
+        """Every configuration of a mix lists the same isolation
+        dependencies; the plan hashes each distinct job once, and the
+        keys are the jobs' own store keys."""
+        from repro.campaign import runner
+
+        hashed = Counter()
+
+        def counting(job):
+            hashed[job] += 1
+            return job_key(job)
+
+        monkeypatch.setattr(runner, "job_key", counting)
+        jobs = [outcome_job(micro_scale, mix, config)
+                for mix in ("2T_05", "4T_01")
+                for config in paper_figure7_configs()]
+        plan = plan_jobs(jobs + jobs)
+        assert set(hashed.values()) == {1}
+        entries = plan.isolation + plan.outcome
+        assert len(hashed) == len(entries) == plan.total
+        assert all(key == job_key(job) for key, job in entries)
+
 
 class TestIsolationTraceSlot:
     def test_consecutive_jobs_of_a_trace_generate_it_once(self, micro_scale,
@@ -200,3 +223,28 @@ class TestValidation:
         campaign = Campaign(store, workers=0)
         assert campaign.workers == (os.cpu_count() or 1)
         assert Campaign(store, workers=None).workers == campaign.workers
+
+
+class TestSchedulerLine:
+    """The targets and engines of the scheduler line are counted in the
+    coordinator: a serial pool's are the run's, a process pool's are
+    not, and the line says so instead of printing zeros."""
+
+    @staticmethod
+    def scheduler_line(scale, store, workers):
+        lines = []
+        Campaign(store, workers=workers, echo=lines.append).run(
+            small_matrix(scale)[:2])
+        (line,) = [line for line in lines if "scheduler:" in line]
+        return line
+
+    def test_serial_pool_counts_its_engines(self, micro_scale, store):
+        line = self.scheduler_line(micro_scale, store, 1)
+        assert "targets: loop c=" in line
+        assert "engines: batched=" in line
+
+    def test_process_pool_names_its_workers(self, micro_scale, store):
+        line = self.scheduler_line(micro_scale, store, 2)
+        assert line.endswith("; targets and engines: run in the process "
+                             "pool's workers, not counted here")
+        assert "engines: batched=" not in line

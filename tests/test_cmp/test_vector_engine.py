@@ -153,12 +153,13 @@ class TestL1Memo:
                           ("reference",), budget=40_000)[0]
         assert_identical(ref, after)
 
-    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("passes", [1, 2, 3, 7])
     def test_l1_is_exact_after_cold_and_warm_runs(self, passes):
         """After a batched run and after its repeat the simulator's own
         L1 — slots, dirty flags, statistics — is what the reference's
         per-access walk leaves.  (The budget ends on a window edge; the
-        engines prefilter whole windows.)"""
+        engines prefilter whole windows.  From the third pass on a
+        one-window trace takes its fixed window.)"""
         trace = make_trace(seed=55, name="l1-exact")
         budget = (passes * trace.instructions,)
         (ref, cold, warm), sims = run_engines(

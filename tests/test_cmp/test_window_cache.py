@@ -2,12 +2,15 @@
 be unobservable.
 
 Each window of a thread's trace goes through the L1's ``prefilter``
-kernel, and the engine drains slices of the miss stream into the ATDs,
-whose kernels count the lines outside their sampled sets.  Neither may change anything a run can observe: results,
-the L2, the profiling state — and the simulator's own L1 objects.  The
-reference engine walks its L1 one access at a time and is the oracle
-throughout.  (The module keeps the name of the window cache it once
-tested, which the prefilter made redundant: its test ids are recorded.)
+kernel — a one-window trace at most twice a run, after which the engine
+hands out the *fixed window* its last walk returned — and the engine
+drains slices of the miss stream into the ATDs, whose kernels count the
+lines outside their sampled sets.  None of it may change anything a run
+can observe: results, the L2, the profiling state — and the simulator's
+own L1 objects.  The reference engine walks its L1 one access at a time
+and is the oracle throughout.  (The module keeps the name of the window
+cache it once tested, which the prefilter made redundant: its test ids
+are recorded.)
 """
 
 import dataclasses
@@ -47,11 +50,15 @@ def make_case(num_cores=2, count=1500, sampling=4, writes=False,
                     per_thread_instructions=(budget,) * num_cores)
 
 
+def l1_image(l1):
+    """The L1's slots, dirty flags and every statistics field."""
+    return (list(l1._slots), list(l1._dirty),
+            [list(getattr(l1.stats, name)) for name in l1.stats.__slots__])
+
+
 def l1_images(sim):
-    """Per core: the L1's slots, dirty flags and every statistics field."""
-    return [(list(l1._slots), list(l1._dirty),
-             [list(getattr(l1.stats, name)) for name in l1.stats.__slots__])
-            for l1 in sim.hierarchy.l1]
+    """:func:`l1_image` per core."""
+    return [l1_image(l1) for l1 in sim.hierarchy.l1]
 
 
 def run(case, engine):
@@ -69,6 +76,15 @@ def small_windows(monkeypatch):
     monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 512)
 
 
+def cold_and_warm(case, engine):
+    """A run and its repeat in the same process: the reference's results,
+    and the same L1 slots, dirty flags and statistics."""
+    cold, cold_l1 = run(case, engine)
+    warm, warm_l1 = run(case, engine)
+    assert cold == warm == run(case, "reference")[0]
+    assert cold_l1 == warm_l1
+
+
 class TestColdWarm:
     # ("solo-1" is one thread on the batched engine: the recorded id.)
     @pytest.mark.parametrize("engine,num_cores", [
@@ -76,13 +92,123 @@ class TestColdWarm:
         pytest.param("batched", 1, id="solo-1")])
     def test_results_and_l1_state_identical(self, small_windows, engine,
                                             num_cores):
-        """A run and its repeat in the same process: the reference's
-        results, and the same L1 slots, dirty flags and statistics."""
-        case = make_case(num_cores)
-        cold, cold_l1 = run(case, engine)
-        warm, warm_l1 = run(case, engine)
-        assert cold == warm == run(case, "reference")[0]
-        assert cold_l1 == warm_l1
+        """Several windows a pass: every window is walked."""
+        cold_and_warm(make_case(num_cores), engine)
+
+    @pytest.mark.parametrize("num_cores", [1, 2, 4])
+    def test_fixed_windows_results_and_l1_state_identical(self, num_cores):
+        """One window a pass: from the third pass on a thread takes its
+        fixed window."""
+        cold_and_warm(make_case(num_cores), "batched")
+
+
+def count_walks(monkeypatch):
+    """Walks per L1 (``SmallLRUCache.access_lines_hit`` calls), filled in
+    as the simulators built after this call run."""
+    walks = {}
+    walk = SmallLRUCache.access_lines_hit
+
+    def spy(l1, lines):
+        walks[l1] = walks.get(l1, 0) + 1
+        return walk(l1, lines)
+
+    monkeypatch.setattr(SmallLRUCache, "access_lines_hit", spy)
+    return walks
+
+
+def replayed_l1(l1, trace):
+    """A fresh L1 stepped per access (``access_line_rw``) over the whole
+    passes of ``trace`` that ``l1`` counted: what walking every pass
+    leaves."""
+    passes, part = divmod(l1.stats.accesses[0], len(trace.lines))
+    assert part == 0
+    oracle = SmallLRUCache(l1.geometry)
+    for line in trace.lines.tolist() * passes:
+        oracle.access_line_rw(line, False)
+    return oracle
+
+
+class TestFixedWindow:
+    """A one-window trace is walked at most twice a run: a walk that
+    leaves the L1 as it found it is every later pass's miss stream."""
+
+    @staticmethod
+    def differential(case, monkeypatch):
+        """``(walks, result, sim, reference)``: the walks per core of a
+        batched run whose results are the reference's, its result and
+        both simulators."""
+        reference = case.simulator("reference")
+        expected = reference.run()
+        walks = count_walks(monkeypatch)
+        sim = case.simulator("batched")
+        result = sim.run()
+        assert result.events == expected.events
+        assert result.threads == expected.threads
+        assert result.partition_history == expected.partition_history
+        return ([walks.get(l1, 0) for l1 in sim.hierarchy.l1], result, sim,
+                reference)
+
+    @pytest.mark.parametrize("num_cores", [1, 2, 4])
+    @pytest.mark.parametrize("passes", [2, 5, 20])
+    def test_each_thread_walks_its_window_at_most_twice(
+            self, monkeypatch, passes, num_cores):
+        """Results are the reference's; each L1 is what walking every
+        pass per access leaves — at one thread, whose budget ends on the
+        pass edge, the reference's own L1."""
+        case = make_case(num_cores, budget=passes * 1500 * 4)
+        walks, _result, sim, reference = self.differential(case,
+                                                           monkeypatch)
+        assert 1 <= min(walks) and max(walks) <= 2
+        oracles = ([reference.hierarchy.l1[0]] if num_cores == 1 else
+                   [replayed_l1(l1, trace) for l1, trace
+                    in zip(sim.hierarchy.l1, case.traces)])
+        assert l1_images(sim) == [l1_image(l1) for l1 in oracles]
+
+    @pytest.mark.parametrize("freeze_on", ["miss", "hit", "pass-end"])
+    def test_final_freeze_inside_a_fixed_window(self, monkeypatch,
+                                                freeze_on):
+        """Thread 0 ends the run in its seventh pass, on a fixed window,
+        while thread 1 — frozen long before, on a trace of long hit runs —
+        is inside a gap: the termination rollback counts its hits."""
+        case = make_case(2)
+        rng = np.random.default_rng(3)
+        lines = np.where(rng.random(1500) < 0.02,
+                         rng.integers(8, 400, size=1500),
+                         rng.integers(0, 4, size=1500)) + (1 << 20)
+        traces = [case.traces[0], Trace("runs", lines, ipm=4.0,
+                                        cpi_base=1.0)]
+        # The steady-state pass: a second walk from the first's L1.
+        l1 = SmallLRUCache(L1)
+        l1.access_lines_hit(traces[0].lines)
+        offs = l1.access_lines_hit(traces[0].lines).offs.tolist()
+        middle = offs[len(offs) // 2]
+        at = {"miss": middle,
+              "hit": next(o for o in range(middle, 1500)
+                          if o not in offs),
+              "pass-end": 1499}[freeze_on]
+        if freeze_on != "pass-end":
+            assert (at in offs) == (freeze_on == "miss")
+        budgets = ((6 * 1500 + at + 1) * 4, 1500 * 4)
+        case = dataclasses.replace(case, traces=traces,
+                                   per_thread_instructions=budgets)
+        walks, result, _sim, _reference = self.differential(case,
+                                                            monkeypatch)
+        assert walks[0] == 2
+        assert result.threads[1].cycles < result.threads[0].cycles
+
+    def test_a_thread_whose_footprint_fits_its_l1_parks(self,
+                                                       monkeypatch):
+        """Four lines, two per set of a 2x2 L1: the second walk misses
+        nowhere, so the thread parks instead of keeping a fixed window;
+        the other thread takes one."""
+        case = make_case(2)
+        lines = np.random.default_rng(4).integers(0, 4, size=1500)
+        traces = [Trace("fits", lines, ipm=4.0, cpi_base=1.0),
+                  case.traces[1]]
+        case = dataclasses.replace(case, traces=traces,
+                                   per_thread_instructions=(5 * 1500 * 4,) * 2)
+        walks = self.differential(case, monkeypatch)[0]
+        assert walks == [2, 2]
 
 
 class TestKey:
@@ -238,3 +364,4 @@ class TestSampledDrain:
             for _, _, sampled, skipped in reference.profiling)
         assert any(line & (sampling - 1) for line in SpyCase.handed) \
             == (sampling > 1)
+

@@ -14,6 +14,7 @@ import pytest
 from repro.cache import transitions
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
+from repro.cache.l1 import SmallLRUCache
 from repro.profiling.atd import ATD
 from repro.profiling.profilers import make_profiler
 
@@ -36,6 +37,7 @@ def clean_result():
             "scheme": {"none": {"loop": 3}},
         },
         "runs": {"1": 2, "2": 1},
+        "walks": {"walks": 6, "windows": 9, "one_window_max": 2},
         "cc": "/usr/bin/cc",
         "targets": {name: {"target": "c", "cache": "hit",
                            "build_s": 0.001, "binds": 1, "compiled": 1}
@@ -105,6 +107,13 @@ class TestProblems:
         (message,) = kernel_traffic.problems(result)
         assert message == "no run at micro bound a drain kernel for: lru"
 
+    def test_a_one_window_thread_walked_three_times_is_a_problem(self):
+        result = clean_result()
+        result["walks"]["one_window_max"] = 3
+        (message,) = kernel_traffic.problems(result)
+        assert message == ("a run at micro walked a one-window thread 3 "
+                           "times (at most 2: its fixed window)")
+
     def test_a_report_whose_l1s_never_bound_the_prefilter_is_a_problem(self):
         result = clean_result()
         del result["targets"]["prefilter lru/none"]
@@ -139,3 +148,40 @@ def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
     runs = {}
     counted = kernel_traffic._counting_run(lambda engine: "result", runs)
     assert counted(SimpleNamespace(n=1)) == "result" and runs == {"1": 1}
+
+
+@pytest.mark.parametrize("chunk, one_window_max", [(1 << 16, 2), (512, 0)])
+def test_wrappers_count_walks_and_windows(monkeypatch, chunk,
+                                          one_window_max):
+    """One 1 500-reference trace per thread, run for eight passes: walked
+    twice, then its fixed window, while the windows keep coming.  Cut
+    into 512-reference windows it is no one-window trace, and every
+    window is walked."""
+    from repro.cmp.engine import batched
+    from repro.config import PartitioningConfig
+    from repro.fuzz import FuzzCase
+    from repro.workloads.trace import Trace
+
+    monkeypatch.setattr(batched, "CHUNK_SIZE", chunk)
+    walks = {"walks": 0, "windows": 0, "one_window_max": 0}
+    monkeypatch.setattr(SmallLRUCache, "access_lines_hit",
+                        kernel_traffic._counting_walk(
+                            SmallLRUCache.access_lines_hit, walks))
+    monkeypatch.setattr(batched.BatchedEngine, "_load_chunk",
+                        kernel_traffic._counting_load(
+                            batched.BatchedEngine._load_chunk, walks))
+    traces = [Trace(f"t{core}", np.random.default_rng(core).integers(
+                  0, 40, size=1500) + (core << 20), ipm=4.0, cpi_base=1.0)
+              for core in range(2)]
+    case = FuzzCase(traces=traces, l1_sets=2, l1_assoc=2, l2_sets=16,
+                    l2_assoc=8, instructions_per_thread=8 * 1500 * 4,
+                    per_thread_instructions=(8 * 1500 * 4,) * 2,
+                    partitioning=PartitioningConfig(policy="lru",
+                                                    enforcement="none"))
+    case.simulator("batched").run()
+    assert walks["one_window_max"] == one_window_max
+    assert walks["windows"] >= 2 * 8 * 1500 // chunk
+    if chunk > 1500:
+        assert walks["walks"] == 4 < walks["windows"]
+    else:
+        assert walks["walks"] == walks["windows"]

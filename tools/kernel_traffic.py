@@ -9,7 +9,12 @@ rendering (``observe`` / ``loop``, and the L1s' ``prefilter``, which
 holds no fragment), the same counts per *policy fragment* and per
 *scheme fragment*, and how many
 times ``BatchedEngine.run`` was entered per thread count (``"1"`` is the
-isolation jobs and the one-core figure points).
+isolation jobs and the one-core figure points).  ``walks`` counts the L1
+window walks (``SmallLRUCache.access_lines_hit``) beside the ``windows``
+the engine loaded (``BatchedEngine._load_chunk``), and
+``one_window_max`` is the most walks any run gave one thread whose trace
+is a single window: the engine walks such a trace at most twice a run
+(its *fixed window*), so more is exit status 1.
 
 A registered fragment that renders nothing over a whole report is dead
 weight — that is how the four non-paper hit kernels, the FIFO array path
@@ -47,13 +52,15 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import cli  # noqa: E402
 from repro.cache import transitions  # noqa: E402
-from repro.cmp.engine import BatchedEngine  # noqa: E402
+from repro.cache.l1 import SmallLRUCache  # noqa: E402
+from repro.cmp.engine import BatchedEngine, batched  # noqa: E402
 
 #: Renderings a fragment of each table must reach.
 RENDERINGS = {"policy": ("observe", "loop"),
@@ -84,11 +91,44 @@ def _counting_run(run, counts):
     return counted
 
 
+def _counting_walk(walk, walks):
+    def counted(self, lines):
+        walks["walks"] += 1
+        return walk(self, lines)
+
+    return counted
+
+
+def _counting_load(load, walks):
+    """Counts windows, and the walks of each one-window thread per run
+    (per engine: one engine runs once)."""
+    per_run = weakref.WeakKeyDictionary()
+
+    def counted(self, t):
+        walks["windows"] += 1
+        before = walks["walks"]
+        streaming = load(self, t)
+        if self.lengths[t] <= batched.CHUNK_SIZE:
+            threads = per_run.setdefault(self, [0] * self.n)
+            threads[t] += walks["walks"] - before
+            walks["one_window_max"] = max(walks["one_window_max"],
+                                          threads[t])
+        return streaming
+
+    return counted
+
+
 def measure(scale: str) -> dict:
-    """Builds per rendering per key and per fragment, and batched runs
-    per thread count, over one cold serial report run."""
+    """Builds per rendering per key and per fragment, batched runs per
+    thread count and L1 walks per window, over one cold serial report
+    run."""
     runs = {}
     BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
+    walks = {"walks": 0, "windows": 0, "one_window_max": 0}
+    SmallLRUCache.access_lines_hit = _counting_walk(
+        SmallLRUCache.access_lines_hit, walks)
+    BatchedEngine._load_chunk = _counting_load(BatchedEngine._load_chunk,
+                                               walks)
     builds = {rendering: {}
               for rendering in RENDERINGS["policy"] + ("prefilter",)}
     fragments = {
@@ -110,6 +150,7 @@ def measure(scale: str) -> dict:
             "builds": builds,
             "fragments": fragments,
             "runs": runs,
+            "walks": walks,
             "cc": shutil.which("cc"),
             "targets": {f"{rendering} {'/'.join(key)}": dict(
                             entry, target=entry["target"]
@@ -152,6 +193,10 @@ def problems(result: dict) -> list:
     if undrained:
         found.append(f"no run at {result['scale']} bound a drain kernel "
                      f"for: {', '.join(undrained)}")
+    if result["walks"]["one_window_max"] > 2:
+        found.append(f"a run at {result['scale']} walked a one-window "
+                     f"thread {result['walks']['one_window_max']} times "
+                     f"(at most 2: its fixed window)")
     prefilter = "prefilter " + "/".join(transitions.PREFILTER_KEY)
     if prefilter not in result["targets"]:
         found.append(f"no L1 at {result['scale']} bound the prefilter")
