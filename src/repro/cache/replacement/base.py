@@ -114,8 +114,7 @@ def register_policy(name: str):
 
 
 def make_policy(name: str, num_sets: int, assoc: int,
-                rng: Optional[np.random.Generator] = None,
-                **kwargs) -> ReplacementPolicy:
+                rng: Optional[np.random.Generator] = None) -> ReplacementPolicy:
     """Instantiate a registered policy by name."""
     try:
         cls = POLICY_REGISTRY[name]
@@ -124,4 +123,4 @@ def make_policy(name: str, num_sets: int, assoc: int,
             f"unknown replacement policy {name!r}; "
             f"known: {sorted(POLICY_REGISTRY)}"
         ) from None
-    return cls(num_sets, assoc, rng=rng, **kwargs)
+    return cls(num_sets, assoc, rng=rng)

@@ -18,8 +18,8 @@ uniform random stream almost never exercises:
   random tail so corrupted replacement state surfaces in later victim
   choices.
 * ``phase_change`` — abrupt footprint/locality regime switches every few
-  hundred accesses: streams the controller's miss curves chase, DIP
-  set-dueling flips, boundary catch-ups after cheap phases.
+  hundred accesses: streams the controller's miss curves chase, boundary
+  catch-ups after cheap phases.
 * ``wrap_heavy`` — a short trace with an instruction budget worth many
   passes: trace wrap-around, chunk reloads at the wrap seam, freeze
   edges landing mid-pass, and window-cache hits from the second pass

@@ -3,9 +3,7 @@
 Renders the :class:`~repro.reporting.model.BarChart` and
 :class:`~repro.reporting.model.LineChart` specs into self-contained SVG
 strings — no matplotlib, no dependencies — so ``report.html`` can inline
-every figure of the paper.  The ASCII renderers in
-:mod:`repro.util.ascii_plot` remain the terminal-side siblings; both layers
-consume the same assembled figure data.
+every figure of the paper.
 
 Output is deterministic (stable float formatting, no randomness, no
 timestamps), which is what lets the test suite pin golden files

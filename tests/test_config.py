@@ -83,6 +83,13 @@ class TestPartitioningConfig:
         with pytest.raises(ValueError):
             PartitioningConfig(policy="plru")
 
+    def test_policies_are_the_registered_ones(self):
+        """A configuration accepts exactly the policies the cache can build."""
+        from repro.cache.replacement.base import POLICY_REGISTRY
+        from repro.config import POLICIES
+
+        assert set(POLICY_REGISTRY) == set(POLICIES)
+
     def test_paper_interval_default(self):
         assert config_C_L().interval_cycles == 1_000_000
 

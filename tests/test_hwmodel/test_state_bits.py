@@ -11,13 +11,14 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement.base import make_policy
+from repro.cache.replacement.rrip import SRRIPPolicy
 from repro.hwmodel.complexity import ReplacementComplexity
 
 GEOMETRY = CacheGeometry(2 * 1024 * 1024, 16, 128)  # the paper's L2
 
 
-def policy_bits(name, num_sets=16, assoc=16, **kw):
-    return make_policy(name, num_sets, assoc, **kw).state_bits_per_set()
+def policy_bits(name, num_sets=16, assoc=16):
+    return make_policy(name, num_sets, assoc).state_bits_per_set()
 
 
 class TestPaperPolicies:
@@ -48,8 +49,8 @@ class TestExtensionPolicies:
         assert policy_bits("fifo") == 4          # log2(16)
 
     def test_srrip_m_bits(self):
-        assert policy_bits("srrip", m_bits=2) == 32
-        assert policy_bits("srrip", m_bits=3) == 48
+        assert SRRIPPolicy(16, 16, m_bits=2).state_bits_per_set() == 32
+        assert SRRIPPolicy(16, 16, m_bits=3).state_bits_per_set() == 48
 
     def test_brrip_same_as_srrip(self):
         assert policy_bits("brrip") == policy_bits("srrip")
