@@ -1,13 +1,14 @@
-"""Record benchmark rates to machine-readable JSON (CI perf canary).
+"""Record benchmark rates to machine-readable JSON and gate the engine's.
 
-Two recording modes::
+The one performance recorder outside ``benchmarks/e2e`` (which times the
+paper's figures end to end).  Two targets::
 
-    PYTHONPATH=src python benchmarks/record.py engine          # BENCH_engine.json
-    PYTHONPATH=src python benchmarks/record.py campaign        # BENCH_campaign.json
+    PYTHONPATH=src python benchmarks/record.py engine      # BENCH_engine.json
+    PYTHONPATH=src python benchmarks/record.py selectors   # BENCH_selectors.json
 
 ``engine`` measures the end-to-end reference vs batched engine wall-clock
-on the 4-core mix of ``bench_engine.py`` and the **six configs, one mix**
-composite (``bench_engine.run_six_configs``), ATD drains of 2 K and of
+on the 4-core mix :data:`MIX` (:func:`run_once`) and the **six configs,
+one mix** composite (:func:`run_six_configs`), ATD drains of 2 K and of
 130 sampled lines (``micro``'s median drain) per paper policy through
 the compiled ``observe`` rendering and through the class's per-line
 ``ATD.observe`` (:func:`drain_rates`), and one 64 Ki-reference L1 window
@@ -21,21 +22,21 @@ stock key from a cold and from a warm object cache
 access of its run (``ns_per_l2_access``, no floor).  (Single-thread runs
 are the same engine and the same loop with one clock; their end-to-end
 number is ``benchmarks/e2e``'s ``isolation_paper`` workload, not a row
-here.)  ``campaign`` races the worker-pool implementations of
-``bench_campaign.py --pool-modes`` (serial, persistent process pool,
-remote loopback) and carries no floor.  The per-access rates of the
-building blocks are ``bench_core_structures.py``'s, under
-pytest-benchmark, with no floor: no report job calls a per-access kernel.
+here.)  It exits 1 when the two engines' results of the mix differ or a
+rate falls below its floor (:data:`ENGINE_FLOORS`) — the CI perf-smoke
+gate.
+
+``selectors`` records the per-boundary work of every partitioned run,
+best-of-``--repeats`` µs per call, with no floor (:func:`record_selectors`).
+The per-access rates of the building blocks are not recorded: no report
+job calls a per-access kernel.
 
 Every output file carries machine metadata (platform, CPU count, python and
 numpy versions) so recorded rates are comparable only within a machine.
-
-Compare mode (the CI perf-smoke gate)::
+``--baseline`` embeds an earlier engine recording's rates and each rate's
+ratio to them (``speedup_vs_baseline``), for reading only::
 
     python benchmarks/record.py engine --baseline benchmarks/BENCH_engine.json
-
-exits nonzero when any floor key (``--floor-keys``, default
-:data:`DEFAULT_ENGINE_FLOOR_KEYS`) falls below its floor.
 """
 
 from __future__ import annotations
@@ -46,36 +47,106 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-#: Default floor keys for the ``engine`` target.  A ``cur/base`` entry
-#: compares the *current* ``cur`` rate against the *baseline* ``base``
-#: rate; a ``.`` prefix on the denominator (``cur/.base``) reads it from
-#: the *current* recording instead — a same-machine, same-run ratio.
-#: All four engine floors are of that kind, so the baseline file only
-#: supplies the ``speedup_vs_baseline`` block: the batched engine against
-#: the reference loop at ``bench_engine.SMOKE_FLOOR``; the drains'
-#: canaries — over the three paper policies a compiled drain of 2 K
-#: lines must run at 5x the class's per-line ``ATD.observe`` or better,
-#: and one of 130 lines, where the call's fixed cost weighs most, at 8x
-#: or better (the floors were set against the Python rendering the
-#: kernels once had, measured ~72x and ~29x; the class path is the
-#: slower denominator); and the L1 prefilter's — the compiled walk of a
-#: window must run at 5x the per-access ``access_line_hit`` or better;
-#: and a fresh process must load a kernel from a warm object cache at 2x
-#: the rate it builds one from a cold cache or better — a warm load that
-#: translates (or compiles) again falls toward 1x.  A host without
-#: ``cc`` has no compiled kernel to time and fails here, it is never
-#: skipped.
-DEFAULT_ENGINE_FLOOR_KEYS = (
-    "engine_batched/.engine_reference:5.0",
-    "drain_compiled/.drain_classes:5.0",
-    "drain_compiled_short/.drain_classes_short:8.0",
-    "prefilter_compiled/.prefilter_classes:5.0",
-    "kernel_load_warm/.kernel_load_cold:2.0",
+from repro.cmp.simulator import CMPSimulator
+from repro.config import (
+    ProcessorConfig,
+    SimulationConfig,
+    config_M_N,
+    paper_figure7_configs,
 )
+from repro.workloads.generator import generate_trace
+from repro.workloads.trace import Trace
+
+#: The engine gate: ``(rate, denominator, floor)``, both rates read from
+#: the same recording — a same-machine, same-run ratio.  The batched
+#: engine must run the mix at 5x the reference loop or better (the
+#: miss-stream loop measured 6.9-8.7x, the hit-streak loop it replaced
+#: 3.8-4.1x: a revert fails it, timing noise does not); over the three
+#: paper policies a compiled drain of 2 K lines must run at 5x the
+#: class's per-line ``ATD.observe`` or better, and one of 130 lines,
+#: where the call's fixed cost weighs most, at 8x or better (the floors
+#: were set against the Python rendering the kernels once had, measured
+#: ~72x and ~29x; the class path is the slower denominator); the
+#: compiled walk of an L1 window must run at 5x the per-access
+#: ``access_line_hit`` or better; and a fresh process must load a kernel
+#: from a warm object cache at 2x the rate it builds one from a cold
+#: cache or better — a warm load that translates (or compiles) again
+#: falls toward 1x.  A host without ``cc`` has no compiled kernel to
+#: time and fails here, it is never skipped.
+ENGINE_FLOORS = (
+    ("engine_batched", "engine_reference", 5.0),
+    ("drain_compiled", "drain_classes", 5.0),
+    ("drain_compiled_short", "drain_classes_short", 8.0),
+    ("prefilter_compiled", "prefilter_classes", 5.0),
+    ("kernel_load_warm", "kernel_load_cold", 2.0),
+)
+
+#: The 4-core mix: two cache-friendly threads, one graded, one streamer —
+#: a representative spread of L2 behaviours.
+MIX = ("crafty", "mesa", "twolf", "mcf")
+
+#: Fraction of references hitting a small per-thread hot region.  The
+#: catalog traces model *L2-level* locality only (their raw L1 hit rates
+#: are 10-40 %); a real 32 KB L1D filters 85-95 % of the load/store stream
+#: thanks to stack/local reuse the region-mixture generator leaves out.
+#: Blending in an L1-resident hot set restores a realistic L1 filter rate
+#: without touching the L2-visible stream's character.  Hot references come
+#: in bursts (:data:`HOT_RUN`) the way loop-local reuse does.
+HOT_FRACTION = 0.9
+HOT_LINES = 64
+HOT_RUN = 16
+
+#: Thread counts of the selector rates: the reports' boundaries are mostly
+#: 2- and 4-thread, the paper's largest mixes 8-thread.
+SELECTOR_THREADS = (2, 4, 8)
+
+
+def make_mix(num_accesses):
+    processor = ProcessorConfig(num_cores=4)
+    l2_lines = processor.l2.num_lines
+    traces = []
+    for core, name in enumerate(MIX):
+        trace = generate_trace(name, num_accesses, l2_lines,
+                               seed=7, core_id=core)
+        rng = np.random.default_rng(1000 + core)
+        blocks = -(-num_accesses // HOT_RUN)
+        hot = np.repeat(rng.random(blocks) < HOT_FRACTION,
+                        HOT_RUN)[:num_accesses]
+        hot_base = (core + 9) << 50   # thread-private, off L2 regions
+        lines = trace.lines.copy()
+        lines[hot] = hot_base + rng.integers(
+            0, HOT_LINES, size=int(hot.sum()))
+        traces.append(Trace(trace.name, lines, ipm=trace.ipm,
+                            cpi_base=trace.cpi_base))
+    return processor, traces
+
+
+def run_once(engine, num_accesses):
+    """One run of the mix under M-N (0.75)."""
+    processor, traces = make_mix(num_accesses)
+    sim = CMPSimulator(processor, config_M_N(0.75), traces,
+                       SimulationConfig(seed=7, engine=engine))
+    start = time.perf_counter()
+    result = sim.run()
+    return time.perf_counter() - start, result
+
+
+def run_six_configs(num_accesses):
+    """The mix under the six Figure 7 configurations, one process:
+    ``(seconds, references)``."""
+    processor, traces = make_mix(num_accesses)
+    references = 0
+    start = time.perf_counter()
+    for config in paper_figure7_configs():
+        sim = CMPSimulator(processor, config, traces,
+                           SimulationConfig(seed=7, engine="batched"))
+        references += sim.run().events.l1_accesses
+    return time.perf_counter() - start, references
 
 
 def _machine() -> dict:
@@ -228,10 +299,10 @@ def kernel_load_rates(repeats: int) -> dict:
                            for phase, seconds in best.items()}}
 
 
-def record_engine(accesses: int, repeats: int) -> dict:
-    from bench_engine import run_once, run_six_configs
-
-    timings, l2_accesses = {}, {}
+def record_engine(accesses: int, repeats: int):
+    """The ``engine`` recording and the two engines' last results of the
+    mix, ``(reference, batched)``, for :func:`check_agreement`."""
+    timings, l2_accesses, results = {}, {}, {}
     for engine in ("reference", "batched"):
         best = float("inf")
         for _ in range(repeats):
@@ -239,6 +310,7 @@ def record_engine(accesses: int, repeats: int) -> dict:
             if elapsed < best:
                 best = elapsed
         timings[engine] = best
+        results[engine] = result
         l2_accesses[engine] = result.events.l2_accesses
 
     rates = {f"engine_{k}": round(4 * accesses / v, 1)
@@ -264,113 +336,127 @@ def record_engine(accesses: int, repeats: int) -> dict:
         "prefilter_ns_per_ref": prefilter["ns_per_ref"],
         "kernel_load_ms_per_key": loads["ms_per_key"],
         "batched_speedup": round(timings["reference"] / timings["batched"], 3),
-    }
+    }, (results["reference"], results["batched"])
 
 
-def record_campaign(repeats: int, jobs: int = 2) -> dict:
-    from bench_campaign import (
-        POOL_BENCH_SCALE,
-        bench_pool_modes,
-        plan_jobs,
-        pool_bench_matrix,
-    )
+def _curves(seed: int, threads: int) -> np.ndarray:
+    """``threads`` seeded non-increasing 16-way miss curves (17 points)."""
+    rng = np.random.default_rng(seed)
+    curves = np.sort(rng.integers(0, 10**6, (threads, 17)), axis=1)[:, ::-1]
+    return curves.astype(float)
 
-    scale = POOL_BENCH_SCALE
-    total = plan_jobs(pool_bench_matrix(scale)).total
-    seconds = bench_pool_modes(scale, jobs=jobs, repeats=repeats,
-                               echo=lambda msg: print(f"  {msg}"))
-    rates = {f"campaign_{mode}": round(total / best, 2)
-             for mode, best in seconds.items()}
+
+def record_selectors(repeats: int) -> dict:
+    """Best µs per call of one 16-way interval boundary's work —
+    ``minmisses_<n>t`` (:func:`~repro.core.minmisses.minmisses_partition`)
+    and ``subcube_<n>t`` (:func:`~repro.core.buddy.best_subcube_allocation`)
+    over seeded curves at each of :data:`SELECTOR_THREADS`, and
+    ``miss_curves_8t``, one read of 8 threads' SDH registers
+    (:meth:`~repro.profiling.monitor.ProfilingSystem.miss_curves`) after
+    2 000 sampled lines each — every rate 200 calls a repeat."""
+    from repro.cache.geometry import CacheGeometry
+    from repro.core.buddy import best_subcube_allocation
+    from repro.core.minmisses import minmisses_partition
+    from repro.profiling.monitor import ProfilingSystem
+
+    work = {}
+    for threads in SELECTOR_THREADS:
+        work[f"minmisses_{threads}t"] = partial(
+            minmisses_partition, _curves(3, threads), 16)
+        work[f"subcube_{threads}t"] = partial(
+            best_subcube_allocation, _curves(5, threads), 16)
+    system = ProfilingSystem(8, CacheGeometry(128 * 16 * 128, 16, 128),
+                             "lru", sampling=8, seed=6)
+    # Every line lands in a sampled ATD set (multiples of the sampling
+    # ratio).
+    stream = (np.random.default_rng(7).integers(0, 512, size=20_000)
+              * 8).tolist()
+    for core in range(8):
+        for line in stream[core * 2_000:(core + 1) * 2_000]:
+            system.observe(core, line)
+    work["miss_curves_8t"] = system.miss_curves
+    calls = 200
+
+    def op(call):
+        for _ in range(calls):
+            call()
+
     return {
-        "kind": "campaign", "unit": "jobs/sec", "machine": _machine(),
-        "jobs_total": total, "workers": jobs,
-        "accesses_per_trace": scale.accesses,
-        "seconds": {k: round(v, 4) for k, v in seconds.items()},
-        "rates": rates,
-        "persistent_vs_serial": round(
-            seconds["serial"] / seconds["persistent"], 3),
+        "kind": "selectors", "unit": "us per call", "machine": _machine(),
+        "calls": calls,
+        "us_per_call": {
+            key: round(1e6 / _rate(lambda call=call: call, op, calls,
+                                   repeats), 2)
+            for key, call in work.items()},
     }
 
 
-def check_floor(current: dict, baseline_path: Path, default_floor: float,
-                keys) -> int:
-    """Grade current rates against a baseline recording.
+def check_agreement(reference, batched) -> int:
+    """1 when the reference and batched engines' results of the mix
+    (:class:`~repro.cmp.results.SimulationResult`, value equality)
+    differ: a fast wrong engine is no speedup."""
+    if reference == batched:
+        return 0
+    print("FAIL: the reference and batched engines disagree on the mix")
+    return 1
 
-    ``keys`` entries are ``name`` or ``name:floor``; a bare name uses
-    ``default_floor``.  A ``cur/base`` name compares the current ``cur``
-    rate against the baseline's ``base`` rate; ``cur/.base`` reads the
-    denominator from the *current* recording instead — a same-machine,
-    same-run ratio floor.  Returns nonzero when any rate falls short.
-    """
-    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    base_rates = baseline["rates"]
-    cur_rates = current["rates"]
-    failures = []
-    for entry in keys:
-        key, _, floor_text = entry.partition(":")
-        floor = float(floor_text) if floor_text else default_floor
-        cur_key, _, base_key = key.partition("/")
-        base_key = base_key or cur_key
-        if base_key.startswith("."):
-            base_key = base_key[1:]
-            denom_rates, denom_name = cur_rates, "current"
-        else:
-            denom_rates, denom_name = base_rates, "baseline"
-        if base_key not in denom_rates or cur_key not in cur_rates:
-            print(f"  floor: {key}: missing "
-                  f"({denom_name} {base_key}: {base_key in denom_rates}, "
-                  f"current {cur_key}: {cur_key in cur_rates})")
-            failures.append(key)
+
+def check_floor(rates: dict) -> int:
+    """Grade ``rates`` against each ``(rate, denominator, floor)`` of
+    :data:`ENGINE_FLOORS`; 1 when a ratio falls short or a key is missing."""
+    failures = 0
+    for key, denominator, floor in ENGINE_FLOORS:
+        name = f"{key}/{denominator}"
+        if key not in rates or denominator not in rates:
+            print(f"  floor: {name}: missing "
+                  f"({key}: {key in rates}, "
+                  f"{denominator}: {denominator in rates})")
+            failures += 1
             continue
-        speedup = cur_rates[cur_key] / denom_rates[base_key]
-        status = "ok" if speedup >= floor else "FAIL"
-        print(f"  floor: {key}: {speedup:.2f}x vs {denom_name} "
-              f"(floor {floor:.2f}x) {status}")
-        if speedup < floor:
-            failures.append(key)
+        ratio = rates[key] / rates[denominator]
+        status = "ok" if ratio >= floor else "FAIL"
+        print(f"  floor: {name}: {ratio:.2f}x (floor {floor:.2f}x) {status}")
+        failures += ratio < floor
     if failures:
-        print(f"FAIL: {len(failures)} rate(s) below their floor "
-              f"against {baseline_path}")
+        print(f"FAIL: {failures} rate(s) below their floor")
         return 1
     return 0
+
+
+def _write(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="+",
-                        choices=("engine", "campaign"),
+                        choices=("engine", "selectors"),
                         help="which recordings to produce")
     parser.add_argument("--out-dir", default=str(Path(__file__).parent),
                         help="directory for BENCH_*.json (default: benchmarks/)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions; best run is recorded")
-    parser.add_argument("--engine-accesses", type=int,
-                        default=int(os.environ.get("REPRO_ENGINE_ACCESSES",
-                                                   "60000")),
+    parser.add_argument("--engine-accesses", type=int, default=60_000,
                         help="references per thread for the engine recording")
     parser.add_argument("--baseline", default=None,
-                        help="baseline JSON to grade the rates against")
-    parser.add_argument("--floor", type=float, default=2.0,
-                        help="default minimum current/baseline rate ratio")
-    parser.add_argument("--floor-keys", default=None,
-                        help="comma-separated key[:floor] entries to check "
-                             "(default: per-target floor sets)")
+                        help="earlier engine recording whose rates are "
+                             "embedded for comparison (no gate)")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.baseline and len(dict.fromkeys(args.targets)) > 1:
-        parser.error("--baseline grades one target at a time")
     status = 0
     for target in dict.fromkeys(args.targets):
-        if target == "campaign":
-            payload = record_campaign(args.repeats)
-            out = out_dir / "BENCH_campaign.json"
-            default_keys = ()
-        else:
-            payload = record_engine(args.engine_accesses, args.repeats)
-            out = out_dir / "BENCH_engine.json"
-            default_keys = DEFAULT_ENGINE_FLOOR_KEYS
+        if target == "selectors":
+            payload = record_selectors(args.repeats)
+            _write(out_dir / "BENCH_selectors.json", payload)
+            for key, us in payload["us_per_call"].items():
+                print(f"  {key}: {us:,.1f} us per call")
+            continue
+        payload, (reference, batched) = record_engine(args.engine_accesses,
+                                                      args.repeats)
         if args.baseline:
             # Self-contained recording: embed the baseline rates and the
             # measured speedups next to the current numbers.
@@ -383,26 +469,14 @@ def main(argv=None) -> int:
                 for k, v in payload["rates"].items()
                 if k in base["rates"] and base["rates"][k]
             }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        print(f"wrote {out}")
+        _write(out_dir / "BENCH_engine.json", payload)
         for key in sorted(payload["rates"]):
             print(f"  {key}: {payload['rates'][key]:,.0f} ops/sec")
-        if target == "campaign":
-            print(f"  persistent vs serial: "
-                  f"{payload['persistent_vs_serial']:.2f}x")
-        if target == "engine":
-            print(f"  batched speedup: {payload['batched_speedup']:.2f}x")
-        if args.baseline:
-            keys = [k.strip()
-                    for k in (args.floor_keys.split(",")
-                              if args.floor_keys else default_keys)
-                    if k.strip()]
-            status |= check_floor(payload, Path(args.baseline), args.floor,
-                                  keys)
+        print(f"  batched speedup: {payload['batched_speedup']:.2f}x")
+        status |= check_agreement(reference, batched)
+        status |= check_floor(payload["rates"])
     return status
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
     sys.exit(main())

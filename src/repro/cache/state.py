@@ -8,8 +8,8 @@ Two pieces live here:
   indexed by ``set * assoc + way``, per-set ``invalid``/``dirty`` way
   bitmasks, and a single **open-addressed** line -> way lookup table (one
   CPython dict for the whole store — CPython dicts are open-addressed hash
-  tables).  The lookup representation was chosen by benchmark
-  (``bench_core_structures.py::TestTagStateRepresentation``): a single dict
+  tables).  The lookup representation was chosen by benchmark when the
+  flat core landed (``docs/architecture.md`` §3): a single dict
   beats a dict-per-set (one indirection less per access), and a Python
   probe of the set row costs 10-20x a dict lookup.  The dict is the
   classes' alone: a compiled kernel probes the set row of ``lines`` (in

@@ -393,25 +393,18 @@ class RemotePool(WorkerPool):
 
     The listening socket binds in the constructor, so :attr:`address`
     (``(host, port)``) is known before the campaign starts — tests and
-    the CLI print it for workers to connect to.  ``local_workers``
-    optionally spawns that many :func:`_process_worker` processes
-    attached directly (the coordinator machine joining its own pool).
+    the CLI print it for workers to connect to.
     """
 
     name = "remote"
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 local_workers: int = 0,
-                 crash_token: Optional[str] = None) -> None:
-        self.local_workers = local_workers
-        self.crash_token = crash_token
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._listener = socket.create_server((host, port))
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._events: "queue.Queue[Tuple[str, str, Optional[str], str]]" = \
             queue.Queue()
         self._conns: Dict[str, socket.socket] = {}
         self._inflight: Dict[str, Optional[str]] = {}
-        self._local = ProcessPool(local_workers) if local_workers else None
         self._accepted = 0
         self._lock = threading.Lock()
         self._closed = False
@@ -419,10 +412,6 @@ class RemotePool(WorkerPool):
     def start(self, store: ResultStore) -> None:
         threading.Thread(target=self._accept_loop, name="repro-pool-accept",
                          daemon=True).start()
-        if self._local is not None:
-            self._local.start(store)
-            threading.Thread(target=self._bridge_local,
-                             name="repro-pool-local", daemon=True).start()
 
     # ------------------------------------------------------------------
     def _accept_loop(self) -> None:
@@ -475,20 +464,8 @@ class RemotePool(WorkerPool):
             except OSError:
                 pass
 
-    def _bridge_local(self) -> None:
-        """Forward attached local-process events into the main queue."""
-        while not self._closed:
-            event = self._local.next_event(timeout=0.5)
-            if event is not None:
-                self._events.put((event.kind, event.worker,
-                                  event.keys[0] if event.keys else event.key,
-                                  event.error))
-
     # ------------------------------------------------------------------
     def dispatch(self, worker: str, key: str, job: Job) -> None:
-        if self._local is not None and worker in self._local._members:
-            self._local.dispatch(worker, key, job)
-            return
         self._inflight[worker] = key
         try:
             _send_frame(self._conns[worker], ("job", key, job))
@@ -513,9 +490,6 @@ class RemotePool(WorkerPool):
             self._conns.pop(worker, None)
             return PoolEvent("died", worker, keys=(key,) if key else (),
                              error=error)
-        if kind == "died":  # local process worker died
-            return PoolEvent(kind, worker, keys=(key,) if key else (),
-                             error=error)
         if kind in ("done", "failed"):
             self._inflight[worker] = None
         return PoolEvent(kind, worker, key=key, error=error)
@@ -536,8 +510,6 @@ class RemotePool(WorkerPool):
             self._listener.close()
         except OSError:
             pass
-        if self._local is not None:
-            self._local.close()
 
 
 # ----------------------------------------------------------------------

@@ -347,7 +347,7 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
         sections = _report_sections(args)
 
     print(f"report store: {store.root} (scale: {scale_name})")
-    workers = args.jobs if args.jobs else 1
+    workers = 1 if args.jobs is None else args.jobs
     report, campaign_report = build.build_report(
         scale, store, sections, scale_name=scale_name, workers=workers,
         echo=print)

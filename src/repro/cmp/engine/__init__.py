@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "eb86bf8977751066741573487c167072224b716d798754dfaa6e9ac68772941f"
+ENGINE_SOURCE_CHECKSUM = "6137ae4790ecf9be6a20bb2b95e703ed572c351332cbfe329aef695090b31899"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

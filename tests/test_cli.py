@@ -301,6 +301,17 @@ class TestReportCommands:
         # All table points pass, so --strict succeeds too.
         assert main(["report", "check", "--out", out, "--strict"]) == 0
 
+    def test_build_jobs_auto_uses_every_core(self, tmp_path, capsys,
+                                             monkeypatch):
+        # --jobs auto parses to 0, which the campaign resolves to the core
+        # count; the table sections have no jobs, so nothing is spawned.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert main(["report", "build", "--scale", "micro",
+                     "--only", "table1,table2", "--jobs", "auto",
+                     "--store", str(tmp_path / "store"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "workers=3" in capsys.readouterr().out
+
     def test_check_fails_without_report(self, tmp_path, capsys):
         assert main(["report", "check",
                      "--out", str(tmp_path / "missing")]) == 1
