@@ -80,19 +80,21 @@ POLICIES = {
         "bind": """\
 orders = policy._order
 present = policy._present""",
-        # One shift pass down to the way's slot, the way into the front;
-        # skipped for the 30-84 % of L2 hits that are to the MRU already.
+        # Move-to-front in one fixed-trip pass over the set's slots (the
+        # L1 prefilter's): each slot takes what the slot before it held
+        # until the way's own slot has been passed, with selects and
+        # unconditional stores, so the C target never branches on the
+        # order.
         "promote": """\
-held = orders[row]
-if held != way:
-    slot = row
-    carry = way
-    while held != way:
-        orders[slot] = carry
-        carry = held
-        slot += 1
-        held = orders[slot]
-    orders[slot] = carry""",
+passed = 0
+carry = way
+slot = row
+while slot < row + assoc:
+    held = orders[slot]
+    orders[slot] = held if passed else carry
+    passed |= held == way
+    carry = held
+    slot += 1""",
         "fill_invalid": """\
 slot = row + present[$set].bit_count()
 while slot > row:
@@ -343,13 +345,17 @@ def build(atd):
 
     return observe_many
 """,
-    # The line's way in its set's row of ``tag_lines``; ``assoc`` when
-    # the line is not there.
+    # The line's way in its set's row of ``tag_lines`` (the lowest one
+    # holding it); ``assoc`` when the line is not there.  A fixed-trip
+    # pass of selects down the row: the C target's only exit is the
+    # associativity, never a tag.
     "probe": """\
 row = $set * assoc
-way = 0
-while way < assoc and tag_lines[row + way] != $line:
-    way += 1""",
+way = assoc
+k = assoc
+while k:
+    k -= 1
+    way = k if tag_lines[row + k] == $line else way""",
     # One event per L2 access (see repro.cmp.engine.batched for the
     # exactness argument).  The float expressions are the reference
     # engine's, and so is the pop order: the thread with the least clock

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "6137ae4790ecf9be6a20bb2b95e703ed572c351332cbfe329aef695090b31899"
+ENGINE_SOURCE_CHECKSUM = "5ea1e79071b70034ffda239d20abbce88679d978aa9e8d159c600093b613f82e"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -282,8 +282,7 @@ def test_every_stock_loop_translates(key):
     # A line is a probe of its set's row of the tag lines, and the next
     # thread an arg-min over the clocks: no helper, no dict, no heap.
     body = kernel.source[kernel.source.index("i64 run"):]
-    assert "while (((way < assoc) && (tag_lines[(row + way)] != line)))" \
-        in body
+    assert "way = ((tag_lines[(row + k)] == line) ? k : way);" in body
     assert "if ((clocks[u] < clocks[t])) {" in body
 
 

@@ -217,3 +217,37 @@ def test_kernel_has_no_data_dependent_branch():
     run = transitions.translate("prefilter", KEY).source.split(
         "i64 run(Args *a) {")[1]
     assert "if (" not in run
+
+
+def test_l2_probe_and_lru_promote_have_no_data_dependent_branch():
+    """The same form for the compiled L2's lookup and LRU's hit: no
+    ``if``; the ``while`` runs over the set's ways (``k``) or slots
+    (``slot < row + assoc``); the tags and the recency order reach the
+    result only through selects."""
+    for text, bound, selects in (
+            (transitions.TEMPLATES["probe"], "k",
+             {"tag_lines[row + k] == line"}),
+            (transitions.POLICIES["lru"]["promote"], "slot < row + assoc",
+             {"passed"})):
+        tree = ast.parse(transitions._standalone(text))
+        assert not any(isinstance(node, ast.If) for node in ast.walk(tree))
+        loops = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.While)]
+        assert [ast.unparse(loop.test) for loop in loops] == [bound]
+        assert {ast.unparse(node.test) for node in ast.walk(tree)
+                if isinstance(node, ast.IfExp)} == selects
+
+
+@pytest.mark.parametrize("key", [key for rendering, key
+                                 in transitions.rendering_keys()
+                                 if rendering == "loop"], ids="/".join)
+def test_no_loop_condition_reads_tags_or_orders(key):
+    """No ``while`` of a stock event loop stops on a tag or a recency
+    slot: a lookup and an LRU hit cost the same whatever way holds the
+    line."""
+    tree = ast.parse(transitions.render("loop", key))
+    for loop in (node for node in ast.walk(tree)
+                 if isinstance(node, ast.While)):
+        names = {node.id for node in ast.walk(loop.test)
+                 if isinstance(node, ast.Name)}
+        assert not names & {"tag_lines", "orders"}, ast.unparse(loop.test)

@@ -80,9 +80,7 @@ class TestOracle:
         stock = transitions.POLICIES["lru"]["promote"]
         mutated = dict(transitions.POLICIES, lru=dict(
             transitions.POLICIES["lru"],
-            promote=stock.replace("    slot = row\n",
-                                  "    slot = row + 1\n"
-                                  "    held = orders[slot]\n")))
+            promote=stock.replace("slot = row\n", "slot = row + 1\n")))
         assert mutated["lru"]["promote"] != stock
         translate = transitions.translate
         monkeypatch.setattr(
