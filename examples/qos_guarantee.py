@@ -8,7 +8,7 @@ the full loop the FlexDCP-style extension enables:
 
 1. run one *profiling epoch* with plain MinMisses partitioning and collect
    the victim's measured miss curve and base cycles;
-2. ask :class:`repro.core.QoSPartitioner` for the allocation meeting an
+2. ask :class:`repro.core.qos.QoSPartitioner` for the allocation meeting an
    IPC target for the victim (85 % of its full-cache IPC) against a
    cache-hostile streamer;
 3. enforce that allocation *statically* (``selector='static'``) for the

@@ -78,7 +78,6 @@ from repro.profiling import (
     SDH,
     BTDistanceProfiler,
     LRUDistanceProfiler,
-    MissCurve,
     NRUDistanceProfiler,
     ProfilingSystem,
     ReuseDistanceAnalyzer,
@@ -137,7 +136,7 @@ __all__ = [
     # profiling
     "SDH", "ATD", "ThreadMonitor", "ProfilingSystem",
     "LRUDistanceProfiler", "NRUDistanceProfiler", "BTDistanceProfiler",
-    "MissCurve", "ReuseDistanceAnalyzer", "SetReuseDistanceAnalyzer",
+    "ReuseDistanceAnalyzer", "SetReuseDistanceAnalyzer",
     "exact_sdh", "exact_miss_curve",
     # CMP simulation
     "CMPSimulator", "SimulationResult", "ThreadResult", "run_workload",

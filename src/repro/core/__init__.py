@@ -9,36 +9,22 @@
   vectors can enforce: one power-of-two subtree-aligned subcube per thread.
 * :func:`fair_partition` — fairness-oriented selection (paper mentions such
   variants as extensions of MinMisses).
-* :class:`QoSPartitioner` — FlexDCP-style QoS (extension): per-thread IPC
-  targets become way reservations via the analytic IPC model; leftover ways
-  go to the bounded MinMisses DP.
 * :class:`PartitionController` — the interval machinery: at every boundary,
   read the SDHs, select a partition, program the enforcement scheme, halve
   the SDH registers.
+
+:mod:`repro.core.qos` (FlexDCP-style QoS reservations, an extension) is not
+re-exported: no figure, selector or engine reaches it.
 """
 
-from repro.core.minmisses import (
-    minmisses_partition,
-    minmisses_partition_bounded,
-)
+from repro.core.minmisses import minmisses_partition
 from repro.core.lookahead import lookahead_partition
 from repro.core.buddy import best_subcube_allocation
 from repro.core.fairness import fair_partition
 from repro.core.controller import PartitionController, PartitionRecord, select_allocation
-from repro.core.qos import (
-    QoSPartitioner,
-    QoSResult,
-    ipc_curve,
-    min_ways_for_target,
-)
 
 __all__ = [
     "minmisses_partition",
-    "minmisses_partition_bounded",
-    "QoSPartitioner",
-    "QoSResult",
-    "ipc_curve",
-    "min_ways_for_target",
     "lookahead_partition",
     "best_subcube_allocation",
     "fair_partition",

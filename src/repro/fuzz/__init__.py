@@ -13,7 +13,8 @@ from repro.fuzz.case import ALL_ENGINES, CORPUS_FORMAT, FuzzCase
 from repro.fuzz.generators import TRACE_SHAPES, generate_case, \
     generate_trace_shape
 from repro.fuzz.oracle import CaseReport, Snapshot, diff_snapshots, \
-    prefilter_diffs, run_case, run_engine, state_digest
+    partition_postconditions, prefilter_diffs, run_case, run_engine, \
+    state_digest
 from repro.fuzz.runner import Finding, FuzzReport, run_fuzz
 from repro.fuzz.shrink import divergence_predicate, shrink_case
 
@@ -30,6 +31,7 @@ __all__ = [
     "divergence_predicate",
     "generate_case",
     "generate_trace_shape",
+    "partition_postconditions",
     "prefilter_diffs",
     "run_case",
     "run_engine",

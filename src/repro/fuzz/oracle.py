@@ -25,6 +25,14 @@ diff **everything observable** after the run:
 Two engines that agree on all of the above executed the same decision
 sequence; any mismatch is reported as a list of dotted field paths.
 
+Agreement is not correctness: a bug in the transition spec both engines
+render would agree with itself.  So every run, the reference's too, also
+checks the partition's post-conditions against the tag store
+(:func:`partition_postconditions`): global masks and BT subcubes are
+pairwise disjoint and cover the ways, and owner-counter owned bits are
+disjoint across cores and make up each set's valid ways.  A violation is
+reported as a path prefixed ``postcondition:``.
+
 The batched engine — compiled event loop, ATD drains and L1 prefilter
 — is diffed against the reference, which walks its L1 per access and
 steps the policy, scheme and profiler classes: an oracle that shares no
@@ -120,10 +128,16 @@ class Snapshot:
     scheme_state: object
     profiling: list
     probe_tag_lines: list
+    #: :func:`partition_postconditions` of the run's final state, each
+    #: prefixed ``postcondition:``: reported per engine, not diffed.
+    postconditions: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        """Field-name -> value view (diffing walks this)."""
-        return dataclasses.asdict(self)
+        """Field-name -> value view of the diffed fields (diffing walks
+        this)."""
+        view = dataclasses.asdict(self)
+        del view["postconditions"]
+        return view
 
 
 def _profiling_state(sim) -> list:
@@ -138,6 +152,49 @@ def _profiling_state(sim) -> list:
         )
         for m in sim.profiling.monitors
     ]
+
+
+def _disjoint_cover(label: str, masks: List[int], ways: int) -> List[str]:
+    """Paths where per-core way ``masks`` overlap or do not make up
+    exactly ``ways``."""
+    out = []
+    union = 0
+    for core, mask in enumerate(masks):
+        if union & mask:
+            out.append(f"{label}[{core}]: ways {union & mask:#x} "
+                       f"also held by another core")
+        union |= mask
+    if union != ways:
+        out.append(f"{label}: cores hold ways {union:#x}, not {ways:#x}")
+    return out
+
+
+def partition_postconditions(sim) -> List[str]:
+    """What the L2's enforcement scheme must satisfy after any run.
+
+    Global masks (``masks``) and BT subcubes (``btvectors``) are pairwise
+    disjoint across cores and cover every way.  Owner counters
+    (``counters``): in every set the cores' owned-way bits are disjoint
+    and make up exactly the set's valid ways.  Returns one path per
+    violation (empty = all hold).
+    """
+    l2 = sim.hierarchy.l2
+    scheme = l2.partition
+    if scheme is None:
+        return []
+    cores = range(scheme.num_cores)
+    if scheme.name != "counters":
+        return _disjoint_cover(
+            f"{scheme.name}.mask",
+            [scheme.candidate_mask(0, core) for core in cores],
+            scheme.full_mask)
+    out = []
+    for s in range(scheme.num_sets):
+        out += _disjoint_cover(
+            f"counters.owned[{s}]",
+            [scheme._owned[s * scheme.num_cores + core] for core in cores],
+            scheme.full_mask & ~l2.state.invalid[s])
+    return out
 
 
 def _victim_probe(sim) -> list:
@@ -181,6 +238,8 @@ def run_engine(case: FuzzCase, engine: str) -> Snapshot:
         scheme_state=state_digest(l2.partition),
         profiling=_profiling_state(sim),
         probe_tag_lines=[],
+        postconditions=["postcondition: " + path
+                        for path in partition_postconditions(sim)],
     )
     snapshot.probe_tag_lines = _victim_probe(sim)
     return snapshot
@@ -285,7 +344,9 @@ class CaseReport:
     engines: Tuple[str, ...]
     #: engine name -> diff paths vs the reference snapshot (empty = equal);
     #: the prefilter's diff against the per-access L1 carries a
-    #: ``prefilter:`` prefix.
+    #: ``prefilter:`` prefix, and an engine's failed partition
+    #: post-conditions a ``postcondition:`` one (the reference's own
+    #: appear under its name only when one fails).
     diffs: Dict[str, List[str]] = field(default_factory=dict)
     error: Optional[str] = None
     #: Engine runs that completed (the reference once, then every other
@@ -321,7 +382,8 @@ class CaseReport:
 def run_case(case: FuzzCase,
              engines: Optional[Tuple[str, ...]] = None) -> CaseReport:
     """Cross-check one case: reference vs every other applicable engine,
-    plus the compiled prefilter vs the per-access L1 (module docstring).
+    plus the compiled prefilter vs the per-access L1, and every run's
+    partition post-conditions (module docstring).
 
     Engine crashes (exceptions out of an engine run) count as divergence
     — an engine that raises where the oracle completes is as wrong as
@@ -334,6 +396,8 @@ def run_case(case: FuzzCase,
         report.error = f"reference engine crashed: {exc!r}"
         return report
     report.engine_runs += 1
+    if reference.postconditions:
+        report.diffs[ENGINE_REFERENCE] = reference.postconditions
     if engines is None:
         engines = case.applicable_engines()
     others = tuple(engine for engine in engines if engine != ENGINE_REFERENCE)
@@ -347,5 +411,6 @@ def run_case(case: FuzzCase,
         report.engine_runs += 1
         report.diffs[engine] = (
             diff_snapshots(reference, snapshot)
-            + ["prefilter: " + path for path in prefilter_diffs(case)])
+            + ["prefilter: " + path for path in prefilter_diffs(case)]
+            + snapshot.postconditions)
     return report

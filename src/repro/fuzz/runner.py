@@ -51,7 +51,8 @@ class FuzzReport:
 
     @property
     def clean(self) -> bool:
-        """True when every checked case agreed across all engine pairs."""
+        """True when every checked case agreed across all engine pairs
+        and met its partition post-conditions."""
         return not self.findings
 
     def summary(self) -> str:
@@ -65,6 +66,7 @@ class FuzzReport:
         ]
         if self.clean:
             lines.append("no divergence: all engines bit-identical "
+                         "and every partition post-condition held "
                          "on every case")
         else:
             lines.append(f"{len(self.findings)} DIVERGENT case(s):")

@@ -9,10 +9,10 @@ implemented by :class:`NRUDistanceProfiler` and :class:`BTDistanceProfiler`.
 :class:`ProfilingSystem` holds one monitor per core and plugs into the
 hierarchy's L2 observer hook.
 
-Offline companions: :mod:`repro.profiling.stackdist` computes *exact*
+Offline companion: :mod:`repro.profiling.stackdist` computes *exact*
 reuse/stack distances from a reference stream (ground truth for the
-estimators) and :class:`MissCurve` wraps a miss curve with the analysis
-operations (marginal utility, convex minorant, saturation).
+estimators).  :mod:`repro.profiling.misscurve` is not re-exported: no
+figure, selector or example reads it.
 """
 
 from repro.profiling.sdh import SDH
@@ -25,7 +25,6 @@ from repro.profiling.profilers import (
     make_profiler,
 )
 from repro.profiling.monitor import ProfilingSystem, ThreadMonitor
-from repro.profiling.misscurve import MissCurve
 from repro.profiling.stackdist import (
     COLD,
     ReuseDistanceAnalyzer,
@@ -44,7 +43,6 @@ __all__ = [
     "make_profiler",
     "ThreadMonitor",
     "ProfilingSystem",
-    "MissCurve",
     "COLD",
     "ReuseDistanceAnalyzer",
     "SetReuseDistanceAnalyzer",

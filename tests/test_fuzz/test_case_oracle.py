@@ -8,6 +8,7 @@ from repro.fuzz import (
     FuzzCase,
     diff_snapshots,
     generate_case,
+    partition_postconditions,
     run_case,
     run_engine,
 )
@@ -26,6 +27,14 @@ def small_case(**overrides):
     )
     defaults.update(overrides)
     return FuzzCase(**defaults)
+
+
+def two_core_case(policy, enforcement):
+    rng = np.random.default_rng(4)
+    traces = [Trace(f"t{core}", rng.integers(0, 60, size=300) + (core << 20),
+                    ipm=4.0, cpi_base=1.0) for core in range(2)]
+    return small_case(traces=traces, partitioning=PartitioningConfig(
+        policy=policy, enforcement=enforcement, atd_sampling=1))
 
 
 class TestRoundTrip:
@@ -179,6 +188,44 @@ class TestOracle:
         del calls[:]
         run_engine(case, "batched")
         assert calls == []
+
+    def test_corrupted_scheme_state_reports_postcondition_paths(
+            self, monkeypatch):
+        """Engines that agree can share a bug: masks that overlap run the
+        same on both, so the case is flagged by its post-conditions, on
+        the reference as on the batched engine."""
+        from repro.cache.partition.masks import MasksPartition
+
+        stock = MasksPartition.apply
+
+        def overlapping(scheme, allocation):
+            stock(scheme, allocation)
+            scheme._masks[1] |= scheme._masks[0]
+
+        monkeypatch.setattr(MasksPartition, "apply", overlapping)
+        report = run_case(two_core_case("lru", "masks"))
+        assert report.engines == ("reference", "batched")
+        for engine in report.engines:
+            assert report.diffs[engine]
+            assert all(path.startswith("postcondition: masks.mask")
+                       for path in report.diffs[engine])
+        assert report.divergent
+
+    @pytest.mark.parametrize("policy,enforcement", [
+        ("lru", "counters"), ("nru", "masks"), ("bt", "btvectors")])
+    def test_partition_postconditions_hold_then_flag_corruption(
+            self, policy, enforcement):
+        sim = two_core_case(policy, enforcement).simulator("reference")
+        sim.run()
+        assert partition_postconditions(sim) == []
+        scheme = sim.scheme
+        if enforcement == "counters":
+            # Set 0: core 1 claims core 0's ways too.
+            scheme._owned[1] |= scheme._owned[0]
+        else:
+            scheme._masks[1] = scheme._masks[0]
+        paths = partition_postconditions(sim)
+        assert paths and all(p.startswith(enforcement) for p in paths)
 
     def test_victim_probe_exposes_latent_policy_state(self):
         """Two runs whose *visible* stats agree but whose replacement
