@@ -1,10 +1,8 @@
 """Shared bench configuration.
 
-Every figure bench runs at the laptop scale of
-:class:`repro.experiments.common.ExperimentScale` (1/8-size caches, 60 k
-accesses per thread, a representative subset of Table II mixes).  Override
-with the ``REPRO_*`` environment knobs (see that module) — ``REPRO_FULL=1``
-approaches paper scale at paper-scale runtimes.
+Every figure bench runs at the ``small`` scale preset
+(:func:`repro.experiments.common.scale_preset`: 1/8-size caches, 60 k
+accesses per thread, a representative subset of Table II mixes).
 
 Figure benches print the regenerated table/series (run pytest with ``-s``
 to see them live; they are also summarised in EXPERIMENTS.md).  Simulation
@@ -18,7 +16,11 @@ from typing import Dict
 
 import pytest
 
-from repro.experiments.common import ExperimentScale, WorkloadRunner
+from repro.experiments.common import (
+    ExperimentScale,
+    WorkloadRunner,
+    scale_preset,
+)
 
 #: Cross-bench result cache (figure name -> data object).
 SESSION_CACHE: Dict[str, object] = {}
@@ -26,7 +28,7 @@ SESSION_CACHE: Dict[str, object] = {}
 
 @pytest.fixture(scope="session")
 def scale() -> ExperimentScale:
-    return ExperimentScale.from_env()
+    return scale_preset("small")
 
 
 @pytest.fixture(scope="session")

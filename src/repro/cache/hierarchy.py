@@ -2,9 +2,13 @@
 
 Mirrors the paper's baseline (Figure 1): each core owns a private L1 (LRU,
 2-way in the baseline) and all cores share the unified L2.  The hierarchy is
-*non-inclusive*: an L2 eviction does not back-invalidate L1 copies.  Traces
-are read streams (the partitioning study is insensitive to write handling),
-so no write-back traffic is modelled; DESIGN.md records this substitution.
+*non-inclusive*: an L2 eviction does not back-invalidate L1 copies.  The
+paper's traces are read streams (the partitioning study is insensitive to
+write handling), which :meth:`CacheHierarchy.access_line` serves.  A trace
+with a write overlay (:mod:`repro.workloads.writes`) goes through
+:meth:`CacheHierarchy.access_line_rw` instead, which models write-back
+traffic: dirty L1 evictions into the L2 or past it to memory, and dirty L2
+evictions, counted but charged no thread latency.
 
 :meth:`CacheHierarchy.access` returns the access *level* — ``L1``, ``L2`` or
 ``MEM`` — from which the timing model derives the cycle penalty, and invokes

@@ -10,7 +10,7 @@ three things that determine its result:
   horizon, sampling, interval, seed).  The mix-subset fields
   (``mixes_2t`` … ``benchmarks_1t``) are deliberately *excluded*: they
   select which jobs a figure declares, never what any single job computes,
-  so widening ``REPRO_MIXES`` must not invalidate already-cached points.
+  so ``--mixes all`` must not invalidate already-cached points.
   Isolation jobs key an even smaller subset (divisor, accesses, seed) —
   they run unpartitioned with no budgets, so sweeping ``target_cycles``
   or the sampling/interval knobs keeps the shared isolation stage cached;
@@ -50,8 +50,8 @@ _ISOLATION_SCALE_FIELDS = ("scale", "accesses", "seed")
 #: ExperimentScale fields deliberately *excluded* from every store key.
 #: They are workload-selection knobs: each names the subset of Table II
 #: mixes (or SPEC benchmarks) a figure declares jobs for, never what any
-#: single job computes.  Keeping them unkeyed is what makes widening
-#: ``REPRO_MIXES`` (or the benchmark list) an incremental operation —
+#: single job computes.  Keeping them unkeyed is what makes
+#: ``--mixes all`` (or a wider benchmark list) an incremental operation —
 #: already-simulated points stay cache hits and only the new mixes run.
 #: The ``job-hash-discipline`` lint rule enforces that every
 #: ExperimentScale field appears either here or in a ``*_SCALE_FIELDS``

@@ -23,7 +23,12 @@ from repro.campaign.jobs import Job, outcome_job
 from repro.config import config_unpartitioned
 from repro.experiments.common import ExperimentScale
 from repro.experiments.report import format_table
-from repro.reporting.sections import SectionSpec, resolve_sections, section_text
+from repro.reporting.sections import (
+    SECTION_ORDER,
+    SectionSpec,
+    resolve_sections,
+    section_text,
+)
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,10 @@ def resolve_targets(names) -> List[CampaignTarget]:
     """Map CLI target names (section names, ``all``, ``smoke``) to targets,
     de-duplicated in first-mention order."""
     targets: Dict[str, CampaignTarget] = {}
+    known = [*SECTION_ORDER, "all", SMOKE.name]
     for name in names:
+        if name not in known:
+            raise KeyError(f"unknown target {name!r}; known: {known}")
         found = ([SMOKE] if name == SMOKE.name else
                  [_section_target(spec) for spec in resolve_sections([name])])
         for target in found:

@@ -18,7 +18,7 @@ Examples::
     python -m repro campaign clean                    # wipe the store
 
     python -m repro campaign serve --bind 0.0.0.0:9000      # share a store
-    python -m repro campaign run smoke --pool remote --bind 0.0.0.0:9100
+    python -m repro campaign run smoke --bind 0.0.0.0:9100
     python -m repro campaign worker HOST:9100 --store-url http://HOST:9000/
 
     python -m repro report run --scale micro --jobs 2 # populate the store
@@ -29,24 +29,30 @@ Examples::
     python -m repro lint --format json                # CI artifact output
     python -m repro lint --list-rules                 # rule catalogue
 
-The figure commands accept the same knobs as the ``REPRO_*`` environment
-variables used by the benches (``--scale``, ``--accesses``, ``--mixes``,
-``--seed``, ``--target-cycles``, ``--full``); command-line flags take
-precedence.  Every figure/table verb is the same generic command over the
+Every verb that runs jobs takes ``--scale micro|small|paper|N`` (a preset
+or a capacity divisor; default ``small``), parsed by one resolver
+(:func:`~repro.experiments.common.resolve_scale`); the figure and
+``campaign`` verbs refine it with ``--accesses``, ``--mixes``, ``--seed``
+and ``--target-cycles``.  A value that makes no scale, or a section or
+target name that does not exist, is a usage error: one ``repro: error:``
+line, exit status 2, no job run.
+
+Every figure/table verb is the same generic command over the
 section registry (:mod:`repro.reporting.sections`): the selected sections'
 job matrices are unioned, de-duplicated and simulated once on one
 ``WorkloadRunner`` — so ``all`` shares traces, isolation runs and the
 points Figures 7–9 have in common — then each section prints its tables.
 
 ``campaign run`` executes the selected figures' job matrices on a worker
-pool (``--jobs N``, ``--pool serial|process|remote``), memoising every
+pool (``--jobs 1`` serial, ``--jobs N`` a process pool, ``--bind
+HOST:PORT`` a remote pool), memoising every
 simulation in a content-addressed store (``--store DIR``, default
 ``.repro-store`` or ``$REPRO_STORE``; add ``--store-url`` /
 ``$REPRO_STORE_URL`` to read through a shared HTTP store).  Re-running an
 interrupted or finished sweep only executes missing jobs — that *is* the
 resume mechanism — and ``--force`` recomputes everything.  ``campaign
 serve`` exports a store over HTTP and ``campaign worker`` joins a
-``--pool remote`` coordinator from another process or machine.
+``campaign run --bind`` coordinator from another process or machine.
 
 ``report`` turns a campaign store into the paper's artifacts:
 ``report run`` populates the store for the selected sections and records
@@ -61,11 +67,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, NoReturn, Optional, Sequence
 
 from repro.cache.replacement.base import POLICY_REGISTRY
 from repro.campaign.runner import run_serial
-from repro.experiments.common import ExperimentScale, WorkloadRunner
+from repro.experiments.common import (
+    ExperimentScale,
+    WorkloadRunner,
+    resolve_scale,
+)
 from repro.reporting.sections import (
     SECTIONS,
     resolve_sections,
@@ -75,9 +85,22 @@ from repro.workloads.mixes import ALL_WORKLOADS, get_workload
 from repro.workloads.spec2000 import benchmark_names
 
 
+def _usage_error(message: object) -> NoReturn:
+    """One ``repro: error:`` line on stderr and exit status 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _add_scale_argument(parser: argparse.ArgumentParser,
+                        default: Optional[str] = "small") -> None:
+    parser.add_argument("--scale", default=default, metavar="NAME|N",
+                        help="micro | small | paper, or an integer cache "
+                             "capacity divisor (default: "
+                             f"{default or 'the report-run manifest'})")
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=int, default=None,
-                        help="cache capacity divisor (default 8; 1 = paper)")
+    _add_scale_argument(parser)
     parser.add_argument("--accesses", type=int, default=None,
                         help="trace length per thread in memory accesses")
     parser.add_argument("--mixes", choices=("default", "all"),
@@ -87,38 +110,49 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="base random seed")
     parser.add_argument("--target-cycles", type=float, default=None,
                         help="cycle-matching horizon (smaller = faster)")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale run (slow; implies --scale 1)")
-
-
-#: Scale flag -> the ``REPRO_*`` variable it takes precedence over.
-_SCALE_FLAGS = {"scale": "REPRO_SCALE", "accesses": "REPRO_ACCESSES",
-                "seed": "REPRO_SEED", "target_cycles": "REPRO_TARGET_CYCLES"}
 
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    """The scale the flags select on top of the ``REPRO_*`` environment
-    (``table1`` / ``table2`` take no scale flags: environment only)."""
+    """The scale ``--scale`` and its refinements select, through
+    :func:`resolve_scale` (``table1`` / ``table2`` and ``report`` take no
+    refinements); a value that makes no scale is a usage error."""
     flags = vars(args)
-    overrides = {var: str(flags[flag]) for flag, var in _SCALE_FLAGS.items()
-                 if flags.get(flag) is not None}
-    names = {var: "--" + flag.replace("_", "-")
-             for flag, var in _SCALE_FLAGS.items() if var in overrides}
-    if flags.get("full"):
-        overrides["REPRO_FULL"] = "1"
-    if flags.get("mixes") == "all":
-        overrides["REPRO_MIXES"] = "all"
     try:
-        return ExperimentScale.from_env({**os.environ, **overrides}, names)
+        return resolve_scale(flags.get("scale") or "small",
+                             accesses=flags.get("accesses"),
+                             seed=flags.get("seed"),
+                             target_cycles=flags.get("target_cycles"),
+                             mixes=flags.get("mixes", "default"))
     except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(exc)
+
+
+def _resolve_names(resolver: Callable[[Sequence[str]], list],
+                   names: Sequence[str]) -> list:
+    """Section / target names through their resolver; an unknown name
+    (whose ``KeyError`` lists the known ones) is a usage error."""
+    try:
+        return resolver(names)
+    except KeyError as exc:
+        _usage_error(exc.args[0])
+
+
+def _print_failures(report) -> bool:
+    """List a campaign's permanently failed jobs on stderr; True if any."""
+    if not report.failed:
+        return False
+    print(f"ERROR: {len(report.failed)} job(s) failed permanently:",
+          file=sys.stderr)
+    for failure in report.failed:
+        print(f"  {failure.label}: {failure.error} "
+              f"(after {failure.attempts} attempts)", file=sys.stderr)
+    return True
 
 
 def _cmd_sections(args: argparse.Namespace) -> int:
     """``repro fig6|..|table2|all``: the serial path over the sections."""
     scale = _scale_from_args(args)
-    specs = resolve_sections([args.command])
+    specs = _resolve_names(resolve_sections, [args.command])
     # run_serial executes duplicates as given; fig9 re-lists fig7's jobs.
     jobs = list(dict.fromkeys(
         job for spec in specs for job in spec.matrix(scale)))
@@ -182,23 +216,19 @@ def _parse_hostport(value: str):
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import registry
-    from repro.campaign.pool import ProcessPool, RemotePool, resolve_workers
+    from repro.campaign.pool import RemotePool
     from repro.campaign.runner import Campaign
 
     scale = _scale_from_args(args)
-    targets = registry.resolve_targets(args.targets)
+    targets = _resolve_names(registry.resolve_targets, args.targets)
     jobs = [job for target in targets for job in target.matrix(scale)]
     store = _campaign_store(args)
-    workers = 1 if args.pool == "serial" else args.jobs
     pool = None
-    if args.pool == "remote":
-        host, port = args.bind or ("127.0.0.1", 0)
-        pool = RemotePool(host, port)
+    if args.bind is not None:
+        pool = RemotePool(*args.bind)
         print(f"remote pool: waiting for `repro campaign worker "
               f"{pool.address[0]}:{pool.address[1]}` to connect")
-    elif args.pool == "process":
-        pool = ProcessPool(resolve_workers(args.jobs))
-    campaign = Campaign(store, workers=workers, force=args.force,
+    campaign = Campaign(store, workers=args.jobs, force=args.force,
                         echo=print, pool=pool,
                         max_retries=args.max_retries)
     print(f"campaign store: {store.describe()}")
@@ -206,12 +236,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     print(report.summary())
     for line in report.stage_lines():
         print(f"  {line}")
-    if report.failed:
-        print(f"ERROR: {len(report.failed)} job(s) failed permanently:",
-              file=sys.stderr)
-        for failure in report.failed:
-            print(f"  {failure.label}: {failure.error} "
-                  f"(after {failure.attempts} attempts)", file=sys.stderr)
+    if _print_failures(report):
         return 1
     for target in targets:
         print()
@@ -232,7 +257,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
 
     scale = _scale_from_args(args)
-    targets = registry.resolve_targets(args.targets or ["all"])
+    targets = _resolve_names(registry.resolve_targets, args.targets or ["all"])
     store = _campaign_store(args)
     rows = []
     for target in targets:
@@ -302,15 +327,15 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
 def _report_sections(args: argparse.Namespace):
     names = []
-    if getattr(args, "only", None):
+    if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
-    return resolve_sections(names)
+    return _resolve_names(resolve_sections, names)
 
 
 def _cmd_report_run(args: argparse.Namespace) -> int:
     from repro.reporting import build
 
-    scale_name, scale = build.resolve_scale(args.report_scale)
+    scale_name, scale = args.scale, _scale_from_args(args)
     sections = _report_sections(args)
     store = _campaign_store(args)
     workers = args.jobs if args.jobs else (os.cpu_count() or 1)
@@ -319,6 +344,8 @@ def _cmd_report_run(args: argparse.Namespace) -> int:
         scale, store, sections, workers=workers, force=args.force,
         echo=print)
     print(campaign_report.summary())
+    if _print_failures(campaign_report):
+        return 1
     manifest = build.write_manifest(store, scale_name, scale, sections)
     print(f"manifest: {manifest} "
           f"(sections: {', '.join(s.name for s in sections)})")
@@ -332,17 +359,14 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
 
     store = _campaign_store(args)
     sections = None
-    if args.report_scale is not None:
-        scale_name, scale = build.resolve_scale(args.report_scale)
+    manifest = None if args.scale else build.read_manifest(store)
+    if manifest is not None:
+        scale_name = manifest["scale_name"]
+        scale = build.scale_from_dict(manifest["scale"])
+        if not args.only:
+            sections = build.resolve_sections(manifest["sections"])
     else:
-        manifest = build.read_manifest(store)
-        if manifest is not None:
-            scale_name = manifest["scale_name"]
-            scale = build.scale_from_dict(manifest["scale"])
-            if not args.only:
-                sections = build.resolve_sections(manifest["sections"])
-        else:
-            scale_name, scale = build.resolve_scale("small")
+        scale_name, scale = args.scale or "small", _scale_from_args(args)
     if sections is None:
         sections = _report_sections(args)
 
@@ -518,20 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="remote object store (repro campaign serve), "
                             "read through a local cache "
                             "(default: $REPRO_STORE_URL)")
-    run_p.add_argument("--pool", default="auto",
-                       choices=["auto", "serial", "process", "remote"],
-                       help="execution pool: auto picks serial/process from "
-                            "--jobs; remote waits for campaign workers")
     run_p.add_argument("--bind", default=None, metavar="HOST:PORT",
                        type=_parse_hostport,
-                       help="listen address for --pool remote "
-                            "(default: 127.0.0.1:0)")
+                       help="run on a remote pool: listen here for "
+                            "`campaign worker`s instead of running jobs "
+                            "in this host's processes")
     run_p.add_argument("--max-retries", type=int, default=2, metavar="N",
                        help="requeue attempts after a worker death before a "
                             "job is reported failed (default: 2)")
-    run_p.add_argument("--resume", action="store_true",
-                       help="only run jobs missing from the store "
-                            "(the default; spelled out for scripts)")
     run_p.add_argument("--force", action="store_true",
                        help="ignore cached results and re-simulate")
     run_p.add_argument("--expect-cached", action="store_true",
@@ -554,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p.add_argument("coordinator", metavar="HOST:PORT",
                           type=_parse_hostport,
                           help="address printed by "
-                               "`campaign run --pool remote`")
+                               "`campaign run --bind`")
     worker_p.add_argument("--store", default=None,
                           help="local result store / cache directory")
     worker_p.add_argument("--store-url", default=None, metavar="URL",
@@ -583,12 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = report.add_subparsers(dest="report_command", required=True)
 
     def _report_common(p, scale_default):
-        p.add_argument("--scale", dest="report_scale", default=scale_default,
-                       metavar="NAME|N",
-                       help="micro | small | paper, or an integer capacity "
-                            "divisor"
-                            + (" (default: the report-run manifest)"
-                               if scale_default is None else ""))
+        _add_scale_argument(p, scale_default)
         p.add_argument("--only", default=None, metavar="SECTIONS",
                        help="comma-separated subset, e.g. fig6,table1 "
                             "(default: all sections)")

@@ -34,7 +34,7 @@ from repro.cmp.metrics import (
     relative_metric,
 )
 from repro.cmp.isolation import IsolationRunner
-from repro.cmp.memory import BandwidthConfig, MemoryChannel
+from repro.cmp.memory import MemoryChannel
 
 __all__ = [
     "CMPSimulator",
@@ -47,7 +47,6 @@ __all__ = [
     "make_engine",
     "resolve_engine_name",
     "MemoryChannel",
-    "BandwidthConfig",
     "ipc_throughput",
     "weighted_speedup",
     "hmean_relative",

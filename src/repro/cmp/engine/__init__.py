@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "5ea1e79071b70034ffda239d20abbce88679d978aa9e8d159c600093b613f82e"
+ENGINE_SOURCE_CHECKSUM = "fbdb1606871c42b51583587904a2dbf8043966ed7e461ece478486774fb3cfbf"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

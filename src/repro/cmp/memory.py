@@ -12,13 +12,14 @@ assumption.
 The model is deliberately simple (no banking, no row-buffer state): it
 adds the first-order queueing effect with one comparison per miss, which
 keeps the simulator hot path intact when disabled
-(``service_interval == 0``).
+(``service_interval == 0``).  A run sets the interval through
+:attr:`SimulationConfig.memory_service_interval
+<repro.config.SimulationConfig.memory_service_interval>`, its one spelling.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 
 class MemoryChannel:
@@ -80,22 +81,3 @@ class MemoryChannel:
         self._clock[:] = array("d", [0.0, 0.0])
         self._count[0] = 0
 
-
-@dataclass(frozen=True)
-class BandwidthConfig:
-    """Optional bandwidth limit attached to a simulation.
-
-    ``service_interval == 0`` (default) reproduces the paper's
-    fixed-latency memory exactly.
-    """
-
-    service_interval: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.service_interval < 0:
-            raise ValueError("service_interval cannot be negative")
-
-    @property
-    def limited(self) -> bool:
-        """True when a bandwidth limit is configured."""
-        return self.service_interval > 0

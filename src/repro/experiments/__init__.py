@@ -12,8 +12,9 @@ Figure modules keep ``run(scale, runner)``, the serial reference path over
 the same matrix, for library use and the benches.  The
 :class:`~repro.experiments.common.ExperimentScale` controls the laptop-scale
 defaults (1/8-size caches, shortened traces, a representative subset of the
-Table II mixes); set ``REPRO_FULL=1`` for the ``paper`` preset and
-``REPRO_MIXES=all`` to sweep all 49 mixes.
+Table II mixes); :func:`~repro.experiments.common.resolve_scale` turns
+``--scale paper`` into the ``paper`` preset and ``--mixes all`` into a
+sweep of all 49 mixes.
 """
 
 from repro.experiments.common import ExperimentScale, RunOutcome, WorkloadRunner

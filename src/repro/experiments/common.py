@@ -5,17 +5,10 @@ mixes) is hours of pure-Python simulation; the default
 :class:`ExperimentScale` shrinks capacities by 8 (associativity — the
 quantity the algorithms operate on — is untouched), shortens traces, and
 uses a representative subset of the Table II mixes chosen to cover the
-contention spectrum.  Environment overrides:
-
-* ``REPRO_FULL=1`` — the ``paper`` preset: paper-scale caches, long
-  traces, all mixes;
-* ``REPRO_MIXES=all`` — all Table II mixes at the current scale;
-* ``REPRO_ACCESSES=<n>`` — trace length per thread;
-* ``REPRO_SCALE=<n>`` — cache capacity divisor;
-* ``REPRO_SEED=<n>`` — base random seed;
-* ``REPRO_TARGET_CYCLES=<n>`` — cycle-matching horizon (smaller = faster);
-* ``REPRO_STORE=<dir>`` — campaign result store location
-  (:mod:`repro.campaign.store`).
+contention spectrum.  :func:`resolve_scale` is the one parser of a
+scale: the ``--scale`` of every verb (a preset or a capacity divisor),
+refined by ``--accesses``, ``--seed``, ``--target-cycles`` and
+``--mixes all``.
 
 **Cycle matching.** The paper freezes each thread's statistics at 100 M
 instructions and lets fast threads keep running (trace wrap) so contention
@@ -30,9 +23,8 @@ comparisons — everything the paper plots — are unaffected.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.config import (
@@ -79,37 +71,6 @@ class ExperimentScale:
     #: Single benchmarks for the 1-core points of Figure 6.
     benchmarks_1t: Tuple[str, ...] = ("mcf", "parser", "crafty",
                                       "apsi", "twolf", "gzip")
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] = os.environ,
-                 names: Mapping[str, str] = {}) -> "ExperimentScale":
-        """Build a scale honouring the REPRO_* knobs of ``environ``
-        (``REPRO_FULL`` starts from the ``paper`` preset).  A value that
-        makes no scale — not a number, a divisor some cache capacity
-        does not take (:meth:`CacheGeometry.scaled`), no accesses —
-        raises :class:`ValueError` naming where it came from:
-        ``names[var]`` (the flag that set it) or the variable."""
-        base = _paper_scale() if environ.get("REPRO_FULL") else cls()
-        kwargs: Dict[str, object] = {}
-        if environ.get("REPRO_MIXES", "").lower() == "all":
-            kwargs.update(_all_mixes())
-        for var, name, cast in (("REPRO_SCALE", "scale", int),
-                                ("REPRO_ACCESSES", "accesses", int),
-                                ("REPRO_SEED", "seed", int),
-                                ("REPRO_TARGET_CYCLES", "target_cycles",
-                                 float)):
-            if var not in environ:
-                continue
-            source = names.get(var, var)
-            try:
-                kwargs[name] = value = cast(environ[var])
-                if name == "scale":
-                    ProcessorConfig().scaled(value)
-                elif name == "accesses":
-                    check_positive("the trace length", value)
-            except ValueError as exc:
-                raise ValueError(f"{source}={environ[var]}: {exc}") from None
-        return replace(base, **kwargs)  # type: ignore[arg-type]
 
     def mixes_for(self, num_threads: int) -> Tuple[str, ...]:
         """The scale's Table II mix subset for a core count (2/4/8)."""
@@ -185,6 +146,52 @@ def scale_preset(name: str) -> ExperimentScale:
             f"unknown scale preset {name!r}; known: {sorted(SCALE_PRESETS)}"
         ) from None
     return factory()
+
+
+def resolve_scale(scale: str = "small", *, accesses: Optional[int] = None,
+                  seed: Optional[int] = None,
+                  target_cycles: Optional[float] = None,
+                  mixes: str = "default") -> ExperimentScale:
+    """The one parser of a scale: ``--scale`` and its refinements.
+
+    ``scale`` is a preset name (``micro`` / ``small`` / ``paper``) or an
+    integer capacity divisor (the ``small`` preset's other fields); the
+    given refinements then replace their fields, and ``mixes="all"``
+    widens every mix subset to all 49 Table II mixes.  A value that makes
+    no scale — neither a preset nor a number, a divisor some cache
+    capacity does not take (:meth:`CacheGeometry.scaled`), no accesses —
+    raises one :class:`ValueError` naming the flag.
+    """
+    if scale in SCALE_PRESETS:
+        base = scale_preset(scale)
+    else:
+        try:
+            divisor = int(scale)
+        except ValueError:
+            raise ValueError(
+                f"--scale={scale}: expected one of {sorted(SCALE_PRESETS)} "
+                f"or an integer divisor") from None
+        try:
+            ProcessorConfig().scaled(divisor)
+        except ValueError as exc:
+            raise ValueError(f"--scale={scale}: {exc}") from None
+        base = ExperimentScale(scale=divisor)
+    fields: Dict[str, object] = {}
+    if mixes == "all":
+        fields.update(_all_mixes())
+    elif mixes != "default":
+        raise ValueError(f"--mixes={mixes}: expected 'default' or 'all'")
+    if accesses is not None:
+        try:
+            check_positive("the trace length", accesses)
+        except ValueError as exc:
+            raise ValueError(f"--accesses={accesses}: {exc}") from None
+        fields["accesses"] = accesses
+    if seed is not None:
+        fields["seed"] = seed
+    if target_cycles is not None:
+        fields["target_cycles"] = target_cycles
+    return replace(base, **fields)  # type: ignore[arg-type]
 
 
 @dataclass

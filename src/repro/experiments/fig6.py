@@ -174,10 +174,8 @@ def charts(data: Fig6Data) -> List[BarChart]:
     return specs
 
 
-def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig6Data:
+def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig6Data:
     """Regenerate Figure 6 at the given scale (serial reference path)."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if runner is None:
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))

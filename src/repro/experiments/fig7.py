@@ -148,10 +148,8 @@ def charts(data: Fig7Data) -> List[BarChart]:
     return specs
 
 
-def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig7Data:
+def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig7Data:
     """Regenerate Figure 7 at the given scale (serial reference path)."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if runner is None:
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))

@@ -191,10 +191,8 @@ def charts(data: Fig8Data) -> List[LineChart]:
     return specs
 
 
-def run(scale: ExperimentScale = None, runner: WorkloadRunner = None) -> Fig8Data:
+def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig8Data:
     """Regenerate Figure 8 at the given scale (serial reference path)."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if runner is None:
         runner = WorkloadRunner(scale)
     return assemble(scale, run_serial(matrix(scale), runner))

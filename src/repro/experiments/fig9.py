@@ -49,12 +49,10 @@ def assemble(scale: ExperimentScale,
     return run(scale, fig7_data=fig7.assemble(scale, results))
 
 
-def run(scale: ExperimentScale = None,
+def run(scale: ExperimentScale,
         fig7_data: fig7.Fig7Data = None,
         runner: WorkloadRunner = None) -> Fig9Data:
     """Regenerate Figure 9 (reuses Figure 7's simulations when provided)."""
-    if scale is None:
-        scale = ExperimentScale.from_env()
     if fig7_data is None:
         fig7_data = fig7.run(scale, runner=runner)
 

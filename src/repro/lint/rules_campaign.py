@@ -7,7 +7,7 @@ each job.  Two silent failure modes exist:
   keyed — two jobs that compute *different* results would collide on one
   store address and serve each other's cached payloads;
 * a field keyed by accident — widening an unkeyed selection field (e.g.
-  ``REPRO_MIXES``) would invalidate every cached point.
+  through ``--mixes all``) would invalidate every cached point.
 
 The ``job-hash-discipline`` rule therefore requires every dataclass field
 to be *explicitly* classified: either it is read off the job inside

@@ -22,11 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.campaign.runner import Campaign, CampaignReport
 from repro.campaign.store import ResultStore
-from repro.experiments.common import (
-    ExperimentScale,
-    SCALE_PRESETS,
-    scale_preset,
-)
+from repro.experiments.common import ExperimentScale
 from repro.reporting.model import Report
 from repro.reporting.sections import SECTIONS, SectionSpec, resolve_sections
 
@@ -55,24 +51,6 @@ def scale_from_dict(params: dict) -> ExperimentScale:
         if name in kwargs:
             kwargs[name] = tuple(kwargs[name])
     return ExperimentScale(**kwargs)
-
-
-def resolve_scale(name: str) -> Tuple[str, ExperimentScale]:
-    """``--scale`` argument -> (display name, scale).
-
-    Accepts a preset name (``micro`` / ``small`` / ``paper``) or an integer
-    capacity divisor (the same meaning as the figure commands' ``--scale``).
-    """
-    if name in SCALE_PRESETS:
-        return name, scale_preset(name)
-    try:
-        divisor = int(name)
-    except ValueError:
-        raise KeyError(
-            f"unknown scale {name!r}: expected one of "
-            f"{sorted(SCALE_PRESETS)} or an integer divisor"
-        ) from None
-    return name, ExperimentScale(scale=divisor)
 
 
 # ----------------------------------------------------------------------

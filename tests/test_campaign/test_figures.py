@@ -108,6 +108,7 @@ class TestCampaignCli:
         assert "total=0" in out
 
     def test_unknown_target_raises(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["campaign", "run", "fig99",
                   "--store", str(tmp_path / "store")])
+        assert exit_info.value.code == 2

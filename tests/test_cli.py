@@ -39,7 +39,7 @@ class TestParser:
     @pytest.mark.parametrize("verb", [
         ["campaign", "worker", "localhost:abc"],
         ["campaign", "serve", "--bind", "127.0.0.1:70000"],
-        ["campaign", "run", "smoke", "--pool", "remote", "--bind", "h:-1"]])
+        ["campaign", "run", "smoke", "--bind", "h:-1"]])
     def test_a_bad_host_port_is_a_usage_error(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(verb)
@@ -61,7 +61,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["fig6", "--scale", "4", "--accesses", "1000",
              "--mixes", "all", "--seed", "9"])
-        assert args.scale == 4
+        assert args.scale == "4"
         assert args.accesses == 1000
         assert args.mixes == "all"
         assert args.seed == 9
@@ -92,15 +92,15 @@ class TestScaleFromArgs:
         assert len(scale.mixes_fig8) == 24
 
     def test_environment_untouched(self, monkeypatch):
-        """Flags layer over a *copy* of the environment: resolving a scale
-        works on a read-only ``os.environ`` and leaves it as it was."""
+        """The scale is never read from the environment: a ``REPRO_SEED``
+        left in it neither changes the scale nor is written to."""
         monkeypatch.setenv("REPRO_SEED", "11")
         args = build_parser().parse_args(["fig6", "--scale", "2"])
         frozen = types.MappingProxyType(dict(os.environ))
         with monkeypatch.context() as patch:     # pytest writes it at exit
             patch.setattr(os, "environ", frozen)
             scale = _scale_from_args(args)
-        assert (scale.scale, scale.seed) == (2, 11)
+        assert scale == dataclasses.replace(ExperimentScale(), scale=2)
         assert "REPRO_SCALE" not in frozen and frozen["REPRO_SEED"] == "11"
 
     def test_flags_beat_environment(self, monkeypatch):
@@ -108,44 +108,107 @@ class TestScaleFromArgs:
         args = build_parser().parse_args(["fig6", "--scale", "2"])
         assert _scale_from_args(args).scale == 2
         args = build_parser().parse_args(["fig6"])
-        assert _scale_from_args(args).scale == 4
+        assert _scale_from_args(args) == scale_preset("small")
 
     def test_full_flag(self):
-        args = build_parser().parse_args(["fig6", "--full"])
+        args = build_parser().parse_args(["fig6", "--scale", "paper"])
         scale = _scale_from_args(args)
         assert scale.scale == 1
         assert scale == scale_preset("paper")
 
     def test_full_env_is_the_paper_preset(self):
-        assert (ExperimentScale.from_env({"REPRO_FULL": "1"})
-                == scale_preset("paper"))
-        assert ExperimentScale.from_env({}) == ExperimentScale()
-        # Later knobs still refine the preset, as they always did.
-        refined = ExperimentScale.from_env({"REPRO_FULL": "1",
-                                            "REPRO_ACCESSES": "500"})
-        assert refined.accesses == 500 and refined.scale == 1
+        # The refinements refine the preset, as they always did.
+        args = build_parser().parse_args(
+            ["fig6", "--scale", "paper", "--accesses", "500"])
+        assert _scale_from_args(args) == dataclasses.replace(
+            scale_preset("paper"), accesses=500)
 
-    @pytest.mark.parametrize("argv,env,message", [
-        (["--scale", "0"], {}, "--scale=0: factor must be positive"),
-        ([], {"REPRO_SCALE": "0"}, "REPRO_SCALE=0: factor must be positive"),
-        ([], {"REPRO_SCALE": "x"}, "REPRO_SCALE=x: invalid literal"),
-        (["--scale", "3"], {}, "--scale=3: cannot scale 65536 B by 1/3"),
-        (["--accesses", "0"], {},
+    @pytest.mark.parametrize("argv", [
+        ["fig7", "--scale", "micro"],
+        ["campaign", "run", "smoke", "--scale", "micro"],
+        ["campaign", "status", "--scale", "micro"],
+        ["report", "run", "--scale", "micro"],
+        ["report", "build", "--scale", "micro"],
+    ], ids=["fig7", "campaign-run", "campaign-status", "report-run",
+            "report-build"])
+    def test_every_verb_takes_a_preset_name(self, argv):
+        assert (_scale_from_args(build_parser().parse_args(argv))
+                == scale_preset("micro"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--scale", "0"], "--scale=0: factor must be positive"),
+        (["--scale", "3"], "--scale=3: cannot scale 65536 B by 1/3"),
+        (["--accesses", "0"],
          "--accesses=0: the trace length must be positive"),
-    ], ids=["flag-zero", "env-zero", "env-not-a-number", "flag-no-divisor",
-            "no-accesses"])
+        (["--scale", "x"], "--scale=x: expected one of"),
+    ], ids=["flag-zero", "flag-no-divisor", "no-accesses",
+            "flag-not-a-name"])
     def test_a_value_that_makes_no_scale_exits_2_naming_it(
-            self, argv, env, message, monkeypatch, capsys):
-        """Before any simulation: one line on stderr naming the flag or
-        variable, exit status 2 — no traceback from deep in a run."""
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+            self, argv, message, capsys):
+        """Before any simulation: one line on stderr naming the flag,
+        exit status 2 — no traceback from deep in a run."""
         with pytest.raises(SystemExit) as exit_info:
             main(["fig6", *argv])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("repro: error: ")
         assert message in err
+
+
+def _count_executed_jobs(monkeypatch):
+    """Record every job the campaign layer executes (serial path)."""
+    from repro.campaign import runner as campaign_runner
+
+    executed = []
+    execute_job = campaign_runner.execute_job
+    monkeypatch.setattr(
+        campaign_runner, "execute_job",
+        lambda job, runner: (executed.append(job),
+                             execute_job(job, runner))[1])
+    return executed
+
+
+class TestUsageErrors:
+    """A bad scale or name is one ``repro: error:`` line, exit status 2,
+    and no job run — on every verb that resolves one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "run", "--scale", "3", "--only", "fig6"],
+        ["report", "run", "--scale", "x"],
+        ["fig6", "--scale", "x"],
+    ], ids=["report-run-no-divisor", "report-run-not-a-name", "fig6"])
+    def test_a_bad_scale_runs_no_job(self, argv, tmp_path, capsys,
+                                     monkeypatch):
+        executed = _count_executed_jobs(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, *(["--store", str(tmp_path / "store")]
+                           if argv[0] == "report" else [])])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        value = argv[argv.index("--scale") + 1]
+        assert err.startswith(f"repro: error: --scale={value}: ")
+        assert executed == []
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "run", "--scale", "micro", "--only", "fig66"],
+        ["report", "build", "--scale", "micro", "--only", "fig66"],
+        ["campaign", "run", "fig66", "--jobs", "1"],
+        ["campaign", "status", "fig66"],
+    ], ids=["report-run", "report-build", "campaign-run", "campaign-status"])
+    def test_an_unknown_name_lists_the_known_ones(self, argv, tmp_path,
+                                                  capsys, monkeypatch):
+        executed = _count_executed_jobs(monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--store", str(tmp_path / "store")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("repro: error: ")
+        assert "'fig66'" in err
+        for known in SECTION_ORDER:
+            assert f"'{known}'" in err
+        assert executed == []
 
 
 class TestInfoCommands:
@@ -241,16 +304,10 @@ class TestSectionVerbs:
 
     def test_all_shares_one_runner_and_simulates_each_point_once(
             self, capsys, monkeypatch):
-        from repro.campaign import runner as campaign_runner
         from repro.experiments.common import WorkloadRunner
 
-        executed, runners = [], []
-        execute_job = campaign_runner.execute_job
+        executed, runners = _count_executed_jobs(monkeypatch), []
         init = WorkloadRunner.__init__
-        monkeypatch.setattr(
-            campaign_runner, "execute_job",
-            lambda job, runner: (executed.append(job),
-                                 execute_job(job, runner))[1])
         monkeypatch.setattr(
             WorkloadRunner, "__init__",
             lambda self, scale: (runners.append(self), init(self, scale))[1])
@@ -332,11 +389,41 @@ class TestReportCommands:
         assert "table1, table2" in capsys.readouterr().out
 
     def test_unknown_section_raises(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["report", "run", "--scale", "micro", "--only", "fig99",
                   "--store", str(tmp_path / "store")])
+        assert exit_info.value.code == 2
 
     def test_unknown_scale_raises(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["report", "run", "--scale", "gigantic",
                   "--store", str(tmp_path / "store")])
+        assert exit_info.value.code == 2
+
+    def test_run_fails_without_a_manifest_when_a_job_fails(
+            self, tmp_path, capsys, monkeypatch):
+        """One job that raises fails the run: exit 1, the failure listed
+        the way ``campaign run`` lists it, and no manifest for ``build``
+        to pick up as if the store were complete."""
+        from repro.campaign import runner as campaign_runner
+        from repro.campaign.store import ResultStore
+        from repro.reporting.build import manifest_path
+
+        execute_job = campaign_runner.execute_job
+        calls = []
+
+        def fail_first(job, runner):
+            calls.append(job)
+            if job == calls[0]:        # on every attempt: permanently
+                raise RuntimeError("injected job failure")
+            return execute_job(job, runner)
+
+        monkeypatch.setattr(campaign_runner, "execute_job", fail_first)
+        store = tmp_path / "store"
+        assert main(["report", "run", "--scale", "micro", "--only", "fig6",
+                     "--jobs", "1", "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "failed permanently:" in err
+        assert "RuntimeError: injected job failure (after 3 attempts)" in err
+        assert len(calls) > 1
+        assert not manifest_path(ResultStore(store)).exists()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ProcessorConfig, SimulationConfig, config_unpartitioned
-from repro.cmp.memory import BandwidthConfig, MemoryChannel
+from repro.cmp.memory import MemoryChannel
 from repro.cmp.simulator import run_workload
 from repro.workloads.generator import generate_workload_traces
 
@@ -46,12 +46,6 @@ class TestMemoryChannel:
             MemoryChannel(-1, 250)
         with pytest.raises(ValueError):
             MemoryChannel(0, -1)
-
-    def test_bandwidth_config(self):
-        assert not BandwidthConfig().limited
-        assert BandwidthConfig(5.0).limited
-        with pytest.raises(ValueError):
-            BandwidthConfig(-1.0)
 
 
 class TestSimulatorIntegration:

@@ -16,7 +16,12 @@ from repro.campaign.runner import run_serial
 from repro.cli import main
 from repro.campaign.store import ResultStore
 from repro.experiments import fig6
-from repro.experiments.common import WorkloadRunner
+from repro.experiments.common import (
+    ExperimentScale,
+    WorkloadRunner,
+    resolve_scale,
+    scale_preset,
+)
 from repro.reporting import build
 from repro.reporting.emit import (
     emit_html,
@@ -150,14 +155,11 @@ class TestManifestHandoff:
 class TestResolveScale:
     def test_presets(self):
         for name in ("micro", "small", "paper"):
-            resolved_name, scale = build.resolve_scale(name)
-            assert resolved_name == name
-            assert scale.scale >= 1
+            assert resolve_scale(name) == scale_preset(name)
 
     def test_integer_divisor(self):
-        name, scale = build.resolve_scale("4")
-        assert name == "4" and scale.scale == 4
+        assert resolve_scale("4") == ExperimentScale(scale=4)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            build.resolve_scale("huge")
+        with pytest.raises(ValueError, match=r"^--scale=huge: expected one"):
+            resolve_scale("huge")
