@@ -1,13 +1,14 @@
 """``repro campaign`` targets: the report sections plus the ``smoke`` matrix.
 
-Figures and tables are not registered here — a campaign target *is* a
-section of :mod:`repro.reporting.sections` (its job matrix, and its tables
-rendered as text), so ``campaign run``, the serial verbs and the report
-share one declaration per figure.  Several targets may run in one campaign,
-in which case their matrices are unioned and content-hash deduplication
-makes shared points (e.g. Figure 9 reusing Figure 7's runs, Figure 8's
-2 MB column overlapping Figure 7's 2-core points) simulate exactly once.
-The only target of its own is ``smoke``, the smallest end-to-end campaign.
+A target *is* a :class:`~repro.reporting.sections.SectionSpec`: the figures
+and tables resolve to the report's own specs, so ``campaign run`` and the
+report share one declaration per figure.  Several targets may run in one
+campaign, in which case their matrices are unioned and content-hash
+deduplication makes shared points (e.g. Figure 9 reusing Figure 7's runs,
+Figure 8's 2 MB column overlapping Figure 7's 2-core points) simulate
+exactly once.  The only target of its own is ``smoke``, the smallest
+end-to-end campaign: a spec kept outside ``SECTIONS``, so it never reaches
+a report.
 
 This module imports the experiment modules, which import
 :mod:`repro.campaign` for :class:`Job` — keep it out of the package
@@ -16,35 +17,17 @@ This module imports the experiment modules, which import
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.campaign.jobs import Job, outcome_job
 from repro.config import config_unpartitioned
 from repro.experiments.common import ExperimentScale
-from repro.experiments.report import format_table
+from repro.reporting.model import Section, TableBlock
 from repro.reporting.sections import (
     SECTION_ORDER,
     SectionSpec,
     resolve_sections,
-    section_text,
 )
-
-
-@dataclass(frozen=True)
-class CampaignTarget:
-    """One runnable campaign target (a report section or ``smoke``)."""
-
-    name: str
-    matrix: Callable[[ExperimentScale], List[Job]]
-    render: Callable[[ExperimentScale, Mapping[Job, Any]], str]
-
-
-def _section_target(spec: SectionSpec) -> CampaignTarget:
-    return CampaignTarget(
-        spec.name, spec.matrix,
-        lambda scale, results: section_text(spec.build(scale, results)))
-
 
 # ----------------------------------------------------------------------
 # Smoke target: the smallest end-to-end campaign (CI uses it)
@@ -63,28 +46,28 @@ def smoke_matrix(scale: ExperimentScale) -> List[Job]:
     ]
 
 
-def _render_smoke(scale: ExperimentScale, results: Mapping[Job, Any]) -> str:
-    rows = []
-    for job in smoke_matrix(scale):
-        outcome = results[job]
-        rows.append([outcome.acronym, f"{outcome.throughput:.4f}"])
-    return format_table(["policy", "IPC"], rows,
-                        title=f"smoke: 1-core {SMOKE_BENCHMARK}")
+def _build_smoke(scale: ExperimentScale,
+                 results: Mapping[Job, Any]) -> Section:
+    rows = tuple((results[job].acronym, f"{results[job].throughput:.4f}")
+                 for job in smoke_matrix(scale))
+    title = f"smoke: 1-core {SMOKE_BENCHMARK}"
+    return Section(name="smoke", title=title, kind="figure",
+                   tables=[TableBlock(title, ("policy", "IPC"), rows)])
 
 
-SMOKE = CampaignTarget("smoke", smoke_matrix, _render_smoke)
+#: No paper value is graded on smoke: its references are ``list()``.
+SMOKE = SectionSpec("smoke", smoke_matrix, _build_smoke, references=list)
 
 
-def resolve_targets(names) -> List[CampaignTarget]:
-    """Map CLI target names (section names, ``all``, ``smoke``) to targets,
+def resolve_targets(names) -> List[SectionSpec]:
+    """Map CLI target names (section names, ``all``, ``smoke``) to specs,
     de-duplicated in first-mention order."""
-    targets: Dict[str, CampaignTarget] = {}
+    targets: Dict[str, SectionSpec] = {}
     known = [*SECTION_ORDER, "all", SMOKE.name]
     for name in names:
         if name not in known:
             raise KeyError(f"unknown target {name!r}; known: {known}")
-        found = ([SMOKE] if name == SMOKE.name else
-                 [_section_target(spec) for spec in resolve_sections([name])])
-        for target in found:
-            targets.setdefault(target.name, target)
+        found = [SMOKE] if name == SMOKE.name else resolve_sections([name])
+        for spec in found:
+            targets.setdefault(spec.name, spec)
     return list(targets.values())

@@ -91,8 +91,9 @@ def execute_job(job: Job, runner: WorkloadRunner) -> Any:
 def run_serial(jobs: Sequence[Job], runner: WorkloadRunner) -> Dict[Job, Any]:
     """Execute jobs in order on one in-process runner (no store).
 
-    The serial reference path behind every figure module's ``run()``; the
-    campaign path must match it bit for bit.
+    The store-less reference path (``figN.assemble(scale,
+    run_serial(figN.matrix(scale), runner))``); the campaign path must
+    match it bit for bit.
     """
     return {job: execute_job(job, runner) for job in jobs}
 

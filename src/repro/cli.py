@@ -2,26 +2,20 @@
 
 Examples::
 
-    python -m repro table1                  # complexity tables (instant)
-    python -m repro table2                  # processor config + mix list
-    python -m repro fig6                    # non-partitioned policy study
-    python -m repro fig7 --mixes all        # full Table II mix coverage
-    python -m repro fig8 --scale 4          # larger caches (slower)
-    python -m repro fig9                    # power/energy study
-    python -m repro all                     # everything, one shared runner
-    python -m repro workloads               # list catalog + mixes
-    python -m repro policies                # list replacement policies
-
-    python -m repro campaign run fig6 fig7 --jobs 8   # parallel sweep
-    python -m repro campaign run all -j auto --store /tmp/repro-store
-    python -m repro campaign status fig6              # cached/missing/ready
-    python -m repro campaign clean                    # wipe the store
+    python -m repro campaign run all --jobs 8          # every table + figure
+    python -m repro campaign run table1                # complexity (instant)
+    python -m repro campaign run fig7 --mixes all      # all Table II mixes
+    python -m repro campaign run fig8 --scale 4        # larger caches
+    python -m repro campaign status fig6               # cached/missing/ready
+    python -m repro campaign clean                     # wipe the store
+    python -m repro workloads                          # list catalog + mixes
+    python -m repro policies                           # list policies
 
     python -m repro campaign serve --bind 0.0.0.0:9000      # share a store
     python -m repro campaign run smoke --bind 0.0.0.0:9100
     python -m repro campaign worker HOST:9100 --store-url http://HOST:9000/
 
-    python -m repro report run --scale micro --jobs 2 # populate the store
+    python -m repro campaign run all --scale micro --jobs 2  # populate
     python -m repro report build                      # html/md/json artifacts
     python -m repro report check --strict             # grade the verdicts
 
@@ -31,51 +25,43 @@ Examples::
 
 Every verb that runs jobs takes ``--scale micro|small|paper|N`` (a preset
 or a capacity divisor; default ``small``), parsed by one resolver
-(:func:`~repro.experiments.common.resolve_scale`); the figure and
-``campaign`` verbs refine it with ``--accesses``, ``--mixes``, ``--seed``
-and ``--target-cycles``.  A value that makes no scale, or a section or
-target name that does not exist, is a usage error: one ``repro: error:``
-line, exit status 2, no job run.
+(:func:`~repro.experiments.common.resolve_scale`); ``campaign`` refines it
+with ``--accesses``, ``--mixes``, ``--seed`` and ``--target-cycles``.  A
+value that makes no scale, or a section or target name that does not
+exist, is a usage error: one ``repro: error:`` line, exit status 2, no
+job run.
 
-Every figure/table verb is the same generic command over the
-section registry (:mod:`repro.reporting.sections`): the selected sections'
-job matrices are unioned, de-duplicated and simulated once on one
-``WorkloadRunner`` — so ``all`` shares traces, isolation runs and the
-points Figures 7–9 have in common — then each section prints its tables.
+``campaign run`` is the one command that runs jobs.  Its targets are the
+sections of :mod:`repro.reporting.sections` (plus ``smoke``); their job
+matrices are unioned, de-duplicated and executed on a worker pool
+(``--jobs 1`` serial, ``--jobs N`` a process pool, ``--bind HOST:PORT`` a
+remote pool), memoising every simulation in a content-addressed store
+(``--store DIR``, default ``.repro-store`` or ``$REPRO_STORE``; add
+``--store-url`` / ``$REPRO_STORE_URL`` to read through a shared HTTP
+store).  Each target then prints its tables; a table section that misses
+an exactly graded paper value exits 1.  Re-running an interrupted or
+finished sweep only executes missing jobs — that *is* the resume
+mechanism — and ``--force`` recomputes everything.  ``campaign serve``
+exports a store over HTTP and ``campaign worker`` joins a ``campaign run
+--bind`` coordinator from another process or machine.
 
-``campaign run`` executes the selected figures' job matrices on a worker
-pool (``--jobs 1`` serial, ``--jobs N`` a process pool, ``--bind
-HOST:PORT`` a remote pool), memoising every
-simulation in a content-addressed store (``--store DIR``, default
-``.repro-store`` or ``$REPRO_STORE``; add ``--store-url`` /
-``$REPRO_STORE_URL`` to read through a shared HTTP store).  Re-running an
-interrupted or finished sweep only executes missing jobs — that *is* the
-resume mechanism — and ``--force`` recomputes everything.  ``campaign
-serve`` exports a store over HTTP and ``campaign worker`` joins a
-``campaign run --bind`` coordinator from another process or machine.
-
-``report`` turns a campaign store into the paper's artifacts:
-``report run`` populates the store for the selected sections and records
-a manifest, ``report build`` assembles ``report.html`` / ``report.md`` /
-``report.json`` (graded against the checked-in paper values), and
-``report check`` validates an emitted ``report.json``.  See
-``docs/reproducing.md`` for the full walkthrough.
+A ``campaign run`` in which no job failed records a manifest of its scale
+and section targets in the store.  ``report build`` turns the store into
+the paper's artifacts: it reads the manifest when given no ``--scale``,
+assembles ``report.html`` / ``report.md`` / ``report.json`` (graded
+against the checked-in paper values), and ``report check`` validates an
+emitted ``report.json``.  See ``docs/reproducing.md`` for the full
+walkthrough.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, List, NoReturn, Optional, Sequence
 
 from repro.cache.replacement.base import POLICY_REGISTRY
-from repro.campaign.runner import run_serial
-from repro.experiments.common import (
-    ExperimentScale,
-    WorkloadRunner,
-    resolve_scale,
-)
+from repro.experiments.common import ExperimentScale, resolve_scale
 from repro.reporting.sections import (
     SECTIONS,
     resolve_sections,
@@ -96,7 +82,7 @@ def _add_scale_argument(parser: argparse.ArgumentParser,
     parser.add_argument("--scale", default=default, metavar="NAME|N",
                         help="micro | small | paper, or an integer cache "
                              "capacity divisor (default: "
-                             f"{default or 'the report-run manifest'})")
+                             f"{default or 'the campaign-run manifest'})")
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -114,8 +100,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
     """The scale ``--scale`` and its refinements select, through
-    :func:`resolve_scale` (``table1`` / ``table2`` and ``report`` take no
-    refinements); a value that makes no scale is a usage error."""
+    :func:`resolve_scale` (``report build`` takes no refinements); a value
+    that makes no scale is a usage error."""
     flags = vars(args)
     try:
         return resolve_scale(flags.get("scale") or "small",
@@ -147,25 +133,6 @@ def _print_failures(report) -> bool:
         print(f"  {failure.label}: {failure.error} "
               f"(after {failure.attempts} attempts)", file=sys.stderr)
     return True
-
-
-def _cmd_sections(args: argparse.Namespace) -> int:
-    """``repro fig6|..|table2|all``: the serial path over the sections."""
-    scale = _scale_from_args(args)
-    specs = _resolve_names(resolve_sections, [args.command])
-    # run_serial executes duplicates as given; fig9 re-lists fig7's jobs.
-    jobs = list(dict.fromkeys(
-        job for spec in specs for job in spec.matrix(scale)))
-    results = run_serial(jobs, WorkloadRunner(scale))
-    sections = [spec.build(scale, results) for spec in specs]
-    print("\n\n".join(
-        f"=== {section.name} ===\n{section_text(section)}"
-        if len(sections) > 1 else section_text(section)
-        for section in sections))
-    # Tables are graded exactly: a missed paper value fails the command.
-    return int(any(section.kind == "table"
-                   and section.verdict_counts()["fail"]
-                   for section in sections))
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
@@ -218,10 +185,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import registry
     from repro.campaign.pool import RemotePool
     from repro.campaign.runner import Campaign
+    from repro.reporting import build
 
     scale = _scale_from_args(args)
-    targets = _resolve_names(registry.resolve_targets, args.targets)
-    jobs = [job for target in targets for job in target.matrix(scale)]
+    specs = _resolve_names(registry.resolve_targets, args.targets)
+    jobs = [job for spec in specs for job in spec.matrix(scale)]
     store = _campaign_store(args)
     pool = None
     if args.bind is not None:
@@ -238,15 +206,27 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"  {line}")
     if _print_failures(report):
         return 1
-    for target in targets:
+    # The store now holds every job of these sections: record them for a
+    # flag-less `report build` (smoke is no report section).
+    report_specs = [spec for spec in specs if spec.name in SECTIONS]
+    if report_specs:
+        manifest = build.write_manifest(store, args.scale, scale,
+                                        report_specs)
+        print(f"manifest: {manifest} (scale: {args.scale}; sections: "
+              f"{', '.join(spec.name for spec in report_specs)})")
+    sections = [spec.build(scale, results) for spec in specs]
+    for section in sections:
         print()
-        print(f"=== {target.name} ===")
-        print(target.render(scale, results))
+        print(f"=== {section.name} ===")
+        print(section_text(section))
     if args.expect_cached and report.executed:
         print(f"ERROR: expected a fully cached campaign but "
               f"{report.executed} job(s) executed", file=sys.stderr)
         return 1
-    return 0
+    # Tables are graded exactly: a missed paper value fails the command.
+    return int(any(section.kind == "table"
+                   and section.verdict_counts()["fail"]
+                   for section in sections))
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
@@ -257,11 +237,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
 
     scale = _scale_from_args(args)
-    targets = _resolve_names(registry.resolve_targets, args.targets or ["all"])
+    specs = _resolve_names(registry.resolve_targets, args.targets or ["all"])
     store = _campaign_store(args)
     rows = []
-    for target in targets:
-        plan = plan_jobs(target.matrix(scale))
+    for spec in specs:
+        plan = plan_jobs(spec.matrix(scale))
         entries = plan.isolation + plan.outcome
         cached = {key for key, _ in entries if key in store}
         # Dispatchable right now under ready-set scheduling: a missing
@@ -274,7 +254,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 ready += 1
             elif all(job_key(dep) in cached for dep in isolation_deps(job)):
                 ready += 1
-        rows.append([target.name, len(plan.outcome), len(plan.isolation),
+        rows.append([spec.name, len(plan.outcome), len(plan.isolation),
                      len(cached), plan.total - len(cached), ready])
     print(f"campaign store: {store.describe()} ({len(store)} object(s))")
     print(format_table(
@@ -286,9 +266,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_clean(args: argparse.Namespace) -> int:
+    from repro.reporting.build import manifest_path
+
     store = _campaign_store(args)
     removed = store.clean()
-    print(f"campaign store: {store.describe()} — removed {removed} object(s)")
+    # A manifest without its objects would send `report build` into a
+    # silent full recompute.
+    manifest = manifest_path(store)
+    had_manifest = manifest.is_file()
+    manifest.unlink(missing_ok=True)
+    print(f"campaign store: {store.describe()} — removed {removed} object(s)"
+          + (" and the report manifest" if had_manifest else ""))
     return 0
 
 
@@ -332,27 +320,6 @@ def _report_sections(args: argparse.Namespace):
     return _resolve_names(resolve_sections, names)
 
 
-def _cmd_report_run(args: argparse.Namespace) -> int:
-    from repro.reporting import build
-
-    scale_name, scale = args.scale, _scale_from_args(args)
-    sections = _report_sections(args)
-    store = _campaign_store(args)
-    workers = args.jobs if args.jobs else (os.cpu_count() or 1)
-    print(f"report store: {store.root} (scale: {scale_name})")
-    _, campaign_report = build.run_report_campaign(
-        scale, store, sections, workers=workers, force=args.force,
-        echo=print)
-    print(campaign_report.summary())
-    if _print_failures(campaign_report):
-        return 1
-    manifest = build.write_manifest(store, scale_name, scale, sections)
-    print(f"manifest: {manifest} "
-          f"(sections: {', '.join(s.name for s in sections)})")
-    print("next: python -m repro report build")
-    return 0
-
-
 def _cmd_report_build(args: argparse.Namespace) -> int:
     from repro.reporting import build
     from repro.reporting.emit import write_report
@@ -376,6 +343,8 @@ def _cmd_report_build(args: argparse.Namespace) -> int:
         scale, store, sections, scale_name=scale_name, workers=workers,
         echo=print)
     print(campaign_report.summary())
+    if _print_failures(campaign_report):
+        return 1
     paths = write_report(report, args.out)
     counts = report.verdict_counts()
     print(f"verdicts: pass={counts['pass']} warn={counts['warn']} "
@@ -470,17 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="complexity tables (exact arithmetic)")
-    sub.add_parser("table2", help="processor configuration and mix list")
-    for name, help_text in (
-        ("fig6", "non-partitioned LRU/NRU/BT comparison"),
-        ("fig7", "partitioned configuration comparison (C-L baseline)"),
-        ("fig8", "partitioning gain vs L2 capacity"),
-        ("fig9", "power and energy study"),
-        ("all", "every table and figure"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_scale_arguments(p)
     sub.add_parser("workloads", help="list benchmarks and Table II mixes")
     sub.add_parser("policies", help="list registered replacement policies")
 
@@ -527,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = campaign.add_subparsers(dest="campaign_command", required=True)
     run_p = csub.add_parser(
-        "run", help="execute figure job matrices on a worker pool")
+        "run", help="run the targets' jobs on a worker pool and print "
+                    "their tables")
     run_p.add_argument("targets", nargs="+", metavar="TARGET",
                        help="fig6..fig9, table1, table2, smoke, or all")
     _add_scale_arguments(run_p)
@@ -600,26 +559,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rsub = report.add_subparsers(dest="report_command", required=True)
 
-    def _report_common(p, scale_default):
-        _add_scale_argument(p, scale_default)
-        p.add_argument("--only", default=None, metavar="SECTIONS",
-                       help="comma-separated subset, e.g. fig6,table1 "
-                            "(default: all sections)")
-        p.add_argument("--store", default=None,
-                       help="campaign store directory (default: "
-                            ".repro-store or $REPRO_STORE)")
-        p.add_argument("--jobs", "-j", type=_jobs_count, default=None,
-                       metavar="N|auto",
-                       help="worker processes; 0 or 'auto' means every core")
-
-    run_r = rsub.add_parser(
-        "run", help="populate the campaign store for the report sections")
-    _report_common(run_r, "small")
-    run_r.add_argument("--force", action="store_true",
-                       help="ignore cached results and re-simulate")
     build_r = rsub.add_parser(
         "build", help="assemble report.html / report.md / report.json")
-    _report_common(build_r, None)
+    _add_scale_argument(build_r, None)
+    build_r.add_argument("--only", default=None, metavar="SECTIONS",
+                         help="comma-separated subset, e.g. fig6,table1 "
+                              "(default: the manifest's, else all sections)")
+    build_r.add_argument("--store", default=None,
+                         help="campaign store directory (default: "
+                              ".repro-store or $REPRO_STORE)")
+    build_r.add_argument("--jobs", "-j", type=_jobs_count, default=None,
+                         metavar="N|auto",
+                         help="worker processes for missing jobs; 0 or "
+                              "'auto' means every core (default: 1)")
     build_r.add_argument("--out", default="report",
                          help="output directory (default: report/)")
     check_r = rsub.add_parser(
@@ -635,8 +587,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     command = args.command
-    if command == "all" or command in SECTIONS:
-        return _cmd_sections(args)
     if command == "workloads":
         return _cmd_workloads(args)
     if command == "lint":
@@ -657,8 +607,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.campaign_command == "serve":
             return _cmd_campaign_serve(args)
     if command == "report":
-        if args.report_command == "run":
-            return _cmd_report_run(args)
         if args.report_command == "build":
             return _cmd_report_build(args)
         if args.report_command == "check":

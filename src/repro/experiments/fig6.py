@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.campaign.jobs import Job, outcome_job
-from repro.campaign.runner import run_serial
 from repro.config import config_unpartitioned
 from repro.experiments.common import (
     ExperimentScale,
     RunOutcome,
-    WorkloadRunner,
     geometric_mean,
 )
 from repro.experiments.report import fmt_rel
@@ -172,11 +170,4 @@ def charts(data: Fig6Data) -> List[BarChart]:
             y_label=f"{metric} vs LRU", baseline=1.0,
         ))
     return specs
-
-
-def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig6Data:
-    """Regenerate Figure 6 at the given scale (serial reference path)."""
-    if runner is None:
-        runner = WorkloadRunner(scale)
-    return assemble(scale, run_serial(matrix(scale), runner))
 

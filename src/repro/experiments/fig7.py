@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.campaign.jobs import Job, outcome_job
-from repro.campaign.runner import run_serial
 from repro.config import paper_figure7_configs
 from repro.experiments.common import (
     ExperimentScale,
     RunOutcome,
-    WorkloadRunner,
     geometric_mean,
 )
 from repro.experiments.report import fmt_rel
@@ -146,11 +144,4 @@ def charts(data: Fig7Data) -> List[BarChart]:
             y_label=f"{metric} vs C-L", baseline=1.0,
         ))
     return specs
-
-
-def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig7Data:
-    """Regenerate Figure 7 at the given scale (serial reference path)."""
-    if runner is None:
-        runner = WorkloadRunner(scale)
-    return assemble(scale, run_serial(matrix(scale), runner))
 

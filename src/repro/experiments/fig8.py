@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
 from repro.campaign.jobs import Job, outcome_job
-from repro.campaign.runner import run_serial
 from repro.config import (
     PartitioningConfig,
     config_M_BT,
@@ -25,7 +24,6 @@ from repro.config import (
 from repro.experiments.common import (
     ExperimentScale,
     RunOutcome,
-    WorkloadRunner,
     geometric_mean,
 )
 from repro.experiments.report import fmt_rel
@@ -189,11 +187,4 @@ def charts(data: Fig8Data) -> List[LineChart]:
             y_label="relative throughput", baseline=1.0,
         ))
     return specs
-
-
-def run(scale: ExperimentScale, runner: WorkloadRunner = None) -> Fig8Data:
-    """Regenerate Figure 8 at the given scale (serial reference path)."""
-    if runner is None:
-        runner = WorkloadRunner(scale)
-    return assemble(scale, run_serial(matrix(scale), runner))
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping
 
 from repro.campaign.jobs import Job
 from repro.experiments import fig7
-from repro.experiments.common import ExperimentScale, WorkloadRunner, geometric_mean
+from repro.experiments.common import ExperimentScale, geometric_mean
 from repro.experiments.report import fmt_rel
 from repro.hwmodel.power import PowerModel
 from repro.reporting.model import BarChart, DataPoint, Reference, TableBlock
@@ -46,15 +46,7 @@ def matrix(scale: ExperimentScale) -> List[Job]:
 def assemble(scale: ExperimentScale,
              results: Mapping[Job, "fig7.RunOutcome"]) -> Fig9Data:
     """Derive Figure 9 from campaign results of Figure 7's matrix."""
-    return run(scale, fig7_data=fig7.assemble(scale, results))
-
-
-def run(scale: ExperimentScale,
-        fig7_data: fig7.Fig7Data = None,
-        runner: WorkloadRunner = None) -> Fig9Data:
-    """Regenerate Figure 9 (reuses Figure 7's simulations when provided)."""
-    if fig7_data is None:
-        fig7_data = fig7.run(scale, runner=runner)
+    fig7_data = fig7.assemble(scale, results)
 
     relative_power: Dict[int, Dict[str, float]] = {}
     relative_energy: Dict[int, Dict[str, float]] = {}

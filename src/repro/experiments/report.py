@@ -28,8 +28,8 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence],
 
 def format_tables(blocks: Iterable) -> str:
     """Every ``TableBlock`` of a section as ASCII, blank-line separated —
-    the one text rendering behind the serial verbs, ``campaign run`` and
-    the benches (the report's emitters render the same blocks)."""
+    the one text rendering behind ``campaign run`` (the report's emitters
+    render the same blocks)."""
     return "\n\n".join(
         format_table(block.headers, block.rows, title=block.title)
         for block in blocks

@@ -33,15 +33,6 @@ class Table1Data:
     events: Dict[str, Dict[str, int]]
 
 
-def run(geometry: CacheGeometry = PAPER_GEOMETRY,
-        num_cores: int = PAPER_CORES) -> Table1Data:
-    """Compute Table I for a geometry (defaults to the paper's)."""
-    return Table1Data(
-        storage=storage_bits_table(geometry, num_cores),
-        events=event_bits_table(geometry, num_cores),
-    )
-
-
 def policy_state_bits(geometry: CacheGeometry = PAPER_GEOMETRY):
     """Replacement-state storage for **every** registered policy.
 
@@ -79,7 +70,8 @@ def _storage(comp: ReplacementComplexity) -> int:
 
 #: (point suffix, label, expected bits, policy, getter) — the exact
 #: quantities Table I states and where the model computes each; the report
-#: and ``repro table1`` grade them with zero tolerance (pure arithmetic).
+#: and ``repro campaign run table1`` grade them with zero tolerance (pure
+#: arithmetic).
 _PAPER_BITS = (
     ("storage_bits/lru", "LRU replacement storage", 8 * 8 * 1024,
      "lru", _storage),
@@ -117,7 +109,10 @@ def matrix(scale=None) -> list:
 
 def assemble(scale, results) -> Table1Data:
     """Table I's data at the paper geometry (no campaign results needed)."""
-    return run()
+    return Table1Data(
+        storage=storage_bits_table(PAPER_GEOMETRY, PAPER_CORES),
+        events=event_bits_table(PAPER_GEOMETRY, PAPER_CORES),
+    )
 
 
 def references() -> List[Reference]:

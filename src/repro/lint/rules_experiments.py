@@ -1,7 +1,7 @@
 """Experiment-module export contract (``repro/experiments/fig*|table*``).
 
-The campaign runner, the report builder and the serial CLI all address an
-experiment module through the same module-level functions; a missing or
+The campaign runner, the report builder and ``campaign run`` all address
+an experiment module through the same module-level functions; a missing or
 mis-shaped export only surfaces at run time, deep inside a sweep.  The
 ``experiment-contract`` rule pins the surface statically:
 
@@ -9,9 +9,8 @@ mis-shaped export only surfaces at run time, deep inside a sweep.  The
   results)``, ``tables(data)``, ``points(data)`` and ``references()`` —
   the surface the one section registry
   (:mod:`repro.reporting.sections`) builds every section from;
-* figure modules (``fig*.py``) additionally export ``run(scale, runner)``
-  and ``charts(data)``; table modules (``table*.py``) are static and chart
-  nothing.
+* figure modules (``fig*.py``) additionally export ``charts(data)``;
+  table modules (``table*.py``) are static and chart nothing.
 """
 
 from __future__ import annotations
@@ -28,15 +27,15 @@ EXPERIMENTS_DIR = "repro/experiments"
 TABLE_EXPORTS: Dict[str, int] = {
     "matrix": 1, "assemble": 2, "tables": 1, "points": 1, "references": 0,
 }
-FIGURE_EXPORTS: Dict[str, int] = {**TABLE_EXPORTS, "run": 2, "charts": 1}
+FIGURE_EXPORTS: Dict[str, int] = {**TABLE_EXPORTS, "charts": 1}
 
 
 def _accepts_positional(func: ast.FunctionDef, arity: int) -> bool:
     """True when ``func(a1, .., a_arity)`` is a valid positional call.
 
     Extra *optional* parameters beyond the contract arity are allowed
-    (``fig9.run`` threads an optional ``fig7_data`` through); missing or
-    extra *required* parameters are not.
+    (``table1.matrix(scale=None)``); missing or extra *required*
+    parameters are not.
     """
     total = len(func.args.posonlyargs) + len(func.args.args)
     required = total - len(func.args.defaults)

@@ -11,12 +11,12 @@ One pipeline for all of Figures 6–9 and Tables I–II::
   matplotlib anywhere in the repo).
 * :mod:`.sections` — the one name -> figure/table registry: a spec per
   artefact turns results into structured tables + charts + graded points,
-  for the serial verbs, ``campaign run`` and the report alike.
+  for ``campaign run`` and the report alike.
 * :mod:`.build` — the campaign-store adapter (cache hits, ``--jobs N``)
-  and the run→build manifest handoff.
+  and the ``campaign run`` → ``report build`` manifest handoff.
 * :mod:`.emit` — ``report.html`` / ``report.md`` / ``report.json``.
 
-CLI: ``python -m repro report run|build|check`` (see :mod:`repro.cli`).
+CLI: ``python -m repro report build|check`` (see :mod:`repro.cli`).
 
 Import discipline: this ``__init__`` exports only the dependency-free
 model and SVG layers.  :mod:`.sections` imports the experiment modules,

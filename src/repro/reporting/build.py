@@ -4,13 +4,14 @@ This is the adapter between the PR-2 campaign layer and the report: the
 selected sections' job matrices are unioned and executed through a
 :class:`~repro.campaign.runner.Campaign` (store hits are free, missing
 points run on the worker pool), then every section rebuilds its data with
-the same ``assemble()`` functions the serial path uses — no re-run serial
-loops, and byte-identical numbers.
+the same ``assemble()`` functions ``repro campaign run`` prints from —
+byte-identical numbers.
 
-``repro report run`` additionally records a *manifest* next to the store
-(scale + section selection), so a later ``repro report build`` with no
-flags reproduces exactly the campaign that was populated — the handoff
-behind ``repro report run --scale micro && repro report build``.
+A ``repro campaign run`` in which no job failed records a *manifest* next
+to the store (scale + section targets), so a later ``repro report build``
+with no flags reproduces exactly the campaign that was populated — the
+handoff behind ``repro campaign run all --scale micro && repro report
+build``.  ``repro campaign clean`` removes it with the objects.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def manifest_path(store: ResultStore) -> Path:
 def write_manifest(store: ResultStore, scale_name: str,
                    scale: ExperimentScale,
                    sections: Sequence[SectionSpec]) -> Path:
-    """Record what ``report run`` populated, for flag-less ``build``."""
+    """Record what ``campaign run`` populated, for flag-less ``build``."""
     path = manifest_path(store)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -117,16 +118,20 @@ def build_report(
     sections: Optional[Sequence[SectionSpec]] = None,
     scale_name: str = "custom", workers: int = 1,
     echo: Optional[Callable[[str], None]] = None,
-) -> Tuple[Report, CampaignReport]:
+) -> Tuple[Optional[Report], CampaignReport]:
     """Assemble the graded report from the campaign store.
 
     Missing points are computed (the store memoises them for next time),
-    so a cold build works — it is simply slower than ``report run`` first
-    with a worker pool.
+    so a cold build works — it is simply slower than ``campaign run``
+    first with a worker pool.  When a job fails permanently its sections
+    cannot be assembled: the report is ``None`` and ``campaign_report.failed``
+    says why.
     """
     specs = list(sections) if sections is not None else resolve_sections()
     results, campaign_report = run_report_campaign(
         scale, store, specs, workers=workers, echo=echo)
+    if campaign_report.failed:
+        return None, campaign_report
     report = Report(
         scale_name=scale_name,
         scale_params=scale_to_dict(scale),

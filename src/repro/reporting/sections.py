@@ -2,18 +2,18 @@
 
 A :class:`SectionSpec` couples an experiment module's job matrix with a
 builder that turns campaign results (the ``{Job: RunOutcome}`` mapping a
-:class:`repro.campaign.runner.Campaign` or ``run_serial`` returns) into a
-:class:`~repro.reporting.model.Section`: structured tables, SVG-able chart
-specs, and paper-graded data points.  Everything a section shows is
-declared once, in its module (``matrix`` / ``assemble`` / ``tables`` /
-``charts`` / ``points`` / ``references``); the serial verbs (``repro fig6``
-... ``repro all``), ``repro campaign run`` and the report all resolve a
-name here and render the same :class:`Section` — as text through
-:func:`section_text`, as html/md/json through :mod:`repro.reporting.emit`
-— so their numbers cannot drift apart (pinned by
-``tests/test_reporting/test_identity.py`` and ``tests/test_cli.py``)::
+:class:`repro.campaign.runner.Campaign` returns, or ``run_serial``, its
+reference in the tests) into a :class:`~repro.reporting.model.Section`:
+structured tables, SVG-able chart specs, and paper-graded data points.
+Everything a section shows is declared once, in its module (``matrix`` /
+``assemble`` / ``tables`` / ``charts`` / ``points`` / ``references``);
+``repro campaign run`` and the report both resolve a name here and render
+the same :class:`Section` — as text through :func:`section_text`, as
+html/md/json through :mod:`repro.reporting.emit` — so their numbers
+cannot drift apart (pinned by ``tests/test_reporting/test_identity.py``
+and ``tests/test_cli.py``)::
 
-    declare matrix -> run (serial or campaign) -> assemble -> render -> verify
+    declare matrix -> campaign run -> assemble -> render -> verify
 
 A new figure is one experiment module plus one row of ``SECTIONS``.
 """

@@ -2,14 +2,15 @@
 
 The headline criterion of the campaign layer — a full fig6 sweep through
 the worker pool must produce *byte-identical* metrics to the serial
-``fig6.run()`` path (not approximately equal: identical operand order,
-identical floats), and a second invocation must complete from cache with
-zero simulations executed.
+``fig6.assemble(scale, run_serial(fig6.matrix(scale), runner))`` path
+(not approximately equal: identical operand order, identical floats), and
+a second invocation must complete from cache with zero simulations
+executed.
 """
 
 import pytest
 
-from repro.campaign.runner import Campaign
+from repro.campaign.runner import Campaign, run_serial
 from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.experiments import fig6, fig7, fig9
@@ -20,7 +21,8 @@ from repro.experiments.report import format_tables
 class TestFig6ByteIdentity:
     @pytest.fixture(scope="class")
     def serial_data(self, micro_scale):
-        return fig6.run(micro_scale, WorkloadRunner(micro_scale))
+        return fig6.assemble(micro_scale, run_serial(
+            fig6.matrix(micro_scale), WorkloadRunner(micro_scale)))
 
     @pytest.fixture(scope="class")
     def campaign(self, micro_scale, tmp_path_factory):

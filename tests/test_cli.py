@@ -11,6 +11,9 @@ from repro.cli import _scale_from_args, build_parser, main
 from repro.experiments.common import ExperimentScale, scale_preset
 from repro.reporting.sections import SECTION_ORDER, resolve_sections
 
+#: ``campaign run``: the one verb that runs jobs and takes refinements.
+RUN = ["campaign", "run"]
+
 #: The flag spelling of the ``micro`` machine (CI runs the verbs with it).
 MICRO_FLAGS = ["--scale", "16", "--accesses", "2000",
                "--target-cycles", "200000", "--seed", "7"]
@@ -26,7 +29,7 @@ class TestParser:
             build_parser().parse_args(["fig99"])
 
     @pytest.mark.parametrize("verb", [["campaign", "run", "smoke"],
-                                      ["report", "run"]])
+                                      ["report", "build"]])
     def test_negative_jobs_is_a_usage_error(self, verb, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([*verb, "--jobs", "-2"])
@@ -59,7 +62,7 @@ class TestParser:
 
     def test_figure_flags(self):
         args = build_parser().parse_args(
-            ["fig6", "--scale", "4", "--accesses", "1000",
+            [*RUN, "fig6", "--scale", "4", "--accesses", "1000",
              "--mixes", "all", "--seed", "9"])
         assert args.scale == "4"
         assert args.accesses == 1000
@@ -73,20 +76,21 @@ class TestParser:
 
 class TestScaleFromArgs:
     def test_defaults(self):
-        args = build_parser().parse_args(["fig6"])
+        args = build_parser().parse_args([*RUN, "fig6"])
         scale = _scale_from_args(args)
         assert scale.scale == 8          # laptop default
 
     def test_overrides(self):
         args = build_parser().parse_args(
-            ["fig6", "--scale", "4", "--accesses", "1234", "--seed", "5"])
+            [*RUN, "fig6", "--scale", "4", "--accesses", "1234",
+             "--seed", "5"])
         scale = _scale_from_args(args)
         assert scale.scale == 4
         assert scale.accesses == 1234
         assert scale.seed == 5
 
     def test_mixes_all(self):
-        args = build_parser().parse_args(["fig6", "--mixes", "all"])
+        args = build_parser().parse_args([*RUN, "fig6", "--mixes", "all"])
         scale = _scale_from_args(args)
         assert len(scale.mixes_2t) == 24
         assert len(scale.mixes_fig8) == 24
@@ -95,7 +99,7 @@ class TestScaleFromArgs:
         """The scale is never read from the environment: a ``REPRO_SEED``
         left in it neither changes the scale nor is written to."""
         monkeypatch.setenv("REPRO_SEED", "11")
-        args = build_parser().parse_args(["fig6", "--scale", "2"])
+        args = build_parser().parse_args([*RUN, "fig6", "--scale", "2"])
         frozen = types.MappingProxyType(dict(os.environ))
         with monkeypatch.context() as patch:     # pytest writes it at exit
             patch.setattr(os, "environ", frozen)
@@ -105,13 +109,13 @@ class TestScaleFromArgs:
 
     def test_flags_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "4")
-        args = build_parser().parse_args(["fig6", "--scale", "2"])
+        args = build_parser().parse_args([*RUN, "fig6", "--scale", "2"])
         assert _scale_from_args(args).scale == 2
-        args = build_parser().parse_args(["fig6"])
+        args = build_parser().parse_args([*RUN, "fig6"])
         assert _scale_from_args(args) == scale_preset("small")
 
     def test_full_flag(self):
-        args = build_parser().parse_args(["fig6", "--scale", "paper"])
+        args = build_parser().parse_args([*RUN, "fig6", "--scale", "paper"])
         scale = _scale_from_args(args)
         assert scale.scale == 1
         assert scale == scale_preset("paper")
@@ -119,15 +123,17 @@ class TestScaleFromArgs:
     def test_full_env_is_the_paper_preset(self):
         # The refinements refine the preset, as they always did.
         args = build_parser().parse_args(
-            ["fig6", "--scale", "paper", "--accesses", "500"])
+            [*RUN, "fig6", "--scale", "paper", "--accesses", "500"])
         assert _scale_from_args(args) == dataclasses.replace(
             scale_preset("paper"), accesses=500)
 
+    # The ``fig7`` and ``report-run`` ids name the commands whose runs
+    # ``campaign run fig7`` and ``campaign run all`` took over.
     @pytest.mark.parametrize("argv", [
-        ["fig7", "--scale", "micro"],
+        ["campaign", "run", "fig7", "--scale", "micro"],
         ["campaign", "run", "smoke", "--scale", "micro"],
         ["campaign", "status", "--scale", "micro"],
-        ["report", "run", "--scale", "micro"],
+        ["campaign", "run", "all", "--scale", "micro"],
         ["report", "build", "--scale", "micro"],
     ], ids=["fig7", "campaign-run", "campaign-status", "report-run",
             "report-build"])
@@ -148,7 +154,7 @@ class TestScaleFromArgs:
         """Before any simulation: one line on stderr naming the flag,
         exit status 2 — no traceback from deep in a run."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["fig6", *argv])
+            main([*RUN, "fig6", *argv])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("repro: error: ")
@@ -168,21 +174,38 @@ def _count_executed_jobs(monkeypatch):
     return executed
 
 
+def _fail_first_job(monkeypatch):
+    """Make the first job the campaign layer executes raise on every
+    attempt; returns the list of executed jobs."""
+    from repro.campaign import runner as campaign_runner
+
+    execute_job = campaign_runner.execute_job
+    calls = []
+
+    def fail_first(job, runner):
+        calls.append(job)
+        if job == calls[0]:        # on every attempt: permanently
+            raise RuntimeError("injected job failure")
+        return execute_job(job, runner)
+
+    monkeypatch.setattr(campaign_runner, "execute_job", fail_first)
+    return calls
+
+
 class TestUsageErrors:
     """A bad scale or name is one ``repro: error:`` line, exit status 2,
     and no job run — on every verb that resolves one."""
 
     @pytest.mark.parametrize("argv", [
-        ["report", "run", "--scale", "3", "--only", "fig6"],
-        ["report", "run", "--scale", "x"],
-        ["fig6", "--scale", "x"],
+        ["campaign", "run", "all", "--scale", "3"],
+        ["campaign", "run", "all", "--scale", "x"],
+        ["campaign", "run", "fig6", "--scale", "x"],
     ], ids=["report-run-no-divisor", "report-run-not-a-name", "fig6"])
     def test_a_bad_scale_runs_no_job(self, argv, tmp_path, capsys,
                                      monkeypatch):
         executed = _count_executed_jobs(monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
-            main([*argv, *(["--store", str(tmp_path / "store")]
-                           if argv[0] == "report" else [])])
+            main([*argv, "--store", str(tmp_path / "store")])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -192,7 +215,7 @@ class TestUsageErrors:
         assert not (tmp_path / "store").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["report", "run", "--scale", "micro", "--only", "fig66"],
+        ["campaign", "run", "all", "fig66", "--scale", "micro"],
         ["report", "build", "--scale", "micro", "--only", "fig66"],
         ["campaign", "run", "fig66", "--jobs", "1"],
         ["campaign", "status", "fig66"],
@@ -212,13 +235,14 @@ class TestUsageErrors:
 
 
 class TestInfoCommands:
-    def test_table1_exit_code(self, capsys):
-        assert main(["table1"]) == 0
+    def test_table1_exit_code(self, tmp_path, capsys):
+        assert main([*RUN, "table1", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Table I(a)" in out
         assert "11/11 reproduced exactly" in out
 
-    def test_table1_fails_on_a_missed_paper_value(self, capsys, monkeypatch):
+    def test_table1_fails_on_a_missed_paper_value(self, tmp_path, capsys,
+                                                  monkeypatch):
         """The tally and the exit status are the section's graded points:
         a reference the arithmetic does not meet fails the verb."""
         from repro.experiments import table1
@@ -227,11 +251,11 @@ class TestInfoCommands:
         wrong = [dataclasses.replace(refs[0], expected=refs[0].expected + 1)
                  ] + refs[1:]
         monkeypatch.setattr(table1, "references", lambda: wrong)
-        assert main(["table1"]) == 1
+        assert main([*RUN, "table1", "--store", str(tmp_path)]) == 1
         assert "10/11 reproduced exactly" in capsys.readouterr().out
 
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
+    def test_table2(self, tmp_path, capsys):
+        assert main([*RUN, "table2", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "2T_01" in out
         assert "8T_11" in out
@@ -268,8 +292,8 @@ def _printed_tables(text):
 
 
 class TestSectionVerbs:
-    """``repro <name>``, ``repro campaign run <name>`` and the report are
-    three renderings of one section declaration."""
+    """The store-less serial path, ``repro campaign run <name>`` and the
+    report are three renderings of one section declaration."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory):
@@ -278,19 +302,22 @@ class TestSectionVerbs:
     @pytest.mark.parametrize("name", SECTION_ORDER)
     def test_serial_campaign_and_report_tables_agree(self, name, store,
                                                      tmp_path, capsys):
+        from repro.campaign.runner import run_serial
         from repro.campaign.store import ResultStore
+        from repro.experiments.common import WorkloadRunner
         from repro.reporting.build import build_report
         from repro.reporting.emit import write_report
+        from repro.reporting.sections import SECTIONS, section_text
 
-        flags = MICRO_FLAGS if name.startswith("fig") else []
-        assert main([name] + flags) == 0
-        serial = _printed_tables(capsys.readouterr().out)
+        scale = _scale_from_args(
+            build_parser().parse_args([*RUN, name] + MICRO_FLAGS))
+        spec = SECTIONS[name]
+        serial = _printed_tables(section_text(spec.build(
+            scale, run_serial(spec.matrix(scale), WorkloadRunner(scale)))))
         assert main(["campaign", "run", name, "--jobs", "1",
                      "--store", store] + MICRO_FLAGS) == 0
         campaign = _printed_tables(capsys.readouterr().out)
 
-        scale = _scale_from_args(
-            build_parser().parse_args(["fig6"] + MICRO_FLAGS))
         report, campaign_report = build_report(
             scale, ResultStore(store), resolve_sections([name]))
         assert campaign_report.executed == 0
@@ -303,7 +330,9 @@ class TestSectionVerbs:
         assert reported and serial == reported and campaign == reported
 
     def test_all_shares_one_runner_and_simulates_each_point_once(
-            self, capsys, monkeypatch):
+            self, tmp_path, capsys, monkeypatch):
+        from repro.campaign.jobs import KIND_OUTCOME
+        from repro.campaign.runner import plan_jobs
         from repro.experiments.common import WorkloadRunner
 
         executed, runners = _count_executed_jobs(monkeypatch), []
@@ -312,15 +341,18 @@ class TestSectionVerbs:
             WorkloadRunner, "__init__",
             lambda self, scale: (runners.append(self), init(self, scale))[1])
 
-        assert main(["all"] + MICRO_FLAGS) == 0
+        argv = [*RUN, "all", "--jobs", "1"] + MICRO_FLAGS
+        assert main(argv + ["--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
 
-        scale = _scale_from_args(
-            build_parser().parse_args(["all"] + MICRO_FLAGS))
+        scale = _scale_from_args(build_parser().parse_args(argv))
         union = [job for spec in resolve_sections()
                  for job in spec.matrix(scale)]
         assert len(set(union)) < len(union)       # fig9 re-lists fig7
-        assert len(executed) == len(set(executed)) == len(set(union))
+        # Each point (and each isolation run the points read) once.
+        assert len(executed) == len(set(executed)) == plan_jobs(union).total
+        assert {job for job in executed
+                if job.kind == KIND_OUTCOME} == set(union)
         assert len(runners) == 1
         titles = [title for title, _, _ in _printed_tables(out)]
         assert len(titles) == len(set(titles))
@@ -339,9 +371,8 @@ class TestReportCommands:
     def test_run_build_check_handoff(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         out = str(tmp_path / "out")
-        assert main(["report", "run", "--scale", "micro",
-                     "--only", "table1,table2", "--jobs", "2",
-                     "--store", store]) == 0
+        assert main([*RUN, "table1", "table2", "--scale", "micro",
+                     "--jobs", "2", "--store", store]) == 0
         text = capsys.readouterr().out
         assert "manifest" in text and "scale: micro" in text
         # Flag-less build picks scale + sections up from the manifest.
@@ -383,47 +414,91 @@ class TestReportCommands:
 
     def test_only_tolerates_whitespace(self, tmp_path, capsys):
         # Natural shell quoting: --only "table1, table2".
-        assert main(["report", "run", "--scale", "micro",
+        assert main(["report", "build", "--scale", "micro",
                      "--only", "table1, table2",
-                     "--store", str(tmp_path / "store")]) == 0
-        assert "table1, table2" in capsys.readouterr().out
+                     "--store", str(tmp_path / "store"),
+                     "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "report.json").read_text(
+            encoding="utf-8"))
+        assert [s["name"] for s in payload["sections"]] == ["table1",
+                                                            "table2"]
 
     def test_unknown_section_raises(self, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
-            main(["report", "run", "--scale", "micro", "--only", "fig99",
+            main(["report", "build", "--scale", "micro", "--only", "fig99",
                   "--store", str(tmp_path / "store")])
         assert exit_info.value.code == 2
 
     def test_unknown_scale_raises(self, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
-            main(["report", "run", "--scale", "gigantic",
+            main([*RUN, "all", "--scale", "gigantic",
                   "--store", str(tmp_path / "store")])
         assert exit_info.value.code == 2
 
     def test_run_fails_without_a_manifest_when_a_job_fails(
             self, tmp_path, capsys, monkeypatch):
-        """One job that raises fails the run: exit 1, the failure listed
-        the way ``campaign run`` lists it, and no manifest for ``build``
-        to pick up as if the store were complete."""
-        from repro.campaign import runner as campaign_runner
+        """One job that raises fails the run: exit 1, the failure listed,
+        and no manifest for ``build`` to pick up as if the store were
+        complete."""
         from repro.campaign.store import ResultStore
         from repro.reporting.build import manifest_path
 
-        execute_job = campaign_runner.execute_job
-        calls = []
-
-        def fail_first(job, runner):
-            calls.append(job)
-            if job == calls[0]:        # on every attempt: permanently
-                raise RuntimeError("injected job failure")
-            return execute_job(job, runner)
-
-        monkeypatch.setattr(campaign_runner, "execute_job", fail_first)
+        calls = _fail_first_job(monkeypatch)
         store = tmp_path / "store"
-        assert main(["report", "run", "--scale", "micro", "--only", "fig6",
-                     "--jobs", "1", "--store", str(store)]) == 1
+        assert main([*RUN, "fig6", "--scale", "micro", "--jobs", "1",
+                     "--store", str(store)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and "failed permanently:" in err
         assert "RuntimeError: injected job failure (after 3 attempts)" in err
         assert len(calls) > 1
         assert not manifest_path(ResultStore(store)).exists()
+
+    def test_build_lists_a_failed_job_and_writes_no_report(
+            self, tmp_path, capsys, monkeypatch):
+        """A job that fails permanently inside ``report build`` is listed
+        the way ``campaign run`` lists it, exit 1 — not a ``KeyError``
+        from ``assemble`` — and no ``report.*`` is written."""
+        calls = _fail_first_job(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["report", "build", "--scale", "micro", "--only", "fig6",
+                     "--jobs", "1", "--store", str(tmp_path / "store"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and "failed permanently:" in err
+        assert "RuntimeError: injected job failure (after 3 attempts)" in err
+        assert len(calls) > 1
+        assert not out.exists()
+
+    def test_run_writes_the_manifest_only_for_report_sections(
+            self, tmp_path, capsys):
+        """``smoke`` is no report section: a run of it alone records no
+        manifest, and a run that adds a section records that section."""
+        from repro.campaign.store import ResultStore
+        from repro.reporting.build import manifest_path, read_manifest
+
+        store = ResultStore(tmp_path / "store")
+        argv = ["--jobs", "1", "--store", str(store.root)] + MICRO_FLAGS
+        assert main([*RUN, "smoke"] + argv) == 0
+        assert not manifest_path(store).exists()
+        assert main([*RUN, "smoke", "table1"] + argv) == 0
+        manifest = read_manifest(store)
+        assert manifest["sections"] == ["table1"]
+        assert manifest["scale_name"] == "16"
+
+    def test_clean_removes_the_manifest(self, tmp_path, capsys):
+        """A manifest left without its objects would send a flag-less
+        ``report build`` into a silent full recompute."""
+        from repro.campaign.store import ResultStore
+        from repro.reporting.build import manifest_path
+
+        store = ResultStore(tmp_path / "store")
+        assert main([*RUN, "smoke", "table1", "--jobs", "1",
+                     "--store", str(store.root)] + MICRO_FLAGS) == 0
+        assert manifest_path(store).is_file()
+        capsys.readouterr()
+        assert main(["campaign", "clean", "--store", str(store.root)]) == 0
+        assert ("removed 4 object(s) and the report manifest"
+                in capsys.readouterr().out)
+        assert not manifest_path(store).exists()
+        assert len(store) == 0
+

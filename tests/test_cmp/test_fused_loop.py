@@ -40,7 +40,7 @@ from repro.workloads.writes import overlay_writes
 
 KNOBS = dict(atd_sampling=4, interval_cycles=20_000)
 
-#: The seven (policy, scheme) pairs a cold ``report run`` executes.
+#: The seven (policy, scheme) pairs a cold ``campaign run all`` executes.
 SHIPPED_PAIRS = [
     (("lru", "none"), config_unpartitioned("lru")),
     (("nru", "none"), config_unpartitioned("nru")),

@@ -8,6 +8,7 @@ count.  The numbers are meaningless at this scale — the assertions check
 
 import pytest
 
+from repro.campaign.runner import run_serial
 from repro.experiments import fig6, fig7, fig8, fig9, table1, table2
 from repro.experiments.common import ExperimentScale, WorkloadRunner
 from repro.experiments.report import format_tables
@@ -27,11 +28,15 @@ def runner():
     return WorkloadRunner(MICRO)
 
 
+def _serial_results(module):
+    """A figure's matrix run store-less, on a fresh runner."""
+    return run_serial(module.matrix(MICRO), WorkloadRunner(MICRO))
+
+
 class TestFig6Micro:
     @pytest.fixture(scope="class")
-    def data(self, request):
-        runner = WorkloadRunner(MICRO)
-        return fig6.run(MICRO, runner=runner)
+    def data(self):
+        return fig6.assemble(MICRO, _serial_results(fig6))
 
     def test_all_cells_present(self, data):
         for metric in fig6.METRICS:
@@ -57,8 +62,12 @@ class TestFig6Micro:
 
 class TestFig7Micro:
     @pytest.fixture(scope="class")
-    def data(self):
-        return fig7.run(MICRO, runner=WorkloadRunner(MICRO))
+    def results(self):
+        return _serial_results(fig7)
+
+    @pytest.fixture(scope="class")
+    def data(self, results):
+        return fig7.assemble(MICRO, results)
 
     def test_baseline_is_unity(self, data):
         for metric in fig7.METRICS:
@@ -70,8 +79,8 @@ class TestFig7Micro:
             for acronym in fig7.ACRONYMS:
                 assert acronym in data.relative["throughput"][cores]
 
-    def test_outcomes_cached_for_fig9(self, data):
-        fig9_data = fig9.run(MICRO, fig7_data=data)
+    def test_outcomes_cached_for_fig9(self, results):
+        fig9_data = fig9.assemble(MICRO, results)
         for cores in fig9.CORE_COUNTS:
             assert fig9_data.relative_power[cores]["C-L"] == pytest.approx(1.0)
             assert fig9_data.relative_energy[cores]["C-L"] == pytest.approx(1.0)
@@ -89,7 +98,7 @@ class TestFig7Micro:
 
 class TestFig8Micro:
     def test_pairs_and_average(self):
-        data = fig8.run(MICRO, runner=WorkloadRunner(MICRO))
+        data = fig8.assemble(MICRO, _serial_results(fig8))
         blocks = fig8.tables(data)
         assert len(blocks) == len(fig8.PAIRS)
         for (_, _, panel), block in zip(fig8.PAIRS, blocks):

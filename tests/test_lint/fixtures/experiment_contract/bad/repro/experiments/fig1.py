@@ -1,4 +1,4 @@
-"""Bad: missing references() and tables(); run() takes three required
+"""Bad: missing references() and tables(); assemble() takes three required
 positionals."""
 
 
@@ -7,14 +7,9 @@ def matrix(scale):
     return []
 
 
-def assemble(scale, results):
-    """Fold raw results into figure data."""
-    return {"scale": scale, "results": results}
-
-
-def run(scale, runner, mandatory_extra):
+def assemble(scale, results, mandatory_extra):
     """A third *required* positional breaks every caller."""
-    return assemble(scale, [])
+    return {"scale": scale, "results": results}
 
 
 def charts(data):

@@ -6,14 +6,9 @@ def matrix(scale):
     return []
 
 
-def assemble(scale, results):
-    """Fold raw results into figure data."""
-    return {"scale": scale, "results": results}
-
-
-def run(scale=None, runner=None, extra=None):
+def assemble(scale, results, extra=None):
     """Extra *optional* parameters beyond the contract arity are fine."""
-    return assemble(scale, [])
+    return {"scale": scale, "results": results}
 
 
 def tables(data):

@@ -1,4 +1,4 @@
-"""Good: a static table module — the figure surface minus run()/charts()."""
+"""Good: a static table module — the figure surface minus charts()."""
 
 
 def matrix(scale=None):

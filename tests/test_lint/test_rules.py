@@ -146,11 +146,12 @@ class TestExperimentContract:
                     for d in lint_fixture("experiment-contract", "bad")]
         assert any("does not export references()" in m for m in messages)
         assert any("does not export tables()" in m for m in messages)
-        assert any("run() cannot be called with 2" in m for m in messages)
+        assert any("assemble() cannot be called with 2" in m
+                   for m in messages)
 
     def test_good_run_may_take_optional_extras(self, lint_fixture):
-        """fig9-style run(scale, runner, extra=None) satisfies arity 2, and
-        a table module needs neither run() nor charts()."""
+        """assemble(scale, results, extra=None) satisfies arity 2, and a
+        table module needs no charts()."""
         assert lint_fixture("experiment-contract", "good") == []
 
     def test_tables_share_the_registry_surface(self):

@@ -3,7 +3,7 @@
 
 Wraps ``repro.cache.transitions.bind`` — the one entry point every
 rendered kernel is built through — from outside ``src/``, runs one cold
-serial ``repro report run --scale SCALE`` into a temporary store and
+serial ``repro campaign run all --scale SCALE`` into a temporary store and
 prints, as JSON, how many kernels each ``(policy, scheme)`` key built per
 rendering (``observe`` / ``loop``, and the L1s' ``prefilter``, which
 holds no fragment), the same counts per *policy fragment* and per
@@ -31,7 +31,7 @@ was built; with ``cc`` on ``PATH`` a stock loop, drain or prefilter that
 did not load is a failed or disabled build, and so is a policy whose
 drains were never bound at all, or a report whose L1s never bound the
 prefilter: the exit status is 1.  ``warm`` is the same ``targets`` from
-a second report run in a fresh process against the same object cache
+a second such run in a fresh process against the same object cache
 (``cc`` hosts only): a compiled object is found by its rendering, so
 every key there must be a ``hit`` — one that was built again, or did not
 load, is exit status 1.
@@ -120,8 +120,8 @@ def _counting_load(load, walks):
 
 def measure(scale: str) -> dict:
     """Builds per rendering per key and per fragment, batched runs per
-    thread count and L1 walks per window, over one cold serial report
-    run."""
+    thread count and L1 walks per window, over one cold serial
+    ``campaign run all``."""
     runs = {}
     BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
     walks = {"walks": 0, "windows": 0, "one_window_max": 0}
@@ -141,10 +141,11 @@ def measure(scale: str) -> dict:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kernel-traffic-") as store:
         with contextlib.redirect_stdout(sys.stderr):
-            status = cli.main(["report", "run", "--scale", scale,
+            status = cli.main(["campaign", "run", "all", "--scale", scale,
                                "--jobs", "1", "--store", store])
     if status:
-        raise SystemExit(f"report run --scale {scale} exited {status}")
+        raise SystemExit(
+            f"campaign run all --scale {scale} exited {status}")
     return {"scale": scale,
             "wall_s": round(time.perf_counter() - start, 1),
             "builds": builds,
