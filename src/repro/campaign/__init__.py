@@ -9,15 +9,15 @@ scheduler with deterministic per-job seeding, and memoises results in a
 store keyed by a stable content hash of (configuration, trace recipe,
 engine version).  Re-runs, interrupted sweeps and sub-results shared
 between figures (the LRU isolation budgets every figure needs) become
-cache hits instead of re-simulation — including across machines, through
-the HTTP store backend.
+cache hits instead of re-simulation — including across machines, when
+the store reads through a shared ``repro campaign serve`` URL.
 
 Layering::
 
     jobs.py      Job specs + isolation-dependency expansion
     hashing.py   canonical spec JSON -> SHA-256 store keys
-    store.py     content-addressed store over pluggable byte backends
-                 (local disk, HTTP client, read-through caching)
+    store.py     content-addressed store: a local directory, optionally
+                 a read-through cache of one HTTP store URL
     server.py    the HTTP object endpoint (`repro campaign serve`)
     pool.py      worker pools: serial, persistent processes, remote
                  socket workers (`repro campaign worker`)
@@ -66,35 +66,21 @@ from repro.campaign.scheduler import (
     locality_key,
 )
 from repro.campaign.server import StoreServer
-from repro.campaign.store import (
-    CachingStore,
-    HTTPBackend,
-    LocalBackend,
-    ResultStore,
-    StoreBackend,
-    default_store_path,
-    open_store,
-    store_from_spec,
-    store_spec,
-)
+from repro.campaign.store import ResultStore, default_store_path, open_store
 
 __all__ = [
-    "CachingStore",
     "Campaign",
     "CampaignReport",
     "FailedJob",
-    "HTTPBackend",
     "Job",
     "KIND_ISOLATION",
     "KIND_OUTCOME",
-    "LocalBackend",
     "ProcessPool",
     "ReadySetScheduler",
     "RemotePool",
     "ResultStore",
     "SchedulerStats",
     "SerialPool",
-    "StoreBackend",
     "StoreServer",
     "StoreWorkloadRunner",
     "WorkerPool",
@@ -111,6 +97,4 @@ __all__ = [
     "resolve_workers",
     "run_remote_worker",
     "run_serial",
-    "store_from_spec",
-    "store_spec",
 ]

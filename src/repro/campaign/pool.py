@@ -22,9 +22,10 @@ Three implementations:
     :class:`~.runner.StoreWorkloadRunner` (traces, isolation memos,
     engine memos) warm across jobs *and* across the isolation/outcome
     boundary — the churn the old per-stage ``multiprocessing.Pool``
-    paid twice per run.  Dead workers are detected by liveness polling
-    and respawned; the lost in-flight job is surfaced as a ``died`` event
-    for the scheduler to requeue.
+    paid twice per run.  Each worker receives the :class:`ResultStore`
+    value itself and talks over its own pipe; a dead worker is found by
+    EOF on that pipe and respawned, and the lost in-flight job is
+    surfaced as a ``died`` event for the scheduler to requeue.
 :class:`RemotePool`
     A stdlib-socket job server.  Workers — ``repro campaign worker
     HOST:PORT`` processes, on this machine or others — connect, receive a
@@ -60,7 +61,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.jobs import Job
 from repro.campaign.server import MAX_BODY_BYTES
-from repro.campaign.store import ResultStore, store_from_spec, store_spec
+from repro.campaign.store import ResultStore
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -224,7 +225,7 @@ class SerialPool(WorkerPool):
 # ----------------------------------------------------------------------
 # ProcessPool
 # ----------------------------------------------------------------------
-def _process_worker(worker: str, spec: Dict[str, Any],
+def _process_worker(worker: str, store: ResultStore,
                     conn, crash_token: Optional[str]) -> None:
     """Worker-process main loop (top level so it pickles under spawn).
 
@@ -234,7 +235,6 @@ def _process_worker(worker: str, spec: Dict[str, Any],
     the coordinator observes as EOF — it can never wedge its siblings the
     way a shared ``multiprocessing.Queue`` write lock can.
     """
-    store = store_from_spec(spec)
     runners: Dict[Any, Any] = {}
     conn.send(("joined", None, ""))
     while True:
@@ -268,7 +268,7 @@ class ProcessPool(WorkerPool):
             raise ValueError(f"process pool needs >= 1 worker, got {workers}")
         self.workers = workers
         self.crash_token = crash_token
-        self._spec: Optional[Dict[str, Any]] = None
+        self._store: Optional[ResultStore] = None
         self._members: Dict[str, Tuple[multiprocessing.Process, Any]] = {}
         self._inflight: Dict[str, Optional[str]] = {}
         self._backlog: deque = deque()
@@ -276,7 +276,7 @@ class ProcessPool(WorkerPool):
         self._closed = False
 
     def start(self, store: ResultStore) -> None:
-        self._spec = store_spec(store)
+        self._store = store
         for _ in range(self.workers):
             self._spawn()
 
@@ -287,7 +287,7 @@ class ProcessPool(WorkerPool):
         parent_conn, child_conn = multiprocessing.Pipe()
         proc = multiprocessing.Process(
             target=_process_worker,
-            args=(worker, self._spec, child_conn, self.crash_token),
+            args=(worker, self._store, child_conn, self.crash_token),
             daemon=True)
         proc.start()
         child_conn.close()  # parent keeps only its own end
@@ -515,13 +515,23 @@ class RemotePool(WorkerPool):
 # ----------------------------------------------------------------------
 # Remote worker client (the `repro campaign worker` loop)
 # ----------------------------------------------------------------------
+#: Seconds one attempt to dial the coordinator may take.
+_DIAL_TIMEOUT = 5.0
+
+
 def _connect_with_retry(address: Tuple[str, int],
                         timeout: float) -> socket.socket:
-    """Dial the coordinator, retrying until ``timeout`` elapses."""
+    """Dial the coordinator, retrying until ``timeout`` elapses.
+
+    The returned socket blocks without a timeout: a worker may wait any
+    time for its next job, and only EOF means the coordinator is gone.
+    """
     deadline = time.monotonic() + timeout
     while True:
         try:
-            return socket.create_connection(address, timeout=5.0)
+            sock = socket.create_connection(address, timeout=_DIAL_TIMEOUT)
+            sock.settimeout(None)
+            return sock
         except OSError:
             if time.monotonic() >= deadline:
                 raise

@@ -17,10 +17,12 @@ one over :data:`MAX_BODY_BYTES` a 413, before a byte of its body is
 read.  Request counts (``stats``) are kept under a lock: handlers run on
 one thread per connection.
 
-The server is a coordination point for :class:`~.store.HTTPBackend`
-clients (usually wrapped in a read-through ``CachingStore``).  It speaks
-plain HTTP with no authentication — run it on a trusted network only,
-exactly like the pickle-framed job channel in :mod:`.pool`.
+Objects are read and written through :mod:`.store`'s layout helpers,
+so the served directory has exactly the layout of a local store.  The
+clients are :class:`~.store.ResultStore` values with a ``url``, each
+reading through its own local directory.  The server speaks plain HTTP
+with no authentication — run it on a trusted network only, exactly like
+the pickle-framed job channel in :mod:`.pool`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.campaign.store import LocalBackend
+from repro.campaign.store import (delete_object, read_object, stored_keys,
+                                  write_object)
 
 #: Store keys are hex digests; anything else is rejected before it can
 #: reach the filesystem (this is also the path-traversal guard).
@@ -48,9 +51,9 @@ _LENGTH_RE = re.compile(r"[0-9]+")
 
 
 class _StoreHandler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`LocalBackend` (see module doc)."""
+    """Request handler bound to one store directory (see module doc)."""
 
-    backend: LocalBackend = None  # type: ignore[assignment]
+    root: Path = None  # type: ignore[assignment]
     stats: Dict[str, int] = {}
     lock = threading.Lock()
     protocol_version = "HTTP/1.1"
@@ -101,7 +104,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self._reply(200, b"ok", "text/plain")
             return
         if self.path == "/keys":
-            body = json.dumps(sorted(self.backend.keys())).encode("utf-8")
+            body = json.dumps(list(stored_keys(self.root))).encode("utf-8")
             self._count("keys")
             self._reply(200, body, "application/json")
             return
@@ -109,7 +112,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         if key is None:
             self._reply(404, b"bad path", "text/plain")
             return
-        data = self.backend.load(key)
+        data = read_object(self.root, key)
         self._count("get")
         if data is None:
             self._count("get_miss")
@@ -127,11 +130,11 @@ class _StoreHandler(BaseHTTPRequestHandler):
             self._reply(400, b"bad key", "text/plain")
             return
         self._count("put")
-        if self.backend.load(key) is not None:
+        if read_object(self.root, key) is not None:
             self._count("put_dedup")
             self._reply(200, b"exists", "text/plain")
             return
-        self.backend.store(key, body)
+        write_object(self.root, key, body)
         self._reply(201, b"stored", "text/plain")
 
     def do_DELETE(self) -> None:
@@ -140,7 +143,7 @@ class _StoreHandler(BaseHTTPRequestHandler):
         if key is None:
             self._reply(400, b"bad key", "text/plain")
             return
-        existed = self.backend.delete(key)
+        existed = delete_object(self.root, key)
         self._reply(200 if existed else 404, b"", "text/plain")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -157,14 +160,13 @@ class StoreServer:
 
     def __init__(self, root: Union[str, Path], host: str = "127.0.0.1",
                  port: int = 0) -> None:
-        backend = LocalBackend(root)
+        self.root = Path(root)
         stats: Dict[str, int] = {}
         handler = type("_BoundStoreHandler", (_StoreHandler,),
-                       {"backend": backend, "stats": stats,
+                       {"root": self.root, "stats": stats,
                         "lock": threading.Lock()})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
-        self.backend = backend
         self.stats = stats
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None

@@ -1,34 +1,31 @@
-"""Content-addressed result store over pluggable byte backends.
+"""Content-addressed result store: a local directory, optionally read
+through one shared HTTP store.
 
 Results live under ``<root>/objects/<key[:2]>/<key>.pkl`` — the same
 two-level fan-out git uses, keyed by :func:`repro.campaign.hashing.job_key`.
 Each object is a pickle of ``{"key", "spec", "value"}``; the canonical spec
 string rides along purely for debuggability (``repro campaign status`` and
 humans poking at the store can see *what* a blob is without recomputing
-hashes).
+hashes).  The module-level layout helpers (:func:`object_path`,
+:func:`read_object`, :func:`write_object`, :func:`delete_object`,
+:func:`stored_keys`) are the only code that touches that layout: both
+:class:`ResultStore` and the ``repro campaign serve`` endpoint
+(:mod:`.server`) go through them.  Publishes are atomic
+(:func:`os.replace`); many writers may race on one key — last writer wins
+with identical bytes, jobs being deterministic.
 
-The byte-level transport is a :class:`StoreBackend`:
+A :class:`ResultStore` is the value ``(root, url)``.  Without a ``url`` it
+is that directory.  With one, the directory is a read-through cache of the
+``repro campaign serve`` endpoint at ``url``: reads hit the directory
+first, and a remote hit is validated before it is copied in, so every key
+crosses the network at most once per machine; writes go remote-first (the
+remote is the shared source), then warm the directory.  Being a plain
+value, a store pickles as it is into process workers.
 
-* :class:`LocalBackend` — the historical on-disk layout (atomic
-  :func:`os.replace` publishes; many writers may race on one key — last
-  writer wins with an identical value, jobs being deterministic);
-* :class:`HTTPBackend` — a client for the ``repro campaign serve`` object
-  endpoint (GET/PUT/DELETE by key), so workers on other machines share one
-  store;
-* :class:`CachingStore` — a read-through composition: reads hit a local
-  :class:`LocalBackend` cache first, misses fall through to the remote and
-  are cached on the way back; writes go remote-first, then warm the cache.
-
-Every backend is described by a small picklable *spec* dict
-(:func:`store_spec` / :func:`store_from_spec`), which is how worker
-processes and remote workers reconstruct their store handle.
-
-Corruption model, unchanged from the local-only store: a corrupt or
-truncated object (interrupted run, disk trouble, damaged transfer) reads
-as a *miss* and is simply recomputed; the store is a cache, never the
-source of truth.  :class:`CachingStore` additionally validates remote
-bytes *before* caching them, so a damaged remote object is never copied
-into the local cache.
+Corruption model: a corrupt or truncated object (interrupted run, disk
+trouble, damaged transfer) reads as a *miss* and is simply recomputed;
+the store is a cache, never the source of truth.  Damaged remote bytes
+are never copied into the directory.
 """
 
 from __future__ import annotations
@@ -38,10 +35,9 @@ import json
 import os
 import pickle
 import tempfile
-import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 #: Environment override for the default store location.
 STORE_ENV = "REPRO_STORE"
@@ -49,6 +45,9 @@ STORE_ENV = "REPRO_STORE"
 STORE_URL_ENV = "REPRO_STORE_URL"
 #: Default store directory (relative to the working directory).
 DEFAULT_STORE = ".repro-store"
+
+#: Seconds one request to a remote store may take.
+_HTTP_TIMEOUT = 30.0
 
 #: Exceptions meaning "this pickle is damaged": ``ValueError`` covers
 #: corrupt protocol bytes, the rest covers truncation, missing classes and
@@ -95,286 +94,116 @@ def parse_payload(key: str, data: bytes) -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# Backends
+# The on-disk layout
 # ----------------------------------------------------------------------
-class StoreBackend:
-    """Byte-level transport behind :class:`ResultStore`.
-
-    The contract is deliberately dumb: opaque bytes by key.  ``store``
-    must be atomic (a concurrent reader sees the old object or the new
-    one, never a torn write) and idempotent — keys are content hashes, so
-    double-publishes carry identical bytes and either order wins.
-    Payload validation lives above, in :class:`ResultStore` (and in
-    :class:`CachingStore`, which refuses to cache damaged remote bytes).
-    """
-
-    kind = "backend"
-
-    def load(self, key: str) -> Optional[bytes]:
-        """Raw bytes of one object, or None on miss."""
-        raise NotImplementedError
-
-    def store(self, key: str, data: bytes) -> Optional[Path]:
-        """Atomically publish ``data`` under ``key``.
-
-        Returns the local path when the backend has one (the historical
-        :meth:`ResultStore.put` return value), else None.
-        """
-        raise NotImplementedError
-
-    def delete(self, key: str) -> bool:
-        """Remove one object; True if it existed."""
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        """All keys currently stored."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Human-readable location (a directory, a URL, a composition)."""
-        raise NotImplementedError
-
-    def spec(self) -> Dict[str, Any]:
-        """Picklable recipe for :func:`backend_from_spec`."""
-        raise NotImplementedError
+def object_path(root: Path, key: str) -> Path:
+    """Location of one key under a store directory (existence not implied)."""
+    return root / "objects" / key[:2] / f"{key}.pkl"
 
 
-class LocalBackend(StoreBackend):
-    """The on-disk object layout (``objects/<key[:2]>/<key>.pkl``)."""
+def read_object(root: Path, key: str) -> Optional[bytes]:
+    """Raw bytes of one object, or None on miss."""
+    try:
+        with open(object_path(root, key), "rb") as fh:
+            return fh.read()
+    except OSError:
+        return None
 
-    kind = "local"
 
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self._objects = self.root / "objects"
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of one key (existence not implied)."""
-        return self._objects / key[:2] / f"{key}.pkl"
-
-    def load(self, key: str) -> Optional[bytes]:
+def write_object(root: Path, key: str, data: bytes) -> Path:
+    """Atomically publish ``data`` under ``key``; returns its path."""
+    path = object_path(root, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with open(self.path_for(key), "rb") as fh:
-                return fh.read()
+            os.unlink(tmp)
         except OSError:
-            return None
+            pass
+        raise
+    return path
 
-    def store(self, key: str, data: bytes) -> Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
 
-    def delete(self, key: str) -> bool:
-        try:
-            os.unlink(self.path_for(key))
-            return True
-        except OSError:
-            return False
+def delete_object(root: Path, key: str) -> bool:
+    """Remove one object; True if it existed."""
+    try:
+        os.unlink(object_path(root, key))
+        return True
+    except OSError:
+        return False
 
-    def keys(self) -> Iterator[str]:
-        if not self._objects.is_dir():
-            return
-        for shard in sorted(self._objects.iterdir()):
-            if not shard.is_dir():
-                continue
+
+def stored_keys(root: Path) -> Iterator[str]:
+    """Every key stored under a directory, in sorted order."""
+    objects = root / "objects"
+    if not objects.is_dir():
+        return
+    for shard in sorted(objects.iterdir()):
+        if shard.is_dir():
             for path in sorted(shard.glob("*.pkl")):
                 yield path.stem
 
-    def describe(self) -> str:
-        return str(self.root)
 
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "root": str(self.root)}
-
-
+# ----------------------------------------------------------------------
+# The remote side
+# ----------------------------------------------------------------------
 class StoreUnavailable(RuntimeError):
-    """A remote store write could not be completed.
+    """A remote store could not be written to or listed.
 
-    Raised only on the *publish* side: a worker whose result cannot be
-    stored must fail the job (the coordinator requeues it) rather than
-    report success for a value nobody can read back.  Remote *reads*
+    A worker whose result cannot be stored must fail the job (the
+    coordinator requeues it) rather than report success for a value
+    nobody can read back, and a listing that cannot reach the remote
+    must not pass off the local directory as the store.  Remote *reads*
     degrade to a miss instead — the store is a cache.
     """
 
 
-class HTTPBackend(StoreBackend):
-    """Client for the ``repro campaign serve`` HTTP object endpoint.
-
-    GETs return the raw object bytes (404 = miss); PUTs publish with
-    server-side atomic dedup (an existing key is left untouched — content
-    addressing makes the bytes identical by construction).  Connection
-    errors on reads degrade to a miss; on writes they raise
-    :class:`StoreUnavailable` so the job is retried rather than silently
-    lost.
-    """
-
-    kind = "http"
-
-    def __init__(self, url: str, timeout: float = 30.0) -> None:
-        self.url = url.rstrip("/")
-        self.timeout = timeout
-
-    def _object_url(self, key: str) -> str:
-        """Endpoint URL of one key."""
-        return f"{self.url}/objects/{key}"
-
-    def load(self, key: str) -> Optional[bytes]:
-        try:
-            with urllib.request.urlopen(self._object_url(key),
-                                        timeout=self.timeout) as resp:
-                return resp.read()
-        except (urllib.error.URLError, OSError):
-            return None
-
-    def store(self, key: str, data: bytes) -> None:
-        req = urllib.request.Request(self._object_url(key), data=data,
-                                     method="PUT")
+def _request(method: str, url: str, data: Optional[bytes] = None) -> bytes:
+    """One HTTP exchange with a ``repro campaign serve`` endpoint; the
+    response body.  Raises :class:`OSError` (``urllib.error.URLError``
+    and ``HTTPError`` among them) on a connection failure or a non-2xx
+    reply."""
+    req = urllib.request.Request(url, data=data, method=method)
+    if data is not None:
         req.add_header("Content-Type", "application/octet-stream")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout):
-                pass
-        except (urllib.error.URLError, OSError) as exc:
-            raise StoreUnavailable(f"PUT {self._object_url(key)}: {exc}")
-        return None
-
-    def delete(self, key: str) -> bool:
-        req = urllib.request.Request(self._object_url(key), method="DELETE")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout):
-                return True
-        except (urllib.error.URLError, OSError):
-            return False
-
-    def keys(self) -> Iterator[str]:
-        try:
-            with urllib.request.urlopen(f"{self.url}/keys",
-                                        timeout=self.timeout) as resp:
-                listed = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError):
-            listed = []
-        yield from listed
-
-    def describe(self) -> str:
-        return self.url
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "url": self.url, "timeout": self.timeout}
-
-
-class CachingStore(StoreBackend):
-    """Read-through cache: a local backend in front of a remote one.
-
-    Reads consult the cache first; a validated remote hit is copied into
-    the cache on the way back, so every key crosses the network at most
-    once per machine.  Damaged bytes — cached *or* remote — read as a
-    miss and are never propagated into the cache.  Writes are
-    remote-first (the remote is the shared source), then warm the cache.
-    """
-
-    kind = "caching"
-
-    def __init__(self, remote: StoreBackend, cache: LocalBackend) -> None:
-        self.remote = remote
-        self.cache = cache
-
-    @property
-    def root(self) -> Path:
-        """The local cache directory (for path-based tooling)."""
-        return self.cache.root
-
-    def path_for(self, key: str) -> Path:
-        """Cache-side location of one key (existence not implied)."""
-        return self.cache.path_for(key)
-
-    def load(self, key: str) -> Optional[bytes]:
-        data = self.cache.load(key)
-        if data is not None and parse_payload(key, data) is not None:
-            return data
-        data = self.remote.load(key)
-        if data is None or parse_payload(key, data) is None:
-            return None
-        self.cache.store(key, data)
-        return data
-
-    def store(self, key: str, data: bytes) -> Optional[Path]:
-        self.remote.store(key, data)
-        return self.cache.store(key, data)
-
-    def delete(self, key: str) -> bool:
-        remote = self.remote.delete(key)
-        local = self.cache.delete(key)
-        return remote or local
-
-    def keys(self) -> Iterator[str]:
-        listed = list(self.remote.keys())
-        if listed:
-            yield from listed
-        else:
-            yield from self.cache.keys()
-
-    def describe(self) -> str:
-        return f"{self.remote.describe()} (cache: {self.cache.describe()})"
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "remote": self.remote.spec(),
-                "cache": self.cache.spec()}
-
-
-def backend_from_spec(spec: Dict[str, Any]) -> StoreBackend:
-    """Rebuild a backend from its :meth:`StoreBackend.spec` dict."""
-    kind = spec.get("kind")
-    if kind == "local":
-        return LocalBackend(spec["root"])
-    if kind == "http":
-        return HTTPBackend(spec["url"], timeout=spec.get("timeout", 30.0))
-    if kind == "caching":
-        remote = backend_from_spec(spec["remote"])
-        cache = backend_from_spec(spec["cache"])
-        if not isinstance(cache, LocalBackend):
-            raise ValueError("caching store requires a local cache backend")
-        return CachingStore(remote, cache)
-    raise ValueError(f"unknown store backend spec: {spec!r}")
+    with urllib.request.urlopen(req, timeout=_HTTP_TIMEOUT) as resp:
+        return resp.read()
 
 
 # ----------------------------------------------------------------------
-# The store front-end
+# The store
 # ----------------------------------------------------------------------
 class ResultStore:
     """Content-addressed pickle store (see the module docstring).
 
-    ``ResultStore(root)`` keeps the historical local-directory behaviour;
-    ``ResultStore(backend=...)`` runs the same payload framing over any
-    :class:`StoreBackend`.
+    ``root`` defaults to :func:`default_store_path`; ``url`` names a
+    ``repro campaign serve`` endpoint the directory caches.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None,
-                 backend: Optional[StoreBackend] = None) -> None:
-        if backend is None:
-            backend = LocalBackend(
-                root if root is not None else default_store_path())
-        self.backend = backend
-        #: Local directory of the backend (None for a purely remote store).
-        self.root: Optional[Path] = getattr(backend, "root", None)
+                 url: Optional[str] = None) -> None:
+        self.root = Path(root if root is not None else default_store_path())
+        self.url = url.rstrip("/") if url else None
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ResultStore)
+                and (self.root, self.url) == (other.root, other.url))
+
+    def __hash__(self) -> int:
+        return hash((self.root, self.url))
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
-        """On-disk location of one key (existence not implied).
+        """On-disk location of one key (existence not implied)."""
+        return object_path(self.root, key)
 
-        Only meaningful for backends with a local side (``LocalBackend``,
-        ``CachingStore``); raises :class:`AttributeError` otherwise.
-        """
-        return self.backend.path_for(key)  # type: ignore[attr-defined]
+    def _object_url(self, key: str) -> str:
+        """Remote endpoint of one key."""
+        return f"{self.url}/objects/{key}"
 
     def __contains__(self, key: str) -> bool:
         # Full validation, not just is_file(): a truncated object must
@@ -383,11 +212,22 @@ class ResultStore:
         return self._load(key) is not None
 
     def _load(self, key: str) -> Optional[dict]:
-        """Payload dict of one object; None on miss or any corruption."""
-        data = self.backend.load(key)
-        if data is None:
+        """Payload dict of one object; None on miss or any corruption.
+
+        A remote hit is validated before it is copied into the directory.
+        """
+        data = read_object(self.root, key)
+        payload = parse_payload(key, data) if data is not None else None
+        if payload is not None or self.url is None:
+            return payload
+        try:
+            data = _request("GET", self._object_url(key))
+        except OSError:
             return None
-        return parse_payload(key, data)
+        payload = parse_payload(key, data)
+        if payload is not None:
+            write_object(self.root, key, data)
+        return payload
 
     def get(self, key: str) -> Optional[Any]:
         """Stored value for ``key``, or None on miss *or* corruption."""
@@ -399,23 +239,42 @@ class ResultStore:
         payload = self._load(key)
         return payload.get("spec") if payload is not None else None
 
-    def put(self, key: str, spec: str, value: Any) -> Optional[Path]:
-        """Atomically publish ``value`` under ``key``.
-
-        Returns the local path on path-backed stores (the historical
-        return value), None on purely remote ones.
-        """
-        payload = canonical_dumps({"key": key, "spec": spec, "value": value})
-        return self.backend.store(key, payload)
+    def put(self, key: str, spec: str, value: Any) -> Path:
+        """Atomically publish ``value`` under ``key``; returns its local
+        path.  With a ``url`` the remote is written first, and a failure
+        there raises :class:`StoreUnavailable`."""
+        data = canonical_dumps({"key": key, "spec": spec, "value": value})
+        if self.url is not None:
+            try:
+                _request("PUT", self._object_url(key), data)
+            except OSError as exc:
+                raise StoreUnavailable(
+                    f"PUT {self._object_url(key)}: {exc}") from exc
+        return write_object(self.root, key, data)
 
     def delete(self, key: str) -> bool:
-        """Remove one object; True if it existed."""
-        return self.backend.delete(key)
+        """Remove one object, remote and local; True if it existed."""
+        remote = False
+        if self.url is not None:
+            try:
+                _request("DELETE", self._object_url(key))
+                remote = True
+            except OSError:
+                pass
+        return delete_object(self.root, key) or remote
 
     # ------------------------------------------------------------------
     def iter_keys(self) -> Iterator[str]:
-        """All keys currently stored."""
-        return self.backend.keys()
+        """Every key a read can return, in sorted order: the directory's,
+        plus the remote's when there is a ``url`` — an unreachable remote
+        raises :class:`StoreUnavailable`."""
+        if self.url is None:
+            return stored_keys(self.root)
+        try:
+            listed = json.loads(_request("GET", f"{self.url}/keys"))
+        except (OSError, ValueError) as exc:
+            raise StoreUnavailable(f"GET {self.url}/keys: {exc}") from exc
+        return iter(sorted(set(listed).union(stored_keys(self.root))))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_keys())
@@ -430,34 +289,19 @@ class ResultStore:
 
     def describe(self) -> str:
         """Human-readable store location."""
-        return self.backend.describe()
-
-
-# ----------------------------------------------------------------------
-# Specs and environment resolution
-# ----------------------------------------------------------------------
-def store_spec(store: ResultStore) -> Dict[str, Any]:
-    """Picklable recipe reconstructing ``store`` in another process."""
-    return store.backend.spec()
-
-
-def store_from_spec(spec: Dict[str, Any]) -> ResultStore:
-    """Rebuild a :class:`ResultStore` from :func:`store_spec` output."""
-    return ResultStore(backend=backend_from_spec(spec))
+        if self.url is None:
+            return str(self.root)
+        return f"{self.url} (cache: {self.root})"
 
 
 def open_store(root: Optional[Union[str, Path]] = None,
                url: Optional[str] = None) -> ResultStore:
     """Open the store the environment (and flags) point at.
 
-    ``url`` (or ``REPRO_STORE_URL``) selects a remote HTTP store wrapped
-    in a read-through cache at ``root`` (or ``REPRO_STORE``); otherwise a
-    plain local store at ``root``.  CLI flags pass their values in
-    explicitly and win over the environment.
+    ``url`` (or ``REPRO_STORE_URL``) selects a remote HTTP store read
+    through a cache at ``root`` (or ``REPRO_STORE``); otherwise a plain
+    local store at ``root``.  CLI flags pass their values in explicitly
+    and win over the environment.
     """
     url = url if url is not None else os.environ.get(STORE_URL_ENV)
-    root = root if root is not None else default_store_path()
-    if url:
-        return ResultStore(
-            backend=CachingStore(HTTPBackend(url), LocalBackend(root)))
-    return ResultStore(root)
+    return ResultStore(root, url)

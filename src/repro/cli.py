@@ -234,11 +234,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign.hashing import job_key
     from repro.campaign.jobs import KIND_OUTCOME, isolation_deps
     from repro.campaign.runner import plan_jobs
+    from repro.campaign.store import StoreUnavailable
     from repro.experiments.report import format_table
 
     scale = _scale_from_args(args)
     specs = _resolve_names(registry.resolve_targets, args.targets or ["all"])
     store = _campaign_store(args)
+    try:
+        objects = len(store)
+    except StoreUnavailable as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 1
     rows = []
     for spec in specs:
         plan = plan_jobs(spec.matrix(scale))
@@ -256,7 +262,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 ready += 1
         rows.append([spec.name, len(plan.outcome), len(plan.isolation),
                      len(cached), plan.total - len(cached), ready])
-    print(f"campaign store: {store.describe()} ({len(store)} object(s))")
+    print(f"campaign store: {store.describe()} ({objects} object(s))")
     print(format_table(
         ["target", "sim jobs", "iso jobs", "cached", "missing", "ready"],
         rows,
@@ -266,10 +272,15 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_clean(args: argparse.Namespace) -> int:
+    from repro.campaign.store import StoreUnavailable
     from repro.reporting.build import manifest_path
 
     store = _campaign_store(args)
-    removed = store.clean()
+    try:
+        removed = store.clean()
+    except StoreUnavailable as exc:
+        print(f"ERROR: nothing removed: {exc}", file=sys.stderr)
+        return 1
     # A manifest without its objects would send `report build` into a
     # silent full recompute.
     manifest = manifest_path(store)
@@ -303,7 +314,7 @@ def _cmd_campaign_serve(args: argparse.Namespace) -> int:
 
     host, port = args.bind or ("127.0.0.1", 0)
     server = StoreServer(args.store or default_store_path(), host, port)
-    print(f"serving store {server.backend.describe()} at {server.url}")
+    print(f"serving store {server.root} at {server.url}")
     print(f"point workers at it with --store-url {server.url} "
           f"(or REPRO_STORE_URL)")
     try:

@@ -11,6 +11,7 @@ from repro.campaign.pool import (
     ProcessPool,
     RemotePool,
     SerialPool,
+    _connect_with_retry,
     _recv_frame,
     _send_frame,
     resolve_workers,
@@ -187,6 +188,37 @@ class TestRemotePool:
             assert port > 0
         finally:
             pool.close()
+
+    def test_a_dialled_socket_has_no_timeout(self):
+        """Only EOF means the coordinator is gone; a read timeout left
+        over from the dial would end an idle worker."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            sock = _connect_with_retry(listener.getsockname()[:2], 5.0)
+            with sock:
+                assert sock.gettimeout() is None
+
+    def test_an_idle_worker_outlives_the_dial_timeout(self, store,
+                                                      monkeypatch):
+        from repro.campaign import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "_DIAL_TIMEOUT", 0.1)
+        pool = RemotePool("127.0.0.1", 0)
+        pool.start(store)
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(run_remote_worker(pool.address,
+                                                          store)),
+            daemon=True)
+        worker.start()
+        try:
+            assert pool.next_event(timeout=10.0).kind == "joined"
+            # Nothing to dispatch: the worker must still be there.
+            assert pool.next_event(timeout=0.5) is None
+            assert worker.is_alive()
+        finally:
+            pool.close()
+        worker.join(timeout=10.0)
+        assert codes == [0]
 
     def test_a_frame_over_the_store_cap_is_refused_unread(self):
         """One cap for both channels: the store server's body limit."""

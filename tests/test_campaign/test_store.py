@@ -12,16 +12,13 @@ import pytest
 from repro.campaign.server import MAX_BODY_BYTES, StoreServer
 from repro.campaign.store import (
     DEFAULT_STORE,
-    CachingStore,
-    HTTPBackend,
-    LocalBackend,
     ResultStore,
     StoreUnavailable,
     canonical_dumps,
     default_store_path,
+    delete_object,
     open_store,
-    store_from_spec,
-    store_spec,
+    read_object,
 )
 from repro.cmp.results import ThreadResult
 
@@ -164,87 +161,115 @@ class TestCanonicalPickle:
 
 
 class TestSpecs:
+    """A store is the value ``(root, url)``: it pickles as it is into
+    process workers."""
+
     def test_local_round_trip(self, store, tmp_path):
-        rebuilt = store_from_spec(store_spec(store))
+        rebuilt = pickle.loads(pickle.dumps(store))
+        assert rebuilt == store
         store.put(KEY, "spec", 41)
         assert rebuilt.get(KEY) == 41
         assert rebuilt.root == store.root
 
     def test_caching_round_trip(self, tmp_path):
-        backend = CachingStore(HTTPBackend("http://127.0.0.1:1/"),
-                               LocalBackend(tmp_path / "cache"))
-        rebuilt = store_from_spec(store_spec(ResultStore(backend=backend)))
-        assert isinstance(rebuilt.backend, CachingStore)
+        store = ResultStore(tmp_path / "cache", url="http://127.0.0.1:1/")
+        rebuilt = pickle.loads(pickle.dumps(store))
+        assert rebuilt == store
+        assert rebuilt.url == "http://127.0.0.1:1"
         assert rebuilt.root == tmp_path / "cache"
+        assert rebuilt != ResultStore(tmp_path / "cache")
 
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError):
-            store_from_spec({"kind": "carrier-pigeon"})
+    def test_unknown_spec_rejected(self, tmp_path):
+        # A directory and a URL are the whole description of a store.
+        with pytest.raises(TypeError):
+            ResultStore(tmp_path, backend=object())
 
 
 @pytest.fixture
 def served(tmp_path):
-    """(server, remote_store_dir) — an HTTP endpoint over a fresh dir."""
+    """An HTTP endpoint over a fresh store directory (``served.root``)."""
     with StoreServer(tmp_path / "remote") as server:
         yield server
 
 
+def read_through(served, tmp_path, name="cache"):
+    """A store caching ``served`` in its own directory."""
+    return ResultStore(tmp_path / name, url=served.url)
+
+
 class TestHTTPBackend:
     def test_put_get_round_trip(self, served, tmp_path):
-        store = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "cache")))
+        store = read_through(served, tmp_path)
         store.put(KEY, "spec", sample_value())
         # The object is on the server, readable by an uncached peer.
-        peer = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "peer")))
+        peer = read_through(served, tmp_path, "peer")
         assert peer.get(KEY) == sample_value()
+        assert (read_object(served.root, KEY)
+                == store.path_for(KEY).read_bytes()
+                == peer.path_for(KEY).read_bytes())
 
     def test_read_through_caches_once(self, served, tmp_path):
-        ResultStore(served.backend.root).put(KEY, "spec", sample_value())
-        store = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "cache")))
+        ResultStore(served.root).put(KEY, "spec", sample_value())
+        store = read_through(served, tmp_path)
         assert store.get(KEY) == sample_value()
         fetches = served.stats.get("get", 0)
+        assert fetches == 1
         assert store.get(KEY) == sample_value()  # second read: cache only
+        assert KEY in store
         assert served.stats.get("get", 0) == fetches
 
     def test_corrupt_remote_object_reads_as_miss_and_is_not_cached(
             self, served, tmp_path):
-        remote = ResultStore(served.backend.root)
+        remote = ResultStore(served.root)
         remote.put(KEY, "spec", sample_value())
         remote.path_for(KEY).write_bytes(b"\x80\x05 garbage")
-        store = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "cache")))
+        store = read_through(served, tmp_path)
         assert store.get(KEY) is None
         assert not store.path_for(KEY).exists()
 
     def test_put_dedup_leaves_existing_object_untouched(self, served,
                                                         tmp_path):
-        store = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "cache")))
+        store = read_through(served, tmp_path)
         store.put(KEY, "spec", sample_value())
-        original = served.backend.load(KEY)
+        original = read_object(served.root, KEY)
         store.put(KEY, "spec", sample_value())
         assert served.stats.get("put_dedup", 0) == 1
-        assert served.backend.load(KEY) == original
+        assert read_object(served.root, KEY) == original
 
     def test_keys_listing_comes_from_remote(self, served, tmp_path):
-        ResultStore(served.backend.root).put(KEY, "a", 1)
-        store = ResultStore(backend=CachingStore(
-            HTTPBackend(served.url), LocalBackend(tmp_path / "cache")))
+        ResultStore(served.root).put(KEY, "a", 1)
+        store = read_through(served, tmp_path)
         assert set(store.iter_keys()) == {KEY}
+        store.put(OTHER, "b", 2)
+        delete_object(served.root, OTHER)  # only the cache holds it now
+        assert list(store.iter_keys()) == sorted([KEY, OTHER])
 
     def test_unreachable_remote_write_raises(self, tmp_path):
-        backend = HTTPBackend("http://127.0.0.1:1")  # nothing listens here
-        with pytest.raises(StoreUnavailable):
-            backend.store(KEY, b"data")
-        assert backend.load(KEY) is None  # reads degrade to a miss
+        # Nothing listens on port 1.
+        store = ResultStore(tmp_path / "cache", url="http://127.0.0.1:1")
+        with pytest.raises(StoreUnavailable, match="127.0.0.1:1"):
+            store.put(KEY, "spec", b"data")
+        assert not store.path_for(KEY).exists()  # remote first, then cache
+        assert store.get(KEY) is None  # reads degrade to a miss
 
-    def test_path_traversal_keys_rejected(self, served):
-        backend = HTTPBackend(served.url)
-        assert backend.load("../../etc/passwd") is None
+    def test_unreachable_remote_listing_raises(self, tmp_path):
+        """A listing never passes the cache off as the store: ``clean``
+        must not report removing what it never reached."""
+        local = ResultStore(tmp_path / "cache")
+        local.put(KEY, "spec", 1)
+        store = ResultStore(local.root, url="http://127.0.0.1:1")
+        with pytest.raises(StoreUnavailable, match="127.0.0.1:1"):
+            store.clean()
         with pytest.raises(StoreUnavailable):
-            backend.store("not-a-hex-key", b"data")
+            len(store)
+        assert local.get(KEY) == 1
+
+    def test_path_traversal_keys_rejected(self, served, tmp_path):
+        store = read_through(served, tmp_path)
+        assert store.get("../../etc/passwd") is None
+        with pytest.raises(StoreUnavailable):
+            store.put("not-a-hex-key", "spec", b"data")
+        assert list(served.root.rglob("*")) == []
 
 
 class TestServeRequests:
@@ -264,7 +289,7 @@ class TestServeRequests:
                 return value
 
         served._httpd.RequestHandlerClass.stats = served.stats = Contended()
-        ResultStore(served.backend.root).put(KEY, "spec", sample_value())
+        ResultStore(served.root).put(KEY, "spec", sample_value())
         url = f"{served.url}/objects/{KEY}"
         count = 200
 
@@ -302,34 +327,38 @@ class TestServeRequests:
     def test_malformed_content_length_is_a_400(self, served, length):
         assert self.put_with_length(served, length) \
             == (400, b"bad content-length")
-        assert served.backend.load(KEY) is None
+        assert read_object(served.root, KEY) is None
         assert "put" not in served.stats
 
     def test_body_over_the_cap_is_a_413_and_never_read(self, served):
         assert self.put_with_length(served, str(MAX_BODY_BYTES + 1)) \
             == (413, b"body too large")
-        assert served.backend.load(KEY) is None
+        assert read_object(served.root, KEY) is None
         # A body at the cap is still accepted.
-        backend = HTTPBackend(served.url)
-        backend.store(KEY, b"x" * MAX_BODY_BYTES)
-        assert len(served.backend.load(KEY)) == MAX_BODY_BYTES
+        request = urllib.request.Request(f"{served.url}/objects/{KEY}",
+                                         data=b"x" * MAX_BODY_BYTES,
+                                         method="PUT")
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            assert resp.status == 201
+        assert len(read_object(served.root, KEY)) == MAX_BODY_BYTES
 
 
 class TestOpenStore:
     def test_plain_local(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_URL", raising=False)
         store = open_store(tmp_path / "local")
-        assert isinstance(store.backend, LocalBackend)
-        assert store.root == tmp_path / "local"
+        assert store == ResultStore(tmp_path / "local")
+        assert store.url is None
 
     def test_url_env_selects_caching_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_URL", "http://example.test:9000")
         store = open_store(tmp_path / "cache")
-        assert isinstance(store.backend, CachingStore)
-        assert store.backend.remote.url == "http://example.test:9000"
+        assert store.url == "http://example.test:9000"
         assert store.root == tmp_path / "cache"
+        assert store.describe() == \
+            f"http://example.test:9000 (cache: {tmp_path / 'cache'})"
 
     def test_explicit_url_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_URL", "http://env.test:1")
         store = open_store(tmp_path / "c", "http://flag.test:2")
-        assert store.backend.remote.url == "http://flag.test:2"
+        assert store.url == "http://flag.test:2"

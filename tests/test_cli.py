@@ -502,3 +502,24 @@ class TestReportCommands:
         assert not manifest_path(store).exists()
         assert len(store) == 0
 
+    def test_clean_of_an_unreachable_remote_removes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        """A listing that cannot reach the remote store is an error, not
+        the local cache passed off as the store (``status`` too)."""
+        from repro.campaign.store import ResultStore
+        from repro.reporting.build import manifest_path
+
+        store = ResultStore(tmp_path / "store")
+        store.put("ab" + "0" * 62, "spec", 1)
+        manifest_path(store).write_text("{}")
+        monkeypatch.setenv("REPRO_STORE_URL", "http://127.0.0.1:1")
+        assert main(["campaign", "clean", "--store", str(store.root)]) == 1
+        captured = capsys.readouterr()
+        assert "removed" not in captured.out
+        assert "http://127.0.0.1:1" in captured.err
+        assert len(store) == 1
+        assert manifest_path(store).is_file()
+        assert main(["campaign", "status", "smoke",
+                     "--store", str(store.root)]) == 1
+        assert "http://127.0.0.1:1" in capsys.readouterr().err
+
