@@ -25,7 +25,12 @@ Three implementations:
     paid twice per run.  Each worker receives the :class:`ResultStore`
     value itself and talks over its own pipe; a dead worker is found by
     EOF on that pipe and respawned, and the lost in-flight job is
-    surfaced as a ``died`` event for the scheduler to requeue.
+    surfaced as a ``died`` event for the scheduler to requeue.  Under
+    the ``fork`` start method the coordinator loads every compiled
+    kernel (:func:`repro.cache.native.load`, one memo per process)
+    before the first worker forks, so every worker — a respawned one
+    included — inherits the loaded objects instead of loading its own;
+    under ``spawn`` / ``forkserver`` each worker loads what it binds.
 :class:`RemotePool`
     A stdlib-socket job server.  Workers — ``repro campaign worker
     HOST:PORT`` processes, on this machine or others — connect, receive a
@@ -57,7 +62,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.jobs import Job
 from repro.campaign.server import MAX_BODY_BYTES
@@ -225,6 +230,23 @@ class SerialPool(WorkerPool):
 # ----------------------------------------------------------------------
 # ProcessPool
 # ----------------------------------------------------------------------
+def kernels_summary(infos) -> str:
+    """The ``info`` dicts :func:`repro.cache.native.load` returned for
+    the kernels a coordinator loaded before its workers forked, as one
+    accounting clause."""
+    compiled = [info for info in infos if "reason" not in info]
+    parts = []
+    if compiled:
+        built = sum(info["cache"] == "built" for info in compiled)
+        parts.append(f"c={len(compiled)} built={built}")
+    if len(compiled) < len(infos):
+        reasons = sorted({info["reason"] for info in infos
+                          if "reason" in info})
+        parts.append(f"unavailable={len(infos) - len(compiled)} "
+                     f"({'; '.join(reasons)})")
+    return f"kernels: {' '.join(parts)} before the workers forked"
+
+
 def _process_worker(worker: str, store: ResultStore,
                     conn, crash_token: Optional[str]) -> None:
     """Worker-process main loop (top level so it pickles under spawn).
@@ -268,6 +290,9 @@ class ProcessPool(WorkerPool):
             raise ValueError(f"process pool needs >= 1 worker, got {workers}")
         self.workers = workers
         self.crash_token = crash_token
+        #: ``info`` of every kernel loaded before the workers forked
+        #: (empty unless the start method is ``fork``).
+        self.preloaded: List[Dict[str, object]] = []
         self._store: Optional[ResultStore] = None
         self._members: Dict[str, Tuple[multiprocessing.Process, Any]] = {}
         self._inflight: Dict[str, Optional[str]] = {}
@@ -277,6 +302,14 @@ class ProcessPool(WorkerPool):
 
     def start(self, store: ResultStore) -> None:
         self._store = store
+        if multiprocessing.get_start_method() == "fork":
+            from repro.cache import native, transitions
+
+            # Forked workers inherit the filled memo; a cold object cache
+            # is built here, once, serially.
+            self.preloaded = [native.load(rendering, key)[1]
+                              for rendering, key
+                              in transitions.rendering_keys()]
         for _ in range(self.workers):
             self._spawn()
 
@@ -466,14 +499,23 @@ class RemotePool(WorkerPool):
 
     # ------------------------------------------------------------------
     def dispatch(self, worker: str, key: str, job: Job) -> None:
+        conn = self._conns.get(worker)
+        if conn is None:
+            # The connection's loss was already reported: surface this
+            # dispatch as a death so the scheduler requeues it now.
+            self._events.put(("died-now", worker, key, "no connection"))
+            return
         self._inflight[worker] = key
         try:
-            _send_frame(self._conns[worker], ("job", key, job))
-        except (KeyError, OSError) as exc:
-            # The connection raced away between idle and dispatch; surface
-            # it as a death so the scheduler requeues immediately.
-            self._inflight[worker] = None
-            self._events.put(("died-now", worker, key, str(exc)))
+            _send_frame(conn, ("job", key, job))
+        except OSError:
+            # The connection is going away: its reader thread queues the
+            # one ``lost`` event, which requeues the key left in flight.
+            # Shutting the socket down wakes a reader still in ``recv``.
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def next_event(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
         try:

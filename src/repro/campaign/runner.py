@@ -51,6 +51,7 @@ from repro.campaign.pool import (
     ProcessPool,
     SerialPool,
     WorkerPool,
+    kernels_summary,
     resolve_workers,
 )
 from repro.campaign.scheduler import (
@@ -345,10 +346,13 @@ class Campaign:
         # unkeyed, counted per process.  Only a serial pool runs its jobs
         # here; a process or remote pool's workers bind their own, which
         # the coordinator cannot count until a run record crosses the
-        # pool with each result (ROADMAP item 7).
+        # pool with each result (ROADMAP item 7).  What it can count is
+        # the kernels a process pool loaded here before its workers forked.
         counts = (f"{transitions.target_summary()}; {engine_summary()}"
                   if pool.name == SerialPool.name else
                   f"targets and engines: run in the {pool.name} pool's "
                   f"workers, not counted here")
+        if isinstance(pool, ProcessPool) and pool.preloaded:
+            counts = f"{kernels_summary(pool.preloaded)}; {counts}"
         self.echo(f"  {scheduler.stats.summary()}; {counts}")
         return scheduler.kind_walls

@@ -1,6 +1,9 @@
 """Worker pools: crash recovery, remote execution, tri-modal bit-identity."""
 
+import functools
 import io
+import multiprocessing
+import os
 import socket
 import struct
 import threading
@@ -14,6 +17,7 @@ from repro.campaign.pool import (
     _connect_with_retry,
     _recv_frame,
     _send_frame,
+    kernels_summary,
     resolve_workers,
     run_remote_worker,
 )
@@ -156,6 +160,53 @@ class TestProcessPoolCrashes:
             ProcessPool(0)
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers inherit the coordinator's "
+                           "kernels")
+class TestWarmWorkers:
+    """The coordinator loads every kernel before its workers fork."""
+
+    def test_no_worker_loads_a_kernel(self, micro_scale, store, tmp_path,
+                                      monkeypatch):
+        """Every miss of the ``native.load`` memo happens in this process,
+        a worker respawned after a crash included."""
+        from repro.cache import native
+
+        misses = tmp_path / "misses"
+        unwrapped = native.load.__wrapped__
+
+        @functools.lru_cache(maxsize=None)
+        def load(rendering, key):
+            with open(misses, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return unwrapped(rendering, key)
+
+        monkeypatch.setattr(native, "load", load)
+        token = tmp_path / "crash-once"
+        token.write_text("once")
+        _results, report = Campaign(store, workers=2,
+                                    crash_token=str(token)).run(
+            small_matrix(micro_scale))
+        assert not report.failed
+        assert report.scheduler.worker_deaths == 1
+        pids = misses.read_text(encoding="utf-8").split()
+        assert pids and set(pids) == {str(os.getpid())}
+
+
+class TestKernelsSummary:
+    def test_compiled_kernels(self):
+        infos = [{"cache": "hit", "build_s": 0.001}] * 15 + [
+            {"cache": "built", "build_s": 0.2}]
+        assert (kernels_summary(infos)
+                == "kernels: c=16 built=1 before the workers forked")
+
+    def test_a_host_without_a_compiler(self):
+        infos = [{"reason": "no C compiler (cc) on PATH"}] * 16
+        assert kernels_summary(infos) == (
+            "kernels: unavailable=16 (no C compiler (cc) on PATH) before "
+            "the workers forked")
+
+
 class TestRemotePool:
     def test_remote_campaign_matches_serial(self, micro_scale, store):
         jobs = small_matrix(micro_scale)
@@ -229,6 +280,32 @@ class TestRemotePool:
         with pytest.raises(ValueError, match="-byte cap"):
             _recv_frame(rfile)
         assert rfile.read() == b"body"
+
+    def test_a_dispatch_to_a_closed_connection_is_one_death(
+            self, micro_scale):
+        """A send that fails on a connection its reader has closed queues
+        nothing: the reader's own ``lost`` event reports the worker once,
+        with the key in flight."""
+        pool = RemotePool("127.0.0.1", 0)
+        coordinator_end, peer_end = socket.socketpair()
+        try:
+            _send_frame(peer_end, ("hello", "gone"))
+            peer_end.shutdown(socket.SHUT_WR)
+            # The reader: handshakes, reads EOF, queues ``lost`` and
+            # closes its socket before it returns.
+            pool._serve_conn(coordinator_end)
+            joined = pool.next_event(timeout=0)
+            assert joined.kind == "joined"
+            job = isolation_job(micro_scale, "crafty", 0, "lru")
+            pool.dispatch(joined.worker, "k0", job)
+            events = []
+            while (event := pool.next_event(timeout=0)) is not None:
+                events.append(event)
+            assert [(e.kind, e.worker, e.keys) for e in events] == [
+                ("died", joined.worker, ("k0",))]
+        finally:
+            pool.close()
+            peer_end.close()
 
     @pytest.mark.parametrize("reply", list(ROGUE_REPLIES))
     def test_a_malformed_reply_is_a_lost_connection(self, reply, micro_scale,

@@ -1,5 +1,7 @@
 """Campaign execution: pool == serial, memoisation, resume, sharing."""
 
+import multiprocessing
+import re
 from collections import Counter
 
 import pytest
@@ -248,3 +250,18 @@ class TestSchedulerLine:
         assert line.endswith("; targets and engines: run in the process "
                              "pool's workers, not counted here")
         assert "engines: batched=" not in line
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forking pool loads kernels ahead")
+    def test_process_pool_counts_the_kernels_it_loaded(self, micro_scale,
+                                                       store):
+        from repro.cache import transitions
+
+        line = self.scheduler_line(micro_scale, store, 2)
+        keys = len(transitions.rendering_keys())
+        assert re.search(rf"; kernels: c={keys} built=\d+ before the "
+                         rf"workers forked; targets and engines: ", line)
+
+    def test_serial_pool_loads_nothing_ahead(self, micro_scale, store):
+        assert "before the workers forked" not in self.scheduler_line(
+            micro_scale, store, 1)
