@@ -34,7 +34,8 @@ member table is well-formed data — JSON of the expected shape whose
 names are identifiers; the table is never executed.  A file that fails
 any check is removed and rebuilt.  Objects are written under a temporary
 name and ``os.replace``\\ d, so two processes racing through a cold cache
-(the normal case under a process pool) each install a complete file.
+(two campaigns, or the workers of a process pool that spawns rather than
+forks) each install a complete file.
 
 State during a call.  There is no resident C state and no copy of an
 array: every flat array a kernel binds is an ``array('q')`` /
@@ -84,6 +85,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from functools import lru_cache
@@ -357,6 +359,13 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
                       if kind == "ret"))
 
 
+#: Held by a :func:`load` for all but its compiler run, so loads on
+#: several threads build in parallel and do the rest one at a time:
+#: CPython 3.11's ``ast.parse`` (rendering, translating) is not
+#: thread-safe — two at once can raise ``SystemError``.
+_LOADING = threading.Lock()
+
+
 @lru_cache(maxsize=None)
 def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     """``(kernel, info)`` of the compiled ``rendering`` of ``key``, built
@@ -365,20 +374,23 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
     the rendering alone: only a miss translates."""
     started = time.perf_counter()
     try:
-        cc, version = compiler()
-        source = transitions.render(rendering, key)
-        label = transitions.source_name(rendering, key)
-        directory = cache_dir()
-        name = object_name(source, label, translator(), version)
-        loaded = None
-        for path in sorted(directory.glob(f"{name}-*.so")):
-            loaded = loaded or _open(path, source, label)
+        with _LOADING:
+            cc, version = compiler()
+            source = transitions.render(rendering, key)
+            label = transitions.source_name(rendering, key)
+            directory = cache_dir()
+            name = object_name(source, label, translator(), version)
+            loaded = None
+            for path in sorted(directory.glob(f"{name}-*.so")):
+                loaded = loaded or _open(path, source, label)
+            if loaded is None:
+                kernel = transitions.translate(rendering, key)
         info = {"cache": "hit" if loaded is not None else "built"}
         if loaded is None:
-            kernel = transitions.translate(rendering, key)
             path = _build(cc, kernel.source + table_constant(kernel),
                           directory, name)
-            loaded = _open(path, source, label)
+            with _LOADING:
+                loaded = _open(path, source, label)
             if loaded is None:
                 raise Unavailable(f"{path} was built but does not load",
                                   loud=True)

@@ -10,35 +10,36 @@ implementing the small event-driven :class:`WorkerPool` contract:
   loss (``died``, carrying the in-flight key) via
   :meth:`WorkerPool.next_event`.
 
-Three implementations:
+:class:`SerialPool` is one in-process worker that executes dispatches
+synchronously inside ``next_event`` — the ``workers=1`` path, no
+subprocess, still through the store.  Every other worker is attached to
+one job channel, :class:`RemotePool`, in one of two ways:
 
-:class:`SerialPool`
-    One in-process worker, executing dispatches synchronously inside
-    ``next_event``.  The ``workers=1`` path — no subprocesses, still
-    through the store.
-:class:`ProcessPool`
-    A **persistent** :mod:`multiprocessing` pool: one set of worker
-    processes for the whole campaign, each keeping its
+dialled in
+    ``repro campaign worker HOST:PORT`` processes, on this machine or
+    others, connect to the pool's listening socket (``campaign run
+    --bind``);
+forked
+    :class:`ProcessPool` (``--jobs N``) forks its own workers, each
+    handed one end of a :func:`socket.socketpair`.  The workers are
+    **persistent**: one set for the whole campaign, each keeping its
     :class:`~.runner.StoreWorkloadRunner` (traces, isolation memos,
-    engine memos) warm across jobs *and* across the isolation/outcome
-    boundary — the churn the old per-stage ``multiprocessing.Pool``
-    paid twice per run.  Each worker receives the :class:`ResultStore`
-    value itself and talks over its own pipe; a dead worker is found by
-    EOF on that pipe and respawned, and the lost in-flight job is
-    surfaced as a ``died`` event for the scheduler to requeue.  Under
-    the ``fork`` start method the coordinator loads every compiled
-    kernel (:func:`repro.cache.native.load`, one memo per process)
-    before the first worker forks, so every worker — a respawned one
-    included — inherits the loaded objects instead of loading its own;
-    under ``spawn`` / ``forkserver`` each worker loads what it binds.
-:class:`RemotePool`
-    A stdlib-socket job server.  Workers — ``repro campaign worker
-    HOST:PORT`` processes, on this machine or others — connect, receive a
-    name, and pull jobs over a length-prefixed pickle channel.  Results
-    travel through the store, not the socket: a worker publishes, then
-    acks with the key, so the coordinator reads bytes the store already
-    validated.  A dropped connection with a job in flight is a ``died``
-    event, exactly like a dead process.
+    engine memos) warm across jobs and across the isolation/outcome
+    boundary.  Under the ``fork`` start method the coordinator loads
+    every compiled kernel (:func:`repro.cache.native.load`, one memo per
+    process) before the first worker forks, so every worker — a
+    respawned one included — inherits the loaded objects instead of
+    loading its own; under ``spawn`` / ``forkserver`` each worker loads
+    what it binds.
+
+Either way the worker runs the same loop on its socket and the
+coordinator the same reader thread on its end: length-prefixed pickle
+frames, ``("hello", name)`` / ``("welcome", worker)``, then
+``("job", key, job)`` in and ``(done|failed, key, error)`` out until
+``("stop",)``.  Whatever ends a connection — the peer's exit or crash,
+a malformed frame — is one ``died`` event carrying the job in flight
+for the scheduler to requeue; a forked worker is also respawned, even
+one that died before its hello.
 
 Results transport is identical for every pool: the worker executes,
 ``store.put``-s, and acks ``done(key)``; the coordinator then
@@ -52,7 +53,6 @@ Security note: the job channel is pickle over TCP with no authentication
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import queue
@@ -135,7 +135,7 @@ class WorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Shared executor (serial path, process workers, remote workers)
+# Shared executor (serial path, every worker on the job channel)
 # ----------------------------------------------------------------------
 def execute_into_store(store: ResultStore, runners: Dict[Any, Any],
                        key: str, job: Job) -> Any:
@@ -160,31 +160,6 @@ def execute_into_store(store: ResultStore, runners: Dict[Any, Any],
 def _format_error(exc: BaseException) -> str:
     """One-line error description carried in ``failed`` events."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def _crash_if_requested(token: Optional[str]) -> None:
-    """Deterministic fault injection for tests and the CI smoke.
-
-    If ``token`` names an existing file, the worker dies abruptly
-    (``os._exit``, no cleanup — indistinguishable from a SIGKILL).  A
-    file containing ``always`` kills every worker that reads it; any
-    other content is a *one-shot* token — the unlink is atomic, so
-    exactly one racing worker wins the crash and the rest proceed.
-    """
-    if not token or not os.path.exists(token):
-        return
-    try:
-        with open(token, "r", encoding="utf-8") as fh:
-            mode = fh.read().strip()
-    except OSError:
-        return
-    if mode == "always":
-        os._exit(17)
-    try:
-        os.unlink(token)
-    except OSError:
-        return  # another worker won the one-shot token
-    os._exit(17)
 
 
 # ----------------------------------------------------------------------
@@ -228,175 +203,7 @@ class SerialPool(WorkerPool):
 
 
 # ----------------------------------------------------------------------
-# ProcessPool
-# ----------------------------------------------------------------------
-def kernels_summary(infos) -> str:
-    """The ``info`` dicts :func:`repro.cache.native.load` returned for
-    the kernels a coordinator loaded before its workers forked, as one
-    accounting clause."""
-    compiled = [info for info in infos if "reason" not in info]
-    parts = []
-    if compiled:
-        built = sum(info["cache"] == "built" for info in compiled)
-        parts.append(f"c={len(compiled)} built={built}")
-    if len(compiled) < len(infos):
-        reasons = sorted({info["reason"] for info in infos
-                          if "reason" in info})
-        parts.append(f"unavailable={len(infos) - len(compiled)} "
-                     f"({'; '.join(reasons)})")
-    return f"kernels: {' '.join(parts)} before the workers forked"
-
-
-def _process_worker(worker: str, store: ResultStore,
-                    conn, crash_token: Optional[str]) -> None:
-    """Worker-process main loop (top level so it pickles under spawn).
-
-    All traffic rides the worker's own duplex pipe — jobs in, events out.
-    Per-worker pipes mean no cross-process locks anywhere: a worker dying
-    mid-write (``os._exit``, SIGKILL) tears only its own channel, which
-    the coordinator observes as EOF — it can never wedge its siblings the
-    way a shared ``multiprocessing.Queue`` write lock can.
-    """
-    runners: Dict[Any, Any] = {}
-    conn.send(("joined", None, ""))
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return  # coordinator gone
-        if item is None:
-            return
-        key, job = item
-        _crash_if_requested(crash_token)
-        try:
-            execute_into_store(store, runners, key, job)
-        except Exception as exc:  # noqa: BLE001 - report, don't die
-            conn.send(("failed", key, _format_error(exc)))
-        else:
-            conn.send(("done", key, ""))
-
-
-class ProcessPool(WorkerPool):
-    """Persistent multiprocessing pool (see the module docstring).
-
-    ``crash_token`` plumbs the deterministic fault injection of
-    :func:`_crash_if_requested` into every worker.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int, crash_token: Optional[str] = None) -> None:
-        if workers < 1:
-            raise ValueError(f"process pool needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self.crash_token = crash_token
-        #: ``info`` of every kernel loaded before the workers forked
-        #: (empty unless the start method is ``fork``).
-        self.preloaded: List[Dict[str, object]] = []
-        self._store: Optional[ResultStore] = None
-        self._members: Dict[str, Tuple[multiprocessing.Process, Any]] = {}
-        self._inflight: Dict[str, Optional[str]] = {}
-        self._backlog: deque = deque()
-        self._spawned = 0
-        self._closed = False
-
-    def start(self, store: ResultStore) -> None:
-        self._store = store
-        if multiprocessing.get_start_method() == "fork":
-            from repro.cache import native, transitions
-
-            # Forked workers inherit the filled memo; a cold object cache
-            # is built here, once, serially.
-            self.preloaded = [native.load(rendering, key)[1]
-                              for rendering, key
-                              in transitions.rendering_keys()]
-        for _ in range(self.workers):
-            self._spawn()
-
-    def _spawn(self) -> str:
-        """Start one worker process under a fresh name."""
-        worker = f"proc-{self._spawned}"
-        self._spawned += 1
-        parent_conn, child_conn = multiprocessing.Pipe()
-        proc = multiprocessing.Process(
-            target=_process_worker,
-            args=(worker, self._store, child_conn, self.crash_token),
-            daemon=True)
-        proc.start()
-        child_conn.close()  # parent keeps only its own end
-        self._members[worker] = (proc, parent_conn)
-        self._inflight[worker] = None
-        return worker
-
-    def dispatch(self, worker: str, key: str, job: Job) -> None:
-        self._inflight[worker] = key
-        try:
-            self._members[worker][1].send((key, job))
-        except (KeyError, OSError, BrokenPipeError):
-            # Raced a death; surface it so the scheduler requeues now.
-            self._inflight[worker] = None
-            self._backlog.append(self._drop(worker, inflight=key))
-
-    def next_event(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        if self._backlog:
-            return self._backlog.popleft()
-        conns = {conn: worker for worker, (_proc, conn)
-                 in self._members.items()}
-        if not conns:
-            return None
-        ready = multiprocessing.connection.wait(list(conns), timeout=timeout)
-        for conn in ready:
-            worker = conns[conn]
-            try:
-                kind, key, error = conn.recv()
-            except (EOFError, OSError):
-                self._backlog.append(self._drop(worker))
-                continue
-            if kind in ("done", "failed"):
-                self._inflight[worker] = None
-            self._backlog.append(PoolEvent(kind, worker, key=key,
-                                           error=error))
-        return self._backlog.popleft() if self._backlog else None
-
-    def _drop(self, worker: str, inflight: Optional[str] = None) -> PoolEvent:
-        """Remove a dead worker, respawn a replacement, report the loss."""
-        stranded = inflight or self._inflight.pop(worker, None)
-        entry = self._members.pop(worker, None)
-        if entry is not None:
-            proc, conn = entry
-            try:
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=1.0)
-        if not self._closed:
-            self._spawn()
-        return PoolEvent("died", worker,
-                         keys=(stranded,) if stranded else (),
-                         error="worker process died")
-
-    def close(self) -> None:
-        self._closed = True
-        for _worker, (proc, conn) in self._members.items():
-            try:
-                conn.send(None)
-            except (OSError, BrokenPipeError):
-                pass
-        for _worker, (proc, conn) in self._members.items():
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._members.clear()
-        self._inflight.clear()
-
-
-# ----------------------------------------------------------------------
-# RemotePool: framing
+# The job channel: framing and the worker loop
 # ----------------------------------------------------------------------
 def _send_frame(sock: socket.socket, obj: Any) -> None:
     """Write one length-prefixed pickle frame."""
@@ -421,6 +228,41 @@ def _recv_frame(rfile) -> Any:
     return pickle.loads(data)
 
 
+def _work(sock: socket.socket, store: ResultStore, name: str,
+          echo, peer: str) -> int:
+    """The worker side of the job channel, on a socket connected to the
+    coordinator (``peer`` names it in ``echo`` lines): handshake, then
+    execute each job and ack it until told to stop.  Returns 0 on a stop
+    and when the coordinator goes away."""
+    runners: Dict[Any, Any] = {}
+    received = 0
+    rfile = sock.makefile("rb")
+    try:
+        _send_frame(sock, ("hello", name))
+        worker = _recv_frame(rfile)[1]
+        echo(f"worker {worker}: connected to {peer}")
+        while True:
+            msg = _recv_frame(rfile)
+            if msg[0] == "stop":
+                echo(f"worker {worker}: stopped after {received} job(s)")
+                return 0
+            _kind, key, job = msg
+            received += 1
+            try:
+                execute_into_store(store, runners, key, job)
+            except Exception as exc:  # noqa: BLE001 - report, keep serving
+                _send_frame(sock, ("failed", key, _format_error(exc)))
+            else:
+                _send_frame(sock, ("done", key, ""))
+    except (EOFError, OSError):
+        return 0  # coordinator gone: campaign over
+    finally:
+        rfile.close()  # else closing the socket leaves it open
+
+
+# ----------------------------------------------------------------------
+# RemotePool
+# ----------------------------------------------------------------------
 class RemotePool(WorkerPool):
     """Socket job server workers attach to (see the module docstring).
 
@@ -432,9 +274,16 @@ class RemotePool(WorkerPool):
     name = "remote"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._listener = socket.create_server((host, port))
+        self._listener: Optional[socket.socket] = \
+            socket.create_server((host, port))
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._events: "queue.Queue[Tuple[str, str, Optional[str], str]]" = \
+        self._open_channel()
+
+    def _open_channel(self) -> None:
+        """No worker attached yet, no event queued."""
+        #: ``(kind, worker, key, error)`` from the reader threads; a
+        #: ``lost`` event carries the connection where the key would be.
+        self._events: "queue.Queue[Tuple[str, Optional[str], Any, str]]" = \
             queue.Queue()
         self._conns: Dict[str, socket.socket] = {}
         self._inflight: Dict[str, Optional[str]] = {}
@@ -454,8 +303,12 @@ class RemotePool(WorkerPool):
                 conn, _addr = self._listener.accept()
             except OSError:
                 return  # listener closed
-            threading.Thread(target=self._serve_conn, args=(conn,),
-                             daemon=True).start()
+            self._read(conn)
+
+    def _read(self, conn: socket.socket) -> None:
+        """Start the reader thread of one connection."""
+        threading.Thread(target=self._serve_conn, args=(conn,),
+                         daemon=True).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         """Handshake one worker, then relay its acks as events.
@@ -490,8 +343,7 @@ class RemotePool(WorkerPool):
         except Exception:   # noqa: BLE001 - any damage ends the connection
             pass
         finally:
-            if worker is not None:
-                self._events.put(("lost", worker, None, ""))
+            self._events.put(("lost", worker, conn, ""))
             try:
                 conn.close()
             except OSError:
@@ -499,12 +351,9 @@ class RemotePool(WorkerPool):
 
     # ------------------------------------------------------------------
     def dispatch(self, worker: str, key: str, job: Job) -> None:
-        conn = self._conns.get(worker)
-        if conn is None:
-            # The connection's loss was already reported: surface this
-            # dispatch as a death so the scheduler requeues it now.
-            self._events.put(("died-now", worker, key, "no connection"))
-            return
+        # A worker leaves ``_conns`` only as its ``died`` event is
+        # handed out, after which the scheduler sends it nothing.
+        conn = self._conns[worker]
         self._inflight[worker] = key
         try:
             _send_frame(conn, ("job", key, job))
@@ -523,18 +372,22 @@ class RemotePool(WorkerPool):
         except queue.Empty:
             return None
         if kind == "lost":
-            inflight = self._inflight.pop(worker, None)
-            self._conns.pop(worker, None)
-            return PoolEvent("died", worker,
-                             keys=(inflight,) if inflight else (),
-                             error="connection lost")
-        if kind == "died-now":
-            self._conns.pop(worker, None)
-            return PoolEvent("died", worker, keys=(key,) if key else (),
-                             error=error)
+            return self._lost(worker, conn=key)
         if kind in ("done", "failed"):
             self._inflight[worker] = None
         return PoolEvent(kind, worker, key=key, error=error)
+
+    def _lost(self, worker: Optional[str],
+              conn: socket.socket) -> Optional[PoolEvent]:
+        """The ``died`` event of an ended connection; None for a peer
+        that hung up before its hello, which never joined."""
+        if worker is None:
+            return None
+        inflight = self._inflight.pop(worker, None)
+        self._conns.pop(worker, None)
+        return PoolEvent("died", worker,
+                         keys=(inflight,) if inflight else (),
+                         error="connection lost")
 
     def close(self) -> None:
         self._closed = True
@@ -548,10 +401,110 @@ class RemotePool(WorkerPool):
             except OSError:
                 pass
         self._conns.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+
+
+# ----------------------------------------------------------------------
+# ProcessPool: a RemotePool whose workers the coordinator forks
+# ----------------------------------------------------------------------
+def kernels_summary(infos) -> str:
+    """The ``info`` dicts :func:`repro.cache.native.load` returned for
+    the kernels a coordinator loaded before its workers forked, as one
+    accounting clause."""
+    compiled = [info for info in infos if "reason" not in info]
+    parts = []
+    if compiled:
+        built = sum(info["cache"] == "built" for info in compiled)
+        parts.append(f"c={len(compiled)} built={built}")
+    if len(compiled) < len(infos):
+        reasons = sorted({info["reason"] for info in infos
+                          if "reason" in info})
+        parts.append(f"unavailable={len(infos) - len(compiled)} "
+                     f"({'; '.join(reasons)})")
+    return f"kernels: {' '.join(parts)} before the workers forked"
+
+
+def _forked_worker(sock: socket.socket, store: ResultStore) -> None:
+    """A process-pool worker's main (top level so it pickles under
+    spawn): the job loop on its end of the socket pair."""
+    with sock:
+        _work(sock, store, "proc", lambda _msg: None, "its coordinator")
+
+
+class ProcessPool(RemotePool):
+    """Persistent local worker processes (see the module docstring)."""
+
+    name = "process"
+
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"process pool needs >= 1 worker, got {workers}")
+        self.workers = workers
+        #: ``info`` of every kernel loaded before the workers forked
+        #: (empty unless the start method is ``fork``).
+        self.preloaded: List[Dict[str, object]] = []
+        self._listener = None
+        self._store: Optional[ResultStore] = None
+        #: Each live worker process, by the coordinator's end of its pair.
+        self._procs: Dict[socket.socket, multiprocessing.Process] = {}
+        self._open_channel()
+
+    def start(self, store: ResultStore) -> None:
+        self._store = store
+        if multiprocessing.get_start_method() == "fork":
+            from concurrent.futures import ThreadPoolExecutor
+
+            from repro.cache import native, transitions
+
+            # Forked workers inherit the filled memo.  A cold object
+            # cache is built here, the compiles side by side; the
+            # loader's threads are gone before the first fork.
+            keys = transitions.rendering_keys()
+            with ThreadPoolExecutor(min(len(keys), os.cpu_count() or 1)
+                                    ) as loader:
+                self.preloaded = [info for _kernel, info in loader.map(
+                    lambda item: native.load(*item), keys)]
+        # Every initial worker forks before the first reader thread runs.
+        for conn in [self._fork() for _ in range(self.workers)]:
+            self._read(conn)
+
+    def _fork(self) -> socket.socket:
+        """Start one worker process; returns the coordinator's end."""
+        conn, child = socket.socketpair()
+        proc = multiprocessing.Process(target=_forked_worker,
+                                       args=(child, self._store),
+                                       daemon=True)
+        proc.start()
+        child.close()  # the worker holds the only other end
+        self._procs[conn] = proc
+        return conn
+
+    def _lost(self, worker: Optional[str],
+              conn: socket.socket) -> Optional[PoolEvent]:
+        """Reap the worker behind ``conn`` and fork its replacement; a
+        worker that died before its hello is a death all the same."""
+        proc = self._procs.pop(conn)
+        proc.join(timeout=1.0)
+        if not self._closed:
+            self._read(self._fork())
+        return super()._lost(worker or "proc", conn)
+
+    def close(self) -> None:
+        super().close()
+        for conn, proc in self._procs.items():
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # a worker yet to join
+            except OSError:                      # reads EOF
+                pass
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.terminate()
+                proc.join(timeout=1.0)
+        self._procs.clear()
 
 
 # ----------------------------------------------------------------------
@@ -583,50 +536,13 @@ def _connect_with_retry(address: Tuple[str, int],
 def run_remote_worker(address: Tuple[str, int], store: ResultStore,
                       name: Optional[str] = None,
                       connect_timeout: float = 30.0,
-                      crash_on_job: Optional[int] = None,
-                      _drop_on_job: Optional[int] = None,
                       echo=None) -> int:
     """Attach to a :class:`RemotePool` and drain jobs until stopped.
 
     Returns a shell-style exit code: 0 on a clean stop (coordinator said
-    stop or closed the channel).  ``crash_on_job`` kills the *process*
-    (``os._exit``) upon receiving the n-th job — the CLI's fault
-    injection for the CI distributed smoke; ``_drop_on_job`` merely
-    abandons the connection instead (same coordinator-side signature,
-    usable from an in-process thread in tests).
+    stop or closed the channel).
     """
-    echo = echo or (lambda _msg: None)
     sock = _connect_with_retry(address, connect_timeout)
-    runners: Dict[Any, Any] = {}
-    received = 0
-    try:
-        rfile = sock.makefile("rb")
-        _send_frame(sock, ("hello", name or ""))
-        welcome = _recv_frame(rfile)
-        worker = welcome[1]
-        echo(f"worker {worker}: connected to {address[0]}:{address[1]}")
-        while True:
-            try:
-                msg = _recv_frame(rfile)
-            except (EOFError, OSError):
-                return 0  # coordinator gone: campaign over
-            if msg[0] == "stop":
-                echo(f"worker {worker}: stopped after {received} job(s)")
-                return 0
-            _kind, key, job = msg
-            if crash_on_job is not None and received == crash_on_job:
-                os._exit(17)
-            if _drop_on_job is not None and received == _drop_on_job:
-                return 2
-            received += 1
-            try:
-                execute_into_store(store, runners, key, job)
-            except Exception as exc:  # noqa: BLE001 - report, keep serving
-                _send_frame(sock, ("failed", key, _format_error(exc)))
-            else:
-                _send_frame(sock, ("done", key, ""))
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+    with sock:
+        return _work(sock, store, name or "", echo or (lambda _msg: None),
+                     f"{address[0]}:{address[1]}")

@@ -241,9 +241,6 @@ class Campaign:
     on_dispatch:
         Test hook forwarded to the scheduler: ``(key, job, worker)`` at
         each dispatch.
-    crash_token:
-        Fault-injection token file forwarded to internally created
-        process pools (see :func:`~.pool._crash_if_requested`).
     """
 
     def __init__(self, store: ResultStore, workers: Optional[int] = 1,
@@ -251,8 +248,8 @@ class Campaign:
                  echo: Optional[Callable[[str], None]] = None,
                  pool: Optional[WorkerPool] = None,
                  max_retries: int = 2,
-                 on_dispatch: Optional[Callable[[str, Job, str], None]] = None,
-                 crash_token: Optional[str] = None) -> None:
+                 on_dispatch: Optional[Callable[[str, Job, str], None]] = None
+                 ) -> None:
         self.store = store
         self.workers = resolve_workers(workers)
         self.force = force
@@ -260,7 +257,6 @@ class Campaign:
         self.pool = pool
         self.max_retries = max_retries
         self.on_dispatch = on_dispatch
-        self.crash_token = crash_token
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> Tuple[Dict[Job, Any], CampaignReport]:
@@ -315,7 +311,7 @@ class Campaign:
         width = min(self.workers, max(1, pending_count))
         if width == 1:
             return SerialPool()
-        return ProcessPool(width, crash_token=self.crash_token)
+        return ProcessPool(width)
 
     def _run_scheduled(self, stages, satisfied: Set[str],
                        results: Dict[Job, Any],

@@ -300,7 +300,6 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     try:
         return run_remote_worker(address, store, name=args.name,
                                  connect_timeout=args.connect_timeout,
-                                 crash_on_job=args.crash_on_job,
                                  echo=print)
     except OSError as exc:
         print(f"ERROR: could not reach coordinator at "
@@ -553,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p.add_argument("--connect-timeout", type=float, default=30.0,
                           metavar="SECONDS",
                           help="how long to retry the first connection")
-    worker_p.add_argument("--crash-on-job", type=int, default=None,
-                          help=argparse.SUPPRESS)
     serve_p = csub.add_parser(
         "serve", help="serve a store directory over HTTP for remote workers")
     serve_p.add_argument("--store", default=None,

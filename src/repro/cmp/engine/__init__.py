@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "fbdb1606871c42b51583587904a2dbf8043966ed7e461ece478486774fb3cfbf"
+ENGINE_SOURCE_CHECKSUM = "2a285039d60a85d97853498559369cb4d039c7787e21b77676a9f518684c7b14"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.campaign import pool as pool_module
 from repro.campaign.pool import (
     ProcessPool,
     RemotePool,
@@ -47,6 +48,31 @@ ROGUE_REPLIES = {
 }
 
 
+#: Only a forked worker inherits a patch the coordinator made.
+forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit a patched execute_into_store")
+
+
+def crash_in(monkeypatch, name, token=None):
+    """Make the worker that calls ``repro.campaign.pool.<name>`` die
+    abruptly (``os._exit``, as a SIGKILL would): on every call, or, given
+    a ``token`` file, once — the unlink is atomic, so exactly one racing
+    worker wins the crash.  Patched before the pool forks, so its workers
+    inherit it."""
+    original = getattr(pool_module, name)
+
+    def crash(*args):
+        if token is not None:
+            try:
+                os.unlink(token)
+            except FileNotFoundError:
+                return original(*args)
+        os._exit(17)
+
+    monkeypatch.setattr(pool_module, name, crash)
+
+
 def rogue_peer(address, reply):
     """Attach as a worker, take one job, ``reply`` to it, then stall
     until the coordinator hangs up."""
@@ -71,18 +97,20 @@ def store_fingerprint(store):
             for key in store.iter_keys()}
 
 
-def remote_campaign(store, jobs, n_workers=2, **worker_kwargs):
+def remote_campaign(store, jobs, n_workers=2):
     """Run a campaign on a RemotePool with in-process worker threads."""
     pool = RemotePool("127.0.0.1", 0)
     threads = []
 
-    def attach(kwargs):
-        run_remote_worker(pool.address, ResultStore(store.root), **kwargs)
+    def attach():
+        try:
+            run_remote_worker(pool.address, ResultStore(store.root))
+        except SystemExit:
+            pass  # a patched job ended this worker's loop
 
     campaign = Campaign(store, workers=n_workers, pool=pool)
-    for i in range(n_workers):
-        kwargs = dict(worker_kwargs) if i == 0 else {}
-        thread = threading.Thread(target=attach, args=(kwargs,), daemon=True)
+    for _ in range(n_workers):
+        thread = threading.Thread(target=attach, daemon=True)
         thread.start()
         threads.append(thread)
     results, report = campaign.run(jobs)
@@ -104,14 +132,16 @@ class TestResolveWorkers:
 
 
 class TestProcessPoolCrashes:
+    @forked_workers
     def test_one_shot_crash_is_retried_to_completion(self, micro_scale,
-                                                     store, tmp_path):
+                                                     store, tmp_path,
+                                                     monkeypatch):
         token = tmp_path / "crash-once"
         token.write_text("once")
         jobs = small_matrix(micro_scale)
         serial = run_serial(jobs, WorkloadRunner(micro_scale))
-        results, report = Campaign(store, workers=2,
-                                   crash_token=str(token)).run(jobs)
+        crash_in(monkeypatch, "execute_into_store", token)
+        results, report = Campaign(store, workers=2).run(jobs)
         assert not report.failed
         assert report.scheduler.worker_deaths >= 1
         assert report.scheduler.retries >= 1
@@ -119,14 +149,14 @@ class TestProcessPoolCrashes:
         for job, expected in serial.items():
             assert results[job].result.threads == expected.result.threads
 
+    @forked_workers
     def test_always_crashing_workers_terminate_with_failures(
-            self, micro_scale, store, tmp_path):
+            self, micro_scale, store, monkeypatch):
         """Every attempt dies: bounded retries must end the campaign."""
-        token = tmp_path / "crash-always"
-        token.write_text("always")
         jobs = small_matrix(micro_scale)[:1]
-        results, report = Campaign(store, workers=2, max_retries=1,
-                                   crash_token=str(token)).run(jobs)
+        crash_in(monkeypatch, "execute_into_store")
+        results, report = Campaign(store, workers=2,
+                                   max_retries=1).run(jobs)
         assert results == {} or all(v is None for v in results.values())
         assert report.failed
         for failure in report.failed:
@@ -140,7 +170,7 @@ class TestProcessPoolCrashes:
             event = pool.next_event(timeout=10.0)
             assert event.kind == "joined"
             first = event.worker
-            proc, _conn = pool._members[first]
+            (proc,) = pool._procs.values()
             proc.terminate()
             for _ in range(50):
                 event = pool.next_event(timeout=1.0)
@@ -154,6 +184,25 @@ class TestProcessPoolCrashes:
             assert replacement.worker != first
         finally:
             pool.close()
+
+    @forked_workers
+    def test_a_worker_lost_before_its_hello_is_replaced(
+            self, micro_scale, store, tmp_path, monkeypatch):
+        """A forked worker that exits before its handshake is one death:
+        the pool forks a replacement and the campaign finishes."""
+        token = tmp_path / "exit-once"
+        token.write_text("once")
+        crash_in(monkeypatch, "_forked_worker", token)
+        jobs = small_matrix(micro_scale)
+        serial = run_serial(jobs, WorkloadRunner(micro_scale))
+        results, report = Campaign(store, workers=2).run(jobs)
+        assert not token.exists()
+        assert not report.failed
+        assert report.scheduler.worker_deaths == 1
+        assert report.scheduler.retries == 0
+        assert report.scheduler.workers_seen == 2  # survivor + replacement
+        for job, expected in serial.items():
+            assert results[job].result.threads == expected.result.threads
 
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -184,8 +233,8 @@ class TestWarmWorkers:
         monkeypatch.setattr(native, "load", load)
         token = tmp_path / "crash-once"
         token.write_text("once")
-        _results, report = Campaign(store, workers=2,
-                                    crash_token=str(token)).run(
+        crash_in(monkeypatch, "execute_into_store", token)
+        _results, report = Campaign(store, workers=2).run(
             small_matrix(micro_scale))
         assert not report.failed
         assert report.scheduler.worker_deaths == 1
@@ -220,11 +269,21 @@ class TestRemotePool:
             assert results[job].iso_ipcs == expected.iso_ipcs
 
     def test_dropped_connection_requeues_inflight_job(self, micro_scale,
-                                                      store):
+                                                      store, monkeypatch):
         """A worker vanishing mid-job costs a retry, not the campaign."""
+        execute = pool_module.execute_into_store
+        drops = [True]
+
+        def drop_once(worker_store, runners, key, job):
+            try:
+                drops.pop()
+            except IndexError:
+                return execute(worker_store, runners, key, job)
+            raise SystemExit  # ends this worker's loop and its connection
+
+        monkeypatch.setattr(pool_module, "execute_into_store", drop_once)
         jobs = small_matrix(micro_scale)
-        results, report = remote_campaign(store, jobs, n_workers=2,
-                                          _drop_on_job=0)
+        results, report = remote_campaign(store, jobs, n_workers=2)
         assert not report.failed
         assert report.executed == report.total
         assert report.scheduler.worker_deaths >= 1
