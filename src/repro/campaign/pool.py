@@ -32,14 +32,15 @@ forked
     loading its own; under ``spawn`` / ``forkserver`` each worker loads
     what it binds.
 
-Either way the worker runs the same loop on its socket and the
-coordinator the same reader thread on its end: length-prefixed pickle
-frames, ``("hello", name)`` / ``("welcome", worker)``, then
-``("job", key, job)`` in and ``(done|failed, key, error)`` out until
-``("stop",)``.  Whatever ends a connection — the peer's exit or crash,
-a malformed frame — is one ``died`` event carrying the job in flight
-for the scheduler to requeue; a forked worker is also respawned, even
-one that died before its hello.
+Either way the worker runs the same loop on its socket, and one
+:mod:`selectors` loop in :meth:`RemotePool.next_event` reads the
+listening socket and every connection; no pool starts a thread.  Frames
+are length-prefixed pickles: ``("hello", name)`` / ``("welcome",
+worker)``, then ``("job", key, job)`` in and ``(done|failed, key,
+error)`` out until ``("stop",)``.  Whatever ends a connection — the
+peer's exit or crash, a malformed frame — is one ``died`` event carrying
+the job in flight for the scheduler to requeue; a forked worker is also
+respawned, even one that died before its hello.
 
 Results transport is identical for every pool: the worker executes,
 ``store.put``-s, and acks ``done(key)``; the coordinator then
@@ -55,14 +56,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
+import selectors
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.campaign.jobs import Job
 from repro.campaign.server import MAX_BODY_BYTES
@@ -211,21 +211,31 @@ def _send_frame(sock: socket.socket, obj: Any) -> None:
     sock.sendall(struct.pack(">I", len(data)) + data)
 
 
-def _recv_frame(rfile) -> Any:
-    """Read one length-prefixed pickle frame (EOFError on a closed peer;
-    ValueError, before a byte of the body is read, on a length over
-    :data:`~.server.MAX_BODY_BYTES`, the store server's own cap)."""
-    header = rfile.read(4)
-    if len(header) < 4:
-        raise EOFError("connection closed")
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_BODY_BYTES:
-        raise ValueError(f"frame of {length} bytes over the "
-                         f"{MAX_BODY_BYTES}-byte cap")
-    data = rfile.read(length)
-    if len(data) < length:
-        raise EOFError("connection closed mid-frame")
-    return pickle.loads(data)
+def _frames(sock: socket.socket, flags: int = 0) -> Iterator[Any]:
+    """Each length-prefixed pickle frame ``sock`` receives, reassembled
+    across reads: EOFError on a closed peer; ValueError once a header
+    announces more than :data:`~.server.MAX_BODY_BYTES` (the store
+    server's own cap), before a byte of the body is awaited.  Under
+    ``flags=socket.MSG_DONTWAIT`` it yields None when no byte waits."""
+    buf = bytearray()
+    while True:
+        if len(buf) >= 4:
+            (length,) = struct.unpack_from(">I", buf)
+            if length > MAX_BODY_BYTES:
+                raise ValueError(f"frame of {length} bytes over the "
+                                 f"{MAX_BODY_BYTES}-byte cap")
+            if len(buf) >= 4 + length:
+                frame, buf = buf[4:4 + length], buf[4 + length:]
+                yield pickle.loads(frame)
+                continue
+        try:
+            chunk = sock.recv(1 << 16, flags)
+        except BlockingIOError:
+            yield None
+            continue
+        if not chunk:
+            raise EOFError("connection closed")
+        buf += chunk
 
 
 def _work(sock: socket.socket, store: ResultStore, name: str,
@@ -236,13 +246,12 @@ def _work(sock: socket.socket, store: ResultStore, name: str,
     and when the coordinator goes away."""
     runners: Dict[Any, Any] = {}
     received = 0
-    rfile = sock.makefile("rb")
+    frames = _frames(sock)
     try:
         _send_frame(sock, ("hello", name))
-        worker = _recv_frame(rfile)[1]
+        worker = next(frames)[1]
         echo(f"worker {worker}: connected to {peer}")
-        while True:
-            msg = _recv_frame(rfile)
+        for msg in frames:
             if msg[0] == "stop":
                 echo(f"worker {worker}: stopped after {received} job(s)")
                 return 0
@@ -255,9 +264,8 @@ def _work(sock: socket.socket, store: ResultStore, name: str,
             else:
                 _send_frame(sock, ("done", key, ""))
     except (EOFError, OSError):
-        return 0  # coordinator gone: campaign over
-    finally:
-        rfile.close()  # else closing the socket leaves it open
+        pass
+    return 0  # coordinator gone: campaign over
 
 
 # ----------------------------------------------------------------------
@@ -280,76 +288,61 @@ class RemotePool(WorkerPool):
         self._open_channel()
 
     def _open_channel(self) -> None:
-        """No worker attached yet, no event queued."""
-        #: ``(kind, worker, key, error)`` from the reader threads; a
+        """No worker attached yet, no event pending."""
+        #: The listening socket (``data`` None) and every connection,
+        #: whose ``data`` is ``[its frames, its worker name or None]``.
+        self._selector = selectors.DefaultSelector()
+        #: ``(kind, worker, key, error)`` read off the connections; a
         #: ``lost`` event carries the connection where the key would be.
-        self._events: "queue.Queue[Tuple[str, Optional[str], Any, str]]" = \
-            queue.Queue()
+        self._pending: deque = deque()
         self._conns: Dict[str, socket.socket] = {}
         self._inflight: Dict[str, Optional[str]] = {}
         self._accepted = 0
-        self._lock = threading.Lock()
         self._closed = False
 
     def start(self, store: ResultStore) -> None:
-        threading.Thread(target=self._accept_loop, name="repro-pool-accept",
-                         daemon=True).start()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+
+    def _watch(self, conn: socket.socket) -> None:
+        """Read ``conn`` in the event loop from now on."""
+        self._selector.register(conn, selectors.EVENT_READ,
+                                [_frames(conn, socket.MSG_DONTWAIT), None])
 
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        """Accept workers; one reader thread per connection."""
-        while not self._closed:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            self._read(conn)
-
-    def _read(self, conn: socket.socket) -> None:
-        """Start the reader thread of one connection."""
-        threading.Thread(target=self._serve_conn, args=(conn,),
-                         daemon=True).start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        """Handshake one worker, then relay its acks as events.
-
-        Whatever ends the connection — the peer closing it, an oversized
-        or undecodable frame, an ack that is not ``(kind, key, error)``
-        with ``kind`` ``done`` / ``failed`` and two strings, any other
-        exception — is a ``lost`` event, so the job in flight is
-        requeued rather than waited for."""
-        rfile = conn.makefile("rb")
-        worker = None
+    def _pull(self, conn: socket.socket, peer: List[Any]) -> None:
+        """Queue the frames waiting on ``conn`` as events: ``joined``
+        (its hello answered), then its acks.  Whatever ends the
+        connection — the peer closing it, an oversized or undecodable
+        frame, an ack that is not ``(kind, key, error)`` with ``kind``
+        ``done`` / ``failed`` and two strings, any other exception —
+        queues one ``lost`` event, so the job in flight is requeued
+        rather than waited for."""
+        frames, worker = peer
         try:
-            hello = _recv_frame(rfile)
-            if not (isinstance(hello, tuple) and hello[0] == "hello"):
-                return
-            with self._lock:
-                worker = f"remote-{self._accepted}"
-                if len(hello) > 1 and hello[1]:
-                    worker = f"{hello[1]}-{self._accepted}"
-                self._accepted += 1
-                self._conns[worker] = conn
-                self._inflight[worker] = None
-            _send_frame(conn, ("welcome", worker))
-            self._events.put(("joined", worker, None, ""))
-            while True:
-                msg = _recv_frame(rfile)
+            for msg in frames:
+                if msg is None:
+                    return  # nothing more waiting
+                if worker is None:
+                    if not (isinstance(msg, tuple) and msg[0] == "hello"):
+                        break
+                    name = msg[1] if len(msg) > 1 and msg[1] else "remote"
+                    worker = peer[1] = f"{name}-{self._accepted}"
+                    self._accepted += 1
+                    self._conns[worker] = conn
+                    _send_frame(conn, ("welcome", worker))
+                    self._pending.append(("joined", worker, None, ""))
+                    continue
                 if not (isinstance(msg, tuple) and len(msg) == 3
                         and msg[0] in ("done", "failed")
                         and all(isinstance(part, str) for part in msg)):
                     break
-                self._events.put((msg[0], worker, msg[1], msg[2]))
+                self._pending.append((msg[0], worker, msg[1], msg[2]))
         except Exception:   # noqa: BLE001 - any damage ends the connection
             pass
-        finally:
-            self._events.put(("lost", worker, conn, ""))
-            try:
-                conn.close()
-            except OSError:
-                pass
+        self._selector.unregister(conn)
+        conn.close()
+        self._pending.append(("lost", worker, conn, ""))
 
-    # ------------------------------------------------------------------
     def dispatch(self, worker: str, key: str, job: Job) -> None:
         # A worker leaves ``_conns`` only as its ``died`` event is
         # handed out, after which the scheduler sends it nothing.
@@ -358,19 +351,28 @@ class RemotePool(WorkerPool):
         try:
             _send_frame(conn, ("job", key, job))
         except OSError:
-            # The connection is going away: its reader thread queues the
-            # one ``lost`` event, which requeues the key left in flight.
-            # Shutting the socket down wakes a reader still in ``recv``.
+            # The connection is going away.  Shut down, it reads EOF in
+            # the loop: one ``lost`` event requeues the key in flight.
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
 
     def next_event(self, timeout: Optional[float] = None) -> Optional[PoolEvent]:
-        try:
-            kind, worker, key, error = self._events.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._pending:
+            left = None if deadline is None else deadline - time.monotonic()
+            for ready, _mask in self._selector.select(left):
+                if ready.data is None:
+                    try:
+                        self._watch(self._listener.accept()[0])
+                    except OSError:
+                        pass  # the dialler gave up before the accept
+                else:
+                    self._pull(ready.fileobj, ready.data)
+            if not self._pending and left is not None and left <= 0:
+                return None
+        kind, worker, key, error = self._pending.popleft()
         if kind == "lost":
             return self._lost(worker, conn=key)
         if kind in ("done", "failed"):
@@ -390,22 +392,24 @@ class RemotePool(WorkerPool):
                          error="connection lost")
 
     def close(self) -> None:
+        if self._closed:
+            return
         self._closed = True
-        for conn in list(self._conns.values()):
+        for conn, _fd, _mask, peer in self._selector.get_map().values():
+            if peer is None:
+                continue  # the listener
+            # A shutdown, unlike a close, reaches a socket a forked
+            # sibling also holds: a worker yet to join reads EOF too.
             try:
-                _send_frame(conn, ("stop",))
+                if peer[1] is not None:
+                    _send_frame(conn, ("stop",))
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
+            conn.close()
+        self._selector.close()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.close()
 
 
 # ----------------------------------------------------------------------
@@ -468,9 +472,8 @@ class ProcessPool(RemotePool):
                                     ) as loader:
                 self.preloaded = [info for _kernel, info in loader.map(
                     lambda item: native.load(*item), keys)]
-        # Every initial worker forks before the first reader thread runs.
-        for conn in [self._fork() for _ in range(self.workers)]:
-            self._read(conn)
+        for _ in range(self.workers):
+            self._watch(self._fork())
 
     def _fork(self) -> socket.socket:
         """Start one worker process; returns the coordinator's end."""
@@ -490,16 +493,12 @@ class ProcessPool(RemotePool):
         proc = self._procs.pop(conn)
         proc.join(timeout=1.0)
         if not self._closed:
-            self._read(self._fork())
+            self._watch(self._fork())
         return super()._lost(worker or "proc", conn)
 
     def close(self) -> None:
         super().close()
-        for conn, proc in self._procs.items():
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # a worker yet to join
-            except OSError:                      # reads EOF
-                pass
+        for proc in self._procs.values():
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()

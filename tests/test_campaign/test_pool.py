@@ -1,9 +1,9 @@
 """Worker pools: crash recovery, remote execution, tri-modal bit-identity."""
 
 import functools
-import io
 import multiprocessing
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -16,7 +16,7 @@ from repro.campaign.pool import (
     RemotePool,
     SerialPool,
     _connect_with_retry,
-    _recv_frame,
+    _frames,
     _send_frame,
     kernels_summary,
     resolve_workers,
@@ -78,10 +78,10 @@ def rogue_peer(address, reply):
     until the coordinator hangs up."""
     sock = socket.create_connection(address, timeout=20.0)
     try:
-        rfile = sock.makefile("rb")
+        frames = _frames(sock)
         _send_frame(sock, ("hello", "rogue"))
-        _recv_frame(rfile)                  # welcome
-        _recv_frame(rfile)                  # the job
+        next(frames)                        # welcome
+        next(frames)                        # the job
         reply(sock)
         while sock.recv(4096):
             pass
@@ -334,25 +334,28 @@ class TestRemotePool:
         """One cap for both channels: the store server's body limit."""
         from repro.campaign import server
 
-        rfile = io.BytesIO(struct.pack(">I", server.MAX_BODY_BYTES + 1)
-                           + b"body")
-        with pytest.raises(ValueError, match="-byte cap"):
-            _recv_frame(rfile)
-        assert rfile.read() == b"body"
+        coordinator_end, peer_end = socket.socketpair()
+        with coordinator_end, peer_end:
+            # Only the header: a decoder that waited for the body would
+            # block here instead of refusing.
+            peer_end.sendall(struct.pack(">I", server.MAX_BODY_BYTES + 1))
+            coordinator_end.settimeout(10.0)
+            with pytest.raises(ValueError, match="-byte cap"):
+                next(_frames(coordinator_end))
 
     def test_a_dispatch_to_a_closed_connection_is_one_death(
             self, micro_scale):
-        """A send that fails on a connection its reader has closed queues
-        nothing: the reader's own ``lost`` event reports the worker once,
+        """A send that fails on a connection the loop has closed queues
+        nothing: the loop's own ``lost`` event reports the worker once,
         with the key in flight."""
         pool = RemotePool("127.0.0.1", 0)
         coordinator_end, peer_end = socket.socketpair()
         try:
             _send_frame(peer_end, ("hello", "gone"))
             peer_end.shutdown(socket.SHUT_WR)
-            # The reader: handshakes, reads EOF, queues ``lost`` and
-            # closes its socket before it returns.
-            pool._serve_conn(coordinator_end)
+            # One pass of the loop handshakes, reads EOF, queues ``lost``
+            # and closes the socket before ``joined`` is handed out.
+            pool._watch(coordinator_end)
             joined = pool.next_event(timeout=0)
             assert joined.kind == "joined"
             job = isolation_job(micro_scale, "crafty", 0, "lru")
@@ -411,6 +414,104 @@ class TestRemotePool:
         _results, report = outcome[0]
         assert [failure.label for failure in report.failed] == [job.label]
         assert report.scheduler.worker_deaths == 1
+
+
+class TestOneEventLoop:
+    """The coordinator reads every worker in one loop on its own thread."""
+
+    def test_no_pool_starts_a_thread(self, store):
+        """No thread starts at any step of a process pool's life, a
+        respawn included, nor for a remote pool's listener.  (Compared as
+        sets, so a thread an earlier test left ending cannot interfere.)"""
+        before = set(threading.enumerate())
+
+        def started():
+            return set(threading.enumerate()) - before
+
+        pool = ProcessPool(2)
+        try:
+            pool.start(store)
+            assert not started()
+            joined = [pool.next_event(timeout=10.0) for _ in range(2)]
+            assert [event.kind for event in joined] == ["joined", "joined"]
+            assert not started()
+            next(iter(pool._procs.values())).terminate()
+            died = pool.next_event(timeout=10.0)
+            replacement = pool.next_event(timeout=10.0)
+            assert (died.kind, replacement.kind) == ("died", "joined")
+            assert not started()
+        finally:
+            pool.close()
+        assert not started()
+        remote = RemotePool("127.0.0.1", 0)
+        try:
+            remote.start(store)
+            assert not started()
+        finally:
+            remote.close()
+
+    def test_a_slow_or_stuck_peer_cannot_stall_the_loop(self, micro_scale,
+                                                        store):
+        """One peer sends its hello a byte at a time and still joins: a
+        frame reassembles across reads.  Another sends half a hello and
+        stalls: a worker beside it still joins and finishes a job, and
+        ``close`` returns."""
+        pool = RemotePool("127.0.0.1", 0)
+        pool.start(store)
+        body = pickle.dumps(("hello", "slow"),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        hello = struct.pack(">I", len(body)) + body
+        slow = socket.create_connection(pool.address, timeout=20.0)
+        stuck = socket.create_connection(pool.address, timeout=20.0)
+        codes = []
+        worker = threading.Thread(
+            target=lambda: codes.append(run_remote_worker(
+                pool.address, store, name="steady")),
+            daemon=True)
+        try:
+            stuck.sendall(hello[:len(hello) // 2])
+            for byte in hello[:-1]:
+                slow.sendall(bytes([byte]))
+                assert pool.next_event(timeout=0.01) is None
+            slow.sendall(hello[-1:])
+            joined = pool.next_event(timeout=10.0)
+            assert joined.kind == "joined"
+            assert joined.worker.startswith("slow-")
+            assert next(_frames(slow)) == ("welcome", joined.worker)
+            worker.start()
+            steady = pool.next_event(timeout=10.0)
+            assert steady.kind == "joined"
+            assert steady.worker.startswith("steady-")
+            job = isolation_job(micro_scale, "crafty", 0, "lru")
+            pool.dispatch(steady.worker, "k0", job)
+            done = pool.next_event(timeout=30.0)
+            assert (done.kind, done.worker, done.key) == (
+                "done", steady.worker, "k0")
+        finally:
+            pool.close()
+            worker.join(timeout=10.0)
+        assert codes == [0]
+        with slow, stuck:
+            assert stuck.recv(1) == b""  # the coordinator hung up on it
+            assert next(_frames(slow)) == ("stop",)
+
+
+class TestClose:
+    def test_every_pool_closes_twice(self, store):
+        """``WorkerPool.close`` is idempotent, started or not."""
+        serial = SerialPool()
+        serial.start(store)
+        process = ProcessPool(1)
+        process.start(store)
+        assert process.next_event(timeout=10.0).kind == "joined"
+        (proc,) = process._procs.values()
+        remote = RemotePool("127.0.0.1", 0)
+        remote.start(store)
+        never_started = RemotePool("127.0.0.1", 0)
+        for pool in (serial, process, remote, never_started):
+            pool.close()
+            pool.close()
+        assert not proc.is_alive()
 
 
 class TestTriModalBitIdentity:
