@@ -1,4 +1,4 @@
-"""Ablation: the NRU eSDH scaling factor and update rule (DESIGN.md).
+"""Ablation: the NRU eSDH scaling factor and update rule.
 
 The paper evaluates S ∈ {1.0, 0.75, 0.5} and finds 0.75 best (§V-B); the
 prose is ambiguous about whether the update increments one register or a
@@ -42,7 +42,6 @@ def test_esdh_scaling_ablation(benchmark, scale, runner):
     # All variants function — none collapses the partitioning system.  The
     # laptop scale amplifies eSDH compression error (S = 0.5 halves every
     # estimated distance, so MinMisses sees prematurely-saturated curves
-    # and starves the needy thread), hence the generous floor;
-    # EXPERIMENTS.md records the measured ordering next to the paper's.
+    # and starves the needy thread), hence the generous floor.
     for label, value in results.items():
         assert value / baseline > 0.55, (label, value / baseline)

@@ -74,8 +74,8 @@ def main() -> None:
         "Note that pointwise curve error is NOT what the partitioning\n"
         "system pays for: MinMisses reads the *knee position*, which\n"
         "compression shifts left (under-allocation).  The eSDH-scaling\n"
-        "ablation bench measures the end-to-end effect; EXPERIMENTS.md\n"
-        "records where our substrate's optimum lands vs the paper's 0.75."
+        "ablation bench (benchmarks/bench_ablation_scaling.py) measures\n"
+        "where our substrate's optimum lands vs the paper's 0.75."
     )
 
 

@@ -21,8 +21,9 @@ Quickstart::
                           traces, SimulationConfig(instructions_per_thread=500_000))
     print(result.throughput, [t.ipc for t in result.threads])
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/architecture.md for the system inventory and
+docs/reproducing.md for how every table and figure is reproduced and
+graded against the paper.
 """
 
 from repro.config import (

@@ -25,18 +25,20 @@ kind declared (:data:`~repro.cache.transitions.C_KINDS`), as follows:
     scalar argument; a parameter the kernel assigns becomes a local
     initialised from it.
 ``ints`` / ``floats`` / ``cores``
-    an owner's array, shared with Python by address for the call: what
-    either side stores the other sees, call-outs included (``cores``:
-    an integer array with one slot per thread).
+    an owner's array, shared with Python by address: what a call
+    stores, Python sees when it returns, and the other way round
+    (``cores``: an integer array with one slot per thread).
 ``rows``
     per-thread table of ``int64`` columns (``lines[t][j]``).
 ``column``
     one ``int64`` column and its length: the only thing a ``for`` may
     iterate.
-``callout:RET(ARGS)``
-    a Python callable: called through a function pointer; the statement
-    that called it ends with a check of the error word, so an exception
-    raised on the Python side stops the loop there.
+
+No kind stands for a callable: a kernel calls nothing but the integer
+methods above, so it never runs Python.  Where the caller has work — a
+boundary, a freeze, a window to load — the kernel *returns*, its values
+(a ``return`` of a tuple) in the argument block, and the caller calls
+it again.
 
 Floats are IEEE doubles evaluated in source order (an ``int`` operand is
 converted first, as Python does); the build adds ``-ffp-contract=off``
@@ -52,7 +54,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Mapping, NamedTuple, Set, Tuple
 
-__all__ = ["Kernel", "callout_signature", "check_fragment", "translate"]
+__all__ = ["Kernel", "check_fragment", "translate"]
 
 PRELUDE = """\
 #include <stdint.h>
@@ -81,12 +83,12 @@ _ARRAY_KINDS = {"ints": "int", "cores": "int", "floats": "float"}
 class Kernel(NamedTuple):
     """One translated kernel."""
 
-    #: The C translation unit; its entry point is ``i64 run(Args *)``.
+    #: The C translation unit; its entry point is ``void run(Args *)``.
     source: str
     #: ``(name, C type, kind)`` of every member of ``Args``, in order.
-    #: Kinds are those of the module docstring plus ``error`` (the word a
-    #: failed call-out sets), ``length`` (the member after a ``column``
-    #: one) and ``ret`` (the returned tuple, ``ret0`` ...).
+    #: Kinds are those of the module docstring plus ``length`` (the member
+    #: after a ``column`` one) and ``ret`` (the returned tuple, ``ret0``
+    #: ...).
     members: Tuple[Tuple[str, str, str], ...]
     #: The kernel's own parameters, in order.
     params: Tuple[str, ...]
@@ -96,13 +98,6 @@ class Kernel(NamedTuple):
 
 class _Refused(Exception):
     pass
-
-
-def callout_signature(kind: str) -> Tuple[str, List[str]]:
-    """``(return type, [parameter types])`` of a ``callout:RET(ARGS)``
-    kind, each ``"int"`` or ``"float"``."""
-    ret, _, params = kind[len("callout:"):].rstrip(")").partition("(")
-    return ret, [param for param in params.split(",") if param]
 
 
 def check_fragment(name: str, label: str, text: str,
@@ -243,9 +238,8 @@ class _Translator:
 
     def expr_BoolOp(self, node):
         # Value context: ``a or b`` / ``a and b`` over integers, operands
-        # pure (no call-outs), so evaluating the left one twice is exact.
-        if any(self.has_callout(value) for value in node.values):
-            self.refuse(node, "call-out inside a valued and/or")
+        # pure (nothing translated has an effect), so evaluating the left
+        # one twice is exact.
         text = self.int_expr(node.values[-1])
         for value in reversed(node.values[:-1]):
             left = self.int_expr(value)
@@ -290,15 +284,8 @@ class _Translator:
         if not isinstance(func, ast.Name) or func.id in self.locals:
             self.refuse(node, "call of a computed callable")
         kind = self.kind(func)
-        if kind.startswith("callout:"):
-            ret, params = callout_signature(kind)
-            if len(params) != len(node.args):
-                self.refuse(node, f"{func.id} takes {len(params)} arguments")
-            args = [self.as_float(arg) if typ == "float"
-                    else self.int_expr(arg)
-                    for typ, arg in zip(params, node.args)]
-            return f"a->{func.id}({', '.join(args)})", ret
-        self.refuse(node, f"call of {func.id!r} ({kind})")
+        self.refuse(node, f"call of {func.id!r} ({kind}): a kernel calls "
+                          f"nothing but an integer's methods")
 
     def method(self, node, func):
         attr = func.attr
@@ -306,11 +293,6 @@ class _Translator:
             return f"{attr}({self.int_expr(func.value)})", "int"
         self.refuse(node, f"method .{attr}(): the only methods translated "
                           f"are an integer's bit_length() / bit_count()")
-
-    def has_callout(self, node) -> bool:
-        return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                   and self.kinds.get(sub.func.id, "").startswith("callout:")
-                   for sub in ast.walk(node))
 
     # ------------------------------------------------------------------
     # Statements
@@ -322,10 +304,6 @@ class _Translator:
                 self.refuse(stmt, f"{type(stmt).__name__} statement is "
                                   f"outside the translated subset")
             method(stmt, depth)
-
-    def after_callout(self, node, depth: int) -> None:
-        if self.has_callout(node):
-            self.emit(depth, "if (a->error) return 1;")
 
     def declare(self, node, name: str, typ: str) -> None:
         if name in self.kinds and name not in self.locals:
@@ -360,7 +338,6 @@ class _Translator:
             self.refuse(node, "tuple assignment")
         text, typ = self.expr(value)
         self.assign(target, text, typ, node, depth)
-        self.after_callout(value, depth)
 
     def stmt_AugAssign(self, node, depth):
         op = _BINOPS.get(type(node.op))
@@ -380,40 +357,25 @@ class _Translator:
         else:
             value, typ = self.int_expr(node.value), "int"
         self.assign(node.target, value, typ, node, depth, op + "=")
-        self.after_callout(node.value, depth)
 
     def stmt_Expr(self, node, depth):
-        call = node.value
-        if not isinstance(call, ast.Call):
-            self.refuse(node, "expression statement")
-        text, _typ = self.expr(call)
-        self.emit(depth, f"(void){text};")
-        self.after_callout(call, depth)
+        # Nothing translated has an effect, so an expression statement
+        # does nothing: refused, after its own refusal if it has one (a
+        # list method by name).
+        self.expr(node.value)
+        self.refuse(node, "expression statement")
 
     def stmt_If(self, node, depth):
-        test = self.condition(node.test)
-        if self.has_callout(node.test):
-            # The error word is read between the test and the branches.
-            self.emit(depth, "{")
-            self.emit(depth + 1, f"i64 taken = {test};")
-            self.emit(depth + 1, "if (a->error) return 1;")
-            self.emit(depth + 1, "if (taken) {")
-            depth += 1
-        else:
-            self.emit(depth, f"if ({test}) {{")
+        self.emit(depth, f"if ({self.condition(node.test)}) {{")
         self.block(node.body, depth + 1)
         if node.orelse:
             self.emit(depth, "} else {")
             self.block(node.orelse, depth + 1)
         self.emit(depth, "}")
-        if self.has_callout(node.test):
-            self.emit(depth - 1, "}")
 
     def stmt_While(self, node, depth):
         if node.orelse:
             self.refuse(node, "while/else")
-        if self.has_callout(node.test):
-            self.refuse(node, "call-out in a loop condition")
         forever = (isinstance(node.test, ast.Constant)
                    and node.test.value is True)
         self.emit(depth, "for (;;) {" if forever
@@ -469,7 +431,7 @@ class _Translator:
             elif self.returns[position] != typ:
                 self.refuse(node, f"return value {position} changes type")
             self.emit(depth, f"a->ret{position} = {text};")
-        self.emit(depth, "return 0;")
+        self.emit(depth, "return;")
 
     # ------------------------------------------------------------------
     def run(self, kernel: ast.FunctionDef) -> Kernel:
@@ -483,13 +445,11 @@ class _Translator:
                 self.refuse(kernel, f"parameter {name!r} has no declared "
                                     f"kind")
         self.block(kernel.body, 1)
-        if not isinstance(kernel.body[-1], ast.Return):
-            self.emit(1, "return 0;")
 
         # Args members in order: (C name, C type, kind of the logical
         # field) — the one list the struct text and the ctypes mirror in
         # repro.cache.native are both built from.
-        members: List[Tuple[str, str, str]] = [("error", "i64", "error")]
+        members: List[Tuple[str, str, str]] = []
         prologue = []
         for name, kind in self.used.items():
             if kind in ("int", "float"):
@@ -509,23 +469,17 @@ class _Translator:
                             (f"{name}_n", "i64", "length")]
                 prologue += [f"const i64 *const {name} = a->{name};",
                              f"const i64 {name}_n = a->{name}_n;"]
-            elif kind.startswith("callout:"):
-                ret, params = callout_signature(kind)
-                params = ", ".join(_C_TYPES[p] for p in params) or "void"
-                members.append((name, f"{_C_TYPES[ret]} (*)({params})",
-                                kind))
         for position, typ in enumerate(self.returns):
             members.append((f"ret{position}", _C_TYPES[typ], "ret"))
         for name, typ in self.locals.items():
             start = f"a->{name}" if name in self.used else "0"
             prologue.append(f"{_C_TYPES[typ]} {name} = {start};")
-        struct = [f"    {ctype.replace('(*)', f'(*{name})')};" if "(*)" in ctype
-                  else f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};"
+        struct = [f"    {ctype}{'' if ctype.endswith('*') else ' '}{name};"
                   for name, ctype, _kind in members]
         source = "\n".join(
             [f"/* {self.name}: generated by repro.cache.cgen from the "
              f"rendering of that name. */", PRELUDE, "typedef struct {"]
-            + struct + ["} Args;", "", "i64 run(Args *a) {"]
+            + struct + ["} Args;", "", "void run(Args *a) {"]
             + ["    " + line for line in prologue] + self.lines + ["}", ""])
         return Kernel(source, tuple(members), self.params,
                       frozenset(self.stored))

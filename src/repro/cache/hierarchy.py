@@ -90,7 +90,7 @@ class CacheHierarchy:
         a recency update); if the non-inclusive L2 no longer holds the line
         the writeback bypasses to memory.  L2 dirty evictions are counted
         by the L2's own statistics.  Writebacks are assumed buffered — they
-        cost energy, not thread latency (DESIGN.md §extensions).
+        cost energy, not thread latency.
         """
         hit, dirty_victim = self.l1[core].access_line_rw(line, write)
         if dirty_victim is not None:

@@ -44,24 +44,25 @@ array: every flat array a kernel binds is an ``array('q')`` /
 recency order included — statistics, SDH registers), or a contiguous
 numpy column of the C element type.  The argument block is built once,
 at bind (:class:`CompiledKernel`): every bound member — an owner array's
-address, a scalar, the error word — is written then, and each owner
+address, a scalar — is written then, and each owner
 ``array`` stays pinned — a buffer export held — for the kernel's
 lifetime, so whatever Python does sees and is seen by C at once, and
 resizing one raises :class:`BufferError` at any time instead of leaving
 C a dangling pointer.  Anything else where an owner array belongs is a
 :class:`TypeError` at bind.  A call writes only its own parameters —
-the loop's cursors, rows, clocks, call-outs and scalars, the prefilter's
-window and output columns, a drain's batch (an ``int64`` column or an
-``array('q')``), each pinned for the call where it is an ``array`` —
-runs, and reads the returns.  Nothing is copied back either: C probes
-a set's row of a tag store's ``lines``, so a kernel that stores
-``tag_lines`` leaves its bound ``store`` stale
+the loop's cursors, clocks, scalars and the row tables of its
+miss-stream columns (kept from call to call, a column re-pointed only
+when the caller replaced it), the prefilter's window and output columns,
+a drain's batch (an ``int64`` column or an ``array('q')``), each pinned
+for the call where it is an ``array`` — runs, and reads the returns.
+Nothing is copied back either: C probes a set's row of a tag store's
+``lines``, so a kernel that stores ``tag_lines`` leaves its bound
+``store`` stale
 (:attr:`repro.cache.state.TagStore.stale`), and the classes' tag dict is
-derived from the lines when it is next read.  The loop returns to
-Python through call-outs (``beyond``, ``freeze``, ``resume``); after
-each, a miss-stream column the shell replaced is re-pointed.  An
-exception raised inside a call-out stops the C loop at that statement
-and is re-raised from :meth:`CompiledKernel.__call__`.
+derived from the lines when it is next read.  No kernel calls back into
+Python: the loop returns to its caller wherever the caller has work (a
+boundary, a freeze, a window end) and is called again, so an exception
+the caller raises is raised with no compiled call on the stack.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
 ``None`` with the reason, silently — that host is simply slower: every
@@ -104,8 +105,11 @@ __all__ = ["CompiledKernel", "FLAGS", "TABLE", "cache_dir", "compiler",
 #: reference engine's), in its order.
 FLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off")
 
-_C_SCALARS = {"i64": ctypes.c_int64, "double": ctypes.c_double}
-_SCALARS = {"int": ctypes.c_int64, "float": ctypes.c_double}
+#: C type of an ``Args`` member -> its ctypes field (an unknown one is a
+#: malformed member table).
+_C_FIELDS = {"i64": ctypes.c_int64, "double": ctypes.c_double,
+             "i64 *": ctypes.c_void_p, "double *": ctypes.c_void_p,
+             "i64 **": ctypes.c_void_p}
 #: C array type -> (numpy dtype, ``array`` typecode).
 _ARRAYS = {"i64 *": (np.dtype(np.int64), "q"),
            "double *": (np.dtype(np.float64), "d")}
@@ -290,9 +294,8 @@ class Loaded(NamedTuple):
     params: Tuple[str, ...]
     #: Arrays the kernel writes.
     stored: frozenset
-    run: Callable                       # i64 run(Args *)
+    run: Callable                       # void run(Args *)
     args: type                          # the ctypes mirror of Args
-    callouts: Dict[str, type]           # call-out name -> CFUNCTYPE
     bindings: Callable                  # build(owner, ...) -> {name: obj}
     #: ``(name, C type, kind)`` of every member the bind or a call sets,
     #: in member order — all but the lengths (set along with their
@@ -302,19 +305,11 @@ class Loaded(NamedTuple):
     returns: Tuple[str, ...]
 
 
-def _args_type(members) -> Tuple[type, Dict[str, type]]:
-    fields, callouts = [], {}
-    for name, ctype, kind in members:
-        if ctype in _C_SCALARS:
-            fields.append((name, _C_SCALARS[ctype]))
-        elif kind.startswith("callout:"):
-            ret, params = cgen.callout_signature(kind)
-            callouts[name] = ctypes.CFUNCTYPE(
-                _SCALARS[ret], *(_SCALARS[param] for param in params))
-            fields.append((name, callouts[name]))
-        else:
-            fields.append((name, ctypes.c_void_p))
-    return type("Args", (ctypes.Structure,), {"_fields_": fields}), callouts
+def _args_type(members) -> type:
+    """The ctypes mirror of ``Args``; :class:`KeyError` for a member of
+    a C type no kernel has."""
+    return type("Args", (ctypes.Structure,), {"_fields_": [
+        (name, _C_FIELDS[ctype]) for name, ctype, _kind in members]})
 
 
 #: The tag store's lines: a kernel that stores them leaves the store stale.
@@ -345,14 +340,14 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
     """The kernel ``library`` holds, described by its own member table
     and bound through the rendering ``source``."""
     members, params, stored = _read_table(library)
-    args, callouts = _args_type(members)
+    args = _args_type(members)
     library.run.argtypes = [ctypes.POINTER(args)]
-    library.run.restype = ctypes.c_int64
+    library.run.restype = None
     bound = [name for name, _ctype, kind in members
-             if name not in params and kind not in ("error", "length", "ret")]
+             if name not in params and kind not in ("length", "ret")]
     # ``tag_lines`` is ``store.lines`` (``TEMPLATES["bind_tags"]``).
     return Loaded(
-        params, stored, library.run, args, callouts,
+        params, stored, library.run, args,
         _bindings(source, label, bound + ["store"] * (_TAGS in stored)),
         fields=tuple(m for m in members if m[2] not in ("length", "ret")),
         returns=tuple(name for name, _ctype, kind in members
@@ -483,7 +478,7 @@ class CompiledKernel:
         self._cores: List[Tuple[str, object]] = []
         params = loaded.params
         for name, ctype, kind in loaded.fields:
-            if name in params or kind == "error":
+            if name in params:
                 continue
             value = bound[name]
             if kind in _ARRAY_KINDS:
@@ -498,11 +493,10 @@ class CompiledKernel:
         members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
         #: ``(name, C type, kind)`` per parameter.
         self._params = tuple((name, *members[name]) for name in params)
-        kinds = [kind for _name, _ctype, kind in self._params]
         self._threads = params.index(_THREADS) if _THREADS in params else None
-        #: Kernels that leave C for Python mid-call (``loop``) keep
-        #: per-call state (:class:`_Run`).
-        self._returns_to_python = "rows" in kinds or bool(loaded.callouts)
+        #: Per ``rows`` parameter: its pointer table and the columns it
+        #: points at, each held so its address stays valid.
+        self._tables: Dict[str, Tuple[ctypes.Array, list]] = {}
 
     def __call__(self, *arguments):
         loaded, block, store = self._loaded, self._block, self._store
@@ -513,9 +507,7 @@ class CompiledKernel:
                    else arguments[self._threads])
         for name, value in self._cores:
             _check_cores(name, value, threads)
-        run = _Run(block) if self._returns_to_python else None
         pins: List[memoryview] = []
-        keep: list = []
         try:
             for (name, ctype, kind), value in zip(self._params, arguments):
                 if kind == "column":
@@ -529,14 +521,8 @@ class CompiledKernel:
                     _check_cores(name, value, threads)
                     setattr(block, name, _share(name, ctype, value,
                                                 name in loaded.stored, pins))
-                elif kind == "rows":
-                    setattr(block, name, run.rows_for(name, value, threads))
-                else:                           # callout:
-                    thunk = loaded.callouts[name](run.callout(value))
-                    keep.append(thunk)
-                    setattr(block, name, thunk)
-            if run is not None:
-                run.repoint()
+                else:                           # rows
+                    setattr(block, name, self._rows(name, value, threads))
             if store is not None:
                 store.stale = True
             loaded.run(self._pointer)
@@ -545,67 +531,27 @@ class CompiledKernel:
                 store.stale = True
             for view in pins:
                 view.release()
-            if run is not None:
-                run.close(loaded.callouts)
-        if run is not None and run.error is not None:
-            raise run.error
         return tuple(getattr(block, name) for name in loaded.returns)
+
+    def _rows(self, name: str, columns: list, threads: int) -> int:
+        """Address of the pointer table to the per-thread ``columns``,
+        kept from call to call: only a column the caller replaced since
+        the last call (a window the loop's shell loaded) is re-pointed."""
+        if len(columns) != threads:
+            raise ValueError(f"{name}: {len(columns)} columns for "
+                             f"{threads} threads")
+        table, held = self._tables.get(name, (None, ()))
+        if len(held) != threads:
+            table, held = (ctypes.c_void_p * threads)(), [None] * threads
+            self._tables[name] = table, held
+        for thread, column in enumerate(columns):
+            if column is not held[thread]:
+                table[thread] = _column_address(f"{name}[{thread}]", column)
+                held[thread] = column
+        return ctypes.addressof(table)
 
 
 def _check_cores(name: str, value, threads: int) -> None:
     if value is not None and len(value) < threads:
         raise ValueError(f"{name}: {len(value)} slots for {threads} threads")
 
-
-class _Run:
-    """What a call that returns to Python mid-way keeps: the exception a
-    call-out raised, and the row tables re-pointed after each call-out."""
-
-    def __init__(self, block) -> None:
-        self.block = block
-        self.error: Optional[BaseException] = None
-        #: name -> (pointer table, columns the shell holds, columns it
-        #: currently points at).
-        self.rows: Dict[str, Tuple[ctypes.Array, list, list]] = {}
-
-    def rows_for(self, name: str, columns: list, threads: int) -> int:
-        """Address of a fresh pointer table for the per-thread
-        ``columns`` (filled by :meth:`repoint`)."""
-        if len(columns) != threads:
-            raise ValueError(f"{name}: {len(columns)} columns for "
-                             f"{threads} threads")
-        table = (ctypes.c_void_p * threads)()
-        self.rows[name] = (table, columns, [None] * threads)
-        return ctypes.addressof(table)
-
-    def repoint(self) -> None:
-        """Point each row at the column the shell currently holds."""
-        for name, (table, columns, seen) in self.rows.items():
-            for thread, column in enumerate(columns):
-                if column is not seen[thread]:
-                    table[thread] = _column_address(f"{name}[{thread}]",
-                                                    column)
-                    seen[thread] = column       # keeps it alive
-
-    def callout(self, function: Callable) -> Callable:
-        def call(*arguments):
-            if self.error is not None:
-                return 0
-            try:
-                result = function(*arguments)
-                self.repoint()
-            except BaseException as exc:    # re-raised by the call
-                self.error = exc
-                self.block.error = 1
-                return 0
-            return result
-
-        return call
-
-    def close(self, callouts: Dict[str, type]) -> None:
-        """Clear the error word and the block's call-out thunks: they
-        point back at this object, which the block outlives."""
-        block = self.block
-        block.error = 0
-        for name, functype in callouts.items():
-            setattr(block, name, functype())

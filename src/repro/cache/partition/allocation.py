@@ -10,7 +10,7 @@ Two shapes exist because the enforcement hardware differs:
   power-of-two group of ways) per core.  This is all the BT ``up``/``down``
   force vectors can express (each vector forces a prefix of tree levels), and
   is the mechanistic reason the BT partitioning is less flexible than the
-  LRU/NRU ones (see DESIGN.md and the paper's larger BT degradations).
+  LRU/NRU ones (the paper's larger BT degradations).
 """
 
 from __future__ import annotations

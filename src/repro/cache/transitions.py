@@ -9,8 +9,10 @@ declares each **once**, as source fragments over the flat ``PolicyState``
 called once per *batch* of accesses:
 
 * ``observe`` — ``observe_many(batch)``, one call per ATD drain;
-* ``loop`` — the event loop of ``BatchedEngine.run``, one call per run,
-  whatever the number of threads.
+* ``loop`` — the event loop of ``BatchedEngine.run``, whatever the
+  number of threads: one call per stretch of L2 accesses, returning to
+  its shell where the shell has work (a boundary, a freeze, a window
+  end).  No kernel calls back into Python.
 
 A third, ``prefilter``, is the private true-LRU L1 the engine walks one
 window of a thread's references at a time: its template alone, with no
@@ -359,38 +361,21 @@ while k:
     # One event per L2 access (see repro.cmp.engine.batched for the
     # exactness argument).  The float expressions are the reference
     # engine's, and so is the pop order: the thread with the least clock
-    # runs next, the lowest index among equal clocks (strict ``<``).
+    # runs next, the lowest index among equal clocks (strict ``<``).  The
+    # loop returns ``(thread, clock, event)`` where the shell has work:
+    # event 2 at a pop that reaches a boundary or passes the cycle cap
+    # (nothing executed; ``clock`` is the pop's), 1 at a freeze (``clock``
+    # the freeze's) and 0 at a window end (``clock`` the last access's).
+    # ``cur[t]`` is then the thread's position in its window; the shell
+    # stores the thread's next clock in ``clocks`` and calls again.
     "loop": """\
 def build(cache, channel):
     $bind_loop
     $bind_channel
 
-    def loop(now, t, clocks, threads, horizon, beyond, freeze, resume, cur,
-             stop, anchor, lines, gaps, fz_at, fz_hit, base, l2_hit_pen,
-             mem_pen):
+    def loop(clocks, threads, boundary, cap, cur, stop, anchor, lines,
+             gaps, fz_at, fz_hit, base, l2_hit_pen, mem_pen):
         while True:
-            if now >= horizon:
-                horizon = beyond(now)
-            j = cur[t]
-            if j >= 0:
-                line = lines[t][j]
-                $access
-                anchor[t] = clock
-                j += 1
-                if j != stop[t]:
-                    cur[t] = j
-                    clock += gaps[t][j] * base[t]
-                else:
-                    if fz_at[t] == j - 1 and not freeze(t, clock, j):
-                        break
-                    clock = resume(t, j)
-            else:
-                # The freeze access is an L1 hit inside the pending gap.
-                j = ~j
-                if not freeze(t, anchor[t] + fz_hit[t] * base[t], j):
-                    break
-                clock = resume(t, j)
-            clocks[t] = clock
             t = 0
             u = 1
             while u < threads:
@@ -398,7 +383,29 @@ def build(cache, channel):
                     t = u
                 u += 1
             now = clocks[t]
-        return now, t
+            if now >= boundary or now > cap:
+                return t, now, 2
+            j = cur[t]
+            if j < 0:
+                # The freeze access is an L1 hit inside the pending gap.
+                cur[t] = ~j
+                return t, anchor[t] + fz_hit[t] * base[t], 1
+            line = lines[t][j]
+            $access
+            anchor[t] = clock
+            j += 1
+            cur[t] = j
+            if j != stop[t]:
+                clock += gaps[t][j] * base[t]
+            elif fz_at[t] == j and fz_hit[t]:
+                # The next event is the freeze: the ``fz_hit``-th L1 hit
+                # of the gap before miss ``j`` pops at the key of the hit
+                # before it.
+                cur[t] = ~j
+                clock += (fz_hit[t] - 1) * base[t]
+            else:
+                return t, clock, fz_at[t] == j - 1
+            clocks[t] = clock
 
     return loop
 """,
@@ -495,7 +502,7 @@ PREFILTER_KEY = ("lru", "none")
 #: name), so :func:`render` refuses the pair.
 PRIVATE_LOCALS = {
     "observe": ("sampled", "skipped"),
-    "loop": ("j", "t", "u", "now", "clock", "horizon"),
+    "loop": ("j", "t", "u", "now", "clock", "boundary", "cap"),
 }
 
 #: What every name a kernel may touch is in C (the vocabulary is
@@ -506,11 +513,9 @@ PRIVATE_LOCALS = {
 #: ``prefilter``'s window, miss-stream columns and L1 slots.  A name
 #: missing here is an error at translation time, never a guess.
 C_KINDS = {
-    "now": "float", "t": "int", "clocks": "floats", "threads": "int",
-    "horizon": "float", "beyond": "callout:float(float)",
-    "freeze": "callout:int(int,float,int)",
-    "resume": "callout:float(int,int)",
-    "cur": "ints", "stop": "ints", "anchor": "floats", "lines": "rows",
+    "clocks": "floats", "threads": "int", "boundary": "float",
+    "cap": "float", "cur": "ints", "stop": "ints", "anchor": "floats",
+    "lines": "rows",
     "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
     "l2_hit_pen": "float", "mem_pen": "float",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
@@ -673,8 +678,8 @@ def bind(rendering: str, key: Key, owner, *args) -> Optional[Callable]:
     (:mod:`repro.cache.native`, *Failure*).  Recorded in
     :func:`target_stats`.  The kernel works on the owner's arrays in
     place, its argument block built here; a call pays only for writing
-    its parameters, once per *batch*: a whole run of the event loop, a
-    whole ATD drain, a whole L1 window."""
+    its parameters, once per *batch*: the event loop's accesses up to its
+    shell's next event, a whole ATD drain, a whole L1 window."""
     from repro.cache import native          # ctypes + cc: first use
 
     loaded, info = native.load(rendering, key)

@@ -144,7 +144,8 @@ class CampaignReport:
     executed: int = 0
     cached: int = 0
     #: Resolved worker count (``--jobs 0``/``auto`` resolves to the CPU
-    #: count before it lands here).
+    #: count before it lands here); on a caller's pool (a remote one),
+    #: the workers that joined it.
     workers: int = 1
     #: Pool flavour the run used ("serial", "process", "remote", ...).
     pool: str = "serial"
@@ -325,7 +326,9 @@ class Campaign:
                           f"({cached} cached)")
         pool = self._make_pool(len(pending))
         report.pool = pool.name
-        self.echo(f"  pool: {pool.name} x{min(self.workers, len(pending))}")
+        if self.pool is None:
+            self.echo(f"  pool: {pool.name} "
+                      f"x{min(self.workers, len(pending))}")
         scheduler = ReadySetScheduler(self.store,
                                       max_retries=self.max_retries,
                                       on_dispatch=self.on_dispatch,
@@ -338,6 +341,11 @@ class Campaign:
             pool.close()
         report.scheduler = scheduler.stats
         report.failed.extend(scheduler.failed)
+        if self.pool is not None:
+            # A caller's pool is served by whoever joins it, whatever
+            # ``workers`` says.
+            report.workers = scheduler.stats.workers_seen
+            self.echo(f"  pool: {pool.name} x{report.workers}")
         # Which kernels loaded and which engines ran: observational,
         # unkeyed, counted per process.  Only a serial pool runs its jobs
         # here; a process or remote pool's workers bind their own, which

@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "2a285039d60a85d97853498559369cb4d039c7787e21b77676a9f518684c7b14"
+ENGINE_SOURCE_CHECKSUM = "a2afa7ac598e0d28dca6e953060a23cfb4eb7f2db9a768cb9723b68c45d69657"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

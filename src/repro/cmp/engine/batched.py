@@ -74,16 +74,24 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   reference engine's heap.  A parked thread's slot holds ``+inf``.
 * **One thread.**  Nothing above assumes a second thread.  With ``n == 1``
   — every isolation job, every 1-core figure point — the arg-min has one
-  slot to look at, the loop returns to Python once per window
-  (``resume``) and the termination rollback has nobody to visit; there
-  is no separate single-thread engine.
+  slot to look at, the loop returns to its shell once per window and
+  the termination rollback has nobody to visit; there is no separate
+  single-thread engine.
 * **Fused L2 access.**  The loop itself is the ``loop`` rendering of
   :mod:`repro.cache.transitions`, the L2 transition inlined; its float
   expressions and ``(clock, thread)`` order are the reference engine's,
   and its per-thread access count is settled in ``drain``, like the
   ATDs.  It works by address on the clocks and cursors it shares with
-  the shell's call-outs (``array('q')`` / ``array('d')``) and on the
-  ``int64`` miss-stream columns the prefilter wrote.
+  this shell (``array('q')`` / ``array('d')``) and on the ``int64``
+  miss-stream columns the prefilter wrote.
+* **Returns, not call-backs.**  The compiled loop never runs Python: it
+  returns to :meth:`BatchedEngine.run` at a pop that reaches the next
+  boundary or passes the cycle cap (nothing executed: ``beyond`` drains,
+  repartitions or raises), at a freeze (``freeze``) and at a window end
+  (``resume`` loads the next window); the shell stores the thread's next
+  key in ``clocks`` and calls it again, and the loop's arg-min picks the
+  same pop as before the return.  A pop at the cap itself runs
+  (``now > cap``), so a re-entry never hands the same pop back.
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
@@ -241,7 +249,6 @@ class BatchedEngine(EngineBase):
         l2_hit_pen = self.l2_hit_pen
         mem_pen = self.mem_pen
         max_cycles = self.max_cycles
-        # math.inf when unset: one float compare per pop, no branch.
         cycle_cap = max_cycles if max_cycles is not None else math.inf
         controller = sim.controller
         interval = self.interval
@@ -264,8 +271,8 @@ class BatchedEngine(EngineBase):
         base = array("d", base)
         load = self._load_chunk
         # Next pending miss (``~j`` while a freeze-hit waits), the cursor
-        # value that needs the slow path, the clock after the thread's
-        # last L2 access.
+        # value that needs the shell, the clock after the thread's last
+        # L2 access.
         cur = array("q", [0]) * n
         stop = array("q", [0]) * n
         anchor = array("d", [0.0]) * n
@@ -288,9 +295,9 @@ class BatchedEngine(EngineBase):
                 # (module docstring).
                 obs_drain[u](array("q", lines[u][d:j].tobytes()))
 
-        def beyond(now: float) -> float:
-            """Rare path of a pop at or past the horizon — the earlier of
-            the next boundary and the cycle cap; returns the new one."""
+        def beyond(t: int, now: float) -> None:
+            """Thread ``t``'s pop at ``now``, at or past the next boundary
+            or past the cycle cap."""
             nonlocal next_boundary
             if now >= next_boundary:
                 # Drain the executed misses before the controller reads
@@ -301,11 +308,14 @@ class BatchedEngine(EngineBase):
                     controller.interval_boundary(cycle=int(next_boundary))
                     next_boundary += interval
             if now > cycle_cap:
+                # The reference raises after running the pop: its freeze
+                # leaves one thread fewer running.
+                j = cur[t]
+                freezing = j < 0 or (fz_at[t] == j and not fz_hit[t])
                 raise RuntimeError(
                     f"simulation exceeded max_cycles={max_cycles} with "
-                    f"{active} threads still running"
+                    f"{active - freezing} threads still running"
                 )
-            return min(next_boundary, cycle_cap)
 
         def freeze(t: int, clock: float, j: int) -> int:
             """Freeze thread ``t``; returns the threads still running."""
@@ -345,14 +355,20 @@ class BatchedEngine(EngineBase):
                     return math.inf
                 j = 0
 
-        # The first pop: the least clock, the lowest thread among equal
-        # ones, as the loop's own arg-min (module docstring).
+        # The loop returns where the shell has work (``TEMPLATES["loop"]``):
+        # a boundary or the cap (2), a freeze (1), a window end (0).
         clocks = array("d", [resume(t, 0) for t in range(n)])
-        t = min(range(n), key=clocks.__getitem__)
-        now, t = loop(
-            clocks[t], t, clocks, n, min(next_boundary, cycle_cap),
-            beyond, freeze, resume, cur, stop, anchor, lines, gaps,
-            fz_at, fz_hit, base, l2_hit_pen, mem_pen)
+        while True:
+            t, clock, event = loop(
+                clocks, n, next_boundary, cycle_cap, cur, stop, anchor,
+                lines, gaps, fz_at, fz_hit, base, l2_hit_pen, mem_pen)
+            if event == 2:
+                beyond(t, clock)
+                continue
+            if event == 1 and not freeze(t, clock, cur[t]):
+                break
+            clocks[t] = resume(t, cur[t])
+        now = clocks[t]
         for u in range(n):
             if u != t:
                 drain(u, cur[u])

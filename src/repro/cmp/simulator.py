@@ -1,7 +1,7 @@
 """Trace-driven CMP simulator with an analytic core timing model.
 
-Substitutes the paper's cycle-accurate Turandot/PTCMP substrate (see
-DESIGN.md).  Every thread carries its own clock; the execution engine
+Substitutes the paper's cycle-accurate Turandot/PTCMP substrate.  Every
+thread carries its own clock; the execution engine
 always steps the thread with the smallest clock, so shared-L2 accesses
 interleave in global-time order and contention is modelled faithfully at
 the cache level.

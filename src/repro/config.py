@@ -115,7 +115,7 @@ class PartitioningConfig:
     selector: str = SELECTOR_MINMISSES
     #: eSDH scaling factor for the NRU profiler (paper: 1.0, 0.75, 0.5).
     nru_scaling: float = 1.0
-    #: Literal-reading NRU eSDH update (increment r_1..r_d); see DESIGN.md.
+    #: Literal-reading NRU eSDH update (increment r_1..r_d).
     nru_spread_update: bool = False
     #: Repartitioning interval in cycles (paper: 1 million).
     interval_cycles: int = 1_000_000

@@ -148,6 +148,23 @@ def scale_preset(name: str) -> ExperimentScale:
     return factory()
 
 
+def check_divisor(divisor) -> None:
+    """Raise ``ValueError`` unless ``divisor`` is an integer every cache
+    capacity takes (:meth:`CacheGeometry.scaled`)."""
+    if isinstance(divisor, bool) or not isinstance(divisor, int):
+        raise ValueError(f"the divisor must be an integer, got {divisor!r}")
+    ProcessorConfig().scaled(divisor)
+
+
+def check_accesses(accesses) -> None:
+    """Raise ``ValueError`` unless ``accesses`` is a positive integer
+    trace length."""
+    if isinstance(accesses, bool) or not isinstance(accesses, int):
+        raise ValueError(f"the trace length must be an integer, got "
+                         f"{accesses!r}")
+    check_positive("the trace length", accesses)
+
+
 def resolve_scale(scale: str = "small", *, accesses: Optional[int] = None,
                   seed: Optional[int] = None,
                   target_cycles: Optional[float] = None,
@@ -172,7 +189,7 @@ def resolve_scale(scale: str = "small", *, accesses: Optional[int] = None,
                 f"--scale={scale}: expected one of {sorted(SCALE_PRESETS)} "
                 f"or an integer divisor") from None
         try:
-            ProcessorConfig().scaled(divisor)
+            check_divisor(divisor)
         except ValueError as exc:
             raise ValueError(f"--scale={scale}: {exc}") from None
         base = ExperimentScale(scale=divisor)
@@ -183,7 +200,7 @@ def resolve_scale(scale: str = "small", *, accesses: Optional[int] = None,
         raise ValueError(f"--mixes={mixes}: expected 'default' or 'all'")
     if accesses is not None:
         try:
-            check_positive("the trace length", accesses)
+            check_accesses(accesses)
         except ValueError as exc:
             raise ValueError(f"--accesses={accesses}: {exc}") from None
         fields["accesses"] = accesses

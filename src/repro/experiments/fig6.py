@@ -26,7 +26,7 @@ POLICIES = ("lru", "nru", "bt")
 METRICS = ("throughput", "hmean", "wspeedup")
 CORE_COUNTS = (1, 2, 4, 8)
 
-#: Paper values for EXPERIMENTS.md comparison: relative throughput of each
+#: Paper values the report grades against: relative throughput of each
 #: policy per core count (LRU == 1.0 by construction).
 PAPER_REL_THROUGHPUT = {
     "nru": {1: 0.994, 2: 0.995, 4: 0.985, 8: 0.979},  # "<= 2.1 % degradation"

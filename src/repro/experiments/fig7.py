@@ -29,7 +29,8 @@ METRICS = ("throughput", "hmean", "wspeedup")
 CORE_COUNTS = (2, 4, 8)
 ACRONYMS = ("C-L", "M-L", "M-1.0N", "M-0.75N", "M-0.5N", "M-BT")
 
-#: Paper's quoted throughput degradations vs C-L (EXPERIMENTS.md record).
+#: Paper's quoted throughput degradations vs C-L (what the report grades
+#: against).
 PAPER_REL_THROUGHPUT = {
     "M-0.75N": {2: 0.997, 4: 0.964, 8: 0.927},
     "M-BT": {2: 0.986, 4: 0.966, 8: 0.903},

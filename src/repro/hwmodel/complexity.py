@@ -5,7 +5,7 @@ of cores ``N`` and the cache geometry, so this module reproduces the paper's
 numbers *exactly*.  The paper's bracketed examples use a 16-way 2 MB L2 with
 128 B lines, 2 cores and 47 tag bits (:data:`PAPER_TABLE1_CONFIG`).
 
-Known discrepancy (recorded in EXPERIMENTS.md): Table I(b)'s "find LRU in
+Known discrepancy: Table I(b)'s "find LRU in
 owned lines" row prints "A−1 × log2(A) (52 bits)" — the printed formula
 evaluates to 60 for A = 16; we print the formula value and flag the paper's
 52.

@@ -69,7 +69,7 @@ class NRUDistanceProfiler(DistanceProfiler):
         closest upper integer").
     spread_update:
         When True, increment registers ``r1 .. r_d`` instead of only ``r_d``
-        (the literal reading of the paper's wording; see DESIGN.md).
+        (the literal reading of the paper's wording).
     """
 
     policy_name = "nru"

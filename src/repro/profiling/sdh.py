@@ -52,7 +52,8 @@ class SDH:
 
         Implements the paper's sentence "we increase both SDH registers r1
         and r2, assuming the stack distance to be 2" read literally; see
-        DESIGN.md and the eSDH-update ablation bench.
+        the eSDH-update ablation bench
+        (``benchmarks/bench_ablation_scaling.py``).
         """
         if not 1 <= distance <= self.assoc:
             raise ValueError(

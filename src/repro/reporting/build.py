@@ -23,7 +23,11 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.campaign.runner import Campaign, CampaignReport
 from repro.campaign.store import ResultStore
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import (
+    ExperimentScale,
+    check_accesses,
+    check_divisor,
+)
 from repro.reporting.model import Report
 from repro.reporting.sections import SECTIONS, SectionSpec, resolve_sections
 
@@ -81,7 +85,9 @@ def write_manifest(store: ResultStore, scale_name: str,
 def read_manifest(store: ResultStore) -> Optional[dict]:
     """Manifest payload, or None when absent/corrupt (build falls back to
     its defaults — the manifest is a convenience, never a requirement),
-    a schema match with missing keys, unknown scale fields or sections
+    a schema match with missing keys, a scale that does not name every
+    field, unknown scale fields or sections, or a divisor or trace length
+    :func:`~repro.experiments.common.resolve_scale` would refuse
     included."""
     try:
         payload = json.loads(manifest_path(store).read_text(encoding="utf-8"))
@@ -91,10 +97,15 @@ def read_manifest(store: ResultStore) -> Optional[dict]:
         return None
     scale, sections = payload.get("scale"), payload.get("sections")
     if (not isinstance(payload.get("scale_name"), str)
-            or not isinstance(scale, dict) or not set(scale) <= _SCALE_FIELDS
+            or not isinstance(scale, dict) or set(scale) != _SCALE_FIELDS
             or not isinstance(sections, list)
             or not all(isinstance(name, str) and name in SECTIONS
                        for name in sections)):
+        return None
+    try:
+        check_divisor(scale["scale"])
+        check_accesses(scale["accesses"])
+    except ValueError:
         return None
     return payload
 

@@ -3,7 +3,7 @@
 The experiment harness reports numbers as tables; these helpers add the
 visual layer — horizontal bar charts for Figure 6/7/9-style grouped
 relative values and multi-series line plots for Figure 8-style capacity
-sweeps — using plain ASCII so output survives logs, CI and EXPERIMENTS.md
+sweeps — using plain ASCII so output survives logs, CI and Markdown
 code blocks.
 """
 

@@ -5,8 +5,8 @@ benchmarks combined into 49 multiprogrammed mixes (Table II).  We cannot
 ship SPEC traces; instead each benchmark is modelled by a *synthetic address
 stream* whose reuse profile (hot set, working set, streaming fraction,
 phases) is calibrated to the published memory behaviour class of that
-benchmark — which is exactly the property the partitioning system consumes
-(see DESIGN.md, substitution table).
+benchmark — which is exactly the property the partitioning system
+consumes.
 """
 
 from repro.workloads.trace import Trace

@@ -23,8 +23,8 @@ literature — Qureshi & Patt MICRO'06, Kim/Chandra/Solihin PACT'04):
   ``wupwise``: working sets comparable to a few L2 ways; their miss curves
   have knees, which is where MinMisses earns its keep.
 
-The absolute numbers are synthetic; DESIGN.md documents why only the shape
-of the per-benchmark miss curves matters for reproducing the paper.
+The absolute numbers are synthetic: only the shape of the per-benchmark
+miss curves matters for reproducing the paper.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ of the analytic core model.
 A trace may optionally mark a subset of its accesses as *writes* (a boolean
 array aligned with ``lines``).  Read-only traces — the paper's methodology —
 skip all dirty-bit bookkeeping in the hierarchy; write-marked traces enable
-the write-back/writeback-traffic extension (see DESIGN.md §extensions and
+the write-back/writeback-traffic extension (see
 :func:`repro.workloads.writes.overlay_writes`).
 """
 

@@ -1,7 +1,7 @@
 """Write overlays for traces — the write-back extension's workload side.
 
 The paper's methodology is read-only (its partitioning study is insensitive
-to write handling; DESIGN.md records the substitution).  The write-back
+to write handling).  The write-back
 extension needs stores, so this module *overlays* a write pattern onto an
 existing trace without touching the address stream: the hit/miss behaviour
 of every cache level is unchanged, only dirty bits and writeback traffic

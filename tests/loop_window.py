@@ -29,13 +29,12 @@ def loop_window(cache, core=0):
     ``core``'s stream, in order, ``flags[i] = 1`` where access ``i`` hit.
 
     For the compiled loop the stream is one window of back-to-back L1
-    misses (every gap 0) with the thread's freeze on its last access, so
-    the loop ends there.  With ``base`` 0 and penalties 0 (hit) / 1
+    misses (every gap 0).  With ``base`` 0 and penalties 0 (hit) / 1
     (miss) the thread's clock counts its misses; ``stop`` is kept one
-    ahead of the cursor, so the loop calls ``resume`` after every access
-    and the flag is read off the clock.  Threads below ``core`` exist
-    only to give ``core`` its index: they hold no stream and sit parked
-    at ``inf``.
+    ahead of the cursor, so the loop returns after every access (a
+    window end) and the flag is read off the clock it returns.  Threads
+    below ``core`` exist only to give ``core`` its index: they hold no
+    stream and sit parked at ``inf``.
     """
     key = rendered_key(cache)
     if key is None:
@@ -59,38 +58,22 @@ def loop_window(cache, core=0):
 
     def kernel(lines, flags):
         count = len(lines)
-        if not count:
-            return
         rows = [column([])] * core + [column(lines)]
         gaps = [column([])] * core + [column([0] * count)]
         cur = ints([0] * threads)
         stop = ints([0] * core + [1])
         anchor = floats([0.0] * threads)
-        fz_at = ints([-2] * core + [count - 1])
-        fz_hit = ints([0] * threads)
+        clocks = floats([inf] * core + [0.0])
         misses = 0.0
-
-        def flag(j, clock):
-            nonlocal misses
+        for j in range(1, count + 1):
+            t, clock, event = loop(
+                clocks, threads, inf, inf, cur, stop, anchor, rows, gaps,
+                ints([-2] * threads), ints([0] * threads),
+                floats([0.0] * threads), 0.0, 1.0)
+            assert (t, event, cur[core]) == (core, 0, j)
             flags[j - 1] = clock == misses
-            misses = clock
-
-        def beyond(now):
-            raise AssertionError("no horizon in a window")
-
-        def freeze(t, clock, j):
-            flag(j, clock)
-            return 0
-
-        def resume(t, j):
-            flag(j, anchor[t])
-            cur[t] = j
-            stop[t] = j + 1
-            return anchor[t]
-
-        loop(0.0, core, floats([inf] * core + [0.0]), threads, inf,
-             beyond, freeze, resume, cur, stop, anchor, rows, gaps, fz_at,
-             fz_hit, floats([0.0] * threads), 0.0, 1.0)
+            misses = clocks[core] = clock
+            stop[core] = j + 1
         # The loop leaves the access count to its caller.
         cache.stats.accesses[core] += count
 

@@ -21,7 +21,8 @@ KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
     "ints": "ints", "floats": "floats", "shared": "ints",
     "cores": "cores", "cap": "int", "rows": "rows", "col": "column",
-    "out": "callout:float(int,float)", "ask": "callout:int()",
+    # bindings a kernel may read, never call: no kind is a callable
+    "out": "floats", "ask": "int",
     # what was a table of bounded lists: flat slots, like LRU's order
     "lists": "ints",
     # declared, but no factory of this module assigns it
@@ -89,7 +90,7 @@ GOLDEN = [
      ["a = (bit_length((x & (-x))) - INT64_C(1));"]),
     ("a = x.bit_count()", ["a = bit_count(x);"]),
     # arrays — the owner's, shared for the call — through a local
-    # pointer read once: a call-out's stores land in the same memory
+    # pointer read once
     ("ints[x] = ints[y] + 1",
      ["i64 *const ints = a->ints;", "ints[x] = (ints[y] + INT64_C(1));"]),
     ("floats[x] += f", ["floats[x] += f;"]),
@@ -113,14 +114,8 @@ GOLDEN = [
      "f = floats[x]",
      ["floats[x] = c;", "x = INT64_C(0);", "while ((u < y)) {",
       "if ((floats[u] < floats[x])) {", "x = u;", "f = floats[x];"]),
-    # call-outs: through the block, error word checked after the statement
-    ("g = out(x, f)", ["g = a->out(x, f);", "if (a->error) return 1;"]),
-    ("a = out(x, y)", ["a = a->out(x, (double)(y));"]),
-    ("if x and not ask():\n    a = 1",
-     ["i64 taken = (x && !(a->ask()));", "if (a->error) return 1;",
-      "if (taken) {"]),
     # the returned tuple lands in the block
-    ("return f, x", ["a->ret0 = f;", "a->ret1 = x;", "return 0;"]),
+    ("return f, x", ["a->ret0 = f;", "a->ret1 = x;", "return;"]),
 ]
 
 
@@ -130,7 +125,7 @@ def test_golden_snippet(body, expected):
     lines = emitted(body)
     for statement in expected:
         assert statement in lines, "\n".join(lines[lines.index(
-            "i64 run(Args *a) {"):])
+            "void run(Args *a) {"):])
 
 
 def test_a_column_is_a_pointer_and_its_length():
@@ -142,17 +137,15 @@ def test_a_column_is_a_pointer_and_its_length():
 
 
 def test_members_mirror_the_struct_in_order():
-    kernel = translate("ints[x] = 1\ncores[y] += x\ng = out(x, f)\n"
+    kernel = translate("ints[x] = 1\ncores[y] += x\ng = out[x] * f\n"
                        "floats[x] = g\nx = 0\nf = floats[x]\nreturn f, x")
     names = [name for name, _ctype, _kind in kernel.members]
-    assert names == ["error", "x", "f", "g", "ints", "y", "cores", "out",
+    assert names == ["x", "f", "g", "ints", "y", "cores", "out",
                      "floats", "ret0", "ret1"]
     struct = kernel.source[kernel.source.index("typedef struct {"):
                            kernel.source.index("} Args;")]
     assert [line.split()[-1].rstrip(";").lstrip("*")
-            for line in struct.splitlines()[1:]
-            if "(*" not in line] == [n for n in names if n != "out"]
-    assert "double (*out)(i64, double);" in struct
+            for line in struct.splitlines()[1:]] == names
     assert kernel.params == ("x", "y", "f", "g")
     assert kernel.stored == {"ints", "cores", "floats"}
 
@@ -207,9 +200,14 @@ REFUSED = [
     ("a = 'x'", "constant 'x'"),
     ("a, b = x, y", "tuple assignment"),
     ("a = b = x", "chained assignment"),
-    ("while ask():\n    pass", "call-out in a loop condition"),
-    ("a = (x or ask())", "call-out inside a valued and/or"),
-    ("a = out(x)", "out takes 2 arguments"),
+    # no binding is called: a kernel never runs Python
+    ("g = out(x, f)", "call of 'out' (floats)"),
+    ("a = out(x, y)", "call of 'out' (floats)"),
+    ("if x and not ask():\n    a = 1", "call of 'ask' (int)"),
+    ("while ask():\n    pass", "call of 'ask' (int)"),
+    ("a = (x or ask())", "call of 'ask' (int)"),
+    ("a = out(x)", "call of 'out' (floats)"),
+    ("x.bit_count()", "expression statement"),
     ("a = x\na += f", "integer expected, got float"),
     ("try:\n    pass\nexcept Exception:\n    pass", "Try statement"),
     ("a = lambda: x", "Lambda is outside"),
@@ -276,14 +274,31 @@ STOCK = [(policy, scheme) for policy in transitions.POLICIES
 @pytest.mark.parametrize("key", STOCK, ids="/".join)
 def test_every_stock_loop_translates(key):
     kernel = transitions.translate("loop", key)
-    assert kernel.params[:4] == ("now", "t", "clocks", "threads")
+    assert kernel.params[:4] == ("clocks", "threads", "boundary", "cap")
     assert {"tag_lines", "invalid", "misses", "anchor", "cur", "clocks"} \
         <= kernel.stored
     # A line is a probe of its set's row of the tag lines, and the next
     # thread an arg-min over the clocks: no helper, no dict, no heap.
-    body = kernel.source[kernel.source.index("i64 run"):]
+    body = kernel.source[kernel.source.index("void run"):]
     assert "way = ((tag_lines[(row + k)] == line) ? k : way);" in body
     assert "if ((clocks[u] < clocks[t])) {" in body
+
+
+@pytest.mark.parametrize("rendering,key", transitions.rendering_keys(),
+                         ids=lambda value: "/".join(value)
+                         if isinstance(value, tuple) else value)
+def test_no_kernel_calls_back_into_python(rendering, key):
+    """No translated kernel has a function-pointer member or an error
+    word: it calls nothing, so it runs no Python, and it returns to its
+    caller instead (``void run``)."""
+    kernel = transitions.translate(rendering, key)
+    assert not [member for member in kernel.members
+                if "(" in member[1] or member[0] == "error"
+                or member[2] not in ("int", "float", "ints", "floats",
+                                     "cores", "rows", "column", "length",
+                                     "ret")]
+    assert "void run(Args *a) {" in kernel.source
+    assert "(*" not in kernel.source and "error" not in kernel.source
 
 
 @pytest.mark.parametrize("policy", list(transitions.POLICIES))
@@ -294,9 +309,8 @@ def test_every_stock_drain_translates(policy):
     assert {"tag_lines", "invalid", "sdh_r", "counts"} <= kernel.stored
     # Read-only tables are never copied back.
     assert not kernel.stored & {"dist", "keep", "setb", "table", "batch"}
-    body = kernel.source[kernel.source.index("i64 run"):]
+    body = kernel.source[kernel.source.index("void run"):]
     assert "for (i64 batch_i = 0; batch_i < batch_n; batch_i++) {" in body
-    assert "a->error" not in body           # no call-out: nothing to check
     assert "double" not in body             # integer work only
 
 

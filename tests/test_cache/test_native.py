@@ -21,6 +21,7 @@ import sys
 import tempfile
 import warnings
 from array import array
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -262,9 +263,11 @@ BAD_TABLES = {
     "name-not-an-identifier": lambda kernel: native.table_constant(
         kernel._replace(members=kernel.members + (
             ("__import__('os').getpid()", "i64", "int"),))),
+    # No kernel calls back into Python: a function-pointer member is of
+    # a C type no kernel has.
     "unknown-call-out-type": lambda kernel: native.table_constant(
         kernel._replace(members=kernel.members + (
-            ("hook", "i64 (*)(void)", "callout:str()"),))),
+            ("hook", "double (*)(i64)", "float"),))),
 }
 
 
@@ -273,9 +276,9 @@ BAD_TABLES = {
 def test_object_whose_member_table_is_missing_or_malformed_is_rebuilt(
         cache_home, table):
     """The table is data: a well-formed kernel under the right name
-    whose table is absent, not JSON, of the wrong shape, or names a
-    binding that is not an identifier is removed and rebuilt, never
-    used."""
+    whose table is absent, not JSON, of the wrong shape, names a
+    binding that is not an identifier or a member of a C type no kernel
+    has is removed and rebuilt, never used."""
     kernel = transitions.translate("loop", KEY)
     planted = plant(kernel.source + BAD_TABLES[table](kernel))
     rebuilt_not_loaded(cache_home, planted)
@@ -400,8 +403,7 @@ class TestMarshalValidation:
         def call(lines=None, threads=n, cur=None):
             lines = lines if lines is not None else [column] * threads
             return loop(
-                0.0, 0, array("d", [5.0] * threads), threads, 1e9, None,
-                None, None,
+                array("d", [5.0] * threads), threads, 1e9, inf,
                 cur if cur is not None else array("q", [0] * threads),
                 array("q", [2] * threads), array("d", [0.0] * threads),
                 lines, [column] * threads, array("q", [-2] * threads),

@@ -215,7 +215,7 @@ def test_kernel_has_no_data_dependent_branch():
              if isinstance(node, ast.IfExp)}
     assert tests == {"hit"}
     run = transitions.translate("prefilter", KEY).source.split(
-        "i64 run(Args *a) {")[1]
+        "void run(Args *a) {")[1]
     assert "if (" not in run
 
 

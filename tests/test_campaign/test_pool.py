@@ -97,8 +97,10 @@ def store_fingerprint(store):
             for key in store.iter_keys()}
 
 
-def remote_campaign(store, jobs, n_workers=2):
-    """Run a campaign on a RemotePool with in-process worker threads."""
+def remote_campaign(store, jobs, n_workers=2, workers=None):
+    """Run a campaign on a RemotePool with ``n_workers`` in-process
+    worker threads (the campaign built with ``workers``, default the
+    same count)."""
     pool = RemotePool("127.0.0.1", 0)
     threads = []
 
@@ -108,7 +110,8 @@ def remote_campaign(store, jobs, n_workers=2):
         except SystemExit:
             pass  # a patched job ended this worker's loop
 
-    campaign = Campaign(store, workers=n_workers, pool=pool)
+    campaign = Campaign(store, pool=pool,
+                        workers=n_workers if workers is None else workers)
     for _ in range(n_workers):
         thread = threading.Thread(target=attach, daemon=True)
         thread.start()
@@ -267,6 +270,17 @@ class TestRemotePool:
         for job, expected in serial.items():
             assert results[job].result.threads == expected.result.threads
             assert results[job].iso_ipcs == expected.iso_ipcs
+
+    def test_reports_the_workers_that_joined(self, micro_scale, store):
+        """A caller's pool is served by whoever joins it: a campaign built
+        with ``workers=1`` and served by two workers reports two, as
+        ``campaign run --bind`` does whatever its ``--jobs``."""
+        _results, report = remote_campaign(store, small_matrix(micro_scale),
+                                           n_workers=2, workers=1)
+        assert not report.failed
+        assert report.scheduler.workers_seen == 2
+        assert report.workers == 2
+        assert "workers=2 pool=remote" in report.summary()
 
     def test_dropped_connection_requeues_inflight_job(self, micro_scale,
                                                       store, monkeypatch):

@@ -260,7 +260,7 @@ def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
 
 
 # ----------------------------------------------------------------------
-# Errors raised on the Python side of a call-out
+# Errors raised by the loop's shell
 # ----------------------------------------------------------------------
 def run_overrun():
     case = scenario(("nru", "masks"))
@@ -273,22 +273,101 @@ def run_overrun():
 
 
 def test_overrun_under_the_compiled_target_raises_the_same_error():
-    """``beyond`` raises inside a call-out: the C loop stops at that
-    statement, the tag dict is derived from the state it reached, and
-    the original exception — text and Python-side frames — comes out of
-    ``run``."""
+    """The C loop returns at the pop past the cap and its shell's
+    ``beyond`` raises, with no compiled call on the stack: the tag dict
+    is derived from the state the loop reached, and the exception — text
+    and frames — comes out of ``run``."""
     text = ("simulation exceeded max_cycles=10000 with 3 threads still "
             "running")
     sim, info = run_overrun()
     assert str(info.value) == text
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert frames[-1] == "beyond"
-    assert "loop" not in frames and "__call__" in frames
+    assert "loop" not in frames and "__call__" not in frames
     store = sim.hierarchy.l2.state
     assert store.map == {line: flat % store.assoc
                          for flat, line in enumerate(store.lines)
                          if line >= 0}
     assert sum(sim.hierarchy.l2.stats.misses) > 0
+
+
+def capped(case, engine, cap):
+    """``("ran", result)`` or ``("raised", message)`` of ``case`` under
+    ``max_cycles=cap``."""
+    sim = simulator_module.CMPSimulator(
+        case.processor(), case.partitioning, case.traces,
+        dataclasses.replace(case.simulation(engine), max_cycles=cap))
+    try:
+        return "ran", sim.run()
+    except RuntimeError as exc:
+        return "raised", str(exc)
+
+
+@pytest.mark.parametrize("key", [("lru", "none"), ("nru", "masks")],
+                         ids="/".join)
+def test_a_cap_equal_to_a_pop_clock_runs_that_pop_once(key):
+    """Integer clocks (``ipm * cpi_base`` and the penalties integers), so
+    the least cap a run survives is the clock of a pop: the loop must
+    run that pop (``now > cap`` is false) and not hand it back to its
+    shell forever.  At that cap both engines finish with the same
+    result; one cycle below, both raise the same text — the last pop
+    is a freeze, which the reference runs before it raises."""
+    rng = np.random.default_rng(3)
+    case = dataclasses.replace(
+        scenario(key),
+        traces=[Trace(f"t{i}", rng.integers(0, 300, size=400)
+                      + 1_000_000 * i, ipm=2.0, cpi_base=1.0)
+                for i in range(3)],
+        per_thread_instructions=(1500, 1900, 2400))
+    lo, hi = 0, 1 << 24
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if capped(case, "batched", mid)[0] == "ran":
+            hi = mid
+        else:
+            lo = mid + 1
+    for cap in (lo - 1, lo):
+        assert capped(case, "batched", cap) == capped(case, "reference",
+                                                      cap), cap
+    assert capped(case, "batched", lo - 1) == (
+        "raised", f"simulation exceeded max_cycles={lo - 1} with 0 "
+                  f"threads still running")
+
+
+@pytest.mark.parametrize("key", [("lru", "none"), ("nru", "masks")],
+                         ids="/".join)
+def test_the_loop_returns_only_where_its_shell_has_work(key, monkeypatch):
+    """One call of the loop, then one more per event its shell handles:
+    a window to load, a boundary crossed, a freeze.  So a run calls it
+    at most windows loaded + boundaries crossed + freezes + 1 times."""
+    counts = dict.fromkeys(("loop", "windows", "boundaries"), 0)
+    call = native.CompiledKernel.__call__
+    load = BatchedEngine._load_chunk
+
+    def counted_call(self, *arguments):
+        counts["loop"] += self._loaded.params[0] == "clocks"
+        return call(self, *arguments)
+
+    def counted_load(self, t):
+        counts["windows"] += 1
+        return load(self, t)
+
+    monkeypatch.setattr(native.CompiledKernel, "__call__", counted_call)
+    monkeypatch.setattr(BatchedEngine, "_load_chunk", counted_load)
+    sim = scenario(key).simulator("batched")
+    if sim.controller is not None:
+        boundary = sim.controller.interval_boundary
+
+        def counted_boundary(cycle):
+            counts["boundaries"] += 1
+            boundary(cycle=cycle)
+
+        sim.controller.interval_boundary = counted_boundary
+    sim.run()
+    assert counts["windows"] > 2 * len(sim.traces)
+    assert counts["boundaries"] > 2 or sim.controller is None
+    assert counts["loop"] <= (counts["windows"] + counts["boundaries"]
+                              + len(sim.traces) + 1), counts
 
 
 # ----------------------------------------------------------------------
@@ -455,15 +534,15 @@ def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
 # Shared, not marshalled: what a compiled call hands C
 # ----------------------------------------------------------------------
 #: The rendering of a translated kernel, by its first parameter.
-RENDERING_OF = {"now": "loop", "batch": "observe", "refs": "prefilter"}
+RENDERING_OF = {"clocks": "loop", "batch": "observe", "refs": "prefilter"}
 
 
 def bound_arrays(kernel):
     """``(name, kind)`` of each member the bind set: every one that is
-    not a parameter or the error word."""
+    not a parameter."""
     loaded = kernel._loaded
     return [(name, kind) for name, _ctype, kind in loaded.fields
-            if name not in loaded.params and kind != "error"]
+            if name not in loaded.params]
 
 
 def own_address(value) -> int:
@@ -609,9 +688,10 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
 
 
 def test_resizing_a_shared_array_in_a_call_out_is_refused():
-    """A controller that grows a bound array inside ``beyond`` gets a
-    ``BufferError`` out of the run — C holds that array's address for
-    the length of the call — and the array is left as it was."""
+    """A controller that grows a bound array inside ``beyond`` — between
+    two calls of the loop — gets a ``BufferError`` out of the run: the
+    loop holds that array's address for as long as it lives, and the
+    array is left as it was."""
     sim = scenario(("nru", "masks")).simulator("batched")
     masks = sim.hierarchy.l2.partition._masks
     boundary = sim.controller.interval_boundary

@@ -245,9 +245,9 @@ class TestCallFormGuard:
 
 class TestGeneratedSourceExplainsItself:
     def test_overrun_under_the_compiled_target_has_the_same_text(self):
-        """A ``max_cycles`` overrun under the compiled loop: no Python
-        frame of the loop exists, the ``RuntimeError`` raised inside the
-        ``beyond`` call-out comes out of ``run`` unchanged, with the
+        """A ``max_cycles`` overrun under the compiled loop: the loop
+        returns at the pop past the cap, the ``RuntimeError`` its shell
+        raises in ``beyond`` comes out of ``run`` unchanged, with the
         hand-written loop's text, and every frame has a source line."""
         with pytest.raises(RuntimeError) as info:
             run_pair(config_M_N(0.75, **KNOBS), make_traces(2),
@@ -348,30 +348,29 @@ def test_equal_clocks_run_the_lower_thread_first(policy):
                                                         (policy, "none")]
     streams = [np.array([0, 8, 16], dtype=np.int64),
                np.array([1, 9, 17], dtype=np.int64)]
+    clocks = array("d", [0.0, 0.0])
     cur, stop = array("q", [0, 0]), array("q", [1, 1])
     anchor = array("d", [0.0, 0.0])
     fz_at = array("q", [2, 2])
     order = []
-    active = [2]
-
-    def beyond(now):
-        raise AssertionError("no horizon")
-
-    def freeze(t, clock, j):
+    active = 2
+    while True:
+        t, clock, event = loop(
+            clocks, 2, inf, inf, cur, stop, anchor, streams,
+            [np.zeros(3, dtype=np.int64)] * 2, fz_at, array("q", [0, 0]),
+            array("d", [0.0, 0.0]), 0.0, 0.0)
+        # A window end after every access; the freeze on the last one.
+        j = cur[t]
         order.append((t, j))
-        active[0] -= 1
-        return active[0]
-
-    def resume(t, j):
-        if j == len(streams[t]):
-            return inf
-        order.append((t, j))
-        cur[t], stop[t] = j, j + 1
-        return anchor[t]
-
-    now, t = loop(0.0, 0, array("d", [0.0, 0.0]), 2, inf, beyond, freeze,
-                  resume, cur, stop, anchor, streams,
-                  [np.zeros(3, dtype=np.int64)] * 2, fz_at,
-                  array("q", [0, 0]), array("d", [0.0, 0.0]), 0.0, 0.0)
+        assert event == (j == 3)
+        if event:
+            active -= 1
+            if not active:
+                break
+            clocks[t] = inf
+        else:
+            clocks[t] = anchor[t]
+            stop[t] = j + 1
+    now = clocks[t]
     assert order == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
     assert (now, t) == (0.0, 1)

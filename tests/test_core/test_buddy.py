@@ -99,7 +99,7 @@ class TestStructure:
 
     def test_two_threads_always_even(self):
         """With 2 threads, subcubes force the static half/half split —
-        the structural root of BT's 2-core inflexibility (DESIGN.md)."""
+        the structural root of BT's 2-core inflexibility."""
         curves = np.stack([curve_from_knee(12, 16), curve_from_knee(1, 16)])
         alloc = best_subcube_allocation(curves, 16)
         assert alloc.counts == (8, 8)

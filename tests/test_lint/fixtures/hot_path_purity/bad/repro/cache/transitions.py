@@ -123,13 +123,8 @@ def build(atd):
 def build(cache):
     $bind_loop
 
-    def loop(now, t, clocks, threads, horizon, beyond, lines, cur):
+    def loop(clocks, threads, horizon, lines, cur):
         while True:
-            if now >= horizon:
-                horizon = beyond(now)
-            line = lines[t][cur[t]]
-            $access
-            clocks[t] = clock
             t = 0
             u = 1
             while u < threads:
@@ -137,6 +132,11 @@ def build(cache):
                     t = u
                 u += 1
             now = clocks[t]
+            if now >= horizon:
+                return t, now
+            line = lines[t][cur[t]]
+            $access
+            clocks[t] = clock
 
     return loop
 """,
@@ -170,8 +170,8 @@ PRIVATE_LOCALS = {
 }
 
 C_KINDS = {
-    "now": "float", "t": "int", "clocks": "floats", "threads": "int",
-    "horizon": "float", "beyond": "callout:float(float)", "lines": "rows",
+    "clocks": "floats", "threads": "int", "horizon": "float",
+    "lines": "rows",
     "cur": "ints", "tag_lines": "ints",
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",

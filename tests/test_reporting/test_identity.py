@@ -131,8 +131,16 @@ class TestManifestHandoff:
         lambda payload: payload.pop("sections"),
         lambda payload: payload["sections"].append("fig99"),
         lambda payload: payload.update(scale_name=None),
+        lambda payload: payload.update(scale={"scale": 0}),
+        lambda payload: payload["scale"].pop("seed"),
+        lambda payload: payload["scale"].update(scale=0),
+        lambda payload: payload["scale"].update(scale=3),
+        lambda payload: payload["scale"].update(scale="16"),
+        lambda payload: payload["scale"].update(accesses=0),
     ], ids=["no-scale", "unknown-scale-field", "no-sections",
-            "unknown-section", "no-scale-name"])
+            "unknown-section", "no-scale-name", "divisor-0-alone",
+            "missing-scale-field", "divisor-0", "divisor-not-taken",
+            "divisor-not-an-integer", "no-accesses"])
     def test_schema_matching_manifest_with_bad_fields_reads_as_none(
             self, damage, micro_scale, tmp_path, capsys):
         """A manifest of the current schema whose fields would not rebuild
