@@ -27,9 +27,9 @@ kind declared (:data:`~repro.cache.transitions.C_KINDS`), as follows:
 ``ints`` / ``floats`` / ``cores``
     an owner's array, shared with Python by address: what a call
     stores, Python sees when it returns, and the other way round
-    (``cores``: an integer array with one slot per thread).
-``rows``
-    per-thread table of ``int64`` columns (``lines[t][j]``).
+    (``cores``: an integer array with one slot per thread).  A
+    per-thread table is one flat array too: the loop reads thread
+    ``t``'s miss ``j`` as ``lines[t * stride + j]``.
 ``column``
     one ``int64`` column and its length: the only thing a ``for`` may
     iterate.
@@ -257,7 +257,7 @@ class _Translator:
                           f"factory bindings only")
 
     def expr_Subscript(self, node) -> Tuple[str, str]:
-        """An indexed scalar: array element or row element."""
+        """An indexed scalar: an element of a bound array."""
         base = node.value
         index = self.int_expr(node.slice)
         if isinstance(base, ast.Name) and base.id not in self.locals:
@@ -265,15 +265,9 @@ class _Translator:
             if kind in _ARRAY_KINDS:
                 return f"{self.ref(base.id)}[{index}]", _ARRAY_KINDS[kind]
             self.refuse(node, f"{base.id!r} ({kind}) indexed as an array")
-        if (isinstance(base, ast.Subscript)
-                and isinstance(base.value, ast.Name)
-                and self.kinds.get(base.value.id) == "rows"):
-            self.kind(base.value)
-            row = self.int_expr(base.slice)
-            return f"{base.value.id}[{row}][{index}]", "int"
         if isinstance(base, ast.Attribute):
             self.expr_Attribute(base)
-        self.refuse(node, "indexing anything but a bound array or a row")
+        self.refuse(node, "indexing anything but a bound array")
 
     def expr_Call(self, node):
         func = node.func
@@ -322,12 +316,10 @@ class _Translator:
             return
         if not isinstance(target, ast.Subscript):
             self.refuse(node, f"assignment to {type(target).__name__}")
-        base = target.value
         place, place_typ = self.expr_Subscript(target)
         if place_typ == "int" and typ == "float":
             self.refuse(node, f"{typ} stored into an {place_typ} array")
-        self.stored.add(base.id if isinstance(base, ast.Name)
-                        else base.value.id)
+        self.stored.add(target.value.id)
         self.emit(depth, f"{place} {op} {value};")
 
     def stmt_Assign(self, node, depth):
@@ -461,9 +453,6 @@ class _Translator:
                 ctype = _C_TYPES[_ARRAY_KINDS[kind]]
                 members.append((name, f"{ctype} *", kind))
                 prologue.append(f"{ctype} *const {name} = a->{name};")
-            elif kind == "rows":
-                members.append((name, "i64 **", kind))
-                prologue.append(f"i64 *const *const {name} = a->{name};")
             elif kind == "column":
                 members += [(name, "i64 *", kind),
                             (f"{name}_n", "i64", "length")]

@@ -15,11 +15,12 @@ Two ways in, over the same arrays:
 * per read window, :meth:`~SmallLRUCache.access_lines_hit` — the
   compiled ``prefilter`` rendering of :mod:`repro.cache.transitions`,
   bound at construction, which walks a whole window (an ``int64``
-  column) in place and returns its L1-miss stream.  It reads an L1
-  without a dirty line — the batched engine runs read-only traces only
-  (:func:`repro.cmp.engine.batched_refusal`) — and raises on any other,
-  and where the kernel does not load: every run there is the reference
-  engine's, which steps the L1 per access.
+  column) in place and writes its L1-miss stream into its caller's rows
+  (the batched engine's miss-stream buffer) or columns of its own.  It
+  reads an L1 without a dirty line — the batched engine runs read-only
+  traces only (:func:`repro.cmp.engine.batched_refusal`) — and raises on
+  any other, and where the kernel does not load: every run there is the
+  reference engine's, which steps the L1 per access.
 
 Behaviourally identical to ``SetAssociativeCache(geometry, "lru")`` for a
 single accessing core (verified by the equivalence tests in
@@ -29,7 +30,7 @@ single accessing core (verified by the equivalence tests in
 from __future__ import annotations
 
 from array import array
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -126,14 +127,19 @@ class SmallLRUCache:
     # ------------------------------------------------------------------
     # Bulk entry points (the batched engine's L1 prefilter)
     # ------------------------------------------------------------------
-    def access_lines_hit(self, lines: np.ndarray) -> MissStream:
+    def access_lines_hit(self, lines: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> MissStream:
         """Read a window of line addresses; its L1-miss stream.
 
         Exactly :meth:`access_line_hit` per element — state, statistics
         and outcomes (``tests/test_cache/test_prefilter.py``) — in one
         call of the ``prefilter`` kernel, over an L1 that holds no dirty
         line (:class:`ValueError` otherwise, nothing walked: only the
-        per-access path writes back).
+        per-access path writes back).  The stream is written into
+        ``out`` — three writable ``int64`` rows (offsets, gaps, lines) at
+        least as wide as the window, such as a thread's row of the
+        batched engine's miss-stream buffer — and returned as views of
+        it; without ``out`` into columns of its own.
         """
         if self._prefilter is None:
             raise RuntimeError(f"{self.name}: no compiled prefilter")
@@ -144,7 +150,10 @@ class SmallLRUCache:
         width = len(lines)
         # Slot ``n`` of each column is written on every access and kept
         # on a miss, so each needs the window's width.
-        columns = np.empty((3, width), dtype=np.int64)
+        columns = np.empty((3, width), dtype=np.int64) if out is None else out
+        if len(columns) != 3 or columns.shape[-1] < width:
+            raise ValueError(f"{self.name}: a {width}-reference window "
+                             f"needs three output rows of {width} slots")
         n, fills = self._prefilter(lines, *columns)
         stats = self.stats
         stats.accesses[0] += width

@@ -41,8 +41,9 @@ State during a call.  There is no resident C state and no copy of an
 array: every flat array a kernel binds is an ``array('q')`` /
 ``array('d')`` its owner allocated once and only ever mutates in place
 (a tag store's lines and masks, policy and scheme words — LRU's
-recency order included — statistics, SDH registers), or a contiguous
-numpy column of the C element type.  The argument block is built once,
+recency order included — statistics, SDH registers, a run's clocks and
+cursors), or a contiguous numpy column of the C element type (a run's
+miss-stream buffer).  The argument block is built once,
 at bind (:class:`CompiledKernel`): every bound member — an owner array's
 address, a scalar — is written then, and each owner
 ``array`` stays pinned — a buffer export held — for the kernel's
@@ -50,10 +51,8 @@ lifetime, so whatever Python does sees and is seen by C at once, and
 resizing one raises :class:`BufferError` at any time instead of leaving
 C a dangling pointer.  Anything else where an owner array belongs is a
 :class:`TypeError` at bind.  A call writes only its own parameters —
-the loop's cursors, clocks, scalars and the row tables of its
-miss-stream columns (kept from call to call, a column re-pointed only
-when the caller replaced it), the prefilter's window and output columns,
-a drain's batch (an ``int64`` column or an ``array('q')``), each pinned
+the loop's two scalars, the prefilter's window and output columns, a
+drain's batch (an ``int64`` column or an ``array('q')``), each pinned
 for the call where it is an ``array`` — runs, and reads the returns.
 Nothing is copied back either: C probes a set's row of a tag store's
 ``lines``, so a kernel that stores ``tag_lines`` leaves its bound
@@ -95,7 +94,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.cache import cgen, transitions
+from repro.cache import transitions
 
 __all__ = ["CompiledKernel", "FLAGS", "TABLE", "cache_dir", "compiler",
            "load", "object_name", "translator"]
@@ -108,8 +107,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-fwrapv", "-ffp-contract=off")
 #: C type of an ``Args`` member -> its ctypes field (an unknown one is a
 #: malformed member table).
 _C_FIELDS = {"i64": ctypes.c_int64, "double": ctypes.c_double,
-             "i64 *": ctypes.c_void_p, "double *": ctypes.c_void_p,
-             "i64 **": ctypes.c_void_p}
+             "i64 *": ctypes.c_void_p, "double *": ctypes.c_void_p}
 #: C array type -> (numpy dtype, ``array`` typecode).
 _ARRAYS = {"i64 *": (np.dtype(np.int64), "q"),
            "double *": (np.dtype(np.float64), "d")}
@@ -180,8 +178,10 @@ def cache_dir() -> Path:
 def translator() -> str:
     """Digest of what turns a rendering into C: the translator's own
     source, the kinds it is given and the interpreter (its ``ast``) minor
-    version.  Computed on the first load, never at import."""
-    text = "\0".join((Path(cgen.__file__).read_text(encoding="utf-8"),
+    version.  Computed on the first load, never at import; the
+    translator's source is read, not imported — only a miss translates."""
+    cgen = Path(__file__).with_name("cgen.py")
+    text = "\0".join((cgen.read_text(encoding="utf-8"),
                       json.dumps(transitions.C_KINDS, sort_keys=True),
                       "%d.%d" % sys.version_info[:2]))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -314,9 +314,6 @@ def _args_type(members) -> type:
 
 #: The tag store's lines: a kernel that stores them leaves the store stale.
 _TAGS = "tag_lines"
-#: The loop's thread count: what every per-thread argument is checked
-#: against.
-_THREADS = "threads"
 
 #: Where a rendering's factory prologue ends: its kernel closure's ``def``.
 _KERNEL_DEF = re.compile(r"^    def ", re.MULTILINE)
@@ -324,7 +321,7 @@ _KERNEL_DEF = re.compile(r"^    def ", re.MULTILINE)
 
 def _bindings(source: str, label: str, names) -> Callable:
     """The rendering's factory ``source`` cut at its kernel's ``def``:
-    ``build(cache, channel)`` / ``build(atd)`` / ``build(l1)`` returns
+    ``build(cache, channel, run)`` / ``build(atd)`` / ``build(l1)`` returns
     the objects the kernel's bound ``names`` (identifiers) stand for —
     the rendering's own bind fragments decide what the kernel operates
     on."""
@@ -403,9 +400,6 @@ def load(rendering, key) -> Tuple[Optional[Loaded], Dict[str, object]]:
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
-_INT64 = _ARRAYS["i64 *"][0]
-
-
 def _data(column: np.ndarray) -> int:
     """Address of a contiguous numpy array's first element.
     ``from_buffer`` costs a third of ``.ctypes.data`` — which matters for
@@ -415,17 +409,6 @@ def _data(column: np.ndarray) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(column))
     except (TypeError, ValueError):
         return column.ctypes.data
-
-
-def _column_address(name: str, column) -> int:
-    """Address of an ``int64`` column C reads as it stands: an
-    ``array('q')`` or a contiguous numpy column."""
-    if isinstance(column, array.array) and column.typecode == "q":
-        return column.buffer_info()[0]
-    if (isinstance(column, np.ndarray) and column.dtype is _INT64
-            and column.ndim == 1 and column.flags.c_contiguous):
-        return _data(column)
-    raise TypeError(f"{name}: not a contiguous int64 column")
 
 
 def _share(name: str, ctype: str, value, written: bool,
@@ -449,33 +432,30 @@ def _share(name: str, ctype: str, value, written: bool,
                     f"C can share belongs")
 
 
-_ARRAY_KINDS = ("ints", "floats", "cores")
+#: Kinds C works on by address (a ``column``'s length follows it).
+_ARRAY_KINDS = ("ints", "floats", "cores", "column")
 
 
 class CompiledKernel:
-    """The compiled kernel of one rendering and key bound to its owner (a
-    cache and memory channel for ``loop``, an ATD for ``observe``, an L1
-    for ``prefilter``): called like the rendering's kernel closure.
+    """The compiled kernel of one rendering and key bound to what its
+    factory made of its owner (``bound``, :attr:`Loaded.bindings`: a
+    cache, memory channel and run for ``loop``, an ATD for ``observe``,
+    an L1 for ``prefilter``): called like the rendering's kernel closure.
 
     The bind fills the argument block with every member that is not a
     parameter and pins each owner ``array`` for the kernel's lifetime; a
     call writes its parameters into the same block, runs, and marks the
-    tag store stale (module docstring, *State during a call*).  A kernel
-    with a ``threads`` parameter (``loop``) indexes every ``cores`` array
-    and every array parameter by thread, and has one column per thread
-    in each ``rows`` table: a call checks each against it."""
+    tag store stale (module docstring, *State during a call*)."""
 
-    def __init__(self, loaded: Loaded, owner, *args) -> None:
+    def __init__(self, loaded: Loaded, bound: Dict[str, object]) -> None:
         self._loaded = loaded
         #: What the bound members stand for — held, so no address in the
         #: block outlives its array.
-        self._bound = bound = loaded.bindings(owner, *args)
+        self._bound = bound
         self._block = block = loaded.args()
         self._pointer = ctypes.byref(block)
         #: Buffer exports of the bound arrays, held while the kernel lives.
         self._pins: List[memoryview] = []
-        #: Bound per-thread arrays, checked against each call's threads.
-        self._cores: List[Tuple[str, object]] = []
         params = loaded.params
         for name, ctype, kind in loaded.fields:
             if name in params:
@@ -485,44 +465,28 @@ class CompiledKernel:
                 setattr(block, name, _share(name, ctype, value,
                                             name in loaded.stored,
                                             self._pins))
-                if kind == "cores":
-                    self._cores.append((name, value))
             else:
                 setattr(block, name, value)
         self._store = bound["store"] if _TAGS in loaded.stored else None
         members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
         #: ``(name, C type, kind)`` per parameter.
         self._params = tuple((name, *members[name]) for name in params)
-        self._threads = params.index(_THREADS) if _THREADS in params else None
-        #: Per ``rows`` parameter: its pointer table and the columns it
-        #: points at, each held so its address stays valid.
-        self._tables: Dict[str, Tuple[ctypes.Array, list]] = {}
 
     def __call__(self, *arguments):
         loaded, block, store = self._loaded, self._block, self._store
         if len(arguments) != len(self._params):
             raise TypeError(f"{len(arguments)} arguments where "
                             f"{len(self._params)} belong")
-        threads = (0 if self._threads is None
-                   else arguments[self._threads])
-        for name, value in self._cores:
-            _check_cores(name, value, threads)
         pins: List[memoryview] = []
         try:
             for (name, ctype, kind), value in zip(self._params, arguments):
-                if kind == "column":
-                    setattr(block, name, _column_address(name, value))
-                    setattr(block, f"{name}_n", len(value))
-                    if isinstance(value, array.array):
-                        pins.append(memoryview(value))
-                elif kind in ("int", "float"):
-                    setattr(block, name, value)
-                elif kind in _ARRAY_KINDS:
-                    _check_cores(name, value, threads)
+                if kind in _ARRAY_KINDS:
                     setattr(block, name, _share(name, ctype, value,
                                                 name in loaded.stored, pins))
-                else:                           # rows
-                    setattr(block, name, self._rows(name, value, threads))
+                    if kind == "column":
+                        setattr(block, f"{name}_n", len(value))
+                else:
+                    setattr(block, name, value)
             if store is not None:
                 store.stale = True
             loaded.run(self._pointer)
@@ -532,26 +496,3 @@ class CompiledKernel:
             for view in pins:
                 view.release()
         return tuple(getattr(block, name) for name in loaded.returns)
-
-    def _rows(self, name: str, columns: list, threads: int) -> int:
-        """Address of the pointer table to the per-thread ``columns``,
-        kept from call to call: only a column the caller replaced since
-        the last call (a window the loop's shell loaded) is re-pointed."""
-        if len(columns) != threads:
-            raise ValueError(f"{name}: {len(columns)} columns for "
-                             f"{threads} threads")
-        table, held = self._tables.get(name, (None, ()))
-        if len(held) != threads:
-            table, held = (ctypes.c_void_p * threads)(), [None] * threads
-            self._tables[name] = table, held
-        for thread, column in enumerate(columns):
-            if column is not held[thread]:
-                table[thread] = _column_address(f"{name}[{thread}]", column)
-                held[thread] = column
-        return ctypes.addressof(table)
-
-
-def _check_cores(name: str, value, threads: int) -> None:
-    if value is not None and len(value) < threads:
-        raise ValueError(f"{name}: {len(value)} slots for {threads} threads")
-

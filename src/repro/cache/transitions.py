@@ -10,9 +10,10 @@ called once per *batch* of accesses:
 
 * ``observe`` — ``observe_many(batch)``, one call per ATD drain;
 * ``loop`` — the event loop of ``BatchedEngine.run``, whatever the
-  number of threads: one call per stretch of L2 accesses, returning to
-  its shell where the shell has work (a boundary, a freeze, a window
-  end).  No kernel calls back into Python.
+  number of threads, bound once per run (:class:`LoopRun`): one call per
+  stretch of L2 accesses, returning to its shell where the shell has
+  work (a boundary, a freeze, a window end).  No kernel calls back into
+  Python.
 
 A third, ``prefilter``, is the private true-LRU L1 the engine walks one
 window of a thread's references at a time: its template alone, with no
@@ -65,13 +66,14 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import namedtuple
 from functools import lru_cache
 from string import Template
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
-           "PREFILTER_KEY", "bind", "render", "rendering_keys", "source_name",
-           "target_stats", "target_summary", "translate"]
+           "PREFILTER_KEY", "LoopRun", "bind", "render", "rendering_keys",
+           "source_name", "target_stats", "target_summary", "translate"]
 
 POLICIES = {
     "lru": {
@@ -369,12 +371,12 @@ while k:
     # ``cur[t]`` is then the thread's position in its window; the shell
     # stores the thread's next clock in ``clocks`` and calls again.
     "loop": """\
-def build(cache, channel):
+def build(cache, channel, run):
     $bind_loop
     $bind_channel
+    $bind_run
 
-    def loop(clocks, threads, boundary, cap, cur, stop, anchor, lines,
-             gaps, fz_at, fz_hit, base, l2_hit_pen, mem_pen):
+    def loop(boundary, cap):
         while True:
             t = 0
             u = 1
@@ -390,13 +392,13 @@ def build(cache, channel):
                 # The freeze access is an L1 hit inside the pending gap.
                 cur[t] = ~j
                 return t, anchor[t] + fz_hit[t] * base[t], 1
-            line = lines[t][j]
+            line = lines[t * stride + j]
             $access
             anchor[t] = clock
             j += 1
             cur[t] = j
             if j != stop[t]:
-                clock += gaps[t][j] * base[t]
+                clock += gaps[t * stride + j] * base[t]
             elif fz_at[t] == j and fz_hit[t]:
                 # The next event is the freeze: the ``fz_hit``-th L1 hit
                 # of the gap before miss ``j`` pops at the key of the hit
@@ -409,6 +411,10 @@ def build(cache, channel):
 
     return loop
 """,
+    # What one run binds: the fields of its :class:`LoopRun`, in order.
+    "bind_run": """\
+(threads, stride, l2_hit_pen, mem_pen, lines, gaps, clocks, cur, stop,
+ anchor, fz_at, fz_hit, base) = run""",
     "access_fused": """\
 s = line & set_mask
 $probe
@@ -507,17 +513,18 @@ PRIVATE_LOCALS = {
 
 #: What every name a kernel may touch is in C (the vocabulary is
 #: :mod:`repro.cache.cgen`'s): the ``loop`` skeleton's
-#: parameters, then the factory bindings of the tag store, the
-#: statistics, each policy, each scheme and the memory channel, then the
-#: ``observe`` skeleton's parameter and the ATD / SDH bindings, then the
-#: ``prefilter``'s window, miss-stream columns and L1 slots.  A name
-#: missing here is an error at translation time, never a guess.
+#: parameters and its run's bindings (:class:`LoopRun`), then the
+#: factory bindings of the tag store, the statistics, each policy, each
+#: scheme and the memory channel, then the ``observe`` skeleton's
+#: parameter and the ATD / SDH bindings, then the ``prefilter``'s
+#: window, miss-stream columns and L1 slots.  A name missing here is an
+#: error at translation time, never a guess.
 C_KINDS = {
-    "clocks": "floats", "threads": "int", "boundary": "float",
-    "cap": "float", "cur": "ints", "stop": "ints", "anchor": "floats",
-    "lines": "rows",
-    "gaps": "rows", "fz_at": "ints", "fz_hit": "ints", "base": "floats",
-    "l2_hit_pen": "float", "mem_pen": "float",
+    "boundary": "float", "cap": "float",
+    "threads": "int", "stride": "int", "l2_hit_pen": "float",
+    "mem_pen": "float", "lines": "ints", "gaps": "ints",
+    "clocks": "floats", "cur": "ints", "stop": "ints", "anchor": "floats",
+    "fz_at": "ints", "fz_hit": "ints", "base": "floats",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "misses": "cores", "fills_invalid": "cores",
@@ -535,6 +542,34 @@ C_KINDS = {
     "refs": "column", "miss_offs": "ints", "miss_gaps": "ints",
     "miss_lines": "ints", "slots": "ints",
 }
+
+
+#: One run of the ``loop`` rendering, bound with its cache
+#: (``TEMPLATES["bind_run"]``).  ``lines`` / ``gaps`` are the run's
+#: ``int64`` miss-stream buffer, thread ``t``'s window the ``stride``
+#: slots from ``t * stride``; the fields from ``clocks`` on are the
+#: ``array('d')`` / ``array('q')`` slots, one per thread, the loop and
+#: its shell share (``BatchedEngine.run``).
+LoopRun = namedtuple("LoopRun", "threads stride l2_hit_pen mem_pen lines "
+                     "gaps clocks cur stop anchor fz_at fz_hit base")
+
+
+def _check_run(bound: Dict[str, object]) -> None:
+    """Refuse a run its ``loop`` would index past an end: a per-thread
+    array — the run's or a ``cores`` array of the cache — with fewer
+    than ``threads`` slots, a buffer with fewer than ``threads *
+    stride``.  (A wrong type or layout is refused by the bind.)"""
+    threads, stride = bound["threads"], bound["stride"]
+    for name, value in bound.items():
+        if name in ("lines", "gaps"):
+            need, unit = threads * stride, f"{threads} threads of {stride}"
+        elif name in LoopRun._fields[6:] or C_KINDS.get(name) == "cores":
+            need, unit = threads, f"{threads} threads"
+        else:
+            continue
+        if value is not None and len(value) < need:
+            raise ValueError(f"{name}: {len(value)} slots for {unit}")
+
 
 _SLOT_LINE = re.compile(r"^( *)\$(\w+)$")
 
@@ -673,13 +708,13 @@ def target_summary() -> str:
 def bind(rendering: str, key: Key, owner, *args) -> Optional[Callable]:
     """The compiled ``rendering`` kernel for ``key``, bound to ``owner``'s
     arrays (a cache for ``loop``, an ATD for ``observe``, a private L1 for
-    ``prefilter``); ``loop`` takes the memory channel (or None) as
-    ``args``; None where this process cannot build and load it
-    (:mod:`repro.cache.native`, *Failure*).  Recorded in
-    :func:`target_stats`.  The kernel works on the owner's arrays in
-    place, its argument block built here; a call pays only for writing
-    its parameters, once per *batch*: the event loop's accesses up to its
-    shell's next event, a whole ATD drain, a whole L1 window."""
+    ``prefilter``); ``loop`` also takes the memory channel (or None) and
+    its :class:`LoopRun` (:func:`_check_run`); None where this process
+    cannot build and load it (:mod:`repro.cache.native`, *Failure*).
+    Recorded in :func:`target_stats`.  The kernel works on the owner's
+    arrays in place, its argument block built here; a call pays only for
+    writing its parameters, once per *batch*: the event loop's accesses
+    up to its shell's next event, a whole ATD drain, a whole L1 window."""
     from repro.cache import native          # ctypes + cc: first use
 
     loaded, info = native.load(rendering, key)
@@ -690,4 +725,7 @@ def bind(rendering: str, key: Key, owner, *args) -> Optional[Callable]:
         compiled=entry["compiled"] + (loaded is not None))
     if loaded is None:
         return None
-    return native.CompiledKernel(loaded, owner, *args)
+    bound = loaded.bindings(owner, *args)
+    if rendering == "loop":
+        _check_run(bound)
+    return native.CompiledKernel(loaded, bound)

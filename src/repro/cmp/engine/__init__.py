@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "a2afa7ac598e0d28dca6e953060a23cfb4eb7f2db9a768cb9723b68c45d69657"
+ENGINE_SOURCE_CHECKSUM = "0bda19df552133d3e40838f8fc078036275f2825fc5d5ac85794a5559a04bc92"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

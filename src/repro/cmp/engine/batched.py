@@ -5,11 +5,11 @@ thread's L1 hit/miss outcome for every reference is a pure function of its
 own reference stream, so it is computed *in bulk* ahead of time, one
 window of :data:`CHUNK_SIZE` references per call of the L1's ``prefilter``
 kernel (:meth:`repro.cache.l1.SmallLRUCache.access_lines_hit`).  Of each
-window the engine keeps only the **L1-miss stream** the kernel writes —
-the lines that reach the shared L2 and the number of L1 hits (the *gap*)
-preceding each — and schedules exactly one event per L2 access, at
-``anchor + gap * base``: the reference engine's pop key
-``(clock, thread)`` for that access.
+window the engine keeps only the **L1-miss stream** the kernel writes
+into the thread's row of the run's buffer — the lines that reach the
+shared L2 and the L1 hits (the *gap*) preceding each — and schedules
+exactly one event per L2 access, at ``anchor + gap * base``: the
+reference engine's pop key ``(clock, thread)`` for that access.
 
 It runs read-only traces of an L2 with a stock (policy, scheme) pair
 under stock profiling or none, where the compiled ``loop`` and
@@ -39,9 +39,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 * **Sliced ATD drains.**  Each core's ATD observes only its own thread's
   stream and is read only at controller boundaries and run end, so stock
   profiling (:func:`.common.deferrable_profiling`) is *deferred*: the
-  executed part of each miss stream, ``lines[drained:cursor]``, drains
-  through ``atd.observe_many`` right before every boundary, at the
-  thread's freeze, when its window is replaced, and at run end.
+  executed part of each miss stream, ``lines[t, drained:cursor]`` (a
+  view), drains through ``atd.observe_many`` right before every
+  boundary, at the thread's freeze, when its window is replaced, and at
+  run end.
   Per-thread order is the stream's order; cross-thread drain order is
   immaterial because the ATDs are disjoint.  ``observe_many`` is the
   ATD's compiled ``observe`` kernel (or whatever replaced it), which
@@ -49,7 +50,7 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   the ATD itself, which is what the controller reads, halves and resets.
 * **Sampled sub-stream.**  A 1-in-N sampled ATD ignores every line
   outside its sampled sets, only counting it.  A drain hands it the
-  whole slice, as an ``array('q')``, and the kernel's own ``skip_mask``
+  whole slice, and the kernel's own ``skip_mask``
   test counts the unsampled lines, the way the hardware decodes sampling
   from index bits.
 * **Parked threads.**  After a whole trace pass without an L1 miss the L1
@@ -60,8 +61,8 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   window (a read walk leaves the dirty flags all zero).  So when a
   whole-trace window (a trace of at most :data:`CHUNK_SIZE` references)
   leaves the slots as it found them, every later pass would walk the
-  same window from the same slots: the engine keeps that walk's columns
-  and hands them out again, adding to the L1's ``CacheStats`` what a walk
+  same window from the same slots: the walk's stream stays in the
+  thread's row, and the engine adds to the L1's ``CacheStats`` what a walk
   would (``length`` accesses, the misses, no invalid fill — an invalid
   fill changes the slots).  The check is what makes it exact; true LRU
   only makes it early: one pass leaves each set holding the last
@@ -81,9 +82,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   :mod:`repro.cache.transitions`, the L2 transition inlined; its float
   expressions and ``(clock, thread)`` order are the reference engine's,
   and its per-thread access count is settled in ``drain``, like the
-  ATDs.  It works by address on the clocks and cursors it shares with
-  this shell (``array('q')`` / ``array('d')``) and on the ``int64``
-  miss-stream columns the prefilter wrote.
+  ATDs.  Bound once per run (:class:`repro.cache.transitions.LoopRun`),
+  it works by address on the clocks and cursors it shares with this
+  shell (``array('q')`` / ``array('d')``) and on the ``int64``
+  miss-stream buffer the prefilter writes; a call passes two scalars.
 * **Returns, not call-backs.**  The compiled loop never runs Python: it
   returns to :meth:`BatchedEngine.run` at a pop that reaches the next
   boundary or passes the cycle cap (nothing executed: ``beyond`` drains,
@@ -102,6 +104,7 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import math
+import mmap
 from array import array
 from typing import List, Optional
 
@@ -113,10 +116,8 @@ from repro.cmp.engine.common import EngineBase, deferrable_profiling
 from repro.cmp.results import SimulationResult, ThreadResult
 
 #: References prefiltered per bulk L1 call.  Bounds the miss-stream
-#: columns (a few hundred KB per thread) while amortising the call.
+#: buffer (a few hundred KB per thread) while amortising the call.
 CHUNK_SIZE = 1 << 16
-
-_NO_MISSES = np.empty(0, dtype=np.int64)
 
 
 def batched_refusal(sim) -> Optional[str]:
@@ -164,22 +165,24 @@ class BatchedEngine(EngineBase):
         # (all hits since that L2 access while the window has no miss).
         # ``span`` counts the window's references through its last miss
         # (so the next window's ``upto`` is ``upto + span``).
-        # ``lines`` are the addresses of its L1 misses, ``gaps[j]`` the L1
-        # hits preceding miss ``j`` (int64 columns the loop reads).
+        # ``misses`` counts its L1 misses: the thread's row of the run's
+        # miss-stream buffer (``_stream``, allocated by ``run``) holds their
+        # window offsets, addresses (``lines``) and the L1 hits preceding
+        # each (``gaps``).
         self._ck_pos = [0] * n
         self._ck_upto = [0] * n
         self._ck_span = [0] * n
         self._ck_tail = [0] * n
-        self._ck_lines: List[np.ndarray] = [_NO_MISSES] * n
-        self._ck_gaps: List[np.ndarray] = [_NO_MISSES] * n
+        self._ck_misses = [0] * n
         # Freeze access of the window, if any: at or in the gap before miss
         # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
         # else its 1-based rank among the gap's hits.
         self._ck_fz_at = array("q", [-2]) * n
         self._ck_fz_hit = array("q", [0]) * n
-        # ``(offs, gaps, lines, gaps[0])`` of a whole-trace window whose
-        # walk left the L1 as it found it: every later pass's window.
+        # ``(misses, gaps[0])`` of a whole-trace window whose walk left the
+        # L1 as it found it: every later pass's window, left in its row.
         self._ck_fixed: List[Optional[tuple]] = [None] * n
+        self._stream = np.empty((3, n, 0), dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
@@ -194,6 +197,9 @@ class BatchedEngine(EngineBase):
         upto = self._ck_upto[t] + self._ck_span[t]
         to_freeze = self.freeze_counts[t] - upto - carry
         streaming = carry < length
+        row = self._stream[:, t]
+        gaps = row[1]
+        misses = 0
         if streaming:
             pos = self._ck_pos[t]
             end = min(length, pos + CHUNK_SIZE)
@@ -202,35 +208,33 @@ class BatchedEngine(EngineBase):
             fixed = self._ck_fixed[t]
             if fixed is not None:
                 # What the walk would return and add (module docstring).
-                offs, gaps, lines, first = fixed
-                gaps[0] = first
+                misses, gaps[0] = fixed
                 l1.stats.accesses[0] += length
-                l1.stats.misses[0] += len(lines)
+                l1.stats.misses[0] += misses
             else:
                 before = l1._slots[:] if width == length else None
                 window = self.sim.traces[t].chunk_view(pos, width)
-                offs, gaps, lines = l1.access_lines_hit(window)
+                misses = len(l1.access_lines_hit(window, row).offs)
                 # (A pass without a miss parks the thread instead.)
-                if len(lines) and before == l1._slots:
-                    self._ck_fixed[t] = (offs, gaps, lines, int(gaps[0]))
-            if len(gaps):
+                if misses and before == l1._slots:
+                    self._ck_fixed[t] = misses, int(gaps[0])
+            if misses:
                 gaps[0] += carry
-            self._ck_lines[t] = lines
             self._ck_pos[t] = end if end < length else 0
         else:
-            offs = gaps = self._ck_lines[t] = _NO_MISSES
             width = max(to_freeze, 0)
+        offs = row[0, :misses]
         fz_at, fz_hit = -2, 0
         if 0 < to_freeze <= width:
             fz_at = int(np.searchsorted(offs, to_freeze - 1))
             if fz_at == len(offs) or offs[fz_at] != to_freeze - 1:
                 fz_hit = (to_freeze - 1 - int(offs[fz_at - 1]) if fz_at
                           else carry + to_freeze)
-        tail = width - int(offs[-1]) - 1 if len(offs) else carry + width
+        tail = width - int(offs[-1]) - 1 if misses else carry + width
         self._ck_upto[t] = upto
         self._ck_span[t] = carry + width - tail
         self._ck_tail[t] = tail
-        self._ck_gaps[t] = gaps
+        self._ck_misses[t] = misses
         self._ck_fz_at[t] = fz_at
         self._ck_fz_hit[t] = fz_hit
         return streaming
@@ -261,28 +265,42 @@ class BatchedEngine(EngineBase):
         profiling = deferrable_profiling(sim)
         obs_drain = ([m.atd.observe_many for m in profiling.monitors]
                      if profiling is not None else None)
-        loop = transitions.bind("loop", rendered_key(l2), l2, self.channel)
         l2_accesses = l2_stats.accesses
 
-        lines = self._ck_lines
-        gaps = self._ck_gaps
+        # One miss-stream buffer for the run: thread ``t``'s window is
+        # ``stream[:, t]``, as wide as the widest window.  Anonymous pages,
+        # not ``np.empty``: numpy advises huge pages for an allocation this
+        # large, and a row is written only as far as its windows' misses,
+        # so 2 MB pages would make the unwritten rest resident.
+        stride = min(CHUNK_SIZE, max(self.lengths))
+        stream = self._stream = np.frombuffer(
+            mmap.mmap(-1, 3 * n * stride * 8), dtype=np.int64
+        ).reshape(3, n, stride)
+        lines, gaps = stream[2], stream[1]
+        misses = self._ck_misses
         fz_at = self._ck_fz_at
         fz_hit = self._ck_fz_hit
         base = array("d", base)
         load = self._load_chunk
+        clocks = array("d", [0.0]) * n
         # Next pending miss (``~j`` while a freeze-hit waits), the cursor
         # value that needs the shell, the clock after the thread's last
         # L2 access.
         cur = array("q", [0]) * n
         stop = array("q", [0]) * n
         anchor = array("d", [0.0]) * n
+        loop = transitions.bind(
+            "loop", rendered_key(l2), l2, self.channel, transitions.LoopRun(
+                n, stride, l2_hit_pen, mem_pen, lines.reshape(-1),
+                gaps.reshape(-1), clocks, cur, stop, anchor, fz_at, fz_hit,
+                base))
         drained = [0] * n     # misses of the window the ATD has seen
         missed = [0] * n      # L1 misses in the windows before this one
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
 
         def drain(u: int, j: int) -> None:
-            # Settle what the loop defers for ``lines[u][drained[u]:j]``.
+            # Settle what the loop defers for ``lines[u, drained[u]:j]``.
             d = drained[u]
             if j <= d:
                 return
@@ -291,9 +309,9 @@ class BatchedEngine(EngineBase):
             # it between two drains.
             l2_accesses[u] += j - d
             if obs_drain is not None:
-                # The whole slice: the kernel counts the unsampled lines
-                # (module docstring).
-                obs_drain[u](array("q", lines[u][d:j].tobytes()))
+                # The whole slice, a view of the buffer: the kernel counts
+                # the unsampled lines (module docstring).
+                obs_drain[u](lines[u, d:j])
 
         def beyond(t: int, now: float) -> None:
             """Thread ``t``'s pop at ``now``, at or past the next boundary
@@ -340,13 +358,13 @@ class BatchedEngine(EngineBase):
                 if fz_at[t] == j and fz_hit[t]:
                     cur[t] = ~j
                     return anchor[t] + (fz_hit[t] - 1) * base[t]
-                if j < len(lines[t]):
+                if j < misses[t]:
                     cur[t] = j
                     if fz_at[t] < j:
-                        stop[t] = len(lines[t])
+                        stop[t] = misses[t]
                     else:
                         stop[t] = fz_at[t] if fz_hit[t] else fz_at[t] + 1
-                    return anchor[t] + gaps[t][j] * base[t]
+                    return anchor[t] + gaps[t, j] * base[t]
                 drain(t, j)
                 missed[t] += j
                 drained[t] = 0
@@ -357,11 +375,10 @@ class BatchedEngine(EngineBase):
 
         # The loop returns where the shell has work (``TEMPLATES["loop"]``):
         # a boundary or the cap (2), a freeze (1), a window end (0).
-        clocks = array("d", [resume(t, 0) for t in range(n)])
+        for t in range(n):
+            clocks[t] = resume(t, 0)
         while True:
-            t, clock, event = loop(
-                clocks, n, next_boundary, cycle_cap, cur, stop, anchor,
-                lines, gaps, fz_at, fz_hit, base, l2_hit_pen, mem_pen)
+            t, clock, event = loop(next_boundary, cycle_cap)
             if event == 2:
                 beyond(t, clock)
                 continue
@@ -381,12 +398,12 @@ class BatchedEngine(EngineBase):
             if u == t:
                 continue
             j = cur[u]
-            l1_accesses += self._ck_upto[u] + j + int(gaps[u][:j].sum())
+            l1_accesses += self._ck_upto[u] + j + int(gaps[u, :j].sum())
             a0 = anchor[u]
             b = base[u]
             # A parked thread's gap is unbounded; any count past the final
             # key bounds the search.
-            lo, hi = 0, (int(gaps[u][j]) if j < len(gaps[u])
+            lo, hi = 0, (int(gaps[u, j]) if j < misses[u]
                          else int((now - a0) / b) + 2)
             while lo < hi:
                 mid = (lo + hi) // 2

@@ -17,8 +17,9 @@ stepping the policy and profiler classes (the reference engine, user
 code).  :meth:`observe_many` — the drains of the batched engine — is
 bound at construction to the compiled ``observe`` rendering for a stock
 policy and profiler (:func:`repro.cache.state.drain_key`).  It takes a
-batch of any length as an ``array('q')`` (or an ``int64`` numpy column)
-of every L2 access in it, sampled or not — the kernel's own
+batch of any length as an ``int64`` numpy column (the batched engine
+hands it a view of its miss-stream buffer) or an ``array('q')``, with
+every L2 access in it, sampled or not — the kernel's own
 ``skip_mask`` test counts the others, the way the hardware decodes
 sampling from index bits — and works on the ATD's own arrays in place:
 between two drains what the controller reads, halves and resets is the
@@ -168,9 +169,12 @@ class ATD:
         point of the execution engines.  Generic per-line loop; instances
         with a stock policy and profiler shadow it with the compiled
         ``observe`` rendering (:func:`repro.cache.state.drain_key`) at
-        construction, where it loads.
+        construction, where it loads.  A numpy batch (the batched
+        engine's drains) is read as Python integers, as a trace is.
         """
         observe = self.observe
+        if isinstance(batch, np.ndarray):
+            batch = batch.tolist()
         for line in batch:
             observe(line)
 

@@ -20,7 +20,9 @@ NAME = "<repro kernel test/none loop>"
 KINDS = {
     "x": "int", "y": "int", "f": "float", "g": "float",
     "ints": "ints", "floats": "floats", "shared": "ints",
-    "cores": "cores", "cap": "int", "rows": "rows", "col": "column",
+    "cores": "cores", "cap": "int", "col": "column",
+    # a per-thread table is one flat array: never indexed twice
+    "rows": "ints",
     # bindings a kernel may read, never call: no kind is a callable
     "out": "floats", "ask": "int",
     # what was a table of bounded lists: flat slots, like LRU's order
@@ -98,8 +100,6 @@ GOLDEN = [
                                   "a = (shared[x] + cores[y]);"]),
     ("cores[x] += 1", ["i64 *const cores = a->cores;",
                        "cores[x] += INT64_C(1);"]),
-    ("a = rows[x][y]", ["i64 *const *const rows = a->rows;",
-                        "a = rows[x][y];"]),
     # a probe of the set's row, as the skeletons write it: a while that
     # stops at the line's way, or at ``cap`` when it is not there
     ("s = y >> 2\nw = 0\nwhile w < cap and ints[s * cap + w] != y:\n"
@@ -180,6 +180,7 @@ REFUSED = [
     ("for a in ints:\n    pass", "for over anything but a column"),
     ("for a in range(3):\n    pass", "for over anything but a column"),
     ("for a in rows[x]:\n    pass", "for over anything but a column"),
+    ("a = rows[x][y]", "indexing anything but a bound array"),
     ("o = lists[x]\nfor a in o:\n    pass",
      "for over anything but a column"),
     ("for a in col:\n    pass\nelse:\n    y = 1", "for/else"),
@@ -274,7 +275,7 @@ STOCK = [(policy, scheme) for policy in transitions.POLICIES
 @pytest.mark.parametrize("key", STOCK, ids="/".join)
 def test_every_stock_loop_translates(key):
     kernel = transitions.translate("loop", key)
-    assert kernel.params[:4] == ("clocks", "threads", "boundary", "cap")
+    assert kernel.params == ("boundary", "cap")
     assert {"tag_lines", "invalid", "misses", "anchor", "cur", "clocks"} \
         <= kernel.stored
     # A line is a probe of its set's row of the tag lines, and the next
@@ -295,7 +296,7 @@ def test_no_kernel_calls_back_into_python(rendering, key):
     assert not [member for member in kernel.members
                 if "(" in member[1] or member[0] == "error"
                 or member[2] not in ("int", "float", "ints", "floats",
-                                     "cores", "rows", "column", "length",
+                                     "cores", "column", "length",
                                      "ret")]
     assert "void run(Args *a) {" in kernel.source
     assert "(*" not in kernel.source and "error" not in kernel.source

@@ -324,6 +324,42 @@ def test_a_warm_process_loads_every_key_without_translating(cache_home):
     assert len(list((cache_home / "repro-kernels").iterdir())) == len(keys)
 
 
+BATCHED_RUN = """
+import json, sys
+import numpy as np
+from repro.cache import transitions
+from repro.config import config_M_L
+from repro.fuzz import FuzzCase
+from repro.workloads.trace import Trace
+
+traces = [Trace(f"t{core}", np.arange(900) % 300 + (core << 20), ipm=4.0,
+                cpi_base=1.0) for core in range(2)]
+FuzzCase(traces=traces, l1_sets=2, l1_assoc=2, l2_sets=16, l2_assoc=8,
+         instructions_per_thread=8000, per_thread_instructions=(8000, 8000),
+         partitioning=config_M_L(atd_sampling=2, interval_cycles=6000)
+         ).simulator("batched").run()
+print(json.dumps({"cgen": "repro.cache.cgen" in sys.modules,
+                  "caches": sorted(entry.get("cache", "none") for entry
+                                   in transitions.target_stats().values())}))
+"""
+
+
+@needs_cc
+def test_a_warm_batched_run_never_imports_the_translator(cache_home):
+    """The translator is imported only to translate: a batched run in a
+    fresh process on a warm cache — loop, drains and L1 walks all hits —
+    never loads ``repro.cache.cgen``; the cold run before it did."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    runs = []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", BATCHED_RUN], env=env,
+                              text=True, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == {"cgen": True, "caches": ["built"] * 3}
+    assert runs[1] == {"cgen": False, "caches": ["hit"] * 3}
+
+
 @needs_cc
 def test_compiler_that_fails_is_reported_once_and_falls_back(
         cache_home, monkeypatch, tmp_path):
@@ -382,10 +418,14 @@ def test_two_processes_racing_through_a_cold_cache(cache_home):
 
 
 # ----------------------------------------------------------------------
-# Marshalling refuses what C could not bounds-check
+# The bind refuses what C could not bounds-check
 # ----------------------------------------------------------------------
 @needs_cc
 class TestMarshalValidation:
+    """A run is bound once, with the loop (``transitions.bind``): what
+    C would index past an end, or could not share, is refused there,
+    before the loop ever runs."""
+
     @pytest.fixture
     def call(self):
         from repro.cache.cache import SetAssociativeCache
@@ -395,36 +435,38 @@ class TestMarshalValidation:
         cache = SetAssociativeCache(
             CacheGeometry(4 * 4 * 128, 4, 128), "nru", num_cores=2,
             partition=MasksPartition(2, 4, 4))
-        loop = transitions.bind("loop", KEY, cache, None)
-        assert isinstance(loop, native.CompiledKernel)
         n = 2
         column = np.arange(3, dtype=np.int64)
 
         def call(lines=None, threads=n, cur=None):
-            lines = lines if lines is not None else [column] * threads
-            return loop(
-                array("d", [5.0] * threads), threads, 1e9, inf,
-                cur if cur is not None else array("q", [0] * threads),
-                array("q", [2] * threads), array("d", [0.0] * threads),
-                lines, [column] * threads, array("q", [-2] * threads),
-                array("q", [0] * threads), array("d", [1.0] * threads),
-                10.0, 250.0)
+            """Bind a run of ``threads`` windows of 3 misses, call it."""
+            loop = transitions.bind(
+                "loop", KEY, cache, None, transitions.LoopRun(
+                    threads, 3, 10.0, 250.0,
+                    lines if lines is not None else np.tile(column, threads),
+                    np.zeros(3 * threads, dtype=np.int64),
+                    array("d", [5.0] * threads),
+                    cur if cur is not None else array("q", [0] * threads),
+                    array("q", [2] * threads), array("d", [0.0] * threads),
+                    array("q", [-2] * threads), array("q", [0] * threads),
+                    array("d", [1.0] * threads)))
+            assert isinstance(loop, native.CompiledKernel)
+            return loop(1e9, inf)
 
         call.cache = cache
         return call
 
     def test_column_that_is_not_contiguous_int64_is_refused(self, call):
-        with pytest.raises(TypeError, match=r"lines\[0\]: not a contiguous "
-                                            r"int64 column"):
-            call(lines=[[1, 2, 3], np.arange(3)])
-        with pytest.raises(TypeError, match=r"lines\[1\]"):
-            call(lines=[np.arange(3), np.arange(6)[::2]])
+        for lines in ([1, 2, 3] * 2, np.arange(12)[::2], np.arange(6.0)):
+            with pytest.raises(TypeError, match=r"lines: a \w+ where "
+                                                r"array\('q'\) or a "
+                                                r"contiguous int64 column"):
+                call(lines=lines)
         assert call.cache.state.occupancy() == 0
 
     def test_per_core_array_shorter_than_the_threads_is_refused(self, call):
-        column = np.arange(3, dtype=np.int64)
         with pytest.raises(ValueError, match="2 slots for 3 threads"):
-            call(lines=[column] * 3, threads=3)
+            call(threads=3)
 
     def test_a_per_thread_argument_shorter_than_the_threads_is_refused(
             self, call):
@@ -434,8 +476,11 @@ class TestMarshalValidation:
         assert call.cache.state.occupancy() == 0
 
     def test_rows_must_match_the_thread_count(self, call):
-        with pytest.raises(ValueError, match="lines: 1 columns for 2"):
-            call(lines=[np.arange(3)])
+        """The miss-stream buffer holds a window of ``stride`` slots per
+        thread."""
+        with pytest.raises(ValueError,
+                           match="lines: 3 slots for 2 threads of 3"):
+            call(lines=np.arange(3, dtype=np.int64))
 
     def test_an_array_c_cannot_share_is_refused(self, call):
         """Nothing is copied any more, so an array of the wrong kind is an
@@ -465,8 +510,9 @@ class TestMarshalValidation:
                       np.arange(6, dtype=np.int32),
                       np.arange(6, dtype=np.float64),
                       np.zeros((2, 3), dtype=np.int64)):
-            with pytest.raises(TypeError, match="batch: not a contiguous "
-                                                "int64 column"):
+            with pytest.raises(TypeError, match=r"batch: a \w+ where "
+                                                r"array\('q'\) or a "
+                                                r"contiguous int64 column"):
                 drain(batch)
         assert atd.state.occupancy() == 0 and atd.state.map == {}
         assert atd.sdh.total == 0 and list(atd._counts) == [0, 0]

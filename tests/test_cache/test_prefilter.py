@@ -165,6 +165,27 @@ def test_gaps_count_the_hits_between_misses():
     assert stream.lines.tolist() == lines[stream.offs].tolist()
 
 
+def test_a_window_is_written_into_the_callers_rows():
+    """With ``out`` — a thread's row of the batched engine's miss-stream
+    buffer — the stream is written there and returned as views of it,
+    the same stream a walk into its own columns returns; rows narrower
+    than the window are refused before anything is walked."""
+    lines = np.array([0, 0, 0, 4, 4, 8, 0, 8, 12], dtype=np.int64)
+    buffer = np.full((3, 2, 12), -7, dtype=np.int64)
+    l1 = SmallLRUCache(geometry(4, 2))
+    stream = l1.access_lines_hit(lines, buffer[:, 1])
+    own = SmallLRUCache(geometry(4, 2)).access_lines_hit(lines)
+    assert [column.tolist() for column in stream] \
+        == [column.tolist() for column in own]
+    for k, column in enumerate(stream):
+        assert column.base is not None and np.shares_memory(column, buffer)
+        assert column.tolist() == buffer[k, 1, :len(column)].tolist()
+    assert (buffer[:, 0] == -7).all()
+    with pytest.raises(ValueError, match="three output rows of 9 slots"):
+        l1.access_lines_hit(lines, buffer[:, 1, :8])
+    assert l1.stats.accesses == [9]
+
+
 def test_state_is_shared_in_place():
     """The kernel works on the L1's own arrays — nothing is copied in or
     out, nothing rebound — so ``flush`` (in place) is seen by the next

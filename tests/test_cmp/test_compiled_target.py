@@ -502,9 +502,10 @@ class RecordingCase(FuzzCase):
                          ids=["opaque", "functools.wraps"])
 def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     """Whoever rebinds an ATD's ``observe_many`` sees every drain, and
-    every drain is the same ``array('q')`` whatever stands behind it: an
-    opaque callable or a transparent wrapper (``functools.wraps``, the
-    way a tracer wraps it).  Either way the run binds no drain kernel of
+    every drain is the same ``int64`` view of the run's miss-stream
+    buffer whatever stands behind it: an opaque callable or a
+    transparent wrapper (``functools.wraps``, the way a tracer wraps
+    it).  Either way the run binds no drain kernel of
     its own: the four are the ATDs', bound when they were built."""
     case = scenario(("lru", "masks"))
     monkeypatch.setattr(RecordingCase, "transparent", transparent)
@@ -512,7 +513,7 @@ def test_a_rebound_drain_stays_in_the_call_path(transparent, monkeypatch):
     before = binds(("lru", "none"), "observe")
     recorded = run_engine(RecordingCase(**vars(case)), "batched")
     assert binds(("lru", "none"), "observe") - before == 4
-    assert set(RecordingCase.seen) == {array}
+    assert set(RecordingCase.seen) == {np.ndarray}
     assert diff_snapshots(run_engine(case, "batched"), recorded) == []
 
 
@@ -534,7 +535,7 @@ def test_an_aborted_run_leaves_the_atds_on_their_own_kernel():
 # Shared, not marshalled: what a compiled call hands C
 # ----------------------------------------------------------------------
 #: The rendering of a translated kernel, by its first parameter.
-RENDERING_OF = {"clocks": "loop", "batch": "observe", "refs": "prefilter"}
+RENDERING_OF = {"boundary": "loop", "batch": "observe", "refs": "prefilter"}
 
 
 def bound_arrays(kernel):
@@ -561,7 +562,7 @@ def kernels(monkeypatch):
     """Every compiled kernel bound from here on: ``(kernel, its bound
     members' values in the argument block right after the bind, the
     parameters checked at its calls)``; each is kept alive, its pins
-    held.
+    held, and its calls' arguments kept as ``_calls``.
 
     Every call is checked as C starts: each column or array parameter's
     member is the address of the very object the caller passed (0 for
@@ -597,6 +598,7 @@ def kernels(monkeypatch):
 
     def remembered(self, *arguments):
         self._handed = arguments
+        vars(self).setdefault("_calls", []).append(arguments)
         return call(self, *arguments)
 
     monkeypatch.setattr(native.CompiledKernel, "__init__", recorded)
@@ -625,12 +627,14 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
     that is not a parameter holds the address of the owner's own buffer
     (0 for an absent channel), every other bound member is a scalar, and
     no call changes either.  LRU's recency order is one of the shared
-    arrays.  Every call hands C the very columns and arrays it was
-    given — the prefilter's window and output columns, a drain's batch,
-    the loop's cursors — each pinned where it is an ``array``
-    (:func:`kernels`).  Nothing is copied back: a whole run derives no
-    tag dict, and the first ``map`` read afterwards derives each store's
-    once, equal to a dict built from scratch."""
+    arrays, and so are the run's clocks, cursors and miss-stream buffer,
+    the loop's two parameters being scalars.  Every call hands C the very
+    columns and arrays it was given — the prefilter's window and output
+    columns, a drain's batch — each pinned where it is an ``array``
+    (:func:`kernels`), and every drain's batch is a view of the run's
+    buffer.  Nothing is copied back: a whole run derives no tag dict,
+    and the first ``map`` read afterwards derives each store's once,
+    equal to a dict built from scratch."""
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
     sim = scenario(key, service_interval=37.5).simulator("batched")
@@ -653,6 +657,13 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
                 assert kind in ("int", "float"), name
         if key[0] == "lru" and rendering != "prefilter":
             assert {"orders", "present"} <= shared
+        if rendering == "loop":
+            assert set(transitions.LoopRun._fields[4:]) <= shared
+            buffer = kernel._bound["lines"]
+    for kernel, _at_bind, _handed in kernels:
+        if RENDERING_OF[kernel._loaded.params[0]] == "observe":
+            assert all(np.shares_memory(batch, buffer)
+                       for batch, in getattr(kernel, "_calls", ()))
     expected = {"loop", "prefilter"}
     if CONFIGS[key].partitioned:
         expected.add("observe")
@@ -672,11 +683,13 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
     """A compiled kernel holds a buffer export of every owner ``array`` it
     binds for as long as it lives, so the rule that no owner array is
     ever resized is enforced at any time, not only inside a call: after a
-    whole run, ``append`` on any of them raises ``BufferError`` and
-    leaves it as it was."""
+    whole run, ``append`` on any of them — the run's clocks and cursors
+    included — raises ``BufferError`` and leaves it as it was, and the
+    run's miss-stream buffer, a view, cannot be resized either."""
     sim = scenario(("lru", "counters")).simulator("batched")
     sim.run()
     assert len(kernels) == 1 + 4 + 4
+    resized = set()
     for kernel, _at_bind, _handed in kernels:
         for name, kind in bound_arrays(kernel):
             value = kernel._bound[name]
@@ -685,6 +698,12 @@ def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):
                 with pytest.raises(BufferError):
                     value.append(value[0])
                 assert list(value) == before, name
+                resized.add(name)
+            elif isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="cannot resize"):
+                    value.resize(len(value) + 1)
+                resized.add(name)
+    assert set(transitions.LoopRun._fields[4:]) <= resized
 
 
 def test_resizing_a_shared_array_in_a_call_out_is_refused():

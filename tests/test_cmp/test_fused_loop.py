@@ -328,6 +328,31 @@ class TestGeneratedSourceExplainsItself:
             transitions.translate(rendering, key)   # render + C checks
 
 
+def test_a_run_is_bound_once_and_a_call_passes_two_scalars():
+    """The loop's clocks, cursors and miss-stream buffer are part of its
+    bind (``transitions.LoopRun``): the kernel's own parameters are the
+    next boundary and the cycle cap, nothing else."""
+    from array import array
+
+    from repro.cache.cache import SetAssociativeCache
+
+    cache = SetAssociativeCache(CacheGeometry(8 * 4 * 128, 4, 128), "lru",
+                                num_cores=1)
+    loop = transitions.bind("loop", ("lru", "none"), cache, None,
+                            transitions.LoopRun(
+                                1, 4, 0.0, 1.0, np.zeros(4, dtype=np.int64),
+                                np.zeros(4, dtype=np.int64), array("d", [3.0]),
+                                array("q", [0]), array("q", [1]),
+                                array("d", [0.0]), array("q", [-2]),
+                                array("q", [0]), array("d", [1.0])))
+    assert loop is not None
+    assert loop._loaded.params == ("boundary", "cap")
+    assert transitions.translate("loop", ("lru", "none")).params \
+        == ("boundary", "cap")
+    assert loop(2.0, 9.0) == (0, 3.0, 2)        # the boundary pops first
+    assert loop(9.0, 9.0) == (0, 5.0, 0)        # one miss, window end
+
+
 @pytest.mark.parametrize("policy", list(transitions.POLICIES))
 def test_equal_clocks_run_the_lower_thread_first(policy):
     """The loop's arg-min over the per-thread clocks keeps the
@@ -343,22 +368,23 @@ def test_equal_clocks_run_the_lower_thread_first(policy):
 
     cache = SetAssociativeCache(CacheGeometry(8 * 4 * 128, 4, 128), policy,
                                 num_cores=2)
-    loop = transitions.bind("loop", (policy, "none"), cache, None)
-    assert loop is not None, transitions.target_stats()["loop",
-                                                        (policy, "none")]
-    streams = [np.array([0, 8, 16], dtype=np.int64),
-               np.array([1, 9, 17], dtype=np.int64)]
+    streams = np.array([[0, 8, 16], [1, 9, 17]], dtype=np.int64)
     clocks = array("d", [0.0, 0.0])
     cur, stop = array("q", [0, 0]), array("q", [1, 1])
     anchor = array("d", [0.0, 0.0])
     fz_at = array("q", [2, 2])
+    loop = transitions.bind("loop", (policy, "none"), cache, None,
+                            transitions.LoopRun(
+                                2, 3, 0.0, 0.0, streams.reshape(-1),
+                                np.zeros(6, dtype=np.int64), clocks, cur,
+                                stop, anchor, fz_at, array("q", [0, 0]),
+                                array("d", [0.0, 0.0])))
+    assert loop is not None, transitions.target_stats()["loop",
+                                                        (policy, "none")]
     order = []
     active = 2
     while True:
-        t, clock, event = loop(
-            clocks, 2, inf, inf, cur, stop, anchor, streams,
-            [np.zeros(3, dtype=np.int64)] * 2, fz_at, array("q", [0, 0]),
-            array("d", [0.0, 0.0]), 0.0, 0.0)
+        t, clock, event = loop(inf, inf)
         # A window end after every access; the freeze on the last one.
         j = cur[t]
         order.append((t, j))

@@ -108,9 +108,9 @@ def count_walks(monkeypatch):
     walks = {}
     walk = SmallLRUCache.access_lines_hit
 
-    def spy(l1, lines):
+    def spy(l1, lines, out=None):
         walks[l1] = walks.get(l1, 0) + 1
-        return walk(l1, lines)
+        return walk(l1, lines, out)
 
     monkeypatch.setattr(SmallLRUCache, "access_lines_hit", spy)
     return walks

@@ -120,10 +120,11 @@ def build(atd):
     return observe_many
 """,
     "loop": """\
-def build(cache):
+def build(cache, run):
     $bind_loop
+    $bind_run
 
-    def loop(clocks, threads, horizon, lines, cur):
+    def loop(horizon):
         while True:
             t = 0
             u = 1
@@ -134,12 +135,18 @@ def build(cache):
             now = clocks[t]
             if now >= horizon:
                 return t, now
-            line = lines[t][cur[t]]
+            line = lines[t * stride + cur[t]]
             $access
             clocks[t] = clock
 
     return loop
 """,
+    "bind_run": """\
+clocks = run.clocks
+threads = run.threads
+stride = run.stride
+lines = run.lines
+cur = run.cur""",
     "access_fused": """\
 s = line & set_mask
 $probe
@@ -171,8 +178,7 @@ PRIVATE_LOCALS = {
 
 C_KINDS = {
     "clocks": "floats", "threads": "int", "horizon": "float",
-    "lines": "rows",
-    "cur": "ints", "tag_lines": "ints",
+    "stride": "int", "lines": "ints", "cur": "ints", "tag_lines": "ints",
     "invalid": "ints", "set_mask": "int", "assoc": "int",
     "full_mask": "int", "fills_invalid": "cores", "used_l": "ints",
     "batch": "column", "sdh_r": "ints", "spec_l": "ints",

@@ -5,6 +5,7 @@ is exercised by CI's ``campaign-smoke`` job, not here.
 """
 
 import importlib.util
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -138,7 +139,14 @@ def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
         stock = SetAssociativeCache(geometry, "nru")
         SetAssociativeCache(geometry, "fifo", rng=np.random.default_rng(0))
         ATD(geometry, 2, "nru", make_profiler("nru"))
-        transitions.bind("loop", ("nru", "none"), stock, None)
+        column = np.zeros(1, dtype=np.int64)
+        transitions.bind("loop", ("nru", "none"), stock, None,
+                         transitions.LoopRun(
+                             1, 1, 0.0, 0.0, column, column,
+                             array("d", [0.0]), array("q", [0]),
+                             array("q", [0]), array("d", [0.0]),
+                             array("q", [-2]), array("q", [0]),
+                             array("d", [0.0])))
     finally:
         transitions.bind = original
     assert builds == {"observe": {"nru/none": 1}, "loop": {"nru/none": 1}}

@@ -92,9 +92,9 @@ def _counting_run(run, counts):
 
 
 def _counting_walk(walk, walks):
-    def counted(self, lines):
+    def counted(self, lines, out=None):
         walks["walks"] += 1
-        return walk(self, lines)
+        return walk(self, lines, out)
 
     return counted
 
