@@ -40,14 +40,15 @@ from repro.cache.geometry import CacheGeometry
 
 
 class MissStream(NamedTuple):
-    """The L1 misses of one read window, as ``int64`` columns:
-    ``offs[j]`` is the window offset of miss ``j``, ``gaps[j]`` the L1
-    hits between miss ``j - 1`` (or the window start) and it, and
-    ``lines[j]`` its line address."""
+    """The L1 misses of one read window, as ``int64`` columns, and its
+    tail: ``gaps[j]`` is the L1 hits between miss ``j - 1`` (or the
+    window start) and miss ``j``, ``lines[j]`` its line address, and
+    ``tail`` the hits after the last miss (the whole window without
+    one).  Miss ``j``'s window offset is ``j + gaps[:j + 1].sum()``."""
 
-    offs: np.ndarray
     gaps: np.ndarray
     lines: np.ndarray
+    tail: int
 
 
 class SmallLRUCache:
@@ -136,10 +137,10 @@ class SmallLRUCache:
         call of the ``prefilter`` kernel, over an L1 that holds no dirty
         line (:class:`ValueError` otherwise, nothing walked: only the
         per-access path writes back).  The stream is written into
-        ``out`` — three writable ``int64`` rows (offsets, gaps, lines) at
-        least as wide as the window, such as a thread's row of the
-        batched engine's miss-stream buffer — and returned as views of
-        it; without ``out`` into columns of its own.
+        ``out`` — two writable ``int64`` rows (gaps, lines) at least as
+        wide as the window, such as a thread's row of the batched
+        engine's miss-stream buffer — and returned as views of it;
+        without ``out`` into columns of its own.
         """
         if self._prefilter is None:
             raise RuntimeError(f"{self.name}: no compiled prefilter")
@@ -150,16 +151,16 @@ class SmallLRUCache:
         width = len(lines)
         # Slot ``n`` of each column is written on every access and kept
         # on a miss, so each needs the window's width.
-        columns = np.empty((3, width), dtype=np.int64) if out is None else out
-        if len(columns) != 3 or columns.shape[-1] < width:
+        columns = np.empty((2, width), dtype=np.int64) if out is None else out
+        if len(columns) != 2 or columns.shape[-1] < width:
             raise ValueError(f"{self.name}: a {width}-reference window "
-                             f"needs three output rows of {width} slots")
-        n, fills = self._prefilter(lines, *columns)
+                             f"needs two output rows of {width} slots")
+        n, fills, tail = self._prefilter(lines, *columns)
         stats = self.stats
         stats.accesses[0] += width
         stats.misses[0] += n
         stats.fills_invalid[0] += fills
-        return MissStream(*columns[:, :n])
+        return MissStream(*columns[:, :n], tail)
 
     def access_lines_rw(self, lines, writes=None):
         """Benchmark-owned stub: ``benchmarks/e2e/tracing.py`` wraps this

@@ -370,6 +370,10 @@ while k:
     # the freeze's) and 0 at a window end (``clock`` the last access's).
     # ``cur[t]`` is then the thread's position in its window; the shell
     # stores the thread's next clock in ``clocks`` and calls again.
+    # ``left[t]`` counts down the thread's references to its freeze
+    # access: each miss takes off itself and the hits before it, so the
+    # freeze is the miss that leaves 0 or, with ``rest`` left within the
+    # next gap, that gap's ``rest``-th hit.
     "loop": """\
 def build(cache, channel, run):
     $bind_loop
@@ -391,22 +395,27 @@ def build(cache, channel, run):
             if j < 0:
                 # The freeze access is an L1 hit inside the pending gap.
                 cur[t] = ~j
-                return t, anchor[t] + fz_hit[t] * base[t], 1
+                return t, anchor[t] + left[t] * base[t], 1
             line = lines[t * stride + j]
             $access
             anchor[t] = clock
+            rest = left[t] - gaps[t * stride + j] - 1
+            left[t] = rest
             j += 1
             cur[t] = j
-            if j != stop[t]:
-                clock += gaps[t * stride + j] * base[t]
-            elif fz_at[t] == j and fz_hit[t]:
-                # The next event is the freeze: the ``fz_hit``-th L1 hit
-                # of the gap before miss ``j`` pops at the key of the hit
+            if rest == 0:
+                return t, clock, 1
+            if j == stop[t]:
+                return t, clock, 0
+            gap = gaps[t * stride + j]
+            if 0 < rest and rest <= gap:
+                # The next event is the freeze: the ``rest``-th L1 hit of
+                # the gap before miss ``j`` pops at the key of the hit
                 # before it.
                 cur[t] = ~j
-                clock += (fz_hit[t] - 1) * base[t]
+                clock += (rest - 1) * base[t]
             else:
-                return t, clock, fz_at[t] == j - 1
+                clock += gap * base[t]
             clocks[t] = clock
 
     return loop
@@ -414,7 +423,7 @@ def build(cache, channel, run):
     # What one run binds: the fields of its :class:`LoopRun`, in order.
     "bind_run": """\
 (threads, stride, l2_hit_pen, mem_pen, lines, gaps, clocks, cur, stop,
- anchor, fz_at, fz_hit, base) = run""",
+ anchor, left, base) = run""",
     "access_fused": """\
 s = line & set_mask
 $probe
@@ -453,7 +462,8 @@ clock = start + latency + base[t]""",
     # one — falls off the end), with selects and unconditional stores, so
     # on the C target nothing branches on the data.  The miss stream is
     # written the same way: slot ``n`` of each column is rewritten on
-    # every access and kept (``n`` advanced) on a miss.  The L1's dirty
+    # every access and kept (``n`` advanced) on a miss.  ``gap`` ends as
+    # the window's tail, the hits after its last miss.  The L1's dirty
     # flags are all 0 (its caller checks) and stay so: a read installs
     # clean, and a clean line needs no write-back.
     "prefilter": """\
@@ -462,8 +472,7 @@ def build(l1):
     assoc = l1._assoc
     set_mask = l1._set_mask
 
-    def prefilter(refs, miss_offs, miss_gaps, miss_lines):
-        i = 0
+    def prefilter(refs, miss_gaps, miss_lines):
         n = 0
         gap = 0
         fills = 0
@@ -480,14 +489,12 @@ def build(l1):
                 k += 1
             # ``here``: the last slot, the one a miss drops.
             miss = 1 - hit
-            miss_offs[n] = i
             miss_gaps[n] = gap
             miss_lines[n] = line
             n += miss
             gap = (gap + 1) & -hit
             fills += (here < 0) & miss
-            i += 1
-        return n, fills
+        return n, fills, gap
 
     return prefilter
 """,
@@ -524,7 +531,7 @@ C_KINDS = {
     "threads": "int", "stride": "int", "l2_hit_pen": "float",
     "mem_pen": "float", "lines": "ints", "gaps": "ints",
     "clocks": "floats", "cur": "ints", "stop": "ints", "anchor": "floats",
-    "fz_at": "ints", "fz_hit": "ints", "base": "floats",
+    "left": "ints", "base": "floats",
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "misses": "cores", "fills_invalid": "cores",
@@ -539,8 +546,8 @@ C_KINDS = {
     "batch": "column", "counts": "ints", "l2_set_mask": "int",
     "skip_mask": "int", "set_shift": "int", "sdh_r": "ints",
     "miss_reg": "int", "dist": "ints",
-    "refs": "column", "miss_offs": "ints", "miss_gaps": "ints",
-    "miss_lines": "ints", "slots": "ints",
+    "refs": "column", "miss_gaps": "ints", "miss_lines": "ints",
+    "slots": "ints",
 }
 
 
@@ -549,9 +556,10 @@ C_KINDS = {
 #: ``int64`` miss-stream buffer, thread ``t``'s window the ``stride``
 #: slots from ``t * stride``; the fields from ``clocks`` on are the
 #: ``array('d')`` / ``array('q')`` slots, one per thread, the loop and
-#: its shell share (``BatchedEngine.run``).
+#: its shell share (``BatchedEngine.run``): ``stop`` is the window's
+#: miss count, ``left`` the references to the freeze access.
 LoopRun = namedtuple("LoopRun", "threads stride l2_hit_pen mem_pen lines "
-                     "gaps clocks cur stop anchor fz_at fz_hit base")
+                     "gaps clocks cur stop anchor left base")
 
 
 def _check_run(bound: Dict[str, object]) -> None:

@@ -28,7 +28,6 @@ from collections import Counter
 from repro.cmp.engine.batched import BatchedEngine, CHUNK_SIZE, batched_refusal
 from repro.cmp.engine.common import EngineBase, freeze_count
 from repro.cmp.engine.reference import ReferenceEngine
-from repro.cmp.engine.scheduler import EventScheduler
 from repro.config import ENGINE_AUTO, ENGINE_BATCHED, ENGINE_REFERENCE
 
 #: Simulation-semantics version, part of every campaign store key
@@ -52,7 +51,6 @@ ENGINE_GUARDED_SOURCES = (
     "repro/cmp/engine/batched.py",
     "repro/cmp/engine/common.py",
     "repro/cmp/engine/reference.py",
-    "repro/cmp/engine/scheduler.py",
     "repro/cache/state.py",
     "repro/cache/transitions.py",
     "repro/cache/cgen.py",
@@ -76,7 +74,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "0bda19df552133d3e40838f8fc078036275f2825fc5d5ac85794a5559a04bc92"
+ENGINE_SOURCE_CHECKSUM = "e0ae303d418cce23ce139af40758beeaf7138c8fe8e321478afd84edc8c9a709"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,
@@ -135,7 +133,6 @@ __all__ = [
     "CHUNK_SIZE",
     "ENGINE_VERSION",
     "EngineBase",
-    "EventScheduler",
     "ReferenceEngine",
     "batched_refusal",
     "engine_summary",

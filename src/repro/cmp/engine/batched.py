@@ -26,11 +26,16 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   of all threads execute in the same total ``(clock, thread)`` order
   with bit-equal clocks.
 * **Freeze-hit event.**  A thread's freeze access must commit in exact
-  global order (it may end the run).  When it is an L2 access it already
-  is an event.  When it is the ``h``-th L1 hit of a gap it becomes the
-  only kind of non-L2 event: it pops at its own key
-  ``anchor + (h - 1) * base``, freezes at ``anchor + h * base``, and the
-  thread is then rescheduled for the L2 access that ends the gap.
+  global order (it may end the run).  One countdown per thread, ``left``,
+  finds it: it starts at the freeze count and each executed L2 access
+  takes off itself and the hits before it, so it counts the references
+  from just after the thread's last L2 access through its freeze
+  access.  When an access leaves it 0, that access was the freeze.
+  When it leaves ``h`` with ``0 < h <= gap`` for the pending gap, the
+  freeze is the ``h``-th L1 hit of that gap and becomes the only kind
+  of non-L2 event: it pops at its own key ``anchor + (h - 1) * base``,
+  freezes at ``anchor + h * base``, and the thread is then rescheduled
+  for the L2 access that ends the gap.
 * **Boundary placement.**  Interval boundaries fire while the popped clock
   has crossed them (catch-up ``while``).  No L2 access has a key between a
   boundary and the first pop at or after it, so every repartition precedes
@@ -62,9 +67,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   whole-trace window (a trace of at most :data:`CHUNK_SIZE` references)
   leaves the slots as it found them, every later pass would walk the
   same window from the same slots: the walk's stream stays in the
-  thread's row, and the engine adds to the L1's ``CacheStats`` what a walk
-  would (``length`` accesses, the misses, no invalid fill — an invalid
-  fill changes the slots).  The check is what makes it exact; true LRU
+  thread's row, the engine keeps its ``(misses, gaps[0], tail)`` and
+  adds to the L1's ``CacheStats`` what a walk would (``length``
+  accesses, the misses, no invalid fill — an invalid fill changes the
+  slots).  The check is what makes it exact; true LRU
   only makes it early: one pass leaves each set holding the last
   ``assoc`` distinct lines it saw (all of them, if fewer), whatever it
   started with, so a thread's second walk already passes the check.
@@ -97,8 +103,10 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
 * **Termination rollback.**  The reference stops right after the last
   freeze access.  Accesses of other threads ordering after that key were
   never executed there; only the L1 hits of each thread's pending gap can
-  be affected (its pending L2 access never ran), so a binary
-  search over the gap's pop keys counts the hits that did commit.
+  be affected (its pending L2 access never ran).  A thread's references
+  through its last L2 access are its freeze count less ``left``; a
+  binary search over the pending gap's pop keys counts the hits that
+  did commit.
 """
 
 from __future__ import annotations
@@ -160,84 +168,63 @@ class BatchedEngine(EngineBase):
         super().__init__(sim)
         n = self.n
         # Per-thread prefilter window.  ``pos`` is the trace position after
-        # it, ``upto`` the references through the thread's last L2 access
-        # before it and ``tail`` the L1 hits after the window's last miss
-        # (all hits since that L2 access while the window has no miss).
-        # ``span`` counts the window's references through its last miss
-        # (so the next window's ``upto`` is ``upto + span``).
-        # ``misses`` counts its L1 misses: the thread's row of the run's
-        # miss-stream buffer (``_stream``, allocated by ``run``) holds their
-        # window offsets, addresses (``lines``) and the L1 hits preceding
-        # each (``gaps``).
+        # it and ``tail`` the L1 hits after the window's last miss (all hits
+        # since the thread's last L2 access while the window has no miss).
+        # ``misses`` counts its L1 misses (the loop's ``stop``): the
+        # thread's row of the run's miss-stream buffer (``_stream``,
+        # allocated by ``run``) holds their addresses (``lines``) and the
+        # L1 hits preceding each (``gaps``).  ``left`` counts the
+        # references from just after the thread's last L2 access through
+        # its freeze access (the loop counts it down).
         self._ck_pos = [0] * n
-        self._ck_upto = [0] * n
-        self._ck_span = [0] * n
         self._ck_tail = [0] * n
-        self._ck_misses = [0] * n
-        # Freeze access of the window, if any: at or in the gap before miss
-        # ``fz_at`` (-2: none); ``fz_hit`` is 0 when it is that miss itself,
-        # else its 1-based rank among the gap's hits.
-        self._ck_fz_at = array("q", [-2]) * n
-        self._ck_fz_hit = array("q", [0]) * n
-        # ``(misses, gaps[0])`` of a whole-trace window whose walk left the
-        # L1 as it found it: every later pass's window, left in its row.
+        self._ck_misses = array("q", [0]) * n
+        self._ck_left = array("q", self.freeze_counts)
+        # ``(misses, gaps[0], tail)`` of a whole-trace window whose walk
+        # left the L1 as it found it: every later pass's window, left in
+        # its row.
         self._ck_fixed: List[Optional[tuple]] = [None] * n
-        self._stream = np.empty((3, n, 0), dtype=np.int64)
+        self._stream = np.empty((2, n, 0), dtype=np.int64)
 
     # ------------------------------------------------------------------
     def _load_chunk(self, t: int) -> bool:
         """Prefilter thread ``t``'s next window into its L1-miss stream.
 
         Returns ``False`` once a whole trace pass went by without a miss:
-        the footprint is L1-resident, so the "window" is just the hits up
-        to the freeze access (if still ahead) and holds no L2 access.
+        the footprint is L1-resident, so the thread has no further L2
+        access, and its pending gap no end.
         """
         length = self.lengths[t]
         carry = self._ck_tail[t]
-        upto = self._ck_upto[t] + self._ck_span[t]
-        to_freeze = self.freeze_counts[t] - upto - carry
-        streaming = carry < length
-        row = self._stream[:, t]
-        gaps = row[1]
-        misses = 0
-        if streaming:
-            pos = self._ck_pos[t]
-            end = min(length, pos + CHUNK_SIZE)
-            width = end - pos
-            l1 = self.sim.hierarchy.l1[t]
-            fixed = self._ck_fixed[t]
-            if fixed is not None:
-                # What the walk would return and add (module docstring).
-                misses, gaps[0] = fixed
-                l1.stats.accesses[0] += length
-                l1.stats.misses[0] += misses
-            else:
-                before = l1._slots[:] if width == length else None
-                window = self.sim.traces[t].chunk_view(pos, width)
-                misses = len(l1.access_lines_hit(window, row).offs)
-                # (A pass without a miss parks the thread instead.)
-                if misses and before == l1._slots:
-                    self._ck_fixed[t] = misses, int(gaps[0])
-            if misses:
-                gaps[0] += carry
-            self._ck_pos[t] = end if end < length else 0
+        if carry >= length:
+            return False
+        gaps = self._stream[0, t]
+        pos = self._ck_pos[t]
+        end = min(length, pos + CHUNK_SIZE)
+        width = end - pos
+        l1 = self.sim.hierarchy.l1[t]
+        fixed = self._ck_fixed[t]
+        if fixed is not None:
+            # What the walk would return and add (module docstring).
+            misses, gaps[0], tail = fixed
+            l1.stats.accesses[0] += length
+            l1.stats.misses[0] += misses
         else:
-            width = max(to_freeze, 0)
-        offs = row[0, :misses]
-        fz_at, fz_hit = -2, 0
-        if 0 < to_freeze <= width:
-            fz_at = int(np.searchsorted(offs, to_freeze - 1))
-            if fz_at == len(offs) or offs[fz_at] != to_freeze - 1:
-                fz_hit = (to_freeze - 1 - int(offs[fz_at - 1]) if fz_at
-                          else carry + to_freeze)
-        tail = width - int(offs[-1]) - 1 if misses else carry + width
-        self._ck_upto[t] = upto
-        self._ck_span[t] = carry + width - tail
+            before = l1._slots[:] if width == length else None
+            window = self.sim.traces[t].chunk_view(pos, width)
+            stream = l1.access_lines_hit(window, self._stream[:, t])
+            misses, tail = len(stream.gaps), stream.tail
+            # (A pass without a miss parks the thread instead.)
+            if misses and before == l1._slots:
+                self._ck_fixed[t] = misses, int(gaps[0]), tail
+        if misses:
+            gaps[0] += carry
+        else:
+            tail += carry
+        self._ck_pos[t] = end if end < length else 0
         self._ck_tail[t] = tail
         self._ck_misses[t] = misses
-        self._ck_fz_at[t] = fz_at
-        self._ck_fz_hit[t] = fz_hit
-        return streaming
+        return True
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -274,26 +261,23 @@ class BatchedEngine(EngineBase):
         # so 2 MB pages would make the unwritten rest resident.
         stride = min(CHUNK_SIZE, max(self.lengths))
         stream = self._stream = np.frombuffer(
-            mmap.mmap(-1, 3 * n * stride * 8), dtype=np.int64
-        ).reshape(3, n, stride)
-        lines, gaps = stream[2], stream[1]
+            mmap.mmap(-1, 2 * n * stride * 8), dtype=np.int64
+        ).reshape(2, n, stride)
+        gaps, lines = stream
         misses = self._ck_misses
-        fz_at = self._ck_fz_at
-        fz_hit = self._ck_fz_hit
+        tails = self._ck_tail
+        left = self._ck_left
         base = array("d", base)
         load = self._load_chunk
         clocks = array("d", [0.0]) * n
-        # Next pending miss (``~j`` while a freeze-hit waits), the cursor
-        # value that needs the shell, the clock after the thread's last
-        # L2 access.
+        # Next pending miss (``~j`` while a freeze-hit waits), the clock
+        # after the thread's last L2 access.
         cur = array("q", [0]) * n
-        stop = array("q", [0]) * n
         anchor = array("d", [0.0]) * n
         loop = transitions.bind(
             "loop", rendered_key(l2), l2, self.channel, transitions.LoopRun(
                 n, stride, l2_hit_pen, mem_pen, lines.reshape(-1),
-                gaps.reshape(-1), clocks, cur, stop, anchor, fz_at, fz_hit,
-                base))
+                gaps.reshape(-1), clocks, cur, misses, anchor, left, base))
         drained = [0] * n     # misses of the window the ATD has seen
         missed = [0] * n      # L1 misses in the windows before this one
         frozen: List[Optional[ThreadResult]] = [None] * n
@@ -329,7 +313,7 @@ class BatchedEngine(EngineBase):
                 # The reference raises after running the pop: its freeze
                 # leaves one thread fewer running.
                 j = cur[t]
-                freezing = j < 0 or (fz_at[t] == j and not fz_hit[t])
+                freezing = j < 0 or left[t] == gaps[t, j] + 1
                 raise RuntimeError(
                     f"simulation exceeded max_cycles={max_cycles} with "
                     f"{active - freezing} threads still running"
@@ -348,30 +332,30 @@ class BatchedEngine(EngineBase):
                 l2_accesses=l2_stats.accesses[t],
                 l2_misses=l2_stats.misses[t],
             )
-            fz_at[t] = -2
             active -= 1
             return active
 
         def resume(t: int, j: int) -> float:
             """Key of thread ``t``'s next event after ``j`` window misses."""
-            while True:
-                if fz_at[t] == j and fz_hit[t]:
-                    cur[t] = ~j
-                    return anchor[t] + (fz_hit[t] - 1) * base[t]
-                if j < misses[t]:
-                    cur[t] = j
-                    if fz_at[t] < j:
-                        stop[t] = misses[t]
-                    else:
-                        stop[t] = fz_at[t] if fz_hit[t] else fz_at[t] + 1
-                    return anchor[t] + gaps[t, j] * base[t]
+            while j == misses[t]:
                 drain(t, j)
                 missed[t] += j
                 drained[t] = 0
-                if not load(t) and fz_at[t] < 0:
+                j = 0
+                streaming = load(t)
+                # The loop's freeze test, for the gap before the fresh
+                # window's first miss: the window's tail if it has none,
+                # and without end once the thread has parked.
+                gap = ((gaps[t, 0] if misses[t] else tails[t]) if streaming
+                       else math.inf)
+                if frozen[t] is None and 0 < left[t] <= gap:
+                    cur[t] = ~0
+                    return anchor[t] + (left[t] - 1) * base[t]
+                if not streaming:
                     cur[t] = 0
                     return math.inf
-                j = 0
+            cur[t] = j
+            return anchor[t] + gaps[t, j] * base[t]
 
         # The loop returns where the shell has work (``TEMPLATES["loop"]``):
         # a boundary or the cap (2), a freeze (1), a window end (0).
@@ -398,7 +382,7 @@ class BatchedEngine(EngineBase):
             if u == t:
                 continue
             j = cur[u]
-            l1_accesses += self._ck_upto[u] + j + int(gaps[u, :j].sum())
+            l1_accesses += freeze_counts[u] - left[u]
             a0 = anchor[u]
             b = base[u]
             # A parked thread's gap is unbounded; any count past the final

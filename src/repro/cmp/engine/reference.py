@@ -4,8 +4,12 @@ The oracle.  Every memory reference is routed through the full hierarchy
 (:meth:`CacheHierarchy.access_line`) as its own scheduler event, like the
 seed simulator's hot loop.  Three things changed relative to the seed:
 
-* the binary-heap scheduler replaces the min-scan (provably
-  order-identical, see :mod:`.scheduler`);
+* a binary heap of ``(clock, thread)`` pairs (:mod:`heapq`) replaces
+  the min-scan.  The scan kept the *first* thread among equal minimum
+  clocks (strict ``<``), so ties broke toward the lowest thread index;
+  the heap's tuple order pops the lowest thread index among equal
+  clocks too — the identical total order, so no pair of events is
+  reordered;
 * the interval-boundary check catches up with a ``while`` (a clock jump
   across several boundaries — large ``base_cost`` or a memory-queue
   delay — used to fire only one repartition and silently skip the rest);
@@ -32,10 +36,10 @@ with the batched engine.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import List, Optional
 
 from repro.cmp.engine.common import EngineBase
-from repro.cmp.engine.scheduler import EventScheduler
 from repro.cmp.results import SimulationResult, ThreadResult
 
 
@@ -85,12 +89,11 @@ class ReferenceEngine(EngineBase):
         frozen: List[Optional[ThreadResult]] = [None] * n
         active = n
 
-        sched = EventScheduler([0.0] * n)
-        pop = sched.pop
-        push = sched.push
+        # Sorted, so already a heap.
+        events = [(0.0, t) for t in range(n)]
 
         while active:
-            now, t = pop()
+            now, t = heappop(events)
             if controller is not None:
                 # Catch up on *every* interval the clock jumped across.
                 while now >= next_boundary:
@@ -144,7 +147,7 @@ class ReferenceEngine(EngineBase):
                     f"{active} threads still running"
                 )
             if active:
-                push(clock, t)
+                heappush(events, (clock, t))
 
         hierarchy = sim.hierarchy
         return self._assemble(

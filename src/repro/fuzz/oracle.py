@@ -287,17 +287,18 @@ def diff_snapshots(reference: Snapshot, other: Snapshot) -> List[str]:
 
 
 def _stepped(l1: SmallLRUCache, lines) -> list:
-    """The three :class:`~repro.cache.l1.MissStream` columns of one read
-    window, as lists, from per-access ``access_line_hit`` calls."""
-    stream, gap = [[], [], []], 0
-    for i, line in enumerate(lines.tolist()):
+    """The :class:`~repro.cache.l1.MissStream` of one read window as
+    ``[gaps, lines, tail]``, the columns as lists, from per-access
+    ``access_line_hit`` calls."""
+    gaps, misses, gap = [], [], 0
+    for line in lines.tolist():
         if l1.access_line_hit(line):
             gap += 1
             continue
-        for column, value in zip(stream, (i, gap, line)):
-            column.append(value)
+        gaps.append(gap)
+        misses.append(line)
         gap = 0
-    return stream
+    return [gaps, misses, gap]
 
 
 def _prefilter_walk(case: FuzzCase, trace, per_access: bool) -> list:
@@ -312,9 +313,11 @@ def _prefilter_walk(case: FuzzCase, trace, per_access: bool) -> list:
         if pos == len(trace):
             break
         lines = trace.lines[pos:pos + width]
-        walked.append(_stepped(l1, lines) if per_access else
-                      [column.tolist()
-                       for column in l1.access_lines_hit(lines)])
+        if per_access:
+            walked.append(_stepped(l1, lines))
+        else:
+            gaps, misses, tail = l1.access_lines_hit(lines)
+            walked.append([gaps.tolist(), misses.tolist(), tail])
         pos += len(lines)
     return [walked, list(l1._slots), list(l1._dirty),
             [list(getattr(l1.stats, name)) for name in l1.stats.__slots__]]

@@ -35,8 +35,9 @@ def loop_window(cache, core=0):
     penalties 0 (hit) / 1 (miss) the thread's clock counts its misses;
     ``stop`` is kept one ahead of the cursor, so the loop returns after
     every access (a window end) and the flag is read off the clock it
-    returns.  Threads below ``core`` exist only to give ``core`` its
-    index: they hold no stream and sit parked at ``inf``.
+    returns.  ``left`` starts at 0, so no access is ever a freeze.
+    Threads below ``core`` exist only to give ``core`` its index: they
+    hold no stream and sit parked at ``inf``.
     """
     key = rendered_key(cache)
     if key is None:
@@ -57,8 +58,8 @@ def loop_window(cache, core=0):
         clocks = array("d", [inf] * core + [0.0])
         loop = transitions.bind("loop", key, cache, None, transitions.LoopRun(
             threads, stride, 0.0, 1.0, stream[0], stream[1], clocks, cur,
-            stop, array("d", [0.0] * threads), array("q", [-2] * threads),
-            array("q", [0] * threads), array("d", [0.0] * threads)))
+            stop, array("d", [0.0] * threads), array("q", [0] * threads),
+            array("d", [0.0] * threads)))
         assert loop is not None, transitions.target_stats()["loop", key]
         misses = 0.0
         for j in range(1, count + 1):

@@ -63,7 +63,7 @@ class TestSmallLRU:
 def hit_flags(stream, width):
     """Per-access hit flags of a window from its miss stream."""
     flags = np.ones(width, dtype=bool)
-    flags[stream.offs] = False
+    flags[np.arange(len(stream.gaps)) + np.cumsum(stream.gaps)] = False
     return flags
 
 
@@ -80,7 +80,8 @@ class TestBulkAccess:
         stream = bulk.access_lines_hit(lines)
         assert np.array_equal(expected, hit_flags(stream, len(lines)))
         assert stream.lines.tolist() == lines[~expected].tolist()
-        assert stream._fields == ("offs", "gaps", "lines")
+        assert stream._fields == ("gaps", "lines", "tail")
+        assert stream.tail == len(lines) - 1 - np.flatnonzero(~expected)[-1]
         for field in ("accesses", "hits", "misses", "evictions"):
             assert getattr(seq.stats, field) == getattr(bulk.stats, field)
         for s in range(4):
@@ -102,7 +103,7 @@ class TestBulkAccess:
     def test_bulk_empty(self):
         l1 = SmallLRUCache(geometry())
         stream = l1.access_lines_hit(np.empty(0, dtype=np.int64))
-        assert len(stream.offs) == len(stream.lines) == 0
+        assert len(stream.gaps) == len(stream.lines) == stream.tail == 0
         assert l1.stats.accesses[0] == 0
 
     def test_bulk_after_writes_stays_exact(self, rng):

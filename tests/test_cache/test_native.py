@@ -448,8 +448,7 @@ class TestMarshalValidation:
                     array("d", [5.0] * threads),
                     cur if cur is not None else array("q", [0] * threads),
                     array("q", [2] * threads), array("d", [0.0] * threads),
-                    array("q", [-2] * threads), array("q", [0] * threads),
-                    array("d", [1.0] * threads)))
+                    array("q", [0] * threads), array("d", [1.0] * threads)))
             assert isinstance(loop, native.CompiledKernel)
             return loop(1e9, inf)
 

@@ -35,8 +35,8 @@ def state(l1):
 
 def per_access(l1, lines, writes):
     """The miss stream :meth:`access_line_rw` walks, one access at a
-    time: ``[offs, gaps, lines]`` as lists."""
-    stream = [[], [], []]
+    time: ``[gaps, lines, tail]``, the columns as lists."""
+    gaps, misses = [], []
     gap = 0
     for offset, line in enumerate(lines.tolist()):
         write = bool(writes[offset]) if writes is not None else False
@@ -44,10 +44,21 @@ def per_access(l1, lines, writes):
         if hit:
             gap += 1
             continue
-        for column, value in zip(stream, (offset, gap, line)):
-            column.append(value)
+        gaps.append(gap)
+        misses.append(line)
         gap = 0
-    return stream
+    return [gaps, misses, gap]
+
+
+def listed(stream):
+    """A :class:`~repro.cache.l1.MissStream` as ``[gaps, lines, tail]``,
+    the columns as lists."""
+    return [stream.gaps.tolist(), stream.lines.tolist(), stream.tail]
+
+
+def offsets(stream):
+    """The window offsets of a stream's misses: ``j + cumsum(gaps)[j]``."""
+    return (np.arange(len(stream.gaps)) + np.cumsum(stream.gaps)).tolist()
 
 
 def window_walk(l1, lines, writes):
@@ -58,8 +69,7 @@ def window_walk(l1, lines, writes):
     if writes is None:
         before = state(l1)
         try:
-            return [column.tolist()
-                    for column in l1.access_lines_hit(lines)], True
+            return listed(l1.access_lines_hit(lines)), True
         except ValueError as refusal:
             assert "holds a dirty line" in str(refusal)
             assert state(l1) == before
@@ -132,10 +142,10 @@ def test_a_second_walk_of_a_window_is_a_fixed_point(assoc, start, window):
     l1.access_lines_hit(lines)
     first = list(l1._slots)
     fills = l1.stats.fills_invalid[0]
-    second = [column.tolist() for column in l1.access_lines_hit(lines)]
+    second = listed(l1.access_lines_hit(lines))
     assert list(l1._slots) == first
     assert l1.stats.fills_invalid[0] == fills
-    third = [column.tolist() for column in l1.access_lines_hit(lines)]
+    third = listed(l1.access_lines_hit(lines))
     assert list(l1._slots) == first
     assert third == second
 
@@ -153,16 +163,19 @@ def test_a_window_walk_refuses_an_l1_holding_a_dirty_line():
     assert l1.access_line_rw(2, False) == (False, 0)
     assert l1.stats.writebacks == [1] and not l1.is_dirty(0)
     stream = l1.access_lines_hit(np.array([0, 2], dtype=np.int64))
-    assert stream.offs.tolist() == [0, 1]
+    assert offsets(stream) == [0, 1]
 
 
 def test_gaps_count_the_hits_between_misses():
     l1 = SmallLRUCache(geometry(4, 2))
     lines = np.array([0, 0, 0, 4, 4, 8, 0, 8, 12], dtype=np.int64)
     stream = l1.access_lines_hit(lines)
-    assert stream.offs.tolist() == [0, 3, 5, 6, 8]
+    assert offsets(stream) == [0, 3, 5, 6, 8]
     assert stream.gaps.tolist() == [0, 2, 1, 0, 1]
-    assert stream.lines.tolist() == lines[stream.offs].tolist()
+    assert stream.lines.tolist() == lines[offsets(stream)].tolist()
+    assert stream.tail == 0
+    # A window without a miss is all tail.
+    assert listed(l1.access_lines_hit(lines[[8, 7, 8]])) == [[], [], 3]
 
 
 def test_a_window_is_written_into_the_callers_rows():
@@ -171,17 +184,16 @@ def test_a_window_is_written_into_the_callers_rows():
     the same stream a walk into its own columns returns; rows narrower
     than the window are refused before anything is walked."""
     lines = np.array([0, 0, 0, 4, 4, 8, 0, 8, 12], dtype=np.int64)
-    buffer = np.full((3, 2, 12), -7, dtype=np.int64)
+    buffer = np.full((2, 2, 12), -7, dtype=np.int64)
     l1 = SmallLRUCache(geometry(4, 2))
     stream = l1.access_lines_hit(lines, buffer[:, 1])
     own = SmallLRUCache(geometry(4, 2)).access_lines_hit(lines)
-    assert [column.tolist() for column in stream] \
-        == [column.tolist() for column in own]
-    for k, column in enumerate(stream):
+    assert listed(stream) == listed(own)
+    for k, column in enumerate(stream[:2]):
         assert column.base is not None and np.shares_memory(column, buffer)
         assert column.tolist() == buffer[k, 1, :len(column)].tolist()
     assert (buffer[:, 0] == -7).all()
-    with pytest.raises(ValueError, match="three output rows of 9 slots"):
+    with pytest.raises(ValueError, match="two output rows of 9 slots"):
         l1.access_lines_hit(lines, buffer[:, 1, :8])
     assert l1.stats.accesses == [9]
 
@@ -197,7 +209,7 @@ def test_state_is_shared_in_place():
     assert l1._slots is slots and l1._dirty is dirty
     assert l1.occupancy() == 8 and not any(dirty)
     l1.flush()
-    assert len(l1.access_lines_hit(lines[:8]).offs) == 8
+    assert len(l1.access_lines_hit(lines[:8]).gaps) == 8
     assert list(l1.stats.misses) == [24]
 
 

@@ -50,6 +50,15 @@ def make_traces(num_cores=2, count=6000, ipm=4.0, cpi=1.0):
     return traces
 
 
+def miss_offsets(lines):
+    """Positions of the L1 misses of ``lines`` walked from a cold L1:
+    miss ``j`` is at ``j + cumsum(gaps)[j]``."""
+    from repro.cache.l1 import SmallLRUCache
+
+    gaps = SmallLRUCache(processor().l1d).access_lines_hit(lines).gaps
+    return np.arange(len(gaps)) + np.cumsum(gaps)
+
+
 def both_engines(partitioning, traces, num_cores=2, budget=30_000,
                  service_interval=0.0, per_thread=None,
                  engines=("reference", "batched")):
@@ -257,14 +266,55 @@ class TestMissStreamSeams:
         trace = self.long_gap()
         # The scenario really is a freeze on a hit deep inside that gap:
         # access 1400 (pass 2, position 99) with no miss since 900.
-        from repro.cache.l1 import SmallLRUCache
-        offs = SmallLRUCache(processor().l1d).access_lines_hit(
-            np.concatenate([trace.lines, trace.lines])).offs
+        offs = miss_offsets(np.concatenate([trace.lines, trace.lines]))
         assert 900 in offs and not ((offs > 900) & (offs < 1500)).any()
         ref, bat = both_engines(config, [trace, self.stream()],
                                 per_thread=(1400 * 4, other_budget))
         assert_identical(ref, bat)
         assert ref.threads[0].l1_accesses == 1400
+
+    @staticmethod
+    def freeze_sweep_trace():
+        """48 references, three 16-reference windows over a 2x2 L1: pass
+        one misses at 0, 1, 10 (window 0's last miss) and 40; the gap
+        11..39 spans both seams and holds window 1, which misses
+        nowhere.  Then all four lines are resident: the thread parks
+        once a whole pass has gone by without a miss."""
+        lines = np.array([0, 1] * 24)
+        lines[10:40:3] = 2
+        lines[40:48:2] = 3
+        return Trace("sweep", lines, ipm=4.0, cpi_base=1.0)
+
+    @pytest.mark.parametrize("other_budget", [2 * 4, 60 * 4],
+                             ids=["freezes-last", "freezes-first"])
+    def test_every_freeze_position(self, monkeypatch, other_budget):
+        """Thread 0's freeze on each of its first three passes'
+        references — the first one, a miss, a window's last miss, a hit
+        deep in a gap across seams, a hit in a window without a miss,
+        and hits after the thread parked (from reference 96 on) — the
+        run ending at thread 0's freeze or at thread 1's."""
+        import repro.cmp.engine.batched as batched_mod
+
+        monkeypatch.setattr(batched_mod, "CHUNK_SIZE", 16)
+        trace = self.freeze_sweep_trace()
+        offs = miss_offsets(np.tile(trace.lines, 3))
+        assert offs.tolist() == [0, 1, 10, 40]
+        config = config_C_L(atd_sampling=1, interval_cycles=150)
+        for count in range(1, 3 * len(trace) + 1):
+            ref, bat = both_engines(config, [trace, self.stream(400)],
+                                    per_thread=(count * 4, other_budget))
+            assert_identical(ref, bat)
+            assert ref.threads[0].l1_accesses == count
+
+    def test_the_freeze_is_one_countdown_per_thread(self):
+        """The loop's only freeze state is ``left``; a window's stream is
+        its gaps, its lines and its tail, with no offsets."""
+        from repro.cache.l1 import MissStream
+        from repro.cache.transitions import LoopRun
+
+        assert len(LoopRun._fields) == 12 and "left" in LoopRun._fields
+        assert not [name for name in LoopRun._fields if "fz" in name]
+        assert MissStream._fields == ("gaps", "lines", "tail")
 
     @pytest.mark.parametrize("resident_budget", [800, 60_000],
                              ids=["parks-after-freeze", "freeze-hit-is-final"])
@@ -385,12 +435,15 @@ class TestMissStreamSeams:
 
 class TestScheduler:
     def test_pops_in_clock_then_thread_order(self):
-        from repro.cmp.engine.scheduler import EventScheduler
+        """The reference engine's heap of ``(clock, thread)`` tuples."""
+        import heapq
 
-        sched = EventScheduler([5.0, 1.0, 5.0])
-        sched.push(0.5, 0)
-        order = [sched.pop() for _ in range(4)]
+        events = [(5.0, 2), (1.0, 1), (5.0, 0)]
+        heapq.heapify(events)
+        heapq.heappush(events, (0.5, 0))
+        order = [heapq.heappop(events) for _ in range(4)]
         # Equal clocks break toward the lower thread index — the same tie
-        # rule as the seed loop's first-minimum scan.
+        # rule as the seed loop's first-minimum scan and the batched
+        # loop's strict ``<`` arg-min.
         assert order == [(0.5, 0), (1.0, 1), (5.0, 0), (5.0, 2)]
-        assert not sched
+        assert not events

@@ -343,8 +343,8 @@ def test_a_run_is_bound_once_and_a_call_passes_two_scalars():
                                 1, 4, 0.0, 1.0, np.zeros(4, dtype=np.int64),
                                 np.zeros(4, dtype=np.int64), array("d", [3.0]),
                                 array("q", [0]), array("q", [1]),
-                                array("d", [0.0]), array("q", [-2]),
-                                array("q", [0]), array("d", [1.0])))
+                                array("d", [0.0]), array("q", [0]),
+                                array("d", [1.0])))
     assert loop is not None
     assert loop._loaded.params == ("boundary", "cap")
     assert transitions.translate("loop", ("lru", "none")).params \
@@ -372,13 +372,13 @@ def test_equal_clocks_run_the_lower_thread_first(policy):
     clocks = array("d", [0.0, 0.0])
     cur, stop = array("q", [0, 0]), array("q", [1, 1])
     anchor = array("d", [0.0, 0.0])
-    fz_at = array("q", [2, 2])
+    # Three references each: the freeze is the third miss.
+    left = array("q", [3, 3])
     loop = transitions.bind("loop", (policy, "none"), cache, None,
                             transitions.LoopRun(
                                 2, 3, 0.0, 0.0, streams.reshape(-1),
                                 np.zeros(6, dtype=np.int64), clocks, cur,
-                                stop, anchor, fz_at, array("q", [0, 0]),
-                                array("d", [0.0, 0.0])))
+                                stop, anchor, left, array("d", [0.0, 0.0])))
     assert loop is not None, transitions.target_stats()["loop",
                                                         (policy, "none")]
     order = []

@@ -50,6 +50,11 @@ def make_case(num_cores=2, count=1500, sampling=4, writes=False,
                     per_thread_instructions=(budget,) * num_cores)
 
 
+def offsets(stream):
+    """The window offsets of a stream's misses: ``j + cumsum(gaps)[j]``."""
+    return np.arange(len(stream.gaps)) + np.cumsum(stream.gaps)
+
+
 def l1_image(l1):
     """The L1's slots, dirty flags and every statistics field."""
     return (list(l1._slots), list(l1._dirty),
@@ -180,7 +185,7 @@ class TestFixedWindow:
         # The steady-state pass: a second walk from the first's L1.
         l1 = SmallLRUCache(L1)
         l1.access_lines_hit(traces[0].lines)
-        offs = l1.access_lines_hit(traces[0].lines).offs.tolist()
+        offs = offsets(l1.access_lines_hit(traces[0].lines)).tolist()
         middle = offs[len(offs) // 2]
         at = {"miss": middle,
               "hit": next(o for o in range(middle, 1500)
@@ -230,12 +235,13 @@ class TestKey:
         # Pass two: window 0 now starts warm — its first four references
         # hit, and from there the state is pass one's.
         again = l1.access_lines_hit(trace.lines[:512])
-        assert first.offs[:4].tolist() == [0, 1, 2, 3]
-        assert again.offs.tolist() == first.offs[4:].tolist()
+        assert offsets(first)[:4].tolist() == [0, 1, 2, 3]
+        assert offsets(again).tolist() == offsets(first)[4:].tolist()
         assert again.lines.tolist() == first.lines[4:].tolist()
+        assert again.tail == first.tail
         # A cold L1 walks the pass-one window again.
         fresh = SmallLRUCache(L1).access_lines_hit(trace.lines[:512])
-        assert fresh.offs.tolist() == first.offs.tolist()
+        assert offsets(fresh).tolist() == offsets(first).tolist()
 
     def test_key_covers_content_geometry_and_write_mode(self):
         """What a window's miss stream depends on — its content, the L1
@@ -246,8 +252,8 @@ class TestKey:
 
         def stream(trace, geometry=L1):
             l1 = SmallLRUCache(geometry)
-            return [column.tolist()
-                    for column in l1.access_lines_hit(trace.lines[:512])]
+            gaps, lines, tail = l1.access_lines_hit(trace.lines[:512])
+            return [gaps.tolist(), lines.tolist(), tail]
 
         base = stream(trace)
         renamed = Trace("other-name", trace.lines.copy(), ipm=4.0,
@@ -277,22 +283,26 @@ class TestKey:
             dirty.access_line_rw(line, True)
         assert clean._slots == dirty._slots and clean._dirty != dirty._dirty
         slots = list(dirty._slots)
-        assert len(clean.access_lines_hit(trace.lines[:512]).offs)
+        assert len(clean.access_lines_hit(trace.lines[:512]).gaps)
         with pytest.raises(ValueError, match="holds a dirty line"):
             dirty.access_lines_hit(trace.lines[:512])
         assert list(dirty._slots) == slots
 
     def test_columns_are_compact_and_consistent(self):
-        """One entry per miss in every column, nothing per hit: the lines
-        are the trace's at the offsets, the gaps the hits between."""
+        """One entry per miss in every column, nothing per hit: the gaps
+        are the hits between, the lines the trace's at the offsets they
+        place, and the tail the hits after the last miss."""
         trace = self.trace()
         stream = SmallLRUCache(L1).access_lines_hit(trace.lines[:512])
-        assert len(stream.offs) == len(stream.gaps) == len(stream.lines) \
-            < 512
-        assert stream.offs.dtype == stream.gaps.dtype == np.int64
-        assert stream.lines.tolist() == trace.lines[stream.offs].tolist()
-        assert stream.gaps.tolist() == \
-            (np.diff(stream.offs, prepend=-1) - 1).tolist()
+        assert len(stream.gaps) == len(stream.lines) < 512
+        assert stream.gaps.dtype == stream.lines.dtype == np.int64
+        offs = offsets(stream)
+        assert stream.lines.tolist() == trace.lines[offs].tolist()
+        stepped = SmallLRUCache(L1)
+        misses = [i for i, line in enumerate(trace.lines[:512].tolist())
+                  if not stepped.access_line_hit(line)]
+        assert offs.tolist() == misses
+        assert stream.tail == 511 - misses[-1]
         assert len(stream) == 3
 
 

@@ -88,8 +88,9 @@ class TestMultiCoreShapes:
 
         lines = np.tile(case.traces[core].lines, passes)
         flags = np.ones(len(lines), dtype=bool)
-        flags[SmallLRUCache(case.processor().l1d).access_lines_hit(
-            lines).offs] = False
+        gaps = SmallLRUCache(case.processor().l1d).access_lines_hit(
+            lines).gaps
+        flags[np.arange(len(gaps)) + np.cumsum(gaps)] = False
         return flags
 
     def test_dealt_to_multi_core_cases_only(self):

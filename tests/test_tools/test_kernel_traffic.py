@@ -145,8 +145,7 @@ def test_wrappers_count_builds_per_key_and_runs_per_thread_count():
                              1, 1, 0.0, 0.0, column, column,
                              array("d", [0.0]), array("q", [0]),
                              array("q", [0]), array("d", [0.0]),
-                             array("q", [-2]), array("q", [0]),
-                             array("d", [0.0])))
+                             array("q", [0]), array("d", [0.0])))
     finally:
         transitions.bind = original
     assert builds == {"observe": {"nru/none": 1}, "loop": {"nru/none": 1}}
