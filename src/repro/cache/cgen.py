@@ -14,9 +14,16 @@ first assignment and never changes), ``if`` / ``elif`` / ``else``,
 that: no ``else``, no nesting, no store to ``NAME`` in the body), plain
 and augmented assignment, integer arithmetic and bit operations,
 comparisons, ``and`` / ``or`` / ``not``, the conditional expression,
-indexing of bound arrays, and the only attribute calls there are:
-``bit_length`` / ``bit_count`` on integers.  Every piece of state is a
-flat array, so there are no containers and no container methods.  A
+indexing of bound arrays, the only attribute calls there are:
+``bit_length`` / ``bit_count`` on integers, and the only named function,
+``order_key(x)``: the IEEE bit pattern of the float ``x`` read as a
+signed 64-bit integer (a ``memcpy`` in C, never a second typed pointer
+to the same memory).  On +0.0, subnormal, finite positive and +inf
+values — every clock there is — the keys order exactly as the floats
+do and are equal only for equal floats, so an arg-min over them is a
+``cmp`` / ``cmov`` scan where one over the doubles branches on the data.
+Every piece of state is a flat array, so there are no containers and no
+container methods.  A
 name the kernel reads is one of its parameters, a local it assigns, or
 a binding the factory assigns before the closure; each binding has its
 kind declared (:data:`~repro.cache.transitions.C_KINDS`), as follows:
@@ -35,10 +42,10 @@ kind declared (:data:`~repro.cache.transitions.C_KINDS`), as follows:
     iterate.
 
 No kind stands for a callable: a kernel calls nothing but the integer
-methods above, so it never runs Python.  Where the caller has work — a
-boundary, a freeze, a window to load — the kernel *returns*, its values
-(a ``return`` of a tuple) in the argument block, and the caller calls
-it again.
+methods and ``order_key`` above, so it never runs Python.  Where the
+caller has work — a boundary, a freeze, a window to load — the kernel
+*returns*, its values (a ``return`` of a tuple) in the argument block,
+and the caller calls it again.
 
 Floats are IEEE doubles evaluated in source order (an ``int`` operand is
 converted first, as Python does); the build adds ``-ffp-contract=off``
@@ -58,6 +65,7 @@ __all__ = ["Kernel", "check_fragment", "translate"]
 
 PRELUDE = """\
 #include <stdint.h>
+#include <string.h>
 typedef int64_t i64;
 typedef uint64_t u64;
 
@@ -67,6 +75,11 @@ static inline i64 bit_length(i64 x) {
 }
 static inline i64 bit_count(i64 x) {
     return __builtin_popcountll(x < 0 ? -(u64)x : (u64)x);
+}
+static inline i64 order_key(double x) {
+    i64 k;
+    memcpy(&k, &x, sizeof k);
+    return k;
 }
 """
 
@@ -277,9 +290,17 @@ class _Translator:
             return self.method(node, func)
         if not isinstance(func, ast.Name) or func.id in self.locals:
             self.refuse(node, "call of a computed callable")
+        if func.id == "order_key":
+            if len(node.args) != 1:
+                self.refuse(node, "order_key() takes one float")
+            text, typ = self.expr(node.args[0])
+            if typ != "float":
+                self.refuse(node, f"order_key() of an {typ}")
+            return f"order_key({text})", "int"
         kind = self.kind(func)
         self.refuse(node, f"call of {func.id!r} ({kind}): a kernel calls "
-                          f"nothing but an integer's methods")
+                          f"nothing but an integer's methods and "
+                          f"order_key()")
 
     def method(self, node, func):
         attr = func.attr

@@ -74,7 +74,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "e0ae303d418cce23ce139af40758beeaf7138c8fe8e321478afd84edc8c9a709"
+ENGINE_SOURCE_CHECKSUM = "3124da7976cd1c96800690bebc9b77ea1141262e93cb5baa853fa71c47dd3c37"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

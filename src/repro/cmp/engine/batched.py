@@ -79,6 +79,13 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   in its slot and runs the thread with the least clock, the lowest index
   among equal ones (strict ``<``) — the ``(clock, thread)`` order of the
   reference engine's heap.  A parked thread's slot holds ``+inf``.
+  Above four threads, where a branch on the doubles mispredicts, the
+  arg-min compares each clock's IEEE bits read as an ``int64``
+  (``order_key``) with selects instead: every clock is +0.0, a positive
+  finite double or ``+inf``, where the keys order exactly as the floats
+  and tie only where they do.  An ``inf`` pop means every thread still
+  running parked without its freeze: the run raises, naming them, where
+  it would otherwise never end.
 * **One thread.**  Nothing above assumes a second thread.  With ``n == 1``
   — every isolation job, every 1-core figure point — the arg-min has one
   slot to look at, the loop returns to its shell once per window and
@@ -92,6 +99,9 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   it works by address on the clocks and cursors it shares with this
   shell (``array('q')`` / ``array('d')``) and on the ``int64``
   miss-stream buffer the prefilter writes; a call passes two scalars.
+  The buffer is the running thread's, kept between its runs
+  (:func:`stream_buffer`): a run views a prefix of it, reads only what
+  it wrote first, and faults in only pages no earlier run touched.
 * **Returns, not call-backs.**  The compiled loop never runs Python: it
   returns to :meth:`BatchedEngine.run` at a pop that reaches the next
   boundary or passes the cycle cap (nothing executed: ``beyond`` drains,
@@ -113,6 +123,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import threading
 from array import array
 from typing import List, Optional
 
@@ -126,6 +137,33 @@ from repro.cmp.results import SimulationResult, ThreadResult
 #: References prefiltered per bulk L1 call.  Bounds the miss-stream
 #: buffer (a few hundred KB per thread) while amortising the call.
 CHUNK_SIZE = 1 << 16
+
+#: Each thread's miss-stream buffer (``map``), kept between its runs.
+_BUFFERS = threading.local()
+
+
+def stream_buffer(n: int, stride: int) -> np.ndarray:
+    """This thread's miss-stream buffer as ``(2, n, stride)`` ``int64``:
+    thread ``t``'s window is ``[:, t]``, ``gaps`` then ``lines``.
+
+    One mapping per thread, grown (mapped afresh) only when a run needs
+    more than every run before it on this thread, so a run faults in
+    only the pages no earlier run wrote.  What a run reads it wrote
+    first, so an earlier run's bytes change nothing.  Anonymous pages,
+    not ``np.empty``: numpy advises huge pages for an allocation this
+    large, and a row is written only as far as its windows' misses, so
+    2 MB pages would make the unwritten rest resident.  Private pages: a
+    forked child's writes stay its own.  Per thread, because the
+    compiled kernels run without the GIL: two runs on two threads (a
+    remote campaign's workers) each write their own buffer.
+    """
+    count = 2 * n * stride
+    held = getattr(_BUFFERS, "map", None)
+    if held is None or len(held) < count * 8:
+        held = _BUFFERS.map = mmap.mmap(-1, count * 8,
+                                        flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(held, dtype=np.int64, count=count).reshape(
+        2, n, stride)
 
 
 def batched_refusal(sim) -> Optional[str]:
@@ -172,7 +210,7 @@ class BatchedEngine(EngineBase):
         # since the thread's last L2 access while the window has no miss).
         # ``misses`` counts its L1 misses (the loop's ``stop``): the
         # thread's row of the run's miss-stream buffer (``_stream``,
-        # allocated by ``run``) holds their addresses (``lines``) and the
+        # viewed by ``run``) holds their addresses (``lines``) and the
         # L1 hits preceding each (``gaps``).  ``left`` counts the
         # references from just after the thread's last L2 access through
         # its freeze access (the loop counts it down).
@@ -254,15 +292,10 @@ class BatchedEngine(EngineBase):
                      if profiling is not None else None)
         l2_accesses = l2_stats.accesses
 
-        # One miss-stream buffer for the run: thread ``t``'s window is
-        # ``stream[:, t]``, as wide as the widest window.  Anonymous pages,
-        # not ``np.empty``: numpy advises huge pages for an allocation this
-        # large, and a row is written only as far as its windows' misses,
-        # so 2 MB pages would make the unwritten rest resident.
+        # Thread ``t``'s window is ``stream[:, t]``, as wide as the
+        # widest window.
         stride = min(CHUNK_SIZE, max(self.lengths))
-        stream = self._stream = np.frombuffer(
-            mmap.mmap(-1, 2 * n * stride * 8), dtype=np.int64
-        ).reshape(2, n, stride)
+        stream = self._stream = stream_buffer(n, stride)
         gaps, lines = stream
         misses = self._ck_misses
         tails = self._ck_tail
@@ -301,6 +334,13 @@ class BatchedEngine(EngineBase):
             """Thread ``t``'s pop at ``now``, at or past the next boundary
             or past the cycle cap."""
             nonlocal next_boundary
+            if now == math.inf:
+                # Every thread still running has parked: no event is
+                # left, so no freeze can end the run.
+                running = ", ".join(f"{u} ({sim.traces[u].name})"
+                                    for u in range(n) if frozen[u] is None)
+                raise RuntimeError(f"every event was spent before all "
+                                   f"threads froze; never froze: {running}")
             if now >= next_boundary:
                 # Drain the executed misses before the controller reads
                 # the SDHs; then catch up on every crossed boundary.

@@ -114,6 +114,11 @@ GOLDEN = [
      "f = floats[x]",
      ["floats[x] = c;", "x = INT64_C(0);", "while ((u < y)) {",
       "if ((floats[u] < floats[x])) {", "x = u;", "f = floats[x];"]),
+    # a float's order key: its bits as an integer, through memcpy
+    ("a = order_key(f)",
+     ["a = order_key(f);", "memcpy(&k, &x, sizeof k);"]),
+    ("a = x if order_key(floats[y]) < order_key(g) else 0",
+     ["a = ((order_key(floats[y]) < order_key(g)) ? x : INT64_C(0));"]),
     # the returned tuple lands in the block
     ("return f, x", ["a->ret0 = f;", "a->ret1 = x;", "return;"]),
 ]
@@ -209,6 +214,9 @@ REFUSED = [
     ("a = (x or ask())", "call of 'ask' (int)"),
     ("a = out(x)", "call of 'out' (floats)"),
     ("x.bit_count()", "expression statement"),
+    ("a = order_key(x)", "order_key() of an int"),
+    ("a = order_key(f, g)", "order_key() takes one float"),
+    ("order_key = f\na = order_key(f)", "call of a computed callable"),
     ("a = x\na += f", "integer expected, got float"),
     ("try:\n    pass\nexcept Exception:\n    pass", "Try statement"),
     ("a = lambda: x", "Lambda is outside"),
@@ -279,10 +287,15 @@ def test_every_stock_loop_translates(key):
     assert {"tag_lines", "invalid", "misses", "anchor", "cur", "clocks"} \
         <= kernel.stored
     # A line is a probe of its set's row of the tag lines, and the next
-    # thread an arg-min over the clocks: no helper, no dict, no heap.
+    # thread an arg-min over the clocks — a branch on the doubles up to
+    # four threads, selects over their order keys above: no dict, no
+    # heap.
     body = kernel.source[kernel.source.index("void run"):]
     assert "way = ((tag_lines[(row + k)] == line) ? k : way);" in body
+    assert "if ((threads <= INT64_C(4))) {" in body
     assert "if ((clocks[u] < clocks[t])) {" in body
+    assert "key = order_key(clocks[u]);" in body
+    assert "t = ((key < least) ? u : t);" in body
 
 
 @pytest.mark.parametrize("rendering,key", transitions.rendering_keys(),

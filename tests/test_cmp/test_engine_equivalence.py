@@ -316,6 +316,36 @@ class TestMissStreamSeams:
         assert not [name for name in LoopRun._fields if "fz" in name]
         assert MissStream._fields == ("gaps", "lines", "tail")
 
+    def test_a_thread_that_never_freezes_raises_instead_of_spinning(self):
+        """Once every thread still running has parked, the loop pops an
+        ``inf`` clock: a missed freeze must be an error naming the
+        thread, not a boundary catch-up that never ends.  Thread 0's
+        countdown starts at 0, so none of its accesses is its freeze."""
+        import signal
+
+        from repro.cmp.engine.batched import BatchedEngine
+        from repro.cmp.simulator import CMPSimulator
+
+        sim = CMPSimulator(
+            processor(), config_C_L(atd_sampling=4, interval_cycles=2_000),
+            [self.resident(name="r0"), self.resident(name="r1")],
+            SimulationConfig(instructions_per_thread=2_000))
+        engine = BatchedEngine(sim)
+        engine._ck_left[0] = 0
+
+        def spinning(signum, frame):
+            raise TimeoutError("the run spins on a parked clock")
+
+        previous = signal.signal(signal.SIGALRM, spinning)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"never froze: 0 \(r0\)$"):
+                engine.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     @pytest.mark.parametrize("resident_budget", [800, 60_000],
                              ids=["parks-after-freeze", "freeze-hit-is-final"])
     def test_l1_resident_thread(self, resident_budget):

@@ -13,10 +13,13 @@ reference engine over the same classes.
 """
 
 import dataclasses
+import math
+import struct
 import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import transitions
 from repro.cache.geometry import CacheGeometry
@@ -353,36 +356,46 @@ def test_a_run_is_bound_once_and_a_call_passes_two_scalars():
     assert loop(9.0, 9.0) == (0, 5.0, 0)        # one miss, window end
 
 
+@pytest.mark.parametrize("threads,parked", [(2, ()), (4, (0, 2)),
+                                             (8, (0, 3, 7))],
+                         ids=["2-branch", "4-branch", "8-select"])
 @pytest.mark.parametrize("policy", list(transitions.POLICIES))
-def test_equal_clocks_run_the_lower_thread_first(policy):
+def test_equal_clocks_run_the_lower_thread_first(policy, threads, parked):
     """The loop's arg-min over the per-thread clocks keeps the
     reference's ``(clock, thread)`` order: at equal clocks the lower
-    thread runs.  Every access here costs nothing, so both threads sit
-    at clock 0 throughout; thread 0 must finish its stream (and park at
-    ``inf``) before thread 1 makes its first access — a ``<=`` would
-    alternate them."""
+    thread runs, in both forms of the pick (a branch up to four threads,
+    selects over order keys above).  Some threads are parked at ``inf``
+    from the start; every access costs nothing, so the others sit at
+    clock 0 throughout, and each must finish its stream (and park at
+    ``inf``) before the next one up makes its first access — a ``<=``
+    would run the highest of them first, a parked slot running would
+    mean an ``inf`` key below a finite one."""
     from array import array
     from math import inf
 
     from repro.cache.cache import SetAssociativeCache
 
     cache = SetAssociativeCache(CacheGeometry(8 * 4 * 128, 4, 128), policy,
-                                num_cores=2)
-    streams = np.array([[0, 8, 16], [1, 9, 17]], dtype=np.int64)
-    clocks = array("d", [0.0, 0.0])
-    cur, stop = array("q", [0, 0]), array("q", [1, 1])
-    anchor = array("d", [0.0, 0.0])
+                                num_cores=threads)
+    # Thread ``t``'s lines all map to set ``t`` of eight.
+    streams = np.array([[t, 8 + t, 16 + t] for t in range(threads)],
+                       dtype=np.int64)
+    clocks = array("d", [inf if t in parked else 0.0
+                         for t in range(threads)])
+    cur, stop = array("q", [0] * threads), array("q", [1] * threads)
+    anchor = array("d", [0.0] * threads)
     # Three references each: the freeze is the third miss.
-    left = array("q", [3, 3])
+    left = array("q", [3] * threads)
     loop = transitions.bind("loop", (policy, "none"), cache, None,
                             transitions.LoopRun(
-                                2, 3, 0.0, 0.0, streams.reshape(-1),
-                                np.zeros(6, dtype=np.int64), clocks, cur,
-                                stop, anchor, left, array("d", [0.0, 0.0])))
+                                threads, 3, 0.0, 0.0, streams.reshape(-1),
+                                np.zeros(3 * threads, dtype=np.int64), clocks,
+                                cur, stop, anchor, left,
+                                array("d", [0.0] * threads)))
     assert loop is not None, transitions.target_stats()["loop",
                                                         (policy, "none")]
     order = []
-    active = 2
+    active = threads - len(parked)
     while True:
         t, clock, event = loop(inf, inf)
         # A window end after every access; the freeze on the last one.
@@ -398,5 +411,60 @@ def test_equal_clocks_run_the_lower_thread_first(policy):
             clocks[t] = anchor[t]
             stop[t] = j + 1
     now = clocks[t]
-    assert order == [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]
-    assert (now, t) == (0.0, 1)
+    running = [u for u in range(threads) if u not in parked]
+    assert order == [(u, j) for u in running for j in (1, 2, 3)]
+    assert (now, t) == (0.0, running[-1])
+
+
+#: Clock values: +0.0, subnormals, finite positives up to the largest
+#: double and +inf — every value a clock takes — with ties likely.
+CLOCKS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072009e-308, 1.0, math.inf]),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308).map(abs),
+    st.floats(min_value=0.0).map(abs))
+
+
+def order_key(value):
+    """The C target's ``order_key``: a double's bits as an ``int64``."""
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+@given(CLOCKS, CLOCKS)
+@settings(max_examples=300, deadline=None)
+def test_the_order_key_orders_clocks_as_the_floats(a, b):
+    """On +0.0, subnormal, finite and +inf values the integer keys sort
+    exactly as the floats do, and are equal only for equal floats: the
+    premise of the loop's branch-free arg-min at more than four
+    threads."""
+    assert (order_key(a) < order_key(b)) == (a < b)
+    assert (order_key(a) == order_key(b)) == (a == b)
+
+
+@given(st.lists(CLOCKS, min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_the_compiled_pick_is_the_least_clock_then_the_lowest_thread(
+        values):
+    """The compiled loop's arg-min over any clocks — either form, one to
+    eight threads — is the reference heap's ``min((clock, thread))``.  A
+    boundary at 0.0 makes the loop return its pick at once (event 2:
+    nothing executed)."""
+    from array import array
+    from math import inf
+
+    from repro.cache.cache import SetAssociativeCache
+
+    threads = len(values)
+    cache = SetAssociativeCache(CacheGeometry(8 * 4 * 128, 4, 128), "lru",
+                                num_cores=threads)
+    ints, floats = [0] * threads, [0.0] * threads
+    loop = transitions.bind("loop", ("lru", "none"), cache, None,
+                            transitions.LoopRun(
+                                threads, 1, 0.0, 0.0,
+                                np.zeros(threads, dtype=np.int64),
+                                np.zeros(threads, dtype=np.int64),
+                                array("d", values), array("q", ints),
+                                array("q", [1] * threads), array("d", floats),
+                                array("q", ints), array("d", floats)))
+    assert loop is not None
+    least = min(range(threads), key=lambda u: (values[u], u))
+    assert loop(0.0, inf) == (least, values[least], 2)

@@ -39,6 +39,7 @@ def clean_result():
         },
         "runs": {"1": 2, "2": 1},
         "walks": {"walks": 6, "windows": 9, "one_window_max": 2},
+        "buffers": {"maps": 2, "growth_steps": 2},
         "cc": "/usr/bin/cc",
         "targets": {name: {"target": "c", "cache": "hit",
                            "build_s": 0.001, "binds": 1, "compiled": 1}
@@ -114,6 +115,14 @@ class TestProblems:
         (message,) = kernel_traffic.problems(result)
         assert message == ("a run at micro walked a one-window thread 3 "
                            "times (at most 2: its fixed window)")
+
+    def test_more_buffer_maps_than_growth_steps_is_a_problem(self):
+        result = clean_result()
+        result["buffers"]["maps"] = 3
+        (message,) = kernel_traffic.problems(result)
+        assert message == ("a run at micro mapped 3 miss-stream buffers "
+                           "for 2 growth steps (a thread maps one only to "
+                           "grow)")
 
     def test_a_report_whose_l1s_never_bound_the_prefilter_is_a_problem(self):
         result = clean_result()
@@ -192,3 +201,47 @@ def test_wrappers_count_walks_and_windows(monkeypatch, chunk,
         assert walks["walks"] == 4 < walks["windows"]
     else:
         assert walks["walks"] == walks["windows"]
+
+
+@pytest.mark.parametrize("kept", [True, False],
+                         ids=["kept", "mapped-per-run"])
+def test_wrappers_count_buffer_maps_and_growth_steps(monkeypatch, kept):
+    """Three runs on a fresh thread, the third on a longer trace: two
+    growth steps, two maps — and three maps where each run maps its own
+    buffer, which the verdict names."""
+    import threading
+
+    from repro.cmp.engine import batched
+    from repro.config import PartitioningConfig
+    from repro.fuzz import FuzzCase
+    from repro.workloads.trace import Trace
+
+    buffers = {"maps": 0, "growth_steps": 0}
+    monkeypatch.setattr(batched, "mmap",
+                        kernel_traffic._counting_mmap(batched.mmap, buffers))
+    run = batched.BatchedEngine.run
+    if not kept:
+        def run(engine, run=run):
+            vars(batched._BUFFERS).pop("map", None)
+            return run(engine)
+    monkeypatch.setattr(batched.BatchedEngine, "run",
+                        kernel_traffic._counting_growth(run, buffers))
+
+    def simulate(length):
+        traces = [Trace(f"t{core}", np.random.default_rng(core).integers(
+                      0, 40, size=length) + (core << 20), ipm=4.0,
+                        cpi_base=1.0) for core in range(2)]
+        FuzzCase(traces=traces, l1_sets=2, l1_assoc=2, l2_sets=16,
+                 l2_assoc=8, instructions_per_thread=4 * length,
+                 per_thread_instructions=(4 * length,) * 2,
+                 partitioning=PartitioningConfig(
+                     policy="lru", enforcement="none")
+                 ).simulator("batched").run()
+
+    worker = threading.Thread(
+        target=lambda: [simulate(length) for length in (500, 500, 900)])
+    worker.start()
+    worker.join()
+    assert buffers == {"maps": 2 if kept else 3, "growth_steps": 2}
+    result = dict(clean_result(), buffers=buffers)
+    assert bool(kernel_traffic.problems(result)) is not kept

@@ -14,7 +14,12 @@ window walks (``SmallLRUCache.access_lines_hit``) beside the ``windows``
 the engine loaded (``BatchedEngine._load_chunk``), and
 ``one_window_max`` is the most walks any run gave one thread whose trace
 is a single window: the engine walks such a trace at most twice a run
-(its *fixed window*), so more is exit status 1.
+(its *fixed window*), so more is exit status 1.  ``buffers`` counts the
+miss-stream buffers the process ``maps`` (every ``mmap`` the engine
+module makes) beside its ``growth_steps``, the runs that needed a wider
+buffer than every earlier run on their thread: a thread keeps its
+buffer between runs and maps a new one only to grow, so more maps than
+growth steps is exit status 1.
 
 A registered fragment that renders nothing over a whole report is dead
 weight — that is how the four non-paper hit kernels, the FIFO array path
@@ -51,7 +56,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -118,12 +125,43 @@ def _counting_load(load, walks):
     return counted
 
 
+def _counting_mmap(module, buffers):
+    """``module`` (``mmap``) as the engine module sees it, counting the
+    maps it makes."""
+    def mapped(*args, **kwargs):
+        buffers["maps"] += 1
+        return module.mmap(*args, **kwargs)
+
+    counting = types.SimpleNamespace(**vars(module))
+    counting.mmap = mapped
+    return counting
+
+
+def _counting_growth(run, buffers):
+    """Counts the runs whose miss-stream buffer is wider than that of
+    every earlier run on their thread."""
+    widest = {}
+
+    def counted(self):
+        need = self.n * min(batched.CHUNK_SIZE, max(self.lengths))
+        thread = threading.get_ident()
+        if need > widest.get(thread, 0):
+            widest[thread] = need
+            buffers["growth_steps"] += 1
+        return run(self)
+
+    return counted
+
+
 def measure(scale: str) -> dict:
     """Builds per rendering per key and per fragment, batched runs per
-    thread count and L1 walks per window, over one cold serial
-    ``campaign run all``."""
+    thread count, L1 walks per window and miss-stream buffers mapped,
+    over one cold serial ``campaign run all``."""
     runs = {}
-    BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
+    buffers = {"maps": 0, "growth_steps": 0}
+    batched.mmap = _counting_mmap(batched.mmap, buffers)
+    BatchedEngine.run = _counting_growth(
+        _counting_run(BatchedEngine.run, runs), buffers)
     walks = {"walks": 0, "windows": 0, "one_window_max": 0}
     SmallLRUCache.access_lines_hit = _counting_walk(
         SmallLRUCache.access_lines_hit, walks)
@@ -152,6 +190,7 @@ def measure(scale: str) -> dict:
             "fragments": fragments,
             "runs": runs,
             "walks": walks,
+            "buffers": buffers,
             "cc": shutil.which("cc"),
             "targets": {f"{rendering} {'/'.join(key)}": dict(
                             entry, target=entry["target"]
@@ -198,6 +237,12 @@ def problems(result: dict) -> list:
         found.append(f"a run at {result['scale']} walked a one-window "
                      f"thread {result['walks']['one_window_max']} times "
                      f"(at most 2: its fixed window)")
+    buffers = result["buffers"]
+    if buffers["maps"] > buffers["growth_steps"]:
+        found.append(f"a run at {result['scale']} mapped "
+                     f"{buffers['maps']} miss-stream buffers for "
+                     f"{buffers['growth_steps']} growth steps (a thread "
+                     f"maps one only to grow)")
     prefilter = "prefilter " + "/".join(transitions.PREFILTER_KEY)
     if prefilter not in result["targets"]:
         found.append(f"no L1 at {result['scale']} bound the prefilter")
