@@ -356,10 +356,11 @@ def test_a_run_is_bound_once_and_a_call_passes_two_scalars():
     assert loop(9.0, 9.0) == (0, 5.0, 0)        # one miss, window end
 
 
-@pytest.mark.parametrize("threads,parked", [(2, ()), (4, (0, 2)),
-                                             (8, (0, 3, 7))],
-                         ids=["2-branch", "4-branch", "8-select"])
-@pytest.mark.parametrize("policy", list(transitions.POLICIES))
+@pytest.mark.parametrize("policy,threads,parked", [
+    pytest.param(policy, threads, parked,
+                 id=policy if threads == 8 else f"{policy}-{threads}")
+    for policy in transitions.POLICIES
+    for threads, parked in ((2, ()), (4, (0, 2)), (8, (0, 3, 7)))])
 def test_equal_clocks_run_the_lower_thread_first(policy, threads, parked):
     """The loop's arg-min over the per-thread clocks keeps the
     reference's ``(clock, thread)`` order: at equal clocks the lower
