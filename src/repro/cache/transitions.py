@@ -363,18 +363,15 @@ while k:
     # One event per L2 access (see repro.cmp.engine.batched for the
     # exactness argument).  The float expressions are the reference
     # engine's, and so is the pop order: the thread with the least clock
-    # runs next, the lowest index among equal clocks (strict ``<``).  Up
-    # to four threads the arg-min branches on the clocks: a thread runs a
-    # few accesses in a row, so the branch predicts well and the access's
-    # loads start before the compare resolves.  At eight it mispredicts,
-    # so above four the arg-min compares the clocks' ``order_key``s with
-    # selects instead, branching on nothing but the thread count: every
-    # clock is +0.0, positive or +inf, where the keys order as the
-    # floats.  The loop returns ``(thread, clock, event)`` where the
-    # shell has work: event 2 at a pop that reaches a boundary or passes
-    # the cycle cap (nothing executed; ``clock`` is the pop's), 1 at a
-    # freeze (``clock`` the freeze's) and 0 at a window end (``clock``
-    # the last access's).
+    # runs next, the lowest index among equal clocks (strict ``<``).  The
+    # arg-min compares the clocks' ``order_key``s with selects, where one
+    # over the doubles would branch on the data (and mispredict at eight
+    # threads): every clock is +0.0, positive or +inf, where the keys
+    # order as the floats.  The loop returns ``(thread, clock, event)``
+    # where the shell has work: event 2 at a pop that reaches a boundary
+    # or passes the cycle cap (nothing executed; ``clock`` is the pop's),
+    # 1 at a freeze (``clock`` the freeze's) and 0 at a window end
+    # (``clock`` the last access's).
     # ``cur[t]`` is then the thread's position in its window; the shell
     # stores the thread's next clock in ``clocks`` and calls again.
     # ``left[t]`` counts down the thread's references to its freeze
@@ -391,18 +388,12 @@ def build(cache, channel, run):
         while True:
             t = 0
             u = 1
-            if threads <= 4:
-                while u < threads:
-                    if clocks[u] < clocks[t]:
-                        t = u
-                    u += 1
-            else:
-                least = order_key(clocks[0])
-                while u < threads:
-                    key = order_key(clocks[u])
-                    t = u if key < least else t
-                    least = key if key < least else least
-                    u += 1
+            least = order_key(clocks[0])
+            while u < threads:
+                key = order_key(clocks[u])
+                t = u if key < least else t
+                least = key if key < least else least
+                u += 1
             now = clocks[t]
             if now >= boundary or now > cap:
                 return t, now, 2

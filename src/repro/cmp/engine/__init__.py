@@ -74,7 +74,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "3124da7976cd1c96800690bebc9b77ea1141262e93cb5baa853fa71c47dd3c37"
+ENGINE_SOURCE_CHECKSUM = "c75e19b301763d412806650d72a7afc01809f3602e2457388086e15c9e3b28b6"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

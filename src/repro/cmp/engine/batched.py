@@ -79,11 +79,11 @@ Exactness argument (pinned by ``tests/test_cmp/test_engine_equivalence.py``):
   in its slot and runs the thread with the least clock, the lowest index
   among equal ones (strict ``<``) — the ``(clock, thread)`` order of the
   reference engine's heap.  A parked thread's slot holds ``+inf``.
-  Above four threads, where a branch on the doubles mispredicts, the
-  arg-min compares each clock's IEEE bits read as an ``int64``
-  (``order_key``) with selects instead: every clock is +0.0, a positive
-  finite double or ``+inf``, where the keys order exactly as the floats
-  and tie only where they do.  An ``inf`` pop means every thread still
+  The arg-min compares each clock's IEEE bits read as an ``int64``
+  (``order_key``) with selects, where a branch on the doubles would
+  mispredict at eight threads: every clock is +0.0, a positive finite
+  double or ``+inf``, where the keys order exactly as the floats and tie
+  only where they do.  An ``inf`` pop means every thread still
   running parked without its freeze: the run raises, naming them, where
   it would otherwise never end.
 * **One thread.**  Nothing above assumes a second thread.  With ``n == 1``

@@ -287,13 +287,10 @@ def test_every_stock_loop_translates(key):
     assert {"tag_lines", "invalid", "misses", "anchor", "cur", "clocks"} \
         <= kernel.stored
     # A line is a probe of its set's row of the tag lines, and the next
-    # thread an arg-min over the clocks — a branch on the doubles up to
-    # four threads, selects over their order keys above: no dict, no
-    # heap.
+    # thread an arg-min over the clocks, selects over their order keys:
+    # no dict, no heap.
     body = kernel.source[kernel.source.index("void run"):]
     assert "way = ((tag_lines[(row + k)] == line) ? k : way);" in body
-    assert "if ((threads <= INT64_C(4))) {" in body
-    assert "if ((clocks[u] < clocks[t])) {" in body
     assert "key = order_key(clocks[u]);" in body
     assert "t = ((key < least) ? u : t);" in body
 

@@ -98,7 +98,7 @@ def loop_keys(monkeypatch):
     return keys
 
 
-@pytest.mark.parametrize("num_cores", [2, 4])
+@pytest.mark.parametrize("num_cores", [2, 4, 8])
 @pytest.mark.parametrize("key,config", SHIPPED_PAIRS,
                          ids=["/".join(key) for key, _ in SHIPPED_PAIRS])
 def test_fused_run_matches_generic_object_protocol(key, config, num_cores,
@@ -364,11 +364,10 @@ def test_a_run_is_bound_once_and_a_call_passes_two_scalars():
 def test_equal_clocks_run_the_lower_thread_first(policy, threads, parked):
     """The loop's arg-min over the per-thread clocks keeps the
     reference's ``(clock, thread)`` order: at equal clocks the lower
-    thread runs, in both forms of the pick (a branch up to four threads,
-    selects over order keys above).  Some threads are parked at ``inf``
-    from the start; every access costs nothing, so the others sit at
-    clock 0 throughout, and each must finish its stream (and park at
-    ``inf``) before the next one up makes its first access — a ``<=``
+    thread runs.  Some threads are parked at ``inf`` from the start;
+    every access costs nothing, so the others sit at clock 0
+    throughout, and each must finish its stream (and park at ``inf``)
+    before the next one up makes its first access — a ``<=``
     would run the highest of them first, a parked slot running would
     mean an ``inf`` key below a finite one."""
     from array import array
@@ -435,8 +434,7 @@ def order_key(value):
 def test_the_order_key_orders_clocks_as_the_floats(a, b):
     """On +0.0, subnormal, finite and +inf values the integer keys sort
     exactly as the floats do, and are equal only for equal floats: the
-    premise of the loop's branch-free arg-min at more than four
-    threads."""
+    premise of the loop's branch-free arg-min."""
     assert (order_key(a) < order_key(b)) == (a < b)
     assert (order_key(a) == order_key(b)) == (a == b)
 
@@ -445,8 +443,8 @@ def test_the_order_key_orders_clocks_as_the_floats(a, b):
 @settings(max_examples=200, deadline=None)
 def test_the_compiled_pick_is_the_least_clock_then_the_lowest_thread(
         values):
-    """The compiled loop's arg-min over any clocks — either form, one to
-    eight threads — is the reference heap's ``min((clock, thread))``.  A
+    """The compiled loop's arg-min over any clocks — one to eight
+    threads — is the reference heap's ``min((clock, thread))``.  A
     boundary at 0.0 makes the loop return its pick at once (event 2:
     nothing executed)."""
     from array import array

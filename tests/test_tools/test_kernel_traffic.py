@@ -217,15 +217,17 @@ def test_wrappers_count_buffer_maps_and_growth_steps(monkeypatch, kept):
     from repro.workloads.trace import Trace
 
     buffers = {"maps": 0, "growth_steps": 0}
-    monkeypatch.setattr(batched, "mmap",
-                        kernel_traffic._counting_mmap(batched.mmap, buffers))
-    run = batched.BatchedEngine.run
+    monkeypatch.setattr(batched, "stream_buffer",
+                        kernel_traffic._counting_buffers(
+                            batched.stream_buffer, buffers))
     if not kept:
-        def run(engine, run=run):
+        run = batched.BatchedEngine.run
+
+        def forgetful(engine):
             vars(batched._BUFFERS).pop("map", None)
             return run(engine)
-    monkeypatch.setattr(batched.BatchedEngine, "run",
-                        kernel_traffic._counting_growth(run, buffers))
+
+        monkeypatch.setattr(batched.BatchedEngine, "run", forgetful)
 
     def simulate(length):
         traces = [Trace(f"t{core}", np.random.default_rng(core).integers(

@@ -15,11 +15,12 @@ the engine loaded (``BatchedEngine._load_chunk``), and
 ``one_window_max`` is the most walks any run gave one thread whose trace
 is a single window: the engine walks such a trace at most twice a run
 (its *fixed window*), so more is exit status 1.  ``buffers`` counts the
-miss-stream buffers the process ``maps`` (every ``mmap`` the engine
-module makes) beside its ``growth_steps``, the runs that needed a wider
-buffer than every earlier run on their thread: a thread keeps its
-buffer between runs and maps a new one only to grow, so more maps than
-growth steps is exit status 1.
+miss-stream buffers the process ``maps`` (each new mapping
+``batched.stream_buffer`` keeps for a thread) beside its
+``growth_steps``, the runs that needed a wider buffer than every
+earlier run on their thread: a thread keeps its buffer between runs and
+maps a new one only to grow, so more maps than growth steps is exit
+status 1.
 
 A registered fragment that renders nothing over a whole report is dead
 weight — that is how the four non-paper hit kernels, the FIFO array path
@@ -58,7 +59,6 @@ import sys
 import tempfile
 import threading
 import time
-import types
 import weakref
 from pathlib import Path
 
@@ -125,30 +125,22 @@ def _counting_load(load, walks):
     return counted
 
 
-def _counting_mmap(module, buffers):
-    """``module`` (``mmap``) as the engine module sees it, counting the
-    maps it makes."""
-    def mapped(*args, **kwargs):
-        buffers["maps"] += 1
-        return module.mmap(*args, **kwargs)
+def _counting_buffers(stream_buffer, buffers):
+    """Counts the miss-stream buffers ``stream_buffer`` maps (a new
+    mapping kept for its thread) and the growth steps: the calls that
+    need more of it than every earlier call on their thread."""
+    most = threading.local()
 
-    counting = types.SimpleNamespace(**vars(module))
-    counting.mmap = mapped
-    return counting
-
-
-def _counting_growth(run, buffers):
-    """Counts the runs whose miss-stream buffer is wider than that of
-    every earlier run on their thread."""
-    widest = {}
-
-    def counted(self):
-        need = self.n * min(batched.CHUNK_SIZE, max(self.lengths))
-        thread = threading.get_ident()
-        if need > widest.get(thread, 0):
-            widest[thread] = need
+    def counted(n, stride):
+        held = getattr(batched._BUFFERS, "map", None)
+        need = 2 * n * stride
+        if need > getattr(most, "need", 0):
+            most.need = need
             buffers["growth_steps"] += 1
-        return run(self)
+        stream = stream_buffer(n, stride)
+        if batched._BUFFERS.map is not held:
+            buffers["maps"] += 1
+        return stream
 
     return counted
 
@@ -159,9 +151,9 @@ def measure(scale: str) -> dict:
     over one cold serial ``campaign run all``."""
     runs = {}
     buffers = {"maps": 0, "growth_steps": 0}
-    batched.mmap = _counting_mmap(batched.mmap, buffers)
-    BatchedEngine.run = _counting_growth(
-        _counting_run(BatchedEngine.run, runs), buffers)
+    batched.stream_buffer = _counting_buffers(batched.stream_buffer,
+                                              buffers)
+    BatchedEngine.run = _counting_run(BatchedEngine.run, runs)
     walks = {"walks": 0, "windows": 0, "one_window_max": 0}
     SmallLRUCache.access_lines_hit = _counting_walk(
         SmallLRUCache.access_lines_hit, walks)
