@@ -2,11 +2,12 @@
 
 Tag state lives in a :class:`~repro.cache.state.TagStore` — the flat
 struct-of-arrays core shared with the ATDs: way-indexed ``lines`` at
-``set * assoc + way``, per-set ``invalid``/``dirty`` bitmasks, and one
-open-addressed line -> way lookup (the behavioural equivalent of the
-parallel tag comparison).  Fills prefer invalid ways within the candidate
-mask before consulting the replacement policy, and a miss never refuses:
-the candidate mask supplied by the enforcement scheme is always nonzero.
+``set * assoc + way`` and per-set ``invalid``/``dirty`` bitmasks.  A
+lookup searches the set's row (:meth:`TagStore.way_of`, the behavioural
+equivalent of the parallel tag comparison) and a fill stores to it.
+Fills prefer invalid ways within the candidate mask before consulting
+the replacement policy, and a miss never refuses: the candidate mask
+supplied by the enforcement scheme is always nonzero.
 
 Every access method steps the policy and scheme *classes* through one
 miss path (:meth:`_fill`); this is the per-access oracle the reference
@@ -182,7 +183,7 @@ class SetAssociativeCache:
         """
         s = line & self._set_mask
         self.stats.accesses[core] += 1
-        way = self.state.map.get(line)
+        way = self.state.way_of(s, line)
         if way is not None:
             self._promote(s, way, core)
             return AccessResult(True, way, s, None)
@@ -215,7 +216,7 @@ class SetAssociativeCache:
         stats.accesses[core] += 1
         if write:
             stats.write_accesses[core] += 1
-        way = self.state.map.get(line)
+        way = self.state.way_of(s, line)
         if way is not None:
             self._promote(s, way, core)
             if write:
@@ -253,7 +254,6 @@ class SetAssociativeCache:
             way = self.policy.victim(s, core, mask)
             old = state.lines[base + way]
             if old >= 0:
-                del state.map[old]
                 evicted = old
                 if (state.dirty[s] >> way) & 1:
                     stats.writebacks[core] += 1
@@ -261,7 +261,6 @@ class SetAssociativeCache:
                 state.invalid[s] &= ~(1 << way)
                 stats.fills_invalid[core] += 1
         state.lines[base + way] = line
-        state.map[line] = way
         if write:
             state.dirty[s] |= 1 << way
         else:
@@ -285,27 +284,28 @@ class SetAssociativeCache:
         already left the L2; the writeback then bypasses to memory and the
         caller counts the memory write (returns False).
         """
-        way = self.state.map.get(line)
+        s = line & self._set_mask
+        way = self.state.way_of(s, line)
         if way is None:
             return False
-        self.state.dirty[line & self._set_mask] |= 1 << way
+        self.state.dirty[s] |= 1 << way
         return True
 
     # ------------------------------------------------------------------
     def probe_line(self, line: int) -> Optional[int]:
         """Way holding ``line`` without updating any state, or None."""
-        return self.state.map.get(line)
+        return self.state.way_of(line & self._set_mask, line)
 
     def contains_line(self, line: int) -> bool:
         """True when the line is currently cached (no state change)."""
-        return line in self.state.map
+        return self.probe_line(line) is not None
 
     def invalidate_line(self, line: int) -> bool:
         """Drop a line if present; returns True when something was dropped."""
-        way = self.state.map.get(line)
+        s = line & self._set_mask
+        way = self.state.way_of(s, line)
         if way is None:
             return False
-        s = line & self._set_mask
         self.state.invalidate_way(s, way)
         self.policy.invalidate(s, way)
         if self.partition is not None:
@@ -314,9 +314,9 @@ class SetAssociativeCache:
 
     def is_dirty(self, line: int) -> bool:
         """True when the line is resident and dirty (no state change)."""
-        way = self.state.map.get(line)
-        return way is not None and bool(
-            (self.state.dirty[line & self._set_mask] >> way) & 1)
+        s = line & self._set_mask
+        way = self.state.way_of(s, line)
+        return way is not None and bool((self.state.dirty[s] >> way) & 1)
 
     def dirty_lines(self) -> int:
         """Number of resident dirty lines."""

@@ -38,6 +38,12 @@ class HierarchyAccess(IntEnum):
     MEM = 2
 
 
+#: The members as module constants: reading one off the class costs
+#: ~0.1 µs on CPython 3.11, and :meth:`CacheHierarchy.access_line` returns
+#: one on every access of the reference engine.
+_L1, _L2, _MEM = HierarchyAccess
+
+
 class CacheHierarchy:
     """Private per-core L1 data caches in front of one shared L2."""
 
@@ -73,13 +79,13 @@ class CacheHierarchy:
     def access_line(self, core: int, line: int) -> HierarchyAccess:
         """Route one line access through the hierarchy for ``core``."""
         if self.l1[core].access_line_hit(line, 0):
-            return HierarchyAccess.L1
+            return _L1
         observer = self.l2_observer
         if observer is not None:
             observer(core, line)
         if self.l2.access_line_hit(line, core):
-            return HierarchyAccess.L2
-        return HierarchyAccess.MEM
+            return _L2
+        return _MEM
 
     def access_line_rw(self, core: int, line: int,
                        write: bool = False) -> HierarchyAccess:
@@ -99,15 +105,15 @@ class CacheHierarchy:
             else:
                 self.writebacks_l1_to_mem += 1
         if hit:
-            return HierarchyAccess.L1
+            return _L1
         observer = self.l2_observer
         if observer is not None:
             observer(core, line)
         # Demand fill installs the line clean in L2 — with write-allocate
         # the dirty data lives in the L1 until its eviction writes it back.
         if self.l2.access_line_rw(line, core, False):
-            return HierarchyAccess.L2
-        return HierarchyAccess.MEM
+            return _L2
+        return _MEM
 
     @property
     def l2_writebacks_to_memory(self) -> int:

@@ -40,7 +40,7 @@ forks) each install a complete file.
 State during a call.  There is no resident C state and no copy of an
 array: every flat array a kernel binds is an ``array('q')`` /
 ``array('d')`` its owner allocated once and only ever mutates in place
-(a tag store's lines and masks, policy and scheme words — LRU's
+(tag rows and masks, policy and scheme words — LRU's
 recency order included — statistics, SDH registers, a run's clocks and
 cursors), or a contiguous numpy column of the C element type (a run's
 miss-stream buffer).  The argument block is built once,
@@ -54,14 +54,12 @@ C a dangling pointer.  Anything else where an owner array belongs is a
 the loop's two scalars, the prefilter's window and output columns, a
 drain's batch (an ``int64`` column or an ``array('q')``), each pinned
 for the call where it is an ``array`` — runs, and reads the returns.
-Nothing is copied back either: C probes a set's row of a tag store's
-``lines``, so a kernel that stores ``tag_lines`` leaves its bound
-``store`` stale
-(:attr:`repro.cache.state.TagStore.stale`), and the classes' tag dict is
-derived from the lines when it is next read.  No kernel calls back into
-Python: the loop returns to its caller wherever the caller has work (a
-boundary, a freeze, a window end) and is called again, so an exception
-the caller raises is raised with no compiled call on the stack.
+Nothing is copied back either: the arrays C writes are the only copy
+of the state they hold, which the classes read as C left it.  No kernel
+calls back into Python: the loop returns to its caller wherever the
+caller has work (a boundary, a freeze, a window end) and is called
+again, so an exception the caller raises is raised with no compiled
+call on the stack.
 
 Failure.  No ``cc`` on ``PATH``, a 32-bit host: :func:`load` returns
 ``None`` with the reason, silently — that host is simply slower: every
@@ -312,9 +310,6 @@ def _args_type(members) -> type:
         (name, _C_FIELDS[ctype]) for name, ctype, _kind in members]})
 
 
-#: The tag store's lines: a kernel that stores them leaves the store stale.
-_TAGS = "tag_lines"
-
 #: Where a rendering's factory prologue ends: its kernel closure's ``def``.
 _KERNEL_DEF = re.compile(r"^    def ", re.MULTILINE)
 
@@ -342,10 +337,9 @@ def _loaded(library: ctypes.CDLL, source: str, label: str) -> Loaded:
     library.run.restype = None
     bound = [name for name, _ctype, kind in members
              if name not in params and kind not in ("length", "ret")]
-    # ``tag_lines`` is ``store.lines`` (``TEMPLATES["bind_tags"]``).
     return Loaded(
         params, stored, library.run, args,
-        _bindings(source, label, bound + ["store"] * (_TAGS in stored)),
+        _bindings(source, label, bound),
         fields=tuple(m for m in members if m[2] not in ("length", "ret")),
         returns=tuple(name for name, _ctype, kind in members
                       if kind == "ret"))
@@ -444,8 +438,8 @@ class CompiledKernel:
 
     The bind fills the argument block with every member that is not a
     parameter and pins each owner ``array`` for the kernel's lifetime; a
-    call writes its parameters into the same block, runs, and marks the
-    tag store stale (module docstring, *State during a call*)."""
+    call writes its parameters into the same block and runs (module
+    docstring, *State during a call*)."""
 
     def __init__(self, loaded: Loaded, bound: Dict[str, object]) -> None:
         self._loaded = loaded
@@ -467,13 +461,12 @@ class CompiledKernel:
                                             self._pins))
             else:
                 setattr(block, name, value)
-        self._store = bound["store"] if _TAGS in loaded.stored else None
         members = {name: (ctype, kind) for name, ctype, kind in loaded.fields}
         #: ``(name, C type, kind)`` per parameter.
         self._params = tuple((name, *members[name]) for name in params)
 
     def __call__(self, *arguments):
-        loaded, block, store = self._loaded, self._block, self._store
+        loaded, block = self._loaded, self._block
         if len(arguments) != len(self._params):
             raise TypeError(f"{len(arguments)} arguments where "
                             f"{len(self._params)} belong")
@@ -487,12 +480,8 @@ class CompiledKernel:
                         setattr(block, f"{name}_n", len(value))
                 else:
                     setattr(block, name, value)
-            if store is not None:
-                store.stale = True
             loaded.run(self._pointer)
         finally:
-            if store is not None:
-                store.stale = True
             for view in pins:
                 view.release()
         return tuple(getattr(block, name) for name in loaded.returns)

@@ -5,24 +5,18 @@ Two pieces live here:
 
 * :class:`TagStore` — a struct-of-arrays tag directory: flat ``lines`` (and,
   for the cache, ``owner``-style side arrays owned by the partition scheme)
-  indexed by ``set * assoc + way``, per-set ``invalid``/``dirty`` way
-  bitmasks, and a single **open-addressed** line -> way lookup table (one
-  CPython dict for the whole store — CPython dicts are open-addressed hash
-  tables).  The lookup representation was chosen by benchmark when the
-  flat core landed (``docs/architecture.md`` §3): a single dict
-  beats a dict-per-set (one indirection less per access), and a Python
-  probe of the set row costs 10-20x a dict lookup.  The dict is the
-  classes' alone: a compiled kernel probes the set row of ``lines`` (in
-  C, a few ns) and never touches it.  The three arrays are
+  indexed by ``set * assoc + way``, and per-set ``invalid``/``dirty`` way
+  bitmasks.  That is the whole of the tag state, and there is one copy of
+  it: :meth:`TagStore.way_of` finds a line by searching its set's row of
+  ``lines`` (``array.index`` over ``[set*assoc, set*assoc + assoc)``), the
+  probe the compiled kernels make in C, and every writer — the classes, a
+  compiled kernel — stores to the row itself.  The three arrays are
   ``array('q')``, which a compiled kernel works on in place, by address
-  (:mod:`repro.cache.native`); a call that stores ``lines`` leaves the
-  dict :attr:`~TagStore.stale`, and :attr:`TagStore.map` derives it from
-  the lines on the next read, so a run of compiled calls rebuilds it at
-  most once.  The price is paid by the interpreted path (the reference
-  engine): an element read or write costs ~30 ns more than a list's, and
-  every ``map`` read is a property read
-  (``docs/architecture.md``, "State during a run").  Bulk consumers get
-  a numpy snapshot via :meth:`TagStore.lines_array`.
+  (:mod:`repro.cache.native`), so what one writes the other reads at once.
+  The interpreted path (the reference engine) pays for the search: an
+  element read or write costs ~30 ns more than a list's
+  (``docs/architecture.md``, "State during a run").  Bulk consumers get a
+  numpy snapshot via :meth:`TagStore.lines_array`.
 
 * the **eligibility rules** of the batch renderings for the three paper
   policies (LRU, NRU, BT; every other policy runs the generic
@@ -43,8 +37,8 @@ Two pieces live here:
 
 The kernels rely on invariants the cache/ATD maintain by construction:
 
-* a way is invalid  iff  its ``lines`` entry is ``-1``  iff  it is absent
-  from the lookup dict;
+* a way is invalid  iff  its ``lines`` entry is ``-1``, and a line sits in
+  at most one way of its set's row;
 * every *valid* way has been touched, so order-based policies always find
   it in their recency order;
 * ``policy.reset()`` / ``TagStore.flush()`` mutate state **in place** —
@@ -56,7 +50,6 @@ The kernels rely on invariants the cache/ATD maintain by construction:
 from __future__ import annotations
 
 from array import array
-from itertools import cycle
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -74,8 +67,8 @@ __all__ = ["TagStore", "drain_key", "kernel_key", "rendered_key"]
 class TagStore:
     """Struct-of-arrays tag state for one set-associative directory."""
 
-    __slots__ = ("num_sets", "assoc", "full_mask", "_map", "stale", "lines",
-                 "invalid", "dirty")
+    __slots__ = ("num_sets", "assoc", "full_mask", "lines", "invalid",
+                 "dirty")
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         if num_sets <= 0 or assoc <= 0:
@@ -83,10 +76,6 @@ class TagStore:
         self.num_sets = num_sets
         self.assoc = assoc
         self.full_mask = (1 << assoc) - 1
-        self._map: dict = {}
-        #: True while ``lines`` holds writes the dict has not seen (a
-        #: compiled call left them): the next :attr:`map` read derives it.
-        self.stale = False
         #: Flat way-indexed line addresses (``-1`` = invalid), ``s*assoc+w``.
         self.lines = array("q", [-1]) * (num_sets * assoc)
         #: Per-set bitmask of invalid ways.
@@ -94,66 +83,25 @@ class TagStore:
         #: Per-set bitmask of dirty ways.
         self.dirty = array("q", [0]) * num_sets
 
-    @property
-    def map(self) -> dict:
-        """Open-addressed lookup: line address -> way (global, not per set —
-        a line address determines its set, so keys never collide).  Always
-        the same dict object, derived in place from ``lines`` on the first
-        read after a compiled call (:attr:`stale`)."""
-        if self.stale:
-            self._derive()
-        return self._map
-
-    def _derive(self) -> None:
-        """Rebuild the dict from ``lines``: every valid entry mapped to its
-        way (a line is ``-1`` exactly when its way is invalid)."""
-        table = self._map
-        table.clear()
-        table.update(zip(self.lines, cycle(range(self.assoc))))
-        table.pop(-1, None)
-        self.stale = False
-
-    # ------------------------------------------------------------------
-    # Lookup-table maintenance.  The hot paths (cache methods, kernels)
-    # inline these few statements; the methods are the documented contract
-    # for out-of-line users.  Note neither touches the ``invalid`` bitmask:
-    # fill paths clear the way's invalid bit *before* installing.
-    # ------------------------------------------------------------------
-    def lookup(self, line: int) -> Optional[int]:
-        """Way holding ``line`` (None when absent); no state change."""
-        return self.map.get(line)
-
-    def install(self, set_index: int, way: int, line: int) -> None:
-        """Bind ``line`` to ``way`` (the way must be free in the lookup)."""
-        self.lines[set_index * self.assoc + way] = line
-        self.map[line] = way
-
-    def evict(self, set_index: int, way: int) -> int:
-        """Unbind whatever ``way`` holds; returns the old line (or -1).
-
-        The caller must :meth:`install` a replacement line (or mark the
-        way invalid) before the next lookup of the old ``lines`` entry.
-        """
-        old = self.lines[set_index * self.assoc + way]
-        if old >= 0:
-            del self.map[old]
-        return old
+    def way_of(self, set_index: int, line: int) -> Optional[int]:
+        """Way of set ``set_index`` holding ``line`` (a line address, never
+        ``-1``), or None: the search of the set's row the compiled
+        kernels' ``probe`` makes; no state change."""
+        base = set_index * self.assoc
+        try:
+            return self.lines.index(line, base, base + self.assoc) - base
+        except ValueError:
+            return None
 
     def invalidate_way(self, set_index: int, way: int) -> None:
         """Drop ``way``'s line and mark the way invalid + clean."""
-        flat = set_index * self.assoc + way
-        old = self.lines[flat]
-        if old >= 0:
-            del self.map[old]
-        self.lines[flat] = -1
+        self.lines[set_index * self.assoc + way] = -1
         bit = 1 << way
         self.invalid[set_index] |= bit
         self.dirty[set_index] &= ~bit
 
     def flush(self) -> None:
         """Invalidate everything, in place (kernel bindings stay live)."""
-        self._map.clear()
-        self.stale = False
         self.lines[:] = array("q", [-1]) * len(self.lines)
         self.invalid[:] = array("q", [self.full_mask]) * self.num_sets
         self.dirty[:] = array("q", [0]) * self.num_sets
@@ -161,7 +109,7 @@ class TagStore:
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
         """Total number of valid lines."""
-        return len(self.map)
+        return len(self.lines) - self.lines.count(-1)
 
     def resident_lines(self, set_index: int) -> List[int]:
         """Valid line addresses of one set (way order)."""
@@ -176,7 +124,7 @@ class TagStore:
     def lines_array(self) -> np.ndarray:
         """Numpy *snapshot* of the way-indexed lines, ``(num_sets, assoc)``.
 
-        A copy, not a live view — mutate the store through its methods.
+        A copy, not a live view — mutate ``lines`` itself.
         """
         return np.array(self.lines, dtype=np.int64).reshape(
             self.num_sets, self.assoc)

@@ -74,7 +74,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "c75e19b301763d412806650d72a7afc01809f3602e2457388086e15c9e3b28b6"
+ENGINE_SOURCE_CHECKSUM = "faaa115372f061d85492cfe8124485acfa9b0c949ab4059f95ddb81bf36bb69f"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

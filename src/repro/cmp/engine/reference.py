@@ -1,8 +1,11 @@
 """Reference execution engine: one access per scheduler event.
 
 The oracle.  Every memory reference is routed through the full hierarchy
-(:meth:`CacheHierarchy.access_line`) as its own scheduler event, like the
-seed simulator's hot loop.  Three things changed relative to the seed:
+(:meth:`CacheHierarchy.access_line`, or
+:meth:`~CacheHierarchy.access_line_rw` for a trace with writes) as its
+own scheduler event, like the seed simulator's hot loop.  The engine
+inlines none of that route, so a method rebound on a cache instance is
+called on every access.  Three things changed relative to the seed:
 
 * a binary heap of ``(clock, thread)`` pairs (:mod:`heapq`) replaces
   the min-scan.  The scan kept the *first* thread among equal minimum
@@ -69,15 +72,10 @@ class ReferenceEngine(EngineBase):
         controller = sim.controller
         interval = self.interval
         next_boundary = interval
-        # The hierarchy routing is inlined — per-thread L1 probes, the L2
-        # observer and the L2's ``access_line_hit`` are locals-bound,
-        # replacing the per-access ``hierarchy.access_line`` attribute
-        # chase.  Every one of them steps the classes: no rendering of the
-        # transition spec runs here.
+        # Every access goes through the hierarchy's own route, which steps
+        # the classes: no rendering of the transition spec runs here.
         hierarchy = sim.hierarchy
-        l1_hit = [l1.access_line_hit for l1 in hierarchy.l1]
-        l2_hit = hierarchy.l2.access_line_hit
-        observer = hierarchy.l2_observer
+        access = hierarchy.access_line
         access_rw = hierarchy.access_line_rw
         l1_caches = hierarchy.l1
         l2_stats = hierarchy.l2.stats
@@ -103,13 +101,7 @@ class ReferenceEngine(EngineBase):
             line = lines_per_thread[t][pos]
             positions[t] = pos + 1 if pos + 1 < lengths[t] else 0
             if writes_per_thread is None:
-                # Inline CacheHierarchy.access_line (levels 0/1/2).
-                if l1_hit[t](line, 0):
-                    level = 0
-                else:
-                    if observer is not None:
-                        observer(t, line)
-                    level = 1 if l2_hit(line, t) else 2
+                level = access(t, line)
             else:
                 level = access_rw(t, line, writes_per_thread[t][pos])
             if level == 0:

@@ -49,7 +49,8 @@ They aim at what the batched engine's miss-stream loop special-cases:
   (possibly passes later, across the wrap): the freeze-hit event.
 
 Configuration points sample the legal cross product the batched engine
-runs (anything else has no second engine to diff): the three paper
+runs (anything else has no second engine to diff): 1, 2, 4 or 8 cores
+(a case with more cores than L2 ways is unpartitioned), the three paper
 policies under every enforcement scheme (partitioned needs a profilable
 policy, BT pairs with btvectors), selectors including ``static``,
 boundary-dense intervals, ATD sampling ratios, the bandwidth channel and
@@ -312,8 +313,10 @@ def generate_trace_shape(shape: str, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 def _sample_partitioning(rng: np.random.Generator, num_cores: int,
                          l2_sets: int, l2_assoc: int) -> PartitioningConfig:
-    """A legal PartitioningConfig point (invariants respected up front)."""
-    partitioned = rng.random() < 0.5
+    """A legal PartitioningConfig point (invariants respected up front):
+    unpartitioned where the L2 has fewer ways than there are cores (no
+    allocation gives every core a way)."""
+    partitioned = rng.random() < 0.5 and l2_assoc >= num_cores
     # The paper policies, the ones with a rendering (module docstring).
     policy = PROFILABLE_POLICIES[_int(rng, 0, len(PROFILABLE_POLICIES) - 1)]
     if not partitioned:
@@ -356,7 +359,10 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     """Deterministic case ``index`` of the campaign driven by ``seed``."""
     rng = np.random.default_rng([seed, index])
     r = rng.random()
-    num_cores = 1 if r < 0.65 else (2 if r < 0.90 else 4)
+    # The top slice of what were 4-core draws is 8 cores: every other
+    # case of a seed is what it was before 8 cores were drawn.
+    num_cores = (1 if r < 0.65 else 2 if r < 0.90 else 4 if r < 0.97
+                 else 8)
     l1_sets = (2, 4)[_int(rng, 0, 1)]
     l1_assoc = 2
     l2_sets = (8, 16, 32)[_int(rng, 0, 2)]

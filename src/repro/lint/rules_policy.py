@@ -3,9 +3,11 @@
 The flat-array core stays bit-identical only while two rules hold; each
 gets a mechanical check here:
 
-* ``state-rebind`` — policy/partition mutators must update their
-  preallocated state arrays **in place**; rebinding (``self.order = [...]``)
-  detaches every kernel local captured at cache construction.
+* ``state-rebind`` — the mutators of every class whose arrays a compiled
+  kernel binds (policies, schemes, the tag store, statistics, the L1, the
+  ATD, the SDH, the memory channel) must update those preallocated arrays
+  **in place**; rebinding (``self.order = [...]``) detaches every kernel
+  bound at construction.
 * ``hot-path-purity`` — every kernel :mod:`repro.cache.transitions`
   renders (``observe_many`` for each policy, the event loop of
   ``BatchedEngine.run`` for each policy x scheme, and the L1
@@ -33,8 +35,11 @@ from repro.cache import transitions
 from repro.lint.core import Diagnostic, LintContext, Rule, register_rule
 from repro.lint.rules_engine import _module_constants
 
-#: Directories whose classes hold kernel-captured state arrays.
-STATEFUL_DIRS = ("repro/cache/replacement/", "repro/cache/partition/")
+#: Directories and modules whose classes hold kernel-bound state arrays.
+#: Not all of ``repro/profiling/`` (no kernel binds ``stackdist.py``) nor
+#: of ``repro/cmp/`` (``BatchedEngine`` makes its views per run).
+STATEFUL_DIRS = ("repro/cache/", "repro/profiling/atd.py",
+                 "repro/profiling/sdh.py", "repro/cmp/memory.py")
 
 #: Module whose literal tables every hot kernel is rendered from and
 #: translated with, in the order ``transitions.translate`` takes them.
@@ -80,7 +85,7 @@ class StateRebindRule(Rule):
     """State arrays captured by kernels must be mutated in place."""
 
     name = "state-rebind"
-    description = ("policy/partition method rebinds a state-array attribute "
+    description = ("a kernel-bound class rebinds a state-array attribute "
                    "outside __init__, detaching captured kernel locals")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:

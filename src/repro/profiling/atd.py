@@ -23,7 +23,9 @@ every L2 access in it, sampled or not — the kernel's own
 ``skip_mask`` test counts the others, the way the hardware decodes
 sampling from index bits — and works on the ATD's own arrays in place:
 between two drains what the controller reads, halves and resets is the
-ATD (its tag dict derived when next read).  The generic loop below is
+ATD itself, its tags included (one copy, the rows of ``state.lines``,
+which :meth:`observe` searches with
+:meth:`~repro.cache.state.TagStore.way_of`).  The generic loop below is
 what an ATD drains through where no kernel loads, and the reference the
 kernel is pinned against (``tests/test_profiling/test_atd.py``,
 ``tests/test_cache/test_state.py``).
@@ -132,7 +134,7 @@ class ATD:
         self._counts[0] += 1
         s = (line & self._l2_set_mask) >> (self.sampling.bit_length() - 1)
         state = self.state
-        way = state.map.get(line)
+        way = state.way_of(s, line)
         if way is not None:
             # Estimate first (pre-access state), then promote.
             self.profiler.on_hit(self.policy, s, way, self.sdh)
@@ -147,11 +149,7 @@ class ATD:
             state.invalid[s] &= ~(1 << way)
         else:
             way = self.policy.victim(s, 0, self._full_mask)
-            old = state.lines[base + way]
-            if old >= 0:
-                del state.map[old]
         state.lines[base + way] = line
-        state.map[line] = way
         # Fill promotion must mirror the L2's miss path (``touch_fill``, not
         # ``touch``): insertion-controlled policies place incoming lines
         # elsewhere in the recency order, and the ATD shadows the cache.
@@ -181,9 +179,10 @@ class ATD:
     # ------------------------------------------------------------------
     def contains_line(self, line: int) -> bool:
         """True when the line is resident in the (sampled) ATD."""
-        if (line & self._l2_set_mask) % self.sampling:
+        if line & self._skip_mask:
             return False
-        return line in self.state.map
+        s = (line & self._l2_set_mask) >> (self.sampling.bit_length() - 1)
+        return self.state.way_of(s, line) is not None
 
     def storage_bits(self) -> int:
         """ATD storage: tag + valid bit per entry plus replacement state.

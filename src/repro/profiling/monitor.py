@@ -76,14 +76,8 @@ class ProfilingSystem:
             )
             for core in range(num_cores)
         ]
-        # Bound per-core ATD observers: one indirection on the hot path.
-        self._observe = [m.atd.observe for m in self.monitors]
-        self._counts = [m.atd._counts for m in self.monitors]
         # SDH register files (stable: halving and resets work in place).
         self._registers = [m.sdh._r for m in self.monitors]
-        # Sampling filter hoisted out of the ATD: a set is sampled iff the
-        # low log2(sampling) index bits of the line are zero.
-        self._skip_mask = sampling - 1
 
     def __len__(self) -> int:
         return len(self.monitors)
@@ -92,11 +86,12 @@ class ProfilingSystem:
         return self.monitors[core]
 
     def observe(self, core: int, line: int) -> None:
-        """Hierarchy L2-observer hook: route the access to the core's ATD."""
-        if line & self._skip_mask:
-            self._counts[core][1] += 1
-            return
-        self._observe[core](line)
+        """Hierarchy L2-observer hook: route the access to the core's ATD
+        (:meth:`ATD.observe`, which counts an unsampled line and leaves
+        it).  The batched engine recognises stock profiling by this method
+        (:func:`repro.cmp.engine.common.deferrable_profiling`) and drains
+        the ATDs in batches instead."""
+        self.monitors[core].atd.observe(line)
 
     def miss_curves(self) -> np.ndarray:
         """Matrix ``(num_cores, A + 1)`` of per-thread miss curves.

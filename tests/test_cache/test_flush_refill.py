@@ -73,7 +73,9 @@ def check_invariants(cache):
             invalid = bool((state.invalid[s] >> w) & 1)
             assert invalid == (line < 0), (s, w)
             if line >= 0:
-                assert state.map[line] == w
+                # A line sits in its own set's row, in one way of it.
+                assert line & (NUM_SETS - 1) == s, (s, w)
+                assert state.way_of(s, line) == w, (s, w)
         # Order-family policies: valid <=> tracked by the policy.
         policy = cache.policy
         if hasattr(policy, "_present"):
@@ -88,7 +90,8 @@ def check_invariants(cache):
                 owner = part.owner_of(s, w)
                 if (state.invalid[s] >> w) & 1:
                     assert owner == -1, (s, w)
-    assert state.occupancy() == len(state.map)
+    assert state.occupancy() == NUM_SETS * ASSOC - sum(
+        mask.bit_count() for mask in state.invalid)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -513,7 +513,8 @@ class TestMarshalValidation:
                                                 r"array\('q'\) or a "
                                                 r"contiguous int64 column"):
                 drain(batch)
-        assert atd.state.occupancy() == 0 and atd.state.map == {}
+        assert atd.state.occupancy() == 0 and list(
+            atd.state.invalid) == [atd.state.full_mask] * atd.num_sets
         assert atd.sdh.total == 0 and list(atd._counts) == [0, 0]
         drain(np.arange(6, dtype=np.int64)[::2].copy())
         assert list(atd._counts) == [3, 0] and atd.state.occupancy() == 3
@@ -538,5 +539,6 @@ class TestMarshalValidation:
                                             r"array\('q'\)"):
             transitions.bind("observe", ("nru", "none"), atd)
         assert atd.observe_many is own
-        assert atd.state.occupancy() == 0 and atd.state.map == {}
+        assert atd.state.occupancy() == 0 and list(
+            atd.state.invalid) == [atd.state.full_mask] * atd.num_sets
         assert list(atd._counts) == [0, 0] and atd.sdh.total == 0

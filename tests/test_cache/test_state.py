@@ -17,6 +17,7 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
@@ -69,31 +70,34 @@ def test_kernel_tables_name_the_three_paper_kinds():
 
 class TestTagStore:
     def test_install_lookup_evict(self):
+        """An install is a store to the row, a lookup is :meth:`way_of`
+        searching it, an eviction is the install that overwrites it."""
         store = TagStore(4, 2)
-        assert store.lookup(100) is None
-        store.install(0, 1, 100)
-        assert store.lookup(100) == 1
+        assert store.way_of(0, 100) is None
+        store.lines[0 * 2 + 1] = 100
+        assert store.way_of(0, 100) == 1
         assert store.occupancy() == 1
-        assert store.evict(0, 1) == 100
-        assert store.lookup(100) is None
-        store.install(0, 1, 104)         # evict-then-refill contract
-        assert store.lookup(104) == 1
-        assert store.evict(1, 0) == -1   # empty way: nothing to unbind
+        store.lines[0 * 2 + 1] = 104         # a fill overwrites the way
+        assert store.way_of(0, 100) is None
+        assert store.way_of(0, 104) == 1
+        assert store.way_of(1, 104) is None  # another set's row
 
     def test_invalidate_way_clears_dirty_and_map(self):
+        """The way's row entry (the line -> way map there is) goes -1."""
         store = TagStore(4, 2)
-        store.install(2, 0, 50)
+        store.lines[2 * 2 + 0] = 50
         store.invalid[2] &= ~1
         store.dirty[2] |= 1
         store.invalidate_way(2, 0)
-        assert store.lookup(50) is None
+        assert store.way_of(2, 50) is None
+        assert store.lines[2 * 2 + 0] == -1
         assert store.invalid[2] & 1
         assert store.dirty[2] == 0
 
     def test_flush_in_place(self):
         store = TagStore(2, 2)
         lines_obj, invalid_obj = store.lines, store.invalid
-        store.install(0, 0, 7)
+        store.lines[0] = 7
         store.flush()
         assert store.occupancy() == 0
         assert store.lines is lines_obj and store.invalid is invalid_obj
@@ -102,12 +106,34 @@ class TestTagStore:
 
     def test_resident_lines_and_array_view(self):
         store = TagStore(2, 2)
-        store.install(1, 0, 11)
-        store.install(1, 1, 3)
+        store.lines[1 * 2 + 0] = 11
+        store.lines[1 * 2 + 1] = 3
         assert store.resident_lines(1) == [11, 3]
         view = store.lines_array()
         assert view.shape == (2, 2)
         assert view[1, 0] == 11 and view[0, 0] == -1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_way_of_is_the_way_of_the_line_in_its_own_row(self, data):
+        """``way_of(s, line)`` is the way of set ``s``'s row holding
+        ``line`` and None otherwise: rows with ``-1`` holes anywhere, and
+        lines drawn from one pool, so a line often sits only in a
+        neighbouring set's row."""
+        num_sets = data.draw(st.integers(1, 6))
+        assoc = data.draw(st.integers(1, 8))
+        store = TagStore(num_sets, assoc)
+        for s in range(num_sets):
+            held = data.draw(st.lists(st.integers(0, 24), unique=True,
+                                      max_size=assoc))
+            ways = data.draw(st.permutations(range(assoc)))
+            for way, line in zip(ways, held):
+                store.lines[s * assoc + way] = line
+        for s in range(num_sets):
+            row = list(store.lines[s * assoc:(s + 1) * assoc])
+            for line in range(26):
+                assert store.way_of(s, line) == (
+                    row.index(line) if line in row else None), (s, line)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -318,9 +344,20 @@ def test_observe_kernel_skipped_for_custom_profiler():
 # ----------------------------------------------------------------------
 # Drains: the compiled ``observe`` rendering and the classes
 # ----------------------------------------------------------------------
+def rows_hold_once(store):
+    """Assert that no line sits in two ways of one set's row (every
+    valid entry is the one :meth:`TagStore.way_of` finds) and return
+    True, for a snapshot."""
+    for flat, line in enumerate(store.lines):
+        if line >= 0:
+            s, way = divmod(flat, store.assoc)
+            assert store.way_of(s, line) == way, (s, way, line)
+    return True
+
+
 def atd_state(atd):
     """The full flat state a drain may touch."""
-    return {"lines": list(atd.state.lines), "map": dict(atd.state.map),
+    return {"lines": list(atd.state.lines), "rows": rows_hold_once(atd.state),
             "invalid": list(atd.state.invalid),
             "policy": state_digest(atd.policy), "sdh": list(atd.sdh._r),
             "counts": list(atd._counts)}
@@ -381,8 +418,8 @@ class TestDrainTargets:
         assert compiled.sampled_accesses > 0 < compiled.sdh.total
         # Numbers a drain leaves behind are builtin ints, never numpy's.
         for values in (compiled.state.lines, compiled.state.invalid,
-                       compiled.sdh._r, compiled._counts,
-                       compiled.state.map, compiled.state.map.values()):
+                       compiled.state.dirty, compiled.sdh._r,
+                       compiled._counts):
             assert {type(value) for value in values} == {int}
 
     def test_an_atd_binds_its_drain_kernel_when_built(self):
@@ -402,7 +439,7 @@ class TestDrainTargets:
         assert "observe_many" in vars(atd) and "observe" not in vars(atd)
         assert isinstance(kernel, native.CompiledKernel)
         kernel(array("q", [0]))                 # one line: the kernel's
-        assert list(atd._counts) == [1, 0] and atd.state.map == {0: 0}
+        assert list(atd._counts) == [1, 0] and atd.state.way_of(0, 0) == 0
         assert binds() == before + 1
 
 
@@ -669,7 +706,7 @@ class TestArrayKernelProperties:
     def _full_state(cache):
         return (
             list(cache.state.lines),
-            dict(cache.state.map),
+            rows_hold_once(cache.state),
             list(cache.state.invalid),
             list(cache.stats.accesses),
             list(cache.stats.misses),

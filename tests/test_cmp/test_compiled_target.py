@@ -31,7 +31,6 @@ import pytest
 import repro.cmp.engine.batched as batched_mod
 from repro.cache import native, transitions
 from repro.cache.partition.masks import MasksPartition
-from repro.cache.state import TagStore
 from repro.cmp import simulator as simulator_module
 from repro.cmp.engine import BatchedEngine, engine_summary
 from repro.config import (
@@ -193,16 +192,32 @@ def test_results_hold_builtin_numbers_only(key):
     l2 = sim.hierarchy.l2
     exact_types([list(l2.stats.accesses), list(l2.stats.misses),
                  list(l2.state.lines), list(l2.state.invalid),
-                 list(l2.state.map.items())], "l2")
+                 list(l2.state.dirty)], "l2")
+
+
+def resident(store):
+    """``{line: way}`` of every valid entry of ``store``'s rows, each
+    found by :meth:`TagStore.way_of` in its own row at its own way."""
+    ways = {}
+    for flat, line in enumerate(store.lines):
+        if line >= 0:
+            s, way = divmod(flat, store.assoc)
+            assert store.way_of(s, line) == way, (s, way)
+            ways[line] = way
+    return ways
 
 
 def test_tag_dict_is_rebuilt_from_the_tag_array():
+    """The tag array is the one copy of the tag state: after a compiled
+    run the classes find every line the loop left in the rows where the
+    loop left it."""
     sim = scenario(("nru", "masks")).simulator("batched")
     sim.run()
-    store = sim.hierarchy.l2.state
-    expected = {line: flat % store.assoc
-                for flat, line in enumerate(store.lines) if line >= 0}
-    assert store.map == expected and len(expected) > 0
+    l2 = sim.hierarchy.l2
+    store = l2.state
+    ways = resident(store)
+    assert len(ways) > 0
+    assert all(l2.probe_line(line) == way for line, way in ways.items())
     assert all((store.invalid[flat // store.assoc] >> (flat % store.assoc))
                & 1 == (line < 0) for flat, line in enumerate(store.lines))
 
@@ -274,9 +289,9 @@ def run_overrun():
 
 def test_overrun_under_the_compiled_target_raises_the_same_error():
     """The C loop returns at the pop past the cap and its shell's
-    ``beyond`` raises, with no compiled call on the stack: the tag dict
-    is derived from the state the loop reached, and the exception — text
-    and frames — comes out of ``run``."""
+    ``beyond`` raises, with no compiled call on the stack: the classes
+    read the tag state the loop reached, and the exception — text and
+    frames — comes out of ``run``."""
     text = ("simulation exceeded max_cycles=10000 with 3 threads still "
             "running")
     sim, info = run_overrun()
@@ -284,11 +299,10 @@ def test_overrun_under_the_compiled_target_raises_the_same_error():
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert frames[-1] == "beyond"
     assert "loop" not in frames and "__call__" not in frames
-    store = sim.hierarchy.l2.state
-    assert store.map == {line: flat % store.assoc
-                         for flat, line in enumerate(store.lines)
-                         if line >= 0}
-    assert sum(sim.hierarchy.l2.stats.misses) > 0
+    l2 = sim.hierarchy.l2
+    assert all(l2.probe_line(line) == way
+               for line, way in resident(l2.state).items())
+    assert sum(l2.stats.misses) > 0
 
 
 def capped(case, engine, cap):
@@ -606,22 +620,8 @@ def kernels(monkeypatch):
     return bound
 
 
-@pytest.fixture
-def derived(monkeypatch):
-    """Every tag store whose dict is derived from here on, in order."""
-    stores = []
-    derive = TagStore._derive
-
-    def counted(store):
-        stores.append(store)
-        derive(store)
-
-    monkeypatch.setattr(TagStore, "_derive", counted)
-    return stores
-
-
 @pytest.mark.parametrize("key", list(CONFIGS), ids="/".join)
-def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
+def test_a_compiled_call_copies_nothing(key, request, kernels):
     """Every compiled kernel of a run — the loop, each drain, each L1
     window walk — gets its argument block at bind: every array member
     that is not a parameter holds the address of the owner's own buffer
@@ -632,14 +632,12 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
     columns and arrays it was given — the prefilter's window and output
     columns, a drain's batch — each pinned where it is an ``array``
     (:func:`kernels`), and every drain's batch is a view of the run's
-    buffer.  Nothing is copied back: a whole run derives no tag dict,
-    and the first ``map`` read afterwards derives each store's once,
-    equal to a dict built from scratch."""
+    buffer.  Nothing is copied back: the classes find every line the
+    kernels left in a tag store where they left it."""
     if key == ("bt", "masks"):
         request.getfixturevalue("masks_for_bt")
     sim = scenario(key, service_interval=37.5).simulator("batched")
     sim.run()
-    assert derived == []
     seen = set()
     for kernel, at_bind, handed in kernels:
         rendering = RENDERING_OF[kernel._loaded.params[0]]
@@ -672,11 +670,7 @@ def test_a_compiled_call_copies_nothing(key, request, kernels, derived):
     stores = [sim.hierarchy.l2.state]
     if CONFIGS[key].partitioned:
         stores += [monitor.atd.state for monitor in sim.profiling.monitors]
-    for store in stores + stores:
-        assert store.map == {line: flat % store.assoc
-                             for flat, line in enumerate(store.lines)
-                             if line >= 0}
-    assert derived == stores
+    assert all(resident(store) for store in stores)
 
 
 def test_a_bound_owner_array_cannot_be_resized_between_calls(kernels):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.fuzz import TRACE_SHAPES, generate_case, generate_trace_shape
+from repro.config import ENFORCE_NONE
 from repro.fuzz.case import ALL_ENGINES
+from repro.fuzz.oracle import run_case
 
 
 class TestDeterminism:
@@ -67,6 +69,22 @@ class TestValidity:
         cases = [generate_case(7, i) for i in range(20)]
         assert {case.applicable_engines() for case in cases} == {ALL_ENGINES}
         assert {1, 2} <= {case.num_cores for case in cases}
+
+    def test_seed_zero_compares_the_engines_on_8_cores(self):
+        """The top slice of the core-count draw is 8 cores, so
+        ``repro fuzz --seed 0 --budget 60`` compares the engines on
+        8-thread runs: cases 26 and 28.  Case 26's L2 has 4 ways, which
+        no allocation splits eight ways, so it is unpartitioned.  Case 28
+        runs on both engines, bit-identically."""
+        cases = [generate_case(0, i) for i in range(60)]
+        assert [i for i, case in enumerate(cases)
+                if case.num_cores == 8] == [26, 28]
+        assert all(case.partitioning.enforcement == ENFORCE_NONE
+                   for case in cases if case.num_cores > case.l2_assoc)
+        assert cases[26].l2_assoc == 4
+        report = run_case(cases[28])
+        assert report.engines == ALL_ENGINES and report.engine_runs == 2
+        assert not report.divergent, report.summary()
 
 
 class TestMultiCoreShapes:

@@ -32,6 +32,14 @@ class TestStateRebind:
         assert "self._quota" in diag.message
         assert "[:]" in diag.message
 
+    def test_covers_the_tag_store(self, lint_fixture):
+        """The rule reaches past policies and schemes to every class a
+        kernel binds arrays of — here ``TagStore``, whose ``lines`` are
+        the only copy of the tag state."""
+        (diag,) = lint_fixture("state-rebind", "tag_store")
+        assert "TagStore.flush rebinds state array self.lines" \
+            in diag.message
+
 
 class TestHotPathPurity:
     """``hot-path-purity`` renders and translates every key of the
