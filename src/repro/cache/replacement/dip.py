@@ -20,9 +20,9 @@ recency order:
 
 LRU-position insertions live in a per-set *below* block
 (``_below``/``_below_size``/``_below_mask``, flat ``set * assoc + slot``
-segments like :class:`LRUPolicy`'s order, but plain lists with an
-explicit size: these policies run on the generic object path only, and
-no kernel binds the block): ways below the recency order,
+segments in plain lists with an explicit size: these policies run on
+the generic object path only, and no kernel binds the block): ways
+below the recency order (absent ways of :class:`LRUPolicy`'s word),
 ordered so the **newest** insertion is the next victim — the exact
 behaviour of the seed implementation's strictly-decreasing stamp floor
 (each LRU-insertion took a stamp below every valid line and below all
@@ -143,7 +143,7 @@ class LIPPolicy(LRUPolicy):
     def stack_order(self, set_index: int) -> List[int]:
         base = set_index * self.assoc
         present = self._present[set_index]
-        touched = self._order[base:base + present.bit_count()].tolist()
+        touched = self._touched(set_index)
         bmask = self._below_mask[set_index]
         untouched = [w for w in range(self.assoc)
                      if not ((present | bmask) >> w) & 1]

@@ -6,8 +6,8 @@ candidate ways.  Hits do not move a line ("no promotion"), which is what
 separates FIFO from LRU and makes it vulnerable to cyclic working sets that
 slightly exceed the cache.
 
-State is :class:`LRUPolicy`'s (``_order``, the filled ways of each set
-MRU first in ``assoc`` flat slots with a ``-1`` suffix, and the
+State is :class:`LRUPolicy`'s (``_recency``, one word per set whose
+nibbles are the filled ways newest first, then the others, and the
 ``_present`` bitmasks), except only :meth:`touch_fill` moves a way to
 the front — behaviourally identical to the seed's fill-timestamp lists
 (never-filled ways oldest, ties toward lower way).

@@ -1,35 +1,40 @@
-"""True LRU replacement with exact stack positions — flat per-set slots.
+"""True LRU replacement with exact stack positions — one word per set.
 
-State is the ``PolicyState`` layout the ``lru`` fragments of
-:mod:`repro.cache.transitions` bind directly, both flat ``array('q')``\\ s
-like every array a kernel binds:
+The paper prices LRU at an ``A x log2(A)``-bit permutation per set
+(Table I(a)); at A = 16 that is one 64-bit word, and that word *is* the
+state here.  Both arrays are flat ``array('q')``\\ s, the ``PolicyState``
+layout the ``lru`` fragments of :mod:`repro.cache.transitions` bind:
 
-* ``_order`` — ``num_sets * assoc`` slots, ``assoc`` per set: the set's
-  *touched* ways in MRU-first recency order, then ``-1`` in every
-  remaining slot (always a suffix).  The first
-  ``_present[s].bit_count()`` slots of set ``s`` are a permutation of
-  its present ways and nothing else;
+* ``_recency`` — one word per set: nibble ``i`` (bits ``4i .. 4i+3``) is
+  the way at recency position ``i``, MRU first.  The first
+  ``_present[s].bit_count()`` nibbles of set ``s`` are its present
+  (touched) ways, then come every absent way, then ``0xF`` in each
+  nibble at or above ``assoc``: each way occurs exactly once.  At
+  A = 16 the deepest nibble is the sign nibble, so a word whose deepest
+  way is 8 or more is stored negative;
 * ``_present`` — per-set bitmask of the ways in the order.
 
-This is the private L1's layout (``SmallLRUCache._slots``) and the
-paper's ``A x log2(A)``-bit permutation per set (Table I(a)).  A hit or
-fill moves the way to the front with a same-length slice move (skipped
-when the way already is the MRU); the LRU way is the set's deepest
-present slot.
+So a way is found with one SWAR zero-nibble test (:func:`find`) and
+moved to the front with three masks (:func:`to_front`) — the kernels'
+``find`` / ``move`` in C, the classes' here over Python integers, each
+stored back as the signed word ``array('q')`` holds.  The LRU way is the
+set's deepest present nibble.  Sixteen nibbles bound the family at 16
+ways: a wider LRU-family policy is refused at construction.
 
 Behaviourally identical to the seed's per-set timestamp lists (and to the
 hardware LRU of the paper, §II-B): never-touched (or invalidated) ways
 are older than every touched way, ties breaking toward the lower way
 index — exactly the ordering the timestamp representation produced with
-its 0 = "never touched" sentinel.  The pin against the seed timestamp
-implementation is ``tests/test_cache/test_flat_equivalence.py``.
+its 0 = "never touched" sentinel.  The pins against the seed timestamp
+implementation are ``tests/test_cache/test_flat_equivalence.py`` and
+``tests/test_cache/test_lru_word.py``.
 
 The two operations the partitioning system needs survive unchanged:
 
 * victim restricted to an arbitrary subset of ways (untouched candidates
   first, lowest index; else the order's deepest member of the mask);
 * exact stack distance of a hit for the SDH profiling logic (§II-A): the
-  way's slot in its set, a bounded ``array.index``.
+  way's position in its set's word, plus one.
 """
 
 from __future__ import annotations
@@ -40,36 +45,78 @@ from typing import List, Optional
 from repro.cache.replacement.base import ReplacementPolicy, register_policy
 from repro.util.bitops import bit_length_exact
 
+#: A one in every nibble: ``way * NIBBLES`` is ``way`` in every nibble.
+NIBBLES = 0x1111111111111111
+#: The most ways one word orders.
+MAX_WAYS = 16
+
+_TOPS = NIBBLES << 3                # the top bit of every nibble
+_SIGN = 1 << 63
+
+
+def _signed(word: int) -> int:
+    """The low 64 bits of ``word`` as the ``int64`` an ``array('q')``
+    stores."""
+    return ((word + _SIGN) & (2 * _SIGN - 1)) - _SIGN
+
+
+def fresh_word(assoc: int) -> int:
+    """The word of an empty set: way ``i`` at position ``i``, ``0xF``
+    above ``assoc``."""
+    ways = sum(way << 4 * way for way in range(assoc))
+    return _signed(ways | -1 << 4 * assoc)
+
+
+def find(word: int, way: int) -> int:
+    """Position of ``way`` in ``word``, where it occurs exactly once: the
+    lowest nibble of ``word ^ way * NIBBLES`` that is zero."""
+    x = word ^ way * NIBBLES
+    zero = (x - NIBBLES) & ~x & _TOPS
+    return ((zero & -zero).bit_length() - 1) >> 2
+
+
+def to_front(word: int, position: int, way: int) -> int:
+    """``word`` with ``way``, at ``position``, moved to the front and the
+    ways in front of it one deeper."""
+    below = (1 << 4 * position) - 1
+    return _signed(word & ~(below << 4 | 15) | (word & below) << 4 | way)
+
+
+def _sunk(word: int, position: int, depth: int, way: int) -> int:
+    """``word`` with ``way``, at ``position``, moved down to ``depth`` and
+    the ways between one shallower."""
+    below = (1 << 4 * position) - 1
+    through = (1 << 4 * depth + 4) - 1
+    between = word >> 4 & through >> 4 & ~below
+    return _signed(word & ~through | word & below | between
+                   | way << 4 * depth)
+
 
 @register_policy("lru")
 class LRUPolicy(ReplacementPolicy):
-    """Exact LRU over flat per-set MRU-first slots."""
+    """Exact LRU over one recency word per set."""
 
     def __init__(self, num_sets: int, assoc: int, rng=None) -> None:
         super().__init__(num_sets, assoc, rng=rng)
+        if assoc > MAX_WAYS:
+            raise ValueError(
+                f"{type(self).__name__}: {assoc} ways do not fit one "
+                f"recency word (at most {MAX_WAYS} 4-bit positions)")
         # Kernels capture both arrays at cache construction and C shares
         # them by address: they are only ever mutated in place, never
         # resized or rebound.
-        self._order = array("q", [-1]) * (num_sets * assoc)
+        self._fresh = fresh_word(assoc)
+        self._recency = array("q", [self._fresh]) * num_sets
         self._present = array("q", [0]) * num_sets
 
     # ------------------------------------------------------------------
     def touch(self, set_index: int, way: int, core: int,
               reset_domain: Optional[int] = None) -> None:
-        o = self._order
-        row = set_index * self.assoc
-        if o[row] == way:                   # already the MRU
-            return
-        present = self._present[set_index]
-        if (present >> way) & 1:
-            k = o.index(way, row, row + self.assoc)
-        else:
-            k = row + present.bit_count()
-            self._present[set_index] = present | (1 << way)
-        # An empty slice move raises while a kernel pins ``o``.
-        if k > row:
-            o[row + 1:k + 1] = o[row:k]
-        o[row] = way
+        word = self._recency[set_index]
+        position = find(word, way)
+        if position:
+            self._recency[set_index] = to_front(word, position, way)
+        self._present[set_index] |= 1 << way
 
     def victim(self, set_index: int, core: int, mask: int) -> int:
         if mask == 0:
@@ -79,14 +126,16 @@ class LRUPolicy(ReplacementPolicy):
         if untouched:
             # Never-touched ways are the oldest; lowest index breaks ties.
             return (untouched & -untouched).bit_length() - 1
-        o = self._order
-        k = set_index * self.assoc + present.bit_count() - 1
-        while not (mask >> o[k]) & 1:
-            k -= 1
-        return o[k]
+        word = self._recency[set_index]
+        shift = 4 * present.bit_count() - 4
+        way = word >> shift & 15
+        while not (mask >> way) & 1:
+            shift -= 4
+            way = word >> shift & 15
+        return way
 
     def reset(self) -> None:
-        self._order[:] = array("q", [-1]) * len(self._order)
+        self._recency[:] = array("q", [self._fresh]) * self.num_sets
         self._present[:] = array("q", [0]) * self.num_sets
 
     def invalidate(self, set_index: int, way: int) -> None:
@@ -95,14 +144,19 @@ class LRUPolicy(ReplacementPolicy):
             self._remove_from_order(set_index, way)
 
     def _remove_from_order(self, set_index: int, way: int) -> None:
-        o = self._order
-        end = (set_index + 1) * self.assoc
-        k = o.index(way, end - self.assoc, end)
-        # An empty slice move raises while a kernel pins ``o``.
-        if k < end - 1:
-            o[k:end - 1] = o[k + 1:end]
-        o[end - 1] = -1
-        self._present[set_index] &= ~(1 << way)
+        """Take a present ``way`` out of the order: it sinks to the
+        deepest present position, which then stops being present."""
+        present = self._present[set_index]
+        word = self._recency[set_index]
+        self._recency[set_index] = _sunk(word, find(word, way),
+                                         present.bit_count() - 1, way)
+        self._present[set_index] = present & ~(1 << way)
+
+    def _touched(self, set_index: int) -> List[int]:
+        """The present ways of ``set_index``, MRU first."""
+        word = self._recency[set_index]
+        return [word >> 4 * i & 15
+                for i in range(self._present[set_index].bit_count())]
 
     # ------------------------------------------------------------------
     # Profiling support (exact stack property)
@@ -115,15 +169,13 @@ class LRUPolicy(ReplacementPolicy):
         self._check_way(way)
         present = self._present[set_index]
         if (present >> way) & 1:
-            row = set_index * self.assoc
-            return self._order.index(way, row, row + self.assoc) - row + 1
+            return find(self._recency[set_index], way) + 1
         return present.bit_count() + 1
 
     def stack_order(self, set_index: int) -> List[int]:
         """Ways of ``set_index`` ordered MRU first (ties: lower way first)."""
         present = self._present[set_index]
-        row = set_index * self.assoc
-        return (self._order[row:row + present.bit_count()].tolist()
+        return (self._touched(set_index)
                 + [w for w in range(self.assoc) if not (present >> w) & 1])
 
     def state_bits_per_set(self) -> int:

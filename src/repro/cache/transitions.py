@@ -34,7 +34,9 @@ kernel (:func:`repro.cmp.engine.batched_refusal`).
 :data:`POLICIES` holds, per kernel kind, *promote* on a hit,
 *fill an invalid way*, *choose a victim under a mask* (for LRU including
 its rotation to MRU), *promote on fill*, and the stock profiler's *SDH
-read* of the pre-access state; :data:`SCHEMES` holds, per enforcement
+read* of the pre-access state (and any pieces a kind's fragments share,
+LRU's ``find`` and ``move`` of a way in its word); :data:`SCHEMES`
+holds, per enforcement
 scheme, the *candidate mask*, the NRU *reset domain* and the *on-fill*
 bookkeeping (``none`` is simply the scheme whose mask and domain are
 ``full_mask``); :data:`TEMPLATES` holds the kernel skeletons, the
@@ -77,54 +79,56 @@ __all__ = ["POLICIES", "SCHEMES", "TEMPLATES", "PRIVATE_LOCALS", "C_KINDS",
 
 POLICIES = {
     "lru": {
-        # Exact LRU: ``assoc`` slots per set (from ``row``), the present
-        # ways MRU first, then -1.  A valid way is present (fills touch,
-        # invalidation removes), so a hit never searches for a way that
-        # is not there and a victim walk always ends inside the set.
+        # Exact LRU: one word per set, nibble i the way at recency
+        # position i (MRU first) and the present ways in the first
+        # present[$set].bit_count() nibbles — the paper's A x log2(A)-bit
+        # permutation (Table I(a)); each way occurs once.  The words are
+        # int64 and wrap (the build's -fwrapv): ``way * 0x1111...`` and a
+        # borrow into the sign nibble are exact mod 2**64, and no shift
+        # reaches 64.  A valid way is present (fills touch, invalidation
+        # removes), so a victim walk always ends inside the set.
         "bind": """\
-orders = policy._order
+recency = policy._recency
 present = policy._present""",
-        # Move-to-front in one fixed-trip pass over the set's slots (the
-        # L1 prefilter's): each slot takes what the slot before it held
-        # until the way's own slot has been passed, with selects and
-        # unconditional stores, so the C target never branches on the
-        # order.
+        # ``below``: the nibbles of ``word`` in front of ``way``'s, found
+        # by one SWAR zero-nibble test of ``word ^ way * 0x1111...`` (its
+        # lowest set bit is the top bit of ``way``'s nibble; bits above
+        # it may be set too and are dropped).
+        "find": """\
+word = recency[$set]
+found = word ^ way * 0x1111111111111111
+found = (found - 0x1111111111111111) & ~found & ~0x7777777777777777
+below = ((found & -found) - 1) >> 3""",
+        # ``way`` to the front, the nibbles ``below`` it one deeper and
+        # those behind it where they were: three masks.
+        "move": """\
+recency[$set] = (word & ~(below << 4 | 15) | (word & below) << 4
+                 | way)""",
         "promote": """\
-passed = 0
-carry = way
-slot = row
-while slot < row + assoc:
-    held = orders[slot]
-    orders[slot] = held if passed else carry
-    passed |= held == way
-    carry = held
-    slot += 1""",
+$find
+$move""",
         "fill_invalid": """\
-slot = row + present[$set].bit_count()
-while slot > row:
-    orders[slot] = orders[slot - 1]
-    slot -= 1
-orders[row] = way
+$find
+$move
 present[$set] |= 1 << way""",
-        # Deepest member of the mask, moved to MRU in the same step.
+        # Deepest member of the mask, walked in a register from the
+        # deepest present nibble and moved to MRU in the same step.
         "victim": """\
-slot = row + present[$set].bit_count() - 1
-way = orders[slot]
+word = recency[$set]
+shift = present[$set].bit_count() * 4 - 4
+way = word >> shift & 15
 while not (mask >> way) & 1:
-    slot -= 1
-    way = orders[slot]
-while slot > row:
-    orders[slot] = orders[slot - 1]
-    slot -= 1
-orders[row] = way""",
+    shift -= 4
+    way = word >> shift & 15
+below = (1 << shift) - 1
+$move""",
         "victim_in_mask": True,
         "fill": "",
-        # Exact stack position: the way's slot in the order (§II-A).
+        # Exact stack position: the way's position in the word plus one
+        # (§II-A).
         "sdh": """\
-slot = row
-while orders[slot] != way:
-    slot += 1
-sdh_r[slot - row + 1] += 1""",
+$find
+sdh_r[(below.bit_length() >> 2) + 1] += 1""",
         "bind_sdh": "",
     },
     "nru": {
@@ -541,7 +545,7 @@ C_KINDS = {
     "tag_lines": "ints", "invalid": "ints", "assoc": "int",
     "full_mask": "int", "set_mask": "int",
     "misses": "cores", "fills_invalid": "cores",
-    "orders": "ints", "present": "ints",
+    "recency": "ints", "present": "ints",
     "used_l": "ints", "pointer": "ints",
     "tree": "ints", "keep": "ints", "setb": "ints", "table": "ints",
     "walk": "ints", "up_l": "ints", "down_l": "ints", "levels": "int",

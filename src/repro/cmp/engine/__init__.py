@@ -74,7 +74,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "faaa115372f061d85492cfe8124485acfa9b0c949ab4059f95ddb81bf36bb69f"
+ENGINE_SOURCE_CHECKSUM = "d98c17e7b979c5df52cfed874fad6e4a019b6a15152b9c7081bd391fbb9e2ef6"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,

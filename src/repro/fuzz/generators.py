@@ -50,7 +50,9 @@ They aim at what the batched engine's miss-stream loop special-cases:
 
 Configuration points sample the legal cross product the batched engine
 runs (anything else has no second engine to diff): 1, 2, 4 or 8 cores
-(a case with more cores than L2 ways is unpartitioned), the three paper
+on a 4- or 8-way L2 (8 or 16 ways for 8 cores, which fills the LRU
+recency word; a case with more cores than L2 ways is unpartitioned),
+the three paper
 policies under every enforcement scheme (partitioned needs a profilable
 policy, BT pairs with btvectors), selectors including ``static``,
 boundary-dense intervals, ATD sampling ratios, the bandwidth channel and
@@ -366,7 +368,9 @@ def generate_case(seed: int, index: int) -> FuzzCase:
     l1_sets = (2, 4)[_int(rng, 0, 1)]
     l1_assoc = 2
     l2_sets = (8, 16, 32)[_int(rng, 0, 2)]
-    l2_assoc = (4, 8)[_int(rng, 0, 1)]
+    # Eight cores get eight or sixteen ways from the same draw: at 16
+    # the LRU word is full, its sign nibble included.
+    l2_assoc = ((8, 16) if num_cores == 8 else (4, 8))[_int(rng, 0, 1)]
 
     partitioning = _sample_partitioning(rng, num_cores, l2_sets, l2_assoc)
 

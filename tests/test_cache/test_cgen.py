@@ -254,10 +254,10 @@ def test_an_unbounded_list_binding_is_refused():
 
 
 @pytest.mark.parametrize("rendering,slot,text,method", [
-    ("loop", "promote", "orders.remove(way)\norders.insert(row, way)",
+    ("loop", "promote", "recency.remove(way)\nrecency.insert(row, way)",
      "remove"),
-    ("loop", "promote", "orders.insert(row, way)", "insert"),
-    ("observe", "sdh", "sdh_r[orders.index(way, row) - row + 1] += 1",
+    ("loop", "promote", "recency.insert(row, way)", "insert"),
+    ("observe", "sdh", "sdh_r[recency.index(way, row) - row + 1] += 1",
      "index"),
 ], ids=["remove", "insert", "index"])
 def test_a_list_method_in_a_fragment_is_refused_by_name(

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.base import make_policy
+from repro.cache.replacement.lru import LRUPolicy, fresh_word
 
 
 def touch_seq(policy, ways, set_index=0):
@@ -107,24 +108,67 @@ class TestInvalidate:
 
 
 class TestPinnedOrder:
-    """A compiled kernel holds a buffer export of ``_order`` for as long
-    as it lives, and CPython refuses even an *empty* slice assignment on
-    an exporting array: a move with nothing to shift is skipped."""
+    """A compiled kernel holds a buffer export of ``_recency`` for as
+    long as it lives: every mutator stores whole words in place."""
 
     def test_touch_into_an_empty_order(self):
         p = LRUPolicy(num_sets=2, assoc=4)
-        with memoryview(p._order):
+        with memoryview(p._recency):
             p.touch(1, 2, core=0)
-        assert list(p._order[4:]) == [2, -1, -1, -1]
+        assert p._recency[1] & 0xFFFF == 0x3102
         assert p.stack_order(1) == [2, 0, 1, 3]
+        assert p._recency[0] == fresh_word(4)
 
     def test_invalidate_at_the_last_slot(self):
         p = LRUPolicy(num_sets=2, assoc=4)
         touch_seq(p, [0, 1, 2, 3], set_index=1)
-        with memoryview(p._order):
-            p.invalidate(1, 0)          # the LRU way: the set's last slot
-        assert list(p._order[4:]) == [3, 2, 1, -1]
-        assert p.victim(1, 0, 0b1111) == 0
+        with memoryview(p._recency):
+            p.invalidate(1, 0)          # the LRU way: the deepest nibble
+            assert p._recency[1] & 0xFFFF == 0x0123
+            assert p.victim(1, 0, 0b1111) == 0
+            p.reset()
+        assert list(p._recency) == [fresh_word(4)] * 2
+
+    def test_the_word_is_the_permutation(self):
+        """Nibble ``i`` is the way at position ``i``, MRU first; ``0xF``
+        fills the nibbles above ``assoc``."""
+        p = LRUPolicy(num_sets=1, assoc=4)
+        assert p._recency[0] & 0xFFFF == 0x3210
+        touch_seq(p, [2, 0, 3, 1])
+        assert p._recency[0] == -0x10000 | 0x2031
+        assert p._recency[0] >> 16 == -1
+
+
+class TestSixteenWays:
+    """At A = 16 the word has no filler: way 15 can be any nibble, the
+    sign nibble included."""
+
+    def test_deepest_way_15_stores_a_negative_word(self):
+        p = LRUPolicy(num_sets=1, assoc=16)
+        order = [15] + list(range(15))      # way 15 first: the deepest
+        touch_seq(p, order)
+        word = p._recency[0]
+        assert word < 0 and (word >> 60) & 15 == 15
+        assert word & (1 << 64) - 1 == 0xF0123456789ABCDE
+        assert p.victim(0, 0, 0xFFFF) == 15
+        assert p.stack_position(0, 15) == 16
+        assert p.stack_order(0) == order[::-1]
+        p.touch(0, 15, core=0)              # out of the sign nibble
+        assert p._recency[0] > 0 and p._recency[0] & 15 == 15
+        assert p.victim(0, 0, 0xFFFF) == 0
+
+    def test_victim_walks_from_the_sign_nibble(self):
+        p = LRUPolicy(num_sets=1, assoc=16)
+        touch_seq(p, [15, 8] + list(range(8)) + list(range(9, 15)))
+        assert p._recency[0] < 0
+        assert p.victim(0, 0, 0x7FFF) == 8
+        assert p.victim(0, 0, 1 << 15) == 15
+
+    @pytest.mark.parametrize("name", ["lru", "fifo", "lip", "bip", "dip"])
+    def test_17_ways_are_refused(self, name):
+        with pytest.raises(ValueError, match="17 ways do not fit"):
+            make_policy(name, 4, 17)
+        assert make_policy(name, 4, 16).assoc == 16
 
 
 class TestMisc:

@@ -452,7 +452,7 @@ def window_policy_state(cache):
     later comparison)."""
     p = cache.policy
     state = {}
-    for attr in ("_order", "_present", "_used", "_tree", "_rrpv",
+    for attr in ("_recency", "_present", "_used", "_tree", "_rrpv",
                  "_pointer_box", "_below_mask"):
         if hasattr(p, attr):
             state[attr] = list(getattr(p, attr))

@@ -234,20 +234,14 @@ def relearn():
 
 
 #: LRU's ``promote`` with the injected bug of
-#: ``tests/corpus/lru-promote-below-mru.json``: the shift pass starts one
-#: slot below the MRU, so a hit way lands there and the MRU stays.
+#: ``tests/corpus/lru-promote-below-mru.json``: a hit way below the MRU
+#: moves to position 1, so it lands below the MRU and the MRU stays.
 PROMOTE_BELOW_MRU = """\
-held = orders[row]
-if held != way:
-    slot = row + 1
-    held = orders[slot]
-    carry = way
-    while held != way:
-        orders[slot] = carry
-        carry = held
-        slot += 1
-        held = orders[slot]
-    orders[slot] = carry"""
+$find
+if below:
+    below &= ~15
+    recency[$set] = (word & ~(below << 4 | 255) | (word & below) << 4
+                     | way << 4 | word & 15)"""
 
 
 def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
@@ -270,7 +264,7 @@ def test_mutating_a_fragment_changes_both_targets(monkeypatch, relearn):
                                               "auto")) == []
     assert any("l2_misses" in path
                for path in diff_snapshots(stock, compiled))
-    assert "slot = (row + INT64_C(1));" in \
+    assert "(way << INT64_C(4))" in \
         transitions.translate("loop", ("lru", "masks")).source
 
 
@@ -654,7 +648,7 @@ def test_a_compiled_call_copies_nothing(key, request, kernels):
             else:
                 assert kind in ("int", "float"), name
         if key[0] == "lru" and rendering != "prefilter":
-            assert {"orders", "present"} <= shared
+            assert {"recency", "present"} <= shared
         if rendering == "loop":
             assert set(transitions.LoopRun._fields[4:]) <= shared
             buffer = kernel._bound["lines"]

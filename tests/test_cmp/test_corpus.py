@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz import CORPUS_FORMAT, FuzzCase, run_case
+from repro.fuzz.case import ALL_ENGINES
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_PATHS = sorted(CORPUS_DIR.glob("*.json"))
@@ -35,6 +36,17 @@ def test_corpus_is_populated():
     assert len(CORPUS_PATHS) >= 5
     assert "bt-subcube-invalid-way" in names
     assert "lip-repeat-elision-minimal" in names
+
+
+def test_corpus_holds_an_8_core_16_way_lru_case():
+    """Eight threads on the full LRU recency word: sixteen ways, so the
+    sign nibble holds a way, under masks that the controller moves —
+    replayed on both engines."""
+    case = FuzzCase.load(CORPUS_DIR / "lru-16way-8core-masks.json")
+    assert (case.num_cores, case.l2_assoc) == (8, 16)
+    assert (case.partitioning.policy, case.partitioning.enforcement) == \
+        ("lru", "masks")
+    assert case.applicable_engines() == ALL_ENGINES
 
 
 @pytest.mark.parametrize("path", CORPUS_PATHS, ids=_case_id)

@@ -310,7 +310,7 @@ class TestGeneratedSourceExplainsItself:
         for rendering, key in transitions.rendering_keys():
             transitions.render(rendering, key)
         policies = dict(transitions.POLICIES, probe=dict(
-            transitions.POLICIES["lru"], promote="clock = orders[row]"))
+            transitions.POLICIES["lru"], promote="clock = recency[$set]"))
         for _ in range(2):
             with pytest.raises(ValueError, match=r"policy 'promote' -> "
                                                  r"clock"):

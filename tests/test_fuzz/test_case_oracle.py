@@ -81,16 +81,17 @@ class TestOracle:
     def test_compiled_only_bug_shows_on_the_compiled_runs_alone(
             self, monkeypatch):
         """A bug in the compiled loop alone — here the C translated from
-        a spec whose LRU hit re-inserts below the MRU — diverges from the
+        a spec whose LRU hit swaps its way with the MRU — diverges from the
         reference, which steps the classes, and not in the ``prefilter:``
         stage."""
         from repro.cache import native, transitions
 
-        stock = transitions.POLICIES["lru"]["promote"]
+        # A hit swaps its way with the MRU instead of moving it there.
         mutated = dict(transitions.POLICIES, lru=dict(
-            transitions.POLICIES["lru"],
-            promote=stock.replace("slot = row\n", "slot = row + 1\n")))
-        assert mutated["lru"]["promote"] != stock
+            transitions.POLICIES["lru"], promote="""\
+$find
+shift = below.bit_length()
+recency[$set] = word & ~(15 << shift) & ~15 | (word & 15) << shift | way"""))
         translate = transitions.translate
         monkeypatch.setattr(
             transitions, "translate",

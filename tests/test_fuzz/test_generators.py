@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.fuzz import TRACE_SHAPES, generate_case, generate_trace_shape
-from repro.config import ENFORCE_NONE
+from repro.config import ENFORCE_BTVECTORS
 from repro.fuzz.case import ALL_ENGINES
 from repro.fuzz.oracle import run_case
 
@@ -73,15 +73,21 @@ class TestValidity:
     def test_seed_zero_compares_the_engines_on_8_cores(self):
         """The top slice of the core-count draw is 8 cores, so
         ``repro fuzz --seed 0 --budget 60`` compares the engines on
-        8-thread runs: cases 26 and 28.  Case 26's L2 has 4 ways, which
-        no allocation splits eight ways, so it is unpartitioned.  Case 28
-        runs on both engines, bit-identically."""
+        8-thread runs: cases 26 and 28.  Eight cores draw their L2 from
+        8 or 16 ways, so every allocation gives each core a way: case 26
+        partitions 8 ways with BT vectors.  Case 28 runs LRU on 16 ways,
+        the full recency word, on both engines, bit-identically."""
         cases = [generate_case(0, i) for i in range(60)]
         assert [i for i, case in enumerate(cases)
                 if case.num_cores == 8] == [26, 28]
-        assert all(case.partitioning.enforcement == ENFORCE_NONE
-                   for case in cases if case.num_cores > case.l2_assoc)
-        assert cases[26].l2_assoc == 4
+        assert all(case.l2_assoc in (8, 16)
+                   for case in cases if case.num_cores == 8)
+        assert all(case.l2_assoc in (4, 8)
+                   for case in cases if case.num_cores < 8)
+        assert cases[26].l2_assoc == 8
+        assert cases[26].partitioning.enforcement == ENFORCE_BTVECTORS
+        assert cases[28].l2_assoc == 16
+        assert cases[28].partitioning.policy == "lru"
         report = run_case(cases[28])
         assert report.engines == ALL_ENGINES and report.engine_runs == 2
         assert not report.divergent, report.summary()

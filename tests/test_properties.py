@@ -24,7 +24,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.partition.allocation import WayAllocation
 from repro.cache.partition.masks import MasksPartition
 from repro.cache.replacement.base import make_policy
-from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.lru import LRUPolicy, fresh_word
 from repro.cache.replacement.nru import NRUPolicy
 from repro.cache.state import rendered_key
 from repro.profiling.sdh import SDH
@@ -187,32 +187,38 @@ class TestEnforcementProperties:
 
 
 class TestLRUOrderLists:
-    """The LRU family's recency order is ``assoc`` flat slots per set.
+    """The LRU family's recency order is one ``int64`` word per set.
 
-    The rendered kernels search and shift those slots without a bound
-    check — a hit's search stops at its way, a victim walk starts at the
-    deepest present slot, a fill shifts the present prefix — so the first
-    ``_present[s].bit_count()`` slots of set ``s`` must be exactly its
-    present ways, MRU first, and every other slot ``-1``; and ``_order``
-    must stay the same object for the life of the policy (kernels capture
-    it at cache construction, and C shares it by address).
+    The rendered kernels find a way with a SWAR zero-nibble test and walk
+    a victim from the deepest present nibble without a bound check, so
+    each word must hold every way exactly once — the first
+    ``_present[s].bit_count()`` nibbles of set ``s`` exactly its present
+    ways, MRU first, then the absent ones, then ``0xF`` above ``assoc`` —
+    and ``_recency`` must stay the same object for the life of the
+    policy (kernels capture it at cache construction, and C shares it by
+    address).
     """
 
-    SETS, ASSOC = 2, 4
+    SETS = 2
     operations = st.lists(
         st.tuples(st.sampled_from(["touch", "fill", "victim", "invalidate",
                                    "reset"]),
-                  st.integers(0, SETS - 1), st.integers(0, ASSOC - 1),
-                  st.integers(1, (1 << ASSOC) - 1)),
+                  st.integers(0, SETS - 1), st.integers(0, 15),
+                  st.integers(1, (1 << 16) - 1)),
         max_size=120)
 
-    @given(st.sampled_from(["lru", "fifo", "lip", "bip", "dip"]), operations)
+    @given(st.sampled_from(["lru", "fifo", "lip", "bip", "dip"]),
+           st.sampled_from([2, 4, 16]), operations)
     @settings(max_examples=60, deadline=None)
-    def test_each_list_is_a_permutation_of_the_present_ways(self, name, ops):
-        policy = make_policy(name, self.SETS, self.ASSOC,
+    def test_each_list_is_a_permutation_of_the_present_ways(self, name,
+                                                            assoc, ops):
+        policy = make_policy(name, self.SETS, assoc,
                              rng=np.random.default_rng(7))
-        outer = policy._order
+        outer = policy._recency
+        full = (1 << assoc) - 1
         for op, s, way, mask in ops:
+            way %= assoc
+            mask = mask & full or full
             if op == "touch":
                 policy.touch(s, way, 0)
             elif op == "fill":
@@ -224,39 +230,39 @@ class TestLRUOrderLists:
                 policy.invalidate(s, way)
             else:
                 policy.reset()
-            assert len(policy._order) == self.SETS * self.ASSOC
+            assert len(policy._recency) == self.SETS
             for s in range(self.SETS):
                 present = policy._present[s]
                 count = present.bit_count()
-                slots = list(policy._order[s * self.ASSOC:
-                                           (s + 1) * self.ASSOC])
-                assert sum(1 << w for w in slots[:count]) == present
-                assert len(set(slots[:count])) == count
-                assert slots[count:] == [-1] * (self.ASSOC - count)
-        assert policy._order is outer
+                word = policy._recency[s]
+                nibbles = [word >> 4 * i & 15 for i in range(16)]
+                assert sorted(nibbles[:assoc]) == list(range(assoc))
+                assert nibbles[assoc:] == [15] * (16 - assoc)
+                assert sum(1 << w for w in nibbles[:count]) == present
+        assert policy._recency is outer
 
     @given(line_streams, line_streams)
     @settings(max_examples=40, deadline=None)
     def test_kernel_bound_before_a_flush_drives_the_same_lists(self, prefix,
                                                                stream):
-        """``flush()`` empties the slots in place: a fused event loop
+        """``flush()`` resets the words in place: a fused event loop
         bound before it replays the next stream exactly as a fresh
         cache's does, and leaves its result in the policy's own array."""
         flushed = SetAssociativeCache(geometry(4, 4), "lru")
         assert rendered_key(flushed) == ("lru", "none")
         kernel = loop_window(flushed)
-        orders = flushed.policy._order
+        words = flushed.policy._recency
         kernel(prefix, bytearray(len(prefix)))
         flushed.flush()
-        assert flushed.policy._order is orders
-        assert list(orders) == [-1] * len(orders)
+        assert flushed.policy._recency is words
+        assert list(words) == [fresh_word(4)] * len(words)
         flags_flushed = bytearray(len(stream))
         kernel(stream, flags_flushed)
         fresh = SetAssociativeCache(geometry(4, 4), "lru")
         flags_fresh = bytearray(len(stream))
         loop_window(fresh)(stream, flags_fresh)
         assert flags_flushed == flags_fresh
-        assert orders == fresh.policy._order
+        assert words == fresh.policy._recency
         assert list(flushed.state.lines) == list(fresh.state.lines)
 
 
